@@ -5,7 +5,8 @@
    With no subcommand everything runs (the order follows the paper);
    [--metrics-out] additionally writes the printed table cells as JSON
    (see Report); [--tie-seed] perturbs the engine's scheduling of
-   equal-time fibres — results must not change (CI compares);
+   equal-time fibres — results must not change (CI compares); it
+   installs a scheduler, so it is a usage error with [--domains];
    [--flight] attaches an enabled flight recorder to every engine —
    results must not change either (the recorder must never perturb a
    schedule; CI compares byte-for-byte); [--tracer] attaches a real
@@ -30,6 +31,7 @@ let usage () =
    machine-dependent, so [parallel] is not part of "all": the default
    run stays deterministic for the byte-comparison jobs. *)
 let domains_list = ref [ 1; 2; 4 ]
+let domains_given = ref false
 
 let run = function
   | "table5" -> Tables.table5 ()
@@ -75,7 +77,7 @@ let () =
       parse rest
     | "--tie-seed" :: seed :: rest ->
       (match int_of_string_opt seed with
-      | Some n -> Util.tie_break := Hw.Engine.Seeded n
+      | Some n -> Util.tie_seed := Some n
       | None -> usage ());
       parse rest
     | "--flight" :: rest ->
@@ -90,6 +92,7 @@ let () =
        with
       | ns when ns <> [] && List.for_all (function Some n -> n > 0 | None -> false) ns
         ->
+        domains_given := true;
         domains_list := List.filter_map Fun.id ns;
         (* A single count additionally switches every other section
            onto the parallel engine at that many domains — the CI
@@ -102,7 +105,9 @@ let () =
     | [ "--metrics-out" ] | [ "--tie-seed" ] | [ "--domains" ] -> usage ()
     | cmds -> cmds
   in
-  (match parse (List.tl (Array.to_list Sys.argv)) with
-  | [] -> run "all"
-  | cmds -> List.iter run cmds);
+  let cmds = parse (List.tl (Array.to_list Sys.argv)) in
+  (* --tie-seed installs a scheduler, which the parallel engine
+     refuses. *)
+  if !Util.tie_seed <> None && !domains_given then usage ();
+  (match cmds with [] -> run "all" | cmds -> List.iter run cmds);
   Report.write ()

@@ -24,10 +24,10 @@ let pages = 256
 let rounds = 2
 
 let run_once ~domains scen =
+  (* --tie-seed perturbs the sequential oracle row only: the pool
+     refuses schedulers. *)
   let engine =
-    Hw.Engine.create ~tie_break:!Util.tie_break
-      ?domains:(if domains = 0 then None else Some domains)
-      ()
+    if domains = 0 then Util.engine () else Hw.Engine.create ~domains ()
   in
   let t0 = Unix.gettimeofday () in
   let pvms = Hw.Engine.run_fn engine (fun () -> scen.Check.Crossval.run engine) in

@@ -4,9 +4,20 @@ let ps = 8192
 let kb n = n * 1024
 
 (* Schedule perturbation for determinism checks (--tie-seed): when
-   seeded, equal-time fibres are legally reordered.  Table cells must
-   come out byte-identical regardless — CI compares the outputs. *)
-let tie_break = ref Hw.Engine.Fifo
+   seeded, every sequential engine runs under
+   [Hw.Engine.seeded_scheduler], legally reordering equal-time fibres.
+   Table cells must come out byte-identical regardless — CI compares
+   the outputs. *)
+let tie_seed = ref None
+
+(* A fresh engine honouring --tie-seed; schedulers need the sequential
+   engine, so main rejects --tie-seed with --domains. *)
+let engine ?domains () =
+  let engine = Hw.Engine.create ?domains () in
+  Option.iter
+    (fun seed -> Hw.Engine.set_scheduler engine (Hw.Engine.seeded_scheduler seed))
+    !tie_seed;
+  engine
 
 (* Always-on-path check (--flight): when set, every engine carries an
    enabled flight recorder.  Recording must be free at the schedule
@@ -28,7 +39,7 @@ let tracer_on = ref false
 
 (* Run [f] in a fresh discrete-event engine and return its result. *)
 let in_sim f =
-  let engine = Hw.Engine.create ~tie_break:!tie_break ?domains:!domains () in
+  let engine = engine ?domains:!domains () in
   if !flight_on then begin
     let fl = Obs.Flight.create () in
     Obs.Flight.enable fl;

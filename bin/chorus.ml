@@ -289,12 +289,6 @@ let scenario_contend ?(register = fun _ -> ()) engine =
   done;
   [ pvm ]
 
-(* [deterministic] marks scenarios whose observable outcome must not
-   depend on the schedule: single logical thread of control, so the
-   check subcommand compares stats across seeds byte-for-byte.
-   [contend] is excluded — its racing writers legitimately interleave
-   differently per schedule, and only the safety properties (invariant
-   sweep, blocking discipline) are schedule-independent. *)
 (* The contended many-context fault workload shared with crossval and
    the throughput benchmark — the one scenario whose workers carry
    non-zero affinities, so with --domains it genuinely exercises the
@@ -304,6 +298,13 @@ let scenario_storm ?(register = fun _ -> ()) engine =
   List.iter register pvms;
   pvms
 
+(* name -> (body, deterministic).  [deterministic] marks scenarios
+   whose observable outcome must not depend on the schedule: single
+   logical thread of control, so the check subcommand compares stats
+   across seeds byte-for-byte.  [contend] is excluded — its racing
+   writers legitimately interleave differently per schedule, and only
+   the safety properties (invariant sweep, blocking discipline) are
+   schedule-independent. *)
 let scenarios =
   [
     ("fig3", (scenario_fig3, true));
@@ -323,6 +324,10 @@ let scenario_entry name =
     exit 2
 
 let scenario_body name = fst (scenario_entry name)
+
+(* SCENARIO help text: the [scenarios] list plus a command's extras. *)
+let scenario_doc extra =
+  "one of: " ^ String.concat ", " (List.map fst scenarios @ extra)
 
 let write_file ~cmd file contents =
   try Out_channel.with_open_text file (fun oc -> output_string oc contents)
@@ -654,12 +659,12 @@ let profile scenario folded json_out flight_out =
   end
 
 (* chorus check SCENARIO: run under the sanitizer and the
-   schedule-perturbation harness.  One reference run with FIFO
-   tie-break, then one per seed with equal-time fibres legally
-   permuted; every run must pass the quiescent invariant sweep and the
-   §3.3.3 blocking-discipline analysis of its trace, and all runs must
-   agree on the observable outcome (stats counters and frame-pool
-   occupancy). *)
+   schedule-perturbation harness.  One reference run in spawn/wake
+   order, then one per seed under Hw.Engine.seeded_scheduler, which
+   legally permutes equal-time fibres; every run must pass the
+   quiescent invariant sweep and the §3.3.3 blocking-discipline
+   analysis of its trace, and all runs must agree on the observable
+   outcome (stats counters and frame-pool occupancy). *)
 
 (* Read every live, readable region back through the GMI and digest
    the bytes — the logical memory contents a program could observe.
@@ -710,8 +715,11 @@ let check scenario seeds every_event bundle_dir =
        %s)\n"
       path path
   in
-  let run_one label tie =
-    let engine = Hw.Engine.create ~tie_break:tie () in
+  let run_one label seed =
+    let engine = Hw.Engine.create () in
+    Option.iter
+      (fun s -> Hw.Engine.set_scheduler engine (Hw.Engine.seeded_scheduler s))
+      seed;
     let tr = Obs.Trace.create () in
     Hw.Engine.set_tracer engine tr;
     Obs.Trace.enable tr;
@@ -790,12 +798,10 @@ let check scenario seeds every_event bundle_dir =
     let contents = content_digest engine pvms in
     (stats_str, state_digest, contents)
   in
-  let ref_stats, ref_state, ref_contents = run_one "fifo" Hw.Engine.Fifo in
+  let ref_stats, ref_state, ref_contents = run_one "fifo" None in
   for seed = 1 to seeds do
     let label = Printf.sprintf "seed %d" seed in
-    let stats_str, state_digest, contents =
-      run_one label (Hw.Engine.Seeded seed)
-    in
+    let stats_str, state_digest, contents = run_one label (Some seed) in
     if deterministic && not (String.equal stats_str ref_stats) then
       fail label "schedule-dependent outcome:@,--- fifo@,%s@,--- %s@,%s"
         ref_stats label stats_str;
@@ -988,80 +994,13 @@ let bench domains workers pages rounds with_stats =
   check_order_witnesses ~label:"chorus bench"
 
 (* chorus explore SCENARIO: systematic schedule exploration with the
-   Check.Explore DPOR model checker.  [contend] runs a Model program
-   through the full PVM under memory pressure and checks every
-   schedule's outcome against the sequential reference model's
-   serializations; the other scenarios assert their observable
-   Inspect digest is schedule-independent. *)
-
-let explore_prog ~workers ~rounds ~pages =
-  Array.init workers (fun f ->
-      Array.concat
-        (List.init rounds (fun r ->
-             let p = (f + r) mod pages in
-             [|
-               Check.Model.Write
-                 { addr = p * ps; data = String.make 16 (Char.chr (65 + f)) };
-               Check.Model.Read { addr = (p + 1) mod pages * ps; len = 8 };
-             |])))
-
-let explore_contend_pages = 3
-
-let explore_contend_prog =
-  explore_prog ~workers:3 ~rounds:2 ~pages:explore_contend_pages
-
-(* Two workers, three pages, two frames: every operation contends for
-   a frame, so schedules branch at frame allocation, eviction and
-   pullIn — the §3.3.3 window the explorer is for.  Both workers
-   write page 1 with different bytes: a genuine value race with
-   several legal serializations, so the oracle is the Model's outcome
-   set rather than a single digest. *)
-let explore_contend_scenario =
-  Check.Explore.of_program ~name:"contend-model"
-    ~setup:(fun engine ->
-      let site =
-        Nucleus.Site.create ~frames:3 ~swap_seek_time:(Hw.Sim_time.ms 4)
-          ~swap_transfer_time_per_page:(Hw.Sim_time.ms 1) ~engine ()
-      in
-      let pvm = site.Nucleus.Site.pvm in
-      let ctx = Core.Context.create pvm in
-      let cache = Core.Cache.create pvm () in
-      let size = explore_contend_pages * ps in
-      let _ =
-        Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write
-          cache ~offset:0
-      in
-      (pvm, ctx, size))
-    explore_contend_prog
-
-(* A smaller pressure shape for the forensics pipeline: two Model
-   workers over three pages and only two frames, so every operation
-   contends for a frame.  Under an armed [evict-claim-late] injection
-   this is the fixture that deterministically reproduces the blocking-
-   discipline race (the same shape the explorer regression tests
-   use), which makes it CI's forced-failure scenario. *)
-let explore_pressure_pages = 3
-
-let explore_pressure_prog =
-  explore_prog ~workers:2 ~rounds:2 ~pages:explore_pressure_pages
-
-let explore_pressure_scenario =
-  Check.Explore.of_program ~name:"pressure"
-    ~setup:(fun engine ->
-      let site =
-        Nucleus.Site.create ~frames:2 ~swap_seek_time:(Hw.Sim_time.ms 4)
-          ~swap_transfer_time_per_page:(Hw.Sim_time.ms 1) ~engine ()
-      in
-      let pvm = site.Nucleus.Site.pvm in
-      let ctx = Core.Context.create pvm in
-      let cache = Core.Cache.create pvm () in
-      let size = explore_pressure_pages * ps in
-      let _ =
-        Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write
-          cache ~offset:0
-      in
-      (pvm, ctx, size))
-    explore_pressure_prog
+   Check.Explore DPOR model checker.  [contend] and [pressure] run
+   Check.Explore's memory-pressure Model programs through the full PVM
+   and check every schedule's outcome against the sequential reference
+   model's serializations — [pressure] being also CI's forced-failure
+   fixture under an armed [evict-claim-late] injection; the other
+   scenarios assert their observable Inspect digest is
+   schedule-independent. *)
 
 (* A chorus scenario body lifted into the Explore/Forensics scenario
    shape: run the body, observe the concatenated Inspect digests. *)
@@ -1077,19 +1016,9 @@ let wrapped_scenario name =
 
 let explore_scenario name =
   if String.equal name "contend" then
-    ( explore_contend_scenario,
-      Check.Explore.Outcomes
-        (lazy
-          (Check.Model.outcomes
-             ~size:(explore_contend_pages * ps)
-             explore_contend_prog)) )
+    (Check.Explore.contend_model, Check.Explore.contend_model_oracle)
   else if String.equal name "pressure" then
-    ( explore_pressure_scenario,
-      Check.Explore.Outcomes
-        (lazy
-          (Check.Model.outcomes
-             ~size:(explore_pressure_pages * ps)
-             explore_pressure_prog)) )
+    (Check.Explore.pressure, Check.Explore.pressure_oracle)
   else
     let _, deterministic = scenario_entry name in
     ( wrapped_scenario name,
@@ -1102,8 +1031,8 @@ let explore_scenario name =
    scenario name, whose body wraps identically under the forced
    driver. *)
 let forced_scenario name =
-  if String.equal name "contend-model" then explore_contend_scenario
-  else if String.equal name "pressure" then explore_pressure_scenario
+  if String.equal name "contend-model" then Check.Explore.contend_model
+  else if String.equal name "pressure" then Check.Explore.pressure
   else wrapped_scenario name
 
 let explore scenario bound max_schedules show_stats schedule_out inject
@@ -1144,14 +1073,12 @@ let explore scenario bound max_schedules show_stats schedule_out inject
     Format.eprintf "chorus explore %s: FAILED@.%a@." scenario
       Check.Explore.pp_violation v;
     if show_stats then Format.eprintf "%a@." Check.Explore.pp_stats s;
-    (match Check.Explore.replay scen v.Check.Explore.v_schedule with
+    (match Check.Explore.replay scen v with
     | `Violation (kind, _) ->
       Format.eprintf "replay of the offending schedule reproduces: %s@." kind
     | `Done _ | `Sleep ->
       Format.eprintf "warning: replay did not reproduce the violation@.");
-    let bundle, _ =
-      Check.Forensics.capture ~inject scen v.Check.Explore.v_schedule
-    in
+    let bundle, _ = Check.Forensics.capture ~inject scen v in
     let path = Obs.Bundle.write ~dir:bundle_dir bundle in
     Printf.printf "wrote crash bundle %s (re-drive it with: chorus replay %s)\n"
       path path;
@@ -1219,14 +1146,13 @@ let scenario_arg =
   Arg.(
     required
     & pos 0 (some string) None
-    & info [] ~docv:"SCENARIO" ~doc:"one of: fig3, fork, dsm, ipc, contend")
+    & info [] ~docv:"SCENARIO" ~doc:(scenario_doc []))
 
 let explore_scenario_arg =
   Arg.(
     required
     & pos 0 (some string) None
-    & info [] ~docv:"SCENARIO"
-        ~doc:"one of: fig3, fork, dsm, ipc, contend, pressure")
+    & info [] ~docv:"SCENARIO" ~doc:(scenario_doc [ "pressure" ]))
 
 let flight_arg cmd =
   Arg.(
@@ -1454,8 +1380,7 @@ let cmds =
         $ Arg.(
             required
             & pos 0 (some string) None
-            & info [] ~docv:"SCENARIO"
-                ~doc:"one of: fig3, fork, dsm, ipc, contend, decomp")
+            & info [] ~docv:"SCENARIO" ~doc:(scenario_doc [ "decomp" ]))
         $ Arg.(
             value
             & opt (some string) None

@@ -87,10 +87,7 @@ let storm ?(workers = 8) ?(pages = 16) ?(rounds = 4) ?shards () =
 let storm_faults ~workers ~pages = workers * pages
 
 let run_on ?(domains = 0) (s : scenario) =
-  let engine =
-    if domains = 0 then Hw.Engine.create ()
-    else Hw.Engine.create ~domains ()
-  in
+  let engine = Hw.Engine.create ~domains () in
   let pvms = Hw.Engine.run_fn engine (fun () -> s.run engine) in
   String.concat "+" (List.map Core.Inspect.digest pvms)
 

@@ -86,7 +86,7 @@ exception Sleep_blocked
    sleep set: a redundant interleaving, abandoned mid-flight *)
 
 exception Too_many_steps of int
-exception Invariant_failed of string
+exception Invariant_failed of string * string list (* report, rule ids *)
 
 type step = {
   st_fib : int;
@@ -105,6 +105,15 @@ type node = {
   mutable n_backtrack : int list; (* branches the race analysis demands *)
 }
 
+(* 1 when choosing fibre [f] at [n] switches away from a still-ready
+   predecessor *)
+let preemption n f =
+  if
+    n.n_prev_fib >= 0 && f <> n.n_prev_fib
+    && Array.exists (fun x -> x = n.n_prev_fib) n.n_ready
+  then 1
+  else 0
+
 type stats = {
   mutable schedules : int;
   mutable sleep_blocked : int;
@@ -117,7 +126,12 @@ type stats = {
   mutable exhausted : bool;
 }
 
-type violation = { v_kind : string; v_detail : string; v_schedule : int list }
+type violation = {
+  v_kind : string;
+  v_detail : string;
+  v_schedule : int list;
+  v_digest : string option; (* the digest an oracle rejected *)
+}
 
 type result = {
   r_stats : stats;
@@ -135,29 +149,42 @@ type scenario = {
   run : Hw.Engine.t -> register:(Core.Types.pvm -> unit) -> unit -> string;
 }
 
-let sanitize_or_raise ~strict pvm =
-  match Sanitizer.run ~strict pvm with
-  | [] -> ()
-  | vs ->
-    raise
-      (Invariant_failed
-         (Format.asprintf "%a"
-            (fun ppf () -> Sanitizer.report ppf pvm vs)
-            ()))
+(* Sweep every registered PVM (unless [sweep] is off); the first
+   failing one raises [Invariant_failed]. *)
+let sweeper ~sweep pvms ~strict =
+  if sweep then
+    List.iter
+      (fun pvm ->
+        match Sanitizer.run ~strict pvm with
+        | [] -> ()
+        | vs ->
+          raise
+            (Invariant_failed
+               ( Format.asprintf "%a" (fun ppf () -> Sanitizer.report ppf pvm vs) (),
+                 List.sort_uniq compare (List.map (fun v -> v.Sanitizer.rule) vs)
+               )))
+      !pvms
 
-(* Execute the scenario once under [pick]/[on_step] and classify how
-   the schedule ended.  The per-slice sanitizer sweep and the terminal
-   strict sweep live in the callbacks / epilogue of the callers. *)
-let classify body =
-  match body () with
+(* Run the scenario once on [eng] under its installed scheduler (which
+   sweeps per slice), sweep strictly at quiescence, classify the end. *)
+let execute eng scenario ~sweep pvms =
+  let register pvm = pvms := pvm :: !pvms in
+  match
+    let digest =
+      Hw.Engine.run_fn eng (fun () -> scenario.run eng ~register ())
+    in
+    sweep ~strict:true;
+    digest
+  with
   | digest -> `Done digest
   | exception Sleep_blocked -> `Sleep
   | exception Too_many_steps n ->
     `Violation
       ("divergence", Printf.sprintf "schedule exceeded %d engine events" n)
-  | exception Invariant_failed detail -> `Violation ("invariant", detail)
+  | exception Invariant_failed (detail, _) -> `Violation ("invariant", detail)
   | exception Hw.Engine.Deadlock n ->
     `Violation ("deadlock", Printf.sprintf "%d fibres still suspended" n)
+  | exception Hw.Engine.Watchdog diag -> `Violation ("watchdog", diag)
   | exception e -> `Violation ("crash", Printexc.to_string e)
 
 (* --- The DFS driver ---------------------------------------------- *)
@@ -244,20 +271,9 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
       in
       (* retired siblings sleep until something dependent runs *)
       if exhaustive then cur_sleep := n.n_done @ n.n_sleep0;
-      preempts :=
-        n.n_preempts
-        +
-        if
-          n.n_prev_fib >= 0
-          && n.n_chosen <> n.n_prev_fib
-          && Array.exists (fun f -> f = n.n_prev_fib) n.n_ready
-        then 1
-        else 0;
+      preempts := n.n_preempts + preemption n n.n_chosen;
       pending_node := d;
-      let idx = ref (-1) in
-      Array.iteri (fun i f -> if !idx < 0 && f = n.n_chosen then idx := i) fibs;
-      assert (!idx >= 0);
-      !idx
+      Option.get (Array.find_index (fun f -> f = n.n_chosen) fibs)
     end
   in
 
@@ -275,7 +291,7 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
           !cur_sleep;
     prev_fib := fib;
     if Vec.length steps > max_steps then raise (Too_many_steps max_steps);
-    if sweep then List.iter (sanitize_or_raise ~strict:false) !pvms
+    sweeper ~sweep pvms ~strict:false
   in
 
   let scheduler = { Hw.Engine.sched_pick = pick; sched_step = on_step } in
@@ -288,17 +304,9 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
     preempts := 0;
     pending_node := -1;
     pvms := [];
-    classify (fun () ->
-        let eng = Hw.Engine.create () in
-        Hw.Engine.set_scheduler eng scheduler;
-        let register pvm = pvms := pvm :: !pvms in
-        let digest =
-          Hw.Engine.run_fn eng (fun () ->
-              let observe = scenario.run eng ~register in
-              observe ())
-        in
-        if sweep then List.iter (sanitize_or_raise ~strict:true) !pvms;
-        digest)
+    let eng = Hw.Engine.create () in
+    Hw.Engine.set_scheduler eng scheduler;
+    execute eng scenario ~sweep:(sweeper ~sweep pvms) pvms
   in
 
   let current_schedule () =
@@ -430,19 +438,11 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
           go n.n_backtrack
         | Some k ->
           (* bounded DFS: every ready fibre within the budget *)
-          let cost f =
-            if
-              n.n_prev_fib >= 0
-              && f <> n.n_prev_fib
-              && Array.exists (fun x -> x = n.n_prev_fib) n.n_ready
-            then 1
-            else 0
-          in
           let cand = ref None in
           Array.iter
             (fun f ->
               if !cand = None && not (retired f) then
-                if n.n_preempts + cost f <= k then cand := Some f
+                if n.n_preempts + preemption n f <= k then cand := Some f
                 else begin
                   stats.bound_pruned <- stats.bound_pruned + 1;
                   n.n_done <- (f, [||]) :: n.n_done
@@ -462,6 +462,10 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
   in
 
   let violation = ref None in
+  let found (v_kind, v_detail) v_digest =
+    violation :=
+      Some { v_kind; v_detail; v_schedule = current_schedule (); v_digest }
+  in
   let first_digest = ref None in
   let check_oracle digest =
     match oracle with
@@ -504,10 +508,7 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
       Hashtbl.replace outcomes_seen digest
         (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes_seen digest));
       match check_oracle digest with
-      | Some (kind, detail) ->
-        violation :=
-          Some
-            { v_kind = kind; v_detail = detail; v_schedule = current_schedule () }
+      | Some kd -> found kd (Some digest)
       | None ->
         if exhaustive then analyze_races ();
         if not (budget_left ()) then ()
@@ -518,10 +519,7 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
       if not (budget_left ()) then ()
       else if backtrack () then drive ()
       else stats.exhausted <- true
-    | `Violation (kind, detail) ->
-      violation :=
-        Some
-          { v_kind = kind; v_detail = detail; v_schedule = current_schedule () }
+    | `Violation kd -> found kd None
   in
   drive ();
   stats.distinct_outcomes <- Hashtbl.length outcomes_seen;
@@ -529,47 +527,50 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
 
 (* --- Replay ------------------------------------------------------ *)
 
-(* Re-run one schedule: at the d-th choice point take the fibre the
+type forced = {
+  f_verdict : [ `Done of string | `Sleep | `Violation of string * string ];
+  f_rules : string list;
+  f_engine : Hw.Engine.t;
+  f_pvms : Core.Types.pvm list;
+}
+
+(* Re-run [v]'s schedule: at the d-th choice point take the fibre the
    schedule names (falling back to seq order if it is absent — the
    schedule then no longer matches the binary, but the run stays
-   legal).  Used to confirm and render a violation found by [run]. *)
-let replay ?(sweep = true) ?(max_steps = 200_000) (scenario : scenario)
-    (schedule : int list) =
-  let forced = Array.of_list schedule in
-  let nchoice = ref 0 in
-  let nsteps = ref 0 in
-  let pvms : Core.Types.pvm list ref = ref [] in
+   legal).  An oracle violation is a completed run, so ending on the
+   digest the oracle rejected IS the violation. *)
+let run_forced ?(sweep = true) ?(max_steps = 200_000) ?(prepare = ignore)
+    scenario v =
+  let rest = ref v.v_schedule and nsteps = ref 0 in
+  let pvms = ref [] and rules = ref [] in
   let pick ~now:_ (ready : Hw.Engine.ready_task array) =
     if Array.length ready = 1 then 0
-    else begin
-      let d = !nchoice in
-      incr nchoice;
-      let want = if d < Array.length forced then forced.(d) else min_int in
-      let idx = ref 0 in
-      Array.iteri
-        (fun i (r : Hw.Engine.ready_task) ->
-          if r.Hw.Engine.rt_fib = want then idx := i)
-        ready;
-      !idx
-    end
+    else
+      let want = match !rest with f :: tl -> rest := tl; f | [] -> min_int in
+      Option.value ~default:0
+        (Array.find_index (fun (r : Hw.Engine.ready_task) -> r.rt_fib = want) ready)
+  in
+  let sweep_all ~strict =
+    try sweeper ~sweep pvms ~strict
+    with Invariant_failed (_, r) as e -> rules := r; raise e
   in
   let on_step ~fib:_ ~accesses:_ =
     incr nsteps;
     if !nsteps > max_steps then raise (Too_many_steps max_steps);
-    if sweep then List.iter (sanitize_or_raise ~strict:false) !pvms
+    sweep_all ~strict:false
   in
-  classify (fun () ->
-      let eng = Hw.Engine.create () in
-      Hw.Engine.set_scheduler eng
-        { Hw.Engine.sched_pick = pick; sched_step = on_step };
-      let register pvm = pvms := pvm :: !pvms in
-      let digest =
-        Hw.Engine.run_fn eng (fun () ->
-            let observe = scenario.run eng ~register in
-            observe ())
-      in
-      if sweep then List.iter (sanitize_or_raise ~strict:true) !pvms;
-      digest)
+  let eng = Hw.Engine.create () in
+  prepare eng;
+  Hw.Engine.set_scheduler eng { sched_pick = pick; sched_step = on_step };
+  let f_verdict =
+    match execute eng scenario ~sweep:sweep_all pvms with
+    | `Done d when v.v_digest = Some d -> `Violation (v.v_kind, v.v_detail)
+    | verdict -> verdict
+  in
+  { f_verdict; f_rules = !rules; f_engine = eng; f_pvms = List.rev !pvms }
+
+let replay ?sweep ?max_steps scenario v =
+  (run_forced ?sweep ?max_steps scenario v).f_verdict
 
 (* --- Program scenarios ------------------------------------------- *)
 
@@ -629,6 +630,47 @@ let of_program ~name
           in
           Model.digest_outcome ~contents ~reads:(Array.map List.rev reads));
   }
+
+(* --- Memory-pressure programs ------------------------------------ *)
+
+let ps = 8192
+
+let site_setup ~frames ~pages engine =
+  let site =
+    Nucleus.Site.create ~frames ~swap_seek_time:(Hw.Sim_time.ms 4)
+      ~swap_transfer_time_per_page:(Hw.Sim_time.ms 1) ~engine ()
+  in
+  let pvm = site.Nucleus.Site.pvm and size = pages * ps in
+  let ctx = Core.Context.create pvm in
+  let cache = Core.Cache.create pvm () in
+  ignore
+    (Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write cache
+       ~offset:0);
+  (pvm, ctx, size)
+
+(* Each fibre writes 16 bytes of its letter to page (f + r) mod 3 and
+   reads 8 bytes of the next page, for two rounds [r]. *)
+let pressure_program ~name ~workers ~frames =
+  let pages = 3 in
+  let prog =
+    Array.init workers (fun f ->
+        Array.concat
+          (List.init 2 (fun r ->
+               let p = (f + r) mod pages in
+               [|
+                 Model.Write
+                   { addr = p * ps; data = String.make 16 (Char.chr (65 + f)) };
+                 Model.Read { addr = (p + 1) mod pages * ps; len = 8 };
+               |])))
+  in
+  ( of_program ~name ~setup:(site_setup ~frames ~pages) prog,
+    Outcomes (lazy (Model.outcomes ~size:(pages * ps) prog)) )
+
+let pressure, pressure_oracle =
+  pressure_program ~name:"pressure" ~workers:2 ~frames:2
+
+let contend_model, contend_model_oracle =
+  pressure_program ~name:"contend-model" ~workers:3 ~frames:3
 
 (* --- Reporting --------------------------------------------------- *)
 

@@ -60,8 +60,10 @@ type violation = {
           ["digest-divergence"] or ["non-serializable"] *)
   v_detail : string;
   v_schedule : int list;
-      (** fibre chosen at each multi-ready choice point, in order —
-          feed to {!replay} *)
+      (** fibre chosen at each multi-ready choice point, in order *)
+  v_digest : string option;
+      (** the observable digest an oracle rejected; [None] unless
+          ["digest-divergence"] or ["non-serializable"] *)
 }
 
 type result = {
@@ -89,15 +91,32 @@ val run :
     [sweep] (default true) runs the sanitizer's structural tier after
     every engine event and its strict tier at quiescence. *)
 
+type forced = {
+  f_verdict : [ `Done of string | `Sleep | `Violation of string * string ];
+  f_rules : string list;  (** failed rule ids of an ["invariant"] verdict *)
+  f_engine : Hw.Engine.t;
+  f_pvms : Core.Types.pvm list;  (** registered PVMs, in order *)
+}
+
+val run_forced :
+  ?sweep:bool ->
+  ?max_steps:int ->
+  ?prepare:(Hw.Engine.t -> unit) ->
+  scenario ->
+  violation ->
+  forced
+(** The forced-pick driver: re-run [v]'s schedule on a fresh engine
+    ([prepare]d first), taking at each multi-ready dispatch the fibre
+    the schedule names (index 0 when absent); classify the ending as
+    {!run} does, a run completing on [v.v_digest] being [v] itself. *)
+
 val replay :
   ?sweep:bool ->
   ?max_steps:int ->
   scenario ->
-  int list ->
+  violation ->
   [ `Done of string | `Sleep | `Violation of string * string ]
-(** Re-run a single schedule (a {!violation.v_schedule}) and classify
-    how it ends; used to confirm a violation and render the offending
-    state. *)
+(** {!run_forced}'s verdict: confirms a violation found by {!run}. *)
 
 val of_program :
   name:string ->
@@ -111,6 +130,23 @@ val of_program :
     page), and the observation digest is {!Model.digest_outcome} over
     the read-back final contents and per-fibre read results — directly
     comparable against {!Model.outcomes} via [Outcomes]. *)
+
+val site_setup :
+  frames:int -> pages:int -> Hw.Engine.t -> Core.Types.pvm * Core.Types.context * int
+(** An {!of_program} setup: a nucleus site with [frames] frames and a
+    swap device; one context maps [pages] fresh 8K pages at 0. *)
+
+(** The memory-pressure Model programs: each fibre writes page
+    (f + r) mod 3 and reads the next, for two rounds.  [pressure] runs
+    two fibres on two frames (the mutation and forensics fixture),
+    [contend_model] three on three.  Every operation contends for a
+    frame, so schedules branch at allocation, eviction and pullIn
+    (§3.3.3); the oracles are the programs' serializations. *)
+
+val pressure : scenario
+val pressure_oracle : oracle
+val contend_model : scenario
+val contend_model_oracle : oracle
 
 val pp_stats : Format.formatter -> stats -> unit
 val pp_violation : Format.formatter -> violation -> unit

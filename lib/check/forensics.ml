@@ -1,12 +1,7 @@
-(* Crash forensics: bundle assembly and deterministic re-drive.
-
-   The forced-pick driver here deliberately mirrors Explore.replay —
-   same schedule format, same pick rule — but keeps its hands on the
-   engine, the registered PVMs and a live flight recorder, because a
-   bundle needs the failure state, not just the failure class. *)
-
-exception Violation_found of Core.Types.pvm * Sanitizer.violation list
-exception Diverged of int
+(* Crash forensics: bundle assembly and deterministic re-drive through
+   Explore.run_forced, instrumented with a live flight recorder and the
+   watchdog, because a bundle needs the failure state, not just the
+   failure class. *)
 
 type outcome = {
   o_kind : string;
@@ -47,84 +42,25 @@ let with_injections names f =
 
 (* --- Forced-schedule driver --------------------------------------- *)
 
-let run_forced ?(max_steps = 200_000) (scenario : Explore.scenario)
-    (schedule : int list) =
-  let forced = Array.of_list schedule in
-  let nchoice = ref 0 in
-  let nsteps = ref 0 in
-  let pvms : Core.Types.pvm list ref = ref [] in
-  let fl = Obs.Flight.create () in
-  Obs.Flight.enable fl;
-  let eng = Hw.Engine.create () in
-  Hw.Engine.set_flight eng fl;
-  (* Watchdog on, so a bundle whose live run died of a blocked-on
-     cycle dies of the same cycle here (cycle detection is eager at
-     park time, hence schedule-deterministic). *)
-  Hw.Engine.enable_watchdog eng ();
-  let pick ~now:_ (ready : Hw.Engine.ready_task array) =
-    if Array.length ready = 1 then 0
-    else begin
-      let d = !nchoice in
-      incr nchoice;
-      let want = if d < Array.length forced then forced.(d) else min_int in
-      let idx = ref 0 in
-      Array.iteri
-        (fun i (r : Hw.Engine.ready_task) ->
-          if r.Hw.Engine.rt_fib = want then idx := i)
-        ready;
-      !idx
-    end
+let run_forced ?max_steps scenario (v : Explore.violation) =
+  let prepare eng =
+    let fl = Obs.Flight.create () in
+    Obs.Flight.enable fl;
+    Hw.Engine.set_flight eng fl;
+    (* Watchdog on, so a bundle whose live run died of a blocked-on
+       cycle dies of the same cycle here (cycle detection is eager at
+       park time, hence schedule-deterministic). *)
+    Hw.Engine.enable_watchdog eng ()
   in
-  let sweep_or_raise ~strict () =
-    List.iter
-      (fun pvm ->
-        match Sanitizer.run ~strict pvm with
-        | [] -> ()
-        | vs -> raise (Violation_found (pvm, vs)))
-      !pvms
+  let f = Explore.run_forced ?max_steps ~prepare scenario v in
+  let o_kind, o_detail =
+    match f.f_verdict with
+    | `Done digest -> ("done", digest)
+    | `Sleep -> ("sleep", "")
+    | `Violation kd -> kd
   in
-  let on_step ~fib:_ ~accesses:_ =
-    incr nsteps;
-    if !nsteps > max_steps then raise (Diverged max_steps);
-    sweep_or_raise ~strict:false ()
-  in
-  Hw.Engine.set_scheduler eng { Hw.Engine.sched_pick = pick; sched_step = on_step };
-  let body () =
-    let digest =
-      Hw.Engine.run_fn eng (fun () ->
-          let observe = scenario.run eng ~register:(fun pvm -> pvms := pvm :: !pvms) in
-          observe ())
-    in
-    sweep_or_raise ~strict:true ();
-    digest
-  in
-  let kind, detail, rules =
-    match body () with
-    | digest -> ("done", digest, [])
-    | exception Violation_found (pvm, vs) ->
-      let detail =
-        Format.asprintf "%a" (fun ppf () -> Sanitizer.report ppf pvm vs) ()
-      in
-      ( "invariant",
-        detail,
-        List.sort_uniq compare (List.map (fun v -> v.Sanitizer.rule) vs) )
-    | exception Diverged n ->
-      ("divergence", Printf.sprintf "schedule exceeded %d engine events" n, [])
-    | exception Hw.Engine.Deadlock n ->
-      ("deadlock", Printf.sprintf "%d fibres still suspended" n, [])
-    | exception Hw.Engine.Watchdog diag -> ("watchdog", diag, [])
-    | exception e -> ("crash", Printexc.to_string e, [])
-  in
-  let pvms = List.rev !pvms in
-  let outcome =
-    {
-      o_kind = kind;
-      o_detail = detail;
-      o_digests = List.map Core.Inspect.digest pvms;
-      o_rules = rules;
-    }
-  in
-  (outcome, eng, pvms, fl)
+  let o_digests = List.map Core.Inspect.digest f.f_pvms in
+  ({ o_kind; o_detail; o_digests; o_rules = f.f_rules }, f)
 
 (* --- Bundle assembly ---------------------------------------------- *)
 
@@ -147,8 +83,10 @@ let violations_json rules =
   | [] -> Obs.Json.Null
   | rules -> Obs.Json.List (List.map (fun r -> Obs.Json.Str r) rules)
 
-let assemble ~scenario ~inject ~kind ~detail ~rules ~engine ~pvms ~flight =
-  Obs.Bundle.v ~scenario ~inject ~kind ~detail
+let assemble ~scenario ~inject ~kind ~detail ?observed ~rules ~engine ~pvms ()
+    =
+  let flight = Hw.Engine.flight engine in
+  Obs.Bundle.v ~scenario ~inject ~kind ~detail ?observed
     ~sim_now:(Hw.Engine.now engine)
     ~schedule:(Obs.Flight.decisions flight)
     ~flight:(Obs.Flight.to_json flight)
@@ -158,69 +96,55 @@ let assemble ~scenario ~inject ~kind ~detail ~rules ~engine ~pvms ~flight =
     ~metrics:(List.map metrics_json pvms)
     ~watchdog:(watchdog_json engine) ()
 
-let capture ?(inject = []) ?max_steps scenario schedule =
+let capture ?(inject = []) ?max_steps (scenario : Explore.scenario) v =
   with_injections inject (fun () ->
-      let outcome, engine, pvms, flight =
-        run_forced ?max_steps scenario schedule
-      in
-      let bundle =
-        assemble ~scenario:scenario.Explore.name ~inject ~kind:outcome.o_kind
-          ~detail:outcome.o_detail ~rules:outcome.o_rules ~engine ~pvms ~flight
-      in
-      (bundle, outcome))
+      let o, f = run_forced ?max_steps scenario v in
+      ( assemble ~scenario:scenario.name ~inject ~kind:o.o_kind
+          ~detail:o.o_detail ?observed:v.v_digest ~rules:o.o_rules
+          ~engine:f.f_engine ~pvms:f.f_pvms (),
+        o ))
 
 let capture_live ~scenario ?(inject = []) ~kind ~detail ~engine ~pvms () =
   let rules =
-    List.concat_map
-      (fun pvm ->
-        List.map
-          (fun v -> v.Sanitizer.rule)
-          (Sanitizer.run ~strict:false pvm))
-      pvms
+    List.concat_map (fun pvm -> Sanitizer.run ~strict:false pvm) pvms
+    |> List.map (fun v -> v.Sanitizer.rule)
     |> List.sort_uniq compare
   in
-  assemble ~scenario ~inject ~kind ~detail ~rules ~engine ~pvms
-    ~flight:(Hw.Engine.flight engine)
+  assemble ~scenario ~inject ~kind ~detail ~rules ~engine ~pvms ()
 
 (* --- Replay ------------------------------------------------------- *)
 
-let replay ?max_steps (scenario : Explore.scenario) (bundle : Obs.Bundle.t) =
-  with_injections bundle.Obs.Bundle.inject (fun () ->
-      let outcome, _, _, _ =
-        run_forced ?max_steps scenario bundle.Obs.Bundle.schedule
-      in
-      outcome)
+(* The bundle's failure is the violation the replay expects. *)
+let replay ?max_steps scenario (b : Obs.Bundle.t) =
+  let v_schedule = b.schedule and v_digest = b.observed in
+  let v = { Explore.v_kind = b.kind; v_detail = b.detail; v_schedule; v_digest } in
+  with_injections b.inject (fun () -> fst (run_forced ?max_steps scenario v))
 
-let reproduces (bundle : Obs.Bundle.t) (outcome : outcome) =
-  let b = bundle in
-  let problems = ref [] in
-  let push p = problems := p :: !problems in
-  if outcome.o_kind <> b.Obs.Bundle.kind then
-    push
-      (Printf.sprintf "failure kind: bundle %S, replay %S" b.Obs.Bundle.kind
-         outcome.o_kind);
-  if
-    b.Obs.Bundle.digests <> []
-    && not (List.equal String.equal outcome.o_digests b.Obs.Bundle.digests)
-  then
-    push
-      (Printf.sprintf "state digests: bundle [%s], replay [%s]"
-         (String.concat "; " b.Obs.Bundle.digests)
-         (String.concat "; " outcome.o_digests));
+let reproduces (b : Obs.Bundle.t) (o : outcome) =
   let bundle_rules =
-    match b.Obs.Bundle.violations with
+    match b.violations with
     | Obs.Json.List l ->
       List.filter_map (function Obs.Json.Str s -> Some s | _ -> None) l
     | _ -> []
   in
-  if
-    b.Obs.Bundle.kind = "invariant"
-    && not (List.equal String.equal outcome.o_rules bundle_rules)
-  then
-    push
-      (Printf.sprintf "sanitizer rules: bundle [%s], replay [%s]"
-         (String.concat "; " bundle_rules)
-         (String.concat "; " outcome.o_rules));
-  match !problems with
+  let mismatch what ok pp bundle replay =
+    if ok then None
+    else
+      Some (Printf.sprintf "%s: bundle %s, replay %s" what (pp bundle) (pp replay))
+  in
+  let strs l = "[" ^ String.concat "; " l ^ "]" in
+  match
+    List.filter_map Fun.id
+      [
+        mismatch "failure kind" (o.o_kind = b.kind) (Printf.sprintf "%S") b.kind
+          o.o_kind;
+        mismatch "state digests"
+          (b.digests = [] || o.o_digests = b.digests)
+          strs b.digests o.o_digests;
+        mismatch "sanitizer rules"
+          (b.kind <> "invariant" || o.o_rules = bundle_rules)
+          strs bundle_rules o.o_rules;
+      ]
+  with
   | [] -> Ok ()
-  | ps -> Error (String.concat "\n" (List.rev ps))
+  | ps -> Error (String.concat "\n" ps)

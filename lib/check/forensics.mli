@@ -5,7 +5,7 @@
     can see the engine and the PVM.  Three entry points:
 
     - {!capture} re-executes a known-bad schedule (an
-      {!Explore.violation}'s) under a forced-pick scheduler with a
+      {!Explore.violation}'s) through {!Explore.run_forced} with a
       flight recorder attached and freezes the failure state into a
       bundle;
     - {!capture_live} freezes an already-failed live run — the path
@@ -18,12 +18,12 @@
     Replay determinism rests on the engine's guarantee that the
     decision log captures {e every} multi-ready dispatch: a forced
     replay of those decisions reproduces the original schedule
-    exactly, whatever tie-break policy or scheduler produced it. *)
+    exactly, whatever scheduler produced it. *)
 
 type outcome = {
   o_kind : string;
       (** ["done"], ["sleep"], ["invariant"], ["deadlock"],
-          ["watchdog"], ["divergence"] or ["crash"] *)
+          ["watchdog"], ["divergence"], ["crash"] or an oracle's kind *)
   o_detail : string;  (** digest when done; diagnostic otherwise *)
   o_digests : string list;
       (** {!Core.Inspect.digest} per registered PVM, registration
@@ -52,13 +52,13 @@ val capture :
   ?inject:string list ->
   ?max_steps:int ->
   Explore.scenario ->
-  int list ->
+  Explore.violation ->
   Obs.Bundle.t * outcome
-(** [capture scenario schedule] re-runs [schedule] under a forced-pick
-    scheduler with a fresh flight recorder and bundles whatever state
-    the run ends in — normally the violation the schedule was known to
-    produce.  [inject] names {!injections} flags to arm for the run
-    (armed and restored around it) and is recorded in the bundle. *)
+(** [capture scenario v] re-runs [v] through {!Explore.run_forced}
+    with a fresh flight recorder and bundles whatever state the run
+    ends in — normally [v] itself, its [v_digest] kept as [observed].
+    [inject] names {!injections} flags to arm for the run (armed and
+    restored around it) and is recorded in the bundle. *)
 
 val capture_live :
   scenario:string ->

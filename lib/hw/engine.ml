@@ -1,14 +1,11 @@
 type task = {
   time : Sim_time.t;
   seq : int;
-  key : int; (* tie-break rank among equal-time tasks *)
   daemon : bool;
   fib : int;
   cls : int; (* affinity class; 0 = serial, runs on the coordinator *)
   run : unit -> unit;
 }
-
-type tie_break = Fifo | Seeded of int
 
 type ready_task = { rt_fib : int; rt_seq : int; rt_daemon : bool }
 
@@ -81,7 +78,6 @@ type t = {
   mutable now : Sim_time.t;
   mutable seq : int;
   queue : task Pqueue.t;
-  tie : tie_break;
   mutable live : int; (* non-daemon fibres spawned and not yet finished *)
   mutable live_tasks : int; (* non-daemon tasks waiting in the queue *)
   mutable cur_fib : int; (* fibre the running task belongs to *)
@@ -124,22 +120,17 @@ let cur_ptask : ptask option Domain.DLS.key =
 
 let in_parallel_slice () = Domain.DLS.get cur_ptask <> None
 
-(* Tasks at distinct times run in time order; equal-time tasks run by
-   [key], then by [seq] so the order is total.  Under [Fifo] the key
-   IS the sequence number (spawn/wake order, the historical
-   behaviour); under [Seeded] it is a deterministic hash of the
-   sequence number, legally permuting equal-time tasks: a fibre has at
-   most one queued task (one-shot continuations), so program order
-   within a fibre is unaffected, and only genuinely concurrent
-   work is reordered. *)
+(* Tasks at distinct times run in time order; equal-time tasks run in
+   [seq] (spawn/wake) order, the default policy.  Any other order is a
+   {!scheduler}'s choice at dispatch time — legal because a fibre has
+   at most one queued task (one-shot continuations), so program order
+   within a fibre is unaffected and only genuinely concurrent work is
+   reordered. *)
 let cmp_task a b =
   let c = compare a.time b.time in
-  if c <> 0 then c
-  else
-    let c = compare a.key b.key in
-    if c <> 0 then c else compare a.seq b.seq
+  if c <> 0 then c else compare a.seq b.seq
 
-let create ?(tie_break = Fifo) ?domains () =
+let create ?domains () =
   let par =
     match domains with
     | None | Some 0 -> None
@@ -166,7 +157,6 @@ let create ?(tie_break = Fifo) ?domains () =
     now = Sim_time.zero;
     seq = 0;
     queue = Pqueue.create ~cmp:cmp_task;
-    tie = tie_break;
     live = 0;
     live_tasks = 0;
     cur_fib = 0;
@@ -403,11 +393,10 @@ let watchdog_check eng =
 
 (* --- Scheduling --------------------------------------------------- *)
 
-(* The two historical tie-break policies expressed as schedulers, so
-   the key-based heap order and the explicit choice-point API provably
-   agree (checked by tests).  The ready array is presented in [seq]
-   order, so FIFO is index 0 and Seeded is the argmin of the seeded
-   hash (ties already resolved by position). *)
+(* The canned policies.  The ready array is presented in [seq] order,
+   so FIFO — also what a dispatch with no scheduler takes — is index
+   0, and the seeded permutation is the argmin of the seeded hash of
+   [seq], hash ties resolved by position (i.e. by [seq]). *)
 let fifo_scheduler =
   {
     sched_pick = (fun ~now:_ _ -> 0);
@@ -428,11 +417,6 @@ let seeded_scheduler seed =
         !best);
     sched_step = (fun ~fib:_ ~accesses:_ -> ());
   }
-
-let tie_key eng seq =
-  match eng.tie with
-  | Fifo -> seq
-  | Seeded seed -> Hashtbl.seeded_hash seed seq
 
 (* Route a freshly scheduled task.  [p_lock] held.  Serial-class tasks
    go to the discrete-event heap the coordinator drains; an affinity
@@ -457,24 +441,25 @@ let enqueue eng p (t : task) =
   end;
   Condition.signal p.p_idle
 
+(* Stamp a task with the next sequence number and queue it: on the
+   heap in sequential mode, routed by class in parallel mode, where
+   the caller holds [p_lock]. *)
+let push eng ~daemon ~fib ~cls time run =
+  let seq = eng.seq in
+  eng.seq <- seq + 1;
+  if not daemon then eng.live_tasks <- eng.live_tasks + 1;
+  let t = { time; seq; daemon; fib; cls; run } in
+  match eng.par with None -> Pqueue.push eng.queue t | Some p -> enqueue eng p t
+
 let schedule eng ~daemon ~fib time run =
   match eng.par with
-  | None ->
-    let seq = eng.seq in
-    eng.seq <- seq + 1;
-    let key = tie_key eng seq in
-    if not daemon then eng.live_tasks <- eng.live_tasks + 1;
-    Pqueue.push eng.queue { time; seq; key; daemon; fib; cls = 0; run }
+  | None -> push eng ~daemon ~fib ~cls:0 time run
   | Some p ->
     Obs.Lockstat.lock p.p_stat p.p_lock;
-    let seq = eng.seq in
-    eng.seq <- seq + 1;
-    let key = tie_key eng seq in
-    if not daemon then eng.live_tasks <- eng.live_tasks + 1;
     let cls =
       match Hashtbl.find_opt eng.classes fib with Some c -> c | None -> 0
     in
-    enqueue eng p { time; seq; key; daemon; fib; cls; run };
+    push eng ~daemon ~fib ~cls time run;
     Obs.Lockstat.unlock p.p_stat p.p_lock
 
 let sleep span =
@@ -591,73 +576,35 @@ let exec eng ~daemon f =
           | _ -> None);
     }
 
+(* Register a new fibre and queue [run], its first slice; in parallel
+   mode the caller holds [p_lock]. *)
+let start eng ~name ~daemon ~cls run =
+  if not daemon then eng.live <- eng.live + 1;
+  let fib = eng.next_fib in
+  eng.next_fib <- fib + 1;
+  (match name with
+  | Some n ->
+    Hashtbl.replace eng.names fib n;
+    Obs.Trace.name_fibre eng.tracer fib n
+  | None -> ());
+  if cls <> 0 then Hashtbl.replace eng.classes fib cls;
+  push eng ~daemon ~fib ~cls (now eng) run
+
 let spawn eng ?name ?(daemon = false) ?(affinity = 0) f =
   if affinity < 0 then invalid_arg "Engine.spawn: negative affinity";
   if affinity <> 0 && daemon then
     invalid_arg "Engine.spawn: daemon fibres must stay in the serial class";
+  let run () = exec eng ~daemon f in
   match eng.par with
   | None ->
     (* The cooperative engine serialises everything; affinity is
        advisory and ignored, which is exactly what makes it the oracle
        twin of the parallel mode. *)
-    if not daemon then eng.live <- eng.live + 1;
-    let fib = eng.next_fib in
-    eng.next_fib <- fib + 1;
-    (match name with
-    | Some n ->
-      Hashtbl.replace eng.names fib n;
-      Obs.Trace.name_fibre eng.tracer fib n
-    | None -> ());
-    schedule eng ~daemon ~fib eng.now (fun () -> exec eng ~daemon f)
+    start eng ~name ~daemon ~cls:0 run
   | Some p ->
     Obs.Lockstat.lock p.p_stat p.p_lock;
-    if not daemon then eng.live <- eng.live + 1;
-    let fib = eng.next_fib in
-    eng.next_fib <- fib + 1;
-    (match name with
-    | Some n ->
-      Hashtbl.replace eng.names fib n;
-      Obs.Trace.name_fibre eng.tracer fib n
-    | None -> ());
-    if affinity <> 0 then Hashtbl.replace eng.classes fib affinity;
-    let time =
-      match Domain.DLS.get cur_ptask with
-      | Some pt -> pt.pt_clock
-      | None -> eng.now
-    in
-    let seq = eng.seq in
-    eng.seq <- seq + 1;
-    let key = tie_key eng seq in
-    if not daemon then eng.live_tasks <- eng.live_tasks + 1;
-    enqueue eng p
-      {
-        time;
-        seq;
-        key;
-        daemon;
-        fib;
-        cls = affinity;
-        run = (fun () -> exec eng ~daemon f);
-      };
+    start eng ~name ~daemon ~cls:affinity run;
     Obs.Lockstat.unlock p.p_stat p.p_lock
-
-(* The implicit pick among equal-time ready tasks, identical to the
-   heap order by construction: under Fifo the array is already in key
-   (= seq) order; under Seeded the argmin of the seeded hash with
-   strict comparison resolves hash ties by position, i.e. by seq —
-   exactly [cmp_task]. *)
-let pick_by_tie eng (arr : task array) =
-  match eng.tie with
-  | Fifo -> 0
-  | Seeded seed ->
-    let best = ref 0 in
-    for i = 1 to Array.length arr - 1 do
-      if
-        Hashtbl.seeded_hash seed arr.(i).seq
-        < Hashtbl.seeded_hash seed arr.(!best).seq
-      then best := i
-    done;
-    !best
 
 let run_sequential eng main =
   spawn eng main;
@@ -667,14 +614,13 @@ let run_sequential eng main =
      pending daemon wakeups are discarded: a periodic daemon would
      otherwise keep the simulation alive forever. *)
   (* Dispatch: with neither a scheduler nor a flight recorder
-     installed the heap order (time, key, seq) IS the policy and the
-     popped minimum runs — the historical fast path, byte-identical
-     schedules.  Otherwise every dispatch becomes an explicit choice
-     point: the full set of equal-time ready tasks is drained,
-     presented in [seq] order, and either the scheduler picks one or
-     the tie policy is applied explicitly (provably the same order as
-     the heap keys).  Multi-way choices are logged to the flight
-     recorder as scheduling decisions. *)
+     installed the heap order (time, seq) IS the policy and the popped
+     minimum runs — the fast path.  Otherwise every dispatch becomes an
+     explicit choice point: the full set of equal-time ready tasks is
+     drained (the heap yields it in [seq] order) and either the
+     scheduler picks one or index 0 — the heap's own choice — runs.
+     Multi-way choices are logged to the flight recorder as scheduling
+     decisions. *)
   let dispatch () =
     let task = Pqueue.pop eng.queue in
     if eng.sched = None && not (Obs.Flight.enabled eng.flight) then task
@@ -684,15 +630,10 @@ let run_sequential eng main =
         | Some t -> gather (t :: acc)
         | None -> acc
       in
-      let arr =
-        Array.of_list
-          (List.sort
-             (fun (a : task) (b : task) -> compare a.seq b.seq)
-             (gather [ task ]))
-      in
+      let arr = Array.of_list (List.rev (gather [ task ])) in
       let idx =
         match eng.sched with
-        | None -> pick_by_tie eng arr
+        | None -> 0
         | Some s ->
           let ready =
             Array.map

@@ -5,7 +5,10 @@
     to the fragment is suspended", paper §3.3.3).  We provide them
     deterministically: fibres are one-shot delimited continuations
     (OCaml 5 effects) scheduled by simulated time; ties are broken by
-    spawn/wake order, so every run is reproducible.
+    spawn/wake order, so every run is reproducible.  The dispatch order
+    of equal-time fibres is the engine's only nondeterminism, and an
+    installed {!scheduler} is the one way to choose it differently —
+    {!seeded_scheduler} to perturb it, a model checker to enumerate it.
 
     Fibre-facing operations ({!sleep}, {!suspend}, {!Cond.wait}) may
     only be called from code running inside {!run}. *)
@@ -21,16 +24,6 @@ exception Watchdog of string
     the watchdog's blocked-on graph closes a cycle; carries a rendered
     diagnostic listing the cycle's fibres and what each is blocked on.
     Only raised while {!enable_watchdog} is active. *)
-
-type tie_break =
-  | Fifo  (** equal-time tasks run in spawn/wake order (the default) *)
-  | Seeded of int
-      (** equal-time tasks run in a deterministic pseudo-random order
-          derived from the seed: the schedule-perturbation harness.
-          Legal because a fibre has at most one queued task at a time
-          (one-shot continuations), so program order within each fibre
-          is preserved; only genuinely concurrent work is permuted.
-          The same seed always produces the same schedule. *)
 
 type ready_task = {
   rt_fib : int;  (** fibre the task belongs to *)
@@ -53,17 +46,22 @@ type scheduler = {
           (unordered, may contain duplicates); the [bool] marks a
           write. *)
 }
-(** An explicit scheduling policy.  The {!tie_break} heap keys are the
-    implicit, zero-overhead form of the same choice; {!fifo_scheduler}
-    and {!seeded_scheduler} are the two canned policies expressed
-    through this interface (the engine guarantees they produce the
-    same schedules as their key-based counterparts).  A model checker
-    installs its own scheduler to enumerate the choices instead. *)
+(** A scheduling policy: the only way to dispatch equal-time tasks in
+    anything but spawn/wake order.  Without one the engine pops its
+    [(time, seq)] heap directly — the zero-overhead default, identical
+    to {!fifo_scheduler}.  {!seeded_scheduler} is the canned
+    perturbation; a model checker or a forced replay installs its own
+    to enumerate or dictate the choices.  Reordering is legal because
+    a fibre has at most one queued task at a time (one-shot
+    continuations): program order within each fibre is preserved and
+    only genuinely concurrent work is permuted. *)
 
-val create : ?tie_break:tie_break -> ?domains:int -> unit -> t
+val create : ?domains:int -> unit -> t
 (** [create ()] is the cooperative single-domain engine — the default,
     and the reference semantics every checker (DPOR, sanitizer slow
-    mode, flight recorder, watchdog) is defined against.
+    mode, flight recorder, watchdog, {!set_scheduler}) is defined
+    against; equal-time tasks run in spawn/wake order until a
+    {!scheduler} is installed.
 
     [create ~domains:n ()] (n >= 1) adds a pool of [n] worker domains:
     fibres spawned with a non-zero [affinity] execute there as
@@ -103,8 +101,8 @@ val in_parallel_slice : unit -> bool
     needed and stay byte-identical on the oracle path. *)
 
 val set_scheduler : t -> scheduler -> unit
-(** Route every dispatch through an explicit choice point.  Overrides
-    the [tie_break] policy while installed.
+(** Route every dispatch through an explicit choice point, replacing
+    the default spawn/wake order while installed.
     @raise Invalid_argument on a parallel engine (created with
     [~domains]): schedulers enumerate a serial dispatch order, which
     the pool does not have.  Explore schedules on the sequential
@@ -113,11 +111,16 @@ val set_scheduler : t -> scheduler -> unit
 val clear_scheduler : t -> unit
 
 val fifo_scheduler : scheduler
-(** Equivalent to [Fifo] through the choice-point API. *)
+(** Spawn/wake order through the choice-point API: always index 0, the
+    same schedule as no scheduler at all. *)
 
 val seeded_scheduler : int -> scheduler
-(** [seeded_scheduler seed] is equivalent to [Seeded seed] through the
-    choice-point API. *)
+(** [seeded_scheduler seed] runs equal-time tasks in a deterministic
+    pseudo-random order derived from the seed — the
+    schedule-perturbation harness ([chorus check], [bench --tie-seed]).
+    It picks the ready task whose sequence number has the least
+    [Hashtbl.seeded_hash seed], hash ties going to the lower sequence
+    number; the same seed always produces the same schedule. *)
 
 val note_access : ?write:bool -> t -> int -> int -> unit
 (** [note_access eng a b] records that the running task's slice
@@ -185,12 +188,11 @@ val set_flight : t -> Obs.Flight.t -> unit
 (** Attach a flight recorder.  While the recorder is enabled, every
     dispatch is logged to its ring, every multi-ready dispatch also
     logs the scheduling decision taken (the chosen fibre — the same
-    choice points a {!scheduler} sees, resolved by the engine's
-    tie-break policy when no scheduler is installed, so the recorded
-    schedule is identical to the unrecorded one), and {!note_access}
-    footprints are logged as access records.  The decision log
-    replays the run deterministically through the explorer's
-    forced-schedule machinery.
+    choice points a {!scheduler} sees, resolved in spawn/wake order
+    when no scheduler is installed, so the recorded schedule is
+    identical to the unrecorded one), and {!note_access} footprints
+    are logged as access records.  The decision log replays the run
+    deterministically through the explorer's forced-pick scheduler.
     @raise Invalid_argument when attaching an {e enabled} recorder to
     a parallel engine: the flight ring logs a serial decision
     sequence, which the pool does not produce.  This is the remaining

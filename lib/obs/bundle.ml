@@ -7,6 +7,7 @@ type t = {
   inject : string list;
   kind : string;
   detail : string;
+  observed : string option;
   sim_now : int;
   schedule : int list;
   flight : Json.t;
@@ -19,7 +20,7 @@ type t = {
 
 let schema_version = "chorus-bundle/1"
 
-let v ~scenario ?(inject = []) ~kind ~detail ~sim_now ~schedule
+let v ~scenario ?(inject = []) ~kind ~detail ?observed ~sim_now ~schedule
     ?(flight = Json.Null) ?(state = []) ?(digests = [])
     ?(violations = Json.Null) ?(metrics = []) ?(watchdog = Json.Null) () =
   {
@@ -28,6 +29,7 @@ let v ~scenario ?(inject = []) ~kind ~detail ~sim_now ~schedule
     inject;
     kind;
     detail;
+    observed;
     sim_now;
     schedule;
     flight;
@@ -47,8 +49,12 @@ let to_json b : Json.t =
       ("scenario", Json.Str b.scenario);
       ("inject", Json.List (List.map (fun s -> Json.Str s) b.inject));
       ( "failure",
-        Json.Obj [ ("kind", Json.Str b.kind); ("detail", Json.Str b.detail) ]
-      );
+        Json.Obj
+          ([ ("kind", Json.Str b.kind); ("detail", Json.Str b.detail) ]
+          @
+          match b.observed with
+          | Some d -> [ ("observed", Json.Str d) ]
+          | None -> []) );
       ("sim_now", num b.sim_now);
       ("schedule", Json.List (List.map num b.schedule));
       ("flight", b.flight);
@@ -105,6 +111,7 @@ let of_json (j : Json.t) : (t, string) result =
           inject = strings "inject";
           kind;
           detail = Option.value ~default:"" (failure_str "detail");
+          observed = failure_str "observed";
           sim_now =
             (match Json.get_num (Json.member "sim_now" j) with
             | Some f -> int_of f

@@ -21,8 +21,13 @@ type t = {
   inject : string list;  (** fault-injection flags active during the run *)
   kind : string;
       (** failure class: ["invariant"], ["deadlock"], ["watchdog"],
-          ["crash"], or ["divergence"] *)
+          ["crash"], ["divergence"], or an explorer oracle's
+          ["digest-divergence"] / ["non-serializable"] *)
   detail : string;  (** rendered diagnostic (report, exception, ...) *)
+  observed : string option;
+      (** for an oracle violation, the observable outcome digest the
+          oracle rejected — the run itself completed, so replay
+          recognises the failure by ending on this digest *)
   sim_now : int;  (** simulated time at capture *)
   schedule : int list;
       (** the recorded scheduling decisions, oldest first — the fibre
@@ -43,6 +48,7 @@ val v :
   ?inject:string list ->
   kind:string ->
   detail:string ->
+  ?observed:string ->
   sim_now:int ->
   schedule:int list ->
   ?flight:Json.t ->

@@ -8,7 +8,8 @@
     workload, plus an unbounded (but tiny: one int per multi-ready
     dispatch) log of the scheduling {e decisions} taken.  After a
     crash the decision prefix replays the run deterministically
-    through {!Check.Explore}'s canned scheduler, and the ring tail
+    through the forced-pick driver [Check.Explore.run_forced] (which
+    both [Check.Explore.replay] and [Check.Forensics] use), and the ring tail
     shows the last moments before the failure.
 
     Recording a record is four int stores and two increments; no
@@ -63,7 +64,7 @@ val record_mark : t -> code:int -> arg:int -> unit
 val decisions : t -> int list
 (** Every scheduling decision of the run, oldest first — the fibre
     chosen at each multi-ready dispatch, exactly the schedule format
-    {!Check.Explore.replay} consumes. *)
+    [Check.Explore.run_forced] consumes. *)
 
 val decision_count : t -> int
 

@@ -200,34 +200,18 @@ let test_clean_evict_opens_no_window () =
   let tr = make_trace [ clean_evict; fault ~fib:2 ~t0:200 ~t1:300 ] in
   Alcotest.(check int) "no violation" 0 (List.length (Check.Blocking.analyze tr))
 
-(* --- seeded tie-break ------------------------------------------- *)
+(* --- seeded scheduler ------------------------------------------- *)
 
-(* Two equal-time fibres appending to a list: FIFO gives program
-   order; a seed may permute it; the same seed must reproduce the
-   same order exactly. *)
-let order_under tie =
-  let engine = Hw.Engine.create ~tie_break:tie () in
-  let order = ref [] in
-  Hw.Engine.run_fn engine (fun () ->
-      for i = 1 to 8 do
-        Hw.Engine.spawn engine (fun () ->
-            Hw.Engine.sleep 10;
-            order := i :: !order)
-      done;
-      Hw.Engine.sleep 20);
-  List.rev !order
-
+(* Equal-time fibres: the default gives program order; a seed may
+   permute it; the same seed must reproduce the same order exactly. *)
 let test_seeded_schedules_deterministic () =
   Alcotest.(check (list int))
     "fifo = program order" [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-    (order_under Hw.Engine.Fifo);
-  let a = order_under (Hw.Engine.Seeded 42) in
-  let b = order_under (Hw.Engine.Seeded 42) in
-  Alcotest.(check (list int)) "same seed, same schedule" a b;
+    (Order.dispatch ());
+  Alcotest.(check (list int))
+    "same seed, same schedule" (Order.seeded 42) (Order.seeded 42);
   let distinct =
-    List.exists
-      (fun seed -> order_under (Hw.Engine.Seeded seed) <> order_under Hw.Engine.Fifo)
-      [ 1; 2; 3; 4; 5 ]
+    List.exists (fun seed -> Order.seeded seed <> Order.dispatch ()) [ 1; 2; 3; 4; 5 ]
   in
   Alcotest.(check bool) "some seed permutes the tie" true distinct
 

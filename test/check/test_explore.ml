@@ -1,6 +1,6 @@
-(* The explorer explored: the scheduling choice-point API must
-   reproduce the canned policies exactly, the sequential model must
-   enumerate serializations correctly, and the DPOR search must (a)
+(* The explorer explored: the canned scheduling policies must keep
+   their pinned orders, the sequential model must enumerate
+   serializations correctly, and the DPOR search must (a)
    prune independent interleavings, (b) distinguish genuinely racing
    ones, and (c) catch the two historical PR 2 races when they are
    reintroduced behind the For_testing flags — a model checker that
@@ -11,50 +11,34 @@ let ps = 8192
 
 (* --- canned schedulers through the choice-point API -------------- *)
 
-(* Eight equal-time fibres appending to a list, as in test_check, but
-   dispatched through an installed scheduler rather than the implicit
-   tie_break keys.  The engine guarantees the two forms coincide. *)
-let order_with prep =
-  let engine = Hw.Engine.create () in
-  prep engine;
-  let order = ref [] in
-  Hw.Engine.run_fn engine (fun () ->
-      for i = 1 to 8 do
-        Hw.Engine.spawn engine (fun () ->
-            Hw.Engine.sleep 10;
-            order := i :: !order)
-      done;
-      Hw.Engine.sleep 20);
-  List.rev !order
-
-let order_under tie =
-  let engine = Hw.Engine.create ~tie_break:tie () in
-  let order = ref [] in
-  Hw.Engine.run_fn engine (fun () ->
-      for i = 1 to 8 do
-        Hw.Engine.spawn engine (fun () ->
-            Hw.Engine.sleep 10;
-            order := i :: !order)
-      done;
-      Hw.Engine.sleep 20);
-  List.rev !order
-
-let test_canned_schedulers_match_tie_break () =
+(* The eight equal-time fibres of Order: every spawn/wake-order path —
+   the heap fast path, the explicit FIFO policy, and the choice points
+   an enabled flight recorder forces — gives program order, and the
+   seeded permutations are pinned, so a change to either the engine's
+   dispatch or the seeded hash shows up here. *)
+let test_seeded_orders_pinned () =
+  let fifo = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
+  Alcotest.(check (list int)) "no scheduler" fifo (Order.dispatch ());
   Alcotest.(check (list int))
-    "fifo scheduler = Fifo keys"
-    (order_under Hw.Engine.Fifo)
-    (order_with (fun e -> Hw.Engine.set_scheduler e Hw.Engine.fifo_scheduler));
+    "fifo_scheduler" fifo
+    (Order.dispatch ~scheduler:Hw.Engine.fifo_scheduler ());
+  Alcotest.(check (list int))
+    "flight recorder, no scheduler" fifo
+    (Order.dispatch ~flight:true ());
   List.iter
-    (fun seed ->
+    (fun (seed, order) ->
       Alcotest.(check (list int))
-        (Printf.sprintf "seeded scheduler = Seeded %d keys" seed)
-        (order_under (Hw.Engine.Seeded seed))
-        (order_with (fun e ->
-             Hw.Engine.set_scheduler e (Hw.Engine.seeded_scheduler seed))))
-    [ 1; 7; 42; 1234 ]
+        (Printf.sprintf "seeded_scheduler %d" seed)
+        order (Order.seeded seed))
+    [
+      (1, [ 2; 7; 1; 6; 5; 8; 3; 4 ]);
+      (7, [ 5; 8; 3; 7; 1; 2; 6; 4 ]);
+      (42, [ 3; 7; 4; 1; 8; 5; 6; 2 ]);
+      (1234, [ 7; 5; 8; 4; 1; 6; 3; 2 ]);
+    ]
 
-(* The seeded policy keys tasks by [Hashtbl.seeded_hash seed seq];
-   hashes collide, and on a collision the comparator must fall back to
+(* The seeded scheduler ranks ready tasks by [Hashtbl.seeded_hash seed
+   seq]; hashes collide, and on a collision it must fall back to
    sequence order so the schedule stays a total, reproducible order.
    Search out a genuine collision and feed it to the scheduler
    directly. *)
@@ -214,21 +198,6 @@ let test_preemption_bound_modes () =
 
 (* --- full-PVM programs under the refinement oracle ---------------- *)
 
-let site_setup ~frames ~pages engine =
-  let site =
-    Nucleus.Site.create ~frames ~swap_seek_time:(Hw.Sim_time.ms 4)
-      ~swap_transfer_time_per_page:(Hw.Sim_time.ms 1) ~engine ()
-  in
-  let pvm = site.Nucleus.Site.pvm in
-  let ctx = Core.Context.create pvm in
-  let cache = Core.Cache.create pvm () in
-  let size = pages * ps in
-  let _ =
-    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write cache
-      ~offset:0
-  in
-  (pvm, ctx, size)
-
 let test_racing_writers_serializable () =
   (* two fibres race a write and a read on the same page; every
      explored schedule's outcome must be one of the model's
@@ -236,7 +205,7 @@ let test_racing_writers_serializable () =
   let prog = [| [| w 0 "aaaa"; r 16 4 |]; [| w 16 "bbbb"; r 0 4 |] |] in
   let scenario =
     Check.Explore.of_program ~name:"racing-writers"
-      ~setup:(site_setup ~frames:4 ~pages:1)
+      ~setup:(Check.Explore.site_setup ~frames:4 ~pages:1)
       prog
   in
   let oracle =
@@ -259,32 +228,17 @@ let with_flag flag f =
 
 (* Race A (pager): evict yields between choosing a victim and claiming
    its global-map entry, so two concurrent faults under memory
-   pressure can evict the same page twice.  The memory-pressure
-   program from the CLI's contend scenario, shrunk to two workers. *)
-let pressure_prog =
-  Array.init 2 (fun f ->
-      Array.concat
-        (List.init 2 (fun rd ->
-             let p = (f + rd) mod 3 in
-             [| w (p * ps) (String.make 16 (Char.chr (65 + f)));
-                r ((p + 1) mod 3 * ps) 8;
-             |])))
-
-let pressure_scenario =
-  Check.Explore.of_program ~name:"pressure"
-    ~setup:(site_setup ~frames:2 ~pages:3)
-    pressure_prog
-
+   pressure can evict the same page twice. *)
 let test_catches_evict_claim_race () =
   with_flag Check.Explore.For_testing.evict_claim_late (fun () ->
       let result =
-        Check.Explore.run ~max_schedules:2000 pressure_scenario
+        Check.Explore.run ~max_schedules:2000 Check.Explore.pressure
       in
       match result.Check.Explore.r_violation with
       | None ->
         Alcotest.fail "explorer missed the reintroduced evict-claim race"
       | Some v -> (
-        match Check.Explore.replay pressure_scenario v.Check.Explore.v_schedule with
+        match Check.Explore.replay Check.Explore.pressure v with
         | `Violation _ -> ()
         | `Done _ | `Sleep ->
           Alcotest.fail "replay did not reproduce the violation"))
@@ -295,7 +249,7 @@ let test_catches_evict_claim_race () =
    must catch.  Ample frames: this race needs no memory pressure. *)
 let double_insert_scenario =
   Check.Explore.of_program ~name:"double-insert"
-    ~setup:(site_setup ~frames:8 ~pages:1)
+    ~setup:(Check.Explore.site_setup ~frames:8 ~pages:1)
     [| [| w 0 "xxxx" |]; [| w 16 "yyyy" |] |]
 
 let test_catches_skipped_insert_probe () =
@@ -307,9 +261,7 @@ let test_catches_skipped_insert_probe () =
       | None ->
         Alcotest.fail "explorer missed the reintroduced insert race"
       | Some v -> (
-        match
-          Check.Explore.replay double_insert_scenario v.Check.Explore.v_schedule
-        with
+        match Check.Explore.replay double_insert_scenario v with
         | `Violation _ -> ()
         | `Done _ | `Sleep ->
           Alcotest.fail "replay did not reproduce the violation"))
@@ -328,15 +280,15 @@ let test_clean_scenarios_pass () =
       Alcotest.(check bool)
         (scenario.Check.Explore.name ^ " exhausted")
         true result.Check.Explore.r_stats.Check.Explore.exhausted)
-    [ pressure_scenario; double_insert_scenario ]
+    [ Check.Explore.pressure; double_insert_scenario ]
 
 let () =
   Alcotest.run "explore"
     [
       ( "scheduler",
         [
-          Alcotest.test_case "canned schedulers match tie_break" `Quick
-            test_canned_schedulers_match_tie_break;
+          Alcotest.test_case "seeded orders pinned" `Quick
+            test_seeded_orders_pinned;
           Alcotest.test_case "seeded hash collision resolves in seq order"
             `Quick test_seeded_hash_collision_resolves_in_seq_order;
         ] );

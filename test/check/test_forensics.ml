@@ -7,39 +7,6 @@
    would be indistinguishable from no replayer. *)
 
 let ps = 8192
-let w addr data = Check.Model.Write { addr; data }
-let r addr len = Check.Model.Read { addr; len }
-
-let site_setup ~frames ~pages engine =
-  let site =
-    Nucleus.Site.create ~frames ~swap_seek_time:(Hw.Sim_time.ms 4)
-      ~swap_transfer_time_per_page:(Hw.Sim_time.ms 1) ~engine ()
-  in
-  let pvm = site.Nucleus.Site.pvm in
-  let ctx = Core.Context.create pvm in
-  let cache = Core.Cache.create pvm () in
-  let size = pages * ps in
-  let _ =
-    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write cache
-      ~offset:0
-  in
-  (pvm, ctx, size)
-
-(* The memory-pressure shape from test_explore: two workers over three
-   pages and two frames, every operation contending for a frame. *)
-let pressure_prog =
-  Array.init 2 (fun f ->
-      Array.concat
-        (List.init 2 (fun rd ->
-             let p = (f + rd) mod 3 in
-             [| w (p * ps) (String.make 16 (Char.chr (65 + f)));
-                r ((p + 1) mod 3 * ps) 8;
-             |])))
-
-let pressure_scenario =
-  Check.Explore.of_program ~name:"pressure"
-    ~setup:(site_setup ~frames:2 ~pages:3)
-    pressure_prog
 
 let tmp_bundle_dir =
   Filename.concat (Filename.get_temp_dir_name ()) "chorus-test-bundles"
@@ -113,13 +80,12 @@ let test_bundle_rejects_foreign_schema () =
    the recorded failure exactly. *)
 let capture_replay_roundtrip inject =
   Check.Forensics.with_injections [ inject ] (fun () ->
-      let result = Check.Explore.run ~max_schedules:2000 pressure_scenario in
+      let result = Check.Explore.run ~max_schedules:2000 Check.Explore.pressure in
       match result.Check.Explore.r_violation with
       | None -> Alcotest.failf "%s produced no violation" inject
       | Some v ->
         let bundle, outcome =
-          Check.Forensics.capture ~inject:[ inject ] pressure_scenario
-            v.Check.Explore.v_schedule
+          Check.Forensics.capture ~inject:[ inject ] Check.Explore.pressure v
         in
         Alcotest.(check string)
           "capture reproduces the explorer's verdict" v.Check.Explore.v_kind
@@ -130,11 +96,11 @@ let capture_replay_roundtrip inject =
           | Ok b -> b
           | Error e -> Alcotest.fail e
         in
-        let o1 = Check.Forensics.replay pressure_scenario b in
+        let o1 = Check.Forensics.replay Check.Explore.pressure b in
         (match Check.Forensics.reproduces b o1 with
         | Ok () -> ()
         | Error msg -> Alcotest.failf "replay did not reproduce:\n%s" msg);
-        let o2 = Check.Forensics.replay pressure_scenario b in
+        let o2 = Check.Forensics.replay Check.Explore.pressure b in
         Alcotest.(check string)
           "replay kind deterministic" o1.Check.Forensics.o_kind
           o2.Check.Forensics.o_kind;
@@ -167,19 +133,54 @@ let test_reproduces_detects_divergence () =
   let bundle, _ =
     Check.Forensics.with_injections [ "skip-insert-probe" ] (fun () ->
         let result =
-          Check.Explore.run ~max_schedules:2000 pressure_scenario
+          Check.Explore.run ~max_schedules:2000 Check.Explore.pressure
         in
         match result.Check.Explore.r_violation with
         | None -> Alcotest.fail "no violation to bundle"
         | Some v ->
           Check.Forensics.capture ~inject:[ "skip-insert-probe" ]
-            pressure_scenario v.Check.Explore.v_schedule)
+            Check.Explore.pressure v)
   in
   let clean = { bundle with Obs.Bundle.inject = [] } in
-  let outcome = Check.Forensics.replay pressure_scenario clean in
+  let outcome = Check.Forensics.replay Check.Explore.pressure clean in
   match Check.Forensics.reproduces bundle outcome with
   | Ok () -> Alcotest.fail "clean replay claimed to reproduce the failure"
   | Error _ -> ()
+
+(* An oracle violation is a run that completes on a digest the oracle
+   rejects: two fibres write different bytes to address 0, so their
+   order shows in the digest and [Schedule_independent] flags the
+   second schedule.  Replaying that schedule must end on the rejected
+   digest and report the violation, and the bundle must carry its
+   kind through a file round-trip and a replay. *)
+let test_oracle_violation_replays () =
+  let scenario =
+    Check.Explore.of_program ~name:"divergent-writers"
+      ~setup:(Check.Explore.site_setup ~frames:4 ~pages:1)
+      [| [| Check.Model.Write { addr = 0; data = "a" } |];
+         [| Check.Model.Write { addr = 0; data = "b" } |] |]
+  in
+  let result =
+    Check.Explore.run ~oracle:Check.Explore.Schedule_independent scenario
+  in
+  match result.Check.Explore.r_violation with
+  | None -> Alcotest.fail "no digest divergence found"
+  | Some v -> (
+    Alcotest.(check string) "explorer verdict" "digest-divergence"
+      v.Check.Explore.v_kind;
+    (match Check.Explore.replay scenario v with
+    | `Violation (kind, _) ->
+      Alcotest.(check string) "replay verdict" "digest-divergence" kind
+    | `Done _ | `Sleep -> Alcotest.fail "replay did not reproduce the violation");
+    let bundle, _ = Check.Forensics.capture scenario v in
+    Alcotest.(check string) "bundle kind" "digest-divergence"
+      bundle.Obs.Bundle.kind;
+    match Obs.Bundle.read (Obs.Bundle.write ~dir:tmp_bundle_dir bundle) with
+    | Error e -> Alcotest.fail e
+    | Ok b -> (
+      match Check.Forensics.reproduces b (Check.Forensics.replay scenario b) with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "bundle replay did not reproduce:\n%s" msg))
 
 let test_unknown_injection_rejected () =
   match Check.Forensics.set_injections [ "no-such-fault" ] with
@@ -207,6 +208,8 @@ let () =
             test_replay_skip_insert_probe;
           Alcotest.test_case "clean replay detected as divergent" `Quick
             test_reproduces_detects_divergence;
+          Alcotest.test_case "oracle violation replays as itself" `Quick
+            test_oracle_violation_replays;
           Alcotest.test_case "unknown injection rejected" `Quick
             test_unknown_injection_rejected;
         ] );
