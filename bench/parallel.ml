@@ -1,6 +1,6 @@
 (* Contended fault-throughput sweep over the domain-parallel engine.
 
-   The workload is Check.Crossval's storm scenario scaled up: many
+   The workload is Check.Scenario's storm scaled up: many
    contexts, each demand-zero-faulting a private working set and
    reading a shared cache, workers in distinct affinity classes so the
    parallel engine genuinely overlaps them.
@@ -30,7 +30,7 @@ let run_once ~domains scen =
     if domains = 0 then Util.engine () else Hw.Engine.create ~domains ()
   in
   let t0 = Unix.gettimeofday () in
-  let pvms = Hw.Engine.run_fn engine (fun () -> scen.Check.Crossval.run engine) in
+  let pvms, _ = Check.Scenario.exec engine scen in
   let wall = Unix.gettimeofday () -. t0 in
   let sim = Hw.Engine.now engine in
   let faults =
@@ -38,11 +38,10 @@ let run_once ~domains scen =
       (fun acc pvm -> acc + (Core.Pvm.stats pvm).Core.Types.n_faults)
       0 pvms
   in
-  let digest = String.concat "+" (List.map Core.Inspect.digest pvms) in
-  (faults, sim, wall, digest, Hw.Engine.cpu_busy engine)
+  (faults, sim, wall, Check.Scenario.digest pvms, Hw.Engine.cpu_busy engine)
 
 let sweep ?(domains_list = [ 1; 2; 4 ]) () =
-  let scen = Check.Crossval.storm ~workers ~pages ~rounds () in
+  let scen = Check.Scenario.storm ~workers ~pages ~rounds () in
   Printf.printf
     "\nParallel fault throughput (storm: %d workers x %d pages x %d rounds)\n\
      (simulated time; speedup vs the 1-domain uniprocessor model — the \

@@ -16,6 +16,10 @@
      profile SCENARIO   cost-attribution profile
      replay BUNDLE      deterministically re-execute a crash bundle
 
+   SCENARIO names an entry of the Check.Scenario registry; the
+   interactive fig3/fork/dsm commands keep their own printing variants
+   (free cost profile, N rounds, counters measured after setup).
+
    Failure forensics: check and explore write a crash bundle
    (Obs.Bundle, schema chorus-bundle/1) whenever a sanitizer sweep, a
    blocking-discipline breach, the watchdog or an uncaught exception
@@ -152,182 +156,21 @@ let inspect () =
       Format.printf "%a@.@.%a@." Core.Inspect.pp_state pvm
         Core.Inspect.pp_context ctx)
 
-(* Scenario bodies shared by the trace, stats and check subcommands:
-   the same workloads as the interactive commands above, but quiet,
-   and under the calibrated Sun-3/60 profile (the [create] default) so
-   spans carry durations and the per-primitive attribution is
-   populated.  Each returns the PVM instances involved, for reporting;
-   [register] is additionally called with each PVM as soon as it
-   exists, so the check subcommand's per-event sweep can watch
-   instances while the scenario is still running. *)
+(* Every SCENARIO argument names a Check.Scenario registry entry. *)
+let scenario_names =
+  List.map (fun s -> s.Check.Scenario.name) Check.Scenario.all
 
-let scenario_fig3 ?(register = fun _ -> ()) engine =
-  let pvm = Core.Pvm.create ~frames:256 ~engine () in
-  register pvm;
-  let ctx = Core.Context.create pvm in
-  let mk base =
-    let cache = Core.Cache.create pvm () in
-    let _ =
-      Core.Region.create pvm ctx ~addr:base ~size:(4 * ps)
-        ~prot:Hw.Prot.read_write cache ~offset:0
-    in
-    cache
-  in
-  let src = mk 0 and cpy1 = mk (1024 * ps) and cpy2 = mk (2048 * ps) in
-  Core.Pvm.write pvm ctx ~addr:ps (Bytes.make ps '1');
-  let copy dst =
-    Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
-      ~size:(4 * ps) ()
-  in
-  copy cpy1;
-  Core.Pvm.write pvm ctx ~addr:ps (Bytes.make ps 'X');
-  copy cpy2;
-  Core.Pvm.write pvm ctx ~addr:(1024 * ps) (Bytes.make ps 'c');
-  [ pvm ]
-
-let scenario_fork ?(register = fun _ -> ()) engine =
-  let site = Nucleus.Site.create ~frames:2048 ~engine () in
-  register site.Nucleus.Site.pvm;
-  let images = Mix.Image.create_store site in
-  let _ =
-    Mix.Image.add_image images ~name:"sh"
-      ~text:(Bytes.make (4 * ps) 'T')
-      ~data:(Bytes.make (4 * ps) 'D')
-      ()
-  in
-  let m = Mix.Process.create_manager site images in
-  let shell = Mix.Process.spawn_init m ~image:"sh" in
-  for i = 1 to 4 do
-    let child = Mix.Process.fork m shell in
-    Mix.Process.write shell ~addr:Mix.Process.data_base
-      (Bytes.make 32 (Char.chr (65 + (i mod 26))));
-    Mix.Process.exit_ m child ~status:0;
-    ignore (Mix.Process.wait m shell)
-  done;
-  [ site.Nucleus.Site.pvm ]
-
-let scenario_dsm ?(register = fun _ -> ()) engine =
-  let seg =
-    Dsm.Coherent.create ~latency:(Hw.Sim_time.ms 2) ~size:(4 * ps)
-      ~page_size:ps ()
-  in
-  let mk () =
-    let pvm = Core.Pvm.create ~frames:32 ~engine () in
-    register pvm;
-    let site = Dsm.Coherent.attach seg pvm in
-    let ctx = Core.Context.create pvm in
-    let _ =
-      Core.Region.create pvm ctx ~addr:0 ~size:(4 * ps)
-        ~prot:Hw.Prot.read_write (Dsm.Coherent.cache site) ~offset:0
-    in
-    (pvm, ctx)
-  in
-  let a = mk () and b = mk () in
-  for i = 1 to 10 do
-    let pvm, ctx = if i mod 2 = 0 then a else b in
-    Core.Pvm.write pvm ctx ~addr:0
-      (Bytes.of_string (Printf.sprintf "round-%d" i))
-  done;
-  [ fst a; fst b ]
-
-let scenario_ipc ?(register = fun _ -> ()) engine =
-  let site = Nucleus.Site.create ~frames:256 ~engine () in
-  register site.Nucleus.Site.pvm;
-  let transit = Nucleus.Transit.create site ~slots:4 () in
-  let sender = Nucleus.Actor.create site in
-  let receiver = Nucleus.Actor.create site in
-  let _ =
-    Nucleus.Actor.rgn_allocate sender ~addr:0 ~size:(16 * ps)
-      ~prot:Hw.Prot.read_write
-  in
-  let _ =
-    Nucleus.Actor.rgn_allocate receiver ~addr:0 ~size:(16 * ps)
-      ~prot:Hw.Prot.read_write
-  in
-  let endpoint = Nucleus.Ipc.make_endpoint () in
-  Nucleus.Actor.write sender ~addr:0 (Bytes.make (4 * ps) 'i');
-  for _ = 1 to 4 do
-    Nucleus.Ipc.send sender transit ~dst:endpoint ~addr:0 ~len:(4 * ps);
-    ignore (Nucleus.Ipc.receive receiver transit endpoint ~addr:0)
-  done;
-  [ site.Nucleus.Site.pvm ]
-
-(* Several fibres hammering overlapping pages of one cache through a
-   frame pool too small to hold them, over a swap store with real seek
-   latency: every fault may find its page mid-pullIn or mid-pushOut on
-   another fibre, which is exactly the §3.3.3 blocking discipline the
-   harness perturbs and checks.  Written for the check subcommand but
-   usable with trace/stats too. *)
-let scenario_contend ?(register = fun _ -> ()) engine =
-  let site =
-    Nucleus.Site.create ~frames:6 ~swap_seek_time:(Hw.Sim_time.ms 4)
-      ~swap_transfer_time_per_page:(Hw.Sim_time.ms 1) ~engine ()
-  in
-  let pvm = site.Nucleus.Site.pvm in
-  register pvm;
-  let ctx = Core.Context.create pvm in
-  let cache = Core.Cache.create pvm () in
-  let pages = 8 in
-  let _ =
-    Core.Region.create pvm ctx ~addr:0 ~size:(pages * ps)
-      ~prot:Hw.Prot.read_write cache ~offset:0
-  in
-  for f = 0 to 3 do
-    Hw.Engine.spawn engine ~name:(Printf.sprintf "worker-%d" f) (fun () ->
-        for round = 0 to 5 do
-          for i = 0 to pages - 1 do
-            let page = (i + f + round) mod pages in
-            Core.Pvm.write pvm ctx
-              ~addr:((page * ps) + (f * 64))
-              (Bytes.make 16 (Char.chr (65 + f)));
-            ignore
-              (Core.Pvm.read pvm ctx
-                 ~addr:((page + (pages / 2)) mod pages * ps)
-                 ~len:8)
-          done
-        done)
-  done;
-  [ pvm ]
-
-(* The contended many-context fault workload shared with crossval and
-   the throughput benchmark — the one scenario whose workers carry
-   non-zero affinities, so with --domains it genuinely exercises the
-   pool (the others are serial-class programs). *)
-let scenario_storm ?(register = fun _ -> ()) engine =
-  let pvms = (Check.Crossval.storm ()).Check.Crossval.run engine in
-  List.iter register pvms;
-  pvms
-
-(* name -> (body, deterministic).  [deterministic] marks scenarios
-   whose observable outcome must not depend on the schedule: single
-   logical thread of control, so the check subcommand compares stats
-   across seeds byte-for-byte.  [contend] is excluded — its racing
-   writers legitimately interleave differently per schedule, and only
-   the safety properties (invariant sweep, blocking discipline) are
-   schedule-independent. *)
-let scenarios =
-  [
-    ("fig3", (scenario_fig3, true));
-    ("fork", (scenario_fork, true));
-    ("dsm", (scenario_dsm, true));
-    ("ipc", (scenario_ipc, true));
-    ("contend", (scenario_contend, false));
-    ("storm", (scenario_storm, true));
-  ]
-
-let scenario_entry name =
-  match List.assoc_opt name scenarios with
-  | Some entry -> entry
+let find_scenario name =
+  match Check.Scenario.find name with
+  | Some s -> s
   | None ->
     Printf.eprintf "chorus: unknown scenario '%s' (available: %s)\n" name
-      (String.concat ", " (List.map fst scenarios));
+      (String.concat ", " scenario_names);
     exit 2
 
-let scenario_body name = fst (scenario_entry name)
-
-(* SCENARIO help text: the [scenarios] list plus a command's extras. *)
+(* SCENARIO help text: the registry plus a command's extras. *)
 let scenario_doc extra =
-  "one of: " ^ String.concat ", " (List.map fst scenarios @ extra)
+  "one of: " ^ String.concat ", " (scenario_names @ extra)
 
 let write_file ~cmd file contents =
   try Out_channel.with_open_text file (fun oc -> output_string oc contents)
@@ -357,6 +200,14 @@ let check_domains ~cmd = function
     exit 2
   | d -> d
 
+(* A fresh engine with an enabled tracer attached. *)
+let traced_engine ?domains () =
+  let tr = Obs.Trace.create () in
+  let engine = Hw.Engine.create ?domains () in
+  Hw.Engine.set_tracer engine tr;
+  Obs.Trace.enable tr;
+  (engine, tr)
+
 let trace scenario out flight_out domains =
   let domains = check_domains ~cmd:"trace" domains in
   if flight_out <> None && domains <> None then begin
@@ -366,24 +217,15 @@ let trace scenario out flight_out domains =
        not produce)\n";
     exit 2
   end;
-  let body = scenario_body scenario in
-  let tr = Obs.Trace.create () in
-  let engine = Hw.Engine.create ?domains () in
-  Hw.Engine.set_tracer engine tr;
-  Obs.Trace.enable tr;
+  let scen = find_scenario scenario in
+  let engine, tr = traced_engine ?domains () in
   let fl = Option.map (fun _ -> attach_flight engine) flight_out in
-  let _pvms = Hw.Engine.run_fn engine (fun () -> body engine) in
+  ignore (Check.Scenario.exec engine scen);
   let json = Obs.Trace.to_chrome_json tr in
   (match out with
   | None -> print_endline json
   | Some file ->
-    (try
-       Out_channel.with_open_text file (fun oc ->
-           output_string oc json;
-           output_char oc '\n')
-     with Sys_error msg ->
-       Printf.eprintf "chorus trace: %s\n" msg;
-       exit 1);
+    write_file ~cmd:"trace" file (json ^ "\n");
     Printf.printf
       "wrote %s: %d events (%d dropped); load in ui.perfetto.dev or \
        chrome://tracing\n"
@@ -399,12 +241,9 @@ let trace scenario out flight_out domains =
 
 let stats scenario json_out domains =
   let domains = check_domains ~cmd:"stats" domains in
-  let body = scenario_body scenario in
-  let engine = Hw.Engine.create ?domains () in
-  let tr = Obs.Trace.create () in
-  Hw.Engine.set_tracer engine tr;
-  Obs.Trace.enable tr;
-  let pvms = Hw.Engine.run_fn engine (fun () -> body engine) in
+  let scen = find_scenario scenario in
+  let engine, tr = traced_engine ?domains () in
+  let pvms, _ = Check.Scenario.exec engine scen in
   (* Publish the trace ring's own accounting into every registry so
      the drop counter shows up in the text report and the JSON alike:
      a silently truncated trace must be visible in the stats. *)
@@ -429,16 +268,11 @@ let stats scenario json_out domains =
   match json_out with
   | None -> ()
   | Some file ->
-    let doc =
-      Printf.sprintf "{\"schema\":\"chorus-stats/1\",\"pvms\":[%s]}\n"
-        (String.concat ","
-           (List.map (fun pvm -> Obs.Metrics.to_json (Core.Pvm.metrics pvm))
-              pvms))
-    in
-    (try Out_channel.with_open_text file (fun oc -> output_string oc doc)
-     with Sys_error msg ->
-       Printf.eprintf "chorus stats: %s\n" msg;
-       exit 1);
+    write_file ~cmd:"stats" file
+      (Printf.sprintf "{\"schema\":\"chorus-stats/1\",\"pvms\":[%s]}\n"
+         (String.concat ","
+            (List.map (fun pvm -> Obs.Metrics.to_json (Core.Pvm.metrics pvm))
+               pvms)));
     Printf.printf "wrote %s\n" file
 
 (* chorus profile SCENARIO: capture a trace of the scenario, fold it
@@ -453,12 +287,9 @@ let stats scenario json_out domains =
    derived decomposition against the paper's published numbers. *)
 
 let run_traced ?flight_out f =
-  let tr = Obs.Trace.create () in
-  let engine = Hw.Engine.create () in
-  Hw.Engine.set_tracer engine tr;
-  Obs.Trace.enable tr;
+  let engine, tr = traced_engine () in
   let fl = Option.map (fun _ -> attach_flight engine) flight_out in
-  let r = Hw.Engine.run_fn engine (fun () -> f engine) in
+  let r = f engine in
   (match (flight_out, fl) with
   | Some file, Some fl -> dump_flight ~cmd:"profile" fl file
   | _ -> ());
@@ -574,8 +405,9 @@ let check_derived label (d : Obs.Profile.derived) paper =
   !worst
 
 let profile_decomp folded json_out flight_out =
-  let (), chorus_prof = run_traced ?flight_out decomp_chorus in
-  let (), mach_prof = run_traced decomp_mach in
+  let in_run body engine = Hw.Engine.run_fn engine (fun () -> body engine) in
+  let (), chorus_prof = run_traced ?flight_out (in_run decomp_chorus) in
+  let (), mach_prof = run_traced (in_run decomp_mach) in
   Format.printf "=== Chorus (PVM, history objects) ===@.%a@." Obs.Profile.pp
     chorus_prof;
   Format.printf "=== Mach baseline (shadow objects) ===@.%a@." Obs.Profile.pp
@@ -624,8 +456,10 @@ let profile_decomp folded json_out flight_out =
 let profile scenario folded json_out flight_out =
   if String.equal scenario "decomp" then profile_decomp folded json_out flight_out
   else begin
-    let body = scenario_body scenario in
-    let pvms, prof = run_traced ?flight_out (fun engine -> body engine) in
+    let scen = find_scenario scenario in
+    let pvms, prof =
+      run_traced ?flight_out (fun engine -> fst (Check.Scenario.exec engine scen))
+    in
     Format.printf "%a@." Obs.Profile.pp prof;
     let residencies = List.map Core.Inspect.residency pvms in
     let many = List.length residencies > 1 in
@@ -663,41 +497,13 @@ let profile scenario folded json_out flight_out =
    order, then one per seed under Hw.Engine.seeded_scheduler, which
    legally permutes equal-time fibres; every run must pass the
    quiescent invariant sweep and the §3.3.3 blocking-discipline
-   analysis of its trace, and all runs must agree on the observable
-   outcome (stats counters and frame-pool occupancy). *)
-
-(* Read every live, readable region back through the GMI and digest
-   the bytes — the logical memory contents a program could observe.
-   Runs on the scenario's own (drained) engine, so pulls and faults it
-   triggers are legal; callers must capture anything else they want to
-   compare (stats, state digests) BEFORE this perturbs the state. *)
-let content_digest engine pvms =
-  Hw.Engine.run_fn engine (fun () ->
-      let b = Buffer.create 4096 in
-      List.iter
-        (fun pvm ->
-          List.iter
-            (fun (ctx : Core.Types.context) ->
-              if ctx.Core.Types.ctx_alive then
-                List.iter
-                  (fun (r : Core.Types.region) ->
-                    if r.Core.Types.r_alive && Hw.Prot.allows r.r_prot `Read
-                    then begin
-                      Buffer.add_string b
-                        (Printf.sprintf "|%d@%x:" ctx.ctx_id r.r_addr);
-                      Buffer.add_bytes b
-                        (Core.Pvm.read pvm ctx ~addr:r.r_addr ~len:r.r_size)
-                    end)
-                  ctx.ctx_regions)
-            (List.sort
-               (fun (a : Core.Types.context) (b : Core.Types.context) ->
-                 compare a.ctx_id b.ctx_id)
-               pvm.Core.Types.contexts))
-        pvms;
-      Digest.to_hex (Digest.string (Buffer.contents b)))
-
+   analysis of its trace, and the runs must agree as the scenario's
+   oracle demands: Schedule_independent — stats, frame-pool occupancy,
+   Inspect state and memory contents equal to the reference run's;
+   No_oracle — memory contents equal; Outcomes — every observation one
+   of the program's serializations. *)
 let check scenario seeds every_event bundle_dir =
-  let body, deterministic = scenario_entry scenario in
+  let scen = find_scenario scenario in
   let failures = ref 0 in
   let fail label fmt =
     incr failures;
@@ -734,38 +540,35 @@ let check scenario seeds every_event bundle_dir =
           List.iter
             (fun pvm -> Check.Sanitizer.assert_ok ~strict:false ~label pvm)
             !registered);
-    let pvms =
-      try Hw.Engine.run_fn engine (fun () -> body ~register engine) with
-      | Check.Sanitizer.Failed detail ->
-        let pvms = List.rev !registered in
-        write_bundle ~kind:"invariant" ~detail ~engine ~pvms;
-        fail label "structural sweep failed mid-run:@,%s" detail;
-        Printf.eprintf "chorus check %s: %d failure(s)\n" scenario !failures;
-        exit 1
-      | Hw.Engine.Watchdog diag ->
-        let pvms = List.rev !registered in
-        write_bundle ~kind:"watchdog" ~detail:diag ~engine ~pvms;
-        fail label "watchdog: %s" diag;
-        Printf.eprintf "chorus check %s: %d failure(s)\n" scenario !failures;
-        exit 1
-      | Hw.Engine.Deadlock n ->
-        let pvms = List.rev !registered in
-        let detail =
-          Printf.sprintf "%d fibre(s) still suspended\n%s" n
-            (Hw.Engine.blocked_report engine)
+    let observe =
+      try Hw.Engine.run_fn engine (fun () -> scen.run engine ~register)
+      with e ->
+        let bundle kind detail =
+          write_bundle ~kind ~detail ~engine ~pvms:(List.rev !registered)
         in
-        write_bundle ~kind:"deadlock" ~detail ~engine ~pvms;
-        fail label "deadlock: %s" detail;
+        (match e with
+        | Check.Sanitizer.Failed detail ->
+          bundle "invariant" detail;
+          fail label "structural sweep failed mid-run:@,%s" detail
+        | Hw.Engine.Watchdog diag ->
+          bundle "watchdog" diag;
+          fail label "watchdog: %s" diag
+        | Hw.Engine.Deadlock n ->
+          let detail =
+            Printf.sprintf "%d fibre(s) still suspended\n%s" n
+              (Hw.Engine.blocked_report engine)
+          in
+          bundle "deadlock" detail;
+          fail label "deadlock: %s" detail
+        | e ->
+          bundle "crash" (Printexc.to_string e);
+          Printf.eprintf "chorus check %s: harness error: %s\n" scenario
+            (Printexc.to_string e);
+          exit 2);
         Printf.eprintf "chorus check %s: %d failure(s)\n" scenario !failures;
         exit 1
-      | e ->
-        let pvms = List.rev !registered in
-        write_bundle ~kind:"crash" ~detail:(Printexc.to_string e) ~engine
-          ~pvms;
-        Printf.eprintf "chorus check %s: harness error: %s\n" scenario
-          (Printexc.to_string e);
-        exit 2
     in
+    let pvms = List.rev !registered in
     List.iteri
       (fun i pvm ->
         match Check.Sanitizer.run ~strict:true pvm with
@@ -793,37 +596,55 @@ let check scenario seeds every_event bundle_dir =
                (Hw.Phys_mem.used_frames (Core.Pvm.memory pvm)))
            pvms)
     in
-    let state_digest = String.concat "+" (List.map Core.Inspect.digest pvms) in
-    (* last: the read-back faults pages in and perturbs the state *)
-    let contents = content_digest engine pvms in
-    (stats_str, state_digest, contents)
+    let state = Check.Scenario.digest pvms in
+    (* last: the observation and the read-back may fault pages in *)
+    let observed = Hw.Engine.run_fn engine observe in
+    (stats_str, state, observed, Check.Scenario.contents engine pvms)
   in
-  let ref_stats, ref_state, ref_contents = run_one "fifo" None in
-  for seed = 1 to seeds do
-    let label = Printf.sprintf "seed %d" seed in
-    let stats_str, state_digest, contents = run_one label (Some seed) in
-    if deterministic && not (String.equal stats_str ref_stats) then
-      fail label "schedule-dependent outcome:@,--- fifo@,%s@,--- %s@,%s"
-        ref_stats label stats_str;
-    if deterministic && not (String.equal state_digest ref_state) then
-      fail label
-        "schedule-dependent observable state: Inspect.digest %s, fifo had %s"
-        state_digest ref_state;
+  let ((ref_stats, ref_state, _, ref_contents) as fifo) = run_one "fifo" None in
+  let judge label (stats_str, state, observed, contents) =
     (* even racing scenarios must converge to one memory content here:
        contend's writers store constant bytes at disjoint offsets *)
-    if not (String.equal contents ref_contents) then
-      fail label
-        "schedule-dependent memory contents: read-back digest %s, fifo had %s"
-        contents ref_contents
+    let same_contents () =
+      if not (String.equal contents ref_contents) then
+        fail label
+          "schedule-dependent memory contents: read-back digest %s, fifo had \
+           %s"
+          contents ref_contents
+    in
+    match scen.oracle with
+    | Check.Scenario.Schedule_independent ->
+      if not (String.equal stats_str ref_stats) then
+        fail label "schedule-dependent outcome:@,--- fifo@,%s@,--- %s@,%s"
+          ref_stats label stats_str;
+      if not (String.equal state ref_state) then
+        fail label
+          "schedule-dependent observable state: Inspect.digest %s, fifo had %s"
+          state ref_state;
+      same_contents ()
+    | No_oracle -> same_contents ()
+    | Outcomes set ->
+      if not (Hashtbl.mem (Lazy.force set) observed) then
+        fail label "outcome %s matches none of the program's serializations"
+          observed
+  in
+  judge "fifo" fifo;
+  for seed = 1 to seeds do
+    let label = Printf.sprintf "seed %d" seed in
+    judge label (run_one label (Some seed))
   done;
   if !failures = 0 then
     Printf.printf
       "chorus check %s: OK — fifo + %d seed(s)%s; quiescent sweep and \
-       blocking discipline hold; memory contents schedule-independent%s\n"
+       blocking discipline hold; %s\n"
       scenario seeds
       (if every_event then ", per-event structural sweep" else "")
-      (if deterministic then "; outcome and state schedule-independent"
-       else "")
+      (match scen.oracle with
+      | Schedule_independent ->
+        "memory contents schedule-independent; outcome and state \
+         schedule-independent"
+      | No_oracle -> "memory contents schedule-independent"
+      | Outcomes _ -> "every outcome one of the program's serializations")
   else begin
     Printf.eprintf "chorus check %s: %d failure(s)\n" scenario !failures;
     exit 1
@@ -868,21 +689,23 @@ let check_order_witnesses ~label =
     exit 1
   end
 
-(* chorus crossval: the oracle-twin gate.  Every scenario runs twice
-   from scratch — once on the cooperative sequential engine, once on
-   the domain-parallel engine — and the concatenated Inspect digests
-   must match byte-for-byte.  The chorus scenarios are serial-class
-   programs (the parallel engine runs them in exact heap order), so
-   any divergence is an engine bug; [storm] additionally spawns
-   genuinely concurrent affinity-classed workers whose final state is
-   deterministic by construction. *)
+(* chorus crossval: the oracle-twin gate.  Every kernel workload of the
+   registry runs twice from scratch — once on the cooperative
+   sequential engine, once on the domain-parallel engine — and the
+   concatenated Inspect digests must match byte-for-byte.  They are
+   serial-class programs (the parallel engine runs them in exact heap
+   order), so any divergence is an engine bug; [storm] additionally
+   spawns genuinely concurrent affinity-classed workers whose final
+   state is deterministic by construction.  The Model programs are
+   explore fixtures, judged against Check.Model's serializations; the
+   unit suite crossvals them too. *)
 let crossval domains =
   Obs.Lockstat.enable_witnessing ();
   let scens =
-    List.map
-      (fun (name, (body, _)) ->
-        { Check.Crossval.name; run = (fun engine -> body ?register:None engine) })
-      scenarios
+    List.filter
+      (fun s ->
+        match s.Check.Scenario.oracle with Outcomes _ -> false | _ -> true)
+      Check.Scenario.all
   in
   let outcomes = List.map (Check.Crossval.run_pair ~domains) scens in
   List.iter
@@ -921,21 +744,18 @@ let bench domains workers pages rounds with_stats =
     Obs.Lockstat.enable_timing ~clock:(fun () ->
         int_of_float (Unix.gettimeofday () *. 1e9));
   Obs.Lockstat.enable_witnessing ();
-  let scen = Check.Crossval.storm ~workers ~pages ~rounds () in
+  let scen = Check.Scenario.storm ~workers ~pages ~rounds () in
   let run_once d =
     let engine =
       Hw.Engine.create ?domains:(if d = 0 then None else Some d) ()
     in
-    let pvms =
-      Hw.Engine.run_fn engine (fun () -> scen.Check.Crossval.run engine)
-    in
+    let pvms, _ = Check.Scenario.exec engine scen in
     let faults =
       List.fold_left
         (fun acc pvm -> acc + (Core.Pvm.stats pvm).Core.Types.n_faults)
         0 pvms
     in
-    let digest = String.concat "+" (List.map Core.Inspect.digest pvms) in
-    (faults, Hw.Engine.now engine, digest, engine, pvms)
+    (faults, Hw.Engine.now engine, Check.Scenario.digest pvms, engine, pvms)
   in
   Printf.printf
     "chorus bench: storm %d workers x %d pages x %d rounds, %d domain(s)\n"
@@ -994,50 +814,15 @@ let bench domains workers pages rounds with_stats =
   check_order_witnesses ~label:"chorus bench"
 
 (* chorus explore SCENARIO: systematic schedule exploration with the
-   Check.Explore DPOR model checker.  [contend] and [pressure] run
-   Check.Explore's memory-pressure Model programs through the full PVM
-   and check every schedule's outcome against the sequential reference
-   model's serializations — [pressure] being also CI's forced-failure
-   fixture under an armed [evict-claim-late] injection; the other
-   scenarios assert their observable Inspect digest is
-   schedule-independent. *)
-
-(* A chorus scenario body lifted into the Explore/Forensics scenario
-   shape: run the body, observe the concatenated Inspect digests. *)
-let wrapped_scenario name =
-  let body = scenario_body name in
-  {
-    Check.Explore.name;
-    run =
-      (fun engine ~register ->
-        let pvms = body ~register engine in
-        fun () -> String.concat "+" (List.map Core.Inspect.digest pvms));
-  }
-
-let explore_scenario name =
-  if String.equal name "contend" then
-    (Check.Explore.contend_model, Check.Explore.contend_model_oracle)
-  else if String.equal name "pressure" then
-    (Check.Explore.pressure, Check.Explore.pressure_oracle)
-  else
-    let _, deterministic = scenario_entry name in
-    ( wrapped_scenario name,
-      if deterministic then Check.Explore.Schedule_independent
-      else Check.Explore.No_oracle )
-
-(* Map a bundle's recorded scenario name back to the forced-replay
-   scenario that produced it.  Explore bundles carry the Model-program
-   names ("contend-model", "pressure"); check bundles carry the chorus
-   scenario name, whose body wraps identically under the forced
-   driver. *)
-let forced_scenario name =
-  if String.equal name "contend-model" then Check.Explore.contend_model
-  else if String.equal name "pressure" then Check.Explore.pressure
-  else wrapped_scenario name
-
+   Check.Explore DPOR model checker, every schedule's observation
+   judged by the scenario's oracle — [pressure] and [contend-model]
+   run Check.Model programs through the full PVM against the model's
+   serializations ([pressure] being also CI's forced-failure fixture
+   under an armed [evict-claim-late] injection); the schedule-
+   independent kernel workloads assert their Inspect digest. *)
 let explore scenario bound max_schedules show_stats schedule_out inject
     bundle_dir =
-  let scen, oracle = explore_scenario scenario in
+  let scen = find_scenario scenario in
   (match
      List.find_opt
        (fun n -> not (List.mem_assoc n Check.Forensics.injections))
@@ -1050,7 +835,7 @@ let explore scenario bound max_schedules show_stats schedule_out inject
     exit 2
   | None -> ());
   Check.Forensics.with_injections inject @@ fun () ->
-  let result = Check.Explore.run ?bound ?max_schedules ~oracle scen in
+  let result = Check.Explore.run ?bound ?max_schedules scen in
   let s = result.Check.Explore.r_stats in
   match result.Check.Explore.r_violation with
   | None ->
@@ -1112,7 +897,7 @@ let replay_bundle path =
     Printf.eprintf "chorus replay: %s\n" msg;
     exit 2
   | Ok b ->
-    let scen = forced_scenario b.Obs.Bundle.scenario in
+    let scen = find_scenario b.Obs.Bundle.scenario in
     Printf.printf "replaying %s:\n  scenario %s, %d decisions%s, recorded \
                    failure %s at t=%s\n"
       path b.Obs.Bundle.scenario
@@ -1147,12 +932,6 @@ let scenario_arg =
     required
     & pos 0 (some string) None
     & info [] ~docv:"SCENARIO" ~doc:(scenario_doc []))
-
-let explore_scenario_arg =
-  Arg.(
-    required
-    & pos 0 (some string) None
-    & info [] ~docv:"SCENARIO" ~doc:(scenario_doc [ "pressure" ]))
 
 let flight_arg cmd =
   Arg.(
@@ -1238,8 +1017,8 @@ let cmds =
     Cmd.v
       (Cmd.info "crossval"
          ~doc:
-           "run every scenario on the sequential engine and again on the \
-            domain-parallel engine and require byte-identical observable \
+           "run every kernel workload of the scenario registry on the \
+            sequential engine and again on the domain-parallel engine and require byte-identical observable \
             digests — the oracle-twin refinement gate for the parallel \
             run mode (exit 1 on any divergence)")
       Term.(
@@ -1288,15 +1067,15 @@ let cmds =
             model checker: every reordering of equal-time fibres (pruned by \
             sleep sets and dynamic partial-order reduction, or by a \
             preemption bound), each swept by the structural sanitizer at \
-            every engine event and checked against a refinement oracle \
-            ($(b,contend): the sequential flat-memory model's \
-            serializations; others: schedule-independent observable \
-            digest).  On a violation the minimal offending schedule is \
+            every engine event and judged by the scenario's oracle \
+            ($(b,pressure), $(b,contend-model): the sequential flat-memory \
+            model's serializations; the other schedule-independent \
+            scenarios: their observable digest).  On a violation the minimal offending schedule is \
             replayed, written out as a crash bundle for $(b,chorus replay) \
             and can be saved with $(b,--schedule-out).  $(b,--inject) arms \
             a named fault (recorded in the bundle) to force a failure")
       Term.(
-        const explore $ explore_scenario_arg
+        const explore $ scenario_arg
         $ Arg.(
             value
             & opt (some int) None

@@ -8,20 +8,8 @@
     schedule-independent (serial-class programs, or programs whose
     racing fibres touch disjoint fragments), {!Core.Inspect.digest}
     after the run must be byte-identical on both engines at any domain
-    count.  This module is that comparison, plus the contended
-    many-context fault workload ("storm") used both here and by the
-    throughput benchmark. *)
-
-type scenario = {
-  name : string;
-  run : Hw.Engine.t -> Core.Types.pvm list;
-      (** Build and run the workload to completion inside
-          {!Hw.Engine.run} of the given engine; return the PVMs whose
-          digests form the observable outcome.  The body must produce
-          a schedule-independent final state (see above) — worker
-          fibres may use non-zero [affinity] to actually exercise the
-          domain pool. *)
-}
+    count.  Worker fibres may use non-zero [affinity] to actually
+    exercise the domain pool, as {!Scenario.storm}'s do. *)
 
 type outcome = {
   o_name : string;
@@ -31,35 +19,12 @@ type outcome = {
   o_ok : bool;
 }
 
-val storm :
-  ?workers:int ->
-  ?pages:int ->
-  ?rounds:int ->
-  ?shards:int ->
-  unit ->
-  scenario
-(** The contended fault workload: [workers] fibres (default 8), each
-    in its own context with a private anonymous cache of [pages] pages
-    (default 16), all sharing one read-only pre-filled cache.  Each
-    worker round (default 4 rounds) zero-fill-faults and rewrites its
-    private pages in a worker-skewed order and reads a shared page, so
-    the global map, the frame pool and the pmap see concurrent traffic
-    from every worker while the final state stays deterministic: pages
-    are disjoint per worker and every write is a pure function of
-    (worker, page).  Workers get distinct affinities, so on a parallel
-    engine they genuinely overlap; the frame pool is sized so nothing
-    is ever evicted. *)
-
-val storm_faults : workers:int -> pages:int -> int
-(** Lower bound on the demand-zero faults one [storm] run generates
-    (private pages only) — the work unit the throughput benchmark
-    divides wall-clock time by. *)
-
-val run_on : ?domains:int -> scenario -> string
+val run_on : ?domains:int -> Scenario.t -> string
 (** Run the scenario on a fresh engine ([domains = 0]: sequential, the
-    default) and return the concatenated observable digests. *)
+    default) until it drains and return the {!Scenario.digest} of the
+    PVMs it registered. *)
 
-val run_pair : ?domains:int -> scenario -> outcome
+val run_pair : ?domains:int -> Scenario.t -> outcome
 (** Run the scenario on the sequential engine, then again from scratch
     on a parallel engine with [domains] workers (default 4), and
     compare digests. *)

@@ -139,16 +139,6 @@ type result = {
   r_outcomes : (string, int) Hashtbl.t;
 }
 
-type oracle =
-  | Schedule_independent
-  | Outcomes of (string, unit) Hashtbl.t Lazy.t
-  | No_oracle
-
-type scenario = {
-  name : string;
-  run : Hw.Engine.t -> register:(Core.Types.pvm -> unit) -> unit -> string;
-}
-
 (* Sweep every registered PVM (unless [sweep] is off); the first
    failing one raises [Invariant_failed]. *)
 let sweeper ~sweep pvms ~strict =
@@ -167,7 +157,7 @@ let sweeper ~sweep pvms ~strict =
 
 (* Run the scenario once on [eng] under its installed scheduler (which
    sweeps per slice), sweep strictly at quiescence, classify the end. *)
-let execute eng scenario ~sweep pvms =
+let execute eng (scenario : Scenario.t) ~sweep pvms =
   let register pvm = pvms := pvm :: !pvms in
   match
     let digest =
@@ -190,7 +180,7 @@ let execute eng scenario ~sweep pvms =
 (* --- The DFS driver ---------------------------------------------- *)
 
 let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
-    ?(oracle = No_oracle) (scenario : scenario) : result =
+    (scenario : Scenario.t) : result =
   let exhaustive = bound = None in
   let stats =
     {
@@ -468,9 +458,9 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
   in
   let first_digest = ref None in
   let check_oracle digest =
-    match oracle with
-    | No_oracle -> None
-    | Schedule_independent -> (
+    match scenario.oracle with
+    | Scenario.No_oracle -> None
+    | Scenario.Schedule_independent -> (
       match !first_digest with
       | None ->
         first_digest := Some digest;
@@ -483,7 +473,7 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
               Printf.sprintf
                 "observable digest %s differs from the first schedule's %s"
                 digest d0 ))
-    | Outcomes set ->
+    | Scenario.Outcomes set ->
       if Hashtbl.mem (Lazy.force set) digest then None
       else
         Some
@@ -571,106 +561,6 @@ let run_forced ?(sweep = true) ?(max_steps = 200_000) ?(prepare = ignore)
 
 let replay ?sweep ?max_steps scenario v =
   (run_forced ?sweep ?max_steps scenario v).f_verdict
-
-(* --- Program scenarios ------------------------------------------- *)
-
-(* Lift a Model program into a scenario: one fibre per row, executing
-   its reads and writes through the full PVM; the observable digest is
-   Model.digest_outcome over the final contents (read back through the
-   GMI at quiescence) and the per-fibre read results — directly
-   comparable against Model.outcomes. *)
-let of_program ~name
-    ~(setup :
-       Hw.Engine.t -> Core.Types.pvm * Core.Types.context * int)
-    (prog : Model.prog) : scenario =
-  {
-    name;
-    run =
-      (fun eng ~register ->
-        let pvm, ctx, size = setup eng in
-        register pvm;
-        let ps = Core.Pvm.page_size pvm in
-        Array.iter
-          (Array.iter (fun (op : Model.op) ->
-               let addr, len =
-                 match op with
-                 | Model.Write { addr; data } -> (addr, String.length data)
-                 | Model.Read { addr; len } -> (addr, len)
-               in
-               if len <= 0 || addr / ps <> (addr + len - 1) / ps then
-                 invalid_arg "Explore.of_program: op must stay within one page"))
-          prog;
-        let n = Array.length prog in
-        let reads = Array.make n [] in
-        let remaining = ref n in
-        let all_done = Hw.Engine.Cond.create () in
-        for f = 0 to n - 1 do
-          Hw.Engine.spawn eng ~name:(Printf.sprintf "%s-w%d" name f)
-            (fun () ->
-              Array.iter
-                (fun (op : Model.op) ->
-                  match op with
-                  | Model.Write { addr; data } ->
-                    Core.Pvm.write pvm ctx ~addr (Bytes.of_string data)
-                  | Model.Read { addr; len } ->
-                    reads.(f) <-
-                      Bytes.to_string (Core.Pvm.read pvm ctx ~addr ~len)
-                      :: reads.(f))
-                prog.(f);
-              decr remaining;
-              if !remaining = 0 then Hw.Engine.Cond.broadcast all_done)
-        done;
-        fun () ->
-          while !remaining > 0 do
-            Hw.Engine.declare_wait_ambient ~on:"all-done" ();
-            Hw.Engine.Cond.wait all_done
-          done;
-          let contents =
-            Bytes.to_string (Core.Pvm.read pvm ctx ~addr:0 ~len:size)
-          in
-          Model.digest_outcome ~contents ~reads:(Array.map List.rev reads));
-  }
-
-(* --- Memory-pressure programs ------------------------------------ *)
-
-let ps = 8192
-
-let site_setup ~frames ~pages engine =
-  let site =
-    Nucleus.Site.create ~frames ~swap_seek_time:(Hw.Sim_time.ms 4)
-      ~swap_transfer_time_per_page:(Hw.Sim_time.ms 1) ~engine ()
-  in
-  let pvm = site.Nucleus.Site.pvm and size = pages * ps in
-  let ctx = Core.Context.create pvm in
-  let cache = Core.Cache.create pvm () in
-  ignore
-    (Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write cache
-       ~offset:0);
-  (pvm, ctx, size)
-
-(* Each fibre writes 16 bytes of its letter to page (f + r) mod 3 and
-   reads 8 bytes of the next page, for two rounds [r]. *)
-let pressure_program ~name ~workers ~frames =
-  let pages = 3 in
-  let prog =
-    Array.init workers (fun f ->
-        Array.concat
-          (List.init 2 (fun r ->
-               let p = (f + r) mod pages in
-               [|
-                 Model.Write
-                   { addr = p * ps; data = String.make 16 (Char.chr (65 + f)) };
-                 Model.Read { addr = (p + 1) mod pages * ps; len = 8 };
-               |])))
-  in
-  ( of_program ~name ~setup:(site_setup ~frames ~pages) prog,
-    Outcomes (lazy (Model.outcomes ~size:(pages * ps) prog)) )
-
-let pressure, pressure_oracle =
-  pressure_program ~name:"pressure" ~workers:2 ~frames:2
-
-let contend_model, contend_model_oracle =
-  pressure_program ~name:"contend-model" ~workers:3 ~frames:3
 
 (* --- Reporting --------------------------------------------------- *)
 

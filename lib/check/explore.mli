@@ -16,29 +16,8 @@
 
     Each explored schedule optionally runs the {!Sanitizer}'s
     structural tier after every engine event and its full tier at
-    quiescence, and its observable outcome is checked against a
-    refinement oracle. *)
-
-type scenario = {
-  name : string;
-  run : Hw.Engine.t -> register:(Core.Types.pvm -> unit) -> unit -> string;
-      (** Build and start the workload on a fresh engine, calling
-          [register] for every PVM the sanitizer should sweep; return
-          the observation thunk the explorer then invokes, still
-          inside the simulation, to digest the schedule's observable
-          outcome.  The thunk must itself synchronize with the
-          workload — block (e.g. on a {!Hw.Engine.Cond}) until the
-          outcome is final, as {!of_program}'s join does.  Must be
-          deterministic given the schedule. *)
-}
-
-type oracle =
-  | Schedule_independent
-      (** every schedule must produce the digest of the first one *)
-  | Outcomes of (string, unit) Hashtbl.t Lazy.t
-      (** every schedule's digest must be a member — typically
-          {!Model.outcomes}, forced only if a schedule completes *)
-  | No_oracle
+    quiescence, and its observation is judged by the scenario's
+    {!Scenario.oracle}. *)
 
 type stats = {
   mutable schedules : int;  (** complete schedules executed *)
@@ -78,8 +57,7 @@ val run :
   ?max_schedules:int ->
   ?max_steps:int ->
   ?sweep:bool ->
-  ?oracle:oracle ->
-  scenario ->
+  Scenario.t ->
   result
 (** Explore the scenario's schedules.  Without [bound] the search is
     exhaustive with DPOR pruning; with [bound k] it is a plain DFS
@@ -102,7 +80,7 @@ val run_forced :
   ?sweep:bool ->
   ?max_steps:int ->
   ?prepare:(Hw.Engine.t -> unit) ->
-  scenario ->
+  Scenario.t ->
   violation ->
   forced
 (** The forced-pick driver: re-run [v]'s schedule on a fresh engine
@@ -113,40 +91,10 @@ val run_forced :
 val replay :
   ?sweep:bool ->
   ?max_steps:int ->
-  scenario ->
+  Scenario.t ->
   violation ->
   [ `Done of string | `Sleep | `Violation of string * string ]
 (** {!run_forced}'s verdict: confirms a violation found by {!run}. *)
-
-val of_program :
-  name:string ->
-  setup:(Hw.Engine.t -> Core.Types.pvm * Core.Types.context * int) ->
-  Model.prog ->
-  scenario
-(** Lift a {!Model} program into a scenario: [setup] builds the PVM
-    and a context whose region covers bytes [0..size) of address
-    space, one fibre per program row executes its operations through
-    {!Core.Pvm.read}/[write] (each operation must stay within one
-    page), and the observation digest is {!Model.digest_outcome} over
-    the read-back final contents and per-fibre read results — directly
-    comparable against {!Model.outcomes} via [Outcomes]. *)
-
-val site_setup :
-  frames:int -> pages:int -> Hw.Engine.t -> Core.Types.pvm * Core.Types.context * int
-(** An {!of_program} setup: a nucleus site with [frames] frames and a
-    swap device; one context maps [pages] fresh 8K pages at 0. *)
-
-(** The memory-pressure Model programs: each fibre writes page
-    (f + r) mod 3 and reads the next, for two rounds.  [pressure] runs
-    two fibres on two frames (the mutation and forensics fixture),
-    [contend_model] three on three.  Every operation contends for a
-    frame, so schedules branch at allocation, eviction and pullIn
-    (§3.3.3); the oracles are the programs' serializations. *)
-
-val pressure : scenario
-val pressure_oracle : oracle
-val contend_model : scenario
-val contend_model_oracle : oracle
 
 val pp_stats : Format.formatter -> stats -> unit
 val pp_violation : Format.formatter -> violation -> unit

@@ -96,7 +96,7 @@ let assemble ~scenario ~inject ~kind ~detail ?observed ~rules ~engine ~pvms ()
     ~metrics:(List.map metrics_json pvms)
     ~watchdog:(watchdog_json engine) ()
 
-let capture ?(inject = []) ?max_steps (scenario : Explore.scenario) v =
+let capture ?(inject = []) ?max_steps (scenario : Scenario.t) v =
   with_injections inject (fun () ->
       let o, f = run_forced ?max_steps scenario v in
       ( assemble ~scenario:scenario.name ~inject ~kind:o.o_kind

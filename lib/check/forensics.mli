@@ -51,7 +51,7 @@ val with_injections : string list -> (unit -> 'a) -> 'a
 val capture :
   ?inject:string list ->
   ?max_steps:int ->
-  Explore.scenario ->
+  Scenario.t ->
   Explore.violation ->
   Obs.Bundle.t * outcome
 (** [capture scenario v] re-runs [v] through {!Explore.run_forced}
@@ -74,7 +74,7 @@ val capture_live :
     sanitizer verdicts (structural tier — the run is mid-flight),
     metrics registries and the blocked-fibre report. *)
 
-val replay : ?max_steps:int -> Explore.scenario -> Obs.Bundle.t -> outcome
+val replay : ?max_steps:int -> Scenario.t -> Obs.Bundle.t -> outcome
 (** Re-execute the bundle's recorded schedule (arming its recorded
     injections for the duration) and report how the run ends. *)
 

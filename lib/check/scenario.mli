@@ -1,0 +1,90 @@
+(** The scenario registry: every workload the checkers drive.
+
+    One {!t} serves every driver — [chorus trace/stats/profile/check/
+    explore/crossval/bench/replay], the bench harness and the test
+    suites — so a workload is written once and each driver reaches it
+    by name through {!find}.  A scenario builds its PVMs on the engine
+    it is given, announces each through [register], starts its fibres
+    and returns an observation thunk; its {!oracle} says how the
+    observations of different schedules must relate. *)
+
+type oracle =
+  | Schedule_independent
+      (** every schedule must observe the same digest *)
+  | Outcomes of (string, unit) Hashtbl.t Lazy.t
+      (** every schedule's observation must be a member — the
+          {!Model.outcomes} of a Model program, forced on first use *)
+  | No_oracle
+      (** racing workloads: only the safety properties (sanitizer,
+          blocking discipline, memory contents) are compared *)
+
+type t = {
+  name : string;
+  oracle : oracle;
+  run : Hw.Engine.t -> register:(Core.Types.pvm -> unit) -> unit -> string;
+      (** Build and start the workload inside the engine's main fibre,
+          calling [register] with every PVM as soon as it exists (the
+          per-event sanitizer sweeps registered instances mid-run);
+          return the observation thunk.  The thunk first joins the
+          fibres the body spawned, so it sees the workload's final
+          state whether invoked in the main fibre or on the drained
+          engine.  Must be deterministic given the schedule. *)
+}
+
+val all : t list
+(** The registry, in CLI order: the kernel workloads [fig3], [fork],
+    [dsm], [ipc], [contend] and [storm] (observed by {!digest}), then
+    the Model programs [pressure] and [contend-model] (observed by
+    {!Model.digest_outcome}, judged by [Outcomes]). *)
+
+val find : string -> t option
+
+val exec : Hw.Engine.t -> t -> Core.Types.pvm list * (unit -> string)
+(** Run the scenario on the engine until it drains; return the
+    registered PVMs in registration order and the observation, taken
+    on the drained engine when called (it may fault pages in, so take
+    stats and state digests first). *)
+
+val digest : Core.Types.pvm list -> string
+(** Concatenated {!Core.Inspect.digest}s: the kernel workloads'
+    observation and the crossval comparand. *)
+
+val contents : Hw.Engine.t -> Core.Types.pvm list -> string
+(** Read every live, readable region back through the GMI on the
+    drained engine and digest the bytes — the logical memory contents
+    a program could observe.  Faults pages in, so it goes last. *)
+
+val storm :
+  ?workers:int -> ?pages:int -> ?rounds:int -> ?shards:int -> unit -> t
+(** The contended fault workload: [workers] fibres (default 8), each
+    in its own context with a private anonymous cache of [pages] pages
+    (default 16), all sharing one read-only pre-filled cache.  Each
+    worker round (default 4 rounds) zero-fill-faults and rewrites its
+    private pages in a worker-skewed order and reads a shared page, so
+    the global map, the frame pool and the pmap see concurrent traffic
+    from every worker while the final state stays deterministic: pages
+    are disjoint per worker and every write is a pure function of
+    (worker, page).  Workers get distinct affinities, so on a parallel
+    engine they genuinely overlap; the frame pool is sized so nothing
+    is ever evicted.  The registry's [storm] is [storm ()]. *)
+
+val storm_faults : workers:int -> pages:int -> int
+(** Lower bound on the demand-zero faults one [storm] run generates
+    (private pages only). *)
+
+val of_program : name:string -> frames:int -> pages:int -> Model.prog -> t
+(** Lift a {!Model} program into a scenario on a nucleus site with
+    [frames] frames and a swap device, one context mapping [pages]
+    fresh 8K pages at 0.  One fibre per program row executes its
+    operations through {!Core.Pvm.read}/[write] (each operation must
+    stay within one page); the observation is
+    {!Model.digest_outcome} over the read-back contents and per-fibre
+    read results, and the oracle is the program's [Outcomes]. *)
+
+val pressure : t
+(** The two-fibre, two-frame memory-pressure Model program (the
+    mutation and forensics fixture): each fibre writes page
+    (f + r) mod 3 and reads the next, for two rounds, so every
+    operation contends for a frame and schedules branch at allocation,
+    eviction and pullIn (§3.3.3).  [contend-model] is the same program
+    with three fibres on three frames. *)

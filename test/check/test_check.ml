@@ -221,7 +221,7 @@ let test_seeded_schedules_deterministic () =
    parameters, so the parallel engine must reproduce the sequential
    digest exactly — at any domain count, at any shard count. *)
 let test_crossval_storm_matches () =
-  let scen = Check.Crossval.storm ~workers:4 ~pages:6 ~rounds:2 () in
+  let scen = Check.Scenario.storm ~workers:4 ~pages:6 ~rounds:2 () in
   List.iter
     (fun domains ->
       let o = Check.Crossval.run_pair ~domains scen in
@@ -233,13 +233,75 @@ let test_crossval_storm_matches () =
 let test_crossval_shards_invisible () =
   let d1 =
     Check.Crossval.run_on
-      (Check.Crossval.storm ~workers:3 ~pages:4 ~rounds:2 ~shards:1 ())
+      (Check.Scenario.storm ~workers:3 ~pages:4 ~rounds:2 ~shards:1 ())
   in
   let d8 =
     Check.Crossval.run_on
-      (Check.Crossval.storm ~workers:3 ~pages:4 ~rounds:2 ~shards:8 ())
+      (Check.Scenario.storm ~workers:3 ~pages:4 ~rounds:2 ~shards:8 ())
   in
   Alcotest.(check string) "shard count never affects results" d1 d8
+
+(* --- the scenario registry ------------------------------------- *)
+
+(* A worker-spawning scenario must be observed at quiescence: the
+   explored outcome of a small storm is the state its workers leave
+   behind, i.e. exactly the digest crossval takes on the drained
+   engine.  (An observation taken as soon as the main fibre returns
+   sees the pre-worker state instead — the rounds:0 digest.) *)
+let test_explore_observes_quiescent_state () =
+  let scen = Check.Scenario.storm ~workers:2 ~pages:2 ~rounds:1 () in
+  let r = Check.Explore.run ~bound:1 scen in
+  Alcotest.(check bool)
+    "no violation" true
+    (r.Check.Explore.r_violation = None);
+  Alcotest.(check (list string))
+    "explored outcome = crossval digest"
+    [ Check.Crossval.run_on scen ]
+    (List.of_seq (Hashtbl.to_seq_keys r.Check.Explore.r_outcomes))
+
+(* Every registry entry: the parallel engine reproduces the sequential
+   digest, a FIFO and two seeded runs obey the entry's oracle, and a
+   bounded exploration finds no violation. *)
+let test_registry_entries () =
+  List.iter
+    (fun (s : Check.Scenario.t) ->
+      let o = Check.Crossval.run_pair ~domains:2 s in
+      Alcotest.(check bool)
+        (Format.asprintf "%a" Check.Crossval.pp_outcome o)
+        true o.Check.Crossval.o_ok;
+      let run seed =
+        let engine = Hw.Engine.create () in
+        Option.iter
+          (fun n ->
+            Hw.Engine.set_scheduler engine (Hw.Engine.seeded_scheduler n))
+          seed;
+        let pvms, observe = Check.Scenario.exec engine s in
+        let observed = observe () in
+        (observed, Check.Scenario.contents engine pvms)
+      in
+      let runs = List.map run [ None; Some 1; Some 2 ] in
+      let fifo_observed, fifo_contents = List.hd runs in
+      List.iter
+        (fun (observed, contents) ->
+          match s.oracle with
+          | Schedule_independent ->
+            Alcotest.(check string) (s.name ^ " observation") fifo_observed
+              observed
+          | No_oracle ->
+            Alcotest.(check string) (s.name ^ " contents") fifo_contents
+              contents
+          | Outcomes set ->
+            Alcotest.(check bool)
+              (s.name ^ " outcome is a serialization")
+              true
+              (Hashtbl.mem (Lazy.force set) observed))
+        runs;
+      let r = Check.Explore.run ~bound:1 ~max_schedules:20 s in
+      match r.Check.Explore.r_violation with
+      | None -> ()
+      | Some v ->
+        Alcotest.failf "%s: %a" s.name Check.Explore.pp_violation v)
+    Check.Scenario.all
 
 let test_event_hook_runs () =
   let engine = Hw.Engine.create () in
@@ -293,5 +355,12 @@ let () =
             test_crossval_storm_matches;
           Alcotest.test_case "shard count invisible" `Quick
             test_crossval_shards_invisible;
+        ] );
+      ( "scenario",
+        [
+          Alcotest.test_case "explore observes quiescent state" `Quick
+            test_explore_observes_quiescent_state;
+          Alcotest.test_case "every registry entry" `Quick
+            test_registry_entries;
         ] );
     ]

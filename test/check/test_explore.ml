@@ -148,7 +148,8 @@ let test_digest_stable_and_sensitive () =
    workload itself: sleeping past the appends is the join here. *)
 let toy ~conflict =
   {
-    Check.Explore.name = "toy";
+    Check.Scenario.name = "toy";
+    oracle = No_oracle;
     run =
       (fun engine ~register:_ ->
         let log = Buffer.create 8 in
@@ -204,14 +205,9 @@ let test_racing_writers_serializable () =
      serializations *)
   let prog = [| [| w 0 "aaaa"; r 16 4 |]; [| w 16 "bbbb"; r 0 4 |] |] in
   let scenario =
-    Check.Explore.of_program ~name:"racing-writers"
-      ~setup:(Check.Explore.site_setup ~frames:4 ~pages:1)
-      prog
+    Check.Scenario.of_program ~name:"racing-writers" ~frames:4 ~pages:1 prog
   in
-  let oracle =
-    Check.Explore.Outcomes (lazy (Check.Model.outcomes ~size:ps prog))
-  in
-  let result = Check.Explore.run ~oracle scenario in
+  let result = Check.Explore.run scenario in
   let s = result.Check.Explore.r_stats in
   (match result.Check.Explore.r_violation with
   | None -> ()
@@ -232,13 +228,13 @@ let with_flag flag f =
 let test_catches_evict_claim_race () =
   with_flag Check.Explore.For_testing.evict_claim_late (fun () ->
       let result =
-        Check.Explore.run ~max_schedules:2000 Check.Explore.pressure
+        Check.Explore.run ~max_schedules:2000 Check.Scenario.pressure
       in
       match result.Check.Explore.r_violation with
       | None ->
         Alcotest.fail "explorer missed the reintroduced evict-claim race"
       | Some v -> (
-        match Check.Explore.replay Check.Explore.pressure v with
+        match Check.Explore.replay Check.Scenario.pressure v with
         | `Violation _ -> ()
         | `Done _ | `Sleep ->
           Alcotest.fail "replay did not reproduce the violation"))
@@ -248,8 +244,7 @@ let test_catches_evict_claim_race () =
    descriptor — a structural invariant violation the per-event sweep
    must catch.  Ample frames: this race needs no memory pressure. *)
 let double_insert_scenario =
-  Check.Explore.of_program ~name:"double-insert"
-    ~setup:(Check.Explore.site_setup ~frames:8 ~pages:1)
+  Check.Scenario.of_program ~name:"double-insert" ~frames:8 ~pages:1
     [| [| w 0 "xxxx" |]; [| w 16 "yyyy" |] |]
 
 let test_catches_skipped_insert_probe () =
@@ -275,12 +270,12 @@ let test_clean_scenarios_pass () =
       (match result.Check.Explore.r_violation with
       | None -> ()
       | Some v ->
-        Alcotest.failf "clean %s violates: %a" scenario.Check.Explore.name
+        Alcotest.failf "clean %s violates: %a" scenario.Check.Scenario.name
           Check.Explore.pp_violation v);
       Alcotest.(check bool)
-        (scenario.Check.Explore.name ^ " exhausted")
+        (scenario.Check.Scenario.name ^ " exhausted")
         true result.Check.Explore.r_stats.Check.Explore.exhausted)
-    [ Check.Explore.pressure; double_insert_scenario ]
+    [ Check.Scenario.pressure; double_insert_scenario ]
 
 let () =
   Alcotest.run "explore"

@@ -80,12 +80,12 @@ let test_bundle_rejects_foreign_schema () =
    the recorded failure exactly. *)
 let capture_replay_roundtrip inject =
   Check.Forensics.with_injections [ inject ] (fun () ->
-      let result = Check.Explore.run ~max_schedules:2000 Check.Explore.pressure in
+      let result = Check.Explore.run ~max_schedules:2000 Check.Scenario.pressure in
       match result.Check.Explore.r_violation with
       | None -> Alcotest.failf "%s produced no violation" inject
       | Some v ->
         let bundle, outcome =
-          Check.Forensics.capture ~inject:[ inject ] Check.Explore.pressure v
+          Check.Forensics.capture ~inject:[ inject ] Check.Scenario.pressure v
         in
         Alcotest.(check string)
           "capture reproduces the explorer's verdict" v.Check.Explore.v_kind
@@ -96,11 +96,11 @@ let capture_replay_roundtrip inject =
           | Ok b -> b
           | Error e -> Alcotest.fail e
         in
-        let o1 = Check.Forensics.replay Check.Explore.pressure b in
+        let o1 = Check.Forensics.replay Check.Scenario.pressure b in
         (match Check.Forensics.reproduces b o1 with
         | Ok () -> ()
         | Error msg -> Alcotest.failf "replay did not reproduce:\n%s" msg);
-        let o2 = Check.Forensics.replay Check.Explore.pressure b in
+        let o2 = Check.Forensics.replay Check.Scenario.pressure b in
         Alcotest.(check string)
           "replay kind deterministic" o1.Check.Forensics.o_kind
           o2.Check.Forensics.o_kind;
@@ -133,16 +133,16 @@ let test_reproduces_detects_divergence () =
   let bundle, _ =
     Check.Forensics.with_injections [ "skip-insert-probe" ] (fun () ->
         let result =
-          Check.Explore.run ~max_schedules:2000 Check.Explore.pressure
+          Check.Explore.run ~max_schedules:2000 Check.Scenario.pressure
         in
         match result.Check.Explore.r_violation with
         | None -> Alcotest.fail "no violation to bundle"
         | Some v ->
           Check.Forensics.capture ~inject:[ "skip-insert-probe" ]
-            Check.Explore.pressure v)
+            Check.Scenario.pressure v)
   in
   let clean = { bundle with Obs.Bundle.inject = [] } in
-  let outcome = Check.Forensics.replay Check.Explore.pressure clean in
+  let outcome = Check.Forensics.replay Check.Scenario.pressure clean in
   match Check.Forensics.reproduces bundle outcome with
   | Ok () -> Alcotest.fail "clean replay claimed to reproduce the failure"
   | Error _ -> ()
@@ -155,14 +155,15 @@ let test_reproduces_detects_divergence () =
    kind through a file round-trip and a replay. *)
 let test_oracle_violation_replays () =
   let scenario =
-    Check.Explore.of_program ~name:"divergent-writers"
-      ~setup:(Check.Explore.site_setup ~frames:4 ~pages:1)
-      [| [| Check.Model.Write { addr = 0; data = "a" } |];
-         [| Check.Model.Write { addr = 0; data = "b" } |] |]
+    {
+      (Check.Scenario.of_program ~name:"divergent-writers" ~frames:4 ~pages:1
+         [| [| Check.Model.Write { addr = 0; data = "a" } |];
+            [| Check.Model.Write { addr = 0; data = "b" } |] |])
+      with
+      oracle = Schedule_independent;
+    }
   in
-  let result =
-    Check.Explore.run ~oracle:Check.Explore.Schedule_independent scenario
-  in
+  let result = Check.Explore.run scenario in
   match result.Check.Explore.r_violation with
   | None -> Alcotest.fail "no digest divergence found"
   | Some v -> (

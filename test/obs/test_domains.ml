@@ -9,7 +9,7 @@
 (* ------------------------------------------------------------------ *)
 (* Shared machinery *)
 
-(* Run the crossval storm on a fresh engine with an enabled tracer
+(* Run the registry's storm on a fresh engine with an enabled tracer
    attached; [domains = 0] selects the sequential engine. *)
 let traced_storm ?(capacity = 262144) ~domains () =
   let tr = Obs.Trace.create ~capacity () in
@@ -18,10 +18,7 @@ let traced_storm ?(capacity = 262144) ~domains () =
     Hw.Engine.create ?domains:(if domains = 0 then None else Some domains) ()
   in
   Hw.Engine.set_tracer engine tr;
-  let scen = Check.Crossval.storm () in
-  let pvms =
-    Hw.Engine.run_fn engine (fun () -> scen.Check.Crossval.run engine)
-  in
+  let pvms, _ = Check.Scenario.exec engine (Check.Scenario.storm ()) in
   (tr, engine, pvms)
 
 let total_faults pvms =
@@ -37,15 +34,13 @@ let total_faults pvms =
    lower bound (one demand-zero fault per private page). *)
 let test_storm_counters domains () =
   let seq =
-    let engine = Hw.Engine.create () in
-    let scen = Check.Crossval.storm () in
     total_faults
-      (Hw.Engine.run_fn engine (fun () -> scen.Check.Crossval.run engine))
+      (fst (Check.Scenario.exec (Hw.Engine.create ()) (Check.Scenario.storm ())))
   in
   let _, _, pvms = traced_storm ~domains () in
   let par = total_faults pvms in
   Alcotest.(check int) "parallel faults = sequential faults" seq par;
-  let floor = Check.Crossval.storm_faults ~workers:8 ~pages:16 in
+  let floor = Check.Scenario.storm_faults ~workers:8 ~pages:16 in
   Alcotest.(check bool)
     (Printf.sprintf "faults >= %d" floor)
     true (par >= floor)
