@@ -1,17 +1,15 @@
 (* Benchmark harness regenerating the paper's evaluation (§5.3).
 
-   Usage: main.exe [--metrics-out FILE] [--tie-seed N] [--flight]
-                   [--tracer] [SUBCOMMAND...]
+   Usage: main.exe [--metrics-out FILE] [--tie-seed N] [--tracer]
+                   [--domains N,N,...] [SUBCOMMAND...]
    With no subcommand everything runs (the order follows the paper);
    [--metrics-out] additionally writes the printed table cells as JSON
    (see Report); [--tie-seed] perturbs the engine's scheduling of
    equal-time fibres — results must not change (CI compares); it
    installs a scheduler, so it is a usage error with [--domains];
-   [--flight] attaches an enabled flight recorder to every engine —
-   results must not change either (the recorder must never perturb a
-   schedule; CI compares byte-for-byte); [--tracer] attaches a real
-   but never-enabled tracer to every engine — disabled tracing must be
-   zero-cost, so results must again be byte-identical (CI compares);
+   [--tracer] attaches a real but never-enabled tracer to every
+   engine — disabled tracing must be zero-cost, so results must again
+   be byte-identical (CI compares);
    [--domains] sets the domain counts the [parallel] sweep visits,
    and — when given a single count — runs every other section on the
    domain-parallel engine, whose serial-class determinism contract
@@ -20,8 +18,8 @@
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--metrics-out FILE] [--tie-seed N] [--flight] \
-     [--tracer] [--domains N,N,...] \
+    "usage: main.exe [--metrics-out FILE] [--tie-seed N] [--tracer] \
+     [--domains N,N,...] \
      [all|table5|table6|table7|prelim|derived|primitives|fig3|\
      ablation-chains|ablation-segcache|ablation-pervpage|ablation-ipc|\
      ablation-dsm|macro|bechamel|parallel]";
@@ -79,9 +77,6 @@ let () =
       (match int_of_string_opt seed with
       | Some n -> Util.tie_seed := Some n
       | None -> usage ());
-      parse rest
-    | "--flight" :: rest ->
-      Util.flight_on := true;
       parse rest
     | "--tracer" :: rest ->
       Util.tracer_on := true;

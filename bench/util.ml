@@ -19,11 +19,6 @@ let engine ?domains () =
     !tie_seed;
   engine
 
-(* Always-on-path check (--flight): when set, every engine carries an
-   enabled flight recorder.  Recording must be free at the schedule
-   level — CI asserts the bench output stays byte-identical. *)
-let flight_on = ref false
-
 (* Engine selection for every section (--domains with one value): the
    table scenarios spawn only serial-class fibres, so by the pool's
    determinism contract their cells must come out byte-identical on
@@ -40,11 +35,6 @@ let tracer_on = ref false
 (* Run [f] in a fresh discrete-event engine and return its result. *)
 let in_sim f =
   let engine = engine ?domains:!domains () in
-  if !flight_on then begin
-    let fl = Obs.Flight.create () in
-    Obs.Flight.enable fl;
-    Hw.Engine.set_flight engine fl
-  end;
   if !tracer_on then Hw.Engine.set_tracer engine (Obs.Trace.create ());
   Hw.Engine.run_fn engine (fun () -> f engine)
 

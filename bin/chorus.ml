@@ -21,12 +21,11 @@
    (free cost profile, N rounds, counters measured after setup).
 
    Failure forensics: check and explore write a crash bundle
-   (Obs.Bundle, schema chorus-bundle/1) whenever a sanitizer sweep, a
+   (Obs.Bundle, schema chorus-bundle/2) whenever a sanitizer sweep, a
    blocking-discipline breach, the watchdog or an uncaught exception
-   kills a run; replay re-drives the bundle's recorded schedule
-   decision-for-decision and asserts the same failure reappears.  The
-   trace/profile/bench paths accept --flight to dump the flight
-   recorder's ring for the same runs.
+   kills a run; the bundle carries the engine's decision log and the
+   tail of the run's trace, and replay re-drives the recorded schedule
+   decision-for-decision and asserts the same failure reappears.
 
    The full evaluation lives in bench/main.exe; the walkthroughs in
    examples/. *)
@@ -178,22 +177,6 @@ let write_file ~cmd file contents =
     Printf.eprintf "chorus %s: %s\n" cmd msg;
     exit 1
 
-(* --flight: attach an enabled flight recorder to the run's engine and
-   dump its ring + decision log as JSON afterwards. *)
-let attach_flight engine =
-  let fl = Obs.Flight.create () in
-  Obs.Flight.enable fl;
-  Hw.Engine.set_flight engine fl;
-  fl
-
-let dump_flight ~cmd fl file =
-  write_file ~cmd file (Obs.Json.to_string (Obs.Flight.to_json fl) ^ "\n");
-  Printf.printf
-    "wrote %s (flight ring: %d records, %d decisions, %d dropped)\n" file
-    (Obs.Flight.length fl)
-    (Obs.Flight.decision_count fl)
-    (Obs.Flight.dropped fl)
-
 let check_domains ~cmd = function
   | Some d when d < 1 ->
     Printf.eprintf "chorus %s: --domains must be >= 1\n" cmd;
@@ -208,18 +191,10 @@ let traced_engine ?domains () =
   Obs.Trace.enable tr;
   (engine, tr)
 
-let trace scenario out flight_out domains =
+let trace scenario out domains =
   let domains = check_domains ~cmd:"trace" domains in
-  if flight_out <> None && domains <> None then begin
-    Printf.eprintf
-      "chorus trace: --flight requires the sequential engine; drop --domains \
-       (the flight recorder logs a serial decision sequence the pool does \
-       not produce)\n";
-    exit 2
-  end;
   let scen = find_scenario scenario in
   let engine, tr = traced_engine ?domains () in
-  let fl = Option.map (fun _ -> attach_flight engine) flight_out in
   ignore (Check.Scenario.exec engine scen);
   let json = Obs.Trace.to_chrome_json tr in
   (match out with
@@ -234,10 +209,7 @@ let trace scenario out flight_out domains =
     Printf.eprintf
       "chorus trace: warning: the ring buffer overwrote %d events; the \
        trace is only a suffix of the run\n"
-      (Obs.Trace.dropped tr);
-  match (flight_out, fl) with
-  | Some file, Some fl -> dump_flight ~cmd:"trace" fl file
-  | _ -> ()
+      (Obs.Trace.dropped tr)
 
 let stats scenario json_out domains =
   let domains = check_domains ~cmd:"stats" domains in
@@ -286,13 +258,9 @@ let stats scenario json_out domains =
    separate engines so their charges cannot mix — and checks each
    derived decomposition against the paper's published numbers. *)
 
-let run_traced ?flight_out f =
+let run_traced f =
   let engine, tr = traced_engine () in
-  let fl = Option.map (fun _ -> attach_flight engine) flight_out in
   let r = f engine in
-  (match (flight_out, fl) with
-  | Some file, Some fl -> dump_flight ~cmd:"profile" fl file
-  | _ -> ());
   (r, Obs.Profile.of_trace tr)
 
 (* One Table-6 cycle (zero-fill 128 pages of a 1024 Kb region) then
@@ -404,9 +372,9 @@ let check_derived label (d : Obs.Profile.derived) paper =
   row "protect" "page" d.protect_ns;
   !worst
 
-let profile_decomp folded json_out flight_out =
+let profile_decomp folded json_out =
   let in_run body engine = Hw.Engine.run_fn engine (fun () -> body engine) in
-  let (), chorus_prof = run_traced ?flight_out (in_run decomp_chorus) in
+  let (), chorus_prof = run_traced (in_run decomp_chorus) in
   let (), mach_prof = run_traced (in_run decomp_mach) in
   Format.printf "=== Chorus (PVM, history objects) ===@.%a@." Obs.Profile.pp
     chorus_prof;
@@ -453,12 +421,12 @@ let profile_decomp folded json_out flight_out =
     exit 1
   end
 
-let profile scenario folded json_out flight_out =
-  if String.equal scenario "decomp" then profile_decomp folded json_out flight_out
+let profile scenario folded json_out =
+  if String.equal scenario "decomp" then profile_decomp folded json_out
   else begin
     let scen = find_scenario scenario in
     let pvms, prof =
-      run_traced ?flight_out (fun engine -> fst (Check.Scenario.exec engine scen))
+      run_traced (fun engine -> fst (Check.Scenario.exec engine scen))
     in
     Format.printf "%a@." Obs.Profile.pp prof;
     let residencies = List.map Core.Inspect.residency pvms in
@@ -522,14 +490,10 @@ let check scenario seeds every_event bundle_dir =
       path path
   in
   let run_one label seed =
-    let engine = Hw.Engine.create () in
+    let engine, tr = traced_engine () in
     Option.iter
       (fun s -> Hw.Engine.set_scheduler engine (Hw.Engine.seeded_scheduler s))
       seed;
-    let tr = Obs.Trace.create () in
-    Hw.Engine.set_tracer engine tr;
-    Obs.Trace.enable tr;
-    let _fl = attach_flight engine in
     Hw.Engine.enable_watchdog engine ();
     let registered = ref [] in
     let register pvm = registered := pvm :: !registered in
@@ -933,17 +897,6 @@ let scenario_arg =
     & pos 0 (some string) None
     & info [] ~docv:"SCENARIO" ~doc:(scenario_doc []))
 
-let flight_arg cmd =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "flight" ] ~docv:"FILE"
-        ~doc:
-          (Printf.sprintf
-             "additionally run the %s with the flight recorder enabled and \
-              write its ring and decision log as JSON to $(docv)"
-             cmd))
-
 let bundle_dir_arg cmd =
   Arg.(
     value & opt string "."
@@ -981,7 +934,6 @@ let cmds =
             & opt (some string) None
             & info [ "o"; "output" ] ~docv:"FILE"
                 ~doc:"write the trace to $(docv) instead of stdout")
-        $ flight_arg "trace"
         $ Arg.(
             value
             & opt (some int) None
@@ -989,7 +941,7 @@ let cmds =
                 ~doc:
                   "run on the domain-parallel engine with $(docv) worker \
                    domains; the merged trace carries one track per \
-                   simulated CPU (incompatible with --flight)"));
+                   simulated CPU"));
     Cmd.v
       (Cmd.info "check"
          ~doc:
@@ -997,10 +949,11 @@ let cmds =
             the schedule-perturbation harness: N seeded reorderings of \
             equal-time fibres, each swept for invariant violations and \
             \xc2\xa73.3.3 blocking-discipline breaches, with outcomes \
-            compared across schedules.  Every run carries the flight \
-            recorder and the stall watchdog; any sanitizer violation, \
+            compared across schedules.  Every run carries an enabled \
+            tracer and the stall watchdog; any sanitizer violation, \
             deadlock, watchdog alarm or crash writes a replayable crash \
-            bundle (exit 1 for a violation, 2 for a harness error)")
+            bundle holding the run's schedule decisions and trace tail \
+            (exit 1 for a violation, 2 for a harness error)")
       Term.(
         const check $ scenario_arg
         $ Arg.(
@@ -1173,8 +1126,7 @@ let cmds =
             & info [ "json" ] ~docv:"FILE"
                 ~doc:
                   "write the profile as JSON (schema chorus-profile/1) to \
-                   $(docv)")
-        $ flight_arg "profile");
+                   $(docv)"));
   ]
 
 let () =

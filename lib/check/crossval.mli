@@ -3,7 +3,7 @@
     and require identical observable state.
 
     The sequential engine is the reference semantics — every checker
-    (DPOR, sanitizer, flight recorder) is defined against it.  The
+    (DPOR, sanitizer, forced replay) is defined against it.  The
     parallel engine must refine it: for workloads whose outcome is
     schedule-independent (serial-class programs, or programs whose
     racing fibres touch disjoint fragments), {!Core.Inspect.digest}

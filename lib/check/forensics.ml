@@ -1,5 +1,5 @@
 (* Crash forensics: bundle assembly and deterministic re-drive through
-   Explore.run_forced, instrumented with a live flight recorder and the
+   Explore.run_forced, instrumented with an enabled tracer and the
    watchdog, because a bundle needs the failure state, not just the
    failure class. *)
 
@@ -44,9 +44,9 @@ let with_injections names f =
 
 let run_forced ?max_steps scenario (v : Explore.violation) =
   let prepare eng =
-    let fl = Obs.Flight.create () in
-    Obs.Flight.enable fl;
-    Hw.Engine.set_flight eng fl;
+    let tr = Obs.Trace.create () in
+    Hw.Engine.set_tracer eng tr;
+    Obs.Trace.enable tr;
     (* Watchdog on, so a bundle whose live run died of a blocked-on
        cycle dies of the same cycle here (cycle detection is eager at
        park time, hence schedule-deterministic). *)
@@ -85,11 +85,10 @@ let violations_json rules =
 
 let assemble ~scenario ~inject ~kind ~detail ?observed ~rules ~engine ~pvms ()
     =
-  let flight = Hw.Engine.flight engine in
   Obs.Bundle.v ~scenario ~inject ~kind ~detail ?observed
     ~sim_now:(Hw.Engine.now engine)
-    ~schedule:(Obs.Flight.decisions flight)
-    ~flight:(Obs.Flight.to_json flight)
+    ~schedule:(Hw.Engine.decisions engine)
+    ~trace:(Obs.Json.parse (Obs.Trace.to_chrome_json (Hw.Engine.tracer engine)))
     ~state:(List.map Core.Inspect.state_json pvms)
     ~digests:(List.map Core.Inspect.digest pvms)
     ~violations:(violations_json rules)

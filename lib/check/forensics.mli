@@ -5,20 +5,21 @@
     can see the engine and the PVM.  Three entry points:
 
     - {!capture} re-executes a known-bad schedule (an
-      {!Explore.violation}'s) through {!Explore.run_forced} with a
-      flight recorder attached and freezes the failure state into a
-      bundle;
+      {!Explore.violation}'s) through {!Explore.run_forced} with an
+      enabled tracer and the watchdog attached and freezes the failure
+      state into a bundle;
     - {!capture_live} freezes an already-failed live run — the path
       [chorus check] takes at the moment a sanitizer sweep fails,
-      where the engine's own flight recorder holds the decision
-      prefix;
+      where {!Hw.Engine.decisions} holds the decision prefix;
     - {!replay} re-executes a bundle's recorded schedule and reports
       the outcome, which {!reproduces} compares against the bundle.
 
-    Replay determinism rests on the engine's guarantee that the
-    decision log captures {e every} multi-ready dispatch: a forced
-    replay of those decisions reproduces the original schedule
-    exactly, whatever scheduler produced it. *)
+    Replay determinism rests on the engine's guarantee that its
+    decision log captures {e every} multi-ready pick a scheduler made:
+    a forced replay of those decisions reproduces the original
+    schedule exactly, whatever scheduler produced it, and a run with
+    no scheduler logs nothing because index 0 at every choice is the
+    order it took. *)
 
 type outcome = {
   o_kind : string;
@@ -55,7 +56,7 @@ val capture :
   Explore.violation ->
   Obs.Bundle.t * outcome
 (** [capture scenario v] re-runs [v] through {!Explore.run_forced}
-    with a fresh flight recorder and bundles whatever state the run
+    with a fresh enabled tracer and bundles whatever state the run
     ends in — normally [v] itself, its [v_digest] kept as [observed].
     [inject] names {!injections} flags to arm for the run (armed and
     restored around it) and is recorded in the bundle. *)
@@ -70,9 +71,9 @@ val capture_live :
   unit ->
   Obs.Bundle.t
 (** Freeze an already-failed run: full state and digests from [pvms],
-    the schedule and ring tail from the [engine]'s flight recorder,
-    sanitizer verdicts (structural tier — the run is mid-flight),
-    metrics registries and the blocked-fibre report. *)
+    the schedule from {!Hw.Engine.decisions}, the trace tail from the
+    [engine]'s tracer, sanitizer verdicts (structural tier — the run
+    is mid-flight), metrics registries and the blocked-fibre report. *)
 
 val replay : ?max_steps:int -> Scenario.t -> Obs.Bundle.t -> outcome
 (** Re-execute the bundle's recorded schedule (arming its recorded

@@ -1,6 +1,6 @@
 open Types
 
-(* Flight-recorder / debugger reads: run between slices (crash bundles,
+(* Forensics / debugger reads: run between slices (crash bundles,
    post-mortem dumps, REPL inspection), never from a competing fibre. *)
 [@@@chorus.noted
   "inspection reads run between slices (crash bundles, dumps); no \

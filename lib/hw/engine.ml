@@ -83,17 +83,16 @@ type t = {
   mutable cur_fib : int; (* fibre the running task belongs to *)
   mutable next_fib : int;
   mutable tracer : Obs.Trace.t;
-  mutable flight : Obs.Flight.t;
   mutable on_event : unit -> unit;
   mutable sched : scheduler option;
-  mutable tracking : bool; (* inside a task slice, someone listening *)
+  mutable decisions : int list; (* multi-ready picks, newest first *)
+  mutable tracking : bool; (* inside a task slice under a scheduler *)
   mutable accesses : (int * int * bool) list;
       (* slice footprint, reversed; the bool marks a write *)
   names : (int, string) Hashtbl.t;
   classes : (int, int) Hashtbl.t; (* fibre -> affinity, non-zero only *)
   par : par option; (* None = the cooperative engine (the default) *)
   waiting : (int, wait_info) Hashtbl.t; (* parked fibres, by id *)
-  hearts : (int, Sim_time.t) Hashtbl.t; (* last slice start, by fibre *)
   mutable pending_wait : (string * int) option; (* next park's label/owner *)
   mutable watch : watchdog option;
 }
@@ -162,16 +161,15 @@ let create ?domains () =
     cur_fib = 0;
     next_fib = 1;
     tracer = Obs.Trace.null;
-    flight = Obs.Flight.null;
     on_event = ignore;
     sched = None;
+    decisions = [];
     tracking = false;
     accesses = [];
     names = Hashtbl.create 16;
     classes = Hashtbl.create 16;
     par;
     waiting = Hashtbl.create 16;
-    hearts = Hashtbl.create 16;
     pending_wait = None;
     watch = None;
   }
@@ -211,16 +209,6 @@ let set_tracer eng tr =
   Obs.Trace.set_clock tr (fun () -> now eng);
   Obs.Trace.set_fibre tr (fun () -> current_fibre eng)
 
-let flight eng = eng.flight
-
-let set_flight eng fl =
-  if eng.par <> None && Obs.Flight.enabled fl then
-    invalid_arg
-      "Engine.set_flight: the flight recorder requires the sequential engine \
-       (this engine was created with ~domains; record on the sequential \
-       oracle twin instead)";
-  eng.flight <- fl
-
 let set_event_hook eng hook = eng.on_event <- hook
 
 let set_scheduler eng s =
@@ -231,15 +219,11 @@ let set_scheduler eng s =
        oracle twin instead)";
   eng.sched <- Some s
 let clear_scheduler eng = eng.sched <- None
+let decisions eng = List.rev eng.decisions
 let tracking eng = eng.tracking
 
 let note_access ?(write = true) eng a b =
-  if eng.tracking then begin
-    (* The footprint list feeds [sched_step]; skip the cons when no
-       scheduler listens and only the flight ring wants the event. *)
-    if eng.sched <> None then eng.accesses <- (a, b, write) :: eng.accesses;
-    Obs.Flight.record_access eng.flight ~fib:eng.cur_fib ~a ~b
-  end
+  if eng.tracking then eng.accesses <- (a, b, write) :: eng.accesses
 
 let fibre_name eng fib = Hashtbl.find_opt eng.names fib
 
@@ -355,7 +339,9 @@ let note_park eng fib =
     (match find_cycle eng fib with
     | Some cycle ->
       Obs.Metrics.incr w.wd_deadlocks;
-      Obs.Flight.record_mark eng.flight ~code:1 ~arg:fib;
+      Obs.Trace.instant eng.tracer ~cat:"watchdog"
+        ~args:[ ("fib", Obs.Trace.Int fib) ]
+        "deadlock";
       if w.wd_alarm = None then w.wd_alarm <- Some (deadlock_diag eng cycle)
     | None -> ())
   | None -> ());
@@ -385,7 +371,9 @@ let watchdog_check eng =
           then begin
             wi.wi_flagged <- true;
             Obs.Metrics.incr w.wd_stalls;
-            Obs.Flight.record_mark eng.flight ~code:2 ~arg:fib;
+            Obs.Trace.instant eng.tracer ~cat:"watchdog"
+              ~args:[ ("fib", Obs.Trace.Int fib) ]
+              "stall";
             w.wd_last_stall <- Some (stall_diag eng fib wi)
           end)
         eng.waiting
@@ -468,8 +456,7 @@ let sleep span =
      here rather than in the Sleep handler skips the effect round-trip
      (and its continuation allocation) on the pool's hottest path.
      [cur_ptask] is never set outside a pool worker, so the sequential
-     engine always performs — the handler's own parallel branch stays
-     for effects performed before the DLS fast path existed. *)
+     engine and the coordinator always perform. *)
   match Domain.DLS.get cur_ptask with
   | Some pt -> pt.pt_clock <- pt.pt_clock + span
   | None -> Effect.perform (Sleep span)
@@ -499,11 +486,11 @@ let declare_wait_ambient ~on ?(owner = -1) () =
    daemon work remains.  Handlers run at perform time, so [cur_fib] is
    the performing fibre; continuations keep that id.
 
-   On the domain pool, Sleep coalesces into the slice's private clock
-   (no heap round-trip per charge) and Suspend parks against a real
-   [Atomic] flag so any domain may resume; both branches are selected
-   by the DLS slice marker at perform time, so one fibre can even
-   migrate between pool and coordinator across park/resume. *)
+   On the domain pool, Sleep never reaches the handler ({!sleep}
+   coalesces it into the slice's private clock) and Suspend parks
+   against a real [Atomic] flag so any domain may resume; the branch
+   is selected by the DLS slice marker at perform time, so one fibre
+   can even migrate between pool and coordinator across park/resume. *)
 let exec eng ~daemon f =
   let finished () =
     if not daemon then
@@ -525,19 +512,10 @@ let exec eng ~daemon f =
           | Sleep span ->
             Some
               (fun (k : (a, _) Effect.Deep.continuation) ->
-                match Domain.DLS.get cur_ptask with
-                | Some pt ->
-                  (* Parallel slice: charge virtual time locally and
-                     keep running — the scheduling point is not needed
-                     for fairness (real domains preempt) and skipping
-                     it is what makes the pool fast. *)
-                  pt.pt_clock <- pt.pt_clock + span;
-                  Effect.Deep.continue k ()
-                | None ->
-                  let fib = eng.cur_fib in
-                  eng.pending_wait <- None;
-                  schedule eng ~daemon ~fib (eng.now + span) (fun () ->
-                      Effect.Deep.continue k ()))
+                let fib = eng.cur_fib in
+                eng.pending_wait <- None;
+                schedule eng ~daemon ~fib (eng.now + span) (fun () ->
+                    Effect.Deep.continue k ()))
           | Ambient ->
             Some
               (fun (k : (a, _) Effect.Deep.continuation) ->
@@ -613,60 +591,48 @@ let run_sequential eng main =
      daemon) may still wake.  Once every user fibre has finished,
      pending daemon wakeups are discarded: a periodic daemon would
      otherwise keep the simulation alive forever. *)
-  (* Dispatch: with neither a scheduler nor a flight recorder
-     installed the heap order (time, seq) IS the policy and the popped
-     minimum runs — the fast path.  Otherwise every dispatch becomes an
-     explicit choice point: the full set of equal-time ready tasks is
-     drained (the heap yields it in [seq] order) and either the
-     scheduler picks one or index 0 — the heap's own choice — runs.
-     Multi-way choices are logged to the flight recorder as scheduling
-     decisions. *)
-  let dispatch () =
+  (* Dispatch: without a scheduler the heap order (time, seq) IS the
+     policy and the popped minimum runs — the fast path.  With one,
+     every dispatch becomes an explicit choice point: the full set of
+     equal-time ready tasks is drained (the heap yields it in [seq]
+     order) and the scheduler picks one.  Multi-way picks are logged
+     to [decisions], the schedule a forced replay re-drives. *)
+  let dispatch s =
     let task = Pqueue.pop eng.queue in
-    if eng.sched = None && not (Obs.Flight.enabled eng.flight) then task
-    else begin
-      let rec gather acc =
-        match Pqueue.pop_if eng.queue (fun t -> t.time = task.time) with
-        | Some t -> gather (t :: acc)
-        | None -> acc
-      in
-      let arr = Array.of_list (List.rev (gather [ task ])) in
-      let idx =
-        match eng.sched with
-        | None -> 0
-        | Some s ->
-          let ready =
-            Array.map
-              (fun t ->
-                { rt_fib = t.fib; rt_seq = t.seq; rt_daemon = t.daemon })
-              arr
-          in
-          let idx = s.sched_pick ~now:task.time ready in
-          if idx < 0 || idx >= Array.length arr then
-            invalid_arg "Engine: scheduler picked an out-of-range ready task";
-          idx
-      in
-      if Array.length arr > 1 then
-        Obs.Flight.record_choice eng.flight ~nready:(Array.length arr)
-          ~fib:arr.(idx).fib;
-      Array.iteri (fun i t -> if i <> idx then Pqueue.push eng.queue t) arr;
-      arr.(idx)
-    end
+    let rec gather acc =
+      match Pqueue.pop_if eng.queue (fun t -> t.time = task.time) with
+      | Some t -> gather (t :: acc)
+      | None -> acc
+    in
+    let arr = Array.of_list (List.rev (gather [ task ])) in
+    let ready =
+      Array.map
+        (fun t -> { rt_fib = t.fib; rt_seq = t.seq; rt_daemon = t.daemon })
+        arr
+    in
+    let idx = s.sched_pick ~now:task.time ready in
+    if idx < 0 || idx >= Array.length arr then
+      invalid_arg "Engine: scheduler picked an out-of-range ready task";
+    if Array.length arr > 1 then
+      eng.decisions <- arr.(idx).fib :: eng.decisions;
+    Array.iteri (fun i t -> if i <> idx then Pqueue.push eng.queue t) arr;
+    arr.(idx)
   in
   let rec loop () =
     if
       eng.live_tasks > 0
       || (eng.live > 0 && not (Pqueue.is_empty eng.queue))
     then begin
-      let task = dispatch () in
+      let task =
+        match eng.sched with
+        | None -> Pqueue.pop eng.queue
+        | Some s -> dispatch s
+      in
       assert (task.time >= eng.now);
       eng.now <- task.time;
       eng.cur_fib <- task.fib;
-      if eng.watch <> None then Hashtbl.replace eng.hearts task.fib task.time;
-      Obs.Flight.record_dispatch eng.flight ~fib:task.fib ~time:task.time;
       if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
-      if eng.sched = None && not (Obs.Flight.enabled eng.flight) then
-        task.run ()
+      if eng.sched = None then task.run ()
       else begin
         eng.tracking <- true;
         eng.accesses <- [];
@@ -778,8 +744,6 @@ let worker eng p =
 let run_parallel eng p main =
   if eng.sched <> None then
     invalid_arg "Engine.run: schedulers require the sequential engine";
-  if Obs.Flight.enabled eng.flight then
-    invalid_arg "Engine.run: the flight recorder requires the sequential engine";
   if eng.watch <> None then
     invalid_arg "Engine.run: the watchdog requires the sequential engine";
   (* Tracing in parallel mode records through per-domain shards; the

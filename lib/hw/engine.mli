@@ -59,7 +59,7 @@ type scheduler = {
 val create : ?domains:int -> unit -> t
 (** [create ()] is the cooperative single-domain engine — the default,
     and the reference semantics every checker (DPOR, sanitizer slow
-    mode, flight recorder, watchdog, {!set_scheduler}) is defined
+    mode, watchdog, {!set_scheduler}) is defined
     against; equal-time tasks run in spawn/wake order until a
     {!scheduler} is installed.
 
@@ -110,6 +110,15 @@ val set_scheduler : t -> scheduler -> unit
 
 val clear_scheduler : t -> unit
 
+val decisions : t -> int list
+(** Every multi-ready pick a {!scheduler} made on this engine, oldest
+    first: the fibre chosen at each dispatch that had more than one
+    equal-time ready task.  This is the schedule format
+    [Check.Explore.run_forced] consumes, so feeding it back reproduces
+    the run decision for decision.  Empty when no scheduler was ever
+    installed — and that empty schedule replays as index 0 at every
+    choice, the [(time, seq)] order such a run took. *)
+
 val fifo_scheduler : scheduler
 (** Spawn/wake order through the choice-point API: always index 0, the
     same schedule as no scheduler at all. *)
@@ -125,22 +134,20 @@ val seeded_scheduler : int -> scheduler
 val note_access : ?write:bool -> t -> int -> int -> unit
 (** [note_access eng a b] records that the running task's slice
     touched the shared object identified by [(a, b)] — no-op unless a
-    scheduler or an enabled flight recorder is installed and a slice
-    is executing.  The PVM notes each fragment as [(cache id, offset)]
-    and reserves negative first components for object classes (frame
-    pool, cache topology); the engine treats the pairs as opaque.
-    Footprints feed the model checker's independence relation (two
-    slices commute unless their footprints intersect with at least
-    one side writing) and the flight ring's access records.
-    [?write] defaults to [true] — the conservative classification;
-    pass [~write:false] only for accesses that provably do not mutate
-    the object, which lets the checker commute read-read pairs. *)
+    scheduler is installed and a slice is executing.  The PVM notes
+    each fragment as [(cache id, offset)] and reserves negative first
+    components for object classes (frame pool, cache topology); the
+    engine treats the pairs as opaque.  Footprints feed the model
+    checker's independence relation (two slices commute unless their
+    footprints intersect with at least one side writing).  [?write]
+    defaults to [true] — the conservative classification; pass
+    [~write:false] only for accesses that provably do not mutate the
+    object, which lets the checker commute read-read pairs. *)
 
 val tracking : t -> bool
 (** Whether {!note_access} currently records — true only inside a task
-    slice while a scheduler or an enabled flight recorder is
-    installed.  Lets callers skip the work of computing the object
-    identity when nobody is listening. *)
+    slice while a scheduler is installed.  Lets callers skip the work
+    of computing the object identity when nobody is listening. *)
 
 val ambient : unit -> t option
 (** The engine running the current fibre, recovered through the fibre's
@@ -180,27 +187,6 @@ val set_tracer : t -> Obs.Trace.t -> unit
     each slice's events with its final CPU placement, so the merged
     trace carries one extra track per simulated CPU. *)
 
-val flight : t -> Obs.Flight.t
-(** The flight recorder attached to this engine; {!Obs.Flight.null} —
-    a never-enabled recorder — unless {!set_flight} was called. *)
-
-val set_flight : t -> Obs.Flight.t -> unit
-(** Attach a flight recorder.  While the recorder is enabled, every
-    dispatch is logged to its ring, every multi-ready dispatch also
-    logs the scheduling decision taken (the chosen fibre — the same
-    choice points a {!scheduler} sees, resolved in spawn/wake order
-    when no scheduler is installed, so the recorded schedule is
-    identical to the unrecorded one), and {!note_access} footprints
-    are logged as access records.  The decision log replays the run
-    deterministically through the explorer's forced-pick scheduler.
-    @raise Invalid_argument when attaching an {e enabled} recorder to
-    a parallel engine: the flight ring logs a serial decision
-    sequence, which the pool does not produce.  This is the remaining
-    parallel-mode observability limitation (tracing and metrics now
-    work there); record flights on the sequential oracle twin.
-    Attaching a disabled recorder (e.g. {!Obs.Flight.null}) is
-    allowed. *)
-
 val fibre_name : t -> int -> string option
 (** The [?name] given to {!spawn} for this fibre, if any. *)
 
@@ -223,7 +209,10 @@ val enable_watchdog :
     counted in ["watchdog.deadlocks"] and ["watchdog.checks"].  The
     waiting table is swept at most once per [check_every] of simulated
     time (default 1ms).  Counters live in [metrics] (fresh registry if
-    omitted; retrieve via {!watchdog_metrics}).
+    omitted; retrieve via {!watchdog_metrics}).  Each deadlock and
+    stall is also recorded as an instant in category ["watchdog"]
+    (named ["deadlock"] or ["stall"], the fibre as argument [fib]) on
+    the engine's {!tracer}, when that is enabled.
     @raise Invalid_argument on a parallel engine: the watchdog sweeps
     a serial waiting table between events, which the pool does not
     maintain.  Watch the sequential oracle twin instead. *)

@@ -10,7 +10,7 @@ type t = {
   observed : string option;
   sim_now : int;
   schedule : int list;
-  flight : Json.t;
+  trace : Json.t;
   state : Json.t list;
   digests : string list;
   violations : Json.t;
@@ -18,10 +18,10 @@ type t = {
   watchdog : Json.t;
 }
 
-let schema_version = "chorus-bundle/1"
+let schema_version = "chorus-bundle/2"
 
 let v ~scenario ?(inject = []) ~kind ~detail ?observed ~sim_now ~schedule
-    ?(flight = Json.Null) ?(state = []) ?(digests = [])
+    ?(trace = Json.Null) ?(state = []) ?(digests = [])
     ?(violations = Json.Null) ?(metrics = []) ?(watchdog = Json.Null) () =
   {
     schema = schema_version;
@@ -32,7 +32,7 @@ let v ~scenario ?(inject = []) ~kind ~detail ?observed ~sim_now ~schedule
     observed;
     sim_now;
     schedule;
-    flight;
+    trace;
     state;
     digests;
     violations;
@@ -57,7 +57,7 @@ let to_json b : Json.t =
           | None -> []) );
       ("sim_now", num b.sim_now);
       ("schedule", Json.List (List.map num b.schedule));
-      ("flight", b.flight);
+      ("trace", b.trace);
       ("state", Json.List b.state);
       ("digests", Json.List (List.map (fun d -> Json.Str d) b.digests));
       ("violations", b.violations);
@@ -117,7 +117,7 @@ let of_json (j : Json.t) : (t, string) result =
             | Some f -> int_of f
             | None -> 0);
           schedule;
-          flight = json_field "flight";
+          trace = json_field "trace";
           state = json_list "state";
           digests = strings "digests";
           violations = json_field "violations";

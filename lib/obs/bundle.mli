@@ -4,9 +4,9 @@
     A bundle freezes everything needed to understand and re-drive a
     failed run: which scenario ran (and with which fault injections),
     what kind of failure ended it, the complete schedule-decision
-    prefix (the replay key), the flight-ring tail, the full observable
-    PVM state with digests, the sanitizer verdict, the metrics
-    registries and the watchdog's view.  [chorus replay BUNDLE]
+    prefix (the replay key), the engine's trace tail, the full
+    observable PVM state with digests, the sanitizer verdict, the
+    metrics registries and the watchdog's view.  [chorus replay BUNDLE]
     re-executes the schedule deterministically and checks the outcome
     against the recorded one.
 
@@ -33,7 +33,9 @@ type t = {
       (** the recorded scheduling decisions, oldest first — the fibre
           chosen at each multi-ready dispatch, directly consumable by
           the explorer's forced-schedule replay *)
-  flight : Json.t;  (** {!Flight.to_json} of the ring at capture *)
+  trace : Json.t;
+      (** the engine tracer's ring at capture, as Chrome [trace_event]
+          JSON ({!Trace.to_chrome_json}); [Null] when none was given *)
   state : Json.t list;  (** one full state object per PVM, in order *)
   digests : string list;  (** the state objects' digests, in order *)
   violations : Json.t;  (** sanitizer rules that failed, or [Null] *)
@@ -51,7 +53,7 @@ val v :
   ?observed:string ->
   sim_now:int ->
   schedule:int list ->
-  ?flight:Json.t ->
+  ?trace:Json.t ->
   ?state:Json.t list ->
   ?digests:string list ->
   ?violations:Json.t ->

@@ -11,20 +11,16 @@ let ps = 8192
 
 (* --- canned schedulers through the choice-point API -------------- *)
 
-(* The eight equal-time fibres of Order: every spawn/wake-order path —
-   the heap fast path, the explicit FIFO policy, and the choice points
-   an enabled flight recorder forces — gives program order, and the
-   seeded permutations are pinned, so a change to either the engine's
-   dispatch or the seeded hash shows up here. *)
+(* The eight equal-time fibres of Order: both spawn/wake-order paths —
+   the heap fast path and the explicit FIFO policy — give program
+   order, and the seeded permutations are pinned, so a change to
+   either the engine's dispatch or the seeded hash shows up here. *)
 let test_seeded_orders_pinned () =
   let fifo = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
   Alcotest.(check (list int)) "no scheduler" fifo (Order.dispatch ());
   Alcotest.(check (list int))
     "fifo_scheduler" fifo
     (Order.dispatch ~scheduler:Hw.Engine.fifo_scheduler ());
-  Alcotest.(check (list int))
-    "flight recorder, no scheduler" fifo
-    (Order.dispatch ~flight:true ());
   List.iter
     (fun (seed, order) ->
       Alcotest.(check (list int))
@@ -36,6 +32,31 @@ let test_seeded_orders_pinned () =
       (42, [ 3; 7; 4; 1; 8; 5; 6; 2 ]);
       (1234, [ 7; 5; 8; 4; 1; 6; 3; 2 ]);
     ]
+
+(* The engine's decision log is the replay key: fed to the forced-pick
+   driver, the picks a seeded run logged reproduce its dispatch order
+   exactly — the property crash bundles rest on. *)
+let test_decisions_replay_seeded_order () =
+  let engine = Hw.Engine.create () in
+  let seeded =
+    Order.dispatch ~scheduler:(Hw.Engine.seeded_scheduler 7) ~engine ()
+  in
+  let v_schedule = Hw.Engine.decisions engine in
+  Alcotest.(check bool) "a seeded run logs its picks" true (v_schedule <> []);
+  let v =
+    {
+      Check.Explore.v_kind = "order";
+      v_detail = "";
+      v_schedule;
+      v_digest = None;
+    }
+  in
+  match (Check.Explore.run_forced Order.scenario v).f_verdict with
+  | `Done replayed ->
+    Alcotest.(check string) "replay = seeded order" (Order.show seeded) replayed
+  | `Sleep -> Alcotest.fail "replay ended in a sleep set"
+  | `Violation (kind, detail) ->
+    Alcotest.failf "replay failed: %s: %s" kind detail
 
 (* The seeded scheduler ranks ready tasks by [Hashtbl.seeded_hash seed
    seq]; hashes collide, and on a collision it must fall back to
@@ -284,6 +305,8 @@ let () =
         [
           Alcotest.test_case "seeded orders pinned" `Quick
             test_seeded_orders_pinned;
+          Alcotest.test_case "decisions replay a seeded order" `Quick
+            test_decisions_replay_seeded_order;
           Alcotest.test_case "seeded hash collision resolves in seq order"
             `Quick test_seeded_hash_collision_resolves_in_seq_order;
         ] );

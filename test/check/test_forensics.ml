@@ -57,13 +57,29 @@ let test_bundle_roundtrip () =
   match Obs.Bundle.read path with
   | Error e -> Alcotest.fail e
   | Ok b' ->
+    Alcotest.(check string) "schema" "chorus-bundle/2" b'.Obs.Bundle.schema;
     Alcotest.(check string) "scenario" b.Obs.Bundle.scenario b'.Obs.Bundle.scenario;
     Alcotest.(check string) "kind" b.Obs.Bundle.kind b'.Obs.Bundle.kind;
     Alcotest.(check string) "detail" b.Obs.Bundle.detail b'.Obs.Bundle.detail;
     Alcotest.(check int) "sim_now" b.Obs.Bundle.sim_now b'.Obs.Bundle.sim_now;
     Alcotest.(check (list int)) "schedule" b.Obs.Bundle.schedule b'.Obs.Bundle.schedule;
     Alcotest.(check (list string)) "inject" b.Obs.Bundle.inject b'.Obs.Bundle.inject;
-    Alcotest.(check (list string)) "digests" b.Obs.Bundle.digests b'.Obs.Bundle.digests
+    Alcotest.(check (list string)) "digests" b.Obs.Bundle.digests b'.Obs.Bundle.digests;
+    (* a /1 document no longer loads *)
+    let v1 =
+      match Obs.Bundle.to_json b with
+      | Obs.Json.Obj fields ->
+        Obs.Json.Obj
+          (List.map
+             (function
+               | "schema", _ -> ("schema", Obs.Json.Str "chorus-bundle/1")
+               | f -> f)
+             fields)
+      | j -> j
+    in
+    match Obs.Bundle.of_json v1 with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.fail "accepted a chorus-bundle/1 document"
 
 let test_bundle_rejects_foreign_schema () =
   (match Obs.Bundle.of_json (Obs.Json.Obj [ ("schema", Obs.Json.Str "x/9") ]) with
@@ -124,7 +140,14 @@ let test_replay_skip_insert_probe () =
   Alcotest.(check bool) "sanitizer rules recorded" true
     (outcome.Check.Forensics.o_rules <> []);
   Alcotest.(check bool) "bundle records the schedule" true
-    (bundle.Obs.Bundle.schedule <> [])
+    (bundle.Obs.Bundle.schedule <> []);
+  Alcotest.(check bool) "bundle carries the trace tail" true
+    (match
+       Obs.Json.get_list
+         (Obs.Json.member "traceEvents" bundle.Obs.Bundle.trace)
+     with
+    | Some (_ :: _) -> true
+    | _ -> false)
 
 (* A clean (uninjected) forced run of the same schedule must NOT
    reproduce the failure — [reproduces] has to notice, or it would

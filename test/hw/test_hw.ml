@@ -104,6 +104,9 @@ let test_daemon_not_deadlock () =
 let test_watchdog_flags_cross_block () =
   let engine = Hw.Engine.create () in
   Hw.Engine.enable_watchdog engine ();
+  let tr = Obs.Trace.create () in
+  Hw.Engine.set_tracer engine tr;
+  Obs.Trace.enable tr;
   let r1 = Hw.Engine.Cond.create () in
   let r2 = Hw.Engine.Cond.create () in
   (* run's main fibre is 1; the two spawns below are 2 and 3 *)
@@ -133,7 +136,13 @@ let test_watchdog_flags_cross_block () =
     Alcotest.(check bool) "deadlock counted" true
       (Obs.Metrics.value (Obs.Metrics.counter m "watchdog.deadlocks") >= 1));
   Alcotest.(check bool) "blocked report lists the fibres" true
-    (String.length (Hw.Engine.blocked_report engine) > 0)
+    (String.length (Hw.Engine.blocked_report engine) > 0);
+  Alcotest.(check bool) "tracer holds a watchdog deadlock instant" true
+    (List.exists
+       (function
+         | Obs.Trace.Instant { cat = "watchdog"; name = "deadlock"; _ } -> true
+         | _ -> false)
+       (Obs.Trace.events tr))
 
 (* Slow but live: a waiter parked well under the stall threshold whose
    broadcast does arrive must trip nothing. *)

@@ -362,66 +362,6 @@ let test_tracing_does_not_perturb () =
   Alcotest.(check bool) "trace captured something" true
     (Obs.Trace.length tr > 0)
 
-(* --- flight recorder ---------------------------------------------- *)
-
-let test_flight_ring_wraps () =
-  let fl = Obs.Flight.create ~capacity:4 () in
-  Obs.Flight.enable fl;
-  for i = 1 to 10 do
-    Obs.Flight.record_dispatch fl ~fib:i ~time:(i * 100)
-  done;
-  Alcotest.(check int) "ring holds capacity" 4 (Obs.Flight.length fl);
-  Alcotest.(check int) "overwrites counted" 6 (Obs.Flight.dropped fl);
-  match Obs.Flight.entries fl with
-  | Obs.Flight.Dispatch { fib; time } :: _ ->
-    Alcotest.(check int) "oldest surviving record" 7 fib;
-    Alcotest.(check int) "its timestamp" 700 time
-  | _ -> Alcotest.fail "expected the tail to start with a dispatch"
-
-let test_flight_decisions_survive_overwrite () =
-  (* the ring may drop, the decision log — the replay key — may not *)
-  let fl = Obs.Flight.create ~capacity:2 () in
-  Obs.Flight.enable fl;
-  for i = 1 to 50 do
-    Obs.Flight.record_choice fl ~nready:2 ~fib:(i mod 3)
-  done;
-  Alcotest.(check int) "ring is only a tail" 2 (Obs.Flight.length fl);
-  Alcotest.(check int) "every decision kept" 50 (Obs.Flight.decision_count fl);
-  Alcotest.(check (list int))
-    "decisions in order"
-    (List.init 50 (fun i -> (i + 1) mod 3))
-    (Obs.Flight.decisions fl)
-
-let test_flight_json_parses () =
-  let fl = Obs.Flight.create () in
-  Obs.Flight.enable fl;
-  Obs.Flight.record_dispatch fl ~fib:1 ~time:5;
-  Obs.Flight.record_choice fl ~nready:3 ~fib:2;
-  Obs.Flight.record_access fl ~fib:2 ~a:(-1) ~b:7;
-  Obs.Flight.record_mark fl ~code:2 ~arg:0;
-  let j = Obs.Json.parse (Obs.Json.to_string (Obs.Flight.to_json fl)) in
-  (match Obs.Json.get_list (Obs.Json.member "events" j) with
-  | Some l -> Alcotest.(check int) "all four records rendered" 4 (List.length l)
-  | None -> Alcotest.fail "no events field");
-  match Obs.Json.get_list (Obs.Json.member "decisions" j) with
-  | Some [ Obs.Json.Num d ] ->
-    Alcotest.(check int) "the choice's fibre" 2 (int_of_float d)
-  | _ -> Alcotest.fail "expected exactly one decision"
-
-let test_flight_null_noop () =
-  Obs.Flight.enable Obs.Flight.null;
-  Alcotest.(check bool) "null stays disabled" false
-    (Obs.Flight.enabled Obs.Flight.null);
-  Obs.Flight.record_dispatch Obs.Flight.null ~fib:1 ~time:0;
-  Obs.Flight.record_choice Obs.Flight.null ~nready:2 ~fib:1;
-  Alcotest.(check int) "records nothing" 0 (Obs.Flight.length Obs.Flight.null);
-  Alcotest.(check int) "decides nothing" 0
-    (Obs.Flight.decision_count Obs.Flight.null);
-  (* a disabled (but real) recorder also records nothing *)
-  let fl = Obs.Flight.create () in
-  Obs.Flight.record_dispatch fl ~fib:1 ~time:0;
-  Alcotest.(check int) "disabled records nothing" 0 (Obs.Flight.length fl)
-
 let () =
   Alcotest.run "obs"
     [
@@ -443,15 +383,5 @@ let () =
             test_disabled_records_nothing;
           Alcotest.test_case "does not perturb sim time" `Quick
             test_tracing_does_not_perturb;
-        ] );
-      ( "flight",
-        [
-          Alcotest.test_case "ring wraps, drops counted" `Quick
-            test_flight_ring_wraps;
-          Alcotest.test_case "decisions survive overwrite" `Quick
-            test_flight_decisions_survive_overwrite;
-          Alcotest.test_case "json parses back" `Quick test_flight_json_parses;
-          Alcotest.test_case "null and disabled are no-ops" `Quick
-            test_flight_null_noop;
         ] );
     ]
