@@ -1,7 +1,5 @@
-(* bench-diff: trajectory regression gate over two chorus-bench
-   reports (schemas /1 and /2 — /2 adds the wall-clock [parallel]
-   section, which is machine-dependent and never gated, so a /1
-   baseline like BENCH_pr4.json stays valid against a /2 report).
+(* bench-diff: trajectory regression gate over two chorus-bench/1
+   reports.
 
    Usage: diff.exe OLD.json NEW.json [--tolerance PCT]
 
@@ -114,16 +112,12 @@ let () =
     match files with [ a; b ] -> (a, b) | _ -> usage ()
   in
   let old_j = load old_file and new_j = load new_file in
-  let known = function
-    | Some ("chorus-bench/1" | "chorus-bench/2") -> true
-    | Some _ | None -> false
-  in
   (match (str_field "schema" old_j, str_field "schema" new_j) with
-  | old_s, new_s when known old_s && known new_s -> ()
+  | Some "chorus-bench/1", Some "chorus-bench/1" -> ()
   | old_s, new_s ->
     Printf.eprintf
-      "bench-diff: expected schema chorus-bench/1 or /2 in both reports \
-       (old: %s, new: %s)\n"
+      "bench-diff: expected schema chorus-bench/1 in both reports (old: %s, \
+       new: %s)\n"
       (Option.value ~default:"missing" old_s)
       (Option.value ~default:"missing" new_s);
     exit 2);

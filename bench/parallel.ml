@@ -14,10 +14,10 @@
    sequential engine is NOT that uniprocessor: as a pure discrete-event
    simulator it overlaps every runnable fibre's charges (an
    infinite-CPU idealisation), so its row reports the idealisation
-   ceiling.  Wall-clock is printed alongside as the machine-dependent
-   sanity column.  What is checked hard: the observable digest of
-   every parallel run must equal the sequential digest — the
-   oracle-twin contract holds at benchmark scale too. *)
+   ceiling.  Host time is perfbench's to measure, not this harness's.
+   What is checked hard: the observable digest of every parallel run
+   must equal the sequential digest — the oracle-twin contract holds
+   at benchmark scale too. *)
 
 let workers = 16
 let pages = 256
@@ -29,16 +29,16 @@ let run_once ~domains scen =
   let engine =
     if domains = 0 then Util.engine () else Hw.Engine.create ~domains ()
   in
-  let t0 = Unix.gettimeofday () in
   let pvms, _ = Check.Scenario.exec engine scen in
-  let wall = Unix.gettimeofday () -. t0 in
-  let sim = Hw.Engine.now engine in
   let faults =
     List.fold_left
       (fun acc pvm -> acc + (Core.Pvm.stats pvm).Core.Types.n_faults)
       0 pvms
   in
-  (faults, sim, wall, Check.Scenario.digest pvms, Hw.Engine.cpu_busy engine)
+  ( faults,
+    Hw.Engine.now engine,
+    Check.Scenario.digest pvms,
+    Hw.Engine.cpu_busy engine )
 
 let sweep ?(domains_list = [ 1; 2; 4 ]) () =
   let scen = Check.Scenario.storm ~workers ~pages ~rounds () in
@@ -46,51 +46,42 @@ let sweep ?(domains_list = [ 1; 2; 4 ]) () =
     "\nParallel fault throughput (storm: %d workers x %d pages x %d rounds)\n\
      (simulated time; speedup vs the 1-domain uniprocessor model — the \
      sequential engine row is the\n\
-     infinite-CPU discrete-event idealisation and the digest oracle; \
-     wall-clock is machine-dependent)\n"
+     infinite-CPU discrete-event idealisation and the digest oracle)\n"
     workers pages rounds;
-  Printf.printf "%-12s  %10s  %10s  %14s  %8s  %8s  %s\n" "engine" "faults"
-    "sim ms" "faults/sim-s" "speedup" "wall ms" "digest";
-  let seq_faults, seq_sim, seq_wall, seq_digest, _ = run_once ~domains:0 scen in
+  Printf.printf "%-12s  %10s  %10s  %14s  %8s  %s\n" "engine" "faults"
+    "sim ms" "faults/sim-s" "speedup" "digest";
+  let seq_faults, seq_sim, seq_digest, _ = run_once ~domains:0 scen in
   (* The uniprocessor reference is always measured, whether or not the
      requested sweep includes 1. *)
-  let uni_faults, uni_sim, uni_wall, uni_digest, uni_busy =
-    run_once ~domains:1 scen
-  in
+  let uni_faults, uni_sim, uni_digest, uni_busy = run_once ~domains:1 scen in
   let throughput faults sim =
     float_of_int faults /. Hw.Sim_time.to_ms_float sim *. 1e3
   in
   let uni_tp = throughput uni_faults uni_sim in
-  let row label faults sim wall digest_ok =
-    Printf.printf "%-12s  %10d  %10.1f  %14.0f  %7.2fx  %8.1f  %s\n" label
-      faults
+  let row label faults sim digest_ok =
+    Printf.printf "%-12s  %10d  %10.1f  %14.0f  %7.2fx  %s\n" label faults
       (Hw.Sim_time.to_ms_float sim)
       (throughput faults sim)
       (throughput faults sim /. uni_tp)
-      (wall *. 1e3)
       (if digest_ok then "ok" else "DIVERGED")
   in
-  row "sequential" seq_faults seq_sim seq_wall true;
+  row "sequential" seq_faults seq_sim true;
   let diverged = ref false in
   (* Per-CPU utilization of each parallel run against its makespan,
      printed after the throughput table (collected in sweep order). *)
   let utilizations = ref [] in
-  let emit domains faults sim wall digest busy =
+  let emit domains faults sim digest busy =
     let ok = String.equal digest seq_digest in
     if not ok then diverged := true;
-    row (Printf.sprintf "%d domain(s)" domains) faults sim wall ok;
-    utilizations := (domains, busy, sim) :: !utilizations;
-    Report.add_parallel ~workload:"storm" ~domains ~faults
-      ~sim_ms:(Hw.Sim_time.to_ms_float sim)
-      ~wall_ms:(wall *. 1e3)
-      ~speedup:(throughput faults sim /. uni_tp)
+    row (Printf.sprintf "%d domain(s)" domains) faults sim ok;
+    utilizations := (domains, busy, sim) :: !utilizations
   in
-  emit 1 uni_faults uni_sim uni_wall uni_digest uni_busy;
+  emit 1 uni_faults uni_sim uni_digest uni_busy;
   List.iter
     (fun domains ->
       if domains <> 1 then begin
-        let faults, sim, wall, digest, busy = run_once ~domains scen in
-        emit domains faults sim wall digest busy
+        let faults, sim, digest, busy = run_once ~domains scen in
+        emit domains faults sim digest busy
       end)
     domains_list;
   List.iter
@@ -99,10 +90,6 @@ let sweep ?(domains_list = [ 1; 2; 4 ]) () =
         (fun ppf () -> Obs.Profile.pp_utilization ppf ~busy ~makespan:sim)
         ())
     (List.rev !utilizations);
-  Report.add_parallel ~workload:"storm" ~domains:0 ~faults:seq_faults
-    ~sim_ms:(Hw.Sim_time.to_ms_float seq_sim)
-    ~wall_ms:(seq_wall *. 1e3)
-    ~speedup:(throughput seq_faults seq_sim /. uni_tp);
   if !diverged then begin
     Printf.eprintf
       "bench parallel: a parallel run diverged from the sequential digest\n";

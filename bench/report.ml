@@ -6,22 +6,17 @@
    script) can compare measured against paper values without scraping
    the text tables.
 
-   Schema "chorus-bench/2":
-     { "schema": "chorus-bench/2",
+   Schema "chorus-bench/1":
+     { "schema": "chorus-bench/1",
        "tables": [ { "name", "cells": [ {row, col, measured_ms,
                      paper_ms} ] } ],
        "derived": [ {impl, name, measured_ms, paper_ms} ],
-       "primitives": [ {impl, prim, count, total_ns} ],
-       "parallel": [ {workload, domains, faults, sim_ms, wall_ms,
-                    speedup} ] }
+       "primitives": [ {impl, prim, count, total_ns} ] }
 
-   /2 adds the [parallel] section ("/1" reports simply lack it;
-   diff.exe reads both).  [tables] and [derived] are the regression
-   surface diff.exe gates on; [primitives] is informational (counts
-   shift legitimately when instrumentation is added) and only produces
-   warnings; [parallel] mixes simulated time (sim_ms, speedup) with
-   machine-dependent wall-clock (wall_ms), so it is never gated at
-   all. *)
+   [tables] and [derived] are the regression surface diff.exe gates
+   on; [primitives] is informational (counts shift legitimately when
+   instrumentation is added) and only produces warnings.  Every value
+   is simulated time: host time is perfbench's to measure. *)
 
 type cell = {
   table : string;
@@ -45,19 +40,9 @@ type prim_entry = {
   p_total_ns : int;
 }
 
-type parallel_entry = {
-  pl_workload : string;
-  pl_domains : int; (* 0 = the sequential engine *)
-  pl_faults : int;
-  pl_sim_ms : float; (* simulated makespan of the run *)
-  pl_wall_ms : float;
-  pl_speedup : float; (* simulated-time throughput vs sequential *)
-}
-
 let cells : cell list ref = ref []
 let derived_entries : derived_entry list ref = ref []
 let prim_entries : prim_entry list ref = ref []
-let parallel_entries : parallel_entry list ref = ref []
 let out : string option ref = ref None
 
 let add ~table ~row ~col ~measured ~paper =
@@ -78,18 +63,6 @@ let add_prims ~impl report =
           { p_impl = impl; p_prim = prim; p_count = count; p_total_ns = total_ns }
           :: !prim_entries)
     report
-
-let add_parallel ~workload ~domains ~faults ~sim_ms ~wall_ms ~speedup =
-  parallel_entries :=
-    {
-      pl_workload = workload;
-      pl_domains = domains;
-      pl_faults = faults;
-      pl_sim_ms = sim_ms;
-      pl_wall_ms = wall_ms;
-      pl_speedup = speedup;
-    }
-    :: !parallel_entries
 
 let escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -115,7 +88,7 @@ let to_json () =
       [] recorded
   in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"schema\":\"chorus-bench/2\",\"tables\":[";
+  Buffer.add_string b "{\"schema\":\"chorus-bench/1\",\"tables\":[";
   List.iteri
     (fun ti t ->
       if ti > 0 then Buffer.add_char b ',';
@@ -149,16 +122,6 @@ let to_json () =
            "{\"impl\":\"%s\",\"prim\":\"%s\",\"count\":%d,\"total_ns\":%d}"
            (escape p.p_impl) (escape p.p_prim) p.p_count p.p_total_ns))
     (List.rev !prim_entries);
-  Buffer.add_string b "],\"parallel\":[";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"workload\":\"%s\",\"domains\":%d,\"faults\":%d,\"sim_ms\":%.1f,\"wall_ms\":%.1f,\"speedup\":%.2f}"
-           (escape p.pl_workload) p.pl_domains p.pl_faults p.pl_sim_ms
-           p.pl_wall_ms p.pl_speedup))
-    (List.rev !parallel_entries);
   Buffer.add_string b "]}";
   Buffer.contents b
 
@@ -170,10 +133,7 @@ let write () =
         output_string oc (to_json ());
         output_char oc '\n');
     Printf.printf
-      "\nwrote metrics report: %s (%d cells, %d derived, %d primitive rows%s)\n"
+      "\nwrote metrics report: %s (%d cells, %d derived, %d primitive rows)\n"
       file (List.length !cells)
       (List.length !derived_entries)
       (List.length !prim_entries)
-      (match List.length !parallel_entries with
-      | 0 -> ""
-      | n -> Printf.sprintf ", %d parallel rows" n)

@@ -11,7 +11,6 @@
      stats SCENARIO     print the metrics-registry report of a scenario
      check SCENARIO     sanitizer + schedule-perturbation harness
      crossval           sequential-vs-parallel digest cross-validation
-     bench              parallel fault-throughput microbenchmark
      explore SCENARIO   DPOR schedule exploration
      profile SCENARIO   cost-attribution profile
      replay BUNDLE      deterministically re-execute a crash bundle
@@ -27,8 +26,9 @@
    tail of the run's trace, and replay re-drives the recorded schedule
    decision-for-decision and asserts the same failure reappears.
 
-   The full evaluation lives in bench/main.exe; the walkthroughs in
-   examples/. *)
+   The full evaluation and the parallel fault-throughput sweep live in
+   bench/main.exe (simulated time), host-time measurement in
+   perfbench/; the walkthroughs in examples/. *)
 
 open Cmdliner
 
@@ -177,11 +177,15 @@ let write_file ~cmd file contents =
     Printf.eprintf "chorus %s: %s\n" cmd msg;
     exit 1
 
-let check_domains ~cmd = function
-  | Some d when d < 1 ->
-    Printf.eprintf "chorus %s: --domains must be >= 1\n" cmd;
+(* Usage errors exit 2, before anything runs. *)
+let check_count ~cmd ~flag ~min n =
+  if n < min then begin
+    Printf.eprintf "chorus %s: %s must be >= %d\n" cmd flag min;
     exit 2
-  | d -> d
+  end;
+  n
+
+let check_domains ~cmd = check_count ~cmd ~flag:"--domains" ~min:1
 
 (* A fresh engine with an enabled tracer attached. *)
 let traced_engine ?domains () =
@@ -192,7 +196,7 @@ let traced_engine ?domains () =
   (engine, tr)
 
 let trace scenario out domains =
-  let domains = check_domains ~cmd:"trace" domains in
+  let domains = Option.map (check_domains ~cmd:"trace") domains in
   let scen = find_scenario scenario in
   let engine, tr = traced_engine ?domains () in
   ignore (Check.Scenario.exec engine scen);
@@ -212,7 +216,7 @@ let trace scenario out domains =
       (Obs.Trace.dropped tr)
 
 let stats scenario json_out domains =
-  let domains = check_domains ~cmd:"stats" domains in
+  let domains = Option.map (check_domains ~cmd:"stats") domains in
   let scen = find_scenario scenario in
   let engine, tr = traced_engine ?domains () in
   let pvms, _ = Check.Scenario.exec engine scen in
@@ -471,6 +475,7 @@ let profile scenario folded json_out =
    No_oracle — memory contents equal; Outcomes — every observation one
    of the program's serializations. *)
 let check scenario seeds every_event bundle_dir =
+  let seeds = check_count ~cmd:"check" ~flag:"--seeds" ~min:0 seeds in
   let scen = find_scenario scenario in
   let failures = ref 0 in
   let fail label fmt =
@@ -664,6 +669,7 @@ let check_order_witnesses ~label =
    explore fixtures, judged against Check.Model's serializations; the
    unit suite crossvals them too. *)
 let crossval domains =
+  let domains = check_domains ~cmd:"crossval" domains in
   Obs.Lockstat.enable_witnessing ();
   let scens =
     List.filter
@@ -688,94 +694,6 @@ let crossval domains =
       (List.length bad);
     exit 1
   end
-
-(* chorus bench: the contended many-context fault-throughput
-   microbenchmark, standalone.  Runs Crossval's storm on the
-   sequential engine (the digest oracle), on the 1-domain pool (the
-   uniprocessor model — the throughput baseline) and on the requested
-   domain count, and reports faults per simulated second.  The full
-   sweep with wall-clock columns lives in the bench harness
-   (bench/main.exe parallel). *)
-let bench domains workers pages rounds with_stats =
-  if domains < 1 then begin
-    Printf.eprintf "chorus bench: --domains must be >= 1\n";
-    exit 2
-  end;
-  (* Wall-clock wait/hold columns of the contention report; counts are
-     maintained regardless.  Timing never touches the simulated clock,
-     so the digest checks below are unaffected. *)
-  if with_stats then
-    Obs.Lockstat.enable_timing ~clock:(fun () ->
-        int_of_float (Unix.gettimeofday () *. 1e9));
-  Obs.Lockstat.enable_witnessing ();
-  let scen = Check.Scenario.storm ~workers ~pages ~rounds () in
-  let run_once d =
-    let engine =
-      Hw.Engine.create ?domains:(if d = 0 then None else Some d) ()
-    in
-    let pvms, _ = Check.Scenario.exec engine scen in
-    let faults =
-      List.fold_left
-        (fun acc pvm -> acc + (Core.Pvm.stats pvm).Core.Types.n_faults)
-        0 pvms
-    in
-    (faults, Hw.Engine.now engine, Check.Scenario.digest pvms, engine, pvms)
-  in
-  Printf.printf
-    "chorus bench: storm %d workers x %d pages x %d rounds, %d domain(s)\n"
-    workers pages rounds domains;
-  let _, _, seq_digest, _, _ = run_once 0 in
-  let uni_faults, uni_sim, uni_digest, _, _ = run_once 1 in
-  let faults, sim, digest, engine, pvms = run_once domains in
-  let tp f s = float_of_int f /. Hw.Sim_time.to_ms_float s *. 1e3 in
-  Printf.printf "  1 domain : %7d faults in %10.1f sim ms = %8.0f faults/sim-s\n"
-    uni_faults
-    (Hw.Sim_time.to_ms_float uni_sim)
-    (tp uni_faults uni_sim);
-  Printf.printf
-    "  %d domains: %7d faults in %10.1f sim ms = %8.0f faults/sim-s \
-     (%.2fx the uniprocessor)\n"
-    domains faults
-    (Hw.Sim_time.to_ms_float sim)
-    (tp faults sim)
-    (tp faults sim /. tp uni_faults uni_sim);
-  if with_stats then begin
-    let makespan = Hw.Engine.now engine in
-    Format.printf "@.%a@."
-      (fun ppf () ->
-        Obs.Profile.pp_utilization ppf ~busy:(Hw.Engine.cpu_busy engine)
-          ~makespan)
-      ();
-    let snaps =
-      Hw.Engine.pool_lock_stats engine
-      @ List.concat_map Core.Pvm.lock_stats pvms
-    in
-    Format.printf "%a@." Obs.Profile.pp_contention
-      (Obs.Profile.contention snaps);
-    (* Hot-shard attribution: the summed gmap counters hide skew. *)
-    List.iter
-      (fun pvm ->
-        let gm = pvm.Core.Types.gmap in
-        let probes = Core.Shard_map.probes_per_shard gm in
-        let waits = Core.Shard_map.lock_waits_per_shard gm in
-        Format.printf "@[<v>gmap shards (probes / lock waits):@,";
-        Array.iteri
-          (fun i p ->
-            Format.printf "  shard%-3d %10d %10d@," i p waits.(i))
-          probes;
-        Format.printf "@]@.")
-      pvms
-  end;
-  if
-    (not (String.equal digest seq_digest))
-    || not (String.equal uni_digest seq_digest)
-  then begin
-    Printf.eprintf
-      "chorus bench: parallel digest diverged from the sequential oracle\n";
-    exit 1
-  end;
-  Printf.printf "  digests match the sequential oracle\n";
-  check_order_witnesses ~label:"chorus bench"
 
 (* chorus explore SCENARIO: systematic schedule exploration with the
    Check.Explore DPOR model checker, every schedule's observation
@@ -981,39 +899,6 @@ let cmds =
             & info [ "domains" ] ~docv:"N"
                 ~doc:"worker-domain count for the parallel run (>= 1)"));
     Cmd.v
-      (Cmd.info "bench"
-         ~doc:
-           "run the contended many-context fault storm on the \
-            domain-parallel engine and report fault throughput in \
-            simulated time against the 1-domain uniprocessor model \
-            (digests are checked against the sequential oracle; exit 1 \
-            on divergence)")
-      Term.(
-        const bench
-        $ Arg.(
-            value & opt int 4
-            & info [ "domains" ] ~docv:"N"
-                ~doc:"simulated CPU / worker-domain count (>= 1)")
-        $ Arg.(
-            value & opt int 16
-            & info [ "workers" ] ~docv:"N" ~doc:"faulting contexts")
-        $ Arg.(
-            value & opt int 64
-            & info [ "pages" ] ~docv:"N" ~doc:"pages per context")
-        $ Arg.(
-            value & opt int 2
-            & info [ "rounds" ] ~docv:"N" ~doc:"passes over each working set")
-        $ Arg.(
-            value & flag
-            & info [ "stats" ]
-                ~doc:
-                  "after the parallel run, print the per-CPU utilization \
-                   table (busy/idle per simulated CPU against the \
-                   makespan, parallel efficiency), the lock-contention \
-                   tree (engine pool, per-PVM mm, per-shard gmap, with \
-                   wall-clock wait/hold times) and the per-shard hot-shard \
-                   attribution"));
-    Cmd.v
       (Cmd.info "explore"
          ~doc:
            "systematically explore a scenario's schedules with the DPOR \
@@ -1072,7 +957,7 @@ let cmds =
         $ Arg.(
             required
             & pos 0 (some string) None
-            & info [] ~docv:"BUNDLE" ~doc:"path to a chorus-bundle/1 JSON"));
+            & info [] ~docv:"BUNDLE" ~doc:"path to a chorus-bundle/2 JSON"));
     Cmd.v
       (Cmd.info "stats"
          ~doc:

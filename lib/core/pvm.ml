@@ -104,11 +104,10 @@ let[@chorus.noted
 
 let reset_stats pvm = Types.reset_stats pvm.stats
 
-(* Every instrumented lock owned by this PVM, for the contention
-   report: the mm lock and each shard lock of the two sharded maps.
-   The engine pool lock is the engine's
-   ({!Hw.Engine.pool_lock_stats}), so several PVMs sharing one engine
-   don't each re-report it. *)
+(* Every instrumented lock owned by this PVM: the mm lock and each
+   shard lock of the two sharded maps.  The engine pool lock is the
+   engine's ({!Hw.Engine.pool_lock_stats}), so several PVMs sharing
+   one engine don't each re-report it. *)
 let[@chorus.noted
      "quiescence-time reporting: reads only the lock statistics, never \
       map contents, so no schedule can depend on it"] lock_stats pvm =

@@ -74,8 +74,8 @@ val lock_stats : t -> Obs.Lockstat.snapshot list
     ([stub_sources/shardN]).  Prepend
     {!Hw.Engine.pool_lock_stats} for the engine's pool lock.  Counts
     are always maintained; wall-clock wait/hold timing additionally
-    requires {!Obs.Lockstat.enable_timing}.  Feed to
-    {!Obs.Profile.contention} for the rendered tree. *)
+    requires {!Obs.Lockstat.enable_timing}.  The traced [perfbench]
+    run reads the [pvm/mm] entry. *)
 
 val tracer : t -> Obs.Trace.t
 (** The tracing sink of this instance's engine ({!Hw.Engine.tracer});

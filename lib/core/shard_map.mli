@@ -22,8 +22,8 @@ type 'v t
 
 val create : ?name:string -> ?shards:int -> unit -> 'v t
 (** [shards] defaults to 8 and must be at least 1.  [name] (default
-    ["gmap"]) labels the per-shard lock statistics, which appear in
-    the contention report as [name/shard0], [name/shard1], ... *)
+    ["gmap"]) labels the per-shard lock statistics
+    [name/shard0], [name/shard1], ... *)
 
 val shard_count : 'v t -> int
 

@@ -236,7 +236,7 @@ let next_id pvm = Atomic.fetch_and_add pvm.next_id 1
    not prose any more: it is declared in [Lint.Lock_order], enforced
    statically by chorus-lint rules L6–L9 over every engine-facing
    library, and cross-checked at runtime against the order witnesses
-   [Obs.Lockstat] records under [chorus crossval]/[chorus bench].
+   [Obs.Lockstat] records under [chorus crossval].
 
    [mm_enter]/[mm_exit] are the explicit halves for hot paths where
    the closure argument would itself be a per-call allocation; a

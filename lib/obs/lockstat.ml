@@ -24,10 +24,10 @@
    carries a lock-class tag ("pool", "mm", "shard", "cond"), and when
    witnessing is enabled every acquisition records which classes the
    acquiring domain already held.  The witness matrix is the observed
-   may-hold-while-acquiring relation; [chorus crossval] and [chorus
-   bench] assert it is a subset of the hierarchy the static lint
-   declares in [Lint.Lock_order], so the catalogue can never silently
-   drift from runtime reality.  (The registration mutex inside
+   may-hold-while-acquiring relation; [chorus crossval] asserts it is
+   a subset of the hierarchy the static lint declares in
+   [Lint.Lock_order], so the catalogue can never silently drift from
+   runtime reality.  (The registration mutex inside
    [Hw.Engine.Cond] is a raw [Mutex.t], not Lockstat-instrumented, so
    the cond class appears in the static analysis only — it is a strict
    leaf with three-line critical sections.) *)

@@ -7,22 +7,21 @@
     acquisitions (always on, one Atomic op each), plus wall-clock
     wait/hold times when timing has been switched on with
     {!enable_timing}.  Reports read the numbers at quiescence via
-    {!snapshot}; {!Profile.contention} turns a set of snapshots into
-    the contention tree printed by [chorus bench --stats].
+    {!snapshot}; the traced [perfbench] run turns them into its
+    per-operation [mm.*] and [engine.pool.*] metrics.
 
     A third, normally-off tier records {e order witnesses}: with
     {!enable_witnessing} on, every acquisition records the lock
-    classes the acquiring domain already holds.  [chorus crossval] and
-    [chorus bench] assert the observed may-hold-while-acquiring pairs
-    are a subset of the static hierarchy in [Lint.Lock_order], so the
+    classes the acquiring domain already holds.  [chorus crossval]
+    asserts the observed may-hold-while-acquiring pairs are a subset of the static hierarchy in [Lint.Lock_order], so the
     lint's declared order can never silently drift from runtime
     reality. *)
 
 type t
 
 val create : ?cls:string -> string -> t
-(** [create ?cls name] — name the lock with ['/'] separators to group
-    it in the contention tree, e.g. ["pvm0/gmap/shard3"].  [cls] tags
+(** [create ?cls name] — name the lock with ['/'] separators, e.g.
+    ["gmap/shard3"].  [cls] tags
     the lock with its class in the [Lint.Lock_order] hierarchy
     (["pool"], ["mm"], ["shard"], ["cond"]) for order witnessing;
     anything else, and the default, buckets as ["other"]. *)

@@ -607,100 +607,6 @@ let pp ppf (t : t) =
   pp_derived ppf (derive t);
   Format.fprintf ppf "@]"
 
-(* --- Lock contention tree ------------------------------------------ *)
-
-(* The cost tree above attributes *simulated* time; the contention
-   tree attributes the *real* synchronisation the parallel engine
-   spends outside the simulated clock: pool-lock, mm-lock and
-   shard-lock acquisitions, how many blocked, and (when Lockstat
-   timing is on) wall-clock wait/hold time.  Lockstat names group with
-   '/' separators into a tree, e.g. pvm0/gmap/shard3 under pvm0/gmap
-   under pvm0. *)
-
-type lock_node = {
-  l_label : string;
-  l_stat : Lockstat.snapshot option; (* None for pure grouping nodes *)
-  l_children : lock_node list;
-}
-
-let split_path name = String.split_on_char '/' name
-
-let contention (snaps : Lockstat.snapshot list) : lock_node =
-  let rec build label entries =
-    let here, deeper =
-      List.partition (fun (path, _) -> path = []) entries
-    in
-    let stat = match here with (_, s) :: _ -> Some s | [] -> None in
-    let segs =
-      List.fold_left
-        (fun acc (path, _) ->
-          match path with
-          | seg :: _ when not (List.mem seg acc) -> acc @ [ seg ]
-          | _ -> acc)
-        [] deeper
-    in
-    let children =
-      List.map
-        (fun seg ->
-          build seg
-            (List.filter_map
-               (fun (path, s) ->
-                 match path with
-                 | hd :: tl when hd = seg -> Some (tl, s)
-                 | _ -> None)
-               deeper))
-        segs
-    in
-    { l_label = label; l_stat = stat; l_children = children }
-  in
-  build ""
-    (List.map (fun (s : Lockstat.snapshot) -> (split_path s.name, s)) snaps)
-
-(* Aggregate of a subtree, for the group rows of the report. *)
-let rec lock_totals (n : lock_node) =
-  let acc =
-    match n.l_stat with
-    | Some s -> (s.acquires, s.waits, s.wait_ns, s.hold_ns)
-    | None -> (0, 0, 0, 0)
-  in
-  List.fold_left
-    (fun (a, w, wn, hn) c ->
-      let a', w', wn', hn' = lock_totals c in
-      (a + a', w + w', wn + wn', hn + hn'))
-    acc n.l_children
-
-let pp_contention ppf (root : lock_node) =
-  let a_total, w_total, wait_total, _ = lock_totals root in
-  Format.fprintf ppf "@[<v>lock contention:@,";
-  if a_total = 0 then
-    Format.fprintf ppf "  (no lock acquisitions: sequential run?)@,"
-  else begin
-    Format.fprintf ppf "  %-32s %10s %10s %6s %10s %10s %10s@," "" "acquires"
-      "contended" "" "wait ms" "hold ms" "max wait";
-    let rec pr depth (n : lock_node) =
-      let indent = String.make (2 * depth) ' ' in
-      (if n.l_label <> "" then
-         let a, w, wn, hn = lock_totals n in
-         let mw =
-           match n.l_stat with
-           | Some s -> s.max_wait_ns
-           | None -> 0
-         in
-         Format.fprintf ppf "  %-32s %10d %10d %5.1f%% %10.3f %10.3f %10.3f@,"
-           (indent ^ n.l_label) a w
-           (if a = 0 then 0. else 100. *. float_of_int w /. float_of_int a)
-           (float_of_int wn /. 1e6)
-           (float_of_int hn /. 1e6)
-           (float_of_int mw /. 1e6));
-      List.iter (pr (if n.l_label = "" then depth else depth + 1)) n.l_children
-    in
-    pr 0 root;
-    if w_total > 0 && wait_total = 0 then
-      Format.fprintf ppf
-        "  (wall-clock timing was off: wait/hold columns are counts-only)@,"
-  end;
-  Format.fprintf ppf "@]"
-
 (* --- Per-CPU utilization (parallel engine) ------------------------ *)
 
 let pp_utilization ppf ~(busy : int array) ~makespan =

@@ -92,29 +92,7 @@ val pp : Format.formatter -> t -> unit
 
 val pp_derived : Format.formatter -> derived -> unit
 
-(** {1 Lock contention (parallel engine)} *)
-
-(** The cost tree attributes simulated time; the contention tree
-    attributes the real synchronisation a parallel run spends outside
-    the simulated clock.  {!Lockstat} snapshot names group on ['/']
-    into a tree: [engine/pool], [pvm0/mm], [pvm0/gmap/shard3], ... *)
-
-type lock_node = {
-  l_label : string;
-  l_stat : Lockstat.snapshot option;  (** [None] for grouping nodes *)
-  l_children : lock_node list;
-}
-
-val contention : Lockstat.snapshot list -> lock_node
-(** Fold lock snapshots into a tree by their ['/']-separated names. *)
-
-val lock_totals : lock_node -> int * int * int * int
-(** Subtree aggregate: (acquires, contended, wait ns, hold ns). *)
-
-val pp_contention : Format.formatter -> lock_node -> unit
-(** Contention table, one row per lock and per group, with contended
-    share and wall-clock wait/hold columns (counts-only when
-    {!Lockstat.enable_timing} was never called). *)
+(** {1 Per-CPU utilization (parallel engine)} *)
 
 val pp_utilization : Format.formatter -> busy:int array -> makespan:int -> unit
 (** Busy/idle table per simulated CPU against the run's makespan

@@ -237,6 +237,63 @@ let test_json_roundtrip () =
       (int_of_float total)
   | None -> Alcotest.fail "no total_charge_ns field"
 
+(* The per-CPU report of a real 2-domain run: three workers in
+   distinct affinity classes sleep 1, 2x2 and 3x3 ms, so the CPUs end
+   unevenly loaded.  Every row must add up to the makespan and the
+   footer's efficiency must be total busy over CPUs x makespan. *)
+let test_utilization () =
+  let engine = Hw.Engine.create ~domains:2 () in
+  Hw.Engine.run engine (fun () ->
+      for w = 1 to 3 do
+        Hw.Engine.spawn engine ~affinity:w (fun () ->
+            for _ = 1 to w do
+              Hw.Engine.sleep (w * 1_000_000)
+            done)
+      done);
+  let busy = Hw.Engine.cpu_busy engine and makespan = Hw.Engine.now engine in
+  let report ~busy =
+    Format.asprintf "%a"
+      (fun ppf () -> Obs.Profile.pp_utilization ppf ~busy ~makespan)
+      ()
+  in
+  let lines = String.split_on_char '\n' (report ~busy) in
+  let ms = float_of_int makespan /. 1e6 in
+  let close = Alcotest.(check (float 0.0005)) in
+  let rows =
+    List.filter_map
+      (fun l -> Scanf.sscanf_opt l " %d %f %f %f%%" (fun i b d _ -> (i, b, d)))
+      lines
+  in
+  Alcotest.(check (list int))
+    "one row per CPU" [ 0; 1 ]
+    (List.map (fun (i, _, _) -> i) rows);
+  List.iter
+    (fun (i, b, idle) ->
+      close (Printf.sprintf "cpu%d busy" i) (float_of_int busy.(i) /. 1e6) b;
+      close (Printf.sprintf "cpu%d busy + idle = makespan" i) ms (b +. idle))
+    rows;
+  let total = Array.fold_left ( + ) 0 busy in
+  Alcotest.(check bool) "CPUs unevenly loaded" true (total < 2 * makespan);
+  (match
+     List.find_map
+       (fun l ->
+         Scanf.sscanf_opt l " makespan %f ms; parallel efficiency %f%%"
+           (fun m e -> (m, e)))
+       lines
+   with
+  | Some (m, eff) ->
+    close "footer makespan" ms m;
+    Alcotest.(check (float 0.05))
+      "efficiency = total busy / (CPUs x makespan)"
+      (100. *. float_of_int total /. float_of_int (2 * makespan))
+      eff
+  | None -> Alcotest.fail "no parallel-efficiency footer");
+  Alcotest.(check string)
+    "sequential run"
+    "per-CPU utilization (simulated time):\n\
+    \  (no simulated CPUs: sequential run)\n"
+    (report ~busy:[||])
+
 let () =
   Alcotest.run "profile"
     [
@@ -261,5 +318,10 @@ let () =
           Alcotest.test_case "dropped events surface everywhere" `Quick
             test_dropped_surfaces;
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+        ] );
+      ( "utilization",
+        [
+          Alcotest.test_case "rows sum to makespan, footer efficiency" `Quick
+            test_utilization;
         ] );
     ]
