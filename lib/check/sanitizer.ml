@@ -32,11 +32,14 @@ let rules =
        parent relation acyclic (§4.2, Figure 3)" );
     ( "zombie",
       "hidden-node marks: zombie caches are exactly the hidden history \
-       nodes and are never mapped by a region (§4.2.5)" );
+       nodes, are never mapped by a region, and at quiescence each is still \
+       read, through fragment parents or live stub sources, from some \
+       visible cache (§4.2.5)" );
     ( "stubs",
       "per-virtual-page deferred copy: every live stub is threaded on its \
        resident source page or indexed under its (cache, offset) source, \
-       and vice versa (§4.3)" );
+       and vice versa; each cache's destination and pending indexes equal \
+       a full scan of the global map and the pending-stub table (§4.3)" );
     ( "regions",
       "region windows: context region lists sorted and non-overlapping, \
        page-aligned, positive-sized, and mirrored by the cache's mapping \
@@ -81,7 +84,14 @@ let run ?(strict = true) (pvm : pvm) : violation list =
       if not c.c_alive then err "gmap" "cache %d: dead but listed" c.c_id)
     pvm.caches;
 
-  (* global map entries *)
+  (* global map entries; per-page stub rows are counted per destination
+     so the caches' indexes can be compared with them exactly *)
+  let stub_rows = Hashtbl.create 32 and pending_rows = Hashtbl.create 32 in
+  let count tbl cid =
+    Hashtbl.replace tbl cid
+      (1 + Option.value ~default:0 (Hashtbl.find_opt tbl cid))
+    [@chorus.impure_ok "sanitizer-local scratch table, not PVM state"]
+  in
   Core.Shard_map.iter
     (fun ((cid, off) : gkey) entry ->
       match known_cache cid with
@@ -107,7 +117,16 @@ let run ?(strict = true) (pvm : pvm) : violation list =
             err "stubs" "entry (%d,%d): dead deferred-copy stub" cid off;
           if s.cs_cache.c_id <> cid || s.cs_offset <> off then
             err "stubs" "entry (%d,%d): stub claims destination (%d,%d)" cid
-              off s.cs_cache.c_id s.cs_offset
+              off s.cs_cache.c_id s.cs_offset;
+          count stub_rows cid;
+          (match Hashtbl.find_opt c.c_dest_stubs off with
+          | Some s' when s' == s -> ()
+          | Some _ ->
+            err "stubs" "entry (%d,%d): destination index names another stub"
+              cid off
+          | None ->
+            err "stubs" "entry (%d,%d): stub missing from the destination \
+                         index" cid off)
         | Sync_stub _ ->
           if strict then
             err "transit" "entry (%d,%d): page in transit at quiescence" cid
@@ -341,7 +360,11 @@ let run ?(strict = true) (pvm : pvm) : violation list =
     (fun ((cid, off) : gkey) stubs ->
       (match known_cache cid with
       | None -> err "stubs" "pending stubs keyed on unknown cache %d" cid
-      | Some _ -> ());
+      | Some c ->
+        count pending_rows cid;
+        if not (Hashtbl.mem c.c_pending_offs off) then
+          err "stubs" "pending row (%d,%d) missing from the pending index" cid
+            off);
       if stubs = [] then err "stubs" "empty pending list at (%d,%d)" cid off;
       List.iter
         (fun (s : cow_stub) ->
@@ -356,8 +379,53 @@ let run ?(strict = true) (pvm : pvm) : violation list =
             err "stubs" "page-sourced stub pending at (%d,%d)" cid off)
         stubs)
     pvm.stub_sources;
+  (* every row is in its cache's index; equal sizes make them equal *)
+  List.iter
+    (fun (c : cache) ->
+      let rows tbl = Option.value ~default:0 (Hashtbl.find_opt tbl c.c_id) in
+      if Hashtbl.length c.c_dest_stubs <> rows stub_rows then
+        err "stubs" "cache %d: destination index holds %d stub(s), the map %d"
+          c.c_id
+          (Hashtbl.length c.c_dest_stubs)
+          (rows stub_rows);
+      if Hashtbl.length c.c_pending_offs <> rows pending_rows then
+        err "stubs" "cache %d: pending index holds %d offset(s), the table %d"
+          c.c_id
+          (Hashtbl.length c.c_pending_offs)
+          (rows pending_rows))
+    pvm.caches;
 
   if strict then begin
+    (* every hidden node is still read by a visible cache: mark forward
+       from the visible caches through fragment parents and the sources
+       of live stubs — the whole-map oracle for Cache.sweep_zombies,
+       which decides the same thing backwards from each zombie *)
+    let stub_edges = Hashtbl.create 32 in
+    Core.Shard_map.iter
+      (fun _ entry ->
+        match entry with
+        | Cow_stub s when s.cs_alive ->
+          Hashtbl.add stub_edges s.cs_cache.c_id
+            (Core.Pervpage.source_cache_of s)
+          [@chorus.impure_ok "sanitizer-local scratch table, not PVM state"]
+        | _ -> ())
+      pvm.gmap;
+    let marked = Hashtbl.create 32 in
+    let rec mark (c : cache) =
+      if not (Hashtbl.mem marked c.c_id) then begin
+        Hashtbl.replace marked c.c_id ()
+        [@chorus.impure_ok "sanitizer-local scratch table, not PVM state"];
+        List.iter (fun f -> mark f.f_parent) c.c_parents;
+        List.iter mark (Hashtbl.find_all stub_edges c.c_id)
+      end
+    in
+    List.iter (fun (c : cache) -> if not c.c_zombie then mark c) pvm.caches;
+    List.iter
+      (fun (c : cache) ->
+        if c.c_zombie && not (Hashtbl.mem marked c.c_id) then
+          err "zombie" "cache %d: hidden node no visible cache reads" c.c_id)
+      pvm.caches;
+
     (* stub threading, both directions *)
     Core.Shard_map.iter
       (fun ((cid, off) : gkey) entry ->

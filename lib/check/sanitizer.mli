@@ -5,8 +5,9 @@
     global map under exactly one (cache, offset) (§4.1.1, Figure 2),
     history objects forming acyclic inverted copy trees with
     consistent working-cache marks (§4.2), per-virtual-page stubs
-    threaded consistently between the global map, source pages and
-    the pending-source index (§4.3), and MMU translations never more
+    threaded consistently between the global map, source pages, the
+    pending-source index and each cache's own stub indexes (§4.3),
+    and MMU translations never more
     permissive than what the owning descriptor allows (§4.1.2).  This
     module sweeps a live PVM against that catalogue and reports every
     violation.

@@ -37,17 +37,13 @@ let page_offsets pvm ~off ~size =
   let rec go o acc = if o >= last then List.rev acc else go (o + ps) (o :: acc) in
   go first []
 
-(* Does any per-page stub still read through this cache (threaded on
-   its pages, or pending keyed on it)? *)
-let has_stub_readers pvm (cache : cache) =
-  List.exists (fun (p : page) -> p.p_cow_stubs <> []) cache.c_pages
-  || (Shard_map.fold
-        (fun (cid, _) _ acc -> acc || cid = cache.c_id)
-        pvm.stub_sources false)
-     [@chorus.noted
-       "scans the whole pending-stub table for rows keyed on this cache; \
-        key-set footprints cannot express a whole-table read — see DESIGN.md \
-        §4f"]
+(* Does any per-page stub still read through this cache (pending keyed
+   on it, or threaded on its pages)? *)
+let[@chorus.noted
+     "callers (collectable, the reaper) note the topology this emptiness \
+      test decides on"] has_stub_readers (cache : cache) =
+  Hashtbl.length cache.c_pending_offs > 0
+  || List.exists (fun (p : page) -> p.p_cow_stubs <> []) cache.c_pages
 
 (* A hidden (zombie) cache is collectable once nothing reads it:
    no fragment children, no mapping regions, no stub readers. *)
@@ -55,7 +51,7 @@ let collectable pvm (cache : cache) =
   note_structure ~write:false pvm;
   cache.c_alive && cache.c_zombie && cache.c_children = []
   && cache.c_mappings = []
-  && not (has_stub_readers pvm cache)
+  && not (has_stub_readers cache)
 
 (* Detach [cache]'s fragment links to parents it no longer references;
    collect zombie history chains that become childless. *)
@@ -88,30 +84,17 @@ and teardown pvm (cache : cache) =
      node and spawn further kills, so iterate to a fixpoint. *)
   let rec kill_destination_stubs budget =
     if budget = 0 then failwith "teardown: destination stubs not draining";
-    let killed = ref false in
-    (Hashtbl.iter
-       (fun _ entry ->
-         match entry with
-         | Cow_stub s when s.cs_cache == cache && s.cs_alive ->
-           killed := true;
-           Pervpage.kill pvm s
-         | _ -> ())
-       (Shard_map.snapshot pvm.gmap)
-     [@chorus.noted
-       "teardown sweeps every map row for stubs destined to the dying \
-        cache; key-set footprints cannot express a whole-table read — see \
-        DESIGN.md §4f"]);
-    if !killed then kill_destination_stubs (budget - 1)
+    match Install.dest_stubs cache with
+    | [] -> ()
+    | stubs ->
+      List.iter (fun s -> if s.cs_alive then Pervpage.kill pvm s) stubs;
+      kill_destination_stubs (budget - 1)
   in
   kill_destination_stubs 64;
   (* pending stubs reading through us get their values now *)
-  (Hashtbl.iter
-     (fun (cid, o) _ ->
-       if cid = cache.c_id then Pervpage.materialize_pending pvm cache ~off:o)
-     (Shard_map.snapshot pvm.stub_sources)
-   [@chorus.noted
-     "teardown sweeps every pending-stub row keyed on the dying cache; see \
-      DESIGN.md §4f"]);
+  List.iter
+    (fun o -> Pervpage.materialize_pending pvm cache ~off:o)
+    (Install.pending_offsets cache);
   (* drop our pages; flushing can insert new ones behind the
      iteration, so drain to a fixpoint *)
   let rec drain_pages budget =
@@ -225,13 +208,15 @@ let[@chorus.guarded
       | None -> ()
       | Some stubs ->
         Shard_map.remove pvm.stub_sources (cache.c_id, o);
+        Install.unindex_pending pvm cache ~off:o;
         List.iter
           (fun s ->
             match s.cs_source with
             | Src_cache (c, so) when c == cache -> s.cs_source <- Src_cache (z, so)
             | Src_cache _ | Src_page _ -> ())
           stubs;
-        Shard_map.replace pvm.stub_sources (z.c_id, o) stubs)
+        Shard_map.replace pvm.stub_sources (z.c_id, o) stubs;
+        Install.index_pending pvm z ~off:o)
     (page_offsets pvm ~off ~size);
   (* Migrate resident pages (frame reassignment, no copying). *)
   List.iter
@@ -245,6 +230,7 @@ let[@chorus.guarded
       match Global_map.wait_not_in_transit pvm cache ~off:o with
       | Some (Cow_stub s) ->
         Global_map.remove pvm cache ~off:o;
+        Install.unindex_dest_stub pvm cache ~off:o;
         let s' = { s with cs_cache = z } in
         s.cs_alive <- false;
         (match s.cs_source with
@@ -258,7 +244,8 @@ let[@chorus.guarded
             Shard_map.replace pvm.stub_sources (c.c_id, so)
               (s' :: List.filter (fun x -> not (x == s)) stubs)
           | None -> ()));
-        Global_map.set pvm z ~off:o (Cow_stub s')
+        Global_map.set pvm z ~off:o (Cow_stub s');
+        Install.index_dest_stub pvm s'
       | _ -> ())
     (page_offsets pvm ~off ~size);
   (* Migrate parent fragments covering the range.  If this cache was a
@@ -511,7 +498,7 @@ let copy pvm ?(strategy = `Auto) ?(policy = `Copy_on_write) ~(src : cache)
        nodes would keep each other alive).  Unix workloads never do
        this; fall back to an eager copy when they would. *)
     let chosen =
-      if chosen <> `Eager && History.reachable pvm ~from:src dst then `Eager
+      if chosen <> `Eager && History.reachable ~from:src dst then `Eager
       else chosen
     in
     chosen_name :=
@@ -555,10 +542,12 @@ let move pvm ~(src : cache) ~src_off ~(dst : cache) ~dst_off ~size () =
                unless a history child snapshots the source, in which
                case the stub must stay (the fallback below copies) *)
             Global_map.remove pvm src ~off:o;
+            Install.unindex_dest_stub pvm src ~off:o;
             s.cs_cache <- dst;
             s.cs_offset <- d_off;
             charge pvm Hw.Cost.Stub_insert;
             Global_map.set pvm dst ~off:d_off (Cow_stub s);
+            Install.index_dest_stub pvm s;
             bump pvm.stats.sc_moved_pages
           | Some _ | None -> (
             (* Data not movable by reassignment: transfer its value and
@@ -694,63 +683,56 @@ let set_protection pvm (cache : cache) ~offset ~size prot =
 
 (* The reaper's local checks cannot collect {e cycles} of hidden
    caches (a zombie whose pages feed stubs destined to another zombie
-   that is its own transitive child).  Mark from the user-visible
-   roots through fragment-parent and stub-source edges, then sweep the
-   unreachable zombies wholesale. *)
+   that is its own transitive child).  A zombie must stay while some
+   user-visible cache still reads it, directly or through other
+   zombies.  Decide that backwards from each zombie along its reader
+   edges — fragment children, and the destinations of the live stubs
+   reading it (threaded on its pages or pending on its offsets) — and
+   stop at the first non-zombie.  Only zombies can be dead, so with
+   none the sweep does nothing; the dead ones go wholesale. *)
 let[@chorus.noted
-     "global mark-and-sweep over every map row and pending-stub row; \
-      key-set footprints cannot express a whole-table read — see DESIGN.md \
-      §4f"]
-   [@chorus.guarded
+     "runs only under sweep_zombies, which notes the topology first and runs \
+      at pool quiescence; the reader edges it follows are the zombie's own \
+      children, threaded stubs and pending rows"] read_by_visible pvm
+    (z : cache) =
+  let visited = ref [] in
+  let rec visible (c : cache) =
+    (c.c_alive && not c.c_zombie)
+    || (not (List.memq c !visited))
+       && begin
+         visited := c :: !visited;
+         List.exists visible c.c_children
+         || List.exists
+              (fun (p : page) -> List.exists via_stub p.p_cow_stubs)
+              c.c_pages
+         || List.exists
+              (fun o ->
+                match Shard_map.find_opt pvm.stub_sources (c.c_id, o) with
+                | Some stubs -> List.exists via_stub stubs
+                | None -> false)
+              (Install.pending_offsets c)
+       end
+  and via_stub (s : cow_stub) = s.cs_alive && visible s.cs_cache in
+  visible z
+
+let[@chorus.guarded
      "the sweep runs at pool quiescence only: no parallel slice is live \
       to race the topology edits"] sweep_zombies pvm =
   note_structure pvm;
-  let marked = Hashtbl.create 32 in
-  (* destination cache id -> source caches its live stubs read *)
-  let stub_edges = Hashtbl.create 32 in
-  Shard_map.iter
-    (fun _ entry ->
-      match entry with
-      | Cow_stub s when s.cs_alive ->
-        let source =
-          match s.cs_source with
-          | Src_page p -> p.p_cache
-          | Src_cache (c, _) -> c
-        in
-        Hashtbl.add stub_edges s.cs_cache.c_id source
-      | _ -> ())
-    pvm.gmap;
-  let rec mark (c : cache) =
-    if not (Hashtbl.mem marked c.c_id) then begin
-      Hashtbl.replace marked c.c_id ();
-      List.iter (fun f -> mark f.f_parent) c.c_parents;
-      List.iter mark (Hashtbl.find_all stub_edges c.c_id)
-    end
-  in
-  List.iter (fun c -> if not c.c_zombie then mark c) pvm.caches;
-  let dead =
-    List.filter
-      (fun c -> c.c_zombie && not (Hashtbl.mem marked c.c_id))
-      pvm.caches
-  in
-  if dead <> [] then begin
-    (* every stub destined to a dead cache reads a dead source (live
-       destinations would have marked their sources): discard them *)
-    Hashtbl.iter
-      (fun _ entry ->
-        match entry with
-        | Cow_stub s when s.cs_alive && List.memq s.cs_cache dead ->
-          Pervpage.kill pvm s
-        | _ -> ())
-      (Shard_map.snapshot pvm.gmap);
-    Hashtbl.iter
-      (fun _ stubs ->
+  if List.exists (fun (c : cache) -> c.c_zombie) pvm.caches then begin
+    let dead =
+      List.filter
+        (fun (c : cache) -> c.c_zombie && not (read_by_visible pvm c))
+        pvm.caches
+    in
+    (* every stub destined to a dead cache reads a dead source (a
+       visible destination would have kept its source): discard them *)
+    List.iter
+      (fun (c : cache) ->
         List.iter
-          (fun s ->
-            if s.cs_alive && List.memq s.cs_cache dead then
-              Pervpage.kill pvm s)
-          stubs)
-      (Shard_map.snapshot pvm.stub_sources);
+          (fun s -> if s.cs_alive then Pervpage.kill pvm s)
+          (Install.dest_stubs c))
+      dead;
     List.iter
       (fun (c : cache) ->
         List.iter
@@ -799,31 +781,14 @@ let is_alive (cache : cache) = cache.c_alive
 (* Stub-death reaper: a hidden history cache whose last reader was a
    per-page stub (not a fragment child) is collected when that stub
    dies.  Installed on every PVM instance at creation. *)
-let has_stub_readers pvm (cache : cache) =
-  List.exists (fun (p : page) -> p.p_cow_stubs <> []) cache.c_pages
-  || (Shard_map.fold
-        (fun (cid, _) _ acc -> acc || cid = cache.c_id)
-        pvm.stub_sources false)
-     [@chorus.noted
-       "scans the whole pending-stub table for rows keyed on this cache; \
-        key-set footprints cannot express a whole-table read — see DESIGN.md \
-        §4f"]
-
 let install_reaper pvm =
   pvm.zombie_reaper <-
     Some
       (fun cache ->
         note_structure pvm;
-        (if Sys.getenv_opt "REAPER_DEBUG" <> None then
-           Printf.printf
-             "[reaper] cache=%d alive=%b zombie=%b children=%d mappings=%d               stub_readers=%b\n"
-             cache.c_id cache.c_alive cache.c_zombie
-             (List.length cache.c_children)
-             (List.length cache.c_mappings)
-             (has_stub_readers pvm cache));
         if
           cache.c_alive && cache.c_zombie && cache.c_children = []
           && cache.c_mappings = []
-          && not (has_stub_readers pvm cache)
+          && not (has_stub_readers cache)
         then teardown pvm cache);
   pvm

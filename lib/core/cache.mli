@@ -100,5 +100,5 @@ val install_reaper : Types.pvm -> Types.pvm
 (* Internal surface shared with tests. *)
 val sweep_zombies : Types.pvm -> unit
 val purge_range : Types.pvm -> Types.cache -> off:int -> size:int -> unit
-val has_stub_readers : Types.pvm -> Types.cache -> bool
+val has_stub_readers : Types.cache -> bool
 val collectable : Types.pvm -> Types.cache -> bool

@@ -57,21 +57,25 @@ let pop q =
     q.size <- q.size - 1;
     Some x
 
-(* Remove every entry physically equal to [x] (pages are interned, so
-   at most one).  O(n), same as the seed's [List.filter] — removal
-   happens per eviction or destruction, not per install. *)
+(* Remove the entry physically equal to [x] (pages are interned, so
+   there is at most one).  The scan is O(n), but only the prefix before
+   the entry is rebuilt and a list without it is left alone, so
+   dropping a cache's newest pages, or the oldest page on eviction,
+   allocates O(1) words whatever the queue length. *)
 let remove_phys q x =
-  let removed = ref 0 in
-  let drop l =
-    List.filter
-      (fun y ->
-        if y == x then begin
-          incr removed;
-          false
-        end
-        else true)
-      l
+  let rec go prefix = function
+    | [] -> None
+    | y :: rest ->
+      if y == x then Some (List.rev_append prefix rest) else go (y :: prefix) rest
   in
-  q.front <- drop q.front;
-  q.back <- drop q.back;
-  q.size <- q.size - !removed
+  let drop l = if List.memq x l then go [] l else None in
+  match drop q.back with
+  | Some back ->
+    q.back <- back;
+    q.size <- q.size - 1
+  | None -> (
+    match drop q.front with
+    | Some front ->
+      q.front <- front;
+      q.size <- q.size - 1
+    | None -> ())

@@ -217,36 +217,33 @@ let[@chorus.guarded
     | _ -> ()
   end
 
-(* [reachable pvm ~from target]: can a value lookup starting at [from]
+(* [reachable ~from target]: can a value lookup starting at [from]
    reach [target], through parent fragments or deferred per-page stub
    sources?  Used by Cache.copy to refuse building a cyclic tree when
    a cache is copied onto one of its own ancestors (the paper's Unix
-   workloads never do this; we fall back to an eager copy). *)
+   workloads never do this; we fall back to an eager copy).  Stub
+   edges come from each visited cache's own destination index. *)
 let[@chorus.noted
-     "cycle check walks the whole copy graph (every fragment list and map \
-      row); key-set footprints cannot express a whole-table read — see \
-      DESIGN.md §4f"] reachable pvm ~(from : cache) (target : cache) =
+     "the check only picks Cache.copy's strategy: the deferred strategies \
+      note the topology in purge_range before the slice's next scheduling \
+      point, and the eager fallback edits no topology"] reachable
+    ~(from : cache) (target : cache) =
   let visited = Hashtbl.create 16 in
   let rec go (c : cache) =
     if c == target then true
     else if Hashtbl.mem visited c.c_id then false
     else begin
       Hashtbl.replace visited c.c_id ();
-      let via_frags = List.exists (fun f -> go f.f_parent) c.c_parents in
-      via_frags
-      || Shard_map.fold
-           (fun (cid, _) entry acc ->
+      List.exists (fun f -> go f.f_parent) c.c_parents
+      || Hashtbl.fold
+           (fun _ (s : cow_stub) acc ->
              acc
-             ||
-             if cid = c.c_id then
-               match entry with
-               | Cow_stub { cs_source = Src_cache (sc, _); cs_alive = true; _ }
-                 -> go sc
-               | Cow_stub { cs_source = Src_page p; cs_alive = true; _ } ->
-                 go p.p_cache
-               | _ -> false
-             else false)
-           pvm.gmap false
+             || s.cs_alive
+                &&
+                match s.cs_source with
+                | Src_cache (sc, _) -> go sc
+                | Src_page p -> go p.p_cache)
+           c.c_dest_stubs false
     end
   in
   go from

@@ -73,11 +73,13 @@ val child_detached : Types.cache -> Types.cache -> unit
     parent's history object, the parent stops saving originals (its
     copy-protection flags flip lazily, costing nothing now). *)
 
-val reachable : Types.pvm -> from:Types.cache -> Types.cache -> bool
+val reachable : from:Types.cache -> Types.cache -> bool
 (** Can a value lookup starting at [from] reach the target, through
     parent fragments or per-page stub sources?  [Cache.copy] refuses
     to defer a copy onto one of the source's own ancestors (it would
-    close a cycle) and copies eagerly instead. *)
+    close a cycle) and copies eagerly instead.  Stub edges are read
+    from each visited cache's destination index, so the cost is the
+    visited caches' own fragments and stubs. *)
 
 val root_of : Types.cache -> Types.cache
 val depth_to_root : Types.cache -> int

@@ -32,6 +32,8 @@ let[@chorus.spanned
       c_anonymous = anonymous;
       c_backed_offs = Hashtbl.create 8;
       c_pages = [];
+      c_dest_stubs = Hashtbl.create 8;
+      c_pending_offs = Hashtbl.create 8;
       c_parents = [];
       c_history = None;
       c_children = [];
@@ -45,6 +47,63 @@ let[@chorus.spanned
   with_mm pvm (fun () -> pvm.caches <- cache :: pvm.caches);
   cache
 
+(* --- Per-cache stub indexes ---------------------------------------- *)
+
+(* [c_dest_stubs] mirrors the Cow_stub rows of the global map under a
+   cache's id, [c_pending_offs] the pending-stub rows keyed on it.
+   Each update sits next to the row change it mirrors, with no
+   scheduling point between them, so the sanitizer can compare index
+   and rows after any engine event.  Global_map.set/remove stay
+   untouched: the resident fault path pays nothing.  Parallel faults
+   materialise and re-thread stubs, so the tables change under the mm
+   lock (the explicit halves: no closure, and Hashtbl.replace/remove
+   cannot raise). *)
+
+let[@chorus.noted
+     "mirrors a row change its caller makes next to it; the caller notes \
+      that (cache, offset) row"] index_dest_stub pvm (stub : cow_stub) =
+  mm_enter pvm;
+  Hashtbl.replace stub.cs_cache.c_dest_stubs stub.cs_offset stub;
+  mm_exit pvm
+
+let[@chorus.noted
+     "mirrors a row change its caller makes next to it; the caller notes \
+      that (cache, offset) row"] unindex_dest_stub pvm (cache : cache) ~off =
+  mm_enter pvm;
+  Hashtbl.remove cache.c_dest_stubs off;
+  mm_exit pvm
+
+let[@chorus.noted
+     "mirrors a row change its caller makes next to it; the caller notes \
+      that (cache, offset) row"] index_pending pvm (cache : cache) ~off =
+  mm_enter pvm;
+  Hashtbl.replace cache.c_pending_offs off ();
+  mm_exit pvm
+
+let[@chorus.noted
+     "mirrors a row change its caller makes next to it; the caller notes \
+      that (cache, offset) row"] unindex_pending pvm (cache : cache) ~off =
+  mm_enter pvm;
+  Hashtbl.remove cache.c_pending_offs off;
+  mm_exit pvm
+
+(* The stubs destined to [cache] and the offsets of the pending rows
+   keyed on it, each in ascending offset order. *)
+let[@chorus.noted
+     "reads one cache's whole index: its callers (teardown, the zombie \
+      sweep) note the topology and run on serial-class fibres or at pool \
+      quiescence"] dest_stubs (cache : cache) =
+  Hashtbl.fold (fun off s acc -> (off, s) :: acc) cache.c_dest_stubs []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
+
+let[@chorus.noted
+     "reads one cache's whole index: its callers (teardown, the zombie \
+      sweep) note the topology and run on serial-class fibres or at pool \
+      quiescence"] pending_offsets (cache : cache) =
+  Hashtbl.fold (fun off () acc -> off :: acc) cache.c_pending_offs []
+  |> List.sort Int.compare
+
 (* Thread onto [page] any per-virtual-page stubs that were waiting for
    its (cache, offset) to become resident (their source had been
    paged out, so they held a (cache, offset) reference). *)
@@ -55,6 +114,7 @@ let rethread_pending_stubs pvm (page : page) =
   | None -> ()
   | Some stubs ->
     Shard_map.remove pvm.stub_sources k;
+    unindex_pending pvm page.p_cache ~off:page.p_offset;
     let live = List.filter (fun s -> s.cs_alive) stubs in
     List.iter (fun s -> s.cs_source <- Src_page page) live;
     page.p_cow_stubs <- live @ page.p_cow_stubs
@@ -62,10 +122,11 @@ let rethread_pending_stubs pvm (page : page) =
 let add_pending_stub pvm ~src_cache ~src_off stub =
   note_frag pvm src_cache ~off:src_off;
   let k = (src_cache.c_id, src_off) in
-  let existing =
-    Option.value ~default:[] (Shard_map.find_opt pvm.stub_sources k)
-  in
-  Shard_map.replace pvm.stub_sources k (stub :: existing)
+  match Shard_map.find_opt pvm.stub_sources k with
+  | Some existing -> Shard_map.replace pvm.stub_sources k (stub :: existing)
+  | None ->
+    Shard_map.replace pvm.stub_sources k [ stub ];
+    index_pending pvm src_cache ~off:src_off
 
 (* Memory-pressure counter samples for the trace (and so for the
    profiler's pressure series): emitted wherever the resident set

@@ -21,6 +21,27 @@ val new_cache :
   unit ->
   Types.cache
 
+(** {2 Per-cache stub indexes}
+
+    [c_dest_stubs] mirrors the per-page stub rows of the global map
+    under a cache's id, [c_pending_offs] the pending-stub rows keyed on
+    it.  Every site that creates, retargets or drops such a row updates
+    the index next to it (never [Global_map.set]/[remove]). *)
+
+val index_dest_stub : Types.pvm -> Types.cow_stub -> unit
+(** Record the stub under its destination (cache, offset). *)
+
+val unindex_dest_stub : Types.pvm -> Types.cache -> off:int -> unit
+val index_pending : Types.pvm -> Types.cache -> off:int -> unit
+val unindex_pending : Types.pvm -> Types.cache -> off:int -> unit
+
+val dest_stubs : Types.cache -> Types.cow_stub list
+(** The stubs destined to the cache, by ascending offset. *)
+
+val pending_offsets : Types.cache -> int list
+(** The offsets of the pending-stub rows keyed on the cache,
+    ascending. *)
+
 val rethread_pending_stubs : Types.pvm -> Types.page -> unit
 (** Thread onto a freshly resident page the stubs that were waiting
     for its (cache, offset). *)

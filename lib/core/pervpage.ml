@@ -52,7 +52,8 @@ let[@chorus.spanned
     | None ->
       Install.add_pending_stub pvm ~src_cache:src ~src_off:s_off stub);
     charge pvm Hw.Cost.Stub_insert;
-    Global_map.set pvm dst ~off:d_off (Cow_stub stub)
+    Global_map.set pvm dst ~off:d_off (Cow_stub stub);
+    Install.index_dest_stub pvm stub
   done
 
 let unthread pvm (stub : cow_stub) =
@@ -67,7 +68,9 @@ let unthread pvm (stub : cow_stub) =
     | None -> ()
     | Some stubs -> (
       match List.filter (fun s -> not (s == stub)) stubs with
-      | [] -> Shard_map.remove pvm.stub_sources k
+      | [] ->
+        Shard_map.remove pvm.stub_sources k;
+        Install.unindex_pending pvm c ~off:o
       | rest -> Shard_map.replace pvm.stub_sources k rest))
 
 let source_cache_of (stub : cow_stub) =
@@ -112,6 +115,7 @@ let[@chorus.spanned
   in
   unthread pvm stub;
   Global_map.remove pvm stub.cs_cache ~off:stub.cs_offset;
+  Install.unindex_dest_stub pvm stub.cs_cache ~off:stub.cs_offset;
   let page =
     Install.insert_page pvm stub.cs_cache ~off:stub.cs_offset frame
       ~pulled_prot:Hw.Prot.all
@@ -133,7 +137,8 @@ let kill pvm (stub : cow_stub) =
   unthread pvm stub;
   (match Global_map.peek pvm stub.cs_cache ~off:stub.cs_offset with
   | Some (Cow_stub s) when s == stub ->
-    Global_map.remove pvm stub.cs_cache ~off:stub.cs_offset
+    Global_map.remove pvm stub.cs_cache ~off:stub.cs_offset;
+    Install.unindex_dest_stub pvm stub.cs_cache ~off:stub.cs_offset
   | _ -> ());
   reap_source pvm source
 

@@ -105,11 +105,6 @@ let fold f t acc =
     (fun acc s -> locked s (fun () -> Hashtbl.fold f s.s_tbl acc))
     acc t.shards
 
-let snapshot t =
-  let out = Hashtbl.create 64 in
-  iter (fun k v -> Hashtbl.replace out k v) t;
-  out
-
 let occupancy t =
   Array.map (fun s -> locked s (fun () -> Hashtbl.length s.s_tbl)) t.shards
 

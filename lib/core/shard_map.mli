@@ -51,11 +51,6 @@ val iter : (key -> 'v -> unit) -> 'v t -> unit
 
 val fold : (key -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
 
-val snapshot : 'v t -> (key, 'v) Hashtbl.t
-(** A point-per-shard copy as a plain [Hashtbl] — the moral equivalent
-    of the [Hashtbl.copy] the teardown sweeps took of the seed's
-    single table, for copy-then-mutate iteration. *)
-
 val occupancy : 'v t -> int array
 (** Bindings per shard, by shard index. *)
 

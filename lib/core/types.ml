@@ -73,6 +73,15 @@ and cache = {
   c_backed_offs : (int, unit) Hashtbl.t;
       (* offsets an anonymous cache has pushed to its swap backing *)
   mutable c_pages : page list; (* pages currently cached, unordered *)
+  c_dest_stubs : (int, cow_stub) Hashtbl.t;
+      (* offset -> the per-page stub destined there: exactly the
+         Cow_stub rows of [gmap] under our id *)
+  c_pending_offs : (int, unit) Hashtbl.t;
+      (* offsets of the [stub_sources] rows keyed on us.  Both indexes
+         let teardown, the zombie sweep and the copy cycle check visit
+         only this cache's stubs; they are updated next to the rows
+         they mirror, never inside Global_map.set/remove (see
+         Install) *)
   mutable c_parents : frag list; (* sorted, non-overlapping (§4.2.4) *)
   mutable c_history : cache option; (* our single immediate descendant *)
   mutable c_children : cache list; (* caches whose c_parents reference us *)

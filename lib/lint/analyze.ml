@@ -64,6 +64,9 @@ let l1_fields : ((string * string) * obj_class) list =
     (("cache", "c_history"), Structure);
     (("cache", "c_mappings"), Structure);
     (("context", "ctx_regions"), Structure);
+    (* the per-cache stub indexes mirror global-map and pending rows *)
+    (("cache", "c_dest_stubs"), Map);
+    (("cache", "c_pending_offs"), Map);
     (* Nucleus: transit-segment slot pool and port queues *)
     (("t", "free"), Shared);
     (("t", "queue"), Shared);

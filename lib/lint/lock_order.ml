@@ -101,6 +101,12 @@ let guarded_fields : ((string * string) * guard) list =
     (("cache", "c_history"), mm);
     (("cache", "c_mappings"), mm);
     (("context", "ctx_regions"), mm);
+    (* the per-cache stub indexes: parallel faults materialise and
+       re-thread stubs, so their tables change under mm.  The fields
+       themselves are immutable (L7 sees no [<-] on them); the entries
+       record the guard that Install's index helpers take *)
+    (("cache", "c_dest_stubs"), mm);
+    (("cache", "c_pending_offs"), mm);
     (* Nucleus: transit-segment slot pool and port queues *)
     (("t", "free"), lane);
     (("t", "queue"), lane);

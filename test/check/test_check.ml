@@ -100,6 +100,51 @@ let test_catches_zombie_corruption () =
       mapped.Core.Types.c_zombie <- true;
       expect_rule pvm "zombie")
 
+(* Corruption 5: a cache's stub index disagrees with the rows it
+   mirrors — a destination entry lost, or a pending offset with no
+   pending row behind it. *)
+let test_catches_stub_index_corruption () =
+  in_sim (fun engine ->
+      let pvm, _ = build engine in
+      let src = Core.Cache.create pvm () and dst = Core.Cache.create pvm () in
+      Core.Cache.fill_up pvm src ~offset:0 (Bytes.make ps 'i');
+      Core.Cache.copy pvm ~strategy:`Per_page ~src ~src_off:0 ~dst ~dst_off:0
+        ~size:(2 * ps) ();
+      Check.Sanitizer.assert_ok pvm;
+      Hashtbl.remove dst.Core.Types.c_dest_stubs ps;
+      expect_rule pvm "stubs");
+  in_sim (fun engine ->
+      let pvm, _ = build engine in
+      let cache = List.hd pvm.Core.Types.caches in
+      Hashtbl.replace cache.Core.Types.c_pending_offs (64 * ps) ();
+      expect_rule pvm "stubs")
+
+(* Corruption 6: an orphan pair of hidden caches keeping each other
+   alive — [b] is [a]'s fragment child and [a] reads [b]'s page through
+   a per-page stub — with no visible cache reading either.  The sweep
+   must collect exactly such a pair. *)
+let test_catches_orphan_zombie_pair () =
+  in_sim (fun engine ->
+      let pvm, _ = build engine in
+      let a = Core.Cache.create pvm () and b = Core.Cache.create pvm () in
+      Core.Cache.fill_up pvm a ~offset:0 (Bytes.make ps 'a');
+      Core.Cache.copy pvm ~strategy:`History ~src:a ~src_off:0 ~dst:b
+        ~dst_off:0 ~size:(2 * ps) ();
+      Core.Cache.write_through pvm b ~offset:0 (Bytes.make 8 'b');
+      (* planted below Cache.copy, whose cycle check refuses this edge *)
+      Core.Pervpage.setup_copy pvm ~src:b ~src_off:0 ~dst:a
+        ~dst_off:(4 * ps) ~size:ps;
+      List.iter
+        (fun (c : Core.Types.cache) ->
+          c.c_zombie <- true;
+          c.c_is_history <- true)
+        [ a; b ];
+      expect_rule pvm "zombie";
+      Core.Cache.sweep_zombies pvm;
+      Alcotest.(check bool) "the sweep collected the pair" false
+        (Core.Cache.is_alive a || Core.Cache.is_alive b);
+      Check.Sanitizer.assert_ok pvm)
+
 (* A transit entry is a strict-mode violation only: the structural
    subset must accept it (it is legal between engine events). *)
 let test_transit_is_strict_only () =
@@ -329,6 +374,10 @@ let () =
             test_catches_reclaim_corruption;
           Alcotest.test_case "catches zombie corruption" `Quick
             test_catches_zombie_corruption;
+          Alcotest.test_case "catches stub index corruption" `Quick
+            test_catches_stub_index_corruption;
+          Alcotest.test_case "catches orphan zombie pair" `Quick
+            test_catches_orphan_zombie_pair;
           Alcotest.test_case "transit is strict-only" `Quick
             test_transit_is_strict_only;
         ] );

@@ -204,6 +204,81 @@ let test_zombie_collection () =
       Alcotest.(check int) "chain frames reclaimed" 1
         (Hw.Phys_mem.used_frames (Core.Pvm.memory pvm)))
 
+(* Destroying a cache costs what the cache holds, not what the PVM
+   holds: the words [Cache.destroy] allocates for a 4-page cache do not
+   grow with unrelated resident pages or unrelated live per-page stubs
+   (threaded on resident sources and pending on absent ones). *)
+let destroy_words ~resident ~stubs =
+  with_pvm ~frames:(resident + 64) (fun pvm ->
+      let bulk = Core.Cache.create pvm () in
+      let src = Core.Cache.create pvm () in
+      let dst = Core.Cache.create pvm () in
+      let page = Bytes.make ps 'u' in
+      for i = 0 to resident - 1 do
+        Core.Cache.fill_up pvm bulk ~offset:(i * ps) page
+      done;
+      (* half of the stubs read resident source pages, half pending
+         (cache, offset) sources *)
+      for i = 0 to (stubs / 2) - 1 do
+        Core.Cache.fill_up pvm src ~offset:(i * ps) page
+      done;
+      if stubs > 0 then
+        Core.Cache.copy pvm ~strategy:`Per_page ~src ~src_off:0 ~dst
+          ~dst_off:0 ~size:(stubs * ps) ();
+      let victim = Core.Cache.create pvm () in
+      for i = 0 to 3 do
+        Core.Cache.fill_up pvm victim ~offset:(i * ps) page
+      done;
+      let allocated () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      let before = allocated () in
+      Core.Cache.destroy pvm victim;
+      let words = allocated () -. before in
+      Alcotest.(check (list string)) "invariants after destroy" []
+        (Core.Pvm.check_invariant pvm);
+      words)
+
+let test_destroy_scales_with_cache () =
+  let base = destroy_words ~resident:0 ~stubs:0 in
+  List.iter
+    (fun (resident, stubs) ->
+      let words = destroy_words ~resident ~stubs in
+      if Float.abs (words -. base) > 64. then
+        Alcotest.failf
+          "destroy of a 4-page cache allocated %.0f words with %d resident \
+           pages and %d stubs elsewhere, %.0f with none"
+          words resident stubs base)
+    [ (2000, 0); (0, 50); (2000, 50) ]
+
+(* Copying onto one of the source's own ancestors must not defer: the
+   cycle check follows per-page stub edges too.  [b] reads [a]'s page
+   through a stub, so a small aligned copy from [b] back into [a] takes
+   the eager path, while the same copy into an unrelated cache stays
+   per-page. *)
+let test_copy_onto_stub_ancestor_is_eager () =
+  with_pvm (fun pvm ->
+      let a = Core.Cache.create pvm () in
+      let b = Core.Cache.create pvm () in
+      let c = Core.Cache.create pvm () in
+      Core.Cache.fill_up pvm a ~offset:0 (Bytes.make ps 'a');
+      Core.Cache.copy pvm ~strategy:`Per_page ~src:a ~src_off:0 ~dst:b
+        ~dst_off:0 ~size:ps ();
+      let eager () = (Core.Pvm.stats pvm).n_eager_pages in
+      let e0 = eager () in
+      Core.Cache.copy pvm ~src:b ~src_off:0 ~dst:c ~dst_off:0 ~size:ps ();
+      Alcotest.(check int) "unrelated destination stays per-page" e0
+        (eager ());
+      Core.Cache.copy pvm ~src:b ~src_off:0 ~dst:a ~dst_off:(4 * ps)
+        ~size:ps ();
+      Alcotest.(check int) "copy onto the stub ancestor is eager" (e0 + 1)
+        (eager ());
+      Alcotest.(check char) "ancestor received the value" 'a'
+        (Bytes.get (Core.Cache.copy_back pvm a ~offset:(4 * ps) ~size:1) 0);
+      Alcotest.(check (list string)) "invariants" []
+        (Core.Pvm.check_invariant pvm))
+
 (* Copy-on-reference at the rgn level: offsets shifted, COR policy. *)
 let test_cor_shifted () =
   with_pvm (fun pvm ->
@@ -349,6 +424,10 @@ let tests =
     Alcotest.test_case "cache setProtection" `Quick test_cache_set_protection;
     Alcotest.test_case "error paths" `Quick test_errors;
     Alcotest.test_case "zombie collection" `Quick test_zombie_collection;
+    Alcotest.test_case "destroy scales with the dying cache" `Quick
+      test_destroy_scales_with_cache;
+    Alcotest.test_case "copy onto a stub ancestor is eager" `Quick
+      test_copy_onto_stub_ancestor_is_eager;
     Alcotest.test_case "copy-on-reference shifted" `Quick test_cor_shifted;
     Alcotest.test_case "moveBack with children" `Quick
       test_move_back_with_children;
