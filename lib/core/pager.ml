@@ -168,7 +168,9 @@ let complete_evict pvm (page : page) cond =
       Install.remove_page pvm page ~free_frame:true;
       let copy_back ~offset ~size =
         assert (offset >= off && offset + size <= off + ps);
-        Bytes.sub snapshot (offset - off) size
+        (* [b_push_out] asks for the whole page: the snapshot is
+           private to this eviction, so hand it over uncopied *)
+        if size = ps then snapshot else Bytes.sub snapshot (offset - off) size
       in
       (* a failing swap device loses the page (as on real hardware);
          the error propagates, but waiters must not hang *)

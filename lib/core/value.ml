@@ -63,7 +63,7 @@ let[@chorus.spanned
      before it may have changed by insert time (a read-ahead chunk
      colliding with a concurrent pull, say): re-probe and restart the
      chunk when the entry moved under us. *)
-  let rec place ~off chunk =
+  let rec place ~off ~src =
     match Global_map.peek pvm cache ~off with
     | (Some (Sync_stub _) | None) as before -> (
       let frame = Pager.alloc_frame pvm in
@@ -77,10 +77,10 @@ let[@chorus.spanned
         note_frames pvm;
         charge pvm Hw.Cost.Frame_free;
         Hw.Phys_mem.free pvm.mem frame;
-        place ~off chunk
+        place ~off ~src
       end
       else begin
-        Hw.Phys_mem.write frame ~off:0 (chunk ());
+        Bytes.blit bytes src frame.Hw.Phys_mem.bytes 0 ps;
         let page =
           Install.insert_page pvm cache ~off frame ~pulled_prot:prot
             ~cow_protected:(History.is_covered cache ~off)
@@ -92,7 +92,7 @@ let[@chorus.spanned
       end)
     | Some (Resident p) ->
       charge pvm Hw.Cost.Bcopy_page;
-      Hw.Phys_mem.write p.p_frame ~off:0 (chunk ());
+      Bytes.blit bytes src p.p_frame.Hw.Phys_mem.bytes 0 ps;
       p.p_dirty <- dirty;
       Pmap.refresh_prot pvm p
     | Some (Cow_stub _) ->
@@ -103,9 +103,7 @@ let[@chorus.spanned
       invalid_arg "fillUp: offset holds a deferred-copy stub"
   in
   for i = 0 to n - 1 do
-    place
-      ~off:(offset + (i * ps))
-      (fun () -> Bytes.sub bytes (i * ps) ps)
+    place ~off:(offset + (i * ps)) ~src:(i * ps)
   done
 
 (* Pull one page in from the cache's segment (paper §4.1.2): place a

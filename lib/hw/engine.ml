@@ -81,9 +81,10 @@ type t = {
   mutable live : int; (* non-daemon fibres spawned and not yet finished *)
   mutable live_tasks : int; (* non-daemon tasks waiting in the queue *)
   mutable cur_fib : int; (* fibre the running task belongs to *)
+  mutable cur_daemon : bool; (* the running task is a daemon's *)
   mutable next_fib : int;
   mutable tracer : Obs.Trace.t;
-  mutable on_event : unit -> unit;
+  mutable on_event : (unit -> unit) option;
   mutable sched : scheduler option;
   mutable decisions : int list; (* multi-ready picks, newest first *)
   mutable tracking : bool; (* inside a task slice under a scheduler *)
@@ -159,9 +160,10 @@ let create ?domains () =
     live = 0;
     live_tasks = 0;
     cur_fib = 0;
+    cur_daemon = false;
     next_fib = 1;
     tracer = Obs.Trace.null;
-    on_event = ignore;
+    on_event = None;
     sched = None;
     decisions = [];
     tracking = false;
@@ -209,7 +211,8 @@ let set_tracer eng tr =
   Obs.Trace.set_clock tr (fun () -> now eng);
   Obs.Trace.set_fibre tr (fun () -> current_fibre eng)
 
-let set_event_hook eng hook = eng.on_event <- hook
+let set_event_hook eng hook = eng.on_event <- Some hook
+let event_hook eng = match eng.on_event with Some f -> f () | None -> ()
 
 let set_scheduler eng s =
   if eng.par <> None then
@@ -450,16 +453,47 @@ let schedule eng ~daemon ~fib time run =
     push eng ~daemon ~fib ~cls time run;
     Obs.Lockstat.unlock p.p_stat p.p_lock
 
+(* The sequential engine whose run loop owns this domain right now:
+   set for the extent of [run] (and cleared under a parallel engine's
+   coordinator), so {!sleep} can reach the engine without an effect. *)
+let cur_seq : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+(* Advance the clock in place when the Sleep round trip would pop this
+   same fibre's wake-up straight back off the heap: every queued task
+   is due strictly after [now + span].  The wake-up's sequence number
+   is consumed and [pending_wait] cleared exactly as the handler does,
+   so later tasks are numbered as before.  Only when nothing observes
+   the dispatch in between: no scheduler (it picks and steps every
+   slice), no watchdog (it checks between events), no event hook (it
+   runs after every event), and a user fibre (the run loop decides
+   whether a daemon's wake-up runs at all: once the last user fibre
+   exits it drops them and ends the run). *)
+let advance_in_place eng span =
+  match (eng.sched, eng.watch, eng.on_event) with
+  | None, None, None when not eng.cur_daemon ->
+    let time = eng.now + span in
+    if Pqueue.is_empty eng.queue || (Pqueue.top eng.queue).time > time
+    then begin
+      eng.seq <- eng.seq + 1;
+      eng.pending_wait <- None;
+      eng.now <- time;
+      true
+    end
+    else false
+  | _ -> false
+
 let sleep span =
   if span < 0 then invalid_arg "Engine.sleep: negative span";
   (* Parallel slices coalesce charges into the slice clock; doing it
      here rather than in the Sleep handler skips the effect round-trip
      (and its continuation allocation) on the pool's hottest path.
-     [cur_ptask] is never set outside a pool worker, so the sequential
-     engine and the coordinator always perform. *)
+     [cur_ptask] is never set outside a pool worker. *)
   match Domain.DLS.get cur_ptask with
   | Some pt -> pt.pt_clock <- pt.pt_clock + span
-  | None -> Effect.perform (Sleep span)
+  | None -> (
+    match Domain.DLS.get cur_seq with
+    | Some eng when advance_in_place eng span -> ()
+    | _ -> Effect.perform (Sleep span))
 
 let suspend register = Effect.perform (Suspend register)
 
@@ -631,6 +665,7 @@ let run_sequential eng main =
       assert (task.time >= eng.now);
       eng.now <- task.time;
       eng.cur_fib <- task.fib;
+      eng.cur_daemon <- task.daemon;
       if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
       if eng.sched = None then task.run ()
       else begin
@@ -643,7 +678,7 @@ let run_sequential eng main =
         | Some s -> s.sched_step ~fib:task.fib ~accesses
         | None -> ()
       end;
-      eng.on_event ();
+      event_hook eng;
       watchdog_check eng;
       loop ()
     end
@@ -799,7 +834,7 @@ let run_parallel eng p main =
                 task)
           in
           task.run ();
-          eng.on_event ();
+          event_hook eng;
           loop ()
         end
       end
@@ -812,9 +847,14 @@ let run_parallel eng p main =
   if eng.live > 0 then raise (Deadlock eng.live)
 
 let run eng main =
-  match eng.par with
-  | None -> run_sequential eng main
-  | Some p -> run_parallel eng p main
+  let outer = Domain.DLS.get cur_seq in
+  Domain.DLS.set cur_seq (if eng.par = None then Some eng else None);
+  Fun.protect
+    ~finally:(fun () -> Domain.DLS.set cur_seq outer)
+    (fun () ->
+      match eng.par with
+      | None -> run_sequential eng main
+      | Some p -> run_parallel eng p main)
 
 let run_fn eng f =
   let result = ref None in

@@ -212,7 +212,9 @@ val enable_watchdog :
     omitted; retrieve via {!watchdog_metrics}).  Each deadlock and
     stall is also recorded as an instant in category ["watchdog"]
     (named ["deadlock"] or ["stall"], the fibre as argument [fib]) on
-    the engine's {!tracer}, when that is enabled.
+    the engine's {!tracer}, when that is enabled.  The watchdog
+    disables {!sleep}'s in-place clock advance, so its checks run
+    after every wake-up.
     @raise Invalid_argument on a parallel engine: the watchdog sweeps
     a serial waiting table between events, which the pool does not
     maintain.  Watch the sequential oracle twin instead. *)
@@ -241,7 +243,9 @@ val set_event_hook : t -> (unit -> unit) -> unit
     (task execution) — between tasks, never inside fibre context, so
     it must not perform effects.  Used by the sanitizer's slow mode to
     sweep invariants after every scheduling step; defaults to a
-    no-op.  Exceptions raised by the hook propagate out of {!run}. *)
+    no-op.  Exceptions raised by the hook propagate out of {!run}.
+    Installing a hook disables {!sleep}'s in-place clock advance, so
+    the hook also sees each wake-up. *)
 
 val spawn :
   t -> ?name:string -> ?daemon:bool -> ?affinity:int -> (unit -> unit) -> unit
@@ -262,7 +266,15 @@ val spawn :
 
 val sleep : Sim_time.span -> unit
 (** Advance this fibre's position in simulated time; other runnable
-    fibres execute in between.  [sleep 0] is a yield. *)
+    fibres execute in between.  [sleep 0] is a yield.
+
+    When no queued task is due at or before the wake-up time, the
+    sequential engine advances its clock in place instead of
+    dispatching the wake-up: same schedule, same sequence numbers, no
+    fibre switch and no allocation.  An installed {!scheduler}, an
+    {!enable_watchdog} watchdog or a {!set_event_hook} hook each
+    disable this (they observe every dispatch), and so does sleeping
+    in a daemon fibre. *)
 
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the current fibre. [register resume] is

@@ -60,7 +60,9 @@ let pop h =
   end;
   top
 
-let peek h = if h.size = 0 then None else Some h.data.(0)
+let top h =
+  if h.size = 0 then invalid_arg "Pqueue.top: empty";
+  h.data.(0)
 
 let pop_if h pred =
   if h.size > 0 && pred h.data.(0) then Some (pop h) else None

@@ -15,7 +15,9 @@ val pop : 'a t -> 'a
 (** Removes and returns the minimum element.
     @raise Invalid_argument if the heap is empty. *)
 
-val peek : 'a t -> 'a option
+val top : 'a t -> 'a
+(** The minimum element, left in place (no allocation).
+    @raise Invalid_argument if the heap is empty. *)
 
 val pop_if : 'a t -> ('a -> bool) -> 'a option
 (** [pop_if h pred] removes and returns the minimum element when it

@@ -52,11 +52,14 @@ let read t ~key ~offset ~size =
   let seg = find t key in
   t.reads <- t.reads + 1;
   device_delay t ~size;
-  let out = Bytes.make size '\000' in
   let available = Bytes.length seg.data - offset in
-  if available > 0 then
-    Bytes.blit seg.data offset out 0 (min size available);
-  out
+  if available >= size then Bytes.sub seg.data offset size
+  else begin
+    (* past the end of the segment reads as zeroes *)
+    let out = Bytes.make size '\000' in
+    if available > 0 then Bytes.blit seg.data offset out 0 available;
+    out
+  end
 
 let write t ~key ~offset bytes =
   let seg = find t key in

@@ -254,6 +254,180 @@ let prop_engine_deterministic =
       in
       run () = run ())
 
+(* With no scheduler, watchdog or event hook, a user fibre whose
+   wake-up would be the next task advances the clock in place instead
+   of round-tripping through the heap.  Random programs of sleeps
+   (zero and equal-time ties included), spawns, cond waits and
+   broadcasts and periodic daemons must log the same (fibre, now)
+   steps as under [fifo_scheduler], which always takes the round trip.
+   The run ends by installing a scheduler that records the sequence
+   numbers it is shown, so the numbering the in-place advance leaves
+   behind is compared too. *)
+type step = Sleep of int | Spawn of int | Wait of int | Broadcast of int
+
+let gen_step =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map (fun t -> Sleep t) (int_bound 6));
+        (1, map (fun t -> Spawn t) (int_bound 6));
+        (1, map (fun c -> Wait c) (int_bound 1));
+        (2, map (fun c -> Broadcast c) (int_bound 1));
+      ])
+
+let print_step = function
+  | Sleep t -> Printf.sprintf "sleep %d" t
+  | Spawn t -> Printf.sprintf "spawn %d" t
+  | Wait c -> Printf.sprintf "wait %d" c
+  | Broadcast c -> Printf.sprintf "broadcast %d" c
+
+let run_program ~sched (fibres, daemons) =
+  let engine = Hw.Engine.create () in
+  if sched then Hw.Engine.set_scheduler engine Hw.Engine.fifo_scheduler;
+  let log = ref [] in
+  let note () =
+    log := (Hw.Engine.current_fibre engine, Hw.Engine.now engine) :: !log
+  in
+  let conds = Array.init 2 (fun _ -> Hw.Engine.Cond.create ()) in
+  let seqs = ref [] in
+  let recorder =
+    {
+      Hw.Engine.fifo_scheduler with
+      sched_pick =
+        (fun ~now:_ ready ->
+          Array.iter (fun r -> seqs := r.Hw.Engine.rt_seq :: !seqs) ready;
+          0);
+    }
+  in
+  let step = function
+    | Sleep t -> Hw.Engine.sleep t
+    | Spawn t ->
+      Hw.Engine.spawn engine (fun () ->
+          note ();
+          Hw.Engine.sleep t;
+          note ())
+    | Wait c -> Hw.Engine.Cond.wait conds.(c)
+    | Broadcast c -> Hw.Engine.Cond.broadcast conds.(c)
+  in
+  let outcome =
+    match
+      Hw.Engine.run engine (fun () ->
+          List.iter
+            (fun period ->
+              Hw.Engine.spawn engine ~daemon:true (fun () ->
+                  while true do
+                    Hw.Engine.sleep period;
+                    note ();
+                    Array.iter Hw.Engine.Cond.broadcast conds
+                  done))
+            daemons;
+          List.iter
+            (fun script ->
+              Hw.Engine.spawn engine (fun () ->
+                  List.iter
+                    (fun s ->
+                      step s;
+                      note ())
+                    script))
+            fibres;
+          Hw.Engine.sleep 50;
+          Array.iter Hw.Engine.Cond.broadcast conds;
+          Hw.Engine.set_scheduler engine recorder;
+          Hw.Engine.spawn engine (fun () -> Hw.Engine.sleep 1);
+          Hw.Engine.sleep 1;
+          note ())
+    with
+    | () -> "done"
+    | exception Hw.Engine.Deadlock n -> Printf.sprintf "deadlock %d" n
+  in
+  (outcome, Hw.Engine.now engine, List.rev !log, List.rev !seqs)
+
+let prop_clock_advance_preserves_schedule =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 5) (list_size (int_bound 12) gen_step))
+        (list_size (int_bound 2) (int_range 1 7)))
+  in
+  let print (fibres, daemons) =
+    Printf.sprintf "fibres [%s] daemons [%s]"
+      (String.concat " | "
+         (List.map
+            (fun s -> String.concat "; " (List.map print_step s))
+            fibres))
+      (String.concat "; " (List.map string_of_int daemons))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"in-place clock advance keeps the fifo schedule"
+    (QCheck.make ~print gen)
+    (fun prog -> run_program ~sched:false prog = run_program ~sched:true prog)
+
+(* A daemon never advances in place: its wake-up is dropped once the
+   last user fibre exits, and that is what ends the run. *)
+let test_daemon_ends_with_users () =
+  let engine = Hw.Engine.create () in
+  let ticks = ref 0 in
+  Hw.Engine.run engine (fun () ->
+      Hw.Engine.spawn engine ~daemon:true (fun () ->
+          while true do
+            Hw.Engine.sleep 1;
+            incr ticks;
+            if !ticks > 1000 then failwith "daemon outlived its users"
+          done);
+      Hw.Engine.sleep 10);
+  Alcotest.(check int) "clock stops with the last user fibre" 10
+    (Hw.Engine.now engine);
+  Alcotest.(check int) "daemon ticked until then" 9 !ticks
+
+(* Whatever observes dispatches sees every one, the start and one per
+   sleep: an event hook, a scheduler's picks, the watchdog's checks. *)
+let test_observers_see_every_sleep () =
+  let five_sleeps engine =
+    Hw.Engine.run engine (fun () ->
+        for _ = 1 to 5 do
+          Hw.Engine.sleep 3
+        done)
+  in
+  let events = ref 0 in
+  let engine = Hw.Engine.create () in
+  Hw.Engine.set_event_hook engine (fun () -> incr events);
+  five_sleeps engine;
+  Alcotest.(check int) "event hook" 6 !events;
+  let picks = ref 0 in
+  let engine = Hw.Engine.create () in
+  Hw.Engine.set_scheduler engine
+    {
+      Hw.Engine.fifo_scheduler with
+      sched_pick = (fun ~now:_ _ -> incr picks; 0);
+    };
+  five_sleeps engine;
+  Alcotest.(check int) "scheduler picks" 6 !picks;
+  let engine = Hw.Engine.create () in
+  let metrics = Obs.Metrics.create () in
+  Hw.Engine.enable_watchdog engine ~check_every:1 ~metrics ();
+  five_sleeps engine;
+  Alcotest.(check int) "watchdog checks" 6
+    (Obs.Metrics.value (Obs.Metrics.counter metrics "watchdog.checks"))
+
+(* The in-place advance allocates nothing. *)
+let test_clock_advance_allocates_nothing () =
+  let engine = Hw.Engine.create () in
+  let n = 10_000 in
+  let words =
+    Hw.Engine.run_fn engine (fun () ->
+        Hw.Engine.sleep 1;
+        let before = Gc.minor_words () in
+        for _ = 1 to n do
+          Hw.Engine.sleep 1
+        done;
+        Gc.minor_words () -. before)
+  in
+  Alcotest.(check int) "clock advanced" (n + 1) (Hw.Engine.now engine);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d sleeps" words n)
+    true
+    (words < 16.)
+
 (* --- parallel engine ------------------------------------------------ *)
 
 (* Distinct affinities run on the domain pool; every slice's work must
@@ -453,6 +627,13 @@ let () =
           Alcotest.test_case "exceptions propagate" `Quick
             test_fibre_exception_propagates;
           Alcotest.test_case "run_fn returns" `Quick test_run_fn_returns;
+          QCheck_alcotest.to_alcotest prop_clock_advance_preserves_schedule;
+          Alcotest.test_case "daemon ends with its users" `Quick
+            test_daemon_ends_with_users;
+          Alcotest.test_case "observers see every sleep" `Quick
+            test_observers_see_every_sleep;
+          Alcotest.test_case "clock advance allocates nothing" `Quick
+            test_clock_advance_allocates_nothing;
         ] );
       ( "parallel",
         [

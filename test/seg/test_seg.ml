@@ -196,6 +196,52 @@ let test_mapper_truncate_and_size () =
       Alcotest.check_raises "destroyed key rejected" Mapper.Bad_capability
         (fun () -> ignore (m.Mapper.segment_size ~key)))
 
+(* Reads straddling or past a segment's end: data up to the end, zeroes
+   after it. *)
+let test_mapper_read_past_end () =
+  with_env (fun ~engine:_ ~pvm:_ ~segd ~store ~port ->
+      let key =
+        Mem_mapper.create_segment store ~initial:(Bytes.make (ps + 100) 'd') ()
+      in
+      let m = Segment_manager.mapper_of_port segd port in
+      Alcotest.(check string) "straddling the end: data, then zeroes"
+        (String.make 100 'd' ^ String.make (ps - 100) '\000')
+        (Bytes.to_string (m.Mapper.read ~key ~offset:ps ~size:ps));
+      Alcotest.(check string) "wholly past the end: zeroes"
+        (String.make ps '\000')
+        (Bytes.to_string (m.Mapper.read ~key ~offset:(3 * ps) ~size:ps));
+      Alcotest.(check string) "inside the segment: its data"
+        (String.make 16 'd')
+        (Bytes.to_string (m.Mapper.read ~key ~offset:(ps + 84) ~size:16)))
+
+(* A pull-in moves the mapper's reply straight into the frame: the
+   reply is the only page-sized buffer the fault allocates. *)
+let test_pull_in_allocates_one_page () =
+  with_env (fun ~engine:_ ~pvm ~segd ~store ~port ->
+      let key =
+        Mem_mapper.create_segment store ~initial:(Bytes.make (2 * ps) 'p') ()
+      in
+      let cache = Segment_manager.bind segd (Capability.make ~port ~key) in
+      let ctx = Core.Context.create pvm in
+      let _r =
+        Core.Region.create pvm ctx ~addr:0 ~size:(2 * ps)
+          ~prot:Hw.Prot.read_only cache ~offset:0
+      in
+      (* the first fault warms the tables up *)
+      Core.Pvm.touch pvm ctx ~addr:0 ~access:`Read;
+      let before = Gc.allocated_bytes () in
+      Core.Pvm.touch pvm ctx ~addr:ps ~access:`Read;
+      let words = (Gc.allocated_bytes () -. before) /. float (Sys.word_size / 8) in
+      let page_words = ps / (Sys.word_size / 8) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f words for one pulled page of %d words" words
+           page_words)
+        true
+        (words < 1.5 *. float page_words);
+      Alcotest.(check string) "the frame holds the segment's data"
+        (String.make ps 'p')
+        (Bytes.to_string (Core.Pvm.read pvm ctx ~addr:ps ~len:ps)))
+
 let test_bad_capability () =
   with_env (fun ~engine:_ ~pvm:_ ~segd ~store:_ ~port ->
       Alcotest.check_raises "unknown key rejected" Mapper.Bad_capability
@@ -225,6 +271,10 @@ let () =
             test_device_latency_accounted;
           Alcotest.test_case "mapper truncate and size" `Quick
             test_mapper_truncate_and_size;
+          Alcotest.test_case "mapper read past the end" `Quick
+            test_mapper_read_past_end;
+          Alcotest.test_case "pull-in allocates one page" `Quick
+            test_pull_in_allocates_one_page;
           Alcotest.test_case "bad capability" `Quick test_bad_capability;
         ] );
     ]
