@@ -219,7 +219,7 @@ let[@chorus.spanned
     | None ->
       note_frames pvm;
       charge pvm Hw.Cost.Frame_free;
-      with_mm pvm (fun () -> Hw.Phys_mem.free pvm.mem frame);
+      Hw.Phys_mem.free pvm.mem frame;
       None
 
 (* Detach a page from every structure.  Per-virtual-page stubs still

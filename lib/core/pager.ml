@@ -234,10 +234,11 @@ let[@chorus.spanned
      "runs under the spans of every allocation path (fault, copy, \
       history-materialise, pager upcalls)"] rec reclaim_for_frame pvm =
   note_frames pvm;
-  (* Allocation retry, victim election and the claim are one atomic
-     step under the mm lock on the parallel engine (transparent on the
-     oracle path); the blocking halves — completing an eviction,
-     waiting out a transfer — happen outside it. *)
+  (* Victim election and the claim are one atomic step under the mm
+     lock on the parallel engine (transparent on the oracle path); the
+     allocation retry inside it is a lock-free pop, and the blocking
+     halves — completing an eviction, waiting out a transfer — happen
+     outside it. *)
   let next =
     with_mm pvm (fun () ->
         match Hw.Phys_mem.alloc_opt pvm.mem with
@@ -276,11 +277,7 @@ let[@chorus.hot] [@chorus.spanned
       history-materialise, pager upcalls)"] alloc_frame pvm =
   note_frames pvm;
   charge pvm Hw.Cost.Frame_alloc;
-  (* the explicit lock halves: a [with_mm] closure here would be a
-     per-fault allocation, and [alloc_opt] cannot raise *)
-  mm_enter pvm;
-  let frame = Hw.Phys_mem.alloc_opt pvm.mem in
-  mm_exit pvm;
-  match frame with
+  (* the frame pool is lock-free: no mm-lock on the common path *)
+  match Hw.Phys_mem.alloc_opt pvm.mem with
   | Some frame -> frame
   | None -> reclaim_for_frame pvm

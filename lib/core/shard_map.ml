@@ -1,7 +1,7 @@
 (* Internal shard bookkeeping is this module's own private state, not
    a PVM shared object: callers note the fragment footprint at the
-   Global_map level, and the counters below are Atomic by
-   construction. *)
+   Global_map level, and the probe counter below is bumped inside the
+   shard's own critical section. *)
 [@@@chorus.noted "shard-internal state; footprints are noted by callers"]
 
 type key = int * int
@@ -9,7 +9,9 @@ type key = int * int
 type 'v shard = {
   s_lock : Mutex.t;
   s_tbl : (key, 'v) Hashtbl.t;
-  s_probes : int Atomic.t;
+  mutable s_probes : int;
+      (* point operations on this shard; bumped inside [locked], so
+         the shard lock guards it (exact at quiescence) *)
   s_stat : Obs.Lockstat.t;
       (* acquires/waits per shard, wait/hold wall-clock when Lockstat
          timing is enabled; [lock_waits] reads its wait counts *)
@@ -25,7 +27,7 @@ let create ?(name = "gmap") ?(shards = 8) () =
           {
             s_lock = Mutex.create ();
             s_tbl = Hashtbl.create 64;
-            s_probes = Atomic.make 0;
+            s_probes = 0;
             s_stat = Obs.Lockstat.create ~cls:"shard" (Printf.sprintf "%s/shard%d" name i);
           });
   }
@@ -62,30 +64,37 @@ let[@inline] locked s f =
   end
   else f ()
 
+(* Count one point operation; called inside the [locked] closure. *)
+let[@inline] probe s = s.s_probes <- s.s_probes + 1
+
 let find_opt t k =
   let s = shard t k in
-  Atomic.incr s.s_probes;
-  locked s (fun () -> Hashtbl.find_opt s.s_tbl k)
+  locked s (fun () ->
+      probe s;
+      Hashtbl.find_opt s.s_tbl k)
 
 let mem t k =
   let s = shard t k in
-  Atomic.incr s.s_probes;
-  locked s (fun () -> Hashtbl.mem s.s_tbl k)
+  locked s (fun () ->
+      probe s;
+      Hashtbl.mem s.s_tbl k)
 
 let replace t k v =
   let s = shard t k in
-  Atomic.incr s.s_probes;
-  locked s (fun () -> Hashtbl.replace s.s_tbl k v)
+  locked s (fun () ->
+      probe s;
+      Hashtbl.replace s.s_tbl k v)
 
 let remove t k =
   let s = shard t k in
-  Atomic.incr s.s_probes;
-  locked s (fun () -> Hashtbl.remove s.s_tbl k)
+  locked s (fun () ->
+      probe s;
+      Hashtbl.remove s.s_tbl k)
 
 let add_if_absent t k v =
   let s = shard t k in
-  Atomic.incr s.s_probes;
   locked s (fun () ->
+      probe s;
       if Hashtbl.mem s.s_tbl k then false
       else begin
         Hashtbl.replace s.s_tbl k v;
@@ -109,14 +118,14 @@ let occupancy t =
   Array.map (fun s -> locked s (fun () -> Hashtbl.length s.s_tbl)) t.shards
 
 let probes t =
-  Array.fold_left (fun acc s -> acc + Atomic.get s.s_probes) 0 t.shards
+  Array.fold_left (fun acc s -> acc + s.s_probes) 0 t.shards
 
 let lock_waits t =
   Array.fold_left
     (fun acc s -> acc + Obs.Lockstat.waits s.s_stat)
     0 t.shards
 
-let probes_per_shard t = Array.map (fun s -> Atomic.get s.s_probes) t.shards
+let probes_per_shard t = Array.map (fun s -> s.s_probes) t.shards
 
 let lock_waits_per_shard t =
   Array.map (fun s -> Obs.Lockstat.waits s.s_stat) t.shards

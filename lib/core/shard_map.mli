@@ -10,8 +10,9 @@
     observationally identical to the seed's single [Hashtbl]; a qcheck
     suite pins that equivalence at shard counts 1, 2 and 8.
 
-    Per-shard [Atomic] counters (probes, lock waits) feed the
-    [gmap.*] metrics surfaced by [chorus stats]. *)
+    Per-shard counters (probes, lock waits) feed the [gmap.*] metrics
+    surfaced by [chorus stats].  Each is a plain int updated under its
+    shard's lock, so the counts are exact when read at quiescence. *)
 
 type key = int * int
 (** [(cache id, offset)] — or [(cache id, offset lsr 12)] for the
@@ -60,7 +61,7 @@ val probes : 'v t -> int
 
 val lock_waits : 'v t -> int
 (** How many point operations found their shard lock held and had to
-    block — the contention signal behind [gmap.lock_waits]. *)
+    wait for it — the contention signal behind [gmap.lock_waits]. *)
 
 val probes_per_shard : 'v t -> int array
 (** Point operations served per shard, by shard index — the per-shard

@@ -26,8 +26,9 @@ type pvm = {
   next_id : int Atomic.t;
   reclaim : page Fifo.t; (* FIFO reclaim queue, oldest first *)
   mm_lock : Mutex.t;
-      (* the memory-management lock: frame pool, reclaim queue, page
-         lists, frame-to-page index and MMU mappings.  Taken (via
+      (* the memory-management lock: reclaim queue, page lists,
+         frame-to-page index and MMU mappings (the frame pool is
+         lock-free, see [Hw.Phys_mem]).  Taken (via
          [with_mm], reentrantly) only inside parallel engine slices;
          on the oracle path it is never touched *)
   mm_owner : int Atomic.t; (* domain holding mm_lock, -1 when free *)
@@ -237,9 +238,11 @@ let next_id pvm = Atomic.fetch_and_add pvm.next_id 1
    on the sequential engine and the parallel coordinator this is just
    [f ()], keeping the oracle path free of locking artefacts.  The
    lock is reentrant (owner + depth) so compound operations
-   (eviction -> page removal -> frame free) can layer their critical
+   (eviction -> page removal -> unmap) can layer their critical
    sections without a self-deadlock.  Holders must not park: the
-   domain would carry the mutex away with it.
+   domain would carry the mutex away with it.  The frame pool is not
+   behind this lock: [Hw.Phys_mem] alloc and free are lock-free and
+   domain-safe.
 
    The lock hierarchy (pool before mm before shard before cond) is
    not prose any more: it is declared in [Lint.Lock_order], enforced

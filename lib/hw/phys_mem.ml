@@ -1,11 +1,18 @@
 type frame = { index : int; bytes : Bytes.t }
 
+(* The free list is a Treiber stack: a CAS on the head cell pops or
+   pushes, so frames move in and out of the pool on any domain without
+   a lock.  Every push allocates a fresh cons cell, so a successful CAS
+   proves the head is the very cell that was read (the GC rules out
+   ABA).  [allocated.(i)] is set after the pop and cleared before the
+   push: a frame is marked allocated only while exactly one owner holds
+   it. *)
 type t = {
   page_size : int;
   frames : frame array;
   allocated : bool array;
-  mutable free_list : int list;
-  mutable used : int;
+  free_list : int list Atomic.t;
+  used : int Atomic.t;
 }
 
 exception Out_of_memory
@@ -18,33 +25,39 @@ let create ?(page_size = 8192) ~frames () =
     page_size;
     frames = Array.init frames make_frame;
     allocated = Array.make frames false;
-    free_list = List.init frames (fun i -> i);
-    used = 0;
+    free_list = Atomic.make (List.init frames (fun i -> i));
+    used = Atomic.make 0;
   }
 
 let page_size t = t.page_size
 let total_frames t = Array.length t.frames
-let used_frames t = t.used
-let free_frames t = total_frames t - t.used
+let used_frames t = Atomic.get t.used
+let free_frames t = total_frames t - used_frames t
 
-let alloc_opt t =
-  match t.free_list with
+let rec alloc_opt t =
+  match Atomic.get t.free_list with
   | [] -> None
-  | i :: rest ->
-    t.free_list <- rest;
-    t.allocated.(i) <- true;
-    t.used <- t.used + 1;
-    Some t.frames.(i)
+  | i :: rest as head ->
+    if Atomic.compare_and_set t.free_list head rest then begin
+      t.allocated.(i) <- true;
+      Atomic.incr t.used;
+      Some t.frames.(i)
+    end
+    else alloc_opt t
 
 let alloc t =
   match alloc_opt t with Some f -> f | None -> raise Out_of_memory
+
+let rec push t i =
+  let head = Atomic.get t.free_list in
+  if not (Atomic.compare_and_set t.free_list head (i :: head)) then push t i
 
 let free t frame =
   if not t.allocated.(frame.index) then
     invalid_arg "Phys_mem.free: frame already free";
   t.allocated.(frame.index) <- false;
-  t.free_list <- frame.index :: t.free_list;
-  t.used <- t.used - 1
+  Atomic.decr t.used;
+  push t frame.index
 
 let is_allocated t frame = t.allocated.(frame.index)
 let bzero frame = Bytes.fill frame.bytes 0 (Bytes.length frame.bytes) '\000'

@@ -5,7 +5,13 @@
     bit-for-bit against an eager-copy oracle.  The allocator is a free
     list, as in the PVM; frame descriptors are the "real page
     descriptors" of paper §4.1.1 minus the cache back-pointer (which
-    belongs to the memory manager, see {!Core.Page}). *)
+    belongs to the memory manager, see {!Core.Page}).
+
+    {!alloc}, {!alloc_opt} and {!free} are domain-safe without a lock:
+    the free list is a lock-free (compare-and-set) stack.  It is LIFO —
+    the most recently freed frame is the next one handed out — so a
+    single-domain run allocates the same frame indices every time.
+    The counts are exact whenever no allocation or free is in flight. *)
 
 type t
 
@@ -27,15 +33,15 @@ val used_frames : t -> int
 exception Out_of_memory
 
 val alloc : t -> frame
-(** Takes a frame off the free list.  The frame contents are whatever
-    the previous user left there (as on real hardware); callers that
-    need zeroed memory must {!bzero} it.
+(** Takes the most recently freed frame off the free list.  The frame
+    contents are whatever the previous user left there (as on real
+    hardware); callers that need zeroed memory must {!bzero} it.
     @raise Out_of_memory when the pool is exhausted. *)
 
 val alloc_opt : t -> frame option
 
 val free : t -> frame -> unit
-(** Returns a frame to the free list.
+(** Returns a frame to the head of the free list.
     @raise Invalid_argument if the frame is already free. *)
 
 val is_allocated : t -> frame -> bool

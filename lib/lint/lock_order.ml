@@ -10,10 +10,10 @@
      pool   the engine pool lock ([p_lock]): run queues, lanes, fibre
             bookkeeping of the parallel engine.  Held only for queue
             surgery; never across user code.
-     mm     the per-PVM memory-management lock ([mm_lock]): frame
-            pool, reclaim queue, page lists, frame-to-page index, MMU
-            mappings.  Reentrant (owner + depth), so mm -> mm
-            self-edges are legal.
+     mm     the per-PVM memory-management lock ([mm_lock]): reclaim
+            queue, page lists, frame-to-page index, MMU mappings (the
+            frame pool is lock-free).  Reentrant (owner + depth), so
+            mm -> mm self-edges are legal.
      shard  one Shard_map shard lock ([s_lock]): a single shard's
             hash table.  Leaf Hashtbl accesses only — a shard section
             never calls back into the PVM, so no two shard locks ever

@@ -4,11 +4,13 @@
     Blocked time on an OS mutex never advances the simulated clock, so
     it is invisible to the cost model; a [Lockstat.t] wraps a mutex's
     lock/unlock pair and counts acquisitions and contended
-    acquisitions (always on, one Atomic op each), plus wall-clock
-    wait/hold times when timing has been switched on with
-    {!enable_timing}.  Reports read the numbers at quiescence via
-    {!snapshot}; the traced [perfbench] run turns them into its
-    per-operation [mm.*] and [engine.pool.*] metrics.
+    acquisitions (always on), plus wall-clock wait/hold times when
+    timing has been switched on with {!enable_timing}.  The counts
+    are plain ints updated only while the instrumented mutex is held,
+    so the lock guards its own accounting: they are exact at
+    quiescence, and reports read them only then, via {!snapshot}; the
+    traced [perfbench] run turns them into its per-operation [mm.*]
+    and [engine.pool.*] metrics.
 
     A third, normally-off tier records {e order witnesses}: with
     {!enable_witnessing} on, every acquisition records the lock
@@ -37,7 +39,10 @@ val disable_timing : unit -> unit
 
 val lock : t -> Mutex.t -> unit
 (** [lock st m] acquires [m], counting the acquisition and — when it
-    had to block — the contended wait (timed when enabled). *)
+    found [m] held — the contended wait (timed when enabled).  A
+    contended acquirer retries [try_lock] for a fixed, short spin
+    before it blocks in [Mutex.lock]; it counts as one wait either
+    way. *)
 
 val unlock : t -> Mutex.t -> unit
 (** Release [m], accumulating the critical section's hold time when
@@ -51,7 +56,7 @@ val wait : t -> Condition.t -> Mutex.t -> unit
 type snapshot = {
   name : string;
   acquires : int;
-  waits : int; (* acquisitions that found the lock held *)
+  waits : int; (* acquisitions that found the lock held (spun or blocked) *)
   wait_ns : int; (* wall-clock; 0 unless timing was enabled *)
   hold_ns : int;
   max_wait_ns : int;

@@ -561,6 +561,68 @@ let test_phys_mem_data () =
   Alcotest.(check string) "sub-page write" "yo"
     (Bytes.to_string (Hw.Phys_mem.read b ~off:10 ~len:2))
 
+(* The free list is LIFO: a fresh pool hands out frames in index
+   order, and the most recently freed frame comes back first.  Every
+   simulated table depends on this order staying what it was. *)
+let test_phys_mem_lifo () =
+  let mem = Hw.Phys_mem.create ~page_size:64 ~frames:4 () in
+  let next () = (Hw.Phys_mem.alloc mem).Hw.Phys_mem.index in
+  let a = Hw.Phys_mem.alloc mem in
+  let b = Hw.Phys_mem.alloc mem in
+  Alcotest.(check (pair int int)) "fresh pool in index order" (0, 1)
+    (a.Hw.Phys_mem.index, b.Hw.Phys_mem.index);
+  Hw.Phys_mem.free mem a;
+  Hw.Phys_mem.free mem b;
+  let order = List.init 4 (fun _ -> next ()) in
+  Alcotest.(check (list int)) "last freed, first out" [ 1; 0; 2; 3 ] order
+
+(* [domains] real domains each run [cycles] of alloc, stamp the
+   frame's bytes with the domain's id, verify the stamp, free — over a
+   pool smaller than the domain count's worth of slack, so the free
+   list is constantly contended and often empty.  No frame may ever
+   be held by two domains at once, and at the end the pool must be
+   whole: nothing used, every index on the free list exactly once. *)
+let test_phys_mem_hammer domains () =
+  let frames = 2 * domains and cycles = 20_000 in
+  let mem = Hw.Phys_mem.create ~page_size:64 ~frames () in
+  let owner = Array.init frames (fun _ -> Atomic.make (-1)) in
+  let clashes = Atomic.make 0 in
+  let rec alloc () =
+    match Hw.Phys_mem.alloc_opt mem with
+    | Some f -> f
+    | None ->
+      Domain.cpu_relax ();
+      alloc ()
+  in
+  let worker d () =
+    let stamp = Char.chr (Char.code 'a' + d) in
+    for _ = 1 to cycles do
+      let f = alloc () in
+      let i = f.Hw.Phys_mem.index in
+      if not (Atomic.compare_and_set owner.(i) (-1) d) then Atomic.incr clashes;
+      Hw.Phys_mem.fill f stamp;
+      if Bytes.exists (fun c -> c <> stamp) f.Hw.Phys_mem.bytes then
+        Atomic.incr clashes;
+      Atomic.set owner.(i) (-1);
+      Hw.Phys_mem.free mem f
+    done
+  in
+  List.init domains (fun d -> Domain.spawn (worker d))
+  |> List.iter Domain.join;
+  Alcotest.(check int) "no frame held by two domains" 0 (Atomic.get clashes);
+  Alcotest.(check int) "nothing left in use" 0 (Hw.Phys_mem.used_frames mem);
+  let drained = List.init frames (fun _ -> Hw.Phys_mem.alloc mem) in
+  Alcotest.(check (list int)) "every index on the free list exactly once"
+    (List.init frames Fun.id)
+    (List.sort compare
+       (List.map (fun (f : Hw.Phys_mem.frame) -> f.index) drained));
+  Alcotest.(check bool) "and nothing else" true
+    (Option.is_none (Hw.Phys_mem.alloc_opt mem));
+  List.iter (Hw.Phys_mem.free mem) drained;
+  Alcotest.check_raises "double free still rejected"
+    (Invalid_argument "Phys_mem.free: frame already free") (fun () ->
+      Hw.Phys_mem.free mem (List.hd drained))
+
 (* --- MMU ------------------------------------------------------------ *)
 
 let test_mmu_translate () =
@@ -653,6 +715,11 @@ let () =
         [
           Alcotest.test_case "alloc/free" `Quick test_phys_mem_alloc_free;
           Alcotest.test_case "data ops" `Quick test_phys_mem_data;
+          Alcotest.test_case "LIFO order" `Quick test_phys_mem_lifo;
+          Alcotest.test_case "2-domain hammer" `Quick
+            (test_phys_mem_hammer 2);
+          Alcotest.test_case "4-domain hammer" `Quick
+            (test_phys_mem_hammer 4);
         ] );
       ( "mmu", [ Alcotest.test_case "translate" `Quick test_mmu_translate ] );
       ( "prot", [ Alcotest.test_case "algebra" `Quick test_prot_algebra ] );

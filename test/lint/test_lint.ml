@@ -460,50 +460,48 @@ let test_mutation () =
          (List.map (Format.asprintf "%a" Lint.Finding.pp) fs))
 
 (* Mutation test #2: swap the explicit mm-lock halves in the real
-   [Pager.alloc_frame] — release-before-acquire — and the lockset
+   [Install.index_dest_stub] — release-before-acquire — and the lockset
    analysis must fail at exactly that site; the unmutated copy stays
    clean under the same standalone lint. *)
-let pager_ml = build_root ^ "lib/core/pager.ml"
+let install_ml = build_root ^ "lib/core/install.ml"
 
 let lockset_file ~rules src =
   Lint.Lockset.analyze
     [
-      Lint.Lockset.unit_of_cmt ~file:"pager.ml" ~rules
+      Lint.Lockset.unit_of_cmt ~file:"install.ml" ~rules
         (compile ~includes:sandbox_includes ~flags:sandbox_flags src);
     ]
 
 let test_lock_order_mutation () =
-  let src = read_file pager_ml in
-  let needle =
-    "  mm_enter pvm;\n\
-    \  let frame = Hw.Phys_mem.alloc_opt pvm.mem in\n\
-    \  mm_exit pvm;"
+  let src = read_file install_ml in
+  let body =
+    "  Hashtbl.replace stub.cs_cache.c_dest_stubs stub.cs_offset stub;\n"
   in
+  let needle = "  mm_enter pvm;\n" ^ body ^ "  mm_exit pvm\n" in
   Alcotest.(check int)
-    "the explicit mm-lock halves appear exactly once in alloc_frame" 1
+    "the explicit mm-lock halves appear exactly once in index_dest_stub" 1
     (count_occurrences ~needle src);
   check_keys "unmutated sandbox copy is clean" []
     (lockset_file ~rules:[ Lint.Finding.L9 ] src);
   let mutated =
-    replace_once ~needle
-      ~by:
-        "  mm_exit pvm;\n\
-        \  let frame = Hw.Phys_mem.alloc_opt pvm.mem in\n\
-        \  mm_enter pvm;"
+    replace_once ~needle ~by:("  mm_exit pvm;\n" ^ body ^ "  mm_enter pvm\n")
       src
   in
-  let exit_line = line_containing ~needle:"mm_enter pvm;" src in
+  (* the acquire half opens the body, on the line after the header *)
+  let exit_line =
+    line_containing ~needle:"index_dest_stub pvm (stub : cow_stub) =" src + 1
+  in
   match lockset_file ~rules:[ Lint.Finding.L9 ] mutated with
   | [ f1; f2 ] ->
     Alcotest.(check string) "rule" "L9" (Lint.Finding.rule_name f1.rule);
     Alcotest.(check string)
       "the swapped acquire leaks out of the binding" "holds-at-exit-mm"
       f1.detail;
-    Alcotest.(check string) "scope" "alloc_frame" f1.scope;
+    Alcotest.(check string) "scope" "index_dest_stub" f1.scope;
     Alcotest.(check string) "rule" "L9" (Lint.Finding.rule_name f2.rule);
     Alcotest.(check string)
       "the swapped release is unpaired" "release-unheld-mm" f2.detail;
-    Alcotest.(check string) "scope" "alloc_frame" f2.scope;
+    Alcotest.(check string) "scope" "index_dest_stub" f2.scope;
     Alcotest.(check int)
       "line is the swapped mm_exit (where mm_enter was)" exit_line f2.line
   | fs ->

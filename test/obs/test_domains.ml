@@ -1,5 +1,6 @@
 (* Stress tests of the domain-aware observability layer: exact atomic
-   counter totals under real multi-domain hammering, merged-trace
+   counter totals under real multi-domain hammering, exact lock
+   accounting and the spin-then-block fallback of Lockstat, merged-trace
    well-formedness after 2- and 4-domain storm runs, summed drop
    accounting across shards, sequential-vs-parallel span-count
    agreement (the oracle-twin contract extended to traces), and the
@@ -69,6 +70,74 @@ let test_counter_hammer () =
   Alcotest.(check int) "histogram count exact" (domains * per_domain) st.count;
   Alcotest.(check int) "histogram min" 1 st.Obs.Metrics.min;
   Alcotest.(check int) "histogram max" (domains * per_domain) st.Obs.Metrics.max
+
+(* ------------------------------------------------------------------ *)
+(* Lockstat: counts guarded by the lock they count *)
+
+(* Two domains hammer one instrumented mutex, bumping a plain counter
+   inside each critical section.  The Lockstat counts are plain ints
+   updated under that same mutex, so at quiescence they must be exact:
+   one acquisition per critical section, and no more waits than
+   acquisitions. *)
+let test_lockstat_hammer () =
+  let st = Obs.Lockstat.create "test/hammer" and m = Mutex.create () in
+  let per_domain = 50_000 and inside = ref 0 in
+  let worker () =
+    for _ = 1 to per_domain do
+      Obs.Lockstat.lock st m;
+      incr inside;
+      Obs.Lockstat.unlock st m
+    done
+  in
+  List.init 2 (fun _ -> Domain.spawn worker) |> List.iter Domain.join;
+  let s = Obs.Lockstat.snapshot st in
+  Alcotest.(check int) "critical sections" (2 * per_domain) !inside;
+  Alcotest.(check int) "acquires exact" (2 * per_domain) s.acquires;
+  Alcotest.(check bool) "waits <= acquires" true (s.waits <= s.acquires)
+
+(* A holder keeps the lock far longer than the bounded spin, so the
+   waiter's spin runs out and it falls back to blocking: it must stay
+   shut out while the lock is held, get the lock once the holder lets
+   go, and be counted exactly once as a wait. *)
+let test_lockstat_spin_then_block () =
+  let st = Obs.Lockstat.create "test/long-hold" and m = Mutex.create () in
+  let held = Atomic.make false
+  and release = Atomic.make false
+  and trying = Atomic.make false
+  and got_it = Atomic.make false in
+  let rec await flag =
+    if not (Atomic.get flag) then begin
+      Domain.cpu_relax ();
+      await flag
+    end
+  in
+  let holder =
+    Domain.spawn (fun () ->
+        Obs.Lockstat.lock st m;
+        Atomic.set held true;
+        await release;
+        Obs.Lockstat.unlock st m)
+  in
+  await held;
+  let waiter =
+    Domain.spawn (fun () ->
+        Atomic.set trying true;
+        Obs.Lockstat.lock st m;
+        Atomic.set got_it true;
+        Obs.Lockstat.unlock st m)
+  in
+  await trying;
+  (* tens of milliseconds: orders of magnitude past the spin bound *)
+  Unix.sleepf 0.05;
+  Alcotest.(check bool) "waiter still shut out while held" false
+    (Atomic.get got_it);
+  Atomic.set release true;
+  Domain.join holder;
+  Domain.join waiter;
+  Alcotest.(check bool) "waiter got the lock" true (Atomic.get got_it);
+  Alcotest.(check int) "both acquisitions counted" 2
+    (Obs.Lockstat.acquires st);
+  Alcotest.(check int) "the waiter counted once" 1 (Obs.Lockstat.waits st)
 
 (* ------------------------------------------------------------------ *)
 (* Merged-trace well-formedness *)
@@ -254,6 +323,13 @@ let () =
             (test_storm_counters 4);
           Alcotest.test_case "multi-domain hammer exact" `Quick
             test_counter_hammer;
+        ] );
+      ( "lockstat",
+        [
+          Alcotest.test_case "2-domain lock hammer exact" `Quick
+            test_lockstat_hammer;
+          Alcotest.test_case "long hold: spin, then block" `Quick
+            test_lockstat_spin_then_block;
         ] );
       ( "merged-trace",
         [
