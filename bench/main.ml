@@ -5,8 +5,7 @@
    With no subcommand everything runs (the order follows the paper);
    [--metrics-out] additionally writes the printed table cells as JSON
    (see Report); [--tie-seed] perturbs the engine's scheduling of
-   equal-time fibres — results must not change (CI compares); it
-   installs a scheduler, so it is a usage error with [--domains];
+   equal-time fibres — results must not change (CI compares);
    [--tracer] attaches a real but never-enabled tracer to every
    engine — disabled tracing must be zero-cost, so results must again
    be byte-identical (CI compares);
@@ -28,7 +27,6 @@ let usage () =
 (* The parallel sweep's domain counts (--domains).  [parallel] is not
    part of "all", which is the paper's evaluation. *)
 let domains_list = ref [ 1; 2; 4 ]
-let domains_given = ref false
 
 let run = function
   | "table5" -> Tables.table5 ()
@@ -84,7 +82,6 @@ let () =
        with
       | ns when ns <> [] && List.for_all (function Some n -> n > 0 | None -> false) ns
         ->
-        domains_given := true;
         domains_list := List.filter_map Fun.id ns;
         (* A single count additionally switches every other section
            onto the parallel engine at that many domains — the CI
@@ -98,8 +95,5 @@ let () =
     | cmds -> cmds
   in
   let cmds = parse (List.tl (Array.to_list Sys.argv)) in
-  (* --tie-seed installs a scheduler, which the parallel engine
-     refuses. *)
-  if !Util.tie_seed <> None && !domains_given then usage ();
   (match cmds with [] -> run "all" | cmds -> List.iter run cmds);
   Report.write ()

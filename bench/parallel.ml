@@ -24,11 +24,7 @@ let pages = 256
 let rounds = 2
 
 let run_once ~domains scen =
-  (* --tie-seed perturbs the sequential oracle row only: the pool
-     refuses schedulers. *)
-  let engine =
-    if domains = 0 then Util.engine () else Hw.Engine.create ~domains ()
-  in
+  let engine = Util.engine ~domains () in
   let pvms, _ = Check.Scenario.exec engine scen in
   let faults =
     List.fold_left

@@ -4,14 +4,14 @@ let ps = 8192
 let kb n = n * 1024
 
 (* Schedule perturbation for determinism checks (--tie-seed): when
-   seeded, every sequential engine runs under
-   [Hw.Engine.seeded_scheduler], legally reordering equal-time fibres.
+   seeded, every engine runs under [Hw.Engine.seeded_scheduler],
+   legally reordering equal-time fibres.
    Table cells must come out byte-identical regardless — CI compares
    the outputs. *)
 let tie_seed = ref None
 
-(* A fresh engine honouring --tie-seed; schedulers need the sequential
-   engine, so main rejects --tie-seed with --domains. *)
+(* A fresh engine with [domains] workers (default 0), honouring
+   --tie-seed. *)
 let engine ?domains () =
   let engine = Hw.Engine.create ?domains () in
   Option.iter

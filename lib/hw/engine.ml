@@ -3,7 +3,6 @@ type task = {
   seq : int;
   daemon : bool;
   fib : int;
-  cls : int; (* affinity class; 0 = serial, runs on the coordinator *)
   run : unit -> unit;
 }
 
@@ -40,11 +39,13 @@ type watchdog = {
    run concurrently with each other on the domain pool. *)
 type lane = { l_q : task Queue.t; mutable l_busy : bool }
 
-(* Shared state of the parallel run mode.  Every field is protected by
-   [p_lock]; in parallel mode the engine's own mutable fields (seq,
-   live, live_tasks, queue, names, classes) are protected by the same
-   lock, because fibres on worker domains spawn, sleep and resume
-   concurrently with the coordinator. *)
+(* The worker pool.  [p_domains] is 0 for the sequential engine: no
+   worker domains, no lanes, and the coordinator runs every slice in
+   heap order.  With workers, every field is protected by [p_lock], and
+   so are the engine's own mutable fields (seq, live, live_tasks,
+   queue, names, waiting), because fibres on worker domains spawn,
+   sleep, park and resume concurrently with the coordinator; without
+   workers nothing else runs and the lock is never taken. *)
 type par = {
   p_domains : int;
   p_lock : Mutex.t;
@@ -70,8 +71,9 @@ type par = {
          utilization report. *)
   p_stat : Obs.Lockstat.t;
       (* contention accounting for [p_lock] itself: every acquisition
-         goes through it (one Atomic op), wait/hold wall-clock only
-         when Lockstat timing is enabled *)
+         goes through it, and its plain-int counts are guarded by
+         [p_lock]; wait/hold wall-clock only when Lockstat timing is
+         enabled *)
 }
 
 type t = {
@@ -87,14 +89,13 @@ type t = {
   mutable on_event : (unit -> unit) option;
   mutable sched : scheduler option;
   mutable decisions : int list; (* multi-ready picks, newest first *)
-  mutable tracking : bool; (* inside a task slice under a scheduler *)
+  mutable tracking : bool; (* inside a serial slice under a scheduler *)
   mutable accesses : (int * int * bool) list;
-      (* slice footprint, reversed; the bool marks a write *)
+      (* serial slice footprint, reversed; the bool marks a write *)
   names : (int, string) Hashtbl.t;
-  classes : (int, int) Hashtbl.t; (* fibre -> affinity, non-zero only *)
-  par : par option; (* None = the cooperative engine (the default) *)
+  par : par;
   waiting : (int, wait_info) Hashtbl.t; (* parked fibres, by id *)
-  mutable pending_wait : (string * int) option; (* next park's label/owner *)
+  mutable pending_wait : (string * int) option; (* coordinator's next park *)
   mutable watch : watchdog option;
 }
 
@@ -106,19 +107,28 @@ type _ Effect.t +=
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
   | Ambient : t Effect.t
 
-(* The parallel slice a worker domain is currently executing, if any.
-   A fibre running on the pool advances a private virtual clock
-   ([pt_clock]) instead of scheduling a wake-up per charge — the
-   discrete-event queue only sees it again when it parks or finishes.
-   [None] on the coordinator and in every sequential engine, so
-   [in_parallel_slice] is the cheap "may another domain touch shared
-   state right now?" test the locking seams are gated on. *)
-type ptask = { pt_fib : int; mutable pt_clock : Sim_time.t }
+(* A parallel slice: a fibre running on a worker domain advances a
+   private virtual clock ([pt_clock]) instead of scheduling a wake-up
+   per charge — the discrete-event queue only sees it again when it
+   parks or finishes — and carries its own next-park annotation, so a
+   worker never writes the coordinator's. *)
+type ptask = {
+  pt_fib : int;
+  mutable pt_clock : Sim_time.t;
+  mutable pt_wait : (string * int) option;
+}
 
-let cur_ptask : ptask option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+(* What this domain is running: a coordinator loop (its engine, so
+   {!sleep} can reach it without an effect), a parallel slice, or
+   neither.  [Slice] is what [in_parallel_slice] tests — the cheap "may
+   another domain touch shared state right now?" check the locking
+   seams are gated on. *)
+type slot = Idle | Coord of t | Slice of ptask
 
-let in_parallel_slice () = Domain.DLS.get cur_ptask <> None
+let slot : slot Domain.DLS.key = Domain.DLS.new_key (fun () -> Idle)
+
+let in_parallel_slice () =
+  match Domain.DLS.get slot with Slice _ -> true | Idle | Coord _ -> false
 
 (* Tasks at distinct times run in time order; equal-time tasks run in
    [seq] (spawn/wake) order, the default policy.  Any other order is a
@@ -130,29 +140,8 @@ let cmp_task a b =
   let c = compare a.time b.time in
   if c <> 0 then c else compare a.seq b.seq
 
-let create ?domains () =
-  let par =
-    match domains with
-    | None | Some 0 -> None
-    | Some n when n < 0 -> invalid_arg "Engine.create: negative domain count"
-    | Some n ->
-      Some
-        {
-          p_domains = n;
-          p_lock = Mutex.create ();
-          p_work = Condition.create ();
-          p_idle = Condition.create ();
-          lanes = Hashtbl.create 16;
-          runnable = Queue.create ();
-          p_running = 0;
-          p_stop = false;
-          p_exn = None;
-          p_horizon = Sim_time.zero;
-          p_cpu = Array.make n Sim_time.zero;
-          p_busy = Array.make n 0;
-          p_stat = Obs.Lockstat.create ~cls:"pool" "engine/pool";
-        }
-  in
+let create ?(domains = 0) () =
+  if domains < 0 then invalid_arg "Engine.create: negative domain count";
   {
     now = Sim_time.zero;
     seq = 0;
@@ -169,37 +158,51 @@ let create ?domains () =
     tracking = false;
     accesses = [];
     names = Hashtbl.create 16;
-    classes = Hashtbl.create 16;
-    par;
+    par =
+      {
+        p_domains = domains;
+        p_lock = Mutex.create ();
+        p_work = Condition.create ();
+        p_idle = Condition.create ();
+        lanes = Hashtbl.create 16;
+        runnable = Queue.create ();
+        p_running = 0;
+        p_stop = false;
+        p_exn = None;
+        p_horizon = Sim_time.zero;
+        p_cpu = Array.make domains Sim_time.zero;
+        p_busy = Array.make domains 0;
+        p_stat = Obs.Lockstat.create ~cls:"pool" "engine/pool";
+      };
     waiting = Hashtbl.create 16;
     pending_wait = None;
     watch = None;
   }
 
-let domains eng = match eng.par with Some p -> p.p_domains | None -> 0
+let domains eng = eng.par.p_domains
 
 (* Per-CPU utilization raw material: accumulated charge time per
-   simulated CPU (empty on the sequential engine).  Read at
-   quiescence — after [run] returns — for a stable snapshot. *)
-let cpu_busy eng =
-  match eng.par with None -> [||] | Some p -> Array.copy p.p_busy
+   simulated CPU.  Read at quiescence — after [run] returns — for a
+   stable snapshot. *)
+let cpu_busy eng = Array.copy eng.par.p_busy
 
 let pool_lock_stats eng =
-  match eng.par with None -> [] | Some p -> [ Obs.Lockstat.snapshot p.p_stat ]
+  let p = eng.par in
+  if p.p_domains = 0 then [] else [ Obs.Lockstat.snapshot p.p_stat ]
 
 (* Inside a parallel slice, "now" is the slice's private virtual
    clock; everywhere else it is the coordinator clock.  This keeps
    fault-latency arithmetic (now-after minus now-before) meaningful on
    the pool, where the coordinator clock stands still. *)
 let now eng =
-  match Domain.DLS.get cur_ptask with
-  | Some pt -> pt.pt_clock
-  | None -> eng.now
+  match Domain.DLS.get slot with
+  | Slice pt -> pt.pt_clock
+  | Idle | Coord _ -> eng.now
 
 let current_fibre eng =
-  match Domain.DLS.get cur_ptask with
-  | Some pt -> pt.pt_fib
-  | None -> eng.cur_fib
+  match Domain.DLS.get slot with
+  | Slice pt -> pt.pt_fib
+  | Idle | Coord _ -> eng.cur_fib
 
 let tracer eng = eng.tracer
 
@@ -212,21 +215,16 @@ let set_tracer eng tr =
   Obs.Trace.set_fibre tr (fun () -> current_fibre eng)
 
 let set_event_hook eng hook = eng.on_event <- Some hook
-let event_hook eng = match eng.on_event with Some f -> f () | None -> ()
-
-let set_scheduler eng s =
-  if eng.par <> None then
-    invalid_arg
-      "Engine.set_scheduler: schedulers require the sequential engine (this \
-       engine was created with ~domains; explore schedules on the sequential \
-       oracle twin instead)";
-  eng.sched <- Some s
+let set_scheduler eng s = eng.sched <- Some s
 let clear_scheduler eng = eng.sched <- None
 let decisions eng = List.rev eng.decisions
-let tracking eng = eng.tracking
+
+(* Footprints are the coordinator's: a parallel slice is not a choice
+   point, so it records nothing even while a serial slice is tracked. *)
+let tracking eng = eng.tracking && not (in_parallel_slice ())
 
 let note_access ?(write = true) eng a b =
-  if eng.tracking then eng.accesses <- (a, b, write) :: eng.accesses
+  if tracking eng then eng.accesses <- (a, b, write) :: eng.accesses
 
 let fibre_name eng fib = Hashtbl.find_opt eng.names fib
 
@@ -239,11 +237,6 @@ let describe eng fib =
 
 let enable_watchdog eng ?(stall_after = Sim_time.ms 1000)
     ?(check_every = Sim_time.ms 1) ?metrics () =
-  if eng.par <> None then
-    invalid_arg
-      "Engine.enable_watchdog: the watchdog requires the sequential engine \
-       (this engine was created with ~domains; watch the sequential oracle \
-       twin instead)";
   let m = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   eng.watch <-
     Some
@@ -267,7 +260,10 @@ let last_stall eng =
 
 let declare_wait eng ~on ?(owner = -1) () =
   (* Only pay for the option allocation while someone is watching. *)
-  if eng.watch <> None then eng.pending_wait <- Some (on, owner)
+  if eng.watch <> None then
+    match Domain.DLS.get slot with
+    | Slice pt -> pt.pt_wait <- Some (on, owner)
+    | Idle | Coord _ -> eng.pending_wait <- Some (on, owner)
 
 let pp_time t = Format.asprintf "%a" Sim_time.pp t
 
@@ -325,32 +321,49 @@ let stall_diag eng fib wi =
   Printf.sprintf "watchdog: stall at %s: %s" (pp_time eng.now)
     (wait_line eng fib wi)
 
-(* Called from the Suspend handler as a fibre parks: register the
-   wait, then see whether this park closed a blocked-on cycle.  The
-   alarm is not raised here — effect handlers should not throw past
-   live continuations — but parked for the run loop to raise after the
-   current slice completes. *)
-let note_park eng fib =
-  (match eng.watch with
-  | Some w ->
-    let label, owner =
-      match eng.pending_wait with Some lo -> lo | None -> ("suspend", -1)
-    in
-    Hashtbl.replace eng.waiting fib
-      { wi_label = label; wi_owner = owner; wi_since = eng.now;
-        wi_flagged = false };
-    (match find_cycle eng fib with
-    | Some cycle ->
-      Obs.Metrics.incr w.wd_deadlocks;
-      Obs.Trace.instant eng.tracer ~cat:"watchdog"
-        ~args:[ ("fib", Obs.Trace.Int fib) ]
-        "deadlock";
-      if w.wd_alarm = None then w.wd_alarm <- Some (deadlock_diag eng cycle)
-    | None -> ())
-  | None -> ());
-  eng.pending_wait <- None
+(* Register a park, consuming the parking slice's annotation, and see
+   whether it closed a blocked-on cycle.  With workers, [p_lock] held:
+   pool and coordinator parks share the one table. *)
+let register_wait eng w fib =
+  let lo =
+    match Domain.DLS.get slot with
+    | Slice pt ->
+      let lo = pt.pt_wait in
+      pt.pt_wait <- None;
+      lo
+    | Idle | Coord _ ->
+      let lo = eng.pending_wait in
+      eng.pending_wait <- None;
+      lo
+  in
+  let label, owner = Option.value lo ~default:("suspend", -1) in
+  Hashtbl.replace eng.waiting fib
+    { wi_label = label; wi_owner = owner; wi_since = now eng;
+      wi_flagged = false };
+  match find_cycle eng fib with
+  | Some cycle ->
+    Obs.Metrics.incr w.wd_deadlocks;
+    Obs.Trace.instant eng.tracer ~cat:"watchdog"
+      ~args:[ ("fib", Obs.Trace.Int fib) ]
+      "deadlock";
+    if w.wd_alarm = None then w.wd_alarm <- Some (deadlock_diag eng cycle)
+  | None -> ()
 
-let note_unpark eng fib = Hashtbl.remove eng.waiting fib
+(* Called from the Suspend handler as a fibre parks.  The alarm is not
+   raised here — effect handlers should not throw past live
+   continuations — but parked for the run loop to raise between
+   events. *)
+let note_park eng fib =
+  match eng.watch with
+  | None -> ()
+  | Some w ->
+    let p = eng.par in
+    if p.p_domains = 0 then register_wait eng w fib
+    else begin
+      Obs.Lockstat.lock p.p_stat p.p_lock;
+      register_wait eng w fib;
+      Obs.Lockstat.unlock p.p_stat p.p_lock
+    end
 
 (* Between events: raise a parked deadlock alarm, and periodically
    sweep the waiting table for fibres blocked longer than the stall
@@ -409,68 +422,63 @@ let seeded_scheduler seed =
     sched_step = (fun ~fib:_ ~accesses:_ -> ());
   }
 
-(* Route a freshly scheduled task.  [p_lock] held.  Serial-class tasks
-   go to the discrete-event heap the coordinator drains; an affinity
-   class goes to its lane, which becomes runnable when its head is the
-   only queued task and no worker is already inside the lane. *)
-let enqueue eng p (t : task) =
-  if t.cls = 0 then Pqueue.push eng.queue t
+(* Stamp a task with the next sequence number and route it; with
+   workers the caller holds [p_lock].  Serial-class tasks go to the
+   discrete-event heap the coordinator drains; an affinity class goes
+   to its lane, which becomes runnable when its head is the only queued
+   task and no worker is already inside the lane. *)
+let push eng p ~daemon ~fib ~cls time run =
+  let seq = eng.seq in
+  eng.seq <- seq + 1;
+  if not daemon then eng.live_tasks <- eng.live_tasks + 1;
+  let t = { time; seq; daemon; fib; run } in
+  if cls = 0 then Pqueue.push eng.queue t
   else begin
     let lane =
-      match Hashtbl.find_opt p.lanes t.cls with
+      match Hashtbl.find_opt p.lanes cls with
       | Some l -> l
       | None ->
         let l = { l_q = Queue.create (); l_busy = false } in
-        Hashtbl.replace p.lanes t.cls l;
+        Hashtbl.replace p.lanes cls l;
         l
     in
     Queue.push t lane.l_q;
     if (not lane.l_busy) && Queue.length lane.l_q = 1 then begin
-      Queue.push t.cls p.runnable;
+      Queue.push cls p.runnable;
       Condition.signal p.p_work
     end
   end;
-  Condition.signal p.p_idle
+  if p.p_domains > 0 then Condition.signal p.p_idle
 
-(* Stamp a task with the next sequence number and queue it: on the
-   heap in sequential mode, routed by class in parallel mode, where
-   the caller holds [p_lock]. *)
-let push eng ~daemon ~fib ~cls time run =
-  let seq = eng.seq in
-  eng.seq <- seq + 1;
-  if not daemon then eng.live_tasks <- eng.live_tasks + 1;
-  let t = { time; seq; daemon; fib; cls; run } in
-  match eng.par with None -> Pqueue.push eng.queue t | Some p -> enqueue eng p t
-
-let schedule eng ~daemon ~fib time run =
-  match eng.par with
-  | None -> push eng ~daemon ~fib ~cls:0 time run
-  | Some p ->
+(* Queue fibre [fib]'s next slice.  A fibre being scheduled is no
+   longer parked, so its waiting-table entry (if any) goes too. *)
+let schedule eng ~daemon ~fib ~cls time run =
+  let p = eng.par in
+  if p.p_domains = 0 then begin
+    if eng.watch <> None then Hashtbl.remove eng.waiting fib;
+    push eng p ~daemon ~fib ~cls time run
+  end
+  else begin
     Obs.Lockstat.lock p.p_stat p.p_lock;
-    let cls =
-      match Hashtbl.find_opt eng.classes fib with Some c -> c | None -> 0
-    in
-    push eng ~daemon ~fib ~cls time run;
+    if eng.watch <> None then Hashtbl.remove eng.waiting fib;
+    push eng p ~daemon ~fib ~cls time run;
     Obs.Lockstat.unlock p.p_stat p.p_lock
-
-(* The sequential engine whose run loop owns this domain right now:
-   set for the extent of [run] (and cleared under a parallel engine's
-   coordinator), so {!sleep} can reach the engine without an effect. *)
-let cur_seq : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+  end
 
 (* Advance the clock in place when the Sleep round trip would pop this
    same fibre's wake-up straight back off the heap: every queued task
    is due strictly after [now + span].  The wake-up's sequence number
    is consumed and [pending_wait] cleared exactly as the handler does,
-   so later tasks are numbered as before.  Only when nothing observes
-   the dispatch in between: no scheduler (it picks and steps every
-   slice), no watchdog (it checks between events), no event hook (it
-   runs after every event), and a user fibre (the run loop decides
-   whether a daemon's wake-up runs at all: once the last user fibre
-   exits it drops them and ends the run). *)
+   so later tasks are numbered as before.  Only without workers (they
+   push to the heap concurrently) and when nothing observes the
+   dispatch in between: no scheduler (it picks and steps every slice),
+   no watchdog (it checks between events), no event hook (it runs
+   after every event), and a user fibre (the run loop decides whether
+   a daemon's wake-up runs at all: once the last user fibre exits it
+   drops them and ends the run). *)
 let advance_in_place eng span =
   match (eng.sched, eng.watch, eng.on_event) with
-  | None, None, None when not eng.cur_daemon ->
+  | None, None, None when eng.par.p_domains = 0 && not eng.cur_daemon ->
     let time = eng.now + span in
     if Pqueue.is_empty eng.queue || (Pqueue.top eng.queue).time > time
     then begin
@@ -486,14 +494,11 @@ let sleep span =
   if span < 0 then invalid_arg "Engine.sleep: negative span";
   (* Parallel slices coalesce charges into the slice clock; doing it
      here rather than in the Sleep handler skips the effect round-trip
-     (and its continuation allocation) on the pool's hottest path.
-     [cur_ptask] is never set outside a pool worker. *)
-  match Domain.DLS.get cur_ptask with
-  | Some pt -> pt.pt_clock <- pt.pt_clock + span
-  | None -> (
-    match Domain.DLS.get cur_seq with
-    | Some eng when advance_in_place eng span -> ()
-    | _ -> Effect.perform (Sleep span))
+     (and its continuation allocation) on the pool's hottest path. *)
+  match Domain.DLS.get slot with
+  | Slice pt -> pt.pt_clock <- pt.pt_clock + span
+  | Coord eng when advance_in_place eng span -> ()
+  | Idle | Coord _ -> Effect.perform (Sleep span)
 
 let suspend register = Effect.perform (Suspend register)
 
@@ -517,24 +522,28 @@ let declare_wait_ambient ~on ?(owner = -1) () =
    installed for the whole fibre, so a continuation resumed later from
    the event queue still sees Sleep/Suspend.  Continuations of a
    daemon fibre schedule daemon tasks: the simulation ends when only
-   daemon work remains.  Handlers run at perform time, so [cur_fib] is
-   the performing fibre; continuations keep that id.
+   daemon work remains.  Handlers run at perform time, so [cur_fib] or
+   the slice's [pt_fib] is the performing fibre; continuations keep
+   that id, and the fibre's class [cls].
 
-   On the domain pool, Sleep never reaches the handler ({!sleep}
-   coalesces it into the slice's private clock) and Suspend parks
-   against a real [Atomic] flag so any domain may resume; the branch
-   is selected by the DLS slice marker at perform time, so one fibre
-   can even migrate between pool and coordinator across park/resume. *)
-let exec eng ~daemon f =
+   In a parallel slice, Sleep never reaches the handler ({!sleep}
+   coalesces it into the slice's private clock), and the resume time
+   comes from the slice; the DLS slot is read at perform time, so one
+   fibre can even migrate between pool and coordinator across
+   park/resume.  The resume flag is atomic because any domain may
+   resume a parked fibre. *)
+let exec eng ~daemon ~cls f =
   let finished () =
-    if not daemon then
-      match eng.par with
-      | None -> eng.live <- eng.live - 1
-      | Some p ->
+    if not daemon then begin
+      let p = eng.par in
+      if p.p_domains = 0 then eng.live <- eng.live - 1
+      else begin
         Obs.Lockstat.lock p.p_stat p.p_lock;
         eng.live <- eng.live - 1;
         Condition.signal p.p_idle;
         Obs.Lockstat.unlock p.p_stat p.p_lock
+      end
+    end
   in
   Effect.Deep.match_with f ()
     {
@@ -548,7 +557,7 @@ let exec eng ~daemon f =
               (fun (k : (a, _) Effect.Deep.continuation) ->
                 let fib = eng.cur_fib in
                 eng.pending_wait <- None;
-                schedule eng ~daemon ~fib (eng.now + span) (fun () ->
+                schedule eng ~daemon ~fib ~cls (eng.now + span) (fun () ->
                     Effect.Deep.continue k ()))
           | Ambient ->
             Some
@@ -557,39 +566,33 @@ let exec eng ~daemon f =
           | Suspend register ->
             Some
               (fun (k : (a, _) Effect.Deep.continuation) ->
-                match Domain.DLS.get cur_ptask with
-                | Some pt ->
-                  let fib = pt.pt_fib in
-                  let resumed = Atomic.make false in
-                  register (fun () ->
-                      if Atomic.exchange resumed true then
-                        invalid_arg "Engine: resume called twice";
-                      (* Resume at the later of the parked fibre's own
-                         clock and the waker's, so virtual time stays
-                         monotone along every happens-before edge. *)
-                      let time =
-                        match Domain.DLS.get cur_ptask with
-                        | Some w -> max pt.pt_clock w.pt_clock
-                        | None -> max pt.pt_clock eng.now
-                      in
-                      schedule eng ~daemon ~fib time (fun () ->
-                          Effect.Deep.continue k ()))
-                | None ->
-                  let fib = eng.cur_fib in
-                  note_park eng fib;
-                  let resumed = ref false in
-                  register (fun () ->
-                      if !resumed then
-                        invalid_arg "Engine: resume called twice";
-                      resumed := true;
-                      note_unpark eng fib;
-                      schedule eng ~daemon ~fib eng.now (fun () ->
-                          Effect.Deep.continue k ())))
+                let parked = Domain.DLS.get slot in
+                let fib =
+                  match parked with
+                  | Slice pt -> pt.pt_fib
+                  | Idle | Coord _ -> eng.cur_fib
+                in
+                note_park eng fib;
+                let resumed = Atomic.make false in
+                register (fun () ->
+                    if Atomic.exchange resumed true then
+                      invalid_arg "Engine: resume called twice";
+                    (* A slice resumes at the later of its own clock and
+                       the waker's, so virtual time stays monotone along
+                       every happens-before edge; a coordinator fibre at
+                       the coordinator clock. *)
+                    let time =
+                      match parked with
+                      | Slice pt -> max pt.pt_clock (now eng)
+                      | Idle | Coord _ -> eng.now
+                    in
+                    schedule eng ~daemon ~fib ~cls time (fun () ->
+                        Effect.Deep.continue k ())))
           | _ -> None);
     }
 
-(* Register a new fibre and queue [run], its first slice; in parallel
-   mode the caller holds [p_lock]. *)
+(* Register a new fibre and queue [run], its first slice; with workers
+   the caller holds [p_lock]. *)
 let start eng ~name ~daemon ~cls run =
   if not daemon then eng.live <- eng.live + 1;
   let fib = eng.next_fib in
@@ -599,92 +602,24 @@ let start eng ~name ~daemon ~cls run =
     Hashtbl.replace eng.names fib n;
     Obs.Trace.name_fibre eng.tracer fib n
   | None -> ());
-  if cls <> 0 then Hashtbl.replace eng.classes fib cls;
-  push eng ~daemon ~fib ~cls (now eng) run
+  push eng eng.par ~daemon ~fib ~cls (now eng) run
 
 let spawn eng ?name ?(daemon = false) ?(affinity = 0) f =
   if affinity < 0 then invalid_arg "Engine.spawn: negative affinity";
   if affinity <> 0 && daemon then
     invalid_arg "Engine.spawn: daemon fibres must stay in the serial class";
-  let run () = exec eng ~daemon f in
-  match eng.par with
-  | None ->
-    (* The cooperative engine serialises everything; affinity is
-       advisory and ignored, which is exactly what makes it the oracle
-       twin of the parallel mode. *)
-    start eng ~name ~daemon ~cls:0 run
-  | Some p ->
+  let p = eng.par in
+  (* Without workers every fibre is serial: affinity is advisory and
+     ignored, which is what makes this engine the oracle twin of the
+     pool. *)
+  let cls = if p.p_domains = 0 then 0 else affinity in
+  let run () = exec eng ~daemon ~cls f in
+  if p.p_domains = 0 then start eng ~name ~daemon ~cls run
+  else begin
     Obs.Lockstat.lock p.p_stat p.p_lock;
-    start eng ~name ~daemon ~cls:affinity run;
+    start eng ~name ~daemon ~cls run;
     Obs.Lockstat.unlock p.p_stat p.p_lock
-
-let run_sequential eng main =
-  spawn eng main;
-  (* Run while non-daemon work remains — either queued tasks, or
-     suspended user fibres that a daemon (server loop, page-out
-     daemon) may still wake.  Once every user fibre has finished,
-     pending daemon wakeups are discarded: a periodic daemon would
-     otherwise keep the simulation alive forever. *)
-  (* Dispatch: without a scheduler the heap order (time, seq) IS the
-     policy and the popped minimum runs — the fast path.  With one,
-     every dispatch becomes an explicit choice point: the full set of
-     equal-time ready tasks is drained (the heap yields it in [seq]
-     order) and the scheduler picks one.  Multi-way picks are logged
-     to [decisions], the schedule a forced replay re-drives. *)
-  let dispatch s =
-    let task = Pqueue.pop eng.queue in
-    let rec gather acc =
-      match Pqueue.pop_if eng.queue (fun t -> t.time = task.time) with
-      | Some t -> gather (t :: acc)
-      | None -> acc
-    in
-    let arr = Array.of_list (List.rev (gather [ task ])) in
-    let ready =
-      Array.map
-        (fun t -> { rt_fib = t.fib; rt_seq = t.seq; rt_daemon = t.daemon })
-        arr
-    in
-    let idx = s.sched_pick ~now:task.time ready in
-    if idx < 0 || idx >= Array.length arr then
-      invalid_arg "Engine: scheduler picked an out-of-range ready task";
-    if Array.length arr > 1 then
-      eng.decisions <- arr.(idx).fib :: eng.decisions;
-    Array.iteri (fun i t -> if i <> idx then Pqueue.push eng.queue t) arr;
-    arr.(idx)
-  in
-  let rec loop () =
-    if
-      eng.live_tasks > 0
-      || (eng.live > 0 && not (Pqueue.is_empty eng.queue))
-    then begin
-      let task =
-        match eng.sched with
-        | None -> Pqueue.pop eng.queue
-        | Some s -> dispatch s
-      in
-      assert (task.time >= eng.now);
-      eng.now <- task.time;
-      eng.cur_fib <- task.fib;
-      eng.cur_daemon <- task.daemon;
-      if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
-      if eng.sched = None then task.run ()
-      else begin
-        eng.tracking <- true;
-        eng.accesses <- [];
-        Fun.protect ~finally:(fun () -> eng.tracking <- false) task.run;
-        let accesses = eng.accesses in
-        eng.accesses <- [];
-        match eng.sched with
-        | Some s -> s.sched_step ~fib:task.fib ~accesses
-        | None -> ()
-      end;
-      event_hook eng;
-      watchdog_check eng;
-      loop ()
-    end
-  in
-  loop ();
-  if eng.live > 0 then raise (Deadlock eng.live)
+  end
 
 (* A pool worker: pop a runnable lane, run its head task as a parallel
    slice, then hand the lane back.  Exceptions from fibre bodies are
@@ -738,15 +673,15 @@ let worker eng p =
             let base = max task.time p.p_cpu.(pick_cpu ()) in
             (aff, lane, task, base))
       in
-      let pt = { pt_fib = task.fib; pt_clock = base } in
-      Domain.DLS.set cur_ptask (Some pt);
+      let pt = { pt_fib = task.fib; pt_clock = base; pt_wait = None } in
+      Domain.DLS.set slot (Slice pt);
       if Obs.Trace.enabled eng.tracer then Obs.Trace.slice_begin eng.tracer;
       (try task.run ()
        with ex ->
          Obs.Lockstat.lock p.p_stat p.p_lock;
          if p.p_exn = None then p.p_exn <- Some ex;
          Obs.Lockstat.unlock p.p_stat p.p_lock);
-      Domain.DLS.set cur_ptask None;
+      Domain.DLS.set slot Idle;
       Obs.Lockstat.lock p.p_stat p.p_lock;
       let cpu = pick_cpu () in
       let shift = max 0 (p.p_cpu.(cpu) - base) in
@@ -770,91 +705,142 @@ let worker eng p =
   in
   go ()
 
-(* The parallel coordinator.  Serial-class tasks still run here, in
-   exact heap order — but only while the pool is quiescent, so a
-   serial slice never observes a half-done parallel mutation.  This is
-   the determinism contract: a program whose fibres are all
-   serial-class executes the identical schedule the sequential engine
-   would, at any domain count. *)
-let run_parallel eng p main =
-  if eng.sched <> None then
-    invalid_arg "Engine.run: schedulers require the sequential engine";
-  if eng.watch <> None then
-    invalid_arg "Engine.run: the watchdog requires the sequential engine";
-  (* Tracing in parallel mode records through per-domain shards; the
-     no-op is preserved because [set_sharded] ignores the null tracer
-     and every recording entry point still checks [enabled] first. *)
-  Obs.Trace.set_sharded eng.tracer true;
-  spawn eng main;
-  let workers =
-    Array.init p.p_domains (fun _ -> Domain.spawn (fun () -> worker eng p))
+(* --- The run loop ------------------------------------------------- *)
+
+let pool_busy p = p.p_running > 0 || not (Queue.is_empty p.runnable)
+
+(* Run while non-daemon work remains: queued tasks, or parked user
+   fibres that a daemon or a parallel slice may still wake.  Once every
+   user fibre has finished, pending daemon wakeups are discarded — a
+   periodic daemon would otherwise keep the simulation alive forever.
+   With workers, [p_lock] held. *)
+let more eng p =
+  eng.live_tasks > 0
+  || eng.live > 0 && ((not (Pqueue.is_empty eng.queue)) || pool_busy p)
+
+(* Dispatch under a scheduler: every dispatch is an explicit choice
+   point.  The equal-time ready set is drained (the heap yields it in
+   [seq] order) and the scheduler picks; multi-way picks are logged to
+   [decisions], the schedule a forced replay re-drives.  The heap holds
+   serial-class tasks only, so lane slices are never choice points. *)
+let dispatch eng s =
+  let task = Pqueue.pop eng.queue in
+  let rec gather acc =
+    match Pqueue.pop_if eng.queue (fun t -> t.time = task.time) with
+    | Some t -> gather (t :: acc)
+    | None -> acc
   in
-  let stop_workers () =
+  let arr = Array.of_list (List.rev (gather [ task ])) in
+  let ready =
+    Array.map
+      (fun t -> { rt_fib = t.fib; rt_seq = t.seq; rt_daemon = t.daemon })
+      arr
+  in
+  let idx = s.sched_pick ~now:task.time ready in
+  if idx < 0 || idx >= Array.length arr then
+    invalid_arg "Engine: scheduler picked an out-of-range ready task";
+  if Array.length arr > 1 then eng.decisions <- arr.(idx).fib :: eng.decisions;
+  Array.iteri (fun i t -> if i <> idx then Pqueue.push eng.queue t) arr;
+  arr.(idx)
+
+(* Pop the next serial task.  Without a scheduler the heap order
+   (time, seq) IS the policy. *)
+let take eng =
+  let task =
+    match eng.sched with None -> Pqueue.pop eng.queue | Some s -> dispatch eng s
+  in
+  if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
+  task
+
+(* Whether a serial task is to run next.  With workers, first wait
+   until one is due on a quiescent pool, so a serial slice never
+   observes a half-done parallel mutation: a program whose fibres are
+   all serial-class runs the identical schedule at any domain count.
+   The pool then stays quiescent until that task runs — only running
+   slices make lanes runnable — so [take] needs no lock. *)
+let ready eng p =
+  if p.p_domains = 0 then more eng p
+  else begin
+    Obs.Lockstat.lock p.p_stat p.p_lock;
+    Fun.protect
+      ~finally:(fun () -> Obs.Lockstat.unlock p.p_stat p.p_lock)
+      (fun () ->
+        while
+          p.p_exn = None && more eng p
+          && (Pqueue.is_empty eng.queue || pool_busy p)
+        do
+          Obs.Lockstat.wait p.p_stat p.p_idle p.p_lock
+        done;
+        p.p_exn = None && more eng p)
+  end
+
+let rec coordinate eng p =
+  if ready eng p then begin
+    let task = take eng in
+    if task.time > eng.now then eng.now <- task.time;
+    eng.cur_fib <- task.fib;
+    eng.cur_daemon <- task.daemon;
+    (match eng.sched with
+    | None -> task.run ()
+    | Some _ ->
+      eng.tracking <- true;
+      eng.accesses <- [];
+      Fun.protect ~finally:(fun () -> eng.tracking <- false) task.run);
+    (* The scheduler's step, the event hook and the watchdog sweep run
+       between events — with workers, once the pool is quiescent too,
+       so every slice the serial one set off has run or parked, and a
+       cycle closed on the pool is raised here, before the run can end
+       in Deadlock.  With none of them installed nothing waits. *)
+    if eng.sched <> None || eng.on_event <> None || eng.watch <> None then begin
+      if p.p_domains > 0 then begin
+        Obs.Lockstat.lock p.p_stat p.p_lock;
+        while pool_busy p do
+          Obs.Lockstat.wait p.p_stat p.p_idle p.p_lock
+        done;
+        Obs.Lockstat.unlock p.p_stat p.p_lock
+      end;
+      (match eng.sched with
+      | Some s ->
+        let accesses = eng.accesses in
+        eng.accesses <- [];
+        s.sched_step ~fib:task.fib ~accesses
+      | None -> ());
+      (match eng.on_event with Some f -> f () | None -> ());
+      watchdog_check eng
+    end;
+    coordinate eng p
+  end
+
+let stop_workers p workers =
+  if p.p_domains > 0 then begin
     Obs.Lockstat.lock p.p_stat p.p_lock;
     p.p_stop <- true;
     Condition.broadcast p.p_work;
     Obs.Lockstat.unlock p.p_stat p.p_lock;
     Array.iter Domain.join workers
-  in
-  let pool_busy () = p.p_running > 0 || not (Queue.is_empty p.runnable) in
-  let rec loop () =
-    Obs.Lockstat.lock p.p_stat p.p_lock;
-    if p.p_exn <> None then Obs.Lockstat.unlock p.p_stat p.p_lock
-    else begin
-      let more =
-        eng.live_tasks > 0
-        || eng.live > 0
-           && ((not (Pqueue.is_empty eng.queue)) || pool_busy ())
-      in
-      if not more then Obs.Lockstat.unlock p.p_stat p.p_lock
-      else if Pqueue.is_empty eng.queue then begin
-        (* Only pool work in flight: wait for it to finish, park, or
-           schedule something serial. *)
-        Obs.Lockstat.wait p.p_stat p.p_idle p.p_lock;
-        Obs.Lockstat.unlock p.p_stat p.p_lock;
-        loop ()
-      end
-      else begin
-        (* A serial task is due: barrier on pool quiescence first. *)
-        while pool_busy () && p.p_exn = None do
-          Obs.Lockstat.wait p.p_stat p.p_idle p.p_lock
-        done;
-        if p.p_exn <> None then (
-          Obs.Lockstat.unlock p.p_stat p.p_lock;
-          loop ())
-        else begin
-          let task =
-            Fun.protect
-              ~finally:(fun () -> Obs.Lockstat.unlock p.p_stat p.p_lock)
-              (fun () ->
-                let task = Pqueue.pop eng.queue in
-                if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
-                if task.time > eng.now then eng.now <- task.time;
-                eng.cur_fib <- task.fib;
-                task)
-          in
-          task.run ();
-          event_hook eng;
-          loop ()
-        end
-      end
-    end
-  in
-  (try loop () with ex -> stop_workers (); raise ex);
-  stop_workers ();
-  (match p.p_exn with Some ex -> raise ex | None -> ());
-  if p.p_horizon > eng.now then eng.now <- p.p_horizon;
-  if eng.live > 0 then raise (Deadlock eng.live)
+  end
 
 let run eng main =
-  let outer = Domain.DLS.get cur_seq in
-  Domain.DLS.set cur_seq (if eng.par = None then Some eng else None);
+  let p = eng.par in
+  let outer = Domain.DLS.get slot in
+  Domain.DLS.set slot (Coord eng);
   Fun.protect
-    ~finally:(fun () -> Domain.DLS.set cur_seq outer)
+    ~finally:(fun () -> Domain.DLS.set slot outer)
     (fun () ->
-      match eng.par with
-      | None -> run_sequential eng main
-      | Some p -> run_parallel eng p main)
+      (* Tracing with workers records through per-domain shards; the
+         no-op is preserved because [set_sharded] ignores the null
+         tracer and every recording entry point still checks
+         [enabled] first. *)
+      if p.p_domains > 0 then Obs.Trace.set_sharded eng.tracer true;
+      spawn eng main;
+      let workers =
+        Array.init p.p_domains (fun _ -> Domain.spawn (fun () -> worker eng p))
+      in
+      (try coordinate eng p with ex -> stop_workers p workers; raise ex);
+      stop_workers p workers;
+      (match p.p_exn with Some ex -> raise ex | None -> ());
+      if p.p_horizon > eng.now then eng.now <- p.p_horizon;
+      if eng.live > 0 then raise (Deadlock eng.live))
 
 let run_fn eng f =
   let result = ref None in
@@ -863,13 +849,11 @@ let run_fn eng f =
   | Some v -> v
   | None -> assert false
 
-(* Condition variables for fibres, now backed by a real mutex so
+(* Condition variables for fibres, backed by a real mutex so
    registration, broadcast and the finished flag are race-free when
-   waiters and wakers live on different domains.  On the sequential
-   engine the mutex is uncontended and the operation sequence is
-   unchanged: [wait]/[await_unfinished] perform exactly one Suspend
-   and [broadcast]/[finish] wake in registration order, so schedules
-   are byte-identical to the historical implementation. *)
+   waiters and wakers live on different domains.  [wait] and
+   [await_unfinished] perform exactly one Suspend, and [broadcast] and
+   [finish] wake in registration order. *)
 module Cond = struct
   type t = {
     cv_lock : Mutex.t;

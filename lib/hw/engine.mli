@@ -57,56 +57,47 @@ type scheduler = {
     only genuinely concurrent work is permuted. *)
 
 val create : ?domains:int -> unit -> t
-(** [create ()] is the cooperative single-domain engine — the default,
-    and the reference semantics every checker (DPOR, sanitizer slow
-    mode, watchdog, {!set_scheduler}) is defined
-    against; equal-time tasks run in spawn/wake order until a
-    {!scheduler} is installed.
-
-    [create ~domains:n ()] (n >= 1) adds a pool of [n] worker domains:
-    fibres spawned with a non-zero [affinity] execute there as
-    {e parallel slices}, while serial-class fibres (affinity 0, the
-    default) still run on the coordinator in exact heap order, and
-    only while the pool is quiescent.  Inside a parallel slice,
-    {!sleep} coalesces into a per-slice virtual clock instead of a
-    heap round-trip, and {!suspend}/{!Cond} use real mutexes so any
-    domain may resume a parked fibre.  [~domains:0] is the sequential
-    engine. *)
+(** [create ~domains:n ()] is an engine with a pool of [n] worker
+    domains (default 0).  One coordinator loop runs serial-class
+    fibres (affinity 0, the default) in exact heap order; fibres
+    spawned with a non-zero [affinity] run on the workers as
+    {e parallel slices}, and a serial slice runs only while the pool
+    is quiescent.  So a program whose fibres are all serial executes
+    the same schedule at any [n], and with [n = 0] — the sequential
+    engine — every fibre is serial.  Inside a parallel slice, {!sleep}
+    coalesces into a per-slice virtual clock instead of a heap
+    round-trip. *)
 
 val domains : t -> int
-(** The worker-pool size this engine was created with; [0] for the
-    cooperative engine. *)
+(** The worker-pool size this engine was created with. *)
 
 val cpu_busy : t -> Sim_time.span array
-(** Accumulated busy (charged) simulated time per simulated CPU, index
-    [0 .. domains-1]; [[||]] on the sequential engine.  Every committed
-    parallel slice adds its charge interval to the CPU it was placed
-    on, so [busy.(i) <= makespan] and [makespan - busy.(i)] is CPU
-    [i]'s idle time — the raw material of the utilization report.
-    Read after {!run} returns for a stable snapshot. *)
+(** Accumulated busy (charged) simulated time per simulated CPU, one
+    per worker.  Every committed parallel slice adds its charge
+    interval to the CPU it was placed on, so [busy.(i) <= makespan]
+    and [makespan - busy.(i)] is CPU [i]'s idle time — the raw
+    material of the utilization report.  Read after {!run} returns
+    for a stable snapshot. *)
 
 val pool_lock_stats : t -> Obs.Lockstat.snapshot list
-(** Contention statistics for the engine's internal pool lock
-    ([engine/pool]): acquisition and contended-acquisition counts are
-    always maintained (one atomic op each); wait/hold wall-clock
-    timing additionally requires {!Obs.Lockstat.enable_timing}.  Empty
-    on the sequential engine, which has no pool lock. *)
+(** Contention statistics for the engine's pool lock ([engine/pool]):
+    acquisition and contended-acquisition counts, plain ints guarded
+    by the lock itself; wait/hold wall-clock timing additionally
+    requires {!Obs.Lockstat.enable_timing}.  Empty without workers,
+    where the lock is never taken. *)
 
 val in_parallel_slice : unit -> bool
-(** Whether the calling code is executing inside a parallel slice on a
-    worker domain — i.e. whether other domains may be touching shared
-    state concurrently {e right now}.  Always [false] on the
-    sequential engine and on the coordinator, which is what lets
-    shared structures take their locks only when the protection is
-    needed and stay byte-identical on the oracle path. *)
+(** Whether the calling code runs inside a parallel slice on a worker
+    domain — i.e. whether other domains may be touching shared state
+    {e right now}.  Always [false] on the coordinator, which is what
+    lets shared structures take their locks only when the protection
+    is needed. *)
 
 val set_scheduler : t -> scheduler -> unit
-(** Route every dispatch through an explicit choice point, replacing
-    the default spawn/wake order while installed.
-    @raise Invalid_argument on a parallel engine (created with
-    [~domains]): schedulers enumerate a serial dispatch order, which
-    the pool does not have.  Explore schedules on the sequential
-    oracle twin instead. *)
+(** Route every dispatch of a serial-class task through an explicit
+    choice point, replacing the default spawn/wake order while
+    installed.  Parallel slices are not choice points.  With workers,
+    [sched_step] runs once the pool is quiescent. *)
 
 val clear_scheduler : t -> unit
 
@@ -115,9 +106,11 @@ val decisions : t -> int list
     first: the fibre chosen at each dispatch that had more than one
     equal-time ready task.  This is the schedule format
     [Check.Explore.run_forced] consumes, so feeding it back reproduces
-    the run decision for decision.  Empty when no scheduler was ever
-    installed — and that empty schedule replays as index 0 at every
-    choice, the [(time, seq)] order such a run took. *)
+    the run decision for decision — without workers; with workers it
+    holds serial-class picks only, and the order of parallel slices
+    is not recorded.  Empty when no scheduler was ever installed — and
+    that empty schedule replays as index 0 at every choice, the
+    [(time, seq)] order such a run took. *)
 
 val fifo_scheduler : scheduler
 (** Spawn/wake order through the choice-point API: always index 0, the
@@ -134,10 +127,10 @@ val seeded_scheduler : int -> scheduler
 val note_access : ?write:bool -> t -> int -> int -> unit
 (** [note_access eng a b] records that the running task's slice
     touched the shared object identified by [(a, b)] — no-op unless a
-    scheduler is installed and a slice is executing.  The PVM notes
-    each fragment as [(cache id, offset)] and reserves negative first
-    components for object classes (frame pool, cache topology); the
-    engine treats the pairs as opaque.  Footprints feed the model
+    scheduler is installed and a serial slice is executing.  The PVM
+    notes each fragment as [(cache id, offset)] and reserves negative
+    first components for object classes (frame pool, cache topology);
+    the engine treats the pairs as opaque.  Footprints feed the model
     checker's independence relation (two slices commute unless their
     footprints intersect with at least one side writing).  [?write]
     defaults to [true] — the conservative classification; pass
@@ -145,9 +138,10 @@ val note_access : ?write:bool -> t -> int -> int -> unit
     object, which lets the checker commute read-read pairs. *)
 
 val tracking : t -> bool
-(** Whether {!note_access} currently records — true only inside a task
-    slice while a scheduler is installed.  Lets callers skip the work
-    of computing the object identity when nobody is listening. *)
+(** Whether {!note_access} currently records — true only inside a
+    serial slice while a scheduler is installed, never in a parallel
+    slice.  Lets callers skip the work of computing the object
+    identity when nobody is listening. *)
 
 val ambient : unit -> t option
 (** The engine running the current fibre, recovered through the fibre's
@@ -182,10 +176,10 @@ val set_tracer : t -> Obs.Trace.t -> unit
 (** Attach a tracing sink, wiring its clock to this engine's simulated
     time and its fibre source to {!current_fibre} (both slice-aware:
     inside a parallel slice they report the slice's virtual clock and
-    fibre).  Tracing works on both engines: the parallel engine
-    switches the tracer into domain-sharded mode at [run] and commits
-    each slice's events with its final CPU placement, so the merged
-    trace carries one extra track per simulated CPU. *)
+    fibre).  With workers, [run] switches the tracer into
+    domain-sharded mode and commits each parallel slice's events with
+    its final CPU placement, so the merged trace carries one extra
+    track per simulated CPU. *)
 
 val fibre_name : t -> int -> string option
 (** The [?name] given to {!spawn} for this fibre, if any. *)
@@ -214,10 +208,10 @@ val enable_watchdog :
     (named ["deadlock"] or ["stall"], the fibre as argument [fib]) on
     the engine's {!tracer}, when that is enabled.  The watchdog
     disables {!sleep}'s in-place clock advance, so its checks run
-    after every wake-up.
-    @raise Invalid_argument on a parallel engine: the watchdog sweeps
-    a serial waiting table between events, which the pool does not
-    maintain.  Watch the sequential oracle twin instead. *)
+    after every wake-up.  With workers, parallel slices park in the
+    same table, and the check after each serial slice waits for the
+    pool to go quiescent, so a cycle closed on the pool is raised
+    before the run can end in {!Deadlock}. *)
 
 val watchdog_metrics : t -> Obs.Metrics.t option
 (** The registry holding the watchdog counters, when enabled. *)
@@ -245,7 +239,8 @@ val set_event_hook : t -> (unit -> unit) -> unit
     sweep invariants after every scheduling step; defaults to a
     no-op.  Exceptions raised by the hook propagate out of {!run}.
     Installing a hook disables {!sleep}'s in-place clock advance, so
-    the hook also sees each wake-up. *)
+    the hook also sees each wake-up.  With workers it runs after each
+    serial slice, once the pool is quiescent. *)
 
 val spawn :
   t -> ?name:string -> ?daemon:bool -> ?affinity:int -> (unit -> unit) -> unit
@@ -254,12 +249,12 @@ val spawn :
     A [daemon] fibre (server loop) is allowed to remain suspended when
     the simulation drains and does not count towards {!Deadlock}.
 
-    [affinity] (default 0) assigns the fibre to an execution class on
-    a parallel engine: class 0 is serial (coordinator, deterministic
-    heap order); fibres of equal non-zero affinity serialise against
-    each other in FIFO lanes, and distinct classes run concurrently on
-    the domain pool.  The sequential engine ignores affinity — that is
-    what makes it the oracle twin.  Daemon fibres must stay in the
+    [affinity] (default 0) assigns the fibre to an execution class:
+    class 0 is serial (coordinator, deterministic heap order); fibres
+    of equal non-zero affinity serialise against each other in FIFO
+    lanes, and distinct classes run concurrently on the workers.
+    Without workers affinity is ignored — that is what makes the
+    sequential engine the oracle twin.  Daemon fibres must stay in the
     serial class.
     @raise Invalid_argument on a negative affinity or a non-serial
     daemon. *)
@@ -268,8 +263,8 @@ val sleep : Sim_time.span -> unit
 (** Advance this fibre's position in simulated time; other runnable
     fibres execute in between.  [sleep 0] is a yield.
 
-    When no queued task is due at or before the wake-up time, the
-    sequential engine advances its clock in place instead of
+    When no queued task is due at or before the wake-up time, an
+    engine without workers advances its clock in place instead of
     dispatching the wake-up: same schedule, same sequence numbers, no
     fibre switch and no allocation.  An installed {!scheduler}, an
     {!enable_watchdog} watchdog or a {!set_event_hook} hook each

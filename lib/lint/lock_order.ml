@@ -7,9 +7,10 @@
    Classes, in acquisition order (a holder of an earlier class may
    acquire a later one, never the reverse):
 
-     pool   the engine pool lock ([p_lock]): run queues, lanes, fibre
-            bookkeeping of the parallel engine.  Held only for queue
-            surgery; never across user code.
+     pool   the engine pool lock ([p_lock]), taken only when the
+            engine has workers: run queues, lanes, fibre bookkeeping
+            and the watchdog's waiting table.  Never held across user
+            code.
      mm     the per-PVM memory-management lock ([mm_lock]): reclaim
             queue, page lists, frame-to-page index, MMU mappings (the
             frame pool is lock-free).  Reentrant (owner + depth), so

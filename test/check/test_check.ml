@@ -305,8 +305,8 @@ let test_explore_observes_quiescent_state () =
     (List.of_seq (Hashtbl.to_seq_keys r.Check.Explore.r_outcomes))
 
 (* Every registry entry: the parallel engine reproduces the sequential
-   digest, a FIFO and two seeded runs obey the entry's oracle, and a
-   bounded exploration finds no violation. *)
+   digest, a FIFO and two seeded runs at 0 and 2 domains obey the
+   entry's oracle, and a bounded exploration finds no violation. *)
 let test_registry_entries () =
   List.iter
     (fun (s : Check.Scenario.t) ->
@@ -314,8 +314,8 @@ let test_registry_entries () =
       Alcotest.(check bool)
         (Format.asprintf "%a" Check.Crossval.pp_outcome o)
         true o.Check.Crossval.o_ok;
-      let run seed =
-        let engine = Hw.Engine.create () in
+      let run domains seed =
+        let engine = Hw.Engine.create ~domains () in
         Option.iter
           (fun n ->
             Hw.Engine.set_scheduler engine (Hw.Engine.seeded_scheduler n))
@@ -324,7 +324,11 @@ let test_registry_entries () =
         let observed = observe () in
         (observed, Check.Scenario.contents engine pvms)
       in
-      let runs = List.map run [ None; Some 1; Some 2 ] in
+      let runs =
+        List.concat_map
+          (fun domains -> List.map (run domains) [ None; Some 1; Some 2 ])
+          [ 0; 2 ]
+      in
       let fifo_observed, fifo_contents = List.hd runs in
       List.iter
         (fun (observed, contents) ->
@@ -347,6 +351,37 @@ let test_registry_entries () =
       | Some v ->
         Alcotest.failf "%s: %a" s.name Check.Explore.pp_violation v)
     Check.Scenario.all
+
+(* The deep checkers [chorus check] installs — seeded scheduler,
+   watchdog, every-event sanitizer hook — on a 2-domain storm whose
+   workers run as parallel slices: the run ends clean and matches the
+   sequential digest. *)
+let test_storm_checked_on_pool () =
+  let scen = Check.Scenario.storm () in
+  let engine = Hw.Engine.create ~domains:2 () in
+  Hw.Engine.set_scheduler engine (Hw.Engine.seeded_scheduler 1);
+  Hw.Engine.enable_watchdog engine ();
+  let registered = ref [] in
+  let sweeps = ref 0 in
+  Hw.Engine.set_event_hook engine (fun () ->
+      incr sweeps;
+      List.iter
+        (Check.Sanitizer.assert_ok ~strict:false ~label:"storm")
+        !registered);
+  let observe =
+    Hw.Engine.run_fn engine (fun () ->
+        scen.run engine ~register:(fun pvm -> registered := pvm :: !registered))
+  in
+  ignore (Hw.Engine.run_fn engine observe);
+  Alcotest.(check bool) "the hook swept" true (!sweeps > 0);
+  List.iter
+    (fun pvm ->
+      Alcotest.(check int) "quiescent sweep clean" 0
+        (List.length (Check.Sanitizer.run ~strict:true pvm)))
+    !registered;
+  Alcotest.(check string) "sequential digest"
+    (Check.Crossval.run_on scen)
+    (Check.Scenario.digest (List.rev !registered))
 
 let test_event_hook_runs () =
   let engine = Hw.Engine.create () in
@@ -411,5 +446,7 @@ let () =
             test_explore_observes_quiescent_state;
           Alcotest.test_case "every registry entry" `Quick
             test_registry_entries;
+          Alcotest.test_case "storm deep checkers on 2 domains" `Quick
+            test_storm_checked_on_pool;
         ] );
     ]

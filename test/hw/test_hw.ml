@@ -100,9 +100,11 @@ let test_daemon_not_deadlock () =
 
 (* Two fibres each waiting on a resource the other holds: the
    blocked-on graph closes a cycle the moment the second one parks,
-   and the run dies of Watchdog (not of queue-drain Deadlock). *)
-let test_watchdog_flags_cross_block () =
-  let engine = Hw.Engine.create () in
+   and the run dies of Watchdog (not of queue-drain Deadlock).  The
+   waiters are lane fibres, so with workers they park on the pool;
+   without, affinity is ignored and they park on the coordinator. *)
+let test_watchdog_flags_cross_block domains () =
+  let engine = Hw.Engine.create ~domains () in
   Hw.Engine.enable_watchdog engine ();
   let tr = Obs.Trace.create () in
   Hw.Engine.set_tracer engine tr;
@@ -115,18 +117,28 @@ let test_watchdog_flags_cross_block () =
   let raised =
     try
       Hw.Engine.run engine (fun () ->
-          Hw.Engine.spawn engine ~name:"a" (fun () ->
+          Hw.Engine.spawn engine ~name:"a" ~affinity:1 (fun () ->
               Hw.Engine.declare_wait engine ~on:"r2"
                 ~owner:(Hw.Engine.Cond.owner r2) ();
               Hw.Engine.Cond.wait r2);
-          Hw.Engine.spawn engine ~name:"b" (fun () ->
+          Hw.Engine.spawn engine ~name:"b" ~affinity:2 (fun () ->
               Hw.Engine.declare_wait engine ~on:"r1"
                 ~owner:(Hw.Engine.Cond.owner r1) ();
               Hw.Engine.Cond.wait r1));
       false
     with Hw.Engine.Watchdog diag ->
-      Alcotest.(check bool) "diagnostic names the resource" true
-        (String.length diag > 0);
+      let has sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length diag
+          && (String.sub diag i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      List.iter
+        (fun sub ->
+          Alcotest.(check bool) ("diagnostic names " ^ sub) true (has sub))
+        [ "deadlock cycle of 2 fibre(s)"; "blocked on r1"; "blocked on r2" ];
       true
   in
   Alcotest.(check bool) "cycle raised Watchdog" true raised;
@@ -522,6 +534,31 @@ let test_parallel_class0_identical () =
   Alcotest.(check bool) "1 domain = sequential" true (script 1 = seq);
   Alcotest.(check bool) "4 domains = sequential" true (script 4 = seq)
 
+(* Footprints belong to serial slices: a parallel slice noting an
+   access while the coordinator tracks a serial slice under a
+   scheduler must leave that slice's footprint alone.  The serial
+   slice stays open until the lane slice has noted. *)
+let test_parallel_lane_footprint_separate () =
+  let engine = Hw.Engine.create ~domains:2 () in
+  let steps = ref [] in
+  Hw.Engine.set_scheduler engine
+    {
+      Hw.Engine.fifo_scheduler with
+      sched_step = (fun ~fib ~accesses -> steps := (fib, accesses) :: !steps);
+    };
+  let lane_noted = Atomic.make false in
+  Hw.Engine.run engine (fun () ->
+      Hw.Engine.spawn engine ~affinity:1 (fun () ->
+          Hw.Engine.note_ambient 2 2;
+          Atomic.set lane_noted true);
+      Hw.Engine.note_ambient 1 1;
+      while not (Atomic.get lane_noted) do
+        Domain.cpu_relax ()
+      done);
+  Alcotest.(check (list (triple int int bool)))
+    "main fibre's footprint" [ (1, 1, true) ]
+    (List.assoc 1 !steps)
+
 (* An exception in a parallel slice propagates out of [run]. *)
 let test_parallel_exception_propagates () =
   let engine = Hw.Engine.create ~domains:2 () in
@@ -681,7 +718,9 @@ let () =
           Alcotest.test_case "deadlock detected" `Quick test_deadlock_detected;
           Alcotest.test_case "daemon tolerated" `Quick test_daemon_not_deadlock;
           Alcotest.test_case "watchdog flags cross-block" `Quick
-            test_watchdog_flags_cross_block;
+            (test_watchdog_flags_cross_block 0);
+          Alcotest.test_case "watchdog flags cross-block (2 domains)" `Quick
+            (test_watchdog_flags_cross_block 2);
           Alcotest.test_case "watchdog spares slow-but-live" `Quick
             test_watchdog_spares_slow_but_live;
           Alcotest.test_case "watchdog counts stalls" `Quick
@@ -709,6 +748,8 @@ let () =
             test_parallel_class0_identical;
           Alcotest.test_case "exception propagates" `Quick
             test_parallel_exception_propagates;
+          Alcotest.test_case "lane footprint kept apart"
+            `Quick test_parallel_lane_footprint_separate;
           QCheck_alcotest.to_alcotest prop_engine_deterministic;
         ] );
       ( "phys_mem",

@@ -4,8 +4,7 @@
    well-formedness after 2- and 4-domain storm runs, summed drop
    accounting across shards, sequential-vs-parallel span-count
    agreement (the oracle-twin contract extended to traces), and the
-   fail-fast rejection of the serial-only checkers on a parallel
-   engine. *)
+   lock-order witnesses of a reclaim storm. *)
 
 (* ------------------------------------------------------------------ *)
 (* Shared machinery *)
@@ -238,9 +237,6 @@ let test_seq_vs_par_span_counts () =
         n_seq n_par)
     seq par
 
-(* ------------------------------------------------------------------ *)
-(* Fail-fast rejection of the serial-only checkers *)
-
 (* --- order witnesses under reclaim --------------------------------- *)
 
 (* Lockstat's witness matrix must (a) record the mm->shard nesting the
@@ -301,17 +297,6 @@ let test_order_witnesses () =
     "reclaim nests a shard probe under the mm lock" true
     (List.exists (fun (h, a, _) -> h = "mm" && a = "shard") pairs)
 
-let rejects what f =
-  match f () with
-  | () -> Alcotest.failf "%s accepted on the parallel engine" what
-  | exception Invalid_argument _ -> ()
-
-let test_fail_fast () =
-  let engine = Hw.Engine.create ~domains:2 () in
-  rejects "set_scheduler" (fun () ->
-      Hw.Engine.set_scheduler engine Hw.Engine.fifo_scheduler);
-  rejects "enable_watchdog" (fun () -> Hw.Engine.enable_watchdog engine ())
-
 let () =
   Alcotest.run "obs-domains"
     [
@@ -346,10 +331,5 @@ let () =
         [
           Alcotest.test_case "reclaim storm stays inside the hierarchy"
             `Quick test_order_witnesses;
-        ] );
-      ( "fail-fast",
-        [
-          Alcotest.test_case "serial-only checkers rejected" `Quick
-            test_fail_fast;
         ] );
     ]
