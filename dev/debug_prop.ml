@@ -91,7 +91,7 @@ let () =
             let open Core.Types in
             let stubs =
               Core.Shard_map.fold
-                (fun (cid, o) e acc ->
+                (fun cid o e acc ->
                   if cid = cache.c_id then
                     match e with
                     | Cow_stub s ->
@@ -141,7 +141,7 @@ let () =
               ^ "|pending:"
               ^ String.concat ","
                   (Core.Shard_map.fold
-                     (fun (cid, o) stubs acc ->
+                     (fun cid o stubs acc ->
                        if cid = cache.c_id then
                          Printf.sprintf "%d(%d stubs,%d live)" (o / ps)
                            (List.length stubs)

@@ -93,7 +93,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
     [@chorus.impure_ok "sanitizer-local scratch table, not PVM state"]
   in
   Core.Shard_map.iter
-    (fun ((cid, off) : gkey) entry ->
+    (fun cid off entry ->
       match known_cache cid with
       | None -> err "gmap" "entry (%d,%d): unknown cache" cid off
       | Some c -> (
@@ -152,7 +152,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
             err "gmap" "cache %d: two pages at offset %d" c.c_id p.p_offset;
           Hashtbl.replace offs p.p_offset ()
           [@chorus.impure_ok "sanitizer-local scratch table, not PVM state"];
-          (match Core.Shard_map.find_opt pvm.gmap (c.c_id, p.p_offset) with
+          (match Core.Shard_map.find_opt pvm.gmap c.c_id p.p_offset with
           | Some (Resident p') when p' == p -> ()
           | Some (Sync_stub _) when not strict -> () (* pushOut in flight *)
           | Some _ ->
@@ -357,7 +357,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
 
   (* pending stub index: structural part *)
   Core.Shard_map.iter
-    (fun ((cid, off) : gkey) stubs ->
+    (fun cid off stubs ->
       (match known_cache cid with
       | None -> err "stubs" "pending stubs keyed on unknown cache %d" cid
       | Some c ->
@@ -402,7 +402,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
        which decides the same thing backwards from each zombie *)
     let stub_edges = Hashtbl.create 32 in
     Core.Shard_map.iter
-      (fun _ entry ->
+      (fun _ _ entry ->
         match entry with
         | Cow_stub s when s.cs_alive ->
           Hashtbl.add stub_edges s.cs_cache.c_id
@@ -428,7 +428,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
 
     (* stub threading, both directions *)
     Core.Shard_map.iter
-      (fun ((cid, off) : gkey) entry ->
+      (fun cid off entry ->
         match entry with
         | Cow_stub s -> (
           match s.cs_source with
@@ -439,7 +439,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
               err "stubs" "stub (%d,%d): not threaded on source page (%d,%d)"
                 cid off p.p_cache.c_id p.p_offset
           | Src_cache (c, o) -> (
-            match Core.Shard_map.find_opt pvm.stub_sources (c.c_id, o) with
+            match Core.Shard_map.find_opt pvm.stub_sources c.c_id o with
             | Some stubs when List.memq s stubs -> ()
             | _ ->
               err "stubs" "stub (%d,%d): not pending under source (%d,%d)"
@@ -461,7 +461,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
                   err "stubs"
                     "stub threaded on page (%d,%d) names another source"
                     c.c_id p.p_offset);
-                match Core.Shard_map.find_opt pvm.gmap (s.cs_cache.c_id, s.cs_offset)
+                match Core.Shard_map.find_opt pvm.gmap s.cs_cache.c_id s.cs_offset
                 with
                 | Some (Cow_stub s') when s' == s -> ()
                 | _ ->
@@ -473,12 +473,12 @@ let run ?(strict = true) (pvm : pvm) : violation list =
           c.c_pages)
       pvm.caches;
     Core.Shard_map.iter
-      (fun ((cid, off) : gkey) stubs ->
+      (fun cid off stubs ->
         ignore cid;
         ignore off;
         List.iter
           (fun (s : cow_stub) ->
-            match Core.Shard_map.find_opt pvm.gmap (s.cs_cache.c_id, s.cs_offset) with
+            match Core.Shard_map.find_opt pvm.gmap s.cs_cache.c_id s.cs_offset with
             | Some (Cow_stub s') when s' == s -> ()
             | _ ->
               err "stubs"

@@ -148,7 +148,7 @@ let range_has_readers pvm (cache : cache) ~off ~size =
   || List.exists
        (fun o ->
          note_frag ~write:false pvm cache ~off:o;
-         Shard_map.mem pvm.stub_sources (cache.c_id, o))
+         Shard_map.mem pvm.stub_sources cache.c_id o)
        (page_offsets pvm ~off ~size)
 
 (* Give the purged range a new hidden identity: a zombie history node
@@ -204,10 +204,10 @@ let[@chorus.guarded
     (fun o ->
       note_frag pvm cache ~off:o;
       note_frag pvm z ~off:o;
-      match Shard_map.find_opt pvm.stub_sources (cache.c_id, o) with
+      match Shard_map.find_opt pvm.stub_sources cache.c_id o with
       | None -> ()
       | Some stubs ->
-        Shard_map.remove pvm.stub_sources (cache.c_id, o);
+        Shard_map.remove pvm.stub_sources cache.c_id o;
         Install.unindex_pending pvm cache ~off:o;
         List.iter
           (fun s ->
@@ -215,7 +215,7 @@ let[@chorus.guarded
             | Src_cache (c, so) when c == cache -> s.cs_source <- Src_cache (z, so)
             | Src_cache _ | Src_page _ -> ())
           stubs;
-        Shard_map.replace pvm.stub_sources (z.c_id, o) stubs;
+        Shard_map.replace pvm.stub_sources z.c_id o stubs;
         Install.index_pending pvm z ~off:o)
     (page_offsets pvm ~off ~size);
   (* Migrate resident pages (frame reassignment, no copying). *)
@@ -239,9 +239,9 @@ let[@chorus.guarded
             s' :: List.filter (fun x -> not (x == s)) p.p_cow_stubs
         | Src_cache (c, so) -> (
           note_frag pvm c ~off:so;
-          match Shard_map.find_opt pvm.stub_sources (c.c_id, so) with
+          match Shard_map.find_opt pvm.stub_sources c.c_id so with
           | Some stubs ->
-            Shard_map.replace pvm.stub_sources (c.c_id, so)
+            Shard_map.replace pvm.stub_sources c.c_id so
               (s' :: List.filter (fun x -> not (x == s)) stubs)
           | None -> ()));
         Global_map.set pvm z ~off:o (Cow_stub s');
@@ -387,7 +387,7 @@ let purge_range pvm (cache : cache) ~off ~size =
         List.exists
           (fun o ->
             note_frag pvm cache ~off:o;
-            Shard_map.mem pvm.stub_sources (cache.c_id, o))
+            Shard_map.mem pvm.stub_sources cache.c_id o)
           offsets
       in
       if found then begin
@@ -442,7 +442,7 @@ let[@chorus.spanned "runs under the copy/move span of its callers"] eager_copy
           | `Zero ->
             Bytes.fill dp.p_frame.Hw.Phys_mem.bytes (d - d_page) chunk '\000');
       charge_span pvm Hw.Cost.Bcopy_page (pvm.cost.t_bcopy_page * chunk / ps);
-      bump pvm.stats.sc_eager_pages;
+      bump pvm.stats sc_eager_pages;
       go (copied + chunk)
     end
   in
@@ -548,7 +548,7 @@ let move pvm ~(src : cache) ~src_off ~(dst : cache) ~dst_off ~size () =
             charge pvm Hw.Cost.Stub_insert;
             Global_map.set pvm dst ~off:d_off (Cow_stub s);
             Install.index_dest_stub pvm s;
-            bump pvm.stats.sc_moved_pages
+            bump pvm.stats sc_moved_pages
           | Some _ | None -> (
             (* Data not movable by reassignment: transfer its value and
                leave the source undefined (it keeps its old page, which
@@ -559,7 +559,7 @@ let move pvm ~(src : cache) ~src_off ~(dst : cache) ~dst_off ~size () =
                   let dp = Fault.own_writable_page pvm dst ~off:d_off in
                   charge pvm Hw.Cost.Bcopy_page;
                   Hw.Phys_mem.bcopy ~src:sp.p_frame ~dst:dp.p_frame);
-              bump pvm.stats.sc_eager_pages
+              bump pvm.stats sc_eager_pages
             | `Zero -> ()))
         (page_offsets pvm ~off:src_off ~size)
     end
@@ -707,7 +707,7 @@ let[@chorus.noted
               c.c_pages
          || List.exists
               (fun o ->
-                match Shard_map.find_opt pvm.stub_sources (c.c_id, o) with
+                match Shard_map.find_opt pvm.stub_sources c.c_id o with
                 | Some stubs -> List.exists via_stub stubs
                 | None -> false)
               (Install.pending_offsets c)

@@ -32,11 +32,11 @@ let[@chorus.spanned
     | Some (sf : Hw.Phys_mem.frame) ->
       charge pvm Hw.Cost.Bcopy_page;
       Hw.Phys_mem.bcopy ~src:sf ~dst:frame;
-      bump pvm.stats.sc_cow_copies
+      bump pvm.stats sc_cow_copies
     | None ->
       charge pvm Hw.Cost.Bzero_page;
       Hw.Phys_mem.bzero frame;
-      bump pvm.stats.sc_zero_fills);
+      bump pvm.stats sc_zero_fills);
     match
       Install.try_insert_fresh pvm cache ~off frame ~pulled_prot:Hw.Prot.all
         ~cow_protected:false
@@ -154,9 +154,10 @@ let resolution_name : resolution -> string = function
   | `Borrow -> "borrow"
 
 (* Indexes into [pvm.fault_hist], the histogram handles pre-registered
-   at PVM creation ([hist_names] order): the per-fault update is a
-   direct Atomic bump with no registry lookup, so concurrent faults on
-   distinct domains never touch the registry mutex. *)
+   at PVM creation ([hist_names] order): the per-fault update goes
+   straight to the calling domain's cell row with no registry lookup,
+   so concurrent faults on distinct domains share neither the
+   registry mutex nor a cache line. *)
 let hist_index : resolution -> int = function
   | `Hit -> 0
   | `Upgrade -> 1
@@ -280,7 +281,7 @@ let access_name = function
 
 let handle pvm (ctx : context) ~addr ~(access : Hw.Mmu.access) =
   check_context_alive ctx;
-  bump pvm.stats.sc_faults;
+  bump pvm.stats sc_faults;
   let tr = Hw.Engine.tracer pvm.engine in
   let traced = Obs.Trace.enabled tr in
   if traced then Obs.Trace.span_begin tr ~cat:"vm" "fault";

@@ -5,8 +5,6 @@
 
 open Types
 
-let key (cache : cache) off : gkey = (cache.c_id, off)
-
 (* Every probe or update of a (cache, offset) entry is part of the
    running slice's footprint: the explorer's independence relation is
    fragment-granular, so two slices conflict exactly when they meet
@@ -17,22 +15,22 @@ let[@chorus.hot] [@chorus.spanned
     ~off =
   note_frag ~write:false pvm cache ~off;
   charge pvm Hw.Cost.Map_lookup;
-  Shard_map.find_opt pvm.gmap (key cache off)
+  Shard_map.find_opt pvm.gmap cache.c_id off
 
 (* Lookup without charging the simulated clock, for internal
    bookkeeping that a real implementation would do with direct
    pointers rather than a map probe. *)
 let[@chorus.hot] peek pvm cache ~off =
   note_frag ~write:false pvm cache ~off;
-  Shard_map.find_opt pvm.gmap (key cache off)
+  Shard_map.find_opt pvm.gmap cache.c_id off
 
 let[@chorus.hot] set pvm cache ~off entry =
   note_frag pvm cache ~off;
-  Shard_map.replace pvm.gmap (key cache off) entry
+  Shard_map.replace pvm.gmap cache.c_id off entry
 
 let[@chorus.hot] remove pvm cache ~off =
   note_frag pvm cache ~off;
-  Shard_map.remove pvm.gmap (key cache off)
+  Shard_map.remove pvm.gmap cache.c_id off
 
 (* Probe-and-install under one shard lock: the parallel fresh-fault
    path uses this to close the window between "no entry here" and
@@ -40,7 +38,7 @@ let[@chorus.hot] remove pvm cache ~off =
    same fragment would otherwise race through.  Sequentially this is
    peek+set fused, with the same footprint note. *)
 let[@chorus.hot] try_install pvm cache ~off entry =
-  let installed = Shard_map.add_if_absent pvm.gmap (key cache off) entry in
+  let installed = Shard_map.add_if_absent pvm.gmap cache.c_id off entry in
   (* a lost race only observed the slot — note it as the read it was,
      so the explorer's independence relation matches the historical
      peek-then-set footprint exactly (branched so both [?write]

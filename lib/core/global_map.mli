@@ -7,8 +7,6 @@
     copy-on-write stub (§4.3).  The map's size depends only on real
     memory, never on segment or address-space sizes (§4.1). *)
 
-val key : Types.cache -> int -> Types.gkey
-
 val find : Types.pvm -> Types.cache -> off:int -> Types.entry option
 (** A probe, charged to the simulated clock. *)
 

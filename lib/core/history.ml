@@ -89,7 +89,7 @@ let store_original pvm ~(src_page : page) ~(h : cache) ~h_off =
   with
   | Some page ->
     page.p_dirty <- true;
-    bump pvm.stats.sc_cow_copies
+    bump pvm.stats sc_cow_copies
   | None -> ()
 
 (* Resolve a write violation on a read-protected page of a copy
@@ -127,7 +127,7 @@ let[@chorus.guarded
       f_policy = `Copy_on_write;
     };
   src.c_history <- Some w;
-  bump pvm.stats.sc_history_created;
+  bump pvm.stats sc_history_created;
   let tr = Hw.Engine.tracer pvm.engine in
   if Obs.Trace.enabled tr then
     Obs.Trace.instant tr ~cat:"vm" "history-create"

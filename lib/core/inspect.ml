@@ -23,25 +23,27 @@ let pp_page pvm ppf (p : page) =
     | 0 -> ""
     | n -> Printf.sprintf "{%d}" n)
 
+(* The cache's stubs, by offset (the map's own order is unspecified). *)
 let stub_entries pvm (cache : cache) =
+  let ps = page_size pvm in
   Shard_map.fold
-    (fun (cid, o) entry acc ->
+    (fun cid o entry acc ->
       if cid = cache.c_id then
         match entry with
         | Cow_stub s ->
           let src =
             match s.cs_source with
             | Src_page p ->
-              Printf.sprintf "pg(%d,%d)" p.p_cache.c_id
-                (p.p_offset / page_size pvm)
-            | Src_cache (c, so) ->
-              Printf.sprintf "(%d,%d)" c.c_id (so / page_size pvm)
+              Printf.sprintf "pg(%d,%d)" p.p_cache.c_id (p.p_offset / ps)
+            | Src_cache (c, so) -> Printf.sprintf "(%d,%d)" c.c_id (so / ps)
           in
-          Printf.sprintf "s%d<-%s" (o / page_size pvm) src :: acc
-        | Sync_stub _ -> Printf.sprintf "sync%d" (o / page_size pvm) :: acc
+          (o, Printf.sprintf "s%d<-%s" (o / ps) src) :: acc
+        | Sync_stub _ -> (o, Printf.sprintf "sync%d" (o / ps)) :: acc
         | Resident _ -> acc
       else acc)
     cache.c_pvm.gmap []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
 
 let pp_cache ppf (cache : cache) =
   let pvm = cache.c_pvm in
@@ -129,7 +131,7 @@ type residency = {
 let residency (pvm : pvm) : residency =
   let stub_count (cache : cache) =
     Shard_map.fold
-      (fun (cid, _) entry acc ->
+      (fun cid _ entry acc ->
         match entry with
         | Cow_stub _ when cid = cache.c_id -> acc + 1
         | _ -> acc)
@@ -168,7 +170,7 @@ let residency (pvm : pvm) : residency =
     rs_reclaim_len = Fifo.length pvm.reclaim;
     rs_sync_in_flight =
       Shard_map.fold
-        (fun _ entry acc ->
+        (fun _ _ entry acc ->
           match entry with
           | Sync_stub _ -> acc + 1
           | Resident _ | Cow_stub _ -> acc)
@@ -254,11 +256,10 @@ let digest (pvm : pvm) : string =
       List.iter
         (fun (p : page) ->
           add "page %d cowp=%b %s;" p.p_offset p.p_cow_protected
-            (Digest.to_hex
-               (Digest.bytes (Hw.Phys_mem.read p.p_frame ~off:0 ~len:ps))))
+            (Digest.to_hex (Digest.subbytes p.p_frame.Hw.Phys_mem.bytes 0 ps)))
         (List.sort (fun a b -> compare a.p_offset b.p_offset) c.c_pages);
       Shard_map.fold
-        (fun (cid, o) entry acc ->
+        (fun cid o entry acc ->
           if cid <> c.c_id then acc
           else
             match entry with
@@ -334,13 +335,12 @@ let state_json (pvm : pvm) : Obs.Json.t =
                  ( "md5",
                    Obs.Json.Str
                      (Digest.to_hex
-                        (Digest.bytes
-                           (Hw.Phys_mem.read p.p_frame ~off:0 ~len:ps))) );
+                        (Digest.subbytes p.p_frame.Hw.Phys_mem.bytes 0 ps)) );
                ])
     in
     let stubs =
       Shard_map.fold
-        (fun (cid, o) entry acc ->
+        (fun cid o entry acc ->
           if cid <> c.c_id then acc
           else
             match entry with
@@ -438,7 +438,7 @@ let pages (pvm : pvm) = List.concat_map (fun c -> c.c_pages) pvm.caches
 
 let sync_stubs_in_flight (pvm : pvm) =
   Shard_map.fold
-    (fun _ entry acc ->
+    (fun _ _ entry acc ->
       match entry with Sync_stub _ -> acc + 1 | Resident _ | Cow_stub _ -> acc)
     pvm.gmap 0
 

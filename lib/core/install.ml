@@ -109,11 +109,11 @@ let[@chorus.noted
    paged out, so they held a (cache, offset) reference). *)
 let rethread_pending_stubs pvm (page : page) =
   note_frag pvm page.p_cache ~off:page.p_offset;
-  let k = (page.p_cache.c_id, page.p_offset) in
-  match Shard_map.find_opt pvm.stub_sources k with
+  let cid = page.p_cache.c_id and off = page.p_offset in
+  match Shard_map.find_opt pvm.stub_sources cid off with
   | None -> ()
   | Some stubs ->
-    Shard_map.remove pvm.stub_sources k;
+    Shard_map.remove pvm.stub_sources cid off;
     unindex_pending pvm page.p_cache ~off:page.p_offset;
     let live = List.filter (fun s -> s.cs_alive) stubs in
     List.iter (fun s -> s.cs_source <- Src_page page) live;
@@ -121,11 +121,12 @@ let rethread_pending_stubs pvm (page : page) =
 
 let add_pending_stub pvm ~src_cache ~src_off stub =
   note_frag pvm src_cache ~off:src_off;
-  let k = (src_cache.c_id, src_off) in
-  match Shard_map.find_opt pvm.stub_sources k with
-  | Some existing -> Shard_map.replace pvm.stub_sources k (stub :: existing)
+  let cid = src_cache.c_id in
+  match Shard_map.find_opt pvm.stub_sources cid src_off with
+  | Some existing ->
+    Shard_map.replace pvm.stub_sources cid src_off (stub :: existing)
   | None ->
-    Shard_map.replace pvm.stub_sources k [ stub ];
+    Shard_map.replace pvm.stub_sources cid src_off [ stub ];
     index_pending pvm src_cache ~off:src_off
 
 (* Memory-pressure counter samples for the trace (and so for the
@@ -272,4 +273,4 @@ let reassign_page pvm ?(preserve = false) (page : page) (dst : cache) ~dst_off
       Global_map.set pvm dst ~off:dst_off (Resident page));
   rethread_pending_stubs pvm page;
   if not preserve then
-    bump pvm.stats.sc_moved_pages
+    bump pvm.stats sc_moved_pages

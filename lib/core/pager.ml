@@ -77,7 +77,7 @@ let retarget_stubs pvm (page : page) =
    sleeps. *)
 let push_out pvm (page : page) =
   let cache = page.p_cache and off = page.p_offset in
-  bump pvm.stats.sc_push_outs;
+  bump pvm.stats sc_push_outs;
   (* Claim the fragment before the first scheduling point: the
      segmentCreate upcall below may charge or block, and until the
      synchronization stub is in the map a concurrent allocator could
@@ -128,7 +128,7 @@ let[@chorus.spanned
       real eviction costs land inside complete_evict's evict span"]
     claim_evict pvm (page : page) =
   assert (can_evict pvm page);
-  bump pvm.stats.sc_evictions;
+  bump pvm.stats sc_evictions;
   note_frames pvm;
   retarget_stubs pvm page;
   let cache = page.p_cache and off = page.p_offset in
@@ -161,7 +161,7 @@ let complete_evict pvm (page : page) cond =
         (Some (Resident page));
       invalid_arg "Pager.evict: dirty page with no backing"
     | Some backing ->
-      bump pvm.stats.sc_push_outs;
+      bump pvm.stats sc_push_outs;
       charge pvm Hw.Cost.Stub_insert;
       let ps = page_size pvm in
       let snapshot = Hw.Phys_mem.read page.p_frame ~off:0 ~len:ps in
@@ -214,13 +214,17 @@ let start_daemon pvm ~low_water ~high_water ~period =
       loop ())
 
 let transfer_in_flight pvm =
+  (* the in-flight transfer with the smallest (cache id, offset): the
+     map's fold order is unspecified, the choice must not be *)
   (Shard_map.fold
-     (fun _ entry acc ->
-       match (acc, entry) with
-       | Some _, _ -> acc
-       | None, Sync_stub cond -> Some cond
-       | None, (Resident _ | Cow_stub _) -> None)
-     pvm.gmap None)
+     (fun cid off entry acc ->
+       match (entry, acc) with
+       | Sync_stub cond, None -> Some (cid, off, cond)
+       | Sync_stub cond, Some (c, o, _) when cid < c || (cid = c && off < o) ->
+         Some (cid, off, cond)
+       | (Sync_stub _ | Resident _ | Cow_stub _), _ -> acc)
+     pvm.gmap None
+  |> Option.map (fun (_, _, cond) -> cond))
   [@chorus.noted
     "last-resort scan for any in-flight transfer when the pool and the \
      reclaim queue are both empty; key-set footprints cannot express a \

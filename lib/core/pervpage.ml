@@ -63,15 +63,14 @@ let unthread pvm (stub : cow_stub) =
     p.p_cow_stubs <- List.filter (fun s -> not (s == stub)) p.p_cow_stubs
   | Src_cache (c, o) -> (
     note_frag pvm c ~off:o;
-    let k = (c.c_id, o) in
-    match Shard_map.find_opt pvm.stub_sources k with
+    match Shard_map.find_opt pvm.stub_sources c.c_id o with
     | None -> ()
     | Some stubs -> (
       match List.filter (fun s -> not (s == stub)) stubs with
       | [] ->
-        Shard_map.remove pvm.stub_sources k;
+        Shard_map.remove pvm.stub_sources c.c_id o;
         Install.unindex_pending pvm c ~off:o
-      | rest -> Shard_map.replace pvm.stub_sources k rest))
+      | rest -> Shard_map.replace pvm.stub_sources c.c_id o rest))
 
 let source_cache_of (stub : cow_stub) =
   match stub.cs_source with Src_page p -> p.p_cache | Src_cache (c, _) -> c
@@ -91,13 +90,13 @@ let[@chorus.spanned
     (stub : cow_stub) =
   assert (stub.cs_alive);
   let source = source_cache_of stub in
-  bump pvm.stats.sc_stub_resolves;
+  bump pvm.stats sc_stub_resolves;
   let copy_from (sp : page) =
     with_wired sp (fun () ->
         let frame = Pager.alloc_frame pvm in
         charge pvm Hw.Cost.Bcopy_page;
         Hw.Phys_mem.bcopy ~src:sp.p_frame ~dst:frame;
-        bump pvm.stats.sc_cow_copies;
+        bump pvm.stats sc_cow_copies;
         frame)
   in
   let frame =
@@ -110,7 +109,7 @@ let[@chorus.spanned
         let frame = Pager.alloc_frame pvm in
         charge pvm Hw.Cost.Bzero_page;
         Hw.Phys_mem.bzero frame;
-        bump pvm.stats.sc_zero_fills;
+        bump pvm.stats sc_zero_fills;
         frame)
   in
   unthread pvm stub;
@@ -186,8 +185,7 @@ let resolve_write pvm (stub : cow_stub) = materialize pvm stub
    (cache, off): called before that value is overwritten. *)
 let materialize_pending pvm (cache : cache) ~off =
   note_frag ~write:false pvm cache ~off;
-  let k = (cache.c_id, off) in
-  match Shard_map.find_opt pvm.stub_sources k with
+  match Shard_map.find_opt pvm.stub_sources cache.c_id off with
   | None -> ()
   | Some stubs ->
     List.iter (fun s -> if s.cs_alive then ignore (materialize pvm s)) stubs

@@ -3,21 +3,27 @@
     The paper's global map is a single hash table keyed by
     [(cache, offset)] and sized by real memory only.  That shape is
     naturally shardable: each key hashes to one of N independent
-    shards, each with its own lock, so faults on unrelated fragments
-    never contend.  On the sequential engine (and on the parallel
-    coordinator) the locks are skipped entirely —
-    {!Hw.Engine.in_parallel_slice} is false — so the sharded map is
-    observationally identical to the seed's single [Hashtbl]; a qcheck
-    suite pins that equivalence at shard counts 1, 2 and 8.
+    shards, so writes to unrelated fragments never contend.  A key is
+    two ints, the cache id and an offset, passed and stored unboxed;
+    the map does not interpret them beyond hashing and comparing them
+    (the global map passes page offsets, the stub-source table the
+    offsets of source pages).
 
-    Per-shard counters (probes, lock waits) feed the [gmap.*] metrics
-    surfaced by [chorus stats].  Each is a plain int updated under its
-    shard's lock, so the counts are exact when read at quiescence. *)
+    Readers ({!find_opt}, {!mem}) take no lock and allocate nothing:
+    they load one bucket's chain, which writers never mutate but
+    replace whole, publishing it with [Atomic.set].  Writers
+    ({!replace}, {!remove}, {!add_if_absent}) serialise on their
+    shard's lock, taken only inside parallel engine slices
+    ({!Hw.Engine.in_parallel_slice}); on the zero-worker engine and on
+    the coordinator no lock is touched.  Point results equal a single
+    [Hashtbl] holding at most one binding per key; a qcheck suite pins
+    that equivalence at shard counts 1, 2 and 8, and a multi-domain
+    hammer pins the lock-free reads.
 
-type key = int * int
-(** [(cache id, offset)] — or [(cache id, offset lsr 12)] for the
-    stub-source table; the map does not interpret the pair beyond
-    hashing it. *)
+    Per-shard probe counts and lock waits feed the [gmap.*] metrics
+    surfaced by [chorus stats].  Probes are counted in per-domain
+    {!Obs.Cells} rows, lock waits by each shard's {!Obs.Lockstat};
+    both are exact when read at quiescence. *)
 
 type 'v t
 
@@ -28,29 +34,35 @@ val create : ?name:string -> ?shards:int -> unit -> 'v t
 
 val shard_count : 'v t -> int
 
-val shard_of : 'v t -> key -> int
-(** The shard index a key hashes to — exposed for the occupancy
-    metrics and the equivalence tests. *)
+val shard_of : 'v t -> int -> int -> int
+(** [shard_of t cid off]: the shard index the key hashes to — exposed
+    for the occupancy metrics and the equivalence tests. *)
 
-val find_opt : 'v t -> key -> 'v option
-val mem : 'v t -> key -> bool
-val replace : 'v t -> key -> 'v -> unit
-val remove : 'v t -> key -> unit
+val find_opt : 'v t -> int -> int -> 'v option
+(** [find_opt t cid off].  Lock-free and allocation-free; returns the
+    binding current at some instant during the call. *)
 
-val add_if_absent : 'v t -> key -> 'v -> bool
+val mem : 'v t -> int -> int -> bool
+val replace : 'v t -> int -> int -> 'v -> unit
+val remove : 'v t -> int -> int -> unit
+
+val add_if_absent : 'v t -> int -> int -> 'v -> bool
 (** Atomically install a binding if the key is unbound; returns
     whether the binding was installed.  The probe and the insert
     happen under one shard lock — this is the primitive that closes
-    the probe-then-insert race on the parallel fresh-fault path. *)
+    the probe-then-insert race on the parallel fresh-fault path, and
+    the linearisation point when two installs race. *)
 
 val length : 'v t -> int
 
-val iter : (key -> 'v -> unit) -> 'v t -> unit
-(** Iterate every binding, shard by shard in index order.  Each
-    shard's lock is held only for that shard's portion; bindings added
-    or removed concurrently in other shards may or may not be seen. *)
+val iter : (int -> int -> 'v -> unit) -> 'v t -> unit
+(** Visit every binding as [f cid off v].  The order is unspecified:
+    callers that need one sort what they collect.  Takes no lock;
+    bindings changed concurrently may or may not be seen, so callers
+    run at quiescence (between slices). *)
 
-val fold : (key -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
+val fold : (int -> int -> 'v -> 'acc -> 'acc) -> 'v t -> 'acc -> 'acc
+(** As {!iter}, folding; same unspecified order. *)
 
 val occupancy : 'v t -> int array
 (** Bindings per shard, by shard index. *)
@@ -60,8 +72,9 @@ val probes : 'v t -> int
     all shards. *)
 
 val lock_waits : 'v t -> int
-(** How many point operations found their shard lock held and had to
-    wait for it — the contention signal behind [gmap.lock_waits]. *)
+(** How many writes found their shard lock held and had to wait for
+    it — the contention signal behind [gmap.lock_waits].  Readers
+    never wait. *)
 
 val probes_per_shard : 'v t -> int array
 (** Point operations served per shard, by shard index — the per-shard

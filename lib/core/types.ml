@@ -56,8 +56,6 @@ type pvm = {
          update is handle-direct: no registry lookup, domain-safe *)
 }
 
-and gkey = int * int (* cache id, byte offset of page start *)
-
 and entry =
   | Resident of page
   | Sync_stub of Hw.Engine.Cond.t
@@ -148,24 +146,26 @@ and context = {
   mutable ctx_alive : bool;
 }
 
-and stats_cells = {
-  (* The live counters.  Atomic cells rather than mutable ints because
-     parallel slices on distinct domains bump them concurrently; a
-     single [Atomic.incr] per event keeps totals exact at quiescence
-     with no lock.  Readers take a [stats] snapshot
-     ({!snapshot_stats}). *)
-  sc_faults : int Atomic.t;
-  sc_zero_fills : int Atomic.t;
-  sc_cow_copies : int Atomic.t; (* pages really copied on a write fault *)
-  sc_pull_ins : int Atomic.t;
-  sc_push_outs : int Atomic.t;
-  sc_evictions : int Atomic.t;
-  sc_tree_lookups : int Atomic.t; (* copy-tree levels traversed *)
-  sc_history_created : int Atomic.t; (* working caches inserted *)
-  sc_stub_resolves : int Atomic.t; (* per-virtual-page stubs resolved *)
-  sc_eager_pages : int Atomic.t; (* pages copied eagerly *)
-  sc_moved_pages : int Atomic.t; (* pages moved by frame reassignment *)
-}
+and stats_cells = Obs.Cells.t
+(* The live counters: one {!Obs.Cells} row per domain, indexed by the
+   [sc_*] constants below.  Parallel slices on distinct domains bump
+   them concurrently, each in its own row with a plain store, so no
+   two workers write one cache line and totals are exact at
+   quiescence with no lock.  Readers take a [stats] snapshot
+   ({!snapshot_stats}). *)
+
+let sc_faults = 0
+let sc_zero_fills = 1
+let sc_cow_copies = 2 (* pages really copied on a write fault *)
+let sc_pull_ins = 3
+let sc_push_outs = 4
+let sc_evictions = 5
+let sc_tree_lookups = 6 (* copy-tree levels traversed *)
+let sc_history_created = 7 (* working caches inserted *)
+let sc_stub_resolves = 8 (* per-virtual-page stubs resolved *)
+let sc_eager_pages = 9 (* pages copied eagerly *)
+let sc_moved_pages = 10 (* pages moved by frame reassignment *)
+let n_stat_cells = 11
 
 (* A point-in-time reading of the counters — the plain-int view every
    consumer (reports, benchmarks, examples) works with. *)
@@ -183,53 +183,31 @@ type stats = {
   n_moved_pages : int;
 }
 
-let fresh_stats () =
-  {
-    sc_faults = Atomic.make 0;
-    sc_zero_fills = Atomic.make 0;
-    sc_cow_copies = Atomic.make 0;
-    sc_pull_ins = Atomic.make 0;
-    sc_push_outs = Atomic.make 0;
-    sc_evictions = Atomic.make 0;
-    sc_tree_lookups = Atomic.make 0;
-    sc_history_created = Atomic.make 0;
-    sc_stub_resolves = Atomic.make 0;
-    sc_eager_pages = Atomic.make 0;
-    sc_moved_pages = Atomic.make 0;
-  }
+let fresh_stats () = Obs.Cells.create (Array.make n_stat_cells 0)
 
 let snapshot_stats (c : stats_cells) : stats =
+  let n = Obs.Cells.fold c (Array.map2 ( + )) (Array.make n_stat_cells 0) in
   {
-    n_faults = Atomic.get c.sc_faults;
-    n_zero_fills = Atomic.get c.sc_zero_fills;
-    n_cow_copies = Atomic.get c.sc_cow_copies;
-    n_pull_ins = Atomic.get c.sc_pull_ins;
-    n_push_outs = Atomic.get c.sc_push_outs;
-    n_evictions = Atomic.get c.sc_evictions;
-    n_tree_lookups = Atomic.get c.sc_tree_lookups;
-    n_history_created = Atomic.get c.sc_history_created;
-    n_stub_resolves = Atomic.get c.sc_stub_resolves;
-    n_eager_pages = Atomic.get c.sc_eager_pages;
-    n_moved_pages = Atomic.get c.sc_moved_pages;
+    n_faults = n.(sc_faults);
+    n_zero_fills = n.(sc_zero_fills);
+    n_cow_copies = n.(sc_cow_copies);
+    n_pull_ins = n.(sc_pull_ins);
+    n_push_outs = n.(sc_push_outs);
+    n_evictions = n.(sc_evictions);
+    n_tree_lookups = n.(sc_tree_lookups);
+    n_history_created = n.(sc_history_created);
+    n_stub_resolves = n.(sc_stub_resolves);
+    n_eager_pages = n.(sc_eager_pages);
+    n_moved_pages = n.(sc_moved_pages);
   }
 
-let reset_stats (c : stats_cells) =
-  Atomic.set c.sc_faults 0;
-  Atomic.set c.sc_zero_fills 0;
-  Atomic.set c.sc_cow_copies 0;
-  Atomic.set c.sc_pull_ins 0;
-  Atomic.set c.sc_push_outs 0;
-  Atomic.set c.sc_evictions 0;
-  Atomic.set c.sc_tree_lookups 0;
-  Atomic.set c.sc_history_created 0;
-  Atomic.set c.sc_stub_resolves 0;
-  Atomic.set c.sc_eager_pages 0;
-  Atomic.set c.sc_moved_pages 0
+let reset_stats = Obs.Cells.reset
 
-(* The one-event bump every operational module uses.  A name, not bare
-   [Atomic.incr], so the counting sites read as what they count:
-   [bump pvm.stats.sc_pull_ins]. *)
-let bump (c : int Atomic.t) = Atomic.incr c
+(* The one-event bump every operational module uses, into the calling
+   domain's row: [bump pvm.stats sc_pull_ins]. *)
+let bump (c : stats_cells) i =
+  let r = Obs.Cells.mine c in
+  r.(i) <- r.(i) + 1
 
 let next_id pvm = Atomic.fetch_and_add pvm.next_id 1
 

@@ -36,7 +36,7 @@ let[@chorus.hot] [@chorus.alloc_ok
       match Parents.find_covering cache ~off with
       | Some f ->
         charge pvm Hw.Cost.Tree_lookup;
-        bump pvm.stats.sc_tree_lookups;
+        bump pvm.stats sc_tree_lookups;
         locate pvm f.f_parent ~off:(off - f.f_off + f.f_parent_off)
       | None ->
         if cache.c_backing <> None && not cache.c_anonymous then
@@ -113,7 +113,7 @@ let pull_in_page pvm (cache : cache) ~off ~prot =
   match cache.c_backing with
   | None -> invalid_arg "pullIn: cache has no backing"
   | Some b ->
-    bump pvm.stats.sc_pull_ins;
+    bump pvm.stats sc_pull_ins;
     let tr = Hw.Engine.tracer pvm.engine in
     let traced = Obs.Trace.enabled tr in
     if traced then Obs.Trace.span_begin tr ~cat:"pager" "pullIn";
@@ -177,7 +177,7 @@ let[@chorus.spanned
       ~cow_protected:(History.is_covered cache ~off)
   with
   | Some page ->
-    bump pvm.stats.sc_zero_fills;
+    bump pvm.stats sc_zero_fills;
     page
   | None -> (
     match Global_map.wait_not_in_transit pvm cache ~off with

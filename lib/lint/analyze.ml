@@ -86,13 +86,12 @@ let l1_fields : ((string * string) * obj_class) list =
        (mm_owner, stub_sleeps) are catalogued for completeness but
        auto-satisfied: an access through Atomic.* is linearizable on
        its own (see [atomic_field]).  The shard fields are covered by
-       Shard_map's file-level note: its probe counter is a plain int
-       bumped inside the shard's own critical section. *)
+       Shard_map's file-level note: callers note the fragment. *)
     (("pvm", "mm_depth"), Shared);
     (("pvm", "mm_owner"), Shared);
     (("pvm", "stub_sleeps"), Shared);
-    (("shard", "s_tbl"), Map);
-    (("shard", "s_probes"), Map);
+    (("shard", "s_tab"), Map);
+    (("shard", "s_len"), Map);
     (("t", "shards"), Map);
   ]
 

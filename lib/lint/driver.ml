@@ -7,9 +7,10 @@
    alternative GMI implementations (shadow, minimal) only charge, so
    only the charge discipline applies.  lib/hw and lib/obs are the
    mechanisms the disciplines are built from and are mostly out of
-   scope — except obs/trace.ml, whose per-domain recording fast path
-   runs inside every parallel slice and therefore carries the charge
-   and hot-allocation disciplines ([@chorus.hot] ring/shard writers).
+   scope — except obs/trace.ml and obs/cells.ml, whose per-domain
+   recording fast paths run inside every parallel slice and therefore
+   carry the charge and hot-allocation disciplines ([@chorus.hot]
+   ring/shard/cell writers).
 
    Baseline: findings are aggregated by stable key (rule, file,
    enclosing binding, detail) and compared against the committed
@@ -23,9 +24,10 @@
 let engine_task_libs = [ "core"; "seg"; "nucleus"; "mix"; "dsm"; "check" ]
 let charge_only_libs = [ "shadow"; "minimal" ]
 
-(* The one lib/obs file in scope: the domain-sharded trace fast path
-   (see the header comment). *)
-let obs_hot_files = [ "trace.ml" ]
+(* The lib/obs files in scope: the domain-sharded trace fast path and
+   the per-domain cell rows every parallel slice writes (see the
+   header comment). *)
+let obs_hot_files = [ "trace.ml"; "cells.ml" ]
 let scanned_libs = engine_task_libs @ charge_only_libs @ [ "obs" ]
 
 (* "…/lib/core/cache.ml" -> Some ("core", "lib/core/cache.ml") *)

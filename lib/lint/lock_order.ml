@@ -15,10 +15,10 @@
             queue, page lists, frame-to-page index, MMU mappings (the
             frame pool is lock-free).  Reentrant (owner + depth), so
             mm -> mm self-edges are legal.
-     shard  one Shard_map shard lock ([s_lock]): a single shard's
-            hash table.  Leaf Hashtbl accesses only — a shard section
-            never calls back into the PVM, so no two shard locks ever
-            nest.
+     shard  one Shard_map shard lock ([s_lock]): serialises the
+            writers of a single shard's bucket array (readers take no
+            lock).  Leaf bucket updates only — a shard section never
+            calls back into the PVM, so no two shard locks ever nest.
      cond   the registration mutex inside an {!Hw.Engine.Cond}
             ([cv_lock]): guards the parked-resume list and the
             finished flag for a few loads/stores.  A strict leaf.

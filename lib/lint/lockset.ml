@@ -6,9 +6,10 @@
    protects the release) through the expression tree.  Lock operations
    are recognised structurally:
 
-     - the [Types.with_mm] / [Shard_map.locked] combinators (acquire,
+     - the [Types.with_mm] combinator (acquire,
        inline-walk the closure, release — exception-protected),
-     - the raw [mm_enter] / [mm_exit] halves,
+     - the raw [mm_enter] / [mm_exit] and [shard_enter] / [shard_exit]
+       halves,
      - [Obs.Lockstat.lock]/[unlock]/[wait] and bare [Mutex.lock]/
        [unlock]/[Condition.wait], classified by the record field the
        mutex (or its stat bundle) is read from ({!Lock_order.cls_of_field});
@@ -197,7 +198,7 @@ let raiser ctx s ~line ~what =
       ~message:
         (Printf.sprintf
            "%s may raise while %s is held with no exception-safe release in \
-            scope (with_mm / locked / Fun.protect ~finally): an exception \
+            scope (with_mm / Fun.protect ~finally): an exception \
             here leaks the lock"
            what (pp_locks s))
 
@@ -299,7 +300,7 @@ let raiser_suffixes =
 
 (* Does evaluation of [e] definitely not return (every path ends in a
    raise)?  Used to exclude dead branches from the balance merge: the
-   [| exception e -> unlock; raise e] arm of the locked combinators
+   [| exception e -> unlock; raise e] arm of the locking combinators
    must not be required to agree with the normal return path. *)
 let rec divergent (e : expression) =
   match e.exp_desc with
@@ -576,10 +577,11 @@ and walk_apply ctx s (e : expression) : state =
       let s = acquire ctx s (Cls Lock_order.Mm) ~line ~prot:true in
       let s = walk_thunk ctx s f in
       release ctx s (Cls Lock_order.Mm) ~line
-    | "locked", [ shard; f ] ->
-      let s = walk ctx s shard in
-      let s = acquire ctx s (Cls Lock_order.Shard) ~line ~prot:true in
-      let s = walk_thunk ctx s f in
+    | "shard_enter", _ ->
+      let s = walk_args ctx s args in
+      acquire ctx s (Cls Lock_order.Shard) ~line ~prot:false
+    | "shard_exit", _ ->
+      let s = walk_args ctx s args in
       release ctx s (Cls Lock_order.Shard) ~line
     | _, [ stat; m ] when Analyze.has_dotted_suffix ~suffix:"Lockstat.lock" name
       ->
@@ -698,7 +700,7 @@ and walk_protect ctx s args =
   | _ -> walk_args ctx s args
 
 (* The locks a finally thunk syntactically releases (mm_exit,
-   Lockstat.unlock, Mutex.unlock anywhere inside it). *)
+   shard_exit, Lockstat.unlock, Mutex.unlock anywhere inside it). *)
 and releases_of (fin : expression) : lock list =
   let acc = ref [] in
   let expr sub (e : expression) =
@@ -711,6 +713,7 @@ and releases_of (fin : expression) : lock list =
         let last = Analyze.last_component name in
         match (last, List.map snd args) with
         | "mm_exit", _ -> acc := Cls Lock_order.Mm :: !acc
+        | "shard_exit", _ -> acc := Cls Lock_order.Shard :: !acc
         | _, [ stat; m ]
           when Analyze.has_dotted_suffix ~suffix:"Lockstat.unlock" name ->
           acc := classify_stat_pair stat m :: !acc

@@ -3,22 +3,25 @@
    simulated clock, and since the parallel engine they must also be
    domain-safe: a fault resolved inside a pool slice observes its
    latency from a worker domain while another worker charges
-   primitives concurrently.  Every cell is therefore an [Atomic.t] —
-   updates are single fetch-and-adds (CAS loops only for histogram
-   min/max), totals are exact at quiescence, and reads are idempotent
-   snapshots.  Registration (name -> cell lookup) takes a registry
-   mutex; hot paths are expected to register once and keep the
-   handle. *)
+   primitives concurrently.  The two streams written on every fault
+   (histogram observations and primitive charges) live in per-domain
+   {!Cells} rows: each domain updates its own row with plain stores,
+   so no two workers write one cache line, and readers combine the
+   rows, exact at quiescence.  Named counters, published at report
+   time rather than per event, stay single [Atomic.t] cells.
+   Registration (name -> cell lookup) takes a registry mutex; hot
+   paths are expected to register once and keep the handle. *)
 
 type counter = { c_name : string; c_value : int Atomic.t }
 
-type histogram = {
-  h_name : string;
-  h_count : int Atomic.t;
-  h_sum : int Atomic.t;
-  h_min : int Atomic.t;
-  h_max : int Atomic.t;
-}
+(* One per-domain row per histogram: count, sum, min, max. *)
+type histogram = { h_name : string; h_cells : Cells.t }
+
+let h_count = 0
+let h_sum = 1
+let h_min = 2
+let h_max = 3
+let h_init = [| 0; 0; max_int; 0 |]
 
 type hstats = { count : int; sum : int; min : int; max : int }
 
@@ -27,11 +30,8 @@ type t = {
   cs : (string, counter) Hashtbl.t;
   hs : (string, histogram) Hashtbl.t;
   prim_names : string array;
-  prim_count : int Atomic.t array;
-  prim_ns : int Atomic.t array;
+  prim : Cells.t; (* per primitive [i]: count at [2i], ns at [2i + 1] *)
 }
-
-let acell () = Atomic.make 0
 
 let create ?(prims = [||]) () =
   {
@@ -39,8 +39,7 @@ let create ?(prims = [||]) () =
     cs = Hashtbl.create 32;
     hs = Hashtbl.create 32;
     prim_names = prims;
-    prim_count = Array.init (Array.length prims) (fun _ -> acell ());
-    prim_ns = Array.init (Array.length prims) (fun _ -> acell ());
+    prim = Cells.create (Array.make (2 * Array.length prims) 0);
   }
 
 let reset t =
@@ -48,8 +47,7 @@ let reset t =
   Hashtbl.reset t.cs;
   Hashtbl.reset t.hs;
   Mutex.unlock t.lock;
-  Array.iter (fun c -> Atomic.set c 0) t.prim_count;
-  Array.iter (fun c -> Atomic.set c 0) t.prim_ns
+  Cells.reset t.prim
 
 let counter t name =
   Mutex.lock t.lock;
@@ -57,7 +55,7 @@ let counter t name =
     match Hashtbl.find_opt t.cs name with
     | Some c -> c
     | None ->
-      let c = { c_name = name; c_value = acell () } in
+      let c = { c_name = name; c_value = Atomic.make 0 } in
       Hashtbl.replace t.cs name c;
       c
   in
@@ -82,49 +80,30 @@ let histogram t name =
     match Hashtbl.find_opt t.hs name with
     | Some h -> h
     | None ->
-      let h =
-        {
-          h_name = name;
-          h_count = acell ();
-          h_sum = acell ();
-          h_min = Atomic.make max_int;
-          h_max = acell ();
-        }
-      in
+      let h = { h_name = name; h_cells = Cells.create h_init } in
       Hashtbl.replace t.hs name h;
       h
   in
   Mutex.unlock t.lock;
   h
 
-let rec atomic_min cell v =
-  let cur = Atomic.get cell in
-  if v < cur && not (Atomic.compare_and_set cell cur v) then atomic_min cell v
-
-let rec atomic_max cell v =
-  let cur = Atomic.get cell in
-  if v > cur && not (Atomic.compare_and_set cell cur v) then atomic_max cell v
-
 let observe h ns =
-  Atomic.incr h.h_count;
-  ignore (Atomic.fetch_and_add h.h_sum ns);
-  atomic_min h.h_min ns;
-  atomic_max h.h_max ns
+  let r = Cells.mine h.h_cells in
+  r.(h_count) <- r.(h_count) + 1;
+  r.(h_sum) <- r.(h_sum) + ns;
+  if ns < r.(h_min) then r.(h_min) <- ns;
+  if ns > r.(h_max) then r.(h_max) <- ns
 
-let clear_histogram h =
-  Atomic.set h.h_count 0;
-  Atomic.set h.h_sum 0;
-  Atomic.set h.h_min max_int;
-  Atomic.set h.h_max 0
+let clear_histogram h = Cells.reset h.h_cells
 
 let histogram_stats h =
-  let count = Atomic.get h.h_count in
-  {
-    count;
-    sum = Atomic.get h.h_sum;
-    min = (if count = 0 then 0 else Atomic.get h.h_min);
-    max = Atomic.get h.h_max;
-  }
+  let count, sum, min, max =
+    Cells.fold h.h_cells
+      (fun (c, s, lo, hi) r ->
+        (c + r.(h_count), s + r.(h_sum), Int.min lo r.(h_min), Int.max hi r.(h_max)))
+      (0, 0, max_int, 0)
+  in
+  { count; sum; min = (if count = 0 then 0 else min); max }
 
 let histograms t =
   Mutex.lock t.lock;
@@ -133,16 +112,16 @@ let histograms t =
   List.sort compare (List.map (fun h -> (h.h_name, histogram_stats h)) hs)
 
 let charge t ~idx ~ns =
-  if idx >= 0 && idx < Array.length t.prim_count then begin
-    Atomic.incr t.prim_count.(idx);
-    ignore (Atomic.fetch_and_add t.prim_ns.(idx) ns)
+  if idx >= 0 && idx < Array.length t.prim_names then begin
+    let r = Cells.mine t.prim in
+    r.(2 * idx) <- r.(2 * idx) + 1;
+    r.((2 * idx) + 1) <- r.((2 * idx) + 1) + ns
   end
 
 let prim_report t =
   Array.to_list
     (Array.mapi
-       (fun i name ->
-         (name, Atomic.get t.prim_count.(i), Atomic.get t.prim_ns.(i)))
+       (fun i name -> (name, Cells.sum t.prim (2 * i), Cells.sum t.prim ((2 * i) + 1)))
        t.prim_names)
 
 (* --- Reporting ---------------------------------------------------- *)

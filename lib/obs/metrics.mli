@@ -3,10 +3,12 @@
 
     Unlike {!Trace}, which captures the full event stream, a registry
     only keeps aggregates, so it is always on: updates are integer
-    arithmetic and never touch the simulated clock.  Every cell is an
-    [Atomic.t], so updates are domain-safe — pool slices on the
-    parallel engine observe latencies and charge primitives
-    concurrently, and totals are exact at quiescence.  Registration
+    arithmetic and never touch the simulated clock.  Updates are
+    domain-safe — pool slices on the parallel engine observe latencies
+    and charge primitives concurrently: histograms and the primitive
+    table keep one {!Cells} row per domain (plain stores, no shared
+    cache line), counters are [Atomic.t], and totals are exact at
+    quiescence.  Registration
     ({!counter}/{!histogram}) takes a registry mutex: hot paths should
     look a handle up once and keep it rather than resolving the name
     per event.  One registry lives on every PVM instance; it subsumes

@@ -62,7 +62,7 @@ let test_catches_gmap_corruption () =
       let pvm, _ = build engine in
       let page = List.hd (Core.Inspect.pages pvm) in
       Core.Shard_map.remove pvm.Core.Types.gmap
-        (page.Core.Types.p_cache.Core.Types.c_id, page.Core.Types.p_offset);
+        page.Core.Types.p_cache.Core.Types.c_id page.Core.Types.p_offset;
       expect_rule pvm "gmap")
 
 (* Corruption 2: hand the MMU a writable translation for a page the
@@ -152,7 +152,7 @@ let test_transit_is_strict_only () =
       let pvm, _ = build engine in
       let cache = List.hd pvm.Core.Types.caches in
       Core.Shard_map.replace pvm.Core.Types.gmap
-        (cache.Core.Types.c_id, 512 * ps)
+        cache.Core.Types.c_id (512 * ps)
         (Core.Types.Sync_stub (Hw.Engine.Cond.create ()));
       (match Check.Sanitizer.run ~strict:false pvm with
       | [] -> ()

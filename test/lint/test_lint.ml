@@ -465,10 +465,10 @@ let test_mutation () =
    clean under the same standalone lint. *)
 let install_ml = build_root ^ "lib/core/install.ml"
 
-let lockset_file ~rules src =
+let lockset_file ?(file = "install.ml") ~rules src =
   Lint.Lockset.analyze
     [
-      Lint.Lockset.unit_of_cmt ~file:"install.ml" ~rules
+      Lint.Lockset.unit_of_cmt ~file ~rules
         (compile ~includes:sandbox_includes ~flags:sandbox_flags src);
     ]
 
@@ -506,6 +506,30 @@ let test_lock_order_mutation () =
       "line is the swapped mm_exit (where mm_enter was)" exit_line f2.line
   | fs ->
     Alcotest.failf "expected exactly the two swap findings, got %d: %s"
+      (List.length fs)
+      (String.concat "; "
+         (List.map (Format.asprintf "%a" Lint.Finding.pp) fs))
+
+(* Mutation test #3: drop the release half from the real
+   [Shard_map.remove]; the lockset analysis must see the shard lock
+   leak out of exactly that binding, and the unmutated copy (whose
+   halves carry their [@chorus.balanced] waivers) stays clean. *)
+let test_shard_lock_mutation () =
+  let src = read_file (build_root ^ "lib/core/shard_map.ml") in
+  let needle = "    s.s_len <- s.s_len - 1);\n  shard_exit s\n" in
+  Alcotest.(check int) "remove's release appears exactly once" 1
+    (count_occurrences ~needle src);
+  let lint src =
+    lockset_file ~file:"shard_map.ml" ~rules:[ Lint.Finding.L9 ] src
+  in
+  check_keys "unmutated sandbox copy is clean" [] (lint src);
+  match lint (replace_once ~needle ~by:"    s.s_len <- s.s_len - 1)\n" src) with
+  | [ f ] ->
+    Alcotest.(check string) "rule" "L9" (Lint.Finding.rule_name f.rule);
+    Alcotest.(check string) "the shard lock leaks" "holds-at-exit-shard" f.detail;
+    Alcotest.(check string) "scope" "remove" f.scope
+  | fs ->
+    Alcotest.failf "expected exactly the leak finding, got %d: %s"
       (List.length fs)
       (String.concat "; "
          (List.map (Format.asprintf "%a" Lint.Finding.pp) fs))
@@ -566,5 +590,7 @@ let () =
             `Quick test_mutation;
           Alcotest.test_case "swapping the mm-lock halves is caught" `Quick
             test_lock_order_mutation;
+          Alcotest.test_case "dropping a shard-lock release is caught" `Quick
+            test_shard_lock_mutation;
         ] );
     ]

@@ -1,5 +1,5 @@
-(* Stress tests of the domain-aware observability layer: exact atomic
-   counter totals under real multi-domain hammering, exact lock
+(* Stress tests of the domain-aware observability layer: exact counter
+   and per-domain cell totals under real multi-domain hammering, exact lock
    accounting and the spin-then-block fallback of Lockstat, merged-trace
    well-formedness after 2- and 4-domain storm runs, summed drop
    accounting across shards, sequential-vs-parallel span-count
@@ -29,7 +29,7 @@ let total_faults pvms =
 (* ------------------------------------------------------------------ *)
 (* Exact counter totals under parallel storms *)
 
-(* The PVM's event counters are atomic cells: a parallel storm must
+(* The PVM's event counters are per-domain cells: a parallel storm must
    report exactly the sequential total, and at least the analytic
    lower bound (one demand-zero fault per private page). *)
 let test_storm_counters domains () =
@@ -69,6 +69,76 @@ let test_counter_hammer () =
   Alcotest.(check int) "histogram count exact" (domains * per_domain) st.count;
   Alcotest.(check int) "histogram min" 1 st.Obs.Metrics.min;
   Alcotest.(check int) "histogram max" (domains * per_domain) st.Obs.Metrics.max
+
+(* Per-domain cell rows under real multi-domain hammering: every
+   writer stream built on [Obs.Cells] — raw rows, the primitive
+   attribution table, histogram count/sum/min/max and the PVM's stat
+   cells — must sum exactly.  A barrier lines the domains up so their
+   loops genuinely overlap: a row shared between them would lose
+   updates. *)
+let test_cells_hammer domains () =
+  let cells = Obs.Cells.create [| 0; 0 |] in
+  let m = Obs.Metrics.create ~prims:[| "even"; "odd" |] () in
+  let h = Obs.Metrics.histogram m "hammer.lat" in
+  let stats = Core.Types.fresh_stats () in
+  let per_domain = 1_000_000 and arrived = Atomic.make 0 in
+  let worker d () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < domains do
+      Domain.cpu_relax ()
+    done;
+    for i = 1 to per_domain do
+      let r = Obs.Cells.mine cells in
+      r.(0) <- r.(0) + 1;
+      r.(1) <- r.(1) + i;
+      Obs.Metrics.charge m ~idx:(i land 1) ~ns:(d + 1);
+      Obs.Metrics.observe h ((d * per_domain) + i);
+      Core.Types.bump stats Core.Types.sc_faults
+    done
+  in
+  List.init domains (fun d -> Domain.spawn (worker d)) |> List.iter Domain.join;
+  let n = domains * per_domain in
+  Alcotest.(check int) "cell count" n (Obs.Cells.sum cells 0);
+  Alcotest.(check int) "cell sum"
+    (domains * (per_domain * (per_domain + 1) / 2))
+    (Obs.Cells.sum cells 1);
+  let half = per_domain / 2 and weight = domains * (domains + 1) / 2 in
+  Alcotest.(check (list (triple string int int)))
+    "primitive table"
+    [ ("even", domains * half, weight * half); ("odd", domains * half, weight * half) ]
+    (Obs.Metrics.prim_report m);
+  let st = Obs.Metrics.histogram_stats h in
+  Alcotest.(check int) "histogram count" n st.Obs.Metrics.count;
+  Alcotest.(check int) "histogram sum" (n * (n + 1) / 2) st.Obs.Metrics.sum;
+  Alcotest.(check int) "histogram min" 1 st.Obs.Metrics.min;
+  Alcotest.(check int) "histogram max" n st.Obs.Metrics.max;
+  Alcotest.(check int) "stat cells" n
+    (Core.Types.snapshot_stats stats).Core.Types.n_faults
+
+(* Workers come and go every engine run; a dead domain's slot goes
+   back to the pool, so generation after generation of domains writes
+   into the same few rows instead of growing one per domain ever
+   spawned — and the totals stay exact across the reuse. *)
+let test_cells_slot_reuse () =
+  let cells = Obs.Cells.create [| 0 |] in
+  let generations = 8 and per_domain = 1000 in
+  for _ = 1 to generations do
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to per_domain do
+              let r = Obs.Cells.mine cells in
+              r.(0) <- r.(0) + 1
+            done))
+    |> List.iter Domain.join
+  done;
+  Alcotest.(check int) "total across generations"
+    (generations * 2 * per_domain)
+    (Obs.Cells.sum cells 0);
+  let rows = Obs.Cells.fold cells (fun n _ -> n + 1) 0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d rows: at most one per concurrently live writer" rows)
+    true
+    (rows >= 1 && rows <= 2)
 
 (* ------------------------------------------------------------------ *)
 (* Lockstat: counts guarded by the lock they count *)
@@ -308,6 +378,12 @@ let () =
             (test_storm_counters 4);
           Alcotest.test_case "multi-domain hammer exact" `Quick
             test_counter_hammer;
+          Alcotest.test_case "cells 2-domain hammer exact" `Quick
+            (test_cells_hammer 2);
+          Alcotest.test_case "cells 4-domain hammer exact" `Quick
+            (test_cells_hammer 4);
+          Alcotest.test_case "cells rows reused across domain generations"
+            `Quick test_cells_slot_reuse;
         ] );
       ( "lockstat",
         [
