@@ -330,14 +330,14 @@ let[@chorus.spanned
         let n = (hi - lo + ps - 1) / ps in
         for k = 0 to n - 1 do
           let vpn = vpn0 + k in
-          match Hw.Mmu.query region.r_context.ctx_space ~vpn with
-          | Some (frame, _) ->
-            (match Pmap.page_at_frame pvm frame with
+          let i = Hw.Mmu.mapped_frame_index region.r_context.ctx_space ~vpn in
+          if i >= 0 then begin
+            (match Pmap.page_at_index pvm i with
             | Some page -> Pmap.drop_mapping page region ~vpn
             | None -> ());
             charge pvm Hw.Cost.Invalidate_page;
             Hw.Mmu.unmap region.r_context.ctx_space ~vpn
-          | None -> ()
+          end
         done
       end)
     cache.c_mappings

@@ -47,7 +47,11 @@ let covered_and_missing pvm (src : cache) ~off =
     match Global_map.peek pvm h ~off:h_off with
     | Some _ -> None
     | None ->
-      if h.c_anonymous && Hashtbl.mem h.c_backed_offs h_off then None
+      if
+        h.c_anonymous
+        && Hashtbl.length h.c_backed_offs > 0
+        && Hashtbl.mem h.c_backed_offs h_off
+      then None
       else Some (h, h_off))
 
 let is_covered src ~off = covering_history src ~off <> None

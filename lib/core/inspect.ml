@@ -84,17 +84,16 @@ let pp_context ppf (ctx : context) =
   Format.fprintf ppf "@[<v>context %d:@," ctx.ctx_id;
   List.iter
     (fun (r : region) ->
+      let base = r.r_addr / ps in
+      let mapped = ref [] in
+      Hw.Mmu.iter_range ctx.ctx_space ~vpn:base ~count:(r.r_size / ps)
+        (fun ~vpn frame prot -> mapped := (vpn - base, frame, prot) :: !mapped);
       let mapped =
-        List.concat
-          (List.init (r.r_size / ps) (fun i ->
-               let vpn = (r.r_addr / ps) + i in
-               match Hw.Mmu.query ctx.ctx_space ~vpn with
-               | Some (frame, prot) ->
-                 [
-                   Printf.sprintf "v%d->f%d(%s)" i frame.Hw.Phys_mem.index
-                     (Hw.Prot.to_string prot);
-                 ]
-               | None -> []))
+        List.map
+          (fun (i, frame, prot) ->
+            Printf.sprintf "v%d->f%d(%s)" i frame.Hw.Phys_mem.index
+              (Hw.Prot.to_string prot))
+          (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !mapped)
       in
       Format.fprintf ppf "  region @%x +%dK %a cache=%d@%d  [%s]@," r.r_addr
         (r.r_size / 1024) Hw.Prot.pp r.r_prot r.r_cache.c_id

@@ -15,9 +15,13 @@ let unregister_page pvm (page : page) =
   note_frames pvm;
   pvm.page_of_frame.(page.p_frame.Hw.Phys_mem.index) <- None
 
-let page_at_frame pvm (frame : Hw.Phys_mem.frame) =
+let page_at_index pvm i =
   note_frames ~write:false pvm;
-  pvm.page_of_frame.(frame.Hw.Phys_mem.index)
+  pvm.page_of_frame.(i)
+
+let mapped_page pvm (region : region) ~vpn =
+  let i = Hw.Mmu.mapped_frame_index region.r_context.ctx_space ~vpn in
+  if i < 0 then None else page_at_index pvm i
 
 let is_borrowed (page : page) (region : region) =
   not (region.r_cache == page.p_cache)
@@ -51,16 +55,15 @@ let[@chorus.hot] [@chorus.alloc_ok
   with_mm pvm @@ fun () ->
   (* Replacing another page's entry: retire its pmap record so a later
      teardown of that page does not unmap us. *)
-  (match Hw.Mmu.query region.r_context.ctx_space ~vpn with
-  | Some (old_frame, _) when old_frame.Hw.Phys_mem.index <> page.p_frame.Hw.Phys_mem.index -> (
-    match page_at_frame pvm old_frame with
-    | Some old_page ->
-      old_page.p_mappings <-
-        List.filter
-          (fun ((r : region), v) -> not (r == region && v = vpn))
-          old_page.p_mappings
-    | None -> ())
-  | Some _ | None -> ());
+  let old = Hw.Mmu.mapped_frame_index region.r_context.ctx_space ~vpn in
+  (if old >= 0 && old <> page.p_frame.Hw.Phys_mem.index then
+     match page_at_index pvm old with
+     | Some old_page ->
+       old_page.p_mappings <-
+         List.filter
+           (fun ((r : region), v) -> not (r == region && v = vpn))
+           old_page.p_mappings
+     | None -> ());
   let prot = effective_prot page region in
   charge pvm Hw.Cost.Mmu_map;
   Hw.Mmu.map region.r_context.ctx_space ~vpn page.p_frame prot;

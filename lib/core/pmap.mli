@@ -7,7 +7,11 @@
 
 val register_page : Types.pvm -> Types.page -> unit
 val unregister_page : Types.pvm -> Types.page -> unit
-val page_at_frame : Types.pvm -> Hw.Phys_mem.frame -> Types.page option
+val page_at_index : Types.pvm -> int -> Types.page option
+(** The page registered on the frame of this index. *)
+
+val mapped_page : Types.pvm -> Types.region -> vpn:int -> Types.page option
+(** The page whose frame the region's context maps at [vpn]. *)
 
 val is_borrowed : Types.page -> Types.region -> bool
 (** A mapping of a page into a region of a different cache (a child

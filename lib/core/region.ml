@@ -42,14 +42,16 @@ let[@chorus.guarded
   cache.c_mappings <- region :: cache.c_mappings;
   region
 
-let vpns_of pvm (region : region) =
+(* Calls [f] on the page of every mapped entry of [region] — a walk
+   over mapped entries, not over the region's pages.  [f] must not
+   edit the context's MMU. *)
+let iter_mapped pvm (region : region) f =
   let ps = page_size pvm in
-  List.init (region.r_size / ps) (fun i -> (region.r_addr / ps) + i)
-
-let mapped_page_at pvm (region : region) ~vpn =
-  match Hw.Mmu.query region.r_context.ctx_space ~vpn with
-  | None -> None
-  | Some (frame, _) -> Pmap.page_at_frame pvm frame
+  Hw.Mmu.iter_range region.r_context.ctx_space ~vpn:(region.r_addr / ps)
+    ~count:(region.r_size / ps) (fun ~vpn frame _ ->
+      match Pmap.page_at_index pvm frame.Hw.Phys_mem.index with
+      | Some page -> f page ~vpn
+      | None -> ())
 
 (* region.split (Table 2): cut a region in two at [offset] bytes from
    its start.  Splitting never occurs spontaneously, so upper layers
@@ -85,31 +87,29 @@ let[@chorus.guarded
   region.r_cache.c_mappings <- right :: region.r_cache.c_mappings;
   (* Re-label the pmap records of mappings now belonging to the right
      half. *)
-  List.iter
-    (fun vpn ->
-      match mapped_page_at pvm right ~vpn with
-      | None -> ()
-      | Some page ->
-        Pmap.drop_mapping page region ~vpn;
-        page.p_mappings <- (right, vpn) :: page.p_mappings)
-    (vpns_of pvm right);
+  iter_mapped pvm right (fun page ~vpn ->
+      Pmap.drop_mapping page region ~vpn;
+      page.p_mappings <- (right, vpn) :: page.p_mappings);
   right
 
 (* region.setProtection (Table 2): change the hardware protection of
-   the whole region. *)
+   the whole region.  A charge is a scheduling point, so the walk
+   probes every vpn in ascending order: an entry another fibre maps
+   during a charge is still re-protected. *)
 let set_protection pvm (region : region) prot =
   check_region_alive region;
   spanned pvm "regionSetProtection" @@ fun () ->
   region.r_prot <- prot;
-  List.iter
-    (fun vpn ->
-      match mapped_page_at pvm region ~vpn with
-      | None -> ()
-      | Some page ->
-        charge pvm Hw.Cost.Mmu_protect;
-        Hw.Mmu.protect region.r_context.ctx_space ~vpn
-          (Pmap.effective_prot page region))
-    (vpns_of pvm region)
+  let ps = page_size pvm in
+  let vpn0 = region.r_addr / ps in
+  for vpn = vpn0 to vpn0 + (region.r_size / ps) - 1 do
+    match Pmap.mapped_page pvm region ~vpn with
+    | None -> ()
+    | Some page ->
+      charge pvm Hw.Cost.Mmu_protect;
+      Hw.Mmu.protect region.r_context.ctx_space ~vpn
+        (Pmap.effective_prot page region)
+  done
 
 (* region.lockInMemory (Table 2): resolve every fault the region could
    take and pin the pages, guaranteeing access without faults and
@@ -118,29 +118,25 @@ let lock_in_memory pvm (region : region) =
   check_region_alive region;
   let access = if Hw.Prot.allows region.r_prot `Write then `Write else `Read in
   let ps = page_size pvm in
-  List.iter
-    (fun vpn ->
-      let addr = vpn * ps in
-      (match Hw.Mmu.translate region.r_context.ctx_space ~addr ~access with
-      | Ok _ -> ()
-      | Error _ -> Fault.handle pvm region.r_context ~addr ~access);
-      match mapped_page_at pvm region ~vpn with
-      | Some page -> page.p_wire_count <- page.p_wire_count + 1
-      | None -> assert false)
-    (vpns_of pvm region);
+  let vpn0 = region.r_addr / ps in
+  for vpn = vpn0 to vpn0 + (region.r_size / ps) - 1 do
+    let addr = vpn * ps in
+    (match Hw.Mmu.translate region.r_context.ctx_space ~addr ~access with
+    | Ok _ -> ()
+    | Error _ -> Fault.handle pvm region.r_context ~addr ~access);
+    match Pmap.mapped_page pvm region ~vpn with
+    | Some page -> page.p_wire_count <- page.p_wire_count + 1
+    | None -> assert false
+  done;
   region.r_locked <- true
 
 (* region.unlock (Table 2): faults may occur again. *)
 let unlock pvm (region : region) =
   check_region_alive region;
   if region.r_locked then begin
-    List.iter
-      (fun vpn ->
-        match mapped_page_at pvm region ~vpn with
-        | Some page when page.p_wire_count > 0 ->
-          page.p_wire_count <- page.p_wire_count - 1
-        | Some _ | None -> ())
-      (vpns_of pvm region);
+    iter_mapped pvm region (fun page ~vpn:_ ->
+        if page.p_wire_count > 0 then
+          page.p_wire_count <- page.p_wire_count - 1);
     region.r_locked <- false
   end
 
@@ -156,8 +152,11 @@ let status (region : region) =
   }
 
 (* region.destroy (Table 2): unmap the cache window.  Destruction
-   invalidates the whole virtual range, so unlike creation its cost
-   grows (mildly) with the region size (§5.3.2). *)
+   invalidates the whole virtual range, so unlike creation its
+   simulated cost grows (mildly) with the region size (§5.3.2): the
+   charge is per page of the region.  The host work follows mapped
+   pages only — the pmap records and PTEs are found by walking the
+   mapped entries, not every page of the range. *)
 let[@chorus.guarded
      "region mapping edits run on the owning process's serial-class \
       fibres; parallel slices fault on regions already mapped and only \
@@ -169,12 +168,7 @@ let[@chorus.guarded
   charge pvm Hw.Cost.Region_destroy;
   let ps = page_size pvm in
   charge_span pvm Hw.Cost.Invalidate_page (pvm.cost.t_invalidate_page * (region.r_size / ps));
-  List.iter
-    (fun vpn ->
-      match mapped_page_at pvm region ~vpn with
-      | Some page -> Pmap.drop_mapping page region ~vpn
-      | None -> ())
-    (vpns_of pvm region);
+  iter_mapped pvm region (fun page ~vpn -> Pmap.drop_mapping page region ~vpn);
   ignore
     (Hw.Mmu.invalidate_range region.r_context.ctx_space
        ~vpn:(region.r_addr / ps) ~count:(region.r_size / ps));

@@ -49,9 +49,5 @@ val status : Types.region -> status
 val destroy : Types.pvm -> Types.region -> unit
 (** region.destroy: unmap the window.  Unlike creation, destruction
     invalidates the virtual range, so its cost grows mildly with the
-    region size (§5.3.2). *)
-
-(**/**)
-
-val vpns_of : Types.pvm -> Types.region -> int list
-val mapped_page_at : Types.pvm -> Types.region -> vpn:int -> Types.page option
+    region size (§5.3.2); its host cost follows the mapped pages
+    only. *)

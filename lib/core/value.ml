@@ -14,7 +14,9 @@ type located =
   | `Zero  (* anonymous, never written: zero-filled *) ]
 
 let has_swapped (cache : cache) ~off =
-  cache.c_anonymous && Hashtbl.mem cache.c_backed_offs off
+  cache.c_anonymous
+  && Hashtbl.length cache.c_backed_offs > 0
+  && Hashtbl.mem cache.c_backed_offs off
 
 let[@chorus.hot] [@chorus.alloc_ok
      "the located sum is the function's result type: one word per \

@@ -145,7 +145,16 @@ let create ?(domains = 0) () =
   {
     now = Sim_time.zero;
     seq = 0;
-    queue = Pqueue.create ~cmp:cmp_task;
+    queue =
+      Pqueue.create ~cmp:cmp_task
+        ~filler:
+          {
+            time = Sim_time.zero;
+            seq = 0;
+            daemon = true;
+            fib = 0;
+            run = ignore;
+          };
     live = 0;
     live_tasks = 0;
     cur_fib = 0;

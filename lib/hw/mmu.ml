@@ -1,26 +1,63 @@
 type t = { page_size : int }
 
-type entry = { mutable frame : Phys_mem.frame; mutable prot : Prot.t }
+type fault = Unmapped | Protection
+type access = [ `Read | `Write | `Execute ]
+
+(* A page-table entry.  [found] and [ok] are the very blocks [query]
+   and [translate] return on a hit, built when the entry is mapped (and
+   re-protected, for [found]), so a lookup allocates nothing. *)
+type pte = {
+  vpn : int;
+  mutable found : (Phys_mem.frame * Prot.t) option;
+  mutable ok : (Phys_mem.frame, fault) result;
+}
+
+(* The page table: open addressing with linear probing, power-of-two
+   capacity and load <= 1/2.  A slot holds its entry, or [free].  A
+   resize publishes a fresh [table]; the slots array of one table never
+   changes length. *)
+type table = {
+  slots : pte array;
+  mask : int;
+  shift : int;  (* the hash keeps the top [63 - shift] bits *)
+}
 
 type space = {
   mmu : t;
-  table : (int, entry) Hashtbl.t;
+  mutable tab : table;
+  mutable size : int;
   mutable alive : bool;
 }
 
-type fault = Unmapped | Protection
-type access = [ `Read | `Write | `Execute ]
+let unmapped = Error Unmapped
+let protection = Error Protection
+
+(* The free slot.  Recognised by identity and never written: writes go
+   only to slots a probe found holding their vpn. *)
+let free = { vpn = min_int; found = None; ok = unmapped }
+let initial_bits = 4
 
 let create ~page_size =
   if page_size <= 0 then invalid_arg "Mmu.create: page_size <= 0";
   { page_size }
 
 let page_size t = t.page_size
-let create_space mmu = { mmu; table = Hashtbl.create 64; alive = true }
+
+let make_table bits =
+  let cap = 1 lsl bits in
+  { slots = Array.make cap free; mask = cap - 1; shift = Sys.int_size - bits }
+
+let create_space mmu =
+  { mmu; tab = make_table initial_bits; size = 0; alive = true }
+
+(* A destroyed space's table: one free slot, never written (every
+   mutation checks [alive] first). *)
+let dead = make_table 0
 
 let destroy_space space =
   space.alive <- false;
-  Hashtbl.reset space.table
+  space.tab <- dead;
+  space.size <- 0
 
 let check_alive space =
   if not space.alive then invalid_arg "Mmu: space destroyed"
@@ -28,51 +65,174 @@ let check_alive space =
 let vpn_of_addr t addr = addr / t.page_size
 let page_base t ~vpn = vpn * t.page_size
 
+(* Multiplicative (Fibonacci) hashing: the top bits of [vpn * odd
+   constant], so the pages of regions whose bases agree modulo the
+   capacity still spread over the table. *)
+let[@inline] home tab vpn = (vpn * 0x278DDE6E5FD29F05) lsr tab.shift
+
+(* The slot holding [vpn], or [lnot i] (negative) where [i] is the
+   free slot that ends its probe run. *)
+let[@chorus.hot] rec probe tab vpn i =
+  let e = tab.slots.(i) in
+  if e == free then lnot i
+  else if e.vpn = vpn then i
+  else probe tab vpn ((i + 1) land tab.mask)
+
+let[@chorus.hot] find tab vpn = probe tab vpn (home tab vpn)
+
+let mapped_pages space = space.size
+
+(* --- mutation (under the owner's mm-lock) --------------------------- *)
+
+let grow space =
+  let old = space.tab.slots in
+  let nt = make_table (Sys.int_size - space.tab.shift + 1) in
+  Array.iter
+    (fun e -> if e != free then nt.slots.(lnot (find nt e.vpn)) <- e)
+    old;
+  space.tab <- nt
+
 let map space ~vpn frame prot =
   check_alive space;
-  match Hashtbl.find_opt space.table vpn with
-  | Some e ->
-    e.frame <- frame;
-    e.prot <- prot
-  | None -> Hashtbl.replace space.table vpn { frame; prot }
+  let i = find space.tab vpn in
+  if i >= 0 then begin
+    let e = space.tab.slots.(i) in
+    match e.found with
+    | Some (f, p) when f == frame ->
+      if not (Prot.equal p prot) then e.found <- Some (frame, prot)
+    | Some _ | None ->
+      e.found <- Some (frame, prot);
+      e.ok <- Ok frame
+  end
+  else begin
+    if 2 * (space.size + 1) > Array.length space.tab.slots then grow space;
+    let tab = space.tab in
+    tab.slots.(lnot (find tab vpn)) <-
+      { vpn; found = Some (frame, prot); ok = Ok frame };
+    space.size <- space.size + 1
+  end
+
+(* Backward-shift deletion: free [hole], then walk its probe run and
+   move back every entry whose home does not lie cyclically in
+   (hole, j] — the entry would otherwise be cut off from its home by
+   the new free slot. *)
+let rec close_hole tab hole j =
+  let e = tab.slots.(j) in
+  if e == free then tab.slots.(hole) <- free
+  else
+    let next = (j + 1) land tab.mask in
+    if (j - home tab e.vpn) land tab.mask >= (j - hole) land tab.mask then begin
+      tab.slots.(hole) <- e;
+      close_hole tab j next
+    end
+    else close_hole tab hole next
+
+let remove_slot space i =
+  close_hole space.tab i ((i + 1) land space.tab.mask);
+  space.size <- space.size - 1
 
 let unmap space ~vpn =
   check_alive space;
-  Hashtbl.remove space.table vpn
+  let i = find space.tab vpn in
+  if i >= 0 then remove_slot space i
 
 let protect space ~vpn prot =
   check_alive space;
-  match Hashtbl.find_opt space.table vpn with
-  | Some e -> e.prot <- prot
-  | None -> invalid_arg "Mmu.protect: page not mapped"
+  let i = find space.tab vpn in
+  if i < 0 then invalid_arg "Mmu.protect: page not mapped";
+  let e = space.tab.slots.(i) in
+  match e.found with
+  | Some (frame, p) when not (Prot.equal p prot) ->
+    e.found <- Some (frame, prot)
+  | Some _ | None -> ()
 
-let query space ~vpn =
-  match Hashtbl.find_opt space.table vpn with
-  | Some e -> Some (e.frame, e.prot)
-  | None -> None
-
-let translate space ~addr ~access =
-  check_alive space;
-  let vpn = vpn_of_addr space.mmu addr in
-  match Hashtbl.find_opt space.table vpn with
-  | None -> Error Unmapped
-  | Some e -> if Prot.allows e.prot access then Ok e.frame else Error Protection
+(* Slot-order scan deleting every vpn in [vpn, vpn+count).  A deletion
+   back-shifts later entries into slot [i], so [i] is examined again
+   before moving on; entries shifted across the wrap into the table's
+   tail were already examined once and are simply seen twice. *)
+let rec scan_remove space ~vpn ~count i removed =
+  if i >= Array.length space.tab.slots then removed
+  else
+    let e = space.tab.slots.(i) in
+    if e != free && e.vpn >= vpn && e.vpn - vpn < count then begin
+      remove_slot space i;
+      scan_remove space ~vpn ~count i (removed + 1)
+    end
+    else scan_remove space ~vpn ~count (i + 1) removed
 
 let invalidate_range space ~vpn ~count =
   check_alive space;
-  let removed = ref 0 in
-  for p = vpn to vpn + count - 1 do
-    if Hashtbl.mem space.table p then begin
-      Hashtbl.remove space.table p;
-      incr removed
-    end
-  done;
-  !removed
+  if count > Array.length space.tab.slots then scan_remove space ~vpn ~count 0 0
+  else begin
+    let removed = ref 0 in
+    for p = vpn to vpn + count - 1 do
+      let i = find space.tab p in
+      if i >= 0 then begin
+        remove_slot space i;
+        incr removed
+      end
+    done;
+    !removed
+  end
 
-let mapped_pages space = Hashtbl.length space.table
+(* --- lookup (allocation-free) --------------------------------------- *)
+
+let query space ~vpn =
+  let tab = space.tab in
+  let i = find tab vpn in
+  if i < 0 then None else tab.slots.(i).found
+
+let[@chorus.hot] mapped_frame_index space ~vpn =
+  let tab = space.tab in
+  let i = find tab vpn in
+  if i < 0 then -1
+  else
+    match tab.slots.(i).found with
+    | Some (frame, _) -> frame.Phys_mem.index
+    | None -> -1
+
+let[@chorus.hot] translate space ~addr ~access =
+  check_alive space;
+  let tab = space.tab in
+  let i = find tab (vpn_of_addr space.mmu addr) in
+  if i < 0 then unmapped
+  else
+    let e = tab.slots.(i) in
+    match e.found with
+    | Some (_, prot) when Prot.allows prot access -> e.ok
+    | Some _ -> protection
+    | None -> unmapped
+
+let[@chorus.hot] iter_range space ~vpn ~count f =
+  let tab = space.tab in
+  if count > Array.length tab.slots then
+    for i = 0 to Array.length tab.slots - 1 do
+      let e = tab.slots.(i) in
+      if e != free && e.vpn >= vpn && e.vpn - vpn < count then
+        match e.found with
+        | Some (frame, prot) -> f ~vpn:e.vpn frame prot
+        | None -> ()
+    done
+  else
+    for p = vpn to vpn + count - 1 do
+      let i = find tab p in
+      if i >= 0 then
+        match tab.slots.(i).found with
+        | Some (frame, prot) -> f ~vpn:p frame prot
+        | None -> ()
+    done
 
 let iter space f =
-  Hashtbl.iter (fun vpn e -> f ~vpn e.frame e.prot) space.table
+  let entries = ref [] in
+  Array.iter
+    (fun e ->
+      match e.found with
+      | Some (frame, prot) -> entries := (e.vpn, frame, prot) :: !entries
+      | None -> ())
+    space.tab.slots;
+  List.iter
+    (fun (vpn, frame, prot) -> f ~vpn frame prot)
+    (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !entries)
 
 let pp_fault ppf = function
   | Unmapped -> Format.pp_print_string ppf "unmapped"

@@ -1,10 +1,32 @@
 (** Simulated memory-management unit.
 
     One {!space} per protected address space (paper "context").  The
-    page table is sparse (a hash of virtual page number to entry), so
-    the structure size depends on mapped pages only — matching the
-    paper's requirement that management structures not scale with the
-    size of the address space (§4.1).
+    page table is sparse, so the structure size depends on mapped pages
+    only — matching the paper's requirement that management structures
+    not scale with the size of the address space (§4.1).
+
+    {b The table.}  An open-addressing hash table over int vpns: one
+    array of entry pointers, linear probing, power-of-two capacity at
+    load at most ½, backward-shift deletion (no tombstones).  A new
+    space starts with 16 slots; the capacity doubles as pages are
+    mapped and follows the peak number of mapped pages (it is released
+    by {!destroy_space}).  One array rather than parallel key and value
+    arrays keeps a growing table to one fresh block per doubling.
+
+    {b Cost per operation.}  [translate], [query], [mapped_frame_index],
+    [map], [unmap] and [protect] are one expected-O(1) probe of int
+    keys — no polymorphic hash or compare.  A [translate] or [query]
+    hit allocates nothing: both return blocks stored in the entry when
+    it was mapped (or re-protected).  [iter_range] and
+    [invalidate_range] cost at most [min count capacity] slots, so
+    tearing down a huge, sparsely mapped range costs what is mapped.
+    [iter] sorts and is meant for inspection only.
+
+    {b Concurrency.}  Every mutation ([map], [unmap], [protect],
+    [invalidate_range], [destroy_space]) runs under the owning memory
+    manager's lock.  [translate] and the other lookups take no lock;
+    they are safe only for a space that one engine lane uses at a time,
+    so that no mutation of the same space runs concurrently.
 
     [translate] is the hardware walk: it either yields the frame or
     reports the fault a real MMU would raise; the memory manager above
@@ -44,17 +66,37 @@ val protect : space -> vpn:int -> Prot.t -> unit
     @raise Invalid_argument if [vpn] is not mapped. *)
 
 val query : space -> vpn:int -> (Phys_mem.frame * Prot.t) option
+(** The PTE for [vpn]; allocates nothing. *)
+
+val mapped_frame_index : space -> vpn:int -> int
+(** Index of the frame [vpn] maps, or [-1] when unmapped; allocates
+    nothing. *)
 
 val translate :
   space -> addr:int -> access:access -> (Phys_mem.frame, fault) result
+(** The hardware walk; allocates nothing. *)
 
 val invalidate_range : space -> vpn:int -> count:int -> int
 (** Removes all PTEs in [vpn, vpn+count); returns how many entries
-    were actually removed.  Used at region destruction. *)
+    were actually removed.  Costs at most [min count capacity] slots.
+    Used at region destruction. *)
+
+val iter_range :
+  space ->
+  vpn:int ->
+  count:int ->
+  (vpn:int -> Phys_mem.frame -> Prot.t -> unit) ->
+  unit
+(** Calls the function on every PTE in [vpn, vpn+count), at a cost of
+    at most [min count capacity] slots.  Ascending vpn order when
+    [count] is at most the capacity, table order otherwise.  The
+    function must not mutate the space. *)
 
 val mapped_pages : space -> int
 (** Number of PTEs currently installed. *)
 
 val iter : space -> (vpn:int -> Phys_mem.frame -> Prot.t -> unit) -> unit
+(** Calls the function on every PTE in ascending vpn order, over a
+    snapshot taken first (so the function may mutate the space). *)
 
 val pp_fault : Format.formatter -> fault -> unit

@@ -6,7 +6,10 @@
 
 type 'a t
 
-val create : cmp:('a -> 'a -> int) -> 'a t
+val create : cmp:('a -> 'a -> int) -> filler:'a -> 'a t
+(** [filler] occupies the vacated slots, so a popped element is no
+    longer reachable from the heap. *)
+
 val is_empty : 'a t -> bool
 val length : 'a t -> int
 val push : 'a t -> 'a -> unit

@@ -22,7 +22,8 @@ let intersect a b =
     write = a.write && b.write;
     execute = a.execute && b.execute }
 
-let equal a b = a = b
+let equal a b =
+  a.read = b.read && a.write = b.write && a.execute = b.execute
 
 let to_string t =
   let c b ch = if b then ch else '-' in

@@ -7,10 +7,11 @@
    alternative GMI implementations (shadow, minimal) only charge, so
    only the charge discipline applies.  lib/hw and lib/obs are the
    mechanisms the disciplines are built from and are mostly out of
-   scope — except obs/trace.ml and obs/cells.ml, whose per-domain
-   recording fast paths run inside every parallel slice and therefore
-   carry the charge and hot-allocation disciplines ([@chorus.hot]
-   ring/shard/cell writers).
+   scope — except the hot files: obs/trace.ml and obs/cells.ml, whose
+   per-domain recording fast paths run inside every parallel slice,
+   and hw/mmu.ml, whose page-table walk runs on every mapped access.
+   They carry the charge and hot-allocation disciplines ([@chorus.hot]
+   ring/shard/cell writers, the allocation-free translation).
 
    Baseline: findings are aggregated by stable key (rule, file,
    enclosing binding, detail) and compared against the committed
@@ -24,11 +25,11 @@
 let engine_task_libs = [ "core"; "seg"; "nucleus"; "mix"; "dsm"; "check" ]
 let charge_only_libs = [ "shadow"; "minimal" ]
 
-(* The lib/obs files in scope: the domain-sharded trace fast path and
-   the per-domain cell rows every parallel slice writes (see the
-   header comment). *)
-let obs_hot_files = [ "trace.ml"; "cells.ml" ]
-let scanned_libs = engine_task_libs @ charge_only_libs @ [ "obs" ]
+(* The (library, file) pairs of lib/obs and lib/hw in scope: the
+   domain-sharded trace fast path, the per-domain cell rows every
+   parallel slice writes, and the MMU page table (see the header
+   comment). *)
+let hot_files = [ ("obs", "trace.ml"); ("obs", "cells.ml"); ("hw", "mmu.ml") ]
 
 (* "…/lib/core/cache.ml" -> Some ("core", "lib/core/cache.ml") *)
 let split_lib_path path =
@@ -46,7 +47,7 @@ let rules_for ~lib ~basename =
   if List.mem lib engine_task_libs then
     [ Finding.L1; Finding.L2; Finding.L3; Finding.L4 ] @ l5
   else if List.mem lib charge_only_libs then [ Finding.L3; Finding.L4 ]
-  else if lib = "obs" && List.mem basename obs_hot_files then
+  else if List.mem (lib, basename) hot_files then
     [ Finding.L3; Finding.L4 ]
   else []
 

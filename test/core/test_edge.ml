@@ -252,6 +252,75 @@ let test_destroy_scales_with_cache () =
           words resident stubs base)
     [ (2000, 0); (0, 50); (2000, 50) ]
 
+(* regionDestroy's host work follows the mapped pages, not the region
+   size: tearing down a 2^20-page region with 3 mapped pages drops
+   exactly those pmap records (a second context mapping one of the
+   same pages keeps its own) and allocates next to nothing. *)
+let test_region_destroy_costs_what_is_mapped () =
+  with_pvm ~frames:16 (fun pvm ->
+      let npages = 1 lsl 20 in
+      let cache = Core.Cache.create pvm () in
+      let ctx = Core.Context.create pvm in
+      let other = Core.Context.create pvm in
+      let big =
+        Core.Region.create pvm ctx ~addr:0 ~size:(npages * ps)
+          ~prot:Hw.Prot.read_write cache ~offset:0
+      in
+      let small =
+        Core.Region.create pvm other ~addr:0 ~size:ps ~prot:Hw.Prot.read_write
+          cache ~offset:0
+      in
+      let vpns = [ 0; npages / 2; npages - 1 ] in
+      List.iter
+        (fun vpn ->
+          Core.Pvm.write pvm ctx ~addr:(vpn * ps) (Bytes.of_string "x"))
+        vpns;
+      ignore (Core.Pvm.read pvm other ~addr:0 ~len:1);
+      let pages =
+        List.map
+          (fun vpn ->
+            match Core.Pmap.mapped_page pvm big ~vpn with
+            | Some page -> page
+            | None -> Alcotest.failf "vpn %d not mapped" vpn)
+          vpns
+      in
+      let records () =
+        List.map
+          (fun (p : Core.Types.page) ->
+            List.map
+              (fun ((r : Core.Types.region), vpn) -> (r.r_id, vpn))
+              p.p_mappings)
+          pages
+      in
+      Alcotest.(check (list (list (pair int int))))
+        "pmap records before"
+        [
+          [ (small.r_id, 0); (big.r_id, 0) ];
+          [ (big.r_id, npages / 2) ];
+          [ (big.r_id, npages - 1) ];
+        ]
+        (records ());
+      let allocated () =
+        let minor, promoted, major = Gc.counters () in
+        minor +. major -. promoted
+      in
+      let before = allocated () in
+      Core.Region.destroy pvm big;
+      let words = allocated () -. before in
+      Alcotest.(check (list (list (pair int int))))
+        "only the destroyed region's records dropped"
+        [ [ (small.r_id, 0) ]; []; [] ]
+        (records ());
+      Alcotest.(check int) "its PTEs are gone" 0
+        (Hw.Mmu.mapped_pages ctx.ctx_space);
+      Alcotest.(check int) "the other context keeps its PTE" 1
+        (Hw.Mmu.mapped_pages other.ctx_space);
+      if words >= 1000. then
+        Alcotest.failf "destroying a 2^20-page region allocated %.0f words"
+          words;
+      Alcotest.(check (list string)) "invariants" []
+        (Core.Pvm.check_invariant pvm))
+
 (* Copying onto one of the source's own ancestors must not defer: the
    cycle check follows per-page stub edges too.  [b] reads [a]'s page
    through a stub, so a small aligned copy from [b] back into [a] takes
@@ -426,6 +495,8 @@ let tests =
     Alcotest.test_case "zombie collection" `Quick test_zombie_collection;
     Alcotest.test_case "destroy scales with the dying cache" `Quick
       test_destroy_scales_with_cache;
+    Alcotest.test_case "region destroy costs what is mapped" `Quick
+      test_region_destroy_costs_what_is_mapped;
     Alcotest.test_case "copy onto a stub ancestor is eager" `Quick
       test_copy_onto_stub_ancestor_is_eager;
     Alcotest.test_case "copy-on-reference shifted" `Quick test_cor_shifted;

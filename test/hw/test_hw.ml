@@ -5,7 +5,7 @@
 (* --- Pqueue --------------------------------------------------------- *)
 
 let test_pqueue_orders () =
-  let h = Hw.Pqueue.create ~cmp:compare in
+  let h = Hw.Pqueue.create ~cmp:compare ~filler:0 in
   List.iter (Hw.Pqueue.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
   let out = List.init (Hw.Pqueue.length h) (fun _ -> Hw.Pqueue.pop h) in
   Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] out;
@@ -15,7 +15,7 @@ let prop_pqueue =
   QCheck.Test.make ~count:300 ~name:"pqueue = sorted"
     QCheck.(list int)
     (fun xs ->
-      let h = Hw.Pqueue.create ~cmp:compare in
+      let h = Hw.Pqueue.create ~cmp:compare ~filler:0 in
       List.iter (Hw.Pqueue.push h) xs;
       let out = List.init (List.length xs) (fun _ -> Hw.Pqueue.pop h) in
       out = List.sort compare xs)
@@ -52,6 +52,27 @@ let test_engine_deterministic () =
     !log
   in
   Alcotest.(check (list int)) "two runs identical" (run ()) (run ())
+
+(* A finished fibre is garbage once [run] returns: the event heap
+   must not keep its task — and everything the closure captured —
+   reachable from a vacated slot. *)
+let test_engine_releases_finished () =
+  let engine = Hw.Engine.create () in
+  let w = Weak.create 1 in
+  let[@inline never] run_holder () =
+    let buf = Bytes.make 100_000 'x' in
+    Weak.set w 0 (Some buf);
+    Hw.Engine.run engine (fun () ->
+        Hw.Engine.spawn engine (fun () ->
+            Hw.Engine.sleep 5;
+            ignore (Sys.opaque_identity (Bytes.length buf))))
+  in
+  run_holder ();
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "captured buffer collected" true
+    (Option.is_none (Weak.get w 0));
+  ignore (Sys.opaque_identity engine)
 
 let test_engine_ties_fifo () =
   let engine = Hw.Engine.create () in
@@ -685,6 +706,203 @@ let test_mmu_translate () =
     (Hw.Mmu.invalidate_range space ~vpn:0 ~count:8);
   Alcotest.(check int) "nothing mapped" 0 (Hw.Mmu.mapped_pages space)
 
+(* Model test: the page table against a [Map.Make (Int)] reference.
+   Page size 1 makes an address its vpn, so [translate] covers every
+   key.  The vpn mix stresses the open-addressing table: a dense
+   window (long probe runs, wrap-around, deletes inside a run), region-
+   like sequential runs at far-apart bases, sparse huge and negative
+   vpns, and enough maps to grow the table from its initial size. *)
+module IM = Map.Make (Int)
+
+type mmu_op =
+  | Map of int * int * int  (** vpn, frame, protection *)
+  | Unmap of int
+  | Protect of int * int
+  | Query of int
+  | Translate of int * Hw.Mmu.access
+  | Invalidate of int * int  (** vpn, count *)
+  | Iter_range of int * int
+  | Iter
+
+let prots = Hw.Prot.[| none; read_only; read_write; read_execute; all |]
+let nframes = 8
+
+let gen_vpn =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range 0 47);
+        (3, map2 (fun b i -> (b lsl 30) + i) (int_range 0 3) (int_range 0 99));
+        (1, int_range (-8) (-1));
+        (1, map (fun x -> x lsl 20) (int_range 1 (1 lsl 40)));
+      ])
+
+let gen_count =
+  QCheck.Gen.(
+    frequency
+      [ (4, int_range 0 64); (1, int_range 65 4096); (1, return (1 lsl 40)) ])
+
+let gen_mmu_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          map3
+            (fun v f p -> Map (v, f, p))
+            gen_vpn (int_bound (nframes - 1))
+            (int_bound (Array.length prots - 1)) );
+        (3, map (fun v -> Unmap v) gen_vpn);
+        ( 1,
+          map2
+            (fun v p -> Protect (v, p))
+            gen_vpn
+            (int_bound (Array.length prots - 1)) );
+        (2, map (fun v -> Query v) gen_vpn);
+        ( 2,
+          map2
+            (fun v a -> Translate (v, a))
+            gen_vpn
+            (oneofl [ `Read; `Write; `Execute ]) );
+        (1, map2 (fun v c -> Invalidate (v, c)) gen_vpn gen_count);
+        (1, map2 (fun v c -> Iter_range (v, c)) gen_vpn gen_count);
+        (1, return Iter);
+      ])
+
+let pp_mmu_op = function
+  | Map (v, f, p) -> Printf.sprintf "map %d f%d p%d" v f p
+  | Unmap v -> Printf.sprintf "unmap %d" v
+  | Protect (v, p) -> Printf.sprintf "protect %d p%d" v p
+  | Query v -> Printf.sprintf "query %d" v
+  | Translate (v, _) -> Printf.sprintf "translate %d" v
+  | Invalidate (v, c) -> Printf.sprintf "invalidate %d+%d" v c
+  | Iter_range (v, c) -> Printf.sprintf "iter_range %d+%d" v c
+  | Iter -> "iter"
+
+let in_range ~vpn ~count k = k >= vpn && k - vpn < count
+
+let prop_mmu_model =
+  QCheck.Test.make ~count:400 ~name:"mmu = Map.Make(Int) model"
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map pp_mmu_op ops))
+        ~shrink:Shrink.list
+        Gen.(list_size (int_range 0 400) gen_mmu_op))
+    (fun ops ->
+      let mmu = Hw.Mmu.create ~page_size:1 in
+      let mem = Hw.Phys_mem.create ~page_size:1 ~frames:nframes () in
+      let frames = Array.init nframes (fun _ -> Hw.Phys_mem.alloc mem) in
+      let space = Hw.Mmu.create_space mmu in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let binding (frame : Hw.Phys_mem.frame) prot = (frame.index, prot) in
+      let sorted_bindings model ~vpn ~count =
+        IM.bindings (IM.filter (fun k _ -> in_range ~vpn ~count k) model)
+      in
+      let model =
+        List.fold_left
+          (fun model op ->
+            match op with
+            | Map (v, f, p) ->
+              Hw.Mmu.map space ~vpn:v frames.(f) prots.(p);
+              IM.add v (f, prots.(p)) model
+            | Unmap v ->
+              Hw.Mmu.unmap space ~vpn:v;
+              IM.remove v model
+            | Protect (v, p) -> (
+              match IM.find_opt v model with
+              | Some (f, _) ->
+                Hw.Mmu.protect space ~vpn:v prots.(p);
+                IM.add v (f, prots.(p)) model
+              | None -> (
+                match Hw.Mmu.protect space ~vpn:v prots.(p) with
+                | () -> fail "protect of unmapped %d accepted" v
+                | exception Invalid_argument _ -> model))
+            | Query v ->
+              let got =
+                Option.map
+                  (fun (frame, prot) -> binding frame prot)
+                  (Hw.Mmu.query space ~vpn:v)
+              in
+              if got <> IM.find_opt v model then
+                fail "query %d disagrees with the model" v;
+              let idx = Hw.Mmu.mapped_frame_index space ~vpn:v in
+              if idx <> Option.fold ~none:(-1) ~some:fst got then
+                fail "mapped_frame_index %d disagrees with query" v;
+              model
+            | Translate (v, access) ->
+              let want =
+                match IM.find_opt v model with
+                | None -> Error Hw.Mmu.Unmapped
+                | Some (f, prot) ->
+                  if Hw.Prot.allows prot access then Ok f
+                  else Error Hw.Mmu.Protection
+              in
+              let got =
+                Result.map
+                  (fun (frame : Hw.Phys_mem.frame) -> frame.index)
+                  (Hw.Mmu.translate space ~addr:v ~access)
+              in
+              if got <> want then
+                fail "translate %d disagrees with the model" v;
+              model
+            | Invalidate (vpn, count) ->
+              let gone = sorted_bindings model ~vpn ~count in
+              let removed = Hw.Mmu.invalidate_range space ~vpn ~count in
+              if removed <> List.length gone then
+                fail "invalidate_range %d+%d removed %d, model %d" vpn count
+                  removed (List.length gone);
+              List.fold_left (fun m (k, _) -> IM.remove k m) model gone
+            | Iter_range (vpn, count) ->
+              let seen = ref [] in
+              Hw.Mmu.iter_range space ~vpn ~count (fun ~vpn frame prot ->
+                  seen := (vpn, binding frame prot) :: !seen);
+              if
+                List.sort compare !seen <> sorted_bindings model ~vpn ~count
+              then fail "iter_range %d+%d disagrees with the model" vpn count;
+              model
+            | Iter ->
+              let seen = ref [] in
+              Hw.Mmu.iter space (fun ~vpn frame prot ->
+                  seen := (vpn, binding frame prot) :: !seen);
+              if List.rev !seen <> IM.bindings model then
+                fail "iter is not the model in ascending order";
+              model)
+          IM.empty ops
+      in
+      if Hw.Mmu.mapped_pages space <> IM.cardinal model then
+        fail "mapped_pages %d, model %d" (Hw.Mmu.mapped_pages space)
+          (IM.cardinal model);
+      IM.iter
+        (fun v (f, prot) ->
+          match Hw.Mmu.query space ~vpn:v with
+          | Some (frame, p) when frame.index = f && Hw.Prot.equal p prot -> ()
+          | Some _ | None -> fail "final entry %d lost or wrong" v)
+        model;
+      true)
+
+(* A hit allocates nothing: [translate] and [query] return blocks the
+   entry already holds. *)
+let test_mmu_hits_allocate_nothing () =
+  let mmu = Hw.Mmu.create ~page_size:4096 in
+  let mem = Hw.Phys_mem.create ~page_size:4096 ~frames:64 () in
+  let space = Hw.Mmu.create_space mmu in
+  for vpn = 0 to 63 do
+    Hw.Mmu.map space ~vpn:(vpn * 37) (Hw.Phys_mem.alloc mem)
+      Hw.Prot.read_only
+  done;
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let vpn = i mod 64 * 37 in
+    (match Hw.Mmu.translate space ~addr:(vpn * 4096) ~access:`Read with
+    | Ok _ -> incr hits
+    | Error _ -> ());
+    match Hw.Mmu.query space ~vpn with Some _ -> incr hits | None -> ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every lookup hit" 20_000 !hits;
+  Alcotest.(check (float 0.)) "minor words for 10k translate+query hits" 0.
+    words
+
 (* --- Prot ----------------------------------------------------------- *)
 
 let test_prot_algebra () =
@@ -714,6 +932,8 @@ let () =
           Alcotest.test_case "time and order" `Quick test_engine_time_and_order;
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic;
           Alcotest.test_case "ties FIFO" `Quick test_engine_ties_fifo;
+          Alcotest.test_case "finished tasks not retained" `Quick
+            test_engine_releases_finished;
           Alcotest.test_case "cond broadcast" `Quick test_cond_broadcast;
           Alcotest.test_case "deadlock detected" `Quick test_deadlock_detected;
           Alcotest.test_case "daemon tolerated" `Quick test_daemon_not_deadlock;
@@ -762,6 +982,12 @@ let () =
           Alcotest.test_case "4-domain hammer" `Quick
             (test_phys_mem_hammer 4);
         ] );
-      ( "mmu", [ Alcotest.test_case "translate" `Quick test_mmu_translate ] );
+      ( "mmu",
+        [
+          Alcotest.test_case "translate" `Quick test_mmu_translate;
+          Alcotest.test_case "hits allocate nothing" `Quick
+            test_mmu_hits_allocate_nothing;
+          QCheck_alcotest.to_alcotest prop_mmu_model;
+        ] );
       ( "prot", [ Alcotest.test_case "algebra" `Quick test_prot_algebra ] );
     ]

@@ -534,6 +534,37 @@ let test_shard_lock_mutation () =
       (String.concat "; "
          (List.map (Format.asprintf "%a" Lint.Finding.pp) fs))
 
+(* Mutation test #4: the MMU walk is a hot file.  Build the [Ok frame]
+   result inside the real [Mmu.translate] instead of returning the one
+   cached in the entry, and L4 must report exactly that allocation;
+   the unmutated copy stays clean. *)
+let test_mmu_alloc_mutation () =
+  let src = read_file (build_root ^ "lib/hw/mmu.ml") in
+  let needle =
+    "    | Some (_, prot) when Prot.allows prot access -> e.ok\n"
+  in
+  Alcotest.(check int) "translate's hit returns the cached result once" 1
+    (count_occurrences ~needle src);
+  let lint src =
+    lint ~includes:sandbox_includes ~flags:"-open Hw" ~rules:l4 src
+  in
+  check_keys "unmutated sandbox copy is clean" [] (lint src);
+  let mutated =
+    replace_once ~needle
+      ~by:"    | Some (frame, prot) when Prot.allows prot access -> Ok frame\n"
+      src
+  in
+  match lint mutated with
+  | [ f ] ->
+    Alcotest.(check string) "rule" "L4" (Lint.Finding.rule_name f.rule);
+    Alcotest.(check string) "the Ok block is reported" "construct-Ok" f.detail;
+    Alcotest.(check string) "scope" "translate" f.scope
+  | fs ->
+    Alcotest.failf "expected exactly the allocation finding, got %d: %s"
+      (List.length fs)
+      (String.concat "; "
+         (List.map (Format.asprintf "%a" Lint.Finding.pp) fs))
+
 let () =
   Alcotest.run "lint"
     [
@@ -592,5 +623,7 @@ let () =
             test_lock_order_mutation;
           Alcotest.test_case "dropping a shard-lock release is caught" `Quick
             test_shard_lock_mutation;
+          Alcotest.test_case "an Ok built in Mmu.translate is caught" `Quick
+            test_mmu_alloc_mutation;
         ] );
     ]
