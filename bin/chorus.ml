@@ -19,12 +19,16 @@
    interactive fig3/fork/dsm commands keep their own printing variants
    (free cost profile, N rounds, counters measured after setup).
 
-   Failure forensics: check and explore write a crash bundle
-   (Obs.Bundle, schema chorus-bundle/2) whenever a sanitizer sweep, a
-   blocking-discipline breach, the watchdog or an uncaught exception
-   kills a run; the bundle carries the engine's decision log and the
-   tail of the run's trace, and replay re-drives the recorded schedule
-   decision-for-decision and asserts the same failure reappears.
+   The checked runs behind check, explore and replay are the
+   library's (Check.Harness: engine set-up, sanitizer sweeps, failure
+   classifier, oracle judge); this file keeps argument handling,
+   printing, bundle writing and exit codes.  Failure forensics: check
+   and explore write a crash bundle (Obs.Bundle, schema
+   chorus-bundle/2) whenever a sanitizer sweep, the watchdog, a
+   deadlock or an uncaught exception kills a run; the bundle carries
+   the engine's decision log and the tail of the run's trace, and
+   replay re-drives the recorded schedule decision-for-decision and
+   asserts the same failure reappears.
 
    The full evaluation and the parallel fault-throughput sweep live in
    bench/main.exe (simulated time), host-time measurement in
@@ -244,11 +248,12 @@ let stats scenario json_out domains =
   match json_out with
   | None -> ()
   | Some file ->
-    write_file ~cmd:"stats" file
-      (Printf.sprintf "{\"schema\":\"chorus-stats/1\",\"pvms\":[%s]}\n"
-         (String.concat ","
-            (List.map (fun pvm -> Obs.Metrics.to_json (Core.Pvm.metrics pvm))
-               pvms)));
+    let json pvm = Obs.Metrics.to_json (Core.Pvm.metrics pvm) in
+    let pvms = Obs.Json.List (List.map json pvms) in
+    let doc =
+      Obs.Json.(Obj [ ("schema", Str "chorus-stats/1"); ("pvms", pvms) ])
+    in
+    write_file ~cmd:"stats" file (Obs.Json.to_string doc ^ "\n");
     Printf.printf "wrote %s\n" file
 
 (* chorus profile SCENARIO: capture a trace of the scenario, fold it
@@ -464,16 +469,13 @@ let profile scenario folded json_out =
       json_out
   end
 
-(* chorus check SCENARIO: run under the sanitizer and the
-   schedule-perturbation harness.  One reference run in spawn/wake
-   order, then one per seed under Hw.Engine.seeded_scheduler, which
-   legally permutes equal-time fibres; every run must pass the
-   quiescent invariant sweep and the §3.3.3 blocking-discipline
-   analysis of its trace, and the runs must agree as the scenario's
-   oracle demands: Schedule_independent — stats, frame-pool occupancy,
-   Inspect state and memory contents equal to the reference run's;
-   No_oracle — memory contents equal; Outcomes — every observation one
-   of the program's serializations. *)
+(* chorus check SCENARIO: one FIFO reference run, then one per seed
+   under a seeded scheduler that legally permutes equal-time fibres,
+   each a Check.Harness run (quiescent sweep, tracer, watchdog, and
+   with --every-event the per-event structural sweep).  A run that ends
+   in a failure is bundled; every run must pass the blocking-discipline
+   analysis of its trace and Check.Harness.judge against the FIFO run.
+   Exit 1 = a violation, 2 = the harness itself broke (a "crash"). *)
 let check scenario seeds every_event bundle_dir =
   let seeds = check_count ~cmd:"check" ~flag:"--seeds" ~min:0 seeds in
   let scen = find_scenario scenario in
@@ -482,142 +484,50 @@ let check scenario seeds every_event bundle_dir =
     incr failures;
     Format.eprintf ("%s: " ^^ fmt ^^ "@.") label
   in
-  (* Exit discipline: 1 = a violation was found (and bundled), 2 = the
-     harness itself broke (also bundled, as kind "crash"). *)
-  let write_bundle ~kind ~detail ~engine ~pvms =
-    let bundle =
-      Check.Forensics.capture_live ~scenario ~kind ~detail ~engine ~pvms ()
-    in
-    let path = Obs.Bundle.write ~dir:bundle_dir bundle in
-    Printf.eprintf
-      "chorus check: wrote crash bundle %s (re-drive it with: chorus replay \
-       %s)\n"
-      path path
+  let give_up () =
+    Printf.eprintf "chorus check %s: %d failure(s)\n" scenario !failures;
+    exit 1
   in
   let run_one label seed =
-    let engine, tr = traced_engine () in
-    Option.iter
-      (fun s -> Hw.Engine.set_scheduler engine (Hw.Engine.seeded_scheduler s))
-      seed;
-    Hw.Engine.enable_watchdog engine ();
-    let registered = ref [] in
-    let register pvm = registered := pvm :: !registered in
-    if every_event then
-      Hw.Engine.set_event_hook engine (fun () ->
-          (* fail fast — [Sanitizer.Failed] freezes the PVM exactly at
-             the first bad event, which is what the bundle wants *)
-          List.iter
-            (fun pvm -> Check.Sanitizer.assert_ok ~strict:false ~label pvm)
-            !registered);
-    let observe =
-      try Hw.Engine.run_fn engine (fun () -> scen.run engine ~register)
-      with e ->
-        let bundle kind detail =
-          write_bundle ~kind ~detail ~engine ~pvms:(List.rev !registered)
-        in
-        (match e with
-        | Check.Sanitizer.Failed detail ->
-          bundle "invariant" detail;
-          fail label "structural sweep failed mid-run:@,%s" detail
-        | Hw.Engine.Watchdog diag ->
-          bundle "watchdog" diag;
-          fail label "watchdog: %s" diag
-        | Hw.Engine.Deadlock n ->
-          let detail =
-            Printf.sprintf "%d fibre(s) still suspended\n%s" n
-              (Hw.Engine.blocked_report engine)
-          in
-          bundle "deadlock" detail;
-          fail label "deadlock: %s" detail
-        | e ->
-          bundle "crash" (Printexc.to_string e);
-          Printf.eprintf "chorus check %s: harness error: %s\n" scenario
-            (Printexc.to_string e);
-          exit 2);
-        Printf.eprintf "chorus check %s: %d failure(s)\n" scenario !failures;
-        exit 1
-    in
-    let pvms = List.rev !registered in
-    List.iteri
-      (fun i pvm ->
-        match Check.Sanitizer.run ~strict:true pvm with
-        | [] -> ()
-        | vs ->
-          write_bundle ~kind:"invariant"
-            ~detail:
-              (Format.asprintf "%a"
-                 (fun ppf () -> Check.Sanitizer.report ppf pvm vs)
-                 ())
-            ~engine ~pvms;
-          fail label "pvm %d failed the quiescent sweep:@,%a" i
-            (fun ppf -> Check.Sanitizer.report ppf pvm)
-            vs)
-      pvms;
+    let r = Check.Harness.run ?seed ~every_event scen in
     List.iter
       (fun v -> fail label "%a" Check.Blocking.pp_violation v)
-      (Check.Blocking.analyze tr);
-    let stats_str =
-      String.concat "\n"
-        (List.map
-           (fun pvm ->
-             Format.asprintf "%a used=%d" Core.Types.pp_stats
-               (Core.Pvm.stats pvm)
-               (Hw.Phys_mem.used_frames (Core.Pvm.memory pvm)))
-           pvms)
-    in
-    let state = Check.Scenario.digest pvms in
-    (* last: the observation and the read-back may fault pages in *)
-    let observed = Hw.Engine.run_fn engine observe in
-    (stats_str, state, observed, Check.Scenario.contents engine pvms)
+      r.blocking;
+    match r.ending with
+    | Ok obs -> obs
+    | Error f ->
+      let path =
+        Obs.Bundle.write ~dir:bundle_dir (Check.Forensics.capture_live scen r f)
+      in
+      Printf.eprintf
+        "chorus check: wrote crash bundle %s (re-drive it with: chorus replay \
+         %s)\n"
+        path path;
+      if f.kind = "crash" then begin
+        Printf.eprintf "chorus check %s: harness error: %s\n" scenario f.detail;
+        exit 2
+      end;
+      fail label "%s: %s" f.kind f.detail;
+      give_up ()
   in
-  let ((ref_stats, ref_state, _, ref_contents) as fifo) = run_one "fifo" None in
-  let judge label (stats_str, state, observed, contents) =
-    (* even racing scenarios must converge to one memory content here:
-       contend's writers store constant bytes at disjoint offsets *)
-    let same_contents () =
-      if not (String.equal contents ref_contents) then
-        fail label
-          "schedule-dependent memory contents: read-back digest %s, fifo had \
-           %s"
-          contents ref_contents
-    in
-    match scen.oracle with
-    | Check.Scenario.Schedule_independent ->
-      if not (String.equal stats_str ref_stats) then
-        fail label "schedule-dependent outcome:@,--- fifo@,%s@,--- %s@,%s"
-          ref_stats label stats_str;
-      if not (String.equal state ref_state) then
-        fail label
-          "schedule-dependent observable state: Inspect.digest %s, fifo had %s"
-          state ref_state;
-      same_contents ()
-    | No_oracle -> same_contents ()
-    | Outcomes set ->
-      if not (Hashtbl.mem (Lazy.force set) observed) then
-        fail label "outcome %s matches none of the program's serializations"
-          observed
+  let reference = run_one "fifo" None in
+  let judge label obs =
+    Option.iter
+      (fun (kind, detail) -> fail label "%s: %s" kind detail)
+      (Check.Harness.judge scen ~reference obs)
   in
-  judge "fifo" fifo;
+  judge "fifo" reference;
   for seed = 1 to seeds do
     let label = Printf.sprintf "seed %d" seed in
     judge label (run_one label (Some seed))
   done;
-  if !failures = 0 then
-    Printf.printf
-      "chorus check %s: OK — fifo + %d seed(s)%s; quiescent sweep and \
-       blocking discipline hold; %s\n"
-      scenario seeds
-      (if every_event then ", per-event structural sweep" else "")
-      (match scen.oracle with
-      | Schedule_independent ->
-        "memory contents schedule-independent; outcome and state \
-         schedule-independent"
-      | No_oracle -> "memory contents schedule-independent"
-      | Outcomes _ -> "every outcome one of the program's serializations")
-  else begin
-    Printf.eprintf "chorus check %s: %d failure(s)\n" scenario !failures;
-    exit 1
-  end
+  if !failures > 0 then give_up ();
+  Printf.printf
+    "chorus check %s: OK — fifo + %d seed(s)%s; quiescent sweep and blocking \
+     discipline hold; %s\n"
+    scenario seeds
+    (if every_event then ", per-event structural sweep" else "")
+    (Check.Harness.oracle_summary scen)
 
 (* Validate the runtime may-hold-while-acquiring pairs recorded by
    Obs.Lockstat against the hierarchy chorus-lint enforces statically
@@ -696,12 +606,11 @@ let crossval domains =
   end
 
 (* chorus explore SCENARIO: systematic schedule exploration with the
-   Check.Explore DPOR model checker, every schedule's observation
+   Check.Explore DPOR model checker, every schedule a Check.Harness run
    judged by the scenario's oracle — [pressure] and [contend-model]
    run Check.Model programs through the full PVM against the model's
    serializations ([pressure] being also CI's forced-failure fixture
-   under an armed [evict-claim-late] injection); the schedule-
-   independent kernel workloads assert their Inspect digest. *)
+   under an armed [evict-claim-late] injection). *)
 let explore scenario bound max_schedules show_stats schedule_out inject
     bundle_dir =
   let scen = find_scenario scenario in
@@ -740,12 +649,10 @@ let explore scenario bound max_schedules show_stats schedule_out inject
     Format.eprintf "chorus explore %s: FAILED@.%a@." scenario
       Check.Explore.pp_violation v;
     if show_stats then Format.eprintf "%a@." Check.Explore.pp_stats s;
-    (match Check.Explore.replay scen v with
-    | `Violation (kind, _) ->
-      Format.eprintf "replay of the offending schedule reproduces: %s@." kind
-    | `Done _ | `Sleep ->
-      Format.eprintf "warning: replay did not reproduce the violation@.");
-    let bundle, _ = Check.Forensics.capture ~inject scen v in
+    let bundle, o = Check.Forensics.capture ~inject scen v in
+    if o.o_kind = v.v_kind then
+      Format.eprintf "replay of the offending schedule reproduces: %s@." o.o_kind
+    else Format.eprintf "warning: replay did not reproduce the violation@.";
     let path = Obs.Bundle.write ~dir:bundle_dir bundle in
     Printf.printf "wrote crash bundle %s (re-drive it with: chorus replay %s)\n"
       path path;
@@ -907,8 +814,9 @@ let cmds =
             preemption bound), each swept by the structural sanitizer at \
             every engine event and judged by the scenario's oracle \
             ($(b,pressure), $(b,contend-model): the sequential flat-memory \
-            model's serializations; the other schedule-independent \
-            scenarios: their observable digest).  On a violation the minimal offending schedule is \
+            model's serializations; the other scenarios: agreement with \
+            the first schedule, as $(b,chorus check) judges its seeds).  \
+            On a violation the minimal offending schedule is \
             replayed, written out as a crash bundle for $(b,chorus replay) \
             and can be saved with $(b,--schedule-out).  $(b,--inject) arms \
             a named fault (recorded in the bundle) to force a failure")

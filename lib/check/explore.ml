@@ -86,7 +86,6 @@ exception Sleep_blocked
    sleep set: a redundant interleaving, abandoned mid-flight *)
 
 exception Too_many_steps of int
-exception Invariant_failed of string * string list (* report, rule ids *)
 
 type step = {
   st_fib : int;
@@ -139,48 +138,21 @@ type result = {
   r_outcomes : (string, int) Hashtbl.t;
 }
 
-(* Sweep every registered PVM (unless [sweep] is off); the first
-   failing one raises [Invariant_failed]. *)
-let sweeper ~sweep pvms ~strict =
-  if sweep then
-    List.iter
-      (fun pvm ->
-        match Sanitizer.run ~strict pvm with
-        | [] -> ()
-        | vs ->
-          raise
-            (Invariant_failed
-               ( Format.asprintf "%a" (fun ppf () -> Sanitizer.report ppf pvm vs) (),
-                 List.sort_uniq compare (List.map (fun v -> v.Sanitizer.rule) vs)
-               )))
-      !pvms
-
-(* Run the scenario once on [eng] under its installed scheduler (which
-   sweeps per slice), sweep strictly at quiescence, classify the end. *)
-let execute eng (scenario : Scenario.t) ~sweep pvms =
-  let register pvm = pvms := pvm :: !pvms in
-  match
-    let digest =
-      Hw.Engine.run_fn eng (fun () -> scenario.run eng ~register ())
-    in
-    sweep ~strict:true;
-    digest
-  with
-  | digest -> `Done digest
-  | exception Sleep_blocked -> `Sleep
-  | exception Too_many_steps n ->
+(* How one harness run ended, as the explorer sees it: its two
+   private exceptions first, then the harness's classification. *)
+let verdict (h : Harness.t) =
+  match h.ending with
+  | Ok obs -> `Done obs
+  | Error { exn = Sleep_blocked; _ } -> `Sleep
+  | Error { exn = Too_many_steps n; _ } ->
     `Violation
       ("divergence", Printf.sprintf "schedule exceeded %d engine events" n)
-  | exception Invariant_failed (detail, _) -> `Violation ("invariant", detail)
-  | exception Hw.Engine.Deadlock n ->
-    `Violation ("deadlock", Printf.sprintf "%d fibres still suspended" n)
-  | exception Hw.Engine.Watchdog diag -> `Violation ("watchdog", diag)
-  | exception e -> `Violation ("crash", Printexc.to_string e)
+  | Error f -> `Violation (f.kind, f.detail)
 
 (* --- The DFS driver ---------------------------------------------- *)
 
-let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
-    (scenario : Scenario.t) : result =
+let run ?bound ?max_schedules ?(max_steps = 200_000) (scenario : Scenario.t) :
+    result =
   let exhaustive = bound = None in
   let stats =
     {
@@ -203,7 +175,6 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
   let prev_fib = ref (-1) in
   let preempts = ref 0 in
   let pending_node = ref (-1) in
-  let pvms : Core.Types.pvm list ref = ref [] in
   let outcomes_seen : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let slept f sleep = List.exists (fun (sf, _) -> sf = f) sleep in
 
@@ -280,8 +251,7 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
           (fun (f, o) -> f <> fib && not (conflict o objs))
           !cur_sleep;
     prev_fib := fib;
-    if Vec.length steps > max_steps then raise (Too_many_steps max_steps);
-    sweeper ~sweep pvms ~strict:false
+    if Vec.length steps > max_steps then raise (Too_many_steps max_steps)
   in
 
   let scheduler = { Hw.Engine.sched_pick = pick; sched_step = on_step } in
@@ -293,10 +263,8 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
     prev_fib := -1;
     preempts := 0;
     pending_node := -1;
-    pvms := [];
-    let eng = Hw.Engine.create () in
-    Hw.Engine.set_scheduler eng scheduler;
-    execute eng scenario ~sweep:(sweeper ~sweep pvms) pvms
+    verdict
+      (Harness.run ~scheduler ~every_event:true ~instrument:false scenario)
   in
 
   let current_schedule () =
@@ -456,32 +424,11 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
     violation :=
       Some { v_kind; v_detail; v_schedule = current_schedule (); v_digest }
   in
-  let first_digest = ref None in
-  let check_oracle digest =
-    match scenario.oracle with
-    | Scenario.No_oracle -> None
-    | Scenario.Schedule_independent -> (
-      match !first_digest with
-      | None ->
-        first_digest := Some digest;
-        None
-      | Some d0 ->
-        if String.equal d0 digest then None
-        else
-          Some
-            ( "digest-divergence",
-              Printf.sprintf
-                "observable digest %s differs from the first schedule's %s"
-                digest d0 ))
-    | Scenario.Outcomes set ->
-      if Hashtbl.mem (Lazy.force set) digest then None
-      else
-        Some
-          ( "non-serializable",
-            Printf.sprintf
-              "outcome digest %s matches none of the %d atomic serializations"
-              digest
-              (Hashtbl.length (Lazy.force set)) )
+  (* the first completed schedule is every later one's reference *)
+  let reference = ref None in
+  let judge obs =
+    if Option.is_none !reference then reference := Some obs;
+    Harness.judge scenario ~reference:(Option.get !reference) obs
   in
   let budget_left () =
     match max_schedules with
@@ -493,11 +440,12 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
     stats.steps_total <- stats.steps_total + Vec.length steps;
     if !depth > stats.max_depth then stats.max_depth <- !depth;
     match outcome with
-    | `Done digest -> (
+    | `Done (obs : Harness.obs) -> (
       stats.schedules <- stats.schedules + 1;
+      let digest = obs.observed in
       Hashtbl.replace outcomes_seen digest
         (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes_seen digest));
-      match check_oracle digest with
+      match judge obs with
       | Some kd -> found kd (Some digest)
       | None ->
         if exhaustive then analyze_races ();
@@ -519,9 +467,7 @@ let run ?bound ?max_schedules ?(max_steps = 200_000) ?(sweep = true)
 
 type forced = {
   f_verdict : [ `Done of string | `Sleep | `Violation of string * string ];
-  f_rules : string list;
-  f_engine : Hw.Engine.t;
-  f_pvms : Core.Types.pvm list;
+  f_run : Harness.t;
 }
 
 (* Re-run [v]'s schedule: at the d-th choice point take the fibre the
@@ -529,10 +475,8 @@ type forced = {
    schedule then no longer matches the binary, but the run stays
    legal).  An oracle violation is a completed run, so ending on the
    digest the oracle rejected IS the violation. *)
-let run_forced ?(sweep = true) ?(max_steps = 200_000) ?(prepare = ignore)
-    scenario v =
+let run_forced ?(instrument = false) ?(max_steps = 200_000) scenario v =
   let rest = ref v.v_schedule and nsteps = ref 0 in
-  let pvms = ref [] and rules = ref [] in
   let pick ~now:_ (ready : Hw.Engine.ready_task array) =
     if Array.length ready = 1 then 0
     else
@@ -540,27 +484,23 @@ let run_forced ?(sweep = true) ?(max_steps = 200_000) ?(prepare = ignore)
       Option.value ~default:0
         (Array.find_index (fun (r : Hw.Engine.ready_task) -> r.rt_fib = want) ready)
   in
-  let sweep_all ~strict =
-    try sweeper ~sweep pvms ~strict
-    with Invariant_failed (_, r) as e -> rules := r; raise e
-  in
   let on_step ~fib:_ ~accesses:_ =
     incr nsteps;
-    if !nsteps > max_steps then raise (Too_many_steps max_steps);
-    sweep_all ~strict:false
+    if !nsteps > max_steps then raise (Too_many_steps max_steps)
   in
-  let eng = Hw.Engine.create () in
-  prepare eng;
-  Hw.Engine.set_scheduler eng { sched_pick = pick; sched_step = on_step };
+  let f_run =
+    Harness.run
+      ~scheduler:{ sched_pick = pick; sched_step = on_step }
+      ~every_event:true ~instrument scenario
+  in
   let f_verdict =
-    match execute eng scenario ~sweep:sweep_all pvms with
-    | `Done d when v.v_digest = Some d -> `Violation (v.v_kind, v.v_detail)
-    | verdict -> verdict
+    match verdict f_run with
+    | `Done obs when v.v_digest = Some obs.Harness.observed ->
+      `Violation (v.v_kind, v.v_detail)
+    | `Done obs -> `Done obs.observed
+    | (`Sleep | `Violation _) as verdict -> verdict
   in
-  { f_verdict; f_rules = !rules; f_engine = eng; f_pvms = List.rev !pvms }
-
-let replay ?sweep ?max_steps scenario v =
-  (run_forced ?sweep ?max_steps scenario v).f_verdict
+  { f_verdict; f_run }
 
 (* --- Reporting --------------------------------------------------- *)
 

@@ -14,10 +14,10 @@
     fragment or the same coarse object class (frame pool / reclaim
     queue, cache-context topology — see {!Core.Types}).
 
-    Each explored schedule optionally runs the {!Sanitizer}'s
+    Each explored schedule is one {!Harness.run}: the {!Sanitizer}'s
     structural tier after every engine event and its full tier at
-    quiescence, and its observation is judged by the scenario's
-    {!Scenario.oracle}. *)
+    quiescence, and the observation judged by {!Harness.judge}
+    against the first completed schedule's. *)
 
 type stats = {
   mutable schedules : int;  (** complete schedules executed *)
@@ -53,48 +53,28 @@ type result = {
 }
 
 val run :
-  ?bound:int ->
-  ?max_schedules:int ->
-  ?max_steps:int ->
-  ?sweep:bool ->
-  Scenario.t ->
-  result
+  ?bound:int -> ?max_schedules:int -> ?max_steps:int -> Scenario.t -> result
 (** Explore the scenario's schedules.  Without [bound] the search is
     exhaustive with DPOR pruning; with [bound k] it is a plain DFS
     over schedules using at most [k] preemptions (switches away from a
     still-ready fibre) — the two prunings are not combined because
     sleep sets are unsound under a preemption bound.  [max_schedules]
     caps executed runs (sets [exhausted = false] when hit);
-    [max_steps] (default 200_000) bounds one schedule's engine events;
-    [sweep] (default true) runs the sanitizer's structural tier after
-    every engine event and its strict tier at quiescence. *)
+    [max_steps] (default 200_000) bounds one schedule's engine
+    events. *)
 
 type forced = {
   f_verdict : [ `Done of string | `Sleep | `Violation of string * string ];
-  f_rules : string list;  (** failed rule ids of an ["invariant"] verdict *)
-  f_engine : Hw.Engine.t;
-  f_pvms : Core.Types.pvm list;  (** registered PVMs, in order *)
+  f_run : Harness.t;  (** the run itself: engine, PVMs, how it ended *)
 }
 
 val run_forced :
-  ?sweep:bool ->
-  ?max_steps:int ->
-  ?prepare:(Hw.Engine.t -> unit) ->
-  Scenario.t ->
-  violation ->
-  forced
-(** The forced-pick driver: re-run [v]'s schedule on a fresh engine
-    ([prepare]d first), taking at each multi-ready dispatch the fibre
-    the schedule names (index 0 when absent); classify the ending as
-    {!run} does, a run completing on [v.v_digest] being [v] itself. *)
-
-val replay :
-  ?sweep:bool ->
-  ?max_steps:int ->
-  Scenario.t ->
-  violation ->
-  [ `Done of string | `Sleep | `Violation of string * string ]
-(** {!run_forced}'s verdict: confirms a violation found by {!run}. *)
+  ?instrument:bool -> ?max_steps:int -> Scenario.t -> violation -> forced
+(** The forced-pick driver: re-run [v]'s schedule through
+    {!Harness.run} ([instrument] as there, default false), taking at
+    each multi-ready dispatch the fibre the schedule names (index 0
+    when absent); classify the ending as {!run} does, a run completing
+    on [v.v_digest] being [v] itself. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 val pp_violation : Format.formatter -> violation -> unit

@@ -1,6 +1,6 @@
 (* Crash forensics: bundle assembly and deterministic re-drive through
-   Explore.run_forced, instrumented with an enabled tracer and the
-   watchdog, because a bundle needs the failure state, not just the
+   Explore.run_forced on an instrumented Harness run (enabled tracer,
+   watchdog), because a bundle needs the failure state, not just the
    failure class. *)
 
 type outcome = {
@@ -43,37 +43,25 @@ let with_injections names f =
 (* --- Forced-schedule driver --------------------------------------- *)
 
 let run_forced ?max_steps scenario (v : Explore.violation) =
-  let prepare eng =
-    let tr = Obs.Trace.create () in
-    Hw.Engine.set_tracer eng tr;
-    Obs.Trace.enable tr;
-    (* Watchdog on, so a bundle whose live run died of a blocked-on
-       cycle dies of the same cycle here (cycle detection is eager at
-       park time, hence schedule-deterministic). *)
-    Hw.Engine.enable_watchdog eng ()
-  in
-  let f = Explore.run_forced ?max_steps ~prepare scenario v in
+  let f = Explore.run_forced ~instrument:true ?max_steps scenario v in
   let o_kind, o_detail =
     match f.f_verdict with
     | `Done digest -> ("done", digest)
     | `Sleep -> ("sleep", "")
     | `Violation kd -> kd
   in
-  let o_digests = List.map Core.Inspect.digest f.f_pvms in
-  ({ o_kind; o_detail; o_digests; o_rules = f.f_rules }, f)
+  let h = f.f_run in
+  let o_rules = match h.ending with Error f -> f.rules | Ok _ -> [] in
+  let o_digests = List.map Core.Inspect.digest h.pvms in
+  ({ o_kind; o_detail; o_digests; o_rules }, h)
 
 (* --- Bundle assembly ---------------------------------------------- *)
-
-let metrics_json pvm =
-  (* Metrics.to_json is a hand-rolled string (it predates Obs.Json);
-     parse it back so the bundle is one coherent JSON document. *)
-  Obs.Json.parse (Obs.Metrics.to_json (Core.Pvm.metrics pvm))
 
 let watchdog_json engine =
   let fields = [ ("blocked", Obs.Json.Str (Hw.Engine.blocked_report engine)) ] in
   let fields =
     match Hw.Engine.watchdog_metrics engine with
-    | Some m -> fields @ [ ("metrics", Obs.Json.parse (Obs.Metrics.to_json m)) ]
+    | Some m -> fields @ [ ("metrics", Obs.Metrics.to_json m) ]
     | None -> fields
   in
   Obs.Json.Obj fields
@@ -83,33 +71,29 @@ let violations_json rules =
   | [] -> Obs.Json.Null
   | rules -> Obs.Json.List (List.map (fun r -> Obs.Json.Str r) rules)
 
-let assemble ~scenario ~inject ~kind ~detail ?observed ~rules ~engine ~pvms ()
-    =
-  Obs.Bundle.v ~scenario ~inject ~kind ~detail ?observed
+let assemble ~(scenario : Scenario.t) ~inject ~kind ~detail ?observed ~rules
+    (h : Harness.t) =
+  let engine = h.engine and pvms = h.pvms in
+  Obs.Bundle.v ~scenario:scenario.name ~inject ~kind ~detail ?observed
     ~sim_now:(Hw.Engine.now engine)
     ~schedule:(Hw.Engine.decisions engine)
     ~trace:(Obs.Json.parse (Obs.Trace.to_chrome_json (Hw.Engine.tracer engine)))
     ~state:(List.map Core.Inspect.state_json pvms)
     ~digests:(List.map Core.Inspect.digest pvms)
     ~violations:(violations_json rules)
-    ~metrics:(List.map metrics_json pvms)
+    ~metrics:
+      (List.map (fun pvm -> Obs.Metrics.to_json (Core.Pvm.metrics pvm)) pvms)
     ~watchdog:(watchdog_json engine) ()
 
 let capture ?(inject = []) ?max_steps (scenario : Scenario.t) v =
   with_injections inject (fun () ->
-      let o, f = run_forced ?max_steps scenario v in
-      ( assemble ~scenario:scenario.name ~inject ~kind:o.o_kind
-          ~detail:o.o_detail ?observed:v.v_digest ~rules:o.o_rules
-          ~engine:f.f_engine ~pvms:f.f_pvms (),
+      let o, h = run_forced ?max_steps scenario v in
+      ( assemble ~scenario ~inject ~kind:o.o_kind ~detail:o.o_detail
+          ?observed:v.v_digest ~rules:o.o_rules h,
         o ))
 
-let capture_live ~scenario ?(inject = []) ~kind ~detail ~engine ~pvms () =
-  let rules =
-    List.concat_map (fun pvm -> Sanitizer.run ~strict:false pvm) pvms
-    |> List.map (fun v -> v.Sanitizer.rule)
-    |> List.sort_uniq compare
-  in
-  assemble ~scenario ~inject ~kind ~detail ~rules ~engine ~pvms ()
+let capture_live ?(inject = []) scenario h (f : Harness.failure) =
+  assemble ~scenario ~inject ~kind:f.kind ~detail:f.detail ~rules:f.rules h
 
 (* --- Replay ------------------------------------------------------- *)
 

@@ -5,11 +5,11 @@
     can see the engine and the PVM.  Three entry points:
 
     - {!capture} re-executes a known-bad schedule (an
-      {!Explore.violation}'s) through {!Explore.run_forced} with an
-      enabled tracer and the watchdog attached and freezes the failure
-      state into a bundle;
-    - {!capture_live} freezes an already-failed live run — the path
-      [chorus check] takes at the moment a sanitizer sweep fails,
+      {!Explore.violation}'s) through {!Explore.run_forced} on an
+      instrumented {!Harness.run} (enabled tracer, watchdog) and
+      freezes the failure state into a bundle;
+    - {!capture_live} freezes an already-failed {!Harness.run} — the
+      path [chorus check] takes when a run ends in a {!Harness.failure},
       where {!Hw.Engine.decisions} holds the decision prefix;
     - {!replay} re-executes a bundle's recorded schedule and reports
       the outcome, which {!reproduces} compares against the bundle.
@@ -62,18 +62,13 @@ val capture :
     restored around it) and is recorded in the bundle. *)
 
 val capture_live :
-  scenario:string ->
-  ?inject:string list ->
-  kind:string ->
-  detail:string ->
-  engine:Hw.Engine.t ->
-  pvms:Core.Types.pvm list ->
-  unit ->
+  ?inject:string list -> Scenario.t -> Harness.t -> Harness.failure ->
   Obs.Bundle.t
-(** Freeze an already-failed run: full state and digests from [pvms],
-    the schedule from {!Hw.Engine.decisions}, the trace tail from the
-    [engine]'s tracer, sanitizer verdicts (structural tier — the run
-    is mid-flight), metrics registries and the blocked-fibre report. *)
+(** Freeze a run that ended in [failure]: full state and digests of
+    its PVMs, the schedule from {!Hw.Engine.decisions}, the trace tail
+    from the engine's tracer, the failed rule ids of the sweep that
+    fired (strict or structural, as it ran), metrics registries and
+    the blocked-fibre report. *)
 
 val replay : ?max_steps:int -> Scenario.t -> Obs.Bundle.t -> outcome
 (** Re-execute the bundle's recorded schedule (arming its recorded

@@ -581,18 +581,17 @@ let run ?(strict = true) (pvm : pvm) : violation list =
 let pp_violation ppf { rule; detail } =
   Format.fprintf ppf "[%s] %s" rule detail
 
-exception Failed of string
-
-let report ppf (pvm : pvm) violations =
-  Format.fprintf ppf "@[<v>sanitizer: %d invariant violation(s)@,"
-    (List.length violations);
-  List.iter (fun v -> Format.fprintf ppf "  %a@," pp_violation v) violations;
-  Format.fprintf ppf "state:@,%a@]" Core.Inspect.pp_state pvm
+exception Failed of { report : string; rules : string list }
 
 let assert_ok ?strict ?(label = "sanitizer") pvm =
   match run ?strict pvm with
   | [] -> ()
-  | violations ->
-    raise
-      (Failed (Format.asprintf "%s: %a" label (fun ppf () ->
-           report ppf pvm violations) ()))
+  | vs ->
+    let report ppf () =
+      Format.fprintf ppf "@[<v>%s: %d invariant violation(s)@," label
+        (List.length vs);
+      List.iter (fun v -> Format.fprintf ppf "  %a@," pp_violation v) vs;
+      Format.fprintf ppf "state:@,%a@]" Core.Inspect.pp_state pvm
+    in
+    let rules = List.sort_uniq compare (List.map (fun v -> v.rule) vs) in
+    raise (Failed { report = Format.asprintf "%a" report (); rules })

@@ -34,12 +34,10 @@ val run : ?strict:bool -> Core.Types.pvm -> violation list
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val report : Format.formatter -> Core.Types.pvm -> violation list -> unit
-(** Render violations followed by the Inspect view of the offending
-    state (cache lines, frame pool, counters). *)
-
-exception Failed of string
-(** Raised by {!assert_ok}; the payload is the rendered report. *)
+exception Failed of { report : string; rules : string list }
+(** Raised by {!assert_ok}: the rendered report (violations, then the
+    Inspect view of the offending state) and the failed rule ids,
+    sorted and deduplicated. *)
 
 val assert_ok : ?strict:bool -> ?label:string -> Core.Types.pvm -> unit
 (** Run the sweep and raise {!Failed} with a rendered report when any

@@ -8,15 +8,20 @@
     and returns an observation thunk; its {!oracle} says how the
     observations of different schedules must relate. *)
 
+(** How the observations of two schedules must relate; {!Harness.judge}
+    is the one reader.  Every oracle also requires a clean run
+    (sanitizer, watchdog, blocking discipline). *)
 type oracle =
   | Schedule_independent
-      (** every schedule must observe the same digest *)
+      (** every schedule must agree on the observation, the stats and
+          frame-pool occupancy, the state digest and the read-back
+          memory contents *)
   | Outcomes of (string, unit) Hashtbl.t Lazy.t
       (** every schedule's observation must be a member — the
           {!Model.outcomes} of a Model program, forced on first use *)
   | No_oracle
-      (** racing workloads: only the safety properties (sanitizer,
-          blocking discipline, memory contents) are compared *)
+      (** racing workloads: every schedule must agree on the read-back
+          memory contents only *)
 
 type t = {
   name : string;

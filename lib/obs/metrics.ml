@@ -126,54 +126,35 @@ let prim_report t =
 
 (* --- Reporting ---------------------------------------------------- *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let to_json t =
-  let buf = Buffer.create 4096 in
-  let key k =
-    Buffer.add_char buf '"';
-    json_escape buf k;
-    Buffer.add_string buf "\":"
-  in
-  Buffer.add_string buf "{\"counters\":{";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      key name;
-      Buffer.add_string buf (string_of_int v))
-    (counters t);
-  Buffer.add_string buf "},\"histograms\":{";
-  List.iteri
-    (fun i (name, s) ->
-      if i > 0 then Buffer.add_char buf ',';
-      key name;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"count\":%d,\"sum_ns\":%d,\"min_ns\":%d,\"max_ns\":%d}" s.count
-           s.sum s.min s.max))
-    (histograms t);
-  Buffer.add_string buf "},\"primitives\":{";
-  let first = ref true in
-  List.iter
-    (fun (name, count, ns) ->
-      if count > 0 then begin
-        if !first then first := false else Buffer.add_char buf ',';
-        key name;
-        Buffer.add_string buf
-          (Printf.sprintf "{\"count\":%d,\"total_ns\":%d}" count ns)
-      end)
-    (prim_report t);
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let int n = Json.Num (float_of_int n) in
+  Json.Obj
+    [
+      ( "counters",
+        Json.Obj (List.map (fun (name, v) -> (name, int v)) (counters t)) );
+      ( "histograms",
+        Json.Obj
+          (List.map
+             (fun (name, s) ->
+               ( name,
+                 Json.Obj
+                   [
+                     ("count", int s.count);
+                     ("sum_ns", int s.sum);
+                     ("min_ns", int s.min);
+                     ("max_ns", int s.max);
+                   ] ))
+             (histograms t)) );
+      ( "primitives",
+        Json.Obj
+          (List.filter_map
+             (fun (name, count, ns) ->
+               if count > 0 then
+                 Some
+                   (name, Json.Obj [ ("count", int count); ("total_ns", int ns) ])
+               else None)
+             (prim_report t)) );
+    ]
 
 let ms ns = float_of_int ns /. 1e6
 

@@ -72,9 +72,10 @@ val prim_report : t -> (string * int * int) list
 
 (** {1 Reporting} *)
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** Machine-readable report: counters, histograms and the
-    per-primitive attribution table. *)
+    per-primitive attribution table (primitives never charged
+    omitted). *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable report. *)

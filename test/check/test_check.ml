@@ -145,15 +145,19 @@ let test_catches_orphan_zombie_pair () =
         (Core.Cache.is_alive a || Core.Cache.is_alive b);
       Check.Sanitizer.assert_ok pvm)
 
+(* Leave a synchronization stub in the global map, as if a transfer
+   were still in flight. *)
+let plant_transit _ pvm _ =
+  let cache = List.hd pvm.Core.Types.caches in
+  Core.Shard_map.replace pvm.Core.Types.gmap cache.Core.Types.c_id (512 * ps)
+    (Core.Types.Sync_stub (Hw.Engine.Cond.create ()))
+
 (* A transit entry is a strict-mode violation only: the structural
    subset must accept it (it is legal between engine events). *)
 let test_transit_is_strict_only () =
   in_sim (fun engine ->
-      let pvm, _ = build engine in
-      let cache = List.hd pvm.Core.Types.caches in
-      Core.Shard_map.replace pvm.Core.Types.gmap
-        cache.Core.Types.c_id (512 * ps)
-        (Core.Types.Sync_stub (Hw.Engine.Cond.create ()));
+      let pvm, ctx = build engine in
+      plant_transit engine pvm ctx;
       (match Check.Sanitizer.run ~strict:false pvm with
       | [] -> ()
       | vs ->
@@ -304,9 +308,23 @@ let test_explore_observes_quiescent_state () =
     [ Check.Crossval.run_on scen ]
     (List.of_seq (Hashtbl.to_seq_keys r.Check.Explore.r_outcomes))
 
+let show_failure (f : Check.Harness.failure) = f.kind ^ ": " ^ f.detail
+
+(* A harness run that must end clean: no failure, no blocking breach. *)
+let clean_obs label (r : Check.Harness.t) =
+  List.iter
+    (fun v ->
+      Alcotest.failf "%s: %a" label Check.Blocking.pp_violation v)
+    r.blocking;
+  match r.ending with
+  | Ok obs -> obs
+  | Error f -> Alcotest.failf "%s: %s" label (show_failure f)
+
 (* Every registry entry: the parallel engine reproduces the sequential
-   digest, a FIFO and two seeded runs at 0 and 2 domains obey the
-   entry's oracle, and a bounded exploration finds no violation. *)
+   digest; FIFO and seeds 1 and 2 at 0 and 2 domains, each with the
+   per-event sweep on, end clean and are accepted by the judge against
+   the sequential FIFO run; a bounded exploration finds no
+   violation. *)
 let test_registry_entries () =
   List.iter
     (fun (s : Check.Scenario.t) ->
@@ -315,35 +333,26 @@ let test_registry_entries () =
         (Format.asprintf "%a" Check.Crossval.pp_outcome o)
         true o.Check.Crossval.o_ok;
       let run domains seed =
-        let engine = Hw.Engine.create ~domains () in
-        Option.iter
-          (fun n ->
-            Hw.Engine.set_scheduler engine (Hw.Engine.seeded_scheduler n))
-          seed;
-        let pvms, observe = Check.Scenario.exec engine s in
-        let observed = observe () in
-        (observed, Check.Scenario.contents engine pvms)
+        let label =
+          Printf.sprintf "%s, %d domains, seed %s" s.name domains
+            (Option.fold ~none:"fifo" ~some:string_of_int seed)
+        in
+        ( label,
+          clean_obs label
+            (Check.Harness.run ~domains ?seed ~every_event:true s) )
       in
       let runs =
         List.concat_map
           (fun domains -> List.map (run domains) [ None; Some 1; Some 2 ])
           [ 0; 2 ]
       in
-      let fifo_observed, fifo_contents = List.hd runs in
+      let reference = snd (List.hd runs) in
       List.iter
-        (fun (observed, contents) ->
-          match s.oracle with
-          | Schedule_independent ->
-            Alcotest.(check string) (s.name ^ " observation") fifo_observed
-              observed
-          | No_oracle ->
-            Alcotest.(check string) (s.name ^ " contents") fifo_contents
-              contents
-          | Outcomes set ->
-            Alcotest.(check bool)
-              (s.name ^ " outcome is a serialization")
-              true
-              (Hashtbl.mem (Lazy.force set) observed))
+        (fun (label, obs) ->
+          match Check.Harness.judge s ~reference obs with
+          | None -> ()
+          | Some (kind, detail) ->
+            Alcotest.failf "%s: %s: %s" label kind detail)
         runs;
       let r = Check.Explore.run ~bound:1 ~max_schedules:20 s in
       match r.Check.Explore.r_violation with
@@ -352,36 +361,146 @@ let test_registry_entries () =
         Alcotest.failf "%s: %a" s.name Check.Explore.pp_violation v)
     Check.Scenario.all
 
-(* The deep checkers [chorus check] installs — seeded scheduler,
-   watchdog, every-event sanitizer hook — on a 2-domain storm whose
-   workers run as parallel slices: the run ends clean and matches the
-   sequential digest. *)
+(* The deep checkers on a 2-domain storm whose workers run as parallel
+   slices: seeded scheduler, watchdog, tracer and the per-event sweep;
+   the run ends clean and matches the sequential digest. *)
 let test_storm_checked_on_pool () =
   let scen = Check.Scenario.storm () in
-  let engine = Hw.Engine.create ~domains:2 () in
-  Hw.Engine.set_scheduler engine (Hw.Engine.seeded_scheduler 1);
-  Hw.Engine.enable_watchdog engine ();
-  let registered = ref [] in
-  let sweeps = ref 0 in
-  Hw.Engine.set_event_hook engine (fun () ->
-      incr sweeps;
-      List.iter
-        (Check.Sanitizer.assert_ok ~strict:false ~label:"storm")
-        !registered);
-  let observe =
-    Hw.Engine.run_fn engine (fun () ->
-        scen.run engine ~register:(fun pvm -> registered := pvm :: !registered))
+  let obs =
+    clean_obs "storm"
+      (Check.Harness.run ~domains:2 ~seed:1 ~every_event:true scen)
   in
-  ignore (Hw.Engine.run_fn engine observe);
-  Alcotest.(check bool) "the hook swept" true (!sweeps > 0);
+  Alcotest.(check string) "sequential digest" (Check.Crossval.run_on scen)
+    obs.state
+
+(* --- the harness ------------------------------------------------- *)
+
+(* A one-PVM scenario running [body engine pvm ctx] in the main fibre
+   on the small populated state of [build]. *)
+let scenario body =
+  {
+    Check.Scenario.name = "harness-fixture";
+    oracle = No_oracle;
+    run =
+      (fun engine ~register ->
+        let pvm, ctx = build engine in
+        register pvm;
+        body engine pvm ctx;
+        fun () -> Check.Scenario.digest [ pvm ]);
+  }
+
+let expect_failure ?every_event ?(domains = 0) kind scen =
+  match (Check.Harness.run ~domains ?every_event scen).ending with
+  | Ok _ -> Alcotest.failf "expected a %S ending, the run was clean" kind
+  | Error f ->
+    Alcotest.(check string) ("kind of " ^ show_failure f) kind f.kind;
+    f
+
+let contains sub s =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Sanitizer.Failed: a gmap entry removed for one event and put back.
+   The per-event sweep sees it (and names the rule); without it the
+   repaired state passes the quiescent sweep. *)
+let test_harness_per_event_sweep () =
+  let transient =
+    scenario (fun _ pvm _ ->
+        let page = List.hd (Core.Inspect.pages pvm) in
+        let cid = page.Core.Types.p_cache.Core.Types.c_id
+        and off = page.Core.Types.p_offset in
+        let gmap = pvm.Core.Types.gmap in
+        let entry = Option.get (Core.Shard_map.find_opt gmap cid off) in
+        Core.Shard_map.remove gmap cid off;
+        Hw.Engine.sleep 1;
+        Core.Shard_map.replace gmap cid off entry)
+  in
   List.iter
-    (fun pvm ->
-      Alcotest.(check int) "quiescent sweep clean" 0
-        (List.length (Check.Sanitizer.run ~strict:true pvm)))
-    !registered;
-  Alcotest.(check string) "sequential digest"
-    (Check.Crossval.run_on scen)
-    (Check.Scenario.digest (List.rev !registered))
+    (fun domains ->
+      let f = expect_failure ~every_event:true ~domains "invariant" transient in
+      Alcotest.(check (list string)) "rule ids" [ "gmap" ] f.rules;
+      ignore
+        (clean_obs "no per-event sweep" (Check.Harness.run ~domains transient)))
+    [ 0; 2 ]
+
+(* The quiescent sweep is strict: an entry left in transit at the end
+   is an "invariant" failure carrying the strict-only rule. *)
+let test_harness_quiescent_sweep_strict () =
+  let f = expect_failure "invariant" (scenario plant_transit) in
+  Alcotest.(check bool) "transit among the rules" true
+    (List.mem "transit" f.rules)
+
+let test_harness_watchdog () =
+  (* each fibre holds one resource and, once both are held, waits for
+     the other's: the second park closes the blocked-on cycle *)
+  let cross_block engine _ _ =
+    let r1 = Hw.Engine.Cond.create () and r2 = Hw.Engine.Cond.create () in
+    let holder ~held ~on r () =
+      Hw.Engine.Cond.set_owner held (Hw.Engine.current_fibre engine);
+      Hw.Engine.sleep 1;
+      Hw.Engine.declare_wait engine ~on ~owner:(Hw.Engine.Cond.owner r) ();
+      Hw.Engine.Cond.wait r
+    in
+    Hw.Engine.spawn engine ~name:"a" (holder ~held:r1 ~on:"r2" r2);
+    Hw.Engine.spawn engine ~name:"b" (holder ~held:r2 ~on:"r1" r1)
+  in
+  let f = expect_failure "watchdog" (scenario cross_block) in
+  Alcotest.(check bool) "diagnostic names the cycle" true
+    (contains "blocked on r1" f.detail)
+
+let test_harness_deadlock () =
+  let stuck engine _ _ =
+    let never = Hw.Engine.Cond.create () in
+    Hw.Engine.spawn engine ~name:"stuck-fibre" (fun () ->
+        Hw.Engine.Cond.wait never)
+  in
+  let f = expect_failure "deadlock" (scenario stuck) in
+  Alcotest.(check bool) ("detail names the fibre: " ^ f.detail) true
+    (contains "stuck-fibre" f.detail)
+
+let test_harness_crash () =
+  let f = expect_failure "crash" (scenario (fun _ _ _ -> failwith "boom")) in
+  Alcotest.(check bool) "detail is the exception" true
+    (contains "boom" f.detail)
+
+(* The judge, one oracle at a time: a clean observation is accepted
+   against itself, and tampering with a compared field is rejected;
+   No_oracle compares the contents only. *)
+let test_harness_judge () =
+  let obs_of (s : Check.Scenario.t) = clean_obs s.name (Check.Harness.run s) in
+  let verdict s reference obs =
+    Option.map fst (Check.Harness.judge s ~reference obs)
+  in
+  let expect label want got =
+    Alcotest.(check (option string)) label want got
+  in
+  let fig3 = Option.get (Check.Scenario.find "fig3") in
+  let r = obs_of fig3 in
+  expect "fig3 against itself" None (verdict fig3 r r);
+  List.iter
+    (fun (field, tampered) ->
+      expect ("fig3 tampered " ^ field) (Some "digest-divergence")
+        (verdict fig3 r tampered))
+    [
+      ("observation", { r with observed = "x" });
+      ("stats", { r with stats = "x" });
+      ("state", { r with state = "x" });
+      ("contents", { r with contents = "x" });
+    ];
+  let contend = Option.get (Check.Scenario.find "contend") in
+  let r = obs_of contend in
+  expect "contend tampered contents" (Some "digest-divergence")
+    (verdict contend r { r with contents = "x" });
+  expect "contend ignores the rest" None
+    (verdict contend r { r with observed = "x"; stats = "x"; state = "x" });
+  let pressure = Check.Scenario.pressure in
+  let r = obs_of pressure in
+  expect "pressure outcome is a serialization" None (verdict pressure r r);
+  expect "pressure tampered observation" (Some "non-serializable")
+    (verdict pressure r { r with observed = "x" })
 
 let test_event_hook_runs () =
   let engine = Hw.Engine.create () in
@@ -432,6 +551,17 @@ let () =
           Alcotest.test_case "seeded schedules deterministic" `Quick
             test_seeded_schedules_deterministic;
           Alcotest.test_case "event hook runs" `Quick test_event_hook_runs;
+          Alcotest.test_case "per-event sweep catches a transient breach"
+            `Quick test_harness_per_event_sweep;
+          Alcotest.test_case "quiescent sweep is strict" `Quick
+            test_harness_quiescent_sweep_strict;
+          Alcotest.test_case "watchdog classified" `Quick
+            test_harness_watchdog;
+          Alcotest.test_case "deadlock classified" `Quick
+            test_harness_deadlock;
+          Alcotest.test_case "crash classified" `Quick test_harness_crash;
+          Alcotest.test_case "judge, one oracle at a time" `Quick
+            test_harness_judge;
         ] );
       ( "crossval",
         [

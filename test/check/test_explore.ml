@@ -255,7 +255,8 @@ let test_catches_evict_claim_race () =
       | None ->
         Alcotest.fail "explorer missed the reintroduced evict-claim race"
       | Some v -> (
-        match Check.Explore.replay Check.Scenario.pressure v with
+        let forced = Check.Explore.run_forced Check.Scenario.pressure v in
+        match forced.f_verdict with
         | `Violation _ -> ()
         | `Done _ | `Sleep ->
           Alcotest.fail "replay did not reproduce the violation"))
@@ -277,7 +278,8 @@ let test_catches_skipped_insert_probe () =
       | None ->
         Alcotest.fail "explorer missed the reintroduced insert race"
       | Some v -> (
-        match Check.Explore.replay double_insert_scenario v with
+        let forced = Check.Explore.run_forced double_insert_scenario v in
+        match forced.f_verdict with
         | `Violation _ -> ()
         | `Done _ | `Sleep ->
           Alcotest.fail "replay did not reproduce the violation"))

@@ -192,7 +192,7 @@ let test_oracle_violation_replays () =
   | Some v -> (
     Alcotest.(check string) "explorer verdict" "digest-divergence"
       v.Check.Explore.v_kind;
-    (match Check.Explore.replay scenario v with
+    (match (Check.Explore.run_forced scenario v).f_verdict with
     | `Violation (kind, _) ->
       Alcotest.(check string) "replay verdict" "digest-divergence" kind
     | `Done _ | `Sleep -> Alcotest.fail "replay did not reproduce the violation");
@@ -205,6 +205,43 @@ let test_oracle_violation_replays () =
       match Check.Forensics.reproduces b (Check.Forensics.replay scenario b) with
       | Ok () -> ()
       | Error msg -> Alcotest.failf "bundle replay did not reproduce:\n%s" msg))
+
+(* A live bundle (chorus check's path) must record the rule ids of the
+   sweep that failed.  Here that is the strict quiescent sweep, which
+   finds a synchronization stub left in the global map: the bundle
+   must list the strict-only [transit] rule, and replay to it. *)
+let test_live_bundle_keeps_strict_rules () =
+  let scen =
+    {
+      Check.Scenario.name = "transit-left";
+      oracle = No_oracle;
+      run =
+        (fun engine ~register ->
+          let pvm = Core.Pvm.create ~frames:16 ~engine () in
+          register pvm;
+          let cache = Core.Cache.create pvm () in
+          Core.Shard_map.replace pvm.Core.Types.gmap cache.Core.Types.c_id 0
+            (Core.Types.Sync_stub (Hw.Engine.Cond.create ()));
+          fun () -> "");
+    }
+  in
+  let r = Check.Harness.run scen in
+  match r.ending with
+  | Ok _ -> Alcotest.fail "the quiescent sweep accepted a page in transit"
+  | Error f ->
+    let b = Check.Forensics.capture_live scen r f in
+    let rules =
+      match b.Obs.Bundle.violations with
+      | Obs.Json.List l ->
+        List.filter_map (function Obs.Json.Str s -> Some s | _ -> None) l
+      | _ -> []
+    in
+    Alcotest.(check bool)
+      ("bundle lists transit: [" ^ String.concat "; " rules ^ "]")
+      true (List.mem "transit" rules);
+    match Check.Forensics.reproduces b (Check.Forensics.replay scen b) with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "live bundle did not replay:\n%s" msg
 
 let test_unknown_injection_rejected () =
   match Check.Forensics.set_injections [ "no-such-fault" ] with
@@ -234,6 +271,8 @@ let () =
             test_reproduces_detects_divergence;
           Alcotest.test_case "oracle violation replays as itself" `Quick
             test_oracle_violation_replays;
+          Alcotest.test_case "live bundle keeps strict-only rules" `Quick
+            test_live_bundle_keeps_strict_rules;
           Alcotest.test_case "unknown injection rejected" `Quick
             test_unknown_injection_rejected;
         ] );
