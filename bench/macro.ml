@@ -1,81 +1,27 @@
-(* Macro-benchmark: the whole stack under a Unix workload.
+(* Macro-benchmark: the whole stack under a Unix workload, the
+   scenario registry's [make].
 
    A "make" process forks compiler children that exec `cc`, read their
    whole text, scribble over data and heap, pipe an "object file" back
    to make, and exit.  This exercises fork's history objects, exec's
    rgnMap/rgnInit, segment caching, demand paging, the transit segment
-   and the pager in one run — the workload §5.1.5's design targets. *)
+   and the pager in one run — the workload §5.1.5's design targets.
+   Stats are reset after set-up and simulated time covers the jobs
+   alone, with segment caching (retention 64) and without (0). *)
 
 open Util
 
-let run ~jobs ~files ~retention =
+let run ~retention =
   in_sim (fun engine ->
-      let site =
-        Nucleus.Site.create ~frames:4096 ~retention_capacity:retention ~engine
-          ()
-      in
-      let images = Mix.Image.create_store site in
-      let _ =
-        Mix.Image.add_image images ~name:"make"
-          ~text:(Bytes.make (8 * ps) 'M')
-          ~data:(Bytes.make (2 * ps) 'm')
-          ~bss_size:(8 * ps) ()
-      in
-      let _ =
-        Mix.Image.add_image images ~name:"cc"
-          ~text:(Bytes.make (48 * ps) 'C')
-          ~data:(Bytes.make (8 * ps) 'c')
-          ~bss_size:(8 * ps) ()
-      in
-      let m = Mix.Process.create_manager site images in
-      let pvm = site.Nucleus.Site.pvm in
-      let make = Mix.Process.spawn_init m ~image:"make" in
-      Mix.Process.write make ~addr:Mix.Process.data_base
-        (Bytes.make (2 * ps) 'S');
-      Core.Pvm.reset_stats pvm;
-      let pipe = Mix.Pipe.create m in
-      let elapsed =
-        sim_time engine (fun () ->
-            let remaining = ref files in
-            while !remaining > 0 do
-              let batch = min jobs !remaining in
-              remaining := !remaining - batch;
-              let children =
-                List.init batch (fun _ ->
-                    let cc = Mix.Process.fork m make in
-                    Mix.Process.exec m cc ~image:"cc";
-                    cc)
-              in
-              List.iter
-                (fun cc ->
-                  (* compile: read the text, fill data/heap, emit an
-                     8-page object through the pipe *)
-                  ignore
-                    (Mix.Process.read cc ~addr:Mix.Process.text_base
-                       ~len:(48 * ps));
-                  Mix.Process.write cc ~addr:Mix.Process.data_base
-                    (Bytes.make (4 * ps) 'o');
-                  let heap = Mix.Process.sbrk m cc (8 * ps) in
-                  Mix.Process.write cc ~addr:heap (Bytes.make (8 * ps) 'h');
-                  Mix.Pipe.write m cc pipe ~addr:heap ~len:(8 * ps);
-                  Mix.Process.exit_ m cc ~status:0;
-                  ignore (Mix.Process.wait m make))
-                children;
-              (* make collects the objects into its bss *)
-              List.iter
-                (fun _ ->
-                  ignore
-                    (Mix.Pipe.read m make pipe ~addr:Mix.Process.bss_base))
-                children
-            done)
-      in
-      let stats = Core.Pvm.stats pvm in
-      (elapsed, stats))
+      let site = Check.Scenario.make_setup engine ~register:ignore ~retention in
+      Core.Pvm.reset_stats site.pvm;
+      let elapsed = sim_time engine (fun () -> Check.Scenario.make_jobs site) in
+      (elapsed, Core.Pvm.stats site.pvm))
 
 let macro () =
   Printf.printf
     "\nMacro: make -j2, 12 compiles (fork + exec + compile + pipe + exit)\n";
-  let elapsed, stats = run ~jobs:2 ~files:12 ~retention:64 in
+  let elapsed, stats = run ~retention:64 in
   Printf.printf "  simulated time: %.1f ms\n" (ms_of_ns elapsed);
   Printf.printf
     "  faults: %d   zero-fills: %d   pages really copied: %d   pages moved \
@@ -90,7 +36,7 @@ let macro () =
     "  (naive fork would have copied ~%d pages eagerly; deferred copies \
      left %d real copies)\n"
     forked_pages stats.n_cow_copies;
-  let cold, _ = run ~jobs:2 ~files:12 ~retention:0 in
+  let cold, _ = run ~retention:0 in
   Printf.printf "  without segment caching: %.1f ms (%.2fx slower)\n"
     (ms_of_ns cold)
     (ms_of_ns cold /. ms_of_ns elapsed)

@@ -43,48 +43,28 @@ let paper_cow_mach =
 
 let iterations = 10
 
+module S = Check.Scenario
+
+(* Mean simulated ms of [iterations] back-to-back runs of [cycle]. *)
+let mean_cycle engine cycle =
+  let samples =
+    List.init iterations (fun _ -> float_of_int (sim_time engine cycle))
+  in
+  ms_of_ns (int_of_float (mean samples))
+
 (* --- Table 6: zero-filled allocation ------------------------------ *)
 
 let zero_fill_chorus ~size ~pages =
   in_sim (fun engine ->
       let pvm = Core.Pvm.create ~frames:600 ~engine () in
       let ctx = Core.Context.create pvm in
-      let samples =
-        List.init iterations (fun _ ->
-            float_of_int
-              (sim_time engine (fun () ->
-                   let cache = Core.Cache.create pvm () in
-                   let region =
-                     Core.Region.create pvm ctx ~addr:0 ~size
-                       ~prot:Hw.Prot.read_write cache ~offset:0
-                   in
-                   for p = 0 to pages - 1 do
-                     Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-                   done;
-                   Core.Region.destroy pvm region;
-                   Core.Cache.destroy pvm cache)))
-      in
-      ms_of_ns (int_of_float (mean samples)))
+      mean_cycle engine (fun () -> S.zero_fill_cycle pvm ctx ~size ~pages))
 
 let zero_fill_mach ~size ~pages =
   in_sim (fun engine ->
       let vm = Shadow.Shadow_vm.create ~frames:600 ~engine () in
       let sp = Shadow.Shadow_vm.space_create vm in
-      let samples =
-        List.init iterations (fun _ ->
-            float_of_int
-              (sim_time engine (fun () ->
-                   let entry =
-                     Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size
-                       ~prot:Hw.Prot.read_write
-                   in
-                   for p = 0 to pages - 1 do
-                     Shadow.Shadow_vm.touch vm sp ~addr:(p * ps)
-                       ~access:`Write
-                   done;
-                   Shadow.Shadow_vm.entry_destroy vm entry)))
-      in
-      ms_of_ns (int_of_float (mean samples)))
+      mean_cycle engine (fun () -> S.mach_zero_fill_cycle vm sp ~size ~pages))
 
 let table6 () =
   let cell ~f ~paper ri ci =
@@ -104,68 +84,21 @@ let table6 () =
 
 (* --- Table 7: copy-on-write --------------------------------------- *)
 
+(* The source region is created and entirely allocated before the
+   measurement starts. *)
 let cow_chorus ~size ~pages =
   in_sim (fun engine ->
       let pvm = Core.Pvm.create ~frames:600 ~engine () in
       let ctx = Core.Context.create pvm in
-      let src = Core.Cache.create pvm () in
-      let _src_region =
-        Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write src
-          ~offset:0
-      in
-      (* the source region is created and entirely allocated before
-         starting the measurement *)
-      for p = 0 to (size / ps) - 1 do
-        Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-      done;
-      let copy_base = 0x4000_0000 in
-      let samples =
-        List.init iterations (fun _ ->
-            float_of_int
-              (sim_time engine (fun () ->
-                   let copy = Core.Cache.create pvm () in
-                   Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0
-                     ~dst:copy ~dst_off:0 ~size ();
-                   let region =
-                     Core.Region.create pvm ctx ~addr:copy_base ~size
-                       ~prot:Hw.Prot.read_write copy ~offset:0
-                   in
-                   (* modify data in the source to force real copies *)
-                   for p = 0 to pages - 1 do
-                     Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-                   done;
-                   Core.Region.destroy pvm region;
-                   Core.Cache.destroy pvm copy)))
-      in
-      ms_of_ns (int_of_float (mean samples)))
+      let src, _ = S.cow_source pvm ctx ~size in
+      mean_cycle engine (fun () -> S.cow_cycle pvm ctx ~src ~size ~pages))
 
 let cow_mach ~size ~pages =
   in_sim (fun engine ->
       let vm = Shadow.Shadow_vm.create ~frames:900 ~engine () in
       let sp = Shadow.Shadow_vm.space_create vm in
-      let src =
-        Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
-      in
-      for p = 0 to (size / ps) - 1 do
-        Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-      done;
-      let copy_base = 0x4000_0000 in
-      let samples =
-        List.init iterations (fun _ ->
-            float_of_int
-              (sim_time engine (fun () ->
-                   let copy =
-                     Shadow.Shadow_vm.copy_entry vm src ~dst_space:sp
-                       ~dst_addr:copy_base
-                   in
-                   for p = 0 to pages - 1 do
-                     Shadow.Shadow_vm.touch vm sp ~addr:(p * ps)
-                       ~access:`Write
-                   done;
-                   Shadow.Shadow_vm.entry_destroy vm copy)))
-      in
-      ignore src;
-      ms_of_ns (int_of_float (mean samples)))
+      let src = S.mach_cow_source vm sp ~size in
+      mean_cycle engine (fun () -> S.mach_cow_cycle vm sp ~src ~pages))
 
 let table7 () =
   let cell ~f ~paper ri ci =
@@ -200,6 +133,14 @@ let prelim () =
    under "derived", which diff.exe gates on. *)
 let derived () =
   Printf.printf "\n§5.3.2 derived overheads (measured vs paper)\n";
+  let record impl measured =
+    List.iter
+      (fun (i, name, paper) ->
+        if i = impl then
+          Report.add_derived ~impl ~name ~measured:(List.assoc name measured)
+            ~paper)
+      S.paper_decomp
+  in
   let z size pages = zero_fill_chorus ~size ~pages in
   let c size pages = cow_chorus ~size ~pages in
   let bzero = ms_of_ns Hw.Cost.chorus_sun360.Hw.Cost.t_bzero_page in
@@ -224,13 +165,9 @@ let derived () =
   let cow = ((c (kb 1024) 128 -. c (kb 1024) 0) /. 128.) -. bcopy in
   Printf.printf
     "  copy-on-write resolution structure:  %.3f ms/page (paper 0.31)\n" cow;
-  Report.add_derived ~impl:"chorus" ~name:"demand-alloc" ~measured:demand
-    ~paper:0.27;
-  Report.add_derived ~impl:"chorus" ~name:"protect" ~measured:protect
-    ~paper:0.016;
-  Report.add_derived ~impl:"chorus" ~name:"tree-setup" ~measured:tree
-    ~paper:0.03;
-  Report.add_derived ~impl:"chorus" ~name:"cow" ~measured:cow ~paper:0.31;
+  record "chorus"
+    [ ("demand-alloc", demand); ("protect", protect); ("tree-setup", tree);
+      ("cow", cow) ];
   (* the same formulas over the Mach baseline's matrices (paper values
      recomputed from its Tables 6/7 cells) *)
   let zm size pages = zero_fill_mach ~size ~pages in
@@ -245,90 +182,26 @@ let derived () =
     "  Mach: demand %.3f (0.528)  protect %.4f (0.003)  shadow setup %.3f \
      (1.13)  cow %.3f (0.579)  [ms]\n"
     demand_m protect_m tree_m cow_m;
-  Report.add_derived ~impl:"mach" ~name:"demand-alloc" ~measured:demand_m
-    ~paper:0.5277;
-  Report.add_derived ~impl:"mach" ~name:"protect" ~measured:protect_m
-    ~paper:0.003;
-  Report.add_derived ~impl:"mach" ~name:"tree-setup" ~measured:tree_m
-    ~paper:1.13;
-  Report.add_derived ~impl:"mach" ~name:"cow" ~measured:cow_m ~paper:0.5792
+  record "mach"
+    [ ("demand-alloc", demand_m); ("protect", protect_m);
+      ("tree-setup", tree_m); ("cow", cow_m) ]
 
 (* --- per-primitive attribution ------------------------------------- *)
 
-(* One 1024 Kb / 128-page zero-fill cycle plus one deferred-copy + COW
-   cycle per implementation; the always-on metrics registry supplies
+(* The registry's decomp and its Mach twin — one 1024 Kb / 128-page
+   zero-fill cycle plus one deferred-copy + COW cycle per
+   implementation; the always-on metrics registry supplies
    the per-primitive counts and simulated time.  Recorded into
    {!Report} under "primitives" (informational: diff.exe warns on
    drift but does not fail). *)
 let primitives () =
-  let size = kb 1024 and pages = 128 in
   let chorus_report =
-    in_sim (fun engine ->
-        let pvm = Core.Pvm.create ~frames:600 ~engine () in
-        let ctx = Core.Context.create pvm in
-        let cache = Core.Cache.create pvm () in
-        let region =
-          Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write
-            cache ~offset:0
-        in
-        for p = 0 to pages - 1 do
-          Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-        done;
-        Core.Region.destroy pvm region;
-        Core.Cache.destroy pvm cache;
-        let src = Core.Cache.create pvm () in
-        let src_region =
-          Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write
-            src ~offset:0
-        in
-        for p = 0 to (size / ps) - 1 do
-          Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-        done;
-        let copy = Core.Cache.create pvm () in
-        Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst:copy
-          ~dst_off:0 ~size ();
-        let copy_region =
-          Core.Region.create pvm ctx ~addr:0x4000_0000 ~size
-            ~prot:Hw.Prot.read_write copy ~offset:0
-        in
-        for p = 0 to pages - 1 do
-          Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-        done;
-        Core.Region.destroy pvm copy_region;
-        Core.Cache.destroy pvm copy;
-        Core.Region.destroy pvm src_region;
-        Core.Cache.destroy pvm src;
-        Obs.Metrics.prim_report (Core.Pvm.metrics pvm))
+    let pvms, _ = S.exec (sim_engine ()) S.decomp in
+    Obs.Metrics.prim_report (Core.Pvm.metrics (List.hd pvms))
   in
   let mach_report =
-    in_sim (fun engine ->
-        let vm = Shadow.Shadow_vm.create ~frames:900 ~engine () in
-        let sp = Shadow.Shadow_vm.space_create vm in
-        let e =
-          Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size
-            ~prot:Hw.Prot.read_write
-        in
-        for p = 0 to pages - 1 do
-          Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-        done;
-        Shadow.Shadow_vm.entry_destroy vm e;
-        let src =
-          Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size
-            ~prot:Hw.Prot.read_write
-        in
-        for p = 0 to (size / ps) - 1 do
-          Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-        done;
-        let copy =
-          Shadow.Shadow_vm.copy_entry vm src ~dst_space:sp
-            ~dst_addr:0x4000_0000
-        in
-        for p = 0 to pages - 1 do
-          Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-        done;
-        Shadow.Shadow_vm.entry_destroy vm copy;
-        Shadow.Shadow_vm.entry_destroy vm src;
-        Obs.Metrics.prim_report (Shadow.Shadow_vm.metrics vm))
+    let vm = S.decomp_mach (sim_engine ()) in
+    Obs.Metrics.prim_report (Shadow.Shadow_vm.metrics vm)
   in
   Printf.printf
     "\nPer-primitive attribution (1024 Kb / 128-page zero-fill + COW cycle)\n";

@@ -32,10 +32,15 @@ let domains = ref None
    the bench output stays byte-identical with the tracer attached. *)
 let tracer_on = ref false
 
-(* Run [f] in a fresh discrete-event engine and return its result. *)
-let in_sim f =
+(* A fresh engine for a section, honouring --domains and --tracer. *)
+let sim_engine () =
   let engine = engine ?domains:!domains () in
   if !tracer_on then Hw.Engine.set_tracer engine (Obs.Trace.create ());
+  engine
+
+(* Run [f] in a fresh discrete-event engine and return its result. *)
+let in_sim f =
+  let engine = sim_engine () in
   Hw.Engine.run_fn engine (fun () -> f engine)
 
 (* Simulated time consumed by [f], in nanoseconds. *)

@@ -2,11 +2,8 @@
 
    Subcommands:
      info               print the system inventory and versions
-     fig3               replay the paper's Figure 3 scenarios
-     fork N             run the shell fork pattern and report stats
-     dsm N              ping-pong a page between two sites N times
-     inspect            build a small scenario and dump the live
-                        Figure 2 structures
+     inspect SCENARIO   dump the live Figure 2 structures a scenario
+                        leaves behind
      trace SCENARIO     capture a Chrome trace of a scenario
      stats SCENARIO     print the metrics-registry report of a scenario
      check SCENARIO     sanitizer + schedule-perturbation harness
@@ -15,32 +12,24 @@
      profile SCENARIO   cost-attribution profile
      replay BUNDLE      deterministically re-execute a crash bundle
 
-   SCENARIO names an entry of the Check.Scenario registry; the
-   interactive fig3/fork/dsm commands keep their own printing variants
-   (free cost profile, N rounds, counters measured after setup).
-
-   The checked runs behind check, explore and replay are the
-   library's (Check.Harness: engine set-up, sanitizer sweeps, failure
-   classifier, oracle judge); this file keeps argument handling,
-   printing, bundle writing and exit codes.  Failure forensics: check
-   and explore write a crash bundle (Obs.Bundle, schema
-   chorus-bundle/2) whenever a sanitizer sweep, the watchdog, a
+   SCENARIO names an entry of the Check.Scenario registry, which holds
+   every workload body the CLI runs; this file keeps argument handling, printing,
+   bundle writing and exit codes.  The checked runs behind check,
+   explore and replay are the library's (Check.Harness: engine set-up,
+   sanitizer sweeps, failure classifier, oracle judge).  Failure
+   forensics: check and explore write a crash bundle (Obs.Bundle,
+   schema chorus-bundle/2) whenever a sanitizer sweep, the watchdog, a
    deadlock or an uncaught exception kills a run; the bundle carries
    the engine's decision log and the tail of the run's trace, and
    replay re-drives the recorded schedule decision-for-decision and
    asserts the same failure reappears.
 
-   The full evaluation and the parallel fault-throughput sweep live in
-   bench/main.exe (simulated time), host-time measurement in
-   perfbench/; the walkthroughs in examples/. *)
+   The full evaluation (Figure 3 a-d, Tables 5-7, the ablations) and
+   the parallel fault-throughput sweep live in bench/main.exe
+   (simulated time), host-time measurement in perfbench/; the
+   walkthroughs in examples/. *)
 
 open Cmdliner
-
-let ps = 8192
-
-let in_sim f =
-  let engine = Hw.Engine.create () in
-  Hw.Engine.run_fn engine (fun () -> f engine)
 
 let print_info () =
   print_endline
@@ -54,110 +43,7 @@ let print_info () =
     ];
   Printf.printf
     "\nevaluation:  dune exec bench/main.exe\nwalkthroughs: dune exec \
-     examples/quickstart.exe (and six more)\n"
-
-let fig3 () =
-  in_sim (fun engine ->
-      let pvm = Core.Pvm.create ~frames:256 ~cost:Hw.Cost.free ~engine () in
-      let ctx = Core.Context.create pvm in
-      let mk base =
-        let cache = Core.Cache.create pvm () in
-        let _ =
-          Core.Region.create pvm ctx ~addr:base ~size:(4 * ps)
-            ~prot:Hw.Prot.read_write cache ~offset:0
-        in
-        cache
-      in
-      let src = mk 0 and cpy1 = mk (1024 * ps) and cpy2 = mk (2048 * ps) in
-      Core.Pvm.write pvm ctx ~addr:ps (Bytes.make ps '1');
-      let copy dst =
-        Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst
-          ~dst_off:0 ~size:(4 * ps) ()
-      in
-      copy cpy1;
-      Core.Pvm.write pvm ctx ~addr:ps (Bytes.make ps 'X');
-      copy cpy2;
-      Format.printf "%a@." Core.Pvm.pp_history_tree src)
-
-let fork n =
-  in_sim (fun engine ->
-      let site = Nucleus.Site.create ~frames:2048 ~engine () in
-      let images = Mix.Image.create_store site in
-      let _ =
-        Mix.Image.add_image images ~name:"sh"
-          ~text:(Bytes.make (4 * ps) 'T')
-          ~data:(Bytes.make (4 * ps) 'D')
-          ()
-      in
-      let m = Mix.Process.create_manager site images in
-      let shell = Mix.Process.spawn_init m ~image:"sh" in
-      Core.Pvm.reset_stats site.Nucleus.Site.pvm;
-      let t0 = Hw.Engine.now engine in
-      for i = 1 to n do
-        let child = Mix.Process.fork m shell in
-        Mix.Process.write shell ~addr:Mix.Process.data_base
-          (Bytes.make 32 (Char.chr (65 + (i mod 26))));
-        Mix.Process.exit_ m child ~status:0;
-        ignore (Mix.Process.wait m shell)
-      done;
-      let stats = Core.Pvm.stats site.Nucleus.Site.pvm in
-      Printf.printf
-        "%d fork/exit rounds: %.2f sim-ms, %d pages really copied, %d \
-         history objects, invariants %s\n"
-        n
-        (float_of_int (Hw.Engine.now engine - t0) /. 1e6)
-        stats.Core.Types.n_cow_copies stats.n_history_created
-        (match Core.Pvm.check_invariant site.Nucleus.Site.pvm with
-        | [] -> "OK"
-        | e -> String.concat "; " e))
-
-let dsm n =
-  in_sim (fun engine ->
-      let seg =
-        Dsm.Coherent.create ~latency:(Hw.Sim_time.ms 2) ~size:(4 * ps)
-          ~page_size:ps ()
-      in
-      let mk () =
-        let pvm = Core.Pvm.create ~frames:32 ~engine () in
-        let site = Dsm.Coherent.attach seg pvm in
-        let ctx = Core.Context.create pvm in
-        let _ =
-          Core.Region.create pvm ctx ~addr:0 ~size:(4 * ps)
-            ~prot:Hw.Prot.read_write (Dsm.Coherent.cache site) ~offset:0
-        in
-        (pvm, ctx)
-      in
-      let a = mk () and b = mk () in
-      let t0 = Hw.Engine.now engine in
-      for i = 1 to n do
-        let pvm, ctx = if i mod 2 = 0 then a else b in
-        Core.Pvm.write pvm ctx ~addr:0
-          (Bytes.of_string (Printf.sprintf "round-%d" i))
-      done;
-      let stats = Dsm.Coherent.stats seg in
-      Printf.printf
-        "%d alternating writes: %.1f sim-ms, %d transfers, %d \
-         invalidations\n"
-        n
-        (float_of_int (Hw.Engine.now engine - t0) /. 1e6)
-        stats.Dsm.Coherent.page_transfers stats.invalidations)
-
-let inspect () =
-  in_sim (fun engine ->
-      let pvm = Core.Pvm.create ~frames:64 ~cost:Hw.Cost.free ~engine () in
-      let ctx = Core.Context.create pvm in
-      let src = Core.Cache.create pvm () in
-      let dst = Core.Cache.create pvm () in
-      let _ =
-        Core.Region.create pvm ctx ~addr:0 ~size:(4 * ps)
-          ~prot:Hw.Prot.read_write src ~offset:0
-      in
-      Core.Pvm.write pvm ctx ~addr:0 (Bytes.make (2 * ps) 's');
-      Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
-        ~size:(4 * ps) ();
-      Core.Pvm.write pvm ctx ~addr:0 (Bytes.make 8 'w');
-      Format.printf "%a@.@.%a@." Core.Inspect.pp_state pvm
-        Core.Inspect.pp_context ctx)
+     examples/quickstart.exe (and five more)\n"
 
 (* Every SCENARIO argument names a Check.Scenario registry entry. *)
 let scenario_names =
@@ -170,10 +56,6 @@ let find_scenario name =
     Printf.eprintf "chorus: unknown scenario '%s' (available: %s)\n" name
       (String.concat ", " scenario_names);
     exit 2
-
-(* SCENARIO help text: the registry plus a command's extras. *)
-let scenario_doc extra =
-  "one of: " ^ String.concat ", " (scenario_names @ extra)
 
 let write_file ~cmd file contents =
   try Out_channel.with_open_text file (fun oc -> output_string oc contents)
@@ -198,6 +80,31 @@ let traced_engine ?domains () =
   Hw.Engine.set_tracer engine tr;
   Obs.Trace.enable tr;
   (engine, tr)
+
+(* [f] on each item, headed by its PVM's index when there are
+   several. *)
+let per_pvm items f =
+  let many = List.length items > 1 in
+  List.iteri
+    (fun i x ->
+      if many then Format.printf "=== pvm %d ===@." i;
+      f x)
+    items
+
+(* chorus inspect SCENARIO: the Inspect dump of every PVM the scenario
+   registers, and of each of its live contexts, once the run drains. *)
+let inspect scenario =
+  let scen = find_scenario scenario in
+  let pvms, _ = Check.Scenario.exec (Hw.Engine.create ()) scen in
+  per_pvm pvms (fun pvm ->
+      Format.printf "%a@." Core.Inspect.pp_state pvm;
+      List.iter
+        (fun (ctx : Core.Types.context) ->
+          if ctx.ctx_alive then
+            Format.printf "@.%a@." Core.Inspect.pp_context ctx)
+        (List.sort
+           (fun (a : Core.Types.context) b -> compare a.ctx_id b.ctx_id)
+           pvm.Core.Types.contexts))
 
 let trace scenario out domains =
   let domains = Option.map (check_domains ~cmd:"trace") domains in
@@ -239,12 +146,8 @@ let stats scenario json_out domains =
     Printf.eprintf
       "chorus stats: warning: the trace ring overwrote %d events\n"
       (Obs.Trace.dropped tr);
-  let many = List.length pvms > 1 in
-  List.iteri
-    (fun i pvm ->
-      if many then Format.printf "=== pvm %d ===@." i;
-      Format.printf "%a@." Obs.Metrics.pp (Core.Pvm.metrics pvm))
-    pvms;
+  per_pvm pvms (fun pvm ->
+      Format.printf "%a@." Obs.Metrics.pp (Core.Pvm.metrics pvm));
   match json_out with
   | None -> ()
   | Some file ->
@@ -261,102 +164,18 @@ let stats scenario json_out domains =
    including the derived §5.3.2 decomposition and an Inspect-based
    residency/pressure snapshot of every PVM the scenario built.
 
-   The synthetic scenario [decomp] replays the Table 6 / Table 7 cell
-   shapes (1024 Kb region, 128 touched pages) under tracing for BOTH
-   implementations — Chorus PVM and the Mach-style shadow baseline, on
-   separate engines so their charges cannot mix — and checks each
-   derived decomposition against the paper's published numbers. *)
+   For [decomp] (the Table 6 / Table 7 cell shapes: 1024 Kb region,
+   128 touched pages) the Mach-style shadow baseline's twin
+   (Check.Scenario.decomp_mach) is profiled too, on a separate engine
+   so their charges cannot mix, and each derived decomposition is
+   checked against the paper's published numbers. *)
 
-let run_traced f =
+let profile_of run =
   let engine, tr = traced_engine () in
-  let r = f engine in
+  let r = run engine in
   (r, Obs.Profile.of_trace tr)
 
-(* One Table-6 cycle (zero-fill 128 pages of a 1024 Kb region) then
-   one Table-7 cycle (deferred copy, 128 source pages really copied),
-   everything torn down so teardown frees balance fault-time
-   allocations — the shapes bench/tables.ml measures. *)
-let decomp_pages = 128
-
-let decomp_size = 1024 * 1024
-
-let decomp_chorus engine =
-  let size = decomp_size and pages = decomp_pages in
-  let pvm = Core.Pvm.create ~frames:600 ~engine () in
-  let ctx = Core.Context.create pvm in
-  let cache = Core.Cache.create pvm () in
-  let region =
-    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write cache
-      ~offset:0
-  in
-  for p = 0 to pages - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  Core.Region.destroy pvm region;
-  Core.Cache.destroy pvm cache;
-  let src = Core.Cache.create pvm () in
-  let src_region =
-    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write src
-      ~offset:0
-  in
-  for p = 0 to (size / ps) - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  let copy = Core.Cache.create pvm () in
-  Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst:copy ~dst_off:0
-    ~size ();
-  let copy_region =
-    Core.Region.create pvm ctx ~addr:0x4000_0000 ~size
-      ~prot:Hw.Prot.read_write copy ~offset:0
-  in
-  for p = 0 to pages - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  Core.Region.destroy pvm copy_region;
-  Core.Cache.destroy pvm copy;
-  Core.Region.destroy pvm src_region;
-  Core.Cache.destroy pvm src
-
-let decomp_mach engine =
-  let size = decomp_size and pages = decomp_pages in
-  let vm = Shadow.Shadow_vm.create ~frames:900 ~engine () in
-  let sp = Shadow.Shadow_vm.space_create vm in
-  let e =
-    Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
-  in
-  for p = 0 to pages - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  Shadow.Shadow_vm.entry_destroy vm e;
-  let src =
-    Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
-  in
-  for p = 0 to (size / ps) - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  let copy =
-    Shadow.Shadow_vm.copy_entry vm src ~dst_space:sp ~dst_addr:0x4000_0000
-  in
-  for p = 0 to pages - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  Shadow.Shadow_vm.entry_destroy vm copy;
-  Shadow.Shadow_vm.entry_destroy vm src
-
-(* The paper's §5.3.2 per-page / per-copy overheads (ms), including
-   the Mach equivalents recomputed from Tables 6/7 by the paper's own
-   formulas: demand = (t(1024K,128) - t(1024K,0))/128 - bzero;
-   cow = (c(1024K,128) - c(1024K,0))/128 - bcopy;
-   tree = c(8K,0) - z(8K,0); protect = (c(1024K,0) - c(8K,0))/127. *)
-let paper_chorus =
-  [ ("demand-alloc", 0.270); ("cow", 0.310); ("tree-setup", 0.030);
-    ("protect", 0.016) ]
-
-let paper_mach =
-  [ ("demand-alloc", 0.5277); ("cow", 0.5792); ("tree-setup", 1.130);
-    ("protect", 0.0030) ]
-
-let check_derived label (d : Obs.Profile.derived) paper =
+let check_derived ~impl label (d : Obs.Profile.derived) =
   Format.printf "@.%s — derived vs paper (§5.3.2):@." label;
   Format.printf
     "  %d zero-fill faults, %d COW faults, %d copies, teardown share %.4f \
@@ -365,7 +184,12 @@ let check_derived label (d : Obs.Profile.derived) paper =
     (d.teardown_share_ns /. 1e6);
   let worst = ref 0.0 in
   let row name per measured =
-    let paper_ms = List.assoc name paper in
+    let paper_ms =
+      List.find_map
+        (fun (i, n, ms) -> if i = impl && n = name then Some ms else None)
+        Check.Scenario.paper_decomp
+      |> Option.get
+    in
     match measured with
     | None -> Format.printf "  %-14s (not exercised; paper %.4f)@." name paper_ms
     | Some ns ->
@@ -381,19 +205,17 @@ let check_derived label (d : Obs.Profile.derived) paper =
   row "protect" "page" d.protect_ns;
   !worst
 
-let profile_decomp folded json_out =
-  let in_run body engine = Hw.Engine.run_fn engine (fun () -> body engine) in
-  let (), chorus_prof = run_traced (in_run decomp_chorus) in
-  let (), mach_prof = run_traced (in_run decomp_mach) in
+let profile_decomp chorus_prof folded json_out =
+  let _, mach_prof = profile_of Check.Scenario.decomp_mach in
   Format.printf "=== Chorus (PVM, history objects) ===@.%a@." Obs.Profile.pp
     chorus_prof;
   Format.printf "=== Mach baseline (shadow objects) ===@.%a@." Obs.Profile.pp
     mach_prof;
   let w1 =
-    check_derived "Chorus" (Obs.Profile.derive chorus_prof) paper_chorus
+    check_derived ~impl:"chorus" "Chorus" (Obs.Profile.derive chorus_prof)
   in
   let w2 =
-    check_derived "Mach baseline" (Obs.Profile.derive mach_prof) paper_mach
+    check_derived ~impl:"mach" "Mach baseline" (Obs.Profile.derive mach_prof)
   in
   Format.printf "@.worst deviation from paper: %.1f%% (threshold 5%%)@."
     (Float.max w1 w2);
@@ -431,20 +253,15 @@ let profile_decomp folded json_out =
   end
 
 let profile scenario folded json_out =
-  if String.equal scenario "decomp" then profile_decomp folded json_out
+  let scen = find_scenario scenario in
+  let (pvms, _), prof =
+    profile_of (fun engine -> Check.Scenario.exec engine scen)
+  in
+  if String.equal scenario "decomp" then profile_decomp prof folded json_out
   else begin
-    let scen = find_scenario scenario in
-    let pvms, prof =
-      run_traced (fun engine -> fst (Check.Scenario.exec engine scen))
-    in
     Format.printf "%a@." Obs.Profile.pp prof;
     let residencies = List.map Core.Inspect.residency pvms in
-    let many = List.length residencies > 1 in
-    List.iteri
-      (fun i r ->
-        if many then Format.printf "=== pvm %d ===@." i;
-        Format.printf "%a@." Core.Inspect.pp_residency r)
-      residencies;
+    per_pvm residencies (Format.printf "%a@." Core.Inspect.pp_residency);
     Option.iter
       (fun file ->
         write_file ~cmd:"profile" file (Obs.Profile.to_folded prof);
@@ -613,6 +430,9 @@ let crossval domains =
    under an armed [evict-claim-late] injection). *)
 let explore scenario bound max_schedules show_stats schedule_out inject
     bundle_dir =
+  let count flag min = Option.map (check_count ~cmd:"explore" ~flag ~min) in
+  let bound = count "--bound" 0 bound in
+  let max_schedules = count "--max-schedules" 1 max_schedules in
   let scen = find_scenario scenario in
   (match
      List.find_opt
@@ -713,14 +533,12 @@ let replay_bundle path =
       Printf.eprintf "chorus replay: bundle NOT reproduced:\n%s\n" msg;
       exit 1)
 
-let n_arg ~doc default =
-  Arg.(value & pos 0 int default & info [] ~docv:"N" ~doc)
-
 let scenario_arg =
   Arg.(
     required
     & pos 0 (some string) None
-    & info [] ~docv:"SCENARIO" ~doc:(scenario_doc []))
+    & info [] ~docv:"SCENARIO"
+        ~doc:("one of: " ^ String.concat ", " scenario_names))
 
 let bundle_dir_arg cmd =
   Arg.(
@@ -736,17 +554,12 @@ let cmds =
   [
     Cmd.v (Cmd.info "info" ~doc:"inventory and pointers")
       Term.(const print_info $ const ());
-    Cmd.v (Cmd.info "fig3" ~doc:"replay the paper's Figure 3")
-      Term.(const fig3 $ const ());
     Cmd.v
-      (Cmd.info "fork" ~doc:"run N fork/exit rounds on Chorus/MIX")
-      Term.(const fork $ n_arg ~doc:"number of forks" 16);
-    Cmd.v
-      (Cmd.info "dsm" ~doc:"ping-pong a shared page between two sites")
-      Term.(const dsm $ n_arg ~doc:"number of writes" 10);
-    Cmd.v
-      (Cmd.info "inspect" ~doc:"dump live PVM structures for a tiny scenario")
-      Term.(const inspect $ const ());
+      (Cmd.info "inspect"
+         ~doc:
+           "run a scenario and dump the live PVM structures (Figure 2) of \
+            every PVM it built and of each live context")
+      Term.(const inspect $ scenario_arg);
     Cmd.v
       (Cmd.info "trace"
          ~doc:
@@ -896,16 +709,13 @@ let cmds =
             cost-attribution profile: hierarchical cost tree (per \
             fault-resolution kind, per primitive, per cache), counter \
             series, residency snapshot, and the \xc2\xa75.3.2 overhead \
-            decomposition derived from the measured charges.  The synthetic \
-            scenario $(b,decomp) replays the Table 6/7 cell shapes for both \
-            the Chorus PVM and the Mach-style shadow baseline and checks \
-            the derived decomposition against the paper (exit 1 beyond 5%)")
+            decomposition derived from the measured charges.  For \
+            $(b,decomp), the Table 6/7 cell shapes, the Mach-style shadow \
+            baseline's twin is profiled too and both derived \
+            decompositions are checked against the paper (exit 1 beyond \
+            5%)")
       Term.(
-        const profile
-        $ Arg.(
-            required
-            & pos 0 (some string) None
-            & info [] ~docv:"SCENARIO" ~doc:(scenario_doc [ "decomp" ]))
+        const profile $ scenario_arg
         $ Arg.(
             value
             & opt (some string) None

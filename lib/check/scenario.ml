@@ -291,6 +291,194 @@ let storm ?(workers = 8) ?(pages = 16) ?(rounds = 4) ?shards () =
 
 let storm_faults ~workers ~pages = workers * pages
 
+(* make -j2 on Chorus/MIX: a make process forks compiler children
+   that exec cc, read their whole text, scribble over data and heap,
+   pipe an 8-page object back to make and exit, two at a time. *)
+type make_site = {
+  pvm : Core.Types.pvm;
+  procs : Mix.Process.manager;
+  make_proc : Mix.Process.t;
+}
+
+let make_setup engine ~register ~retention =
+  let site =
+    Nucleus.Site.create ~frames:4096 ~retention_capacity:retention ~engine ()
+  in
+  let pvm = site.Nucleus.Site.pvm in
+  register pvm;
+  let images = Mix.Image.create_store site in
+  let _ =
+    Mix.Image.add_image images ~name:"make"
+      ~text:(Bytes.make (8 * ps) 'M')
+      ~data:(Bytes.make (2 * ps) 'm')
+      ~bss_size:(8 * ps) ()
+  in
+  let _ =
+    Mix.Image.add_image images ~name:"cc"
+      ~text:(Bytes.make (48 * ps) 'C')
+      ~data:(Bytes.make (8 * ps) 'c')
+      ~bss_size:(8 * ps) ()
+  in
+  let procs = Mix.Process.create_manager site images in
+  let make_proc = Mix.Process.spawn_init procs ~image:"make" in
+  Mix.Process.write make_proc ~addr:Mix.Process.data_base
+    (Bytes.make (2 * ps) 'S');
+  { pvm; procs; make_proc }
+
+let make_jobs { procs = m; make_proc = make; _ } =
+  let pipe = Mix.Pipe.create m in
+  for _ = 1 to 12 / 2 do
+    let children =
+      List.init 2 (fun _ ->
+          let cc = Mix.Process.fork m make in
+          Mix.Process.exec m cc ~image:"cc";
+          cc)
+    in
+    List.iter
+      (fun cc ->
+        (* compile: read the text, fill data/heap, emit an 8-page object
+           through the pipe *)
+        ignore
+          (Mix.Process.read cc ~addr:Mix.Process.text_base ~len:(48 * ps));
+        Mix.Process.write cc ~addr:Mix.Process.data_base
+          (Bytes.make (4 * ps) 'o');
+        let heap = Mix.Process.sbrk m cc (8 * ps) in
+        Mix.Process.write cc ~addr:heap (Bytes.make (8 * ps) 'h');
+        Mix.Pipe.write m cc pipe ~addr:heap ~len:(8 * ps);
+        Mix.Process.exit_ m cc ~status:0;
+        ignore (Mix.Process.wait m make))
+      children;
+    (* make collects the objects into its bss *)
+    List.iter
+      (fun _ ->
+        ignore (Mix.Pipe.read m make pipe ~addr:Mix.Process.bss_base))
+      children
+  done
+
+let make =
+  let run engine ~register =
+    let site = make_setup engine ~register ~retention:64 in
+    make_jobs site;
+    fun () -> digest [ site.pvm ]
+  in
+  { name = "make"; oracle = Schedule_independent; run }
+
+(* --- The paper's Table 6/7 cycles ---------------------------------- *)
+
+let copy_base = 0x4000_0000
+
+let zero_fill_cycle pvm ctx ~size ~pages =
+  let cache = Core.Cache.create pvm () in
+  let region =
+    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write cache
+      ~offset:0
+  in
+  for p = 0 to pages - 1 do
+    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
+  done;
+  Core.Region.destroy pvm region;
+  Core.Cache.destroy pvm cache
+
+let cow_source pvm ctx ~size =
+  let src = Core.Cache.create pvm () in
+  let region =
+    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write src
+      ~offset:0
+  in
+  for p = 0 to (size / ps) - 1 do
+    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
+  done;
+  (src, region)
+
+let cow_cycle pvm ctx ~src ~size ~pages =
+  let copy = Core.Cache.create pvm () in
+  Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst:copy ~dst_off:0
+    ~size ();
+  let region =
+    Core.Region.create pvm ctx ~addr:copy_base ~size ~prot:Hw.Prot.read_write
+      copy ~offset:0
+  in
+  (* writes to the source force the real copies *)
+  for p = 0 to pages - 1 do
+    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
+  done;
+  Core.Region.destroy pvm region;
+  Core.Cache.destroy pvm copy
+
+let mach_zero_fill_cycle vm sp ~size ~pages =
+  let entry =
+    Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
+  in
+  for p = 0 to pages - 1 do
+    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
+  done;
+  Shadow.Shadow_vm.entry_destroy vm entry
+
+let mach_cow_source vm sp ~size =
+  let src =
+    Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
+  in
+  for p = 0 to (size / ps) - 1 do
+    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
+  done;
+  src
+
+let mach_cow_cycle vm sp ~src ~pages =
+  let copy =
+    Shadow.Shadow_vm.copy_entry vm src ~dst_space:sp ~dst_addr:copy_base
+  in
+  for p = 0 to pages - 1 do
+    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
+  done;
+  Shadow.Shadow_vm.entry_destroy vm copy
+
+(* The 1024 Kb / 128-page cells, everything torn down so teardown
+   frees balance fault-time allocations. *)
+let decomp_size = 1024 * 1024
+let decomp_pages = 128
+
+let decomp =
+  let run engine ~register =
+    let size = decomp_size and pages = decomp_pages in
+    let pvm = Core.Pvm.create ~frames:600 ~engine () in
+    register pvm;
+    let ctx = Core.Context.create pvm in
+    zero_fill_cycle pvm ctx ~size ~pages;
+    let src, src_region = cow_source pvm ctx ~size in
+    cow_cycle pvm ctx ~src ~size ~pages;
+    Core.Region.destroy pvm src_region;
+    Core.Cache.destroy pvm src;
+    fun () -> digest [ pvm ]
+  in
+  { name = "decomp"; oracle = Schedule_independent; run }
+
+let decomp_mach engine =
+  Hw.Engine.run_fn engine (fun () ->
+      let size = decomp_size and pages = decomp_pages in
+      let vm = Shadow.Shadow_vm.create ~frames:900 ~engine () in
+      let sp = Shadow.Shadow_vm.space_create vm in
+      mach_zero_fill_cycle vm sp ~size ~pages;
+      let src = mach_cow_source vm sp ~size in
+      mach_cow_cycle vm sp ~src ~pages;
+      Shadow.Shadow_vm.entry_destroy vm src;
+      vm)
+
+(* The Mach values are recomputed from its Table 6/7 cells by the
+   paper's own formulas: demand = (t(1024K,128) - t(1024K,0))/128 -
+   bzero; cow = (c(1024K,128) - c(1024K,0))/128 - bcopy; tree =
+   c(8K,0) - z(8K,0); protect = (c(1024K,0) - c(8K,0))/127. *)
+let paper_decomp =
+  [
+    ("chorus", "demand-alloc", 0.27);
+    ("chorus", "protect", 0.016);
+    ("chorus", "tree-setup", 0.03);
+    ("chorus", "cow", 0.31);
+    ("mach", "demand-alloc", 0.5277);
+    ("mach", "protect", 0.003);
+    ("mach", "tree-setup", 1.13);
+    ("mach", "cow", 0.5792);
+  ]
+
 (* --- Model programs ----------------------------------------------- *)
 
 let site_setup ~frames ~pages engine =
@@ -380,6 +568,8 @@ let all =
     ipc;
     contend;
     storm ();
+    make;
+    decomp;
     pressure;
     pressure_program ~name:"contend-model" ~workers:3;
   ]

@@ -1,9 +1,11 @@
 (** The scenario registry: every workload the checkers drive.
 
-    One {!t} serves every driver — [chorus trace/stats/profile/check/
-    explore/crossval/bench/replay], the bench harness and the test
+    One {!t} serves every driver — [chorus inspect/trace/stats/profile/
+    check/explore/crossval/replay], the bench harness and the test
     suites — so a workload is written once and each driver reaches it
-    by name through {!find}.  A scenario builds its PVMs on the engine
+    by name through {!find}.  Where a driver times part of a workload
+    (bench's Table 6/7 loops and [macro]), the registry exports the
+    steps and the driver keeps only the measurement window.  A scenario builds its PVMs on the engine
     it is given, announces each through [register], starts its fibres
     and returns an observation thunk; its {!oracle} says how the
     observations of different schedules must relate. *)
@@ -38,9 +40,9 @@ type t = {
 
 val all : t list
 (** The registry, in CLI order: the kernel workloads [fig3], [fork],
-    [dsm], [ipc], [contend] and [storm] (observed by {!digest}), then
-    the Model programs [pressure] and [contend-model] (observed by
-    {!Model.digest_outcome}, judged by [Outcomes]). *)
+    [dsm], [ipc], [contend], [storm], [make] and [decomp] (observed by
+    {!digest}), then the Model programs [pressure] and [contend-model]
+    (observed by {!Model.digest_outcome}, judged by [Outcomes]). *)
 
 val find : string -> t option
 
@@ -76,6 +78,102 @@ val storm :
 val storm_faults : workers:int -> pages:int -> int
 (** Lower bound on the demand-zero faults one [storm] run generates
     (private pages only). *)
+
+(** {2 make -j2}
+
+    The registry's [make] is {!make_setup} at retention 64 followed by
+    {!make_jobs}; the bench harness runs the two halves itself to time
+    the jobs alone and to compare retention 64 with 0. *)
+
+type make_site = {
+  pvm : Core.Types.pvm;
+  procs : Mix.Process.manager;
+  make_proc : Mix.Process.t;  (** the make process, data written *)
+}
+
+val make_setup :
+  Hw.Engine.t ->
+  register:(Core.Types.pvm -> unit) ->
+  retention:int ->
+  make_site
+(** A 4096-frame site keeping [retention] unreferenced segment caches
+    (§5.1.3), the [make] and [cc] images, and a running make process
+    that has written its data; [register] is called with the site's
+    PVM as soon as it exists.  Runs in the engine's main fibre. *)
+
+val make_jobs : make_site -> unit
+(** 12 compiles, two at a time: make forks a child that execs [cc],
+    reads its 48-page text, writes data and an 8-page heap, pipes an
+    8-page object back and exits; make waits for it, then reads each
+    object into its bss. *)
+
+val make : t
+
+(** {2 The paper's Table 6/7 cycles (§5.3)}
+
+    One cycle of each measurement, for the Chorus PVM and for the
+    Mach-style shadow baseline, run in the engine's main fibre.  The
+    bench harness times them; {!decomp} and {!decomp_mach} run one of
+    each at the 1024 Kb / 128-page cell. *)
+
+val zero_fill_cycle :
+  Core.Types.pvm -> Core.Types.context -> size:int -> pages:int -> unit
+(** Table 6: create a [size]-byte region of a fresh cache at 0,
+    write-touch its first [pages] pages, destroy region and cache. *)
+
+val cow_source :
+  Core.Types.pvm ->
+  Core.Types.context ->
+  size:int ->
+  Core.Types.cache * Core.Types.region
+(** Table 7's source: a [size]-byte region at 0, every page
+    written. *)
+
+val cow_cycle :
+  Core.Types.pvm ->
+  Core.Types.context ->
+  src:Core.Types.cache ->
+  size:int ->
+  pages:int ->
+  unit
+(** Table 7: history-copy the source into a fresh cache mapped at
+    0x4000_0000, write the first [pages] source pages (forcing real
+    copies), destroy the copy's region and cache. *)
+
+val mach_zero_fill_cycle :
+  Shadow.Shadow_vm.t -> Shadow.Shadow_vm.space -> size:int -> pages:int -> unit
+
+val mach_cow_source :
+  Shadow.Shadow_vm.t ->
+  Shadow.Shadow_vm.space ->
+  size:int ->
+  Shadow.Shadow_vm.entry
+
+val mach_cow_cycle :
+  Shadow.Shadow_vm.t ->
+  Shadow.Shadow_vm.space ->
+  src:Shadow.Shadow_vm.entry ->
+  pages:int ->
+  unit
+(** The same three steps on the shadow-object baseline. *)
+
+val decomp : t
+(** One zero-fill cycle then one COW cycle (source set up, copied,
+    128 pages really copied, everything torn down) on a 600-frame
+    PVM: the 1024 Kb / 128-page shapes the §5.3.2 decomposition is
+    derived from. *)
+
+val decomp_mach : Hw.Engine.t -> Shadow.Shadow_vm.t
+(** {!decomp}'s twin on a 900-frame shadow-object VM, run on the
+    engine until it drains.  Not a registry entry: the checkers read
+    PVM state. *)
+
+val paper_decomp : (string * string * float) list
+(** The paper's §5.3.2 overheads in ms, as (implementation, name,
+    value): ["chorus"] and ["mach"] × ["demand-alloc"] (per page),
+    ["protect"] (per page), ["tree-setup"] (per copy) and ["cow"] (per
+    page).  The Mach values are recomputed from its Table 6/7 cells by
+    the paper's formulas. *)
 
 val of_program : name:string -> frames:int -> pages:int -> Model.prog -> t
 (** Lift a {!Model} program into a scenario on a nucleus site with

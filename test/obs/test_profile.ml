@@ -5,90 +5,38 @@
    with the Table 6 cells; and the export surfaces (folded stacks,
    JSON, dropped-event accounting) must stay coherent. *)
 
-let ps = 8192
 let size = 1024 * 1024 (* the 1024 Kb / 128-page cells *)
 let pages = 128
 
-let run_traced f =
+(* Run [run] (which drives the engine itself) on a fresh traced engine. *)
+let run_traced run =
   let tr = Obs.Trace.create () in
   let engine = Hw.Engine.create () in
   Hw.Engine.set_tracer engine tr;
   Obs.Trace.enable tr;
-  Hw.Engine.run_fn engine (fun () -> f engine);
+  run engine;
   (Hw.Engine.now engine, Obs.Profile.of_trace tr)
 
-(* One Table-6 zero-fill cycle. *)
+(* One Table-6 zero-fill cycle on a fresh PVM / shadow VM. *)
 let chorus_zero_fill engine =
-  let pvm = Core.Pvm.create ~frames:600 ~engine () in
-  let ctx = Core.Context.create pvm in
-  let cache = Core.Cache.create pvm () in
-  let region =
-    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write cache
-      ~offset:0
-  in
-  for p = 0 to pages - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  Core.Region.destroy pvm region;
-  Core.Cache.destroy pvm cache
-
-(* ... followed by a Table-7 deferred-copy + COW cycle. *)
-let chorus_decomp engine =
-  chorus_zero_fill engine;
-  let pvm = Core.Pvm.create ~frames:600 ~engine () in
-  let ctx = Core.Context.create pvm in
-  let src = Core.Cache.create pvm () in
-  let src_region =
-    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write src
-      ~offset:0
-  in
-  for p = 0 to (size / ps) - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  let copy = Core.Cache.create pvm () in
-  Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst:copy ~dst_off:0
-    ~size ();
-  let copy_region =
-    Core.Region.create pvm ctx ~addr:0x4000_0000 ~size
-      ~prot:Hw.Prot.read_write copy ~offset:0
-  in
-  for p = 0 to pages - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  Core.Region.destroy pvm copy_region;
-  Core.Cache.destroy pvm copy;
-  Core.Region.destroy pvm src_region;
-  Core.Cache.destroy pvm src
+  Hw.Engine.run_fn engine (fun () ->
+      let pvm = Core.Pvm.create ~frames:600 ~engine () in
+      Check.Scenario.zero_fill_cycle pvm (Core.Context.create pvm) ~size
+        ~pages)
 
 let mach_zero_fill engine =
-  let vm = Shadow.Shadow_vm.create ~frames:600 ~engine () in
-  let sp = Shadow.Shadow_vm.space_create vm in
-  let e =
-    Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
-  in
-  for p = 0 to pages - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  Shadow.Shadow_vm.entry_destroy vm e
+  Hw.Engine.run_fn engine (fun () ->
+      let vm = Shadow.Shadow_vm.create ~frames:600 ~engine () in
+      Check.Scenario.mach_zero_fill_cycle vm
+        (Shadow.Shadow_vm.space_create vm)
+        ~size ~pages)
 
-let mach_decomp engine =
-  mach_zero_fill engine;
-  let vm = Shadow.Shadow_vm.create ~frames:900 ~engine () in
-  let sp = Shadow.Shadow_vm.space_create vm in
-  let src =
-    Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
-  in
-  for p = 0 to (size / ps) - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  let copy =
-    Shadow.Shadow_vm.copy_entry vm src ~dst_space:sp ~dst_addr:0x4000_0000
-  in
-  for p = 0 to pages - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  Shadow.Shadow_vm.entry_destroy vm copy;
-  Shadow.Shadow_vm.entry_destroy vm src
+(* The registry's decomp and its Mach twin: a zero-fill cycle followed
+   by a Table-7 deferred-copy + COW cycle. *)
+let chorus_decomp engine =
+  ignore (Check.Scenario.exec engine Check.Scenario.decomp)
+
+let mach_decomp engine = ignore (Check.Scenario.decomp_mach engine)
 
 let check_pct ~msg ~paper_ms measured_ns =
   match measured_ns with
@@ -101,35 +49,31 @@ let check_pct ~msg ~paper_ms measured_ns =
         ms paper_ms dev
 
 (* ------------------------------------------------------------------ *)
-(* The §5.3.2 decomposition, derived from charges, vs the paper. *)
+(* The §5.3.2 decomposition, derived from charges, vs the paper's
+   values (Check.Scenario.paper_decomp; the Mach ones recomputed from
+   its Table 6/7 cells by the paper's own formulas). *)
 
-let test_derived_chorus () =
-  let _, prof = run_traced chorus_decomp in
+let check_derived ~impl decomp =
+  let _, prof = run_traced decomp in
   let d = Obs.Profile.derive prof in
   Alcotest.(check int)
     "zero-fill faults" (2 * pages) d.Obs.Profile.zero_fill_faults;
   Alcotest.(check int) "COW faults" pages d.cow_faults;
   Alcotest.(check int) "copies" 1 d.copies;
-  check_pct ~msg:"demand-alloc" ~paper_ms:0.27 d.demand_ns;
-  check_pct ~msg:"cow" ~paper_ms:0.31 d.cow_ns;
-  check_pct ~msg:"tree-setup" ~paper_ms:0.03 d.tree_setup_ns;
-  check_pct ~msg:"protect" ~paper_ms:0.016 d.protect_ns
+  List.iter
+    (fun (i, name, paper_ms) ->
+      if i = impl then
+        check_pct ~msg:name ~paper_ms
+          (match name with
+          | "demand-alloc" -> d.demand_ns
+          | "cow" -> d.cow_ns
+          | "tree-setup" -> d.tree_setup_ns
+          | "protect" -> d.protect_ns
+          | _ -> Alcotest.failf "unknown §5.3.2 value %s" name))
+    Check.Scenario.paper_decomp
 
-(* Mach paper values recomputed from its Table 6/7 cells by the
-   paper's own formulas: demand = (180.8 - 1.89)/128 - bzero;
-   cow = (256.41 - 3.08)/128 - bcopy; shadow setup = 2.7 - 1.57;
-   protect = (3.08 - 2.7)/127. *)
-let test_derived_mach () =
-  let _, prof = run_traced mach_decomp in
-  let d = Obs.Profile.derive prof in
-  Alcotest.(check int)
-    "zero-fill faults" (2 * pages) d.Obs.Profile.zero_fill_faults;
-  Alcotest.(check int) "COW faults" pages d.cow_faults;
-  Alcotest.(check int) "copies" 1 d.copies;
-  check_pct ~msg:"demand-alloc" ~paper_ms:0.5277 d.demand_ns;
-  check_pct ~msg:"cow" ~paper_ms:0.5792 d.cow_ns;
-  check_pct ~msg:"shadow setup" ~paper_ms:1.13 d.tree_setup_ns;
-  check_pct ~msg:"protect" ~paper_ms:0.0030 d.protect_ns
+let test_derived_chorus () = check_derived ~impl:"chorus" chorus_decomp
+let test_derived_mach () = check_derived ~impl:"mach" mach_decomp
 
 (* ------------------------------------------------------------------ *)
 (* Attribution totals: in these device-free workloads every advance of
@@ -192,7 +136,7 @@ let test_dropped_surfaces () =
   let engine = Hw.Engine.create () in
   Hw.Engine.set_tracer engine tr;
   Obs.Trace.enable tr;
-  Hw.Engine.run_fn engine (fun () -> chorus_zero_fill engine);
+  chorus_zero_fill engine;
   Alcotest.(check bool) "ring overflowed" true (Obs.Trace.dropped tr > 0);
   let prof = Obs.Profile.of_trace tr in
   Alcotest.(check int)
