@@ -571,12 +571,12 @@ let move pvm ~(src : cache) ~src_off ~(dst : cache) ~dst_off ~size () =
 
 (* fillUp: provide data to the cache (performed by segment managers,
    and by the PVM itself while resolving pullIn). *)
-let fill_up pvm (cache : cache) ~offset bytes =
+let fill_up pvm (cache : cache) ~offset ?pos ?len bytes =
   check_cache_alive cache;
   (* For an anonymous cache the data exists nowhere else, so it must
      be considered modified; for a segment-backed cache the segment
      manager is providing authoritative (clean) data. *)
-  Value.deliver pvm cache ~offset bytes ~prot:Hw.Prot.read_write
+  Value.deliver pvm cache ~offset ?pos ?len bytes ~prot:Hw.Prot.read_write
     ~dirty:cache.c_anonymous
 
 (* Explicit write access through the cache (the read/write half of the

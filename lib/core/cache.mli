@@ -46,10 +46,13 @@ val move :
     undefined, letting resident pages move by frame reassignment and
     still-deferred stubs move by re-targeting. *)
 
-val fill_up : Types.pvm -> Types.cache -> offset:int -> Bytes.t -> unit
-(** fillUp (Table 4): provide data to the cache.  Segment-backed
-    caches receive it as clean authoritative data; anonymous caches
-    mark it modified (it exists nowhere else). *)
+val fill_up :
+  Types.pvm -> Types.cache -> offset:int -> ?pos:int -> ?len:int ->
+  Bytes.t -> unit
+(** fillUp (Table 4): provide the [len] bytes at [pos] (default: the
+    whole buffer) to the cache.  Segment-backed caches receive it as
+    clean authoritative data; anonymous caches mark it modified (it
+    exists nowhere else). *)
 
 val copy_back : Types.pvm -> Types.cache -> offset:int -> size:int -> Bytes.t
 (** copyBack (Table 4): the cache's current logical contents

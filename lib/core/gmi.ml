@@ -1,4 +1,4 @@
-type fill_up = offset:int -> Bytes.t -> unit
+type fill_up = offset:int -> ?pos:int -> ?len:int -> Bytes.t -> unit
 type copy_back = offset:int -> size:int -> Bytes.t
 
 type backing = {
@@ -14,6 +14,16 @@ type copy_policy = [ `Copy_on_write | `Copy_on_reference ]
 exception Segmentation_fault of int
 exception Protection_fault of int
 exception No_memory
+
+let fill_up_slice ~page_size ~offset ~pos ?len bytes =
+  let len = match len with Some n -> n | None -> Bytes.length bytes - pos in
+  if pos < 0 || len < 0 || pos > Bytes.length bytes - len then
+    invalid_arg "fillUp: slice outside the buffer";
+  if offset mod page_size <> 0 then
+    invalid_arg "fillUp: offset not page-aligned";
+  if len mod page_size <> 0 then
+    invalid_arg "fillUp: data not a whole number of pages";
+  len
 
 let pp_strategy ppf = function
   | `Auto -> Format.pp_print_string ppf "auto"
@@ -73,7 +83,8 @@ module type S = sig
     unit ->
     unit
 
-  val fill_up : t -> cache -> offset:int -> Bytes.t -> unit
+  val fill_up :
+    t -> cache -> offset:int -> ?pos:int -> ?len:int -> Bytes.t -> unit
   val copy_back : t -> cache -> offset:int -> size:int -> Bytes.t
   val sync : t -> cache -> offset:int -> size:int -> unit
   val touch : t -> context -> addr:int -> access:Hw.Mmu.access -> unit

@@ -11,11 +11,15 @@
     shadow-object implementation lives in the [shadow] library for the
     paper's comparison benchmarks. *)
 
-type fill_up = offset:int -> Bytes.t -> unit
+type fill_up = offset:int -> ?pos:int -> ?len:int -> Bytes.t -> unit
 (** Downcall handed to a segment during [pullIn]: provides the
     requested data to the cache (paper Table 4, [fillUp]). The offset
-    is a byte offset within the segment; the data length must be a
-    multiple of the page size covering the requested range. *)
+    is a byte offset within the segment.  The data is the slice of
+    [len] bytes at [pos] in the buffer (default: the whole buffer), so
+    a segment can hand over a range of its own store without copying
+    it; its length must be a multiple of the page size covering the
+    requested range.  The slice is copied into frames before [fill_up]
+    returns, and the segment must not write it until then. *)
 
 type copy_back = offset:int -> size:int -> Bytes.t
 (** Downcall handed to a segment during [pushOut]: retrieves the data
@@ -64,6 +68,14 @@ exception Protection_fault of int
 exception No_memory
 (** Raised when physical memory is exhausted and no page can be
     reclaimed. *)
+
+val fill_up_slice :
+  page_size:int -> offset:int -> pos:int -> ?len:int -> Bytes.t -> int
+(** The [fillUp] argument check every implementation shares: the slice
+    at [pos] ([len] bytes, default the rest of the buffer) lies inside
+    the buffer, [offset] is page-aligned and the slice is whole pages.
+    Returns [len].
+    @raise Invalid_argument otherwise. *)
 
 val pp_strategy : Format.formatter -> copy_strategy -> unit
 val pp_policy : Format.formatter -> copy_policy -> unit
@@ -136,7 +148,8 @@ module type S = sig
       minimal implementation always copies eagerly); semantics must
       not depend on it. *)
 
-  val fill_up : t -> cache -> offset:int -> Bytes.t -> unit
+  val fill_up :
+    t -> cache -> offset:int -> ?pos:int -> ?len:int -> Bytes.t -> unit
   val copy_back : t -> cache -> offset:int -> size:int -> Bytes.t
   val sync : t -> cache -> offset:int -> size:int -> unit
 

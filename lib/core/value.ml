@@ -46,21 +46,19 @@ let[@chorus.hot] [@chorus.alloc_ok
         else `Zero)
 
 (* Install the data a segment provides (the [fillUp] downcall of
-   Table 4).  [offset] must be page-aligned and the data length a
-   multiple of the page size; a segment may deliver more than was
-   asked (read-ahead).  Chunks colliding with pages already resident
-   refresh their contents; chunks resolving a synchronization stub
-   wake the sleepers. *)
+   Table 4): the [len] bytes at [pos] in [bytes], often a view of the
+   segment's own store.  [offset] must be page-aligned and the slice a
+   whole number of pages; a segment may deliver more than was asked
+   (read-ahead).  Chunks colliding with pages already resident refresh
+   their contents; chunks resolving a synchronization stub wake the
+   sleepers. *)
 let[@chorus.spanned
      "fillUp runs under the pullIn pager span or a segment manager's own \
-      request"] deliver pvm (cache : cache) ~offset (bytes : Bytes.t) ~prot
-    ~dirty =
+      request"] deliver pvm (cache : cache) ~offset ?(pos = 0) ?len
+    (bytes : Bytes.t) ~prot ~dirty =
   let ps = page_size pvm in
-  if not (is_page_aligned pvm offset) then
-    invalid_arg "fillUp: offset not page-aligned";
-  if Bytes.length bytes mod ps <> 0 then
-    invalid_arg "fillUp: data not a whole number of pages";
-  let n = Bytes.length bytes / ps in
+  let len = Gmi.fill_up_slice ~page_size:ps ~offset ~pos ?len bytes in
+  let n = len / ps in
   (* Frame allocation is a scheduling point, so the destination probed
      before it may have changed by insert time (a read-ahead chunk
      colliding with a concurrent pull, say): re-probe and restart the
@@ -105,7 +103,7 @@ let[@chorus.spanned
       invalid_arg "fillUp: offset holds a deferred-copy stub"
   in
   for i = 0 to n - 1 do
-    place ~off:(offset + (i * ps)) ~src:(i * ps)
+    place ~off:(offset + (i * ps)) ~src:(pos + (i * ps))
   done
 
 (* Pull one page in from the cache's segment (paper §4.1.2): place a
@@ -132,8 +130,8 @@ let pull_in_page pvm (cache : cache) ~off ~prot =
     in
     let go () =
       let cond = Global_map.insert_sync_stub pvm cache ~off in
-      let fill_up ~offset bytes =
-        deliver pvm cache ~offset bytes ~prot ~dirty:false
+      let fill_up ~offset ?pos ?len bytes =
+        deliver pvm cache ~offset ?pos ?len bytes ~prot ~dirty:false
       in
       (* A failing mapper must not leave the synchronization stub
          behind: waiters would sleep forever.  Remove it and wake them

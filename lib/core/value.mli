@@ -21,13 +21,15 @@ val locate : Types.pvm -> Types.cache -> off:int -> located
     in-transit pages. *)
 
 val deliver :
-  Types.pvm -> Types.cache -> offset:int -> Bytes.t -> prot:Hw.Prot.t ->
-  dirty:bool -> unit
+  Types.pvm -> Types.cache -> offset:int -> ?pos:int -> ?len:int ->
+  Bytes.t -> prot:Hw.Prot.t -> dirty:bool -> unit
 (** Install segment-provided data (the [fillUp] downcall, Table 4):
-    page-aligned, whole pages; resolves synchronization stubs and
-    wakes their sleepers; refreshes already-resident pages.  [dirty]
-    distinguishes authoritative segment data (clean) from data that
-    exists nowhere else. *)
+    the [len] bytes at [pos] in the buffer (default: all of it),
+    copied straight into frames; page-aligned, whole pages, checked
+    by {!Gmi.fill_up_slice} before any frame is allocated.  Resolves
+    synchronization stubs and wakes their sleepers; refreshes
+    already-resident pages.  [dirty] distinguishes authoritative
+    segment data (clean) from data that exists nowhere else. *)
 
 val pull_in_page : Types.pvm -> Types.cache -> off:int -> prot:Hw.Prot.t -> Types.page
 (** The §4.1.2 pull: place a synchronization stub so concurrent access

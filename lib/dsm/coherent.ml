@@ -122,6 +122,9 @@ let backing_of t (site : site) =
         done;
         message t;
         t.stats.page_transfers <- t.stats.page_transfers + (last - first + 1);
+        (* A private copy, not a view of the master: another site's
+           pushOut may rewrite the master while fillUp allocates the
+           frame. *)
         fill_up ~offset (Bytes.sub t.master offset size));
     b_get_write_access =
       (fun ~offset ~size ->

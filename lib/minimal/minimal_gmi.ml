@@ -91,10 +91,14 @@ let ensure_page t (cache : cache) ~off =
       let filled = ref false in
       b.Core.Gmi.b_pull_in ~offset:off ~size:(page_size t)
         ~prot:Hw.Prot.read_write
-        ~fill_up:(fun ~offset bytes ->
-          if offset = off then begin
+        ~fill_up:(fun ~offset ?(pos = 0) ?len bytes ->
+          let len =
+            Core.Gmi.fill_up_slice ~page_size:(page_size t) ~offset ~pos ?len
+              bytes
+          in
+          if offset = off && len > 0 then begin
             Hw.Phys_mem.write frame ~off:0
-              (Bytes.sub bytes 0 (page_size t));
+              (Bytes.sub bytes pos (page_size t));
             filled := true
           end);
       if not !filled then Hw.Phys_mem.bzero frame;
@@ -196,14 +200,13 @@ let copy t ?strategy:_ ~src ~src_off ~dst ~dst_off ~size () =
   in
   go 0
 
-let fill_up t (cache : cache) ~offset bytes =
+let fill_up t (cache : cache) ~offset ?(pos = 0) ?len bytes =
   let ps = page_size t in
-  if offset mod ps <> 0 || Bytes.length bytes mod ps <> 0 then
-    invalid_arg "fillUp: unaligned";
-  for i = 0 to (Bytes.length bytes / ps) - 1 do
+  let len = Core.Gmi.fill_up_slice ~page_size:ps ~offset ~pos ?len bytes in
+  for i = 0 to (len / ps) - 1 do
     let off = offset + (i * ps) in
     let frame = ensure_page t cache ~off in
-    Hw.Phys_mem.write frame ~off:0 (Bytes.sub bytes (i * ps) ps)
+    Hw.Phys_mem.write frame ~off:0 (Bytes.sub bytes (pos + (i * ps)) ps)
   done
 
 let copy_back t (cache : cache) ~offset ~size =

@@ -23,11 +23,16 @@ let create_store (site : Nucleus.Site.t) =
 
 let round_up ps n = (n + ps - 1) / ps * ps
 
+(* Whole pages, at least one.  An image already in that shape is
+   returned as is: [create_segment] makes the store's one copy. *)
 let pad store bytes =
   let size = max store.page_size (round_up store.page_size (Bytes.length bytes)) in
-  let out = Bytes.make size '\000' in
-  Bytes.blit bytes 0 out 0 (Bytes.length bytes);
-  out
+  if size = Bytes.length bytes then bytes
+  else begin
+    let out = Bytes.make size '\000' in
+    Bytes.blit bytes 0 out 0 (Bytes.length bytes);
+    out
+  end
 
 let add_image store ~name ~text ~data ?(bss_size = 0) () =
   let text = pad store text and data = pad store data in

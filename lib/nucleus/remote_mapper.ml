@@ -69,7 +69,9 @@ let serve (site : Site.t) ?(latency = 0) (mapper : Seg.Mapper.t) =
           try
             match req with
             | Read { key; offset; size } ->
-              Data (mapper.read ~key ~offset ~size)
+              (* a message owns its payload: copy the range out *)
+              let store, pos = mapper.read ~key ~offset ~size in
+              Data (Bytes.sub store pos size)
             | Write { key; offset; data } ->
               mapper.write ~key ~offset data;
               Done
@@ -109,7 +111,7 @@ let client ~name server =
   {
     Seg.Mapper.name;
     read =
-      (fun ~key ~offset ~size -> data (Read { key; offset; size }));
+      (fun ~key ~offset ~size -> (data (Read { key; offset; size }), 0));
     write = (fun ~key ~offset d -> done_ (Write { key; offset; data = d }));
     truncate = (fun ~key ~size -> done_ (Truncate { key; size }));
     segment_size =

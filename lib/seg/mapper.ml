@@ -2,7 +2,7 @@ exception Bad_capability
 
 type t = {
   name : string;
-  read : key:int64 -> offset:int -> size:int -> Bytes.t;
+  read : key:int64 -> offset:int -> size:int -> Bytes.t * int;
   write : key:int64 -> offset:int -> Bytes.t -> unit;
   truncate : key:int64 -> size:int -> unit;
   segment_size : key:int64 -> int;

@@ -13,10 +13,22 @@ exception Bad_capability
 
 type t = {
   name : string;
-  read : key:int64 -> offset:int -> size:int -> Bytes.t;
-      (** Read segment data.  Reads beyond the segment's current
-          extent return zeroes (segments are sparse).  May block on
-          simulated device time.
+  read : key:int64 -> offset:int -> size:int -> Bytes.t * int;
+      (** Read segment data: [(store, pos)], where the [size] bytes at
+          [pos] in [store] are the range.  The store may be the
+          mapper's own buffer, handed out without a copy, so the
+          caller reads the range and must not write it or keep it.
+          Reads beyond the segment's current extent return zeroes
+          (segments are sparse).  May block on simulated device time.
+
+          {b The view is safe for one [fillUp].}  A store range handed
+          to [fillUp] is not written before [fillUp] returns: only the
+          one local cache bound to a segment writes it (by [pushOut]),
+          and that cache holds the pulled offset under a
+          synchronization stub until [fillUp] has copied it.  Its
+          writes to other offsets touch only their own ranges, and a
+          mapper that must resize a store to grow or truncate it
+          replaces the store, which leaves a handed-out one intact.
           @raise Bad_capability for an unknown key. *)
   write : key:int64 -> offset:int -> Bytes.t -> unit;
       (** Write segment data, growing the segment if needed. *)

@@ -1,4 +1,7 @@
-type segment = { mutable data : Bytes.t }
+(* [data] is the store's capacity, grown geometrically; [length] is the
+   segment's logical size.  Every byte of [data] past [length] is zero,
+   so growth within the capacity needs no clearing. *)
+type segment = { mutable data : Bytes.t; mutable length : int }
 
 type t = {
   name : string;
@@ -41,24 +44,30 @@ let device_delay t ~size =
   let span = t.seek_time + (pages * t.transfer_time_per_page) in
   if span > 0 then Hw.Engine.sleep span
 
+(* A resize (here or in [truncate]) allocates a new store and leaves
+   the old one untouched, so a range [read] handed out stays intact
+   (see [Mapper.read]). *)
 let grow seg size =
-  if Bytes.length seg.data < size then begin
-    let bigger = Bytes.make size '\000' in
-    Bytes.blit seg.data 0 bigger 0 (Bytes.length seg.data);
-    seg.data <- bigger
+  if size > seg.length then begin
+    if size > Bytes.length seg.data then begin
+      let bigger = Bytes.make (max size (2 * Bytes.length seg.data)) '\000' in
+      Bytes.blit seg.data 0 bigger 0 seg.length;
+      seg.data <- bigger
+    end;
+    seg.length <- size
   end
 
 let read t ~key ~offset ~size =
   let seg = find t key in
   t.reads <- t.reads + 1;
   device_delay t ~size;
-  let available = Bytes.length seg.data - offset in
-  if available >= size then Bytes.sub seg.data offset size
+  let available = seg.length - offset in
+  if available >= size then (seg.data, offset)
   else begin
     (* past the end of the segment reads as zeroes *)
     let out = Bytes.make size '\000' in
     if available > 0 then Bytes.blit seg.data offset out 0 available;
-    out
+    (out, 0)
   end
 
 let write t ~key ~offset bytes =
@@ -70,15 +79,18 @@ let write t ~key ~offset bytes =
 
 let truncate t ~key ~size =
   let seg = find t key in
-  if Bytes.length seg.data > size then seg.data <- Bytes.sub seg.data 0 size
+  if seg.length > size then begin
+    seg.data <- Bytes.sub seg.data 0 size;
+    seg.length <- size
+  end
 
-let segment_size t ~key = Bytes.length (find t key).data
+let segment_size t ~key = (find t key).length
 
 let create_segment t ?initial () =
   Hw.Engine.note_ambient (-7) 0;
   let key = Capability.next_key () in
   let data = match initial with Some b -> Bytes.copy b | None -> Bytes.create 0 in
-  Hashtbl.replace t.segments key { data };
+  Hashtbl.replace t.segments key { data; length = Bytes.length data };
   key
 
 let destroy_segment t ~key =

@@ -49,7 +49,8 @@ let backing_of t (cap : Capability.t) =
       Printf.sprintf "%s:%Lx" mapper.Mapper.name cap.key;
     b_pull_in =
       (fun ~offset ~size ~prot:_ ~fill_up ->
-        fill_up ~offset (mapper.Mapper.read ~key:cap.key ~offset ~size));
+        let store, pos = mapper.Mapper.read ~key:cap.key ~offset ~size in
+        fill_up ~offset ~pos ~len:size store);
     b_get_write_access = (fun ~offset:_ ~size:_ -> ());
     b_push_out =
       (fun ~offset ~size ~copy_back ->

@@ -42,6 +42,15 @@ let grow (cache : cache) size =
     cache.c_data <- bigger
   end
 
+(* Copy a fillUp slice into the cache's store; returns its length. *)
+let fill_slice t (cache : cache) ~offset ?(pos = 0) ?len bytes =
+  let len =
+    Core.Gmi.fill_up_slice ~page_size:t.page_size ~offset ~pos ?len bytes
+  in
+  grow cache (offset + len);
+  Bytes.blit bytes pos cache.c_data offset len;
+  len
+
 (* Materialise a page: pull from the segment the first time it is
    touched, zero-fill otherwise. *)
 let ensure t (cache : cache) ~off =
@@ -53,9 +62,8 @@ let ensure t (cache : cache) ~off =
     | Some b ->
       b.Core.Gmi.b_pull_in ~offset:off ~size:t.page_size
         ~prot:Hw.Prot.read_write
-        ~fill_up:(fun ~offset bytes ->
-          grow cache (offset + Bytes.length bytes);
-          Bytes.blit bytes 0 cache.c_data offset (Bytes.length bytes))
+        ~fill_up:(fun ~offset ?pos ?len bytes ->
+          ignore (fill_slice t cache ~offset ?pos ?len bytes))
   end
 
 let region_create t (ctx : context) ~addr ~size ~prot cache ~offset =
@@ -106,14 +114,11 @@ let copy t ?strategy:_ ~src ~src_off ~dst ~dst_off ~size () =
   in
   go 0
 
-let fill_up t (cache : cache) ~offset bytes =
-  if offset mod t.page_size <> 0 || Bytes.length bytes mod t.page_size <> 0
-  then invalid_arg "fillUp: unaligned";
-  grow cache (offset + Bytes.length bytes);
-  for i = 0 to (Bytes.length bytes / t.page_size) - 1 do
+let fill_up t (cache : cache) ~offset ?pos ?len bytes =
+  let len = fill_slice t cache ~offset ?pos ?len bytes in
+  for i = 0 to (len / t.page_size) - 1 do
     Hashtbl.replace cache.c_present (offset + (i * t.page_size)) ()
-  done;
-  Bytes.blit bytes 0 cache.c_data offset (Bytes.length bytes)
+  done
 
 let copy_back t (cache : cache) ~offset ~size =
   let out = Bytes.create size in

@@ -19,7 +19,7 @@ module Make (M : Core.Gmi.S) = struct
         Core.Gmi.b_name = "conf-seg";
         b_pull_in =
           (fun ~offset ~size ~prot:_ ~fill_up ->
-            fill_up ~offset (Bytes.sub store offset size));
+            fill_up ~offset ~pos:offset ~len:size store);
         b_get_write_access = (fun ~offset:_ ~size:_ -> ());
         b_push_out =
           (fun ~offset ~size ~copy_back ->
@@ -140,6 +140,31 @@ module Make (M : Core.Gmi.S) = struct
           (Bytes.make 32 'f')
           (M.copy_back mm cache ~offset:ps ~size:32))
 
+  (* fillUp delivers the slice it names, and refuses one that strays
+     outside its buffer. *)
+  let test_fill_slice () =
+    with_mm (fun mm ->
+        let cache = M.cache_create mm () in
+        let buf =
+          Bytes.concat Bytes.empty
+            [ Bytes.make ps 'a'; Bytes.make ps 'b'; Bytes.make ps 'c' ]
+        in
+        M.fill_up mm cache ~offset:ps ~pos:ps ~len:ps buf;
+        Alcotest.(check bytes) "the slice's page, at the offset"
+          (Bytes.make 32 'b')
+          (M.copy_back mm cache ~offset:ps ~size:32);
+        let refused msg f =
+          match f () with
+          | () -> Alcotest.failf "%s: accepted" msg
+          | exception Invalid_argument _ -> ()
+        in
+        refused "negative pos" (fun () ->
+            M.fill_up mm cache ~offset:0 ~pos:(-ps) ~len:ps buf);
+        refused "slice past the end" (fun () ->
+            M.fill_up mm cache ~offset:0 ~pos:(2 * ps) ~len:(2 * ps) buf);
+        refused "partial page" (fun () ->
+            M.fill_up mm cache ~offset:0 ~pos:0 ~len:100 buf))
+
   let test_lock_no_faults () =
     with_mm (fun mm ->
         let ctx = M.context_create mm in
@@ -250,6 +275,7 @@ module Make (M : Core.Gmi.S) = struct
       Alcotest.test_case "copy semantics" `Quick test_copy_semantics;
       Alcotest.test_case "backed cache" `Quick test_backed_cache;
       Alcotest.test_case "fillUp/copyBack" `Quick test_fill_copy_back;
+      Alcotest.test_case "fillUp slice" `Quick test_fill_slice;
       Alcotest.test_case "lock: no faults" `Quick test_lock_no_faults;
       Alcotest.test_case "region destroy unmaps" `Quick
         test_region_destroy_unmaps;

@@ -153,6 +153,48 @@ let test_segment_caching_on_exec () =
         "no further file reads thanks to segment caching" reads_after_first
         (Image.mapper_reads images))
 
+(* Steady-state pull-ins of an image copy the file mapper's store
+   straight into the frame: no page-sized buffer per pull-in reaches
+   the major heap.  32 text pages cycle through 8 frames, so every
+   read of a sweep is a pull-in. *)
+let test_pull_in_allocates_no_page () =
+  with_mix ~frames:8 (fun ~site ~images ~m:_ ->
+      let pages = 32 in
+      let image =
+        Image.add_image images ~name:"big" ~text:(Bytes.make (pages * ps) 'T')
+          ~data:(Bytes.make ps 'D') ()
+      in
+      let actor = Nucleus.Actor.create site in
+      let _ =
+        Nucleus.Actor.rgn_map actor ~addr:0 ~size:(pages * ps)
+          ~prot:Hw.Prot.read_only image.Image.text_cap ~offset:0
+      in
+      let sweep () =
+        for i = 0 to pages - 1 do
+          if Bytes.get (Nucleus.Actor.read actor ~addr:(i * ps) ~len:1) 0 <> 'T'
+          then Alcotest.failf "page %d: wrong byte" i
+        done
+      in
+      let pull_ins () = (Core.Pvm.stats site.Nucleus.Site.pvm).n_pull_ins in
+      sweep ();
+      sweep ();
+      let pulled = pull_ins () in
+      let _, _, major = Gc.counters () in
+      for _ = 1 to 10 do
+        sweep ()
+      done;
+      let _, _, major' = Gc.counters () in
+      let n = pull_ins () - pulled in
+      Alcotest.(check int) "every read pulls in" (10 * pages) n;
+      let page_words = (ps / (Sys.word_size / 8)) + 1 in
+      let per_pull_in = (major' -. major) /. float n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f major words per pull-in, under a page's %d"
+           per_pull_in page_words)
+        true
+        (per_pull_in < float page_words);
+      Nucleus.Actor.destroy actor)
+
 (* Shell-like pattern: fork, child execs and exits, repeatedly.  This
    is the §4.2.5 scenario where Mach's shadow chains need GC; history
    trees keep the parent's structure flat. *)
@@ -271,6 +313,8 @@ let tests = ("mix",
             test_exec_replaces_image;
           Alcotest.test_case "segment caching on exec" `Quick
             test_segment_caching_on_exec;
+          Alcotest.test_case "pull-in allocates no page" `Quick
+            test_pull_in_allocates_no_page;
           Alcotest.test_case "shell pattern" `Quick test_shell_pattern;
           Alcotest.test_case "sbrk" `Quick test_sbrk;
           Alcotest.test_case "pipe" `Quick test_pipe;

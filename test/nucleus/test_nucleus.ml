@@ -81,7 +81,8 @@ let test_rgn_init_is_cow () =
       Actor.write actor ~addr:0 (Bytes.make ps 'W');
       let m = Seg.Segment_manager.mapper_of_port site.Site.segd port in
       Alcotest.(check char) "segment untouched by process writes" 'D'
-        (Bytes.get (m.Seg.Mapper.read ~key ~offset:0 ~size:1) 0);
+        (let store, pos = m.Seg.Mapper.read ~key ~offset:0 ~size:1 in
+         Bytes.get store pos);
       Actor.destroy actor)
 
 let test_rgn_from_actor () =

@@ -19,6 +19,11 @@ let with_env ?(frames = 64) ?(retention_capacity = 4) f =
       Alcotest.(check int) "default mapper gets the expected port" 0 port;
       f ~engine ~pvm ~segd ~store ~port)
 
+(* A mapper read as a fresh copy of the range. *)
+let read_range (m : Mapper.t) ~key ~offset ~size =
+  let store, pos = m.read ~key ~offset ~size in
+  Bytes.sub store pos size
+
 let test_capabilities () =
   let c1 = Capability.mint ~port:3 and c2 = Capability.mint ~port:3 in
   Alcotest.(check bool) "keys are unguessable/distinct" false
@@ -119,7 +124,7 @@ let test_retention_flushes_dirty_data () =
       Segment_manager.unbind segd cap;
       (* retention off: cache destroyed, but data must have been synced *)
       let m = Segment_manager.mapper_of_port segd port in
-      let back = m.Mapper.read ~key ~offset:0 ~size:16 in
+      let back = read_range m ~key ~offset:0 ~size:16 in
       Alcotest.(check string) "dirty data flushed at drop"
         (String.make 16 'd') (Bytes.to_string back))
 
@@ -188,7 +193,7 @@ let test_mapper_truncate_and_size () =
       Alcotest.(check int) "truncated" ps (m.Mapper.segment_size ~key);
       (* reads past the end are sparse zeroes *)
       Alcotest.(check char) "sparse read beyond extent" '\000'
-        (Bytes.get (m.Mapper.read ~key ~offset:(2 * ps) ~size:1) 0);
+        (Bytes.get (read_range m ~key ~offset:(2 * ps) ~size:1) 0);
       (* writes grow it back *)
       m.Mapper.write ~key ~offset:(4 * ps) (Bytes.of_string "grow");
       Alcotest.(check int) "grown" ((4 * ps) + 4) (m.Mapper.segment_size ~key);
@@ -206,16 +211,16 @@ let test_mapper_read_past_end () =
       let m = Segment_manager.mapper_of_port segd port in
       Alcotest.(check string) "straddling the end: data, then zeroes"
         (String.make 100 'd' ^ String.make (ps - 100) '\000')
-        (Bytes.to_string (m.Mapper.read ~key ~offset:ps ~size:ps));
+        (Bytes.to_string (read_range m ~key ~offset:ps ~size:ps));
       Alcotest.(check string) "wholly past the end: zeroes"
         (String.make ps '\000')
-        (Bytes.to_string (m.Mapper.read ~key ~offset:(3 * ps) ~size:ps));
+        (Bytes.to_string (read_range m ~key ~offset:(3 * ps) ~size:ps));
       Alcotest.(check string) "inside the segment: its data"
         (String.make 16 'd')
-        (Bytes.to_string (m.Mapper.read ~key ~offset:(ps + 84) ~size:16)))
+        (Bytes.to_string (read_range m ~key ~offset:(ps + 84) ~size:16)))
 
-(* A pull-in moves the mapper's reply straight into the frame: the
-   reply is the only page-sized buffer the fault allocates. *)
+(* A pull-in copies the mapper's store range straight into the frame:
+   the fault allocates no page-sized buffer of its own. *)
 let test_pull_in_allocates_one_page () =
   with_env (fun ~engine:_ ~pvm ~segd ~store ~port ->
       let key =
@@ -241,6 +246,102 @@ let test_pull_in_allocates_one_page () =
       Alcotest.(check string) "the frame holds the segment's data"
         (String.make ps 'p')
         (Bytes.to_string (Core.Pvm.read pvm ctx ~addr:ps ~len:ps)))
+
+let word_bytes = float (Sys.word_size / 8)
+let page_words = ps / (Sys.word_size / 8)
+
+(* Filling a segment page by page copies O(n) bytes, not O(n^2): the
+   store's capacity grows geometrically. *)
+let test_mapper_store_growth () =
+  with_env (fun ~engine:_ ~pvm:_ ~segd ~store ~port ->
+      let key = Mem_mapper.create_segment store () in
+      let m = Segment_manager.mapper_of_port segd port in
+      let page = Bytes.make ps 's' and pages = 64 in
+      let before = Gc.allocated_bytes () in
+      for i = 0 to pages - 1 do
+        m.Mapper.write ~key ~offset:(i * ps) page
+      done;
+      let words = (Gc.allocated_bytes () -. before) /. word_bytes in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f words for %d sequential page writes" words pages)
+        true
+        (words < float (4 * pages * page_words));
+      Alcotest.(check int) "logical size" (pages * ps)
+        (m.Mapper.segment_size ~key);
+      Alcotest.(check string) "last page written" (Bytes.to_string page)
+        (Bytes.to_string (read_range m ~key ~offset:((pages - 1) * ps) ~size:ps)))
+
+(* Spare capacity never leaks old bytes: after a truncate, the bytes a
+   later write skips over read as zeroes. *)
+let test_mapper_truncate_then_extend () =
+  with_env (fun ~engine:_ ~pvm:_ ~segd ~store ~port ->
+      let key = Mem_mapper.create_segment store () in
+      let m = Segment_manager.mapper_of_port segd port in
+      for i = 0 to 2 do
+        m.Mapper.write ~key ~offset:(i * ps) (Bytes.make ps 'a')
+      done;
+      m.Mapper.truncate ~key ~size:(ps + 100);
+      Alcotest.(check int) "truncated" (ps + 100) (m.Mapper.segment_size ~key);
+      m.Mapper.write ~key ~offset:((3 * ps) + 50) (Bytes.of_string "tail");
+      Alcotest.(check int) "extended" ((3 * ps) + 54)
+        (m.Mapper.segment_size ~key);
+      Alcotest.(check string) "kept bytes survive"
+        (String.make (ps + 100) 'a')
+        (Bytes.to_string (read_range m ~key ~offset:0 ~size:(ps + 100)));
+      Alcotest.(check string) "skipped bytes read as zeroes"
+        (String.make ((2 * ps) - 50) '\000')
+        (Bytes.to_string
+           (read_range m ~key ~offset:(ps + 100) ~size:((2 * ps) - 50)));
+      Alcotest.(check string) "the write landed" "tail"
+        (Bytes.to_string (read_range m ~key ~offset:((3 * ps) + 50) ~size:4)))
+
+(* A pull-in fills its frame from a view of the mapper's store.  Here
+   allocating that frame evicts a dirty page of the same segment, whose
+   pushOut grows the store under the view: the pulled page must still
+   hold the store's bytes as they were, and the pushed page its own. *)
+let test_pull_in_during_push_out () =
+  with_env ~frames:1 (fun ~engine:_ ~pvm ~segd ~store ~port ->
+      let key =
+        Mem_mapper.create_segment store ~initial:(Bytes.make (2 * ps) 'o') ()
+      in
+      let cache = Segment_manager.bind segd (Capability.make ~port ~key) in
+      let ctx = Core.Context.create pvm in
+      let _r =
+        Core.Region.create pvm ctx ~addr:0 ~size:(3 * ps)
+          ~prot:Hw.Prot.read_write cache ~offset:0
+      in
+      Core.Pvm.write pvm ctx ~addr:(2 * ps) (Bytes.make ps 'w');
+      let writes = Mem_mapper.writes store in
+      Alcotest.(check string) "page 0 holds the original store bytes"
+        (String.make ps 'o')
+        (Bytes.to_string (Core.Pvm.read pvm ctx ~addr:0 ~len:ps));
+      Alcotest.(check int) "page 2 was pushed out during the pull-in"
+        (writes + 1) (Mem_mapper.writes store);
+      Alcotest.(check int) "the push-out grew the store" (3 * ps)
+        ((Segment_manager.mapper_of_port segd port).Mapper.segment_size ~key);
+      Alcotest.(check string) "page 2 reads back its written bytes"
+        (String.make ps 'w')
+        (Bytes.to_string (Core.Pvm.read pvm ctx ~addr:(2 * ps) ~len:ps));
+      Core.Context.destroy pvm ctx)
+
+(* fillUp checks its slice before it allocates anything. *)
+let test_fill_up_bad_slice () =
+  with_env (fun ~engine:_ ~pvm ~segd:_ ~store:_ ~port:_ ->
+      let cache = Core.Cache.create pvm () in
+      let buf = Bytes.make (2 * ps) 'x' in
+      let mem = pvm.Core.Types.mem in
+      let free = Hw.Phys_mem.free_frames mem in
+      let refused msg f =
+        (match f () with
+        | () -> Alcotest.failf "%s: accepted" msg
+        | exception Invalid_argument _ -> ());
+        Alcotest.(check int) (msg ^ ": no frame allocated") free
+          (Hw.Phys_mem.free_frames mem)
+      in
+      refused "negative pos" (fun () ->
+          Core.Cache.fill_up pvm cache ~offset:0 ~pos:(-1) ~len:ps buf);
+      refused "pos + len past the buffer" (fun () ->
+          Core.Cache.fill_up pvm cache ~offset:0 ~pos:ps ~len:(2 * ps) buf))
 
 let test_bad_capability () =
   with_env (fun ~engine:_ ~pvm:_ ~segd ~store:_ ~port ->
@@ -275,6 +376,14 @@ let () =
             test_mapper_read_past_end;
           Alcotest.test_case "pull-in allocates one page" `Quick
             test_pull_in_allocates_one_page;
+          Alcotest.test_case "mapper store grows geometrically" `Quick
+            test_mapper_store_growth;
+          Alcotest.test_case "mapper truncate then extend" `Quick
+            test_mapper_truncate_then_extend;
+          Alcotest.test_case "pull-in during a push-out" `Quick
+            test_pull_in_during_push_out;
+          Alcotest.test_case "fillUp refuses a bad slice" `Quick
+            test_fill_up_bad_slice;
           Alcotest.test_case "bad capability" `Quick test_bad_capability;
         ] );
     ]
