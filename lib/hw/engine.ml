@@ -1,9 +1,13 @@
+(* A fibre's one task record: [spawn] creates and numbers it, and each
+   wake-up re-stamps and re-queues it with the slice to run next, sound
+   as a fibre has at most one queued task (one-shot continuations). *)
 type task = {
-  time : Sim_time.t;
-  seq : int;
+  mutable time : Sim_time.t;
+  mutable seq : int;
   daemon : bool;
-  fib : int;
-  run : unit -> unit;
+  mutable fib : int;
+  cls : int; (* affinity class: 0 serial, else the lane *)
+  mutable run : unit -> unit;
 }
 
 type ready_task = { rt_fib : int; rt_seq : int; rt_daemon : bool }
@@ -84,6 +88,8 @@ type t = {
   mutable live_tasks : int; (* non-daemon tasks waiting in the queue *)
   mutable cur_fib : int; (* fibre the running task belongs to *)
   mutable cur_daemon : bool; (* the running task is a daemon's *)
+  mutable in_slice : bool; (* a serial slice of this engine is running *)
+  mutable sleep_span : Sim_time.span; (* the span of the Sleep in flight *)
   mutable next_fib : int;
   mutable tracer : Obs.Trace.t;
   mutable on_event : (unit -> unit) option;
@@ -97,15 +103,18 @@ type t = {
   waiting : (int, wait_info) Hashtbl.t; (* parked fibres, by id *)
   mutable pending_wait : (string * int) option; (* coordinator's next park *)
   mutable watch : watchdog option;
+  me : t option; (* [Some] of this engine, {!ambient}'s answer *)
+  mutable outside : t option; (* {!ambient} where [run] was called *)
 }
 
 exception Deadlock of int
 exception Watchdog of string
 
+(* [Sleep] carries no payload: {!sleep} leaves the span in the
+   engine's [sleep_span], so a switch allocates no effect value. *)
 type _ Effect.t +=
-  | Sleep : Sim_time.span -> unit Effect.t
+  | Sleep : unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
-  | Ambient : t Effect.t
 
 (* A parallel slice: a fibre running on a worker domain advances a
    private virtual clock ([pt_clock]) instead of scheduling a wake-up
@@ -113,16 +122,17 @@ type _ Effect.t +=
    parks or finishes — and carries its own next-park annotation, so a
    worker never writes the coordinator's. *)
 type ptask = {
+  pt_eng : t; (* the pool's engine, {!ambient}'s answer *)
   pt_fib : int;
   mutable pt_clock : Sim_time.t;
   mutable pt_wait : (string * int) option;
 }
 
 (* What this domain is running: a coordinator loop (its engine, so
-   {!sleep} can reach it without an effect), a parallel slice, or
-   neither.  [Slice] is what [in_parallel_slice] tests — the cheap "may
-   another domain touch shared state right now?" check the locking
-   seams are gated on. *)
+   {!sleep} and {!ambient} can reach it without an effect), a parallel
+   slice, or neither.  [Slice] is what [in_parallel_slice] tests — the
+   cheap "may another domain touch shared state right now?" check the
+   locking seams are gated on. *)
 type slot = Idle | Coord of t | Slice of ptask
 
 let slot : slot Domain.DLS.key = Domain.DLS.new_key (fun () -> Idle)
@@ -142,51 +152,53 @@ let cmp_task a b =
 
 let create ?(domains = 0) () =
   if domains < 0 then invalid_arg "Engine.create: negative domain count";
-  {
-    now = Sim_time.zero;
-    seq = 0;
-    queue =
-      Pqueue.create ~cmp:cmp_task
-        ~filler:
-          {
-            time = Sim_time.zero;
-            seq = 0;
-            daemon = true;
-            fib = 0;
-            run = ignore;
-          };
-    live = 0;
-    live_tasks = 0;
-    cur_fib = 0;
-    cur_daemon = false;
-    next_fib = 1;
-    tracer = Obs.Trace.null;
-    on_event = None;
-    sched = None;
-    decisions = [];
-    tracking = false;
-    accesses = [];
-    names = Hashtbl.create 16;
-    par =
-      {
-        p_domains = domains;
-        p_lock = Mutex.create ();
-        p_work = Condition.create ();
-        p_idle = Condition.create ();
-        lanes = Hashtbl.create 16;
-        runnable = Queue.create ();
-        p_running = 0;
-        p_stop = false;
-        p_exn = None;
-        p_horizon = Sim_time.zero;
-        p_cpu = Array.make domains Sim_time.zero;
-        p_busy = Array.make domains 0;
-        p_stat = Obs.Lockstat.create ~cls:"pool" "engine/pool";
-      };
-    waiting = Hashtbl.create 16;
-    pending_wait = None;
-    watch = None;
-  }
+  let filler =
+    { time = Sim_time.zero; seq = 0; daemon = true; fib = 0; cls = 0;
+      run = ignore }
+  in
+  let rec eng =
+    {
+      now = Sim_time.zero;
+      seq = 0;
+      queue = Pqueue.create ~cmp:cmp_task ~filler;
+      live = 0;
+      live_tasks = 0;
+      cur_fib = 0;
+      cur_daemon = false;
+      in_slice = false;
+      sleep_span = 0;
+      next_fib = 1;
+      tracer = Obs.Trace.null;
+      on_event = None;
+      sched = None;
+      decisions = [];
+      tracking = false;
+      accesses = [];
+      names = Hashtbl.create 16;
+      par =
+        {
+          p_domains = domains;
+          p_lock = Mutex.create ();
+          p_work = Condition.create ();
+          p_idle = Condition.create ();
+          lanes = Hashtbl.create 16;
+          runnable = Queue.create ();
+          p_running = 0;
+          p_stop = false;
+          p_exn = None;
+          p_horizon = Sim_time.zero;
+          p_cpu = Array.make domains Sim_time.zero;
+          p_busy = Array.make domains 0;
+          p_stat = Obs.Lockstat.create ~cls:"pool" "engine/pool";
+        };
+      waiting = Hashtbl.create 16;
+      pending_wait = None;
+      watch = None;
+      me = Some eng;
+      outside = None;
+    }
+  in
+  eng
 
 let domains eng = eng.par.p_domains
 
@@ -330,49 +342,54 @@ let stall_diag eng fib wi =
   Printf.sprintf "watchdog: stall at %s: %s" (pp_time eng.now)
     (wait_line eng fib wi)
 
-(* Register a park, consuming the parking slice's annotation, and see
-   whether it closed a blocked-on cycle.  With workers, [p_lock] held:
-   pool and coordinator parks share the one table. *)
-let register_wait eng w fib =
-  let lo =
-    match Domain.DLS.get slot with
-    | Slice pt ->
-      let lo = pt.pt_wait in
-      pt.pt_wait <- None;
-      lo
-    | Idle | Coord _ ->
-      let lo = eng.pending_wait in
-      eng.pending_wait <- None;
-      lo
-  in
-  let label, owner = Option.value lo ~default:("suspend", -1) in
-  Hashtbl.replace eng.waiting fib
-    { wi_label = label; wi_owner = owner; wi_since = now eng;
-      wi_flagged = false };
-  match find_cycle eng fib with
-  | Some cycle ->
-    Obs.Metrics.incr w.wd_deadlocks;
-    Obs.Trace.instant eng.tracer ~cat:"watchdog"
-      ~args:[ ("fib", Obs.Trace.Int fib) ]
-      "deadlock";
-    if w.wd_alarm = None then w.wd_alarm <- Some (deadlock_diag eng cycle)
-  | None -> ()
+(* The pool lock, taken only with workers: the sequential engine pays
+   one branch and no lock.  No section between the halves raises. *)
+let[@chorus.balanced
+     "the acquire half of the pool-lock seam: returns holding the lock \
+      when there are workers; callers pair it with pool_exit"] pool_enter p =
+  if p.p_domains > 0 then Obs.Lockstat.lock p.p_stat p.p_lock
 
-(* Called from the Suspend handler as a fibre parks.  The alarm is not
-   raised here — effect handlers should not throw past live
-   continuations — but parked for the run loop to raise between
-   events. *)
+let[@chorus.balanced
+     "the release half of the pool-lock seam: entered holding the lock \
+      when there are workers"] pool_exit p =
+  if p.p_domains > 0 then Obs.Lockstat.unlock p.p_stat p.p_lock
+
+(* Called from the Suspend handler as a fibre parks: register the
+   park, consuming the parking slice's annotation, and see whether it
+   closed a blocked-on cycle.  Pool and coordinator parks share the
+   one table.  The alarm is not raised here — effect handlers should
+   not throw past live continuations — but parked for the run loop to
+   raise between events. *)
 let note_park eng fib =
   match eng.watch with
   | None -> ()
   | Some w ->
     let p = eng.par in
-    if p.p_domains = 0 then register_wait eng w fib
-    else begin
-      Obs.Lockstat.lock p.p_stat p.p_lock;
-      register_wait eng w fib;
-      Obs.Lockstat.unlock p.p_stat p.p_lock
-    end
+    pool_enter p;
+    let lo =
+      match Domain.DLS.get slot with
+      | Slice pt ->
+        let lo = pt.pt_wait in
+        pt.pt_wait <- None;
+        lo
+      | Idle | Coord _ ->
+        let lo = eng.pending_wait in
+        eng.pending_wait <- None;
+        lo
+    in
+    let label, owner = Option.value lo ~default:("suspend", -1) in
+    Hashtbl.replace eng.waiting fib
+      { wi_label = label; wi_owner = owner; wi_since = now eng;
+        wi_flagged = false };
+    (match find_cycle eng fib with
+    | Some cycle ->
+      Obs.Metrics.incr w.wd_deadlocks;
+      Obs.Trace.instant eng.tracer ~cat:"watchdog"
+        ~args:[ ("fib", Obs.Trace.Int fib) ]
+        "deadlock";
+      if w.wd_alarm = None then w.wd_alarm <- Some (deadlock_diag eng cycle)
+    | None -> ());
+    pool_exit p
 
 (* Between events: raise a parked deadlock alarm, and periodically
    sweep the waiting table for fibres blocked longer than the stall
@@ -431,48 +448,42 @@ let seeded_scheduler seed =
     sched_step = (fun ~fib:_ ~accesses:_ -> ());
   }
 
-(* Stamp a task with the next sequence number and route it; with
-   workers the caller holds [p_lock].  Serial-class tasks go to the
-   discrete-event heap the coordinator drains; an affinity class goes
-   to its lane, which becomes runnable when its head is the only queued
-   task and no worker is already inside the lane. *)
-let push eng p ~daemon ~fib ~cls time run =
-  let seq = eng.seq in
-  eng.seq <- seq + 1;
-  if not daemon then eng.live_tasks <- eng.live_tasks + 1;
-  let t = { time; seq; daemon; fib; run } in
-  if cls = 0 then Pqueue.push eng.queue t
+(* Stamp a task with its time and the next sequence number and route
+   it; with workers the caller holds [p_lock].  Serial-class tasks go
+   to the discrete-event heap the coordinator drains; an affinity class
+   goes to its lane, which becomes runnable when its head is the only
+   queued task and no worker is already inside the lane. *)
+let push eng p task time =
+  task.time <- time;
+  task.seq <- eng.seq;
+  eng.seq <- eng.seq + 1;
+  if not task.daemon then eng.live_tasks <- eng.live_tasks + 1;
+  if task.cls = 0 then Pqueue.push eng.queue task
   else begin
     let lane =
-      match Hashtbl.find_opt p.lanes cls with
+      match Hashtbl.find_opt p.lanes task.cls with
       | Some l -> l
       | None ->
         let l = { l_q = Queue.create (); l_busy = false } in
-        Hashtbl.replace p.lanes cls l;
+        Hashtbl.replace p.lanes task.cls l;
         l
     in
-    Queue.push t lane.l_q;
+    Queue.push task lane.l_q;
     if (not lane.l_busy) && Queue.length lane.l_q = 1 then begin
-      Queue.push cls p.runnable;
+      Queue.push task.cls p.runnable;
       Condition.signal p.p_work
     end
   end;
   if p.p_domains > 0 then Condition.signal p.p_idle
 
-(* Queue fibre [fib]'s next slice.  A fibre being scheduled is no
-   longer parked, so its waiting-table entry (if any) goes too. *)
-let schedule eng ~daemon ~fib ~cls time run =
+(* Queue a fibre's next slice, [task.run].  A fibre being scheduled is
+   no longer parked, so its waiting-table entry (if any) goes too. *)
+let schedule eng task time =
   let p = eng.par in
-  if p.p_domains = 0 then begin
-    if eng.watch <> None then Hashtbl.remove eng.waiting fib;
-    push eng p ~daemon ~fib ~cls time run
-  end
-  else begin
-    Obs.Lockstat.lock p.p_stat p.p_lock;
-    if eng.watch <> None then Hashtbl.remove eng.waiting fib;
-    push eng p ~daemon ~fib ~cls time run;
-    Obs.Lockstat.unlock p.p_stat p.p_lock
-  end
+  pool_enter p;
+  if eng.watch <> None then Hashtbl.remove eng.waiting task.fib;
+  push eng p task time;
+  pool_exit p
 
 (* Advance the clock in place when the Sleep round trip would pop this
    same fibre's wake-up straight back off the heap: every queued task
@@ -485,55 +496,61 @@ let schedule eng ~daemon ~fib ~cls time run =
    after every event), and a user fibre (the run loop decides whether
    a daemon's wake-up runs at all: once the last user fibre exits it
    drops them and ends the run). *)
-let advance_in_place eng span =
-  match (eng.sched, eng.watch, eng.on_event) with
-  | None, None, None when eng.par.p_domains = 0 && not eng.cur_daemon ->
-    let time = eng.now + span in
-    if Pqueue.is_empty eng.queue || (Pqueue.top eng.queue).time > time
-    then begin
-      eng.seq <- eng.seq + 1;
-      eng.pending_wait <- None;
-      eng.now <- time;
-      true
-    end
-    else false
-  | _ -> false
+let[@chorus.hot] advance_in_place eng span =
+  Option.is_none eng.sched
+  && Option.is_none eng.watch
+  && Option.is_none eng.on_event
+  && eng.par.p_domains = 0
+  && (not eng.cur_daemon)
+  &&
+  let time = eng.now + span in
+  if Pqueue.is_empty eng.queue || (Pqueue.top eng.queue).time > time then begin
+    eng.seq <- eng.seq + 1;
+    eng.pending_wait <- None;
+    eng.now <- time;
+    true
+  end
+  else false
 
-let sleep span =
+let[@chorus.hot] sleep span =
   if span < 0 then invalid_arg "Engine.sleep: negative span";
   (* Parallel slices coalesce charges into the slice clock; doing it
      here rather than in the Sleep handler skips the effect round-trip
-     (and its continuation allocation) on the pool's hottest path. *)
+     (and its continuation allocation) on the pool's hottest path.  A
+     switching sleep leaves its span in the engine for the handler. *)
   match Domain.DLS.get slot with
   | Slice pt -> pt.pt_clock <- pt.pt_clock + span
   | Coord eng when advance_in_place eng span -> ()
-  | Idle | Coord _ -> Effect.perform (Sleep span)
+  | Coord eng -> eng.sleep_span <- span; Effect.perform Sleep
+  | Idle -> Effect.perform Sleep
 
 let suspend register = Effect.perform (Suspend register)
 
-(* The engine running the current fibre, recovered through the effect
-   handler the fibre executes under — no global state, so nested or
-   interleaved engines each see their own.  [None] outside [run]. *)
-let ambient () =
-  match Effect.perform Ambient with
-  | eng -> Some eng
-  | exception Effect.Unhandled Ambient -> None
+(* The engine running the current fibre, read from the domain slot —
+   no global state, so nested or interleaved engines each see their
+   own.  Between a coordinator's slices (event hook, scheduler,
+   watchdog) the answer is the one where its [run] was called: [None]
+   at top level. *)
+let[@chorus.hot] ambient () =
+  match Domain.DLS.get slot with
+  | Coord eng -> if eng.in_slice then eng.me else eng.outside
+  | Slice pt -> pt.pt_eng.me
+  | Idle -> None
 
-let note_ambient ?write a b =
+let[@chorus.hot] note_ambient ?write a b =
   match ambient () with Some eng -> note_access ?write eng a b | None -> ()
 
-let declare_wait_ambient ~on ?(owner = -1) () =
+let[@chorus.hot] declare_wait_ambient ~on ?owner () =
   match ambient () with
-  | Some eng -> declare_wait eng ~on ~owner ()
+  | Some eng -> declare_wait eng ~on ?owner ()
   | None -> ()
 
 (* Runs a fibre body under the effect handler.  Deep handlers stay
    installed for the whole fibre, so a continuation resumed later from
-   the event queue still sees Sleep/Suspend.  Continuations of a
-   daemon fibre schedule daemon tasks: the simulation ends when only
-   daemon work remains.  Handlers run at perform time, so [cur_fib] or
-   the slice's [pt_fib] is the performing fibre; continuations keep
-   that id, and the fibre's class [cls].
+   the event queue still sees Sleep/Suspend.  Each wake re-queues the
+   fibre's [task] with the continuation as its next slice, so a fibre
+   keeps its id, daemon flag and class.  The Sleep handler is built
+   once per fibre.
 
    In a parallel slice, Sleep never reaches the handler ({!sleep}
    coalesces it into the slice's private clock), and the resume time
@@ -541,47 +558,39 @@ let declare_wait_ambient ~on ?(owner = -1) () =
    fibre can even migrate between pool and coordinator across
    park/resume.  The resume flag is atomic because any domain may
    resume a parked fibre. *)
-let exec eng ~daemon ~cls f =
+let exec eng task f =
+  let p = eng.par in
   let finished () =
-    if not daemon then begin
-      let p = eng.par in
-      if p.p_domains = 0 then eng.live <- eng.live - 1
-      else begin
-        Obs.Lockstat.lock p.p_stat p.p_lock;
-        eng.live <- eng.live - 1;
-        Condition.signal p.p_idle;
-        Obs.Lockstat.unlock p.p_stat p.p_lock
-      end
+    (* Drop the last slice, so the record retains nothing it ran. *)
+    task.run <- ignore;
+    if not task.daemon then begin
+      pool_enter p;
+      eng.live <- eng.live - 1;
+      if p.p_domains > 0 then Condition.signal p.p_idle;
+      pool_exit p
     end
+  in
+  let on_sleep =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        eng.pending_wait <- None;
+        task.run <- (fun () -> Effect.Deep.continue k ());
+        schedule eng task (eng.now + eng.sleep_span))
   in
   Effect.Deep.match_with f ()
     {
-      retc = (fun () -> finished ());
+      retc = finished;
       exnc = (fun ex -> finished (); raise ex);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
-          | Sleep span ->
-            Some
-              (fun (k : (a, _) Effect.Deep.continuation) ->
-                let fib = eng.cur_fib in
-                eng.pending_wait <- None;
-                schedule eng ~daemon ~fib ~cls (eng.now + span) (fun () ->
-                    Effect.Deep.continue k ()))
-          | Ambient ->
-            Some
-              (fun (k : (a, _) Effect.Deep.continuation) ->
-                Effect.Deep.continue k eng)
+          | Sleep -> on_sleep
           | Suspend register ->
             Some
-              (fun (k : (a, _) Effect.Deep.continuation) ->
+              (fun k ->
                 let parked = Domain.DLS.get slot in
-                let fib =
-                  match parked with
-                  | Slice pt -> pt.pt_fib
-                  | Idle | Coord _ -> eng.cur_fib
-                in
-                note_park eng fib;
+                note_park eng task.fib;
                 let resumed = Atomic.make false in
                 register (fun () ->
                     if Atomic.exchange resumed true then
@@ -595,23 +604,10 @@ let exec eng ~daemon ~cls f =
                       | Slice pt -> max pt.pt_clock (now eng)
                       | Idle | Coord _ -> eng.now
                     in
-                    schedule eng ~daemon ~fib ~cls time (fun () ->
-                        Effect.Deep.continue k ())))
+                    task.run <- (fun () -> Effect.Deep.continue k ());
+                    schedule eng task time))
           | _ -> None);
     }
-
-(* Register a new fibre and queue [run], its first slice; with workers
-   the caller holds [p_lock]. *)
-let start eng ~name ~daemon ~cls run =
-  if not daemon then eng.live <- eng.live + 1;
-  let fib = eng.next_fib in
-  eng.next_fib <- fib + 1;
-  (match name with
-  | Some n ->
-    Hashtbl.replace eng.names fib n;
-    Obs.Trace.name_fibre eng.tracer fib n
-  | None -> ());
-  push eng eng.par ~daemon ~fib ~cls (now eng) run
 
 let spawn eng ?name ?(daemon = false) ?(affinity = 0) f =
   if affinity < 0 then invalid_arg "Engine.spawn: negative affinity";
@@ -622,13 +618,23 @@ let spawn eng ?name ?(daemon = false) ?(affinity = 0) f =
      ignored, which is what makes this engine the oracle twin of the
      pool. *)
   let cls = if p.p_domains = 0 then 0 else affinity in
-  let run () = exec eng ~daemon ~cls f in
-  if p.p_domains = 0 then start eng ~name ~daemon ~cls run
-  else begin
-    Obs.Lockstat.lock p.p_stat p.p_lock;
-    start eng ~name ~daemon ~cls run;
-    Obs.Lockstat.unlock p.p_stat p.p_lock
-  end
+  let task =
+    { time = Sim_time.zero; seq = 0; daemon; fib = 0; cls; run = ignore }
+  in
+  (* Built outside the pool lock: the fibre body takes it. *)
+  task.run <- (fun () -> exec eng task f);
+  pool_enter p;
+  if not daemon then eng.live <- eng.live + 1;
+  let fib = eng.next_fib in
+  eng.next_fib <- fib + 1;
+  task.fib <- fib;
+  (match name with
+  | Some n ->
+    Hashtbl.replace eng.names fib n;
+    Obs.Trace.name_fibre eng.tracer fib n
+  | None -> ());
+  push eng p task (now eng);
+  pool_exit p
 
 (* A pool worker: pop a runnable lane, run its head task as a parallel
    slice, then hand the lane back.  Exceptions from fibre bodies are
@@ -682,7 +688,9 @@ let worker eng p =
             let base = max task.time p.p_cpu.(pick_cpu ()) in
             (aff, lane, task, base))
       in
-      let pt = { pt_fib = task.fib; pt_clock = base; pt_wait = None } in
+      let pt =
+        { pt_eng = eng; pt_fib = task.fib; pt_clock = base; pt_wait = None }
+      in
       Domain.DLS.set slot (Slice pt);
       if Obs.Trace.enabled eng.tracer then Obs.Trace.slice_begin eng.tracer;
       (try task.run ()
@@ -733,11 +741,12 @@ let more eng p =
    [decisions], the schedule a forced replay re-drives.  The heap holds
    serial-class tasks only, so lane slices are never choice points. *)
 let dispatch eng s =
-  let task = Pqueue.pop eng.queue in
+  let q = eng.queue in
+  let task = Pqueue.pop q in
   let rec gather acc =
-    match Pqueue.pop_if eng.queue (fun t -> t.time = task.time) with
-    | Some t -> gather (t :: acc)
-    | None -> acc
+    if (not (Pqueue.is_empty q)) && (Pqueue.top q).time = task.time then
+      gather (Pqueue.pop q :: acc)
+    else acc
   in
   let arr = Array.of_list (List.rev (gather [ task ])) in
   let ready =
@@ -789,12 +798,14 @@ let rec coordinate eng p =
     if task.time > eng.now then eng.now <- task.time;
     eng.cur_fib <- task.fib;
     eng.cur_daemon <- task.daemon;
+    eng.in_slice <- true;
     (match eng.sched with
     | None -> task.run ()
     | Some _ ->
       eng.tracking <- true;
       eng.accesses <- [];
       Fun.protect ~finally:(fun () -> eng.tracking <- false) task.run);
+    eng.in_slice <- false;
     (* The scheduler's step, the event hook and the watchdog sweep run
        between events — with workers, once the pool is quiescent too,
        so every slice the serial one set off has run or parked, and a
@@ -832,6 +843,8 @@ let stop_workers p workers =
 let run eng main =
   let p = eng.par in
   let outer = Domain.DLS.get slot in
+  eng.outside <- ambient ();
+  eng.in_slice <- false;
   Domain.DLS.set slot (Coord eng);
   Fun.protect
     ~finally:(fun () -> Domain.DLS.set slot outer)
@@ -854,9 +867,7 @@ let run eng main =
 let run_fn eng f =
   let result = ref None in
   run eng (fun () -> result := Some (f ()));
-  match !result with
-  | Some v -> v
-  | None -> assert false
+  Option.get !result
 
 (* Condition variables for fibres, backed by a real mutex so
    registration, broadcast and the finished flag are race-free when
@@ -880,20 +891,18 @@ module Cond = struct
         c.parked <- resume :: c.parked;
         Mutex.unlock c.cv_lock)
 
-  let drain c =
+  let broadcast c =
     Mutex.lock c.cv_lock;
     let resumes = List.rev c.parked in
     c.parked <- [];
     Mutex.unlock c.cv_lock;
     List.iter (fun resume -> resume ()) resumes
 
-  let broadcast c = drain c
-
   let finish c =
     Mutex.lock c.cv_lock;
     c.finished <- true;
     Mutex.unlock c.cv_lock;
-    drain c
+    broadcast c
 
   let finished c = c.finished
 

@@ -144,11 +144,12 @@ val tracking : t -> bool
     identity when nobody is listening. *)
 
 val ambient : unit -> t option
-(** The engine running the current fibre, recovered through the fibre's
-    effect handler — [None] when called outside {!run}.  Lets shared
-    objects that are not threaded with an engine handle (ports, DSM
-    directories, process tables) participate in the footprint and
-    blocked-on disciplines. *)
+(** The engine running the current fibre — [None] outside {!run} and
+    in what the run loop calls between fibres (hooks, schedulers, the
+    watchdog), unless that [run] was itself called from a fibre.  Lets
+    shared objects not threaded with an engine handle (ports, DSM
+    directories, process tables) join the footprint and blocked-on
+    disciplines; it allocates nothing. *)
 
 val note_ambient : ?write:bool -> int -> int -> unit
 (** [note_ambient a b] is {!note_access} against the ambient engine; a
@@ -261,7 +262,8 @@ val spawn :
 
 val sleep : Sim_time.span -> unit
 (** Advance this fibre's position in simulated time; other runnable
-    fibres execute in between.  [sleep 0] is a yield.
+    fibres execute in between.  [sleep 0] is a yield.  A fibre switch
+    allocates only the continuation and the closure resuming it.
 
     When no queued task is due at or before the wake-up time, an
     engine without workers advances its clock in place instead of

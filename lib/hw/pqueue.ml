@@ -21,25 +21,37 @@ let grow h =
     h.data <- nd
   end
 
-let push h x =
+(* Top-level sift loops: a push or pop allocates nothing (the engine
+   pushes and pops on every fibre switch). *)
+let rec sift_up h i =
+  if i > 0 then begin
+    let p = (i - 1) / 2 in
+    if h.cmp h.data.(i) h.data.(p) < 0 then begin
+      let tmp = h.data.(i) in
+      h.data.(i) <- h.data.(p);
+      h.data.(p) <- tmp;
+      sift_up h p
+    end
+  end
+
+let rec sift_down h i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let s = if l < h.size && h.cmp h.data.(l) h.data.(i) < 0 then l else i in
+  let s = if r < h.size && h.cmp h.data.(r) h.data.(s) < 0 then r else s in
+  if s <> i then begin
+    let tmp = h.data.(i) in
+    h.data.(i) <- h.data.(s);
+    h.data.(s) <- tmp;
+    sift_down h s
+  end
+
+let[@chorus.hot] push h x =
   grow h;
   h.data.(h.size) <- x;
   h.size <- h.size + 1;
-  (* sift up *)
-  let rec up i =
-    if i > 0 then begin
-      let p = (i - 1) / 2 in
-      if h.cmp h.data.(i) h.data.(p) < 0 then begin
-        let tmp = h.data.(i) in
-        h.data.(i) <- h.data.(p);
-        h.data.(p) <- tmp;
-        up p
-      end
-    end
-  in
-  up (h.size - 1)
+  sift_up h (h.size - 1)
 
-let pop h =
+let[@chorus.hot] pop h =
   if h.size = 0 then invalid_arg "Pqueue.pop: empty";
   let top = h.data.(0) in
   h.size <- h.size - 1;
@@ -47,28 +59,10 @@ let pop h =
   h.data.(h.size) <- h.filler;
   if h.size > 0 then begin
     h.data.(0) <- last;
-    (* sift down *)
-    let rec down i =
-      let l = (2 * i) + 1 and r = (2 * i) + 2 in
-      let smallest = ref i in
-      if l < h.size && h.cmp h.data.(l) h.data.(!smallest) < 0 then
-        smallest := l;
-      if r < h.size && h.cmp h.data.(r) h.data.(!smallest) < 0 then
-        smallest := r;
-      if !smallest <> i then begin
-        let tmp = h.data.(i) in
-        h.data.(i) <- h.data.(!smallest);
-        h.data.(!smallest) <- tmp;
-        down !smallest
-      end
-    in
-    down 0
+    sift_down h 0
   end;
   top
 
 let top h =
   if h.size = 0 then invalid_arg "Pqueue.top: empty";
   h.data.(0)
-
-let pop_if h pred =
-  if h.size > 0 && pred h.data.(0) then Some (pop h) else None

@@ -21,8 +21,3 @@ val pop : 'a t -> 'a
 val top : 'a t -> 'a
 (** The minimum element, left in place (no allocation).
     @raise Invalid_argument if the heap is empty. *)
-
-val pop_if : 'a t -> ('a -> bool) -> 'a option
-(** [pop_if h pred] removes and returns the minimum element when it
-    satisfies [pred]; leaves the heap untouched otherwise.  Used by
-    the engine to drain the set of equal-time ready tasks. *)

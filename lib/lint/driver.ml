@@ -9,9 +9,11 @@
    mechanisms the disciplines are built from and are mostly out of
    scope — except the hot files: obs/trace.ml and obs/cells.ml, whose
    per-domain recording fast paths run inside every parallel slice,
-   and hw/mmu.ml, whose page-table walk runs on every mapped access.
-   They carry the charge and hot-allocation disciplines ([@chorus.hot]
-   ring/shard/cell writers, the allocation-free translation).
+   hw/mmu.ml, whose page-table walk runs on every mapped access, and
+   hw/engine.ml and hw/pqueue.ml, whose fibre-switch path runs on every
+   charge that lets another fibre in.  They carry the charge and
+   hot-allocation disciplines ([@chorus.hot] ring/shard/cell writers,
+   the allocation-free translation, the switch path).
 
    Baseline: findings are aggregated by stable key (rule, file,
    enclosing binding, detail) and compared against the committed
@@ -27,9 +29,16 @@ let charge_only_libs = [ "shadow"; "minimal" ]
 
 (* The (library, file) pairs of lib/obs and lib/hw in scope: the
    domain-sharded trace fast path, the per-domain cell rows every
-   parallel slice writes, and the MMU page table (see the header
-   comment). *)
-let hot_files = [ ("obs", "trace.ml"); ("obs", "cells.ml"); ("hw", "mmu.ml") ]
+   parallel slice writes, the MMU page table, and the engine's switch
+   path with its event heap (see the header comment). *)
+let hot_files =
+  [
+    ("obs", "trace.ml");
+    ("obs", "cells.ml");
+    ("hw", "mmu.ml");
+    ("hw", "engine.ml");
+    ("hw", "pqueue.ml");
+  ]
 
 (* "…/lib/core/cache.ml" -> Some ("core", "lib/core/cache.ml") *)
 let split_lib_path path =

@@ -8,8 +8,8 @@
 
      - the [Types.with_mm] combinator (acquire,
        inline-walk the closure, release — exception-protected),
-     - the raw [mm_enter] / [mm_exit] and [shard_enter] / [shard_exit]
-       halves,
+     - the raw [mm_enter] / [mm_exit], [shard_enter] / [shard_exit]
+       and [pool_enter] / [pool_exit] halves,
      - [Obs.Lockstat.lock]/[unlock]/[wait] and bare [Mutex.lock]/
        [unlock]/[Condition.wait], classified by the record field the
        mutex (or its stat bundle) is read from ({!Lock_order.cls_of_field});
@@ -583,6 +583,12 @@ and walk_apply ctx s (e : expression) : state =
     | "shard_exit", _ ->
       let s = walk_args ctx s args in
       release ctx s (Cls Lock_order.Shard) ~line
+    | "pool_enter", _ ->
+      let s = walk_args ctx s args in
+      acquire ctx s (Cls Lock_order.Pool) ~line ~prot:false
+    | "pool_exit", _ ->
+      let s = walk_args ctx s args in
+      release ctx s (Cls Lock_order.Pool) ~line
     | _, [ stat; m ] when Analyze.has_dotted_suffix ~suffix:"Lockstat.lock" name
       ->
       let s = walk_args ctx s args in
@@ -700,7 +706,8 @@ and walk_protect ctx s args =
   | _ -> walk_args ctx s args
 
 (* The locks a finally thunk syntactically releases (mm_exit,
-   shard_exit, Lockstat.unlock, Mutex.unlock anywhere inside it). *)
+   shard_exit, pool_exit, Lockstat.unlock, Mutex.unlock anywhere inside
+   it). *)
 and releases_of (fin : expression) : lock list =
   let acc = ref [] in
   let expr sub (e : expression) =
@@ -714,6 +721,7 @@ and releases_of (fin : expression) : lock list =
         match (last, List.map snd args) with
         | "mm_exit", _ -> acc := Cls Lock_order.Mm :: !acc
         | "shard_exit", _ -> acc := Cls Lock_order.Shard :: !acc
+        | "pool_exit", _ -> acc := Cls Lock_order.Pool :: !acc
         | _, [ stat; m ]
           when Analyze.has_dotted_suffix ~suffix:"Lockstat.unlock" name ->
           acc := classify_stat_pair stat m :: !acc

@@ -1,5 +1,6 @@
 type 'a t = {
   name : string;
+  wait_label : string; (* the watchdog's name for a receive-side park *)
   queue : 'a Queue.t;
   arrival : Hw.Engine.Cond.t;
 }
@@ -11,7 +12,12 @@ let create ?name () =
   let name =
     match name with Some n -> n | None -> Printf.sprintf "port-%d" !counter
   in
-  { name; queue = Queue.create (); arrival = Hw.Engine.Cond.create () }
+  {
+    name;
+    wait_label = "port:" ^ name;
+    queue = Queue.create ();
+    arrival = Hw.Engine.Cond.create ();
+  }
 
 let name t = t.name
 
@@ -29,7 +35,7 @@ let rec receive t =
   match Queue.take_opt t.queue with
   | Some msg -> msg
   | None ->
-    Hw.Engine.declare_wait_ambient ~on:("port:" ^ t.name) ();
+    Hw.Engine.declare_wait_ambient ~on:t.wait_label ();
     Hw.Engine.Cond.wait t.arrival;
     receive t
 

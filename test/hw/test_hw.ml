@@ -461,6 +461,126 @@ let test_clock_advance_allocates_nothing () =
     true
     (words < 16.)
 
+(* A fibre switch allocates the continuation OCaml must capture and the
+   closure that resumes it — not a task record, an effect payload, a
+   handler closure or heap-sift closures; [note_ambient] allocates
+   nothing at all; and a park/resume through [Cond] stays under 40
+   words.  Minor words are sampled from inside the run, after every
+   fibre has been spawned, so set-up is not counted. *)
+let test_switch_allocates_a_continuation () =
+  let n = 10_000 in
+  let measure body =
+    let engine = Hw.Engine.create () in
+    let before = ref 0. and after = ref 0. in
+    Hw.Engine.run engine (fun () ->
+        Hw.Engine.spawn engine (fun () -> body 0);
+        Hw.Engine.spawn engine (fun () ->
+            body 1;
+            after := Gc.minor_words ());
+        before := Gc.minor_words ());
+    (engine, !after -. !before)
+  in
+  (* The second fibre starts 5 ns late, so each 10 ns sleep wakes
+     after the other fibre's next wake-up: every sleep switches. *)
+  let engine, words =
+    measure (fun i ->
+        Hw.Engine.sleep (5 * i);
+        for _ = 1 to n do
+          Hw.Engine.sleep 10
+        done)
+  in
+  Alcotest.(check int) "both fibres ran to the end" ((10 * n) + 5)
+    (Hw.Engine.now engine);
+  let per_sleep = words /. float_of_int (2 * n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per switching sleep (at most 8)" per_sleep)
+    true (per_sleep <= 8.);
+  let words =
+    Hw.Engine.run_fn (Hw.Engine.create ()) (fun () ->
+        Hw.Engine.note_ambient 1 1;
+        let before = Gc.minor_words () in
+        for i = 1 to n do
+          Hw.Engine.note_ambient ~write:false i 0
+        done;
+        Gc.minor_words () -. before)
+  in
+  Alcotest.(check (float 0.)) "minor words for 10k note_ambient calls" 0. words;
+  let c = Hw.Engine.Cond.create () in
+  let _, words =
+    measure (fun _ ->
+        for _ = 1 to n do
+          Hw.Engine.Cond.broadcast c;
+          Hw.Engine.Cond.wait c
+        done;
+        Hw.Engine.Cond.broadcast c)
+  in
+  let per_park = words /. float_of_int (2 * n) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per Cond park (at most 40)" per_park)
+    true (per_park <= 40.)
+
+(* [ambient] names the engine whose fibre is running: none outside
+   [run] and none in code the run loop calls between fibres. *)
+let test_ambient_answers () =
+  let is eng =
+    match Hw.Engine.ambient () with Some e -> e == eng | None -> false
+  in
+  let none () = Option.is_none (Hw.Engine.ambient ()) in
+  Alcotest.(check bool) "None outside run" true (none ());
+  let outer = Hw.Engine.create () and inner = Hw.Engine.create () in
+  let seen = ref [] in
+  let see what ok = seen := (what, ok) :: !seen in
+  Hw.Engine.run outer (fun () ->
+      see "serial fibre" (is outer);
+      Hw.Engine.run inner (fun () ->
+          see "fibre of a nested run" (is inner);
+          Hw.Engine.sleep 3;
+          see "nested fibre after a switch" (is inner));
+      see "after the nested run" (is outer);
+      Hw.Engine.sleep 2;
+      see "after a switch" (is outer));
+  let pool = Hw.Engine.create ~domains:2 () in
+  Hw.Engine.run pool (fun () ->
+      Hw.Engine.spawn pool ~affinity:1 (fun () ->
+          see "parallel slice" (is pool && Hw.Engine.in_parallel_slice ())));
+  let hooked = Hw.Engine.create () in
+  let hook_none = ref true and hook_calls = ref 0 in
+  Hw.Engine.set_event_hook hooked (fun () ->
+      incr hook_calls;
+      if not (none ()) then hook_none := false);
+  Hw.Engine.set_scheduler hooked
+    {
+      Hw.Engine.sched_pick =
+        (fun ~now:_ _ ->
+          if not (none ()) then hook_none := false;
+          0);
+      sched_step =
+        (fun ~fib:_ ~accesses:_ -> if not (none ()) then hook_none := false);
+    };
+  Hw.Engine.run hooked (fun () ->
+      Hw.Engine.spawn hooked (fun () -> Hw.Engine.sleep 1);
+      Hw.Engine.sleep 1);
+  see "hook, pick and step" (!hook_calls > 0 && !hook_none);
+  List.iter
+    (fun (what, ok) -> Alcotest.(check bool) what true ok)
+    (List.rev !seen);
+  Alcotest.(check bool) "None after run" true (none ());
+  (* A hook declaring a wait must not label the next fibre's park. *)
+  let engine = Hw.Engine.create () in
+  Hw.Engine.enable_watchdog engine ();
+  Hw.Engine.set_event_hook engine (fun () ->
+      Hw.Engine.declare_wait_ambient ~on:"hook" ());
+  let c = Hw.Engine.Cond.create () in
+  let report = ref "" in
+  Hw.Engine.run engine (fun () ->
+      Hw.Engine.spawn engine (fun () -> Hw.Engine.Cond.wait c);
+      Hw.Engine.spawn engine (fun () ->
+          Hw.Engine.sleep 10;
+          report := Hw.Engine.blocked_report engine;
+          Hw.Engine.Cond.broadcast c));
+  Alcotest.(check string) "parked fibre keeps the generic label"
+    "fibre 2 blocked on suspend since 0ns" !report
+
 (* --- parallel engine ------------------------------------------------ *)
 
 (* Distinct affinities run on the domain pool; every slice's work must
@@ -955,6 +1075,10 @@ let () =
             test_observers_see_every_sleep;
           Alcotest.test_case "clock advance allocates nothing" `Quick
             test_clock_advance_allocates_nothing;
+          Alcotest.test_case "a fibre switch allocates a continuation, not a task"
+            `Quick test_switch_allocates_a_continuation;
+          Alcotest.test_case "ambient answers as before" `Quick
+            test_ambient_answers;
         ] );
       ( "parallel",
         [

@@ -232,6 +232,21 @@ let test_l6_interprocedural () =
   in
   check_keys "the reversed acquisition is found through the call"
     [ ("L6", "order-mm-under-shard") ]
+    fs;
+  (* The engine's pool seam: [pool_enter] returns holding the pool
+     lock, so a call that takes it again underneath is a self-nesting. *)
+  let fs =
+    lockset_lint ~rules:l6
+      "type par = { p_lock : Mutex.t; p_domains : int }\n\
+       let[@chorus.balanced \"fixture\"] pool_enter p =\n\
+      \  if p.p_domains > 0 then Mutex.lock p.p_lock\n\
+       let[@chorus.balanced \"fixture\"] pool_exit p =\n\
+      \  if p.p_domains > 0 then Mutex.unlock p.p_lock\n\
+       let exit_fibre p = pool_enter p; pool_exit p\n\
+       let spawn p = pool_enter p; exit_fibre p; pool_exit p\n"
+  in
+  check_keys "a pool section entering the pool seam again is found"
+    [ ("L6", "order-pool-under-pool") ]
     fs
 
 let test_l6_negative () =

@@ -117,7 +117,8 @@ let test_rgn_from_actor () =
 
 let test_ports () =
   let engine = Hw.Engine.create () in
-  let order = ref [] in
+  Hw.Engine.enable_watchdog engine ();
+  let order = ref [] and report = ref "" in
   Hw.Engine.run engine (fun () ->
       let port = Port.create ~name:"test" () in
       Hw.Engine.spawn engine (fun () ->
@@ -127,6 +128,7 @@ let test_ports () =
           order := ("rx:" ^ m2) :: !order);
       Hw.Engine.spawn engine (fun () ->
           Hw.Engine.sleep (Hw.Sim_time.ms 5);
+          report := Hw.Engine.blocked_report engine;
           order := "tx:a" :: !order;
           Port.send port "a";
           Hw.Engine.sleep (Hw.Sim_time.ms 5);
@@ -135,7 +137,9 @@ let test_ports () =
   Alcotest.(check (list string))
     "receive blocks until send"
     [ "rx:b"; "tx:b"; "rx:a"; "tx:a" ]
-    !order
+    !order;
+  Alcotest.(check string) "the parked receive names its port"
+    "fibre 2 blocked on port:test since 0ns" !report
 
 let test_ipc_roundtrip () =
   with_site (fun site ->
