@@ -293,8 +293,9 @@ let profile scenario folded json_out =
    in a failure is bundled; every run must pass the blocking-discipline
    analysis of its trace and Check.Harness.judge against the FIFO run.
    Exit 1 = a violation, 2 = the harness itself broke (a "crash"). *)
-let check scenario seeds every_event bundle_dir =
+let check scenario seeds every_event bundle_dir domains =
   let seeds = check_count ~cmd:"check" ~flag:"--seeds" ~min:0 seeds in
+  let domains = Option.map (check_domains ~cmd:"check") domains in
   let scen = find_scenario scenario in
   let failures = ref 0 in
   let fail label fmt =
@@ -306,7 +307,7 @@ let check scenario seeds every_event bundle_dir =
     exit 1
   in
   let run_one label seed =
-    let r = Check.Harness.run ?seed ~every_event scen in
+    let r = Check.Harness.run ?domains ?seed ~every_event scen in
     List.iter
       (fun v -> fail label "%a" Check.Blocking.pp_violation v)
       r.blocking;
@@ -604,7 +605,15 @@ let cmds =
                 ~doc:
                   "additionally run the structural invariant sweep after \
                    every engine event (slow)")
-        $ bundle_dir_arg "check");
+        $ bundle_dir_arg "check"
+        $ Arg.(
+            value
+            & opt (some int) None
+            & info [ "domains" ] ~docv:"N"
+                ~doc:
+                  "run every schedule on the domain-parallel engine with \
+                   $(docv) worker domains (>= 1); affinity-classed fibres \
+                   then run as parallel slices under the mm lock"));
     Cmd.v
       (Cmd.info "crossval"
          ~doc:

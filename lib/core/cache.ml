@@ -30,12 +30,14 @@ let own_pages_in_range (cache : cache) ~off ~size =
     (fun p -> p.p_offset >= off && p.p_offset < off + size)
     cache.c_pages
 
-let page_offsets pvm ~off ~size =
-  let ps = page_size pvm in
-  let first = page_align_down pvm off in
-  let last = page_align_up pvm (off + size) in
-  let rec go o acc = if o >= last then List.rev acc else go (o + ps) (o :: acc) in
-  go first []
+(* Materialise the stubs reading through [p], pinned meanwhile. *)
+let[@chorus.hot] flush_pinned pvm (p : page) =
+  Pervpage.wire p;
+  match Pervpage.flush_stubs pvm p with
+  | () -> Pervpage.unwire p
+  | exception e ->
+    Pervpage.unwire p;
+    raise e
 
 (* Does any per-page stub still read through this cache (pending keyed
    on it, or threaded on its pages)? *)
@@ -53,6 +55,12 @@ let collectable pvm (cache : cache) =
   && cache.c_mappings = []
   && not (has_stub_readers cache)
 
+(* The caches [cache]'s fragments name as parents, each once. *)
+let[@chorus.noted "callers (teardown, purge_range) note the topology first"] distinct_parents
+    (cache : cache) =
+  List.map (fun f -> f.f_parent) cache.c_parents
+  |> List.fold_left (fun acc p -> if List.memq p acc then acc else p :: acc) []
+
 (* Detach [cache]'s fragment links to parents it no longer references;
    collect zombie history chains that become childless. *)
 let[@chorus.guarded
@@ -61,18 +69,20 @@ let[@chorus.guarded
       parent/child lists"] rec detach_unreferenced pvm (cache : cache)
     ~parents_before =
   note_structure pvm;
-  List.iter
-    (fun (parent : cache) ->
-      let still =
-        List.exists (fun f -> f.f_parent == parent) cache.c_parents
-      in
-      if not still then begin
-        parent.c_children <-
-          List.filter (fun c -> not (c == cache)) parent.c_children;
-        History.child_detached parent cache;
-        if collectable pvm parent then teardown pvm parent
-      end)
-    parents_before
+  (* no closure to build for the common purge without parents *)
+  if parents_before <> [] then
+    List.iter
+      (fun (parent : cache) ->
+        let still =
+          List.exists (fun f -> f.f_parent == parent) cache.c_parents
+        in
+        if not still then begin
+          parent.c_children <-
+            List.filter (fun c -> not (c == cache)) parent.c_children;
+          History.child_detached parent cache;
+          if collectable pvm parent then teardown pvm parent
+        end)
+      parents_before
 
 (* Fully dismantle a cache that nothing depends on any more. *)
 and teardown pvm (cache : cache) =
@@ -105,18 +115,14 @@ and teardown pvm (cache : cache) =
       List.iter
         (fun (p : page) ->
           if p.p_alive then begin
-            if p.p_cow_stubs <> [] then
-              Pervpage.with_wired p (fun () -> Pervpage.flush_stubs pvm p);
+            if p.p_cow_stubs <> [] then flush_pinned pvm p;
             if p.p_alive then Install.remove_page pvm p ~free_frame:true
           end)
         pages;
       drain_pages (budget - 1)
   in
   drain_pages 64;
-  let parents_before =
-    List.map (fun f -> f.f_parent) cache.c_parents
-    |> List.fold_left (fun acc p -> if List.memq p acc then acc else p :: acc) []
-  in
+  let parents_before = distinct_parents cache in
   Parents.detach_all cache;
   cache.c_alive <- false;
   cache.c_zombie <- false;
@@ -133,23 +139,47 @@ let child_overlap (f : frag) ~off ~size =
   if lo >= hi then None
   else Some (f.f_off + (lo - f.f_parent_off), hi - lo)
 
+(* Does fragment [f]'s parent window overlap [off, off+size) of the
+   parent?  [child_overlap]'s test, with no result to build. *)
+let overlaps (f : frag) ~off ~size =
+  max f.f_parent_off off < min (f.f_parent_off + f.f_size) (off + size)
+
+let[@chorus.hot] [@chorus.noted
+     "range_has_readers notes the topology before the walk"] rec frags_read
+    (cache : cache) ~off ~size = function
+  | [] -> false
+  | f :: rest ->
+    (f.f_parent == cache && overlaps f ~off ~size)
+    || frags_read cache ~off ~size rest
+
+let[@chorus.hot] [@chorus.noted
+     "range_has_readers notes the topology before the walk"] rec children_read
+    (cache : cache) ~off ~size = function
+  | [] -> false
+  | (child : cache) :: rest ->
+    frags_read cache ~off ~size child.c_parents
+    || children_read cache ~off ~size rest
+
+(* Is a pending-stub row keyed on [cache] at some page offset in
+   [o, last)?  Each probed offset is noted, as a read or a write. *)
+let[@chorus.hot] rec pending_in pvm (cache : cache) ~write ~o ~last =
+  o < last
+  && begin
+    if write then note_frag pvm cache ~off:o
+    else note_frag ~write:false pvm cache ~off:o;
+    Shard_map.mem pvm.stub_sources cache.c_id o
+    || pending_in pvm cache ~write ~o:(o + page_size pvm) ~last
+  end
+
 (* Does anything still read the current contents of this range through
    the cache itself (rather than through a resident page)?  History
    children and other fragment children do; so do pending per-page
    stubs whose source key names this cache. *)
-let range_has_readers pvm (cache : cache) ~off ~size =
+let[@chorus.hot] range_has_readers pvm (cache : cache) ~off ~size =
   note_structure ~write:false pvm;
-  List.exists
-    (fun (child : cache) ->
-      List.exists
-        (fun f -> f.f_parent == cache && child_overlap f ~off ~size <> None)
-        child.c_parents)
-    cache.c_children
-  || List.exists
-       (fun o ->
-         note_frag ~write:false pvm cache ~off:o;
-         Shard_map.mem pvm.stub_sources cache.c_id o)
-       (page_offsets pvm ~off ~size)
+  children_read cache ~off ~size cache.c_children
+  || pending_in pvm cache ~write:false ~o:(page_align_down pvm off)
+       ~last:(page_align_up pvm (off + size))
 
 (* Give the purged range a new hidden identity: a zombie history node
    [z] inherits the range's resident pages, parent fragments, child
@@ -180,44 +210,47 @@ let[@chorus.guarded
   (* Pin every resident page of the range first: the swap pull-backs
      below allocate frames and must not be able to steal them. *)
   List.iter pin (own_pages_in_range cache ~off ~size);
+  let ps = page_size pvm in
+  let first = page_align_down pvm off in
+  let n = (page_align_up pvm (off + size) - first) / ps in
   if cache.c_anonymous then
-    List.iter
-      (fun o ->
-        if Hashtbl.mem cache.c_backed_offs o then begin
-          (match Global_map.wait_not_in_transit pvm cache ~off:o with
-          | Some (Resident p) -> p.p_dirty <- true
-          | None ->
-            let p = Value.pull_in_page pvm cache ~off:o ~prot:Hw.Prot.all in
-            p.p_dirty <- true;
-            pin p
-          | Some (Cow_stub _) ->
-            (* a deferred value shadows the swap copy; the swap copy is
-               dead *)
-            ()
-          | Some (Sync_stub _) -> assert false);
-          Hashtbl.remove cache.c_backed_offs o
-        end)
-      (page_offsets pvm ~off ~size)
+    for i = 0 to n - 1 do
+      let o = first + (i * ps) in
+      if Hashtbl.mem cache.c_backed_offs o then begin
+        (match Global_map.wait_not_in_transit pvm cache ~off:o with
+        | Some (Resident p) -> p.p_dirty <- true
+        | None ->
+          let p = Value.pull_in_page pvm cache ~off:o ~prot:Hw.Prot.all in
+          p.p_dirty <- true;
+          pin p
+        | Some (Cow_stub _) ->
+          (* a deferred value shadows the swap copy; the swap copy is
+             dead *)
+          ()
+        | Some (Sync_stub _) -> assert false);
+        Hashtbl.remove cache.c_backed_offs o
+      end
+    done
   else z.c_backing <- cache.c_backing;
   (* Re-key pending stubs first so migrating pages re-thread them. *)
-  List.iter
-    (fun o ->
-      note_frag pvm cache ~off:o;
-      note_frag pvm z ~off:o;
-      match Shard_map.find_opt pvm.stub_sources cache.c_id o with
-      | None -> ()
-      | Some stubs ->
-        Shard_map.remove pvm.stub_sources cache.c_id o;
-        Install.unindex_pending pvm cache ~off:o;
-        List.iter
-          (fun s ->
-            match s.cs_source with
-            | Src_cache (c, so) when c == cache -> s.cs_source <- Src_cache (z, so)
-            | Src_cache _ | Src_page _ -> ())
-          stubs;
-        Shard_map.replace pvm.stub_sources z.c_id o stubs;
-        Install.index_pending pvm z ~off:o)
-    (page_offsets pvm ~off ~size);
+  for i = 0 to n - 1 do
+    let o = first + (i * ps) in
+    note_frag pvm cache ~off:o;
+    note_frag pvm z ~off:o;
+    match Shard_map.find_opt pvm.stub_sources cache.c_id o with
+    | None -> ()
+    | Some stubs ->
+      Shard_map.remove pvm.stub_sources cache.c_id o;
+      Install.unindex_pending pvm cache ~off:o;
+      List.iter
+        (fun s ->
+          match s.cs_source with
+          | Src_cache (c, so) when c == cache -> s.cs_source <- Src_cache (z, so)
+          | Src_cache _ | Src_page _ -> ())
+        stubs;
+      Shard_map.replace pvm.stub_sources z.c_id o stubs;
+      Install.index_pending pvm z ~off:o
+  done;
   (* Migrate resident pages (frame reassignment, no copying). *)
   List.iter
     (fun (p : page) ->
@@ -225,29 +258,29 @@ let[@chorus.guarded
     (own_pages_in_range cache ~off ~size);
   (* Migrate destination-side stubs: they are part of the range's old
      contents. *)
-  List.iter
-    (fun o ->
-      match Global_map.wait_not_in_transit pvm cache ~off:o with
-      | Some (Cow_stub s) ->
-        Global_map.remove pvm cache ~off:o;
-        Install.unindex_dest_stub pvm cache ~off:o;
-        let s' = { s with cs_cache = z } in
-        s.cs_alive <- false;
-        (match s.cs_source with
-        | Src_page p ->
-          p.p_cow_stubs <-
-            s' :: List.filter (fun x -> not (x == s)) p.p_cow_stubs
-        | Src_cache (c, so) -> (
-          note_frag pvm c ~off:so;
-          match Shard_map.find_opt pvm.stub_sources c.c_id so with
-          | Some stubs ->
-            Shard_map.replace pvm.stub_sources c.c_id so
-              (s' :: List.filter (fun x -> not (x == s)) stubs)
-          | None -> ()));
-        Global_map.set pvm z ~off:o (Cow_stub s');
-        Install.index_dest_stub pvm s'
-      | _ -> ())
-    (page_offsets pvm ~off ~size);
+  for i = 0 to n - 1 do
+    let o = first + (i * ps) in
+    match Global_map.wait_not_in_transit pvm cache ~off:o with
+    | Some (Cow_stub s) ->
+      Global_map.remove pvm cache ~off:o;
+      Install.unindex_dest_stub pvm cache ~off:o;
+      let s' = { s with cs_cache = z } in
+      s.cs_alive <- false;
+      (match s.cs_source with
+      | Src_page p ->
+        p.p_cow_stubs <-
+          s' :: List.filter (fun x -> not (x == s)) p.p_cow_stubs
+      | Src_cache (c, so) -> (
+        note_frag pvm c ~off:so;
+        match Shard_map.find_opt pvm.stub_sources c.c_id so with
+        | Some stubs ->
+          Shard_map.replace pvm.stub_sources c.c_id so
+            (s' :: List.filter (fun x -> not (x == s)) stubs)
+        | None -> ()));
+      Global_map.set pvm z ~off:o (Cow_stub s');
+      Install.index_dest_stub pvm s'
+    | _ -> ()
+  done;
   (* Migrate parent fragments covering the range.  If this cache was a
      parent's history object over a migrated fragment, the history role
      moves to z: the parent's future originals belong to the old
@@ -316,101 +349,111 @@ let[@chorus.guarded
    per-page stubs, which no page descriptor of this cache records —
    must be invalidated so the next access faults onto the new
    contents. *)
-let[@chorus.spanned
-     "runs under purge_range, whose callers (copy, move) open the span"] invalidate_window
-    pvm (cache : cache) ~off ~size =
-  note_structure pvm;
-  let ps = page_size pvm in
-  List.iter
-    (fun (region : region) ->
-      let lo = max off region.r_offset
-      and hi = min (off + size) (region.r_offset + region.r_size) in
-      if lo < hi then begin
-        let vpn0 = (region.r_addr + (lo - region.r_offset)) / ps in
-        let n = (hi - lo + ps - 1) / ps in
-        for k = 0 to n - 1 do
-          let vpn = vpn0 + k in
-          let i = Hw.Mmu.mapped_frame_index region.r_context.ctx_space ~vpn in
-          if i >= 0 then begin
-            (match Pmap.page_at_index pvm i with
-            | Some page -> Pmap.drop_mapping page region ~vpn
-            | None -> ());
-            charge pvm Hw.Cost.Invalidate_page;
-            Hw.Mmu.unmap region.r_context.ctx_space ~vpn
-          end
-        done
-      end)
-    cache.c_mappings
+let[@chorus.hot] [@chorus.spanned
+     "runs under purge_range, whose callers (copy, move) open the span"] rec invalidate_regions
+    pvm ~off ~size = function
+  | [] -> ()
+  | (region : region) :: rest ->
+    let ps = page_size pvm in
+    let lo = max off region.r_offset
+    and hi = min (off + size) (region.r_offset + region.r_size) in
+    if lo < hi then begin
+      let vpn0 = (region.r_addr + (lo - region.r_offset)) / ps in
+      let n = (hi - lo + ps - 1) / ps in
+      for k = 0 to n - 1 do
+        let vpn = vpn0 + k in
+        let i = Hw.Mmu.mapped_frame_index region.r_context.ctx_space ~vpn in
+        if i >= 0 then begin
+          (match Pmap.page_at_index pvm i with
+          | Some page -> Pmap.drop_mapping page region ~vpn
+          | None -> ());
+          charge pvm Hw.Cost.Invalidate_page;
+          Hw.Mmu.unmap region.r_context.ctx_space ~vpn
+        end
+      done
+    end;
+    invalidate_regions pvm ~off ~size rest
 
-let purge_range pvm (cache : cache) ~off ~size =
+let[@chorus.hot] invalidate_window pvm (cache : cache) ~off ~size =
+  note_structure pvm;
+  invalidate_regions pvm ~off ~size cache.c_mappings
+
+let[@chorus.hot] rec has_page_in (cache : cache) ~off ~size = function
+  | [] -> false
+  | (p : page) :: rest ->
+    (p.p_cache == cache && p.p_offset >= off && p.p_offset < off + size)
+    || has_page_in cache ~off ~size rest
+
+(* Drop the pages of [pages], a snapshot of the cache's list, that lie
+   in the range, materialising the stubs reading through them first. *)
+let[@chorus.hot] rec remove_in_range pvm (cache : cache) ~off ~size = function
+  | [] -> ()
+  | (p : page) :: rest ->
+    if
+      p.p_cache == cache && p.p_offset >= off
+      && p.p_offset < off + size
+      && p.p_alive
+    then begin
+      if p.p_cow_stubs <> [] then flush_pinned pvm p;
+      if p.p_alive then Install.remove_page pvm p ~free_frame:true
+    end;
+    remove_in_range pvm cache ~off ~size rest
+
+(* Drop the range's pages.  Materialisation can evict pages and pull
+   them back in behind the walk, so loop until the range is really
+   empty. *)
+let[@chorus.hot] rec drain_range pvm (cache : cache) ~off ~size budget =
+  if budget = 0 then failwith "purge_range: pages not draining";
+  let pages = cache.c_pages in
+  if has_page_in cache ~off ~size pages then begin
+    remove_in_range pvm cache ~off ~size pages;
+    drain_range pvm cache ~off ~size (budget - 1)
+  end
+
+(* Draining may have evicted in-range pages, retargeting their threaded
+   stubs into pending ones keyed on this cache; those still denote the
+   old contents and must be materialised (from swap) before we forget
+   them.  Materialising a pending stub pulls its source value back into
+   this very range, so each round is followed by another page drain —
+   otherwise the stale page stays behind and the caller's next insert
+   at its offset silently orphans it (the descriptor lingers on
+   [c_pages] with no global-map entry, its frame held forever). *)
+let[@chorus.hot] rec drain_pending pvm (cache : cache) ~off ~size ~first ~last
+    budget =
+  if budget = 0 then failwith "purge_range: pending stubs not draining";
+  if pending_in pvm cache ~write:true ~o:first ~last then begin
+    let ps = page_size pvm in
+    for i = 0 to ((last - first) / ps) - 1 do
+      Pervpage.materialize_pending pvm cache ~off:(first + (i * ps))
+    done;
+    drain_range pvm cache ~off ~size 64;
+    drain_pending pvm cache ~off ~size ~first ~last (budget - 1)
+  end
+
+let[@chorus.hot] purge_range pvm (cache : cache) ~off ~size =
   if size > 0 then begin
     note_structure pvm;
     invalidate_window pvm cache ~off ~size;
-    (* Drop the range's pages, materialising stubs that read through
-       individual pages.  Materialisation can evict pages and pull
-       them back in behind the iteration, so loop until the range is
-       really empty. *)
-    let rec drain_pages budget =
-      if budget = 0 then failwith "purge_range: pages not draining";
-      match own_pages_in_range cache ~off ~size with
-      | [] -> ()
-      | pages ->
-        List.iter
-          (fun (p : page) ->
-            if p.p_alive then begin
-              if p.p_cow_stubs <> [] then
-                Pervpage.with_wired p (fun () ->
-                    Pervpage.flush_stubs pvm p);
-              if p.p_alive then Install.remove_page pvm p ~free_frame:true
-            end)
-          pages;
-        drain_pages (budget - 1)
-    in
     if range_has_readers pvm cache ~off ~size then
       ignore (split_to_zombie pvm cache ~off ~size)
     else
       (* Nothing reads the old contents through the cache: drop them. *)
-      drain_pages 64;
-    (* Draining above may have evicted in-range pages, retargeting
-       their threaded stubs into pending ones keyed on this cache;
-       those still denote the old contents and must be materialised
-       (from swap) before we forget them.  Materialising a pending
-       stub pulls its source value back into this very range, so each
-       round is followed by another page drain — otherwise the stale
-       page stays behind and the caller's next insert at its offset
-       silently orphans it (the descriptor lingers on [c_pages] with
-       no global-map entry, its frame held forever). *)
-    let offsets = page_offsets pvm ~off ~size in
-    let rec drain_pending budget =
-      if budget = 0 then failwith "purge_range: pending stubs not draining";
-      let found =
-        List.exists
-          (fun o ->
-            note_frag pvm cache ~off:o;
-            Shard_map.mem pvm.stub_sources cache.c_id o)
-          offsets
-      in
-      if found then begin
-        List.iter (fun o -> Pervpage.materialize_pending pvm cache ~off:o) offsets;
-        drain_pages 64;
-        drain_pending (budget - 1)
-      end
-    in
-    drain_pending 64;
+      drain_range pvm cache ~off ~size 64;
+    let first = page_align_down pvm off
+    and last = page_align_up pvm (off + size) in
+    drain_pending pvm cache ~off ~size ~first ~last 64;
     (* Destination-side stubs left in the range die with the old
        contents (the zombie path migrated the ones that mattered), and
        swapped-out old contents are forgotten. *)
-    List.iter
-      (fun o ->
-        Hashtbl.remove cache.c_backed_offs o;
-        match Global_map.wait_not_in_transit pvm cache ~off:o with
-        | Some (Cow_stub s) -> Pervpage.kill pvm s
-        | _ -> ())
-      offsets;
-    let parents_before =
-      List.map (fun f -> f.f_parent) cache.c_parents
-      |> List.fold_left (fun acc p -> if List.memq p acc then acc else p :: acc) []
-    in
+    let ps = page_size pvm in
+    for i = 0 to ((last - first) / ps) - 1 do
+      let o = first + (i * ps) in
+      Hashtbl.remove cache.c_backed_offs o;
+      match Global_map.wait_not_in_transit pvm cache ~off:o with
+      | Some (Cow_stub s) -> Pervpage.kill pvm s
+      | _ -> ()
+    done;
+    let parents_before = distinct_parents cache in
     Parents.remove_range cache ~off ~size;
     detach_unreferenced pvm cache ~parents_before
   end
@@ -419,46 +462,109 @@ let purge_range pvm (cache : cache) ~off ~size =
 
 let per_page_limit_pages = 8 (* 64 KB with 8 KB pages: the IPC slot size *)
 
+(* One chunk of an eager copy: [chunk] bytes from [s] in [src] to [d]
+   in [dst], within one page on each side.  The destination page stays
+   pinned while the source lookup may allocate. *)
+let[@chorus.hot] copy_chunk pvm ~(src : cache) ~s ~(dst : cache) ~d ~chunk =
+  let s_page = page_align_down pvm s and d_page = page_align_down pvm d in
+  let dp = Fault.own_writable_page pvm dst ~off:d_page in
+  Pervpage.wire dp;
+  match
+    match Value.source_value pvm src ~off:s_page with
+    | `Page sp ->
+      (* no scheduling point between the lookup and the blit: [sp]
+         cannot be reclaimed under it *)
+      Bytes.blit sp.p_frame.Hw.Phys_mem.bytes (s - s_page)
+        dp.p_frame.Hw.Phys_mem.bytes (d - d_page) chunk
+    | `Zero -> Bytes.fill dp.p_frame.Hw.Phys_mem.bytes (d - d_page) chunk '\000'
+  with
+  | () -> Pervpage.unwire dp
+  | exception e ->
+    Pervpage.unwire dp;
+    raise e
+
 (* Copy [size] bytes eagerly through real memory, honouring page
    boundaries on both sides; works for any (mis)alignment. *)
-let[@chorus.spanned "runs under the copy/move span of its callers"] eager_copy
-    pvm ~(src : cache) ~src_off ~(dst : cache) ~dst_off ~size =
-  let ps = page_size pvm in
-  let rec go copied =
-    if copied < size then begin
-      let s = src_off + copied and d = dst_off + copied in
-      let s_page = page_align_down pvm s and d_page = page_align_down pvm d in
-      let chunk =
-        min (size - copied) (min (s_page + ps - s) (d_page + ps - d))
-      in
-      let dp = Fault.own_writable_page pvm dst ~off:d_page in
-      (* [dp] stays pinned while the source lookup may allocate. *)
-      Pervpage.with_wired dp (fun () ->
-          match Value.source_value pvm src ~off:s_page with
-          | `Page sp ->
-            Pervpage.with_wired sp (fun () ->
-                Bytes.blit sp.p_frame.Hw.Phys_mem.bytes (s - s_page)
-                  dp.p_frame.Hw.Phys_mem.bytes (d - d_page) chunk)
-          | `Zero ->
-            Bytes.fill dp.p_frame.Hw.Phys_mem.bytes (d - d_page) chunk '\000');
-      charge_span pvm Hw.Cost.Bcopy_page (pvm.cost.t_bcopy_page * chunk / ps);
-      bump pvm.stats sc_eager_pages;
-      go (copied + chunk)
-    end
-  in
-  go 0
+let[@chorus.hot] [@chorus.spanned "runs under the copy/move span of its callers"] rec eager_copy_from
+    pvm ~(src : cache) ~src_off ~(dst : cache) ~dst_off ~size copied =
+  if copied < size then begin
+    let ps = page_size pvm in
+    let s = src_off + copied and d = dst_off + copied in
+    let chunk =
+      min (size - copied)
+        (min (page_align_down pvm s + ps - s) (page_align_down pvm d + ps - d))
+    in
+    copy_chunk pvm ~src ~s ~dst ~d ~chunk;
+    charge_span pvm Hw.Cost.Bcopy_page (pvm.cost.t_bcopy_page * chunk / ps);
+    bump pvm.stats sc_eager_pages;
+    eager_copy_from pvm ~src ~src_off ~dst ~dst_off ~size (copied + chunk)
+  end
+
+let[@chorus.hot] eager_copy pvm ~src ~src_off ~dst ~dst_off ~size =
+  eager_copy_from pvm ~src ~src_off ~dst ~dst_off ~size 0
 
 let aligned3 pvm a b c =
   is_page_aligned pvm a && is_page_aligned pvm b && is_page_aligned pvm c
 
 let ranges_overlap ~a_off ~b_off ~size = abs (a_off - b_off) < size
 
+let strategy_name = function
+  | `Eager -> "eager"
+  | `Per_page -> "per-page"
+  | `History -> "history"
+
+let end_copy_span tr ~(src : cache) ~(dst : cache) ~size name =
+  Obs.Trace.span_end tr
+    ~args:
+      [
+        ("src", Obs.Trace.Int src.c_id);
+        ("dst", Obs.Trace.Int dst.c_id);
+        ("size", Obs.Trace.Int size);
+        ("strategy", Obs.Trace.Str name);
+      ]
+
+(* Auto strategy follows §4.2/§4.3: history objects for large copies,
+   per-virtual-page stubs for small ones, eager transfer when alignment
+   forbids page tricks. *)
+let[@chorus.hot] choose_strategy pvm strategy ~(src : cache) ~src_off
+    ~(dst : cache) ~dst_off ~size =
+  let aligned = aligned3 pvm src_off dst_off size in
+  let chosen =
+    match strategy with
+    | `Auto ->
+      if not aligned then `Eager
+      else if size <= per_page_limit_pages * page_size pvm then `Per_page
+      else `History
+    | (`Eager | `History | `Per_page) as s ->
+      if (not aligned) && s <> `Eager then
+        invalid_arg "copy: deferred strategies need page alignment";
+      s
+  in
+  (* Copying onto one of the source's own ancestors would close a
+     cycle in the copy graph (lookups could loop; hidden history nodes
+     would keep each other alive).  Unix workloads never do this; fall
+     back to an eager copy when they would. *)
+  if chosen <> `Eager && History.reachable ~from:src dst then `Eager
+  else chosen
+
+let[@chorus.hot] copy_with pvm chosen ~policy ~(src : cache) ~src_off
+    ~(dst : cache) ~dst_off ~size =
+  match chosen with
+  | `Eager -> eager_copy pvm ~src ~src_off ~dst ~dst_off ~size
+  | `Per_page ->
+    purge_range pvm dst ~off:dst_off ~size;
+    Pervpage.setup_copy pvm ~src ~src_off ~dst ~dst_off ~size
+  | `History ->
+    purge_range pvm dst ~off:dst_off ~size;
+    History.record_copy pvm ~src ~src_off ~dst ~dst_off ~size ~policy
+
 (* cache.copy (Table 1): copy data from a source cache to a
-   destination cache.  Auto strategy follows §4.2/§4.3: history
-   objects for large copies, per-virtual-page stubs for small ones,
-   eager transfer when alignment forbids page tricks. *)
-let copy pvm ?(strategy = `Auto) ?(policy = `Copy_on_write) ~(src : cache)
-    ~src_off ~(dst : cache) ~dst_off ~size () =
+   destination cache, by the strategy [choose_strategy] picks.  The
+   copy span closes on every path, naming the strategy once chosen. *)
+let[@chorus.hot] copy pvm ?strategy ?policy ~(src : cache) ~src_off
+    ~(dst : cache) ~dst_off ~size () =
+  let strategy = match strategy with Some s -> s | None -> `Auto in
+  let policy = match policy with Some p -> p | None -> `Copy_on_write in
   check_cache_alive src;
   check_cache_alive dst;
   if size < 0 then invalid_arg "copy: negative size";
@@ -468,104 +574,92 @@ let copy pvm ?(strategy = `Auto) ?(policy = `Copy_on_write) ~(src : cache)
     let tr = Hw.Engine.tracer pvm.engine in
     let traced = Obs.Trace.enabled tr in
     if traced then Obs.Trace.span_begin tr ~cat:"vm" "copy";
-    let chosen_name = ref "?" in
-    Fun.protect
-      ~finally:(fun () ->
-        if traced then
-          Obs.Trace.span_end tr
-            ~args:
-              [
-                ("src", Obs.Trace.Int src.c_id);
-                ("dst", Obs.Trace.Int dst.c_id);
-                ("size", Obs.Trace.Int size);
-                ("strategy", Obs.Trace.Str !chosen_name);
-              ])
-    @@ fun () ->
-    let aligned = aligned3 pvm src_off dst_off size in
-    let chosen =
-      match strategy with
-      | `Auto ->
-        if not aligned then `Eager
-        else if size <= per_page_limit_pages * page_size pvm then `Per_page
-        else `History
-      | (`Eager | `History | `Per_page) as s ->
-        if (not aligned) && s <> `Eager then
-          invalid_arg "copy: deferred strategies need page alignment";
-        s
-    in
-    (* Copying onto one of the source's own ancestors would close a
-       cycle in the copy graph (lookups could loop; hidden history
-       nodes would keep each other alive).  Unix workloads never do
-       this; fall back to an eager copy when they would. *)
-    let chosen =
-      if chosen <> `Eager && History.reachable ~from:src dst then `Eager
-      else chosen
-    in
-    chosen_name :=
-      (match chosen with
-      | `Eager -> "eager"
-      | `Per_page -> "per-page"
-      | `History -> "history");
-    match chosen with
-    | `Eager -> eager_copy pvm ~src ~src_off ~dst ~dst_off ~size
-    | `Per_page ->
-      purge_range pvm dst ~off:dst_off ~size;
-      Pervpage.setup_copy pvm ~src ~src_off ~dst ~dst_off ~size
-    | `History ->
-      purge_range pvm dst ~off:dst_off ~size;
-      History.record_copy pvm ~src ~src_off ~dst ~dst_off ~size ~policy
+    match choose_strategy pvm strategy ~src ~src_off ~dst ~dst_off ~size with
+    | exception e ->
+      if traced then end_copy_span tr ~src ~dst ~size "?";
+      raise e
+    | chosen -> (
+      match copy_with pvm chosen ~policy ~src ~src_off ~dst ~dst_off ~size with
+      | () ->
+        if traced then end_copy_span tr ~src ~dst ~size (strategy_name chosen)
+      | exception e ->
+        if traced then end_copy_span tr ~src ~dst ~size (strategy_name chosen);
+        raise e)
   end
+
+(* One page of an aligned move: a resident page moves by frame
+   reassignment, a still-deferred value by re-targeting its stub;
+   anything else has its value copied, and the source keeps its old
+   page (its contents are undefined after a move). *)
+let[@chorus.hot] [@chorus.spanned "runs under the move span opened by move"] move_page
+    pvm ~(src : cache) ~o ~(dst : cache) ~d_off =
+  match Global_map.wait_not_in_transit pvm src ~off:o with
+  | Some (Resident p) when p.p_cow_stubs = [] && not p.p_cow_protected ->
+    charge pvm Hw.Cost.Mmu_map;
+    Install.reassign_page pvm p dst ~dst_off:d_off;
+    p.p_dirty <- true
+  | Some (Cow_stub s as entry) when not (History.is_covered src ~off:o) ->
+    (* a still-deferred value moves by re-targeting the stub — unless a
+       history child snapshots the source, in which case the stub must
+       stay (the fallback below copies) *)
+    Global_map.remove pvm src ~off:o;
+    Install.unindex_dest_stub pvm src ~off:o;
+    s.cs_cache <- dst;
+    s.cs_offset <- d_off;
+    charge pvm Hw.Cost.Stub_insert;
+    Global_map.set pvm dst ~off:d_off entry;
+    Install.index_dest_stub pvm s;
+    bump pvm.stats sc_moved_pages
+  | Some _ | None -> (
+    match Value.source_value pvm src ~off:o with
+    | `Page sp ->
+      Pervpage.wire sp;
+      (match
+         let dp = Fault.own_writable_page pvm dst ~off:d_off in
+         charge pvm Hw.Cost.Bcopy_page;
+         Hw.Phys_mem.bcopy ~src:sp.p_frame ~dst:dp.p_frame
+       with
+      | () -> Pervpage.unwire sp
+      | exception e ->
+        Pervpage.unwire sp;
+        raise e);
+      bump pvm.stats sc_eager_pages
+    | `Zero -> ())
+
+let[@chorus.hot] [@chorus.spanned "runs under the move span opened by move"] move_range
+    pvm ~(src : cache) ~src_off ~(dst : cache) ~dst_off ~size =
+  if aligned3 pvm src_off dst_off size then begin
+    purge_range pvm dst ~off:dst_off ~size;
+    let ps = page_size pvm in
+    for i = 0 to (size / ps) - 1 do
+      move_page pvm ~src ~o:(src_off + (i * ps)) ~dst ~d_off:(dst_off + (i * ps))
+    done
+  end
+  else eager_copy pvm ~src ~src_off ~dst ~dst_off ~size
 
 (* cache.move (Table 1): like copy but the source contents become
    undefined, letting resident pages move by frame reassignment
    whenever alignment allows. *)
-let move pvm ~(src : cache) ~src_off ~(dst : cache) ~dst_off ~size () =
+let[@chorus.hot] move pvm ~(src : cache) ~src_off ~(dst : cache) ~dst_off
+    ~size () =
   check_cache_alive src;
   check_cache_alive dst;
   if src == dst && ranges_overlap ~a_off:src_off ~b_off:dst_off ~size then
     invalid_arg "move: overlapping ranges within one cache";
-  if size > 0 then
-    spanned pvm "move" @@ fun () ->
-    if aligned3 pvm src_off dst_off size then begin
-      purge_range pvm dst ~off:dst_off ~size;
-      List.iter
-        (fun o ->
-          let d_off = dst_off + (o - src_off) in
-          match Global_map.wait_not_in_transit pvm src ~off:o with
-          | Some (Resident p)
-            when p.p_cow_stubs = [] && not p.p_cow_protected ->
-            charge pvm Hw.Cost.Mmu_map;
-            Install.reassign_page pvm p dst ~dst_off:d_off;
-            p.p_dirty <- true
-          | Some (Cow_stub s) when not (History.is_covered src ~off:o) ->
-            (* a still-deferred value moves by re-targeting the stub —
-               unless a history child snapshots the source, in which
-               case the stub must stay (the fallback below copies) *)
-            Global_map.remove pvm src ~off:o;
-            Install.unindex_dest_stub pvm src ~off:o;
-            s.cs_cache <- dst;
-            s.cs_offset <- d_off;
-            charge pvm Hw.Cost.Stub_insert;
-            Global_map.set pvm dst ~off:d_off (Cow_stub s);
-            Install.index_dest_stub pvm s;
-            bump pvm.stats sc_moved_pages
-          | Some _ | None -> (
-            (* Data not movable by reassignment: transfer its value and
-               leave the source undefined (it keeps its old page, which
-               is allowed). *)
-            match Value.source_value pvm src ~off:o with
-            | `Page sp ->
-              Pervpage.with_wired sp (fun () ->
-                  let dp = Fault.own_writable_page pvm dst ~off:d_off in
-                  charge pvm Hw.Cost.Bcopy_page;
-                  Hw.Phys_mem.bcopy ~src:sp.p_frame ~dst:dp.p_frame);
-              bump pvm.stats sc_eager_pages
-            | `Zero -> ()))
-        (page_offsets pvm ~off:src_off ~size)
-    end
-    else begin
-      eager_copy pvm ~src ~src_off ~dst ~dst_off ~size
-    end
+  if size > 0 then begin
+    let tr = Hw.Engine.tracer pvm.engine in
+    let traced = Obs.Trace.enabled tr in
+    if traced then Obs.Trace.span_begin tr ~cat:"vm" "move";
+    match move_range pvm ~src ~src_off ~dst ~dst_off ~size with
+    | () -> if traced then Obs.Trace.span_end tr
+    | exception e ->
+      (* closed as [spanned] closes a span its body raised out of *)
+      if traced then
+        Obs.Trace.span_end tr
+          ~args:[ ("exception", Str (Printexc.to_string e)) ]
+          [@chorus.alloc_ok "trace arguments, built only when tracing is on"];
+      raise e
+  end
 
 (* --- Cache management (Table 4) ----------------------------------- *)
 
@@ -593,9 +687,8 @@ let write_through pvm (cache : cache) ~offset bytes =
       let o_page = page_align_down pvm o in
       let chunk = min (len - done_) (o_page + ps - o) in
       let p = Fault.own_writable_page pvm cache ~off:o_page in
-      Pervpage.with_wired p (fun () ->
-          Bytes.blit bytes done_ p.p_frame.Hw.Phys_mem.bytes (o - o_page)
-            chunk);
+      (* no scheduling point between the resolution and the blit *)
+      Bytes.blit bytes done_ p.p_frame.Hw.Phys_mem.bytes (o - o_page) chunk;
       charge_span pvm Hw.Cost.Bcopy_page (pvm.cost.t_bcopy_page * chunk / ps);
       go (done_ + chunk)
     end
@@ -631,7 +724,7 @@ let move_back pvm (cache : cache) ~offset ~size =
   List.iter
     (fun (p : page) ->
       if p.p_cow_stubs <> [] then
-        Pervpage.with_wired p (fun () -> Pervpage.flush_stubs pvm p);
+        flush_pinned pvm p;
       if p.p_alive && not p.p_cow_protected then
         Install.remove_page pvm p ~free_frame:true)
     (own_pages_in_range cache ~off:offset ~size);
@@ -666,7 +759,7 @@ let invalidate pvm (cache : cache) ~offset ~size =
   List.iter
     (fun (p : page) ->
       if p.p_cow_stubs <> [] then
-        Pervpage.with_wired p (fun () -> Pervpage.flush_stubs pvm p);
+        flush_pinned pvm p;
       if p.p_alive && p.p_wire_count = 0 then
         Install.remove_page pvm p ~free_frame:true)
     (own_pages_in_range cache ~off:offset ~size)

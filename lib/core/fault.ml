@@ -8,68 +8,92 @@
 
 open Types
 
+(* The region of [regions] covering [addr]; raises [Not_found] when
+   none does, so the fault path finds its region with no option
+   around it. *)
+let[@chorus.hot] rec region_at addr = function
+  | [] -> raise Not_found
+  | (r : region) :: rest ->
+    if addr >= r.r_addr && addr < r.r_addr + r.r_size then r
+    else region_at addr rest
+
 let find_region (ctx : context) ~addr =
   note_structure ~write:false ctx.ctx_pvm;
-  List.find_opt
-    (fun r -> addr >= r.r_addr && addr < r.r_addr + r.r_size)
-    ctx.ctx_regions
+  match region_at addr ctx.ctx_regions with
+  | r -> Some r
+  | exception Not_found -> None
+
+(* Install a fresh, dirty copy or zero page for (cache, off) — unless a
+   concurrent fibre resolved the same miss first: the frame allocation
+   and copy/zero charges before it are scheduling points (§3.3.3). *)
+let[@chorus.hot] install_fresh pvm (cache : cache) ~off frame =
+  match
+    Install.try_insert_fresh pvm cache ~off frame ~pulled_prot:Hw.Prot.all
+      ~cow_protected:false
+  with
+  | Some page as inserted ->
+    page.p_dirty <- true;
+    inserted
+  | None -> None
+
+(* [child_copy]'s copy from a resident source page, pinned (the
+   allocations below must not reclaim it).  When the cache has its own
+   history object still missing that offset, the history also receives
+   a copy of the (pre-divergence) value — the complication of §4.2.3:
+   at the time the history was created, its value was logically taken
+   from the same source. *)
+let[@chorus.hot] [@chorus.spanned
+     "runs under the fault span opened by handle, or the copy/move span of \
+      the eager paths"] copy_from_source pvm (cache : cache) ~off
+    (sp : page) =
+  Pervpage.wire sp;
+  match
+    (match History.covered_and_missing pvm cache ~off with
+    | Some (h, h_off) -> History.store_original pvm ~src_page:sp ~h ~h_off
+    | None -> ());
+    let frame = Pager.alloc_frame pvm in
+    charge pvm Hw.Cost.Bcopy_page;
+    Hw.Phys_mem.bcopy ~src:sp.p_frame ~dst:frame;
+    bump pvm.stats sc_cow_copies;
+    install_fresh pvm cache ~off frame
+  with
+  | inserted ->
+    Pervpage.unwire sp;
+    inserted
+  | exception e ->
+    Pervpage.unwire sp;
+    raise e
+
+(* [child_copy] of a zero value: the history, if it misses the offset,
+   gets its own zero page first. *)
+let[@chorus.hot] [@chorus.spanned
+     "runs under the fault span opened by handle, or the copy/move span of \
+      the eager paths"] copy_zero pvm (cache : cache) ~off =
+  (match History.covered_and_missing pvm cache ~off with
+  | Some (h, h_off) -> (
+    let frame = Pager.alloc_frame pvm in
+    charge pvm Hw.Cost.Bzero_page;
+    Hw.Phys_mem.bzero frame;
+    match
+      Install.try_insert_fresh pvm h ~off:h_off frame ~pulled_prot:Hw.Prot.all
+        ~cow_protected:(History.is_covered h ~off:h_off)
+    with
+    | Some hp -> hp.p_dirty <- true
+    | None -> ())
+  | None -> ());
+  let frame = Pager.alloc_frame pvm in
+  charge pvm Hw.Cost.Bzero_page;
+  Hw.Phys_mem.bzero frame;
+  bump pvm.stats sc_zero_fills;
+  install_fresh pvm cache ~off frame
 
 (* Give [cache] its own copy of the value currently visible at [off]
-   (a write miss in a copy, or a copy-on-reference read miss).  When
-   the cache has its own history object still missing that offset, the
-   history also receives a copy of the (pre-divergence) value — the
-   complication of §4.2.3: at the time the history was created, its
-   value was logically taken from the same source. *)
-let[@chorus.spanned
-     "runs under the fault span opened by handle, or the copy/move span of \
-      the eager paths"] rec child_copy pvm (cache : cache) ~off =
-  (* [finish] re-probes the destination at insert time: the frame
-     allocation and copy/zero charges are scheduling points, and a
-     concurrent fibre may resolve the same miss first (§3.3.3). *)
-  let finish source_frame =
-    let frame = Pager.alloc_frame pvm in
-    (match source_frame with
-    | Some (sf : Hw.Phys_mem.frame) ->
-      charge pvm Hw.Cost.Bcopy_page;
-      Hw.Phys_mem.bcopy ~src:sf ~dst:frame;
-      bump pvm.stats sc_cow_copies
-    | None ->
-      charge pvm Hw.Cost.Bzero_page;
-      Hw.Phys_mem.bzero frame;
-      bump pvm.stats sc_zero_fills);
-    match
-      Install.try_insert_fresh pvm cache ~off frame ~pulled_prot:Hw.Prot.all
-        ~cow_protected:false
-    with
-    | Some page ->
-      page.p_dirty <- true;
-      Some page
-    | None -> None
-  in
+   (a write miss in a copy, or a copy-on-reference read miss). *)
+let[@chorus.hot] rec child_copy pvm (cache : cache) ~off =
   let inserted =
     match Value.source_value pvm cache ~off with
-    | `Page sp ->
-      Pervpage.with_wired sp (fun () ->
-          (match History.covered_and_missing pvm cache ~off with
-          | Some (h, h_off) ->
-            History.store_original pvm ~src_page:sp ~h ~h_off
-          | None -> ());
-          finish (Some sp.p_frame))
-    | `Zero ->
-      (match History.covered_and_missing pvm cache ~off with
-      | Some (h, h_off) ->
-        let frame = Pager.alloc_frame pvm in
-        charge pvm Hw.Cost.Bzero_page;
-        Hw.Phys_mem.bzero frame;
-        (match
-           Install.try_insert_fresh pvm h ~off:h_off frame
-             ~pulled_prot:Hw.Prot.all
-             ~cow_protected:(History.is_covered h ~off:h_off)
-         with
-        | Some hp -> hp.p_dirty <- true
-        | None -> ())
-      | None -> ());
-      finish None
+    | `Page sp -> copy_from_source pvm cache ~off sp
+    | `Zero -> copy_zero pvm cache ~off
   in
   match inserted with
   | Some page -> page
@@ -81,40 +105,47 @@ let[@chorus.spanned
     | Some (Sync_stub _) -> assert false
     | None -> child_copy pvm cache ~off)
 
+(* Clear everything that makes writing [p] unsafe.  Every branch of
+   [own_writable_page] funnels through it, including pages freshly
+   created by [child_copy] or zero-fill, which may have had pending
+   stubs re-threaded onto them at insertion.  [p] is pinned meanwhile:
+   flushing stubs and saving originals allocate frames, which must not
+   reclaim [p] itself. *)
+let[@chorus.hot] prepare_writable pvm (cache : cache) ~off (p : page) =
+  Pervpage.wire p;
+  match
+    if p.p_cow_stubs <> [] then begin
+      Pervpage.flush_stubs pvm p;
+      Pmap.refresh_prot pvm p
+    end;
+    if p.p_cow_protected then History.resolve_source_write pvm p;
+    if not (Hw.Prot.allows p.p_pulled_prot `Write) then begin
+      (match cache.c_backing with
+      | Some b -> b.b_get_write_access ~offset:off ~size:(page_size pvm)
+      | None -> ());
+      p.p_pulled_prot <- Hw.Prot.read_write;
+      Pmap.refresh_prot pvm p
+    end;
+    p.p_dirty <- true
+  with
+  | () ->
+    Pervpage.unwire p;
+    p
+  | exception e ->
+    Pervpage.unwire p;
+    raise e
+
 (* Make sure [cache] owns a resident page at [off] that is safe to
    write: originals pushed to the history, per-page stubs flushed,
    write access obtained from the segment if the data was pulled
    read-only.  Used by the fault handler and by the explicit copy
    operations of Table 1. *)
-let rec own_writable_page pvm (cache : cache) ~off =
-  (* [prepare] clears everything that makes writing [p] unsafe; every
-     branch funnels through it, including pages freshly created by
-     [child_copy] or zero-fill, which may have had pending stubs
-     re-threaded onto them at insertion. *)
-  let prepare (p : page) =
-    (* Pinned: flushing stubs and saving originals allocate frames,
-       which must not reclaim [p] itself. *)
-    Pervpage.with_wired p (fun () ->
-        if p.p_cow_stubs <> [] then begin
-          Pervpage.flush_stubs pvm p;
-          Pmap.refresh_prot pvm p
-        end;
-        if p.p_cow_protected then History.resolve_source_write pvm p;
-        if not (Hw.Prot.allows p.p_pulled_prot `Write) then begin
-          (match cache.c_backing with
-          | Some b -> b.b_get_write_access ~offset:off ~size:(page_size pvm)
-          | None -> ());
-          p.p_pulled_prot <- Hw.Prot.read_write;
-          Pmap.refresh_prot pvm p
-        end;
-        p.p_dirty <- true;
-        p)
-  in
+let[@chorus.hot] rec own_writable_page pvm (cache : cache) ~off =
   match Global_map.wait_not_in_transit pvm cache ~off with
-  | Some (Resident p) -> prepare p
+  | Some (Resident p) -> prepare_writable pvm cache ~off p
   | Some (Cow_stub s) ->
     let p = Pervpage.resolve_write pvm s in
-    prepare p
+    prepare_writable pvm cache ~off p
   | Some (Sync_stub _) -> assert false
   | None ->
     if Value.has_swapped cache ~off then begin
@@ -122,12 +153,12 @@ let rec own_writable_page pvm (cache : cache) ~off =
       own_writable_page pvm cache ~off
     end
     else if Parents.find_covering cache ~off <> None then
-      prepare (child_copy pvm cache ~off)
+      prepare_writable pvm cache ~off (child_copy pvm cache ~off)
     else if cache.c_backing <> None && not cache.c_anonymous then begin
       ignore (Value.pull_in_page pvm cache ~off ~prot:Hw.Prot.read_write);
       own_writable_page pvm cache ~off
     end
-    else prepare (Value.zero_fill_page pvm cache ~off)
+    else prepare_writable pvm cache ~off (Value.zero_fill_page pvm cache ~off)
 
 (* The §4.1.2 resolution a fault took — the attribution key of the
    paper's §5.3.2 decomposition.  [`Cow_copy] covers both the
@@ -279,7 +310,11 @@ let access_name = function
   | `Write -> "write"
   | `Execute -> "execute"
 
-let handle pvm (ctx : context) ~addr ~(access : Hw.Mmu.access) =
+(* The target of an untraced fault: never written. *)
+let no_target : Obs.Trace.args ref = ref []
+
+let[@chorus.hot] handle pvm (ctx : context) ~addr ~(access : Hw.Mmu.access)
+    =
   check_context_alive ctx;
   bump pvm.stats sc_faults;
   let tr = Hw.Engine.tracer pvm.engine in
@@ -289,26 +324,33 @@ let handle pvm (ctx : context) ~addr ~(access : Hw.Mmu.access) =
   (* (cache, off) of the faulted fragment, once the region lookup has
      identified it: lets the §3.3.3 blocking checker correlate fault
      spans with the pullIn/pushOut transit spans of the pager. *)
-  let target = ref [] in
+  let target = if traced then ref [] else no_target in
   match
     charge pvm Hw.Cost.Fault_dispatch;
-    match find_region ctx ~addr with
-    | None -> raise (Gmi.Segmentation_fault addr)
-    | Some region ->
-      if not (Hw.Prot.allows region.r_prot access) then
-        raise (Gmi.Protection_fault addr);
-      let off =
-        page_align_down pvm (region.r_offset + (addr - region.r_addr))
-      in
-      if traced then
-        target :=
-          [
-            ("cache", Obs.Trace.Int region.r_cache.c_id);
-            ("off", Obs.Trace.Int off);
-          ];
-      let vpn = addr / page_size pvm in
-      charge pvm Hw.Cost.Map_lookup;
-      resolve pvm region region.r_cache ~off ~vpn ~access
+    note_structure ~write:false ctx.ctx_pvm;
+    let region =
+      match region_at addr ctx.ctx_regions with
+      | r -> r
+      | exception Not_found ->
+        raise
+          (Gmi.Segmentation_fault addr
+          [@chorus.alloc_ok "the error path's exception"])
+    in
+    if not (Hw.Prot.allows region.r_prot access) then
+      raise
+        (Gmi.Protection_fault addr
+        [@chorus.alloc_ok "the error path's exception"]);
+    let off = page_align_down pvm (region.r_offset + (addr - region.r_addr)) in
+    if traced then
+      target :=
+        [
+          ("cache", Obs.Trace.Int region.r_cache.c_id);
+          ("off", Obs.Trace.Int off);
+        ]
+        [@chorus.alloc_ok "trace arguments, built only when tracing is on"];
+    let vpn = addr / page_size pvm in
+    charge pvm Hw.Cost.Map_lookup;
+    resolve pvm region region.r_cache ~off ~vpn ~access
   with
   | kind ->
     Obs.Metrics.observe
@@ -324,11 +366,13 @@ let handle pvm (ctx : context) ~addr ~(access : Hw.Mmu.access) =
             ]
              : Obs.Trace.args)
           @ !target)
+        [@chorus.alloc_ok "trace arguments, built only when tracing is on"]
   | exception e ->
     if traced then
       Obs.Trace.span_end tr
         ~args:
           (([ ("addr", Int addr); ("resolution", Str "error") ]
              : Obs.Trace.args)
-          @ !target);
+          @ !target)
+        [@chorus.alloc_ok "trace arguments, built only when tracing is on"];
     raise e

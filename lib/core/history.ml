@@ -56,45 +56,53 @@ let covered_and_missing pvm (src : cache) ~off =
 
 let is_covered src ~off = covering_history src ~off <> None
 
+let end_store_span tr (h : cache) ~h_off =
+  Obs.Trace.span_end tr
+    ~args:[ ("cache", Obs.Trace.Int h.c_id); ("off", Obs.Trace.Int h_off) ]
+
 (* Store a copy of [src_page] (its original value) into history cache
    [h] at [h_off].  The stored page is dirty (its value exists nowhere
    else) and itself read-protected when [h] has a history covering it. *)
-let store_original pvm ~(src_page : page) ~(h : cache) ~h_off =
+let[@chorus.hot] store_original pvm ~(src_page : page) ~(h : cache) ~h_off =
   let tr = Hw.Engine.tracer pvm.engine in
   let traced = Obs.Trace.enabled tr in
   if traced then Obs.Trace.span_begin tr ~cat:"vm" "history-materialise";
-  Fun.protect
-    ~finally:(fun () ->
-      if traced then
-        Obs.Trace.span_end tr
-          ~args:
-            [ ("cache", Obs.Trace.Int h.c_id); ("off", Obs.Trace.Int h_off) ])
-  @@ fun () ->
-  (* Pin the source page: the frame allocation below may otherwise
-     reclaim it. *)
-  src_page.p_wire_count <- src_page.p_wire_count + 1;
-  let frame =
-    Fun.protect
-      ~finally:(fun () ->
-        src_page.p_wire_count <- src_page.p_wire_count - 1)
-      (fun () ->
+  match
+    (* Pin the source page: the frame allocation below may otherwise
+       reclaim it. *)
+    src_page.p_wire_count <- src_page.p_wire_count + 1;
+    let frame =
+      match
         let frame = Pager.alloc_frame pvm in
         charge pvm Hw.Cost.Bcopy_page;
         Hw.Phys_mem.bcopy ~src:src_page.p_frame ~dst:frame;
-        frame)
-  in
-  charge pvm Hw.Cost.Stub_insert;
-  (* The charges above are scheduling points: a concurrent writer may
-     have saved the original meanwhile, in which case ours is redundant
-     (the §4.2.2 "still missing" condition no longer holds). *)
-  match
-    Install.try_insert_fresh pvm h ~off:h_off frame ~pulled_prot:Hw.Prot.all
-      ~cow_protected:(is_covered h ~off:h_off)
+        frame
+      with
+      | frame ->
+        src_page.p_wire_count <- src_page.p_wire_count - 1;
+        frame
+      | exception e ->
+        src_page.p_wire_count <- src_page.p_wire_count - 1;
+        raise e
+    in
+    charge pvm Hw.Cost.Stub_insert;
+    (* The charges above are scheduling points: a concurrent writer may
+       have saved the original meanwhile, in which case ours is
+       redundant (the §4.2.2 "still missing" condition no longer
+       holds). *)
+    match
+      Install.try_insert_fresh pvm h ~off:h_off frame ~pulled_prot:Hw.Prot.all
+        ~cow_protected:(is_covered h ~off:h_off)
+    with
+    | Some page ->
+      page.p_dirty <- true;
+      bump pvm.stats sc_cow_copies
+    | None -> ()
   with
-  | Some page ->
-    page.p_dirty <- true;
-    bump pvm.stats sc_cow_copies
-  | None -> ()
+  | () -> if traced then end_store_span tr h ~h_off
+  | exception e ->
+    if traced then end_store_span tr h ~h_off;
+    raise e
 
 (* Resolve a write violation on a read-protected page of a copy
    source (§4.2.2): push the original value into the history object if
@@ -226,7 +234,9 @@ let[@chorus.guarded
    sources?  Used by Cache.copy to refuse building a cyclic tree when
    a cache is copied onto one of its own ancestors (the paper's Unix
    workloads never do this; we fall back to an eager copy).  Stub
-   edges come from each visited cache's own destination index. *)
+   edges come from each visited cache's own destination index.  A
+   source with neither edge reaches only itself, with no walk to set
+   up: the per-page copies of IPC take that exit. *)
 let[@chorus.noted
      "the check only picks Cache.copy's strategy: the deferred strategies \
       note the topology in purge_range before the slice's next scheduling \
@@ -250,7 +260,9 @@ let[@chorus.noted
            c.c_dest_stubs false
     end
   in
-  go from
+  if from.c_parents = [] && Hashtbl.length from.c_dest_stubs = 0 then
+    from == target
+  else go from
 
 (* --- Introspection ---------------------------------------------- *)
 

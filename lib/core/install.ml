@@ -151,7 +151,7 @@ let[@chorus.noted
    map entry goes in first, then the page/frame bookkeeping under the
    mm lock: once the entry is visible, concurrent faulters settle on
    it instead of installing a twin. *)
-let insert_page_entry pvm (cache : cache) ~off frame ~pulled_prot
+let[@chorus.hot] insert_page_entry pvm (cache : cache) ~off frame ~pulled_prot
     ~cow_protected ~fresh =
   assert (is_page_aligned pvm off);
   assert cache.c_alive;
@@ -169,23 +169,33 @@ let insert_page_entry pvm (cache : cache) ~off frame ~pulled_prot
       p_wire_count = 0;
       p_alive = true;
     }
+    [@chorus.alloc_ok "the page descriptor the cache keeps"]
   in
+  let entry = Resident page [@chorus.alloc_ok "the page's global-map entry"] in
   let installed =
-    if fresh then Global_map.try_install pvm cache ~off (Resident page)
+    if fresh then Global_map.try_install pvm cache ~off entry
     else begin
-      Global_map.set pvm cache ~off (Resident page);
+      Global_map.set pvm cache ~off entry;
       true
     end
   in
   if not installed then None
   else begin
-    with_mm pvm (fun () ->
-        cache.c_pages <- page :: cache.c_pages;
-        Pmap.register_page pvm page;
-        Fifo.push pvm.reclaim page);
+    mm_enter pvm;
+    (match
+       cache.c_pages <-
+         (page :: cache.c_pages)
+         [@chorus.alloc_ok "the page's cell on its cache's page list"];
+       Pmap.register_page pvm page;
+       Fifo.push pvm.reclaim page
+     with
+    | () -> mm_exit pvm
+    | exception e ->
+      mm_exit pvm;
+      raise e);
     rethread_pending_stubs pvm page;
     note_pressure pvm;
-    Some page
+    Some page [@chorus.alloc_ok "the installed page, handed to the caller"]
   end
 
 let insert_page pvm (cache : cache) ~off frame ~pulled_prot ~cow_protected =
@@ -226,27 +236,50 @@ let[@chorus.spanned
 (* Detach a page from every structure.  Per-virtual-page stubs still
    reading through it must have been materialised or retargeted by the
    caller. *)
-let[@chorus.spanned
+(* [pages] without [page], sharing the suffix behind it. *)
+let[@chorus.hot] rec without_page (page : page) = function
+  | [] -> []
+  | p :: rest as l ->
+    if p == page then without_page page rest
+    else
+      let rest' = without_page page rest in
+      if rest' == rest then l
+      else
+        (p :: rest')
+        [@chorus.alloc_ok
+          "the cells in front of the removed page: the shortened list the \
+           cache keeps"]
+
+(* Detach a page from every structure.  Per-virtual-page stubs still
+   reading through it must have been materialised or retargeted by the
+   caller. *)
+let[@chorus.hot] [@chorus.spanned
      "leaf helper: callers are the spanned eviction/purge/teardown paths"] remove_page
     pvm (page : page) ~free_frame =
   assert (page.p_alive);
   assert (page.p_cow_stubs = []);
   note_frames pvm;
-  with_mm pvm (fun () ->
-      Pmap.unmap_all pvm page;
-      Pmap.unregister_page pvm page;
-      let cache = page.p_cache in
-      cache.c_pages <- List.filter (fun p -> not (p == page)) cache.c_pages;
-      (match Global_map.peek pvm cache ~off:page.p_offset with
-      | Some (Resident p) when p == page ->
-        Global_map.remove pvm cache ~off:page.p_offset
-      | _ -> ());
-      Fifo.remove_phys pvm.reclaim page;
-      page.p_alive <- false;
-      if free_frame then begin
-        charge pvm Hw.Cost.Frame_free;
-        Hw.Phys_mem.free pvm.mem page.p_frame
-      end);
+  mm_enter pvm;
+  (match
+     Pmap.unmap_all pvm page;
+     Pmap.unregister_page pvm page;
+     let cache = page.p_cache in
+     cache.c_pages <- without_page page cache.c_pages;
+     (match Global_map.peek pvm cache ~off:page.p_offset with
+     | Some (Resident p) when p == page ->
+       Global_map.remove pvm cache ~off:page.p_offset
+     | _ -> ());
+     Fifo.remove_phys pvm.reclaim page;
+     page.p_alive <- false;
+     if free_frame then begin
+       charge pvm Hw.Cost.Frame_free;
+       Hw.Phys_mem.free pvm.mem page.p_frame
+     end
+   with
+  | () -> mm_exit pvm
+  | exception e ->
+    mm_exit pvm;
+    raise e);
   note_pressure pvm
 
 (* Move a page descriptor to another (cache, offset) without touching
@@ -255,22 +288,31 @@ let[@chorus.spanned
    [preserve] the page keeps its copy-protection state and threaded
    stubs — used when a purged range migrates to a hidden history node
    rather than transferring data. *)
-let reassign_page pvm ?(preserve = false) (page : page) (dst : cache) ~dst_off
-    =
+let[@chorus.hot] reassign_page pvm ?preserve (page : page) (dst : cache)
+    ~dst_off =
+  let preserve = preserve = Some true in
   if not preserve then assert (page.p_cow_stubs = []);
-  with_mm pvm (fun () ->
-      Pmap.unmap_all pvm page;
-      let src = page.p_cache in
-      src.c_pages <- List.filter (fun p -> not (p == page)) src.c_pages;
-      (match Global_map.peek pvm src ~off:page.p_offset with
-      | Some (Resident p) when p == page ->
-        Global_map.remove pvm src ~off:page.p_offset
-      | _ -> ());
-      page.p_cache <- dst;
-      page.p_offset <- dst_off;
-      if not preserve then page.p_cow_protected <- false;
-      dst.c_pages <- page :: dst.c_pages;
-      Global_map.set pvm dst ~off:dst_off (Resident page));
+  mm_enter pvm;
+  (match
+     Pmap.unmap_all pvm page;
+     let src = page.p_cache in
+     src.c_pages <- without_page page src.c_pages;
+     (match Global_map.peek pvm src ~off:page.p_offset with
+     | Some (Resident p) when p == page ->
+       Global_map.remove pvm src ~off:page.p_offset
+     | _ -> ());
+     page.p_cache <- dst;
+     page.p_offset <- dst_off;
+     if not preserve then page.p_cow_protected <- false;
+     dst.c_pages <-
+       (page :: dst.c_pages)
+       [@chorus.alloc_ok "the moved page's cell on its new cache's page list"];
+     Global_map.set pvm dst ~off:dst_off
+       (Resident page [@chorus.alloc_ok "the moved page's global-map entry"])
+   with
+  | () -> mm_exit pvm
+  | exception e ->
+    mm_exit pvm;
+    raise e);
   rethread_pending_stubs pvm page;
-  if not preserve then
-    bump pvm.stats sc_moved_pages
+  if not preserve then bump pvm.stats sc_moved_pages

@@ -20,11 +20,15 @@
 
 open Types
 
+let rec covering off = function
+  | [] -> None
+  | f :: rest ->
+    if off >= f.f_off && off < f.f_off + f.f_size then Some f
+    else covering off rest
+
 let find_covering (cache : cache) ~off =
   note_structure ~write:false cache.c_pvm;
-  List.find_opt
-    (fun f -> off >= f.f_off && off < f.f_off + f.f_size)
-    cache.c_parents
+  covering off cache.c_parents
 
 (* Subtract [off, off+size) from fragment [f], returning the 0, 1 or 2
    remaining pieces. *)
@@ -53,8 +57,9 @@ let subtract f ~off ~size =
 
 let remove_range cache ~off ~size =
   note_structure cache.c_pvm;
-  cache.c_parents <-
-    List.concat_map (fun f -> subtract f ~off ~size) cache.c_parents
+  if cache.c_parents <> [] then
+    cache.c_parents <-
+      List.concat_map (fun f -> subtract f ~off ~size) cache.c_parents
 
 let insert cache frag =
   note_structure cache.c_pvm;

@@ -10,15 +10,31 @@
 
 open Types
 
-(* Run [f] with [page]'s frame pinned, so a frame allocation inside
-   [f] cannot steal it. *)
-let with_wired (page : page) f =
-  page.p_wire_count <- page.p_wire_count + 1;
-  Fun.protect ~finally:(fun () -> page.p_wire_count <- page.p_wire_count - 1) f
+(* Pin [page]'s frame so a frame allocation cannot steal it, and
+   release the pin.  Explicit halves rather than a closure-taking
+   wrapper: the hot paths pair them around a [match ... with exception]
+   so the count drops on every path without a per-call closure. *)
+let[@chorus.hot] wire (page : page) = page.p_wire_count <- page.p_wire_count + 1
+let[@chorus.hot] unwire (page : page) = page.p_wire_count <- page.p_wire_count - 1
+
+(* [stubs] without [stub], sharing the suffix behind it. *)
+let[@chorus.hot] rec without_stub (stub : cow_stub) = function
+  | [] -> []
+  | s :: rest as l ->
+    if s == stub then without_stub stub rest
+    else
+      let rest' = without_stub stub rest in
+      if rest' == rest then l
+      else
+        (s :: rest')
+        [@chorus.alloc_ok
+          "the cells in front of the removed stub: the shortened list the \
+           source keeps"]
 
 (* Install the stubs for a copy src[src_off..+size) -> dst[dst_off..).
-   The caller has purged the destination range. *)
-let[@chorus.spanned
+   The caller has purged the destination range.  Each stub is built
+   once its source is known, so it is the only record a page costs. *)
+let[@chorus.hot] [@chorus.spanned
      "runs under the copy/move span opened by Cache.copy and Cache.move"]
     setup_copy pvm ~(src : cache) ~src_off ~(dst : cache) ~dst_off ~size =
   let ps = page_size pvm in
@@ -27,46 +43,71 @@ let[@chorus.spanned
   for i = 0 to n - 1 do
     let s_off = src_off + (i * ps) and d_off = dst_off + (i * ps) in
     let stub =
-      { cs_cache = dst; cs_offset = d_off; cs_source = Src_cache (src, s_off);
-        cs_alive = true }
+      match Global_map.wait_not_in_transit pvm src ~off:s_off with
+      | Some (Resident p) ->
+        (* Source page in real memory: protect it read-only and thread
+           the stub on its descriptor. *)
+        Pmap.cow_protect pvm p;
+        let stub =
+          {
+            cs_cache = dst;
+            cs_offset = d_off;
+            cs_source = Src_page p;
+            cs_alive = true;
+          }
+          [@chorus.alloc_ok "the per-virtual-page stub the copy keeps"]
+        in
+        p.p_cow_stubs <-
+          (stub :: p.p_cow_stubs)
+          [@chorus.alloc_ok "the stub's threading cell on its source page"];
+        stub
+      | Some (Cow_stub s) -> (
+        (* Copying from a destination of an earlier per-page copy whose
+           value is still deferred: share its source. *)
+        let stub =
+          { cs_cache = dst; cs_offset = d_off; cs_source = s.cs_source;
+            cs_alive = true }
+          [@chorus.alloc_ok "the per-virtual-page stub the copy keeps"]
+        in
+        match s.cs_source with
+        | Src_page p ->
+          p.p_cow_stubs <-
+            (stub :: p.p_cow_stubs)
+            [@chorus.alloc_ok "the stub's threading cell on its source page"];
+          stub
+        | Src_cache (c, o) ->
+          Install.add_pending_stub pvm ~src_cache:c ~src_off:o stub;
+          stub)
+      | Some (Sync_stub _) -> assert false
+      | None ->
+        let stub =
+          {
+            cs_cache = dst;
+            cs_offset = d_off;
+            cs_source = Src_cache (src, s_off);
+            cs_alive = true;
+          }
+          [@chorus.alloc_ok "the per-virtual-page stub the copy keeps"]
+        in
+        Install.add_pending_stub pvm ~src_cache:src ~src_off:s_off stub;
+        stub
     in
-    (match Global_map.wait_not_in_transit pvm src ~off:s_off with
-    | Some (Resident p) ->
-      (* Source page in real memory: protect it read-only and thread
-         the stub on its descriptor. *)
-      Pmap.cow_protect pvm p;
-      stub.cs_source <- Src_page p;
-      p.p_cow_stubs <- stub :: p.p_cow_stubs
-    | Some (Cow_stub s) -> (
-      (* Copying from a destination of an earlier per-page copy whose
-         value is still deferred: share its source. *)
-      match s.cs_source with
-      | Src_page p ->
-        stub.cs_source <- Src_page p;
-        p.p_cow_stubs <- stub :: p.p_cow_stubs
-      | Src_cache (c, o) ->
-        stub.cs_source <- Src_cache (c, o);
-        Install.add_pending_stub pvm ~src_cache:c ~src_off:o stub
-    )
-    | Some (Sync_stub _) -> assert false
-    | None ->
-      Install.add_pending_stub pvm ~src_cache:src ~src_off:s_off stub);
     charge pvm Hw.Cost.Stub_insert;
-    Global_map.set pvm dst ~off:d_off (Cow_stub stub);
+    Global_map.set pvm dst ~off:d_off
+      (Cow_stub stub [@chorus.alloc_ok "the stub's global-map entry"]);
     Install.index_dest_stub pvm stub
   done
 
 let unthread pvm (stub : cow_stub) =
   stub.cs_alive <- false;
   match stub.cs_source with
-  | Src_page p ->
-    p.p_cow_stubs <- List.filter (fun s -> not (s == stub)) p.p_cow_stubs
+  | Src_page p -> p.p_cow_stubs <- without_stub stub p.p_cow_stubs
   | Src_cache (c, o) -> (
     note_frag pvm c ~off:o;
     match Shard_map.find_opt pvm.stub_sources c.c_id o with
     | None -> ()
     | Some stubs -> (
-      match List.filter (fun s -> not (s == stub)) stubs with
+      match without_stub stub stubs with
       | [] ->
         Shard_map.remove pvm.stub_sources c.c_id o;
         Install.unindex_pending pvm c ~off:o
@@ -82,6 +123,26 @@ let reap_source pvm (source : cache) =
   | Some reap -> reap source
   | None -> ()
 
+(* A fresh frame holding a copy of [sp]'s, with [sp] pinned meanwhile
+   so the allocation cannot steal it. *)
+let[@chorus.spanned
+     "runs under the span of materialize's callers (fault, overwrite)"] copy_frame
+    pvm (sp : page) =
+  wire sp;
+  match
+    let frame = Pager.alloc_frame pvm in
+    charge pvm Hw.Cost.Bcopy_page;
+    Hw.Phys_mem.bcopy ~src:sp.p_frame ~dst:frame;
+    bump pvm.stats sc_cow_copies;
+    frame
+  with
+  | frame ->
+    unwire sp;
+    frame
+  | exception e ->
+    unwire sp;
+    raise e
+
 (* Materialise [stub]: give the destination its own page holding the
    deferred value, replacing the stub in the global map. *)
 let[@chorus.spanned
@@ -91,20 +152,12 @@ let[@chorus.spanned
   assert (stub.cs_alive);
   let source = source_cache_of stub in
   bump pvm.stats sc_stub_resolves;
-  let copy_from (sp : page) =
-    with_wired sp (fun () ->
-        let frame = Pager.alloc_frame pvm in
-        charge pvm Hw.Cost.Bcopy_page;
-        Hw.Phys_mem.bcopy ~src:sp.p_frame ~dst:frame;
-        bump pvm.stats sc_cow_copies;
-        frame)
-  in
   let frame =
     match stub.cs_source with
-    | Src_page p -> copy_from p
+    | Src_page p -> copy_frame pvm p
     | Src_cache (c, o) -> (
       match Value.source_value pvm c ~off:o with
-      | `Page p -> copy_from p
+      | `Page p -> copy_frame pvm p
       | `Zero ->
         let frame = Pager.alloc_frame pvm in
         charge pvm Hw.Cost.Bzero_page;
@@ -144,15 +197,12 @@ let kill pvm (stub : cow_stub) =
 (* A write is about to hit [page] while per-page stubs still read
    through it: give every such destination its own copy of the
    original value first. *)
-let flush_stubs pvm (page : page) =
-  let rec go () =
-    match page.p_cow_stubs with
-    | [] -> ()
-    | stub :: _ ->
-      ignore (materialize pvm stub);
-      go ()
-  in
-  go ()
+let rec flush_stubs pvm (page : page) =
+  match page.p_cow_stubs with
+  | [] -> ()
+  | stub :: _ ->
+    ignore (materialize pvm stub);
+    flush_stubs pvm page
 
 (* Resolve a read fault on a stub: find the source page (pulling it in
    if needed) so it can be mapped read-only into the faulting context;

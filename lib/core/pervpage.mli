@@ -8,9 +8,12 @@
     any cache to which it was copied" — or at the source
     (cache, offset) pair when it is not. *)
 
-val with_wired : Types.page -> (unit -> 'a) -> 'a
-(** Run with the page's frame pinned: a frame allocation inside the
-    function cannot steal it. *)
+val wire : Types.page -> unit
+(** Pin the page's frame: a frame allocation cannot steal it until the
+    matching {!unwire}.  Callers pair the two around a
+    [match ... with exception] so every path drops the pin. *)
+
+val unwire : Types.page -> unit
 
 val setup_copy :
   Types.pvm ->

@@ -116,65 +116,72 @@ let[@chorus.noted
 
 let set_segment_create_hook pvm hook = pvm.segment_create_hook <- Some hook
 
-(* Simulated program access: hardware translation with the fault
-   handler in the loop.  The retry bound turns a resolution bug into a
-   failure rather than a hang. *)
-let access_frame pvm (ctx : context) ~addr ~access =
+(* Note the fragment of every live region of [regions] covering
+   [addr]: the footprint of a program access for the schedule
+   explorer. *)
+let[@chorus.noted "access_frame notes the topology before the walk"] rec note_regions
+    pvm ~addr ~write = function
+  | [] -> ()
+  | (r : region) :: rest ->
+    if r.r_alive && addr >= r.r_addr && addr < r.r_addr + r.r_size then begin
+      let off = page_align_down pvm (r.r_offset + (addr - r.r_addr)) in
+      if write then note_frag pvm r.r_cache ~off
+      else note_frag ~write:false pvm r.r_cache ~off
+    end;
+    note_regions pvm ~addr ~write rest
+
+(* Hardware translation with the fault handler in the loop.  The retry
+   bound turns a resolution bug into a failure rather than a hang. *)
+let[@chorus.hot] rec translate pvm (ctx : context) ~addr ~access retries =
+  if retries > 32 then failwith "PVM: page fault resolution did not converge";
+  match Hw.Mmu.translate ctx.ctx_space ~addr ~access with
+  | Ok frame -> frame
+  | Error _ ->
+    Fault.handle pvm ctx ~addr ~access;
+    translate pvm ctx ~addr ~access (retries + 1)
+
+(* Simulated program access. *)
+let[@chorus.hot] access_frame pvm (ctx : context) ~addr ~access =
   (* MMU hits never probe the global map, so the schedule explorer
      would not see this access; note the touched fragment here so
      conflicting program reads/writes never classify as independent. *)
   if Hw.Engine.tracking pvm.engine then begin
     note_structure ~write:false pvm;
-    List.iter
-      (fun (r : region) ->
-        if r.r_alive && addr >= r.r_addr && addr < r.r_addr + r.r_size then
-          note_frag ~write:(access = `Write) pvm r.r_cache
-            ~off:(page_align_down pvm (r.r_offset + (addr - r.r_addr))))
-      ctx.ctx_regions
+    note_regions pvm ~addr ~write:(access = `Write) ctx.ctx_regions
   end;
-  let rec go retries =
-    if retries > 32 then
-      failwith "PVM: page fault resolution did not converge";
-    match Hw.Mmu.translate ctx.ctx_space ~addr ~access with
-    | Ok frame -> frame
-    | Error _ ->
-      Fault.handle pvm ctx ~addr ~access;
-      go (retries + 1)
-  in
-  go 0
+  translate pvm ctx ~addr ~access 0
 
 let touch pvm ctx ~addr ~access = ignore (access_frame pvm ctx ~addr ~access)
 
-let read pvm ctx ~addr ~len =
-  let ps = Types.page_size pvm in
+let[@chorus.hot] rec read_into pvm ctx ~addr out ~pos ~len =
+  if pos < len then begin
+    let ps = Types.page_size pvm in
+    let a = addr + pos in
+    let in_page = a mod ps in
+    let chunk = min (len - pos) (ps - in_page) in
+    let frame = access_frame pvm ctx ~addr:a ~access:`Read in
+    Bytes.blit frame.Hw.Phys_mem.bytes in_page out pos chunk;
+    read_into pvm ctx ~addr out ~pos:(pos + chunk) ~len
+  end
+
+let[@chorus.hot] read pvm ctx ~addr ~len =
   let out = Bytes.create len in
-  let rec go done_ =
-    if done_ < len then begin
-      let a = addr + done_ in
-      let in_page = a mod ps in
-      let chunk = min (len - done_) (ps - in_page) in
-      let frame = access_frame pvm ctx ~addr:a ~access:`Read in
-      Bytes.blit frame.Hw.Phys_mem.bytes in_page out done_ chunk;
-      go (done_ + chunk)
-    end
-  in
-  go 0;
+  read_into pvm ctx ~addr out ~pos:0 ~len;
   out
 
-let write pvm ctx ~addr bytes =
-  let ps = Types.page_size pvm in
+let[@chorus.hot] rec write_from pvm ctx ~addr bytes ~pos =
   let len = Bytes.length bytes in
-  let rec go done_ =
-    if done_ < len then begin
-      let a = addr + done_ in
-      let in_page = a mod ps in
-      let chunk = min (len - done_) (ps - in_page) in
-      let frame = access_frame pvm ctx ~addr:a ~access:`Write in
-      Bytes.blit bytes done_ frame.Hw.Phys_mem.bytes in_page chunk;
-      go (done_ + chunk)
-    end
-  in
-  go 0
+  if pos < len then begin
+    let ps = Types.page_size pvm in
+    let a = addr + pos in
+    let in_page = a mod ps in
+    let chunk = min (len - pos) (ps - in_page) in
+    let frame = access_frame pvm ctx ~addr:a ~access:`Write in
+    Bytes.blit bytes pos frame.Hw.Phys_mem.bytes in_page chunk;
+    write_from pvm ctx ~addr bytes ~pos:(pos + chunk)
+  end
+
+let[@chorus.hot] write pvm ctx ~addr bytes = write_from pvm ctx ~addr bytes ~pos:0
 
 let check_invariant pvm = History.check_invariant pvm
 let pp_history_tree = History.pp_tree

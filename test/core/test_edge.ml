@@ -321,6 +321,286 @@ let test_region_destroy_costs_what_is_mapped () =
       Alcotest.(check (list string)) "invariants" []
         (Core.Pvm.check_invariant pvm))
 
+(* --- Allocation bounds of the data path ----------------------------- *)
+
+(* A fault, a per-page copy and a move allocate only the records they
+   keep (page descriptor, map binding, pmap record, stub) plus a few
+   words of results: no per-call closure, no copied list.  Words per
+   operation, averaged over [n] operations after any warm-up the
+   caller did; [Gc.minor_words] is exact, and none of these operations
+   allocates directly in the major heap.  Each bound is the measured
+   figure with a little headroom. *)
+let words_per_op n f =
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let map_cache pvm ctx cache ~pages =
+  ignore
+    (Core.Region.create pvm ctx ~addr:0 ~size:(pages * ps)
+       ~prot:Hw.Prot.read_write cache ~offset:0)
+
+let check_words what ~bound words =
+  if words > bound then
+    Alcotest.failf "%s allocated %.1f words per operation (bound %.0f)" what
+      words bound
+
+let test_alloc_zero_fill_fault () =
+  with_pvm (fun pvm ->
+      let cache = Core.Cache.create pvm () in
+      let ctx = Core.Context.create pvm in
+      map_cache pvm ctx cache ~pages:32;
+      words_per_op 32 (fun i ->
+          Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Write)
+      |> check_words "a zero-fill write fault" ~bound:72.)
+
+(* [src]'s first [pages] pages written through a context of its own. *)
+let written_source pvm ~pages =
+  let src = Core.Cache.create pvm () in
+  let ctx = Core.Context.create pvm in
+  map_cache pvm ctx src ~pages;
+  for i = 0 to pages - 1 do
+    Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Write
+  done;
+  src
+
+let test_alloc_borrow_fault () =
+  with_pvm (fun pvm ->
+      let src = written_source pvm ~pages:32 in
+      let dst = Core.Cache.create pvm () in
+      Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
+        ~size:(32 * ps) ();
+      let ctx = Core.Context.create pvm in
+      map_cache pvm ctx dst ~pages:32;
+      words_per_op 32 (fun i ->
+          Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Read)
+      |> check_words "a borrow read fault" ~bound:46.)
+
+let test_alloc_remap_fault () =
+  with_pvm (fun pvm ->
+      let cache = written_source pvm ~pages:32 in
+      let ctx = Core.Context.create pvm in
+      map_cache pvm ctx cache ~pages:32;
+      words_per_op 32 (fun i ->
+          Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Read)
+      |> check_words "a re-map of a resident page" ~bound:30.)
+
+let test_alloc_per_page_copy () =
+  with_pvm (fun pvm ->
+      let src = written_source pvm ~pages:8 in
+      let dst = Core.Cache.create pvm () in
+      let copy _ =
+        Core.Cache.copy pvm ~strategy:`Per_page ~src ~src_off:0 ~dst
+          ~dst_off:0 ~size:(8 * ps) ()
+      in
+      (* the first copy fills the stub indexes; later ones also purge
+         the stubs of the one before, as a message slot does *)
+      copy 0;
+      words_per_op 16 copy
+      |> check_words "an 8-page per-page copy" ~bound:270.)
+
+let test_alloc_move () =
+  with_pvm (fun pvm ->
+      let a = Core.Cache.create pvm () and b = Core.Cache.create pvm () in
+      for i = 0 to 7 do
+        Core.Cache.fill_up pvm a ~offset:(i * ps) (Bytes.make ps 'm')
+      done;
+      (* back and forth: every move reassigns eight resident pages *)
+      let move i =
+        let src, dst = if i mod 2 = 0 then (a, b) else (b, a) in
+        Core.Cache.move pvm ~src ~src_off:0 ~dst ~dst_off:0 ~size:(8 * ps) ()
+      in
+      move 0;
+      move 1;
+      words_per_op 16 move |> check_words "an aligned 8-page move" ~bound:215.)
+
+let test_alloc_eager_copy () =
+  with_pvm (fun pvm ->
+      let src = Core.Cache.create pvm () and dst = Core.Cache.create pvm () in
+      Core.Cache.fill_up pvm src ~offset:0 (Bytes.make ps 'e');
+      let copy _ =
+        Core.Cache.copy pvm ~src ~src_off:10 ~dst ~dst_off:20 ~size:100 ()
+      in
+      copy 0;
+      words_per_op 16 copy
+      |> check_words "an unaligned 100-byte eager copy" ~bound:12.)
+
+(* --- Exceptions inside the pinned halves ---------------------------- *)
+
+(* Frame exhaustion raised in the middle of a pinned section must drop
+   the pin on the way out, and leave the mm lock free.  Three places
+   raise it with a page pinned: saving an original from
+   own_writable_page, copying a parent's page in child_copy, and
+   pulling an eager copy's source while the destination page is
+   pinned.  [frames] is one more than the scenario's own pages, and a
+   filler cache takes the spare with dirty anonymous pages, which
+   cannot be evicted. *)
+let no_memory_scenarios =
+  let exhaust pvm =
+    let filler = Core.Cache.create pvm () in
+    let i = ref 0 in
+    while Hw.Phys_mem.free_frames (Core.Pvm.memory pvm) > 0 do
+      Core.Cache.fill_up pvm filler ~offset:(!i * ps) (Bytes.make ps 'f');
+      incr i
+    done
+  in
+  [
+    ( "own_writable_page",
+      fun pvm ->
+        (* a write to a copied source must save its original first *)
+        let src = Core.Cache.create pvm () and dst = Core.Cache.create pvm () in
+        let ctx = Core.Context.create pvm in
+        map_cache pvm ctx src ~pages:1;
+        Core.Pvm.write pvm ctx ~addr:0 (Bytes.of_string "s");
+        Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst
+          ~dst_off:0 ~size:ps ();
+        exhaust pvm;
+        fun () -> Core.Pvm.write pvm ctx ~addr:0 (Bytes.of_string "w") );
+    ( "child_copy",
+      fun pvm ->
+        let src = Core.Cache.create pvm () and dst = Core.Cache.create pvm () in
+        Core.Cache.fill_up pvm src ~offset:0 (Bytes.make ps 's');
+        Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst
+          ~dst_off:0 ~size:ps ();
+        let ctx = Core.Context.create pvm in
+        map_cache pvm ctx dst ~pages:1;
+        exhaust pvm;
+        fun () -> Core.Pvm.write pvm ctx ~addr:0 (Bytes.of_string "w") );
+    ( "eager copy",
+      fun pvm ->
+        (* the destination misses the page: own_writable_page copies it
+           from the destination's parent, pinned, inside the copy *)
+        let base = Core.Cache.create pvm () and dst = Core.Cache.create pvm () in
+        Core.Cache.fill_up pvm base ~offset:0 (Bytes.make ps 'p');
+        Core.Cache.copy pvm ~strategy:`History ~src:base ~src_off:0 ~dst
+          ~dst_off:0 ~size:ps ();
+        let src = Core.Cache.create pvm () in
+        Core.Cache.fill_up pvm src ~offset:0 (Bytes.make ps 's');
+        exhaust pvm;
+        fun () ->
+          Core.Cache.copy pvm ~src ~src_off:10 ~dst ~dst_off:20 ~size:100 () );
+  ]
+
+let check_unpinned what pvm =
+  List.iter
+    (fun (p : Core.Types.page) ->
+      if p.p_wire_count <> 0 then
+        Alcotest.failf "%s: page (%d,%d) left wired (%d)" what
+          p.p_cache.c_id p.p_offset p.p_wire_count)
+    (Core.Inspect.pages pvm)
+
+let test_no_memory_sequential () =
+  List.iter
+    (fun (what, setup) ->
+      with_pvm ~frames:8 (fun pvm ->
+          let op = setup pvm in
+          (match op () with
+          | () -> Alcotest.failf "%s: frame exhaustion expected" what
+          | exception Core.Gmi.No_memory -> ());
+          check_unpinned what pvm))
+    no_memory_scenarios
+
+(* The same on two domains, each operation in a parallel slice, where
+   the pinned sections also run under the mm lock.  A following fault
+   in another slice re-maps a resident page, which needs the lock. *)
+let test_no_memory_parallel () =
+  List.iter
+    (fun (what, setup) ->
+      let engine = Hw.Engine.create ~domains:2 () in
+      let pvm = Core.Pvm.create ~frames:8 ~cost:Hw.Cost.free ~engine () in
+      let raised = ref false and after = ref false in
+      let probe = Core.Context.create pvm in
+      Hw.Engine.run engine (fun () ->
+          let cache = Core.Cache.create pvm () in
+          Core.Cache.fill_up pvm cache ~offset:0 (Bytes.make ps 'a');
+          map_cache pvm probe cache ~pages:1;
+          let op = setup pvm in
+          Hw.Engine.spawn engine ~affinity:1 (fun () ->
+              match op () with
+              | () -> ()
+              | exception Core.Gmi.No_memory -> raised := true);
+          (* a serial slice runs only once the pool is quiescent *)
+          Hw.Engine.sleep (Hw.Sim_time.ms 1);
+          Alcotest.(check bool) (what ^ ": frame exhaustion raised") true
+            !raised;
+          Alcotest.(check int) (what ^ ": mm lock free") (-1)
+            (Atomic.get pvm.Core.Types.mm_owner);
+          check_unpinned what pvm;
+          Hw.Engine.spawn engine ~affinity:2 (fun () ->
+              after :=
+                Bytes.get (Core.Pvm.read pvm probe ~addr:0 ~len:1) 0 = 'a'));
+      Alcotest.(check bool) (what ^ ": the next fault completes") true !after;
+      let wires =
+        List.filter
+          (fun (v : Check.Sanitizer.violation) -> v.rule = "wires")
+          (Check.Sanitizer.run pvm)
+      in
+      Alcotest.(check int) (what ^ ": wires rule clean") 0 (List.length wires))
+    no_memory_scenarios
+
+(* --- A borrowed unmap must not drop a concurrent mapping ------------- *)
+
+(* [Pmap.cow_release] charges one protection update per borrowed
+   mapping it unmaps, and each charge lets other fibres run.  A fault
+   that maps the page into another context meanwhile must keep its
+   pmap record: the release once wrote a snapshot of the list back and
+   dropped it, leaving a translation no teardown would find, so the
+   context later read whatever the recycled frame held.  Fibre A
+   writes the copied page through c1 (saving the original, then
+   releasing); fibre B reads it through c2 after [delay].  The sweep
+   covers every delay around A's release. *)
+let release_race ~delay =
+  let engine = Hw.Engine.create () in
+  Hw.Engine.run_fn engine (fun () ->
+      let pvm = Core.Pvm.create ~frames:64 ~engine () in
+      let s = Core.Cache.create pvm () and d = Core.Cache.create pvm () in
+      let c1 = Core.Context.create pvm
+      and c2 = Core.Context.create pvm
+      and c3 = Core.Context.create pvm in
+      map_cache pvm c1 s ~pages:1;
+      map_cache pvm c2 s ~pages:1;
+      map_cache pvm c3 d ~pages:1;
+      Core.Pvm.write pvm c1 ~addr:0 (Bytes.make ps 's');
+      Core.Cache.copy pvm ~strategy:`History ~src:s ~src_off:0 ~dst:d
+        ~dst_off:0 ~size:ps ();
+      (* c3 borrows s's page through the copy *)
+      ignore (Core.Pvm.read pvm c3 ~addr:0 ~len:1);
+      Hw.Engine.spawn engine (fun () ->
+          Core.Pvm.write pvm c1 ~addr:0 (Bytes.of_string "A"));
+      Hw.Engine.spawn engine (fun () ->
+          Hw.Engine.sleep delay;
+          ignore (Core.Pvm.read pvm c2 ~addr:0 ~len:1));
+      Hw.Engine.sleep (Hw.Sim_time.ms 10);
+      let mmu =
+        List.filter
+          (fun (v : Check.Sanitizer.violation) -> v.rule = "mmu")
+          (Check.Sanitizer.run pvm)
+      in
+      (* recycle s's frame: c2 must fault onto s's current value, not
+         read another cache's data through a forgotten translation *)
+      Core.Cache.invalidate pvm s ~offset:0 ~size:ps;
+      let other = Core.Cache.create pvm () and c4 = Core.Context.create pvm in
+      map_cache pvm c4 other ~pages:20;
+      for i = 0 to 19 do
+        Core.Pvm.write pvm c4 ~addr:(i * ps) (Bytes.make ps 'z')
+      done;
+      (mmu, Bytes.get (Core.Pvm.read pvm c2 ~addr:0 ~len:1) 0))
+
+let test_cow_release_keeps_concurrent_mapping () =
+  for step = 0 to 400 do
+    let delay = Hw.Sim_time.us 1200 + Hw.Sim_time.ns (step * 1000) in
+    let mmu, byte = release_race ~delay in
+    (match mmu with
+    | [] -> ()
+    | v :: _ ->
+      Alcotest.failf "B after %dns: %s" delay
+        (Format.asprintf "%a" Check.Sanitizer.pp_violation v));
+    if byte = 'z' then
+      Alcotest.failf "B after %dns: c2 reads another cache's data" delay
+  done
+
 (* Copying onto one of the source's own ancestors must not defer: the
    cycle check follows per-page stub edges too.  [b] reads [a]'s page
    through a stub, so a small aligned copy from [b] back into [a] takes
@@ -495,6 +775,23 @@ let tests =
     Alcotest.test_case "zombie collection" `Quick test_zombie_collection;
     Alcotest.test_case "destroy scales with the dying cache" `Quick
       test_destroy_scales_with_cache;
+    Alcotest.test_case "alloc: zero-fill write fault" `Quick
+      test_alloc_zero_fill_fault;
+    Alcotest.test_case "alloc: borrow read fault" `Quick
+      test_alloc_borrow_fault;
+    Alcotest.test_case "alloc: re-map of a resident page" `Quick
+      test_alloc_remap_fault;
+    Alcotest.test_case "alloc: 8-page per-page copy" `Quick
+      test_alloc_per_page_copy;
+    Alcotest.test_case "alloc: aligned 8-page move" `Quick test_alloc_move;
+    Alcotest.test_case "alloc: unaligned 100-byte eager copy" `Quick
+      test_alloc_eager_copy;
+    Alcotest.test_case "No_memory mid-path drops pins" `Quick
+      test_no_memory_sequential;
+    Alcotest.test_case "No_memory mid-path, 2 domains" `Quick
+      test_no_memory_parallel;
+    Alcotest.test_case "cow_release keeps a concurrent mapping" `Quick
+      test_cow_release_keeps_concurrent_mapping;
     Alcotest.test_case "region destroy costs what is mapped" `Quick
       test_region_destroy_costs_what_is_mapped;
     Alcotest.test_case "copy onto a stub ancestor is eager" `Quick
