@@ -1,13 +1,18 @@
-(* Ablations for the design points DESIGN.md calls out.
+(* Ablations for the design points DESIGN.md calls out, each timing
+   steps of the scenario registry (the registry entry named in
+   parentheses runs the same body under the checkers).
 
    A. §4.2.5 — history trees vs shadow chains under the fork-heavy
-      shell pattern: structure counts and lookup depths.
+      shell pattern: structure counts and lookup depths ([chains]).
    B. §5.1.3 — segment caching: repeated exec of the same image with
-      the retention capacity on and off.
+      the retention capacity on and off ([segcache]).
    C. §4.3   — deferred-copy technique crossover: history object vs
-      per-virtual-page stubs vs eager copy, by copy size. *)
+      per-virtual-page stubs vs eager copy, by copy size ([pervpage]).
+   D. §5.1.6 — IPC through the transit segment ([ipc]).
+   E. §3.3.3 — DSM sharing patterns ([dsm]). *)
 
 open Util
+module S = Check.Scenario
 
 (* --- A: chain growth under fork/exit ------------------------------- *)
 
@@ -19,66 +24,37 @@ let ablation_chains () =
   Printf.printf
     "%6s  %9s %9s %8s  %9s %9s %8s\n" "" "objects" "lookups" "sim-ms"
     "shadows" "collapses" "sim-ms";
+  let size = 16 * ps in
   List.iter
     (fun n ->
-      (* PVM side *)
       let pvm_objects, pvm_lookups, pvm_ms =
         in_sim (fun engine ->
             let pvm = Core.Pvm.create ~frames:900 ~engine () in
             let ctx = Core.Context.create pvm in
-            let src = Core.Cache.create pvm () in
-            let _r =
-              Core.Region.create pvm ctx ~addr:0 ~size:(16 * ps)
-                ~prot:Hw.Prot.read_write src ~offset:0
-            in
-            for p = 0 to 15 do
-              Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-            done;
+            let src, _ = S.zero_fill pvm ctx ~size ~pages:16 in
             Core.Pvm.reset_stats pvm;
             let elapsed =
               sim_time engine (fun () ->
                   for _ = 1 to n do
-                    (* fork: deferred copy of the parent *)
-                    let child = Core.Cache.create pvm () in
-                    Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0
-                      ~dst:child ~dst_off:0 ~size:(16 * ps) ();
-                    (* parent modifies its data *)
-                    Core.Pvm.touch pvm ctx ~addr:0 ~access:`Write;
-                    Core.Pvm.touch pvm ctx ~addr:ps ~access:`Write;
-                    (* child exits *)
-                    Core.Cache.destroy pvm child
+                    S.fork_cycle pvm ctx ~src ~size
                   done)
             in
             let stats = Core.Pvm.stats pvm in
             (stats.Core.Types.n_history_created, stats.n_tree_lookups,
              ms_of_ns elapsed))
       in
-      (* Shadow side *)
       let shadows, collapses, mach_ms =
         in_sim (fun engine ->
             let vm = Shadow.Shadow_vm.create ~frames:900 ~engine () in
             let sp = Shadow.Shadow_vm.space_create vm in
-            let src =
-              Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size:(16 * ps)
-                ~prot:Hw.Prot.read_write
-            in
-            for p = 0 to 15 do
-              Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-            done;
+            let src = S.mach_zero_fill vm sp ~size ~pages:16 in
             Shadow.Shadow_vm.reset_stats vm;
             let elapsed =
               sim_time engine (fun () ->
-                  for i = 1 to n do
-                    let child =
-                      Shadow.Shadow_vm.copy_entry vm src ~dst_space:sp
-                        ~dst_addr:((64 * i) * ps)
-                    in
-                    Shadow.Shadow_vm.touch vm sp ~addr:0 ~access:`Write;
-                    Shadow.Shadow_vm.touch vm sp ~addr:ps ~access:`Write;
-                    Shadow.Shadow_vm.entry_destroy vm child
+                  for _ = 1 to n do
+                    S.mach_fork_cycle vm sp ~src
                   done)
             in
-            ignore src;
             let stats = Shadow.Shadow_vm.stats vm in
             (stats.Shadow.Shadow_vm.n_shadows_created, stats.n_collapses,
              ms_of_ns elapsed))
@@ -94,31 +70,9 @@ let ablation_chains () =
 
 let exec_workload ~retention =
   in_sim (fun engine ->
-      let site =
-        Nucleus.Site.create ~frames:1200 ~retention_capacity:retention ~engine
-          ()
-      in
-      let images = Mix.Image.create_store site in
-      let _ =
-        Mix.Image.add_image images ~name:"cc"
-          ~text:(Bytes.make (32 * ps) 'T')
-          ~data:(Bytes.make (8 * ps) 'D')
-          ()
-      in
-      let m = Mix.Process.create_manager site images in
-      let p = Mix.Process.spawn_init m ~image:"cc" in
-      let elapsed =
-        sim_time engine (fun () ->
-            (* a make-like loop: exec the compiler again and again,
-               touching its whole text *)
-            for _ = 1 to 10 do
-              Mix.Process.exec m p ~image:"cc";
-              ignore
-                (Mix.Process.read p ~addr:Mix.Process.text_base
-                   ~len:(32 * ps))
-            done)
-      in
-      (ms_of_ns elapsed, Mix.Image.mapper_reads images))
+      let site = S.segcache_setup engine ~register:ignore ~retention in
+      let elapsed = sim_time engine (fun () -> S.exec_loop site ~execs:10) in
+      (ms_of_ns elapsed, Mix.Image.mapper_reads site.images))
 
 let ablation_segcache () =
   Printf.printf
@@ -140,55 +94,6 @@ let ablation_segcache () =
    pattern: read-mostly data is cheap (pages replicate), partitioned
    writers never interfere, and write-shared (ping-pong) pages pay a
    protocol round per ownership change. *)
-let dsm_run ~pattern =
-  in_sim (fun engine ->
-      let seg =
-        Dsm.Coherent.create ~latency:(Hw.Sim_time.ms 2) ~size:(8 * ps)
-          ~page_size:ps ()
-      in
-      let sites =
-        Array.init 2 (fun _ ->
-            let pvm = Core.Pvm.create ~frames:64 ~cost:Hw.Cost.free ~engine () in
-            let site = Dsm.Coherent.attach seg pvm in
-            let ctx = Core.Context.create pvm in
-            let _r =
-              Core.Region.create pvm ctx ~addr:0 ~size:(8 * ps)
-                ~prot:Hw.Prot.read_write (Dsm.Coherent.cache site) ~offset:0
-            in
-            (pvm, ctx))
-      in
-      let wr i ~addr =
-        let pvm, ctx = sites.(i) in
-        Core.Pvm.write pvm ctx ~addr (Bytes.make 32 'w')
-      in
-      let rd i ~addr =
-        let pvm, ctx = sites.(i) in
-        ignore (Core.Pvm.read pvm ctx ~addr ~len:32)
-      in
-      let rounds = 50 in
-      let elapsed =
-        sim_time engine (fun () ->
-            match pattern with
-            | `Read_mostly ->
-              wr 0 ~addr:0;
-              for _ = 1 to rounds do
-                rd 0 ~addr:0;
-                rd 1 ~addr:0
-              done
-            | `Partitioned ->
-              for _ = 1 to rounds do
-                wr 0 ~addr:0;
-                wr 1 ~addr:(4 * ps)
-              done
-            | `Ping_pong ->
-              for i = 1 to rounds do
-                wr (i mod 2) ~addr:0
-              done)
-      in
-      let stats = Dsm.Coherent.stats seg in
-      (ms_of_ns elapsed, stats.Dsm.Coherent.page_transfers,
-       stats.invalidations))
-
 let ablation_dsm () =
   Printf.printf
     "\nAblation E -- DSM sharing patterns (2 sites, 2 ms links, 50 rounds)\n";
@@ -196,9 +101,16 @@ let ablation_dsm () =
     "invalidations";
   List.iter
     (fun (label, pattern) ->
-      let t, transfers, invalidations = dsm_run ~pattern in
-      Printf.printf "%14s  %10.1f  %10d  %13d\n" label t transfers
-        invalidations)
+      in_sim (fun engine ->
+          let d =
+            S.dsm_setup ~cost:Hw.Cost.free engine ~register:ignore ~pages:8
+          in
+          let elapsed =
+            sim_time engine (fun () -> S.dsm_rounds d ~pattern ~rounds:50)
+          in
+          let stats = Dsm.Coherent.stats d.seg in
+          Printf.printf "%14s  %10.1f  %10d  %13d\n" label (ms_of_ns elapsed)
+            stats.Dsm.Coherent.page_transfers stats.invalidations))
     [
       ("read-mostly", `Read_mostly);
       ("partitioned", `Partitioned);
@@ -214,46 +126,22 @@ let ablation_dsm () =
    deferred when alignment allows, bcopy otherwise); a receive is a
    cache.move (frame reassignment).  Compare the aligned fast path
    against byte-misaligned payloads of the same size. *)
-let ipc_round ~aligned ~len =
-  in_sim (fun engine ->
-      let site = Nucleus.Site.create ~frames:256 ~engine () in
-      let transit = Nucleus.Transit.create site ~slots:4 () in
-      let sender = Nucleus.Actor.create site in
-      let receiver = Nucleus.Actor.create site in
-      let _ =
-        Nucleus.Actor.rgn_allocate sender ~addr:0 ~size:(16 * ps)
-          ~prot:Hw.Prot.read_write
-      in
-      let _ =
-        Nucleus.Actor.rgn_allocate receiver ~addr:0 ~size:(16 * ps)
-          ~prot:Hw.Prot.read_write
-      in
-      let endpoint = Nucleus.Ipc.make_endpoint () in
-      let addr = if aligned then 0 else 13 in
-      Nucleus.Actor.write sender ~addr (Bytes.make len 'i');
-      let samples =
-        List.init 10 (fun _ ->
-            float_of_int
-              (sim_time engine (fun () ->
-                   Nucleus.Ipc.send sender transit ~dst:endpoint ~addr ~len;
-                   ignore
-                     (Nucleus.Ipc.receive receiver transit endpoint
-                        ~addr:(if aligned then 0 else 13)))))
-      in
-      ms_of_ns (int_of_float (mean samples)))
-
 let ablation_ipc () =
   Printf.printf
     "\nAblation D -- IPC through the transit segment (§5.1.6): send + \
      receive round\n";
   Printf.printf "%10s  %14s  %14s   (sim-ms)\n" "size" "page-aligned"
     "misaligned";
+  let round ~addr ~len =
+    in_sim (fun engine ->
+        let p = S.ipc_setup engine ~register:ignore ~addr ~len in
+        mean_cycle engine (fun () -> S.ipc_round p))
+  in
   List.iter
     (fun pages ->
       let len = pages * ps in
-      let fast = ipc_round ~aligned:true ~len in
-      let slow = ipc_round ~aligned:false ~len in
-      Printf.printf "%7d KB  %14.2f  %14.2f\n" (len / 1024) fast slow)
+      Printf.printf "%7d KB  %14.2f  %14.2f\n" (len / 1024)
+        (round ~addr:0 ~len) (round ~addr:13 ~len))
     [ 1; 2; 4; 8 ];
   Printf.printf
     "  (aligned messages defer the send per page and move frames on \
@@ -261,55 +149,29 @@ let ablation_ipc () =
 
 (* --- C: copy-technique crossover ----------------------------------- *)
 
-let copy_once ~strategy ~pages ~touched =
-  in_sim (fun engine ->
-      let pvm = Core.Pvm.create ~frames:900 ~engine () in
-      let ctx = Core.Context.create pvm in
-      let src = Core.Cache.create pvm () in
-      let _r =
-        Core.Region.create pvm ctx ~addr:0 ~size:(pages * ps)
-          ~prot:Hw.Prot.read_write src ~offset:0
-      in
-      for p = 0 to pages - 1 do
-        Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-      done;
-      let samples =
-        List.init 10 (fun _ ->
-            float_of_int
-              (sim_time engine (fun () ->
-                   let dst = Core.Cache.create pvm () in
-                   Core.Cache.copy pvm ~strategy ~src ~src_off:0 ~dst
-                     ~dst_off:0 ~size:(pages * ps) ();
-                   let r =
-                     Core.Region.create pvm ctx ~addr:0x4000_0000
-                       ~size:(pages * ps) ~prot:Hw.Prot.read_write dst
-                       ~offset:0
-                   in
-                   (* the destination touches a fraction of the copy *)
-                   for p = 0 to touched - 1 do
-                     Core.Pvm.touch pvm ctx
-                       ~addr:(0x4000_0000 + (p * ps))
-                       ~access:`Write
-                   done;
-                   Core.Region.destroy pvm r;
-                   Core.Cache.destroy pvm dst)))
-      in
-      ms_of_ns (int_of_float (mean samples)))
-
 let ablation_pervpage () =
   Printf.printf
     "\nAblation C -- deferred-copy technique crossover (§4.3): copy N \
      pages, write 25%% of the copy\n";
   Printf.printf "%8s  %10s  %10s  %10s   (sim-ms)\n" "pages" "history"
     "per-page" "eager";
+  let copy_once ~strategy ~pages =
+    in_sim (fun engine ->
+        let pvm = Core.Pvm.create ~frames:900 ~engine () in
+        let ctx = Core.Context.create pvm in
+        let size = pages * ps in
+        let src, _ = S.zero_fill pvm ctx ~size ~pages in
+        mean_cycle engine (fun () ->
+            S.teardown pvm
+              (S.diverge ~strategy ~writer:`Copy pvm ctx ~src ~size
+                 ~pages:(max 1 (pages / 4)))))
+  in
   List.iter
     (fun pages ->
-      let touched = max 1 (pages / 4) in
-      let history = copy_once ~strategy:`History ~pages ~touched in
-      let per_page = copy_once ~strategy:`Per_page ~pages ~touched in
-      let eager = copy_once ~strategy:`Eager ~pages ~touched in
-      Printf.printf "%8d  %10.2f  %10.2f  %10.2f\n" pages history per_page
-        eager)
+      Printf.printf "%8d  %10.2f  %10.2f  %10.2f\n" pages
+        (copy_once ~strategy:`History ~pages)
+        (copy_once ~strategy:`Per_page ~pages)
+        (copy_once ~strategy:`Eager ~pages))
     [ 1; 2; 4; 8; 16; 32; 64; 128 ];
   Printf.printf
     "  (paper: history objects for large data, per-virtual-page for small \

@@ -41,16 +41,7 @@ let paper_cow_mach =
      [| Some 2.9; Some 5.12; Some 66.4; None |];
      [| Some 3.08; Some 5.18; Some 67.0; Some 256.41 |] |]
 
-let iterations = 10
-
 module S = Check.Scenario
-
-(* Mean simulated ms of [iterations] back-to-back runs of [cycle]. *)
-let mean_cycle engine cycle =
-  let samples =
-    List.init iterations (fun _ -> float_of_int (sim_time engine cycle))
-  in
-  ms_of_ns (int_of_float (mean samples))
 
 (* --- Table 6: zero-filled allocation ------------------------------ *)
 
@@ -58,13 +49,16 @@ let zero_fill_chorus ~size ~pages =
   in_sim (fun engine ->
       let pvm = Core.Pvm.create ~frames:600 ~engine () in
       let ctx = Core.Context.create pvm in
-      mean_cycle engine (fun () -> S.zero_fill_cycle pvm ctx ~size ~pages))
+      mean_cycle engine (fun () ->
+          S.teardown pvm (S.zero_fill pvm ctx ~size ~pages)))
 
 let zero_fill_mach ~size ~pages =
   in_sim (fun engine ->
       let vm = Shadow.Shadow_vm.create ~frames:600 ~engine () in
       let sp = Shadow.Shadow_vm.space_create vm in
-      mean_cycle engine (fun () -> S.mach_zero_fill_cycle vm sp ~size ~pages))
+      mean_cycle engine (fun () ->
+          Shadow.Shadow_vm.entry_destroy vm
+            (S.mach_zero_fill vm sp ~size ~pages)))
 
 let table6 () =
   let cell ~f ~paper ri ci =
@@ -90,15 +84,18 @@ let cow_chorus ~size ~pages =
   in_sim (fun engine ->
       let pvm = Core.Pvm.create ~frames:600 ~engine () in
       let ctx = Core.Context.create pvm in
-      let src, _ = S.cow_source pvm ctx ~size in
-      mean_cycle engine (fun () -> S.cow_cycle pvm ctx ~src ~size ~pages))
+      let src, _ = S.zero_fill pvm ctx ~size ~pages:(size / ps) in
+      mean_cycle engine (fun () ->
+          S.teardown pvm (S.diverge pvm ctx ~src ~size ~pages)))
 
 let cow_mach ~size ~pages =
   in_sim (fun engine ->
       let vm = Shadow.Shadow_vm.create ~frames:900 ~engine () in
       let sp = Shadow.Shadow_vm.space_create vm in
-      let src = S.mach_cow_source vm sp ~size in
-      mean_cycle engine (fun () -> S.mach_cow_cycle vm sp ~src ~pages))
+      let src = S.mach_zero_fill vm sp ~size ~pages:(size / ps) in
+      mean_cycle engine (fun () ->
+          Shadow.Shadow_vm.entry_destroy vm
+            (S.mach_diverge vm sp ~src ~pages)))
 
 let table7 () =
   let cell ~f ~paper ri ci =

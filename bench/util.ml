@@ -75,4 +75,7 @@ let print_matrix ~title ~rows ~cols ~cell =
     rows;
   Printf.printf "%-12s  [cells: measured ms (paper ms)]\n" ""
 
-let mean xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
+(* Mean simulated ms of ten back-to-back runs of [cycle]. *)
+let mean_cycle engine cycle =
+  let samples = List.init 10 (fun _ -> float_of_int (sim_time engine cycle)) in
+  ms_of_ns (int_of_float (List.fold_left ( +. ) 0. samples /. 10.))

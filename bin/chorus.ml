@@ -43,7 +43,7 @@ let print_info () =
     ];
   Printf.printf
     "\nevaluation:  dune exec bench/main.exe\nwalkthroughs: dune exec \
-     examples/quickstart.exe (and five more)\n"
+     examples/quickstart.exe (and two more)\n"
 
 (* Every SCENARIO argument names a Check.Scenario registry entry. *)
 let scenario_names =

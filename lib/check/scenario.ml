@@ -71,51 +71,88 @@ let spawn_all engine ~name ~affinity n body =
 
 (* --- Kernel workloads --------------------------------------------- *)
 
-(* The paper's Figure 3: two history copies of a source cache with a
-   write between them, then a write into the first copy. *)
-let fig3 =
+(* The paper's Figure 3 (§4.2), sub-figures 3.a-3.d: a source with
+   three written pages is history-copied three times, with writes into
+   the source, the first copy and that copy's own copy in between.
+   [on_figure] sees each sub-figure's caption and the source cache as
+   soon as the sub-figure is complete. *)
+let fig3 ?(on_figure = fun _ _ -> ()) () =
   let run engine ~register =
-    let pvm = Core.Pvm.create ~frames:256 ~engine () in
+    let pvm = Core.Pvm.create ~frames:512 ~engine () in
     register pvm;
     let ctx = Core.Context.create pvm in
-    let mk base =
+    let mapped base =
       let cache = Core.Cache.create pvm () in
       let _ =
-        Core.Region.create pvm ctx ~addr:base ~size:(4 * ps)
+        Core.Region.create pvm ctx ~addr:base ~size:(5 * ps)
           ~prot:Hw.Prot.read_write cache ~offset:0
       in
       cache
     in
-    let src = mk 0 and cpy1 = mk (1024 * ps) and cpy2 = mk (2048 * ps) in
-    Core.Pvm.write pvm ctx ~addr:ps (Bytes.make ps '1');
-    let copy dst =
-      Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
-        ~size:(4 * ps) ()
+    let wr base page c =
+      Core.Pvm.write pvm ctx ~addr:(base + (page * ps)) (Bytes.make ps c)
     in
-    copy cpy1;
-    Core.Pvm.write pvm ctx ~addr:ps (Bytes.make ps 'X');
-    copy cpy2;
-    Core.Pvm.write pvm ctx ~addr:(1024 * ps) (Bytes.make ps 'c');
+    let copy src dst =
+      Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
+        ~size:(5 * ps) ()
+    in
+    let src = mapped 0 and cpy1 = mapped (1024 * ps) in
+    List.iter (fun (p, c) -> wr 0 p c) [ (1, '1'); (2, '2'); (3, '3') ];
+    copy src cpy1;
+    wr 0 2 'X';
+    wr (1024 * ps) 3 'Y';
+    on_figure "3.a  src copied once; src wrote page 2, cpy1 wrote page 3:" src;
+    copy cpy1 (mapped (2048 * ps));
+    wr (1024 * ps) 3 'Z';
+    on_figure "3.b  cpy1 copied to copyOfCpy1; cpy1 wrote page 3 again:" src;
+    copy src (mapped (3072 * ps));
+    wr 0 3 'S';
+    on_figure "3.c  second copy of src: working object w inserted:" src;
+    copy src (mapped (4096 * ps));
+    wr 0 1 'T';
+    on_figure "3.d  third copy of src: second working object:" src;
     fun () -> digest [ pvm ]
   in
   { name = "fig3"; oracle = Schedule_independent; run }
+
+(* A Chorus/MIX site with its image store and an init process. *)
+type mix_site = {
+  pvm : Core.Types.pvm;
+  images : Mix.Image.store;
+  procs : Mix.Process.manager;
+  init : Mix.Process.t;
+}
+
+(* [images] as (name, (text pages, fill), (data pages, fill), bss
+   pages). *)
+let mix_site engine ~register ~frames ?retention images ~init =
+  let site =
+    Nucleus.Site.create ~frames ?retention_capacity:retention ~engine ()
+  in
+  let pvm = site.Nucleus.Site.pvm in
+  register pvm;
+  let store = Mix.Image.create_store site in
+  List.iter
+    (fun (name, (text, t), (data, d), bss) ->
+      ignore
+        (Mix.Image.add_image store ~name
+           ~text:(Bytes.make (text * ps) t)
+           ~data:(Bytes.make (data * ps) d)
+           ~bss_size:(bss * ps) ()))
+    images;
+  let procs = Mix.Process.create_manager site store in
+  let init = Mix.Process.spawn_init procs ~image:init in
+  { pvm; images = store; procs; init }
 
 (* The shell pattern on Chorus/MIX: four fork / write / exit / wait
    rounds. *)
 let fork =
   let run engine ~register =
-    let site = Nucleus.Site.create ~frames:2048 ~engine () in
-    let pvm = site.Nucleus.Site.pvm in
-    register pvm;
-    let images = Mix.Image.create_store site in
-    let _ =
-      Mix.Image.add_image images ~name:"sh"
-        ~text:(Bytes.make (4 * ps) 'T')
-        ~data:(Bytes.make (4 * ps) 'D')
-        ()
+    let { pvm; procs = m; init = shell; _ } =
+      mix_site engine ~register ~frames:2048
+        [ ("sh", (4, 'T'), (4, 'D'), 0) ]
+        ~init:"sh"
     in
-    let m = Mix.Process.create_manager site images in
-    let shell = Mix.Process.spawn_init m ~image:"sh" in
     for i = 1 to 4 do
       let child = Mix.Process.fork m shell in
       Mix.Process.write shell ~addr:Mix.Process.data_base
@@ -127,58 +164,109 @@ let fork =
   in
   { name = "fork"; oracle = Schedule_independent; run }
 
+(* Two sites sharing one coherent segment over 2 ms links. *)
+type dsm_sites = {
+  seg : Dsm.Coherent.t;
+  sites : (Core.Types.pvm * Core.Types.context) array;
+  pages : int;
+}
+
+let dsm_setup ?cost engine ~register ~pages =
+  let seg =
+    Dsm.Coherent.create ~latency:(Hw.Sim_time.ms 2) ~size:(pages * ps)
+      ~page_size:ps ()
+  in
+  let mk _ =
+    let pvm = Core.Pvm.create ~frames:32 ?cost ~engine () in
+    register pvm;
+    let site = Dsm.Coherent.attach seg pvm in
+    let ctx = Core.Context.create pvm in
+    let _ =
+      Core.Region.create pvm ctx ~addr:0 ~size:(pages * ps)
+        ~prot:Hw.Prot.read_write (Dsm.Coherent.cache site) ~offset:0
+    in
+    (pvm, ctx)
+  in
+  { seg; sites = Array.init 2 mk; pages }
+
+let dsm_rounds { sites; pages; _ } ~pattern ~rounds =
+  let write i ~addr r =
+    let pvm, ctx = sites.(i) in
+    Core.Pvm.write pvm ctx ~addr (Bytes.of_string (Printf.sprintf "round-%d" r))
+  in
+  let read i =
+    let pvm, ctx = sites.(i) in
+    ignore (Core.Pvm.read pvm ctx ~addr:0 ~len:8)
+  in
+  match pattern with
+  | `Read_mostly ->
+    write 0 ~addr:0 0;
+    for _ = 1 to rounds do
+      read 0;
+      read 1
+    done
+  | `Partitioned ->
+    for r = 1 to rounds do
+      write 0 ~addr:0 r;
+      write 1 ~addr:(pages / 2 * ps) r
+    done
+  | `Ping_pong ->
+    for r = 1 to rounds do
+      write (r mod 2) ~addr:0 r
+    done
+
 (* Two sites ping-ponging one coherent page: ten alternating writes. *)
 let dsm =
   let run engine ~register =
-    let seg =
-      Dsm.Coherent.create ~latency:(Hw.Sim_time.ms 2) ~size:(4 * ps)
-        ~page_size:ps ()
-    in
-    let mk () =
-      let pvm = Core.Pvm.create ~frames:32 ~engine () in
-      register pvm;
-      let site = Dsm.Coherent.attach seg pvm in
-      let ctx = Core.Context.create pvm in
-      let _ =
-        Core.Region.create pvm ctx ~addr:0 ~size:(4 * ps)
-          ~prot:Hw.Prot.read_write (Dsm.Coherent.cache site) ~offset:0
-      in
-      (pvm, ctx)
-    in
-    let a = mk () and b = mk () in
-    for i = 1 to 10 do
-      let pvm, ctx = if i mod 2 = 0 then a else b in
-      Core.Pvm.write pvm ctx ~addr:0
-        (Bytes.of_string (Printf.sprintf "round-%d" i))
-    done;
-    fun () -> digest [ fst a; fst b ]
+    let d = dsm_setup engine ~register ~pages:4 in
+    dsm_rounds d ~pattern:`Ping_pong ~rounds:10;
+    fun () -> digest (Array.to_list (Array.map fst d.sites))
   in
   { name = "dsm"; oracle = Schedule_independent; run }
+
+(* A sender and a receiver actor on a 256-frame site with a 4-slot
+   transit segment; the sender has written a [len]-byte message at
+   [addr]. *)
+type ipc_pair = {
+  site : Nucleus.Site.t;
+  transit : Nucleus.Transit.t;
+  sender : Nucleus.Actor.t;
+  receiver : Nucleus.Actor.t;
+  endpoint : Nucleus.Ipc.endpoint;
+  addr : int;
+  len : int;
+}
+
+let ipc_setup engine ~register ~addr ~len =
+  let site = Nucleus.Site.create ~frames:256 ~engine () in
+  register site.Nucleus.Site.pvm;
+  let transit = Nucleus.Transit.create site ~slots:4 () in
+  let sender = Nucleus.Actor.create site in
+  let receiver = Nucleus.Actor.create site in
+  let _ =
+    Nucleus.Actor.rgn_allocate sender ~addr:0 ~size:(16 * ps)
+      ~prot:Hw.Prot.read_write
+  in
+  let _ =
+    Nucleus.Actor.rgn_allocate receiver ~addr:0 ~size:(16 * ps)
+      ~prot:Hw.Prot.read_write
+  in
+  let endpoint = Nucleus.Ipc.make_endpoint () in
+  Nucleus.Actor.write sender ~addr (Bytes.make len 'i');
+  { site; transit; sender; receiver; endpoint; addr; len }
+
+let ipc_round p =
+  Nucleus.Ipc.send p.sender p.transit ~dst:p.endpoint ~addr:p.addr ~len:p.len;
+  ignore (Nucleus.Ipc.receive p.receiver p.transit p.endpoint ~addr:p.addr)
 
 (* Four 4-page messages through a 4-slot transit segment. *)
 let ipc =
   let run engine ~register =
-    let site = Nucleus.Site.create ~frames:256 ~engine () in
-    let pvm = site.Nucleus.Site.pvm in
-    register pvm;
-    let transit = Nucleus.Transit.create site ~slots:4 () in
-    let sender = Nucleus.Actor.create site in
-    let receiver = Nucleus.Actor.create site in
-    let _ =
-      Nucleus.Actor.rgn_allocate sender ~addr:0 ~size:(16 * ps)
-        ~prot:Hw.Prot.read_write
-    in
-    let _ =
-      Nucleus.Actor.rgn_allocate receiver ~addr:0 ~size:(16 * ps)
-        ~prot:Hw.Prot.read_write
-    in
-    let endpoint = Nucleus.Ipc.make_endpoint () in
-    Nucleus.Actor.write sender ~addr:0 (Bytes.make (4 * ps) 'i');
+    let p = ipc_setup engine ~register ~addr:0 ~len:(4 * ps) in
     for _ = 1 to 4 do
-      Nucleus.Ipc.send sender transit ~dst:endpoint ~addr:0 ~len:(4 * ps);
-      ignore (Nucleus.Ipc.receive receiver transit endpoint ~addr:0)
+      ipc_round p
     done;
-    fun () -> digest [ pvm ]
+    fun () -> digest [ p.site.Nucleus.Site.pvm ]
   in
   { name = "ipc"; oracle = Schedule_independent; run }
 
@@ -294,38 +382,17 @@ let storm_faults ~workers ~pages = workers * pages
 (* make -j2 on Chorus/MIX: a make process forks compiler children
    that exec cc, read their whole text, scribble over data and heap,
    pipe an 8-page object back to make and exit, two at a time. *)
-type make_site = {
-  pvm : Core.Types.pvm;
-  procs : Mix.Process.manager;
-  make_proc : Mix.Process.t;
-}
-
 let make_setup engine ~register ~retention =
   let site =
-    Nucleus.Site.create ~frames:4096 ~retention_capacity:retention ~engine ()
+    mix_site engine ~register ~frames:4096 ~retention
+      [ ("make", (8, 'M'), (2, 'm'), 8); ("cc", (48, 'C'), (8, 'c'), 8) ]
+      ~init:"make"
   in
-  let pvm = site.Nucleus.Site.pvm in
-  register pvm;
-  let images = Mix.Image.create_store site in
-  let _ =
-    Mix.Image.add_image images ~name:"make"
-      ~text:(Bytes.make (8 * ps) 'M')
-      ~data:(Bytes.make (2 * ps) 'm')
-      ~bss_size:(8 * ps) ()
-  in
-  let _ =
-    Mix.Image.add_image images ~name:"cc"
-      ~text:(Bytes.make (48 * ps) 'C')
-      ~data:(Bytes.make (8 * ps) 'c')
-      ~bss_size:(8 * ps) ()
-  in
-  let procs = Mix.Process.create_manager site images in
-  let make_proc = Mix.Process.spawn_init procs ~image:"make" in
-  Mix.Process.write make_proc ~addr:Mix.Process.data_base
+  Mix.Process.write site.init ~addr:Mix.Process.data_base
     (Bytes.make (2 * ps) 'S');
-  { pvm; procs; make_proc }
+  site
 
-let make_jobs { procs = m; make_proc = make; _ } =
+let make_jobs { procs = m; init = make; _ } =
   let pipe = Mix.Pipe.create m in
   for _ = 1 to 12 / 2 do
     let children =
@@ -363,74 +430,58 @@ let make =
   in
   { name = "make"; oracle = Schedule_independent; run }
 
-(* --- The paper's Table 6/7 cycles ---------------------------------- *)
+(* --- The paper's Table 6/7 steps ---------------------------------- *)
 
 let copy_base = 0x4000_0000
 
-let zero_fill_cycle pvm ctx ~size ~pages =
+let touch_pages pvm ctx ~base ~pages =
+  for p = 0 to pages - 1 do
+    Core.Pvm.touch pvm ctx ~addr:(base + (p * ps)) ~access:`Write
+  done
+
+let zero_fill pvm ctx ~size ~pages =
   let cache = Core.Cache.create pvm () in
   let region =
     Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write cache
       ~offset:0
   in
-  for p = 0 to pages - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  Core.Region.destroy pvm region;
-  Core.Cache.destroy pvm cache
+  touch_pages pvm ctx ~base:0 ~pages;
+  (cache, region)
 
-let cow_source pvm ctx ~size =
-  let src = Core.Cache.create pvm () in
-  let region =
-    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write src
-      ~offset:0
-  in
-  for p = 0 to (size / ps) - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  (src, region)
-
-let cow_cycle pvm ctx ~src ~size ~pages =
+let diverge ?(strategy = `History) ?(writer = `Source) pvm ctx ~src ~size
+    ~pages =
   let copy = Core.Cache.create pvm () in
-  Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst:copy ~dst_off:0
-    ~size ();
+  Core.Cache.copy pvm ~strategy ~src ~src_off:0 ~dst:copy ~dst_off:0 ~size ();
   let region =
     Core.Region.create pvm ctx ~addr:copy_base ~size ~prot:Hw.Prot.read_write
       copy ~offset:0
   in
-  (* writes to the source force the real copies *)
-  for p = 0 to pages - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-  done;
-  Core.Region.destroy pvm region;
-  Core.Cache.destroy pvm copy
+  touch_pages pvm ctx
+    ~base:(match writer with `Source -> 0 | `Copy -> copy_base)
+    ~pages;
+  (copy, region)
 
-let mach_zero_fill_cycle vm sp ~size ~pages =
+let teardown pvm (cache, region) =
+  Core.Region.destroy pvm region;
+  Core.Cache.destroy pvm cache
+
+let mach_zero_fill vm sp ~size ~pages =
   let entry =
     Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
   in
   for p = 0 to pages - 1 do
     Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
   done;
-  Shadow.Shadow_vm.entry_destroy vm entry
+  entry
 
-let mach_cow_source vm sp ~size =
-  let src =
-    Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
-  in
-  for p = 0 to (size / ps) - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  src
-
-let mach_cow_cycle vm sp ~src ~pages =
+let mach_diverge vm sp ~src ~pages =
   let copy =
     Shadow.Shadow_vm.copy_entry vm src ~dst_space:sp ~dst_addr:copy_base
   in
   for p = 0 to pages - 1 do
     Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
   done;
-  Shadow.Shadow_vm.entry_destroy vm copy
+  copy
 
 (* The 1024 Kb / 128-page cells, everything torn down so teardown
    frees balance fault-time allocations. *)
@@ -443,11 +494,10 @@ let decomp =
     let pvm = Core.Pvm.create ~frames:600 ~engine () in
     register pvm;
     let ctx = Core.Context.create pvm in
-    zero_fill_cycle pvm ctx ~size ~pages;
-    let src, src_region = cow_source pvm ctx ~size in
-    cow_cycle pvm ctx ~src ~size ~pages;
-    Core.Region.destroy pvm src_region;
-    Core.Cache.destroy pvm src;
+    teardown pvm (zero_fill pvm ctx ~size ~pages);
+    let src = zero_fill pvm ctx ~size ~pages:(size / ps) in
+    teardown pvm (diverge pvm ctx ~src:(fst src) ~size ~pages);
+    teardown pvm src;
     fun () -> digest [ pvm ]
   in
   { name = "decomp"; oracle = Schedule_independent; run }
@@ -457,9 +507,9 @@ let decomp_mach engine =
       let size = decomp_size and pages = decomp_pages in
       let vm = Shadow.Shadow_vm.create ~frames:900 ~engine () in
       let sp = Shadow.Shadow_vm.space_create vm in
-      mach_zero_fill_cycle vm sp ~size ~pages;
-      let src = mach_cow_source vm sp ~size in
-      mach_cow_cycle vm sp ~src ~pages;
+      Shadow.Shadow_vm.entry_destroy vm (mach_zero_fill vm sp ~size ~pages);
+      let src = mach_zero_fill vm sp ~size ~pages:(size / ps) in
+      Shadow.Shadow_vm.entry_destroy vm (mach_diverge vm sp ~src ~pages);
       Shadow.Shadow_vm.entry_destroy vm src;
       vm)
 
@@ -478,6 +528,75 @@ let paper_decomp =
     ("mach", "tree-setup", 1.13);
     ("mach", "cow", 0.5792);
   ]
+
+(* --- Bench's ablations A-C ---------------------------------------- *)
+
+(* The shell's fork (§4.2.5): history-copy the parent's [src] into a
+   child cache, the parent writes its first two pages, the child
+   exits. *)
+let fork_cycle pvm ctx ~src ~size =
+  let child = Core.Cache.create pvm () in
+  Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst:child ~dst_off:0
+    ~size ();
+  touch_pages pvm ctx ~base:0 ~pages:2;
+  Core.Cache.destroy pvm child
+
+let mach_fork_cycle vm sp ~src =
+  Shadow.Shadow_vm.entry_destroy vm (mach_diverge vm sp ~src ~pages:2)
+
+(* Four forks of a written 16-page parent. *)
+let chains =
+  let run engine ~register =
+    let pvm = Core.Pvm.create ~frames:900 ~engine () in
+    register pvm;
+    let ctx = Core.Context.create pvm in
+    let size = 16 * ps in
+    let src, _ = zero_fill pvm ctx ~size ~pages:16 in
+    for _ = 1 to 4 do
+      fork_cycle pvm ctx ~src ~size
+    done;
+    fun () -> digest [ pvm ]
+  in
+  { name = "chains"; oracle = Schedule_independent; run }
+
+(* Repeated exec of one 32-page compiler image (§5.1.3): the site keeps
+   [retention] unreferenced segment caches. *)
+let segcache_setup engine ~register ~retention =
+  mix_site engine ~register ~frames:1200 ~retention
+    [ ("cc", (32, 'T'), (8, 'D'), 0) ]
+    ~init:"cc"
+
+let exec_loop { procs; init; _ } ~execs =
+  for _ = 1 to execs do
+    Mix.Process.exec procs init ~image:"cc";
+    ignore (Mix.Process.read init ~addr:Mix.Process.text_base ~len:(32 * ps))
+  done
+
+let segcache =
+  let run engine ~register =
+    let site = segcache_setup engine ~register ~retention:64 in
+    exec_loop site ~execs:3;
+    fun () -> digest [ site.pvm ]
+  in
+  { name = "segcache"; oracle = Schedule_independent; run }
+
+(* An 8-page written source copied by each deferred-copy technique
+   (§4.3), the copy writing a quarter of its pages. *)
+let pervpage =
+  let run engine ~register =
+    let pvm = Core.Pvm.create ~frames:900 ~engine () in
+    register pvm;
+    let ctx = Core.Context.create pvm in
+    let size = 8 * ps in
+    let src, _ = zero_fill pvm ctx ~size ~pages:8 in
+    List.iter
+      (fun strategy ->
+        teardown pvm
+          (diverge ~strategy ~writer:`Copy pvm ctx ~src ~size ~pages:2))
+      [ `History; `Per_page; `Eager ];
+    fun () -> digest [ pvm ]
+  in
+  { name = "pervpage"; oracle = Schedule_independent; run }
 
 (* --- Model programs ----------------------------------------------- *)
 
@@ -562,7 +681,7 @@ let pressure = pressure_program ~name:"pressure" ~workers:2
 
 let all =
   [
-    fig3;
+    fig3 ();
     fork;
     dsm;
     ipc;
@@ -570,6 +689,9 @@ let all =
     storm ();
     make;
     decomp;
+    chains;
+    segcache;
+    pervpage;
     pressure;
     pressure_program ~name:"contend-model" ~workers:3;
   ]

@@ -4,8 +4,10 @@
     check/explore/crossval/replay], the bench harness and the test
     suites — so a workload is written once and each driver reaches it
     by name through {!find}.  Where a driver times part of a workload
-    (bench's Table 6/7 loops and [macro]), the registry exports the
-    steps and the driver keeps only the measurement window.  A scenario builds its PVMs on the engine
+    (bench's Table 6/7 loops, ablations and [macro], [test/repro]'s
+    cells), the registry exports the steps the entries are built from
+    and the driver keeps only its measurement window.  A scenario
+    builds its PVMs on the engine
     it is given, announces each through [register], starts its fibres
     and returns an observation thunk; its {!oracle} says how the
     observations of different schedules must relate. *)
@@ -40,9 +42,10 @@ type t = {
 
 val all : t list
 (** The registry, in CLI order: the kernel workloads [fig3], [fork],
-    [dsm], [ipc], [contend], [storm], [make] and [decomp] (observed by
-    {!digest}), then the Model programs [pressure] and [contend-model]
-    (observed by {!Model.digest_outcome}, judged by [Outcomes]). *)
+    [dsm], [ipc], [contend], [storm], [make], [decomp], [chains],
+    [segcache] and [pervpage] (observed by {!digest}), then the Model
+    programs [pressure] and [contend-model] (observed by
+    {!Model.digest_outcome}, judged by [Outcomes]). *)
 
 val find : string -> t option
 
@@ -60,6 +63,72 @@ val contents : Hw.Engine.t -> Core.Types.pvm list -> string
 (** Read every live, readable region back through the GMI on the
     drained engine and digest the bytes — the logical memory contents
     a program could observe.  Faults pages in, so it goes last. *)
+
+val fig3 : ?on_figure:(string -> Core.Types.cache -> unit) -> unit -> t
+(** The paper's Figure 3 (§4.2), sub-figures 3.a–3.d: a source with
+    three written pages history-copied three times, with writes into
+    the source, the first copy and that copy's copy in between.
+    [on_figure] (default: nothing) is called in the main fibre with
+    each sub-figure's caption and the source cache once the sub-figure
+    is complete; bench prints the history trees from it.  The
+    registry's [fig3] is [fig3 ()]. *)
+
+(** {2 DSM and IPC}
+
+    The registry's [dsm] is {!dsm_setup} at 4 pages followed by ten
+    ping-pong {!dsm_rounds}; its [ipc] is {!ipc_setup} of a 4-page
+    message at 0 followed by four {!ipc_round}s.  Bench's ablations D
+    and E time the rounds. *)
+
+type dsm_sites = {
+  seg : Dsm.Coherent.t;
+  sites : (Core.Types.pvm * Core.Types.context) array;
+      (** two 32-frame PVMs, each mapping the whole segment at 0 *)
+  pages : int;  (** the segment's size *)
+}
+
+val dsm_setup :
+  ?cost:Hw.Cost.profile ->
+  Hw.Engine.t ->
+  register:(Core.Types.pvm -> unit) ->
+  pages:int ->
+  dsm_sites
+(** A [pages]-page coherent segment (§3.3.3) over 2 ms links, shared by
+    two sites on the [cost] profile (default: the PVM's). *)
+
+val dsm_rounds :
+  dsm_sites ->
+  pattern:[ `Read_mostly | `Partitioned | `Ping_pong ] ->
+  rounds:int ->
+  unit
+(** The sharing pattern, [rounds] times: [`Read_mostly] writes once
+    from site 0, then both sites read page 0 each round;
+    [`Partitioned] has site 0 write page 0 and site 1 the segment's
+    middle page each round; [`Ping_pong] has the sites write page 0 in
+    turn, site 1 first. *)
+
+type ipc_pair = {
+  site : Nucleus.Site.t;  (** 256 frames *)
+  transit : Nucleus.Transit.t;  (** 4 slots *)
+  sender : Nucleus.Actor.t;
+  receiver : Nucleus.Actor.t;  (** both with 16 pages allocated at 0 *)
+  endpoint : Nucleus.Ipc.endpoint;
+  addr : int;
+  len : int;
+}
+
+val ipc_setup :
+  Hw.Engine.t ->
+  register:(Core.Types.pvm -> unit) ->
+  addr:int ->
+  len:int ->
+  ipc_pair
+(** The sender has written a [len]-byte message at [addr]. *)
+
+val ipc_round : ipc_pair -> unit
+(** Send the message through the transit segment (§5.1.6) and receive
+    it at the same address: a per-page deferred copy and a frame move
+    when [addr] is page-aligned, bcopy otherwise. *)
 
 val storm :
   ?workers:int -> ?pages:int -> ?rounds:int -> ?shards:int -> unit -> t
@@ -79,29 +148,33 @@ val storm_faults : workers:int -> pages:int -> int
 (** Lower bound on the demand-zero faults one [storm] run generates
     (private pages only). *)
 
-(** {2 make -j2}
+(** {2 Chorus/MIX sites: make -j2 and repeated exec}
 
     The registry's [make] is {!make_setup} at retention 64 followed by
-    {!make_jobs}; the bench harness runs the two halves itself to time
-    the jobs alone and to compare retention 64 with 0. *)
+    {!make_jobs}, its [segcache] {!segcache_setup} at retention 64
+    followed by three {!exec_loop} execs; the bench harness runs the
+    halves itself to time the second alone and to compare retention 64
+    with 0. *)
 
-type make_site = {
+type mix_site = {
   pvm : Core.Types.pvm;
+  images : Mix.Image.store;
   procs : Mix.Process.manager;
-  make_proc : Mix.Process.t;  (** the make process, data written *)
+  init : Mix.Process.t;  (** the init process *)
 }
 
 val make_setup :
   Hw.Engine.t ->
   register:(Core.Types.pvm -> unit) ->
   retention:int ->
-  make_site
+  mix_site
 (** A 4096-frame site keeping [retention] unreferenced segment caches
     (§5.1.3), the [make] and [cc] images, and a running make process
-    that has written its data; [register] is called with the site's
-    PVM as soon as it exists.  Runs in the engine's main fibre. *)
+    (the init process) that has written its data; [register] is called
+    with the site's PVM as soon as it exists.  Runs in the engine's
+    main fibre. *)
 
-val make_jobs : make_site -> unit
+val make_jobs : mix_site -> unit
 (** 12 compiles, two at a time: make forks a child that execs [cc],
     reads its 48-page text, writes data and an 8-page heap, pipes an
     8-page object back and exits; make waits for it, then reads each
@@ -109,53 +182,75 @@ val make_jobs : make_site -> unit
 
 val make : t
 
-(** {2 The paper's Table 6/7 cycles (§5.3)}
+val segcache_setup :
+  Hw.Engine.t ->
+  register:(Core.Types.pvm -> unit) ->
+  retention:int ->
+  mix_site
+(** A 1200-frame site keeping [retention] unreferenced segment caches,
+    with a 32-page [cc] image and an init process running it. *)
 
-    One cycle of each measurement, for the Chorus PVM and for the
-    Mach-style shadow baseline, run in the engine's main fibre.  The
-    bench harness times them; {!decomp} and {!decomp_mach} run one of
-    each at the 1024 Kb / 128-page cell. *)
+val exec_loop : mix_site -> execs:int -> unit
+(** [execs] times: exec [cc] again in the init process and read its
+    whole text. *)
 
-val zero_fill_cycle :
-  Core.Types.pvm -> Core.Types.context -> size:int -> pages:int -> unit
-(** Table 6: create a [size]-byte region of a fresh cache at 0,
-    write-touch its first [pages] pages, destroy region and cache. *)
+val segcache : t
+(** Three {!exec_loop} execs at retention 64 (bench's ablation B runs
+    ten, at retention 64 and 0). *)
 
-val cow_source :
+(** {2 The paper's Table 6/7 steps (§5.3) and the deferred-copy
+    ablations}
+
+    Each step runs in the engine's main fibre, for the Chorus PVM or
+    the Mach-style shadow baseline.  A Table 6 cell times
+    {!zero_fill} plus {!teardown}; a Table 7 cell times {!diverge}
+    plus {!teardown} over a source from {!zero_fill}.  [test/repro]
+    sweeps the state between the two; {!decomp} and {!decomp_mach}
+    run one of each at the 1024 Kb / 128-page cell. *)
+
+val zero_fill :
   Core.Types.pvm ->
   Core.Types.context ->
   size:int ->
+  pages:int ->
   Core.Types.cache * Core.Types.region
-(** Table 7's source: a [size]-byte region at 0, every page
-    written. *)
+(** Table 6's populate: map a [size]-byte region of a fresh cache at 0
+    and write-touch its first [pages] pages.  With every page touched,
+    the source of Table 7 and of the ablations. *)
 
-val cow_cycle :
+val diverge :
+  ?strategy:Core.Gmi.copy_strategy ->
+  ?writer:[ `Source | `Copy ] ->
   Core.Types.pvm ->
   Core.Types.context ->
   src:Core.Types.cache ->
   size:int ->
   pages:int ->
-  unit
-(** Table 7: history-copy the source into a fresh cache mapped at
-    0x4000_0000, write the first [pages] source pages (forcing real
-    copies), destroy the copy's region and cache. *)
+  Core.Types.cache * Core.Types.region
+(** Table 7's diverge: copy [size] bytes of [src] into a fresh cache by
+    [strategy] (default [`History]), map it at 0x4000_0000, and
+    write-touch the first [pages] pages of the [writer] (default
+    [`Source], mapped at 0: forcing the real copies; [`Copy] is
+    ablation C's copy writing into itself). *)
 
-val mach_zero_fill_cycle :
-  Shadow.Shadow_vm.t -> Shadow.Shadow_vm.space -> size:int -> pages:int -> unit
+val teardown : Core.Types.pvm -> Core.Types.cache * Core.Types.region -> unit
+(** Destroy the region, then the cache. *)
 
-val mach_cow_source :
+val mach_zero_fill :
   Shadow.Shadow_vm.t ->
   Shadow.Shadow_vm.space ->
   size:int ->
+  pages:int ->
   Shadow.Shadow_vm.entry
 
-val mach_cow_cycle :
+val mach_diverge :
   Shadow.Shadow_vm.t ->
   Shadow.Shadow_vm.space ->
   src:Shadow.Shadow_vm.entry ->
   pages:int ->
-  unit
-(** The same three steps on the shadow-object baseline. *)
+  Shadow.Shadow_vm.entry
+(** {!zero_fill} and {!diverge} on the shadow-object baseline; the
+    teardown is [Shadow.Shadow_vm.entry_destroy]. *)
 
 val decomp : t
 (** One zero-fill cycle then one COW cycle (source set up, copied,
@@ -174,6 +269,38 @@ val paper_decomp : (string * string * float) list
     ["protect"] (per page), ["tree-setup"] (per copy) and ["cow"] (per
     page).  The Mach values are recomputed from its Table 6/7 cells by
     the paper's formulas. *)
+
+(** {2 The fork and copy-technique ablations}
+
+    Bench's ablation A times {!fork_cycle} and {!mach_fork_cycle},
+    ablation C [diverge ~strategy ~writer:`Copy]; ablations B, D and E
+    time {!exec_loop}, {!ipc_round} and {!dsm_rounds}. *)
+
+val fork_cycle :
+  Core.Types.pvm ->
+  Core.Types.context ->
+  src:Core.Types.cache ->
+  size:int ->
+  unit
+(** The shell's fork (§4.2.5): history-copy [size] bytes of the
+    parent's [src] (mapped at 0) into a child cache, write the parent's
+    first two pages, destroy the child. *)
+
+val mach_fork_cycle :
+  Shadow.Shadow_vm.t ->
+  Shadow.Shadow_vm.space ->
+  src:Shadow.Shadow_vm.entry ->
+  unit
+(** The same fork on the shadow-object baseline. *)
+
+val chains : t
+(** Four {!fork_cycle}s of a written 16-page parent on a 900-frame PVM
+    (bench's ablation A, PVM side). *)
+
+val pervpage : t
+(** An 8-page written source on a 900-frame PVM {!diverge}d by each of
+    [`History], [`Per_page] and [`Eager] with the copy writing 2 pages,
+    each copy torn down (bench's ablation C at one size). *)
 
 val of_program : name:string -> frames:int -> pages:int -> Model.prog -> t
 (** Lift a {!Model} program into a scenario on a nucleus site with

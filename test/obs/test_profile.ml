@@ -21,15 +21,15 @@ let run_traced run =
 let chorus_zero_fill engine =
   Hw.Engine.run_fn engine (fun () ->
       let pvm = Core.Pvm.create ~frames:600 ~engine () in
-      Check.Scenario.zero_fill_cycle pvm (Core.Context.create pvm) ~size
-        ~pages)
+      let ctx = Core.Context.create pvm in
+      Check.Scenario.(teardown pvm (zero_fill pvm ctx ~size ~pages)))
 
 let mach_zero_fill engine =
   Hw.Engine.run_fn engine (fun () ->
       let vm = Shadow.Shadow_vm.create ~frames:600 ~engine () in
-      Check.Scenario.mach_zero_fill_cycle vm
-        (Shadow.Shadow_vm.space_create vm)
-        ~size ~pages)
+      let sp = Shadow.Shadow_vm.space_create vm in
+      Shadow.Shadow_vm.entry_destroy vm
+        (Check.Scenario.mach_zero_fill vm sp ~size ~pages))
 
 (* The registry's decomp and its Mach twin: a zero-fill cycle followed
    by a Table-7 deferred-copy + COW cycle. *)

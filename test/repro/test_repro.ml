@@ -10,12 +10,7 @@
 let ps = 8192
 let kb n = n * 1024
 
-let sim_ms f =
-  let engine = Hw.Engine.create () in
-  Hw.Engine.run_fn engine (fun () ->
-      let t0 = Hw.Engine.now engine in
-      f engine;
-      float_of_int (Hw.Engine.now engine - t0) /. 1e6)
+module S = Check.Scenario
 
 let check_close name ~paper ~tolerance measured =
   let dev = Float.abs (measured -. paper) /. paper in
@@ -23,37 +18,51 @@ let check_close name ~paper ~tolerance measured =
     Alcotest.failf "%s: measured %.2f ms vs paper %.2f ms (%.0f%% off)" name
       measured paper (dev *. 100.)
 
+(* One Chorus cell on a fresh 600-frame PVM: [cell pvm ctx] sets up
+   untimed and returns the step, which is timed with the shared
+   teardown.  The structural sweep runs
+   after every engine event, as the checkers' slow mode does; the strict
+   sweeps run only at the phase boundaries, since a strict sweep
+   mid-fault sees frames in flight.  The sweeps charge nothing, so they
+   do not perturb the measured cell. *)
+let chorus_cell ~label cell =
+  let engine = Hw.Engine.create () in
+  let pvm = ref None and sweeps = ref 0 in
+  Hw.Engine.set_event_hook engine (fun () ->
+      Option.iter
+        (fun pvm ->
+          incr sweeps;
+          Check.Sanitizer.assert_ok ~strict:false ~label:"per-event sweep" pvm)
+        !pvm);
+  let ms =
+    Hw.Engine.run_fn engine (fun () ->
+        let p = Core.Pvm.create ~frames:600 ~engine () in
+        pvm := Some p;
+        let ctx = Core.Context.create p in
+        let step = cell p ctx in
+        let t0 = Hw.Engine.now engine in
+        let made = step () in
+        Check.Sanitizer.assert_ok ~label:(label ^ " populated") p;
+        S.teardown p made;
+        Check.Sanitizer.assert_ok ~label:(label ^ " torn down") p;
+        float_of_int (Hw.Engine.now engine - t0) /. 1e6)
+  in
+  if !sweeps = 0 then Alcotest.failf "%s: the per-event sweep never ran" label;
+  ms
+
 (* One Table 6 cell: region of [size], touch [pages], destroy. *)
 let zero_fill_pvm ~size ~pages =
-  sim_ms (fun engine ->
-      let pvm = Core.Pvm.create ~frames:600 ~engine () in
-      let ctx = Core.Context.create pvm in
-      let cache = Core.Cache.create pvm () in
-      let region =
-        Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write
-          cache ~offset:0
-      in
-      for p = 0 to pages - 1 do
-        Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-      done;
-      (* read-only whole-state sweeps: charge nothing, so they do not
-         perturb the measured cell *)
-      Check.Sanitizer.assert_ok ~label:"table6 populated" pvm;
-      Core.Region.destroy pvm region;
-      Core.Cache.destroy pvm cache;
-      Check.Sanitizer.assert_ok ~label:"table6 torn down" pvm)
+  chorus_cell ~label:"table6" (fun pvm ctx () ->
+      S.zero_fill pvm ctx ~size ~pages)
 
 let zero_fill_mach ~size ~pages =
-  sim_ms (fun engine ->
+  let engine = Hw.Engine.create () in
+  Hw.Engine.run_fn engine (fun () ->
       let vm = Shadow.Shadow_vm.create ~frames:600 ~engine () in
       let sp = Shadow.Shadow_vm.space_create vm in
-      let entry =
-        Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
-      in
-      for p = 0 to pages - 1 do
-        Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-      done;
-      Shadow.Shadow_vm.entry_destroy vm entry)
+      let t0 = Hw.Engine.now engine in
+      Shadow.Shadow_vm.entry_destroy vm (S.mach_zero_fill vm sp ~size ~pages);
+      float_of_int (Hw.Engine.now engine - t0) /. 1e6)
 
 let test_table6 () =
   List.iter
@@ -79,34 +88,9 @@ let test_table6 () =
 (* One Table 7 cell: source allocated outside the measurement; copy it,
    write [pages] source pages, destroy the copy. *)
 let cow_pvm ~size ~pages =
-  let engine = Hw.Engine.create () in
-  Hw.Engine.run_fn engine (fun () ->
-      let pvm = Core.Pvm.create ~frames:600 ~engine () in
-      let ctx = Core.Context.create pvm in
-      let src = Core.Cache.create pvm () in
-      let _r =
-        Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write src
-          ~offset:0
-      in
-      for p = 0 to (size / ps) - 1 do
-        Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-      done;
-      let t0 = Hw.Engine.now engine in
-      let copy = Core.Cache.create pvm () in
-      Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst:copy
-        ~dst_off:0 ~size ();
-      let region =
-        Core.Region.create pvm ctx ~addr:0x4000_0000 ~size
-          ~prot:Hw.Prot.read_write copy ~offset:0
-      in
-      for p = 0 to pages - 1 do
-        Core.Pvm.touch pvm ctx ~addr:(p * ps) ~access:`Write
-      done;
-      Check.Sanitizer.assert_ok ~label:"table7 diverged" pvm;
-      Core.Region.destroy pvm region;
-      Core.Cache.destroy pvm copy;
-      Check.Sanitizer.assert_ok ~label:"table7 torn down" pvm;
-      float_of_int (Hw.Engine.now engine - t0) /. 1e6)
+  chorus_cell ~label:"table7" (fun pvm ctx ->
+      let src, _ = S.zero_fill pvm ctx ~size ~pages:(size / ps) in
+      fun () -> S.diverge pvm ctx ~src ~size ~pages)
 
 let test_table7 () =
   List.iter
