@@ -218,27 +218,6 @@ let primitives () =
 
 (* --- Table 5: component sizes -------------------------------------- *)
 
-let count_loc dir =
-  if Sys.file_exists dir && Sys.is_directory dir then begin
-    let total = ref 0 in
-    Array.iter
-      (fun f ->
-        if Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
-        then begin
-          let ic = open_in (Filename.concat dir f) in
-          (try
-             while true do
-               ignore (input_line ic);
-               incr total
-             done
-           with End_of_file -> ());
-          close_in ic
-        end)
-      (Sys.readdir dir);
-    Some !total
-  end
-  else None
-
 let table5 () =
   Printf.printf
     "\nTable 5 -- component sizes (paper: C++ lines; ours: OCaml lines)\n";
@@ -262,7 +241,7 @@ let table5 () =
   in
   List.iter
     (fun (label, dir) ->
-      match count_loc dir with
+      match List.assoc_opt dir Loc.counts with
       | Some n -> Printf.printf "  %-50s %6d lines\n" label n
       | None -> Printf.printf "  %-50s %6s\n" label "(sources not found)")
     components

@@ -104,7 +104,7 @@ let inspect scenario =
             Format.printf "@.%a@." Core.Inspect.pp_context ctx)
         (List.sort
            (fun (a : Core.Types.context) b -> compare a.ctx_id b.ctx_id)
-           pvm.Core.Types.contexts))
+           (Core.Types.contexts pvm)))
 
 let trace scenario out domains =
   let domains = Option.map (check_domains ~cmd:"trace") domains in

@@ -82,8 +82,7 @@ let () =
                (List.filter
                   (fun (c : Core.Types.cache) ->
                     not (Array.exists (fun u -> u == c) caches))
-                  (let open Core.Types in
-                   pvm.caches)))
+                  (Core.Types.caches pvm)))
           @ Array.to_list (Array.mapi (fun i c -> (i, c)) caches)
         in
         List.iter

@@ -32,14 +32,15 @@ let rules =
        parent relation acyclic (§4.2, Figure 3)" );
     ( "zombie",
       "hidden-node marks: zombie caches are exactly the hidden history \
-       nodes, are never mapped by a region, and at quiescence each is still \
-       read, through fragment parents or live stub sources, from some \
-       visible cache (§4.2.5)" );
+       nodes, are never mapped by a region, are as many as the PVM's zombie \
+       count, and at quiescence each is still read, through fragment \
+       parents or live stub sources, from some visible cache (§4.2.5)" );
     ( "stubs",
       "per-virtual-page deferred copy: every live stub is threaded on its \
        resident source page or indexed under its (cache, offset) source, \
        and vice versa; each cache's destination and pending indexes equal \
-       a full scan of the global map and the pending-stub table (§4.3)" );
+       a full scan of the global map and the pending-stub table, and the \
+       shared empty index tables stay empty (§4.3)" );
     ( "regions",
       "region windows: context region lists sorted and non-overlapping, \
        page-aligned, positive-sized, and mirrored by the cache's mapping \
@@ -68,6 +69,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
   let err rule fmt =
     Format.kasprintf (fun detail -> errs := { rule; detail } :: !errs) fmt
   in
+  let caches = Core.Types.caches pvm and contexts = Core.Types.contexts pvm in
   let ps = page_size pvm in
   let aligned off = off mod ps = 0 in
   let cache_tbl = Hashtbl.create 32 in
@@ -75,14 +77,14 @@ let run ?(strict = true) (pvm : pvm) : violation list =
     (fun (c : cache) ->
       Hashtbl.replace cache_tbl c.c_id c
       [@chorus.impure_ok "sanitizer-local scratch table, not PVM state"])
-    pvm.caches;
+    caches;
   let known_cache cid = Hashtbl.find_opt cache_tbl cid in
 
   (* cache list sanity *)
   List.iter
     (fun (c : cache) ->
       if not c.c_alive then err "gmap" "cache %d: dead but listed" c.c_id)
-    pvm.caches;
+    caches;
 
   (* global map entries; per-page stub rows are counted per destination
      so the caches' indexes can be compared with them exactly *)
@@ -181,7 +183,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
             err "wires" "cache %d offset %d: wire count %d" c.c_id p.p_offset
               p.p_wire_count)
         c.c_pages)
-    pvm.caches;
+    caches;
 
   (* frame registry, reverse direction *)
   Array.iteri
@@ -270,7 +272,14 @@ let run ?(strict = true) (pvm : pvm) : violation list =
           if not (aligned off) then
             err "swap" "cache %d: unaligned swap offset %d" c.c_id off)
         c.c_backed_offs)
-    pvm.caches;
+    caches;
+  (let zombies =
+     List.length
+       (List.filter (fun (c : cache) -> c.c_zombie) caches)
+   in
+   if zombies <> Atomic.get pvm.zombies then
+     err "zombie" "%d zombie cache(s), the zombie count says %d" zombies
+       (Atomic.get pvm.zombies));
 
   (* regions *)
   List.iter
@@ -311,7 +320,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
               "context %d: region at %#x missing from cache %d's mappings"
               ctx.ctx_id r.r_addr r.r_cache.c_id)
         ctx.ctx_regions)
-    pvm.contexts;
+    contexts;
   List.iter
     (fun (c : cache) ->
       List.iter
@@ -321,11 +330,11 @@ let run ?(strict = true) (pvm : pvm) : violation list =
           if not (r.r_cache == c) then
             err "regions" "cache %d: mapping list holds region of cache %d"
               c.c_id r.r_cache.c_id;
-          if not (List.memq r.r_context pvm.contexts) then
+          if not (List.memq r.r_context contexts) then
             err "regions" "cache %d: mapping from unknown context %d" c.c_id
               r.r_context.ctx_id)
         c.c_mappings)
-    pvm.caches;
+    caches;
 
   (* reclaim queue = resident pages, each exactly once *)
   let seen = Hashtbl.create 64 in
@@ -353,7 +362,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
             err "reclaim" "cached page (%d,%d) missing from the reclaim queue"
               c.c_id p.p_offset)
         c.c_pages)
-    pvm.caches;
+    caches;
 
   (* pending stub index: structural part *)
   Core.Shard_map.iter
@@ -393,7 +402,11 @@ let run ?(strict = true) (pvm : pvm) : violation list =
           c.c_id
           (Hashtbl.length c.c_pending_offs)
           (rows pending_rows))
-    pvm.caches;
+    caches;
+  if
+    Hashtbl.length Core.Types.no_offsets > 0
+    || Hashtbl.length Core.Types.no_stubs > 0
+  then err "stubs" "the shared empty index tables hold entries";
 
   if strict then begin
     (* every hidden node is still read by a visible cache: mark forward
@@ -419,12 +432,12 @@ let run ?(strict = true) (pvm : pvm) : violation list =
         List.iter mark (Hashtbl.find_all stub_edges c.c_id)
       end
     in
-    List.iter (fun (c : cache) -> if not c.c_zombie then mark c) pvm.caches;
+    List.iter (fun (c : cache) -> if not c.c_zombie then mark c) caches;
     List.iter
       (fun (c : cache) ->
         if c.c_zombie && not (Hashtbl.mem marked c.c_id) then
           err "zombie" "cache %d: hidden node no visible cache reads" c.c_id)
-      pvm.caches;
+      caches;
 
     (* stub threading, both directions *)
     Core.Shard_map.iter
@@ -471,7 +484,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
                     c.c_id p.p_offset s.cs_cache.c_id s.cs_offset)
               p.p_cow_stubs)
           c.c_pages)
-      pvm.caches;
+      caches;
     Core.Shard_map.iter
       (fun cid off stubs ->
         ignore cid;
@@ -535,7 +548,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
                      a window expecting %d"
                     ctx.ctx_id addr page.p_offset
                     (r.r_offset + (addr - r.r_addr)))))
-      pvm.contexts;
+      contexts;
     (* pmap records, reverse direction *)
     List.iter
       (fun (p : page) ->

@@ -48,7 +48,7 @@ let contents engine pvms =
             (List.sort
                (fun (a : Core.Types.context) (b : Core.Types.context) ->
                  compare a.ctx_id b.ctx_id)
-               pvm.Core.Types.contexts))
+               (Core.Types.contexts pvm)))
         pvms;
       Digest.to_hex (Digest.string (Buffer.contents b)))
 

@@ -5,7 +5,7 @@
 
 open Types
 
-let create pvm ?backing () =
+let[@chorus.hot] create pvm ?backing () =
   Install.new_cache pvm ?backing ~anonymous:(backing = None) ~is_history:false
     ()
 
@@ -61,74 +61,94 @@ let[@chorus.noted "callers (teardown, purge_range) note the topology first"] dis
   List.map (fun f -> f.f_parent) cache.c_parents
   |> List.fold_left (fun acc p -> if List.memq p acc then acc else p :: acc) []
 
+(* Teardown's walkers: top-level, so a teardown builds no closure. *)
+let[@chorus.hot] rec kill_stubs pvm = function
+  | [] -> ()
+  | s :: rest ->
+    if s.cs_alive then Pervpage.kill pvm s;
+    kill_stubs pvm rest
+
+let[@chorus.hot] rec kill_destination_stubs pvm (cache : cache) budget =
+  if budget = 0 then failwith "teardown: destination stubs not draining";
+  match Install.dest_stubs cache with
+  | [] -> ()
+  | stubs ->
+    kill_stubs pvm stubs;
+    kill_destination_stubs pvm cache (budget - 1)
+
+let[@chorus.hot] rec materialize_pending pvm (cache : cache) = function
+  | [] -> ()
+  | o :: rest ->
+    Pervpage.materialize_pending pvm cache ~off:o;
+    materialize_pending pvm cache rest
+
+let[@chorus.hot] rec drop_pages pvm = function
+  | [] -> ()
+  | (p : page) :: rest ->
+    if p.p_alive then begin
+      if p.p_cow_stubs <> [] then flush_pinned pvm p;
+      if p.p_alive then Install.remove_page pvm p ~free_frame:true
+    end;
+    drop_pages pvm rest
+
+let[@chorus.hot] rec drain_pages pvm (cache : cache) budget =
+  if budget = 0 then failwith "teardown: pages not draining";
+  match cache.c_pages with
+  | [] -> ()
+  | pages ->
+    drop_pages pvm pages;
+    drain_pages pvm cache (budget - 1)
+
+(* Does a fragment of the list name [parent]? *)
+let[@chorus.hot] rec frag_of (parent : cache) = function
+  | [] -> false
+  | f :: rest -> f.f_parent == parent || frag_of parent rest
+
 (* Detach [cache]'s fragment links to parents it no longer references;
    collect zombie history chains that become childless. *)
-let[@chorus.guarded
+let[@chorus.hot] [@chorus.guarded
      "topology surgery: runs only from the owning site's serial-class \
       fibres or at pool quiescence; the parallel fault path only reads \
       parent/child lists"] rec detach_unreferenced pvm (cache : cache)
     ~parents_before =
   note_structure pvm;
-  (* no closure to build for the common purge without parents *)
-  if parents_before <> [] then
-    List.iter
-      (fun (parent : cache) ->
-        let still =
-          List.exists (fun f -> f.f_parent == parent) cache.c_parents
-        in
-        if not still then begin
-          parent.c_children <-
-            List.filter (fun c -> not (c == cache)) parent.c_children;
-          History.child_detached parent cache;
-          if collectable pvm parent then teardown pvm parent
-        end)
-      parents_before
+  detach_parents pvm cache parents_before
+
+and[@chorus.hot] [@chorus.guarded
+     "topology surgery: runs only from the owning site's serial-class \
+      fibres or at pool quiescence; the parallel fault path only reads \
+      parent/child lists"] [@chorus.noted
+     "detach_unreferenced notes the topology before the walk"] detach_parents
+    pvm (cache : cache) = function
+  | [] -> ()
+  | (parent : cache) :: rest ->
+    if not (frag_of parent cache.c_parents) then begin
+      parent.c_children <- Parents.without_cache cache parent.c_children;
+      History.child_detached parent cache;
+      if collectable pvm parent then teardown pvm parent
+    end;
+    detach_parents pvm cache rest
 
 (* Fully dismantle a cache that nothing depends on any more. *)
-and teardown pvm (cache : cache) =
+and[@chorus.hot] teardown pvm (cache : cache) =
   assert (cache.c_children = []);
   (* Stubs we are the destination of die first: they thread through
      OTHER caches' pages, and leaving them alive would let a cascaded
      teardown of those caches materialise pages back into us after our
      own page sweep.  Killing one may recursively tear down a hidden
      node and spawn further kills, so iterate to a fixpoint. *)
-  let rec kill_destination_stubs budget =
-    if budget = 0 then failwith "teardown: destination stubs not draining";
-    match Install.dest_stubs cache with
-    | [] -> ()
-    | stubs ->
-      List.iter (fun s -> if s.cs_alive then Pervpage.kill pvm s) stubs;
-      kill_destination_stubs (budget - 1)
-  in
-  kill_destination_stubs 64;
+  kill_destination_stubs pvm cache 64;
   (* pending stubs reading through us get their values now *)
-  List.iter
-    (fun o -> Pervpage.materialize_pending pvm cache ~off:o)
-    (Install.pending_offsets cache);
+  materialize_pending pvm cache (Install.pending_offsets cache);
   (* drop our pages; flushing can insert new ones behind the
      iteration, so drain to a fixpoint *)
-  let rec drain_pages budget =
-    if budget = 0 then failwith "teardown: pages not draining";
-    match cache.c_pages with
-    | [] -> ()
-    | pages ->
-      List.iter
-        (fun (p : page) ->
-          if p.p_alive then begin
-            if p.p_cow_stubs <> [] then flush_pinned pvm p;
-            if p.p_alive then Install.remove_page pvm p ~free_frame:true
-          end)
-        pages;
-      drain_pages (budget - 1)
-  in
-  drain_pages 64;
+  drain_pages pvm cache 64;
   let parents_before = distinct_parents cache in
   Parents.detach_all cache;
   cache.c_alive <- false;
-  cache.c_zombie <- false;
+  clear_zombie pvm cache;
   note_structure pvm;
-  with_mm pvm (fun () ->
-      pvm.caches <- List.filter (fun c -> not (c == cache)) pvm.caches);
+  unlink_cache pvm cache;
   detach_unreferenced pvm cache ~parents_before
 
 (* Overlap of fragment [f]'s parent window with [off, off+size) of the
@@ -196,7 +216,7 @@ let[@chorus.guarded
     ~size =
   note_structure pvm;
   let z = Install.new_cache pvm ~anonymous:cache.c_anonymous ~is_history:true () in
-  z.c_zombie <- true;
+  mark_zombie pvm z;
   (* Old values already pushed to an anonymous swap are pulled back so
      they can migrate: z cannot share cache's swap offsets, future
      push-outs of new contents would clobber them.  Once the swap copy
@@ -653,11 +673,7 @@ let[@chorus.hot] move pvm ~(src : cache) ~src_off ~(dst : cache) ~dst_off
     match move_range pvm ~src ~src_off ~dst ~dst_off ~size with
     | () -> if traced then Obs.Trace.span_end tr
     | exception e ->
-      (* closed as [spanned] closes a span its body raised out of *)
-      if traced then
-        Obs.Trace.span_end tr
-          ~args:[ ("exception", Str (Printexc.to_string e)) ]
-          [@chorus.alloc_ok "trace arguments, built only when tracing is on"];
+      if traced then span_raise tr e;
       raise e
   end
 
@@ -808,15 +824,30 @@ let[@chorus.noted
   and via_stub (s : cow_stub) = s.cs_alive && visible s.cs_cache in
   visible z
 
+(* The zombies of the registry from [c] on, newest first, and their
+   number: walks that cons only the zombies. *)
+let[@chorus.noted "runs only under sweep_zombies, which notes the topology first"] rec zombies_from
+    acc = function
+  | None -> List.rev acc
+  | Some (c : cache) ->
+    zombies_from (if c.c_zombie then c :: acc else acc) c.c_older
+
+let[@chorus.noted "runs only under sweep_zombies, which notes the topology first"] rec count_zombies
+    n = function
+  | None -> n
+  | Some (c : cache) -> count_zombies (if c.c_zombie then n + 1 else n) c.c_older
+
+(* The sweep walks the registry, newest first, whatever [pvm.zombies]
+   says, and sets the count from what it leaves behind. *)
 let[@chorus.guarded
      "the sweep runs at pool quiescence only: no parallel slice is live \
       to race the topology edits"] sweep_zombies pvm =
   note_structure pvm;
-  if List.exists (fun (c : cache) -> c.c_zombie) pvm.caches then begin
+  (match zombies_from [] pvm.newest_cache with
+  | [] -> ()
+  | zombies ->
     let dead =
-      List.filter
-        (fun (c : cache) -> c.c_zombie && not (read_by_visible pvm c))
-        pvm.caches
+      List.filter (fun (c : cache) -> not (read_by_visible pvm c)) zombies
     in
     (* every stub destined to a dead cache reads a dead source (a
        visible destination would have kept its source): discard them *)
@@ -844,26 +875,27 @@ let[@chorus.guarded
         c.c_alive <- false;
         c.c_zombie <- false;
         note_structure pvm;
-        with_mm pvm (fun () ->
-            pvm.caches <- List.filter (fun x -> not (x == c)) pvm.caches))
-      dead
-  end
+        unlink_cache pvm c)
+      dead);
+  Atomic.set pvm.zombies (count_zombies 0 pvm.newest_cache)
 
 (* cacheDestroy: drop the binding.  If descendants still read through
    this cache it lingers as a hidden history node and is collected
    when the last child detaches (§4.2.5 discussion); garbage cycles of
-   hidden nodes are swept afterwards. *)
-let destroy pvm (cache : cache) =
+   hidden nodes are swept afterwards — only when a hidden node exists,
+   which the zombie count tells without a walk. *)
+let[@chorus.hot] destroy pvm (cache : cache) =
   check_cache_alive cache;
   note_structure pvm;
   if cache.c_mappings <> [] then
     invalid_arg "cacheDestroy: regions still map this cache";
   if cache.c_children = [] then teardown pvm cache
   else begin
-    cache.c_zombie <- true;
+    mark_zombie pvm cache;
     cache.c_is_history <- true
   end;
-  sweep_zombies pvm
+  if Atomic.get pvm.zombies > 0 then sweep_zombies pvm
+  else note_structure pvm
 
 let stats_of pvm = snapshot_stats pvm.stats
 let mapping_count (cache : cache) =

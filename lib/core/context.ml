@@ -3,7 +3,7 @@
 open Types
 
 (* contextCreate: an empty protected address space. *)
-let create pvm =
+let[@chorus.hot] create pvm =
   let ctx =
     {
       ctx_id = next_id pvm;
@@ -11,10 +11,13 @@ let create pvm =
       ctx_space = Hw.Mmu.create_space pvm.mmu;
       ctx_regions = [];
       ctx_alive = true;
+      ctx_newer = None;
+      ctx_older = None;
     }
+    [@chorus.alloc_ok "the context descriptor the PVM keeps"]
   in
   note_structure pvm;
-  with_mm pvm (fun () -> pvm.contexts <- ctx :: pvm.contexts);
+  link_context pvm ctx;
   ctx
 
 (* context.switch: set the current user context. *)
@@ -42,17 +45,24 @@ let find_region (ctx : context) ~addr =
   check_context_alive ctx;
   Fault.find_region ctx ~addr
 
+(* Destroy every region of a (snapshot of the) region list; each
+   destroy takes its region out of the context's current list. *)
+let[@chorus.hot] rec destroy_regions pvm = function
+  | [] -> ()
+  | r :: rest ->
+    Region.destroy pvm r;
+    destroy_regions pvm rest
+
 (* context.destroy *)
-let[@chorus.guarded
+let[@chorus.hot] [@chorus.guarded
      "context destruction runs on the owning process's serial-class fibre \
       or at pool quiescence; the parallel fault path never dereferences a \
       context being destroyed"] destroy pvm (ctx : context) =
   check_context_alive ctx;
-  List.iter (fun r -> Region.destroy pvm r) ctx.ctx_regions;
+  destroy_regions pvm ctx.ctx_regions;
   Hw.Mmu.destroy_space ctx.ctx_space;
   note_structure pvm;
-  with_mm pvm (fun () ->
-      pvm.contexts <- List.filter (fun c -> not (c == ctx)) pvm.contexts);
+  unlink_context pvm ctx;
   (match pvm.current with
   | Some c when c == ctx -> pvm.current <- None
   | Some _ | None -> ());

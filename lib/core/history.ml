@@ -49,7 +49,7 @@ let covered_and_missing pvm (src : cache) ~off =
     | None ->
       if
         h.c_anonymous
-        && Hashtbl.length h.c_backed_offs > 0
+        && h.c_backed_offs != no_offsets
         && Hashtbl.mem h.c_backed_offs h_off
       then None
       else Some (h, h_off))
@@ -126,7 +126,7 @@ let[@chorus.guarded
   let w = Install.new_cache pvm ~anonymous:true ~is_history:true () in
   (* nobody holds a handle to a working cache: collect it as soon as
      its last reader detaches *)
-  w.c_zombie <- true;
+  mark_zombie pvm w;
   (match src.c_history with
   | Some old -> Parents.redirect old ~old_parent:src ~new_parent:w
   | None -> ());
@@ -316,7 +316,7 @@ let[@chorus.noted "invariant checks run between slices (property tests, sanitize
         in
         climb [] c
       end)
-    pvm.caches;
+    (Types.caches pvm);
   !errors
 
 (* Pretty-print the history tree containing [cache] (for the Figure 3

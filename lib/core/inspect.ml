@@ -74,7 +74,7 @@ let pp_state ppf (pvm : pvm) =
   Format.fprintf ppf "@[<v>";
   List.iter
     (fun c -> Format.fprintf ppf "%a@," pp_cache c)
-    (List.sort (fun a b -> compare a.c_id b.c_id) pvm.caches);
+    (List.sort (fun a b -> compare a.c_id b.c_id) (Types.caches pvm));
   Format.fprintf ppf "%a@,%a@]" Hw.Phys_mem.pp_stats pvm.mem pp_stats
     (snapshot_stats pvm.stats)
 
@@ -103,7 +103,7 @@ let pp_context ppf (ctx : context) =
   Format.fprintf ppf "@]"
 
 let frames_held (pvm : pvm) =
-  List.fold_left (fun acc c -> acc + List.length c.c_pages) 0 pvm.caches
+  List.fold_left (fun acc c -> acc + List.length c.c_pages) 0 (Types.caches pvm)
 
 (* --- Residency / pressure snapshot ------------------------------- *)
 
@@ -137,7 +137,7 @@ let residency (pvm : pvm) : residency =
       pvm.gmap 0
   in
   let caches =
-    pvm.caches
+    (Types.caches pvm)
     |> List.sort (fun a b -> compare a.c_id b.c_id)
     |> List.map (fun (c : cache) ->
            {
@@ -278,7 +278,7 @@ let digest (pvm : pvm) : string =
       Hashtbl.fold (fun o () acc -> o :: acc) c.c_backed_offs []
       |> List.sort compare
       |> List.iter (fun o -> add "swapped %d;" o))
-    (List.sort (fun a b -> compare a.c_id b.c_id) pvm.caches);
+    (List.sort (fun a b -> compare a.c_id b.c_id) (Types.caches pvm));
   List.iter
     (fun (ctx : context) ->
       add "context %d alive=%b;" ctx.ctx_id ctx.ctx_alive;
@@ -289,7 +289,7 @@ let digest (pvm : pvm) : string =
             (Hw.Prot.to_string r.r_prot)
             r.r_cache.c_id r.r_offset r.r_locked r.r_alive)
         ctx.ctx_regions)
-    (List.sort (fun a b -> compare a.ctx_id b.ctx_id) pvm.contexts);
+    (List.sort (fun a b -> compare a.ctx_id b.ctx_id) (Types.contexts pvm));
   add "frames free=%d held=%d reclaim=%d"
     (Hw.Phys_mem.free_frames pvm.mem)
     (frames_held pvm)
@@ -415,11 +415,11 @@ let state_json (pvm : pvm) : Obs.Json.t =
       ( "caches",
         Obs.Json.List
           (List.map cache_json
-             (List.sort (fun a b -> compare a.c_id b.c_id) pvm.caches)) );
+             (List.sort (fun a b -> compare a.c_id b.c_id) (Types.caches pvm))) );
       ( "contexts",
         Obs.Json.List
           (List.map context_json
-             (List.sort (fun a b -> compare a.ctx_id b.ctx_id) pvm.contexts))
+             (List.sort (fun a b -> compare a.ctx_id b.ctx_id) (Types.contexts pvm)))
       );
       ( "frames",
         Obs.Json.Obj
@@ -433,7 +433,7 @@ let state_json (pvm : pvm) : Obs.Json.t =
 
 (* --- Invariant accessors (used by the Check.Sanitizer sweep) ----- *)
 
-let pages (pvm : pvm) = List.concat_map (fun c -> c.c_pages) pvm.caches
+let pages (pvm : pvm) = List.concat_map (fun c -> c.c_pages) (Types.caches pvm)
 
 let sync_stubs_in_flight (pvm : pvm) =
   Shard_map.fold
@@ -444,4 +444,4 @@ let sync_stubs_in_flight (pvm : pvm) =
 let locked_regions (pvm : pvm) =
   List.concat_map
     (fun ctx -> List.filter (fun r -> r.r_locked) ctx.ctx_regions)
-    pvm.contexts
+    (Types.contexts pvm)

@@ -18,7 +18,7 @@ end
 
 (* Raw local-cache constructor; the public entry point is
    [Cache.create], working caches are made by [History]. *)
-let[@chorus.spanned
+let[@chorus.hot] [@chorus.spanned
      "cacheCreate's only charge; attributed to the enclosing GMI span when \
       one is open (copy, fault) and standalone otherwise"] new_cache pvm
     ?backing ~anonymous ~is_history () =
@@ -30,10 +30,10 @@ let[@chorus.spanned
       c_pvm = pvm;
       c_backing = backing;
       c_anonymous = anonymous;
-      c_backed_offs = Hashtbl.create 8;
+      c_backed_offs = no_offsets;
       c_pages = [];
-      c_dest_stubs = Hashtbl.create 8;
-      c_pending_offs = Hashtbl.create 8;
+      c_dest_stubs = no_stubs;
+      c_pending_offs = no_offsets;
       c_parents = [];
       c_history = None;
       c_children = [];
@@ -42,9 +42,12 @@ let[@chorus.spanned
       c_policy = `Copy_on_write;
       c_zombie = false;
       c_alive = true;
+      c_newer = None;
+      c_older = None;
     }
+    [@chorus.alloc_ok "the cache descriptor the PVM keeps"]
   in
-  with_mm pvm (fun () -> pvm.caches <- cache :: pvm.caches);
+  link_cache pvm cache;
   cache
 
 (* --- Per-cache stub indexes ---------------------------------------- *)
@@ -63,6 +66,8 @@ let[@chorus.noted
      "mirrors a row change its caller makes next to it; the caller notes \
       that (cache, offset) row"] index_dest_stub pvm (stub : cow_stub) =
   mm_enter pvm;
+  if stub.cs_cache.c_dest_stubs == no_stubs then
+    stub.cs_cache.c_dest_stubs <- Hashtbl.create 8;
   Hashtbl.replace stub.cs_cache.c_dest_stubs stub.cs_offset stub;
   mm_exit pvm
 
@@ -77,6 +82,8 @@ let[@chorus.noted
      "mirrors a row change its caller makes next to it; the caller notes \
       that (cache, offset) row"] index_pending pvm (cache : cache) ~off =
   mm_enter pvm;
+  if cache.c_pending_offs == no_offsets then
+    cache.c_pending_offs <- Hashtbl.create 8;
   Hashtbl.replace cache.c_pending_offs off ();
   mm_exit pvm
 
@@ -87,22 +94,38 @@ let[@chorus.noted
   Hashtbl.remove cache.c_pending_offs off;
   mm_exit pvm
 
+(* An anonymous cache's swap copy of [off] now exists (the pager's
+   push-out).  Under the mm lock, like the stub indexes. *)
+let[@chorus.noted
+     "the pager's push-out notes the page it writes back"] index_backed pvm
+    (cache : cache) ~off =
+  mm_enter pvm;
+  if cache.c_backed_offs == no_offsets then
+    cache.c_backed_offs <- Hashtbl.create 8;
+  Hashtbl.replace cache.c_backed_offs off ();
+  mm_exit pvm
+
 (* The stubs destined to [cache] and the offsets of the pending rows
-   keyed on it, each in ascending offset order. *)
+   keyed on it, each in ascending offset order; an empty index costs
+   nothing. *)
 let[@chorus.noted
      "reads one cache's whole index: its callers (teardown, the zombie \
       sweep) note the topology and run on serial-class fibres or at pool \
       quiescence"] dest_stubs (cache : cache) =
-  Hashtbl.fold (fun off s acc -> (off, s) :: acc) cache.c_dest_stubs []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map snd
+  if Hashtbl.length cache.c_dest_stubs = 0 then []
+  else
+    Hashtbl.fold (fun off s acc -> (off, s) :: acc) cache.c_dest_stubs []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
 
 let[@chorus.noted
      "reads one cache's whole index: its callers (teardown, the zombie \
       sweep) note the topology and run on serial-class fibres or at pool \
       quiescence"] pending_offsets (cache : cache) =
-  Hashtbl.fold (fun off () acc -> off :: acc) cache.c_pending_offs []
-  |> List.sort Int.compare
+  if Hashtbl.length cache.c_pending_offs = 0 then []
+  else
+    Hashtbl.fold (fun off () acc -> off :: acc) cache.c_pending_offs []
+    |> List.sort Int.compare
 
 (* Thread onto [page] any per-virtual-page stubs that were waiting for
    its (cache, offset) to become resident (their source had been

@@ -26,7 +26,8 @@ val new_cache :
     [c_dest_stubs] mirrors the per-page stub rows of the global map
     under a cache's id, [c_pending_offs] the pending-stub rows keyed on
     it.  Every site that creates, retargets or drops such a row updates
-    the index next to it (never [Global_map.set]/[remove]). *)
+    the index next to it (never [Global_map.set]/[remove]).  A cache's
+    tables are created on their first insert, here. *)
 
 val index_dest_stub : Types.pvm -> Types.cow_stub -> unit
 (** Record the stub under its destination (cache, offset). *)
@@ -34,6 +35,9 @@ val index_dest_stub : Types.pvm -> Types.cow_stub -> unit
 val unindex_dest_stub : Types.pvm -> Types.cache -> off:int -> unit
 val index_pending : Types.pvm -> Types.cache -> off:int -> unit
 val unindex_pending : Types.pvm -> Types.cache -> off:int -> unit
+
+val index_backed : Types.pvm -> Types.cache -> off:int -> unit
+(** Record that an anonymous cache's page at [off] has a swap copy. *)
 
 val dest_stubs : Types.cache -> Types.cow_stub list
 (** The stubs destined to the cache, by ascending offset. *)

@@ -108,7 +108,7 @@ let push_out pvm (page : page) =
           (Some (Resident page)))
       (fun () ->
         backing.b_push_out ~offset:off ~size:(page_size pvm) ~copy_back;
-        if cache.c_anonymous then Hashtbl.replace cache.c_backed_offs off ();
+        if cache.c_anonymous then Install.index_backed pvm cache ~off;
         page.p_dirty <- false;
         (* back to read-only mappings so the next store re-dirties *)
         Pmap.refresh_prot pvm page)
@@ -179,7 +179,7 @@ let complete_evict pvm (page : page) cond =
           Global_map.finish_sync_stub pvm cache ~off cond None)
         (fun () ->
           backing.b_push_out ~offset:off ~size:ps ~copy_back;
-          if cache.c_anonymous then Hashtbl.replace cache.c_backed_offs off ())
+          if cache.c_anonymous then Install.index_backed pvm cache ~off)
   end
   else begin
     Install.remove_page pvm page ~free_frame:true;

@@ -95,13 +95,31 @@ let redirect cache ~old_parent ~new_parent =
       new_parent.c_children <- cache :: new_parent.c_children
   end
 
-let detach_all (cache : cache) =
+(* [caches] without [cache], sharing the suffix behind it: only the
+   cells in front of it are rebuilt, and a list without it comes back
+   as it is. *)
+let[@chorus.hot] rec without_cache (cache : cache) = function
+  | [] -> []
+  | c :: rest as l ->
+    if c == cache then rest
+    else
+      let rest' = without_cache cache rest in
+      if rest' == rest then l
+      else
+        (c :: rest')
+        [@chorus.alloc_ok
+          "the cells in front of the removed cache: the shortened list kept"]
+
+let[@chorus.hot] [@chorus.noted "detach_all notes the topology first"] rec detach_from
+    (cache : cache) = function
+  | [] -> ()
+  | f :: rest ->
+    f.f_parent.c_children <- without_cache cache f.f_parent.c_children;
+    detach_from cache rest
+
+let[@chorus.hot] detach_all (cache : cache) =
   note_structure cache.c_pvm;
-  List.iter
-    (fun f ->
-      f.f_parent.c_children <-
-        List.filter (fun c -> not (c == cache)) f.f_parent.c_children)
-    cache.c_parents;
+  detach_from cache cache.c_parents;
   cache.c_parents <- []
 
 (* Invariant check used by the property tests: fragments sorted,

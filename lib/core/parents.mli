@@ -24,5 +24,8 @@ val redirect :
 
 val detach_all : Types.cache -> unit
 
+val without_cache : Types.cache -> Types.cache list -> Types.cache list
+(** The list without the cache, sharing the suffix behind it. *)
+
 val check_invariant : Types.cache -> bool
 (** Sorted, non-overlapping, positive sizes, consistent child links. *)

@@ -17,8 +17,8 @@ let create ?(page_size = 8192) ?(cost = Hw.Cost.chorus_sun360) ?(shards = 8)
     gmap = Shard_map.create ~name:"gmap" ~shards ();
     stub_sources = Shard_map.create ~name:"stub_sources" ~shards ();
     page_of_frame = Array.make frames None;
-    contexts = [];
-    caches = [];
+    newest_context = None;
+    newest_cache = None;
     current = None;
     next_id = Atomic.make 1;
     reclaim = Fifo.create ();
@@ -32,6 +32,7 @@ let create ?(page_size = 8192) ?(cost = Hw.Cost.chorus_sun360) ?(shards = 8)
     stats = fresh_stats ();
     obs;
     fault_hist = Array.map (Obs.Metrics.histogram obs) Fault.hist_names;
+    zombies = Atomic.make 0;
   }
   |> Cache.install_reaper
 

@@ -11,17 +11,45 @@ type status = {
   s_locked : bool;
 }
 
-(* regionCreate: map a cache window into a context.  Mapping is lazy —
-   the cost is independent of the region size (paper §5.3.2). *)
-let[@chorus.guarded
+(* Does [addr, addr+size) overlap a region of [regions]?  The list is
+   sorted by start address and its regions are disjoint, so the walk
+   stops at the first region starting at or after [addr + size]. *)
+let[@chorus.hot] [@chorus.noted "create notes the topology it checks"] rec overlaps_any
+    ~addr ~size = function
+  | [] -> false
+  | (r : region) :: rest ->
+    r.r_addr < addr + size
+    && (Region_check.overlap ~addr ~size r.r_addr r.r_size
+       || overlaps_any ~addr ~size rest)
+
+(* [regions] with [region] inserted at its address: the cells in front
+   of it are rebuilt, the suffix behind it is shared. *)
+let[@chorus.hot] rec insert_sorted (region : region) = function
+  | (r : region) :: rest when r.r_addr < region.r_addr ->
+    (r :: insert_sorted region rest)
+    [@chorus.alloc_ok "the cells in front of the new region: the list kept"]
+  | l -> (region :: l) [@chorus.alloc_ok "the new region's cell"]
+
+(* [regions] without [region], sharing the suffix behind it: only the
+   cells in front of it are rebuilt, and a list without it comes back
+   as it is. *)
+let[@chorus.hot] rec without_region (region : region) = function
+  | [] -> []
+  | r :: rest as l ->
+    if r == region then rest
+    else
+      let rest' = without_region region rest in
+      if rest' == rest then l
+      else
+        (r :: rest')
+        [@chorus.alloc_ok
+          "the cells in front of the removed region: the shortened list kept"]
+
+let[@chorus.hot] [@chorus.spanned "runs under the regionCreate span"] [@chorus.guarded
      "region mapping edits run on the owning process's serial-class \
       fibres; parallel slices fault on regions already mapped and only \
-      read ctx_regions/c_mappings"] create pvm (ctx : context) ~addr ~size
-    ~prot (cache : cache) ~offset =
-  Region_check.validate ~page_size:(page_size pvm) ~ctx_alive:ctx.ctx_alive
-    ~cache_alive:cache.c_alive ~addr ~size ~offset
-    ~existing:(List.map (fun r -> (r.r_addr, r.r_size)) ctx.ctx_regions);
-  spanned pvm "regionCreate" @@ fun () ->
+      read ctx_regions/c_mappings"] create_in
+    pvm (ctx : context) ~addr ~size ~prot (cache : cache) ~offset =
   note_structure pvm;
   charge pvm Hw.Cost.Region_create;
   let region =
@@ -36,11 +64,33 @@ let[@chorus.guarded
       r_locked = false;
       r_alive = true;
     }
+    [@chorus.alloc_ok "the region descriptor the context keeps"]
   in
-  ctx.ctx_regions <-
-    List.sort (fun a b -> compare a.r_addr b.r_addr) (region :: ctx.ctx_regions);
-  cache.c_mappings <- region :: cache.c_mappings;
+  ctx.ctx_regions <- insert_sorted region ctx.ctx_regions;
+  cache.c_mappings <-
+    (region :: cache.c_mappings)
+    [@chorus.alloc_ok "the region's cell on its cache's mapping list"];
   region
+
+(* regionCreate: map a cache window into a context.  Mapping is lazy —
+   the cost is independent of the region size (paper §5.3.2). *)
+let[@chorus.hot] [@chorus.noted
+     "create_in notes the topology in the same slice: the overlap walk \
+      and the note see no scheduling point between them"] create pvm
+    (ctx : context) ~addr ~size ~prot (cache : cache) ~offset =
+  Region_check.validate ~page_size:(page_size pvm) ~ctx_alive:ctx.ctx_alive
+    ~cache_alive:cache.c_alive ~addr ~size ~offset
+    ~overlaps:(overlaps_any ~addr ~size ctx.ctx_regions);
+  let tr = Hw.Engine.tracer pvm.engine in
+  let traced = Obs.Trace.enabled tr in
+  if traced then Obs.Trace.span_begin tr ~cat:"vm" "regionCreate";
+  match create_in pvm ctx ~addr ~size ~prot cache ~offset with
+  | region ->
+    if traced then Obs.Trace.span_end tr;
+    region
+  | exception e ->
+    if traced then span_raise tr e;
+    raise e
 
 (* Calls [f] on the page of every mapped entry of [region] — a walk
    over mapped entries, not over the region's pages.  [f] must not
@@ -82,8 +132,7 @@ let[@chorus.guarded
   in
   region.r_size <- offset;
   let ctx = region.r_context in
-  ctx.ctx_regions <-
-    List.sort (fun a b -> compare a.r_addr b.r_addr) (right :: ctx.ctx_regions);
+  ctx.ctx_regions <- insert_sorted right ctx.ctx_regions;
   region.r_cache.c_mappings <- right :: region.r_cache.c_mappings;
   (* Re-label the pmap records of mappings now belonging to the right
      half. *)
@@ -151,29 +200,44 @@ let status (region : region) =
     s_locked = region.r_locked;
   }
 
+(* Drop the pmap record of one mapped entry of [region]. *)
+let[@chorus.hot] drop_entry (region : region) ~vpn frame _ =
+  match Pmap.page_at_index region.r_context.ctx_pvm frame.Hw.Phys_mem.index with
+  | Some page -> Pmap.drop_mapping page region ~vpn
+  | None -> ()
+
+let[@chorus.hot] [@chorus.spanned "runs under the regionDestroy span"] [@chorus.guarded
+     "region mapping edits run on the owning process's serial-class \
+      fibres; parallel slices fault on regions already mapped and only \
+      read ctx_regions/c_mappings"] destroy_in
+    pvm (region : region) =
+  note_structure pvm;
+  charge pvm Hw.Cost.Region_destroy;
+  let ps = page_size pvm in
+  charge_span pvm Hw.Cost.Invalidate_page (pvm.cost.t_invalidate_page * (region.r_size / ps));
+  let space = region.r_context.ctx_space in
+  let vpn = region.r_addr / ps and count = region.r_size / ps in
+  Hw.Mmu.iter_range_with space ~vpn ~count drop_entry region;
+  ignore (Hw.Mmu.invalidate_range space ~vpn ~count);
+  let ctx = region.r_context in
+  ctx.ctx_regions <- without_region region ctx.ctx_regions;
+  region.r_cache.c_mappings <- without_region region region.r_cache.c_mappings;
+  region.r_alive <- false
+
 (* region.destroy (Table 2): unmap the cache window.  Destruction
    invalidates the whole virtual range, so unlike creation its
    simulated cost grows (mildly) with the region size (§5.3.2): the
    charge is per page of the region.  The host work follows mapped
    pages only — the pmap records and PTEs are found by walking the
    mapped entries, not every page of the range. *)
-let[@chorus.guarded
-     "region mapping edits run on the owning process's serial-class \
-      fibres; parallel slices fault on regions already mapped and only \
-      read ctx_regions/c_mappings"] destroy pvm (region : region) =
+let[@chorus.hot] destroy pvm (region : region) =
   check_region_alive region;
   if region.r_locked then unlock pvm region;
-  spanned pvm "regionDestroy" @@ fun () ->
-  note_structure pvm;
-  charge pvm Hw.Cost.Region_destroy;
-  let ps = page_size pvm in
-  charge_span pvm Hw.Cost.Invalidate_page (pvm.cost.t_invalidate_page * (region.r_size / ps));
-  iter_mapped pvm region (fun page ~vpn -> Pmap.drop_mapping page region ~vpn);
-  ignore
-    (Hw.Mmu.invalidate_range region.r_context.ctx_space
-       ~vpn:(region.r_addr / ps) ~count:(region.r_size / ps));
-  let ctx = region.r_context in
-  ctx.ctx_regions <- List.filter (fun r -> not (r == region)) ctx.ctx_regions;
-  region.r_cache.c_mappings <-
-    List.filter (fun r -> not (r == region)) region.r_cache.c_mappings;
-  region.r_alive <- false
+  let tr = Hw.Engine.tracer pvm.engine in
+  let traced = Obs.Trace.enabled tr in
+  if traced then Obs.Trace.span_begin tr ~cat:"vm" "regionDestroy";
+  match destroy_in pvm region with
+  | () -> if traced then Obs.Trace.span_end tr
+  | exception e ->
+    if traced then span_raise tr e;
+    raise e

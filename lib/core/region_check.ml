@@ -9,12 +9,13 @@
 let require_live ~what alive =
   if not alive then invalid_arg ("regionCreate: " ^ what ^ " destroyed")
 
-let validate ~page_size ~ctx_alive ~cache_alive ~addr ~size ~offset ~existing =
+let overlap ~addr ~size a s = addr < a + s && a < addr + size
+
+let validate ~page_size ~ctx_alive ~cache_alive ~addr ~size ~offset ~overlaps =
   require_live ~what:"context" ctx_alive;
   require_live ~what:"cache" cache_alive;
   if size <= 0 then invalid_arg "regionCreate: size <= 0";
   if addr mod page_size <> 0 || size mod page_size <> 0
      || offset mod page_size <> 0
   then invalid_arg "regionCreate: unaligned address, size or offset";
-  if List.exists (fun (a, s) -> addr < a + s && a < addr + size) existing then
-    invalid_arg "regionCreate: regions overlap"
+  if overlaps then invalid_arg "regionCreate: regions overlap"

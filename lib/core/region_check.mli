@@ -9,14 +9,19 @@ val validate :
   addr:int ->
   size:int ->
   offset:int ->
-  existing:(int * int) list ->
+  overlaps:bool ->
   unit
 (** Reject a regionCreate request whose context or cache is destroyed,
     whose size is not positive, whose address/size/offset are not
-    page-aligned, or which overlaps an existing region ([existing] is
-    the (addr, size) list of the context's live regions).  Checks run
-    in that order.
+    page-aligned, or which overlaps an existing region ([overlaps]:
+    the caller's walk of its context's live regions found one that
+    meets [addr, addr+size), by {!overlap}).  Checks run in that
+    order.
     @raise Invalid_argument with a ["regionCreate: ..."] message. *)
+
+val overlap : addr:int -> size:int -> int -> int -> bool
+(** [overlap ~addr ~size a s]: do [addr, addr+size) and [a, a+s)
+    meet? *)
 
 val require_live : what:string -> bool -> unit
 (** [require_live ~what alive] raises

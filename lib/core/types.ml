@@ -20,8 +20,13 @@ type pvm = {
          indexed by source (cache, offset) so that a later pullIn can
          re-thread them onto the incoming page *)
   page_of_frame : page option array; (* frame index -> owning page *)
-  mutable contexts : context list;
-  mutable caches : cache list;
+  mutable newest_context : context option;
+  mutable newest_cache : cache option;
+      (* the live-context and live-cache registries: doubly linked
+         lists threaded through the records ([ctx_older]/[c_older]
+         run newest to oldest), so creation links and destruction
+         unlinks in O(1) without allocating.  Read them as lists with
+         [contexts]/[caches] *)
   mutable current : context option;
   next_id : int Atomic.t;
   reclaim : page Fifo.t; (* FIFO reclaim queue, oldest first *)
@@ -54,6 +59,12 @@ type pvm = {
       (* the fault-latency histograms of [obs], pre-resolved by
          resolution kind (index = Fault.hist_index) so the per-fault
          update is handle-direct: no registry lookup, domain-safe *)
+  zombies : int Atomic.t;
+      (* live caches with [c_zombie] set: when there are none,
+         cacheDestroy skips the zombie sweep's registry walk.  Last, so
+         the fields before it keep their offsets: which fields share a
+         cache line with the mm-lock bookkeeping decides what parallel
+         faults fight over *)
 }
 
 and entry =
@@ -69,18 +80,21 @@ and cache = {
   c_anonymous : bool;
       (* created without a segment: misses are zero-filled; a backing
          acquired later (swap) only covers offsets in c_backed_offs *)
-  c_backed_offs : (int, unit) Hashtbl.t;
+  mutable c_backed_offs : (int, unit) Hashtbl.t;
       (* offsets an anonymous cache has pushed to its swap backing *)
   mutable c_pages : page list; (* pages currently cached, unordered *)
-  c_dest_stubs : (int, cow_stub) Hashtbl.t;
+  mutable c_dest_stubs : (int, cow_stub) Hashtbl.t;
       (* offset -> the per-page stub destined there: exactly the
          Cow_stub rows of [gmap] under our id *)
-  c_pending_offs : (int, unit) Hashtbl.t;
+  mutable c_pending_offs : (int, unit) Hashtbl.t;
       (* offsets of the [stub_sources] rows keyed on us.  Both indexes
          let teardown, the zombie sweep and the copy cycle check visit
          only this cache's stubs; they are updated next to the rows
          they mirror, never inside Global_map.set/remove (see
-         Install) *)
+         Install).  All three tables start as the shared empty
+         [no_offsets]/[no_stubs] and get a table of their own on
+         their first insert (Install's index helpers); nothing else
+         writes them *)
   mutable c_parents : frag list; (* sorted, non-overlapping (§4.2.4) *)
   mutable c_history : cache option; (* our single immediate descendant *)
   mutable c_children : cache list; (* caches whose c_parents reference us *)
@@ -92,6 +106,8 @@ and cache = {
          it; kept alive as a hidden history node and collected once
          the last child detaches *)
   mutable c_alive : bool;
+  mutable c_newer : cache option; (* registry links, see [newest_cache] *)
+  mutable c_older : cache option;
 }
 
 and frag = {
@@ -144,6 +160,8 @@ and context = {
   ctx_space : Hw.Mmu.space;
   mutable ctx_regions : region list; (* sorted by start address *)
   mutable ctx_alive : bool;
+  mutable ctx_newer : context option; (* registry links, see [newest_context] *)
+  mutable ctx_older : context option;
 }
 
 and stats_cells = Obs.Cells.t
@@ -284,6 +302,100 @@ let with_mm pvm f =
 
 let page_size pvm = Hw.Phys_mem.page_size pvm.mem
 
+(* --- Registries of live caches and contexts ------------------------ *)
+
+(* A cache's index tables before their first entry: one shared empty
+   table of each type, replaced by a table of the cache's own on the
+   first insert (Install's index helpers), so a cache that never
+   indexes anything allocates none.  Removal and lookup on them are
+   read-only; nothing may insert into them (the sanitizer checks they
+   stay empty). *)
+let no_offsets : (int, unit) Hashtbl.t = Hashtbl.create 1
+let no_stubs : (int, cow_stub) Hashtbl.t = Hashtbl.create 1
+
+(* Link a new cache in front of the registry, under the mm lock.  The
+   one [Some] cell is shared by the registry head and the old head's
+   back link. *)
+let[@chorus.hot] [@chorus.noted
+     "registry edit: callers note the topology before it"] link_cache pvm
+    (cache : cache) =
+  let cell = Some cache [@chorus.alloc_ok "the registry's link to the cache"] in
+  mm_enter pvm;
+  (match pvm.newest_cache with Some c -> c.c_newer <- cell | None -> ());
+  cache.c_older <- pvm.newest_cache;
+  pvm.newest_cache <- cell;
+  mm_exit pvm
+
+(* Unlink a dying cache: its neighbours take over its links, so no
+   cell is allocated.  Unlinking an unlinked cache does nothing (a
+   cascaded teardown may have collected a cache the zombie sweep is
+   about to drop). *)
+let[@chorus.hot] [@chorus.noted
+     "registry edit: callers note the topology before it"] unlink_cache pvm
+    (cache : cache) =
+  mm_enter pvm;
+  (match cache.c_newer with
+  | Some c -> c.c_older <- cache.c_older
+  | None -> (
+    match pvm.newest_cache with
+    | Some c when c == cache -> pvm.newest_cache <- cache.c_older
+    | Some _ | None -> ()));
+  (match cache.c_older with Some c -> c.c_newer <- cache.c_newer | None -> ());
+  cache.c_newer <- None;
+  cache.c_older <- None;
+  mm_exit pvm
+
+let[@chorus.hot] [@chorus.noted
+     "registry edit: callers note the topology before it"] link_context pvm
+    (ctx : context) =
+  let cell = Some ctx [@chorus.alloc_ok "the registry's link to the context"] in
+  mm_enter pvm;
+  (match pvm.newest_context with Some c -> c.ctx_newer <- cell | None -> ());
+  ctx.ctx_older <- pvm.newest_context;
+  pvm.newest_context <- cell;
+  mm_exit pvm
+
+let[@chorus.hot] [@chorus.noted
+     "registry edit: callers note the topology before it"] unlink_context pvm
+    (ctx : context) =
+  mm_enter pvm;
+  (match ctx.ctx_newer with
+  | Some c -> c.ctx_older <- ctx.ctx_older
+  | None -> (
+    match pvm.newest_context with
+    | Some c when c == ctx -> pvm.newest_context <- ctx.ctx_older
+    | Some _ | None -> ()));
+  (match ctx.ctx_older with Some c -> c.ctx_newer <- ctx.ctx_newer | None -> ());
+  ctx.ctx_newer <- None;
+  ctx.ctx_older <- None;
+  mm_exit pvm
+
+let rec newest_first older acc = function
+  | None -> List.rev acc
+  | Some x -> newest_first older (x :: acc) (older x)
+
+(* The live caches and contexts, newest first. *)
+let[@chorus.noted "registry reader: reporting and checks at quiescence"] caches
+    pvm =
+  newest_first (fun c -> c.c_older) [] pvm.newest_cache
+
+let[@chorus.noted "registry reader: reporting and checks at quiescence"] contexts
+    pvm =
+  newest_first (fun c -> c.ctx_older) [] pvm.newest_context
+
+(* Set or clear [c_zombie], keeping [pvm.zombies] in step. *)
+let mark_zombie pvm (cache : cache) =
+  if not cache.c_zombie then begin
+    cache.c_zombie <- true;
+    Atomic.incr pvm.zombies
+  end
+
+let clear_zombie pvm (cache : cache) =
+  if cache.c_zombie then begin
+    cache.c_zombie <- false;
+    Atomic.decr pvm.zombies
+  end
+
 (* Charge [span] of simulated time attributed to [prim]: the
    per-primitive table of the metrics registry always accumulates it
    (integer adds, no clock effect), and an enabled tracer additionally
@@ -306,6 +418,14 @@ let spanned pvm ?(cat = "vm") name body =
   let tr = Hw.Engine.tracer pvm.engine in
   if not (Obs.Trace.enabled tr) then body ()
   else Obs.Trace.with_span tr ~cat name body
+
+(* Close a span opened with [Obs.Trace.span_begin] whose body raised
+   [e], as [spanned] closes it: the explicit half for paths that do
+   not build a body closure. *)
+let span_raise tr e =
+  Obs.Trace.span_end tr
+    ~args:[ ("exception", Obs.Trace.Str (Printexc.to_string e)) ]
+    [@chorus.alloc_ok "trace arguments, built only when tracing is on"]
 
 (* Footprint notes for the schedule explorer ({!Check.Explore}): each
    shared object a slice touches is reported to the engine so the

@@ -13,9 +13,12 @@ type located =
   | `Pull of cache * int  (* must be pulled into this cache *)
   | `Zero  (* anonymous, never written: zero-filled *) ]
 
+(* A cache that never swapped still shares [no_offsets]; the test does
+   not read that table, which the fault path of every domain would
+   otherwise read. *)
 let has_swapped (cache : cache) ~off =
   cache.c_anonymous
-  && Hashtbl.length cache.c_backed_offs > 0
+  && cache.c_backed_offs != no_offsets
   && Hashtbl.mem cache.c_backed_offs off
 
 let[@chorus.hot] [@chorus.alloc_ok

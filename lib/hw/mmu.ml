@@ -203,14 +203,14 @@ let[@chorus.hot] translate space ~addr ~access =
     | Some _ -> protection
     | None -> unmapped
 
-let[@chorus.hot] iter_range space ~vpn ~count f =
+let[@chorus.hot] iter_range_with space ~vpn ~count f x =
   let tab = space.tab in
   if count > Array.length tab.slots then
     for i = 0 to Array.length tab.slots - 1 do
       let e = tab.slots.(i) in
       if e != free && e.vpn >= vpn && e.vpn - vpn < count then
         match e.found with
-        | Some (frame, prot) -> f ~vpn:e.vpn frame prot
+        | Some (frame, prot) -> f x ~vpn:e.vpn frame prot
         | None -> ()
     done
   else
@@ -218,9 +218,12 @@ let[@chorus.hot] iter_range space ~vpn ~count f =
       let i = find tab p in
       if i >= 0 then
         match tab.slots.(i).found with
-        | Some (frame, prot) -> f ~vpn:p frame prot
+        | Some (frame, prot) -> f x ~vpn:p frame prot
         | None -> ()
     done
+
+let apply f ~vpn frame prot = f ~vpn frame prot
+let iter_range space ~vpn ~count f = iter_range_with space ~vpn ~count apply f
 
 let iter space f =
   let entries = ref [] in

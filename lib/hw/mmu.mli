@@ -92,6 +92,17 @@ val iter_range :
     [count] is at most the capacity, table order otherwise.  The
     function must not mutate the space. *)
 
+val iter_range_with :
+  space ->
+  vpn:int ->
+  count:int ->
+  ('a -> vpn:int -> Phys_mem.frame -> Prot.t -> unit) ->
+  'a ->
+  unit
+(** [iter_range_with space ~vpn ~count f x] is [iter_range] calling
+    [f x]: a walk whose function needs one value of its caller passes
+    it here instead of capturing it, so the walk builds no closure. *)
+
 val mapped_pages : space -> int
 (** Number of PTEs currently installed. *)
 

@@ -55,8 +55,8 @@ let l1_fields : ((string * string) * obj_class) list =
     (("pvm", "stub_sources"), Map);
     (("pvm", "page_of_frame"), Frames);
     (("pvm", "reclaim"), Frames);
-    (("pvm", "contexts"), Structure);
-    (("pvm", "caches"), Structure);
+    (("pvm", "newest_context"), Structure);
+    (("pvm", "newest_cache"), Structure);
     (("pvm", "current"), Structure);
     (* Core.Types.cache / context — the copy-tree topology *)
     (("cache", "c_parents"), Structure);
@@ -64,6 +64,11 @@ let l1_fields : ((string * string) * obj_class) list =
     (("cache", "c_history"), Structure);
     (("cache", "c_mappings"), Structure);
     (("context", "ctx_regions"), Structure);
+    (* the registry links threaded through the records *)
+    (("cache", "c_newer"), Structure);
+    (("cache", "c_older"), Structure);
+    (("context", "ctx_newer"), Structure);
+    (("context", "ctx_older"), Structure);
     (* the per-cache stub indexes mirror global-map and pending rows *)
     (("cache", "c_dest_stubs"), Map);
     (("cache", "c_pending_offs"), Map);
@@ -74,8 +79,7 @@ let l1_fields : ((string * string) * obj_class) list =
     (("site", "s_modes"), Shared);
     (("t", "sites"), Shared);
     (("t", "master"), Shared);
-    (* Mix: process table and VFS/image stores *)
-    (("t", "processes"), Shared);
+    (* Mix: VFS/image stores *)
     (("t", "files"), Shared);
     (("t", "images"), Shared);
     (* Seg: segment-manager port table and backing store *)

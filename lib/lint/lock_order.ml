@@ -92,8 +92,8 @@ let guarded_fields : ((string * string) * guard) list =
   let lane = { w_guard = None; w_on_read = false } in
   [
     (* Core.Types.pvm — structure lists hanging off the bundle *)
-    (("pvm", "contexts"), mm);
-    (("pvm", "caches"), mm);
+    (("pvm", "newest_context"), mm);
+    (("pvm", "newest_cache"), mm);
     (("pvm", "current"), mm);
     (* the copy-tree topology: written under mm (or at quiescence),
        read lock-free against the quiescence barrier *)
@@ -102,6 +102,10 @@ let guarded_fields : ((string * string) * guard) list =
     (("cache", "c_history"), mm);
     (("cache", "c_mappings"), mm);
     (("context", "ctx_regions"), mm);
+    (("cache", "c_newer"), mm);
+    (("cache", "c_older"), mm);
+    (("context", "ctx_newer"), mm);
+    (("context", "ctx_older"), mm);
     (* the per-cache stub indexes: parallel faults materialise and
        re-thread stubs, so their tables change under mm.  The fields
        themselves are immutable (L7 sees no [<-] on them); the entries
@@ -115,8 +119,7 @@ let guarded_fields : ((string * string) * guard) list =
     (("site", "s_modes"), lane);
     (("t", "sites"), lane);
     (("t", "master"), lane);
-    (* Mix: process table and VFS/image stores *)
-    (("t", "processes"), lane);
+    (* Mix: VFS/image stores *)
     (("t", "files"), lane);
     (("t", "images"), lane);
     (* Seg: segment-manager port table and backing store *)

@@ -112,7 +112,10 @@ let ensure_page t (cache : cache) ~off =
 let region_create t (ctx : context) ~addr ~size ~prot cache ~offset =
   Core.Region_check.validate ~page_size:(page_size t) ~ctx_alive:ctx.ctx_alive
     ~cache_alive:cache.c_alive ~addr ~size ~offset
-    ~existing:(List.map (fun r -> (r.r_addr, r.r_size)) ctx.ctx_regions);
+    ~overlaps:
+      (List.exists
+         (fun r -> Core.Region_check.overlap ~addr ~size r.r_addr r.r_size)
+         ctx.ctx_regions);
   let ps = page_size t in
   charge t.cost.t_region_create;
   let region =

@@ -15,7 +15,9 @@ type manager = {
   images : Image.store;
   transit : Nucleus.Transit.t;
   mutable next_pid : int;
-  mutable processes : t list;
+  mutable live : int;
+      (* running processes: a count, not a table — a reaped process
+         is referenced by nothing here *)
 }
 
 (* A fixed Unix-like layout, in a 4 GB-ish virtual space.  The gaps
@@ -33,7 +35,7 @@ let create_manager site images =
     images;
     transit = Nucleus.Transit.create site ();
     next_pid = 1;
-    processes = [];
+    live = 0;
   }
 
 let transit m = m.transit
@@ -45,18 +47,21 @@ let state p = p.p_state
 let actor p = p.p_actor
 let image_name p = p.p_image
 
-let live_processes m =
-  List.length (List.filter (fun p -> p.p_state = Running) m.processes)
+let live_processes m = m.live
 
 let check_running p =
   if p.p_state <> Running then invalid_arg "MIX: process not running"
 
+let[@chorus.hot] rec free_mappings actor = function
+  | [] -> ()
+  | m :: rest ->
+    Nucleus.Actor.rgn_free actor m;
+    free_mappings actor rest
+
 (* Unmap everything the actor maps (exec and exit tear the address
    space down). *)
-let clear_address_space (p : t) =
-  List.iter
-    (fun m -> Nucleus.Actor.rgn_free p.p_actor m)
-    p.p_actor.Nucleus.Actor.a_mappings
+let[@chorus.hot] clear_address_space (p : t) =
+  free_mappings p.p_actor p.p_actor.Nucleus.Actor.a_mappings
 
 (* The Unix exec (§5.1.5): rgnMap for text, rgnInit for data,
    rgnAllocate for bss and stack. *)
@@ -93,13 +98,29 @@ let spawn_init m ~image =
     }
   in
   m.next_pid <- m.next_pid + 1;
-  m.processes <- p :: m.processes;
+  m.live <- m.live + 1;
   exec m p ~image;
   p
 
+(* Copy one of the parent's areas into the child: text is shared,
+   the rest deferred-copied. *)
+let[@chorus.hot] rec copy_areas actor ~(parent : t) = function
+  | [] -> ()
+  | (r : Core.Types.region) :: rest ->
+    let addr = r.r_addr and size = r.r_size and prot = r.r_prot in
+    if addr = text_base then
+      ignore
+        (Nucleus.Actor.rgn_map_from_actor actor ~addr ~src:parent.p_actor
+           ~src_addr:addr ~size ~prot)
+    else
+      ignore
+        (Nucleus.Actor.rgn_init_from_actor actor ~addr ~src:parent.p_actor
+           ~src_addr:addr ~size ~prot);
+    copy_areas actor ~parent rest
+
 (* The Unix fork (§5.1.5): share the text, defer-copy data, bss and
    stack. *)
-let fork m (parent : t) =
+let[@chorus.hot] fork m (parent : t) =
   check_running parent;
   let actor = Nucleus.Actor.create m.site in
   let child =
@@ -112,35 +133,23 @@ let fork m (parent : t) =
       p_children = [];
       p_brk = parent.p_brk;
     }
+    [@chorus.alloc_ok "the process record the parent keeps"]
   in
   m.next_pid <- m.next_pid + 1;
-  m.processes <- child :: m.processes;
-  parent.p_children <- child :: parent.p_children;
-  let copy_area ~addr ~size ~prot ~share =
-    if share then
-      ignore
-        (Nucleus.Actor.rgn_map_from_actor actor ~addr ~src:parent.p_actor
-           ~src_addr:addr ~size ~prot)
-    else
-      ignore
-        (Nucleus.Actor.rgn_init_from_actor actor ~addr ~src:parent.p_actor
-           ~src_addr:addr ~size ~prot)
-  in
-  List.iter
-    (fun (region : Core.Region.status) ->
-      let addr = region.Core.Region.s_addr and size = region.s_size in
-      let share = addr = text_base in
-      copy_area ~addr ~size ~prot:region.s_prot ~share)
-    (List.map Core.Region.status
-       (Core.Context.region_list parent.p_actor.Nucleus.Actor.a_ctx));
+  m.live <- m.live + 1;
+  parent.p_children <-
+    (child :: parent.p_children)
+    [@chorus.alloc_ok "the child's cell on its parent's list"];
+  copy_areas actor ~parent
+    (Core.Context.region_list parent.p_actor.Nucleus.Actor.a_ctx);
   child
 
-let exit_ m (p : t) ~status =
+let[@chorus.hot] exit_ m (p : t) ~status =
   check_running p;
   clear_address_space p;
   Nucleus.Actor.destroy p.p_actor;
-  p.p_state <- Zombie status;
-  ignore m
+  p.p_state <- Zombie status [@chorus.alloc_ok "the exit status kept for wait"];
+  m.live <- m.live - 1
 
 let wait _m (p : t) =
   match

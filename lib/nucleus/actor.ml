@@ -69,6 +69,12 @@ let rgn_init a ~addr ~size ~prot cap ~offset =
   let region = Core.Region.create pvm a.a_ctx ~addr ~size ~prot cache ~offset in
   add a { m_region = region; m_origin = Temp cache }
 
+(* The mapping of [region] among [mappings].
+   @raise Not_found if none maps it. *)
+let[@chorus.hot] rec mapping_of (region : Core.Pvm.region) = function
+  | [] -> raise Not_found
+  | m :: rest -> if m.m_region == region then m else mapping_of region rest
+
 let source_window (src : t) ~src_addr ~size =
   match Core.Context.find_region src.a_ctx ~addr:src_addr with
   | None -> invalid_arg "rgn*FromActor: no region at source address"
@@ -76,11 +82,7 @@ let source_window (src : t) ~src_addr ~size =
     let st = Core.Region.status region in
     if src_addr + size > st.Core.Region.s_addr + st.s_size then
       invalid_arg "rgn*FromActor: range exceeds source region";
-    let mapping =
-      List.find
-        (fun m -> m.m_region == region)
-        src.a_mappings
-    in
+    let mapping = mapping_of region src.a_mappings in
     (st.s_cache, st.s_offset + (src_addr - st.s_addr), mapping)
 
 (* rgnMapFromActor: share the very same local cache (fork's text). *)
@@ -119,21 +121,38 @@ let release_origin a = function
     if Core.Cache.is_alive cache && Core.Cache.mapping_count cache = 0 then
       Seg.Segment_manager.destroy_temporary a.a_site.segd cache
 
-let rgn_free a mapping =
+(* [mappings] without [mapping], sharing the suffix behind it: only
+   the cells in front of it are rebuilt. *)
+let[@chorus.hot] rec without_mapping mapping = function
+  | [] -> []
+  | m :: rest as l ->
+    if m == mapping then rest
+    else
+      let rest' = without_mapping mapping rest in
+      if rest' == rest then l
+      else
+        (m :: rest')
+        [@chorus.alloc_ok
+          "the cells in front of the removed mapping: the shortened list kept"]
+
+let[@chorus.hot] rgn_free a mapping =
   check_alive a;
   if not (List.memq mapping a.a_mappings) then
     invalid_arg "rgnFree: unknown mapping";
   Core.Region.destroy a.a_site.pvm mapping.m_region;
   release_origin a mapping.m_origin;
-  a.a_mappings <- List.filter (fun m -> not (m == mapping)) a.a_mappings
+  a.a_mappings <- without_mapping mapping a.a_mappings
 
-let destroy a =
+let[@chorus.hot] rec release_all a = function
+  | [] -> ()
+  | m :: rest ->
+    Core.Region.destroy a.a_site.pvm m.m_region;
+    release_origin a m.m_origin;
+    release_all a rest
+
+let[@chorus.hot] destroy a =
   check_alive a;
-  List.iter
-    (fun m ->
-      Core.Region.destroy a.a_site.pvm m.m_region;
-      release_origin a m.m_origin)
-    a.a_mappings;
+  release_all a a.a_mappings;
   a.a_mappings <- [];
   Core.Context.destroy a.a_site.pvm a.a_ctx;
   a.a_alive <- false

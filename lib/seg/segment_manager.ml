@@ -20,6 +20,9 @@ type t = {
   mutable next_port : int;
   mutable retention_capacity : int;
   mutable generation : int;
+  mutable unreferenced : int;
+      (* bindings with no reference: the retained caches, counted so
+         that unbind walks the table only when retention must evict *)
   default_mapper_port : int;
   stats : stats;
 }
@@ -27,10 +30,13 @@ type t = {
 let stats t = t.stats
 let set_retention_capacity t n = t.retention_capacity <- n
 
-(* Segment-manager decisions as instant trace events, category "seg". *)
+(* Segment-manager decisions as instant trace events, category "seg".
+   Callers test [tracing] first, so a disabled tracer costs no
+   argument list. *)
+let tracing t = Obs.Trace.enabled (Core.Pvm.tracer t.pvm)
+
 let mark t name args =
-  let tr = Core.Pvm.tracer t.pvm in
-  if Obs.Trace.enabled tr then Obs.Trace.instant tr ~cat:"seg" name ~args
+  Obs.Trace.instant (Core.Pvm.tracer t.pvm) ~cat:"seg" name ~args
 
 (* The port table is shared by every fibre binding or faulting on a
    capability of this segment manager. *)
@@ -64,40 +70,42 @@ let register_mapper t mapper =
   Hashtbl.replace t.mappers port mapper;
   port
 
-let retained t =
-  Capability.Table.fold
-    (fun _ b acc -> if b.b_refs = 0 then b :: acc else acc)
-    t.bindings []
-
 let bound_count t = Capability.Table.length t.bindings
-let retained_count t = List.length (retained t)
+let retained_count t = t.unreferenced
+
+(* The least recently unbound retained binding (generations are
+   unique, so it is one). *)
+let oldest_retained t =
+  Capability.Table.fold
+    (fun _ b acc ->
+      if b.b_refs <> 0 then acc
+      else
+        match acc with
+        | Some (o : binding) when o.b_lru < b.b_lru -> acc
+        | Some _ | None -> Some b)
+    t.bindings None
 
 let drop_binding t (b : binding) =
   (* Save modified data before the local cache disappears. *)
   Core.Cache.sync_all t.pvm b.b_cache;
   Core.Cache.destroy t.pvm b.b_cache;
+  if b.b_refs = 0 then t.unreferenced <- t.unreferenced - 1;
   Capability.Table.remove t.bindings b.b_cap
 
-let enforce_retention t =
-  let rec go () =
-    let unreferenced = retained t in
-    if List.length unreferenced > t.retention_capacity then begin
-      match
-        List.sort (fun a b -> compare a.b_lru b.b_lru) unreferenced
-      with
-      | oldest :: _ ->
-        t.stats.retention_evictions <- t.stats.retention_evictions + 1;
+let rec enforce_retention t =
+  if t.unreferenced > t.retention_capacity then
+    match oldest_retained t with
+    | Some oldest ->
+      t.stats.retention_evictions <- t.stats.retention_evictions + 1;
+      if tracing t then
         mark t "retention-evict"
           [
             ("cache", Obs.Trace.Int oldest.b_cache.Core.Types.c_id);
             ("lru", Obs.Trace.Int oldest.b_lru);
           ];
-        drop_binding t oldest;
-        go ()
-      | [] -> ()
-    end
-  in
-  go ()
+      drop_binding t oldest;
+      enforce_retention t
+    | None -> ()
 
 let bind t cap =
   t.stats.binds <- t.stats.binds + 1;
@@ -107,27 +115,33 @@ let bind t cap =
   in
   match Capability.Table.find_opt t.bindings cap with
   | Some b ->
-    if b.b_refs = 0 then t.stats.retention_hits <- t.stats.retention_hits + 1
+    if b.b_refs = 0 then begin
+      t.stats.retention_hits <- t.stats.retention_hits + 1;
+      t.unreferenced <- t.unreferenced - 1
+    end
     else t.stats.bind_hits <- t.stats.bind_hits + 1;
-    mark t "bind"
-      [
-        ("kind", Obs.Trace.Str (if b.b_refs = 0 then "retention-hit" else "hit"));
-        ("cache", Obs.Trace.Int b.b_cache.Core.Types.c_id);
-      ];
+    if tracing t then
+      mark t "bind"
+        [
+          ( "kind",
+            Obs.Trace.Str (if b.b_refs = 0 then "retention-hit" else "hit") );
+          ("cache", Obs.Trace.Int b.b_cache.Core.Types.c_id);
+        ];
     b.b_refs <- b.b_refs + 1;
     b.b_cache
   | None ->
     let cache = Core.Cache.create t.pvm ~backing:(backing_of t cap) () in
     Capability.Table.replace t.bindings cap
       { b_cap = cap; b_cache = cache; b_refs = 1; b_lru = 0 };
-    mark t "bind"
-      [
-        ("kind", Obs.Trace.Str "miss");
-        ("cache", Obs.Trace.Int cache.Core.Types.c_id);
-      ];
+    if tracing t then
+      mark t "bind"
+        [
+          ("kind", Obs.Trace.Str "miss");
+          ("cache", Obs.Trace.Int cache.Core.Types.c_id);
+        ];
     cache
 
-let unbind t cap =
+let[@chorus.hot] unbind t cap =
   match Capability.Table.find_opt t.bindings cap with
   | None -> invalid_arg "Segment_manager.unbind: not bound"
   | Some b ->
@@ -136,6 +150,7 @@ let unbind t cap =
     if b.b_refs = 0 then begin
       t.generation <- t.generation + 1;
       b.b_lru <- t.generation;
+      t.unreferenced <- t.unreferenced + 1;
       if t.retention_capacity = 0 then drop_binding t b
       else enforce_retention t
     end
@@ -153,11 +168,12 @@ let segment_create_hook t (_cache : Core.Pvm.cache) =
   | Some alloc ->
     let key = alloc () in
     t.stats.swap_segments <- t.stats.swap_segments + 1;
-    mark t "swap-create"
-      [
-        ("cache", Obs.Trace.Int _cache.Core.Types.c_id);
-        ("key", Obs.Trace.Int (Int64.to_int key));
-      ];
+    if tracing t then
+      mark t "swap-create"
+        [
+          ("cache", Obs.Trace.Int _cache.Core.Types.c_id);
+          ("key", Obs.Trace.Int (Int64.to_int key));
+        ];
     let cap = Capability.make ~port:t.default_mapper_port ~key in
     Some (backing_of t cap)
 
@@ -170,6 +186,7 @@ let create ?(retention_capacity = 64) ~pvm ~default_mapper_port () =
       next_port = default_mapper_port;
       retention_capacity;
       generation = 0;
+      unreferenced = 0;
       default_mapper_port;
       stats =
         {

@@ -69,7 +69,10 @@ let ensure t (cache : cache) ~off =
 let region_create t (ctx : context) ~addr ~size ~prot cache ~offset =
   Core.Region_check.validate ~page_size:t.page_size ~ctx_alive:ctx.ctx_alive
     ~cache_alive:cache.c_alive ~addr ~size ~offset
-    ~existing:(List.map (fun r -> (r.r_addr, r.r_size)) ctx.ctx_regions);
+    ~overlaps:
+      (List.exists
+         (fun r -> Core.Region_check.overlap ~addr ~size r.r_addr r.r_size)
+         ctx.ctx_regions);
   let region =
     { r_ctx = ctx; r_addr = addr; r_size = size; r_prot = prot;
       r_cache = cache; r_offset = offset; r_alive = true }

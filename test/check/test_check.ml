@@ -95,7 +95,7 @@ let test_catches_zombie_corruption () =
       let mapped =
         List.find
           (fun c -> c.Core.Types.c_mappings <> [])
-          pvm.Core.Types.caches
+          (Core.Types.caches pvm)
       in
       mapped.Core.Types.c_zombie <- true;
       expect_rule pvm "zombie")
@@ -115,8 +115,8 @@ let test_catches_stub_index_corruption () =
       expect_rule pvm "stubs");
   in_sim (fun engine ->
       let pvm, _ = build engine in
-      let cache = List.hd pvm.Core.Types.caches in
-      Hashtbl.replace cache.Core.Types.c_pending_offs (64 * ps) ();
+      let cache = List.hd (Core.Types.caches pvm) in
+      Core.Install.index_pending pvm cache ~off:(64 * ps);
       expect_rule pvm "stubs")
 
 (* Corruption 6: an orphan pair of hidden caches keeping each other
@@ -148,7 +148,7 @@ let test_catches_orphan_zombie_pair () =
 (* Leave a synchronization stub in the global map, as if a transfer
    were still in flight. *)
 let plant_transit _ pvm _ =
-  let cache = List.hd pvm.Core.Types.caches in
+  let cache = List.hd (Core.Types.caches pvm) in
   Core.Shard_map.replace pvm.Core.Types.gmap cache.Core.Types.c_id (512 * ps)
     (Core.Types.Sync_stub (Hw.Engine.Cond.create ()))
 

@@ -6,6 +6,7 @@ let () =
       ("pervpage", Test_pervpage.tests);
       ("pager", Test_pager.tests);
       ("edge", Test_edge.tests);
+      ("lifecycle", Test_lifecycle.tests);
       ("fault-injection", Test_faults_inject.tests);
       ("properties", Test_props.tests);
       ("shard-map", Test_shard_map.tests);

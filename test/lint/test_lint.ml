@@ -272,27 +272,27 @@ let test_l6_negative () =
 let test_l7_positive () =
   let fs =
     lockset_lint ~rules:l7
-      "type pvm = { mm_lock : Mutex.t; mutable caches : int list }\n\
-       let bad (p : pvm) = p.caches <- []\n"
+      "type pvm = { mm_lock : Mutex.t; mutable newest_cache : int list }\n\
+       let bad (p : pvm) = p.newest_cache <- []\n"
   in
   check_keys "an unguarded catalogued write fires"
-    [ ("L7", "write-caches") ]
+    [ ("L7", "write-newest_cache") ]
     fs
 
 let test_l7_negative () =
   let fs =
     lockset_lint ~rules:l7
-      "type pvm = { mm_lock : Mutex.t; mutable caches : int list }\n\
+      "type pvm = { mm_lock : Mutex.t; mutable newest_cache : int list }\n\
        let good (p : pvm) =\n\
       \  Mutex.lock p.mm_lock;\n\
-      \  p.caches <- [];\n\
+      \  p.newest_cache <- [];\n\
       \  Mutex.unlock p.mm_lock\n\
-       let helper (p : pvm) = p.caches <- [ 1 ]\n\
+       let helper (p : pvm) = p.newest_cache <- [ 1 ]\n\
        let caller (p : pvm) =\n\
       \  Mutex.lock p.mm_lock;\n\
       \  helper p;\n\
       \  Mutex.unlock p.mm_lock\n\
-       let[@chorus.guarded \"fixture\"] waived (p : pvm) = p.caches <- [ 2 ]\n"
+       let[@chorus.guarded \"fixture\"] waived (p : pvm) = p.newest_cache <- [ 2 ]\n"
   in
   check_keys
     "writes under the lock, under every caller's lock (entry lockset), or \
@@ -490,7 +490,9 @@ let lockset_file ?(file = "install.ml") ~rules src =
 let test_lock_order_mutation () =
   let src = read_file install_ml in
   let body =
-    "  Hashtbl.replace stub.cs_cache.c_dest_stubs stub.cs_offset stub;\n"
+    "  if stub.cs_cache.c_dest_stubs == no_stubs then\n\
+    \    stub.cs_cache.c_dest_stubs <- Hashtbl.create 8;\n\
+    \  Hashtbl.replace stub.cs_cache.c_dest_stubs stub.cs_offset stub;\n"
   in
   let needle = "  mm_enter pvm;\n" ^ body ^ "  mm_exit pvm\n" in
   Alcotest.(check int)
