@@ -160,10 +160,10 @@ let () =
                 (List.init n_pages (fun p ->
                      let vpn = (r.r_addr / ps) + p in
                      match Hw.Mmu.query r.r_context.ctx_space ~vpn with
-                     | Some (frame, prot) ->
+                     | Pte { frame; prot; _ } ->
                        [ Printf.sprintf "v%d->f%d(%s)" p
                            frame.Hw.Phys_mem.index (Hw.Prot.to_string prot) ]
-                     | None -> []))
+                     | No_pte -> []))
             in
             Printf.printf "    region@%x: %s\n" r.r_addr
               (String.concat " " entries))

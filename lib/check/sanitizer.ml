@@ -46,8 +46,9 @@ let rules =
        page-aligned, positive-sized, and mirrored by the cache's mapping \
        lists (Table 2)" );
     ( "reclaim",
-      "reclaim queue: exactly the resident pages, each once (FIFO \
-       page-out policy below the GMI, §3.3.3)" );
+      "reclaim queue: links symmetric from the sentinel, every cached page \
+       queued exactly once under its own frame, the length equal to their \
+       count (FIFO page-out policy below the GMI, §3.3.3)" );
     ( "mmu",
       "protection coherence: every MMU translation points at a registered \
        frame, is recorded on the page's pmap, and is never more permissive \
@@ -336,33 +337,65 @@ let run ?(strict = true) (pvm : pvm) : violation list =
         c.c_mappings)
     caches;
 
-  (* reclaim queue = resident pages, each exactly once *)
-  let seen = Hashtbl.create 64 in
-  Core.Fifo.iter
-    (fun (p : page) ->
-      if not p.p_alive then
-        err "reclaim" "dead page (%d,%d) in the reclaim queue" p.p_cache.c_id
-          p.p_offset;
-      if known_cache p.p_cache.c_id = None then
-        err "reclaim" "reclaim page of unknown cache %d" p.p_cache.c_id
-      else if not (List.memq p p.p_cache.c_pages) then
-        err "reclaim" "reclaim page (%d,%d) not cached" p.p_cache.c_id
-          p.p_offset;
-      let idx = p.p_frame.Hw.Phys_mem.index in
-      if Hashtbl.mem seen idx then
-        err "reclaim" "page (%d,%d) queued twice" p.p_cache.c_id p.p_offset;
-      Hashtbl.replace seen idx ()
-      [@chorus.impure_ok "sanitizer-local scratch table, not PVM state"])
-    pvm.reclaim;
+  (* reclaim queue: symmetric links from the sentinel, exactly the
+     cached pages, each queued once under its own frame *)
+  let q = pvm.reclaim in
+  let sentinel = Core.Reclaim.capacity q in
+  let rec walk ~older f n =
+    if f = sentinel then begin
+      if q.rq_prev.(sentinel) <> older then
+        err "reclaim" "newest link names frame %d, the walk ends at %d"
+          q.rq_prev.(sentinel) older;
+      n
+    end
+    else if f < 0 || f > sentinel then begin
+      err "reclaim" "frame %d links to %d, not a frame" older f;
+      n
+    end
+    else if q.rq_prev.(f) <> older then begin
+      err "reclaim" "frame %d: back link %d, forward link from %d" f
+        q.rq_prev.(f) older;
+      n
+    end
+    else if n >= sentinel then begin
+      err "reclaim" "the queue loops";
+      n
+    end
+    else begin
+      (match Hashtbl.find_opt frame_owner f with
+      | None -> err "reclaim" "frame %d queued but held by no cached page" f
+      | Some (p : page) ->
+        if not p.p_alive then
+          err "reclaim" "dead page (%d,%d) in the reclaim queue"
+            p.p_cache.c_id p.p_offset);
+      walk ~older:f q.rq_next.(f) (n + 1)
+    end
+  in
+  let walked = walk ~older:sentinel q.rq_next.(sentinel) 0 in
+  let linked = ref 0 in
+  for f = 0 to sentinel - 1 do
+    if q.rq_prev.(f) >= 0 then incr linked
+    else if q.rq_next.(f) <> -1 then
+      err "reclaim" "frame %d: forward link %d but not queued" f q.rq_next.(f)
+  done;
+  if !linked <> walked then
+    err "reclaim" "%d frames linked, %d reachable from the sentinel" !linked
+      walked;
+  if q.rq_len <> walked then
+    err "reclaim" "queue length %d, %d frames queued" q.rq_len walked;
+  let cached = ref 0 in
   List.iter
     (fun (c : cache) ->
       List.iter
         (fun (p : page) ->
-          if not (Core.Fifo.mem_phys pvm.reclaim p) then
+          incr cached;
+          if not (Core.Reclaim.mem q p.p_frame.Hw.Phys_mem.index) then
             err "reclaim" "cached page (%d,%d) missing from the reclaim queue"
               c.c_id p.p_offset)
         c.c_pages)
     caches;
+  if walked <> !cached then
+    err "reclaim" "%d frames queued, %d pages cached" walked !cached;
 
   (* pending stub index: structural part *)
   Core.Shard_map.iter
@@ -563,14 +596,14 @@ let run ?(strict = true) (pvm : pvm) : violation list =
                 err "mmu" "page (%d,%d): pmap record outside region at %#x"
                   p.p_cache.c_id p.p_offset r.r_addr;
               match Hw.Mmu.query r.r_context.ctx_space ~vpn with
-              | Some (frame, _)
+              | Pte { frame; _ }
                 when frame.Hw.Phys_mem.index = p.p_frame.Hw.Phys_mem.index ->
                 ()
-              | Some _ ->
+              | Pte _ ->
                 err "mmu"
                   "page (%d,%d): pmap record at vpn %d maps another frame"
                   p.p_cache.c_id p.p_offset vpn
-              | None ->
+              | No_pte ->
                 err "mmu" "page (%d,%d): pmap record at vpn %d has no \
                            translation"
                   p.p_cache.c_id p.p_offset vpn

@@ -166,7 +166,7 @@ let residency (pvm : pvm) : residency =
       |> List.sort compare;
     rs_free_frames = Hw.Phys_mem.free_frames pvm.mem;
     rs_used_frames = frames_held pvm;
-    rs_reclaim_len = Fifo.length pvm.reclaim;
+    rs_reclaim_len = Reclaim.length pvm.reclaim;
     rs_sync_in_flight =
       Shard_map.fold
         (fun _ _ entry acc ->
@@ -293,7 +293,7 @@ let digest (pvm : pvm) : string =
   add "frames free=%d held=%d reclaim=%d"
     (Hw.Phys_mem.free_frames pvm.mem)
     (frames_held pvm)
-    (Fifo.length pvm.reclaim);
+    (Reclaim.length pvm.reclaim);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* --- Full-state JSON (crash bundles) ------------------------------ *)
@@ -426,7 +426,7 @@ let state_json (pvm : pvm) : Obs.Json.t =
           [
             ("free", num (Hw.Phys_mem.free_frames pvm.mem));
             ("held", num (frames_held pvm));
-            ("reclaim", num (Fifo.length pvm.reclaim));
+            ("reclaim", num (Reclaim.length pvm.reclaim));
           ] );
       ("residency", residency_json (residency pvm));
     ]

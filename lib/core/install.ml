@@ -160,7 +160,7 @@ let[@chorus.noted
       under the explorer"] note_pressure pvm =
   let tr = Hw.Engine.tracer pvm.engine in
   if Obs.Trace.enabled tr then begin
-    Obs.Trace.counter tr "pvm.reclaim_queue" (Fifo.length pvm.reclaim);
+    Obs.Trace.counter tr "pvm.reclaim_queue" (Reclaim.length pvm.reclaim);
     Obs.Trace.counter tr "pvm.free_frames" (Hw.Phys_mem.free_frames pvm.mem)
   end
 
@@ -210,7 +210,7 @@ let[@chorus.hot] insert_page_entry pvm (cache : cache) ~off frame ~pulled_prot
          (page :: cache.c_pages)
          [@chorus.alloc_ok "the page's cell on its cache's page list"];
        Pmap.register_page pvm page;
-       Fifo.push pvm.reclaim page
+       Reclaim.push pvm.reclaim frame.Hw.Phys_mem.index
      with
     | () -> mm_exit pvm
     | exception e ->
@@ -286,13 +286,13 @@ let[@chorus.hot] [@chorus.spanned
   (match
      Pmap.unmap_all pvm page;
      Pmap.unregister_page pvm page;
+     Reclaim.remove pvm.reclaim page.p_frame.Hw.Phys_mem.index;
      let cache = page.p_cache in
      cache.c_pages <- without_page page cache.c_pages;
      (match Global_map.peek pvm cache ~off:page.p_offset with
      | Some (Resident p) when p == page ->
        Global_map.remove pvm cache ~off:page.p_offset
      | _ -> ());
-     Fifo.remove_phys pvm.reclaim page;
      page.p_alive <- false;
      if free_frame then begin
        charge pvm Hw.Cost.Frame_free;

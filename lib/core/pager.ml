@@ -190,28 +190,57 @@ let evict pvm (page : page) =
   let cond = claim_evict pvm page in
   complete_evict pvm page cond
 
+(* The FIFO victim walk: the oldest evictable page at or after queued
+   frame [i].  One O(1) queue step per page passed over (wired or in
+   transit), and the [Some] returned is the frame registry's own, so
+   nothing is allocated. *)
+let[@chorus.hot] [@chorus.noted
+     "the victim walk: its callers note the frame pool before it"] rec evictable_from
+    pvm i =
+  if i < 0 then None
+  else
+    match pvm.page_of_frame.(i) with
+    | Some page as victim when can_evict pvm page -> victim
+    | Some _ | None -> evictable_from pvm (Reclaim.newer pvm.reclaim i)
+
+let[@chorus.hot] [@chorus.noted
+     "the victim walk: its callers note the frame pool before it"] oldest_evictable
+    pvm =
+  evictable_from pvm (Reclaim.oldest pvm.reclaim)
+
 (* Background page-out: the data-management policy the paper places
    below the GMI can also run asynchronously.  The daemon keeps free
    memory between watermarks so allocations rarely pay for eviction
-   (and its pushOut latency) synchronously. *)
+   (and its pushOut latency) synchronously.  Like [reclaim_for_frame],
+   it elects and claims each victim under the mm lock and completes
+   the eviction outside it. *)
+let rec daemon_reclaim pvm ~high_water =
+  note_frames pvm;
+  if Hw.Phys_mem.free_frames pvm.mem < high_water then begin
+    mm_enter pvm;
+    match oldest_evictable pvm with
+    | None -> mm_exit pvm
+    | Some victim -> (
+      match claim_evict pvm victim with
+      | cond ->
+        mm_exit pvm;
+        complete_evict pvm victim cond;
+        daemon_reclaim pvm ~high_water
+      | exception e ->
+        mm_exit pvm;
+        raise e)
+  end
+
+let rec daemon_loop pvm ~low_water ~high_water ~period =
+  Hw.Engine.sleep period;
+  if Hw.Phys_mem.free_frames pvm.mem < low_water then
+    daemon_reclaim pvm ~high_water;
+  daemon_loop pvm ~low_water ~high_water ~period
+
 let start_daemon pvm ~low_water ~high_water ~period =
   if low_water >= high_water then invalid_arg "Pager.start_daemon: watermarks";
   Hw.Engine.spawn pvm.engine ~name:"pageout-daemon" ~daemon:true (fun () ->
-      let rec loop () =
-        Hw.Engine.sleep period;
-        let rec reclaim () =
-          note_frames pvm;
-          if Hw.Phys_mem.free_frames pvm.mem < high_water then
-            match Fifo.find_opt (can_evict pvm) pvm.reclaim with
-            | Some victim ->
-              evict pvm victim;
-              reclaim ()
-            | None -> ()
-        in
-        if Hw.Phys_mem.free_frames pvm.mem < low_water then reclaim ();
-        loop ()
-      in
-      loop ())
+      daemon_loop pvm ~low_water ~high_water ~period)
 
 let transfer_in_flight pvm =
   (* the in-flight transfer with the smallest (cache id, offset): the
@@ -230,49 +259,61 @@ let transfer_in_flight pvm =
      reclaim queue are both empty; key-set footprints cannot express a \
      whole-table read — see DESIGN.md §4f"]
 
+(* Block until the in-flight transfer behind [cond] completes, then
+   retry: under contention every unwired page can be mid-transfer at
+   once, and each such transfer either frees a frame (eviction) or
+   makes its page evictable again when it completes, so this is
+   pressure, not exhaustion.  (Not a plain yield: the clock only
+   advances once this fibre genuinely sleeps.) *)
+let await_transfer pvm cond =
+  Hw.Engine.declare_wait pvm.engine ~on:"frame"
+    ~owner:(Hw.Engine.Cond.owner cond) ();
+  Atomic.incr pvm.stub_sleeps;
+  Hw.Engine.Cond.await_unfinished cond
+
 (* The slow path of [alloc_frame], entered only when the frame pool is
    empty: evict FIFO victims, or block on an in-flight transfer when
-   every unwired page is mid-transfer at once.  Cold by construction,
-   so unlike [alloc_frame] it may allocate freely. *)
-let[@chorus.spanned
+   every unwired page is mid-transfer at once.  Victim election and
+   the claim are one atomic step under the mm lock on the parallel
+   engine (transparent on the oracle path); the allocation retry
+   inside it is a lock-free pop, and the blocking halves (completing
+   an eviction, waiting out a transfer) happen outside it.  The
+   eviction path allocates only what it keeps: the claim's condition
+   and the eviction's own records. *)
+let[@chorus.hot] [@chorus.spanned
      "runs under the spans of every allocation path (fault, copy, \
       history-materialise, pager upcalls)"] rec reclaim_for_frame pvm =
   note_frames pvm;
-  (* Victim election and the claim are one atomic step under the mm
-     lock on the parallel engine (transparent on the oracle path); the
-     allocation retry inside it is a lock-free pop, and the blocking
-     halves — completing an eviction, waiting out a transfer — happen
-     outside it. *)
-  let next =
-    with_mm pvm (fun () ->
-        match Hw.Phys_mem.alloc_opt pvm.mem with
-        | Some frame -> `Frame frame
-        | None -> (
-          match Fifo.find_opt (can_evict pvm) pvm.reclaim with
-          | Some victim -> `Evict (victim, claim_evict pvm victim)
-          | None -> (
-            match transfer_in_flight pvm with
-            | Some cond -> `Wait cond
-            | None -> `Exhausted)))
-  in
-  match next with
-  | `Frame frame -> frame
-  | `Evict (victim, cond) ->
-    complete_evict pvm victim cond;
-    reclaim_for_frame pvm
-  | `Wait cond ->
-    (* Under contention every unwired page can be mid-transfer at
-       once; each such transfer either frees a frame (eviction) or
-       makes its page evictable again when it completes, so this
-       is pressure, not exhaustion: block until one finishes and
-       retry.  (Not a plain yield — the clock only advances once
-       this fibre genuinely sleeps.) *)
-    Hw.Engine.declare_wait pvm.engine ~on:"frame"
-      ~owner:(Hw.Engine.Cond.owner cond) ();
-    Atomic.incr pvm.stub_sleeps;
-    Hw.Engine.Cond.await_unfinished cond;
-    reclaim_for_frame pvm
-  | `Exhausted -> raise Gmi.No_memory
+  mm_enter pvm;
+  let i = Hw.Phys_mem.alloc_index pvm.mem in
+  if i >= 0 then begin
+    mm_exit pvm;
+    Hw.Phys_mem.frame pvm.mem i
+  end
+  else
+    match oldest_evictable pvm with
+    | Some victim -> (
+      match claim_evict pvm victim with
+      | cond ->
+        mm_exit pvm;
+        complete_evict pvm victim cond;
+        reclaim_for_frame pvm
+      | exception e ->
+        mm_exit pvm;
+        raise e)
+    | None -> (
+      (* nothing evictable: wait out a transfer, or give up *)
+      match transfer_in_flight pvm with
+      | Some cond ->
+        mm_exit pvm;
+        await_transfer pvm cond;
+        reclaim_for_frame pvm
+      | None ->
+        mm_exit pvm;
+        raise Gmi.No_memory
+      | exception e ->
+        mm_exit pvm;
+        raise e)
 
 (* Allocate a frame, reclaiming FIFO victims when physical memory is
    exhausted. *)
@@ -281,7 +322,7 @@ let[@chorus.hot] [@chorus.spanned
       history-materialise, pager upcalls)"] alloc_frame pvm =
   note_frames pvm;
   charge pvm Hw.Cost.Frame_alloc;
-  (* the frame pool is lock-free: no mm-lock on the common path *)
-  match Hw.Phys_mem.alloc_opt pvm.mem with
-  | Some frame -> frame
-  | None -> reclaim_for_frame pvm
+  (* the frame pool is lock-free: no mm-lock on the common path, and
+     taking a frame by index allocates nothing *)
+  let i = Hw.Phys_mem.alloc_index pvm.mem in
+  if i >= 0 then Hw.Phys_mem.frame pvm.mem i else reclaim_for_frame pvm

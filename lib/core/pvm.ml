@@ -14,14 +14,14 @@ let create ?(page_size = 8192) ?(cost = Hw.Cost.chorus_sun360) ?(shards = 8)
     mmu = Hw.Mmu.create ~page_size;
     cost;
     engine;
-    gmap = Shard_map.create ~name:"gmap" ~shards ();
+    gmap = Shard_map.create ~name:"gmap" ~shards ~capacity:frames ();
     stub_sources = Shard_map.create ~name:"stub_sources" ~shards ();
     page_of_frame = Array.make frames None;
     newest_context = None;
     newest_cache = None;
     current = None;
     next_id = Atomic.make 1;
-    reclaim = Fifo.create ();
+    reclaim = Reclaim.create ~frames;
     mm_lock = Mutex.create ();
     mm_owner = Atomic.make (-1);
     mm_depth = 0;

@@ -30,15 +30,38 @@ type 'v t = {
 
 let initial_buckets = 16
 
-let create ?(name = "gmap") ?(shards = 8) () =
+(* [n] empty buckets, [n] a power of two.  A longer array than the
+   largest young block (256 words) is built by concatenating young
+   chunks: [Array.init] would first fill it with the young atomic for
+   slot 0, and the runtime forces a minor collection (a stop-the-world
+   pause on the parallel engine) for every such array. *)
+let young_chunk = 256
+let empty_chunk n = Array.init n (fun _ -> Atomic.make Nil)
+
+let empty_buckets n =
+  if n <= young_chunk then empty_chunk n
+  else Array.concat (List.init (n / young_chunk) (fun _ -> empty_chunk young_chunk))
+
+(* Buckets per shard for [capacity] bindings: a power of two, at least
+   [initial_buckets] and at least the shard's share of [capacity], as
+   [Hashtbl.create] sizes its table.  A full map is then at load <= 1,
+   half the load that doubles a shard (see [insert]), so filling it to
+   [capacity] copies no chain on the way even when the keys spread
+   unevenly over the shards. *)
+let buckets_for ~shards ~capacity =
+  let share = (capacity + shards - 1) / shards in
+  let rec up n = if n >= share then n else up (2 * n) in
+  up initial_buckets
+
+let create ?(name = "gmap") ?(shards = 8) ?(capacity = 0) () =
   if shards < 1 then invalid_arg "Shard_map.create: shard count < 1";
+  let buckets = buckets_for ~shards ~capacity in
   {
     shards =
       Array.init shards (fun i ->
           {
             s_lock = Mutex.create ();
-            s_tab =
-              Atomic.make (Array.init initial_buckets (fun _ -> Atomic.make Nil));
+            s_tab = Atomic.make (empty_buckets buckets);
             s_len = 0;
             s_stat = Obs.Lockstat.create ~cls:"shard" (Printf.sprintf "%s/shard%d" name i);
           });
@@ -119,7 +142,7 @@ let rec rehash tab = function
 
 let grow s =
   let old = Atomic.get s.s_tab in
-  let tab = Array.init (2 * Array.length old) (fun _ -> Atomic.make Nil) in
+  let tab = empty_buckets (2 * Array.length old) in
   Array.iter (fun b -> rehash tab (Atomic.get b)) old;
   Atomic.set s.s_tab tab
 

@@ -27,10 +27,14 @@
 
 type 'v t
 
-val create : ?name:string -> ?shards:int -> unit -> 'v t
+val create : ?name:string -> ?shards:int -> ?capacity:int -> unit -> 'v t
 (** [shards] defaults to 8 and must be at least 1.  [name] (default
     ["gmap"]) labels the per-shard lock statistics
-    [name/shard0], [name/shard1], ... *)
+    [name/shard0], [name/shard1], ...  [capacity] (default 0) is the
+    number of bindings the map is expected to hold: each shard starts
+    with a bucket per binding of its share (16 at least), half the load
+    that doubles a shard, so filling the map to [capacity] does not
+    rehash.  It is a size hint only: the map still grows past it. *)
 
 val shard_count : 'v t -> int
 

@@ -29,7 +29,9 @@ type pvm = {
          [contexts]/[caches] *)
   mutable current : context option;
   next_id : int Atomic.t;
-  reclaim : page Fifo.t; (* FIFO reclaim queue, oldest first *)
+  reclaim : Reclaim.t;
+      (* the FIFO reclaim queue, oldest first: links between the
+         frames of resident pages, indexed like [page_of_frame] *)
   mm_lock : Mutex.t;
       (* the memory-management lock: reclaim queue, page lists,
          frame-to-page index and MMU mappings (the frame pool is

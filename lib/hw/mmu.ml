@@ -3,17 +3,21 @@ type t = { page_size : int }
 type fault = Unmapped | Protection
 type access = [ `Read | `Write | `Execute ]
 
-(* A page-table entry.  [found] and [ok] are the very blocks [query]
-   and [translate] return on a hit, built when the entry is mapped (and
-   re-protected, for [found]), so a lookup allocates nothing. *)
-type pte = {
-  vpn : int;
-  mutable found : (Phys_mem.frame * Prot.t) option;
-  mutable ok : (Phys_mem.frame, fault) result;
-}
+(* A slot of the page table: empty, or an entry holding its frame and
+   protection inline.  [ok] is the very block [translate] returns on a
+   hit, built only when the entry gets a new frame: a lookup allocates
+   nothing, and neither does a re-protect. *)
+type pte =
+  | No_pte
+  | Pte of {
+      vpn : int;
+      mutable frame : Phys_mem.frame;
+      mutable prot : Prot.t;
+      mutable ok : (Phys_mem.frame, fault) result;
+    }
 
 (* The page table: open addressing with linear probing, power-of-two
-   capacity and load <= 1/2.  A slot holds its entry, or [free].  A
+   capacity and load <= 1/2.  A slot holds its entry, or [No_pte].  A
    resize publishes a fresh [table]; the slots array of one table never
    changes length. *)
 type table = {
@@ -32,9 +36,6 @@ type space = {
 let unmapped = Error Unmapped
 let protection = Error Protection
 
-(* The free slot.  Recognised by identity and never written: writes go
-   only to slots a probe found holding their vpn. *)
-let free = { vpn = min_int; found = None; ok = unmapped }
 let initial_bits = 4
 
 let create ~page_size =
@@ -45,12 +46,12 @@ let page_size t = t.page_size
 
 let make_table bits =
   let cap = 1 lsl bits in
-  { slots = Array.make cap free; mask = cap - 1; shift = Sys.int_size - bits }
+  { slots = Array.make cap No_pte; mask = cap - 1; shift = Sys.int_size - bits }
 
 let create_space mmu =
   { mmu; tab = make_table initial_bits; size = 0; alive = true }
 
-(* A destroyed space's table: one free slot, never written (every
+(* A destroyed space's table: one empty slot, never written (every
    mutation checks [alive] first). *)
 let dead = make_table 0
 
@@ -71,12 +72,11 @@ let page_base t ~vpn = vpn * t.page_size
 let[@inline] home tab vpn = (vpn * 0x278DDE6E5FD29F05) lsr tab.shift
 
 (* The slot holding [vpn], or [lnot i] (negative) where [i] is the
-   free slot that ends its probe run. *)
+   empty slot that ends its probe run. *)
 let[@chorus.hot] rec probe tab vpn i =
-  let e = tab.slots.(i) in
-  if e == free then lnot i
-  else if e.vpn = vpn then i
-  else probe tab vpn ((i + 1) land tab.mask)
+  match tab.slots.(i) with
+  | No_pte -> lnot i
+  | Pte e -> if e.vpn = vpn then i else probe tab vpn ((i + 1) land tab.mask)
 
 let[@chorus.hot] find tab vpn = probe tab vpn (home tab vpn)
 
@@ -84,45 +84,50 @@ let mapped_pages space = space.size
 
 (* --- mutation (under the owner's mm-lock) --------------------------- *)
 
+let rehash nt = function
+  | No_pte -> ()
+  | Pte e as slot -> nt.slots.(lnot (find nt e.vpn)) <- slot
+
 let grow space =
   let old = space.tab.slots in
   let nt = make_table (Sys.int_size - space.tab.shift + 1) in
-  Array.iter
-    (fun e -> if e != free then nt.slots.(lnot (find nt e.vpn)) <- e)
-    old;
+  Array.iter (rehash nt) old;
   space.tab <- nt
 
-let map space ~vpn frame prot =
+(* A new entry for an unmapped [vpn]. *)
+let[@chorus.hot] add space ~vpn frame prot =
+  if 2 * (space.size + 1) > Array.length space.tab.slots then grow space;
+  let tab = space.tab in
+  tab.slots.(lnot (find tab vpn)) <-
+    Pte { vpn; frame; prot; ok = Ok frame }
+    [@chorus.alloc_ok "the page-table entry the space keeps, with its hit result"];
+  space.size <- space.size + 1
+
+let[@chorus.hot] map space ~vpn frame prot =
   check_alive space;
   let i = find space.tab vpn in
-  if i >= 0 then begin
-    let e = space.tab.slots.(i) in
-    match e.found with
-    | Some (f, p) when f == frame ->
-      if not (Prot.equal p prot) then e.found <- Some (frame, prot)
-    | Some _ | None ->
-      e.found <- Some (frame, prot);
-      e.ok <- Ok frame
-  end
-  else begin
-    if 2 * (space.size + 1) > Array.length space.tab.slots then grow space;
-    let tab = space.tab in
-    tab.slots.(lnot (find tab vpn)) <-
-      { vpn; found = Some (frame, prot); ok = Ok frame };
-    space.size <- space.size + 1
-  end
+  if i < 0 then add space ~vpn frame prot
+  else
+    match space.tab.slots.(i) with
+    | Pte e ->
+      if not (e.frame == frame) then begin
+        e.frame <- frame;
+        e.ok <- (Ok frame [@chorus.alloc_ok "the hit result for the new frame"])
+      end;
+      e.prot <- prot
+    | No_pte -> ()
 
-(* Backward-shift deletion: free [hole], then walk its probe run and
+(* Backward-shift deletion: empty [hole], then walk its probe run and
    move back every entry whose home does not lie cyclically in
    (hole, j] — the entry would otherwise be cut off from its home by
-   the new free slot. *)
+   the new empty slot. *)
 let rec close_hole tab hole j =
-  let e = tab.slots.(j) in
-  if e == free then tab.slots.(hole) <- free
-  else
+  match tab.slots.(j) with
+  | No_pte -> tab.slots.(hole) <- No_pte
+  | Pte e as slot ->
     let next = (j + 1) land tab.mask in
     if (j - home tab e.vpn) land tab.mask >= (j - hole) land tab.mask then begin
-      tab.slots.(hole) <- e;
+      tab.slots.(hole) <- slot;
       close_hole tab j next
     end
     else close_hole tab hole next
@@ -136,15 +141,11 @@ let unmap space ~vpn =
   let i = find space.tab vpn in
   if i >= 0 then remove_slot space i
 
-let protect space ~vpn prot =
+let[@chorus.hot] protect space ~vpn prot =
   check_alive space;
   let i = find space.tab vpn in
   if i < 0 then invalid_arg "Mmu.protect: page not mapped";
-  let e = space.tab.slots.(i) in
-  match e.found with
-  | Some (frame, p) when not (Prot.equal p prot) ->
-    e.found <- Some (frame, prot)
-  | Some _ | None -> ()
+  match space.tab.slots.(i) with Pte e -> e.prot <- prot | No_pte -> ()
 
 (* Slot-order scan deleting every vpn in [vpn, vpn+count).  A deletion
    back-shifts later entries into slot [i], so [i] is examined again
@@ -153,12 +154,11 @@ let protect space ~vpn prot =
 let rec scan_remove space ~vpn ~count i removed =
   if i >= Array.length space.tab.slots then removed
   else
-    let e = space.tab.slots.(i) in
-    if e != free && e.vpn >= vpn && e.vpn - vpn < count then begin
+    match space.tab.slots.(i) with
+    | Pte e when e.vpn >= vpn && e.vpn - vpn < count ->
       remove_slot space i;
       scan_remove space ~vpn ~count i (removed + 1)
-    end
-    else scan_remove space ~vpn ~count (i + 1) removed
+    | Pte _ | No_pte -> scan_remove space ~vpn ~count (i + 1) removed
 
 let invalidate_range space ~vpn ~count =
   check_alive space;
@@ -177,19 +177,16 @@ let invalidate_range space ~vpn ~count =
 
 (* --- lookup (allocation-free) --------------------------------------- *)
 
-let query space ~vpn =
+let[@chorus.hot] query space ~vpn =
   let tab = space.tab in
   let i = find tab vpn in
-  if i < 0 then None else tab.slots.(i).found
+  if i < 0 then No_pte else tab.slots.(i)
 
 let[@chorus.hot] mapped_frame_index space ~vpn =
   let tab = space.tab in
   let i = find tab vpn in
   if i < 0 then -1
-  else
-    match tab.slots.(i).found with
-    | Some (frame, _) -> frame.Phys_mem.index
-    | None -> -1
+  else match tab.slots.(i) with Pte e -> e.frame.Phys_mem.index | No_pte -> -1
 
 let[@chorus.hot] translate space ~addr ~access =
   check_alive space;
@@ -197,29 +194,26 @@ let[@chorus.hot] translate space ~addr ~access =
   let i = find tab (vpn_of_addr space.mmu addr) in
   if i < 0 then unmapped
   else
-    let e = tab.slots.(i) in
-    match e.found with
-    | Some (_, prot) when Prot.allows prot access -> e.ok
-    | Some _ -> protection
-    | None -> unmapped
+    match tab.slots.(i) with
+    | Pte e -> if Prot.allows e.prot access then e.ok else protection
+    | No_pte -> unmapped
 
 let[@chorus.hot] iter_range_with space ~vpn ~count f x =
   let tab = space.tab in
   if count > Array.length tab.slots then
     for i = 0 to Array.length tab.slots - 1 do
-      let e = tab.slots.(i) in
-      if e != free && e.vpn >= vpn && e.vpn - vpn < count then
-        match e.found with
-        | Some (frame, prot) -> f x ~vpn:e.vpn frame prot
-        | None -> ()
+      match tab.slots.(i) with
+      | Pte e when e.vpn >= vpn && e.vpn - vpn < count ->
+        f x ~vpn:e.vpn e.frame e.prot
+      | Pte _ | No_pte -> ()
     done
   else
     for p = vpn to vpn + count - 1 do
       let i = find tab p in
       if i >= 0 then
-        match tab.slots.(i).found with
-        | Some (frame, prot) -> f x ~vpn:p frame prot
-        | None -> ()
+        match tab.slots.(i) with
+        | Pte e -> f x ~vpn:p e.frame e.prot
+        | No_pte -> ()
     done
 
 let apply f ~vpn frame prot = f ~vpn frame prot
@@ -228,10 +222,9 @@ let iter_range space ~vpn ~count f = iter_range_with space ~vpn ~count apply f
 let iter space f =
   let entries = ref [] in
   Array.iter
-    (fun e ->
-      match e.found with
-      | Some (frame, prot) -> entries := (e.vpn, frame, prot) :: !entries
-      | None -> ())
+    (function
+      | Pte e -> entries := (e.vpn, e.frame, e.prot) :: !entries
+      | No_pte -> ())
     space.tab.slots;
   List.iter
     (fun (vpn, frame, prot) -> f ~vpn frame prot)

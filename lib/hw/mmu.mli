@@ -11,13 +11,17 @@
     space starts with 16 slots; the capacity doubles as pages are
     mapped and follows the peak number of mapped pages (it is released
     by {!destroy_space}).  One array rather than parallel key and value
-    arrays keeps a growing table to one fresh block per doubling.
+    arrays keeps a growing table to one fresh block per doubling.  An
+    entry holds its frame and protection inline: mapping a page
+    allocates the entry and the [Ok frame] block {!translate} returns,
+    re-mapping it to another frame a new [Ok frame], and nothing else
+    ({!protect} and a re-map to the same frame allocate nothing).
 
     {b Cost per operation.}  [translate], [query], [mapped_frame_index],
     [map], [unmap] and [protect] are one expected-O(1) probe of int
-    keys — no polymorphic hash or compare.  A [translate] or [query]
-    hit allocates nothing: both return blocks stored in the entry when
-    it was mapped (or re-protected).  [iter_range] and
+    keys — no polymorphic hash or compare.  [translate], [query] and
+    [mapped_frame_index] allocate nothing: [translate] returns the
+    [Ok frame] block stored in the entry, [query] the entry itself.  [iter_range] and
     [invalidate_range] cost at most [min count capacity] slots, so
     tearing down a huge, sparsely mapped range costs what is mapped.
     [iter] sorts and is meant for inspection only.
@@ -44,6 +48,17 @@ type fault =
 
 type access = [ `Read | `Write | `Execute ]
 
+(** A page-table slot, as {!query} returns it. *)
+type pte = private
+  | No_pte  (** no entry for the page *)
+  | Pte of {
+      vpn : int;
+      mutable frame : Phys_mem.frame;
+      mutable prot : Prot.t;
+      mutable ok : (Phys_mem.frame, fault) result;
+          (** [Ok frame]: what {!translate} returns on a hit *)
+    }
+
 val create : page_size:int -> t
 val page_size : t -> int
 
@@ -65,8 +80,10 @@ val protect : space -> vpn:int -> Prot.t -> unit
 (** Changes the protection of an existing PTE.
     @raise Invalid_argument if [vpn] is not mapped. *)
 
-val query : space -> vpn:int -> (Phys_mem.frame * Prot.t) option
-(** The PTE for [vpn]; allocates nothing. *)
+val query : space -> vpn:int -> pte
+(** The PTE for [vpn], or [No_pte].  It is the table's own entry, so a
+    lookup allocates nothing; read it before the space's next mutation,
+    which may update it in place. *)
 
 val mapped_frame_index : space -> vpn:int -> int
 (** Index of the frame [vpn] maps, or [-1] when unmapped; allocates

@@ -34,16 +34,22 @@ let total_frames t = Array.length t.frames
 let used_frames t = Atomic.get t.used
 let free_frames t = total_frames t - used_frames t
 
-let rec alloc_opt t =
+let rec alloc_index t =
   match Atomic.get t.free_list with
-  | [] -> None
+  | [] -> -1
   | i :: rest as head ->
     if Atomic.compare_and_set t.free_list head rest then begin
       t.allocated.(i) <- true;
       Atomic.incr t.used;
-      Some t.frames.(i)
+      i
     end
-    else alloc_opt t
+    else alloc_index t
+
+let frame t i = t.frames.(i)
+
+let alloc_opt t =
+  let i = alloc_index t in
+  if i < 0 then None else Some t.frames.(i)
 
 let alloc t =
   match alloc_opt t with Some f -> f | None -> raise Out_of_memory

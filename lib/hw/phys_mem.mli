@@ -40,6 +40,13 @@ val alloc : t -> frame
 
 val alloc_opt : t -> frame option
 
+val alloc_index : t -> int
+(** Like {!alloc_opt}, as the frame's index ([-1] when the pool is
+    exhausted): allocates nothing.  {!frame} gives the frame. *)
+
+val frame : t -> int -> frame
+(** [frame t i] is frame number [i] of the pool. *)
+
 val free : t -> frame -> unit
 (** Returns a frame to the head of the free list.
     @raise Invalid_argument if the frame is already free. *)

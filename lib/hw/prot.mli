@@ -16,6 +16,9 @@ val allows : t -> [ `Read | `Write | `Execute ] -> bool
 val remove_write : t -> t
 (** Used when read-protecting pages for copy-on-write. *)
 
+(** {!remove_write} and {!intersect} allocate nothing: they return one
+    of eight protections built once. *)
+
 val subsumes : t -> t -> bool
 (** [subsumes a b] iff every access allowed by [b] is allowed by [a]. *)
 

@@ -55,6 +55,10 @@ let l1_fields : ((string * string) * obj_class) list =
     (("pvm", "stub_sources"), Map);
     (("pvm", "page_of_frame"), Frames);
     (("pvm", "reclaim"), Frames);
+    (* Core.Reclaim.t — the reclaim queue's links, indexed by frame *)
+    (("t", "rq_next"), Frames);
+    (("t", "rq_prev"), Frames);
+    (("t", "rq_len"), Frames);
     (("pvm", "newest_context"), Structure);
     (("pvm", "newest_cache"), Structure);
     (("pvm", "current"), Structure);

@@ -112,6 +112,12 @@ let guarded_fields : ((string * string) * guard) list =
        record the guard that Install's index helpers take *)
     (("cache", "c_dest_stubs"), mm);
     (("cache", "c_pending_offs"), mm);
+    (* the reclaim queue: pushed and unlinked by Install under mm, walked
+       by the pager under mm.  The link arrays are immutable fields whose
+       slots change; the entries record their guard with the count's *)
+    (("t", "rq_next"), mm);
+    (("t", "rq_prev"), mm);
+    (("t", "rq_len"), mm);
     (* Nucleus: transit-segment slot pool and port queues *)
     (("t", "free"), lane);
     (("t", "queue"), lane);

@@ -154,9 +154,9 @@ let region_set_protection t (region : region) prot =
   for i = 0 to (region.r_size / ps) - 1 do
     charge t.cost.t_mmu_protect;
     (match Hw.Mmu.query region.r_ctx.ctx_space ~vpn:((region.r_addr / ps) + i) with
-    | Some _ ->
+    | Pte _ ->
       Hw.Mmu.protect region.r_ctx.ctx_space ~vpn:((region.r_addr / ps) + i) prot
-    | None -> ());
+    | No_pte -> ());
     if Hw.Prot.allows prot `Write then
       Hashtbl.replace region.r_cache.c_dirty
         (region.r_offset + (i * ps)) ()

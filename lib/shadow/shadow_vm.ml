@@ -256,9 +256,9 @@ let copy_entry t (entry : entry) ~(dst_space : space) ~dst_addr =
       charge t Hw.Cost.Mmu_protect;
       let vpn = (entry.e_addr + off - entry.e_offset) / page_size t in
       match Hw.Mmu.query entry.e_space.sp_mmu ~vpn with
-      | Some (frame, prot) ->
+      | Pte { frame; prot; _ } ->
         Hw.Mmu.map entry.e_space.sp_mmu ~vpn frame (Hw.Prot.remove_write prot)
-      | None -> ())
+      | No_pte -> ())
     original.o_pages;
   charge t Hw.Cost.Tree_setup;
   (* shadow for the source side *)

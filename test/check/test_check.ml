@@ -85,7 +85,8 @@ let test_catches_mmu_corruption () =
 let test_catches_reclaim_corruption () =
   in_sim (fun engine ->
       let pvm, _ = build engine in
-      ignore (Core.Fifo.pop pvm.Core.Types.reclaim);
+      let q = pvm.Core.Types.reclaim in
+      Core.Reclaim.remove q (Core.Reclaim.oldest q);
       expect_rule pvm "reclaim")
 
 (* Corruption 4: mark a mapped cache as a hidden history node. *)

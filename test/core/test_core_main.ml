@@ -7,6 +7,7 @@ let () =
       ("pager", Test_pager.tests);
       ("edge", Test_edge.tests);
       ("lifecycle", Test_lifecycle.tests);
+      ("reclaim", Test_reclaim.tests);
       ("fault-injection", Test_faults_inject.tests);
       ("properties", Test_props.tests);
       ("shard-map", Test_shard_map.tests);

@@ -354,7 +354,7 @@ let test_alloc_zero_fill_fault () =
       map_cache pvm ctx cache ~pages:32;
       words_per_op 32 (fun i ->
           Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Write)
-      |> check_words "a zero-fill write fault" ~bound:72.)
+      |> check_words "a zero-fill write fault" ~bound:56.)
 
 (* [src]'s first [pages] pages written through a context of its own. *)
 let written_source pvm ~pages =
@@ -376,7 +376,7 @@ let test_alloc_borrow_fault () =
       map_cache pvm ctx dst ~pages:32;
       words_per_op 32 (fun i ->
           Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Read)
-      |> check_words "a borrow read fault" ~bound:46.)
+      |> check_words "a borrow read fault" ~bound:34.)
 
 let test_alloc_remap_fault () =
   with_pvm (fun pvm ->
@@ -385,7 +385,7 @@ let test_alloc_remap_fault () =
       map_cache pvm ctx cache ~pages:32;
       words_per_op 32 (fun i ->
           Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Read)
-      |> check_words "a re-map of a resident page" ~bound:30.)
+      |> check_words "a re-map of a resident page" ~bound:22.)
 
 let test_alloc_per_page_copy () =
   with_pvm (fun pvm ->

@@ -938,9 +938,9 @@ let prop_mmu_model =
                 | exception Invalid_argument _ -> model))
             | Query v ->
               let got =
-                Option.map
-                  (fun (frame, prot) -> binding frame prot)
-                  (Hw.Mmu.query space ~vpn:v)
+                match Hw.Mmu.query space ~vpn:v with
+                | Pte { frame; prot; _ } -> Some (binding frame prot)
+                | No_pte -> None
               in
               if got <> IM.find_opt v model then
                 fail "query %d disagrees with the model" v;
@@ -994,13 +994,15 @@ let prop_mmu_model =
       IM.iter
         (fun v (f, prot) ->
           match Hw.Mmu.query space ~vpn:v with
-          | Some (frame, p) when frame.index = f && Hw.Prot.equal p prot -> ()
-          | Some _ | None -> fail "final entry %d lost or wrong" v)
+          | Pte { frame; prot = p; _ }
+            when frame.index = f && Hw.Prot.equal p prot ->
+            ()
+          | Pte _ | No_pte -> fail "final entry %d lost or wrong" v)
         model;
       true)
 
-(* A hit allocates nothing: [translate] and [query] return blocks the
-   entry already holds. *)
+(* A hit allocates nothing: [translate] returns the block the entry
+   already holds, [query] the entry itself. *)
 let test_mmu_hits_allocate_nothing () =
   let mmu = Hw.Mmu.create ~page_size:4096 in
   let mem = Hw.Phys_mem.create ~page_size:4096 ~frames:64 () in
@@ -1016,12 +1018,38 @@ let test_mmu_hits_allocate_nothing () =
     (match Hw.Mmu.translate space ~addr:(vpn * 4096) ~access:`Read with
     | Ok _ -> incr hits
     | Error _ -> ());
-    match Hw.Mmu.query space ~vpn with Some _ -> incr hits | None -> ()
+    match Hw.Mmu.query space ~vpn with Pte _ -> incr hits | No_pte -> ()
   done;
   let words = Gc.minor_words () -. before in
   Alcotest.(check int) "every lookup hit" 20_000 !hits;
   Alcotest.(check (float 0.)) "minor words for 10k translate+query hits" 0.
     words
+
+(* An entry holds its frame and protection inline: re-protecting it,
+   re-mapping it to the same frame and reading its frame index
+   allocate nothing. *)
+let test_mmu_updates_allocate_nothing () =
+  let mmu = Hw.Mmu.create ~page_size:4096 in
+  let mem = Hw.Phys_mem.create ~page_size:4096 ~frames:64 () in
+  let space = Hw.Mmu.create_space mmu in
+  let frames = Array.init 64 (fun _ -> Hw.Phys_mem.alloc mem) in
+  Array.iteri
+    (fun vpn frame -> Hw.Mmu.map space ~vpn frame Hw.Prot.read_only)
+    frames;
+  let prots = [| Hw.Prot.read_only; Hw.Prot.read_write |] in
+  let wrong = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let vpn = i mod 64 in
+    Hw.Mmu.protect space ~vpn prots.(i land 1);
+    Hw.Mmu.map space ~vpn frames.(vpn) prots.((i + 1) land 1);
+    if Hw.Mmu.mapped_frame_index space ~vpn <> frames.(vpn).index then
+      incr wrong
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every entry keeps its frame" 0 !wrong;
+  Alcotest.(check (float 0.))
+    "minor words for 10k protect+same-frame map+index reads" 0. words
 
 (* --- Prot ----------------------------------------------------------- *)
 
@@ -1111,6 +1139,8 @@ let () =
           Alcotest.test_case "translate" `Quick test_mmu_translate;
           Alcotest.test_case "hits allocate nothing" `Quick
             test_mmu_hits_allocate_nothing;
+          Alcotest.test_case "updates allocate nothing" `Quick
+            test_mmu_updates_allocate_nothing;
           QCheck_alcotest.to_alcotest prop_mmu_model;
         ] );
       ( "prot", [ Alcotest.test_case "algebra" `Quick test_prot_algebra ] );

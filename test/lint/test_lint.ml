@@ -552,13 +552,13 @@ let test_shard_lock_mutation () =
          (List.map (Format.asprintf "%a" Lint.Finding.pp) fs))
 
 (* Mutation test #4: the MMU walk is a hot file.  Build the [Ok frame]
-   result inside the real [Mmu.translate] instead of returning the one
-   cached in the entry, and L4 must report exactly that allocation;
-   the unmutated copy stays clean. *)
+   result inside the real [Mmu.translate] from the entry's inline frame
+   instead of returning the one cached in the entry, and L4 must report
+   exactly that allocation; the unmutated copy stays clean. *)
 let test_mmu_alloc_mutation () =
   let src = read_file (build_root ^ "lib/hw/mmu.ml") in
   let needle =
-    "    | Some (_, prot) when Prot.allows prot access -> e.ok\n"
+    "    | Pte e -> if Prot.allows e.prot access then e.ok else protection\n"
   in
   Alcotest.(check int) "translate's hit returns the cached result once" 1
     (count_occurrences ~needle src);
@@ -568,7 +568,9 @@ let test_mmu_alloc_mutation () =
   check_keys "unmutated sandbox copy is clean" [] (lint src);
   let mutated =
     replace_once ~needle
-      ~by:"    | Some (frame, prot) when Prot.allows prot access -> Ok frame\n"
+      ~by:
+        "    | Pte e -> if Prot.allows e.prot access then Ok e.frame else \
+         protection\n"
       src
   in
   match lint mutated with
