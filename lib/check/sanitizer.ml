@@ -32,9 +32,9 @@ let rules =
        parent relation acyclic (§4.2, Figure 3)" );
     ( "zombie",
       "hidden-node marks: zombie caches are exactly the hidden history \
-       nodes, are never mapped by a region, are as many as the PVM's zombie \
-       count, and at quiescence each is still read, through fragment \
-       parents or live stub sources, from some visible cache (§4.2.5)" );
+       nodes, are never mapped by a region, and at quiescence each is \
+       still read, through fragment parents or live stub sources, from \
+       some visible cache (§4.2.5)" );
     ( "stubs",
       "per-virtual-page deferred copy: every live stub is threaded on its \
        resident source page or indexed under its (cache, offset) source, \
@@ -274,13 +274,6 @@ let run ?(strict = true) (pvm : pvm) : violation list =
             err "swap" "cache %d: unaligned swap offset %d" c.c_id off)
         c.c_backed_offs)
     caches;
-  (let zombies =
-     List.length
-       (List.filter (fun (c : cache) -> c.c_zombie) caches)
-   in
-   if zombies <> Atomic.get pvm.zombies then
-     err "zombie" "%d zombie cache(s), the zombie count says %d" zombies
-       (Atomic.get pvm.zombies));
 
   (* regions *)
   List.iter
@@ -444,8 +437,9 @@ let run ?(strict = true) (pvm : pvm) : violation list =
   if strict then begin
     (* every hidden node is still read by a visible cache: mark forward
        from the visible caches through fragment parents and the sources
-       of live stubs — the whole-map oracle for Cache.sweep_zombies,
-       which decides the same thing backwards from each zombie *)
+       of live stubs — the whole-map oracle for Cache's liveness rule,
+       which decides the same thing backwards from a hidden cache that
+       lost a reader *)
     let stub_edges = Hashtbl.create 32 in
     Core.Shard_map.iter
       (fun _ _ entry ->

@@ -598,6 +598,44 @@ let pervpage =
   in
   { name = "pervpage"; oracle = Schedule_independent; run }
 
+(* Two hidden caches that read each other, built from the public GMI
+   alone (§4.2.5): [b] history-copies [a]'s first two pages and writes
+   its first, a per-page copy of that page goes to [c], and [move]
+   carries [c]'s stub onto [a] at page 4 — so [a] reads [b] through the
+   stub while [b] reads [a] through its fragment.  [d] history-copies
+   [b].  [on_cycle] sees [a] and [b] once the cycle is closed; then
+   [c], [a] and [b] are destroyed, leaving [d] the pair's one visible
+   reader. *)
+let orphan_pair ?(on_cycle = fun _ _ -> ()) pvm =
+  let a = Core.Cache.create pvm () and b = Core.Cache.create pvm () in
+  let c = Core.Cache.create pvm () and d = Core.Cache.create pvm () in
+  Core.Cache.write_through pvm a ~offset:0 (Bytes.make (2 * ps) 'a');
+  Core.Cache.copy pvm ~strategy:`History ~src:a ~src_off:0 ~dst:b ~dst_off:0
+    ~size:(2 * ps) ();
+  Core.Cache.write_through pvm b ~offset:0 (Bytes.make 8 'b');
+  Core.Cache.copy pvm ~strategy:`Per_page ~src:b ~src_off:0 ~dst:c ~dst_off:0
+    ~size:ps ();
+  Core.Cache.move pvm ~src:c ~src_off:0 ~dst:a ~dst_off:(4 * ps) ~size:ps ();
+  Core.Cache.copy pvm ~strategy:`History ~src:b ~src_off:0 ~dst:d ~dst_off:0
+    ~size:(2 * ps) ();
+  on_cycle a b;
+  List.iter (Core.Cache.destroy pvm) [ c; a; b ];
+  d
+
+(* The pair loses its last visible reader once by a destroy, once by a
+   history copy onto the reader's range. *)
+let orphans =
+  let run engine ~register =
+    let pvm = Core.Pvm.create ~frames:64 ~engine () in
+    register pvm;
+    Core.Cache.destroy pvm (orphan_pair pvm);
+    let d = orphan_pair pvm and e = Core.Cache.create pvm () in
+    Core.Cache.copy pvm ~strategy:`History ~src:e ~src_off:0 ~dst:d ~dst_off:0
+      ~size:(2 * ps) ();
+    fun () -> digest [ pvm ]
+  in
+  { name = "orphans"; oracle = Schedule_independent; run }
+
 (* --- Model programs ----------------------------------------------- *)
 
 let site_setup ~frames ~pages engine =
@@ -692,6 +730,7 @@ let all =
     chains;
     segcache;
     pervpage;
+    orphans;
     pressure;
     pressure_program ~name:"contend-model" ~workers:3;
   ]

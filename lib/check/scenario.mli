@@ -43,7 +43,8 @@ type t = {
 val all : t list
 (** The registry, in CLI order: the kernel workloads [fig3], [fork],
     [dsm], [ipc], [contend], [storm], [make], [decomp], [chains],
-    [segcache] and [pervpage] (observed by {!digest}), then the Model
+    [segcache], [pervpage] and [orphans] (observed by {!digest}), then
+    the Model
     programs [pressure] and [contend-model] (observed by
     {!Model.digest_outcome}, judged by [Outcomes]). *)
 
@@ -301,6 +302,24 @@ val pervpage : t
 (** An 8-page written source on a 900-frame PVM {!diverge}d by each of
     [`History], [`Per_page] and [`Eager] with the copy writing 2 pages,
     each copy torn down (bench's ablation C at one size). *)
+
+val orphan_pair :
+  ?on_cycle:(Core.Types.cache -> Core.Types.cache -> unit) ->
+  Core.Types.pvm ->
+  Core.Types.cache
+(** Two hidden caches [a] and [b] that read each other, built with
+    [Cache.copy], [move], [write_through] and [destroy] only: [b]
+    history-copies [a]'s first two pages and writes 8 ['b'] bytes over
+    [a]'s ['a']s, a per-page copy of [b]'s first page moves onto [a] at
+    page 4, and a fourth cache history-copies [b].  [on_cycle]
+    (default: nothing) is called with [a] and [b] once the cycle is
+    closed; then the per-page copy, [a] and [b] are destroyed.  Returns
+    the fourth cache, the pair's last visible reader (§4.2.5). *)
+
+val orphans : t
+(** Two {!orphan_pair}s on a 64-frame PVM: the first loses its reader
+    to [Cache.destroy], the second to a history copy from a fresh cache
+    over the reader's range.  Each pair must be collected at once. *)
 
 val of_program : name:string -> frames:int -> pages:int -> Model.prog -> t
 (** Lift a {!Model} program into a scenario on a nucleus site with

@@ -42,18 +42,15 @@ let[@chorus.hot] flush_pinned pvm (p : page) =
 (* Does any per-page stub still read through this cache (pending keyed
    on it, or threaded on its pages)? *)
 let[@chorus.noted
-     "callers (collectable, the reaper) note the topology this emptiness \
-      test decides on"] has_stub_readers (cache : cache) =
+     "callers (the liveness rule) note the topology this emptiness test \
+      decides on"] has_stub_readers (cache : cache) =
   Hashtbl.length cache.c_pending_offs > 0
   || List.exists (fun (p : page) -> p.p_cow_stubs <> []) cache.c_pages
 
-(* A hidden (zombie) cache is collectable once nothing reads it:
-   no fragment children, no mapping regions, no stub readers. *)
-let collectable pvm (cache : cache) =
-  note_structure ~write:false pvm;
-  cache.c_alive && cache.c_zombie && cache.c_children = []
-  && cache.c_mappings = []
-  && not (has_stub_readers cache)
+(* Does nothing read this cache: no fragment child, no stub reader? *)
+let[@chorus.noted "callers (the liveness rule) note the topology first"] unread
+    (cache : cache) =
+  cache.c_children = [] && not (has_stub_readers cache)
 
 (* The caches [cache]'s fragments name as parents, each once. *)
 let[@chorus.noted "callers (teardown, purge_range) note the topology first"] distinct_parents
@@ -104,8 +101,40 @@ let[@chorus.hot] rec frag_of (parent : cache) = function
   | [] -> false
   | f :: rest -> f.f_parent == parent || frag_of parent rest
 
-(* Detach [cache]'s fragment links to parents it no longer references;
-   collect zombie history chains that become childless. *)
+(* The liveness walk: the hidden caches that read [c], directly or
+   through other hidden caches, [c] included, found backwards along
+   reader edges — fragment children, then the destinations of the live
+   stubs threaded on its pages, then those of its pending rows.  It
+   raises [Read] at the first reader that keeps [c] alive: a visible
+   cache, or a hidden one nothing reads.  The latter is being torn
+   down, or is about to be by the rule that follows the loss of its
+   last reader, and its teardown runs the rule again on what it
+   reads. *)
+exception Read
+
+let[@chorus.noted "the liveness rule notes the topology before the walk"] readers
+    pvm (c : cache) =
+  let rec visit seen (c : cache) =
+    if cache_visible c || (c.c_zombie && unread c) then raise_notrace Read
+    else if (not c.c_alive) || List.memq c seen then seen
+    else
+      let seen = List.fold_left visit (c :: seen) c.c_children in
+      let seen =
+        List.fold_left
+          (fun seen (p : page) -> List.fold_left via seen p.p_cow_stubs)
+          seen c.c_pages
+      in
+      List.fold_left
+        (fun seen o ->
+          match Shard_map.find_opt pvm.stub_sources c.c_id o with
+          | Some stubs -> List.fold_left via seen stubs
+          | None -> seen)
+        seen (Install.pending_offsets c)
+  and via seen s = if s.cs_alive then visit seen s.cs_cache else seen in
+  visit [] c
+
+(* Detach [cache]'s fragment links to parents it no longer references,
+   and run the liveness rule on each parent it leaves. *)
 let[@chorus.hot] [@chorus.guarded
      "topology surgery: runs only from the owning site's serial-class \
       fibres or at pool quiescence; the parallel fault path only reads \
@@ -125,7 +154,7 @@ and[@chorus.hot] [@chorus.guarded
     if not (frag_of parent cache.c_parents) then begin
       parent.c_children <- Parents.without_cache cache parent.c_children;
       History.child_detached parent cache;
-      if collectable pvm parent then teardown pvm parent
+      reap pvm parent
     end;
     detach_parents pvm cache rest
 
@@ -146,10 +175,44 @@ and[@chorus.hot] teardown pvm (cache : cache) =
   let parents_before = distinct_parents cache in
   Parents.detach_all cache;
   cache.c_alive <- false;
-  clear_zombie pvm cache;
+  cache.c_zombie <- false;
   note_structure pvm;
   unlink_cache pvm cache;
   detach_unreferenced pvm cache ~parents_before
+
+(* The liveness rule (§4.2, §4.2.5), run wherever a hidden cache can
+   lose a reader: a fragment child detached, a stub killed or
+   materialised, the cache itself destroyed.  A hidden cache nothing
+   reads is torn down.  One whose readers no visible cache reads
+   either — a cycle through per-page stubs, which [move] can close —
+   dies with them all at once, by trial deletion: the stubs destined
+   to the set are dropped, which leaves it a forest of fragment
+   children; the rule run on every member then tears the forest down
+   from its leaves (each teardown runs it on the parents), and last
+   on the stub sources outside the set. *)
+and[@chorus.guarded
+     "topology surgery: runs only from the owning site's serial-class \
+      fibres or at pool quiescence"] reap pvm (cache : cache) =
+  note_structure ~write:false pvm;
+  if cache.c_alive && cache.c_zombie then
+    if unread cache then teardown pvm cache
+    else
+      match readers pvm cache with
+      | exception Read -> ()
+      | dead ->
+        let sources = ref [] in
+        List.iter
+          (fun (c : cache) ->
+            List.iter
+              (fun s ->
+                if s.cs_alive then begin
+                  Pervpage.drop pvm s;
+                  sources := Pervpage.source_cache_of s :: !sources
+                end)
+              (Install.dest_stubs c))
+          dead;
+        List.iter (reap pvm) dead;
+        List.iter (reap pvm) !sources
 
 (* Overlap of fragment [f]'s parent window with [off, off+size) of the
    parent, expressed in the child's offsets. *)
@@ -216,7 +279,6 @@ let[@chorus.guarded
     ~size =
   note_structure pvm;
   let z = Install.new_cache pvm ~anonymous:cache.c_anonymous ~is_history:true () in
-  mark_zombie pvm z;
   (* Old values already pushed to an anonymous swap are pulled back so
      they can migrate: z cannot share cache's swap offsets, future
      push-outs of new contents would clobber them.  Once the swap copy
@@ -561,9 +623,11 @@ let[@chorus.hot] choose_strategy pvm strategy ~(src : cache) ~src_off
       s
   in
   (* Copying onto one of the source's own ancestors would close a
-     cycle in the copy graph (lookups could loop; hidden history nodes
-     would keep each other alive).  Unix workloads never do this; fall
-     back to an eager copy when they would. *)
+     cycle in the copy graph, and lookups could loop.  Unix workloads
+     never do this; fall back to an eager copy when they would.
+     (Hidden caches that end up reading each other — [move] can close
+     such a cycle through a stub — are collected by the liveness
+     rule.) *)
   if chosen <> `Eager && History.reachable ~from:src dst then `Eager
   else chosen
 
@@ -790,100 +854,11 @@ let set_protection pvm (cache : cache) ~offset ~size prot =
       Pmap.refresh_prot pvm p)
     (own_pages_in_range cache ~off:offset ~size)
 
-(* The reaper's local checks cannot collect {e cycles} of hidden
-   caches (a zombie whose pages feed stubs destined to another zombie
-   that is its own transitive child).  A zombie must stay while some
-   user-visible cache still reads it, directly or through other
-   zombies.  Decide that backwards from each zombie along its reader
-   edges — fragment children, and the destinations of the live stubs
-   reading it (threaded on its pages or pending on its offsets) — and
-   stop at the first non-zombie.  Only zombies can be dead, so with
-   none the sweep does nothing; the dead ones go wholesale. *)
-let[@chorus.noted
-     "runs only under sweep_zombies, which notes the topology first and runs \
-      at pool quiescence; the reader edges it follows are the zombie's own \
-      children, threaded stubs and pending rows"] read_by_visible pvm
-    (z : cache) =
-  let visited = ref [] in
-  let rec visible (c : cache) =
-    (c.c_alive && not c.c_zombie)
-    || (not (List.memq c !visited))
-       && begin
-         visited := c :: !visited;
-         List.exists visible c.c_children
-         || List.exists
-              (fun (p : page) -> List.exists via_stub p.p_cow_stubs)
-              c.c_pages
-         || List.exists
-              (fun o ->
-                match Shard_map.find_opt pvm.stub_sources c.c_id o with
-                | Some stubs -> List.exists via_stub stubs
-                | None -> false)
-              (Install.pending_offsets c)
-       end
-  and via_stub (s : cow_stub) = s.cs_alive && visible s.cs_cache in
-  visible z
-
-(* The zombies of the registry from [c] on, newest first, and their
-   number: walks that cons only the zombies. *)
-let[@chorus.noted "runs only under sweep_zombies, which notes the topology first"] rec zombies_from
-    acc = function
-  | None -> List.rev acc
-  | Some (c : cache) ->
-    zombies_from (if c.c_zombie then c :: acc else acc) c.c_older
-
-let[@chorus.noted "runs only under sweep_zombies, which notes the topology first"] rec count_zombies
-    n = function
-  | None -> n
-  | Some (c : cache) -> count_zombies (if c.c_zombie then n + 1 else n) c.c_older
-
-(* The sweep walks the registry, newest first, whatever [pvm.zombies]
-   says, and sets the count from what it leaves behind. *)
-let[@chorus.guarded
-     "the sweep runs at pool quiescence only: no parallel slice is live \
-      to race the topology edits"] sweep_zombies pvm =
-  note_structure pvm;
-  (match zombies_from [] pvm.newest_cache with
-  | [] -> ()
-  | zombies ->
-    let dead =
-      List.filter (fun (c : cache) -> not (read_by_visible pvm c)) zombies
-    in
-    (* every stub destined to a dead cache reads a dead source (a
-       visible destination would have kept its source): discard them *)
-    List.iter
-      (fun (c : cache) ->
-        List.iter
-          (fun s -> if s.cs_alive then Pervpage.kill pvm s)
-          (Install.dest_stubs c))
-      dead;
-    List.iter
-      (fun (c : cache) ->
-        List.iter
-          (fun (p : page) ->
-            assert (p.p_cow_stubs = []);
-            if p.p_alive then Install.remove_page pvm p ~free_frame:true)
-          c.c_pages;
-        List.iter
-          (fun f ->
-            if not (List.memq f.f_parent dead) then
-              History.child_detached f.f_parent c)
-          c.c_parents;
-        Parents.detach_all c;
-        c.c_children <- [];
-        c.c_history <- None;
-        c.c_alive <- false;
-        c.c_zombie <- false;
-        note_structure pvm;
-        unlink_cache pvm c)
-      dead);
-  Atomic.set pvm.zombies (count_zombies 0 pvm.newest_cache)
-
 (* cacheDestroy: drop the binding.  If descendants still read through
-   this cache it lingers as a hidden history node and is collected
-   when the last child detaches (§4.2.5 discussion); garbage cycles of
-   hidden nodes are swept afterwards — only when a hidden node exists,
-   which the zombie count tells without a walk. *)
+   this cache it lingers as a hidden history node (§4.2.5 discussion),
+   which no GMI call accepts any more; the liveness rule decides at
+   once whether a visible cache still reads it, and again whenever it
+   loses a reader. *)
 let[@chorus.hot] destroy pvm (cache : cache) =
   check_cache_alive cache;
   note_structure pvm;
@@ -891,29 +866,25 @@ let[@chorus.hot] destroy pvm (cache : cache) =
     invalid_arg "cacheDestroy: regions still map this cache";
   if cache.c_children = [] then teardown pvm cache
   else begin
-    mark_zombie pvm cache;
-    cache.c_is_history <- true
+    cache.c_zombie <- true;
+    cache.c_is_history <- true;
+    reap pvm cache
   end;
-  if Atomic.get pvm.zombies > 0 then sweep_zombies pvm
-  else note_structure pvm
+  note_structure pvm
 
 let stats_of pvm = snapshot_stats pvm.stats
 let mapping_count (cache : cache) =
   note_structure ~write:false cache.c_pvm;
   List.length cache.c_mappings
-let is_alive (cache : cache) = cache.c_alive
+let is_alive = cache_visible
 
-(* Stub-death reaper: a hidden history cache whose last reader was a
-   per-page stub (not a fragment child) is collected when that stub
-   dies.  Installed on every PVM instance at creation. *)
+(* The liveness rule behind stub death ([Pervpage.reap_source]), which
+   sits below this module.  Installed on every PVM instance at
+   creation. *)
 let install_reaper pvm =
   pvm.zombie_reaper <-
     Some
       (fun cache ->
         note_structure pvm;
-        if
-          cache.c_alive && cache.c_zombie && cache.c_children = []
-          && cache.c_mappings = []
-          && not (has_stub_readers cache)
-        then teardown pvm cache);
+        reap pvm cache);
   pvm

@@ -87,21 +87,23 @@ val set_protection :
 
 val destroy : Types.pvm -> Types.cache -> unit
 (** cacheDestroy.  If descendants still read through this cache it
-    lingers as a hidden history node, collected when the last reader
-    detaches; garbage cycles of hidden nodes are swept (§4.2.5).
+    lingers as a hidden history node, collected once no visible cache
+    reads it, cycles of hidden nodes included (§4.2.5).  Every GMI
+    call but the PVM's own paging rejects a hidden cache.
     @raise Invalid_argument while regions still map the cache. *)
 
 val mapping_count : Types.cache -> int
+
 val is_alive : Types.cache -> bool
+(** False once the cache is destroyed, even while it lingers hidden. *)
+
 val stats_of : Types.pvm -> Types.stats
 
 val install_reaper : Types.pvm -> Types.pvm
-(** Wire the zombie reaper into a fresh PVM (done by [Pvm.create]). *)
+(** Wire the liveness rule into stub death on a fresh PVM (done by
+    [Pvm.create]). *)
 
 (**/**)
 
 (* Internal surface shared with tests. *)
-val sweep_zombies : Types.pvm -> unit
 val purge_range : Types.pvm -> Types.cache -> off:int -> size:int -> unit
-val has_stub_readers : Types.cache -> bool
-val collectable : Types.pvm -> Types.cache -> bool

@@ -123,10 +123,9 @@ let[@chorus.guarded
       but never during a live copy on the same cache"] insert_working_cache
     pvm (src : cache) =
   note_structure pvm;
+  (* nobody holds a handle to a working cache: it is born hidden, and
+     collected once no visible cache reads it *)
   let w = Install.new_cache pvm ~anonymous:true ~is_history:true () in
-  (* nobody holds a handle to a working cache: collect it as soon as
-     its last reader detaches *)
-  mark_zombie pvm w;
   (match src.c_history with
   | Some old -> Parents.redirect old ~old_parent:src ~new_parent:w
   | None -> ());

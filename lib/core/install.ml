@@ -40,7 +40,7 @@ let[@chorus.hot] [@chorus.spanned
       c_mappings = [];
       c_is_history = is_history;
       c_policy = `Copy_on_write;
-      c_zombie = false;
+      c_zombie = is_history;
       c_alive = true;
       c_newer = None;
       c_older = None;
@@ -109,8 +109,8 @@ let[@chorus.noted
    keyed on it, each in ascending offset order; an empty index costs
    nothing. *)
 let[@chorus.noted
-     "reads one cache's whole index: its callers (teardown, the zombie \
-      sweep) note the topology and run on serial-class fibres or at pool \
+     "reads one cache's whole index: its callers (teardown, the liveness \
+      walk) note the topology and run on serial-class fibres or at pool \
       quiescence"] dest_stubs (cache : cache) =
   if Hashtbl.length cache.c_dest_stubs = 0 then []
   else
@@ -119,8 +119,8 @@ let[@chorus.noted
     |> List.map snd
 
 let[@chorus.noted
-     "reads one cache's whole index: its callers (teardown, the zombie \
-      sweep) note the topology and run on serial-class fibres or at pool \
+     "reads one cache's whole index: its callers (teardown, the liveness \
+      walk) note the topology and run on serial-class fibres or at pool \
       quiescence"] pending_offsets (cache : cache) =
   if Hashtbl.length cache.c_pending_offs = 0 then []
   else

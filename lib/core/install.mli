@@ -20,6 +20,9 @@ val new_cache :
   is_history:bool ->
   unit ->
   Types.cache
+(** A history cache ([~is_history:true], made by the MM) is born
+    hidden: no user holds it, so it lives only while a visible cache
+    reads it. *)
 
 (** {2 Per-cache stub indexes}
 

@@ -117,7 +117,7 @@ let source_cache_of (stub : cow_stub) =
   match stub.cs_source with Src_page p -> p.p_cache | Src_cache (c, _) -> c
 
 (* A dead stub may have been the last reader of a hidden history
-   cache: give the reaper a chance. *)
+   cache: run the liveness rule on it. *)
 let reap_source pvm (source : cache) =
   match pvm.zombie_reaper with
   | Some reap -> reap source
@@ -177,21 +177,25 @@ let[@chorus.spanned
   reap_source pvm source;
   (* The destination may itself be a hidden (zombie) cache whose last
      reader was this stub: collect it too.  Safe for live callers —
-     the reaper refuses caches that still have regions mapping them,
-     and only region-less teardown paths materialise into zombies. *)
+     the rule passes over visible caches, and no region maps a hidden
+     one. *)
   reap_source pvm stub.cs_cache;
   page
 
 (* Discard [stub] without materialising (its destination range is
-   being overwritten or destroyed). *)
-let kill pvm (stub : cow_stub) =
-  let source = source_cache_of stub in
+   being overwritten or destroyed); [drop] leaves its source to the
+   caller, [kill] runs the liveness rule on it. *)
+let drop pvm (stub : cow_stub) =
   unthread pvm stub;
-  (match Global_map.peek pvm stub.cs_cache ~off:stub.cs_offset with
+  match Global_map.peek pvm stub.cs_cache ~off:stub.cs_offset with
   | Some (Cow_stub s) when s == stub ->
     Global_map.remove pvm stub.cs_cache ~off:stub.cs_offset;
     Install.unindex_dest_stub pvm stub.cs_cache ~off:stub.cs_offset
-  | _ -> ());
+  | _ -> ()
+
+let kill pvm (stub : cow_stub) =
+  let source = source_cache_of stub in
+  drop pvm stub;
   reap_source pvm source
 
 (* A write is about to hit [page] while per-page stubs still read

@@ -34,7 +34,9 @@ val unthread : Types.pvm -> Types.cow_stub -> unit
 val source_cache_of : Types.cow_stub -> Types.cache
 
 val reap_source : Types.pvm -> Types.cache -> unit
-(** Offer a cache to the zombie reaper (no-op unless collectable). *)
+(** Run the liveness rule ([Cache.install_reaper]) on a cache that
+    lost a stub reader: a no-op unless it is hidden and no visible
+    cache reads it any more. *)
 
 val materialize : Types.pvm -> Types.cow_stub -> Types.page
 (** Give the stub's destination its own page holding the deferred
@@ -43,7 +45,12 @@ val materialize : Types.pvm -> Types.cow_stub -> Types.page
 
 val kill : Types.pvm -> Types.cow_stub -> unit
 (** Discard a stub without materialising (its destination range is
-    being overwritten or destroyed). *)
+    being overwritten or destroyed), then run the liveness rule on its
+    source. *)
+
+val drop : Types.pvm -> Types.cow_stub -> unit
+(** [kill] without the liveness rule: for a caller that runs it on the
+    source itself, once its own surgery is done. *)
 
 val flush_stubs : Types.pvm -> Types.page -> unit
 (** A write is about to hit a page some stubs still read through: give

@@ -32,7 +32,6 @@ let create ?(page_size = 8192) ?(cost = Hw.Cost.chorus_sun360) ?(shards = 8)
     stats = fresh_stats ();
     obs;
     fault_hist = Array.map (Obs.Metrics.histogram obs) Fault.hist_names;
-    zombies = Atomic.make 0;
   }
   |> Cache.install_reaper
 

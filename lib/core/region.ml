@@ -79,7 +79,7 @@ let[@chorus.hot] [@chorus.noted
       and the note see no scheduling point between them"] create pvm
     (ctx : context) ~addr ~size ~prot (cache : cache) ~offset =
   Region_check.validate ~page_size:(page_size pvm) ~ctx_alive:ctx.ctx_alive
-    ~cache_alive:cache.c_alive ~addr ~size ~offset
+    ~cache_alive:(cache_visible cache) ~addr ~size ~offset
     ~overlaps:(overlaps_any ~addr ~size ctx.ctx_regions);
   let tr = Hw.Engine.tracer pvm.engine in
   let traced = Obs.Trace.enabled tr in

@@ -49,10 +49,10 @@ type pvm = {
       (* fibres that parked waiting for a sync stub to resolve *)
   mutable segment_create_hook : (cache -> Gmi.backing option) option;
   mutable zombie_reaper : (cache -> unit) option;
-      (* installed by the Cache module: collects a hidden history
-         cache once its last reader — fragment child or per-page stub
-         — is gone.  A hook because stub death (Pervpage) sits below
-         cache teardown in the module graph. *)
+      (* installed by the Cache module: its liveness rule, run on a
+         cache that lost a per-page stub reader.  A hook because stub
+         death (Pervpage) sits below cache teardown in the module
+         graph. *)
   stats : stats_cells;
   obs : Obs.Metrics.t;
       (* always-on aggregates: fault-latency histograms by resolution
@@ -61,12 +61,6 @@ type pvm = {
       (* the fault-latency histograms of [obs], pre-resolved by
          resolution kind (index = Fault.hist_index) so the per-fault
          update is handle-direct: no registry lookup, domain-safe *)
-  zombies : int Atomic.t;
-      (* live caches with [c_zombie] set: when there are none,
-         cacheDestroy skips the zombie sweep's registry walk.  Last, so
-         the fields before it keep their offsets: which fields share a
-         cache line with the mm-lock bookkeeping decides what parallel
-         faults fight over *)
 }
 
 and entry =
@@ -90,7 +84,7 @@ and cache = {
          Cow_stub rows of [gmap] under our id *)
   mutable c_pending_offs : (int, unit) Hashtbl.t;
       (* offsets of the [stub_sources] rows keyed on us.  Both indexes
-         let teardown, the zombie sweep and the copy cycle check visit
+         let teardown, the liveness walk and the copy cycle check visit
          only this cache's stubs; they are updated next to the rows
          they mirror, never inside Global_map.set/remove (see
          Install).  All three tables start as the shared empty
@@ -104,9 +98,10 @@ and cache = {
   mutable c_is_history : bool; (* created unilaterally by the MM *)
   mutable c_policy : Gmi.copy_policy; (* policy of copies we source *)
   mutable c_zombie : bool;
-      (* destroyed by its user while descendants still read through
-         it; kept alive as a hidden history node and collected once
-         the last child detaches *)
+      (* a hidden history node: destroyed by its user while
+         descendants still read through it, or made by the MM (working
+         caches, purge splits); collected once no visible cache reads
+         it (Cache's liveness rule) *)
   mutable c_alive : bool;
   mutable c_newer : cache option; (* registry links, see [newest_cache] *)
   mutable c_older : cache option;
@@ -330,8 +325,7 @@ let[@chorus.hot] [@chorus.noted
 
 (* Unlink a dying cache: its neighbours take over its links, so no
    cell is allocated.  Unlinking an unlinked cache does nothing (a
-   cascaded teardown may have collected a cache the zombie sweep is
-   about to drop). *)
+   teardown that a cascade re-entered unlinks twice). *)
 let[@chorus.hot] [@chorus.noted
      "registry edit: callers note the topology before it"] unlink_cache pvm
     (cache : cache) =
@@ -384,19 +378,6 @@ let[@chorus.noted "registry reader: reporting and checks at quiescence"] caches
 let[@chorus.noted "registry reader: reporting and checks at quiescence"] contexts
     pvm =
   newest_first (fun c -> c.ctx_older) [] pvm.newest_context
-
-(* Set or clear [c_zombie], keeping [pvm.zombies] in step. *)
-let mark_zombie pvm (cache : cache) =
-  if not cache.c_zombie then begin
-    cache.c_zombie <- true;
-    Atomic.incr pvm.zombies
-  end
-
-let clear_zombie pvm (cache : cache) =
-  if cache.c_zombie then begin
-    cache.c_zombie <- false;
-    Atomic.decr pvm.zombies
-  end
 
 (* Charge [span] of simulated time attributed to [prim]: the
    per-primitive table of the metrics registry always accumulates it
@@ -453,8 +434,13 @@ let page_align_up pvm off =
 
 let is_page_aligned pvm off = off mod page_size pvm = 0
 
+(* A cache its user can still name: alive and not hidden.  A
+   destroyed cache that descendants still read lingers as a hidden
+   node, which the PVM alone works on. *)
+let cache_visible c = c.c_alive && not c.c_zombie
+
 let check_cache_alive c =
-  if not c.c_alive then invalid_arg "GMI: cache destroyed"
+  if not (cache_visible c) then invalid_arg "GMI: cache destroyed"
 
 let check_region_alive r =
   if not r.r_alive then invalid_arg "GMI: region destroyed"

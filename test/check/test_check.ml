@@ -122,8 +122,10 @@ let test_catches_stub_index_corruption () =
 
 (* Corruption 6: an orphan pair of hidden caches keeping each other
    alive — [b] is [a]'s fragment child and [a] reads [b]'s page through
-   a per-page stub — with no visible cache reading either.  The sweep
-   must collect exactly such a pair. *)
+   a per-page stub — with no visible cache reading either, planted
+   below the GMI.  The same shape built through the GMI alone
+   ([Scenario.orphan_pair]) is collected as soon as its last visible
+   reader goes. *)
 let test_catches_orphan_zombie_pair () =
   in_sim (fun engine ->
       let pvm, _ = build engine in
@@ -140,10 +142,14 @@ let test_catches_orphan_zombie_pair () =
           c.c_zombie <- true;
           c.c_is_history <- true)
         [ a; b ];
-      expect_rule pvm "zombie";
-      Core.Cache.sweep_zombies pvm;
-      Alcotest.(check bool) "the sweep collected the pair" false
-        (Core.Cache.is_alive a || Core.Cache.is_alive b);
+      expect_rule pvm "zombie");
+  in_sim (fun engine ->
+      let pvm, _ = build engine in
+      let pair = ref [] in
+      let d = Check.Scenario.orphan_pair pvm ~on_cycle:(fun a b -> pair := [ a; b ]) in
+      Core.Cache.destroy pvm d;
+      Alcotest.(check bool) "the pair is collected" false
+        (List.exists (fun (c : Core.Types.cache) -> c.c_alive) !pair);
       Check.Sanitizer.assert_ok pvm)
 
 (* Leave a synchronization stub in the global map, as if a transfer

@@ -6,6 +6,7 @@ let () =
       ("pervpage", Test_pervpage.tests);
       ("pager", Test_pager.tests);
       ("edge", Test_edge.tests);
+      ("hidden", Test_hidden.tests);
       ("lifecycle", Test_lifecycle.tests);
       ("reclaim", Test_reclaim.tests);
       ("fault-injection", Test_faults_inject.tests);

@@ -2,7 +2,7 @@
    destroying a cache, a context or a region allocates only the records
    it keeps (no empty index tables, no copied registry list, no sorted
    copy of the region list), and the words do not grow with the number
-   of other live caches, contexts and regions.  [Gc.minor_words] is
+   of other live caches, contexts, regions and hidden caches.  [Gc.minor_words] is
    exact, and none of these calls allocates in the major heap.  Each
    bound is the measured figure with a little headroom. *)
 
@@ -100,6 +100,34 @@ let test_lifecycle_costs_what_it_keeps () =
         [ ("cache", c, c0); ("context", x, x0); ("region", r, r0) ])
     [ 1_000; 10_000 ]
 
+(* The words of a cache create+destroy, and of hiding a cache (a
+   destroy that leaves it read by its visible history child), with
+   [hidden] other hidden caches alive, each read by a visible child of
+   its own. *)
+let hidden_words ~hidden =
+  with_pvm (fun pvm ->
+      let hide _ =
+        let h = Core.Cache.create pvm () and v = Core.Cache.create pvm () in
+        Core.Cache.copy pvm ~strategy:`History ~src:h ~src_off:0 ~dst:v
+          ~dst_off:0 ~size:ps ();
+        Core.Cache.destroy pvm h
+      in
+      for i = 1 to hidden do
+        hide i
+      done;
+      cache_cycle pvm 0;
+      (words_per_op 16 (cache_cycle pvm), words_per_op 16 hide))
+
+let test_destroy_ignores_hidden () =
+  let c0, h0 = hidden_words ~hidden:10 and c, h = hidden_words ~hidden:10_000 in
+  List.iter
+    (fun (what, w, w0) ->
+      if w <> w0 then
+        Alcotest.failf
+          "%s allocated %.1f words with 10,000 live hidden caches, %.1f with 10"
+          what w w0)
+    [ ("a cache create+destroy", c, c0); ("hiding a cache", h, h0) ]
+
 let tests =
   [
     Alcotest.test_case "alloc: cache create+destroy" `Quick test_alloc_cache;
@@ -109,4 +137,6 @@ let tests =
       `Quick test_alloc_region;
     Alcotest.test_case "lifecycle costs what it keeps" `Quick
       test_lifecycle_costs_what_it_keeps;
+    Alcotest.test_case "destroy ignores other hidden caches" `Quick
+      test_destroy_ignores_hidden;
   ]
