@@ -9,11 +9,11 @@
    [--tracer] attaches a real but never-enabled tracer to every
    engine — disabled tracing must be zero-cost, so results must again
    be byte-identical (CI compares);
-   [--domains] sets the domain counts the [parallel] sweep visits,
-   and — when given a single count — runs every other section on the
-   domain-parallel engine, whose serial-class determinism contract
-   makes the tables byte-identical to the sequential run (CI compares
-   at 1 domain). *)
+   [--domains] sets the simulated CPU counts the [parallel] sweep
+   visits, and — when given a single count — runs every other section
+   on that many simulated CPUs, whose serial-class determinism
+   contract makes the tables byte-identical to the sequential run (CI
+   compares at 1 CPU). *)
 
 let usage () =
   prerr_endline
@@ -83,9 +83,9 @@ let () =
       | ns when ns <> [] && List.for_all (function Some n -> n > 0 | None -> false) ns
         ->
         domains_list := List.filter_map Fun.id ns;
-        (* A single count additionally switches every other section
-           onto the parallel engine at that many domains — the CI
-           byte-identity check runs the tables under [--domains 1]. *)
+        (* A single count additionally runs every other section on
+           that many simulated CPUs — the CI byte-identity check runs
+           the tables under [--domains 1]. *)
         (match !domains_list with
         | [ n ] -> Util.domains := Some n
         | _ -> ())

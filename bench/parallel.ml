@@ -1,22 +1,22 @@
-(* Contended fault-throughput sweep over the domain-parallel engine.
+(* Contended fault-throughput sweep over N simulated CPUs.
 
    The workload is Check.Scenario's storm scaled up: many
    contexts, each demand-zero-faulting a private working set and
-   reading a shared cache, workers in distinct affinity classes so the
-   parallel engine genuinely overlaps them.
+   reading a shared cache, workers in distinct affinity classes so
+   their lanes overlap in simulated time.
 
    Throughput is reported in SIMULATED time, like every other section
-   of this harness.  The pool models an N-CPU machine: each worker
-   domain carries a simulated CPU clock, so a run's horizon is the
+   of this harness.  The engine models an N-CPU machine: each
+   simulated CPU carries a clock, so a run's horizon is the
    list-scheduling makespan of the workload on N CPUs.  The speedup
-   column is therefore fault throughput relative to the 1-domain run —
+   column is therefore fault throughput relative to the 1-CPU run —
    the uniprocessor executing the same contended workload.  The
    sequential engine is NOT that uniprocessor: as a pure discrete-event
    simulator it overlaps every runnable fibre's charges (an
    infinite-CPU idealisation), so its row reports the idealisation
    ceiling.  Host time is perfbench's to measure, not this harness's.
-   What is checked hard: the observable digest of every parallel run
-   must equal the sequential digest — the oracle-twin contract holds
+   What is checked hard: the observable digest of every run on
+   simulated CPUs must equal the sequential digest — the oracle-twin contract holds
    at benchmark scale too. *)
 
 let workers = 16

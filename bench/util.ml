@@ -10,7 +10,7 @@ let kb n = n * 1024
    the outputs. *)
 let tie_seed = ref None
 
-(* A fresh engine with [domains] workers (default 0), honouring
+(* A fresh engine with [domains] simulated CPUs (default 0), honouring
    --tie-seed. *)
 let engine ?domains () =
   let engine = Hw.Engine.create ?domains () in
@@ -20,9 +20,9 @@ let engine ?domains () =
   engine
 
 (* Engine selection for every section (--domains with one value): the
-   table scenarios spawn only serial-class fibres, so by the pool's
-   determinism contract their cells must come out byte-identical on
-   the parallel engine at any domain count — CI compares [--domains 1]
+   table scenarios spawn only serial-class fibres, so by the engine's
+   determinism contract their cells must come out byte-identical at
+   any simulated CPU count — CI compares [--domains 1]
    output against the sequential run. *)
 let domains = ref None
 

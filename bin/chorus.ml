@@ -7,7 +7,7 @@
      trace SCENARIO     capture a Chrome trace of a scenario
      stats SCENARIO     print the metrics-registry report of a scenario
      check SCENARIO     sanitizer + schedule-perturbation harness
-     crossval           sequential-vs-parallel digest cross-validation
+     crossval           sequential-vs-simulated-CPUs digest cross-validation
      explore SCENARIO   DPOR schedule exploration
      profile SCENARIO   cost-attribution profile
      replay BUNDLE      deterministically re-execute a crash bundle
@@ -25,7 +25,7 @@
    asserts the same failure reappears.
 
    The full evaluation (Figure 3 a-d, Tables 5-7, the ablations) and
-   the parallel fault-throughput sweep live in bench/main.exe
+   the simulated-CPU fault-throughput sweep live in bench/main.exe
    (simulated time), host-time measurement in perfbench/; the
    walkthroughs in examples/. *)
 
@@ -347,58 +347,17 @@ let check scenario seeds every_event bundle_dir domains =
     (if every_event then ", per-event structural sweep" else "")
     (Check.Harness.oracle_summary scen)
 
-(* Validate the runtime may-hold-while-acquiring pairs recorded by
-   Obs.Lockstat against the hierarchy chorus-lint enforces statically
-   (Lint.Lock_order) — the dynamic half of the L6 loop: the declared
-   order can never silently drift from what the engine actually does.
-   A pair involving a lock class outside the catalogue is itself a
-   violation: every engine mutex must carry its class tag. *)
-let check_order_witnesses ~label =
-  let pairs = Obs.Lockstat.witness_pairs () in
-  let bad =
-    List.filter
-      (fun (held, acq, _) ->
-        match (Lint.Lock_order.of_name held, Lint.Lock_order.of_name acq) with
-        | Some h, Some a -> not (Lint.Lock_order.allows ~held:h ~acq:a)
-        | _ -> true)
-      pairs
-  in
-  if bad = [] then
-    Printf.printf
-      "%s: order witnesses OK — %d pair(s) within the Lint.Lock_order \
-       hierarchy%s\n"
-      label (List.length pairs)
-      (if pairs = [] then ""
-       else
-         ": "
-         ^ String.concat ", "
-             (List.map
-                (fun (h, a, n) -> Printf.sprintf "%s<%s x%d" h a n)
-                pairs))
-  else begin
-    List.iter
-      (fun (h, a, n) ->
-        Printf.eprintf
-          "%s: lock-order violation — acquired %s while holding %s (%d \
-           time(s))\n"
-          label a h n)
-      bad;
-    exit 1
-  end
-
 (* chorus crossval: the oracle-twin gate.  Every kernel workload of the
-   registry runs twice from scratch — once on the cooperative
-   sequential engine, once on the domain-parallel engine — and the
-   concatenated Inspect digests must match byte-for-byte.  They are
-   serial-class programs (the parallel engine runs them in exact heap
-   order), so any divergence is an engine bug; [storm] additionally
-   spawns genuinely concurrent affinity-classed workers whose final
-   state is deterministic by construction.  The Model programs are
+   registry runs twice from scratch — once on the sequential engine,
+   once on an engine with N simulated CPUs — and the concatenated
+   Inspect digests must match byte-for-byte.  They are serial-class
+   programs (lanes never see them), so any divergence is an engine
+   bug; [storm] additionally spawns affinity-classed workers, one lane
+   each, whose final state is deterministic by construction.  The Model programs are
    explore fixtures, judged against Check.Model's serializations; the
    unit suite crossvals them too. *)
 let crossval domains =
   let domains = check_domains ~cmd:"crossval" domains in
-  Obs.Lockstat.enable_witnessing ();
   let scens =
     List.filter
       (fun s ->
@@ -410,13 +369,11 @@ let crossval domains =
     (fun o -> Format.printf "%a@." Check.Crossval.pp_outcome o)
     outcomes;
   let bad = List.filter (fun o -> not o.Check.Crossval.o_ok) outcomes in
-  if bad = [] then begin
+  if bad = [] then
     Printf.printf
       "chorus crossval: OK — %d scenario(s) digest-identical, sequential vs \
        %d domain(s)\n"
-      (List.length outcomes) domains;
-    check_order_witnesses ~label:"chorus crossval"
-  end
+      (List.length outcomes) domains
   else begin
     Printf.eprintf "chorus crossval: %d scenario(s) diverged\n"
       (List.length bad);
@@ -578,8 +535,8 @@ let cmds =
             & opt (some int) None
             & info [ "domains" ] ~docv:"N"
                 ~doc:
-                  "run on the domain-parallel engine with $(docv) worker \
-                   domains; the merged trace carries one track per \
+                  "run on $(docv) simulated CPUs: affinity-classed fibres \
+                   run as lane slices, and the trace carries one track per \
                    simulated CPU"));
     Cmd.v
       (Cmd.info "check"
@@ -611,22 +568,21 @@ let cmds =
             & opt (some int) None
             & info [ "domains" ] ~docv:"N"
                 ~doc:
-                  "run every schedule on the domain-parallel engine with \
-                   $(docv) worker domains (>= 1); affinity-classed fibres \
-                   then run as parallel slices under the mm lock"));
+                  "run every schedule on $(docv) simulated CPUs (>= 1); \
+                   affinity-classed fibres then run as lane slices"));
     Cmd.v
       (Cmd.info "crossval"
          ~doc:
            "run every kernel workload of the scenario registry on the \
-            sequential engine and again on the domain-parallel engine and require byte-identical observable \
-            digests — the oracle-twin refinement gate for the parallel \
-            run mode (exit 1 on any divergence)")
+            sequential engine and again on N simulated CPUs and require \
+            byte-identical observable digests — the oracle-twin \
+            refinement gate for the lanes (exit 1 on any divergence)")
       Term.(
         const crossval
         $ Arg.(
             value & opt int 4
             & info [ "domains" ] ~docv:"N"
-                ~doc:"worker-domain count for the parallel run (>= 1)"));
+                ~doc:"simulated CPUs for the second run (>= 1)"));
     Cmd.v
       (Cmd.info "explore"
          ~doc:
@@ -707,10 +663,9 @@ let cmds =
             & opt (some int) None
             & info [ "domains" ] ~docv:"N"
                 ~doc:
-                  "run on the domain-parallel engine with $(docv) worker \
-                   domains; counters and histograms aggregate across \
-                   domains, and per-CPU busy/idle counters appear under \
-                   engine.cpuN.*"));
+                  "run on $(docv) simulated CPUs: affinity-classed fibres \
+                   run as lane slices, and per-CPU busy/idle counters \
+                   appear under engine.cpuN.*"));
     Cmd.v
       (Cmd.info "profile"
          ~doc:
@@ -743,4 +698,15 @@ let cmds =
 
 let () =
   let doc = "the Chorus GMI/PVM reproduction" in
-  exit (Cmd.eval (Cmd.group (Cmd.info "chorus" ~doc) cmds))
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "Wherever a subcommand takes $(b,--domains) N, N is a number of \
+         simulated CPUs, not of OS domains: every run executes on one OS \
+         domain, fibres with a non-zero affinity run in per-class lanes, \
+         and each lane slice is placed on one of the N simulated CPUs.  \
+         Runs are deterministic at every N.";
+    ]
+  in
+  exit (Cmd.eval (Cmd.group (Cmd.info "chorus" ~doc ~man) cmds))

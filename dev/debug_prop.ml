@@ -89,7 +89,7 @@ let () =
           (fun (i, cache) ->
             let open Core.Types in
             let stubs =
-              Core.Shard_map.fold
+              Core.Frag_map.fold
                 (fun cid o e acc ->
                   if cid = cache.c_id then
                     match e with
@@ -139,7 +139,7 @@ let () =
                     cache.c_backed_offs [])
               ^ "|pending:"
               ^ String.concat ","
-                  (Core.Shard_map.fold
+                  (Core.Frag_map.fold
                      (fun cid o stubs acc ->
                        if cid = cache.c_id then
                          Printf.sprintf "%d(%d stubs,%d live)" (o / ps)

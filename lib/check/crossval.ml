@@ -33,6 +33,6 @@ let pp_outcome ppf (o : outcome) =
       o.o_name o.o_seq o.o_domains
   else
     Format.fprintf ppf
-      "%-10s FAIL  sequential %s, %d domains %s — the parallel engine \
+      "%-10s FAIL  sequential %s, %d domains %s — the simulated CPUs \
        diverged from the oracle"
       o.o_name o.o_seq o.o_domains o.o_par

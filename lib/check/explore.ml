@@ -475,7 +475,8 @@ type forced = {
    schedule then no longer matches the binary, but the run stays
    legal).  An oracle violation is a completed run, so ending on the
    digest the oracle rejected IS the violation. *)
-let run_forced ?(instrument = false) ?(max_steps = 200_000) scenario v =
+let run_forced ?domains ?(instrument = false) ?(max_steps = 200_000) scenario v
+    =
   let rest = ref v.v_schedule and nsteps = ref 0 in
   let pick ~now:_ (ready : Hw.Engine.ready_task array) =
     if Array.length ready = 1 then 0
@@ -489,7 +490,7 @@ let run_forced ?(instrument = false) ?(max_steps = 200_000) scenario v =
     if !nsteps > max_steps then raise (Too_many_steps max_steps)
   in
   let f_run =
-    Harness.run
+    Harness.run ?domains
       ~scheduler:{ sched_pick = pick; sched_step = on_step }
       ~every_event:true ~instrument scenario
   in

@@ -69,9 +69,15 @@ type forced = {
 }
 
 val run_forced :
-  ?instrument:bool -> ?max_steps:int -> Scenario.t -> violation -> forced
+  ?domains:int ->
+  ?instrument:bool ->
+  ?max_steps:int ->
+  Scenario.t ->
+  violation ->
+  forced
 (** The forced-pick driver: re-run [v]'s schedule through
-    {!Harness.run} ([instrument] as there, default false), taking at
+    {!Harness.run} ([domains] and [instrument] as there, [instrument]
+    default false), taking at
     each multi-ready dispatch the fibre the schedule names (index 0
     when absent); classify the ending as {!run} does, a run completing
     on [v.v_digest] being [v] itself. *)

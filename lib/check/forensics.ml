@@ -42,8 +42,8 @@ let with_injections names f =
 
 (* --- Forced-schedule driver --------------------------------------- *)
 
-let run_forced ?max_steps scenario (v : Explore.violation) =
-  let f = Explore.run_forced ~instrument:true ?max_steps scenario v in
+let run_forced ?domains ?max_steps scenario (v : Explore.violation) =
+  let f = Explore.run_forced ?domains ~instrument:true ?max_steps scenario v in
   let o_kind, o_detail =
     match f.f_verdict with
     | `Done digest -> ("done", digest)
@@ -74,7 +74,8 @@ let violations_json rules =
 let assemble ~(scenario : Scenario.t) ~inject ~kind ~detail ?observed ~rules
     (h : Harness.t) =
   let engine = h.engine and pvms = h.pvms in
-  Obs.Bundle.v ~scenario:scenario.name ~inject ~kind ~detail ?observed
+  Obs.Bundle.v ~scenario:scenario.name ~inject
+    ~cpus:(Hw.Engine.domains engine) ~kind ~detail ?observed
     ~sim_now:(Hw.Engine.now engine)
     ~schedule:(Hw.Engine.decisions engine)
     ~trace:(Obs.Json.parse (Obs.Trace.to_chrome_json (Hw.Engine.tracer engine)))
@@ -97,11 +98,14 @@ let capture_live ?(inject = []) scenario h (f : Harness.failure) =
 
 (* --- Replay ------------------------------------------------------- *)
 
-(* The bundle's failure is the violation the replay expects. *)
+(* The bundle's failure is the violation the replay expects, on an
+   engine with the bundle's simulated CPUs. *)
 let replay ?max_steps scenario (b : Obs.Bundle.t) =
   let v_schedule = b.schedule and v_digest = b.observed in
   let v = { Explore.v_kind = b.kind; v_detail = b.detail; v_schedule; v_digest } in
-  with_injections b.inject (fun () -> fst (run_forced ?max_steps scenario v))
+  let domains = if b.cpus > 0 then Some b.cpus else None in
+  with_injections b.inject (fun () ->
+      fst (run_forced ?domains ?max_steps scenario v))
 
 let reproduces (b : Obs.Bundle.t) (o : outcome) =
   let bundle_rules =

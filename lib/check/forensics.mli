@@ -19,7 +19,9 @@
     a forced replay of those decisions reproduces the original
     schedule exactly, whatever scheduler produced it, and a run with
     no scheduler logs nothing because index 0 at every choice is the
-    order it took. *)
+    order it took.  Lane slices are not choices: their order follows
+    from the serial picks, so a replay on as many simulated CPUs as the
+    bundle records ([cpus]) re-drives them too. *)
 
 type outcome = {
   o_kind : string;
@@ -65,14 +67,16 @@ val capture_live :
   ?inject:string list -> Scenario.t -> Harness.t -> Harness.failure ->
   Obs.Bundle.t
 (** Freeze a run that ended in [failure]: full state and digests of
-    its PVMs, the schedule from {!Hw.Engine.decisions}, the trace tail
+    its PVMs, the engine's simulated CPU count, the schedule from
+    {!Hw.Engine.decisions}, the trace tail
     from the engine's tracer, the failed rule ids of the sweep that
     fired (strict or structural, as it ran), metrics registries and
     the blocked-fibre report. *)
 
 val replay : ?max_steps:int -> Scenario.t -> Obs.Bundle.t -> outcome
-(** Re-execute the bundle's recorded schedule (arming its recorded
-    injections for the duration) and report how the run ends. *)
+(** Re-execute the bundle's recorded schedule on an engine with the
+    bundle's simulated CPUs (arming its recorded injections for the
+    duration) and report how the run ends. *)
 
 val reproduces : Obs.Bundle.t -> outcome -> (unit, string) result
 (** Does a replay outcome match what the bundle recorded?  Checks

@@ -46,7 +46,8 @@ val run :
   Scenario.t ->
   t
 (** Run the scenario and its observation thunk in the main fibre of a
-    fresh engine with [domains] workers (default 0) until it drains,
+    fresh engine with [domains] simulated CPUs (default 0) until it
+    drains,
     sweep every registered PVM strictly, take the stats and the state
     digest, then clear the scheduler and read the contents back.
     [seed] installs {!Hw.Engine.seeded_scheduler}, [scheduler] a

@@ -95,7 +95,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
       (1 + Option.value ~default:0 (Hashtbl.find_opt tbl cid))
     [@chorus.impure_ok "sanitizer-local scratch table, not PVM state"]
   in
-  Core.Shard_map.iter
+  Core.Frag_map.iter
     (fun cid off entry ->
       match known_cache cid with
       | None -> err "gmap" "entry (%d,%d): unknown cache" cid off
@@ -155,7 +155,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
             err "gmap" "cache %d: two pages at offset %d" c.c_id p.p_offset;
           Hashtbl.replace offs p.p_offset ()
           [@chorus.impure_ok "sanitizer-local scratch table, not PVM state"];
-          (match Core.Shard_map.find_opt pvm.gmap c.c_id p.p_offset with
+          (match Core.Frag_map.find_opt pvm.gmap c.c_id p.p_offset with
           | Some (Resident p') when p' == p -> ()
           | Some (Sync_stub _) when not strict -> () (* pushOut in flight *)
           | Some _ ->
@@ -391,7 +391,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
     err "reclaim" "%d frames queued, %d pages cached" walked !cached;
 
   (* pending stub index: structural part *)
-  Core.Shard_map.iter
+  Core.Frag_map.iter
     (fun cid off stubs ->
       (match known_cache cid with
       | None -> err "stubs" "pending stubs keyed on unknown cache %d" cid
@@ -441,7 +441,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
        which decides the same thing backwards from a hidden cache that
        lost a reader *)
     let stub_edges = Hashtbl.create 32 in
-    Core.Shard_map.iter
+    Core.Frag_map.iter
       (fun _ _ entry ->
         match entry with
         | Cow_stub s when s.cs_alive ->
@@ -467,7 +467,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
       caches;
 
     (* stub threading, both directions *)
-    Core.Shard_map.iter
+    Core.Frag_map.iter
       (fun cid off entry ->
         match entry with
         | Cow_stub s -> (
@@ -479,7 +479,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
               err "stubs" "stub (%d,%d): not threaded on source page (%d,%d)"
                 cid off p.p_cache.c_id p.p_offset
           | Src_cache (c, o) -> (
-            match Core.Shard_map.find_opt pvm.stub_sources c.c_id o with
+            match Core.Frag_map.find_opt pvm.stub_sources c.c_id o with
             | Some stubs when List.memq s stubs -> ()
             | _ ->
               err "stubs" "stub (%d,%d): not pending under source (%d,%d)"
@@ -501,7 +501,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
                   err "stubs"
                     "stub threaded on page (%d,%d) names another source"
                     c.c_id p.p_offset);
-                match Core.Shard_map.find_opt pvm.gmap s.cs_cache.c_id s.cs_offset
+                match Core.Frag_map.find_opt pvm.gmap s.cs_cache.c_id s.cs_offset
                 with
                 | Some (Cow_stub s') when s' == s -> ()
                 | _ ->
@@ -512,13 +512,13 @@ let run ?(strict = true) (pvm : pvm) : violation list =
               p.p_cow_stubs)
           c.c_pages)
       caches;
-    Core.Shard_map.iter
+    Core.Frag_map.iter
       (fun cid off stubs ->
         ignore cid;
         ignore off;
         List.iter
           (fun (s : cow_stub) ->
-            match Core.Shard_map.find_opt pvm.gmap s.cs_cache.c_id s.cs_offset with
+            match Core.Frag_map.find_opt pvm.gmap s.cs_cache.c_id s.cs_offset with
             | Some (Cow_stub s') when s' == s -> ()
             | _ ->
               err "stubs"

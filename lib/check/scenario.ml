@@ -55,16 +55,16 @@ let contents engine pvms =
 (* Spawn fibre [f] running [body f] for each [f < n]; the returned
    join parks its caller until every one has finished. *)
 let spawn_all engine ~name ~affinity n body =
-  let remaining = Atomic.make n in
+  let remaining = ref n in
   let all_done = Hw.Engine.Cond.create () in
   for f = 0 to n - 1 do
     Hw.Engine.spawn engine ~name:(name f) ~affinity:(affinity f) (fun () ->
         body f;
-        if Atomic.fetch_and_add remaining (-1) = 1 then
-          Hw.Engine.Cond.broadcast all_done)
+        decr remaining;
+        if !remaining = 0 then Hw.Engine.Cond.broadcast all_done)
   done;
   fun () ->
-    while Atomic.get remaining > 0 do
+    while !remaining > 0 do
       Hw.Engine.declare_wait_ambient ~on:"all-done" ();
       Hw.Engine.Cond.wait all_done
     done
@@ -318,14 +318,14 @@ let contend =
 (* The contended many-context fault workload.  Every worker owns its
    context and a private anonymous cache, so the racing traffic
    (zero-fill faults, frame allocation, map installs, pmap entries on
-   the shared cache) exercises every parallel seam while the final
-   state stays a pure function of the parameters. *)
-let storm ?(workers = 8) ?(pages = 16) ?(rounds = 4) ?shards () =
+   the shared cache) runs in every worker's lane while the final state
+   stays a pure function of the parameters. *)
+let storm ?(workers = 8) ?(pages = 16) ?(rounds = 4) () =
   let run engine ~register =
     (* every private page + the shared pages resident at once, with
        slack: the workload measures fault throughput, not eviction *)
     let frames = (workers * pages) + pages + 16 in
-    let pvm = Core.Pvm.create ?shards ~frames ~engine () in
+    let pvm = Core.Pvm.create ~frames ~engine () in
     register pvm;
     let shared_base = 1 lsl 30 in
     (* Pre-fill the shared cache through a setup context, then drop
@@ -362,7 +362,7 @@ let storm ?(workers = 8) ?(pages = 16) ?(rounds = 4) ?shards () =
           for r = 0 to rounds - 1 do
             for i = 0 to pages - 1 do
               (* worker-skewed page order: workers meet on the frame
-                 pool and the shard locks at staggered offsets *)
+                 pool and the global map at staggered offsets *)
               let p = (i + w + r) mod pages in
               Core.Pvm.write pvm ctx ~addr:(p * ps)
                 (Bytes.make 16 (Char.chr (((w * 31) + p) land 0xff)));

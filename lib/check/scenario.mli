@@ -132,7 +132,7 @@ val ipc_round : ipc_pair -> unit
     when [addr] is page-aligned, bcopy otherwise. *)
 
 val storm :
-  ?workers:int -> ?pages:int -> ?rounds:int -> ?shards:int -> unit -> t
+  ?workers:int -> ?pages:int -> ?rounds:int -> unit -> t
 (** The contended fault workload: [workers] fibres (default 8), each
     in its own context with a private anonymous cache of [pages] pages
     (default 16), all sharing one read-only pre-filled cache.  Each
@@ -141,8 +141,9 @@ val storm :
     the global map, the frame pool and the pmap see concurrent traffic
     from every worker while the final state stays deterministic: pages
     are disjoint per worker and every write is a pure function of
-    (worker, page).  Workers get distinct affinities, so on a parallel
-    engine they genuinely overlap; the frame pool is sized so nothing
+    (worker, page).  Workers get distinct affinities, so on an engine
+    with simulated CPUs they run in distinct lanes and overlap in
+    simulated time; the frame pool is sized so nothing
     is ever evicted.  The registry's [storm] is [storm ()]. *)
 
 val storm_faults : workers:int -> pages:int -> int

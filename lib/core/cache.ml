@@ -126,7 +126,7 @@ let[@chorus.noted "the liveness rule notes the topology before the walk"] reader
       in
       List.fold_left
         (fun seen o ->
-          match Shard_map.find_opt pvm.stub_sources c.c_id o with
+          match Frag_map.find_opt pvm.stub_sources c.c_id o with
           | Some stubs -> List.fold_left via seen stubs
           | None -> seen)
         seen (Install.pending_offsets c)
@@ -135,18 +135,12 @@ let[@chorus.noted "the liveness rule notes the topology before the walk"] reader
 
 (* Detach [cache]'s fragment links to parents it no longer references,
    and run the liveness rule on each parent it leaves. *)
-let[@chorus.hot] [@chorus.guarded
-     "topology surgery: runs only from the owning site's serial-class \
-      fibres or at pool quiescence; the parallel fault path only reads \
-      parent/child lists"] rec detach_unreferenced pvm (cache : cache)
+let[@chorus.hot] rec detach_unreferenced pvm (cache : cache)
     ~parents_before =
   note_structure pvm;
   detach_parents pvm cache parents_before
 
-and[@chorus.hot] [@chorus.guarded
-     "topology surgery: runs only from the owning site's serial-class \
-      fibres or at pool quiescence; the parallel fault path only reads \
-      parent/child lists"] [@chorus.noted
+and[@chorus.hot] [@chorus.noted
      "detach_unreferenced notes the topology before the walk"] detach_parents
     pvm (cache : cache) = function
   | [] -> ()
@@ -190,9 +184,7 @@ and[@chorus.hot] teardown pvm (cache : cache) =
    children; the rule run on every member then tears the forest down
    from its leaves (each teardown runs it on the parents), and last
    on the stub sources outside the set. *)
-and[@chorus.guarded
-     "topology surgery: runs only from the owning site's serial-class \
-      fibres or at pool quiescence"] reap pvm (cache : cache) =
+and reap pvm (cache : cache) =
   note_structure ~write:false pvm;
   if cache.c_alive && cache.c_zombie then
     if unread cache then teardown pvm cache
@@ -250,7 +242,7 @@ let[@chorus.hot] rec pending_in pvm (cache : cache) ~write ~o ~last =
   && begin
     if write then note_frag pvm cache ~off:o
     else note_frag ~write:false pvm cache ~off:o;
-    Shard_map.mem pvm.stub_sources cache.c_id o
+    Frag_map.mem pvm.stub_sources cache.c_id o
     || pending_in pvm cache ~write ~o:(o + page_size pvm) ~last
   end
 
@@ -272,10 +264,7 @@ let[@chorus.hot] range_has_readers pvm (cache : cache) ~off ~size =
    Mach solves with shadow chains ("the actual reference of a cache
    changes dynamically", §4.2.5); our inverted structures make it a
    pointer splice. *)
-let[@chorus.guarded
-     "topology surgery: runs only from the owning site's serial-class \
-      fibres or at pool quiescence; the parallel fault path only reads \
-      parent/child/history edges"] split_to_zombie pvm (cache : cache) ~off
+let split_to_zombie pvm (cache : cache) ~off
     ~size =
   note_structure pvm;
   let z = Install.new_cache pvm ~anonymous:cache.c_anonymous ~is_history:true () in
@@ -319,19 +308,19 @@ let[@chorus.guarded
     let o = first + (i * ps) in
     note_frag pvm cache ~off:o;
     note_frag pvm z ~off:o;
-    match Shard_map.find_opt pvm.stub_sources cache.c_id o with
+    match Frag_map.find_opt pvm.stub_sources cache.c_id o with
     | None -> ()
     | Some stubs ->
-      Shard_map.remove pvm.stub_sources cache.c_id o;
-      Install.unindex_pending pvm cache ~off:o;
+      Frag_map.remove pvm.stub_sources cache.c_id o;
+      Install.unindex_pending cache ~off:o;
       List.iter
         (fun s ->
           match s.cs_source with
           | Src_cache (c, so) when c == cache -> s.cs_source <- Src_cache (z, so)
           | Src_cache _ | Src_page _ -> ())
         stubs;
-      Shard_map.replace pvm.stub_sources z.c_id o stubs;
-      Install.index_pending pvm z ~off:o
+      Frag_map.replace pvm.stub_sources z.c_id o stubs;
+      Install.index_pending z ~off:o
   done;
   (* Migrate resident pages (frame reassignment, no copying). *)
   List.iter
@@ -345,7 +334,7 @@ let[@chorus.guarded
     match Global_map.wait_not_in_transit pvm cache ~off:o with
     | Some (Cow_stub s) ->
       Global_map.remove pvm cache ~off:o;
-      Install.unindex_dest_stub pvm cache ~off:o;
+      Install.unindex_dest_stub cache ~off:o;
       let s' = { s with cs_cache = z } in
       s.cs_alive <- false;
       (match s.cs_source with
@@ -354,13 +343,13 @@ let[@chorus.guarded
           s' :: List.filter (fun x -> not (x == s)) p.p_cow_stubs
       | Src_cache (c, so) -> (
         note_frag pvm c ~off:so;
-        match Shard_map.find_opt pvm.stub_sources c.c_id so with
+        match Frag_map.find_opt pvm.stub_sources c.c_id so with
         | Some stubs ->
-          Shard_map.replace pvm.stub_sources c.c_id so
+          Frag_map.replace pvm.stub_sources c.c_id so
             (s' :: List.filter (fun x -> not (x == s)) stubs)
         | None -> ()));
       Global_map.set pvm z ~off:o (Cow_stub s');
-      Install.index_dest_stub pvm s'
+      Install.index_dest_stub s'
     | _ -> ()
   done;
   (* Migrate parent fragments covering the range.  If this cache was a
@@ -687,12 +676,12 @@ let[@chorus.hot] [@chorus.spanned "runs under the move span opened by move"] mov
        history child snapshots the source, in which case the stub must
        stay (the fallback below copies) *)
     Global_map.remove pvm src ~off:o;
-    Install.unindex_dest_stub pvm src ~off:o;
+    Install.unindex_dest_stub src ~off:o;
     s.cs_cache <- dst;
     s.cs_offset <- d_off;
     charge pvm Hw.Cost.Stub_insert;
     Global_map.set pvm dst ~off:d_off entry;
-    Install.index_dest_stub pvm s;
+    Install.index_dest_stub s;
     bump pvm.stats sc_moved_pages
   | Some _ | None -> (
     match Value.source_value pvm src ~off:o with

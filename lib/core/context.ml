@@ -21,10 +21,7 @@ let[@chorus.hot] create pvm =
   ctx
 
 (* context.switch: set the current user context. *)
-let[@chorus.guarded
-     "pvm.current is written only on the owning process's serial-class \
-      fibre (context switches are serialised by construction); parallel \
-      slices read the context they were handed, not pvm.current"] switch pvm
+let switch pvm
     (ctx : context) =
   check_context_alive ctx;
   note_structure pvm;
@@ -54,10 +51,7 @@ let[@chorus.hot] rec destroy_regions pvm = function
     destroy_regions pvm rest
 
 (* context.destroy *)
-let[@chorus.hot] [@chorus.guarded
-     "context destruction runs on the owning process's serial-class fibre \
-      or at pool quiescence; the parallel fault path never dereferences a \
-      context being destroyed"] destroy pvm (ctx : context) =
+let[@chorus.hot] destroy pvm (ctx : context) =
   check_context_alive ctx;
   destroy_regions pvm ctx.ctx_regions;
   Hw.Mmu.destroy_space ctx.ctx_space;

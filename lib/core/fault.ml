@@ -186,9 +186,7 @@ let resolution_name : resolution -> string = function
 
 (* Indexes into [pvm.fault_hist], the histogram handles pre-registered
    at PVM creation ([hist_names] order): the per-fault update goes
-   straight to the calling domain's cell row with no registry lookup,
-   so concurrent faults on distinct domains share neither the
-   registry mutex nor a cache line. *)
+   straight to the histogram with no registry lookup. *)
 let hist_index : resolution -> int = function
   | `Hit -> 0
   | `Upgrade -> 1

@@ -43,7 +43,7 @@ val resolution_name : resolution -> string
 val hist_index : resolution -> int
 (** Index of a resolution's latency histogram in [pvm.fault_hist] —
     the handles are pre-registered at PVM creation so the per-fault
-    update needs no registry lookup (domain-safe by construction). *)
+    update needs no registry lookup. *)
 
 val hist_names : string array
 (** Histogram names in [hist_index] order ("fault.hit", ...). *)

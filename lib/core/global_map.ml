@@ -15,30 +15,27 @@ let[@chorus.hot] [@chorus.spanned
     ~off =
   note_frag ~write:false pvm cache ~off;
   charge pvm Hw.Cost.Map_lookup;
-  Shard_map.find_opt pvm.gmap cache.c_id off
+  Frag_map.find_opt pvm.gmap cache.c_id off
 
 (* Lookup without charging the simulated clock, for internal
    bookkeeping that a real implementation would do with direct
    pointers rather than a map probe. *)
 let[@chorus.hot] peek pvm cache ~off =
   note_frag ~write:false pvm cache ~off;
-  Shard_map.find_opt pvm.gmap cache.c_id off
+  Frag_map.find_opt pvm.gmap cache.c_id off
 
 let[@chorus.hot] set pvm cache ~off entry =
   note_frag pvm cache ~off;
-  Shard_map.replace pvm.gmap cache.c_id off entry
+  Frag_map.replace pvm.gmap cache.c_id off entry
 
 let[@chorus.hot] remove pvm cache ~off =
   note_frag pvm cache ~off;
-  Shard_map.remove pvm.gmap cache.c_id off
+  Frag_map.remove pvm.gmap cache.c_id off
 
-(* Probe-and-install under one shard lock: the parallel fresh-fault
-   path uses this to close the window between "no entry here" and
-   "my page is the entry" that two concurrent zero-fill faults on the
-   same fragment would otherwise race through.  Sequentially this is
-   peek+set fused, with the same footprint note. *)
+(* Probe-and-install in one probe: peek+set fused, with the same
+   footprint note. *)
 let[@chorus.hot] try_install pvm cache ~off entry =
-  let installed = Shard_map.add_if_absent pvm.gmap cache.c_id off entry in
+  let installed = Frag_map.add_if_absent pvm.gmap cache.c_id off entry in
   (* a lost race only observed the slot — note it as the read it was,
      so the explorer's independence relation matches the historical
      peek-then-set footprint exactly (branched so both [?write]
@@ -55,10 +52,7 @@ let rec wait_not_in_transit pvm cache ~off =
   | Some (Sync_stub cond) ->
     Hw.Engine.declare_wait pvm.engine ~on:"transfer"
       ~owner:(Hw.Engine.Cond.owner cond) ();
-    Atomic.incr pvm.stub_sleeps;
-    (* [await_unfinished] rather than a plain wait: on the parallel
-       engine the transfer may complete between our peek and our park,
-       and the finished flag is what closes that lost-wakeup window. *)
+    pvm.stub_sleeps <- pvm.stub_sleeps + 1;
     Hw.Engine.Cond.await_unfinished cond;
     wait_not_in_transit pvm cache ~off
   | other -> other

@@ -18,10 +18,8 @@ val set : Types.pvm -> Types.cache -> off:int -> Types.entry -> unit
 val remove : Types.pvm -> Types.cache -> off:int -> unit
 
 val try_install : Types.pvm -> Types.cache -> off:int -> Types.entry -> bool
-(** Install the entry iff the slot is empty, atomically with respect
-    to the slot's shard lock; returns whether it was installed.  The
-    race-free form of [peek = None] followed by [set], for the
-    parallel fresh-fault path. *)
+(** Install the entry iff the slot is empty; returns whether it was
+    installed.  [peek = None] followed by [set], in one probe. *)
 
 val wait_not_in_transit :
   Types.pvm -> Types.cache -> off:int -> Types.entry option

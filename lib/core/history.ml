@@ -117,10 +117,7 @@ let resolve_source_write pvm (page : page) =
 
 (* Insert a fresh working cache between [src] and its previous
    history, preserving the shape invariant (§4.2.3, Figure 3.c/3.d). *)
-let[@chorus.guarded
-     "history-tree surgery: runs only under the copy path on the owning \
-      site's serial-class fibres; the parallel fault path reads c_history \
-      but never during a live copy on the same cache"] insert_working_cache
+let insert_working_cache
     pvm (src : cache) =
   note_structure pvm;
   (* nobody holds a handle to a working cache: it is born hidden, and
@@ -160,10 +157,7 @@ let protect_source_range pvm (src : cache) ~off ~size =
    destination range.  Builds or extends the history tree and
    read-protects the source. *)
 let[@chorus.spanned "runs under the copy span opened by Cache.copy"]
-   [@chorus.guarded
-     "history-tree surgery: Cache.copy runs on the owning site's \
-      serial-class fibres; the parallel fault path reads c_history but \
-      never during a live copy on the same cache"] record_copy pvm
+   record_copy pvm
     ~(src : cache) ~src_off ~(dst : cache) ~dst_off ~size ~policy =
   note_structure pvm;
   charge pvm Hw.Cost.Tree_setup;
@@ -212,10 +206,7 @@ let[@chorus.spanned "runs under the copy span opened by Cache.copy"]
    history object, the parent no longer needs to save originals: flip
    the copy-protection flags (lazily; hardware entries are refreshed
    at the next fault, costing nothing now — see DESIGN.md). *)
-let[@chorus.guarded
-     "detach notifications run from topology surgery on the owning site's \
-      serial-class fibres or at pool quiescence, never from a parallel \
-      slice"] child_detached (parent : cache) (child : cache) =
+let child_detached (parent : cache) (child : cache) =
   note_structure parent.c_pvm;
   let still_references =
     List.exists (fun f -> f.f_parent == parent) child.c_parents

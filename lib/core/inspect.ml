@@ -26,7 +26,7 @@ let pp_page pvm ppf (p : page) =
 (* The cache's stubs, by offset (the map's own order is unspecified). *)
 let stub_entries pvm (cache : cache) =
   let ps = page_size pvm in
-  Shard_map.fold
+  Frag_map.fold
     (fun cid o entry acc ->
       if cid = cache.c_id then
         match entry with
@@ -129,7 +129,7 @@ type residency = {
 
 let residency (pvm : pvm) : residency =
   let stub_count (cache : cache) =
-    Shard_map.fold
+    Frag_map.fold
       (fun cid _ entry acc ->
         match entry with
         | Cow_stub _ when cid = cache.c_id -> acc + 1
@@ -168,7 +168,7 @@ let residency (pvm : pvm) : residency =
     rs_used_frames = frames_held pvm;
     rs_reclaim_len = Reclaim.length pvm.reclaim;
     rs_sync_in_flight =
-      Shard_map.fold
+      Frag_map.fold
         (fun _ _ entry acc ->
           match entry with
           | Sync_stub _ -> acc + 1
@@ -257,7 +257,7 @@ let digest (pvm : pvm) : string =
           add "page %d cowp=%b %s;" p.p_offset p.p_cow_protected
             (Digest.to_hex (Digest.subbytes p.p_frame.Hw.Phys_mem.bytes 0 ps)))
         (List.sort (fun a b -> compare a.p_offset b.p_offset) c.c_pages);
-      Shard_map.fold
+      Frag_map.fold
         (fun cid o entry acc ->
           if cid <> c.c_id then acc
           else
@@ -338,7 +338,7 @@ let state_json (pvm : pvm) : Obs.Json.t =
                ])
     in
     let stubs =
-      Shard_map.fold
+      Frag_map.fold
         (fun cid o entry acc ->
           if cid <> c.c_id then acc
           else
@@ -436,7 +436,7 @@ let state_json (pvm : pvm) : Obs.Json.t =
 let pages (pvm : pvm) = List.concat_map (fun c -> c.c_pages) (Types.caches pvm)
 
 let sync_stubs_in_flight (pvm : pvm) =
-  Shard_map.fold
+  Frag_map.fold
     (fun _ _ entry acc ->
       match entry with Sync_stub _ -> acc + 1 | Resident _ | Cow_stub _ -> acc)
     pvm.gmap 0

@@ -57,61 +57,47 @@ let[@chorus.hot] [@chorus.spanned
    Each update sits next to the row change it mirrors, with no
    scheduling point between them, so the sanitizer can compare index
    and rows after any engine event.  Global_map.set/remove stay
-   untouched: the resident fault path pays nothing.  Parallel faults
-   materialise and re-thread stubs, so the tables change under the mm
-   lock (the explicit halves: no closure, and Hashtbl.replace/remove
-   cannot raise). *)
+   untouched: the resident fault path pays nothing. *)
 
 let[@chorus.noted
      "mirrors a row change its caller makes next to it; the caller notes \
-      that (cache, offset) row"] index_dest_stub pvm (stub : cow_stub) =
-  mm_enter pvm;
+      that (cache, offset) row"] index_dest_stub (stub : cow_stub) =
   if stub.cs_cache.c_dest_stubs == no_stubs then
     stub.cs_cache.c_dest_stubs <- Hashtbl.create 8;
-  Hashtbl.replace stub.cs_cache.c_dest_stubs stub.cs_offset stub;
-  mm_exit pvm
+  Hashtbl.replace stub.cs_cache.c_dest_stubs stub.cs_offset stub
 
 let[@chorus.noted
      "mirrors a row change its caller makes next to it; the caller notes \
-      that (cache, offset) row"] unindex_dest_stub pvm (cache : cache) ~off =
-  mm_enter pvm;
-  Hashtbl.remove cache.c_dest_stubs off;
-  mm_exit pvm
+      that (cache, offset) row"] unindex_dest_stub (cache : cache) ~off =
+  Hashtbl.remove cache.c_dest_stubs off
 
 let[@chorus.noted
      "mirrors a row change its caller makes next to it; the caller notes \
-      that (cache, offset) row"] index_pending pvm (cache : cache) ~off =
-  mm_enter pvm;
+      that (cache, offset) row"] index_pending (cache : cache) ~off =
   if cache.c_pending_offs == no_offsets then
     cache.c_pending_offs <- Hashtbl.create 8;
-  Hashtbl.replace cache.c_pending_offs off ();
-  mm_exit pvm
+  Hashtbl.replace cache.c_pending_offs off ()
 
 let[@chorus.noted
      "mirrors a row change its caller makes next to it; the caller notes \
-      that (cache, offset) row"] unindex_pending pvm (cache : cache) ~off =
-  mm_enter pvm;
-  Hashtbl.remove cache.c_pending_offs off;
-  mm_exit pvm
+      that (cache, offset) row"] unindex_pending (cache : cache) ~off =
+  Hashtbl.remove cache.c_pending_offs off
 
 (* An anonymous cache's swap copy of [off] now exists (the pager's
-   push-out).  Under the mm lock, like the stub indexes. *)
+   push-out). *)
 let[@chorus.noted
-     "the pager's push-out notes the page it writes back"] index_backed pvm
+     "the pager's push-out notes the page it writes back"] index_backed
     (cache : cache) ~off =
-  mm_enter pvm;
   if cache.c_backed_offs == no_offsets then
     cache.c_backed_offs <- Hashtbl.create 8;
-  Hashtbl.replace cache.c_backed_offs off ();
-  mm_exit pvm
+  Hashtbl.replace cache.c_backed_offs off ()
 
 (* The stubs destined to [cache] and the offsets of the pending rows
    keyed on it, each in ascending offset order; an empty index costs
    nothing. *)
 let[@chorus.noted
      "reads one cache's whole index: its callers (teardown, the liveness \
-      walk) note the topology and run on serial-class fibres or at pool \
-      quiescence"] dest_stubs (cache : cache) =
+      walk) note the topology and run on serial-class fibres"] dest_stubs (cache : cache) =
   if Hashtbl.length cache.c_dest_stubs = 0 then []
   else
     Hashtbl.fold (fun off s acc -> (off, s) :: acc) cache.c_dest_stubs []
@@ -120,8 +106,7 @@ let[@chorus.noted
 
 let[@chorus.noted
      "reads one cache's whole index: its callers (teardown, the liveness \
-      walk) note the topology and run on serial-class fibres or at pool \
-      quiescence"] pending_offsets (cache : cache) =
+      walk) note the topology and run on serial-class fibres"] pending_offsets (cache : cache) =
   if Hashtbl.length cache.c_pending_offs = 0 then []
   else
     Hashtbl.fold (fun off () acc -> off :: acc) cache.c_pending_offs []
@@ -133,11 +118,11 @@ let[@chorus.noted
 let rethread_pending_stubs pvm (page : page) =
   note_frag pvm page.p_cache ~off:page.p_offset;
   let cid = page.p_cache.c_id and off = page.p_offset in
-  match Shard_map.find_opt pvm.stub_sources cid off with
+  match Frag_map.find_opt pvm.stub_sources cid off with
   | None -> ()
   | Some stubs ->
-    Shard_map.remove pvm.stub_sources cid off;
-    unindex_pending pvm page.p_cache ~off:page.p_offset;
+    Frag_map.remove pvm.stub_sources cid off;
+    unindex_pending page.p_cache ~off:page.p_offset;
     let live = List.filter (fun s -> s.cs_alive) stubs in
     List.iter (fun s -> s.cs_source <- Src_page page) live;
     page.p_cow_stubs <- live @ page.p_cow_stubs
@@ -145,12 +130,12 @@ let rethread_pending_stubs pvm (page : page) =
 let add_pending_stub pvm ~src_cache ~src_off stub =
   note_frag pvm src_cache ~off:src_off;
   let cid = src_cache.c_id in
-  match Shard_map.find_opt pvm.stub_sources cid src_off with
+  match Frag_map.find_opt pvm.stub_sources cid src_off with
   | Some existing ->
-    Shard_map.replace pvm.stub_sources cid src_off (stub :: existing)
+    Frag_map.replace pvm.stub_sources cid src_off (stub :: existing)
   | None ->
-    Shard_map.replace pvm.stub_sources cid src_off [ stub ];
-    index_pending pvm src_cache ~off:src_off
+    Frag_map.replace pvm.stub_sources cid src_off [ stub ];
+    index_pending src_cache ~off:src_off
 
 (* Memory-pressure counter samples for the trace (and so for the
    profiler's pressure series): emitted wherever the resident set
@@ -169,11 +154,9 @@ let[@chorus.noted
    caller must have made sure no resident page or stub occupies that
    slot (or pass the sync-stub condition to release waiters), and the
    map entry is overwritten.  With [~fresh:true] the map entry is
-   installed atomically only if the slot is empty — the parallel-safe
-   probe — and a lost race returns [None] with nothing mutated.  The
-   map entry goes in first, then the page/frame bookkeeping under the
-   mm lock: once the entry is visible, concurrent faulters settle on
-   it instead of installing a twin. *)
+   installed only if the slot is empty, and a lost race returns [None]
+   with nothing mutated.  The map entry goes in first, then the
+   page/frame bookkeeping. *)
 let[@chorus.hot] insert_page_entry pvm (cache : cache) ~off frame ~pulled_prot
     ~cow_protected ~fresh =
   assert (is_page_aligned pvm off);
@@ -204,18 +187,11 @@ let[@chorus.hot] insert_page_entry pvm (cache : cache) ~off frame ~pulled_prot
   in
   if not installed then None
   else begin
-    mm_enter pvm;
-    (match
-       cache.c_pages <-
-         (page :: cache.c_pages)
-         [@chorus.alloc_ok "the page's cell on its cache's page list"];
-       Pmap.register_page pvm page;
-       Reclaim.push pvm.reclaim frame.Hw.Phys_mem.index
-     with
-    | () -> mm_exit pvm
-    | exception e ->
-      mm_exit pvm;
-      raise e);
+    cache.c_pages <-
+      (page :: cache.c_pages)
+      [@chorus.alloc_ok "the page's cell on its cache's page list"];
+    Pmap.register_page pvm page;
+    Reclaim.push pvm.reclaim frame.Hw.Phys_mem.index;
     rethread_pending_stubs pvm page;
     note_pressure pvm;
     Some page [@chorus.alloc_ok "the installed page, handed to the caller"]
@@ -235,10 +211,8 @@ let insert_page pvm (cache : cache) ~off frame ~pulled_prot ~cow_protected =
    reaches its insert through such scheduling points, so the
    destination must be re-probed at insert time; on a lost race the
    frame is returned to the pool and the caller settles on whatever
-   value won (§3.3.3).  The re-probe and the install are fused under
-   one shard lock ([~fresh:true]), so on the parallel engine two
-   same-slot faulters that both pass an earlier peek still serialise
-   here. *)
+   value won (§3.3.3).  The re-probe and the install are one probe
+   ([~fresh:true]). *)
 let[@chorus.spanned
      "leaf helper: callers are the spanned fault/copy resolution paths"] try_insert_fresh
     pvm (cache : cache) ~off frame ~pulled_prot ~cow_protected =
@@ -282,27 +256,20 @@ let[@chorus.hot] [@chorus.spanned
   assert (page.p_alive);
   assert (page.p_cow_stubs = []);
   note_frames pvm;
-  mm_enter pvm;
-  (match
-     Pmap.unmap_all pvm page;
-     Pmap.unregister_page pvm page;
-     Reclaim.remove pvm.reclaim page.p_frame.Hw.Phys_mem.index;
-     let cache = page.p_cache in
-     cache.c_pages <- without_page page cache.c_pages;
-     (match Global_map.peek pvm cache ~off:page.p_offset with
-     | Some (Resident p) when p == page ->
-       Global_map.remove pvm cache ~off:page.p_offset
-     | _ -> ());
-     page.p_alive <- false;
-     if free_frame then begin
-       charge pvm Hw.Cost.Frame_free;
-       Hw.Phys_mem.free pvm.mem page.p_frame
-     end
-   with
-  | () -> mm_exit pvm
-  | exception e ->
-    mm_exit pvm;
-    raise e);
+  Pmap.unmap_all pvm page;
+  Pmap.unregister_page pvm page;
+  Reclaim.remove pvm.reclaim page.p_frame.Hw.Phys_mem.index;
+  let cache = page.p_cache in
+  cache.c_pages <- without_page page cache.c_pages;
+  (match Global_map.peek pvm cache ~off:page.p_offset with
+  | Some (Resident p) when p == page ->
+    Global_map.remove pvm cache ~off:page.p_offset
+  | _ -> ());
+  page.p_alive <- false;
+  if free_frame then begin
+    charge pvm Hw.Cost.Frame_free;
+    Hw.Phys_mem.free pvm.mem page.p_frame
+  end;
   note_pressure pvm
 
 (* Move a page descriptor to another (cache, offset) without touching
@@ -315,27 +282,20 @@ let[@chorus.hot] reassign_page pvm ?preserve (page : page) (dst : cache)
     ~dst_off =
   let preserve = preserve = Some true in
   if not preserve then assert (page.p_cow_stubs = []);
-  mm_enter pvm;
-  (match
-     Pmap.unmap_all pvm page;
-     let src = page.p_cache in
-     src.c_pages <- without_page page src.c_pages;
-     (match Global_map.peek pvm src ~off:page.p_offset with
-     | Some (Resident p) when p == page ->
-       Global_map.remove pvm src ~off:page.p_offset
-     | _ -> ());
-     page.p_cache <- dst;
-     page.p_offset <- dst_off;
-     if not preserve then page.p_cow_protected <- false;
-     dst.c_pages <-
-       (page :: dst.c_pages)
-       [@chorus.alloc_ok "the moved page's cell on its new cache's page list"];
-     Global_map.set pvm dst ~off:dst_off
-       (Resident page [@chorus.alloc_ok "the moved page's global-map entry"])
-   with
-  | () -> mm_exit pvm
-  | exception e ->
-    mm_exit pvm;
-    raise e);
+  Pmap.unmap_all pvm page;
+  let src = page.p_cache in
+  src.c_pages <- without_page page src.c_pages;
+  (match Global_map.peek pvm src ~off:page.p_offset with
+  | Some (Resident p) when p == page ->
+    Global_map.remove pvm src ~off:page.p_offset
+  | _ -> ());
+  page.p_cache <- dst;
+  page.p_offset <- dst_off;
+  if not preserve then page.p_cow_protected <- false;
+  dst.c_pages <-
+    (page :: dst.c_pages)
+    [@chorus.alloc_ok "the moved page's cell on its new cache's page list"];
+  Global_map.set pvm dst ~off:dst_off
+    (Resident page [@chorus.alloc_ok "the moved page's global-map entry"]);
   rethread_pending_stubs pvm page;
   if not preserve then bump pvm.stats sc_moved_pages

@@ -32,14 +32,14 @@ val new_cache :
     the index next to it (never [Global_map.set]/[remove]).  A cache's
     tables are created on their first insert, here. *)
 
-val index_dest_stub : Types.pvm -> Types.cow_stub -> unit
+val index_dest_stub : Types.cow_stub -> unit
 (** Record the stub under its destination (cache, offset). *)
 
-val unindex_dest_stub : Types.pvm -> Types.cache -> off:int -> unit
-val index_pending : Types.pvm -> Types.cache -> off:int -> unit
-val unindex_pending : Types.pvm -> Types.cache -> off:int -> unit
+val unindex_dest_stub : Types.cache -> off:int -> unit
+val index_pending : Types.cache -> off:int -> unit
+val unindex_pending : Types.cache -> off:int -> unit
 
-val index_backed : Types.pvm -> Types.cache -> off:int -> unit
+val index_backed : Types.cache -> off:int -> unit
 (** Record that an anonymous cache's page at [off] has a swap copy. *)
 
 val dest_stubs : Types.cache -> Types.cow_stub list

@@ -108,18 +108,16 @@ let push_out pvm (page : page) =
           (Some (Resident page)))
       (fun () ->
         backing.b_push_out ~offset:off ~size:(page_size pvm) ~copy_back;
-        if cache.c_anonymous then Install.index_backed pvm cache ~off;
+        if cache.c_anonymous then Install.index_backed cache ~off;
         page.p_dirty <- false;
         (* back to read-only mappings so the next store re-dirties *)
         Pmap.refresh_prot pvm page)
 
 (* Steal [page]'s frame, in two halves.  [claim_evict] elects and
-   claims the victim — on the parallel engine it runs under the mm
-   lock, so election and claim are one atomic step against concurrent
-   allocators; [complete_evict] does the (possibly blocking) save and
-   removal OUTSIDE that lock, because a segment pushOut may park the
-   fibre and a parked fibre must not carry a mutex away with it.  A
-   dirty victim is first saved to its segment; the frame is freed
+   claims the victim before any scheduling point, so no other fibre
+   can elect it too; [complete_evict] does the (possibly blocking) save
+   and removal, where a segment pushOut may park the fibre.  A dirty
+   victim is first saved to its segment; the frame is freed
    before the (possibly slow) pushOut completes, working from a
    snapshot, so allocation latency does not include segment I/O
    twice. *)
@@ -179,7 +177,7 @@ let complete_evict pvm (page : page) cond =
           Global_map.finish_sync_stub pvm cache ~off cond None)
         (fun () ->
           backing.b_push_out ~offset:off ~size:ps ~copy_back;
-          if cache.c_anonymous then Install.index_backed pvm cache ~off)
+          if cache.c_anonymous then Install.index_backed cache ~off)
   end
   else begin
     Install.remove_page pvm page ~free_frame:true;
@@ -212,24 +210,17 @@ let[@chorus.hot] [@chorus.noted
    below the GMI can also run asynchronously.  The daemon keeps free
    memory between watermarks so allocations rarely pay for eviction
    (and its pushOut latency) synchronously.  Like [reclaim_for_frame],
-   it elects and claims each victim under the mm lock and completes
-   the eviction outside it. *)
+   it elects and claims each victim in one step and then completes the
+   eviction. *)
 let rec daemon_reclaim pvm ~high_water =
   note_frames pvm;
-  if Hw.Phys_mem.free_frames pvm.mem < high_water then begin
-    mm_enter pvm;
+  if Hw.Phys_mem.free_frames pvm.mem < high_water then
     match oldest_evictable pvm with
-    | None -> mm_exit pvm
-    | Some victim -> (
-      match claim_evict pvm victim with
-      | cond ->
-        mm_exit pvm;
-        complete_evict pvm victim cond;
-        daemon_reclaim pvm ~high_water
-      | exception e ->
-        mm_exit pvm;
-        raise e)
-  end
+    | None -> ()
+    | Some victim ->
+      let cond = claim_evict pvm victim in
+      complete_evict pvm victim cond;
+      daemon_reclaim pvm ~high_water
 
 let rec daemon_loop pvm ~low_water ~high_water ~period =
   Hw.Engine.sleep period;
@@ -245,7 +236,7 @@ let start_daemon pvm ~low_water ~high_water ~period =
 let transfer_in_flight pvm =
   (* the in-flight transfer with the smallest (cache id, offset): the
      map's fold order is unspecified, the choice must not be *)
-  (Shard_map.fold
+  (Frag_map.fold
      (fun cid off entry acc ->
        match (entry, acc) with
        | Sync_stub cond, None -> Some (cid, off, cond)
@@ -268,52 +259,35 @@ let transfer_in_flight pvm =
 let await_transfer pvm cond =
   Hw.Engine.declare_wait pvm.engine ~on:"frame"
     ~owner:(Hw.Engine.Cond.owner cond) ();
-  Atomic.incr pvm.stub_sleeps;
+  pvm.stub_sleeps <- pvm.stub_sleeps + 1;
   Hw.Engine.Cond.await_unfinished cond
 
 (* The slow path of [alloc_frame], entered only when the frame pool is
    empty: evict FIFO victims, or block on an in-flight transfer when
    every unwired page is mid-transfer at once.  Victim election and
-   the claim are one atomic step under the mm lock on the parallel
-   engine (transparent on the oracle path); the allocation retry
-   inside it is a lock-free pop, and the blocking halves (completing
-   an eviction, waiting out a transfer) happen outside it.  The
-   eviction path allocates only what it keeps: the claim's condition
-   and the eviction's own records. *)
+   the claim are one step, before any scheduling point; the blocking
+   halves (completing an eviction, waiting out a transfer) follow it.
+   The eviction path allocates only what it keeps: the claim's
+   condition and the eviction's own records. *)
 let[@chorus.hot] [@chorus.spanned
      "runs under the spans of every allocation path (fault, copy, \
       history-materialise, pager upcalls)"] rec reclaim_for_frame pvm =
   note_frames pvm;
-  mm_enter pvm;
   let i = Hw.Phys_mem.alloc_index pvm.mem in
-  if i >= 0 then begin
-    mm_exit pvm;
-    Hw.Phys_mem.frame pvm.mem i
-  end
+  if i >= 0 then Hw.Phys_mem.frame pvm.mem i
   else
     match oldest_evictable pvm with
-    | Some victim -> (
-      match claim_evict pvm victim with
-      | cond ->
-        mm_exit pvm;
-        complete_evict pvm victim cond;
-        reclaim_for_frame pvm
-      | exception e ->
-        mm_exit pvm;
-        raise e)
+    | Some victim ->
+      let cond = claim_evict pvm victim in
+      complete_evict pvm victim cond;
+      reclaim_for_frame pvm
     | None -> (
       (* nothing evictable: wait out a transfer, or give up *)
       match transfer_in_flight pvm with
       | Some cond ->
-        mm_exit pvm;
         await_transfer pvm cond;
         reclaim_for_frame pvm
-      | None ->
-        mm_exit pvm;
-        raise Gmi.No_memory
-      | exception e ->
-        mm_exit pvm;
-        raise e)
+      | None -> raise Gmi.No_memory)
 
 (* Allocate a frame, reclaiming FIFO victims when physical memory is
    exhausted. *)
@@ -322,7 +296,6 @@ let[@chorus.hot] [@chorus.spanned
       history-materialise, pager upcalls)"] alloc_frame pvm =
   note_frames pvm;
   charge pvm Hw.Cost.Frame_alloc;
-  (* the frame pool is lock-free: no mm-lock on the common path, and
-     taking a frame by index allocates nothing *)
+  (* taking a frame by index allocates nothing *)
   let i = Hw.Phys_mem.alloc_index pvm.mem in
   if i >= 0 then Hw.Phys_mem.frame pvm.mem i else reclaim_for_frame pvm

@@ -7,17 +7,6 @@
    (a later copy over the same range) splits or evicts what it
    overlaps, so the newest copy wins. *)
 
-(* The whole module is topology surgery on c_parents/c_children.  Every
-   caller (copy, history insertion, destruction) runs on the owning
-   site's serial-class or actor-affinity fibre, or at pool quiescence;
-   the parallel fault path only READS parent lists, racing nothing —
-   in-flight topology changes are fenced by the quiescence barrier
-   before parallel slices resume. *)
-[@@@chorus.guarded
-  "topology surgery: mutated only from the owning site's serial-class \
-   fibres or at pool quiescence; the parallel fault path only reads \
-   parent/child lists"]
-
 open Types
 
 let rec covering off = function

@@ -95,7 +95,7 @@ let[@chorus.hot] [@chorus.spanned
     charge pvm Hw.Cost.Stub_insert;
     Global_map.set pvm dst ~off:d_off
       (Cow_stub stub [@chorus.alloc_ok "the stub's global-map entry"]);
-    Install.index_dest_stub pvm stub
+    Install.index_dest_stub stub
   done
 
 let unthread pvm (stub : cow_stub) =
@@ -104,14 +104,14 @@ let unthread pvm (stub : cow_stub) =
   | Src_page p -> p.p_cow_stubs <- without_stub stub p.p_cow_stubs
   | Src_cache (c, o) -> (
     note_frag pvm c ~off:o;
-    match Shard_map.find_opt pvm.stub_sources c.c_id o with
+    match Frag_map.find_opt pvm.stub_sources c.c_id o with
     | None -> ()
     | Some stubs -> (
       match without_stub stub stubs with
       | [] ->
-        Shard_map.remove pvm.stub_sources c.c_id o;
-        Install.unindex_pending pvm c ~off:o
-      | rest -> Shard_map.replace pvm.stub_sources c.c_id o rest))
+        Frag_map.remove pvm.stub_sources c.c_id o;
+        Install.unindex_pending c ~off:o
+      | rest -> Frag_map.replace pvm.stub_sources c.c_id o rest))
 
 let source_cache_of (stub : cow_stub) =
   match stub.cs_source with Src_page p -> p.p_cache | Src_cache (c, _) -> c
@@ -167,7 +167,7 @@ let[@chorus.spanned
   in
   unthread pvm stub;
   Global_map.remove pvm stub.cs_cache ~off:stub.cs_offset;
-  Install.unindex_dest_stub pvm stub.cs_cache ~off:stub.cs_offset;
+  Install.unindex_dest_stub stub.cs_cache ~off:stub.cs_offset;
   let page =
     Install.insert_page pvm stub.cs_cache ~off:stub.cs_offset frame
       ~pulled_prot:Hw.Prot.all
@@ -190,7 +190,7 @@ let drop pvm (stub : cow_stub) =
   match Global_map.peek pvm stub.cs_cache ~off:stub.cs_offset with
   | Some (Cow_stub s) when s == stub ->
     Global_map.remove pvm stub.cs_cache ~off:stub.cs_offset;
-    Install.unindex_dest_stub pvm stub.cs_cache ~off:stub.cs_offset
+    Install.unindex_dest_stub stub.cs_cache ~off:stub.cs_offset
   | _ -> ()
 
 let kill pvm (stub : cow_stub) =
@@ -239,7 +239,7 @@ let resolve_write pvm (stub : cow_stub) = materialize pvm stub
    (cache, off): called before that value is overwritten. *)
 let materialize_pending pvm (cache : cache) ~off =
   note_frag ~write:false pvm cache ~off;
-  match Shard_map.find_opt pvm.stub_sources cache.c_id off with
+  match Frag_map.find_opt pvm.stub_sources cache.c_id off with
   | None -> ()
   | Some stubs ->
     List.iter (fun s -> if s.cs_alive then ignore (materialize pvm s)) stubs

@@ -69,33 +69,23 @@ let[@chorus.hot] rec without_mapping (region : region) vpn = function
 let[@chorus.hot] [@chorus.spanned
      "runs under the fault span opened by Fault.handle"] enter pvm
     (page : page) (region : region) ~vpn =
-  (* Shared pages collect mappings from many contexts, so on the
-     parallel engine the reverse-map manipulation runs under the mm
-     lock (the explicit halves, transparent on the oracle path). *)
-  mm_enter pvm;
-  match
-    (* Replacing another page's entry: retire its pmap record so a
-       later teardown of that page does not unmap us. *)
-    let old = Hw.Mmu.mapped_frame_index region.r_context.ctx_space ~vpn in
-    (if old >= 0 && old <> page.p_frame.Hw.Phys_mem.index then
-       match page_at_index pvm old with
-       | Some old_page ->
-         old_page.p_mappings <- without_mapping region vpn old_page.p_mappings
-       | None -> ());
-    let prot = effective_prot page region in
-    charge pvm Hw.Cost.Mmu_map;
-    Hw.Mmu.map region.r_context.ctx_space ~vpn page.p_frame prot;
-    if not (has_mapping region vpn page.p_mappings) then
-      page.p_mappings <-
-        ((region, vpn) :: page.p_mappings)
-        [@chorus.alloc_ok
-          "the mapping record (region, vpn) and its list cell: the pmap \
-           bookkeeping a real kernel allocates per MMU entry"]
-  with
-  | () -> mm_exit pvm
-  | exception e ->
-    mm_exit pvm;
-    raise e
+  (* Replacing another page's entry: retire its pmap record so a later
+     teardown of that page does not unmap us. *)
+  let old = Hw.Mmu.mapped_frame_index region.r_context.ctx_space ~vpn in
+  (if old >= 0 && old <> page.p_frame.Hw.Phys_mem.index then
+     match page_at_index pvm old with
+     | Some old_page ->
+       old_page.p_mappings <- without_mapping region vpn old_page.p_mappings
+     | None -> ());
+  let prot = effective_prot page region in
+  charge pvm Hw.Cost.Mmu_map;
+  Hw.Mmu.map region.r_context.ctx_space ~vpn page.p_frame prot;
+  if not (has_mapping region vpn page.p_mappings) then
+    page.p_mappings <-
+      ((region, vpn) :: page.p_mappings)
+      [@chorus.alloc_ok
+        "the mapping record (region, vpn) and its list cell: the pmap \
+         bookkeeping a real kernel allocates per MMU entry"]
 
 let[@chorus.hot] drop_mapping (page : page) (region : region) ~vpn =
   page.p_mappings <- without_mapping region vpn page.p_mappings
@@ -112,12 +102,7 @@ let[@chorus.hot] [@chorus.spanned
 (* Recompute the hardware protection of every mapping of [page];
    charges one protection update per refreshed entry. *)
 let[@chorus.hot] refresh_prot pvm (page : page) =
-  mm_enter pvm;
-  match refresh_walk pvm page page.p_mappings with
-  | () -> mm_exit pvm
-  | exception e ->
-    mm_exit pvm;
-    raise e
+  refresh_walk pvm page page.p_mappings
 
 let[@chorus.hot] rec protect_walk (page : page) = function
   | [] -> ()

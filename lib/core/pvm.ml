@@ -5,8 +5,8 @@ type context = Types.context
 type region = Types.region
 type cache = Types.cache
 
-let create ?(page_size = 8192) ?(cost = Hw.Cost.chorus_sun360) ?(shards = 8)
-    ~frames ~engine () =
+let create ?(page_size = 8192) ?(cost = Hw.Cost.chorus_sun360) ~frames ~engine
+    () =
   let mem = Hw.Phys_mem.create ~page_size ~frames () in
   let obs = Obs.Metrics.create ~prims:Hw.Cost.prim_names () in
   {
@@ -14,19 +14,15 @@ let create ?(page_size = 8192) ?(cost = Hw.Cost.chorus_sun360) ?(shards = 8)
     mmu = Hw.Mmu.create ~page_size;
     cost;
     engine;
-    gmap = Shard_map.create ~name:"gmap" ~shards ~capacity:frames ();
-    stub_sources = Shard_map.create ~name:"stub_sources" ~shards ();
+    gmap = Frag_map.create ~capacity:frames ();
+    stub_sources = Frag_map.create ();
     page_of_frame = Array.make frames None;
     newest_context = None;
     newest_cache = None;
     current = None;
-    next_id = Atomic.make 1;
+    next_id = 1;
     reclaim = Reclaim.create ~frames;
-    mm_lock = Mutex.create ();
-    mm_owner = Atomic.make (-1);
-    mm_depth = 0;
-    mm_stat = Obs.Lockstat.create ~cls:"mm" "pvm/mm";
-    stub_sleeps = Atomic.make 0;
+    stub_sleeps = 0;
     segment_create_hook = None;
     zombie_reaper = None;
     stats = fresh_stats ();
@@ -65,25 +61,12 @@ let[@chorus.noted
   set "pvm.stub_resolves" s.n_stub_resolves;
   set "pvm.eager_pages" s.n_eager_pages;
   set "pvm.moved_pages" s.n_moved_pages;
-  (* Sharded-map health: total point probes, how many had to wait for
-     a shard lock (only ever non-zero on the parallel engine), how
-     many fibres parked on sync stubs, and the per-shard occupancy
-     spread as a histogram (one observation per shard). *)
-  set "gmap.shards" (Shard_map.shard_count pvm.gmap);
-  set "gmap.probes" (Shard_map.probes pvm.gmap);
-  set "gmap.lock_waits" (Shard_map.lock_waits pvm.gmap);
-  set "gmap.stub_sources.probes" (Shard_map.probes pvm.stub_sources);
-  set "gmap.stub_sleeps" (Atomic.get pvm.stub_sleeps);
-  (* Per-shard attribution: the summed probes above hide hot-shard
-     skew, so each shard also publishes its own probe and lock-wait
-     counts. *)
-  Array.iteri
-    (fun i n -> set (Printf.sprintf "gmap.shard%d.probes" i) n)
-    (Shard_map.probes_per_shard pvm.gmap);
-  Array.iteri
-    (fun i n -> set (Printf.sprintf "gmap.shard%d.lock_waits" i) n)
-    (Shard_map.lock_waits_per_shard pvm.gmap);
-  (* Per-simulated-CPU utilization (parallel engine only): busy is the
+  (* Global-map health: point probes, and how many fibres parked on
+     sync stubs. *)
+  set "gmap.probes" (Frag_map.probes pvm.gmap);
+  set "gmap.stub_sources.probes" (Frag_map.probes pvm.stub_sources);
+  set "gmap.stub_sleeps" pvm.stub_sleeps;
+  (* Per-simulated-CPU utilization (lanes only): busy is the
      charge time placed on that CPU, idle is its slack against the
      makespan reached so far. *)
   let busy = Hw.Engine.cpu_busy pvm.engine in
@@ -95,24 +78,12 @@ let[@chorus.noted
         set (Printf.sprintf "engine.cpu%d.idle_ns" i) (max 0 (makespan - b)))
       busy
   end;
-  let occ = Obs.Metrics.histogram m "gmap.shard_occupancy" in
-  (* a fresh snapshot, not a stream: [metrics] may be called several
-     times per report and must stay idempotent *)
-  Obs.Metrics.clear_histogram occ;
-  Array.iter (fun n -> Obs.Metrics.observe occ n) (Shard_map.occupancy pvm.gmap);
   m
 
 let reset_stats pvm = Types.reset_stats pvm.stats
 
-(* Every instrumented lock owned by this PVM: the mm lock and each
-   shard lock of the two sharded maps.  The engine pool lock is the
-   engine's ({!Hw.Engine.pool_lock_stats}), so several PVMs sharing
-   one engine don't each re-report it. *)
-let[@chorus.noted
-     "quiescence-time reporting: reads only the lock statistics, never \
-      map contents, so no schedule can depend on it"] lock_stats pvm =
-  Obs.Lockstat.snapshot pvm.mm_stat
-  :: (Shard_map.lock_stats pvm.gmap @ Shard_map.lock_stats pvm.stub_sources)
+(* perfbench is its only caller. *)
+let lock_stats _ = []
 
 let set_segment_create_hook pvm hook = pvm.segment_create_hook <- Some hook
 

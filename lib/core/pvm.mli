@@ -30,16 +30,13 @@ type cache = Types.cache
 val create :
   ?page_size:int ->
   ?cost:Hw.Cost.profile ->
-  ?shards:int ->
   frames:int ->
   engine:Hw.Engine.t ->
   unit ->
   t
 (** [create ~frames ~engine ()] builds a PVM over a pool of [frames]
     page frames.  [page_size] defaults to 8192; [cost] defaults to
-    {!Hw.Cost.chorus_sun360}.  [shards] is the number of independently
-    locked shards of the global map (default 8, minimum 1); it only
-    affects lock granularity on the parallel engine, never results. *)
+    {!Hw.Cost.chorus_sun360}. *)
 
 val engine : t -> Hw.Engine.t
 val memory : t -> Hw.Phys_mem.t
@@ -49,10 +46,7 @@ val cost : t -> Hw.Cost.profile
 (** The calibrated cost profile charged by this instance. *)
 
 val stats : t -> Types.stats
-(** A point-in-time snapshot of the event counters.  The live cells
-    are atomic ({!Types.stats_cells}), so the snapshot is exact at
-    quiescence and safe to take during a parallel run (each counter is
-    individually consistent). *)
+(** A point-in-time snapshot of the event counters. *)
 
 val reset_stats : t -> unit
 
@@ -62,20 +56,14 @@ val metrics : t -> Obs.Metrics.t
     ...), the per-primitive sim-time attribution table (§5.3.2
     decomposition) and — published on each call, so the registry
     subsumes them — the legacy {!Types.stats} counters under
-    "pvm.*", per-shard global-map attribution ("gmap.shardN.probes",
-    "gmap.shardN.lock_waits") and, on a parallel engine, per-CPU
-    utilization ("engine.cpuN.busy_ns"/"engine.cpuN.idle_ns" against
+    "pvm.*", global-map probe counts ("gmap.probes",
+    "gmap.stub_sources.probes", "gmap.stub_sleeps") and, on an engine
+    with simulated CPUs, per-CPU utilization ("engine.cpuN.busy_ns"/"engine.cpuN.idle_ns" against
     the makespan). *)
 
 val lock_stats : t -> Obs.Lockstat.snapshot list
-(** Contention statistics for every instrumented lock this instance
-    owns: the memory-management lock ([pvm/mm]) and each shard lock of
-    the global map ([gmap/shardN]) and stub-source table
-    ([stub_sources/shardN]).  Prepend
-    {!Hw.Engine.pool_lock_stats} for the engine's pool lock.  Counts
-    are always maintained; wall-clock wait/hold timing additionally
-    requires {!Obs.Lockstat.enable_timing}.  The traced [perfbench]
-    run reads the [pvm/mm] entry. *)
+(** Always empty: the PVM takes no lock.  perfbench is its only
+    caller. *)
 
 val tracer : t -> Obs.Trace.t
 (** The tracing sink of this instance's engine ({!Hw.Engine.tracer});

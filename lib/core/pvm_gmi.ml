@@ -9,8 +9,6 @@ type cache = Pvm.cache
 
 let name = "PVM (demand-paged, deferred copies)"
 
-(* The GMI contract does not expose the shard knob; the default shard
-   count stands in for implementations without one. *)
 let create ?page_size ?cost ~frames ~engine () =
   Pvm.create ?page_size ?cost ~frames ~engine ()
 let page_size = Pvm.page_size

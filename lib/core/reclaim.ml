@@ -12,7 +12,7 @@
    the order of the page-out policy's FIFO (§3.3.3). *)
 
 (* The queue is state of the frame pool class: its callers note the
-   frame pool (and hold the mm lock) before they reach it. *)
+   frame pool before they reach it. *)
 [@@@chorus.noted "the queue's own links; callers note the frame pool"]
 
 type t = {

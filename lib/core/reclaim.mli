@@ -4,8 +4,7 @@
 
     {!push}, {!remove}, {!mem}, {!oldest} and {!newer} are O(1) and
     allocate nothing.  Walking {!oldest}, {!newer}, ... visits the
-    queued frames in push order.  Every mutation runs under the owning
-    PVM's mm lock (the parallel engine) and notes the frame pool. *)
+    queued frames in push order.  Every caller notes the frame pool. *)
 
 type t = private {
   rq_next : int array;

@@ -45,10 +45,7 @@ let[@chorus.hot] rec without_region (region : region) = function
         [@chorus.alloc_ok
           "the cells in front of the removed region: the shortened list kept"]
 
-let[@chorus.hot] [@chorus.spanned "runs under the regionCreate span"] [@chorus.guarded
-     "region mapping edits run on the owning process's serial-class \
-      fibres; parallel slices fault on regions already mapped and only \
-      read ctx_regions/c_mappings"] create_in
+let[@chorus.hot] [@chorus.spanned "runs under the regionCreate span"] create_in
     pvm (ctx : context) ~addr ~size ~prot (cache : cache) ~offset =
   note_structure pvm;
   charge pvm Hw.Cost.Region_create;
@@ -106,10 +103,7 @@ let iter_mapped pvm (region : region) f =
 (* region.split (Table 2): cut a region in two at [offset] bytes from
    its start.  Splitting never occurs spontaneously, so upper layers
    can track regions reliably (§3.3.2). *)
-let[@chorus.guarded
-     "region mapping edits run on the owning process's serial-class \
-      fibres; parallel slices fault on regions already mapped and only \
-      read ctx_regions/c_mappings"] split pvm (region : region) ~offset =
+let split pvm (region : region) ~offset =
   check_region_alive region;
   if not (is_page_aligned pvm offset) then invalid_arg "split: unaligned";
   if offset <= 0 || offset >= region.r_size then
@@ -206,10 +200,7 @@ let[@chorus.hot] drop_entry (region : region) ~vpn frame _ =
   | Some page -> Pmap.drop_mapping page region ~vpn
   | None -> ()
 
-let[@chorus.hot] [@chorus.spanned "runs under the regionDestroy span"] [@chorus.guarded
-     "region mapping edits run on the owning process's serial-class \
-      fibres; parallel slices fault on regions already mapped and only \
-      read ctx_regions/c_mappings"] destroy_in
+let[@chorus.hot] [@chorus.spanned "runs under the regionDestroy span"] destroy_in
     pvm (region : region) =
   note_structure pvm;
   charge pvm Hw.Cost.Region_destroy;

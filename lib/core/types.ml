@@ -12,10 +12,9 @@ type pvm = {
   mmu : Hw.Mmu.t;
   cost : Hw.Cost.profile;
   engine : Hw.Engine.t;
-  gmap : entry Shard_map.t;
-      (* the global map: (cache id, page-aligned offset) -> entry,
-         split over N independently locked shards (§4.1 scaled out) *)
-  stub_sources : cow_stub list Shard_map.t;
+  gmap : entry Frag_map.t;
+      (* the global map: (cache id, page-aligned offset) -> entry *)
+  stub_sources : cow_stub list Frag_map.t;
       (* per-virtual-page stubs whose source page is not resident,
          indexed by source (cache, offset) so that a later pullIn can
          re-thread them onto the incoming page *)
@@ -28,24 +27,11 @@ type pvm = {
          unlinks in O(1) without allocating.  Read them as lists with
          [contexts]/[caches] *)
   mutable current : context option;
-  next_id : int Atomic.t;
+  mutable next_id : int;
   reclaim : Reclaim.t;
       (* the FIFO reclaim queue, oldest first: links between the
          frames of resident pages, indexed like [page_of_frame] *)
-  mm_lock : Mutex.t;
-      (* the memory-management lock: reclaim queue, page lists,
-         frame-to-page index and MMU mappings (the frame pool is
-         lock-free, see [Hw.Phys_mem]).  Taken (via
-         [with_mm], reentrantly) only inside parallel engine slices;
-         on the oracle path it is never touched *)
-  mm_owner : int Atomic.t; (* domain holding mm_lock, -1 when free *)
-  mutable mm_depth : int; (* reentrancy depth; owner-only *)
-  mm_stat : Obs.Lockstat.t;
-      (* contention accounting for mm_lock: acquisition/contended
-         counts always, wait/hold wall-clock when Lockstat timing is
-         enabled.  Only outermost acquisitions go through it;
-         reentrant re-entries are owner-local bookkeeping *)
-  stub_sleeps : int Atomic.t;
+  mutable stub_sleeps : int;
       (* fibres that parked waiting for a sync stub to resolve *)
   mutable segment_create_hook : (cache -> Gmi.backing option) option;
   mutable zombie_reaper : (cache -> unit) option;
@@ -60,7 +46,7 @@ type pvm = {
   fault_hist : Obs.Metrics.histogram array;
       (* the fault-latency histograms of [obs], pre-resolved by
          resolution kind (index = Fault.hist_index) so the per-fault
-         update is handle-direct: no registry lookup, domain-safe *)
+         update is handle-direct: no registry lookup *)
 }
 
 and entry =
@@ -161,13 +147,9 @@ and context = {
   mutable ctx_older : context option;
 }
 
-and stats_cells = Obs.Cells.t
-(* The live counters: one {!Obs.Cells} row per domain, indexed by the
-   [sc_*] constants below.  Parallel slices on distinct domains bump
-   them concurrently, each in its own row with a plain store, so no
-   two workers write one cache line and totals are exact at
-   quiescence with no lock.  Readers take a [stats] snapshot
-   ({!snapshot_stats}). *)
+and stats_cells = int array
+(* The live counters, indexed by the [sc_*] constants below.  Readers
+   take a [stats] snapshot ({!snapshot_stats}). *)
 
 let sc_faults = 0
 let sc_zero_fills = 1
@@ -198,10 +180,9 @@ type stats = {
   n_moved_pages : int;
 }
 
-let fresh_stats () = Obs.Cells.create (Array.make n_stat_cells 0)
+let fresh_stats () : stats_cells = Array.make n_stat_cells 0
 
-let snapshot_stats (c : stats_cells) : stats =
-  let n = Obs.Cells.fold c (Array.map2 ( + )) (Array.make n_stat_cells 0) in
+let snapshot_stats (n : stats_cells) : stats =
   {
     n_faults = n.(sc_faults);
     n_zero_fills = n.(sc_zero_fills);
@@ -216,86 +197,16 @@ let snapshot_stats (c : stats_cells) : stats =
     n_moved_pages = n.(sc_moved_pages);
   }
 
-let reset_stats = Obs.Cells.reset
+let reset_stats (c : stats_cells) = Array.fill c 0 n_stat_cells 0
 
-(* The one-event bump every operational module uses, into the calling
-   domain's row: [bump pvm.stats sc_pull_ins]. *)
-let bump (c : stats_cells) i =
-  let r = Obs.Cells.mine c in
-  r.(i) <- r.(i) + 1
+(* The one-event bump every operational module uses:
+   [bump pvm.stats sc_pull_ins]. *)
+let bump (c : stats_cells) i = c.(i) <- c.(i) + 1
 
-let next_id pvm = Atomic.fetch_and_add pvm.next_id 1
-
-(* Run [f] under the memory-management lock — but only inside a
-   parallel engine slice, where another domain may genuinely race us;
-   on the sequential engine and the parallel coordinator this is just
-   [f ()], keeping the oracle path free of locking artefacts.  The
-   lock is reentrant (owner + depth) so compound operations
-   (eviction -> page removal -> unmap) can layer their critical
-   sections without a self-deadlock.  Holders must not park: the
-   domain would carry the mutex away with it.  The frame pool is not
-   behind this lock: [Hw.Phys_mem] alloc and free are lock-free and
-   domain-safe.
-
-   The lock hierarchy (pool before mm before shard before cond) is
-   not prose any more: it is declared in [Lint.Lock_order], enforced
-   statically by chorus-lint rules L6–L9 over every engine-facing
-   library, and cross-checked at runtime against the order witnesses
-   [Obs.Lockstat] records under [chorus crossval].
-
-   [mm_enter]/[mm_exit] are the explicit halves for hot paths where
-   the closure argument would itself be a per-call allocation; a
-   section written with the halves must not raise between them. *)
-let[@chorus.noted
-     "mm_depth is owner-only bookkeeping guarded by mm_lock itself; it is \
-      never part of a slice's shared footprint"]
-   [@chorus.balanced
-     "this IS the acquire half of the mm-lock primitive: it deliberately \
-      returns holding the lock (or one level deeper); L9 audits its \
-      callers, which must pair it with mm_exit on every path"] mm_enter pvm
-    =
-  if Hw.Engine.in_parallel_slice () then begin
-    let me = (Domain.self () :> int) in
-    if Atomic.get pvm.mm_owner = me then pvm.mm_depth <- pvm.mm_depth + 1
-    else begin
-      Obs.Lockstat.lock pvm.mm_stat pvm.mm_lock;
-      Atomic.set pvm.mm_owner me;
-      pvm.mm_depth <- 1
-    end
-  end
-
-let[@chorus.noted
-     "mm_depth is owner-only bookkeeping guarded by mm_lock itself; it is \
-      never part of a slice's shared footprint"]
-   [@chorus.balanced
-     "this IS the release half of the mm-lock primitive: it is entered \
-      holding the lock and deliberately returns one level shallower"] mm_exit
-    pvm =
-  if Hw.Engine.in_parallel_slice () then begin
-    (* Unpaired exits corrupt mm_depth silently and surface much later
-       as a mutex held (or released) by the wrong domain; fail at the
-       misuse site instead. *)
-    if Atomic.get pvm.mm_owner <> (Domain.self () :> int) then
-      invalid_arg "Types.mm_exit: mm_exit without matching mm_enter";
-    pvm.mm_depth <- pvm.mm_depth - 1;
-    if pvm.mm_depth = 0 then begin
-      Atomic.set pvm.mm_owner (-1);
-      Obs.Lockstat.unlock pvm.mm_stat pvm.mm_lock
-    end
-  end
-
-let with_mm pvm f =
-  if not (Hw.Engine.in_parallel_slice ()) then f ()
-  else begin
-    mm_enter pvm;
-    match f () with
-    | v ->
-      mm_exit pvm;
-      v
-    | exception e ->
-      mm_exit pvm;
-      raise e
-  end
+let next_id pvm =
+  let id = pvm.next_id in
+  pvm.next_id <- id + 1;
+  id
 
 let page_size pvm = Hw.Phys_mem.page_size pvm.mem
 
@@ -310,18 +221,16 @@ let page_size pvm = Hw.Phys_mem.page_size pvm.mem
 let no_offsets : (int, unit) Hashtbl.t = Hashtbl.create 1
 let no_stubs : (int, cow_stub) Hashtbl.t = Hashtbl.create 1
 
-(* Link a new cache in front of the registry, under the mm lock.  The
+(* Link a new cache in front of the registry.  The
    one [Some] cell is shared by the registry head and the old head's
    back link. *)
 let[@chorus.hot] [@chorus.noted
      "registry edit: callers note the topology before it"] link_cache pvm
     (cache : cache) =
   let cell = Some cache [@chorus.alloc_ok "the registry's link to the cache"] in
-  mm_enter pvm;
   (match pvm.newest_cache with Some c -> c.c_newer <- cell | None -> ());
   cache.c_older <- pvm.newest_cache;
-  pvm.newest_cache <- cell;
-  mm_exit pvm
+  pvm.newest_cache <- cell
 
 (* Unlink a dying cache: its neighbours take over its links, so no
    cell is allocated.  Unlinking an unlinked cache does nothing (a
@@ -329,7 +238,6 @@ let[@chorus.hot] [@chorus.noted
 let[@chorus.hot] [@chorus.noted
      "registry edit: callers note the topology before it"] unlink_cache pvm
     (cache : cache) =
-  mm_enter pvm;
   (match cache.c_newer with
   | Some c -> c.c_older <- cache.c_older
   | None -> (
@@ -338,23 +246,19 @@ let[@chorus.hot] [@chorus.noted
     | Some _ | None -> ()));
   (match cache.c_older with Some c -> c.c_newer <- cache.c_newer | None -> ());
   cache.c_newer <- None;
-  cache.c_older <- None;
-  mm_exit pvm
+  cache.c_older <- None
 
 let[@chorus.hot] [@chorus.noted
      "registry edit: callers note the topology before it"] link_context pvm
     (ctx : context) =
   let cell = Some ctx [@chorus.alloc_ok "the registry's link to the context"] in
-  mm_enter pvm;
   (match pvm.newest_context with Some c -> c.ctx_newer <- cell | None -> ());
   ctx.ctx_older <- pvm.newest_context;
-  pvm.newest_context <- cell;
-  mm_exit pvm
+  pvm.newest_context <- cell
 
 let[@chorus.hot] [@chorus.noted
      "registry edit: callers note the topology before it"] unlink_context pvm
     (ctx : context) =
-  mm_enter pvm;
   (match ctx.ctx_newer with
   | Some c -> c.ctx_older <- ctx.ctx_older
   | None -> (
@@ -363,8 +267,7 @@ let[@chorus.hot] [@chorus.noted
     | Some _ | None -> ()));
   (match ctx.ctx_older with Some c -> c.ctx_newer <- ctx.ctx_newer | None -> ());
   ctx.ctx_newer <- None;
-  ctx.ctx_older <- None;
-  mm_exit pvm
+  ctx.ctx_older <- None
 
 let rec newest_first older acc = function
   | None -> List.rev acc

@@ -14,8 +14,7 @@ type located =
   | `Zero  (* anonymous, never written: zero-filled *) ]
 
 (* A cache that never swapped still shares [no_offsets]; the test does
-   not read that table, which the fault path of every domain would
-   otherwise read. *)
+   not read that table, which every fault would otherwise read. *)
 let has_swapped (cache : cache) ~off =
   cache.c_anonymous
   && cache.c_backed_offs != no_offsets

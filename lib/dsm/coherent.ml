@@ -141,10 +141,7 @@ let backing_of t (site : site) =
         Bytes.blit (copy_back ~offset ~size) 0 t.master offset size);
   }
 
-let[@chorus.guarded
-     "t.sites is touched only by fibres on the DSM master's affinity \
-      lane, which the engine serialises; attachment happens before the \
-      sites start faulting"] attach t pvm =
+let attach t pvm =
   Hw.Engine.note_ambient (-5) 0;
   let site =
     {

@@ -39,45 +39,26 @@ type watchdog = {
 }
 
 (* One affinity class's serialisation lane: tasks of equal (non-zero)
-   affinity execute in FIFO order, at most one at a time, but lanes
-   run concurrently with each other on the domain pool. *)
+   affinity execute in FIFO order, at most one at a time; distinct
+   lanes model fibres on distinct simulated CPUs. *)
 type lane = { l_q : task Queue.t; mutable l_busy : bool }
 
-(* The worker pool.  [p_domains] is 0 for the sequential engine: no
-   worker domains, no lanes, and the coordinator runs every slice in
-   heap order.  With workers, every field is protected by [p_lock], and
-   so are the engine's own mutable fields (seq, live, live_tasks,
-   queue, names, waiting), because fibres on worker domains spawn,
-   sleep, park and resume concurrently with the coordinator; without
-   workers nothing else runs and the lock is never taken. *)
+(* The simulated CPUs.  [p_domains] is 0 for the sequential engine: no
+   lanes, and every slice runs in heap order. *)
 type par = {
   p_domains : int;
-  p_lock : Mutex.t;
-  p_work : Condition.t; (* workers: a lane became runnable *)
-  p_idle : Condition.t; (* coordinator: pool state changed *)
   lanes : (int, lane) Hashtbl.t;
   runnable : int Queue.t; (* affinity classes with a runnable head *)
-  mutable p_running : int; (* tasks executing on the pool right now *)
-  mutable p_stop : bool;
-  mutable p_exn : exn option; (* first exception raised on the pool *)
-  mutable p_horizon : Sim_time.t; (* max virtual clock seen on the pool *)
+  mutable p_horizon : Sim_time.t; (* max virtual clock a lane slice reached *)
   p_cpu : Sim_time.t array;
-      (* simulated clock of each of the [p_domains] CPUs the pool
-         models.  A slice runs on the least-loaded CPU — greedy list
-         scheduling — so the horizon is the workload's makespan on an
-         N-CPU machine, independent of which OS worker executes which
-         slice.  Protected by [p_lock]. *)
+      (* simulated clock of each of the [p_domains] CPUs.  A slice runs
+         on the least-loaded CPU — greedy list scheduling — so the
+         horizon is the workload's makespan on an N-CPU machine. *)
   p_busy : Sim_time.span array;
       (* accumulated charge time per simulated CPU: every committed
          slice adds its charged interval to the CPU it was placed on,
          so busy(i) <= makespan and makespan - busy(i) is CPU i's idle
-         time.  Protected by [p_lock]; the raw material of the
-         utilization report. *)
-  p_stat : Obs.Lockstat.t;
-      (* contention accounting for [p_lock] itself: every acquisition
-         goes through it, and its plain-int counts are guarded by
-         [p_lock]; wait/hold wall-clock only when Lockstat timing is
-         enabled *)
+         time; the raw material of the utilization report. *)
 }
 
 type t = {
@@ -116,29 +97,25 @@ type _ Effect.t +=
   | Sleep : unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
-(* A parallel slice: a fibre running on a worker domain advances a
-   private virtual clock ([pt_clock]) instead of scheduling a wake-up
-   per charge — the discrete-event queue only sees it again when it
-   parks or finishes — and carries its own next-park annotation, so a
-   worker never writes the coordinator's. *)
+(* A lane slice: a fibre running on a simulated CPU advances a private
+   virtual clock ([pt_clock]) instead of scheduling a wake-up per
+   charge — the discrete-event queue only sees it again when it parks
+   or finishes — and carries its own next-park annotation. *)
 type ptask = {
-  pt_eng : t; (* the pool's engine, {!ambient}'s answer *)
+  pt_eng : t; (* the lane's engine, {!ambient}'s answer *)
   pt_fib : int;
   mutable pt_clock : Sim_time.t;
   mutable pt_wait : (string * int) option;
 }
 
-(* What this domain is running: a coordinator loop (its engine, so
-   {!sleep} and {!ambient} can reach it without an effect), a parallel
-   slice, or neither.  [Slice] is what [in_parallel_slice] tests — the
-   cheap "may another domain touch shared state right now?" check the
-   locking seams are gated on. *)
+(* What is running: a run loop (its engine, so {!sleep} and {!ambient}
+   can reach it without an effect), a lane slice, or neither. *)
 type slot = Idle | Coord of t | Slice of ptask
 
-let slot : slot Domain.DLS.key = Domain.DLS.new_key (fun () -> Idle)
+let slot = ref Idle
 
 let in_parallel_slice () =
-  match Domain.DLS.get slot with Slice _ -> true | Idle | Coord _ -> false
+  match !slot with Slice _ -> true | Idle | Coord _ -> false
 
 (* Tasks at distinct times run in time order; equal-time tasks run in
    [seq] (spawn/wake) order, the default policy.  Any other order is a
@@ -178,18 +155,11 @@ let create ?(domains = 0) () =
       par =
         {
           p_domains = domains;
-          p_lock = Mutex.create ();
-          p_work = Condition.create ();
-          p_idle = Condition.create ();
           lanes = Hashtbl.create 16;
           runnable = Queue.create ();
-          p_running = 0;
-          p_stop = false;
-          p_exn = None;
           p_horizon = Sim_time.zero;
           p_cpu = Array.make domains Sim_time.zero;
           p_busy = Array.make domains 0;
-          p_stat = Obs.Lockstat.create ~cls:"pool" "engine/pool";
         };
       waiting = Hashtbl.create 16;
       pending_wait = None;
@@ -207,21 +177,20 @@ let domains eng = eng.par.p_domains
    stable snapshot. *)
 let cpu_busy eng = Array.copy eng.par.p_busy
 
-let pool_lock_stats eng =
-  let p = eng.par in
-  if p.p_domains = 0 then [] else [ Obs.Lockstat.snapshot p.p_stat ]
+(* perfbench is its only caller. *)
+let pool_lock_stats _ = []
 
-(* Inside a parallel slice, "now" is the slice's private virtual
-   clock; everywhere else it is the coordinator clock.  This keeps
-   fault-latency arithmetic (now-after minus now-before) meaningful on
-   the pool, where the coordinator clock stands still. *)
+(* Inside a lane slice, "now" is the slice's private virtual clock;
+   everywhere else it is the coordinator clock.  This keeps
+   fault-latency arithmetic (now-after minus now-before) meaningful in
+   a lane slice, where the coordinator clock stands still. *)
 let now eng =
-  match Domain.DLS.get slot with
+  match !slot with
   | Slice pt -> pt.pt_clock
   | Idle | Coord _ -> eng.now
 
 let current_fibre eng =
-  match Domain.DLS.get slot with
+  match !slot with
   | Slice pt -> pt.pt_fib
   | Idle | Coord _ -> eng.cur_fib
 
@@ -229,9 +198,9 @@ let tracer eng = eng.tracer
 
 let set_tracer eng tr =
   eng.tracer <- tr;
-  (* The DLS-aware accessors, not the raw fields: inside a parallel
-     slice the tracer must see the slice's virtual clock and fibre,
-     not the coordinator's. *)
+  (* The slot-aware accessors, not the raw fields: inside a lane slice
+     the tracer must see the slice's virtual clock and fibre, not the
+     coordinator's. *)
   Obs.Trace.set_clock tr (fun () -> now eng);
   Obs.Trace.set_fibre tr (fun () -> current_fibre eng)
 
@@ -240,9 +209,9 @@ let set_scheduler eng s = eng.sched <- Some s
 let clear_scheduler eng = eng.sched <- None
 let decisions eng = List.rev eng.decisions
 
-(* Footprints are the coordinator's: a parallel slice is not a choice
-   point, so it records nothing even while a serial slice is tracked. *)
-let tracking eng = eng.tracking && not (in_parallel_slice ())
+(* Footprints are the serial slices': a lane slice is not a choice
+   point, and runs after the serial slice's tracking has ended. *)
+let tracking eng = eng.tracking
 
 let note_access ?(write = true) eng a b =
   if tracking eng then eng.accesses <- (a, b, write) :: eng.accesses
@@ -282,7 +251,7 @@ let last_stall eng =
 let declare_wait eng ~on ?(owner = -1) () =
   (* Only pay for the option allocation while someone is watching. *)
   if eng.watch <> None then
-    match Domain.DLS.get slot with
+    match !slot with
     | Slice pt -> pt.pt_wait <- Some (on, owner)
     | Idle | Coord _ -> eng.pending_wait <- Some (on, owner)
 
@@ -342,32 +311,18 @@ let stall_diag eng fib wi =
   Printf.sprintf "watchdog: stall at %s: %s" (pp_time eng.now)
     (wait_line eng fib wi)
 
-(* The pool lock, taken only with workers: the sequential engine pays
-   one branch and no lock.  No section between the halves raises. *)
-let[@chorus.balanced
-     "the acquire half of the pool-lock seam: returns holding the lock \
-      when there are workers; callers pair it with pool_exit"] pool_enter p =
-  if p.p_domains > 0 then Obs.Lockstat.lock p.p_stat p.p_lock
-
-let[@chorus.balanced
-     "the release half of the pool-lock seam: entered holding the lock \
-      when there are workers"] pool_exit p =
-  if p.p_domains > 0 then Obs.Lockstat.unlock p.p_stat p.p_lock
-
 (* Called from the Suspend handler as a fibre parks: register the
    park, consuming the parking slice's annotation, and see whether it
-   closed a blocked-on cycle.  Pool and coordinator parks share the
-   one table.  The alarm is not raised here — effect handlers should
+   closed a blocked-on cycle.  Lane and serial parks share the one
+   table.  The alarm is not raised here — effect handlers should
    not throw past live continuations — but parked for the run loop to
    raise between events. *)
 let note_park eng fib =
   match eng.watch with
   | None -> ()
   | Some w ->
-    let p = eng.par in
-    pool_enter p;
     let lo =
-      match Domain.DLS.get slot with
+      match !slot with
       | Slice pt ->
         let lo = pt.pt_wait in
         pt.pt_wait <- None;
@@ -388,8 +343,7 @@ let note_park eng fib =
         ~args:[ ("fib", Obs.Trace.Int fib) ]
         "deadlock";
       if w.wd_alarm = None then w.wd_alarm <- Some (deadlock_diag eng cycle)
-    | None -> ());
-    pool_exit p
+    | None -> ())
 
 (* Between events: raise a parked deadlock alarm, and periodically
    sweep the waiting table for fibres blocked longer than the stall
@@ -449,10 +403,9 @@ let seeded_scheduler seed =
   }
 
 (* Stamp a task with its time and the next sequence number and route
-   it; with workers the caller holds [p_lock].  Serial-class tasks go
-   to the discrete-event heap the coordinator drains; an affinity class
-   goes to its lane, which becomes runnable when its head is the only
-   queued task and no worker is already inside the lane. *)
+   it.  Serial-class tasks go to the discrete-event heap; an affinity
+   class goes to its lane, which becomes runnable when its head is the
+   only queued task and no slice of the lane is running. *)
 let push eng p task time =
   task.time <- time;
   task.seq <- eng.seq;
@@ -469,29 +422,23 @@ let push eng p task time =
         l
     in
     Queue.push task lane.l_q;
-    if (not lane.l_busy) && Queue.length lane.l_q = 1 then begin
-      Queue.push task.cls p.runnable;
-      Condition.signal p.p_work
-    end
-  end;
-  if p.p_domains > 0 then Condition.signal p.p_idle
+    if (not lane.l_busy) && Queue.length lane.l_q = 1 then
+      Queue.push task.cls p.runnable
+  end
 
 (* Queue a fibre's next slice, [task.run].  A fibre being scheduled is
    no longer parked, so its waiting-table entry (if any) goes too. *)
 let schedule eng task time =
-  let p = eng.par in
-  pool_enter p;
   if eng.watch <> None then Hashtbl.remove eng.waiting task.fib;
-  push eng p task time;
-  pool_exit p
+  push eng eng.par task time
 
 (* Advance the clock in place when the Sleep round trip would pop this
    same fibre's wake-up straight back off the heap: every queued task
    is due strictly after [now + span].  The wake-up's sequence number
    is consumed and [pending_wait] cleared exactly as the handler does,
-   so later tasks are numbered as before.  Only without workers (they
-   push to the heap concurrently) and when nothing observes the
-   dispatch in between: no scheduler (it picks and steps every slice),
+   so later tasks are numbered as before.  Only when no lane is
+   runnable (the run loop would run those first) and nothing observes
+   the dispatch in between: no scheduler (it picks and steps every slice),
    no watchdog (it checks between events), no event hook (it runs
    after every event), and a user fibre (the run loop decides whether
    a daemon's wake-up runs at all: once the last user fibre exits it
@@ -500,7 +447,7 @@ let[@chorus.hot] advance_in_place eng span =
   Option.is_none eng.sched
   && Option.is_none eng.watch
   && Option.is_none eng.on_event
-  && eng.par.p_domains = 0
+  && Queue.is_empty eng.par.runnable
   && (not eng.cur_daemon)
   &&
   let time = eng.now + span in
@@ -514,11 +461,11 @@ let[@chorus.hot] advance_in_place eng span =
 
 let[@chorus.hot] sleep span =
   if span < 0 then invalid_arg "Engine.sleep: negative span";
-  (* Parallel slices coalesce charges into the slice clock; doing it
-     here rather than in the Sleep handler skips the effect round-trip
-     (and its continuation allocation) on the pool's hottest path.  A
+  (* Lane slices coalesce charges into the slice clock; doing it here
+     rather than in the Sleep handler skips the effect round-trip (and
+     its continuation allocation) on the lanes' hottest path.  A
      switching sleep leaves its span in the engine for the handler. *)
-  match Domain.DLS.get slot with
+  match !slot with
   | Slice pt -> pt.pt_clock <- pt.pt_clock + span
   | Coord eng when advance_in_place eng span -> ()
   | Coord eng -> eng.sleep_span <- span; Effect.perform Sleep
@@ -526,13 +473,13 @@ let[@chorus.hot] sleep span =
 
 let suspend register = Effect.perform (Suspend register)
 
-(* The engine running the current fibre, read from the domain slot —
-   no global state, so nested or interleaved engines each see their
-   own.  Between a coordinator's slices (event hook, scheduler,
-   watchdog) the answer is the one where its [run] was called: [None]
-   at top level. *)
+(* The engine running the current fibre, read from the slot, which
+   [run] saves and restores, so nested engines each see their own.
+   Between a run loop's slices (event hook, scheduler, watchdog) the
+   answer is the one where its [run] was called: [None] at top
+   level. *)
 let[@chorus.hot] ambient () =
-  match Domain.DLS.get slot with
+  match !slot with
   | Coord eng -> if eng.in_slice then eng.me else eng.outside
   | Slice pt -> pt.pt_eng.me
   | Idle -> None
@@ -552,23 +499,14 @@ let[@chorus.hot] declare_wait_ambient ~on ?owner () =
    keeps its id, daemon flag and class.  The Sleep handler is built
    once per fibre.
 
-   In a parallel slice, Sleep never reaches the handler ({!sleep}
+   In a lane slice, Sleep never reaches the handler ({!sleep}
    coalesces it into the slice's private clock), and the resume time
-   comes from the slice; the DLS slot is read at perform time, so one
-   fibre can even migrate between pool and coordinator across
-   park/resume.  The resume flag is atomic because any domain may
-   resume a parked fibre. *)
+   comes from the slice; the slot is read at perform time. *)
 let exec eng task f =
-  let p = eng.par in
   let finished () =
     (* Drop the last slice, so the record retains nothing it ran. *)
     task.run <- ignore;
-    if not task.daemon then begin
-      pool_enter p;
-      eng.live <- eng.live - 1;
-      if p.p_domains > 0 then Condition.signal p.p_idle;
-      pool_exit p
-    end
+    if not task.daemon then eng.live <- eng.live - 1
   in
   let on_sleep =
     Some
@@ -589,12 +527,12 @@ let exec eng task f =
           | Suspend register ->
             Some
               (fun k ->
-                let parked = Domain.DLS.get slot in
+                let parked = !slot in
                 note_park eng task.fib;
-                let resumed = Atomic.make false in
+                let resumed = ref false in
                 register (fun () ->
-                    if Atomic.exchange resumed true then
-                      invalid_arg "Engine: resume called twice";
+                    if !resumed then invalid_arg "Engine: resume called twice";
+                    resumed := true;
                     (* A slice resumes at the later of its own clock and
                        the waker's, so virtual time stays monotone along
                        every happens-before edge; a coordinator fibre at
@@ -614,16 +552,14 @@ let spawn eng ?name ?(daemon = false) ?(affinity = 0) f =
   if affinity <> 0 && daemon then
     invalid_arg "Engine.spawn: daemon fibres must stay in the serial class";
   let p = eng.par in
-  (* Without workers every fibre is serial: affinity is advisory and
-     ignored, which is what makes this engine the oracle twin of the
-     pool. *)
+  (* Without simulated CPUs every fibre is serial: affinity is advisory
+     and ignored, which is what makes this engine the oracle twin of
+     the lanes. *)
   let cls = if p.p_domains = 0 then 0 else affinity in
   let task =
     { time = Sim_time.zero; seq = 0; daemon; fib = 0; cls; run = ignore }
   in
-  (* Built outside the pool lock: the fibre body takes it. *)
   task.run <- (fun () -> exec eng task f);
-  pool_enter p;
   if not daemon then eng.live <- eng.live + 1;
   let fib = eng.next_fib in
   eng.next_fib <- fib + 1;
@@ -633,27 +569,20 @@ let spawn eng ?name ?(daemon = false) ?(affinity = 0) f =
     Hashtbl.replace eng.names fib n;
     Obs.Trace.name_fibre eng.tracer fib n
   | None -> ());
-  push eng p task (now eng);
-  pool_exit p
+  push eng p task (now eng)
 
-(* A pool worker: pop a runnable lane, run its head task as a parallel
-   slice, then hand the lane back.  Exceptions from fibre bodies are
-   parked in [p_exn] for the coordinator to re-raise; the worker keeps
-   serving (remaining fibres may hold locks a clean shutdown needs). *)
-let worker eng p =
-  (* Least-loaded simulated CPU (caller holds [p_lock]).  A slice
-     tentatively begins at the later of its fibre's ready time and the
-     least CPU clock; when it completes, its charge interval is placed
-     on the then-least-loaded CPU, shifted forward if that CPU is
-     already busy past the tentative start.  The pool's virtual-time
-     horizon is thus the makespan of greedy list scheduling onto
-     [p_domains] CPUs — charges on distinct CPUs overlap in simulated
-     time, charges on the same CPU serialise — and, crucially, it does
-     not depend on which OS worker executed which slice, so the model
-     is stable under real-time scheduling skew.  (For a fibre that
-     parks mid-charge-train and is resumed by a peer, the wakeup edge
-     carries the pre-shift clock: the approximation under-counts such
-     cross-CPU latency, never the CPU occupancy itself.) *)
+(* Run the head of the next runnable lane as a lane slice.  The slice
+   begins at the later of its fibre's ready time and the least CPU
+   clock; when it completes, its charge interval is placed on the
+   then-least-loaded CPU, shifted forward if that CPU is already busy
+   past the start, and added to that CPU's busy time.  The horizon is
+   thus the makespan of greedy list scheduling onto [p_domains] CPUs:
+   charges on distinct CPUs overlap in simulated time, charges on the
+   same CPU serialise.  (For a fibre that parks mid-charge-train and
+   is resumed by a peer, the wakeup edge carries the pre-shift clock:
+   the approximation under-counts such cross-CPU latency, never the
+   CPU occupancy itself.) *)
+let lane_slice eng p =
   let pick_cpu () =
     let best = ref 0 in
     for i = 1 to Array.length p.p_cpu - 1 do
@@ -661,79 +590,38 @@ let worker eng p =
     done;
     !best
   in
-  let rec go () =
-    Obs.Lockstat.lock p.p_stat p.p_lock;
-    while Queue.is_empty p.runnable && not p.p_stop do
-      Obs.Lockstat.wait p.p_stat p.p_work p.p_lock
-    done;
-    if p.p_stop then Obs.Lockstat.unlock p.p_stat p.p_lock
-    else begin
-      (* The claim runs under [p_lock]; an exception while it is held
-         (a popped lane vanishing from the table would be an engine
-         bug) must not wedge every other worker on a dead mutex. *)
-      let aff, lane, task, base =
-        Fun.protect
-          ~finally:(fun () -> Obs.Lockstat.unlock p.p_stat p.p_lock)
-          (fun () ->
-            let aff = Queue.pop p.runnable in
-            let lane =
-              match Hashtbl.find_opt p.lanes aff with
-              | Some lane -> lane
-              | None -> invalid_arg "Engine.worker: runnable lane has no queue"
-            in
-            let task = Queue.pop lane.l_q in
-            lane.l_busy <- true;
-            p.p_running <- p.p_running + 1;
-            if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
-            let base = max task.time p.p_cpu.(pick_cpu ()) in
-            (aff, lane, task, base))
-      in
-      let pt =
-        { pt_eng = eng; pt_fib = task.fib; pt_clock = base; pt_wait = None }
-      in
-      Domain.DLS.set slot (Slice pt);
-      if Obs.Trace.enabled eng.tracer then Obs.Trace.slice_begin eng.tracer;
-      (try task.run ()
-       with ex ->
-         Obs.Lockstat.lock p.p_stat p.p_lock;
-         if p.p_exn = None then p.p_exn <- Some ex;
-         Obs.Lockstat.unlock p.p_stat p.p_lock);
-      Domain.DLS.set slot Idle;
-      Obs.Lockstat.lock p.p_stat p.p_lock;
-      let cpu = pick_cpu () in
-      let shift = max 0 (p.p_cpu.(cpu) - base) in
-      let finish = pt.pt_clock + shift in
-      p.p_cpu.(cpu) <- finish;
-      p.p_busy.(cpu) <- p.p_busy.(cpu) + (pt.pt_clock - base);
-      if Obs.Trace.enabled eng.tracer then
-        Obs.Trace.slice_commit eng.tracer ~cpu ~fib:task.fib ~t0:(base + shift)
-          ~t1:finish ~shift;
-      p.p_running <- p.p_running - 1;
-      if finish > p.p_horizon then p.p_horizon <- finish;
-      lane.l_busy <- false;
-      if not (Queue.is_empty lane.l_q) then begin
-        Queue.push aff p.runnable;
-        Condition.signal p.p_work
-      end;
-      Condition.signal p.p_idle;
-      Obs.Lockstat.unlock p.p_stat p.p_lock;
-      go ()
-    end
-  in
-  go ()
+  let aff = Queue.pop p.runnable in
+  let lane = Hashtbl.find p.lanes aff in
+  let task = Queue.pop lane.l_q in
+  lane.l_busy <- true;
+  if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
+  let base = max task.time p.p_cpu.(pick_cpu ()) in
+  let pt = { pt_eng = eng; pt_fib = task.fib; pt_clock = base; pt_wait = None } in
+  slot := Slice pt;
+  if Obs.Trace.enabled eng.tracer then Obs.Trace.slice_begin eng.tracer;
+  task.run ();
+  slot := Coord eng;
+  let cpu = pick_cpu () in
+  let shift = max 0 (p.p_cpu.(cpu) - base) in
+  let finish = pt.pt_clock + shift in
+  p.p_cpu.(cpu) <- finish;
+  p.p_busy.(cpu) <- p.p_busy.(cpu) + (pt.pt_clock - base);
+  if Obs.Trace.enabled eng.tracer then
+    Obs.Trace.slice_commit eng.tracer ~cpu ~fib:task.fib ~t0:(base + shift)
+      ~t1:finish ~shift;
+  if finish > p.p_horizon then p.p_horizon <- finish;
+  lane.l_busy <- false;
+  if not (Queue.is_empty lane.l_q) then Queue.push aff p.runnable
 
 (* --- The run loop ------------------------------------------------- *)
 
-let pool_busy p = p.p_running > 0 || not (Queue.is_empty p.runnable)
-
 (* Run while non-daemon work remains: queued tasks, or parked user
-   fibres that a daemon or a parallel slice may still wake.  Once every
-   user fibre has finished, pending daemon wakeups are discarded — a
-   periodic daemon would otherwise keep the simulation alive forever.
-   With workers, [p_lock] held. *)
-let more eng p =
-  eng.live_tasks > 0
-  || eng.live > 0 && ((not (Pqueue.is_empty eng.queue)) || pool_busy p)
+   fibres that a queued daemon may still wake.  Once every user fibre
+   has finished, pending daemon wakeups are discarded — a periodic
+   daemon would otherwise keep the simulation alive forever.  Called
+   with no lane runnable. *)
+let more eng =
+  eng.live_tasks > 0 || (eng.live > 0 && not (Pqueue.is_empty eng.queue))
 
 (* Dispatch under a scheduler: every dispatch is an explicit choice
    point.  The equal-time ready set is drained (the heap yields it in
@@ -770,30 +658,12 @@ let take eng =
   if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
   task
 
-(* Whether a serial task is to run next.  With workers, first wait
-   until one is due on a quiescent pool, so a serial slice never
-   observes a half-done parallel mutation: a program whose fibres are
-   all serial-class runs the identical schedule at any domain count.
-   The pool then stays quiescent until that task runs — only running
-   slices make lanes runnable — so [take] needs no lock. *)
-let ready eng p =
-  if p.p_domains = 0 then more eng p
-  else begin
-    Obs.Lockstat.lock p.p_stat p.p_lock;
-    Fun.protect
-      ~finally:(fun () -> Obs.Lockstat.unlock p.p_stat p.p_lock)
-      (fun () ->
-        while
-          p.p_exn = None && more eng p
-          && (Pqueue.is_empty eng.queue || pool_busy p)
-        do
-          Obs.Lockstat.wait p.p_stat p.p_idle p.p_lock
-        done;
-        p.p_exn = None && more eng p)
-  end
-
+(* One serial slice, then every lane slice it made runnable, in FIFO
+   order of the lanes becoming runnable: so a serial slice always runs
+   with no lane runnable, and a program whose fibres are all serial
+   runs the identical schedule at any CPU count. *)
 let rec coordinate eng p =
-  if ready eng p then begin
+  if more eng then begin
     let task = take eng in
     if task.time > eng.now then eng.now <- task.time;
     eng.cur_fib <- task.fib;
@@ -806,19 +676,14 @@ let rec coordinate eng p =
       eng.accesses <- [];
       Fun.protect ~finally:(fun () -> eng.tracking <- false) task.run);
     eng.in_slice <- false;
+    while not (Queue.is_empty p.runnable) do
+      lane_slice eng p
+    done;
     (* The scheduler's step, the event hook and the watchdog sweep run
-       between events — with workers, once the pool is quiescent too,
-       so every slice the serial one set off has run or parked, and a
-       cycle closed on the pool is raised here, before the run can end
-       in Deadlock.  With none of them installed nothing waits. *)
+       between events, once the lane slices the serial one set off have
+       run or parked, so a cycle closed in a lane is raised here, before
+       the run can end in Deadlock. *)
     if eng.sched <> None || eng.on_event <> None || eng.watch <> None then begin
-      if p.p_domains > 0 then begin
-        Obs.Lockstat.lock p.p_stat p.p_lock;
-        while pool_busy p do
-          Obs.Lockstat.wait p.p_stat p.p_idle p.p_lock
-        done;
-        Obs.Lockstat.unlock p.p_stat p.p_lock
-      end;
       (match eng.sched with
       | Some s ->
         let accesses = eng.accesses in
@@ -831,36 +696,17 @@ let rec coordinate eng p =
     coordinate eng p
   end
 
-let stop_workers p workers =
-  if p.p_domains > 0 then begin
-    Obs.Lockstat.lock p.p_stat p.p_lock;
-    p.p_stop <- true;
-    Condition.broadcast p.p_work;
-    Obs.Lockstat.unlock p.p_stat p.p_lock;
-    Array.iter Domain.join workers
-  end
-
 let run eng main =
   let p = eng.par in
-  let outer = Domain.DLS.get slot in
+  let outer = !slot in
   eng.outside <- ambient ();
   eng.in_slice <- false;
-  Domain.DLS.set slot (Coord eng);
+  slot := Coord eng;
   Fun.protect
-    ~finally:(fun () -> Domain.DLS.set slot outer)
+    ~finally:(fun () -> slot := outer)
     (fun () ->
-      (* Tracing with workers records through per-domain shards; the
-         no-op is preserved because [set_sharded] ignores the null
-         tracer and every recording entry point still checks
-         [enabled] first. *)
-      if p.p_domains > 0 then Obs.Trace.set_sharded eng.tracer true;
       spawn eng main;
-      let workers =
-        Array.init p.p_domains (fun _ -> Domain.spawn (fun () -> worker eng p))
-      in
-      (try coordinate eng p with ex -> stop_workers p workers; raise ex);
-      stop_workers p workers;
-      (match p.p_exn with Some ex -> raise ex | None -> ());
+      coordinate eng p;
       if p.p_horizon > eng.now then eng.now <- p.p_horizon;
       if eng.live > 0 then raise (Deadlock eng.live))
 
@@ -869,60 +715,30 @@ let run_fn eng f =
   run eng (fun () -> result := Some (f ()));
   Option.get !result
 
-(* Condition variables for fibres, backed by a real mutex so
-   registration, broadcast and the finished flag are race-free when
-   waiters and wakers live on different domains.  [wait] and
-   [await_unfinished] perform exactly one Suspend, and [broadcast] and
-   [finish] wake in registration order. *)
+(* Condition variables for fibres.  [wait] and [await_unfinished]
+   perform exactly one Suspend, and [broadcast] and [finish] wake in
+   registration order. *)
 module Cond = struct
   type t = {
-    cv_lock : Mutex.t;
     mutable parked : (unit -> unit) list;
     mutable owner : int;
     mutable finished : bool;
   }
 
-  let create () =
-    { cv_lock = Mutex.create (); parked = []; owner = -1; finished = false }
-
-  let wait c =
-    suspend (fun resume ->
-        Mutex.lock c.cv_lock;
-        c.parked <- resume :: c.parked;
-        Mutex.unlock c.cv_lock)
+  let create () = { parked = []; owner = -1; finished = false }
+  let wait c = suspend (fun resume -> c.parked <- resume :: c.parked)
 
   let broadcast c =
-    Mutex.lock c.cv_lock;
     let resumes = List.rev c.parked in
     c.parked <- [];
-    Mutex.unlock c.cv_lock;
     List.iter (fun resume -> resume ()) resumes
 
   let finish c =
-    Mutex.lock c.cv_lock;
     c.finished <- true;
-    Mutex.unlock c.cv_lock;
     broadcast c
 
   let finished c = c.finished
-
-  let await_unfinished c =
-    if not c.finished then
-      suspend (fun resume ->
-          (* Re-check under the mutex inside the registration window:
-             a [finish] racing with this park either sees our resume
-             in [parked] or we see [finished] — the lost-wakeup gap of
-             a plain wait is closed. *)
-          Mutex.lock c.cv_lock;
-          if c.finished then begin
-            Mutex.unlock c.cv_lock;
-            resume ()
-          end
-          else begin
-            c.parked <- resume :: c.parked;
-            Mutex.unlock c.cv_lock
-          end)
-
+  let await_unfinished c = if not c.finished then wait c
   let waiters c = List.length c.parked
   let set_owner c fib = c.owner <- fib
   let owner c = c.owner

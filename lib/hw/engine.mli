@@ -57,47 +57,43 @@ type scheduler = {
     only genuinely concurrent work is permuted. *)
 
 val create : ?domains:int -> unit -> t
-(** [create ~domains:n ()] is an engine with a pool of [n] worker
-    domains (default 0).  One coordinator loop runs serial-class
-    fibres (affinity 0, the default) in exact heap order; fibres
-    spawned with a non-zero [affinity] run on the workers as
-    {e parallel slices}, and a serial slice runs only while the pool
-    is quiescent.  So a program whose fibres are all serial executes
-    the same schedule at any [n], and with [n = 0] — the sequential
-    engine — every fibre is serial.  Inside a parallel slice, {!sleep}
-    coalesces into a per-slice virtual clock instead of a heap
-    round-trip. *)
+(** [create ~domains:n ()] is an engine modelling [n] simulated CPUs
+    (default 0).  Everything runs on the calling OS domain.  Serial-class
+    fibres (affinity 0, the default) run in exact heap order; a fibre
+    spawned with a non-zero [affinity] runs in its class's lane as
+    {e lane slices}, each placed on a simulated CPU.  After every
+    serial slice the run loop runs the heads of the runnable lanes, in
+    the order they became runnable, until none is left; only then does
+    it pop the heap again.  So a program whose fibres are all serial
+    executes the same schedule at any [n], and with [n = 0] — the
+    sequential engine — every fibre is serial.  Inside a lane slice,
+    {!sleep} coalesces into a per-slice virtual clock instead of a heap
+    round-trip.  Every run at a given [n] is deterministic. *)
 
 val domains : t -> int
-(** The worker-pool size this engine was created with. *)
+(** The number of simulated CPUs this engine was created with. *)
 
 val cpu_busy : t -> Sim_time.span array
-(** Accumulated busy (charged) simulated time per simulated CPU, one
-    per worker.  Every committed parallel slice adds its charge
+(** Accumulated busy (charged) simulated time per simulated CPU.
+    Every committed lane slice adds its charge
     interval to the CPU it was placed on, so [busy.(i) <= makespan]
     and [makespan - busy.(i)] is CPU [i]'s idle time — the raw
     material of the utilization report.  Read after {!run} returns
     for a stable snapshot. *)
 
 val pool_lock_stats : t -> Obs.Lockstat.snapshot list
-(** Contention statistics for the engine's pool lock ([engine/pool]):
-    acquisition and contended-acquisition counts, plain ints guarded
-    by the lock itself; wait/hold wall-clock timing additionally
-    requires {!Obs.Lockstat.enable_timing}.  Empty without workers,
-    where the lock is never taken. *)
+(** Always empty: the engine takes no lock.  perfbench is its only
+    caller. *)
 
 val in_parallel_slice : unit -> bool
-(** Whether the calling code runs inside a parallel slice on a worker
-    domain — i.e. whether other domains may be touching shared state
-    {e right now}.  Always [false] on the coordinator, which is what
-    lets shared structures take their locks only when the protection
-    is needed. *)
+(** Whether the calling code runs inside a lane slice. *)
 
 val set_scheduler : t -> scheduler -> unit
 (** Route every dispatch of a serial-class task through an explicit
     choice point, replacing the default spawn/wake order while
-    installed.  Parallel slices are not choice points.  With workers,
-    [sched_step] runs once the pool is quiescent. *)
+    installed.  Lane slices are not choice points: their order is
+    fixed by the serial slices before them.  [sched_step] runs once
+    the lane slices a serial slice set off have run. *)
 
 val clear_scheduler : t -> unit
 
@@ -106,9 +102,9 @@ val decisions : t -> int list
     first: the fibre chosen at each dispatch that had more than one
     equal-time ready task.  This is the schedule format
     [Check.Explore.run_forced] consumes, so feeding it back reproduces
-    the run decision for decision — without workers; with workers it
-    holds serial-class picks only, and the order of parallel slices
-    is not recorded.  Empty when no scheduler was ever installed — and
+    the run decision for decision on an engine with the same number of
+    simulated CPUs: lane slices are not choices, their order follows
+    from the serial picks.  Empty when no scheduler was ever installed — and
     that empty schedule replays as index 0 at every choice, the
     [(time, seq)] order such a run took. *)
 
@@ -139,7 +135,7 @@ val note_access : ?write:bool -> t -> int -> int -> unit
 
 val tracking : t -> bool
 (** Whether {!note_access} currently records — true only inside a
-    serial slice while a scheduler is installed, never in a parallel
+    serial slice while a scheduler is installed, never in a lane
     slice.  Lets callers skip the work of computing the object
     identity when nobody is listening. *)
 
@@ -176,11 +172,10 @@ val tracer : t -> Obs.Trace.t
 val set_tracer : t -> Obs.Trace.t -> unit
 (** Attach a tracing sink, wiring its clock to this engine's simulated
     time and its fibre source to {!current_fibre} (both slice-aware:
-    inside a parallel slice they report the slice's virtual clock and
-    fibre).  With workers, [run] switches the tracer into
-    domain-sharded mode and commits each parallel slice's events with
-    its final CPU placement, so the merged trace carries one extra
-    track per simulated CPU. *)
+    inside a lane slice they report the slice's virtual clock and
+    fibre).  With simulated CPUs, each lane slice's events are
+    committed with its final CPU placement, so the trace carries one
+    extra track per simulated CPU. *)
 
 val fibre_name : t -> int -> string option
 (** The [?name] given to {!spawn} for this fibre, if any. *)
@@ -209,10 +204,10 @@ val enable_watchdog :
     (named ["deadlock"] or ["stall"], the fibre as argument [fib]) on
     the engine's {!tracer}, when that is enabled.  The watchdog
     disables {!sleep}'s in-place clock advance, so its checks run
-    after every wake-up.  With workers, parallel slices park in the
-    same table, and the check after each serial slice waits for the
-    pool to go quiescent, so a cycle closed on the pool is raised
-    before the run can end in {!Deadlock}. *)
+    after every wake-up.  Lane slices park in the same table, and the
+    check after each serial slice runs once its lane slices have run,
+    so a cycle closed in a lane is raised before the run can end in
+    {!Deadlock}. *)
 
 val watchdog_metrics : t -> Obs.Metrics.t option
 (** The registry holding the watchdog counters, when enabled. *)
@@ -240,8 +235,8 @@ val set_event_hook : t -> (unit -> unit) -> unit
     sweep invariants after every scheduling step; defaults to a
     no-op.  Exceptions raised by the hook propagate out of {!run}.
     Installing a hook disables {!sleep}'s in-place clock advance, so
-    the hook also sees each wake-up.  With workers it runs after each
-    serial slice, once the pool is quiescent. *)
+    the hook also sees each wake-up.  With simulated CPUs it runs after
+    each serial slice and the lane slices that slice set off. *)
 
 val spawn :
   t -> ?name:string -> ?daemon:bool -> ?affinity:int -> (unit -> unit) -> unit
@@ -251,10 +246,10 @@ val spawn :
     the simulation drains and does not count towards {!Deadlock}.
 
     [affinity] (default 0) assigns the fibre to an execution class:
-    class 0 is serial (coordinator, deterministic heap order); fibres
-    of equal non-zero affinity serialise against each other in FIFO
-    lanes, and distinct classes run concurrently on the workers.
-    Without workers affinity is ignored — that is what makes the
+    class 0 is serial (deterministic heap order); fibres of equal
+    non-zero affinity serialise against each other in a FIFO lane, and
+    distinct lanes overlap in simulated time on the simulated CPUs.
+    Without simulated CPUs affinity is ignored — that is what makes the
     sequential engine the oracle twin.  Daemon fibres must stay in the
     serial class.
     @raise Invalid_argument on a negative affinity or a non-serial
@@ -265,8 +260,8 @@ val sleep : Sim_time.span -> unit
     fibres execute in between.  [sleep 0] is a yield.  A fibre switch
     allocates only the continuation and the closure resuming it.
 
-    When no queued task is due at or before the wake-up time, an
-    engine without workers advances its clock in place instead of
+    When no queued task is due at or before the wake-up time and no
+    lane is runnable, the engine advances its clock in place instead of
     dispatching the wake-up: same schedule, same sequence numbers, no
     fibre switch and no allocation.  An installed {!scheduler}, an
     {!enable_watchdog} watchdog or a {!set_event_hook} hook each
@@ -303,18 +298,14 @@ module Cond : sig
   (** Mark the condition's one-shot event (a transfer completing, a
       stub resolving) as having happened, then wake every parked
       fibre.  After [finish], {!await_unfinished} returns without
-      parking.  On the sequential engine this is exactly
-      {!broadcast}. *)
+      parking. *)
 
   val finished : t -> bool
 
   val await_unfinished : t -> unit
   (** Park until {!finish} — unless it has already happened, in which
-      case return immediately.  Unlike {!wait}, the finished flag is
-      re-checked under the condition's mutex inside the park's
-      registration window, closing the lost-wakeup race a parallel
-      waker could otherwise hit.  On the sequential engine a waiter
-      that parks behaves exactly like {!wait}. *)
+      case return immediately.  A waiter that parks behaves exactly
+      like {!wait}. *)
 
   val waiters : t -> int
 

@@ -82,7 +82,7 @@ let[@chorus.hot] find tab vpn = probe tab vpn (home tab vpn)
 
 let mapped_pages space = space.size
 
-(* --- mutation (under the owner's mm-lock) --------------------------- *)
+(* --- mutation ------------------------------------------------------ *)
 
 let rehash nt = function
   | No_pte -> ()

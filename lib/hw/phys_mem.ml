@@ -1,18 +1,14 @@
 type frame = { index : int; bytes : Bytes.t }
 
-(* The free list is a Treiber stack: a CAS on the head cell pops or
-   pushes, so frames move in and out of the pool on any domain without
-   a lock.  Every push allocates a fresh cons cell, so a successful CAS
-   proves the head is the very cell that was read (the GC rules out
-   ABA).  [allocated.(i)] is set after the pop and cleared before the
-   push: a frame is marked allocated only while exactly one owner holds
-   it. *)
+(* The free list is a LIFO stack of frame indices: [stack.(0 ..
+   top - 1)], the top last.  It starts holding every frame with frame
+   0 on top, so frames are first handed out in index order. *)
 type t = {
   page_size : int;
   frames : frame array;
   allocated : bool array;
-  free_list : int list Atomic.t;
-  used : int Atomic.t;
+  stack : int array;
+  mutable top : int;
 }
 
 exception Out_of_memory
@@ -25,25 +21,23 @@ let create ?(page_size = 8192) ~frames () =
     page_size;
     frames = Array.init frames make_frame;
     allocated = Array.make frames false;
-    free_list = Atomic.make (List.init frames (fun i -> i));
-    used = Atomic.make 0;
+    stack = Array.init frames (fun i -> frames - 1 - i);
+    top = frames;
   }
 
 let page_size t = t.page_size
 let total_frames t = Array.length t.frames
-let used_frames t = Atomic.get t.used
-let free_frames t = total_frames t - used_frames t
+let free_frames t = t.top
+let used_frames t = total_frames t - t.top
 
-let rec alloc_index t =
-  match Atomic.get t.free_list with
-  | [] -> -1
-  | i :: rest as head ->
-    if Atomic.compare_and_set t.free_list head rest then begin
-      t.allocated.(i) <- true;
-      Atomic.incr t.used;
-      i
-    end
-    else alloc_index t
+let alloc_index t =
+  if t.top = 0 then -1
+  else begin
+    t.top <- t.top - 1;
+    let i = t.stack.(t.top) in
+    t.allocated.(i) <- true;
+    i
+  end
 
 let frame t i = t.frames.(i)
 
@@ -54,16 +48,12 @@ let alloc_opt t =
 let alloc t =
   match alloc_opt t with Some f -> f | None -> raise Out_of_memory
 
-let rec push t i =
-  let head = Atomic.get t.free_list in
-  if not (Atomic.compare_and_set t.free_list head (i :: head)) then push t i
-
 let free t frame =
   if not t.allocated.(frame.index) then
     invalid_arg "Phys_mem.free: frame already free";
   t.allocated.(frame.index) <- false;
-  Atomic.decr t.used;
-  push t frame.index
+  t.stack.(t.top) <- frame.index;
+  t.top <- t.top + 1
 
 let is_allocated t frame = t.allocated.(frame.index)
 let bzero frame = Bytes.fill frame.bytes 0 (Bytes.length frame.bytes) '\000'

@@ -7,11 +7,10 @@
     descriptors" of paper §4.1.1 minus the cache back-pointer (which
     belongs to the memory manager, see {!Core.Page}).
 
-    {!alloc}, {!alloc_opt} and {!free} are domain-safe without a lock:
-    the free list is a lock-free (compare-and-set) stack.  It is LIFO —
-    the most recently freed frame is the next one handed out — so a
-    single-domain run allocates the same frame indices every time.
-    The counts are exact whenever no allocation or free is in flight. *)
+    The free list is a LIFO stack — the most recently freed frame is
+    the next one handed out — so a run allocates the same frame
+    indices every time, and neither {!alloc_index} nor {!free}
+    allocates. *)
 
 type t
 

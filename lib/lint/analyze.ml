@@ -89,18 +89,6 @@ let l1_fields : ((string * string) * obj_class) list =
     (* Seg: segment-manager port table and backing store *)
     (("t", "mappers"), Shared);
     (("t", "segments"), Shared);
-    (* Parallel engine: mm-lock bookkeeping on the PVM bundle and the
-       sharded global map's internals.  The Atomic-typed fields
-       (mm_owner, stub_sleeps) are catalogued for completeness but
-       auto-satisfied: an access through Atomic.* is linearizable on
-       its own (see [atomic_field]).  The shard fields are covered by
-       Shard_map's file-level note: callers note the fragment. *)
-    (("pvm", "mm_depth"), Shared);
-    (("pvm", "mm_owner"), Shared);
-    (("pvm", "stub_sleeps"), Shared);
-    (("shard", "s_tab"), Map);
-    (("shard", "s_len"), Map);
-    (("t", "shards"), Map);
   ]
 
 (* Satisfier tags, recognised by the last component of a (normalised)
@@ -129,10 +117,6 @@ let waiver_rule_of_attr = function
   | "chorus.spanned" -> Some Finding.L3
   | "chorus.alloc_ok" -> Some Finding.L4
   | "chorus.impure_ok" -> Some Finding.L5
-  | "chorus.lock_order" -> Some Finding.L6
-  | "chorus.guarded" -> Some Finding.L7
-  | "chorus.park_ok" -> Some Finding.L8
-  | "chorus.balanced" -> Some Finding.L9
   | _ -> None
 
 let attr_string_payload (attr : Parsetree.attribute) =
@@ -250,16 +234,6 @@ let line_of (loc : Location.t) = loc.loc_start.pos_lnum
 (* L1/L5 field catalogue lookup. *)
 let l1_class ~ty_last ~field =
   List.assoc_opt (ty_last, field) l1_fields
-
-(* A field whose content is an [Atomic.t] is only ever reached through
-   Atomic.* primitives, which are individually linearizable: the access
-   counts as noted without a per-site satisfier.  (The field read that
-   fetches the atomic box is the access the typedtree shows us.) *)
-let atomic_field (ld : Types.label_description) =
-  match Types.get_desc ld.lbl_arg with
-  | Types.Tconstr (p, _, _) ->
-    has_dotted_suffix ~suffix:"Atomic.t" (normalize_path (Path.name p))
-  | _ -> false
 
 (* Core record types whose mutation from a sanitizer rule breaks
    check-time transparency (L5). *)
@@ -393,7 +367,6 @@ let inspect_node ctx (e : expression) =
     let ty_last = Option.value ~default:"?" (tconstr_last ld.lbl_res) in
     ignore re;
     (match l1_class ~ty_last ~field:ld.lbl_name with
-    | Some _ when atomic_field ld -> ()
     | Some cls ->
       add_trigger ctx Finding.L1 ~cls ~detail:("read-" ^ ld.lbl_name)
         ~message:
@@ -408,7 +381,6 @@ let inspect_node ctx (e : expression) =
     let ty_last = Option.value ~default:"?" (tconstr_last ld.lbl_res) in
     ignore re;
     (match l1_class ~ty_last ~field:ld.lbl_name with
-    | Some _ when atomic_field ld -> ()
     | Some cls ->
       add_trigger ctx Finding.L1 ~cls ~detail:("write-" ^ ld.lbl_name)
         ~message:
@@ -503,8 +475,6 @@ let resolve_binding ctx ~name ~line =
       | Finding.L2 -> has Sat_wait
       | Finding.L3 -> has Sat_span
       | Finding.L4 | Finding.L5 -> false
-      (* L6-L9 triggers live in the lockset analysis, never here *)
-      | Finding.L6 | Finding.L7 | Finding.L8 | Finding.L9 -> false
     in
     if not (covered || t.t_waived) then
       ctx.findings <-

@@ -7,13 +7,12 @@
    alternative GMI implementations (shadow, minimal) only charge, so
    only the charge discipline applies.  lib/hw and lib/obs are the
    mechanisms the disciplines are built from and are mostly out of
-   scope — except the hot files: obs/trace.ml and obs/cells.ml, whose
-   per-domain recording fast paths run inside every parallel slice,
-   hw/mmu.ml, whose page-table walk runs on every mapped access, and
-   hw/engine.ml and hw/pqueue.ml, whose fibre-switch path runs on every
-   charge that lets another fibre in.  They carry the charge and
-   hot-allocation disciplines ([@chorus.hot] ring/shard/cell writers,
-   the allocation-free translation, the switch path).
+   scope — except the hot files: obs/trace.ml, whose recording fast
+   paths run inside every fault, hw/mmu.ml, whose page-table walk runs
+   on every mapped access, and hw/engine.ml and hw/pqueue.ml, whose
+   fibre-switch path runs on every charge that lets another fibre in.
+   They carry the charge and hot-allocation disciplines ([@chorus.hot]
+   ring writers, the allocation-free translation, the switch path).
 
    Baseline: findings are aggregated by stable key (rule, file,
    enclosing binding, detail) and compared against the committed
@@ -27,14 +26,12 @@
 let engine_task_libs = [ "core"; "seg"; "nucleus"; "mix"; "dsm"; "check" ]
 let charge_only_libs = [ "shadow"; "minimal" ]
 
-(* The (library, file) pairs of lib/obs and lib/hw in scope: the
-   domain-sharded trace fast path, the per-domain cell rows every
-   parallel slice writes, the MMU page table, and the engine's switch
-   path with its event heap (see the header comment). *)
+(* The (library, file) pairs of lib/obs and lib/hw in scope: the trace
+   fast path, the MMU page table, and the engine's switch path with its
+   event heap (see the header comment). *)
 let hot_files =
   [
     ("obs", "trace.ml");
-    ("obs", "cells.ml");
     ("hw", "mmu.ml");
     ("hw", "engine.ml");
     ("hw", "pqueue.ml");
@@ -58,20 +55,6 @@ let rules_for ~lib ~basename =
   else if List.mem lib charge_only_libs then [ Finding.L3; Finding.L4 ]
   else if List.mem (lib, basename) hot_files then
     [ Finding.L3; Finding.L4 ]
-  else []
-
-(* The concurrency rules run wider than the discipline rules: lib/hw
-   (the engine and its pool lock) and all of lib/obs (Lockstat is the
-   locking primitive) are in scope alongside the engine-task
-   libraries, because that is where the locks actually live.  The
-   charge-only GMI alternatives take no locks but are scanned anyway:
-   a lock introduced there later is in scope from day one. *)
-let lock_rules_for ~lib =
-  if
-    List.mem lib engine_task_libs
-    || List.mem lib charge_only_libs
-    || lib = "hw" || lib = "obs"
-  then [ Finding.L6; Finding.L7; Finding.L8; Finding.L9 ]
   else []
 
 (* --- .cmt discovery ----------------------------------------------- *)
@@ -170,8 +153,7 @@ let run ~roots ~baseline =
     |> List.sort_uniq compare
   in
   let files_scanned = ref 0 in
-  let units = ref [] in
-  let discipline_findings =
+  let findings =
     List.concat_map
       (fun cmt ->
         match Cmt_format.read_cmt cmt with
@@ -182,23 +164,12 @@ let run ~roots ~baseline =
             match split_lib_path src with
             | None -> []
             | Some (lib, relpath) -> (
-              let arules = rules_for ~lib ~basename:(Filename.basename src)
-              and lrules = lock_rules_for ~lib in
-              let rules = arules @ lrules in
+              let rules = rules_for ~lib ~basename:(Filename.basename src) in
               if rules = [] then []
               else
                 match info.Cmt_format.cmt_annots with
                 | Cmt_format.Implementation str ->
                   incr files_scanned;
-                  units :=
-                    {
-                      Lockset.ui_file = relpath;
-                      ui_prefix =
-                        Analyze.normalize_path info.Cmt_format.cmt_modname;
-                      ui_rules = lrules;
-                      ui_str = str;
-                    }
-                    :: !units;
                   Analyze.structure ~file:relpath ~rules str
                 | _ -> [])))
         | exception _ ->
@@ -206,7 +177,6 @@ let run ~roots ~baseline =
           [])
       cmts
   in
-  let findings = discipline_findings @ Lockset.analyze (List.rev !units) in
   (* Partition against the baseline: for each key, the first [allowed]
      findings are suppressed, the rest are new. *)
   let counts = count_by_key findings in
@@ -251,9 +221,7 @@ let usage =
    Static analysis of the chorus annotation disciplines over the .cmt\n\
    typedtrees dune produces (dune build @check).  Default scan root: ./lib.\n\n\
    Rules: L1 footprint soundness, L2 blocking discipline, L3 charge\n\
-   discipline, L4 hot-path allocation, L5 sanitizer purity, L6 lock\n\
-   order, L7 lockset / domain safety, L8 no park while holding, L9\n\
-   balanced locking.\n\
+   discipline, L4 hot-path allocation, L5 sanitizer purity.\n\
    --json emits the report as a JSON object on stdout for tooling.\n\
    Exit status: 0 clean (or fully baseline-suppressed), 1 findings or\n\
    stale baseline entries, 2 usage/IO error.\n"

@@ -4,7 +4,7 @@
    line-number churn — the baseline file suppresses by key and count,
    never by line. *)
 
-type rule = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8 | L9
+type rule = L1 | L2 | L3 | L4 | L5
 
 let rule_name = function
   | L1 -> "L1"
@@ -12,10 +12,6 @@ let rule_name = function
   | L3 -> "L3"
   | L4 -> "L4"
   | L5 -> "L5"
-  | L6 -> "L6"
-  | L7 -> "L7"
-  | L8 -> "L8"
-  | L9 -> "L9"
 
 let rule_of_name = function
   | "L1" -> Some L1
@@ -23,10 +19,6 @@ let rule_of_name = function
   | "L3" -> Some L3
   | "L4" -> Some L4
   | "L5" -> Some L5
-  | "L6" -> Some L6
-  | "L7" -> Some L7
-  | "L8" -> Some L8
-  | "L9" -> Some L9
   | _ -> None
 
 let rule_title = function
@@ -35,10 +27,6 @@ let rule_title = function
   | L3 -> "charge discipline"
   | L4 -> "hot-path allocation"
   | L5 -> "sanitizer purity"
-  | L6 -> "lock order"
-  | L7 -> "lockset / domain safety"
-  | L8 -> "no park while holding"
-  | L9 -> "balanced locking"
 
 type t = {
   rule : rule;

@@ -5,13 +5,6 @@ let name = "minimal (eager, real-time)"
 [@@@chorus.spanned
   "the minimal baseline has no tracer; charges feed the cost model only"]
 
-(* The minimal GMI is the sequential oracle baseline: it never runs on
-   the parallel engine, so its context/region bookkeeping has no other
-   domain to race. *)
-[@@@chorus.guarded
-  "the eager baseline runs only under the sequential engine; there is \
-   no second domain to race its region bookkeeping"]
-
 type cache = {
   c_id : int;
   c_backing : Core.Gmi.backing option;

@@ -22,9 +22,7 @@ let create (site : Site.t) ?(slots = 8) () =
    allocations conflict, and record the last taker as the condition's
    owner so exhausted-pool waiters declare a blocked-on edge the
    watchdog can chase across libraries. *)
-let[@chorus.guarded
-     "t.free is touched only by fibres on the nucleus's affinity lane, \
-      which the engine serialises"] rec alloc t =
+let rec alloc t =
   Hw.Engine.note_ambient (-3) 0;
   match t.free with
   | slot :: rest ->
@@ -40,9 +38,7 @@ let[@chorus.guarded
 
 let slot_offset _t slot = slot * slot_size
 
-let[@chorus.guarded
-     "t.free is touched only by fibres on the nucleus's affinity lane, \
-      which the engine serialises"] release t slot =
+let release t slot =
   Hw.Engine.note_ambient (-3) 0;
   if List.mem slot t.free then invalid_arg "Transit.release: slot is free";
   (* Drop leftover pages so a parked slot holds no real memory. *)

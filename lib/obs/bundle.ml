@@ -5,6 +5,7 @@ type t = {
   schema : string;
   scenario : string;
   inject : string list;
+  cpus : int;
   kind : string;
   detail : string;
   observed : string option;
@@ -20,13 +21,15 @@ type t = {
 
 let schema_version = "chorus-bundle/2"
 
-let v ~scenario ?(inject = []) ~kind ~detail ?observed ~sim_now ~schedule
+let v ~scenario ?(inject = []) ?(cpus = 0) ~kind ~detail ?observed ~sim_now
+    ~schedule
     ?(trace = Json.Null) ?(state = []) ?(digests = [])
     ?(violations = Json.Null) ?(metrics = []) ?(watchdog = Json.Null) () =
   {
     schema = schema_version;
     scenario;
     inject;
+    cpus;
     kind;
     detail;
     observed;
@@ -48,6 +51,7 @@ let to_json b : Json.t =
       ("schema", Json.Str b.schema);
       ("scenario", Json.Str b.scenario);
       ("inject", Json.List (List.map (fun s -> Json.Str s) b.inject));
+      ("cpus", num b.cpus);
       ( "failure",
         Json.Obj
           ([ ("kind", Json.Str b.kind); ("detail", Json.Str b.detail) ]
@@ -109,6 +113,10 @@ let of_json (j : Json.t) : (t, string) result =
           schema;
           scenario;
           inject = strings "inject";
+          cpus =
+            (match Json.get_num (Json.member "cpus" j) with
+            | Some f -> int_of f
+            | None -> 0);
           kind;
           detail = Option.value ~default:"" (failure_str "detail");
           observed = failure_str "observed";

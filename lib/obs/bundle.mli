@@ -19,6 +19,10 @@ type t = {
   schema : string;  (** always {!schema_version} on bundles we write *)
   scenario : string;  (** chorus scenario name, the replay entry point *)
   inject : string list;  (** fault-injection flags active during the run *)
+  cpus : int;
+      (** the engine's simulated CPUs ([Hw.Engine.domains]; 0 for the
+          sequential engine): replay rebuilds the engine with as many,
+          since lane slices run only on an engine with CPUs *)
   kind : string;
       (** failure class: ["invariant"], ["deadlock"], ["watchdog"],
           ["crash"], ["divergence"], or an explorer oracle's
@@ -48,6 +52,7 @@ val schema_version : string
 val v :
   scenario:string ->
   ?inject:string list ->
+  ?cpus:int ->
   kind:string ->
   detail:string ->
   ?observed:string ->
@@ -65,7 +70,8 @@ val v :
 val to_json : t -> Json.t
 
 val of_json : Json.t -> (t, string) result
-(** Rejects objects whose ["schema"] is missing or unknown. *)
+(** Rejects objects whose ["schema"] is missing or unknown.  A missing
+    ["cpus"] reads as 0. *)
 
 val filename : t -> string
 (** Deterministic suggested basename,

@@ -1,21 +1,13 @@
 (* Aggregated observability: counters, sim-time histograms and the
    per-primitive attribution table.  Updates never advance the
-   simulated clock, and since the parallel engine they must also be
-   domain-safe: a fault resolved inside a pool slice observes its
-   latency from a worker domain while another worker charges
-   primitives concurrently.  The two streams written on every fault
-   (histogram observations and primitive charges) live in per-domain
-   {!Cells} rows: each domain updates its own row with plain stores,
-   so no two workers write one cache line, and readers combine the
-   rows, exact at quiescence.  Named counters, published at report
-   time rather than per event, stay single [Atomic.t] cells.
-   Registration (name -> cell lookup) takes a registry mutex; hot
-   paths are expected to register once and keep the handle. *)
+   simulated clock; they are plain integer stores.  Registration
+   (name -> cell lookup) is a table probe: hot paths register once and
+   keep the handle. *)
 
-type counter = { c_name : string; c_value : int Atomic.t }
+type counter = { c_name : string; mutable c_value : int }
 
-(* One per-domain row per histogram: count, sum, min, max. *)
-type histogram = { h_name : string; h_cells : Cells.t }
+(* A histogram's cells: count, sum, min, max. *)
+type histogram = { h_name : string; h_cells : int array }
 
 let h_count = 0
 let h_sum = 1
@@ -26,103 +18,76 @@ let h_init = [| 0; 0; max_int; 0 |]
 type hstats = { count : int; sum : int; min : int; max : int }
 
 type t = {
-  lock : Mutex.t; (* guards the two registration tables only *)
   cs : (string, counter) Hashtbl.t;
   hs : (string, histogram) Hashtbl.t;
   prim_names : string array;
-  prim : Cells.t; (* per primitive [i]: count at [2i], ns at [2i + 1] *)
+  prim : int array; (* per primitive [i]: count at [2i], ns at [2i + 1] *)
 }
 
 let create ?(prims = [||]) () =
   {
-    lock = Mutex.create ();
     cs = Hashtbl.create 32;
     hs = Hashtbl.create 32;
     prim_names = prims;
-    prim = Cells.create (Array.make (2 * Array.length prims) 0);
+    prim = Array.make (2 * Array.length prims) 0;
   }
 
 let reset t =
-  Mutex.lock t.lock;
   Hashtbl.reset t.cs;
   Hashtbl.reset t.hs;
-  Mutex.unlock t.lock;
-  Cells.reset t.prim
+  Array.fill t.prim 0 (Array.length t.prim) 0
 
 let counter t name =
-  Mutex.lock t.lock;
-  let c =
-    match Hashtbl.find_opt t.cs name with
-    | Some c -> c
-    | None ->
-      let c = { c_name = name; c_value = Atomic.make 0 } in
-      Hashtbl.replace t.cs name c;
-      c
-  in
-  Mutex.unlock t.lock;
-  c
+  match Hashtbl.find_opt t.cs name with
+  | Some c -> c
+  | None ->
+    let c = { c_name = name; c_value = 0 } in
+    Hashtbl.replace t.cs name c;
+    c
 
-let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c_value by)
-let set c v = Atomic.set c.c_value v
-let value c = Atomic.get c.c_value
+let incr ?(by = 1) c = c.c_value <- c.c_value + by
+let set c v = c.c_value <- v
+let value c = c.c_value
 
 let counters t =
-  Mutex.lock t.lock;
-  let cs =
-    Hashtbl.fold (fun _ c acc -> (c.c_name, Atomic.get c.c_value) :: acc) t.cs []
-  in
-  Mutex.unlock t.lock;
-  List.sort compare cs
+  List.sort compare (Hashtbl.fold (fun _ c acc -> (c.c_name, c.c_value) :: acc) t.cs [])
 
 let histogram t name =
-  Mutex.lock t.lock;
-  let h =
-    match Hashtbl.find_opt t.hs name with
-    | Some h -> h
-    | None ->
-      let h = { h_name = name; h_cells = Cells.create h_init } in
-      Hashtbl.replace t.hs name h;
-      h
-  in
-  Mutex.unlock t.lock;
-  h
+  match Hashtbl.find_opt t.hs name with
+  | Some h -> h
+  | None ->
+    let h = { h_name = name; h_cells = Array.copy h_init } in
+    Hashtbl.replace t.hs name h;
+    h
 
 let observe h ns =
-  let r = Cells.mine h.h_cells in
+  let r = h.h_cells in
   r.(h_count) <- r.(h_count) + 1;
   r.(h_sum) <- r.(h_sum) + ns;
   if ns < r.(h_min) then r.(h_min) <- ns;
   if ns > r.(h_max) then r.(h_max) <- ns
 
-let clear_histogram h = Cells.reset h.h_cells
+let clear_histogram h = Array.blit h_init 0 h.h_cells 0 (Array.length h_init)
 
 let histogram_stats h =
-  let count, sum, min, max =
-    Cells.fold h.h_cells
-      (fun (c, s, lo, hi) r ->
-        (c + r.(h_count), s + r.(h_sum), Int.min lo r.(h_min), Int.max hi r.(h_max)))
-      (0, 0, max_int, 0)
-  in
-  { count; sum; min = (if count = 0 then 0 else min); max }
+  let r = h.h_cells in
+  let count = r.(h_count) in
+  { count; sum = r.(h_sum); min = (if count = 0 then 0 else r.(h_min)); max = r.(h_max) }
 
 let histograms t =
-  Mutex.lock t.lock;
-  let hs = Hashtbl.fold (fun _ h acc -> h :: acc) t.hs [] in
-  Mutex.unlock t.lock;
-  List.sort compare (List.map (fun h -> (h.h_name, histogram_stats h)) hs)
+  List.sort compare
+    (Hashtbl.fold (fun _ h acc -> (h.h_name, histogram_stats h) :: acc) t.hs [])
 
 let charge t ~idx ~ns =
   if idx >= 0 && idx < Array.length t.prim_names then begin
-    let r = Cells.mine t.prim in
+    let r = t.prim in
     r.(2 * idx) <- r.(2 * idx) + 1;
     r.((2 * idx) + 1) <- r.((2 * idx) + 1) + ns
   end
 
 let prim_report t =
   Array.to_list
-    (Array.mapi
-       (fun i name -> (name, Cells.sum t.prim (2 * i), Cells.sum t.prim ((2 * i) + 1)))
-       t.prim_names)
+    (Array.mapi (fun i name -> (name, t.prim.(2 * i), t.prim.((2 * i) + 1))) t.prim_names)
 
 (* --- Reporting ---------------------------------------------------- *)
 

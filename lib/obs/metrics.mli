@@ -3,15 +3,10 @@
 
     Unlike {!Trace}, which captures the full event stream, a registry
     only keeps aggregates, so it is always on: updates are integer
-    arithmetic and never touch the simulated clock.  Updates are
-    domain-safe — pool slices on the parallel engine observe latencies
-    and charge primitives concurrently: histograms and the primitive
-    table keep one {!Cells} row per domain (plain stores, no shared
-    cache line), counters are [Atomic.t], and totals are exact at
-    quiescence.  Registration
-    ({!counter}/{!histogram}) takes a registry mutex: hot paths should
-    look a handle up once and keep it rather than resolving the name
-    per event.  One registry lives on every PVM instance; it subsumes
+    arithmetic and never touch the simulated clock.  Registration
+    ({!counter}/{!histogram}) is a table probe: hot paths should look
+    a handle up once and keep it rather than resolving the name per
+    event.  One registry lives on every PVM instance; it subsumes
     the legacy [Core.Types.stats] counters (published into it on
     demand) and additionally aggregates fault-resolution latencies and
     the per-primitive sim-time attribution that the paper's §5.3.2
@@ -52,7 +47,7 @@ val observe : histogram -> int -> unit
 val clear_histogram : histogram -> unit
 (** Drop a histogram's observations, keeping its registration.  For
     publishers that re-snapshot a distribution on every report (e.g.
-    shard occupancy) rather than accumulating a stream. *)
+    table occupancy) rather than accumulating a stream. *)
 
 type hstats = { count : int; sum : int; min : int; max : int }
 

@@ -607,7 +607,7 @@ let pp ppf (t : t) =
   pp_derived ppf (derive t);
   Format.fprintf ppf "@]"
 
-(* --- Per-CPU utilization (parallel engine) ------------------------ *)
+(* --- Per-CPU utilization (simulated CPUs) ------------------------- *)
 
 let pp_utilization ppf ~(busy : int array) ~makespan =
   let n = Array.length busy in

@@ -92,7 +92,7 @@ val pp : Format.formatter -> t -> unit
 
 val pp_derived : Format.formatter -> derived -> unit
 
-(** {1 Per-CPU utilization (parallel engine)} *)
+(** {1 Per-CPU utilization (simulated CPUs)} *)
 
 val pp_utilization : Format.formatter -> busy:int array -> makespan:int -> unit
 (** Busy/idle table per simulated CPU against the run's makespan

@@ -3,24 +3,13 @@
    (timestamps are plain ns integers) so that the hardware layer — the
    discrete-event engine included — can depend on it.
 
-   Two recording modes share one tracer:
-
-   - the default single-ring mode, used by the sequential engine: one
-     ring, per-fibre open-span stacks, spans recorded complete at
-     close;
-
-   - the domain-sharded mode ([set_sharded], switched on by the
-     parallel engine): each domain records into its own DLS-local
-     shard, so recording never takes a lock and never races.  Inside a
-     pool slice the simulated-CPU placement and the final clock shift
-     of the slice are not known until the slice completes (the engine
-     assigns CPUs greedily at slice end), so slice events are staged
-     in a pending buffer and committed — shifted, plus one per-CPU
-     "slice" span — by {!slice_commit}.  Spans may begin in one slice
-     and end in another on a different domain (the fibre parked and
-     was resumed elsewhere), so shards store separate begin/end
-     records stamped with a global sequence number; {!merged_events}
-     pairs them per fibre in recording order at quiescence. *)
+   Spans are recorded complete, at close, from per-fibre stacks of
+   open spans.  A lane slice of the engine (one fibre running on a
+   simulated CPU) learns its CPU placement and final clock shift only
+   when it completes, so between {!slice_begin} and {!slice_commit}
+   records are staged in a pending buffer with their tentative clocks;
+   the commit replays them, shifted, into the ring and adds one
+   per-CPU "slice" span. *)
 
 type value = Int of int | Str of string
 type args = (string * value) list
@@ -37,23 +26,12 @@ type event =
   | Instant of { name : string; cat : string; ts : int; fib : int; args : args }
   | Counter of { name : string; ts : int; value : int }
 
-(* Shard records: span begins and ends travel separately (a span can
-   cross slices and domains); [r_seq] is the global recording order
-   that lets the merge re-pair them per fibre. *)
-type raw =
-  | R_begin of { r_seq : int; name : string; cat : string; ts : int; fib : int }
-  | R_end of { r_seq : int; ts : int; fib : int; args : args }
-  | R_done of { r_seq : int; ev : event }
-
-type shard = {
-  mutable sh_buf : raw array; (* committed ring, owner-domain writes *)
-  mutable sh_start : int;
-  mutable sh_len : int;
-  mutable sh_dropped : int;
-  mutable sh_pend : raw array; (* current slice, clocks still tentative *)
-  mutable sh_pend_len : int;
-  mutable sh_in_slice : bool;
-}
+(* A staged record: span begins and ends travel separately, because a
+   span may open in one slice and close in another. *)
+type staged =
+  | S_begin of { name : string; cat : string; ts : int; fib : int }
+  | S_end of { ts : int; fib : int; args : args }
+  | S_done of event
 
 type t = {
   capacity : int;
@@ -67,17 +45,13 @@ type t = {
   (* per-fibre stacks of open spans: (name, cat, begin ts) *)
   open_spans : (int, (string * string * int) list ref) Hashtbl.t;
   fibre_names : (int, string) Hashtbl.t;
-  names_lock : Mutex.t; (* fibres spawn from worker domains too *)
-  (* domain-sharded mode *)
-  mutable sharded : bool;
-  seq : int Atomic.t;
-  shards_lock : Mutex.t; (* guards shard_list registration *)
-  mutable shard_list : shard list;
-  shard_key : shard option Domain.DLS.key;
+  mutable in_slice : bool;
+  mutable pend : staged array; (* the current slice, clocks tentative *)
+  mutable pend_len : int;
 }
 
 let filler = Counter { name = ""; ts = 0; value = 0 }
-let raw_filler = R_done { r_seq = 0; ev = filler }
+let staged_filler = S_done filler
 
 let create ?(capacity = 262_144) () =
   {
@@ -91,12 +65,9 @@ let create ?(capacity = 262_144) () =
     dropped = 0;
     open_spans = Hashtbl.create 16;
     fibre_names = Hashtbl.create 16;
-    names_lock = Mutex.create ();
-    sharded = false;
-    seq = Atomic.make 1;
-    shards_lock = Mutex.create ();
-    shard_list = [];
-    shard_key = Domain.DLS.new_key (fun () -> None);
+    in_slice = false;
+    pend = [||];
+    pend_len = 0;
   }
 
 (* Capacity 0 makes [enable] a no-op: the null sink can never record. *)
@@ -105,34 +76,20 @@ let null = create ~capacity:0 ()
 let enabled t = t.enabled
 let enable t = if t.capacity > 0 then t.enabled <- true
 let disable t = t.enabled <- false
-let set_sharded t on = if t.capacity > 0 then t.sharded <- on
-let sharded t = t.sharded
 
 let clear t =
   t.start <- 0;
   t.len <- 0;
   t.dropped <- 0;
   Hashtbl.reset t.open_spans;
-  Mutex.lock t.shards_lock;
-  List.iter
-    (fun s ->
-      s.sh_start <- 0;
-      s.sh_len <- 0;
-      s.sh_dropped <- 0;
-      s.sh_pend_len <- 0;
-      s.sh_in_slice <- false)
-    t.shard_list;
-  Mutex.unlock t.shards_lock
+  t.in_slice <- false;
+  t.pend_len <- 0
 
 let set_clock t clock = t.clock <- clock
 let set_fibre t fibre = t.fibre <- fibre
 
 let name_fibre t fib name =
-  if t.capacity > 0 then begin
-    Mutex.lock t.names_lock;
-    Hashtbl.replace t.fibre_names fib name;
-    Mutex.unlock t.names_lock
-  end
+  if t.capacity > 0 then Hashtbl.replace t.fibre_names fib name
 
 let push t ev =
   if t.buf = [||] then t.buf <- Array.make t.capacity filler;
@@ -146,122 +103,6 @@ let push t ev =
     t.dropped <- t.dropped + 1
   end
 
-(* --- Shards ------------------------------------------------------- *)
-
-let my_shard t =
-  match Domain.DLS.get t.shard_key with
-  | Some s -> s
-  | None ->
-    let s =
-      {
-        sh_buf = [||];
-        sh_start = 0;
-        sh_len = 0;
-        sh_dropped = 0;
-        sh_pend = [||];
-        sh_pend_len = 0;
-        sh_in_slice = false;
-      }
-    in
-    Mutex.lock t.shards_lock;
-    t.shard_list <- s :: t.shard_list;
-    Mutex.unlock t.shards_lock;
-    Domain.DLS.set t.shard_key (Some s);
-    s
-
-(* Ring insert into the owning domain's shard: no locks, no
-   allocation (the ring array is lazily created once). *)
-let[@chorus.hot] [@chorus.alloc_ok
-                   "one-time lazy creation of the shard's ring array; every \
-                    subsequent push is allocation-free"] ring_push t s r =
-  if s.sh_buf = [||] then s.sh_buf <- Array.make t.capacity raw_filler;
-  if s.sh_len < t.capacity then begin
-    s.sh_buf.((s.sh_start + s.sh_len) mod t.capacity) <- r;
-    s.sh_len <- s.sh_len + 1
-  end
-  else begin
-    s.sh_buf.(s.sh_start) <- r;
-    s.sh_start <- (s.sh_start + 1) mod t.capacity;
-    s.sh_dropped <- s.sh_dropped + 1
-  end
-
-(* Stage or commit one record on the current domain's shard: pending
-   while inside a pool slice (the slice's clock shift is unknown until
-   it completes), straight to the ring otherwise (coordinator work and
-   post-run records need no shift). *)
-let[@chorus.hot] shard_record t s r =
-  if s.sh_in_slice then begin
-    if s.sh_pend_len >= t.capacity then s.sh_dropped <- s.sh_dropped + 1
-    else begin
-      let cap = Array.length s.sh_pend in
-      if s.sh_pend_len = cap then begin
-        let ncap = if cap = 0 then 256 else min (cap * 2) t.capacity in
-        let nbuf = Array.make ncap raw_filler in
-        Array.blit s.sh_pend 0 nbuf 0 s.sh_pend_len;
-        s.sh_pend <- nbuf
-      end;
-      s.sh_pend.(s.sh_pend_len) <- r;
-      s.sh_pend_len <- s.sh_pend_len + 1
-    end
-  end
-  else ring_push t s r
-
-let[@chorus.hot] next_seq t = Atomic.fetch_and_add t.seq 1
-
-let shift_raw shift r =
-  if shift = 0 then r
-  else
-    match r with
-    | R_begin b -> R_begin { b with ts = b.ts + shift }
-    | R_end e -> R_end { e with ts = e.ts + shift }
-    | R_done { r_seq; ev } ->
-      let ev =
-        match ev with
-        | Span s -> Span { s with ts = s.ts + shift }
-        | Instant i -> Instant { i with ts = i.ts + shift }
-        | Counter c -> Counter { c with ts = c.ts + shift }
-      in
-      R_done { r_seq; ev }
-
-(* Engine hooks around one pool slice (worker domains only). *)
-
-let slice_begin t = if t.enabled && t.sharded then (my_shard t).sh_in_slice <- true
-
-(* Commit the slice that just completed on this domain: the engine has
-   placed it on simulated CPU [cpu] over [t0, t1] and shifted its
-   virtual clock by [shift].  The staged events move to the shard ring
-   with their clocks made final, plus one per-CPU "slice" span (cat
-   ["cpu"]) that builds the CPU tracks of the merged timeline. *)
-let slice_commit t ~cpu ~fib ~t0 ~t1 ~shift =
-  if t.enabled && t.sharded then begin
-    let s = my_shard t in
-    s.sh_in_slice <- false;
-    let n = s.sh_pend_len in
-    for i = 0 to n - 1 do
-      ring_push t s (shift_raw shift s.sh_pend.(i));
-      s.sh_pend.(i) <- raw_filler
-    done;
-    s.sh_pend_len <- 0;
-    if t1 > t0 || n > 0 then
-      ring_push t s
-        (R_done
-           {
-             r_seq = next_seq t;
-             ev =
-               Span
-                 {
-                   name = "slice";
-                   cat = "cpu";
-                   ts = t0;
-                   dur = t1 - t0;
-                   fib = cpu;
-                   args = [ ("fib", Int fib) ];
-                 };
-           })
-  end
-
-(* --- Recording entry points --------------------------------------- *)
-
 let stack_of tbl fib =
   match Hashtbl.find_opt tbl fib with
   | Some s -> s
@@ -270,32 +111,97 @@ let stack_of tbl fib =
     Hashtbl.replace tbl fib s;
     s
 
+let open_span t ~fib ~ts name cat =
+  let stack = stack_of t.open_spans fib in
+  stack := (name, cat, ts) :: !stack
+
+(* Close [fib]'s innermost span at [ts]; an unbalanced end is
+   tolerated and records nothing.  A span whose begin was shifted
+   later than its end by its own slice's placement collapses to zero
+   width. *)
+let close_span t ~fib ~ts args =
+  let stack = stack_of t.open_spans fib in
+  match !stack with
+  | [] -> ()
+  | (name, cat, ts0) :: rest ->
+    stack := rest;
+    push t (Span { name; cat; ts = ts0; dur = max 0 (ts - ts0); fib; args })
+
+(* --- Lane slices --------------------------------------------------- *)
+
+(* Stage one record of the running slice.  The pending buffer grows by
+   doubling up to the ring's capacity; past that a record is counted
+   as dropped. *)
+let[@chorus.hot] [@chorus.alloc_ok
+                   "the pending buffer grows by doubling, so staging \
+                    allocates only at powers of two"] stage t r =
+  if t.pend_len >= t.capacity then t.dropped <- t.dropped + 1
+  else begin
+    let cap = Array.length t.pend in
+    if t.pend_len = cap then begin
+      let ncap = if cap = 0 then 256 else min (cap * 2) t.capacity in
+      let nbuf = Array.make ncap staged_filler in
+      Array.blit t.pend 0 nbuf 0 t.pend_len;
+      t.pend <- nbuf
+    end;
+    t.pend.(t.pend_len) <- r;
+    t.pend_len <- t.pend_len + 1
+  end
+
+let shift_event shift = function
+  | Span s -> Span { s with ts = s.ts + shift }
+  | Instant i -> Instant { i with ts = i.ts + shift }
+  | Counter c -> Counter { c with ts = c.ts + shift }
+
+let slice_begin t = if t.enabled then t.in_slice <- true
+
+(* Commit the slice that just completed: the engine placed it on
+   simulated CPU [cpu] over [t0, t1] and shifted its virtual clock by
+   [shift].  The staged records replay into the ring with their clocks
+   made final, then one per-CPU "slice" span (cat ["cpu"]) that builds
+   the CPU tracks of the timeline. *)
+let slice_commit t ~cpu ~fib ~t0 ~t1 ~shift =
+  if t.enabled then begin
+    t.in_slice <- false;
+    let n = t.pend_len in
+    for i = 0 to n - 1 do
+      (match t.pend.(i) with
+      | S_begin { name; cat; ts; fib } -> open_span t ~fib ~ts:(ts + shift) name cat
+      | S_end { ts; fib; args } -> close_span t ~fib ~ts:(ts + shift) args
+      | S_done ev -> push t (if shift = 0 then ev else shift_event shift ev));
+      t.pend.(i) <- staged_filler
+    done;
+    t.pend_len <- 0;
+    if t1 > t0 || n > 0 then
+      push t
+        (Span
+           {
+             name = "slice";
+             cat = "cpu";
+             ts = t0;
+             dur = t1 - t0;
+             fib = cpu;
+             args = [ ("fib", Int fib) ];
+           })
+  end
+
+(* --- Recording entry points --------------------------------------- *)
+
+let record t ev = if t.in_slice then stage t (S_done ev) else push t ev
+
 let span_begin t ?(cat = "") name =
-  if t.enabled then
-    if t.sharded then
-      shard_record t (my_shard t)
-        (R_begin
-           { r_seq = next_seq t; name; cat; ts = t.clock (); fib = t.fibre () })
-    else begin
-      let fib = t.fibre () in
-      let stack = stack_of t.open_spans fib in
-      stack := (name, cat, t.clock ()) :: !stack
-    end
+  if t.enabled then begin
+    let fib = t.fibre () and ts = t.clock () in
+    if t.in_slice then stage t (S_begin { name; cat; ts; fib })
+    else open_span t ~fib ~ts name cat
+  end
 
 let span_end ?(args = []) t =
-  if t.enabled then
-    if t.sharded then
-      shard_record t (my_shard t)
-        (R_end { r_seq = next_seq t; ts = t.clock (); fib = t.fibre (); args })
-    else begin
-      let fib = t.fibre () in
-      let stack = stack_of t.open_spans fib in
-      match !stack with
-      | [] -> () (* unbalanced end: tolerated, nothing to record *)
-      | (name, cat, ts) :: rest ->
-        stack := rest;
-        push t (Span { name; cat; ts; dur = t.clock () - ts; fib; args })
-    end
+  if t.enabled then begin
+    let fib = t.fibre () and ts = t.clock () in
+    if t.in_slice then stage t (S_end { ts; fib; args })
+    else close_span t ~fib ~ts args
+  end
 
 let with_span t ?cat name f =
   if not t.enabled then f ()
@@ -311,103 +217,33 @@ let with_span t ?cat name f =
   end
 
 let instant t ?(cat = "") ?(args = []) name =
-  if t.enabled then begin
-    let ev = Instant { name; cat; ts = t.clock (); fib = t.fibre (); args } in
-    if t.sharded then
-      shard_record t (my_shard t) (R_done { r_seq = next_seq t; ev })
-    else push t ev
-  end
+  if t.enabled then
+    record t (Instant { name; cat; ts = t.clock (); fib = t.fibre (); args })
 
 let counter t name value =
-  if t.enabled then begin
-    let ev = Counter { name; ts = t.clock (); value } in
-    if t.sharded then
-      shard_record t (my_shard t) (R_done { r_seq = next_seq t; ev })
-    else push t ev
-  end
+  if t.enabled then record t (Counter { name; ts = t.clock (); value })
 
 (* The cost-attribution fast path: one record per charged primitive
    inside the fault handlers. *)
 let[@chorus.hot] [@chorus.alloc_ok
                    "the cost record is the tracer's payload: one block per \
                     charged primitive, by design"] charge t ~prim ~span =
-  if t.enabled then begin
-    let ev =
-      Instant
-        {
-          name = prim;
-          cat = "cost";
-          ts = t.clock ();
-          fib = t.fibre ();
-          args = [ ("ns", Int span) ];
-        }
-    in
-    if t.sharded then
-      shard_record t (my_shard t) (R_done { r_seq = next_seq t; ev })
-    else push t ev
-  end
+  if t.enabled then
+    record t
+      (Instant
+         {
+           name = prim;
+           cat = "cost";
+           ts = t.clock ();
+           fib = t.fibre ();
+           args = [ ("ns", Int span) ];
+         })
 
 (* --- Reading ------------------------------------------------------ *)
 
-let ring_events t = List.init t.len (fun i -> t.buf.((t.start + i) mod t.capacity))
-
-let raw_seq = function
-  | R_begin { r_seq; _ } | R_end { r_seq; _ } | R_done { r_seq; _ } -> r_seq
-
-(* Merge the shard rings into complete events: all records in global
-   recording order, span begins and ends re-paired per fibre.  A begin
-   whose end was never recorded (still open, or lost) yields no span;
-   an end whose begin was overwritten in the ring is skipped — exactly
-   the tolerance the single-ring mode has for unbalanced ends. *)
-let merged_shard_events t =
-  Mutex.lock t.shards_lock;
-  let shards = t.shard_list in
-  Mutex.unlock t.shards_lock;
-  match shards with
-  | [] -> []
-  | _ ->
-    let raws =
-      List.concat_map
-        (fun s ->
-          List.init (s.sh_len + s.sh_pend_len) (fun i ->
-              if i < s.sh_len then s.sh_buf.((s.sh_start + i) mod t.capacity)
-              else s.sh_pend.(i - s.sh_len)))
-        shards
-      |> List.sort (fun a b -> compare (raw_seq a) (raw_seq b))
-    in
-    let stacks = Hashtbl.create 32 in
-    List.filter_map
-      (fun r ->
-        match r with
-        | R_done { ev; _ } -> Some ev
-        | R_begin { name; cat; ts; fib; _ } ->
-          let st = stack_of stacks fib in
-          st := (name, cat, ts) :: !st;
-          None
-        | R_end { ts; fib; args; _ } -> (
-          let st = stack_of stacks fib in
-          match !st with
-          | [] -> None
-          | (name, cat, ts0) :: rest ->
-            st := rest;
-            (* begin and end were shifted by their own slices'
-               placements, so clamp: a span that closed "before" it
-               opened collapses to an instant-like zero-width span *)
-            Some (Span { name; cat; ts = ts0; dur = max 0 (ts - ts0); fib; args })))
-      raws
-
-let events t = ring_events t @ merged_shard_events t
-
-let shard_totals t =
-  Mutex.lock t.shards_lock;
-  let shards = t.shard_list in
-  Mutex.unlock t.shards_lock;
-  List.fold_left
-    (fun (len, dropped) s -> (len + s.sh_len + s.sh_pend_len, dropped + s.sh_dropped))
-    (0, 0) shards
-
-let length t = t.len + fst (shard_totals t)
-let dropped t = t.dropped + snd (shard_totals t)
+let events t = List.init t.len (fun i -> t.buf.((t.start + i) mod t.capacity))
+let length t = t.len
+let dropped t = t.dropped
 
 (* --- Export ------------------------------------------------------- *)
 
@@ -460,8 +296,8 @@ let add_args buf args =
     args;
   Buffer.add_char buf '}'
 
-(* Events in category "cpu" (the per-slice placement spans of the
-   sharded mode) render as a second Chrome process whose threads are
+(* Events in category "cpu" (the per-slice placement spans of lane
+   slices) render as a second Chrome process whose threads are
    the simulated CPUs; everything else keeps pid 1 with one thread per
    fibre. *)
 let pid_of_cat cat = if cat = "cpu" then 2 else 1
@@ -515,7 +351,7 @@ let to_chrome_json t =
               fib);
          add_json_string buf name;
          Buffer.add_string buf "}}");
-  (* one track per simulated CPU, when the sharded mode recorded any *)
+  (* one track per simulated CPU, when lane slices recorded any *)
   let cpus =
     List.sort_uniq compare
       (List.filter_map

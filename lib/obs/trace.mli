@@ -13,15 +13,10 @@
     default sink of every engine) records nothing and perturbs
     nothing.
 
-    On the parallel engine the tracer runs in a {e domain-sharded}
-    mode ({!set_sharded}): each domain records lock-free into its own
-    DLS-local shard, pool slices stage events until the engine commits
-    them with their final CPU placement and clock shift
-    ({!slice_commit}), and readers merge the shards at quiescence into
-    one timeline — complete spans re-paired per fibre even when a span
-    begins and ends on different domains, one extra track per
-    simulated CPU (category ["cpu"]), and {!dropped} summed across
-    shards.
+    On an engine with simulated CPUs, a lane slice stages its events
+    until the engine commits them with their final CPU placement and
+    clock shift ({!slice_commit}); the commit also records one span per
+    slice in category ["cpu"], the per-CPU tracks of the timeline.
 
     Captured traces export to Chrome [trace_event] JSON — loadable in
     [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto} — and
@@ -59,32 +54,26 @@ val disable : t -> unit
 val clear : t -> unit
 
 val length : t -> int
-(** Buffered records, all shards included. *)
+(** Buffered events. *)
 
 val dropped : t -> int
-(** Events overwritten because a ring buffer was full, summed over all
-    shards in the sharded mode. *)
+(** Events overwritten because the ring buffer was full, or not staged
+    because a slice outgrew it. *)
 
-(** {1 Domain-sharded recording (parallel engine)} *)
-
-val set_sharded : t -> bool -> unit
-(** Switch the domain-sharded recording mode on or off.  The parallel
-    engine switches it on for its tracer at the start of a run; user
-    code normally never calls this. *)
-
-val sharded : t -> bool
+(** {1 Lane slices} *)
 
 val slice_begin : t -> unit
-(** Engine hook: a pool slice starts on the calling domain; subsequent
-    records are staged until {!slice_commit} fixes their clocks. *)
+(** Engine hook: a lane slice starts; subsequent records are staged
+    until {!slice_commit} fixes their clocks. *)
 
 val slice_commit : t -> cpu:int -> fib:int -> t0:int -> t1:int -> shift:int -> unit
-(** Engine hook: the slice running on this domain completed and was
-    placed on simulated CPU [cpu] over [\[t0, t1\]] with its virtual
-    clock shifted forward by [shift].  Staged events move to the
-    shard's ring with final timestamps, plus one ["slice"] span in
-    category ["cpu"] carrying [fib] as argument — the raw material of
-    the per-CPU tracks and the utilization report. *)
+(** Engine hook: the lane slice completed and was placed on simulated
+    CPU [cpu] over [\[t0, t1\]] with its virtual clock shifted forward
+    by [shift].  Staged events move to the ring with final timestamps
+    (a span opened in an earlier slice closes against its own
+    slice's placement), plus one ["slice"] span in category ["cpu"]
+    carrying [fib] as argument — the raw material of the per-CPU
+    tracks and the utilization report. *)
 
 val set_clock : t -> (unit -> int) -> unit
 (** Inject the simulated-time source (ns). *)
@@ -118,20 +107,14 @@ val charge : t -> prim:string -> span:int -> unit
 
 val events : t -> event list
 (** Buffered events, oldest first (recording order; spans are recorded
-    when they close).  In the sharded mode this merges all shards at
-    the call: records are replayed in global recording order and span
-    begin/end pairs are re-joined per fibre, so a span that parked on
-    one domain and closed on another still comes out as one complete
-    {!event.Span}.  Unmatched halves (lost to ring overwrite, or still
-    open) are dropped, mirroring the single-ring tolerance for
-    unbalanced ends. *)
+    when they close, a lane slice's events when it commits). *)
 
 val to_chrome_json : t -> string
 (** The whole buffer as Chrome [trace_event] JSON ([ts]/[dur] in
     microseconds, as the format requires), events sorted by timestamp
     with enclosing spans first.  The {!dropped} count is exported as
     [otherData.droppedEvents]; nonzero means the trace is only a
-    suffix of the run.  Merged sharded traces add a second process
+    suffix of the run.  Traces with lane slices add a second process
     (pid 2, named "simulated CPUs") with one thread per simulated CPU
     holding that CPU's slice spans. *)
 

@@ -220,7 +220,7 @@ let test_live_bundle_keeps_strict_rules () =
           let pvm = Core.Pvm.create ~frames:16 ~engine () in
           register pvm;
           let cache = Core.Cache.create pvm () in
-          Core.Shard_map.replace pvm.Core.Types.gmap cache.Core.Types.c_id 0
+          Core.Frag_map.replace pvm.Core.Types.gmap cache.Core.Types.c_id 0
             (Core.Types.Sync_stub (Hw.Engine.Cond.create ()));
           fun () -> "");
     }
@@ -242,6 +242,39 @@ let test_live_bundle_keeps_strict_rules () =
     match Check.Forensics.reproduces b (Check.Forensics.replay scen b) with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "live bundle did not replay:\n%s" msg
+
+(* A bundle written by a run on simulated CPUs replays on as many: a
+   lane fibre leaves a page in transit, which happens only when it runs
+   as a lane slice (the sequential engine ignores affinity), so a
+   replay on any engine without lanes would finish clean. *)
+let test_multi_cpu_bundle_replays () =
+  let scen =
+    {
+      Check.Scenario.name = "lane-transit-left";
+      oracle = No_oracle;
+      run =
+        (fun engine ~register ->
+          let pvm = Core.Pvm.create ~frames:16 ~engine () in
+          register pvm;
+          let cache = Core.Cache.create pvm () in
+          Hw.Engine.spawn engine ~affinity:1 (fun () ->
+              if Hw.Engine.in_parallel_slice () then
+                Core.Global_map.set pvm cache ~off:0
+                  (Core.Types.Sync_stub (Hw.Engine.Cond.create ())));
+          fun () -> "");
+    }
+  in
+  let r = Check.Harness.run ~domains:2 scen in
+  match r.ending with
+  | Ok _ -> Alcotest.fail "the quiescent sweep accepted a page in transit"
+  | Error f -> (
+    let b = Check.Forensics.capture_live scen r f in
+    match Obs.Bundle.read (Obs.Bundle.write ~dir:tmp_bundle_dir b) with
+    | Error e -> Alcotest.fail e
+    | Ok b -> (
+      match Check.Forensics.reproduces b (Check.Forensics.replay scen b) with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "2-CPU bundle did not replay:\n%s" msg))
 
 let test_unknown_injection_rejected () =
   match Check.Forensics.set_injections [ "no-such-fault" ] with
@@ -273,6 +306,8 @@ let () =
             test_oracle_violation_replays;
           Alcotest.test_case "live bundle keeps strict-only rules" `Quick
             test_live_bundle_keeps_strict_rules;
+          Alcotest.test_case "2-CPU bundle replays on 2 CPUs" `Quick
+            test_multi_cpu_bundle_replays;
           Alcotest.test_case "unknown injection rejected" `Quick
             test_unknown_injection_rejected;
         ] );

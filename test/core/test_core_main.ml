@@ -11,5 +11,5 @@ let () =
       ("reclaim", Test_reclaim.tests);
       ("fault-injection", Test_faults_inject.tests);
       ("properties", Test_props.tests);
-      ("shard-map", Test_shard_map.tests);
+      ("frag-map", Test_frag_map.tests);
     ]

@@ -430,7 +430,7 @@ let test_alloc_eager_copy () =
 (* --- Exceptions inside the pinned halves ---------------------------- *)
 
 (* Frame exhaustion raised in the middle of a pinned section must drop
-   the pin on the way out, and leave the mm lock free.  Three places
+   the pin on the way out.  Three places
    raise it with a page pinned: saving an original from
    own_writable_page, copying a parent's page in child_copy, and
    pulling an eager copy's source while the destination page is
@@ -502,9 +502,8 @@ let test_no_memory_sequential () =
           check_unpinned what pvm))
     no_memory_scenarios
 
-(* The same on two domains, each operation in a parallel slice, where
-   the pinned sections also run under the mm lock.  A following fault
-   in another slice re-maps a resident page, which needs the lock. *)
+(* The same on two simulated CPUs, each operation in a lane slice.  A
+   following fault in another lane re-maps a resident page. *)
 let test_no_memory_parallel () =
   List.iter
     (fun (what, setup) ->
@@ -521,12 +520,10 @@ let test_no_memory_parallel () =
               match op () with
               | () -> ()
               | exception Core.Gmi.No_memory -> raised := true);
-          (* a serial slice runs only once the pool is quiescent *)
+          (* a serial slice runs only once no lane is runnable *)
           Hw.Engine.sleep (Hw.Sim_time.ms 1);
           Alcotest.(check bool) (what ^ ": frame exhaustion raised") true
             !raised;
-          Alcotest.(check int) (what ^ ": mm lock free") (-1)
-            (Atomic.get pvm.Core.Types.mm_owner);
           check_unpinned what pvm;
           Hw.Engine.spawn engine ~affinity:2 (fun () ->
               after :=

@@ -42,19 +42,6 @@ let l2 = [ Lint.Finding.L2 ]
 let l3 = [ Lint.Finding.L3 ]
 let l4 = [ Lint.Finding.L4 ]
 let l5 = [ Lint.Finding.L5 ]
-let l6 = [ Lint.Finding.L6 ]
-let l7 = [ Lint.Finding.L7 ]
-let l8 = [ Lint.Finding.L8 ]
-let l9 = [ Lint.Finding.L9 ]
-
-(* The lockset rules run through the interprocedural analysis, not the
-   per-binding discipline scan. *)
-let lockset_lint ?includes ?flags ~rules src =
-  Lint.Lockset.analyze
-    [
-      Lint.Lockset.unit_of_cmt ~file:"fixture.ml" ~rules
-        (compile ?includes ?flags src);
-    ]
 
 (* --- L1: footprint soundness -------------------------------------- *)
 
@@ -199,190 +186,6 @@ let test_l5_negative () =
   in
   check_keys "waived and read-only sanitizer code is clean" [] fs
 
-(* --- L6: lock ordering -------------------------------------------- *)
-
-(* Fixture locks classify by field name exactly like the real tree:
-   mm_lock/s_lock/p_lock are the mm, shard and pool classes. *)
-
-let test_l6_positive () =
-  let fs =
-    lockset_lint ~rules:l6
-      "type pvm = { mm_lock : Mutex.t }\n\
-       type shard = { s_lock : Mutex.t }\n\
-       let bad (s : shard) (p : pvm) =\n\
-      \  Mutex.lock s.s_lock;\n\
-      \  Mutex.lock p.mm_lock;\n\
-      \  Mutex.unlock p.mm_lock;\n\
-      \  Mutex.unlock s.s_lock\n"
-  in
-  check_keys "acquiring mm under shard reverses the hierarchy"
-    [ ("L6", "order-mm-under-shard") ]
-    fs
-
-let test_l6_interprocedural () =
-  let fs =
-    lockset_lint ~rules:l6
-      "type pvm = { mm_lock : Mutex.t }\n\
-       type shard = { s_lock : Mutex.t }\n\
-       let inner (p : pvm) = Mutex.lock p.mm_lock; Mutex.unlock p.mm_lock\n\
-       let outer (s : shard) (p : pvm) =\n\
-      \  Mutex.lock s.s_lock;\n\
-      \  inner p;\n\
-      \  Mutex.unlock s.s_lock\n"
-  in
-  check_keys "the reversed acquisition is found through the call"
-    [ ("L6", "order-mm-under-shard") ]
-    fs;
-  (* The engine's pool seam: [pool_enter] returns holding the pool
-     lock, so a call that takes it again underneath is a self-nesting. *)
-  let fs =
-    lockset_lint ~rules:l6
-      "type par = { p_lock : Mutex.t; p_domains : int }\n\
-       let[@chorus.balanced \"fixture\"] pool_enter p =\n\
-      \  if p.p_domains > 0 then Mutex.lock p.p_lock\n\
-       let[@chorus.balanced \"fixture\"] pool_exit p =\n\
-      \  if p.p_domains > 0 then Mutex.unlock p.p_lock\n\
-       let exit_fibre p = pool_enter p; pool_exit p\n\
-       let spawn p = pool_enter p; exit_fibre p; pool_exit p\n"
-  in
-  check_keys "a pool section entering the pool seam again is found"
-    [ ("L6", "order-pool-under-pool") ]
-    fs
-
-let test_l6_negative () =
-  let fs =
-    lockset_lint ~rules:l6
-      "type pvm = { mm_lock : Mutex.t }\n\
-       type shard = { s_lock : Mutex.t }\n\
-       let good (p : pvm) (s : shard) =\n\
-      \  Mutex.lock p.mm_lock;\n\
-      \  Mutex.lock s.s_lock;\n\
-      \  Mutex.unlock s.s_lock;\n\
-      \  Mutex.unlock p.mm_lock\n\
-       let[@chorus.lock_order \"fixture\"] waived (s : shard) (p : pvm) =\n\
-      \  Mutex.lock s.s_lock;\n\
-      \  Mutex.lock p.mm_lock;\n\
-      \  Mutex.unlock p.mm_lock;\n\
-      \  Mutex.unlock s.s_lock\n"
-  in
-  check_keys "hierarchy-respecting nesting and waived code are clean" [] fs
-
-(* --- L7: lockset / domain-safety ----------------------------------- *)
-
-let test_l7_positive () =
-  let fs =
-    lockset_lint ~rules:l7
-      "type pvm = { mm_lock : Mutex.t; mutable newest_cache : int list }\n\
-       let bad (p : pvm) = p.newest_cache <- []\n"
-  in
-  check_keys "an unguarded catalogued write fires"
-    [ ("L7", "write-newest_cache") ]
-    fs
-
-let test_l7_negative () =
-  let fs =
-    lockset_lint ~rules:l7
-      "type pvm = { mm_lock : Mutex.t; mutable newest_cache : int list }\n\
-       let good (p : pvm) =\n\
-      \  Mutex.lock p.mm_lock;\n\
-      \  p.newest_cache <- [];\n\
-      \  Mutex.unlock p.mm_lock\n\
-       let helper (p : pvm) = p.newest_cache <- [ 1 ]\n\
-       let caller (p : pvm) =\n\
-      \  Mutex.lock p.mm_lock;\n\
-      \  helper p;\n\
-      \  Mutex.unlock p.mm_lock\n\
-       let[@chorus.guarded \"fixture\"] waived (p : pvm) = p.newest_cache <- [ 2 ]\n"
-  in
-  check_keys
-    "writes under the lock, under every caller's lock (entry lockset), or \
-     waived are clean"
-    [] fs
-
-(* --- L8: no park while holding ------------------------------------- *)
-
-let test_l8_positive () =
-  let fs =
-    lockset_lint ~rules:l8
-      "let suspend () = ()\n\
-       type pvm = { mm_lock : Mutex.t }\n\
-       let bad (p : pvm) =\n\
-      \  Mutex.lock p.mm_lock;\n\
-      \  suspend ();\n\
-      \  Mutex.unlock p.mm_lock\n\
-       let helper () = suspend ()\n\
-       let bad2 (p : pvm) =\n\
-      \  Mutex.lock p.mm_lock;\n\
-      \  helper ();\n\
-      \  Mutex.unlock p.mm_lock\n"
-  in
-  check_keys "parking while holding fires, directly and through a call"
-    [ ("L8", "park-suspend"); ("L8", "park-via-helper") ]
-    fs
-
-let test_l8_negative () =
-  let fs =
-    lockset_lint ~rules:l8
-      "let suspend () = ()\n\
-       type pvm = { mm_lock : Mutex.t }\n\
-       let good (p : pvm) =\n\
-      \  suspend ();\n\
-      \  Mutex.lock p.mm_lock;\n\
-      \  Mutex.unlock p.mm_lock;\n\
-      \  suspend ()\n\
-       let[@chorus.park_ok \"fixture\"] waived (p : pvm) =\n\
-      \  Mutex.lock p.mm_lock;\n\
-      \  suspend ();\n\
-      \  Mutex.unlock p.mm_lock\n"
-  in
-  check_keys "parks outside the critical section and waived parks are clean"
-    [] fs
-
-(* --- L9: balanced locking ------------------------------------------ *)
-
-let test_l9_positive () =
-  let fs =
-    lockset_lint ~rules:l9
-      "type pvm = { mm_lock : Mutex.t }\n\
-       let bad (p : pvm) = Mutex.lock p.mm_lock\n\
-       let bad2 (p : pvm) = Mutex.unlock p.mm_lock\n\
-       let bad3 (p : pvm) tbl =\n\
-      \  Mutex.lock p.mm_lock;\n\
-      \  let v = Hashtbl.find tbl 0 in\n\
-      \  Mutex.unlock p.mm_lock;\n\
-      \  v\n"
-  in
-  check_keys
-    "a leaked lock, an unpaired release and a raise inside the section fire"
-    [
-      ("L9", "holds-at-exit-mm");
-      ("L9", "release-unheld-mm");
-      ("L9", "raise-gap-find");
-    ]
-    fs
-
-let test_l9_negative () =
-  let fs =
-    lockset_lint ~rules:l9
-      "type pvm = { mm_lock : Mutex.t }\n\
-       let good (p : pvm) tbl =\n\
-      \  Mutex.lock p.mm_lock;\n\
-      \  Fun.protect\n\
-      \    ~finally:(fun () -> Mutex.unlock p.mm_lock)\n\
-      \    (fun () -> Hashtbl.find tbl 0)\n\
-       let good2 (p : pvm) c =\n\
-      \  if c then begin\n\
-      \    Mutex.lock p.mm_lock;\n\
-      \    Mutex.unlock p.mm_lock\n\
-      \  end\n\
-       let[@chorus.balanced \"fixture\"] waived (p : pvm) =\n\
-      \  Mutex.lock p.mm_lock\n"
-  in
-  check_keys
-    "Fun.protect sections, branch-balanced sections and waived primitives \
-     are clean"
-    [] fs
-
 (* --- the mutation test -------------------------------------------- *)
 
 (* The build-tree root: `dune runtest` runs this binary from
@@ -474,84 +277,7 @@ let test_mutation () =
       (String.concat "; "
          (List.map (Format.asprintf "%a" Lint.Finding.pp) fs))
 
-(* Mutation test #2: swap the explicit mm-lock halves in the real
-   [Install.index_dest_stub] — release-before-acquire — and the lockset
-   analysis must fail at exactly that site; the unmutated copy stays
-   clean under the same standalone lint. *)
-let install_ml = build_root ^ "lib/core/install.ml"
-
-let lockset_file ?(file = "install.ml") ~rules src =
-  Lint.Lockset.analyze
-    [
-      Lint.Lockset.unit_of_cmt ~file ~rules
-        (compile ~includes:sandbox_includes ~flags:sandbox_flags src);
-    ]
-
-let test_lock_order_mutation () =
-  let src = read_file install_ml in
-  let body =
-    "  if stub.cs_cache.c_dest_stubs == no_stubs then\n\
-    \    stub.cs_cache.c_dest_stubs <- Hashtbl.create 8;\n\
-    \  Hashtbl.replace stub.cs_cache.c_dest_stubs stub.cs_offset stub;\n"
-  in
-  let needle = "  mm_enter pvm;\n" ^ body ^ "  mm_exit pvm\n" in
-  Alcotest.(check int)
-    "the explicit mm-lock halves appear exactly once in index_dest_stub" 1
-    (count_occurrences ~needle src);
-  check_keys "unmutated sandbox copy is clean" []
-    (lockset_file ~rules:[ Lint.Finding.L9 ] src);
-  let mutated =
-    replace_once ~needle ~by:("  mm_exit pvm;\n" ^ body ^ "  mm_enter pvm\n")
-      src
-  in
-  (* the acquire half opens the body, on the line after the header *)
-  let exit_line =
-    line_containing ~needle:"index_dest_stub pvm (stub : cow_stub) =" src + 1
-  in
-  match lockset_file ~rules:[ Lint.Finding.L9 ] mutated with
-  | [ f1; f2 ] ->
-    Alcotest.(check string) "rule" "L9" (Lint.Finding.rule_name f1.rule);
-    Alcotest.(check string)
-      "the swapped acquire leaks out of the binding" "holds-at-exit-mm"
-      f1.detail;
-    Alcotest.(check string) "scope" "index_dest_stub" f1.scope;
-    Alcotest.(check string) "rule" "L9" (Lint.Finding.rule_name f2.rule);
-    Alcotest.(check string)
-      "the swapped release is unpaired" "release-unheld-mm" f2.detail;
-    Alcotest.(check string) "scope" "index_dest_stub" f2.scope;
-    Alcotest.(check int)
-      "line is the swapped mm_exit (where mm_enter was)" exit_line f2.line
-  | fs ->
-    Alcotest.failf "expected exactly the two swap findings, got %d: %s"
-      (List.length fs)
-      (String.concat "; "
-         (List.map (Format.asprintf "%a" Lint.Finding.pp) fs))
-
-(* Mutation test #3: drop the release half from the real
-   [Shard_map.remove]; the lockset analysis must see the shard lock
-   leak out of exactly that binding, and the unmutated copy (whose
-   halves carry their [@chorus.balanced] waivers) stays clean. *)
-let test_shard_lock_mutation () =
-  let src = read_file (build_root ^ "lib/core/shard_map.ml") in
-  let needle = "    s.s_len <- s.s_len - 1);\n  shard_exit s\n" in
-  Alcotest.(check int) "remove's release appears exactly once" 1
-    (count_occurrences ~needle src);
-  let lint src =
-    lockset_file ~file:"shard_map.ml" ~rules:[ Lint.Finding.L9 ] src
-  in
-  check_keys "unmutated sandbox copy is clean" [] (lint src);
-  match lint (replace_once ~needle ~by:"    s.s_len <- s.s_len - 1)\n" src) with
-  | [ f ] ->
-    Alcotest.(check string) "rule" "L9" (Lint.Finding.rule_name f.rule);
-    Alcotest.(check string) "the shard lock leaks" "holds-at-exit-shard" f.detail;
-    Alcotest.(check string) "scope" "remove" f.scope
-  | fs ->
-    Alcotest.failf "expected exactly the leak finding, got %d: %s"
-      (List.length fs)
-      (String.concat "; "
-         (List.map (Format.asprintf "%a" Lint.Finding.pp) fs))
-
-(* Mutation test #4: the MMU walk is a hot file.  Build the [Ok frame]
+(* Mutation test #2: the MMU walk is a hot file.  Build the [Ok frame]
    result inside the real [Mmu.translate] from the entry's inline frame
    instead of returning the one cached in the entry, and L4 must report
    exactly that allocation; the unmutated copy stays clean. *)
@@ -615,33 +341,11 @@ let () =
             test_l5_positive;
           Alcotest.test_case "L5 spares pure sanitizer code" `Quick
             test_l5_negative;
-          Alcotest.test_case "L6 fires on reversed lock order" `Quick
-            test_l6_positive;
-          Alcotest.test_case "L6 sees the reversal through calls" `Quick
-            test_l6_interprocedural;
-          Alcotest.test_case "L6 spares ordered/waived nesting" `Quick
-            test_l6_negative;
-          Alcotest.test_case "L7 fires on unguarded shared write" `Quick
-            test_l7_positive;
-          Alcotest.test_case "L7 spares guarded/inferred/waived writes"
-            `Quick test_l7_negative;
-          Alcotest.test_case "L8 fires on park while holding" `Quick
-            test_l8_positive;
-          Alcotest.test_case "L8 spares unlocked/waived parks" `Quick
-            test_l8_negative;
-          Alcotest.test_case "L9 fires on unbalanced sections" `Quick
-            test_l9_positive;
-          Alcotest.test_case "L9 spares protected/balanced sections" `Quick
-            test_l9_negative;
         ] );
       ( "mutation",
         [
           Alcotest.test_case "deleting note_frag's note_access is caught"
             `Quick test_mutation;
-          Alcotest.test_case "swapping the mm-lock halves is caught" `Quick
-            test_lock_order_mutation;
-          Alcotest.test_case "dropping a shard-lock release is caught" `Quick
-            test_shard_lock_mutation;
           Alcotest.test_case "an Ok built in Mmu.translate is caught" `Quick
             test_mmu_alloc_mutation;
         ] );
