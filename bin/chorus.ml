@@ -611,7 +611,11 @@ let cmds =
             value
             & opt (some int) None
             & info [ "max-schedules" ] ~docv:"N"
-                ~doc:"stop after exploring $(docv) schedules")
+                ~doc:
+                  "stop after exploring $(docv) schedules.  Without it there \
+                   is no budget: exhaustive DPOR on a kernel scenario such \
+                   as $(b,contend) or $(b,storm) may run for minutes and \
+                   print nothing until it ends")
         $ Arg.(
             value & flag
             & info [ "stats" ] ~doc:"print the full exploration statistics")

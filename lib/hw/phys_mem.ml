@@ -1,29 +1,63 @@
-type frame = { index : int; bytes : Bytes.t }
-
 (* The free list is a LIFO stack of frame indices: [stack.(0 ..
    top - 1)], the top last.  It starts holding every frame with frame
-   0 on top, so frames are first handed out in index order. *)
+   0 on top, so frames are first handed out in index order.  [frames]
+   is mutable only to tie the knot with each frame's [pool]. *)
 type t = {
   page_size : int;
-  frames : frame array;
+  mutable frames : frame array;
   allocated : bool array;
   stack : int array;
   mutable top : int;
 }
 
+and frame = { index : int; bytes : Bytes.t; pool : t }
+
 exception Out_of_memory
+
+(* The newest dead pool of one page size: [create] takes its buffers
+   from [next] on.  Only one is kept: the OCaml GC lets garbage grow in
+   proportion to live data, and the spare is live. *)
+type dead = { dead : frame array; mutable next : int }
+
+let spares : (int * dead option ref) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let spare_of page_size =
+  let spares = Domain.DLS.get spares in
+  try List.assoc page_size !spares
+  with Not_found ->
+    let spare = ref None in
+    spares := (page_size, spare) :: !spares;
+    spare
+
+(* Allocation-free from the read of [spare] to its update, so the
+   finaliser that replaces it cannot run in between. *)
+let take spare page_size =
+  match !spare with
+  | Some d when d.next < Array.length d.dead ->
+    d.next <- d.next + 1;
+    if d.next = Array.length d.dead then spare := None;
+    d.dead.(d.next - 1).bytes
+  | _ -> Bytes.create page_size
 
 let create ?(page_size = 8192) ~frames () =
   if frames <= 0 then invalid_arg "Phys_mem.create: frames <= 0";
   if page_size <= 0 then invalid_arg "Phys_mem.create: page_size <= 0";
-  let make_frame index = { index; bytes = Bytes.create page_size } in
-  {
-    page_size;
-    frames = Array.init frames make_frame;
-    allocated = Array.make frames false;
-    stack = Array.init frames (fun i -> frames - 1 - i);
-    top = frames;
-  }
+  let spare = spare_of page_size in
+  let t =
+    {
+      page_size;
+      frames = [||];
+      allocated = Array.make frames false;
+      stack = Array.init frames (fun i -> frames - 1 - i);
+      top = frames;
+    }
+  in
+  t.frames <-
+    Array.init frames (fun index ->
+        { index; bytes = take spare page_size; pool = t });
+  Gc.finalise (fun t -> spare := Some { dead = t.frames; next = 0 }) t;
+  t
 
 let page_size t = t.page_size
 let total_frames t = Array.length t.frames

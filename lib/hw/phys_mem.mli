@@ -10,18 +10,31 @@
     The free list is a LIFO stack — the most recently freed frame is
     the next one handed out — so a run allocates the same frame
     indices every time, and neither {!alloc_index} nor {!free}
-    allocates. *)
+    allocates.
+
+    Host buffers outlive their pool: once a pool is unreachable, a
+    finaliser makes it the spare of its domain and page size, and
+    {!create} takes the spare's buffers before it allocates any. *)
 
 type t
 
 type frame = private {
   index : int;  (** physical frame number *)
   bytes : Bytes.t;  (** the frame's contents; length = page size *)
+  pool : t;
+      (** the frame's pool: while a frame is reachable, so is its pool,
+          and none of the pool's buffers is recycled *)
 }
 
 val create : ?page_size:int -> frames:int -> unit -> t
 (** [create ~frames ()] builds a pool of [frames] page frames.
     [page_size] defaults to 8192 bytes (the Sun-3/60 page size).
+    The buffers may be a dead pool's, holding whatever bytes it left:
+    like {!alloc}, [create] promises no contents; frame indices are
+    handed out as by a fresh pool.  A pool is dead once neither it nor
+    any of its frames is reachable (weak pointers aside), so no buffer
+    backs two live frames.  Only the newest dead pool of a page size is
+    kept; an older one is left to the GC.
     @raise Invalid_argument if [frames <= 0] or [page_size <= 0]. *)
 
 val page_size : t -> int

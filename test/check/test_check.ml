@@ -360,7 +360,7 @@ let test_registry_entries () =
 (* The deep checkers on a 2-CPU storm whose workers run as lane
    slices: seeded scheduler, watchdog, tracer and the per-event sweep;
    the run ends clean and matches the sequential digest. *)
-let test_storm_checked_on_pool () =
+let test_storm_checked_on_cpus () =
   let scen = Check.Scenario.storm () in
   let obs =
     clean_obs "storm"
@@ -368,6 +368,55 @@ let test_storm_checked_on_pool () =
   in
   Alcotest.(check string) "sequential digest" (Check.Crossval.run_on scen)
     obs.state
+
+(* A frame pool may be built on a dead pool's host buffers, stale
+   bytes and all: no simulated byte may depend on them.  Each entry
+   runs once after a dead pool of all-0x00 buffers and once after one
+   of all-0xA5 buffers, each of the entry's page sizes and twice its
+   frame count (so pools the entry builds beside its PVMs, such as a
+   Mach twin, take poisoned buffers too); both runs must agree on the
+   state digest and the observation. *)
+let[@inline never] drop_poisoned_pool ~page_size ~frames byte =
+  let mem = Hw.Phys_mem.create ~page_size ~frames () in
+  for i = 0 to frames - 1 do
+    Hw.Phys_mem.fill (Hw.Phys_mem.frame mem i) byte
+  done
+
+let test_registry_ignores_stale_frames () =
+  let run (s : Check.Scenario.t) =
+    let pvms, observe = Check.Scenario.exec (Hw.Engine.create ()) s in
+    let digest = Check.Scenario.digest pvms in
+    (pvms, digest, observe ())
+  in
+  List.iter
+    (fun (s : Check.Scenario.t) ->
+      let pvms, _, _ = run s in
+      let sizes =
+        List.fold_left
+          (fun acc (pvm : Core.Types.pvm) ->
+            let ps = Hw.Phys_mem.page_size pvm.mem in
+            let n = Hw.Phys_mem.total_frames pvm.mem in
+            (ps, n + Option.value ~default:0 (List.assoc_opt ps acc))
+            :: List.remove_assoc ps acc)
+          [] pvms
+      in
+      let after byte =
+        (* Finalise every pool dead so far, then the poisoned ones: they
+           are the newest dead pools when the entry builds its own. *)
+        Gc.full_major ();
+        List.iter
+          (fun (page_size, frames) ->
+            drop_poisoned_pool ~page_size ~frames:(2 * frames) byte)
+          sizes;
+        Gc.full_major ();
+        let _, digest, obs = run s in
+        (digest, obs)
+      in
+      let d0, o0 = after '\x00' in
+      let d1, o1 = after '\xa5' in
+      Alcotest.(check string) (s.name ^ ": state digest") d0 d1;
+      Alcotest.(check string) (s.name ^ ": observation") o0 o1)
+    Check.Scenario.all
 
 (* --- the harness ------------------------------------------------- *)
 
@@ -571,6 +620,8 @@ let () =
           Alcotest.test_case "every registry entry" `Quick
             test_registry_entries;
           Alcotest.test_case "storm deep checkers on 2 domains" `Quick
-            test_storm_checked_on_pool;
+            test_storm_checked_on_cpus;
+          Alcotest.test_case "stale frame contents change nothing" `Quick
+            test_registry_ignores_stale_frames;
         ] );
     ]

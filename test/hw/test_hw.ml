@@ -751,28 +751,11 @@ let test_phys_mem_lifo () =
   let order = List.init 4 (fun _ -> next ()) in
   Alcotest.(check (list int)) "last freed, first out" [ 1; 0; 2; 3 ] order
 
-(* Taking a frame and giving it back allocates nothing, and a mixed
-   pattern of allocations and frees hands out the frame indices every
-   simulated table was built on: 64 allocations over a 16-frame pool,
-   each third followed by freeing the frame taken two steps before, each
-   eighth by freeing all but the newest four held. *)
-let test_phys_mem_free_allocates_nothing () =
-  let mem = Hw.Phys_mem.create ~page_size:64 ~frames:16 () in
-  let measure f =
-    let before = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. before
-  in
-  let pairs () =
-    for _ = 1 to 10_000 do
-      let i = Hw.Phys_mem.alloc_index mem in
-      Hw.Phys_mem.free mem (Hw.Phys_mem.frame mem i)
-    done
-  in
-  pairs ();
-  let words = measure pairs -. measure ignore in
-  Alcotest.(check (float 0.)) "minor words for 10k alloc/free pairs" 0. words;
-  let mem = Hw.Phys_mem.create ~page_size:64 ~frames:16 () in
+(* A mixed pattern of allocations and frees hands out the frame
+   indices every simulated table was built on: 64 allocations over a
+   16-frame pool, each third followed by freeing the frame taken two
+   steps before, each eighth by freeing all but the newest four held. *)
+let check_first_64_indices mem =
   let free i = Hw.Phys_mem.free mem (Hw.Phys_mem.frame mem i) in
   let held = ref [] and out = ref [] in
   for k = 1 to 64 do
@@ -796,6 +779,121 @@ let test_phys_mem_free_allocates_nothing () =
       6; 7; 8; 6; 3; 4; 6; 0; 5; 6; 1; 2; 6; 9; 7; 6; 3; 4; 6; 0; 5; 6; 1; 8;
       2; 9; 7; 2; 3; 4; 2; 6; 0; 2; 5; 1; 2; 8; 9; 2 ]
     (List.rev !out)
+
+(* Taking a frame and giving it back allocates nothing, and a fresh
+   pool hands out the pinned indices. *)
+let test_phys_mem_free_allocates_nothing () =
+  let mem = Hw.Phys_mem.create ~page_size:64 ~frames:16 () in
+  let measure f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let pairs () =
+    for _ = 1 to 10_000 do
+      let i = Hw.Phys_mem.alloc_index mem in
+      Hw.Phys_mem.free mem (Hw.Phys_mem.frame mem i)
+    done
+  in
+  pairs ();
+  let words = measure pairs -. measure ignore in
+  Alcotest.(check (float 0.)) "minor words for 10k alloc/free pairs" 0. words;
+  check_first_64_indices (Hw.Phys_mem.create ~page_size:64 ~frames:16 ())
+
+(* --- Recycled host buffers --------------------------------------- *)
+
+let buffers mem =
+  Array.init (Hw.Phys_mem.total_frames mem) (fun i ->
+      (Hw.Phys_mem.frame mem i).Hw.Phys_mem.bytes)
+
+let shares_any a b = Array.exists (fun x -> Array.exists (( == ) x) b) a
+
+(* The buffers of a pool that is unreachable once this returns; the
+   pool was used, and its free list left out of index order. *)
+let[@inline never] dead_pool ~page_size ~frames =
+  let mem = Hw.Phys_mem.create ~page_size ~frames () in
+  let taken = List.init frames (fun _ -> Hw.Phys_mem.alloc mem) in
+  List.iter (Hw.Phys_mem.free mem) (List.rev taken);
+  buffers mem
+
+(* Finalises every dead pool: its buffers join the spare. *)
+let finalise_dead_pools () = Gc.full_major ()
+
+(* A pool built after a dead pool of the same page size and size runs
+   on exactly the dead pool's buffers, frame for frame, so it allocated
+   no page buffer; it hands out the indices a fresh pool does. *)
+let test_recycle_takes_dead_buffers () =
+  finalise_dead_pools ();
+  let old = dead_pool ~page_size:96 ~frames:16 in
+  finalise_dead_pools ();
+  let mem = Hw.Phys_mem.create ~page_size:96 ~frames:16 () in
+  Alcotest.(check bool) "every frame on the dead pool's buffer" true
+    (Array.for_all2 ( == ) old (buffers mem));
+  check_first_64_indices mem
+
+(* One reachable frame keeps its whole pool alive: none of the pool's
+   buffers may back a frame of another pool. *)
+let[@inline never] pool_held_by_one_frame ~page_size ~frames =
+  let mem = Hw.Phys_mem.create ~page_size ~frames () in
+  (buffers mem, Hw.Phys_mem.frame mem (frames - 1))
+
+let test_recycle_held_frame_keeps_pool () =
+  finalise_dead_pools ();
+  let old, held = pool_held_by_one_frame ~page_size:112 ~frames:4 in
+  finalise_dead_pools ();
+  let mem = Hw.Phys_mem.create ~page_size:112 ~frames:4 () in
+  Alcotest.(check bool) "no buffer of the held pool reused" false
+    (shares_any old (buffers mem));
+  Alcotest.(check int) "the held frame is the pool's" 4
+    (Hw.Phys_mem.total_frames held.Hw.Phys_mem.pool)
+
+(* The spare is kept per page size. *)
+let test_recycle_per_page_size () =
+  finalise_dead_pools ();
+  let old = dead_pool ~page_size:128 ~frames:4 in
+  finalise_dead_pools ();
+  let other = Hw.Phys_mem.create ~page_size:144 ~frames:4 () in
+  Alcotest.(check bool) "another page size takes none" false
+    (shares_any old (buffers other));
+  let same = Hw.Phys_mem.create ~page_size:128 ~frames:4 () in
+  Alcotest.(check bool) "the same page size takes them all" true
+    (Array.for_all2 ( == ) old (buffers same))
+
+(* Only the newest dead pool is kept: an older one goes to the GC.
+   The two pools live at once, so they own distinct buffers. *)
+let test_recycle_keeps_newest () =
+  finalise_dead_pools ();
+  let make () = ref (Some (Hw.Phys_mem.create ~page_size:160 ~frames:4 ())) in
+  let older_pool = make () and newer_pool = make () in
+  let older = buffers (Option.get !older_pool) in
+  let newer = buffers (Option.get !newer_pool) in
+  older_pool := None;
+  finalise_dead_pools ();
+  newer_pool := None;
+  finalise_dead_pools ();
+  let first = Hw.Phys_mem.create ~page_size:160 ~frames:4 () in
+  let second = Hw.Phys_mem.create ~page_size:160 ~frames:4 () in
+  Alcotest.(check bool) "the newest dead pool's buffers" true
+    (Array.for_all2 ( == ) newer (buffers first));
+  Alcotest.(check bool) "none of the older one's" false
+    (shares_any older (buffers second))
+
+(* A dead pool leaves the spare with its last buffer: its frame
+   records and free list are garbage then, only the buffers live on. *)
+let[@inline never] watched_dead_pool ~page_size ~frames w =
+  let mem = Hw.Phys_mem.create ~page_size ~frames () in
+  Weak.set w 0 (Some (Hw.Phys_mem.frame mem 0))
+
+let test_recycle_drops_used_pool () =
+  finalise_dead_pools ();
+  let w = Weak.create 1 in
+  watched_dead_pool ~page_size:176 ~frames:3 w;
+  finalise_dead_pools ();
+  let mem = Hw.Phys_mem.create ~page_size:176 ~frames:3 () in
+  finalise_dead_pools ();
+  Alcotest.(check bool) "the used-up dead pool is collected" true
+    (Option.is_none (Weak.get w 0));
+  ignore (Sys.opaque_identity mem)
 
 (* --- MMU ------------------------------------------------------------ *)
 
@@ -1127,6 +1225,16 @@ let () =
           Alcotest.test_case "LIFO order" `Quick test_phys_mem_lifo;
           Alcotest.test_case "alloc/free pairs allocate nothing" `Quick
             test_phys_mem_free_allocates_nothing;
+          Alcotest.test_case "a new pool takes a dead pool's buffers" `Quick
+            test_recycle_takes_dead_buffers;
+          Alcotest.test_case "a held frame keeps its pool's buffers" `Quick
+            test_recycle_held_frame_keeps_pool;
+          Alcotest.test_case "another page size takes none" `Quick
+            test_recycle_per_page_size;
+          Alcotest.test_case "only the newest dead pool is kept" `Quick
+            test_recycle_keeps_newest;
+          Alcotest.test_case "a used-up dead pool is collected" `Quick
+            test_recycle_drops_used_pool;
         ] );
       ( "mmu",
         [

@@ -121,7 +121,7 @@ let test_trace_wellformed domains () =
 
 (* A deliberately tiny ring must drop events, and [dropped] must
    surface the loss, while the surviving spans stay balanced. *)
-let test_drops_summed () =
+let test_tiny_ring_drops () =
   let tr, _, _ = traced_storm ~capacity:32 ~domains:2 () in
   Alcotest.(check bool) "drops counted" true (Obs.Trace.dropped tr > 0);
   List.iter
@@ -180,8 +180,8 @@ let () =
             (test_trace_wellformed 2);
           Alcotest.test_case "well-formed (4 domains)" `Quick
             (test_trace_wellformed 4);
-          Alcotest.test_case "drops summed across shards" `Quick
-            test_drops_summed;
+          Alcotest.test_case "a tiny ring counts its drops" `Quick
+            test_tiny_ring_drops;
           Alcotest.test_case "sequential vs 1-domain span counts" `Quick
             test_seq_vs_par_span_counts;
         ] );
