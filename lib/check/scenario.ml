@@ -636,6 +636,43 @@ let orphans =
   in
   { name = "orphans"; oracle = Schedule_independent; run }
 
+(* History copies of a partly written anonymous cache, each copy then
+   writing pages its source never touched: such a write miss zero-fills
+   the copy's page, and first its own history's, when a copy of the
+   copy still reads the zero value there (§4.2). *)
+let sparse =
+  let run engine ~register =
+    let pvm = Core.Pvm.create ~frames:64 ~engine () in
+    register pvm;
+    let ctx = Core.Context.create pvm in
+    let size = 4 * ps in
+    let mapped base =
+      let cache = Core.Cache.create pvm () in
+      ignore
+        (Core.Region.create pvm ctx ~addr:base ~size ~prot:Hw.Prot.read_write
+           cache ~offset:0);
+      cache
+    in
+    let copy src dst =
+      Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
+        ~size ()
+    in
+    let poke base page c =
+      Core.Pvm.write pvm ctx ~addr:(base + (page * ps) + 64) (Bytes.make 8 c)
+    in
+    let src = mapped 0 and cpy = mapped (1024 * ps) in
+    let cpy2 = mapped (2048 * ps) in
+    poke 0 0 's';
+    poke 0 1 's';
+    copy src cpy;
+    poke (1024 * ps) 2 'c';
+    copy cpy cpy2;
+    poke (1024 * ps) 3 'c';
+    poke (2048 * ps) 2 'd';
+    fun () -> digest [ pvm ]
+  in
+  { name = "sparse"; oracle = Schedule_independent; run }
+
 (* --- Model programs ----------------------------------------------- *)
 
 let site_setup ~frames ~pages engine =
@@ -731,6 +768,7 @@ let all =
     segcache;
     pervpage;
     orphans;
+    sparse;
     pressure;
     pressure_program ~name:"contend-model" ~workers:3;
   ]

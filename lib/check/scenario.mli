@@ -43,7 +43,8 @@ type t = {
 val all : t list
 (** The registry, in CLI order: the kernel workloads [fig3], [fork],
     [dsm], [ipc], [contend], [storm], [make], [decomp], [chains],
-    [segcache], [pervpage] and [orphans] (observed by {!digest}), then
+    [segcache], [pervpage], [orphans] and [sparse] (observed by
+    {!digest}), then
     the Model
     programs [pressure] and [contend-model] (observed by
     {!Model.digest_outcome}, judged by [Outcomes]). *)
@@ -321,6 +322,14 @@ val orphans : t
 (** Two {!orphan_pair}s on a 64-frame PVM: the first loses its reader
     to [Cache.destroy], the second to a history copy from a fresh cache
     over the reader's range.  Each pair must be collected at once. *)
+
+val sparse : t
+(** A 4-page anonymous cache with 2 written pages, history-copied on a
+    64-frame PVM.  The copy writes a page the source never touched, is
+    history-copied in turn, then writes another such page, which its
+    own copy still reads as zero; that copy then writes the copy's
+    first page.  Each write miss on an untouched page zero-fills a
+    fresh frame, the last one first for the copy's history (§4.2). *)
 
 val of_program : name:string -> frames:int -> pages:int -> Model.prog -> t
 (** Lift a {!Model} program into a scenario on a nucleus site with

@@ -55,7 +55,7 @@ type par = {
          on the least-loaded CPU — greedy list scheduling — so the
          horizon is the workload's makespan on an N-CPU machine. *)
   p_busy : Sim_time.span array;
-      (* accumulated charge time per simulated CPU: every committed
+      (* accumulated charge time per simulated CPU: every lane
          slice adds its charged interval to the CPU it was placed on,
          so busy(i) <= makespan and makespan - busy(i) is CPU i's idle
          time; the raw material of the utilization report. *)
@@ -571,44 +571,43 @@ let spawn eng ?name ?(daemon = false) ?(affinity = 0) f =
   | None -> ());
   push eng p task (now eng)
 
-(* Run the head of the next runnable lane as a lane slice.  The slice
-   begins at the later of its fibre's ready time and the least CPU
-   clock; when it completes, its charge interval is placed on the
-   then-least-loaded CPU, shifted forward if that CPU is already busy
-   past the start, and added to that CPU's busy time.  The horizon is
-   thus the makespan of greedy list scheduling onto [p_domains] CPUs:
-   charges on distinct CPUs overlap in simulated time, charges on the
-   same CPU serialise.  (For a fibre that parks mid-charge-train and
-   is resumed by a peer, the wakeup edge carries the pre-shift clock:
-   the approximation under-counts such cross-CPU latency, never the
-   CPU occupancy itself.) *)
+(* The least-loaded simulated CPU, the lowest index on a tie. *)
+let pick_cpu p =
+  let best = ref 0 in
+  for i = 1 to Array.length p.p_cpu - 1 do
+    if p.p_cpu.(i) < p.p_cpu.(!best) then best := i
+  done;
+  !best
+
+(* Run the head of the next runnable lane as a lane slice, placed when
+   it starts on the least-loaded simulated CPU.  The slice begins at the
+   later of its fibre's ready time and that CPU's clock; when it
+   completes, the CPU's clock moves to the slice's end and its charge
+   interval is added to the CPU's busy time.  The horizon is thus the
+   makespan of greedy list scheduling onto [p_domains] CPUs: charges on
+   distinct CPUs overlap in simulated time, charges on the same CPU
+   serialise.  The slice's trace records went to the ring as it ran;
+   its "slice" span follows if it charged time or recorded anything. *)
 let lane_slice eng p =
-  let pick_cpu () =
-    let best = ref 0 in
-    for i = 1 to Array.length p.p_cpu - 1 do
-      if p.p_cpu.(i) < p.p_cpu.(!best) then best := i
-    done;
-    !best
-  in
   let aff = Queue.pop p.runnable in
   let lane = Hashtbl.find p.lanes aff in
   let task = Queue.pop lane.l_q in
   lane.l_busy <- true;
   if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
-  let base = max task.time p.p_cpu.(pick_cpu ()) in
+  let cpu = pick_cpu p in
+  let base = max task.time p.p_cpu.(cpu) in
   let pt = { pt_eng = eng; pt_fib = task.fib; pt_clock = base; pt_wait = None } in
+  let recorded tr = Obs.Trace.length tr + Obs.Trace.dropped tr in
+  let before = recorded eng.tracer in
   slot := Slice pt;
-  if Obs.Trace.enabled eng.tracer then Obs.Trace.slice_begin eng.tracer;
   task.run ();
   slot := Coord eng;
-  let cpu = pick_cpu () in
-  let shift = max 0 (p.p_cpu.(cpu) - base) in
-  let finish = pt.pt_clock + shift in
+  let finish = pt.pt_clock in
   p.p_cpu.(cpu) <- finish;
-  p.p_busy.(cpu) <- p.p_busy.(cpu) + (pt.pt_clock - base);
-  if Obs.Trace.enabled eng.tracer then
-    Obs.Trace.slice_commit eng.tracer ~cpu ~fib:task.fib ~t0:(base + shift)
-      ~t1:finish ~shift;
+  p.p_busy.(cpu) <- p.p_busy.(cpu) + (finish - base);
+  if Obs.Trace.enabled eng.tracer
+     && (finish > base || recorded eng.tracer > before)
+  then Obs.Trace.slice_commit eng.tracer ~cpu ~fib:task.fib ~t0:base ~t1:finish;
   if finish > p.p_horizon then p.p_horizon <- finish;
   lane.l_busy <- false;
   if not (Queue.is_empty lane.l_q) then Queue.push aff p.runnable

@@ -61,7 +61,8 @@ val create : ?domains:int -> unit -> t
     (default 0).  Everything runs on the calling OS domain.  Serial-class
     fibres (affinity 0, the default) run in exact heap order; a fibre
     spawned with a non-zero [affinity] runs in its class's lane as
-    {e lane slices}, each placed on a simulated CPU.  After every
+    {e lane slices}, each placed when it starts on the least-loaded
+    simulated CPU.  After every
     serial slice the run loop runs the heads of the runnable lanes, in
     the order they became runnable, until none is left; only then does
     it pop the heap again.  So a program whose fibres are all serial
@@ -75,7 +76,7 @@ val domains : t -> int
 
 val cpu_busy : t -> Sim_time.span array
 (** Accumulated busy (charged) simulated time per simulated CPU.
-    Every committed lane slice adds its charge
+    Every lane slice adds its charge
     interval to the CPU it was placed on, so [busy.(i) <= makespan]
     and [makespan - busy.(i)] is CPU [i]'s idle time — the raw
     material of the utilization report.  Read after {!run} returns
@@ -173,9 +174,9 @@ val set_tracer : t -> Obs.Trace.t -> unit
 (** Attach a tracing sink, wiring its clock to this engine's simulated
     time and its fibre source to {!current_fibre} (both slice-aware:
     inside a lane slice they report the slice's virtual clock and
-    fibre).  With simulated CPUs, each lane slice's events are
-    committed with its final CPU placement, so the trace carries one
-    extra track per simulated CPU. *)
+    fibre).  With simulated CPUs, a lane slice's events go straight
+    into the ring and each slice adds one ["slice"] span to its CPU's
+    track, so the trace carries one extra track per simulated CPU. *)
 
 val fibre_name : t -> int -> string option
 (** The [?name] given to {!spawn} for this fibre, if any. *)

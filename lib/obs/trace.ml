@@ -5,11 +5,9 @@
 
    Spans are recorded complete, at close, from per-fibre stacks of
    open spans.  A lane slice of the engine (one fibre running on a
-   simulated CPU) learns its CPU placement and final clock shift only
-   when it completes, so between {!slice_begin} and {!slice_commit}
-   records are staged in a pending buffer with their tentative clocks;
-   the commit replays them, shifted, into the ring and adds one
-   per-CPU "slice" span. *)
+   simulated CPU) is placed when it starts, so its records go straight
+   into the ring like any other; {!slice_commit} adds one per-CPU
+   "slice" span when it ends. *)
 
 type value = Int of int | Str of string
 type args = (string * value) list
@@ -26,13 +24,6 @@ type event =
   | Instant of { name : string; cat : string; ts : int; fib : int; args : args }
   | Counter of { name : string; ts : int; value : int }
 
-(* A staged record: span begins and ends travel separately, because a
-   span may open in one slice and close in another. *)
-type staged =
-  | S_begin of { name : string; cat : string; ts : int; fib : int }
-  | S_end of { ts : int; fib : int; args : args }
-  | S_done of event
-
 type t = {
   capacity : int;
   mutable enabled : bool;
@@ -45,13 +36,9 @@ type t = {
   (* per-fibre stacks of open spans: (name, cat, begin ts) *)
   open_spans : (int, (string * string * int) list ref) Hashtbl.t;
   fibre_names : (int, string) Hashtbl.t;
-  mutable in_slice : bool;
-  mutable pend : staged array; (* the current slice, clocks tentative *)
-  mutable pend_len : int;
 }
 
 let filler = Counter { name = ""; ts = 0; value = 0 }
-let staged_filler = S_done filler
 
 let create ?(capacity = 262_144) () =
   {
@@ -65,9 +52,6 @@ let create ?(capacity = 262_144) () =
     dropped = 0;
     open_spans = Hashtbl.create 16;
     fibre_names = Hashtbl.create 16;
-    in_slice = false;
-    pend = [||];
-    pend_len = 0;
   }
 
 (* Capacity 0 makes [enable] a no-op: the null sink can never record. *)
@@ -81,9 +65,7 @@ let clear t =
   t.start <- 0;
   t.len <- 0;
   t.dropped <- 0;
-  Hashtbl.reset t.open_spans;
-  t.in_slice <- false;
-  t.pend_len <- 0
+  Hashtbl.reset t.open_spans
 
 let set_clock t clock = t.clock <- clock
 let set_fibre t fibre = t.fibre <- fibre
@@ -111,97 +93,42 @@ let stack_of tbl fib =
     Hashtbl.replace tbl fib s;
     s
 
-let open_span t ~fib ~ts name cat =
-  let stack = stack_of t.open_spans fib in
-  stack := (name, cat, ts) :: !stack
-
-(* Close [fib]'s innermost span at [ts]; an unbalanced end is
-   tolerated and records nothing.  A span whose begin was shifted
-   later than its end by its own slice's placement collapses to zero
-   width. *)
-let close_span t ~fib ~ts args =
-  let stack = stack_of t.open_spans fib in
-  match !stack with
-  | [] -> ()
-  | (name, cat, ts0) :: rest ->
-    stack := rest;
-    push t (Span { name; cat; ts = ts0; dur = max 0 (ts - ts0); fib; args })
-
-(* --- Lane slices --------------------------------------------------- *)
-
-(* Stage one record of the running slice.  The pending buffer grows by
-   doubling up to the ring's capacity; past that a record is counted
-   as dropped. *)
-let[@chorus.hot] [@chorus.alloc_ok
-                   "the pending buffer grows by doubling, so staging \
-                    allocates only at powers of two"] stage t r =
-  if t.pend_len >= t.capacity then t.dropped <- t.dropped + 1
-  else begin
-    let cap = Array.length t.pend in
-    if t.pend_len = cap then begin
-      let ncap = if cap = 0 then 256 else min (cap * 2) t.capacity in
-      let nbuf = Array.make ncap staged_filler in
-      Array.blit t.pend 0 nbuf 0 t.pend_len;
-      t.pend <- nbuf
-    end;
-    t.pend.(t.pend_len) <- r;
-    t.pend_len <- t.pend_len + 1
-  end
-
-let shift_event shift = function
-  | Span s -> Span { s with ts = s.ts + shift }
-  | Instant i -> Instant { i with ts = i.ts + shift }
-  | Counter c -> Counter { c with ts = c.ts + shift }
-
-let slice_begin t = if t.enabled then t.in_slice <- true
-
-(* Commit the slice that just completed: the engine placed it on
-   simulated CPU [cpu] over [t0, t1] and shifted its virtual clock by
-   [shift].  The staged records replay into the ring with their clocks
-   made final, then one per-CPU "slice" span (cat ["cpu"]) that builds
-   the CPU tracks of the timeline. *)
-let slice_commit t ~cpu ~fib ~t0 ~t1 ~shift =
-  if t.enabled then begin
-    t.in_slice <- false;
-    let n = t.pend_len in
-    for i = 0 to n - 1 do
-      (match t.pend.(i) with
-      | S_begin { name; cat; ts; fib } -> open_span t ~fib ~ts:(ts + shift) name cat
-      | S_end { ts; fib; args } -> close_span t ~fib ~ts:(ts + shift) args
-      | S_done ev -> push t (if shift = 0 then ev else shift_event shift ev));
-      t.pend.(i) <- staged_filler
-    done;
-    t.pend_len <- 0;
-    if t1 > t0 || n > 0 then
-      push t
-        (Span
-           {
-             name = "slice";
-             cat = "cpu";
-             ts = t0;
-             dur = t1 - t0;
-             fib = cpu;
-             args = [ ("fib", Int fib) ];
-           })
-  end
-
 (* --- Recording entry points --------------------------------------- *)
-
-let record t ev = if t.in_slice then stage t (S_done ev) else push t ev
 
 let span_begin t ?(cat = "") name =
   if t.enabled then begin
-    let fib = t.fibre () and ts = t.clock () in
-    if t.in_slice then stage t (S_begin { name; cat; ts; fib })
-    else open_span t ~fib ~ts name cat
+    let stack = stack_of t.open_spans (t.fibre ()) in
+    stack := (name, cat, t.clock ()) :: !stack
   end
 
+(* Close the current fibre's innermost span; an unbalanced end is
+   tolerated and records nothing. *)
 let span_end ?(args = []) t =
   if t.enabled then begin
     let fib = t.fibre () and ts = t.clock () in
-    if t.in_slice then stage t (S_end { ts; fib; args })
-    else close_span t ~fib ~ts args
+    let stack = stack_of t.open_spans fib in
+    match !stack with
+    | [] -> ()
+    | (name, cat, ts0) :: rest ->
+      stack := rest;
+      push t (Span { name; cat; ts = ts0; dur = ts - ts0; fib; args })
   end
+
+(* The engine placed the lane slice that just completed on simulated
+   CPU [cpu] over [t0, t1]: one "slice" span (cat ["cpu"]) builds that
+   CPU's track of the timeline. *)
+let slice_commit t ~cpu ~fib ~t0 ~t1 =
+  if t.enabled then
+    push t
+      (Span
+         {
+           name = "slice";
+           cat = "cpu";
+           ts = t0;
+           dur = t1 - t0;
+           fib = cpu;
+           args = [ ("fib", Int fib) ];
+         })
 
 let with_span t ?cat name f =
   if not t.enabled then f ()
@@ -218,10 +145,10 @@ let with_span t ?cat name f =
 
 let instant t ?(cat = "") ?(args = []) name =
   if t.enabled then
-    record t (Instant { name; cat; ts = t.clock (); fib = t.fibre (); args })
+    push t (Instant { name; cat; ts = t.clock (); fib = t.fibre (); args })
 
 let counter t name value =
-  if t.enabled then record t (Counter { name; ts = t.clock (); value })
+  if t.enabled then push t (Counter { name; ts = t.clock (); value })
 
 (* The cost-attribution fast path: one record per charged primitive
    inside the fault handlers. *)
@@ -229,7 +156,7 @@ let[@chorus.hot] [@chorus.alloc_ok
                    "the cost record is the tracer's payload: one block per \
                     charged primitive, by design"] charge t ~prim ~span =
   if t.enabled then
-    record t
+    push t
       (Instant
          {
            name = prim;

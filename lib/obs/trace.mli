@@ -13,10 +13,10 @@
     default sink of every engine) records nothing and perturbs
     nothing.
 
-    On an engine with simulated CPUs, a lane slice stages its events
-    until the engine commits them with their final CPU placement and
-    clock shift ({!slice_commit}); the commit also records one span per
-    slice in category ["cpu"], the per-CPU tracks of the timeline.
+    On an engine with simulated CPUs, a lane slice is placed on its CPU
+    when it starts, so its events go straight into the ring; when it
+    ends the engine records one span per slice in category ["cpu"]
+    ({!slice_commit}), the per-CPU tracks of the timeline.
 
     Captured traces export to Chrome [trace_event] JSON — loadable in
     [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto} — and
@@ -57,21 +57,11 @@ val length : t -> int
 (** Buffered events. *)
 
 val dropped : t -> int
-(** Events overwritten because the ring buffer was full, or not staged
-    because a slice outgrew it. *)
+(** Events overwritten because the ring buffer was full. *)
 
-(** {1 Lane slices} *)
-
-val slice_begin : t -> unit
-(** Engine hook: a lane slice starts; subsequent records are staged
-    until {!slice_commit} fixes their clocks. *)
-
-val slice_commit : t -> cpu:int -> fib:int -> t0:int -> t1:int -> shift:int -> unit
-(** Engine hook: the lane slice completed and was placed on simulated
-    CPU [cpu] over [\[t0, t1\]] with its virtual clock shifted forward
-    by [shift].  Staged events move to the ring with final timestamps
-    (a span opened in an earlier slice closes against its own
-    slice's placement), plus one ["slice"] span in category ["cpu"]
+val slice_commit : t -> cpu:int -> fib:int -> t0:int -> t1:int -> unit
+(** Engine hook: fibre [fib]'s lane slice ran on simulated CPU [cpu]
+    over [\[t0, t1\]].  Records one ["slice"] span in category ["cpu"]
     carrying [fib] as argument — the raw material of the per-CPU
     tracks and the utilization report. *)
 
@@ -107,7 +97,7 @@ val charge : t -> prim:string -> span:int -> unit
 
 val events : t -> event list
 (** Buffered events, oldest first (recording order; spans are recorded
-    when they close, a lane slice's events when it commits). *)
+    when they close, a lane slice's ["slice"] span when it ends). *)
 
 val to_chrome_json : t -> string
 (** The whole buffer as Chrome [trace_event] JSON ([ts]/[dur] in

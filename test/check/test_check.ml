@@ -610,7 +610,7 @@ let () =
         ] );
       ( "crossval",
         [
-          Alcotest.test_case "storm digest matches at 1/2/4 domains" `Quick
+          Alcotest.test_case "storm digest matches at 1/2/4 CPUs" `Quick
             test_crossval_storm_matches;
         ] );
       ( "scenario",
@@ -619,7 +619,7 @@ let () =
             test_explore_observes_quiescent_state;
           Alcotest.test_case "every registry entry" `Quick
             test_registry_entries;
-          Alcotest.test_case "storm deep checkers on 2 domains" `Quick
+          Alcotest.test_case "storm deep checkers on 2 CPUs" `Quick
             test_storm_checked_on_cpus;
           Alcotest.test_case "stale frame contents change nothing" `Quick
             test_registry_ignores_stale_frames;

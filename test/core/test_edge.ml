@@ -785,7 +785,7 @@ let tests =
       test_alloc_eager_copy;
     Alcotest.test_case "No_memory mid-path drops pins" `Quick
       test_no_memory_sequential;
-    Alcotest.test_case "No_memory mid-path, 2 domains" `Quick
+    Alcotest.test_case "No_memory mid-path, 2 CPUs" `Quick
       test_no_memory_parallel;
     Alcotest.test_case "cow_release keeps a concurrent mapping" `Quick
       test_cow_release_keeps_concurrent_mapping;

@@ -1181,7 +1181,7 @@ let () =
           Alcotest.test_case "daemon tolerated" `Quick test_daemon_not_deadlock;
           Alcotest.test_case "watchdog flags cross-block" `Quick
             (test_watchdog_flags_cross_block 0);
-          Alcotest.test_case "watchdog flags cross-block (2 domains)" `Quick
+          Alcotest.test_case "watchdog flags cross-block (2 CPUs)" `Quick
             (test_watchdog_flags_cross_block 2);
           Alcotest.test_case "watchdog spares slow-but-live" `Quick
             test_watchdog_spares_slow_but_live;

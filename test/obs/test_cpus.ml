@@ -1,8 +1,9 @@
 (* Observability on simulated CPUs: exact and deterministic counter
    totals after 2- and 4-CPU storm runs, trace well-formedness with
-   per-CPU slice tracks, drop accounting of a tiny ring, and
+   per-CPU slice tracks, drop accounting of a tiny ring,
    sequential-vs-lanes span-count agreement (the oracle-twin contract
-   extended to traces). *)
+   extended to traces), and a lane slice's records reaching the ring
+   as they are made. *)
 
 (* ------------------------------------------------------------------ *)
 (* Shared machinery *)
@@ -164,25 +165,60 @@ let test_seq_vs_par_span_counts () =
         n_seq n_par)
     seq par
 
+(* A lane slice is placed when it starts, so its records go straight
+   into the ring as they are made, and cost what a serial slice's do:
+   the ring's length grows on an instant while the slice still runs,
+   and 1,000 instants allocate the same minor words in a lane slice as
+   in a serial one. *)
+let test_lane_records_direct () =
+  let tr = Obs.Trace.create () in
+  Obs.Trace.enable tr;
+  let engine = Hw.Engine.create ~domains:2 () in
+  Hw.Engine.set_tracer engine tr;
+  let burst () =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      Obs.Trace.instant tr "tick"
+    done;
+    Gc.minor_words () -. w0
+  in
+  let in_lane = ref false and grew = ref 0 in
+  let serial_words = ref 0. and lane_words = ref 0. in
+  Hw.Engine.run engine (fun () ->
+      Obs.Trace.instant tr "warm";
+      serial_words := burst ();
+      Hw.Engine.spawn engine ~affinity:1 (fun () ->
+          in_lane := Hw.Engine.in_parallel_slice ();
+          let n = Obs.Trace.length tr in
+          Obs.Trace.instant tr "probe";
+          grew := Obs.Trace.length tr - n;
+          lane_words := burst ()));
+  Alcotest.(check bool) "the fibre ran as a lane slice" true !in_lane;
+  Alcotest.(check int) "an instant reaches the ring mid-slice" 1 !grew;
+  Alcotest.(check (float 0.)) "lane instants allocate as serial ones"
+    !serial_words !lane_words
+
 let () =
-  Alcotest.run "obs-domains"
+  Alcotest.run "obs-cpus"
     [
       ( "counters",
         [
-          Alcotest.test_case "storm totals exact (2 domains)" `Quick
+          Alcotest.test_case "storm totals exact (2 CPUs)" `Quick
             (test_storm_counters 2);
-          Alcotest.test_case "storm totals exact (4 domains)" `Quick
+          Alcotest.test_case "storm totals exact (4 CPUs)" `Quick
             (test_storm_counters 4);
         ] );
-      ( "merged-trace",
+      ( "cpu-trace",
         [
-          Alcotest.test_case "well-formed (2 domains)" `Quick
+          Alcotest.test_case "well-formed (2 CPUs)" `Quick
             (test_trace_wellformed 2);
-          Alcotest.test_case "well-formed (4 domains)" `Quick
+          Alcotest.test_case "well-formed (4 CPUs)" `Quick
             (test_trace_wellformed 4);
           Alcotest.test_case "a tiny ring counts its drops" `Quick
             test_tiny_ring_drops;
-          Alcotest.test_case "sequential vs 1-domain span counts" `Quick
+          Alcotest.test_case "sequential vs 1-CPU span counts" `Quick
             test_seq_vs_par_span_counts;
+          Alcotest.test_case "lane slice records go straight in"
+            `Quick test_lane_records_direct;
         ] );
     ]
