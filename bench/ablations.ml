@@ -27,40 +27,23 @@ let ablation_chains () =
   let size = 16 * ps in
   List.iter
     (fun n ->
-      let pvm_objects, pvm_lookups, pvm_ms =
-        in_sim (fun engine ->
-            let pvm = Core.Pvm.create ~frames:900 ~engine () in
-            let ctx = Core.Context.create pvm in
-            let src, _ = S.zero_fill pvm ctx ~size ~pages:16 in
-            Core.Pvm.reset_stats pvm;
-            let elapsed =
-              sim_time engine (fun () ->
-                  for _ = 1 to n do
-                    S.fork_cycle pvm ctx ~src ~size
-                  done)
-            in
-            let stats = Core.Pvm.stats pvm in
-            (stats.Core.Types.n_history_created, stats.n_tree_lookups,
-             ms_of_ns elapsed))
-      in
-      let shadows, collapses, mach_ms =
-        in_sim (fun engine ->
-            let vm = Shadow.Shadow_vm.create ~frames:900 ~engine () in
-            let sp = Shadow.Shadow_vm.space_create vm in
-            let src = S.mach_zero_fill vm sp ~size ~pages:16 in
-            Shadow.Shadow_vm.reset_stats vm;
-            let elapsed =
-              sim_time engine (fun () ->
-                  for _ = 1 to n do
-                    S.mach_fork_cycle vm sp ~src
-                  done)
-            in
-            let stats = Shadow.Shadow_vm.stats vm in
-            (stats.Shadow.Shadow_vm.n_shadows_created, stats.n_collapses,
-             ms_of_ns elapsed))
-      in
-      Printf.printf "%6d  %9d %9d %8.2f  %9d %9d %8.2f\n" n pvm_objects
-        pvm_lookups pvm_ms shadows collapses mach_ms)
+      Printf.printf "%6d" n;
+      List.iter
+        (fun (module V : S.Vm) ->
+          in_sim (fun engine ->
+              let vm = V.create ~frames:900 engine in
+              let src = V.zero_fill vm ~size ~pages:16 in
+              V.reset_stats vm;
+              let elapsed =
+                sim_time engine (fun () ->
+                    for _ = 1 to n do
+                      V.fork_cycle vm ~src ~size
+                    done)
+              in
+              Printf.printf "  %9d %9d %8.2f" (V.objects_created vm)
+                (V.chain_work vm) (ms_of_ns elapsed)))
+        S.vms;
+      print_newline ())
     [ 1; 4; 16; 64 ];
   Printf.printf
     "  (history objects: no per-fork garbage collection; Mach must \
@@ -157,13 +140,12 @@ let ablation_pervpage () =
     "per-page" "eager";
   let copy_once ~strategy ~pages =
     in_sim (fun engine ->
-        let pvm = Core.Pvm.create ~frames:900 ~engine () in
-        let ctx = Core.Context.create pvm in
+        let vm = S.Chorus.create ~frames:900 engine in
         let size = pages * ps in
-        let src, _ = S.zero_fill pvm ctx ~size ~pages in
+        let src = S.Chorus.zero_fill vm ~size ~pages in
         mean_cycle engine (fun () ->
-            S.teardown pvm
-              (S.diverge ~strategy ~writer:`Copy pvm ctx ~src ~size
+            S.Chorus.teardown vm
+              (S.Chorus.diverge_by ~strategy ~writer:`Copy vm ~src ~size
                  ~pages:(max 1 (pages / 4)))))
   in
   List.iter

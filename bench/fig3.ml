@@ -14,8 +14,9 @@ let run () =
   let pvms, _ =
     Check.Scenario.exec (Util.sim_engine ()) (Check.Scenario.fig3 ~on_figure ())
   in
-  match Core.Pvm.check_invariant (List.hd pvms) with
+  match Check.Sanitizer.run (List.hd pvms) with
   | [] -> Printf.printf "history-tree invariants: OK\n"
-  | errs ->
+  | vs ->
     Printf.printf "history-tree invariants: BROKEN: %s\n"
-      (String.concat "; " errs)
+      (String.concat "; "
+         (List.map (Format.asprintf "%a" Check.Sanitizer.pp_violation) vs))

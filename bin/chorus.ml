@@ -165,18 +165,18 @@ let stats scenario json_out domains =
    residency/pressure snapshot of every PVM the scenario built.
 
    For [decomp] (the Table 6 / Table 7 cell shapes: 1024 Kb region,
-   128 touched pages) the Mach-style shadow baseline's twin
-   (Check.Scenario.decomp_mach) is profiled too, on a separate engine
-   so their charges cannot mix, and each derived decomposition is
-   checked against the paper's published numbers. *)
+   128 touched pages) each memory manager of Check.Scenario.vms runs
+   decomp's steps on its own engine, so their charges cannot mix, and
+   each derived decomposition is checked against the paper's
+   published numbers. *)
 
 let profile_of run =
   let engine, tr = traced_engine () in
   let r = run engine in
   (r, Obs.Profile.of_trace tr)
 
-let check_derived ~impl label (d : Obs.Profile.derived) =
-  Format.printf "@.%s — derived vs paper (§5.3.2):@." label;
+let check_derived (module V : Check.Scenario.Vm) (d : Obs.Profile.derived) =
+  Format.printf "@.%s — derived vs paper (§5.3.2):@." V.label;
   Format.printf
     "  %d zero-fill faults, %d COW faults, %d copies, teardown share %.4f \
      ms/frame@."
@@ -184,12 +184,7 @@ let check_derived ~impl label (d : Obs.Profile.derived) =
     (d.teardown_share_ns /. 1e6);
   let worst = ref 0.0 in
   let row name per measured =
-    let paper_ms =
-      List.find_map
-        (fun (i, n, ms) -> if i = impl && n = name then Some ms else None)
-        Check.Scenario.paper_decomp
-      |> Option.get
-    in
+    let paper_ms = List.assoc name V.paper_decomp in
     match measured with
     | None -> Format.printf "  %-14s (not exercised; paper %.4f)@." name paper_ms
     | Some ns ->
@@ -205,47 +200,50 @@ let check_derived ~impl label (d : Obs.Profile.derived) =
   row "protect" "page" d.protect_ns;
   !worst
 
-let profile_decomp chorus_prof folded json_out =
-  let _, mach_prof = profile_of Check.Scenario.decomp_mach in
-  Format.printf "=== Chorus (PVM, history objects) ===@.%a@." Obs.Profile.pp
-    chorus_prof;
-  Format.printf "=== Mach baseline (shadow objects) ===@.%a@." Obs.Profile.pp
-    mach_prof;
-  let w1 =
-    check_derived ~impl:"chorus" "Chorus" (Obs.Profile.derive chorus_prof)
+let profile_decomp folded json_out =
+  let profs =
+    List.map
+      (fun vm -> (vm, snd (profile_of (Check.Scenario.decomp_on vm))))
+      Check.Scenario.vms
   in
-  let w2 =
-    check_derived ~impl:"mach" "Mach baseline" (Obs.Profile.derive mach_prof)
+  List.iter
+    (fun ((module V : Check.Scenario.Vm), prof) ->
+      Format.printf "=== %s (%s) ===@.%a@." V.label V.design Obs.Profile.pp
+        prof)
+    profs;
+  let worst =
+    List.fold_left
+      (fun worst (vm, prof) ->
+        Float.max worst (check_derived vm (Obs.Profile.derive prof)))
+      0.0 profs
   in
   Format.printf "@.worst deviation from paper: %.1f%% (threshold 5%%)@."
-    (Float.max w1 w2);
+    worst;
   Option.iter
     (fun file ->
-      let prefix tag prof =
+      let lines ((module V : Check.Scenario.Vm), prof) =
         Obs.Profile.to_folded prof |> String.split_on_char '\n'
         |> List.filter (fun l -> l <> "")
-        |> List.map (fun l -> tag ^ ";" ^ l)
+        |> List.map (fun l -> V.impl ^ ";" ^ l)
       in
       write_file ~cmd:"profile" file
-        (String.concat "\n"
-           (prefix "chorus" chorus_prof @ prefix "mach" mach_prof)
-        ^ "\n");
+        (String.concat "\n" (List.concat_map lines profs) ^ "\n");
       Printf.printf "wrote %s (folded stacks)\n" file)
     folded;
   Option.iter
     (fun file ->
       let doc =
         Obs.Json.Obj
-          [
-            ("schema", Obs.Json.Str "chorus-profile-decomp/1");
-            ("chorus", Obs.Profile.to_json chorus_prof);
-            ("mach", Obs.Profile.to_json mach_prof);
-          ]
+          (("schema", Obs.Json.Str "chorus-profile-decomp/1")
+          :: List.map
+               (fun ((module V : Check.Scenario.Vm), prof) ->
+                 (V.impl, Obs.Profile.to_json prof))
+               profs)
       in
       write_file ~cmd:"profile" file (Obs.Json.to_string doc ^ "\n");
       Printf.printf "wrote %s\n" file)
     json_out;
-  if Float.max w1 w2 > 5.0 then begin
+  if worst > 5.0 then begin
     Printf.eprintf
       "chorus profile decomp: derived decomposition deviates more than 5%% \
        from the paper\n";
@@ -254,11 +252,11 @@ let profile_decomp chorus_prof folded json_out =
 
 let profile scenario folded json_out =
   let scen = find_scenario scenario in
-  let (pvms, _), prof =
-    profile_of (fun engine -> Check.Scenario.exec engine scen)
-  in
-  if String.equal scenario "decomp" then profile_decomp prof folded json_out
+  if String.equal scenario "decomp" then profile_decomp folded json_out
   else begin
+    let (pvms, _), prof =
+      profile_of (fun engine -> Check.Scenario.exec engine scen)
+    in
     Format.printf "%a@." Obs.Profile.pp prof;
     let residencies = List.map Core.Inspect.residency pvms in
     per_pvm residencies (Format.printf "%a@." Core.Inspect.pp_residency);
@@ -372,7 +370,7 @@ let crossval domains =
   if bad = [] then
     Printf.printf
       "chorus crossval: OK — %d scenario(s) digest-identical, sequential vs \
-       %d domain(s)\n"
+       %d CPU(s)\n"
       (List.length outcomes) domains
   else begin
     Printf.eprintf "chorus crossval: %d scenario(s) diverged\n"

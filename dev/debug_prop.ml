@@ -222,9 +222,13 @@ let () =
               ~dst_off:0 ~size:(n_pages * ps) ());
           Printf.printf "-- %s\n" (pp_op op);
           dump_internals ();
-          match Core.Pvm.check_invariant pvm with
+          match Check.Sanitizer.run pvm with
           | [] -> ()
-          | errs -> Printf.printf "  INVARIANT: %s\n" (String.concat "; " errs))
+          | vs ->
+            Printf.printf "  INVARIANT: %s\n"
+              (String.concat "; "
+                 (List.map (Format.asprintf "%a" Check.Sanitizer.pp_violation)
+                    vs)))
         ops;
       dump "FINAL";
       (* teardown: everything must come back *)

@@ -9,7 +9,7 @@ type outcome = {
   o_name : string;
   o_seq : string;
   o_par : string;
-  o_domains : int;
+  o_cpus : int;
   o_ok : bool;
 }
 
@@ -23,16 +23,16 @@ let run_pair ?(domains = 4) (s : Scenario.t) =
     o_name = s.name;
     o_seq;
     o_par;
-    o_domains = domains;
+    o_cpus = domains;
     o_ok = String.equal o_seq o_par;
   }
 
 let pp_outcome ppf (o : outcome) =
   if o.o_ok then
-    Format.fprintf ppf "%-10s OK    digest %s (sequential = %d domains)"
-      o.o_name o.o_seq o.o_domains
+    Format.fprintf ppf "%-10s OK    digest %s (sequential = %d CPUs)"
+      o.o_name o.o_seq o.o_cpus
   else
     Format.fprintf ppf
-      "%-10s FAIL  sequential %s, %d domains %s — the simulated CPUs \
+      "%-10s FAIL  sequential %s, %d CPUs %s — the simulated CPUs \
        diverged from the oracle"
-      o.o_name o.o_seq o.o_domains o.o_par
+      o.o_name o.o_seq o.o_cpus o.o_par

@@ -15,7 +15,7 @@ type outcome = {
   o_name : string;
   o_seq : string;  (** concatenated digests on the sequential engine *)
   o_par : string;  (** same, on simulated CPUs *)
-  o_domains : int;
+  o_cpus : int;  (** simulated CPUs of the second run *)
   o_ok : bool;
 }
 

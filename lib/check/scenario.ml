@@ -430,130 +430,198 @@ let make =
   in
   { name = "make"; oracle = Schedule_independent; run }
 
-(* --- The paper's Table 6/7 steps ---------------------------------- *)
+(* --- The paper's Table 6/7 steps, for both memory managers ------- *)
 
 let copy_base = 0x4000_0000
 
-let touch_pages pvm ctx ~base ~pages =
-  for p = 0 to pages - 1 do
-    Core.Pvm.touch pvm ctx ~addr:(base + (p * ps)) ~access:`Write
-  done
+module type Vm = sig
+  type t
+  type range
 
-let zero_fill pvm ctx ~size ~pages =
-  let cache = Core.Cache.create pvm () in
-  let region =
-    Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write cache
-      ~offset:0
-  in
-  touch_pages pvm ctx ~base:0 ~pages;
-  (cache, region)
+  val impl : string
+  val label : string
+  val design : string
+  val profile : Hw.Cost.profile
+  val paper_table6 : ((int * int) * float) list
+  val paper_table7 : ((int * int) * float) list
+  val paper_decomp : (string * float) list
+  val create : frames:int -> Hw.Engine.t -> t
+  val zero_fill : t -> size:int -> pages:int -> range
+  val diverge : t -> src:range -> size:int -> pages:int -> range
+  val teardown : t -> range -> unit
+  val fork_cycle : t -> src:range -> size:int -> unit
+  val metrics : t -> Obs.Metrics.t
+  val reset_stats : t -> unit
+  val objects_created : t -> int
+  val chain_work : t -> int
+end
 
-let diverge ?(strategy = `History) ?(writer = `Source) pvm ctx ~src ~size
-    ~pages =
-  let copy = Core.Cache.create pvm () in
-  Core.Cache.copy pvm ~strategy ~src ~src_off:0 ~dst:copy ~dst_off:0 ~size ();
-  let region =
-    Core.Region.create pvm ctx ~addr:copy_base ~size ~prot:Hw.Prot.read_write
-      copy ~offset:0
-  in
-  touch_pages pvm ctx
-    ~base:(match writer with `Source -> 0 | `Copy -> copy_base)
-    ~pages;
-  (copy, region)
+module Chorus = struct
+  type t = Core.Types.pvm * Core.Types.context
+  type range = Core.Types.cache * Core.Types.region
 
-let teardown pvm (cache, region) =
-  Core.Region.destroy pvm region;
-  Core.Cache.destroy pvm cache
+  let impl = "chorus"
+  let label = "Chorus"
+  let design = "PVM, history objects"
+  let profile = Hw.Cost.chorus_sun360
 
-let mach_zero_fill vm sp ~size ~pages =
-  let entry =
-    Shadow.Shadow_vm.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write
-  in
-  for p = 0 to pages - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  entry
+  let paper_table6 =
+    [ ((8, 0), 0.350); ((8, 1), 1.50); ((256, 0), 0.352); ((256, 1), 1.60);
+      ((256, 32), 36.6); ((1024, 0), 0.390); ((1024, 1), 1.63);
+      ((1024, 32), 37.7); ((1024, 128), 145.9) ]
 
-let mach_diverge vm sp ~src ~pages =
-  let copy =
-    Shadow.Shadow_vm.copy_entry vm src ~dst_space:sp ~dst_addr:copy_base
-  in
-  for p = 0 to pages - 1 do
-    Shadow.Shadow_vm.touch vm sp ~addr:(p * ps) ~access:`Write
-  done;
-  copy
+  let paper_table7 =
+    [ ((8, 0), 0.4); ((8, 1), 2.10); ((256, 0), 0.7); ((256, 1), 2.47);
+      ((256, 32), 55.7); ((1024, 0), 2.4); ((1024, 1), 4.2);
+      ((1024, 32), 57.2); ((1024, 128), 221.9) ]
+
+  let paper_decomp =
+    [ ("demand-alloc", 0.27); ("protect", 0.016); ("tree-setup", 0.03);
+      ("cow", 0.31) ]
+
+  let create ~frames engine =
+    let pvm = Core.Pvm.create ~frames ~engine () in
+    (pvm, Core.Context.create pvm)
+
+  let touch_pages (pvm, ctx) ~base ~pages =
+    for p = 0 to pages - 1 do
+      Core.Pvm.touch pvm ctx ~addr:(base + (p * ps)) ~access:`Write
+    done
+
+  let zero_fill ((pvm, ctx) as vm) ~size ~pages =
+    let cache = Core.Cache.create pvm () in
+    let region =
+      Core.Region.create pvm ctx ~addr:0 ~size ~prot:Hw.Prot.read_write cache
+        ~offset:0
+    in
+    touch_pages vm ~base:0 ~pages;
+    (cache, region)
+
+  let diverge_by ?(strategy = `History) ?(writer = `Source) ((pvm, ctx) as vm)
+      ~src:(src, _) ~size ~pages =
+    let copy = Core.Cache.create pvm () in
+    Core.Cache.copy pvm ~strategy ~src ~src_off:0 ~dst:copy ~dst_off:0 ~size ();
+    let region =
+      Core.Region.create pvm ctx ~addr:copy_base ~size
+        ~prot:Hw.Prot.read_write copy ~offset:0
+    in
+    touch_pages vm
+      ~base:(match writer with `Source -> 0 | `Copy -> copy_base)
+      ~pages;
+    (copy, region)
+
+  let diverge vm ~src ~size ~pages = diverge_by vm ~src ~size ~pages
+
+  let teardown (pvm, _) (cache, region) =
+    Core.Region.destroy pvm region;
+    Core.Cache.destroy pvm cache
+
+  let fork_cycle ((pvm, _) as vm) ~src:(src, _) ~size =
+    let child = Core.Cache.create pvm () in
+    Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst:child
+      ~dst_off:0 ~size ();
+    touch_pages vm ~base:0 ~pages:2;
+    Core.Cache.destroy pvm child
+
+  let metrics (pvm, _) = Core.Pvm.metrics pvm
+  let reset_stats (pvm, _) = Core.Pvm.reset_stats pvm
+  let objects_created (pvm, _) = (Core.Pvm.stats pvm).n_history_created
+  let chain_work (pvm, _) = (Core.Pvm.stats pvm).n_tree_lookups
+end
+
+module Mach = struct
+  module V = Shadow.Shadow_vm
+
+  type t = V.t * V.space
+  type range = V.entry
+
+  let impl = "mach"
+  let label = "Mach baseline"
+  let design = "shadow objects"
+  let profile = Hw.Cost.mach_sun360
+
+  let paper_table6 =
+    [ ((8, 0), 1.57); ((8, 1), 3.12); ((256, 0), 1.81); ((256, 1), 3.19);
+      ((256, 32), 46.8); ((1024, 0), 1.89); ((1024, 1), 3.26);
+      ((1024, 32), 47.0); ((1024, 128), 180.8) ]
+
+  let paper_table7 =
+    [ ((8, 0), 2.7); ((8, 1), 4.82); ((256, 0), 2.9); ((256, 1), 5.12);
+      ((256, 32), 66.4); ((1024, 0), 3.08); ((1024, 1), 5.18);
+      ((1024, 32), 67.0); ((1024, 128), 256.41) ]
+
+  (* Recomputed from the cells above by the paper's own formulas:
+     demand = (z(1024K,128) - z(1024K,0))/128 - bzero; cow =
+     (c(1024K,128) - c(1024K,0))/128 - bcopy; tree = c(8K,0) - z(8K,0);
+     protect = (c(1024K,0) - c(8K,0))/127. *)
+  let paper_decomp =
+    [ ("demand-alloc", 0.5277); ("protect", 0.003); ("tree-setup", 1.13);
+      ("cow", 0.5792) ]
+
+  let create ~frames engine =
+    let vm = V.create ~frames ~engine () in
+    (vm, V.space_create vm)
+
+  let touch_pages (vm, sp) ~pages =
+    for p = 0 to pages - 1 do
+      V.touch vm sp ~addr:(p * ps) ~access:`Write
+    done
+
+  let zero_fill ((vm, sp) as m) ~size ~pages =
+    let entry = V.allocate vm sp ~addr:0 ~size ~prot:Hw.Prot.read_write in
+    touch_pages m ~pages;
+    entry
+
+  let diverge ((vm, sp) as m) ~src ~size:_ ~pages =
+    let copy = V.copy_entry vm src ~dst_space:sp ~dst_addr:copy_base in
+    touch_pages m ~pages;
+    copy
+
+  let teardown (vm, _) entry = V.entry_destroy vm entry
+  let fork_cycle m ~src ~size = teardown m (diverge m ~src ~size ~pages:2)
+  let metrics (vm, _) = V.metrics vm
+  let reset_stats (vm, _) = V.reset_stats vm
+  let objects_created (vm, _) = (V.stats vm).n_shadows_created
+  let chain_work (vm, _) = (V.stats vm).n_collapses
+end
+
+let vms : (module Vm) list = [ (module Chorus); (module Mach) ]
 
 (* The 1024 Kb / 128-page cells, everything torn down so teardown
    frees balance fault-time allocations. *)
-let decomp_size = 1024 * 1024
-let decomp_pages = 128
+let decomp_steps (type v) (module V : Vm with type t = v) (vm : v) =
+  let size = 1024 * 1024 and pages = 128 in
+  V.teardown vm (V.zero_fill vm ~size ~pages);
+  let src = V.zero_fill vm ~size ~pages:(size / ps) in
+  V.teardown vm (V.diverge vm ~src ~size ~pages);
+  V.teardown vm src
 
 let decomp =
   let run engine ~register =
-    let size = decomp_size and pages = decomp_pages in
-    let pvm = Core.Pvm.create ~frames:600 ~engine () in
+    let ((pvm, _) as vm) = Chorus.create ~frames:600 engine in
     register pvm;
-    let ctx = Core.Context.create pvm in
-    teardown pvm (zero_fill pvm ctx ~size ~pages);
-    let src = zero_fill pvm ctx ~size ~pages:(size / ps) in
-    teardown pvm (diverge pvm ctx ~src:(fst src) ~size ~pages);
-    teardown pvm src;
+    decomp_steps (module Chorus) vm;
     fun () -> digest [ pvm ]
   in
   { name = "decomp"; oracle = Schedule_independent; run }
 
-let decomp_mach engine =
+let decomp_on (module V : Vm) engine =
   Hw.Engine.run_fn engine (fun () ->
-      let size = decomp_size and pages = decomp_pages in
-      let vm = Shadow.Shadow_vm.create ~frames:900 ~engine () in
-      let sp = Shadow.Shadow_vm.space_create vm in
-      Shadow.Shadow_vm.entry_destroy vm (mach_zero_fill vm sp ~size ~pages);
-      let src = mach_zero_fill vm sp ~size ~pages:(size / ps) in
-      Shadow.Shadow_vm.entry_destroy vm (mach_diverge vm sp ~src ~pages);
-      Shadow.Shadow_vm.entry_destroy vm src;
-      vm)
-
-(* The Mach values are recomputed from its Table 6/7 cells by the
-   paper's own formulas: demand = (t(1024K,128) - t(1024K,0))/128 -
-   bzero; cow = (c(1024K,128) - c(1024K,0))/128 - bcopy; tree =
-   c(8K,0) - z(8K,0); protect = (c(1024K,0) - c(8K,0))/127. *)
-let paper_decomp =
-  [
-    ("chorus", "demand-alloc", 0.27);
-    ("chorus", "protect", 0.016);
-    ("chorus", "tree-setup", 0.03);
-    ("chorus", "cow", 0.31);
-    ("mach", "demand-alloc", 0.5277);
-    ("mach", "protect", 0.003);
-    ("mach", "tree-setup", 1.13);
-    ("mach", "cow", 0.5792);
-  ]
+      let vm = V.create ~frames:600 engine in
+      decomp_steps (module V) vm;
+      V.metrics vm)
 
 (* --- Bench's ablations A-C ---------------------------------------- *)
-
-(* The shell's fork (§4.2.5): history-copy the parent's [src] into a
-   child cache, the parent writes its first two pages, the child
-   exits. *)
-let fork_cycle pvm ctx ~src ~size =
-  let child = Core.Cache.create pvm () in
-  Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst:child ~dst_off:0
-    ~size ();
-  touch_pages pvm ctx ~base:0 ~pages:2;
-  Core.Cache.destroy pvm child
-
-let mach_fork_cycle vm sp ~src =
-  Shadow.Shadow_vm.entry_destroy vm (mach_diverge vm sp ~src ~pages:2)
 
 (* Four forks of a written 16-page parent. *)
 let chains =
   let run engine ~register =
-    let pvm = Core.Pvm.create ~frames:900 ~engine () in
+    let ((pvm, _) as vm) = Chorus.create ~frames:900 engine in
     register pvm;
-    let ctx = Core.Context.create pvm in
     let size = 16 * ps in
-    let src, _ = zero_fill pvm ctx ~size ~pages:16 in
+    let src = Chorus.zero_fill vm ~size ~pages:16 in
     for _ = 1 to 4 do
-      fork_cycle pvm ctx ~src ~size
+      Chorus.fork_cycle vm ~src ~size
     done;
     fun () -> digest [ pvm ]
   in
@@ -584,15 +652,14 @@ let segcache =
    (§4.3), the copy writing a quarter of its pages. *)
 let pervpage =
   let run engine ~register =
-    let pvm = Core.Pvm.create ~frames:900 ~engine () in
+    let ((pvm, _) as vm) = Chorus.create ~frames:900 engine in
     register pvm;
-    let ctx = Core.Context.create pvm in
     let size = 8 * ps in
-    let src, _ = zero_fill pvm ctx ~size ~pages:8 in
+    let src = Chorus.zero_fill vm ~size ~pages:8 in
     List.iter
       (fun strategy ->
-        teardown pvm
-          (diverge ~strategy ~writer:`Copy pvm ctx ~src ~size ~pages:2))
+        Chorus.teardown vm
+          (Chorus.diverge_by ~strategy ~writer:`Copy vm ~src ~size ~pages:2))
       [ `History; `Per_page; `Eager ];
     fun () -> digest [ pvm ]
   in
@@ -669,6 +736,18 @@ let sparse =
     copy cpy cpy2;
     poke (1024 * ps) 3 'c';
     poke (2048 * ps) 2 'd';
+    (* every page holds what was written there and zeros elsewhere *)
+    List.iter
+      (fun (base, pokes) ->
+        let expected = Bytes.make size '\000' in
+        String.iteri
+          (fun page c ->
+            if c <> '0' then Bytes.fill expected ((page * ps) + 64) 8 c)
+          pokes;
+        let found = Core.Pvm.read pvm ctx ~addr:base ~len:size in
+        if not (Bytes.equal expected found) then
+          failwith (Printf.sprintf "sparse: wrong contents at %#x" base))
+      [ (0, "ss00"); (1024 * ps, "sscc"); (2048 * ps, "ssd0") ];
     fun () -> digest [ pvm ]
   in
   { name = "sparse"; oracle = Schedule_independent; run }

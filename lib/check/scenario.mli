@@ -201,59 +201,114 @@ val segcache : t
 (** Three {!exec_loop} execs at retention 64 (bench's ablation B runs
     ten, at retention 64 and 0). *)
 
-(** {2 The paper's Table 6/7 steps (§5.3) and the deferred-copy
-    ablations}
+(** {2 The paper's Table 6/7 steps (§5.3), for both memory managers}
 
-    Each step runs in the engine's main fibre, for the Chorus PVM or
-    the Mach-style shadow baseline.  A Table 6 cell times
-    {!zero_fill} plus {!teardown}; a Table 7 cell times {!diverge}
-    plus {!teardown} over a source from {!zero_fill}.  [test/repro]
-    sweeps the state between the two; {!decomp} and {!decomp_mach}
-    run one of each at the 1024 Kb / 128-page cell. *)
+    Tables 6/7, the §5.3.2 overheads and ablation A compare the Chorus
+    PVM with the Mach-style shadow baseline.  Each step is written once
+    per memory manager behind {!Vm}, and every comparison is one body
+    over {!vms}.  A Table 6 cell times [zero_fill] plus [teardown]; a
+    Table 7 cell times [diverge] plus [teardown] over a source from
+    [zero_fill]; ablation A times [fork_cycle]s.  Each step runs in the
+    engine's main fibre. *)
 
-val zero_fill :
-  Core.Types.pvm ->
-  Core.Types.context ->
-  size:int ->
-  pages:int ->
-  Core.Types.cache * Core.Types.region
-(** Table 6's populate: map a [size]-byte region of a fresh cache at 0
-    and write-touch its first [pages] pages.  With every page touched,
-    the source of Table 7 and of the ablations. *)
+module type Vm = sig
+  type t
+  (** A VM and the one address space the steps map into. *)
 
-val diverge :
-  ?strategy:Core.Gmi.copy_strategy ->
-  ?writer:[ `Source | `Copy ] ->
-  Core.Types.pvm ->
-  Core.Types.context ->
-  src:Core.Types.cache ->
-  size:int ->
-  pages:int ->
-  Core.Types.cache * Core.Types.region
-(** Table 7's diverge: copy [size] bytes of [src] into a fresh cache by
-    [strategy] (default [`History]), map it at 0x4000_0000, and
-    write-touch the first [pages] pages of the [writer] (default
-    [`Source], mapped at 0: forcing the real copies; [`Copy] is
-    ablation C's copy writing into itself). *)
+  type range
+  (** A mapped range the steps made. *)
 
-val teardown : Core.Types.pvm -> Core.Types.cache * Core.Types.region -> unit
-(** Destroy the region, then the cache. *)
+  val impl : string
+  (** ["chorus"] or ["mach"]: the VM's key in bench's metrics report
+      and in [chorus profile decomp]'s outputs. *)
 
-val mach_zero_fill :
-  Shadow.Shadow_vm.t ->
-  Shadow.Shadow_vm.space ->
-  size:int ->
-  pages:int ->
-  Shadow.Shadow_vm.entry
+  val label : string
+  (** The printed name: ["Chorus"] or ["Mach baseline"]. *)
 
-val mach_diverge :
-  Shadow.Shadow_vm.t ->
-  Shadow.Shadow_vm.space ->
-  src:Shadow.Shadow_vm.entry ->
-  pages:int ->
-  Shadow.Shadow_vm.entry
-(** {!zero_fill} and {!diverge} on the shadow-object baseline; the
-    teardown is [Shadow.Shadow_vm.entry_destroy]. *)
+  val design : string
+  (** What carries its deferred copies, as printed after [label]:
+      ["PVM, history objects"] or ["shadow objects"]. *)
+
+  val profile : Hw.Cost.profile
+  (** The cost profile the VM charges (its bzero and bcopy enter the
+      §5.3.2 formulas). *)
+
+  val paper_table6 : ((int * int) * float) list
+
+  val paper_table7 : ((int * int) * float) list
+  (** The paper's Table 6 and 7 cells in ms, keyed by (region size in
+      Kb, pages touched); a cell whose pages exceed its region is
+      absent. *)
+
+  val paper_decomp : (string * float) list
+  (** The paper's §5.3.2 overheads in ms: ["demand-alloc"] (per page),
+      ["protect"] (per page), ["tree-setup"] (per copy) and ["cow"]
+      (per page).  Mach's are recomputed from its Table 6/7 cells by
+      the paper's formulas. *)
+
+  val create : frames:int -> Hw.Engine.t -> t
+  (** A VM over [frames] page frames on the engine, with one address
+      space. *)
+
+  val zero_fill : t -> size:int -> pages:int -> range
+  (** Table 6's populate: map a [size]-byte range of fresh memory at 0
+      and write-touch its first [pages] pages.  With every page
+      touched, the source of Table 7 and of the ablations. *)
+
+  val diverge : t -> src:range -> size:int -> pages:int -> range
+  (** Table 7's diverge: copy [size] bytes of [src] deferred into a
+      fresh range mapped at 0x4000_0000, then write-touch the first
+      [pages] pages of the source (mapped at 0), forcing the real
+      copies. *)
+
+  val teardown : t -> range -> unit
+  (** Unmap the range and destroy its memory. *)
+
+  val fork_cycle : t -> src:range -> size:int -> unit
+  (** The shell's fork (§4.2.5): copy [size] bytes of the parent's
+      [src] (mapped at 0) deferred into a child, write the parent's
+      first two pages, destroy the child. *)
+
+  val metrics : t -> Obs.Metrics.t
+  val reset_stats : t -> unit
+
+  val objects_created : t -> int
+  (** Ablation A's first counter: history objects (Chorus) or shadow
+      objects (Mach) created since [reset_stats]. *)
+
+  val chain_work : t -> int
+  (** Ablation A's second counter: history-tree lookups (Chorus) or
+      shadow-chain collapses (Mach) since [reset_stats]. *)
+end
+
+module Chorus : sig
+  include
+    Vm
+      with type t = Core.Types.pvm * Core.Types.context
+       and type range = Core.Types.cache * Core.Types.region
+
+  val diverge_by :
+    ?strategy:Core.Gmi.copy_strategy ->
+    ?writer:[ `Source | `Copy ] ->
+    t ->
+    src:range ->
+    size:int ->
+    pages:int ->
+    range
+  (** [diverge] by [strategy] (default [`History]) with [writer]
+      (default [`Source]) write-touching: [`Copy] is ablation C's copy
+      writing into itself. *)
+end
+(** The PVM: a range is a fresh cache and its region; the copies are
+    [Cache.copy]s (§4.2). *)
+
+module Mach : Vm
+(** The shadow-object baseline ({!Shadow.Shadow_vm}): a range is an
+    entry; the copies are [copy_entry]s (§4.2.5), and [diverge] and
+    [fork_cycle] ignore [size], copying the whole entry. *)
+
+val vms : (module Vm) list
+(** [Chorus], then [Mach]: the order of every printed comparison. *)
 
 val decomp : t
 (** One zero-fill cycle then one COW cycle (source set up, copied,
@@ -261,49 +316,25 @@ val decomp : t
     PVM: the 1024 Kb / 128-page shapes the §5.3.2 decomposition is
     derived from. *)
 
-val decomp_mach : Hw.Engine.t -> Shadow.Shadow_vm.t
-(** {!decomp}'s twin on a 900-frame shadow-object VM, run on the
-    engine until it drains.  Not a registry entry: the checkers read
-    PVM state. *)
+val decomp_on : (module Vm) -> Hw.Engine.t -> Obs.Metrics.t
+(** {!decomp}'s steps on a fresh 600-frame VM, run on the engine until
+    it drains; returns the VM's metrics.  Bench's [primitives] and
+    [chorus profile decomp] run it on each of {!vms}. *)
 
-val paper_decomp : (string * string * float) list
-(** The paper's §5.3.2 overheads in ms, as (implementation, name,
-    value): ["chorus"] and ["mach"] × ["demand-alloc"] (per page),
-    ["protect"] (per page), ["tree-setup"] (per copy) and ["cow"] (per
-    page).  The Mach values are recomputed from its Table 6/7 cells by
-    the paper's formulas. *)
+(** {2 The deferred-copy ablations}
 
-(** {2 The fork and copy-technique ablations}
-
-    Bench's ablation A times {!fork_cycle} and {!mach_fork_cycle},
-    ablation C [diverge ~strategy ~writer:`Copy]; ablations B, D and E
-    time {!exec_loop}, {!ipc_round} and {!dsm_rounds}. *)
-
-val fork_cycle :
-  Core.Types.pvm ->
-  Core.Types.context ->
-  src:Core.Types.cache ->
-  size:int ->
-  unit
-(** The shell's fork (§4.2.5): history-copy [size] bytes of the
-    parent's [src] (mapped at 0) into a child cache, write the parent's
-    first two pages, destroy the child. *)
-
-val mach_fork_cycle :
-  Shadow.Shadow_vm.t ->
-  Shadow.Shadow_vm.space ->
-  src:Shadow.Shadow_vm.entry ->
-  unit
-(** The same fork on the shadow-object baseline. *)
+    Bench's ablation A times {!Vm.fork_cycle} on each of {!vms},
+    ablation C [Chorus.diverge_by ~strategy ~writer:`Copy]; ablations
+    B, D and E time {!exec_loop}, {!ipc_round} and {!dsm_rounds}. *)
 
 val chains : t
-(** Four {!fork_cycle}s of a written 16-page parent on a 900-frame PVM
+(** Four [Chorus.fork_cycle]s of a written 16-page parent on a 900-frame PVM
     (bench's ablation A, PVM side). *)
 
 val pervpage : t
-(** An 8-page written source on a 900-frame PVM {!diverge}d by each of
-    [`History], [`Per_page] and [`Eager] with the copy writing 2 pages,
-    each copy torn down (bench's ablation C at one size). *)
+(** An 8-page written source on a 900-frame PVM [Chorus.diverge_by]
+    each of [`History], [`Per_page] and [`Eager] with the copy writing
+    2 pages, each copy torn down (bench's ablation C at one size). *)
 
 val orphan_pair :
   ?on_cycle:(Core.Types.cache -> Core.Types.cache -> unit) ->
@@ -327,9 +358,12 @@ val sparse : t
 (** A 4-page anonymous cache with 2 written pages, history-copied on a
     64-frame PVM.  The copy writes a page the source never touched, is
     history-copied in turn, then writes another such page, which its
-    own copy still reads as zero; that copy then writes the copy's
-    first page.  Each write miss on an untouched page zero-fills a
-    fresh frame, the last one first for the copy's history (§4.2). *)
+    own copy still reads as zero; that copy then writes over the page
+    the copy wrote first.  Each write miss on an untouched page
+    zero-fills a fresh frame, the last one first for the copy's history
+    (§4.2).  The body then reads every page of the three regions back
+    and fails unless each holds the bytes written there and zeros
+    elsewhere. *)
 
 val of_program : name:string -> frames:int -> pages:int -> Model.prog -> t
 (** Lift a {!Model} program into a scenario on a nucleus site with

@@ -84,11 +84,6 @@ val reachable : from:Types.cache -> Types.cache -> bool
 val root_of : Types.cache -> Types.cache
 val depth_to_root : Types.cache -> int
 
-val check_invariant : Types.pvm -> string list
-(** Structural invariants (empty = healthy): well-formed fragment
-    lists, history back-fragments, the binary-tree child limits, and
-    acyclicity through {e every} fragment. *)
-
 val pp_tree : Format.formatter -> Types.cache -> unit
 (** Render the history tree containing a cache (Figure 3); [*] marks
     read-protected frames. *)

@@ -154,7 +154,6 @@ let[@chorus.hot] rec write_from pvm ctx ~addr bytes ~pos =
 
 let[@chorus.hot] write pvm ctx ~addr bytes = write_from pvm ctx ~addr bytes ~pos:0
 
-let check_invariant pvm = History.check_invariant pvm
 let pp_history_tree = History.pp_tree
 
 let start_pageout_daemon ?(period = Hw.Sim_time.ms 20) pvm ~low_water

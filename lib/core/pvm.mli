@@ -91,10 +91,6 @@ val read : t -> context -> addr:int -> len:int -> Bytes.t
 val write : t -> context -> addr:int -> Bytes.t -> unit
 (** Simulated program writes at [addr]. *)
 
-val check_invariant : t -> string list
-(** Structural invariants of the copy trees (empty = healthy); used by
-    the property tests. *)
-
 val pp_history_tree : Format.formatter -> cache -> unit
 (** Render the history tree containing [cache] (Figure 3 scenarios). *)
 

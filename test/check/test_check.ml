@@ -330,7 +330,7 @@ let test_registry_entries () =
         true o.Check.Crossval.o_ok;
       let run domains seed =
         let label =
-          Printf.sprintf "%s, %d domains, seed %s" s.name domains
+          Printf.sprintf "%s, %d CPUs, seed %s" s.name domains
             (Option.fold ~none:"fifo" ~some:string_of_int seed)
         in
         ( label,

@@ -23,10 +23,6 @@ let write_page pvm ctx ~base ~page c =
 let read_byte pvm ctx ~base ~page =
   Bytes.get (Core.Pvm.read pvm ctx ~addr:(base + (page * ps)) ~len:1) 0
 
-let check_invariant pvm =
-  Alcotest.(check (list string)) "history invariant" []
-    (Core.Pvm.check_invariant pvm)
-
 let hist_copy pvm ~src ~dst ~pages =
   Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
     ~size:(pages * ps) ()
@@ -47,7 +43,7 @@ let test_fig3a () =
         (fun (p, c) -> write_page pvm ctx ~base:src_base ~page:p c)
         [ (1, '1'); (2, '2'); (3, '3') ];
       hist_copy pvm ~src ~dst:cpy1 ~pages:4;
-      check_invariant pvm;
+      Check.Sanitizer.assert_ok pvm;
       (* page 2 updated in src *)
       write_page pvm ctx ~base:src_base ~page:2 'X';
       (* page 3 updated in cpy1 *)
@@ -64,7 +60,7 @@ let test_fig3a () =
         (read_byte pvm ctx ~base:src_base ~page:2);
       Alcotest.(check char) "src page 3 untouched" '3'
         (read_byte pvm ctx ~base:src_base ~page:3);
-      check_invariant pvm)
+      Check.Sanitizer.assert_ok pvm)
 
 (* Figure 3.b: src pages 1-3 copied to cpy1; src page 2 modified; then
    cpy1 copied to copyOfCpy1; page 3 of cpy1 modified -> copyOfCpy1
@@ -86,7 +82,7 @@ let test_fig3b () =
       hist_copy pvm ~src ~dst:cpy1 ~pages:4;
       write_page pvm ctx ~base:b0 ~page:2 'M';
       hist_copy pvm ~src:cpy1 ~dst:cpy1_of ~pages:4;
-      check_invariant pvm;
+      Check.Sanitizer.assert_ok pvm;
       (* page 3 of cpy1 modified: copyOfCpy1 must still see '3' *)
       write_page pvm ctx ~base:b1 ~page:3 'Z';
       Alcotest.(check char) "copyOfCpy1 page 3 keeps original" '3'
@@ -101,7 +97,7 @@ let test_fig3b () =
       (* page 2 of copyOfCpy1 read from cpy1 (the original of src) *)
       Alcotest.(check char) "copyOfCpy1 page 2 via cpy1" '2'
         (read_byte pvm ctx ~base:b2 ~page:2);
-      check_invariant pvm)
+      Check.Sanitizer.assert_ok pvm)
 
 (* Figure 3.c: src copied twice (cpy1, cpy2); a working history object
    w1 is inserted.  Pages modified afterwards: src page 3, cpy1 page
@@ -124,7 +120,7 @@ let test_fig3c () =
       Alcotest.(check int)
         "a working history object was created" 1
         (Core.Pvm.stats pvm).n_history_created;
-      check_invariant pvm;
+      Check.Sanitizer.assert_ok pvm;
       write_page pvm ctx ~base:b0 ~page:3 'S';
       write_page pvm ctx ~base:b1 ~page:3 'C';
       write_page pvm ctx ~base:b2 ~page:4 'D';
@@ -141,7 +137,7 @@ let test_fig3c () =
         (read_byte pvm ctx ~base:b2 ~page:4);
       Alcotest.(check char) "src page 3 diverged" 'S'
         (read_byte pvm ctx ~base:b0 ~page:3);
-      check_invariant pvm)
+      Check.Sanitizer.assert_ok pvm)
 
 (* Figure 3.d: a third copy inserts a second working object. *)
 let test_fig3d () =
@@ -166,7 +162,7 @@ let test_fig3d () =
       Alcotest.(check int)
         "two working history objects" 2
         (Core.Pvm.stats pvm).n_history_created;
-      check_invariant pvm;
+      Check.Sanitizer.assert_ok pvm;
       (* snapshots: cpy1 at t0, cpy2 after 'a', cpy3 after 'b' *)
       Alcotest.(check char) "cpy1 page1 snapshot" '1'
         (read_byte pvm ctx ~base:(List.assq cpy1 bases) ~page:1);
@@ -180,7 +176,7 @@ let test_fig3d () =
         (read_byte pvm ctx ~base:(List.assq cpy3 bases) ~page:3);
       Alcotest.(check char) "src sees all updates" 'c'
         (read_byte pvm ctx ~base:b0 ~page:3);
-      check_invariant pvm)
+      Check.Sanitizer.assert_ok pvm)
 
 (* §4.2.2: the copy deleted first (child exits) — simply discarded. *)
 let test_copy_deleted_first () =
@@ -195,7 +191,7 @@ let test_copy_deleted_first () =
       write_page pvm ctx ~base:(1024 * ps) ~page:0 'n';
       Core.Region.destroy pvm v;
       Core.Cache.destroy pvm cpy;
-      check_invariant pvm;
+      Check.Sanitizer.assert_ok pvm;
       (* src intact, and a write no longer pays a history push *)
       Alcotest.(check char) "src keeps its value" 'o'
         (read_byte pvm ctx ~base:0 ~page:0);
@@ -222,7 +218,7 @@ let test_source_deleted_first () =
       (* child still reads the parent's data *)
       Alcotest.(check char) "child reads dead parent's data" 'k'
         (read_byte pvm ctx ~base:(1024 * ps) ~page:1);
-      check_invariant pvm)
+      Check.Sanitizer.assert_ok pvm)
 
 (* Copy-on-reference: the copy materialises its pages on first read. *)
 let test_copy_on_reference () =
@@ -244,7 +240,7 @@ let test_copy_on_reference () =
       write_page pvm ctx ~base:0 ~page:0 's';
       Alcotest.(check char) "copy keeps its materialised value" 'r'
         (read_byte pvm ctx ~base:(1024 * ps) ~page:0);
-      check_invariant pvm)
+      Check.Sanitizer.assert_ok pvm)
 
 (* Shifted copy (src_off <> dst_off) must still be correct: it takes
    the working-cache path. *)
@@ -262,7 +258,7 @@ let test_shifted_copy () =
       (* copy src pages [0..4) to dst pages [4..8) *)
       Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst
         ~dst_off:(4 * ps) ~size:(4 * ps) ();
-      check_invariant pvm;
+      Check.Sanitizer.assert_ok pvm;
       Alcotest.(check char) "shifted read sees source page" 'w'
         (read_byte pvm ctx ~base:(1024 * ps) ~page:6);
       (* divergence both sides *)
@@ -272,7 +268,7 @@ let test_shifted_copy () =
       write_page pvm ctx ~base:(1024 * ps) ~page:6 'V';
       Alcotest.(check char) "src unaffected by copy write" 'W'
         (read_byte pvm ctx ~base:0 ~page:2);
-      check_invariant pvm)
+      Check.Sanitizer.assert_ok pvm)
 
 (* Deep chains: fork-like chains of copies keep lookup correct. *)
 let test_chain_of_copies () =
@@ -287,7 +283,7 @@ let test_chain_of_copies () =
       for i = 1 to depth - 1 do
         hist_copy pvm ~src:caches.(i - 1) ~dst:caches.(i) ~pages:2
       done;
-      check_invariant pvm;
+      Check.Sanitizer.assert_ok pvm;
       (* the deepest copy still reads the root's page *)
       Alcotest.(check char) "deep chain lookup" '0'
         (read_byte pvm ctx ~base:((depth - 1) * 1024 * ps) ~page:0);
@@ -302,7 +298,7 @@ let test_chain_of_copies () =
           (Char.chr (Char.code 'A' + i))
           (read_byte pvm ctx ~base:(i * 1024 * ps) ~page:0)
       done;
-      check_invariant pvm)
+      Check.Sanitizer.assert_ok pvm)
 
 (* Partial-range copies at several offsets from one source: each frag
    gets its own snapshot; writes in uncopied ranges never push
@@ -325,7 +321,7 @@ let test_partial_ranges () =
         ~size:(2 * ps) ();
       Core.Cache.copy pvm ~strategy:`History ~src ~src_off:(4 * ps) ~dst
         ~dst_off:(4 * ps) ~size:(2 * ps) ();
-      check_invariant pvm;
+      Check.Sanitizer.assert_ok pvm;
       (* writes inside the copied ranges push originals; outside they
          do not *)
       let before = (Core.Pvm.stats pvm).Core.Types.n_cow_copies in
@@ -343,7 +339,7 @@ let test_partial_ranges () =
         (read_byte pvm ctx ~base:(1024 * ps) ~page:4);
       Alcotest.(check char) "dst page 3 is its own zero" '\000'
         (read_byte pvm ctx ~base:(1024 * ps) ~page:3);
-      check_invariant pvm)
+      Check.Sanitizer.assert_ok pvm)
 
 (* Four generations of successive copies with interleaved source
    writes: every generation keeps its own snapshot (fork of fork of
@@ -362,7 +358,7 @@ let test_generations () =
         (* the root mutates after each copy *)
         write_page pvm ctx ~base:0 ~page:0 (Char.chr (Char.code '0' + g))
       done;
-      check_invariant pvm;
+      Check.Sanitizer.assert_ok pvm;
       (* generation g snapshot = root's value after g-1 writes *)
       for g = 1 to gens do
         Alcotest.(check char)

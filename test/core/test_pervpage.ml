@@ -145,7 +145,7 @@ let test_auto_strategy () =
         ||
         (* first copy of a fresh source needs no working cache: check
            the tree exists by looking for a parent relationship *)
-        Core.Pvm.check_invariant pvm = []);
+        Check.Sanitizer.run pvm = []);
       let before = (Core.Pvm.stats pvm).n_eager_pages in
       Core.Cache.copy pvm ~src ~src_off:3 ~dst ~dst_off:7 ~size:100 ();
       Alcotest.(check bool) "unaligned copy went eager" true

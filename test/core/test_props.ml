@@ -119,11 +119,6 @@ let run_ops ?(teardown = false) ~frames ~swap ops =
             Array.fill valid.(s) 0 n_pages false;
             Core.Cache.move pvm ~src:caches.(s) ~src_off:0 ~dst:caches.(d)
               ~dst_off:0 ~size:(n_pages * ps) ());
-          (match Core.Pvm.check_invariant pvm with
-          | [] -> ()
-          | errs ->
-            QCheck.Test.fail_reportf "invariant broken after %s: %s" (pp_op op)
-              (String.concat "; " errs));
           (* the whole-state catalogue, strict: single-fibre runs are
              quiescent between operations *)
           match Check.Sanitizer.run pvm with

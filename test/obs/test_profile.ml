@@ -17,26 +17,17 @@ let run_traced run =
   run engine;
   (Hw.Engine.now engine, Obs.Profile.of_trace tr)
 
-(* One Table-6 zero-fill cycle on a fresh PVM / shadow VM. *)
-let chorus_zero_fill engine =
+module S = Check.Scenario
+
+(* One Table-6 zero-fill cycle on a fresh 600-frame VM. *)
+let zero_fill (module V : S.Vm) engine =
   Hw.Engine.run_fn engine (fun () ->
-      let pvm = Core.Pvm.create ~frames:600 ~engine () in
-      let ctx = Core.Context.create pvm in
-      Check.Scenario.(teardown pvm (zero_fill pvm ctx ~size ~pages)))
+      let vm = V.create ~frames:600 engine in
+      V.teardown vm (V.zero_fill vm ~size ~pages))
 
-let mach_zero_fill engine =
-  Hw.Engine.run_fn engine (fun () ->
-      let vm = Shadow.Shadow_vm.create ~frames:600 ~engine () in
-      let sp = Shadow.Shadow_vm.space_create vm in
-      Shadow.Shadow_vm.entry_destroy vm
-        (Check.Scenario.mach_zero_fill vm sp ~size ~pages))
-
-(* The registry's decomp and its Mach twin: a zero-fill cycle followed
-   by a Table-7 deferred-copy + COW cycle. *)
-let chorus_decomp engine =
-  ignore (Check.Scenario.exec engine Check.Scenario.decomp)
-
-let mach_decomp engine = ignore (Check.Scenario.decomp_mach engine)
+(* The registry's decomp steps: a zero-fill cycle followed by a Table-7
+   deferred-copy + COW cycle. *)
+let decomp vm engine = ignore (S.decomp_on vm engine)
 
 let check_pct ~msg ~paper_ms measured_ns =
   match measured_ns with
@@ -50,30 +41,26 @@ let check_pct ~msg ~paper_ms measured_ns =
 
 (* ------------------------------------------------------------------ *)
 (* The §5.3.2 decomposition, derived from charges, vs the paper's
-   values (Check.Scenario.paper_decomp; the Mach ones recomputed from
-   its Table 6/7 cells by the paper's own formulas). *)
+   values (each VM's [paper_decomp]; the Mach ones recomputed from its
+   Table 6/7 cells by the paper's own formulas). *)
 
-let check_derived ~impl decomp =
-  let _, prof = run_traced decomp in
+let test_derived ((module V : S.Vm) as vm) () =
+  let _, prof = run_traced (decomp vm) in
   let d = Obs.Profile.derive prof in
   Alcotest.(check int)
     "zero-fill faults" (2 * pages) d.Obs.Profile.zero_fill_faults;
   Alcotest.(check int) "COW faults" pages d.cow_faults;
   Alcotest.(check int) "copies" 1 d.copies;
   List.iter
-    (fun (i, name, paper_ms) ->
-      if i = impl then
-        check_pct ~msg:name ~paper_ms
-          (match name with
-          | "demand-alloc" -> d.demand_ns
-          | "cow" -> d.cow_ns
-          | "tree-setup" -> d.tree_setup_ns
-          | "protect" -> d.protect_ns
-          | _ -> Alcotest.failf "unknown §5.3.2 value %s" name))
-    Check.Scenario.paper_decomp
-
-let test_derived_chorus () = check_derived ~impl:"chorus" chorus_decomp
-let test_derived_mach () = check_derived ~impl:"mach" mach_decomp
+    (fun (name, paper_ms) ->
+      check_pct ~msg:name ~paper_ms
+        (match name with
+        | "demand-alloc" -> d.demand_ns
+        | "cow" -> d.cow_ns
+        | "tree-setup" -> d.tree_setup_ns
+        | "protect" -> d.protect_ns
+        | _ -> Alcotest.failf "unknown §5.3.2 value %s" name))
+    V.paper_decomp
 
 (* ------------------------------------------------------------------ *)
 (* Attribution totals: in these device-free workloads every advance of
@@ -81,27 +68,21 @@ let test_derived_mach () = check_derived ~impl:"mach" mach_decomp
    must equal elapsed sim time exactly — and the elapsed time is the
    Table 6 (1024 Kb, 128 pg) cell, within 5% of the paper. *)
 
-let test_attribution_total_chorus () =
-  let elapsed, prof = run_traced chorus_zero_fill in
+let test_attribution_total ((module V : S.Vm) as vm) () =
+  let elapsed, prof = run_traced (zero_fill vm) in
   Alcotest.(check int)
     "every simulated ns attributed" elapsed prof.Obs.Profile.total_charge_ns;
   let ms = float_of_int elapsed /. 1e6 in
-  if Float.abs ((ms -. 145.9) /. 145.9) > 0.05 then
-    Alcotest.failf "Table 6 cell drifted: %.2f ms vs paper 145.9" ms
-
-let test_attribution_total_mach () =
-  let elapsed, prof = run_traced mach_zero_fill in
-  Alcotest.(check int)
-    "every simulated ns attributed" elapsed prof.Obs.Profile.total_charge_ns;
-  let ms = float_of_int elapsed /. 1e6 in
-  if Float.abs ((ms -. 180.8) /. 180.8) > 0.05 then
-    Alcotest.failf "Table 6 Mach cell drifted: %.2f ms vs paper 180.8" ms
+  let paper = List.assoc (1024, pages) V.paper_table6 in
+  if Float.abs ((ms -. paper) /. paper) > 0.05 then
+    Alcotest.failf "Table 6 %s cell drifted: %.2f ms vs paper %.2f" V.label ms
+      paper
 
 (* ------------------------------------------------------------------ *)
 (* Export surfaces. *)
 
 let test_folded_output () =
-  let _, prof = run_traced chorus_decomp in
+  let _, prof = run_traced (decomp (module S.Chorus)) in
   let folded = Obs.Profile.to_folded prof in
   let lines =
     String.split_on_char '\n' folded |> List.filter (fun l -> l <> "")
@@ -136,7 +117,7 @@ let test_dropped_surfaces () =
   let engine = Hw.Engine.create () in
   Hw.Engine.set_tracer engine tr;
   Obs.Trace.enable tr;
-  chorus_zero_fill engine;
+  zero_fill (module S.Chorus) engine;
   Alcotest.(check bool) "ring overflowed" true (Obs.Trace.dropped tr > 0);
   let prof = Obs.Profile.of_trace tr in
   Alcotest.(check int)
@@ -164,7 +145,7 @@ let test_dropped_surfaces () =
   | None -> Alcotest.fail "no otherData.droppedEvents in Chrome export"
 
 let test_json_roundtrip () =
-  let _, prof = run_traced chorus_decomp in
+  let _, prof = run_traced (decomp (module S.Chorus)) in
   let j = Obs.Profile.to_json prof in
   let reparsed = Obs.Json.parse (Obs.Json.to_string j) in
   Alcotest.(check string)
@@ -242,19 +223,18 @@ let () =
   Alcotest.run "profile"
     [
       ( "derived",
-        [
-          Alcotest.test_case "chorus within 5% of paper" `Quick
-            test_derived_chorus;
-          Alcotest.test_case "mach within 5% of paper" `Quick
-            test_derived_mach;
-        ] );
+        List.map
+          (fun ((module V : S.Vm) as vm) ->
+            Alcotest.test_case (V.impl ^ " within 5% of paper") `Quick
+              (test_derived vm))
+          S.vms );
       ( "attribution",
-        [
-          Alcotest.test_case "chorus total = sim time = Table 6 cell" `Quick
-            test_attribution_total_chorus;
-          Alcotest.test_case "mach total = sim time = Table 6 cell" `Quick
-            test_attribution_total_mach;
-        ] );
+        List.map
+          (fun ((module V : S.Vm) as vm) ->
+            Alcotest.test_case
+              (V.impl ^ " total = sim time = Table 6 cell")
+              `Quick (test_attribution_total vm))
+          S.vms );
       ( "export",
         [
           Alcotest.test_case "folded stacks conserve charges" `Quick

@@ -18,118 +18,122 @@ let check_close name ~paper ~tolerance measured =
     Alcotest.failf "%s: measured %.2f ms vs paper %.2f ms (%.0f%% off)" name
       measured paper (dev *. 100.)
 
-(* One Chorus cell on a fresh 600-frame PVM: [cell pvm ctx] sets up
-   untimed and returns the step, which is timed with the shared
-   teardown.  The structural sweep runs
-   after every engine event, as the checkers' slow mode does; the strict
-   sweeps run only at the phase boundaries, since a strict sweep
-   mid-fault sees frames in flight.  The sweeps charge nothing, so they
-   do not perturb the measured cell. *)
-let chorus_cell ~label cell =
-  let engine = Hw.Engine.create () in
-  let pvm = ref None and sweeps = ref 0 in
-  Hw.Engine.set_event_hook engine (fun () ->
-      Option.iter
-        (fun pvm ->
-          incr sweeps;
-          Check.Sanitizer.assert_ok ~strict:false ~label:"per-event sweep" pvm)
-        !pvm);
-  let ms =
-    Hw.Engine.run_fn engine (fun () ->
-        let p = Core.Pvm.create ~frames:600 ~engine () in
-        pvm := Some p;
-        let ctx = Core.Context.create p in
-        let step = cell p ctx in
-        let t0 = Hw.Engine.now engine in
-        let made = step () in
-        Check.Sanitizer.assert_ok ~label:(label ^ " populated") p;
-        S.teardown p made;
-        Check.Sanitizer.assert_ok ~label:(label ^ " torn down") p;
-        float_of_int (Hw.Engine.now engine - t0) /. 1e6)
-  in
-  if !sweeps = 0 then Alcotest.failf "%s: the per-event sweep never ran" label;
-  ms
+(* The PVM under the sanitizer.  The structural sweep runs after every
+   engine event, as the checkers' slow mode does; the strict sweeps run
+   only after each step, since a strict sweep mid-fault sees frames in
+   flight.  The sweeps charge nothing, so they do not perturb the
+   measured cell. *)
+module Swept = struct
+  include S.Chorus
 
-(* One Table 6 cell: region of [size], touch [pages], destroy. *)
-let zero_fill_pvm ~size ~pages =
-  chorus_cell ~label:"table6" (fun pvm ctx () ->
-      S.zero_fill pvm ctx ~size ~pages)
+  let sweeps = ref 0
 
-let zero_fill_mach ~size ~pages =
+  let create ~frames engine =
+    let ((pvm, _) as vm) = create ~frames engine in
+    sweeps := 0;
+    Hw.Engine.set_event_hook engine (fun () ->
+        incr sweeps;
+        Check.Sanitizer.assert_ok ~strict:false ~label:"per-event sweep" pvm);
+    vm
+
+  let zero_fill ((pvm, _) as vm) ~size ~pages =
+    let made = zero_fill vm ~size ~pages in
+    Check.Sanitizer.assert_ok ~label:"zero_fill" pvm;
+    made
+
+  let diverge ((pvm, _) as vm) ~src ~size ~pages =
+    let made = diverge vm ~src ~size ~pages in
+    Check.Sanitizer.assert_ok ~label:"diverge" pvm;
+    made
+
+  let teardown ((pvm, _) as vm) made =
+    teardown vm made;
+    Check.Sanitizer.assert_ok ~label:"teardown" pvm;
+    if !sweeps = 0 then Alcotest.fail "the per-event sweep never ran"
+end
+
+let vms : (module S.Vm) list = [ (module Swept); (module S.Mach) ]
+
+(* Simulated ms of [cycle], run on a fresh engine after [setup]. *)
+let timed setup cycle =
   let engine = Hw.Engine.create () in
   Hw.Engine.run_fn engine (fun () ->
-      let vm = Shadow.Shadow_vm.create ~frames:600 ~engine () in
-      let sp = Shadow.Shadow_vm.space_create vm in
+      let ready = setup engine in
       let t0 = Hw.Engine.now engine in
-      Shadow.Shadow_vm.entry_destroy vm (S.mach_zero_fill vm sp ~size ~pages);
+      cycle ready;
       float_of_int (Hw.Engine.now engine - t0) /. 1e6)
 
-let test_table6 () =
-  List.iter
-    (fun (size, pages, paper) ->
-      check_close
-        (Printf.sprintf "Table6 Chorus %dKb/%dpg" (size / 1024) pages)
-        ~paper ~tolerance:0.15
-        (zero_fill_pvm ~size ~pages))
-    [
-      (kb 8, 0, 0.350);
-      (kb 8, 1, 1.50);
-      (kb 256, 32, 36.6);
-      (kb 1024, 128, 145.9);
-    ];
-  List.iter
-    (fun (size, pages, paper) ->
-      check_close
-        (Printf.sprintf "Table6 Mach %dKb/%dpg" (size / 1024) pages)
-        ~paper ~tolerance:0.15
-        (zero_fill_mach ~size ~pages))
-    [ (kb 8, 0, 1.57); (kb 8, 1, 3.12); (kb 1024, 128, 180.8) ]
+(* One Table 6 cell: region of [size], touch [pages], destroy. *)
+let zero_fill (module V : S.Vm) ~size ~pages =
+  timed (V.create ~frames:600) (fun vm ->
+      V.teardown vm (V.zero_fill vm ~size ~pages))
 
 (* One Table 7 cell: source allocated outside the measurement; copy it,
    write [pages] source pages, destroy the copy. *)
-let cow_pvm ~size ~pages =
-  chorus_cell ~label:"table7" (fun pvm ctx ->
-      let src, _ = S.zero_fill pvm ctx ~size ~pages:(size / ps) in
-      fun () -> S.diverge pvm ctx ~src ~size ~pages)
+let cow (module V : S.Vm) ~size ~pages =
+  timed
+    (fun engine ->
+      let vm = V.create ~frames:900 engine in
+      (vm, V.zero_fill vm ~size ~pages:(size / ps)))
+    (fun (vm, src) -> V.teardown vm (V.diverge vm ~src ~size ~pages))
 
-let test_table7 () =
+(* Each cell as ((region Kb, pages), tolerance), on each VM. *)
+let check_cells ~table ~paper ~measure cells =
   List.iter
-    (fun (size, pages, paper, tolerance) ->
-      check_close
-        (Printf.sprintf "Table7 Chorus %dKb/%dpg" (size / 1024) pages)
-        ~paper ~tolerance
-        (cow_pvm ~size ~pages))
+    (fun ((module V : S.Vm) as vm) ->
+      List.iter
+        (fun (((size_kb, pages) as cell), tolerance) ->
+          check_close
+            (Printf.sprintf "%s %s %dKb/%dpg" table V.label size_kb pages)
+            ~paper:(List.assoc cell (paper vm)) ~tolerance
+            (measure vm ~size:(kb size_kb) ~pages))
+        cells)
+    vms
+
+let test_table6 () =
+  check_cells ~table:"Table6" ~measure:zero_fill
+    ~paper:(fun (module V : S.Vm) -> V.paper_table6)
+    [ ((8, 0), 0.15); ((8, 1), 0.15); ((256, 32), 0.15); ((1024, 128), 0.15) ]
+
+(* The 256 Kb / 0-page tolerance is the documented deviation of the
+   Chorus cell; the Mach one shares the bound. *)
+let test_table7 () =
+  check_cells ~table:"Table7" ~measure:cow
+    ~paper:(fun (module V : S.Vm) -> V.paper_table7)
     [
-      (kb 8, 0, 0.4, 0.15);
-      (kb 8, 1, 2.10, 0.15);
-      (kb 256, 0, 0.7, 0.40) (* documented deviation, see EXPERIMENTS.md *);
-      (kb 256, 32, 55.7, 0.15);
-      (kb 1024, 128, 221.9, 0.15);
+      ((8, 0), 0.15);
+      ((8, 1), 0.15);
+      ((256, 0), 0.40);
+      ((256, 32), 0.15);
+      ((1024, 128), 0.15);
     ]
 
 (* §5.3.2 derived quantities, straight from the formulas. *)
 let test_derived_overheads () =
-  let bzero = 0.87 and bcopy = 1.4 in
-  let demand =
-    ((zero_fill_pvm ~size:(kb 1024) ~pages:128
-     -. zero_fill_pvm ~size:(kb 1024) ~pages:0)
-    /. 128.)
-    -. bzero
-  in
-  check_close "on-demand allocation structure" ~paper:0.27 ~tolerance:0.1
-    demand;
-  let cow =
-    ((cow_pvm ~size:(kb 1024) ~pages:128 -. cow_pvm ~size:(kb 1024) ~pages:0)
-    /. 128.)
-    -. bcopy
-  in
-  check_close "COW resolution structure" ~paper:0.31 ~tolerance:0.1 cow
+  List.iter
+    (fun ((module V : S.Vm) as vm) ->
+      (* (t(1024 Kb, 128) - t(1024 Kb, 0)) / 128, less the page's bzero
+         or bcopy *)
+      let structure name measure fixed_ns =
+        let per_page =
+          (measure vm ~size:(kb 1024) ~pages:128
+          -. measure vm ~size:(kb 1024) ~pages:0)
+          /. 128.
+        in
+        check_close
+          (Printf.sprintf "%s %s structure" V.label name)
+          ~paper:(List.assoc name V.paper_decomp) ~tolerance:0.1
+          (per_page -. (float_of_int fixed_ns /. 1e6))
+      in
+      structure "demand-alloc" zero_fill V.profile.Hw.Cost.t_bzero_page;
+      structure "cow" cow V.profile.Hw.Cost.t_bcopy_page)
+    vms
 
 (* Structural claims: region creation is size-independent (paper:
    "only 10%" between 1 and 128 pages of span). *)
 let test_region_create_size_independent () =
-  let small = zero_fill_pvm ~size:(kb 8) ~pages:0 in
-  let large = zero_fill_pvm ~size:(kb 1024) ~pages:0 in
+  let small = zero_fill (module Swept) ~size:(kb 8) ~pages:0 in
+  let large = zero_fill (module Swept) ~size:(kb 1024) ~pages:0 in
   Alcotest.(check bool)
     (Printf.sprintf "create/destroy roughly size-independent (%.2f vs %.2f)"
        small large)
