@@ -40,7 +40,7 @@ let sweep ?(domains_list = [ 1; 2; 4 ]) () =
   let scen = Check.Scenario.storm ~workers ~pages ~rounds () in
   Printf.printf
     "\nParallel fault throughput (storm: %d workers x %d pages x %d rounds)\n\
-     (simulated time; speedup vs the 1-domain uniprocessor model — the \
+     (simulated time; speedup vs the 1-CPU uniprocessor model — the \
      sequential engine row is the\n\
      infinite-CPU discrete-event idealisation and the digest oracle)\n"
     workers pages rounds;
@@ -69,7 +69,7 @@ let sweep ?(domains_list = [ 1; 2; 4 ]) () =
   let emit domains faults sim digest busy =
     let ok = String.equal digest seq_digest in
     if not ok then diverged := true;
-    row (Printf.sprintf "%d domain(s)" domains) faults sim ok;
+    row (Printf.sprintf "%d CPU(s)" domains) faults sim ok;
     utilizations := (domains, busy, sim) :: !utilizations
   in
   emit 1 uni_faults uni_sim uni_digest uni_busy;
@@ -82,7 +82,7 @@ let sweep ?(domains_list = [ 1; 2; 4 ]) () =
     domains_list;
   List.iter
     (fun (domains, busy, sim) ->
-      Format.printf "\n%d domain(s):@\n%a" domains
+      Format.printf "\n%d CPU(s):@\n%a" domains
         (fun ppf () -> Obs.Profile.pp_utilization ppf ~busy ~makespan:sim)
         ())
     (List.rev !utilizations);

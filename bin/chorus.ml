@@ -567,7 +567,8 @@ let cmds =
             & info [ "domains" ] ~docv:"N"
                 ~doc:
                   "run every schedule on $(docv) simulated CPUs (>= 1); \
-                   affinity-classed fibres then run as lane slices"));
+                   affinity-classed fibres then run as lane slices, and \
+                   seeded schedules reorder them"));
     Cmd.v
       (Cmd.info "crossval"
          ~doc:
@@ -706,8 +707,8 @@ let () =
       `P
         "Wherever a subcommand takes $(b,--domains) N, N is a number of \
          simulated CPUs, not of OS domains: every run executes on one OS \
-         domain, fibres with a non-zero affinity run in per-class lanes, \
-         and each lane slice is placed on one of the N simulated CPUs.  \
+         domain, fibres with a non-zero affinity run as lane slices, and \
+         each lane slice is placed on one of the N simulated CPUs.  \
          Runs are deterministic at every N.";
     ]
   in

@@ -19,9 +19,9 @@
     a forced replay of those decisions reproduces the original
     schedule exactly, whatever scheduler produced it, and a run with
     no scheduler logs nothing because index 0 at every choice is the
-    order it took.  Lane slices are not choices: their order follows
-    from the serial picks, so a replay on as many simulated CPUs as the
-    bundle records ([cpus]) re-drives them too. *)
+    order it took.  Lane picks are in the log too, so a replay on as
+    many simulated CPUs as the bundle records ([cpus]) re-drives the
+    order of the lane slices as well. *)
 
 type outcome = {
   o_kind : string;

@@ -6,7 +6,7 @@ type task = {
   mutable seq : int;
   daemon : bool;
   mutable fib : int;
-  cls : int; (* affinity class: 0 serial, else the lane *)
+  lane : bool; (* runs as lane slices: non-zero affinity on simulated CPUs *)
   mutable run : unit -> unit;
 }
 
@@ -38,17 +38,11 @@ type watchdog = {
   mutable wd_last_stall : string option;
 }
 
-(* One affinity class's serialisation lane: tasks of equal (non-zero)
-   affinity execute in FIFO order, at most one at a time; distinct
-   lanes model fibres on distinct simulated CPUs. *)
-type lane = { l_q : task Queue.t; mutable l_busy : bool }
-
 (* The simulated CPUs.  [p_domains] is 0 for the sequential engine: no
-   lanes, and every slice runs in heap order. *)
+   lane fibres, and every slice runs in heap order. *)
 type par = {
   p_domains : int;
-  lanes : (int, lane) Hashtbl.t;
-  runnable : int Queue.t; (* affinity classes with a runnable head *)
+  lane_ready : task Queue.t; (* ready lane tasks, in [seq] order *)
   mutable p_horizon : Sim_time.t; (* max virtual clock a lane slice reached *)
   p_cpu : Sim_time.t array;
       (* simulated clock of each of the [p_domains] CPUs.  A slice runs
@@ -76,9 +70,9 @@ type t = {
   mutable on_event : (unit -> unit) option;
   mutable sched : scheduler option;
   mutable decisions : int list; (* multi-ready picks, newest first *)
-  mutable tracking : bool; (* inside a serial slice under a scheduler *)
+  mutable tracking : bool; (* inside a slice under a scheduler *)
   mutable accesses : (int * int * bool) list;
-      (* serial slice footprint, reversed; the bool marks a write *)
+      (* the slice's footprint, reversed; the bool marks a write *)
   names : (int, string) Hashtbl.t;
   par : par;
   waiting : (int, wait_info) Hashtbl.t; (* parked fibres, by id *)
@@ -130,7 +124,7 @@ let cmp_task a b =
 let create ?(domains = 0) () =
   if domains < 0 then invalid_arg "Engine.create: negative domain count";
   let filler =
-    { time = Sim_time.zero; seq = 0; daemon = true; fib = 0; cls = 0;
+    { time = Sim_time.zero; seq = 0; daemon = true; fib = 0; lane = false;
       run = ignore }
   in
   let rec eng =
@@ -155,8 +149,7 @@ let create ?(domains = 0) () =
       par =
         {
           p_domains = domains;
-          lanes = Hashtbl.create 16;
-          runnable = Queue.create ();
+          lane_ready = Queue.create ();
           p_horizon = Sim_time.zero;
           p_cpu = Array.make domains Sim_time.zero;
           p_busy = Array.make domains 0;
@@ -209,8 +202,8 @@ let set_scheduler eng s = eng.sched <- Some s
 let clear_scheduler eng = eng.sched <- None
 let decisions eng = List.rev eng.decisions
 
-(* Footprints are the serial slices': a lane slice is not a choice
-   point, and runs after the serial slice's tracking has ended. *)
+(* Under a scheduler every slice, serial or lane, has its own
+   footprint. *)
 let tracking eng = eng.tracking
 
 let note_access ?(write = true) eng a b =
@@ -403,28 +396,14 @@ let seeded_scheduler seed =
   }
 
 (* Stamp a task with its time and the next sequence number and route
-   it.  Serial-class tasks go to the discrete-event heap; an affinity
-   class goes to its lane, which becomes runnable when its head is the
-   only queued task and no slice of the lane is running. *)
+   it: a lane task joins the ready lane tasks, in the order they became
+   ready; any other goes to the discrete-event heap. *)
 let push eng p task time =
   task.time <- time;
   task.seq <- eng.seq;
   eng.seq <- eng.seq + 1;
   if not task.daemon then eng.live_tasks <- eng.live_tasks + 1;
-  if task.cls = 0 then Pqueue.push eng.queue task
-  else begin
-    let lane =
-      match Hashtbl.find_opt p.lanes task.cls with
-      | Some l -> l
-      | None ->
-        let l = { l_q = Queue.create (); l_busy = false } in
-        Hashtbl.replace p.lanes task.cls l;
-        l
-    in
-    Queue.push task lane.l_q;
-    if (not lane.l_busy) && Queue.length lane.l_q = 1 then
-      Queue.push task.cls p.runnable
-  end
+  if task.lane then Queue.push task p.lane_ready else Pqueue.push eng.queue task
 
 (* Queue a fibre's next slice, [task.run].  A fibre being scheduled is
    no longer parked, so its waiting-table entry (if any) goes too. *)
@@ -436,8 +415,8 @@ let schedule eng task time =
    same fibre's wake-up straight back off the heap: every queued task
    is due strictly after [now + span].  The wake-up's sequence number
    is consumed and [pending_wait] cleared exactly as the handler does,
-   so later tasks are numbered as before.  Only when no lane is
-   runnable (the run loop would run those first) and nothing observes
+   so later tasks are numbered as before.  Only when no lane task is
+   ready (the run loop would run those first) and nothing observes
    the dispatch in between: no scheduler (it picks and steps every slice),
    no watchdog (it checks between events), no event hook (it runs
    after every event), and a user fibre (the run loop decides whether
@@ -447,7 +426,7 @@ let[@chorus.hot] advance_in_place eng span =
   Option.is_none eng.sched
   && Option.is_none eng.watch
   && Option.is_none eng.on_event
-  && Queue.is_empty eng.par.runnable
+  && Queue.is_empty eng.par.lane_ready
   && (not eng.cur_daemon)
   &&
   let time = eng.now + span in
@@ -555,9 +534,9 @@ let spawn eng ?name ?(daemon = false) ?(affinity = 0) f =
   (* Without simulated CPUs every fibre is serial: affinity is advisory
      and ignored, which is what makes this engine the oracle twin of
      the lanes. *)
-  let cls = if p.p_domains = 0 then 0 else affinity in
+  let lane = p.p_domains > 0 && affinity <> 0 in
   let task =
-    { time = Sim_time.zero; seq = 0; daemon; fib = 0; cls; run = ignore }
+    { time = Sim_time.zero; seq = 0; daemon; fib = 0; lane; run = ignore }
   in
   task.run <- (fun () -> exec eng task f);
   if not daemon then eng.live <- eng.live + 1;
@@ -579,21 +558,25 @@ let pick_cpu p =
   done;
   !best
 
-(* Run the head of the next runnable lane as a lane slice, placed when
-   it starts on the least-loaded simulated CPU.  The slice begins at the
-   later of its fibre's ready time and that CPU's clock; when it
-   completes, the CPU's clock moves to the slice's end and its charge
-   interval is added to the CPU's busy time.  The horizon is thus the
-   makespan of greedy list scheduling onto [p_domains] CPUs: charges on
-   distinct CPUs overlap in simulated time, charges on the same CPU
-   serialise.  The slice's trace records went to the ring as it ran;
-   its "slice" span follows if it charged time or recorded anything. *)
-let lane_slice eng p =
-  let aff = Queue.pop p.runnable in
-  let lane = Hashtbl.find p.lanes aff in
-  let task = Queue.pop lane.l_q in
-  lane.l_busy <- true;
-  if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
+(* A serial slice runs at the task's time on the coordinator clock. *)
+let serial_slice eng task =
+  if task.time > eng.now then eng.now <- task.time;
+  eng.cur_fib <- task.fib;
+  eng.cur_daemon <- task.daemon;
+  eng.in_slice <- true;
+  task.run ();
+  eng.in_slice <- false
+
+(* A lane slice is placed when it starts, on the least-loaded simulated
+   CPU.  The slice begins at the later of its fibre's ready time and
+   that CPU's clock; when it completes, the CPU's clock moves to the
+   slice's end and its charge interval is added to the CPU's busy time.
+   The horizon is thus the makespan of greedy list scheduling onto
+   [p_domains] CPUs: charges on distinct CPUs overlap in simulated
+   time, charges on the same CPU serialise.  The slice's trace records
+   went to the ring as it ran; its "slice" span follows if it charged
+   time or recorded anything. *)
+let lane_slice eng p task =
   let cpu = pick_cpu p in
   let base = max task.time p.p_cpu.(cpu) in
   let pt = { pt_eng = eng; pt_fib = task.fib; pt_clock = base; pt_wait = None } in
@@ -608,80 +591,82 @@ let lane_slice eng p =
   if Obs.Trace.enabled eng.tracer
      && (finish > base || recorded eng.tracer > before)
   then Obs.Trace.slice_commit eng.tracer ~cpu ~fib:task.fib ~t0:base ~t1:finish;
-  if finish > p.p_horizon then p.p_horizon <- finish;
-  lane.l_busy <- false;
-  if not (Queue.is_empty lane.l_q) then Queue.push aff p.runnable
+  if finish > p.p_horizon then p.p_horizon <- finish
+
+let run_slice eng p task =
+  if task.lane then lane_slice eng p task else serial_slice eng task
 
 (* --- The run loop ------------------------------------------------- *)
 
 (* Run while non-daemon work remains: queued tasks, or parked user
    fibres that a queued daemon may still wake.  Once every user fibre
    has finished, pending daemon wakeups are discarded — a periodic
-   daemon would otherwise keep the simulation alive forever.  Called
-   with no lane runnable. *)
+   daemon would otherwise keep the simulation alive forever.  Lane
+   tasks are never a daemon's, so a ready one always counts. *)
 let more eng =
   eng.live_tasks > 0 || (eng.live > 0 && not (Pqueue.is_empty eng.queue))
 
-(* Dispatch under a scheduler: every dispatch is an explicit choice
-   point.  The equal-time ready set is drained (the heap yields it in
-   [seq] order) and the scheduler picks; multi-way picks are logged to
-   [decisions], the schedule a forced replay re-drives.  The heap holds
-   serial-class tasks only, so lane slices are never choice points. *)
-let dispatch eng s =
-  let q = eng.queue in
-  let task = Pqueue.pop q in
-  let rec gather acc =
-    if (not (Pqueue.is_empty q)) && (Pqueue.top q).time = task.time then
-      gather (Pqueue.pop q :: acc)
-    else acc
-  in
-  let arr = Array.of_list (List.rev (gather [ task ])) in
+(* Under a scheduler every dispatch is an explicit choice point over a
+   ready set in [seq] order: the scheduler picks, a multi-way pick is
+   logged to [decisions] (the schedule a forced replay re-drives) and
+   the rest go back through [requeue]. *)
+let pick eng s ~now arr requeue =
   let ready =
     Array.map
       (fun t -> { rt_fib = t.fib; rt_seq = t.seq; rt_daemon = t.daemon })
       arr
   in
-  let idx = s.sched_pick ~now:task.time ready in
+  let idx = s.sched_pick ~now ready in
   if idx < 0 || idx >= Array.length arr then
     invalid_arg "Engine: scheduler picked an out-of-range ready task";
   if Array.length arr > 1 then eng.decisions <- arr.(idx).fib :: eng.decisions;
-  Array.iteri (fun i t -> if i <> idx then Pqueue.push eng.queue t) arr;
+  Array.iteri (fun i t -> if i <> idx then requeue t) arr;
   arr.(idx)
 
-(* Pop the next serial task.  Without a scheduler the heap order
-   (time, seq) IS the policy. *)
-let take eng =
+(* The next task: a ready lane task while there is one, so the lanes
+   drain before the heap moves on, and otherwise the heap's next task.
+   Without a scheduler, ready order and the heap's (time, seq) order
+   ARE the policy.  Under one, the ready set is every ready lane task,
+   or else the heap's equal-time tasks (it yields them in [seq]
+   order). *)
+let take eng p =
+  let q = eng.queue and lanes = p.lane_ready in
   let task =
-    match eng.sched with None -> Pqueue.pop eng.queue | Some s -> dispatch eng s
+    match eng.sched with
+    | None -> if Queue.is_empty lanes then Pqueue.pop q else Queue.pop lanes
+    | Some s when Queue.is_empty lanes ->
+      let first = Pqueue.pop q in
+      let rec gather acc =
+        if (not (Pqueue.is_empty q)) && (Pqueue.top q).time = first.time then
+          gather (Pqueue.pop q :: acc)
+        else acc
+      in
+      let arr = Array.of_list (List.rev (gather [ first ])) in
+      pick eng s ~now:first.time arr (Pqueue.push q)
+    | Some s ->
+      let arr = Array.of_seq (Queue.to_seq lanes) in
+      Queue.clear lanes;
+      pick eng s ~now:eng.now arr (fun t -> Queue.push t lanes)
   in
   if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
   task
 
-(* One serial slice, then every lane slice it made runnable, in FIFO
-   order of the lanes becoming runnable: so a serial slice always runs
-   with no lane runnable, and a program whose fibres are all serial
-   runs the identical schedule at any CPU count. *)
+(* One slice, serial or lane, at a time.  Between slices run the
+   scheduler's step (with the slice's own footprint), the event hook
+   and the watchdog sweep, so a cycle closed in a lane slice is raised
+   before the run can end in Deadlock.  A program whose fibres are all
+   serial runs the identical schedule at any CPU count. *)
 let rec coordinate eng p =
   if more eng then begin
-    let task = take eng in
-    if task.time > eng.now then eng.now <- task.time;
-    eng.cur_fib <- task.fib;
-    eng.cur_daemon <- task.daemon;
-    eng.in_slice <- true;
+    let task = take eng p in
     (match eng.sched with
-    | None -> task.run ()
+    | None -> run_slice eng p task
     | Some _ ->
       eng.tracking <- true;
       eng.accesses <- [];
-      Fun.protect ~finally:(fun () -> eng.tracking <- false) task.run);
-    eng.in_slice <- false;
-    while not (Queue.is_empty p.runnable) do
-      lane_slice eng p
-    done;
-    (* The scheduler's step, the event hook and the watchdog sweep run
-       between events, once the lane slices the serial one set off have
-       run or parked, so a cycle closed in a lane is raised here, before
-       the run can end in Deadlock. *)
+      Fun.protect
+        ~finally:(fun () -> eng.tracking <- false)
+        (fun () -> run_slice eng p task));
     if eng.sched <> None || eng.on_event <> None || eng.watch <> None then begin
       (match eng.sched with
       | Some s ->

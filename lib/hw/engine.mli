@@ -6,9 +6,10 @@
     deterministically: fibres are one-shot delimited continuations
     (OCaml 5 effects) scheduled by simulated time; ties are broken by
     spawn/wake order, so every run is reproducible.  The dispatch order
-    of equal-time fibres is the engine's only nondeterminism, and an
-    installed {!scheduler} is the one way to choose it differently —
-    {!seeded_scheduler} to perturb it, a model checker to enumerate it.
+    of equal-time fibres, and of ready lane slices on simulated CPUs,
+    is the engine's only nondeterminism, and an installed {!scheduler}
+    is the one way to choose it differently — {!seeded_scheduler} to
+    perturb it, a model checker to enumerate it.
 
     Fibre-facing operations ({!sleep}, {!suspend}, {!Cond.wait}) may
     only be called from code running inside {!run}. *)
@@ -35,21 +36,22 @@ type ready_task = {
 
 type scheduler = {
   sched_pick : now:Sim_time.t -> ready_task array -> int;
-      (** Called at every dispatch with the complete set of ready
-          tasks at the minimal queued time, in [rt_seq] order (always
-          non-empty; often a singleton).  Must return the index of the
-          task to run.  Exceptions propagate out of {!run}. *)
+      (** Called at every dispatch with the complete ready set, in
+          [rt_seq] order (always non-empty; often a singleton): every
+          ready lane task while there is one, else the serial tasks at
+          the minimal queued time.  Must return the index of the task
+          to run.  Exceptions propagate out of {!run}. *)
   sched_step : fib:int -> accesses:(int * int * bool) list -> unit;
-      (** Called after the chosen task's slice completes (and before
-          the event hook), with the fibre that ran and the shared
-          objects the slice touched, as recorded by {!note_access}
-          (unordered, may contain duplicates); the [bool] marks a
-          write. *)
+      (** Called after the chosen task's slice — serial or lane —
+          completes (and before the event hook), with the fibre that
+          ran and the shared objects the slice touched, as recorded by
+          {!note_access} (unordered, may contain duplicates); the
+          [bool] marks a write. *)
 }
-(** A scheduling policy: the only way to dispatch equal-time tasks in
-    anything but spawn/wake order.  Without one the engine pops its
-    [(time, seq)] heap directly — the zero-overhead default, identical
-    to {!fifo_scheduler}.  {!seeded_scheduler} is the canned
+(** A scheduling policy: the only way to dispatch equal-time tasks, or
+    ready lane tasks, in anything but spawn/wake order.  Without one
+    the engine takes them in that order — the zero-overhead default,
+    identical to {!fifo_scheduler}.  {!seeded_scheduler} is the canned
     perturbation; a model checker or a forced replay installs its own
     to enumerate or dictate the choices.  Reordering is legal because
     a fibre has at most one queued task at a time (one-shot
@@ -60,16 +62,16 @@ val create : ?domains:int -> unit -> t
 (** [create ~domains:n ()] is an engine modelling [n] simulated CPUs
     (default 0).  Everything runs on the calling OS domain.  Serial-class
     fibres (affinity 0, the default) run in exact heap order; a fibre
-    spawned with a non-zero [affinity] runs in its class's lane as
-    {e lane slices}, each placed when it starts on the least-loaded
-    simulated CPU.  After every
-    serial slice the run loop runs the heads of the runnable lanes, in
-    the order they became runnable, until none is left; only then does
-    it pop the heap again.  So a program whose fibres are all serial
-    executes the same schedule at any [n], and with [n = 0] — the
-    sequential engine — every fibre is serial.  Inside a lane slice,
-    {!sleep} coalesces into a per-slice virtual clock instead of a heap
-    round-trip.  Every run at a given [n] is deterministic. *)
+    spawned with a non-zero [affinity] runs as {e lane slices}, each
+    placed when it starts on the least-loaded simulated CPU.  The run
+    loop runs one slice at a time: a ready lane task while there is one
+    — in the order they became ready, or as an installed {!scheduler}
+    picks — and only then the heap's next serial task.  So a program
+    whose fibres are all serial executes the same schedule at any [n],
+    and with [n = 0] — the sequential engine — every fibre is serial.
+    Inside a lane slice, {!sleep} coalesces into a per-slice virtual
+    clock instead of a heap round-trip.  Every run at a given [n] is
+    deterministic. *)
 
 val domains : t -> int
 (** The number of simulated CPUs this engine was created with. *)
@@ -90,22 +92,21 @@ val in_parallel_slice : unit -> bool
 (** Whether the calling code runs inside a lane slice. *)
 
 val set_scheduler : t -> scheduler -> unit
-(** Route every dispatch of a serial-class task through an explicit
-    choice point, replacing the default spawn/wake order while
-    installed.  Lane slices are not choice points: their order is
-    fixed by the serial slices before them.  [sched_step] runs once
-    the lane slices a serial slice set off have run. *)
+(** Route every dispatch, of a serial task or a lane slice, through an
+    explicit choice point, replacing the default spawn/wake order while
+    installed.  [sched_step] runs after every slice, with that slice's
+    own footprint. *)
 
 val clear_scheduler : t -> unit
 
 val decisions : t -> int list
 (** Every multi-ready pick a {!scheduler} made on this engine, oldest
     first: the fibre chosen at each dispatch that had more than one
-    equal-time ready task.  This is the schedule format
-    [Check.Explore.run_forced] consumes, so feeding it back reproduces
-    the run decision for decision on an engine with the same number of
-    simulated CPUs: lane slices are not choices, their order follows
-    from the serial picks.  Empty when no scheduler was ever installed — and
+    equal-time ready task or more than one ready lane task.  This is
+    the schedule format [Check.Explore.run_forced] consumes, so feeding
+    it back reproduces the run decision for decision — the order of
+    its lane slices included — on an engine with the same number of
+    simulated CPUs.  Empty when no scheduler was ever installed — and
     that empty schedule replays as index 0 at every choice, the
     [(time, seq)] order such a run took. *)
 
@@ -114,20 +115,20 @@ val fifo_scheduler : scheduler
     same schedule as no scheduler at all. *)
 
 val seeded_scheduler : int -> scheduler
-(** [seeded_scheduler seed] runs equal-time tasks in a deterministic
-    pseudo-random order derived from the seed — the
-    schedule-perturbation harness ([chorus check], [bench --tie-seed]).
-    It picks the ready task whose sequence number has the least
+(** [seeded_scheduler seed] runs equal-time tasks, and ready lane
+    tasks, in a deterministic pseudo-random order derived from the
+    seed — the schedule-perturbation harness ([chorus check],
+    [bench --tie-seed]).  It picks the ready task whose sequence number has the least
     [Hashtbl.seeded_hash seed], hash ties going to the lower sequence
     number; the same seed always produces the same schedule. *)
 
 val note_access : ?write:bool -> t -> int -> int -> unit
 (** [note_access eng a b] records that the running task's slice
     touched the shared object identified by [(a, b)] — no-op unless a
-    scheduler is installed and a serial slice is executing.  The PVM
-    notes each fragment as [(cache id, offset)] and reserves negative
-    first components for object classes (frame pool, cache topology);
-    the engine treats the pairs as opaque.  Footprints feed the model
+    scheduler is installed and a slice, serial or lane, is executing.
+    The PVM notes each fragment as [(cache id, offset)] and reserves
+    negative first components for object classes (frame pool, cache
+    topology); the engine treats the pairs as opaque.  Footprints feed the model
     checker's independence relation (two slices commute unless their
     footprints intersect with at least one side writing).  [?write]
     defaults to [true] — the conservative classification; pass
@@ -135,10 +136,10 @@ val note_access : ?write:bool -> t -> int -> int -> unit
     object, which lets the checker commute read-read pairs. *)
 
 val tracking : t -> bool
-(** Whether {!note_access} currently records — true only inside a
-    serial slice while a scheduler is installed, never in a lane
-    slice.  Lets callers skip the work of computing the object
-    identity when nobody is listening. *)
+(** Whether {!note_access} currently records — true inside a slice,
+    serial or lane, while a scheduler is installed.  Lets callers skip
+    the work of computing the object identity when nobody is
+    listening. *)
 
 val ambient : unit -> t option
 (** The engine running the current fibre — [None] outside {!run} and
@@ -206,9 +207,8 @@ val enable_watchdog :
     the engine's {!tracer}, when that is enabled.  The watchdog
     disables {!sleep}'s in-place clock advance, so its checks run
     after every wake-up.  Lane slices park in the same table, and the
-    check after each serial slice runs once its lane slices have run,
-    so a cycle closed in a lane is raised before the run can end in
-    {!Deadlock}. *)
+    check runs after every slice, serial or lane, so a cycle closed in
+    a lane is raised before the run can end in {!Deadlock}. *)
 
 val watchdog_metrics : t -> Obs.Metrics.t option
 (** The registry holding the watchdog counters, when enabled. *)
@@ -237,7 +237,7 @@ val set_event_hook : t -> (unit -> unit) -> unit
     no-op.  Exceptions raised by the hook propagate out of {!run}.
     Installing a hook disables {!sleep}'s in-place clock advance, so
     the hook also sees each wake-up.  With simulated CPUs it runs after
-    each serial slice and the lane slices that slice set off. *)
+    every lane slice too. *)
 
 val spawn :
   t -> ?name:string -> ?daemon:bool -> ?affinity:int -> (unit -> unit) -> unit
@@ -247,12 +247,12 @@ val spawn :
     the simulation drains and does not count towards {!Deadlock}.
 
     [affinity] (default 0) assigns the fibre to an execution class:
-    class 0 is serial (deterministic heap order); fibres of equal
-    non-zero affinity serialise against each other in a FIFO lane, and
-    distinct lanes overlap in simulated time on the simulated CPUs.
-    Without simulated CPUs affinity is ignored — that is what makes the
-    sequential engine the oracle twin.  Daemon fibres must stay in the
-    serial class.
+    class 0 is serial (deterministic heap order); any non-zero class
+    makes a {e lane fibre}, which runs as lane slices that overlap in
+    simulated time on the simulated CPUs; which non-zero number does
+    not matter.  Without simulated CPUs affinity is ignored — that is
+    what makes the sequential engine the oracle twin.  Daemon fibres
+    must stay in the serial class.
     @raise Invalid_argument on a negative affinity or a non-serial
     daemon. *)
 
@@ -262,8 +262,8 @@ val sleep : Sim_time.span -> unit
     allocates only the continuation and the closure resuming it.
 
     When no queued task is due at or before the wake-up time and no
-    lane is runnable, the engine advances its clock in place instead of
-    dispatching the wake-up: same schedule, same sequence numbers, no
+    lane task is ready, the engine advances its clock in place instead
+    of dispatching the wake-up: same schedule, same sequence numbers, no
     fibre switch and no allocation.  An installed {!scheduler}, an
     {!enable_watchdog} watchdog or a {!set_event_hook} hook each
     disable this (they observe every dispatch), and so does sleeping

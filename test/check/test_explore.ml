@@ -11,52 +11,79 @@ let ps = 8192
 
 (* --- canned schedulers through the choice-point API -------------- *)
 
-(* The eight equal-time fibres of Order: both spawn/wake-order paths —
-   the heap fast path and the explicit FIFO policy — give program
-   order, and the seeded permutations are pinned, so a change to
-   either the engine's dispatch or the seeded hash shows up here. *)
+(* The eight equal-time fibres of Order, on the sequential engine and
+   as lane slices on 2 simulated CPUs: both spawn/wake-order paths —
+   the fast path and the explicit FIFO policy — give program order, and
+   the seeded permutations are pinned, so a change to the engine's
+   dispatch, its ready set for lanes or the seeded hash shows up
+   here. *)
 let test_seeded_orders_pinned () =
   let fifo = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  Alcotest.(check (list int)) "no scheduler" fifo (Order.dispatch ());
-  Alcotest.(check (list int))
-    "fifo_scheduler" fifo
-    (Order.dispatch ~scheduler:Hw.Engine.fifo_scheduler ());
   List.iter
-    (fun (seed, order) ->
+    (fun (domains, pinned) ->
+      let engine () = Hw.Engine.create ~domains () in
+      let name what = Printf.sprintf "%s (%d CPUs)" what domains in
       Alcotest.(check (list int))
-        (Printf.sprintf "seeded_scheduler %d" seed)
-        order (Order.seeded seed))
+        (name "no scheduler") fifo
+        (Order.dispatch ~engine:(engine ()) ());
+      Alcotest.(check (list int))
+        (name "fifo_scheduler") fifo
+        (Order.dispatch ~scheduler:Hw.Engine.fifo_scheduler
+           ~engine:(engine ()) ());
+      List.iter
+        (fun (seed, order) ->
+          Alcotest.(check (list int))
+            (name (Printf.sprintf "seeded_scheduler %d" seed))
+            order
+            (Order.seeded ~engine:(engine ()) seed))
+        pinned)
     [
-      (1, [ 2; 7; 1; 6; 5; 8; 3; 4 ]);
-      (7, [ 5; 8; 3; 7; 1; 2; 6; 4 ]);
-      (42, [ 3; 7; 4; 1; 8; 5; 6; 2 ]);
-      (1234, [ 7; 5; 8; 4; 1; 6; 3; 2 ]);
+      ( 0,
+        [
+          (1, [ 2; 7; 1; 6; 5; 8; 3; 4 ]);
+          (7, [ 5; 8; 3; 7; 1; 2; 6; 4 ]);
+          (42, [ 3; 7; 4; 1; 8; 5; 6; 2 ]);
+          (1234, [ 7; 5; 8; 4; 1; 6; 3; 2 ]);
+        ] );
+      ( 2,
+        [
+          (1, [ 6; 5; 1; 2; 7; 8; 3; 4 ]);
+          (7, [ 8; 3; 4; 7; 5; 2; 1; 6 ]);
+          (42, [ 3; 5; 1; 6; 4; 8; 2; 7 ]);
+          (1234, [ 6; 7; 2; 5; 3; 8; 1; 4 ]);
+        ] );
     ]
 
 (* The engine's decision log is the replay key: fed to the forced-pick
-   driver, the picks a seeded run logged reproduce its dispatch order
-   exactly — the property crash bundles rest on. *)
+   driver on as many simulated CPUs, the picks a seeded run logged
+   reproduce its dispatch order exactly — of serial slices and of lane
+   slices alike, the property crash bundles rest on. *)
 let test_decisions_replay_seeded_order () =
-  let engine = Hw.Engine.create () in
-  let seeded =
-    Order.dispatch ~scheduler:(Hw.Engine.seeded_scheduler 7) ~engine ()
-  in
-  let v_schedule = Hw.Engine.decisions engine in
-  Alcotest.(check bool) "a seeded run logs its picks" true (v_schedule <> []);
-  let v =
-    {
-      Check.Explore.v_kind = "order";
-      v_detail = "";
-      v_schedule;
-      v_digest = None;
-    }
-  in
-  match (Check.Explore.run_forced Order.scenario v).f_verdict with
-  | `Done replayed ->
-    Alcotest.(check string) "replay = seeded order" (Order.show seeded) replayed
-  | `Sleep -> Alcotest.fail "replay ended in a sleep set"
-  | `Violation (kind, detail) ->
-    Alcotest.failf "replay failed: %s: %s" kind detail
+  List.iter
+    (fun domains ->
+      let engine = Hw.Engine.create ~domains () in
+      let seeded =
+        Order.dispatch ~scheduler:(Hw.Engine.seeded_scheduler 7) ~engine ()
+      in
+      let v_schedule = Hw.Engine.decisions engine in
+      Alcotest.(check bool) "a seeded run logs its picks" true (v_schedule <> []);
+      let v =
+        {
+          Check.Explore.v_kind = "order";
+          v_detail = "";
+          v_schedule;
+          v_digest = None;
+        }
+      in
+      match (Check.Explore.run_forced ~domains Order.scenario v).f_verdict with
+      | `Done replayed ->
+        Alcotest.(check string)
+          (Printf.sprintf "replay = seeded order (%d CPUs)" domains)
+          (Order.show seeded) replayed
+      | `Sleep -> Alcotest.fail "replay ended in a sleep set"
+      | `Violation (kind, detail) ->
+        Alcotest.failf "replay failed: %s: %s" kind detail)
+    [ 0; 2 ]
 
 (* The seeded scheduler ranks ready tasks by [Hashtbl.seeded_hash seed
    seq]; hashes collide, and on a collision it must fall back to

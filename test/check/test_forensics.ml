@@ -276,6 +276,54 @@ let test_multi_cpu_bundle_replays () =
       | Ok () -> ()
       | Error msg -> Alcotest.failf "2-CPU bundle did not replay:\n%s" msg))
 
+(* A lane-order bug: of two lane fibres on 2 CPUs, the second-spawned
+   one leaves a page in transit when it runs before the first.  Lane
+   order is a scheduler's choice, so the unseeded run is clean, a seed
+   finds the bad order, and its bundle — whose schedule is that lane
+   pick — replays to the same failure. *)
+let test_lane_order_bundle_replays () =
+  let scen =
+    {
+      Check.Scenario.name = "lane-order-transit";
+      oracle = No_oracle;
+      run =
+        (fun engine ~register ->
+          let pvm = Core.Pvm.create ~frames:16 ~engine () in
+          register pvm;
+          let cache = Core.Cache.create pvm () in
+          let first_ran = ref false in
+          Hw.Engine.spawn engine ~affinity:1 (fun () -> first_ran := true);
+          Hw.Engine.spawn engine ~affinity:2 (fun () ->
+              if not !first_ran then
+                Core.Global_map.set pvm cache ~off:0
+                  (Core.Types.Sync_stub (Hw.Engine.Cond.create ())));
+          fun () -> "");
+    }
+  in
+  (match (Check.Harness.run ~domains:2 scen).ending with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "spawn order failed: %s" f.Check.Harness.kind);
+  let failing =
+    List.find_map
+      (fun seed ->
+        let r = Check.Harness.run ~domains:2 ~seed scen in
+        match r.ending with Ok _ -> None | Error f -> Some (r, f))
+      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  in
+  match failing with
+  | None -> Alcotest.fail "no seed in 1..8 reordered the lane fibres"
+  | Some (r, f) -> (
+    let b = Check.Forensics.capture_live scen r f in
+    Alcotest.(check bool)
+      "the bundle records the lane pick" true
+      (b.Obs.Bundle.schedule <> []);
+    match Obs.Bundle.read (Obs.Bundle.write ~dir:tmp_bundle_dir b) with
+    | Error e -> Alcotest.fail e
+    | Ok b -> (
+      match Check.Forensics.reproduces b (Check.Forensics.replay scen b) with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "lane-order bundle did not replay:\n%s" msg))
+
 let test_unknown_injection_rejected () =
   match Check.Forensics.set_injections [ "no-such-fault" ] with
   | exception Invalid_argument _ -> Check.Forensics.clear_injections ()
@@ -308,6 +356,8 @@ let () =
             test_live_bundle_keeps_strict_rules;
           Alcotest.test_case "2-CPU bundle replays on 2 CPUs" `Quick
             test_multi_cpu_bundle_replays;
+          Alcotest.test_case "lane-order bundle replays" `Quick
+            test_lane_order_bundle_replays;
           Alcotest.test_case "unknown injection rejected" `Quick
             test_unknown_injection_rejected;
         ] );

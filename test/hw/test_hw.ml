@@ -604,8 +604,8 @@ let test_parallel_smoke () =
     true
     (Hw.Engine.now engine >= 300)
 
-(* Equal affinities serialise in FIFO lanes: appends from one class
-   arrive in spawn order. *)
+(* With no scheduler, ready lane tasks run in the order they became
+   ready: appends from one class arrive in spawn order. *)
 let test_parallel_lane_serialises () =
   let engine = Hw.Engine.create ~domains:4 () in
   let order = ref [] in
@@ -676,10 +676,11 @@ let test_parallel_class0_identical () =
   Alcotest.(check bool) "1 domain = sequential" true (script 1 = seq);
   Alcotest.(check bool) "4 domains = sequential" true (script 4 = seq)
 
-(* Footprints belong to serial slices: a lane slice noting an access
-   under a scheduler must leave the footprint of the serial slice that
-   set it off alone, and is no choice point of its own. *)
-let test_parallel_lane_footprint_separate () =
+(* Under a scheduler a lane slice is a slice like any other: its
+   accesses are its own footprint, stepped with its own fibre after the
+   serial slice that spawned it.  A single ready lane task is no choice,
+   so nothing is logged. *)
+let test_parallel_lane_footprint_own () =
   let engine = Hw.Engine.create ~domains:2 () in
   let steps = ref [] in
   Hw.Engine.set_scheduler engine
@@ -687,15 +688,14 @@ let test_parallel_lane_footprint_separate () =
       Hw.Engine.fifo_scheduler with
       sched_step = (fun ~fib ~accesses -> steps := (fib, accesses) :: !steps);
     };
-  let lane_noted = ref false in
   Hw.Engine.run engine (fun () ->
-      Hw.Engine.spawn engine ~affinity:1 (fun () ->
-          Hw.Engine.note_ambient 2 2;
-          lane_noted := true);
+      Hw.Engine.spawn engine ~affinity:1 (fun () -> Hw.Engine.note_ambient 2 2);
       Hw.Engine.note_ambient 1 1);
-  Alcotest.(check bool) "the lane slice ran" true !lane_noted;
   Alcotest.(check (list (pair int (list (triple int int bool)))))
-    "only the main fibre's footprint" [ (1, [ (1, 1, true) ]) ] !steps
+    "main's footprint, then the lane fibre's"
+    [ (1, [ (1, 1, true) ]); (2, [ (2, 2, true) ]) ]
+    (List.rev !steps);
+  Alcotest.(check (list int)) "no decision" [] (Hw.Engine.decisions engine)
 
 (* An exception in a lane slice propagates out of [run]. *)
 let test_parallel_exception_propagates () =
@@ -1214,8 +1214,8 @@ let () =
             test_parallel_class0_identical;
           Alcotest.test_case "exception propagates" `Quick
             test_parallel_exception_propagates;
-          Alcotest.test_case "lane footprint kept apart"
-            `Quick test_parallel_lane_footprint_separate;
+          Alcotest.test_case "lane slice steps with its own footprint"
+            `Quick test_parallel_lane_footprint_own;
           QCheck_alcotest.to_alcotest prop_engine_deterministic;
         ] );
       ( "phys_mem",
