@@ -8,6 +8,7 @@ type task = {
   mutable fib : int;
   lane : bool; (* runs as lane slices: non-zero affinity on simulated CPUs *)
   mutable run : unit -> unit;
+  mutable started : bool; (* [run] resumes a continuation, not the body *)
 }
 
 type ready_task = { rt_fib : int; rt_seq : int; rt_daemon : bool }
@@ -58,7 +59,8 @@ type par = {
 type t = {
   mutable now : Sim_time.t;
   mutable seq : int;
-  queue : task Pqueue.t;
+  mutable heap : task array; (* serial tasks, a min-heap on (time, seq) *)
+  mutable size : int; (* tasks in [heap]; the slots beyond hold [vacant] *)
   mutable live : int; (* non-daemon fibres spawned and not yet finished *)
   mutable live_tasks : int; (* non-daemon tasks waiting in the queue *)
   mutable cur_fib : int; (* fibre the running task belongs to *)
@@ -111,27 +113,70 @@ let slot = ref Idle
 let in_parallel_slice () =
   match !slot with Slice _ -> true | Idle | Coord _ -> false
 
+(* --- The task heap ------------------------------------------------ *)
+
 (* Tasks at distinct times run in time order; equal-time tasks run in
    [seq] (spawn/wake) order, the default policy.  Any other order is a
    {!scheduler}'s choice at dispatch time — legal because a fibre has
    at most one queued task (one-shot continuations), so program order
    within a fibre is unaffected and only genuinely concurrent work is
-   reordered. *)
-let cmp_task a b =
-  let c = compare a.time b.time in
-  if c <> 0 then c else compare a.seq b.seq
+   reordered.  The heap compares inline, and its sifts move a hole and
+   are top-level loops, so a push or pop allocates nothing (the engine
+   pushes and pops on every fibre switch). *)
+let[@inline] before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+(* Fills the slots beyond [size]: the heap must not keep a popped task,
+   and everything its slice captured, reachable. *)
+let vacant =
+  { time = Sim_time.zero; seq = 0; daemon = true; fib = 0; lane = false;
+    run = ignore; started = false }
+
+let rec sift_up h task i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before task h.(parent) then begin
+    h.(i) <- h.(parent);
+    sift_up h task parent
+  end
+  else h.(i) <- task
+
+let rec sift_down h size task i =
+  let l = (2 * i) + 1 in
+  if l >= size then h.(i) <- task
+  else
+    let c = if l + 1 < size && before h.(l + 1) h.(l) then l + 1 else l in
+    if before h.(c) task then begin
+      h.(i) <- h.(c);
+      sift_down h size task c
+    end
+    else h.(i) <- task
+
+let[@chorus.hot] heap_push eng task =
+  let size = eng.size in
+  if size = Array.length eng.heap then begin
+    let bigger = Array.make (max 16 (2 * size)) vacant in
+    Array.blit eng.heap 0 bigger 0 size;
+    eng.heap <- bigger
+  end;
+  eng.size <- size + 1;
+  sift_up eng.heap task size
+
+(* The heap's first task; the heap must not be empty. *)
+let[@chorus.hot] heap_pop eng =
+  let h = eng.heap and size = eng.size - 1 in
+  let top = h.(0) and last = h.(size) in
+  h.(size) <- vacant;
+  eng.size <- size;
+  if size > 0 then sift_down h size last 0;
+  top
 
 let create ?(domains = 0) () =
   if domains < 0 then invalid_arg "Engine.create: negative domain count";
-  let filler =
-    { time = Sim_time.zero; seq = 0; daemon = true; fib = 0; lane = false;
-      run = ignore }
-  in
   let rec eng =
     {
       now = Sim_time.zero;
       seq = 0;
-      queue = Pqueue.create ~cmp:cmp_task ~filler;
+      heap = [||];
+      size = 0;
       live = 0;
       live_tasks = 0;
       cur_fib = 0;
@@ -403,7 +448,7 @@ let push eng p task time =
   task.seq <- eng.seq;
   eng.seq <- eng.seq + 1;
   if not task.daemon then eng.live_tasks <- eng.live_tasks + 1;
-  if task.lane then Queue.push task p.lane_ready else Pqueue.push eng.queue task
+  if task.lane then Queue.push task p.lane_ready else heap_push eng task
 
 (* Queue a fibre's next slice, [task.run].  A fibre being scheduled is
    no longer parked, so its waiting-table entry (if any) goes too. *)
@@ -411,26 +456,32 @@ let schedule eng task time =
   if eng.watch <> None then Hashtbl.remove eng.waiting task.fib;
   push eng eng.par task time
 
+(* Nothing observes between slices: no scheduler (it picks and steps
+   every slice), no event hook (it runs after every slice), no watchdog
+   (it checks between slices), and no ready lane task (the run loop
+   runs those before the heap's next task).  Only then may a fibre's
+   next slice skip the run loop: {!sleep}'s in-place clock advance and
+   the effect handlers' hand-off. *)
+let[@chorus.hot] unobserved eng =
+  Option.is_none eng.sched
+  && Option.is_none eng.on_event
+  && Option.is_none eng.watch
+  && Queue.is_empty eng.par.lane_ready
+
 (* Advance the clock in place when the Sleep round trip would pop this
    same fibre's wake-up straight back off the heap: every queued task
    is due strictly after [now + span].  The wake-up's sequence number
    is consumed and [pending_wait] cleared exactly as the handler does,
-   so later tasks are numbered as before.  Only when no lane task is
-   ready (the run loop would run those first) and nothing observes
-   the dispatch in between: no scheduler (it picks and steps every slice),
-   no watchdog (it checks between events), no event hook (it runs
-   after every event), and a user fibre (the run loop decides whether
-   a daemon's wake-up runs at all: once the last user fibre exits it
+   so later tasks are numbered as before.  Only when nothing observes
+   the dispatch, and for a user fibre (the run loop decides whether a
+   daemon's wake-up runs at all: once the last user fibre exits it
    drops them and ends the run). *)
 let[@chorus.hot] advance_in_place eng span =
-  Option.is_none eng.sched
-  && Option.is_none eng.watch
-  && Option.is_none eng.on_event
-  && Queue.is_empty eng.par.lane_ready
+  unobserved eng
   && (not eng.cur_daemon)
   &&
   let time = eng.now + span in
-  if Pqueue.is_empty eng.queue || (Pqueue.top eng.queue).time > time then begin
+  if eng.size = 0 || eng.heap.(0).time > time then begin
     eng.seq <- eng.seq + 1;
     eng.pending_wait <- None;
     eng.now <- time;
@@ -471,12 +522,49 @@ let[@chorus.hot] declare_wait_ambient ~on ?owner () =
   | Some eng -> declare_wait eng ~on ?owner ()
   | None -> ()
 
+(* Run while non-daemon work remains: queued tasks, or parked user
+   fibres that a queued daemon may still wake.  Once every user fibre
+   has finished, pending daemon wakeups are discarded — a periodic
+   daemon would otherwise keep the simulation alive forever.  Lane
+   tasks are never a daemon's, so a ready one always counts. *)
+let more eng =
+  eng.live_tasks > 0 || (eng.live > 0 && eng.size > 0)
+
+(* A serial slice runs at the task's time on the coordinator clock. *)
+let[@chorus.hot] enter eng task =
+  if task.time > eng.now then eng.now <- task.time;
+  eng.cur_fib <- task.fib;
+  eng.cur_daemon <- task.daemon
+
+(* The last step of the Sleep and Suspend handlers, once the parking
+   fibre's task is queued (or parked): when nothing observes and the
+   handler runs under this engine's own run loop (not a nested one),
+   take and resume the heap's next task here instead of returning to
+   the run loop, which would take that same task next.  The resume
+   must stay in tail position, here and in the handlers, so a chain of
+   hand-offs keeps the host stack flat.  A fresh fibre's first slice
+   goes back through the run loop: starting a fibre is no tail call. *)
+let[@chorus.hot] hand_off eng =
+  match !slot with
+  | Coord e when e == eng && unobserved eng && more eng -> (
+    let task = eng.heap.(0) in
+    if task.started then begin
+      ignore (heap_pop eng : task);
+      if not task.daemon then eng.live_tasks <- eng.live_tasks - 1;
+      enter eng task;
+      task.run ()
+    end)
+  | Coord _ | Slice _ | Idle -> ()
+
 (* Runs a fibre body under the effect handler.  Deep handlers stay
    installed for the whole fibre, so a continuation resumed later from
    the event queue still sees Sleep/Suspend.  Each wake re-queues the
    fibre's [task] with the continuation as its next slice, so a fibre
    keeps its id, daemon flag and class.  The Sleep handler is built
-   once per fibre.
+   once per fibre.  Both handlers end in {!hand_off}, which must stay a
+   tail call: a switch skips the run loop only while nothing observes
+   ({!unobserved}), and an installed observer sends every dispatch back
+   through it.
 
    In a lane slice, Sleep never reaches the handler ({!sleep}
    coalesces it into the slice's private clock), and the resume time
@@ -492,8 +580,10 @@ let exec eng task f =
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
         eng.pending_wait <- None;
         task.run <- (fun () -> Effect.Deep.continue k ());
-        schedule eng task (eng.now + eng.sleep_span))
+        schedule eng task (eng.now + eng.sleep_span);
+        hand_off eng)
   in
+  task.started <- true;
   Effect.Deep.match_with f ()
     {
       retc = finished;
@@ -522,7 +612,8 @@ let exec eng task f =
                       | Idle | Coord _ -> eng.now
                     in
                     task.run <- (fun () -> Effect.Deep.continue k ());
-                    schedule eng task time))
+                    schedule eng task time);
+                hand_off eng)
           | _ -> None);
     }
 
@@ -536,7 +627,8 @@ let spawn eng ?name ?(daemon = false) ?(affinity = 0) f =
      the lanes. *)
   let lane = p.p_domains > 0 && affinity <> 0 in
   let task =
-    { time = Sim_time.zero; seq = 0; daemon; fib = 0; lane; run = ignore }
+    { time = Sim_time.zero; seq = 0; daemon; fib = 0; lane; run = ignore;
+      started = false }
   in
   task.run <- (fun () -> exec eng task f);
   if not daemon then eng.live <- eng.live + 1;
@@ -558,11 +650,8 @@ let pick_cpu p =
   done;
   !best
 
-(* A serial slice runs at the task's time on the coordinator clock. *)
 let serial_slice eng task =
-  if task.time > eng.now then eng.now <- task.time;
-  eng.cur_fib <- task.fib;
-  eng.cur_daemon <- task.daemon;
+  enter eng task;
   eng.in_slice <- true;
   task.run ();
   eng.in_slice <- false
@@ -598,14 +687,6 @@ let run_slice eng p task =
 
 (* --- The run loop ------------------------------------------------- *)
 
-(* Run while non-daemon work remains: queued tasks, or parked user
-   fibres that a queued daemon may still wake.  Once every user fibre
-   has finished, pending daemon wakeups are discarded — a periodic
-   daemon would otherwise keep the simulation alive forever.  Lane
-   tasks are never a daemon's, so a ready one always counts. *)
-let more eng =
-  eng.live_tasks > 0 || (eng.live > 0 && not (Pqueue.is_empty eng.queue))
-
 (* Under a scheduler every dispatch is an explicit choice point over a
    ready set in [seq] order: the scheduler picks, a multi-way pick is
    logged to [decisions] (the schedule a forced replay re-drives) and
@@ -630,19 +711,19 @@ let pick eng s ~now arr requeue =
    or else the heap's equal-time tasks (it yields them in [seq]
    order). *)
 let take eng p =
-  let q = eng.queue and lanes = p.lane_ready in
+  let lanes = p.lane_ready in
   let task =
     match eng.sched with
-    | None -> if Queue.is_empty lanes then Pqueue.pop q else Queue.pop lanes
+    | None -> if Queue.is_empty lanes then heap_pop eng else Queue.pop lanes
     | Some s when Queue.is_empty lanes ->
-      let first = Pqueue.pop q in
+      let first = heap_pop eng in
       let rec gather acc =
-        if (not (Pqueue.is_empty q)) && (Pqueue.top q).time = first.time then
-          gather (Pqueue.pop q :: acc)
+        if eng.size > 0 && eng.heap.(0).time = first.time then
+          gather (heap_pop eng :: acc)
         else acc
       in
       let arr = Array.of_list (List.rev (gather [ first ])) in
-      pick eng s ~now:first.time arr (Pqueue.push q)
+      pick eng s ~now:first.time arr (heap_push eng)
     | Some s ->
       let arr = Array.of_seq (Queue.to_seq lanes) in
       Queue.clear lanes;
@@ -667,7 +748,7 @@ let rec coordinate eng p =
       Fun.protect
         ~finally:(fun () -> eng.tracking <- false)
         (fun () -> run_slice eng p task));
-    if eng.sched <> None || eng.on_event <> None || eng.watch <> None then begin
+    if not (unobserved eng) then begin
       (match eng.sched with
       | Some s ->
         let accesses = eng.accesses in

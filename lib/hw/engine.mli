@@ -95,7 +95,9 @@ val set_scheduler : t -> scheduler -> unit
 (** Route every dispatch, of a serial task or a lane slice, through an
     explicit choice point, replacing the default spawn/wake order while
     installed.  [sched_step] runs after every slice, with that slice's
-    own footprint. *)
+    own footprint.  A scheduler observes, so while one is installed
+    every dispatch goes through the run loop: {!sleep} neither advances
+    the clock in place nor hands off. *)
 
 val clear_scheduler : t -> unit
 
@@ -205,10 +207,12 @@ val enable_watchdog :
     stall is also recorded as an instant in category ["watchdog"]
     (named ["deadlock"] or ["stall"], the fibre as argument [fib]) on
     the engine's {!tracer}, when that is enabled.  The watchdog
-    disables {!sleep}'s in-place clock advance, so its checks run
-    after every wake-up.  Lane slices park in the same table, and the
-    check runs after every slice, serial or lane, so a cycle closed in
-    a lane is raised before the run can end in {!Deadlock}. *)
+    observes, so it sends every dispatch back through the run loop
+    ({!sleep}'s in-place clock advance and the hand-off of {!sleep} and
+    {!suspend} stop), and its checks run after every wake-up.  Lane
+    slices park in the same table, and the check runs after every
+    slice, serial or lane, so a cycle closed in a lane is raised
+    before the run can end in {!Deadlock}. *)
 
 val watchdog_metrics : t -> Obs.Metrics.t option
 (** The registry holding the watchdog counters, when enabled. *)
@@ -235,9 +239,11 @@ val set_event_hook : t -> (unit -> unit) -> unit
     it must not perform effects.  Used by the sanitizer's slow mode to
     sweep invariants after every scheduling step; defaults to a
     no-op.  Exceptions raised by the hook propagate out of {!run}.
-    Installing a hook disables {!sleep}'s in-place clock advance, so
-    the hook also sees each wake-up.  With simulated CPUs it runs after
-    every lane slice too. *)
+    A hook observes, so installing one sends every dispatch back
+    through the run loop ({!sleep}'s in-place clock advance and the
+    hand-off of {!sleep} and {!suspend} stop), and the hook also sees
+    each wake-up.  With simulated CPUs it runs after every lane slice
+    too. *)
 
 val spawn :
   t -> ?name:string -> ?daemon:bool -> ?affinity:int -> (unit -> unit) -> unit
@@ -261,19 +267,28 @@ val sleep : Sim_time.span -> unit
     fibres execute in between.  [sleep 0] is a yield.  A fibre switch
     allocates only the continuation and the closure resuming it.
 
-    When no queued task is due at or before the wake-up time and no
-    lane task is ready, the engine advances its clock in place instead
-    of dispatching the wake-up: same schedule, same sequence numbers, no
-    fibre switch and no allocation.  An installed {!scheduler}, an
-    {!enable_watchdog} watchdog or a {!set_event_hook} hook each
-    disable this (they observe every dispatch), and so does sleeping
-    in a daemon fibre. *)
+    Dispatch skips the run loop only when nothing observes: no
+    {!scheduler}, {!enable_watchdog} watchdog or {!set_event_hook} hook
+    is installed and no lane task is ready.  Installing any of them
+    sends every dispatch back through the run loop, since each must
+    see every one.  When nothing observes and no queued task is due at
+    or before the wake-up time, the engine advances its clock in place
+    instead of dispatching the wake-up: same schedule, same sequence
+    numbers, no fibre switch and no allocation (not in a daemon fibre,
+    whose wake-up the run loop may drop).  Otherwise, still unobserved,
+    the effect handler queues the wake-up, takes the task the run loop
+    would take next and, if it resumes a parked fibre, resumes it in
+    place; the resume is a tail call, so a chain of switches keeps the
+    host stack flat.  A fresh fibre's first slice still starts from
+    the run loop. *)
 
 val suspend : ((unit -> unit) -> unit) -> unit
 (** [suspend register] parks the current fibre. [register resume] is
     called immediately with a one-shot [resume] closure; invoking
     [resume] (from any fibre, or between events) schedules the parked
-    fibre at the then-current simulated time. *)
+    fibre at the then-current simulated time.  While nothing observes
+    (see {!sleep}), the parking fibre hands off in place to the next
+    parked fibre, as a switching {!sleep} does. *)
 
 val run : t -> (unit -> unit) -> unit
 (** [run eng main] spawns [main] and processes events until the queue

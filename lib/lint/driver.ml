@@ -9,8 +9,8 @@
    mechanisms the disciplines are built from and are mostly out of
    scope — except the hot files: obs/trace.ml, whose recording fast
    paths run inside every fault, hw/mmu.ml, whose page-table walk runs
-   on every mapped access, and hw/engine.ml and hw/pqueue.ml, whose
-   fibre-switch path runs on every charge that lets another fibre in.
+   on every mapped access, and hw/engine.ml, whose fibre-switch path
+   and task heap run on every charge that lets another fibre in.
    They carry the charge and hot-allocation disciplines ([@chorus.hot]
    ring writers, the allocation-free translation, the switch path).
 
@@ -28,14 +28,8 @@ let charge_only_libs = [ "shadow"; "minimal" ]
 
 (* The (library, file) pairs of lib/obs and lib/hw in scope: the trace
    fast path, the MMU page table, and the engine's switch path with its
-   event heap (see the header comment). *)
-let hot_files =
-  [
-    ("obs", "trace.ml");
-    ("hw", "mmu.ml");
-    ("hw", "engine.ml");
-    ("hw", "pqueue.ml");
-  ]
+   task heap (see the header comment). *)
+let hot_files = [ ("obs", "trace.ml"); ("hw", "mmu.ml"); ("hw", "engine.ml") ]
 
 (* "…/lib/core/cache.ml" -> Some ("core", "lib/core/cache.ml") *)
 let split_lib_path path =

@@ -1,26 +1,72 @@
-(* Tests of the simulated machine: priority queue, discrete-event
-   engine (determinism, fibres, condition variables, daemons,
-   deadlock detection), physical memory, MMU, protections. *)
-
-(* --- Pqueue --------------------------------------------------------- *)
-
-let test_pqueue_orders () =
-  let h = Hw.Pqueue.create ~cmp:compare ~filler:0 in
-  List.iter (Hw.Pqueue.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
-  let out = List.init (Hw.Pqueue.length h) (fun _ -> Hw.Pqueue.pop h) in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] out;
-  Alcotest.(check bool) "empty after drain" true (Hw.Pqueue.is_empty h)
-
-let prop_pqueue =
-  QCheck.Test.make ~count:300 ~name:"pqueue = sorted"
-    QCheck.(list int)
-    (fun xs ->
-      let h = Hw.Pqueue.create ~cmp:compare ~filler:0 in
-      List.iter (Hw.Pqueue.push h) xs;
-      let out = List.init (List.length xs) (fun _ -> Hw.Pqueue.pop h) in
-      out = List.sort compare xs)
+(* Tests of the simulated machine: discrete-event engine (task order,
+   determinism, fibres, condition variables, daemons, deadlock
+   detection, hand-off), physical memory, MMU, protections. *)
 
 (* --- Engine --------------------------------------------------------- *)
+
+(* Fibre [i] of [scripts] logs [(i, now)] when it starts and after each
+   of its sleeps. *)
+let engine_wakes scripts =
+  let engine = Hw.Engine.create () in
+  let log = ref [] in
+  let note i = log := (i, Hw.Engine.now engine) :: !log in
+  Hw.Engine.run engine (fun () ->
+      List.iteri
+        (fun i spans ->
+          Hw.Engine.spawn engine (fun () ->
+              note i;
+              List.iter
+                (fun span ->
+                  Hw.Engine.sleep span;
+                  note i)
+                spans))
+        scripts);
+  List.rev !log
+
+(* The same log, from a model of the task order with no heap: every
+   spawn and every sleep's wake-up takes the next sequence number (the
+   main fibre has 0, so fibre [i] starts with [i + 1]), and the pending
+   step least in (time, seq) runs next. *)
+let model_wakes scripts =
+  let seq = ref 0 in
+  let stamp time i spans =
+    incr seq;
+    (time, !seq, i, spans)
+  in
+  let pending = ref (List.mapi (fun i spans -> stamp 0 i spans) scripts) in
+  let log = ref [] in
+  while !pending <> [] do
+    let ((time, _, i, spans) as next) =
+      List.fold_left min (List.hd !pending) !pending
+    in
+    pending := List.filter (( != ) next) !pending;
+    log := (i, time) :: !log;
+    match spans with
+    | [] -> ()
+    | span :: rest -> pending := stamp (time + span) i rest :: !pending
+  done;
+  List.rev !log
+
+let test_engine_wakes_in_time_order () =
+  let spans = [ 5; 1; 4; 1; 3; 9; 2 ] in
+  let woken =
+    engine_wakes (List.map (fun s -> [ s ]) spans)
+    |> List.filter (fun (_, t) -> t > 0)
+  in
+  Alcotest.(check (list (pair int int)))
+    "by wake time, the two 1s in spawn order"
+    [ (1, 1); (3, 1); (6, 2); (4, 3); (2, 4); (0, 5); (5, 9) ]
+    woken
+
+(* Up to 40 fibres keep the heap growing and sifting; spans of 0 and
+   repeats make equal-time ties. *)
+let prop_engine_wakes_in_order =
+  QCheck.Test.make ~count:300 ~name:"wakes in (time, seq) order"
+    QCheck.(
+      list_of_size
+        Gen.(int_range 1 40)
+        (list_of_size Gen.(int_bound 8) (int_bound 20)))
+    (fun scripts -> engine_wakes scripts = model_wakes scripts)
 
 let test_engine_time_and_order () =
   let engine = Hw.Engine.create () in
@@ -288,25 +334,36 @@ let prop_engine_deterministic =
       in
       run () = run ())
 
-(* With no scheduler, watchdog or event hook, a user fibre whose
-   wake-up would be the next task advances the clock in place instead
-   of round-tripping through the heap.  Random programs of sleeps
-   (zero and equal-time ties included), spawns, cond waits and
-   broadcasts and periodic daemons must log the same (fibre, now)
-   steps as under [fifo_scheduler], which always takes the round trip.
+(* With no scheduler, watchdog or event hook, nothing observes a
+   dispatch, so it skips the run loop: a user fibre whose wake-up
+   would be the next task advances the clock in place, and a fibre
+   that parks hands off to the next parked fibre from the effect
+   handler.  Random programs of sleeps (zero and equal-time ties
+   included), spawns, cond waits and broadcasts, nested runs of a
+   second engine, a fibre that raises and periodic daemons must end
+   the same way (outcome and clock) and log the same (fibre, now)
+   steps as under [fifo_scheduler], which always takes the run loop.
    The run ends by installing a scheduler that records the sequence
    numbers it is shown, so the numbering the in-place advance leaves
    behind is compared too. *)
-type step = Sleep of int | Spawn of int | Wait of int | Broadcast of int
+type step =
+  | Sleep of int
+  | Spawn of int
+  | Wait of int
+  | Broadcast of int
+  | Nested of int
+  | Raise
 
 let gen_step =
   QCheck.Gen.(
     frequency
       [
-        (5, map (fun t -> Sleep t) (int_bound 6));
-        (1, map (fun t -> Spawn t) (int_bound 6));
-        (1, map (fun c -> Wait c) (int_bound 1));
-        (2, map (fun c -> Broadcast c) (int_bound 1));
+        (20, map (fun t -> Sleep t) (int_bound 6));
+        (4, map (fun t -> Spawn t) (int_bound 6));
+        (4, map (fun c -> Wait c) (int_bound 1));
+        (8, map (fun c -> Broadcast c) (int_bound 1));
+        (4, map (fun t -> Nested t) (int_bound 6));
+        (1, return Raise);
       ])
 
 let print_step = function
@@ -314,6 +371,8 @@ let print_step = function
   | Spawn t -> Printf.sprintf "spawn %d" t
   | Wait c -> Printf.sprintf "wait %d" c
   | Broadcast c -> Printf.sprintf "broadcast %d" c
+  | Nested t -> Printf.sprintf "nested %d" t
+  | Raise -> "raise"
 
 let run_program ~sched (fibres, daemons) =
   let engine = Hw.Engine.create () in
@@ -342,6 +401,25 @@ let run_program ~sched (fibres, daemons) =
           note ())
     | Wait c -> Hw.Engine.Cond.wait conds.(c)
     | Broadcast c -> Hw.Engine.Cond.broadcast conds.(c)
+    | Nested t ->
+      (* Two switching fibres of a second engine, logged as fibres
+         1000 and up. *)
+      let inner = Hw.Engine.create () in
+      if sched then Hw.Engine.set_scheduler inner Hw.Engine.fifo_scheduler;
+      let note_inner () =
+        log :=
+          (1000 + Hw.Engine.current_fibre inner, Hw.Engine.now inner) :: !log
+      in
+      Hw.Engine.run inner (fun () ->
+          Hw.Engine.spawn inner (fun () ->
+              Hw.Engine.sleep t;
+              note_inner ());
+          Hw.Engine.sleep 1;
+          note_inner ();
+          Hw.Engine.sleep t;
+          note_inner ())
+    | Raise ->
+      failwith (Printf.sprintf "fibre %d" (Hw.Engine.current_fibre engine))
   in
   let outcome =
     match
@@ -373,6 +451,7 @@ let run_program ~sched (fibres, daemons) =
     with
     | () -> "done"
     | exception Hw.Engine.Deadlock n -> Printf.sprintf "deadlock %d" n
+    | exception Failure m -> "raised in " ^ m
   in
   (outcome, Hw.Engine.now engine, List.rev !log, List.rev !seqs)
 
@@ -392,7 +471,7 @@ let prop_clock_advance_preserves_schedule =
       (String.concat "; " (List.map string_of_int daemons))
   in
   QCheck.Test.make ~count:300
-    ~name:"in-place clock advance keeps the fifo schedule"
+    ~name:"hand-off keeps the fifo schedule"
     (QCheck.make ~print gen)
     (fun prog -> run_program ~sched:false prog = run_program ~sched:true prog)
 
@@ -519,6 +598,50 @@ let test_switch_allocates_a_continuation () =
   Alcotest.(check bool)
     (Printf.sprintf "%.1f words per Cond park (at most 40)" per_park)
     true (per_park <= 40.)
+
+(* An unobserved switch resumes the next fibre from the effect handler,
+   in tail position, so a chain of hand-offs keeps the host stack flat:
+   with the stack limit lowered to 32k words, 1M switching sleeps
+   between two fibres and 100k Cond park/resume rounds still finish.
+   A hand-off that kept one frame per switch would overflow. *)
+let test_hand_off_stack_flat () =
+  let two_fibres body =
+    let engine = Hw.Engine.create () in
+    Hw.Engine.run engine (fun () ->
+        for i = 0 to 1 do
+          Hw.Engine.spawn engine (fun () -> body i)
+        done);
+    Hw.Engine.now engine
+  in
+  let n = 500_000 and rounds = 50_000 in
+  let c = Hw.Engine.Cond.create () in
+  let saved = Gc.get () in
+  Gc.set { saved with stack_limit = 32 * 1024 };
+  let slept, parked =
+    Fun.protect
+      ~finally:(fun () -> Gc.set saved)
+      (fun () ->
+        let slept =
+          two_fibres (fun i ->
+              Hw.Engine.sleep (5 * i);
+              for _ = 1 to n do
+                Hw.Engine.sleep 10
+              done)
+        in
+        let parked = ref 0 in
+        ignore
+          (two_fibres (fun _ ->
+               for _ = 1 to rounds do
+                 Hw.Engine.Cond.broadcast c;
+                 Hw.Engine.Cond.wait c;
+                 incr parked
+               done;
+               Hw.Engine.Cond.broadcast c)
+            : Hw.Sim_time.t);
+        (slept, !parked))
+  in
+  Alcotest.(check int) "1M switching sleeps" ((10 * n) + 5) slept;
+  Alcotest.(check int) "100k Cond rounds" (2 * rounds) parked
 
 (* [ambient] names the engine whose fibre is running: none outside
    [run] and none in code the run loop calls between fibres. *)
@@ -1164,14 +1287,12 @@ let test_prot_algebra () =
 let () =
   Alcotest.run "hw"
     [
-      ( "pqueue",
-        [
-          Alcotest.test_case "orders" `Quick test_pqueue_orders;
-          QCheck_alcotest.to_alcotest prop_pqueue;
-        ] );
       ( "engine",
         [
           Alcotest.test_case "time and order" `Quick test_engine_time_and_order;
+          Alcotest.test_case "wakes in time order" `Quick
+            test_engine_wakes_in_time_order;
+          QCheck_alcotest.to_alcotest prop_engine_wakes_in_order;
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic;
           Alcotest.test_case "ties FIFO" `Quick test_engine_ties_fifo;
           Alcotest.test_case "finished tasks not retained" `Quick
@@ -1199,6 +1320,8 @@ let () =
             test_clock_advance_allocates_nothing;
           Alcotest.test_case "a fibre switch allocates a continuation, not a task"
             `Quick test_switch_allocates_a_continuation;
+          Alcotest.test_case "hand-off keeps the host stack flat" `Quick
+            test_hand_off_stack_flat;
           Alcotest.test_case "ambient answers as before" `Quick
             test_ambient_answers;
         ] );
