@@ -50,9 +50,11 @@ let rules =
        queued exactly once under its own frame, the length equal to their \
        count (FIFO page-out policy below the GMI, §3.3.3)" );
     ( "mmu",
-      "protection coherence: every MMU translation points at a registered \
-       frame, is recorded on the page's pmap, and is never more permissive \
-       than the descriptor-derived effective protection (§4.1.2)" );
+      "translations and the pmap: every MMU translation points at a \
+       registered frame and is recorded on the page's pmap, and every record \
+       has its translation, after every event; at quiescence no translation \
+       is more permissive than the descriptor-derived effective protection \
+       (§4.1.2)" );
     ( "transit",
       "quiescence: no synchronization stubs (pages in transit, §4.1.2) \
        remain when no operation is in progress" );
@@ -434,6 +436,89 @@ let run ?(strict = true) (pvm : pvm) : violation list =
     || Hashtbl.length Core.Types.no_stubs > 0
   then err "stubs" "the shared empty index tables hold entries";
 
+  (* MMU <-> pmap recording: every translation reaches a registered
+     frame and is recorded on that page, in the window its own cache
+     expects, and every record has its translation.  Pmap edits a
+     translation and its record in one slice, so this holds between
+     events; protection coherence holds only at quiescence (a
+     protection change charges before it re-protects). *)
+  List.iter
+    (fun (ctx : context) ->
+      Hw.Mmu.iter ctx.ctx_space (fun ~vpn frame prot ->
+          let addr = vpn * ps in
+          let region =
+            List.find_opt
+              (fun (r : region) ->
+                addr >= r.r_addr && addr < r.r_addr + r.r_size)
+              ctx.ctx_regions
+          in
+          match region with
+          | None ->
+            err "mmu" "context %d: translation at %#x outside any region"
+              ctx.ctx_id addr
+          | Some r -> (
+            match pvm.page_of_frame.(frame.Hw.Phys_mem.index) with
+            | None ->
+              err "mmu"
+                "context %d: translation at %#x to unregistered frame %d"
+                ctx.ctx_id addr frame.Hw.Phys_mem.index
+            | Some page ->
+              if
+                not
+                  (List.exists
+                     (fun (r', v) -> r' == r && v = vpn)
+                     page.p_mappings)
+              then
+                err "mmu"
+                  "context %d: translation at %#x not recorded on page \
+                   (%d,%d)"
+                  ctx.ctx_id addr page.p_cache.c_id page.p_offset;
+              let eff = Core.Pmap.effective_prot page r in
+              if strict && not (Hw.Prot.subsumes eff prot) then
+                err "mmu"
+                  "context %d: translation at %#x is %s but the descriptor \
+                   allows only %s"
+                  ctx.ctx_id addr (Hw.Prot.to_string prot)
+                  (Hw.Prot.to_string eff);
+              if
+                r.r_cache == page.p_cache
+                && r.r_offset + (addr - r.r_addr) <> page.p_offset
+              then
+                err "mmu"
+                  "context %d: translation at %#x reaches offset %d through \
+                   a window expecting %d"
+                  ctx.ctx_id addr page.p_offset
+                  (r.r_offset + (addr - r.r_addr)))))
+    contexts;
+  (* pmap records, reverse direction *)
+  List.iter
+    (fun (p : page) ->
+      List.iter
+        (fun ((r : region), vpn) ->
+          if not (r.r_alive && r.r_context.ctx_alive) then
+            err "mmu" "page (%d,%d): pmap record through a dead region"
+              p.p_cache.c_id p.p_offset
+          else begin
+            let addr = vpn * ps in
+            if addr < r.r_addr || addr >= r.r_addr + r.r_size then
+              err "mmu" "page (%d,%d): pmap record outside region at %#x"
+                p.p_cache.c_id p.p_offset r.r_addr;
+            match Hw.Mmu.query r.r_context.ctx_space ~vpn with
+            | Pte { frame; _ }
+              when frame.Hw.Phys_mem.index = p.p_frame.Hw.Phys_mem.index ->
+              ()
+            | Pte _ ->
+              err "mmu"
+                "page (%d,%d): pmap record at vpn %d maps another frame"
+                p.p_cache.c_id p.p_offset vpn
+            | No_pte ->
+              err "mmu" "page (%d,%d): pmap record at vpn %d has no \
+                         translation"
+                p.p_cache.c_id p.p_offset vpn
+          end)
+        p.p_mappings)
+    (Core.Inspect.pages pvm);
+
   if strict then begin
     (* every hidden node is still read by a visible cache: mark forward
        from the visible caches through fragment parents and the sources
@@ -526,84 +611,6 @@ let run ?(strict = true) (pvm : pvm) : violation list =
                 s.cs_cache.c_id s.cs_offset)
           stubs)
       pvm.stub_sources;
-
-    (* MMU <-> descriptor protection coherence *)
-    List.iter
-      (fun (ctx : context) ->
-        Hw.Mmu.iter ctx.ctx_space (fun ~vpn frame prot ->
-            let addr = vpn * ps in
-            let region =
-              List.find_opt
-                (fun (r : region) ->
-                  addr >= r.r_addr && addr < r.r_addr + r.r_size)
-                ctx.ctx_regions
-            in
-            match region with
-            | None ->
-              err "mmu" "context %d: translation at %#x outside any region"
-                ctx.ctx_id addr
-            | Some r -> (
-              match pvm.page_of_frame.(frame.Hw.Phys_mem.index) with
-              | None ->
-                err "mmu"
-                  "context %d: translation at %#x to unregistered frame %d"
-                  ctx.ctx_id addr frame.Hw.Phys_mem.index
-              | Some page ->
-                if
-                  not
-                    (List.exists
-                       (fun (r', v) -> r' == r && v = vpn)
-                       page.p_mappings)
-                then
-                  err "mmu"
-                    "context %d: translation at %#x not recorded on page \
-                     (%d,%d)"
-                    ctx.ctx_id addr page.p_cache.c_id page.p_offset;
-                let eff = Core.Pmap.effective_prot page r in
-                if not (Hw.Prot.subsumes eff prot) then
-                  err "mmu"
-                    "context %d: translation at %#x is %s but the descriptor \
-                     allows only %s"
-                    ctx.ctx_id addr (Hw.Prot.to_string prot)
-                    (Hw.Prot.to_string eff);
-                if
-                  r.r_cache == page.p_cache
-                  && r.r_offset + (addr - r.r_addr) <> page.p_offset
-                then
-                  err "mmu"
-                    "context %d: translation at %#x reaches offset %d through \
-                     a window expecting %d"
-                    ctx.ctx_id addr page.p_offset
-                    (r.r_offset + (addr - r.r_addr)))))
-      contexts;
-    (* pmap records, reverse direction *)
-    List.iter
-      (fun (p : page) ->
-        List.iter
-          (fun ((r : region), vpn) ->
-            if not (r.r_alive && r.r_context.ctx_alive) then
-              err "mmu" "page (%d,%d): pmap record through a dead region"
-                p.p_cache.c_id p.p_offset
-            else begin
-              let addr = vpn * ps in
-              if addr < r.r_addr || addr >= r.r_addr + r.r_size then
-                err "mmu" "page (%d,%d): pmap record outside region at %#x"
-                  p.p_cache.c_id p.p_offset r.r_addr;
-              match Hw.Mmu.query r.r_context.ctx_space ~vpn with
-              | Pte { frame; _ }
-                when frame.Hw.Phys_mem.index = p.p_frame.Hw.Phys_mem.index ->
-                ()
-              | Pte _ ->
-                err "mmu"
-                  "page (%d,%d): pmap record at vpn %d maps another frame"
-                  p.p_cache.c_id p.p_offset vpn
-              | No_pte ->
-                err "mmu" "page (%d,%d): pmap record at vpn %d has no \
-                           translation"
-                  p.p_cache.c_id p.p_offset vpn
-            end)
-          p.p_mappings)
-      (Core.Inspect.pages pvm);
 
     (* wire counts at quiescence *)
     if Core.Inspect.locked_regions pvm = [] then

@@ -15,11 +15,14 @@
     Two tiers:
     - the {e structural} subset always holds, even between engine
       events while a pullIn/pushOut is mid-flight ([strict:false],
-      the sanitizer's slow mode);
+      the sanitizer's slow mode).  It includes the MMU's recording:
+      every translation reaches a registered frame and is recorded on
+      that page's pmap in the window its own cache expects, and every
+      record has its translation;
     - the {e quiescent} rules additionally hold when no operation is
       in progress ([strict:true], the default): no synchronization
-      stubs, exact frame accounting, bidirectional stub threading and
-      MMU protection coherence. *)
+      stubs, exact frame accounting, bidirectional stub threading,
+      MMU protection coherence and wire counts. *)
 
 type violation = { rule : string; detail : string }
 

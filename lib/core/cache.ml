@@ -9,8 +9,6 @@ let[@chorus.hot] create pvm ?backing () =
   Install.new_cache pvm ?backing ~anonymous:(backing = None) ~is_history:false
     ()
 
-let create_anonymous pvm = create pvm ()
-
 (* --- Purging a destination range --------------------------------- *)
 
 (* Before a range of a cache is overwritten (by a new copy, a move, or
@@ -428,21 +426,10 @@ let[@chorus.hot] [@chorus.spanned
     let ps = page_size pvm in
     let lo = max off region.r_offset
     and hi = min (off + size) (region.r_offset + region.r_size) in
-    if lo < hi then begin
-      let vpn0 = (region.r_addr + (lo - region.r_offset)) / ps in
-      let n = (hi - lo + ps - 1) / ps in
-      for k = 0 to n - 1 do
-        let vpn = vpn0 + k in
-        let i = Hw.Mmu.mapped_frame_index region.r_context.ctx_space ~vpn in
-        if i >= 0 then begin
-          (match Pmap.page_at_index pvm i with
-          | Some page -> Pmap.drop_mapping page region ~vpn
-          | None -> ());
-          charge pvm Hw.Cost.Invalidate_page;
-          Hw.Mmu.unmap region.r_context.ctx_space ~vpn
-        end
-      done
-    end;
+    if lo < hi then
+      Pmap.edit_window pvm region Invalidate
+        ~vpn:((region.r_addr + (lo - region.r_offset)) / ps)
+        ~count:((hi - lo + ps - 1) / ps);
     invalidate_regions pvm ~off ~size rest
 
 let[@chorus.hot] invalidate_window pvm (cache : cache) ~off ~size =
@@ -861,7 +848,6 @@ let[@chorus.hot] destroy pvm (cache : cache) =
   end;
   note_structure pvm
 
-let stats_of pvm = snapshot_stats pvm.stats
 let mapping_count (cache : cache) =
   note_structure ~write:false cache.c_pvm;
   List.length cache.c_mappings

@@ -13,8 +13,6 @@ val create : Types.pvm -> ?backing:Gmi.backing -> unit -> Types.cache
     empty cache; without a backing the cache is anonymous
     (zero-fill, swap on demand through the segmentCreate hook). *)
 
-val create_anonymous : Types.pvm -> Types.cache
-
 val copy :
   Types.pvm ->
   ?strategy:Gmi.copy_strategy ->
@@ -96,8 +94,6 @@ val mapping_count : Types.cache -> int
 
 val is_alive : Types.cache -> bool
 (** False once the cache is destroyed, even while it lingers hidden. *)
-
-val stats_of : Types.pvm -> Types.stats
 
 val install_reaper : Types.pvm -> Types.pvm
 (** Wire the liveness rule into stub death on a fresh PVM (done by

@@ -303,6 +303,14 @@ let rec resolve pvm (region : region) (cache : cache) ~off ~vpn ~access :
             `Zero_fill
           end))
 
+(* [resolve] again, from the top, while the page it resolved dies during
+   [Pmap.enter]'s charge; the fault records the resolution that finally
+   maps.  A top-level recursion: the retry allocates nothing. *)
+let rec resolve_mapped pvm region cache ~off ~vpn ~access =
+  match resolve pvm region cache ~off ~vpn ~access with
+  | kind -> kind
+  | exception Pmap.Page_died -> resolve_mapped pvm region cache ~off ~vpn ~access
+
 let access_name = function
   | `Read -> "read"
   | `Write -> "write"
@@ -348,7 +356,7 @@ let[@chorus.hot] handle pvm (ctx : context) ~addr ~(access : Hw.Mmu.access)
         [@chorus.alloc_ok "trace arguments, built only when tracing is on"];
     let vpn = addr / page_size pvm in
     charge pvm Hw.Cost.Map_lookup;
-    resolve pvm region region.r_cache ~off ~vpn ~access
+    resolve_mapped pvm region region.r_cache ~off ~vpn ~access
   with
   | kind ->
     Obs.Metrics.observe

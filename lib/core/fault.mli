@@ -9,13 +9,6 @@
 
 val find_region : Types.context -> addr:int -> Types.region option
 
-val child_copy : Types.pvm -> Types.cache -> off:int -> Types.page
-(** Give the cache its own copy of the value currently visible at
-    [off] (a write miss in a copy, or a copy-on-reference read miss).
-    Implements the §4.2.3 complication: if the cache's own history
-    still misses that offset, it also receives a copy of the
-    pre-divergence value. *)
-
 val own_writable_page : Types.pvm -> Types.cache -> off:int -> Types.page
 (** Ensure the cache owns a resident page at [off] that is safe to
     write: stubs flushed, originals saved, write access obtained from
@@ -37,9 +30,6 @@ type resolution =
     access re-obtained for data pulled read-only; [`Borrow]: read
     serviced by mapping an ancestor's page read-only. *)
 
-val resolution_name : resolution -> string
-(** Stable display name ("zero-fill", "pull-in", "cow-copy", ...). *)
-
 val hist_index : resolution -> int
 (** Index of a resolution's latency histogram in [pvm.fault_hist] —
     the handles are pre-registered at PVM creation so the per-fault
@@ -47,17 +37,6 @@ val hist_index : resolution -> int
 
 val hist_names : string array
 (** Histogram names in [hist_index] order ("fault.hit", ...). *)
-
-val resolve :
-  Types.pvm ->
-  Types.region ->
-  Types.cache ->
-  off:int ->
-  vpn:int ->
-  access:Hw.Mmu.access ->
-  resolution
-(** Resolve a fault against (region, cache, off), install the MMU
-    mapping at [vpn], and report which resolution was taken. *)
 
 val handle : Types.pvm -> Types.context -> addr:int -> access:Hw.Mmu.access -> unit
 (** The trap handler.  Records one "fault" trace span (when tracing is

@@ -31,10 +31,6 @@ let pp_strategy ppf = function
   | `History -> Format.pp_print_string ppf "history"
   | `Per_page -> Format.pp_print_string ppf "per-page"
 
-let pp_policy ppf = function
-  | `Copy_on_write -> Format.pp_print_string ppf "copy-on-write"
-  | `Copy_on_reference -> Format.pp_print_string ppf "copy-on-reference"
-
 module type S = sig
   type t
   type context

@@ -78,7 +78,6 @@ val fill_up_slice :
     @raise Invalid_argument otherwise. *)
 
 val pp_strategy : Format.formatter -> copy_strategy -> unit
-val pp_policy : Format.formatter -> copy_policy -> unit
 
 (** The Generic Memory management Interface as a module signature.
 

@@ -435,12 +435,6 @@ let state_json (pvm : pvm) : Obs.Json.t =
 
 let pages (pvm : pvm) = List.concat_map (fun c -> c.c_pages) (Types.caches pvm)
 
-let sync_stubs_in_flight (pvm : pvm) =
-  Frag_map.fold
-    (fun _ _ entry acc ->
-      match entry with Sync_stub _ -> acc + 1 | Resident _ | Cow_stub _ -> acc)
-    pvm.gmap 0
-
 let locked_regions (pvm : pvm) =
   List.concat_map
     (fun ctx -> List.filter (fun r -> r.r_locked) ctx.ctx_regions)

@@ -75,9 +75,5 @@ val state_json : Types.pvm -> Obs.Json.t
 val pages : Types.pvm -> Types.page list
 (** Every resident page descriptor, across all caches. *)
 
-val sync_stubs_in_flight : Types.pvm -> int
-(** Synchronization stubs currently in the global map (pages in
-    transit, §4.1.2); zero at quiescence. *)
-
 val locked_regions : Types.pvm -> Types.region list
 (** Regions pinned by lockInMemory, across all contexts. *)

@@ -3,7 +3,13 @@
    that read-protecting a copied page, stealing a frame, or letting a
    diverging source page go writable again can reach every context
    that mapped it.  We record mappings on the page descriptor and keep
-   a frame -> page registry on the PVM. *)
+   a frame -> page registry on the PVM.
+
+   This module is the only writer of MMU translations and pmap
+   records.  Every edit reads the translation or page it acts on after
+   its last charge, never before: a charge is a scheduling point, and
+   meanwhile another fibre may map, unmap, evict, free or move.  So a
+   translation and its record change together, in one slice. *)
 
 open Types
 
@@ -66,9 +72,15 @@ let[@chorus.hot] rec without_mapping (region : region) vpn = function
           "the cells in front of a removed record: the shortened list the \
            page keeps"]
 
+exception Page_died
+
 let[@chorus.hot] [@chorus.spanned
      "runs under the fault span opened by Fault.handle"] enter pvm
     (page : page) (region : region) ~vpn =
+  charge pvm Hw.Cost.Mmu_map;
+  (* Evicted or freed during the charge: its frame may already hold
+     another page. *)
+  if not page.p_alive then raise Page_died;
   (* Replacing another page's entry: retire its pmap record so a later
      teardown of that page does not unmap us. *)
   let old = Hw.Mmu.mapped_frame_index region.r_context.ctx_space ~vpn in
@@ -77,9 +89,8 @@ let[@chorus.hot] [@chorus.spanned
      | Some old_page ->
        old_page.p_mappings <- without_mapping region vpn old_page.p_mappings
      | None -> ());
-  let prot = effective_prot page region in
-  charge pvm Hw.Cost.Mmu_map;
-  Hw.Mmu.map region.r_context.ctx_space ~vpn page.p_frame prot;
+  Hw.Mmu.map region.r_context.ctx_space ~vpn page.p_frame
+    (effective_prot page region);
   if not (has_mapping region vpn page.p_mappings) then
     page.p_mappings <-
       ((region, vpn) :: page.p_mappings)
@@ -90,13 +101,17 @@ let[@chorus.hot] [@chorus.spanned
 let[@chorus.hot] drop_mapping (page : page) (region : region) ~vpn =
   page.p_mappings <- without_mapping region vpn page.p_mappings
 
+(* Re-protect the records of [mappings], a snapshot of [page]'s list;
+   a record dropped during a charge is skipped. *)
 let[@chorus.hot] [@chorus.spanned
      "leaf helper: callers are the spanned GMI entry points (setProtection, \
       fault resolution)"] rec refresh_walk pvm (page : page) = function
   | [] -> ()
   | ((region : region), vpn) :: rest ->
     charge pvm Hw.Cost.Mmu_protect;
-    Hw.Mmu.protect region.r_context.ctx_space ~vpn (effective_prot page region);
+    if has_mapping region vpn page.p_mappings then
+      Hw.Mmu.protect region.r_context.ctx_space ~vpn
+        (effective_prot page region);
     refresh_walk pvm page rest
 
 (* Recompute the hardware protection of every mapping of [page];
@@ -122,23 +137,23 @@ let[@chorus.hot] [@chorus.spanned
     protect_walk page page.p_mappings
   end
 
-(* Unmap the borrowed records of [mappings], a snapshot of [page]'s
-   list.  Each unmap is charged first, and a charge is a scheduling
-   point: a record another fibre dropped meanwhile is skipped, and
-   each unmapped record leaves the page's {e current} list at once,
-   so a mapping entered during a charge is never lost. *)
+(* Unmap one record of [page], charged first: one another fibre
+   dropped meanwhile is skipped. *)
 let[@chorus.hot] [@chorus.spanned
-     "runs under the fault span (source write resolution)"] rec unmap_borrowed
-    pvm (page : page) = function
+     "leaf helper: callers are the spanned eviction, teardown and source \
+      write paths"] unmap_one pvm (page : page) (region : region) ~vpn =
+  charge pvm Hw.Cost.Mmu_protect;
+  if has_mapping region vpn page.p_mappings then begin
+    Hw.Mmu.unmap region.r_context.ctx_space ~vpn;
+    drop_mapping page region ~vpn
+  end
+
+(* Unmap the borrowed records of [mappings], a snapshot of [page]'s
+   list. *)
+let[@chorus.hot] rec unmap_borrowed pvm (page : page) = function
   | [] -> ()
   | ((region : region), vpn) :: rest ->
-    if is_borrowed page region then begin
-      charge pvm Hw.Cost.Mmu_protect;
-      if has_mapping region vpn page.p_mappings then begin
-        Hw.Mmu.unmap region.r_context.ctx_space ~vpn;
-        page.p_mappings <- without_mapping region vpn page.p_mappings
-      end
-    end;
+    if is_borrowed page region then unmap_one pvm page region ~vpn;
     unmap_borrowed pvm page rest
 
 let[@chorus.hot] rec has_borrowed (page : page) = function
@@ -160,20 +175,66 @@ let[@chorus.hot] cow_release pvm (page : page) =
   refresh_walk pvm page page.p_mappings
 
 (* Remove every MMU entry pointing at [page]'s frame (eviction,
-   invalidation, destruction).  Works on the current head of the list,
-   not a snapshot: each unmap is charged, a charge is a scheduling
-   point, and a mapping a concurrent fault enters meanwhile is unmapped
-   in turn instead of being cleared away under a live translation. *)
-let[@chorus.hot] [@chorus.spanned
-     "leaf helper: callers are the spanned eviction/teardown paths"] rec unmap_all
-    pvm (page : page) =
+   invalidation, destruction).  It takes the current head of the list
+   each time, so a mapping a concurrent fault enters meanwhile is
+   unmapped in turn. *)
+let[@chorus.hot] rec unmap_all pvm (page : page) =
   match page.p_mappings with
   | [] -> ()
   | ((region : region), vpn) :: _ ->
-    charge pvm Hw.Cost.Mmu_protect;
-    if
-      region.r_alive && region.r_context.ctx_alive
-      && has_mapping region vpn page.p_mappings
-    then Hw.Mmu.unmap region.r_context.ctx_space ~vpn;
-    page.p_mappings <- without_mapping region vpn page.p_mappings;
+    unmap_one pvm page region ~vpn;
     unmap_all pvm page
+
+type window_edit = Invalidate | Reprotect
+
+(* Edit every mapped entry of [region] in [vpn, vpn + count), in
+   ascending order: an entry found is charged, then read again. *)
+let[@chorus.hot] [@chorus.spanned
+     "leaf helper: callers are the spanned purge and setProtection paths"] edit_window
+    pvm (region : region) edit ~vpn ~count =
+  let space = region.r_context.ctx_space in
+  for vpn = vpn to vpn + count - 1 do
+    match mapped_page pvm region ~vpn with
+    | None -> ()
+    | Some _ -> (
+      charge pvm
+        (match edit with
+        | Invalidate -> Hw.Cost.Invalidate_page
+        | Reprotect -> Hw.Cost.Mmu_protect);
+      match mapped_page pvm region ~vpn with
+      | None -> ()
+      | Some page -> (
+        match edit with
+        | Invalidate ->
+          drop_mapping page region ~vpn;
+          Hw.Mmu.unmap space ~vpn
+        | Reprotect -> Hw.Mmu.protect space ~vpn (effective_prot page region)))
+  done
+
+let[@chorus.hot] drop_entry (region : region) ~vpn frame _ =
+  match page_at_index region.r_context.ctx_pvm frame.Hw.Phys_mem.index with
+  | Some page -> drop_mapping page region ~vpn
+  | None -> ()
+
+(* Region destruction: the walk follows the mapped entries, not every
+   page of the range. *)
+let[@chorus.hot] unmap_region pvm (region : region) =
+  let ps = page_size pvm in
+  let space = region.r_context.ctx_space in
+  let vpn = region.r_addr / ps and count = region.r_size / ps in
+  Hw.Mmu.iter_range_with space ~vpn ~count drop_entry region;
+  ignore (Hw.Mmu.invalidate_range space ~vpn ~count)
+
+(* Calls [f] on the page of every mapped entry of [region]: a walk
+   over mapped entries, not over the region's pages. *)
+let iter_mapped pvm (region : region) f =
+  let ps = page_size pvm in
+  Hw.Mmu.iter_range region.r_context.ctx_space ~vpn:(region.r_addr / ps)
+    ~count:(region.r_size / ps) (fun ~vpn frame _ ->
+      match page_at_index pvm frame.Hw.Phys_mem.index with
+      | Some page -> f page ~vpn
+      | None -> ())
+
+let relabel pvm ~(left : region) ~(right : region) =
+  iter_mapped pvm right (fun page ~vpn ->
+      page.p_mappings <- (right, vpn) :: without_mapping left vpn page.p_mappings)

@@ -89,17 +89,6 @@ let[@chorus.hot] [@chorus.noted
     if traced then span_raise tr e;
     raise e
 
-(* Calls [f] on the page of every mapped entry of [region] — a walk
-   over mapped entries, not over the region's pages.  [f] must not
-   edit the context's MMU. *)
-let iter_mapped pvm (region : region) f =
-  let ps = page_size pvm in
-  Hw.Mmu.iter_range region.r_context.ctx_space ~vpn:(region.r_addr / ps)
-    ~count:(region.r_size / ps) (fun ~vpn frame _ ->
-      match Pmap.page_at_index pvm frame.Hw.Phys_mem.index with
-      | Some page -> f page ~vpn
-      | None -> ())
-
 (* region.split (Table 2): cut a region in two at [offset] bytes from
    its start.  Splitting never occurs spontaneously, so upper layers
    can track regions reliably (§3.3.2). *)
@@ -128,31 +117,18 @@ let split pvm (region : region) ~offset =
   let ctx = region.r_context in
   ctx.ctx_regions <- insert_sorted right ctx.ctx_regions;
   region.r_cache.c_mappings <- right :: region.r_cache.c_mappings;
-  (* Re-label the pmap records of mappings now belonging to the right
-     half. *)
-  iter_mapped pvm right (fun page ~vpn ->
-      Pmap.drop_mapping page region ~vpn;
-      page.p_mappings <- (right, vpn) :: page.p_mappings);
+  Pmap.relabel pvm ~left:region ~right;
   right
 
 (* region.setProtection (Table 2): change the hardware protection of
-   the whole region.  A charge is a scheduling point, so the walk
-   probes every vpn in ascending order: an entry another fibre maps
-   during a charge is still re-protected. *)
+   the whole region, re-protecting every mapped entry. *)
 let set_protection pvm (region : region) prot =
   check_region_alive region;
   spanned pvm "regionSetProtection" @@ fun () ->
   region.r_prot <- prot;
   let ps = page_size pvm in
-  let vpn0 = region.r_addr / ps in
-  for vpn = vpn0 to vpn0 + (region.r_size / ps) - 1 do
-    match Pmap.mapped_page pvm region ~vpn with
-    | None -> ()
-    | Some page ->
-      charge pvm Hw.Cost.Mmu_protect;
-      Hw.Mmu.protect region.r_context.ctx_space ~vpn
-        (Pmap.effective_prot page region)
-  done
+  Pmap.edit_window pvm region Reprotect ~vpn:(region.r_addr / ps)
+    ~count:(region.r_size / ps)
 
 (* region.lockInMemory (Table 2): resolve every fault the region could
    take and pin the pages, guaranteeing access without faults and
@@ -177,7 +153,7 @@ let lock_in_memory pvm (region : region) =
 let unlock pvm (region : region) =
   check_region_alive region;
   if region.r_locked then begin
-    iter_mapped pvm region (fun page ~vpn:_ ->
+    Pmap.iter_mapped pvm region (fun page ~vpn:_ ->
         if page.p_wire_count > 0 then
           page.p_wire_count <- page.p_wire_count - 1);
     region.r_locked <- false
@@ -194,22 +170,13 @@ let status (region : region) =
     s_locked = region.r_locked;
   }
 
-(* Drop the pmap record of one mapped entry of [region]. *)
-let[@chorus.hot] drop_entry (region : region) ~vpn frame _ =
-  match Pmap.page_at_index region.r_context.ctx_pvm frame.Hw.Phys_mem.index with
-  | Some page -> Pmap.drop_mapping page region ~vpn
-  | None -> ()
-
 let[@chorus.hot] [@chorus.spanned "runs under the regionDestroy span"] destroy_in
     pvm (region : region) =
   note_structure pvm;
   charge pvm Hw.Cost.Region_destroy;
   let ps = page_size pvm in
   charge_span pvm Hw.Cost.Invalidate_page (pvm.cost.t_invalidate_page * (region.r_size / ps));
-  let space = region.r_context.ctx_space in
-  let vpn = region.r_addr / ps and count = region.r_size / ps in
-  Hw.Mmu.iter_range_with space ~vpn ~count drop_entry region;
-  ignore (Hw.Mmu.invalidate_range space ~vpn ~count);
+  Pmap.unmap_region pvm region;
   let ctx = region.r_context in
   ctx.ctx_regions <- without_region region ctx.ctx_regions;
   region.r_cache.c_mappings <- without_region region region.r_cache.c_mappings;
@@ -218,9 +185,7 @@ let[@chorus.hot] [@chorus.spanned "runs under the regionDestroy span"] destroy_i
 (* region.destroy (Table 2): unmap the cache window.  Destruction
    invalidates the whole virtual range, so unlike creation its
    simulated cost grows (mildly) with the region size (§5.3.2): the
-   charge is per page of the region.  The host work follows mapped
-   pages only — the pmap records and PTEs are found by walking the
-   mapped entries, not every page of the range. *)
+   charge is per page of the region. *)
 let[@chorus.hot] destroy pvm (region : region) =
   check_region_alive region;
   if region.r_locked then unlock pvm region;

@@ -251,10 +251,16 @@ let l5_call_denylist_functions =
     "Global_map.remove";
     "Global_map.insert_sync_stub";
     "Global_map.finish_sync_stub";
+    "Pmap.register_page";
+    "Pmap.unregister_page";
     "Pmap.enter";
-    "Pmap.assign";
-    "Pmap.clear";
     "Pmap.refresh_prot";
+    "Pmap.cow_protect";
+    "Pmap.cow_release";
+    "Pmap.unmap_all";
+    "Pmap.edit_window";
+    "Pmap.unmap_region";
+    "Pmap.relabel";
     "Cache.create";
     "Cache.destroy";
     "Cache.copy";

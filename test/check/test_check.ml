@@ -80,6 +80,35 @@ let test_catches_mmu_corruption () =
         cow_page.Core.Types.p_frame Hw.Prot.read_write;
       expect_rule pvm "mmu")
 
+(* The mmu rule's recording half is structural, its protection half
+   quiescent-only: a translation whose pmap record is lost fails the
+   per-event sweep, a too-permissive one only the quiescent sweep. *)
+let test_mmu_recording_is_structural () =
+  let mmu_in vs = List.mem "mmu" (rules_of vs) in
+  in_sim (fun engine ->
+      let pvm, _ = build engine in
+      let page =
+        List.find
+          (fun p -> p.Core.Types.p_mappings <> [])
+          (Core.Inspect.pages pvm)
+      in
+      page.Core.Types.p_mappings <- [];
+      Alcotest.(check bool) "lost record: structural" true
+        (mmu_in (Check.Sanitizer.run ~strict:false pvm)));
+  in_sim (fun engine ->
+      let pvm, ctx = build engine in
+      let cow_page =
+        List.find
+          (fun p ->
+            p.Core.Types.p_cow_protected && p.Core.Types.p_mappings <> [])
+          (Core.Inspect.pages pvm)
+      in
+      let _, vpn = List.hd cow_page.Core.Types.p_mappings in
+      Hw.Mmu.protect ctx.Core.Types.ctx_space ~vpn Hw.Prot.read_write;
+      Alcotest.(check bool) "too permissive: not structural" false
+        (mmu_in (Check.Sanitizer.run ~strict:false pvm));
+      expect_rule pvm "mmu")
+
 (* Corruption 3: steal a page out of the reclaim queue — the FIFO
    page-out policy would never see it again. *)
 let test_catches_reclaim_corruption () =
@@ -357,6 +386,34 @@ let test_registry_entries () =
         Alcotest.failf "%s: %a" s.name Check.Explore.pp_violation v)
     Check.Scenario.all
 
+(* Seeds [seeds] of [s] at 0 and 2 CPUs: each run ends clean (strict
+   quiescent sweep, blocking discipline) and the judge accepts it
+   against the sequential FIFO run. *)
+let sweep_seeds (s : Check.Scenario.t) seeds =
+  let reference = clean_obs s.name (Check.Harness.run s) in
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun seed ->
+          let label =
+            Printf.sprintf "%s, %d CPUs, seed %d" s.name domains seed
+          in
+          let obs = clean_obs label (Check.Harness.run ~domains ~seed s) in
+          match Check.Harness.judge s ~reference obs with
+          | None -> ()
+          | Some (kind, detail) ->
+            Alcotest.failf "%s: %s: %s" label kind detail)
+        seeds)
+    [ 0; 2 ]
+
+(* Seeds 36, 73 and 196 of [contend] once left a translation whose
+   page was evicted while [Pmap.enter] paid for the map; its frame
+   later held another page. *)
+let test_contend_stale_translation () =
+  sweep_seeds (Option.get (Check.Scenario.find "contend")) [ 36; 73; 196 ]
+
+let seed_range = List.init 64 (fun i -> i + 1)
+
 (* The deep checkers on a 2-CPU storm whose workers run as lane
    slices: seeded scheduler, watchdog, tracer and the per-event sweep;
    the run ends clean and matches the sequential digest. *)
@@ -569,6 +626,8 @@ let () =
             test_catches_gmap_corruption;
           Alcotest.test_case "catches mmu corruption" `Quick
             test_catches_mmu_corruption;
+          Alcotest.test_case "mmu recording is structural" `Quick
+            test_mmu_recording_is_structural;
           Alcotest.test_case "catches reclaim corruption" `Quick
             test_catches_reclaim_corruption;
           Alcotest.test_case "catches zombie corruption" `Quick
@@ -623,5 +682,15 @@ let () =
             test_storm_checked_on_cpus;
           Alcotest.test_case "stale frame contents change nothing" `Quick
             test_registry_ignores_stale_frames;
+          Alcotest.test_case "contend stale translation, seeds 36/73/196"
+            `Quick test_contend_stale_translation;
         ] );
+      ( "seeds",
+        List.map
+          (fun (s : Check.Scenario.t) ->
+            Alcotest.test_case
+              (s.name ^ ", seeds 1-64 at 0 and 2 CPUs")
+              `Quick
+              (fun () -> sweep_seeds s seed_range))
+          Check.Scenario.all );
     ]

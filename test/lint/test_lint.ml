@@ -170,11 +170,15 @@ let test_l5_positive () =
   let fs =
     lint ~rules:l5
       "type cache = { mutable c_refs : int }\n\
+       module Pmap = struct let unmap_all () () = () end\n\
        let bad tbl = Hashtbl.replace tbl 0 0\n\
-       let bad2 (c : cache) = c.c_refs <- 1\n"
+       let bad2 (c : cache) = c.c_refs <- 1\n\
+       let bad3 () = Pmap.unmap_all () ()\n"
   in
-  check_keys "mutating call and core-record mutation fire"
-    [ ("L5", "calls-replace"); ("L5", "sets-c_refs") ]
+  check_keys "mutating calls and core-record mutation fire"
+    [
+      ("L5", "calls-replace"); ("L5", "sets-c_refs"); ("L5", "calls-unmap_all");
+    ]
     fs
 
 let test_l5_negative () =
