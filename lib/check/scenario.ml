@@ -752,6 +752,64 @@ let sparse =
   in
   { name = "sparse"; oracle = Schedule_independent; run }
 
+(* Races with destruction (§3.3.3): a page being made for a cache that
+   dies during the maker's charges.  A fork child's history copy of its
+   parent's page dies (the child exits) while the parent writes the
+   page, saving the original into it; then a message's inbox, a
+   per-page copy of its sender's page, dies while the sender tears
+   down, materialising the message into the inbox.  Each at delays
+   spread over the windows of the page's charges (16 frames, default
+   costs).  The parent's last write is what is left to read. *)
+let exit_race =
+  let run engine ~register =
+    let pvm = Core.Pvm.create ~frames:16 ~engine () in
+    register pvm;
+    let ctx = Core.Context.create pvm in
+    let rw = Hw.Prot.read_write in
+    let parent = Core.Cache.create pvm () in
+    ignore
+      (Core.Region.create pvm ctx ~addr:0 ~size:ps ~prot:rw parent ~offset:0);
+    let race delay a b =
+      spawn_all engine ~name:(Printf.sprintf "exit-race-%d")
+        ~affinity:(Fun.const 0) 2 (fun f ->
+          if f = 0 then a ()
+          else begin
+            Hw.Engine.sleep (Hw.Sim_time.us delay);
+            b ()
+          end)
+      ()
+    in
+    List.iteri
+      (fun i delay ->
+        let c = Char.chr (Char.code 'a' + i) in
+        Core.Pvm.write pvm ctx ~addr:0 (Bytes.make 8 c);
+        let child = Core.Cache.create pvm () in
+        Core.Cache.copy pvm ~strategy:`History ~src:parent ~src_off:0
+          ~dst:child ~dst_off:0 ~size:ps ();
+        race delay
+          (fun () ->
+            Core.Pvm.write pvm ctx ~addr:8
+              (Bytes.make 8 (Char.uppercase_ascii c)))
+          (fun () -> Core.Cache.destroy pvm child);
+        let sender = Core.Cache.create pvm ()
+        and inbox = Core.Cache.create pvm () in
+        let r =
+          Core.Region.create pvm ctx ~addr:(64 * ps) ~size:ps ~prot:rw sender
+            ~offset:0
+        in
+        Core.Pvm.write pvm ctx ~addr:(64 * ps) (Bytes.make 8 c);
+        Core.Cache.copy pvm ~strategy:`Per_page ~src:sender ~src_off:0
+          ~dst:inbox ~dst_off:0 ~size:ps ();
+        race delay
+          (fun () ->
+            Core.Region.destroy pvm r;
+            Core.Cache.destroy pvm sender)
+          (fun () -> Core.Cache.destroy pvm inbox))
+      [ 150; 300; 450; 600; 750; 900; 1050; 1200; 1350; 1500 ];
+    fun () -> digest [ pvm ]
+  in
+  { name = "exit-race"; oracle = No_oracle; run }
+
 (* --- Model programs ----------------------------------------------- *)
 
 let site_setup ~frames ~pages engine =
@@ -848,6 +906,7 @@ let all =
     pervpage;
     orphans;
     sparse;
+    exit_race;
     pressure;
     pressure_program ~name:"contend-model" ~workers:3;
   ]

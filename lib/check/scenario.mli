@@ -43,8 +43,8 @@ type t = {
 val all : t list
 (** The registry, in CLI order: the kernel workloads [fig3], [fork],
     [dsm], [ipc], [contend], [storm], [make], [decomp], [chains],
-    [segcache], [pervpage], [orphans] and [sparse] (observed by
-    {!digest}), then
+    [segcache], [pervpage], [orphans], [sparse] and [exit-race]
+    (observed by {!digest}), then
     the Model
     programs [pressure] and [contend-model] (observed by
     {!Model.digest_outcome}, judged by [Outcomes]). *)
@@ -364,6 +364,15 @@ val sparse : t
     (§4.2).  The body then reads every page of the three regions back
     and fails unless each holds the bytes written there and zeros
     elsewhere. *)
+
+val exit_race : t
+(** Races with destruction (§3.3.3) on a 16-frame PVM: a fork child's
+    history copy of its parent's page dies while the parent writes the
+    page (saving the original into it), and a message's inbox, a
+    per-page copy of its sender's page, dies while the sender tears
+    down (materialising the message into it).  Each at ten delays
+    spread over the windows of the page's charges.  The fibres race by
+    design: judged by the memory contents ([No_oracle]). *)
 
 val of_program : name:string -> frames:int -> pages:int -> Model.prog -> t
 (** Lift a {!Model} program into a scenario on a nucleus site with

@@ -303,22 +303,7 @@ let split_to_zombie pvm (cache : cache) ~off
   else z.c_backing <- cache.c_backing;
   (* Re-key pending stubs first so migrating pages re-thread them. *)
   for i = 0 to n - 1 do
-    let o = first + (i * ps) in
-    note_frag pvm cache ~off:o;
-    note_frag pvm z ~off:o;
-    match Frag_map.find_opt pvm.stub_sources cache.c_id o with
-    | None -> ()
-    | Some stubs ->
-      Frag_map.remove pvm.stub_sources cache.c_id o;
-      Install.unindex_pending cache ~off:o;
-      List.iter
-        (fun s ->
-          match s.cs_source with
-          | Src_cache (c, so) when c == cache -> s.cs_source <- Src_cache (z, so)
-          | Src_cache _ | Src_page _ -> ())
-        stubs;
-      Frag_map.replace pvm.stub_sources z.c_id o stubs;
-      Install.index_pending z ~off:o
+    Install.rekey_pending pvm cache z ~off:(first + (i * ps))
   done;
   (* Migrate resident pages (frame reassignment, no copying). *)
   List.iter
@@ -330,24 +315,7 @@ let split_to_zombie pvm (cache : cache) ~off
   for i = 0 to n - 1 do
     let o = first + (i * ps) in
     match Global_map.wait_not_in_transit pvm cache ~off:o with
-    | Some (Cow_stub s) ->
-      Global_map.remove pvm cache ~off:o;
-      Install.unindex_dest_stub cache ~off:o;
-      let s' = { s with cs_cache = z } in
-      s.cs_alive <- false;
-      (match s.cs_source with
-      | Src_page p ->
-        p.p_cow_stubs <-
-          s' :: List.filter (fun x -> not (x == s)) p.p_cow_stubs
-      | Src_cache (c, so) -> (
-        note_frag pvm c ~off:so;
-        match Frag_map.find_opt pvm.stub_sources c.c_id so with
-        | Some stubs ->
-          Frag_map.replace pvm.stub_sources c.c_id so
-            (s' :: List.filter (fun x -> not (x == s)) stubs)
-        | None -> ()));
-      Global_map.set pvm z ~off:o (Cow_stub s');
-      Install.index_dest_stub s'
+    | Some (Cow_stub s) -> Install.rehome_stub pvm s z
     | _ -> ()
   done;
   (* Migrate parent fragments covering the range.  If this cache was a
@@ -658,17 +626,15 @@ let[@chorus.hot] [@chorus.spanned "runs under the move span opened by move"] mov
     charge pvm Hw.Cost.Mmu_map;
     Install.reassign_page pvm p dst ~dst_off:d_off;
     p.p_dirty <- true
-  | Some (Cow_stub s as entry) when not (History.is_covered src ~off:o) ->
+  | Some (Cow_stub s as entry) when not (Parents.is_covered src ~off:o) ->
     (* a still-deferred value moves by re-targeting the stub — unless a
        history child snapshots the source, in which case the stub must
        stay (the fallback below copies) *)
-    Global_map.remove pvm src ~off:o;
-    Install.unindex_dest_stub src ~off:o;
+    Install.remove_stub pvm s;
     s.cs_cache <- dst;
     s.cs_offset <- d_off;
     charge pvm Hw.Cost.Stub_insert;
-    Global_map.set pvm dst ~off:d_off entry;
-    Install.index_dest_stub s;
+    Install.put_stub pvm entry;
     bump pvm.stats sc_moved_pages
   | Some _ | None -> (
     match Value.source_value pvm src ~off:o with

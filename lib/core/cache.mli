@@ -99,7 +99,3 @@ val install_reaper : Types.pvm -> Types.pvm
 (** Wire the liveness rule into stub death on a fresh PVM (done by
     [Pvm.create]). *)
 
-(**/**)
-
-(* Internal surface shared with tests. *)
-val purge_range : Types.pvm -> Types.cache -> off:int -> size:int -> unit

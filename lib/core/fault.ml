@@ -23,87 +23,87 @@ let find_region (ctx : context) ~addr =
   | r -> Some r
   | exception Not_found -> None
 
-(* Install a fresh, dirty copy or zero page for (cache, off) — unless a
-   concurrent fibre resolved the same miss first: the frame allocation
-   and copy/zero charges before it are scheduling points (§3.3.3). *)
-let[@chorus.hot] install_fresh pvm (cache : cache) ~off frame =
-  match
-    Install.try_insert_fresh pvm cache ~off frame ~pulled_prot:Hw.Prot.all
-      ~cow_protected:false
-  with
-  | Some page as inserted ->
-    page.p_dirty <- true;
-    inserted
-  | None -> None
+(* A page made for [cache] was not kept because the cache died during
+   the maker's charges: the access ends as it would after the destroy
+   (no region maps a destroyed cache, so [resolve_mapped] raises the
+   segmentation fault). *)
+let fail_if_dead (cache : cache) =
+  if not cache.c_alive then raise Pmap.Page_died
 
-(* [child_copy]'s copy from a resident source page, pinned (the
+(* A zero-filled page owned by [cache].  When a concurrent fibre
+   filled the slot during the maker's charges, settle on its value
+   instead of orphaning it. *)
+let[@chorus.hot] [@chorus.spanned
+     "runs under the fault span of handle or the copy span of the eager \
+      paths"] rec zero_fill_page pvm (cache : cache) ~off =
+  match
+    Pager.make_page pvm cache ~off Pager.Vacant `Zero ~prot:Hw.Prot.all
+      ~protect:true ~dirty:false
+  with
+  | Some page ->
+    bump pvm.stats sc_zero_fills;
+    page
+  | None -> (
+    fail_if_dead cache;
+    match Global_map.wait_not_in_transit pvm cache ~off with
+    | Some (Resident p) -> p
+    | _ -> zero_fill_page pvm cache ~off)
+
+(* [child_copy]'s copy of [value], a source page pinned meanwhile (the
    allocations below must not reclaim it).  When the cache has its own
-   history object still missing that offset, the history also receives
-   a copy of the (pre-divergence) value — the complication of §4.2.3:
-   at the time the history was created, its value was logically taken
-   from the same source. *)
+   history object still missing that offset, the history first gets
+   its own copy of the (pre-divergence) value, unless it dies
+   meanwhile — the complication of §4.2.3: when the history was
+   created, its value was logically taken from the same source. *)
 let[@chorus.hot] [@chorus.spanned
      "runs under the fault span opened by handle, or the copy/move span of \
-      the eager paths"] copy_from_source pvm (cache : cache) ~off
-    (sp : page) =
-  Pervpage.wire sp;
+      the eager paths"] copy_value pvm (cache : cache) ~off
+    (value : [ `Page of page | `Zero ]) =
+  (match value with `Page sp -> Pervpage.wire sp | `Zero -> ());
   match
     (match History.covered_and_missing pvm cache ~off with
-    | Some (h, h_off) -> History.store_original pvm ~src_page:sp ~h ~h_off
-    | None -> ());
-    let frame = Pager.alloc_frame pvm in
-    charge pvm Hw.Cost.Bcopy_page;
-    Hw.Phys_mem.bcopy ~src:sp.p_frame ~dst:frame;
-    bump pvm.stats sc_cow_copies;
-    install_fresh pvm cache ~off frame
+    | None -> ()
+    | Some (h, h_off) -> (
+      match value with
+      | `Page _ as original -> History.store_original pvm original ~h ~h_off
+      | `Zero ->
+        ignore
+          (Pager.make_page pvm h ~off:h_off Pager.Vacant `Zero
+             ~prot:Hw.Prot.all ~protect:true ~dirty:true)));
+    let made =
+      Pager.make_page pvm cache ~off Pager.Vacant
+        (value :> Pager.source)
+        ~prot:Hw.Prot.all ~protect:false ~dirty:true
+    in
+    bump pvm.stats
+      (match value with `Page _ -> sc_cow_copies | `Zero -> sc_zero_fills);
+    made
   with
-  | inserted ->
-    Pervpage.unwire sp;
-    inserted
+  | made ->
+    (match value with `Page sp -> Pervpage.unwire sp | `Zero -> ());
+    made
   | exception e ->
-    Pervpage.unwire sp;
+    (match value with `Page sp -> Pervpage.unwire sp | `Zero -> ());
     raise e
-
-(* [child_copy] of a zero value: the history, if it misses the offset,
-   gets its own zero page first. *)
-let[@chorus.hot] [@chorus.spanned
-     "runs under the fault span opened by handle, or the copy/move span of \
-      the eager paths"] copy_zero pvm (cache : cache) ~off =
-  (match History.covered_and_missing pvm cache ~off with
-  | Some (h, h_off) -> (
-    let frame = Pager.alloc_frame pvm in
-    charge pvm Hw.Cost.Bzero_page;
-    Hw.Phys_mem.bzero frame;
-    match
-      Install.try_insert_fresh pvm h ~off:h_off frame ~pulled_prot:Hw.Prot.all
-        ~cow_protected:(History.is_covered h ~off:h_off)
-    with
-    | Some hp -> hp.p_dirty <- true
-    | None -> ())
-  | None -> ());
-  let frame = Pager.alloc_frame pvm in
-  charge pvm Hw.Cost.Bzero_page;
-  Hw.Phys_mem.bzero frame;
-  bump pvm.stats sc_zero_fills;
-  install_fresh pvm cache ~off frame
 
 (* Give [cache] its own copy of the value currently visible at [off]
    (a write miss in a copy, or a copy-on-reference read miss). *)
 let[@chorus.hot] rec child_copy pvm (cache : cache) ~off =
-  let inserted =
-    match Value.source_value pvm cache ~off with
-    | `Page sp -> copy_from_source pvm cache ~off sp
-    | `Zero -> copy_zero pvm cache ~off
-  in
-  match inserted with
+  match copy_value pvm cache ~off (Value.source_value pvm cache ~off) with
   | Some page -> page
-  | None -> (
-    (* Lost the race: settle on the concurrent fibre's resolution. *)
-    match Global_map.wait_not_in_transit pvm cache ~off with
-    | Some (Resident p) -> p
-    | Some (Cow_stub s) -> Pervpage.resolve_write pvm s
-    | Some (Sync_stub _) -> assert false
-    | None -> child_copy pvm cache ~off)
+  | None -> settle pvm cache ~off
+
+(* Lost the race: settle on the concurrent fibre's resolution. *)
+and settle pvm (cache : cache) ~off =
+  fail_if_dead cache;
+  match Global_map.wait_not_in_transit pvm cache ~off with
+  | Some (Resident p) -> p
+  | Some (Cow_stub s) -> (
+    match Pervpage.resolve_write pvm s with
+    | Some p -> p
+    | None -> settle pvm cache ~off)
+  | Some (Sync_stub _) -> assert false
+  | None -> child_copy pvm cache ~off
 
 (* Clear everything that makes writing [p] unsafe.  Every branch of
    [own_writable_page] funnels through it, including pages freshly
@@ -143,12 +143,15 @@ let[@chorus.hot] prepare_writable pvm (cache : cache) ~off (p : page) =
 let[@chorus.hot] rec own_writable_page pvm (cache : cache) ~off =
   match Global_map.wait_not_in_transit pvm cache ~off with
   | Some (Resident p) -> prepare_writable pvm cache ~off p
-  | Some (Cow_stub s) ->
-    let p = Pervpage.resolve_write pvm s in
-    prepare_writable pvm cache ~off p
+  | Some (Cow_stub s) -> (
+    match Pervpage.resolve_write pvm s with
+    | Some p -> prepare_writable pvm cache ~off p
+    | None ->
+      fail_if_dead cache;
+      own_writable_page pvm cache ~off)
   | Some (Sync_stub _) -> assert false
   | None ->
-    if Value.has_swapped cache ~off then begin
+    if Install.has_swapped cache ~off then begin
       ignore (Value.pull_in_page pvm cache ~off ~prot:Hw.Prot.all);
       own_writable_page pvm cache ~off
     end
@@ -158,7 +161,7 @@ let[@chorus.hot] rec own_writable_page pvm (cache : cache) ~off =
       ignore (Value.pull_in_page pvm cache ~off ~prot:Hw.Prot.read_write);
       own_writable_page pvm cache ~off
     end
-    else prepare_writable pvm cache ~off (Value.zero_fill_page pvm cache ~off)
+    else prepare_writable pvm cache ~off (zero_fill_page pvm cache ~off)
 
 (* The §4.1.2 resolution a fault took — the attribution key of the
    paper's §5.3.2 decomposition.  [`Cow_copy] covers both the
@@ -246,9 +249,12 @@ let rec resolve pvm (region : region) (cache : cache) ~off ~vpn ~access :
       | `Borrow p ->
         Pmap.enter pvm p region ~vpn;
         `Borrow
-      | `Own p ->
-        Pmap.enter pvm p region ~vpn;
-        `Stub_resolve))
+      | `Zero -> (
+        match Pervpage.resolve_write pvm s with
+        | Some p ->
+          Pmap.enter pvm p region ~vpn;
+          `Stub_resolve
+        | None -> raise Pmap.Page_died)))
   | Some (Sync_stub _) -> assert false
   | None -> (
     match access with
@@ -256,7 +262,7 @@ let rec resolve pvm (region : region) (cache : cache) ~off ~vpn ~access :
       (* Mirror [own_writable_page]'s dispatch to name the path it
          will take; the probes are pure lookups, charged nothing. *)
       let kind : resolution =
-        if Value.has_swapped cache ~off then `Pull_in
+        if Install.has_swapped cache ~off then `Pull_in
         else if Parents.find_covering cache ~off <> None then `Cow_copy
         else if cache.c_backing <> None && not cache.c_anonymous then `Pull_in
         else `Zero_fill
@@ -265,7 +271,7 @@ let rec resolve pvm (region : region) (cache : cache) ~off ~vpn ~access :
       Pmap.enter pvm p region ~vpn;
       kind
     | `Read | `Execute -> (
-      if Value.has_swapped cache ~off then begin
+      if Install.has_swapped cache ~off then begin
         ignore (Value.pull_in_page pvm cache ~off ~prot:Hw.Prot.all);
         let _deeper = resolve pvm region cache ~off ~vpn ~access in
         `Pull_in
@@ -285,7 +291,7 @@ let rec resolve pvm (region : region) (cache : cache) ~off ~vpn ~access :
               Pmap.enter pvm p region ~vpn;
               `Borrow
             | `Zero ->
-              let p = Value.zero_fill_page pvm cache ~off in
+              let p = zero_fill_page pvm cache ~off in
               Pmap.enter pvm p region ~vpn;
               `Zero_fill))
         | None ->
@@ -298,18 +304,26 @@ let rec resolve pvm (region : region) (cache : cache) ~off ~vpn ~access :
             `Pull_in
           end
           else begin
-            let p = Value.zero_fill_page pvm cache ~off in
+            let p = zero_fill_page pvm cache ~off in
             Pmap.enter pvm p region ~vpn;
             `Zero_fill
           end))
 
-(* [resolve] again, from the top, while the page it resolved dies during
-   [Pmap.enter]'s charge; the fault records the resolution that finally
-   maps.  A top-level recursion: the retry allocates nothing. *)
-let rec resolve_mapped pvm region cache ~off ~vpn ~access =
+(* [resolve] again, from the top, while the page it resolved dies
+   before it is mapped (during [Pmap.enter]'s charge, or with its cache
+   while it was made); the fault records the resolution that finally
+   maps.  A fault whose region died meanwhile ends as the same access
+   after the destroy would.  A top-level recursion: the retry allocates
+   nothing. *)
+let rec resolve_mapped pvm (region : region) cache ~addr ~off ~vpn ~access =
   match resolve pvm region cache ~off ~vpn ~access with
   | kind -> kind
-  | exception Pmap.Page_died -> resolve_mapped pvm region cache ~off ~vpn ~access
+  | exception Pmap.Page_died ->
+    if not region.r_alive then
+      raise
+        (Gmi.Segmentation_fault addr
+        [@chorus.alloc_ok "the error path's exception"]);
+    resolve_mapped pvm region cache ~addr ~off ~vpn ~access
 
 let access_name = function
   | `Read -> "read"
@@ -356,7 +370,7 @@ let[@chorus.hot] handle pvm (ctx : context) ~addr ~(access : Hw.Mmu.access)
         [@chorus.alloc_ok "trace arguments, built only when tracing is on"];
     let vpn = addr / page_size pvm in
     charge pvm Hw.Cost.Map_lookup;
-    resolve_mapped pvm region region.r_cache ~off ~vpn ~access
+    resolve_mapped pvm region region.r_cache ~addr ~off ~vpn ~access
   with
   | kind ->
     Obs.Metrics.observe

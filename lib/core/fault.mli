@@ -14,7 +14,8 @@ val own_writable_page : Types.pvm -> Types.cache -> off:int -> Types.page
     write: stubs flushed, originals saved, write access obtained from
     the segment if the data was pulled read-only, page dirty.  Used by
     the fault handler and by the explicit copy operations of
-    Table 1. *)
+    Table 1.
+    @raise Pmap.Page_died if the cache is destroyed meanwhile. *)
 
 type resolution =
   [ `Hit

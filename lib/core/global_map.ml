@@ -10,13 +10,6 @@ open Types
    fragment-granular, so two slices conflict exactly when they meet
    here on the same key (or on a coarse object class, see Types). *)
 
-let[@chorus.hot] [@chorus.spanned
-     "map probe under the fault/copy span of every caller"] find pvm cache
-    ~off =
-  note_frag ~write:false pvm cache ~off;
-  charge pvm Hw.Cost.Map_lookup;
-  Frag_map.find_opt pvm.gmap cache.c_id off
-
 (* Lookup without charging the simulated clock, for internal
    bookkeeping that a real implementation would do with direct
    pointers rather than a map probe. *)
@@ -63,14 +56,18 @@ let rec wait_not_in_transit pvm cache ~off =
    insertion cost is charged: charging is a scheduling point, and the
    fragment must already read as in-transit when another fibre runs —
    otherwise two fibres can both elect it for pull-in or eviction. *)
-let[@chorus.spanned
-     "runs under the pullIn/pushOut span opened by the transfer \
-      initiator"] insert_sync_stub pvm cache ~off =
+let claim_sync_stub pvm cache ~off =
   let cond = Hw.Engine.Cond.create () in
   (* the inserting fibre drives the transfer: waiters blocked on this
      stub are blocked on it, and the watchdog walks that edge *)
   Hw.Engine.Cond.set_owner cond (Hw.Engine.current_fibre pvm.engine);
   set pvm cache ~off (Sync_stub cond);
+  cond
+
+let[@chorus.spanned
+     "runs under the pullIn/pushOut span opened by the transfer \
+      initiator"] insert_sync_stub pvm cache ~off =
+  let cond = claim_sync_stub pvm cache ~off in
   charge pvm Hw.Cost.Stub_insert;
   cond
 

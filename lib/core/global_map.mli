@@ -7,9 +7,6 @@
     copy-on-write stub (§4.3).  The map's size depends only on real
     memory, never on segment or address-space sizes (§4.1). *)
 
-val find : Types.pvm -> Types.cache -> off:int -> Types.entry option
-(** A probe, charged to the simulated clock. *)
-
 val peek : Types.pvm -> Types.cache -> off:int -> Types.entry option
 (** Internal bookkeeping probe (free: a real implementation would hold
     a direct pointer). *)
@@ -29,7 +26,11 @@ val wait_not_in_transit :
 
 val insert_sync_stub : Types.pvm -> Types.cache -> off:int -> Hw.Engine.Cond.t
 (** Mark the page in transit; future accesses sleep on the returned
-    condition. *)
+    condition.  Charged a stub insert, after the stub is in. *)
+
+val claim_sync_stub : Types.pvm -> Types.cache -> off:int -> Hw.Engine.Cond.t
+(** {!insert_sync_stub} uncharged: an eviction's claim on its victim,
+    before any scheduling point. *)
 
 val finish_sync_stub :
   Types.pvm ->

@@ -21,85 +21,42 @@ open Types
 
 let whole_window = max_int / 2
 
-(* The copied range (in source offsets) that [src]'s history object is
-   responsible for, derived from the fragments of the history that
-   name [src] as parent — no separate bookkeeping needed. *)
-let covering_history (src : cache) ~off =
-  note_structure ~write:false src.c_pvm;
-  match src.c_history with
-  | None -> None
-  | Some h ->
-    let covers f =
-      f.f_parent == src && off >= f.f_parent_off
-      && off < f.f_parent_off + f.f_size
-    in
-    (match List.find_opt covers h.c_parents with
-    | Some f -> Some (h, off - f.f_parent_off + f.f_off)
-    | None -> None)
-
 (* A source write at [off] must save the original iff the history
    covers the offset and has not yet got its own version of the page —
    resident, deferred (stub), in transit, or paged out to its swap. *)
 let covered_and_missing pvm (src : cache) ~off =
-  match covering_history src ~off with
+  match Parents.covering_history src ~off with
   | None -> None
-  | Some (h, h_off) -> (
+  | Some (h, h_off) as covered -> (
     match Global_map.peek pvm h ~off:h_off with
     | Some _ -> None
-    | None ->
-      if
-        h.c_anonymous
-        && h.c_backed_offs != no_offsets
-        && Hashtbl.mem h.c_backed_offs h_off
-      then None
-      else Some (h, h_off))
-
-let is_covered src ~off = covering_history src ~off <> None
+    | None -> if Install.has_swapped h ~off:h_off then None else covered)
 
 let end_store_span tr (h : cache) ~h_off =
   Obs.Trace.span_end tr
     ~args:[ ("cache", Obs.Trace.Int h.c_id); ("off", Obs.Trace.Int h_off) ]
 
-(* Store a copy of [src_page] (its original value) into history cache
-   [h] at [h_off].  The stored page is dirty (its value exists nowhere
-   else) and itself read-protected when [h] has a history covering it. *)
-let[@chorus.hot] store_original pvm ~(src_page : page) ~(h : cache) ~h_off =
+(* Store a copy of the source page (its original value) into history
+   cache [h] at [h_off].  The stored page is dirty (its value exists nowhere
+   else) and itself read-protected when [h] has a history covering it.
+   The page maker's charges are scheduling points: a concurrent writer
+   may have saved the original meanwhile, which makes ours redundant
+   (the §4.2.2 "still missing" condition no longer holds), and a
+   history destroyed meanwhile has nothing left to save.  Either way
+   the write proceeds. *)
+let[@chorus.hot] store_original pvm (src : [ `Page of page ]) ~(h : cache)
+    ~h_off =
   let tr = Hw.Engine.tracer pvm.engine in
   let traced = Obs.Trace.enabled tr in
   if traced then Obs.Trace.span_begin tr ~cat:"vm" "history-materialise";
   match
-    (* Pin the source page: the frame allocation below may otherwise
-       reclaim it. *)
-    src_page.p_wire_count <- src_page.p_wire_count + 1;
-    let frame =
-      match
-        let frame = Pager.alloc_frame pvm in
-        charge pvm Hw.Cost.Bcopy_page;
-        Hw.Phys_mem.bcopy ~src:src_page.p_frame ~dst:frame;
-        frame
-      with
-      | frame ->
-        src_page.p_wire_count <- src_page.p_wire_count - 1;
-        frame
-      | exception e ->
-        src_page.p_wire_count <- src_page.p_wire_count - 1;
-        raise e
-    in
-    charge pvm Hw.Cost.Stub_insert;
-    (* The charges above are scheduling points: a concurrent writer may
-       have saved the original meanwhile, in which case ours is
-       redundant (the §4.2.2 "still missing" condition no longer
-       holds). *)
-    match
-      Install.try_insert_fresh pvm h ~off:h_off frame ~pulled_prot:Hw.Prot.all
-        ~cow_protected:(is_covered h ~off:h_off)
-    with
-    | Some page ->
-      page.p_dirty <- true;
-      bump pvm.stats sc_cow_copies
-    | None -> ()
+    Pager.make_page pvm h ~off:h_off Pager.Original (src :> Pager.source)
+      ~prot:Hw.Prot.all ~protect:true ~dirty:true
   with
-  | () -> if traced then end_store_span tr h ~h_off
+  | Some _ ->
+    bump pvm.stats sc_cow_copies;
+    if traced then end_store_span tr h ~h_off
+  | None -> if traced then end_store_span tr h ~h_off
   | exception e ->
     if traced then end_store_span tr h ~h_off;
     raise e
@@ -110,7 +67,7 @@ let[@chorus.hot] store_original pvm ~(src_page : page) ~(h : cache) ~h_off =
    writable. *)
 let resolve_source_write pvm (page : page) =
   (match covered_and_missing pvm page.p_cache ~off:page.p_offset with
-  | Some (h, h_off) -> store_original pvm ~src_page:page ~h ~h_off
+  | Some (h, h_off) -> store_original pvm (`Page page) ~h ~h_off
   | None -> ());
   Pmap.cow_release pvm page;
   page.p_dirty <- true

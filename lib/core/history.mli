@@ -17,43 +17,26 @@
 val whole_window : int
 (** Fragment size used by working caches: effectively unbounded. *)
 
-val covering_history : Types.cache -> off:int -> (Types.cache * int) option
-(** The history object responsible for [off] in this source, along
-    with [off] translated into the history's offsets — derived from
-    the fragments of the history that name the source as parent, so no
-    separate "copied ranges" bookkeeping exists. *)
-
 val covered_and_missing :
   Types.pvm -> Types.cache -> off:int -> (Types.cache * int) option
-(** Like {!covering_history}, but only when the history does not yet
+(** {!Parents.covering_history}, but only when the history does not yet
     hold its own version of the page — resident, deferred, in transit
     or swapped out.  This is exactly the §4.2.2 test for "must the
     original be saved before this write proceeds". *)
 
-val is_covered : Types.cache -> off:int -> bool
-
 val store_original :
-  Types.pvm -> src_page:Types.page -> h:Types.cache -> h_off:int -> unit
-(** Copy [src_page]'s current (original) value into history [h].  The
-    stored page is dirty — its value exists nowhere else — and itself
-    read-protected when [h] has a covering history.  A no-op when a
-    concurrent writer saved the original first. *)
+  Types.pvm -> [ `Page of Types.page ] -> h:Types.cache -> h_off:int -> unit
+(** Copy the source page's current (original) value into history [h].
+    The stored page is dirty — its value exists nowhere else — and
+    itself read-protected when [h] has a covering history.  A no-op
+    when a concurrent writer saved the original first, or when [h] was
+    destroyed meanwhile: nothing is left to save. *)
 
 val resolve_source_write : Types.pvm -> Types.page -> unit
 (** The §4.2.2 write-violation algorithm for a copy source: save the
     original into the history if it is still missing there, then let
     the page go writable (borrowed read mappings are invalidated so
     descendants re-fault onto the saved copy). *)
-
-val insert_working_cache : Types.pvm -> Types.cache -> Types.cache
-(** Interpose a fresh working cache between a source and its previous
-    history (§4.2.3, Figures 3.c/3.d), preserving the shape
-    invariant. *)
-
-val protect_source_range : Types.pvm -> Types.cache -> off:int -> size:int -> unit
-(** Read-protect the source's resident pages over a copied range.
-    Pages the source itself inherits are already protected (they were
-    protected when their own cache was copied). *)
 
 val record_copy :
   Types.pvm ->
@@ -81,7 +64,6 @@ val reachable : from:Types.cache -> Types.cache -> bool
     from each visited cache's destination index, so the cost is the
     visited caches' own fragments and stubs. *)
 
-val root_of : Types.cache -> Types.cache
 val depth_to_root : Types.cache -> int
 
 val pp_tree : Format.formatter -> Types.cache -> unit

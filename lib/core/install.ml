@@ -1,15 +1,25 @@
-(* Page installation / removal primitives.
+(* Page installation and removal, and the one writer of stub rows.
 
    Everything that puts a real page descriptor into (or takes it out
-   of) a cache goes through here, so the cache page list, the global
-   map, the frame registry, the reclaim queue and pending
-   per-virtual-page stubs stay consistent. *)
+   of) a cache goes through here, and so does every edit of a per-page
+   stub row: the [Cow_stub] entries of the global map and the pending
+   rows of [stub_sources].  Each row changes together with its
+   per-cache mirror ([c_dest_stubs], [c_pending_offs]) in one call, so
+   the cache page lists, the global map, the frame registry, the
+   reclaim queue and the stub indexes stay consistent.
+
+   The rule for inserts (§3.3.3): an insert reads its destination after
+   its last charge.  Frame allocation and the copy or zero charges are
+   scheduling points; meanwhile another fibre may fill the slot, kill
+   the stub the page replaces or destroy the cache.  The page maker
+   ([Pager.make_page]) re-reads all three before it calls
+   [insert_page]. *)
 
 open Types
 
 module For_testing = struct
   (* Reintroduces the lost-insert race for the explorer's mutation
-     suite: [try_insert_fresh] skips the re-probe of its destination,
+     suite: a fresh [insert_page] skips the probe of its destination,
      so two fibres that both zero-fill the same missing page install
      two resident entries for one (cache, offset).  Never set outside
      tests. *)
@@ -50,38 +60,21 @@ let[@chorus.hot] [@chorus.spanned
   link_cache pvm cache;
   cache
 
-(* --- Per-cache stub indexes ---------------------------------------- *)
+(* --- Rows and their mirrors ---------------------------------------- *)
 
 (* [c_dest_stubs] mirrors the Cow_stub rows of the global map under a
    cache's id, [c_pending_offs] the pending-stub rows keyed on it.
-   Each update sits next to the row change it mirrors, with no
-   scheduling point between them, so the sanitizer can compare index
-   and rows after any engine event.  Global_map.set/remove stay
-   untouched: the resident fault path pays nothing. *)
+   Only the writers below change such a row, each together with its
+   mirror and with no scheduling point between them, so the sanitizer
+   can compare index and rows after any engine event.
+   Global_map.set/remove stay untouched: the resident fault path pays
+   nothing. *)
 
-let[@chorus.noted
-     "mirrors a row change its caller makes next to it; the caller notes \
-      that (cache, offset) row"] index_dest_stub (stub : cow_stub) =
-  if stub.cs_cache.c_dest_stubs == no_stubs then
-    stub.cs_cache.c_dest_stubs <- Hashtbl.create 8;
-  Hashtbl.replace stub.cs_cache.c_dest_stubs stub.cs_offset stub
-
-let[@chorus.noted
-     "mirrors a row change its caller makes next to it; the caller notes \
-      that (cache, offset) row"] unindex_dest_stub (cache : cache) ~off =
-  Hashtbl.remove cache.c_dest_stubs off
-
-let[@chorus.noted
-     "mirrors a row change its caller makes next to it; the caller notes \
-      that (cache, offset) row"] index_pending (cache : cache) ~off =
+let[@chorus.noted "its callers note the row's (cache, offset) first"] index_pending
+    (cache : cache) ~off =
   if cache.c_pending_offs == no_offsets then
     cache.c_pending_offs <- Hashtbl.create 8;
   Hashtbl.replace cache.c_pending_offs off ()
-
-let[@chorus.noted
-     "mirrors a row change its caller makes next to it; the caller notes \
-      that (cache, offset) row"] unindex_pending (cache : cache) ~off =
-  Hashtbl.remove cache.c_pending_offs off
 
 (* An anonymous cache's swap copy of [off] now exists (the pager's
    push-out). *)
@@ -91,6 +84,13 @@ let[@chorus.noted
   if cache.c_backed_offs == no_offsets then
     cache.c_backed_offs <- Hashtbl.create 8;
   Hashtbl.replace cache.c_backed_offs off ()
+
+(* A cache that never swapped still shares [no_offsets]; the test does
+   not read that table, which every fault would otherwise read. *)
+let has_swapped (cache : cache) ~off =
+  cache.c_anonymous
+  && cache.c_backed_offs != no_offsets
+  && Hashtbl.mem cache.c_backed_offs off
 
 (* The stubs destined to [cache] and the offsets of the pending rows
    keyed on it, each in ascending offset order; an empty index costs
@@ -112,20 +112,35 @@ let[@chorus.noted
     Hashtbl.fold (fun off () acc -> off :: acc) cache.c_pending_offs []
     |> List.sort Int.compare
 
-(* Thread onto [page] any per-virtual-page stubs that were waiting for
-   its (cache, offset) to become resident (their source had been
-   paged out, so they held a (cache, offset) reference). *)
-let rethread_pending_stubs pvm (page : page) =
-  note_frag pvm page.p_cache ~off:page.p_offset;
-  let cid = page.p_cache.c_id and off = page.p_offset in
-  match Frag_map.find_opt pvm.stub_sources cid off with
-  | None -> ()
-  | Some stubs ->
-    Frag_map.remove pvm.stub_sources cid off;
-    unindex_pending page.p_cache ~off:page.p_offset;
-    let live = List.filter (fun s -> s.cs_alive) stubs in
-    List.iter (fun s -> s.cs_source <- Src_page page) live;
-    page.p_cow_stubs <- live @ page.p_cow_stubs
+(* [put_stub] makes a [Cow_stub] entry its stub's row at (cs_cache,
+   cs_offset); [remove_stub] drops that row. *)
+let[@chorus.hot] [@chorus.noted "Global_map.set notes the row"] put_stub pvm
+    entry =
+  match entry with
+  | Cow_stub ({ cs_cache = c; cs_offset = off; _ } as stub) ->
+    Global_map.set pvm c ~off entry;
+    if c.c_dest_stubs == no_stubs then c.c_dest_stubs <- Hashtbl.create 8;
+    Hashtbl.replace c.c_dest_stubs off stub
+  | Resident _ | Sync_stub _ -> invalid_arg "Install.put_stub"
+
+let[@chorus.hot] [@chorus.noted "Global_map.remove notes the row"] remove_stub
+    pvm (stub : cow_stub) =
+  Global_map.remove pvm stub.cs_cache ~off:stub.cs_offset;
+  Hashtbl.remove stub.cs_cache.c_dest_stubs stub.cs_offset
+
+(* [stubs] without [stub], sharing the suffix behind it. *)
+let[@chorus.hot] rec without_stub (stub : cow_stub) = function
+  | [] -> []
+  | s :: rest as l ->
+    if s == stub then without_stub stub rest
+    else
+      let rest' = without_stub stub rest in
+      if rest' == rest then l
+      else
+        (s :: rest')
+        [@chorus.alloc_ok
+          "the cells in front of the removed stub: the shortened list the \
+           source keeps"]
 
 let add_pending_stub pvm ~src_cache ~src_off stub =
   note_frag pvm src_cache ~off:src_off;
@@ -136,6 +151,91 @@ let add_pending_stub pvm ~src_cache ~src_off stub =
   | None ->
     Frag_map.replace pvm.stub_sources cid src_off [ stub ];
     index_pending src_cache ~off:src_off
+
+(* Remove [stub] from its source's threading (page list or pending
+   row) and mark it dead. *)
+let unthread pvm (stub : cow_stub) =
+  stub.cs_alive <- false;
+  match stub.cs_source with
+  | Src_page p -> p.p_cow_stubs <- without_stub stub p.p_cow_stubs
+  | Src_cache (c, o) -> (
+    note_frag pvm c ~off:o;
+    match Frag_map.find_opt pvm.stub_sources c.c_id o with
+    | None -> ()
+    | Some stubs -> (
+      match without_stub stub stubs with
+      | [] ->
+        Frag_map.remove pvm.stub_sources c.c_id o;
+        Hashtbl.remove c.c_pending_offs o
+      | rest -> Frag_map.replace pvm.stub_sources c.c_id o rest))
+
+(* Retarget the live per-virtual-page stubs still reading through
+   [page] to the (cache, offset) form: the data stays reachable through
+   the segment once the page is gone (§4.3). *)
+let retarget_stubs pvm (page : page) =
+  let stubs = List.filter (fun s -> s.cs_alive) page.p_cow_stubs in
+  page.p_cow_stubs <- [];
+  List.iter
+    (fun s ->
+      s.cs_source <- Src_cache (page.p_cache, page.p_offset);
+      add_pending_stub pvm ~src_cache:page.p_cache ~src_off:page.p_offset s)
+    stubs
+
+(* Take the pending row keyed on (cache, off) out, with its mirror. *)
+let[@chorus.noted "its callers note the row's (cache, offset) first"] take_pending
+    pvm (cache : cache) ~off =
+  match Frag_map.find_opt pvm.stub_sources cache.c_id off with
+  | None -> []
+  | Some stubs ->
+    Frag_map.remove pvm.stub_sources cache.c_id off;
+    Hashtbl.remove cache.c_pending_offs off;
+    stubs
+
+(* Thread onto [page] any per-virtual-page stubs that were waiting for
+   its (cache, offset) to become resident (their source had been
+   paged out, so they held a (cache, offset) reference). *)
+let rethread_pending_stubs pvm (page : page) =
+  note_frag pvm page.p_cache ~off:page.p_offset;
+  match take_pending pvm page.p_cache ~off:page.p_offset with
+  | [] -> ()
+  | stubs ->
+    let live = List.filter (fun s -> s.cs_alive) stubs in
+    List.iter (fun s -> s.cs_source <- Src_page page) live;
+    page.p_cow_stubs <- live @ page.p_cow_stubs
+
+(* Hand the pending row keyed on ([cache], [off]) to [z], which takes
+   over the old contents there: its stubs now read [z]. *)
+let rekey_pending pvm (cache : cache) (z : cache) ~off =
+  note_frag pvm cache ~off;
+  note_frag pvm z ~off;
+  match take_pending pvm cache ~off with
+  | [] -> ()
+  | stubs ->
+    List.iter
+      (fun s ->
+        match s.cs_source with
+        | Src_cache (c, so) when c == cache -> s.cs_source <- Src_cache (z, so)
+        | Src_cache _ | Src_page _ -> ())
+      stubs;
+    Frag_map.replace pvm.stub_sources z.c_id off stubs;
+    index_pending z ~off
+
+(* Give [z] the stub destined to (s.cs_cache, s.cs_offset): a copy of
+   [s] takes its row and its place in its source's threading, and [s]
+   dies. *)
+let rehome_stub pvm (s : cow_stub) (z : cache) =
+  remove_stub pvm s;
+  let s' = { s with cs_cache = z } in
+  s.cs_alive <- false;
+  (match s.cs_source with
+  | Src_page p -> p.p_cow_stubs <- s' :: without_stub s p.p_cow_stubs
+  | Src_cache (c, so) -> (
+    note_frag pvm c ~off:so;
+    match Frag_map.find_opt pvm.stub_sources c.c_id so with
+    | Some stubs ->
+      Frag_map.replace pvm.stub_sources c.c_id so (s' :: without_stub s stubs)
+    | None -> ()));
+  put_stub pvm (Cow_stub s')
 
 (* Memory-pressure counter samples for the trace (and so for the
    profiler's pressure series): emitted wherever the resident set
@@ -150,15 +250,16 @@ let[@chorus.noted
   end
 
 (* Create a page descriptor around [frame] and make it the resident
-   entry for (cache, off).  With [~fresh:false] (the default) the
-   caller must have made sure no resident page or stub occupies that
-   slot (or pass the sync-stub condition to release waiters), and the
-   map entry is overwritten.  With [~fresh:true] the map entry is
-   installed only if the slot is empty, and a lost race returns [None]
-   with nothing mutated.  The map entry goes in first, then the
-   page/frame bookkeeping. *)
-let[@chorus.hot] insert_page_entry pvm (cache : cache) ~off frame ~pulled_prot
-    ~cow_protected ~fresh =
+   entry for (cache, off), the map entry first, then the page/frame
+   bookkeeping.  With [~fresh:true] the entry goes in only if the slot
+   is empty, in the one probe that installs it, and a lost race returns
+   [None] with nothing mutated; with [~fresh:false] it overwrites what
+   the caller has checked is there (nothing, or its synchronization
+   stub).  Only the page maker ([Pager.make_page]) calls this, once it
+   has read the destination after its last charge. *)
+let[@chorus.hot] [@chorus.spanned
+     "leaf helper: the page maker's callers open the fault/copy span"] insert_page
+    pvm (cache : cache) ~off frame ~pulled_prot ~cow_protected ~fresh =
   assert (is_page_aligned pvm off);
   assert cache.c_alive;
   note_frames pvm;
@@ -179,7 +280,8 @@ let[@chorus.hot] insert_page_entry pvm (cache : cache) ~off frame ~pulled_prot
   in
   let entry = Resident page [@chorus.alloc_ok "the page's global-map entry"] in
   let installed =
-    if fresh then Global_map.try_install pvm cache ~off entry
+    if fresh && not !For_testing.skip_insert_probe then
+      Global_map.try_install pvm cache ~off entry
     else begin
       Global_map.set pvm cache ~off entry;
       true
@@ -196,39 +298,6 @@ let[@chorus.hot] insert_page_entry pvm (cache : cache) ~off frame ~pulled_prot
     note_pressure pvm;
     Some page [@chorus.alloc_ok "the installed page, handed to the caller"]
   end
-
-let insert_page pvm (cache : cache) ~off frame ~pulled_prot ~cow_protected =
-  match
-    insert_page_entry pvm cache ~off frame ~pulled_prot ~cow_protected
-      ~fresh:false
-  with
-  | Some page -> page
-  | None -> assert false
-
-(* Install [frame] as the resident page for (cache, off) — unless a
-   concurrent operation filled the slot while the caller slept inside
-   frame allocation or a copy/zero charge.  Every creation path
-   reaches its insert through such scheduling points, so the
-   destination must be re-probed at insert time; on a lost race the
-   frame is returned to the pool and the caller settles on whatever
-   value won (§3.3.3).  The re-probe and the install are one probe
-   ([~fresh:true]). *)
-let[@chorus.spanned
-     "leaf helper: callers are the spanned fault/copy resolution paths"] try_insert_fresh
-    pvm (cache : cache) ~off frame ~pulled_prot ~cow_protected =
-  if !For_testing.skip_insert_probe then
-    Some (insert_page pvm cache ~off frame ~pulled_prot ~cow_protected)
-  else
-    match
-      insert_page_entry pvm cache ~off frame ~pulled_prot ~cow_protected
-        ~fresh:true
-    with
-    | Some page -> Some page
-    | None ->
-      note_frames pvm;
-      charge pvm Hw.Cost.Frame_free;
-      Hw.Phys_mem.free pvm.mem frame;
-      None
 
 (* Detach a page from every structure.  Per-virtual-page stubs still
    reading through it must have been materialised or retargeted by the

@@ -1,14 +1,17 @@
-(** Page and cache installation / removal primitives.
+(** Page and cache installation / removal primitives, and the one
+    writer of per-page stub rows.
 
-    Everything that creates a cache descriptor, or puts a real page
-    descriptor into (or takes it out of) a cache, goes through here,
-    keeping the page list, the global map, the frame registry, the
-    reclaim queue and pending per-virtual-page stubs consistent. *)
+    Everything that creates a cache descriptor, puts a real page
+    descriptor into (or takes it out of) a cache, or edits a stub row
+    of the global map or of the pending-source table goes through here,
+    each row together with its per-cache mirror.  An insert reads its
+    destination after its last charge: the page maker
+    ([Pager.make_page]) re-reads it, then calls {!insert_page}. *)
 
 (** Test-only fault injection for the schedule explorer's mutation
-    suite ({!Check.Explore}): setting [skip_insert_probe] makes
-    {!try_insert_fresh} skip its destination re-probe, reintroducing
-    the lost-insert race.  Never set outside tests. *)
+    suite ({!Check.Explore}): setting [skip_insert_probe] makes a fresh
+    {!insert_page} overwrite its destination without probing it,
+    reintroducing the lost-insert race.  Never set outside tests. *)
 module For_testing : sig
   val skip_insert_probe : bool ref
 end
@@ -24,23 +27,17 @@ val new_cache :
     hidden: no user holds it, so it lives only while a visible cache
     reads it. *)
 
-(** {2 Per-cache stub indexes}
+(** {2 Stub rows and their mirrors}
 
     [c_dest_stubs] mirrors the per-page stub rows of the global map
     under a cache's id, [c_pending_offs] the pending-stub rows keyed on
-    it.  Every site that creates, retargets or drops such a row updates
-    the index next to it (never [Global_map.set]/[remove]).  A cache's
-    tables are created on their first insert, here. *)
-
-val index_dest_stub : Types.cow_stub -> unit
-(** Record the stub under its destination (cache, offset). *)
-
-val unindex_dest_stub : Types.cache -> off:int -> unit
-val index_pending : Types.cache -> off:int -> unit
-val unindex_pending : Types.cache -> off:int -> unit
+    it.  Only the writers below change a row, each with its mirror. *)
 
 val index_backed : Types.cache -> off:int -> unit
 (** Record that an anonymous cache's page at [off] has a swap copy. *)
+
+val has_swapped : Types.cache -> off:int -> bool
+(** Does an anonymous cache hold this offset in its swap backing? *)
 
 val dest_stubs : Types.cache -> Types.cow_stub list
 (** The stubs destined to the cache, by ascending offset. *)
@@ -49,12 +46,36 @@ val pending_offsets : Types.cache -> int list
 (** The offsets of the pending-stub rows keyed on the cache,
     ascending. *)
 
-val rethread_pending_stubs : Types.pvm -> Types.page -> unit
-(** Thread onto a freshly resident page the stubs that were waiting
-    for its (cache, offset). *)
+val put_stub : Types.pvm -> Types.entry -> unit
+(** Make a [Cow_stub] entry its stub's row at (cs_cache, cs_offset). *)
+
+val remove_stub : Types.pvm -> Types.cow_stub -> unit
+(** Drop the stub's row at (cs_cache, cs_offset). *)
 
 val add_pending_stub :
   Types.pvm -> src_cache:Types.cache -> src_off:int -> Types.cow_stub -> unit
+(** Thread the stub on the pending row of its non-resident source. *)
+
+val unthread : Types.pvm -> Types.cow_stub -> unit
+(** Remove a stub from its source's threading (page list or pending
+    row) and mark it dead. *)
+
+val retarget_stubs : Types.pvm -> Types.page -> unit
+(** Convert the live stubs threaded on a disappearing page to the
+    (cache, offset) form (§4.3): the data stays reachable through the
+    segment. *)
+
+val rekey_pending :
+  Types.pvm -> Types.cache -> Types.cache -> off:int -> unit
+(** [rekey_pending pvm cache z ~off] hands the pending row keyed on
+    ([cache], [off]) to [z], which takes over the old contents there. *)
+
+val rehome_stub : Types.pvm -> Types.cow_stub -> Types.cache -> unit
+(** Give the cache the stub's destination slot: a copy of the stub
+    takes its row and its place in its source's threading, and the
+    stub dies. *)
+
+(** {2 Pages} *)
 
 val insert_page :
   Types.pvm ->
@@ -63,23 +84,13 @@ val insert_page :
   Hw.Phys_mem.frame ->
   pulled_prot:Hw.Prot.t ->
   cow_protected:bool ->
-  Types.page
-(** Make [frame] the resident entry for (cache, off); the slot must be
-    free or hold the caller's synchronization stub. *)
-
-val try_insert_fresh :
-  Types.pvm ->
-  Types.cache ->
-  off:int ->
-  Hw.Phys_mem.frame ->
-  pulled_prot:Hw.Prot.t ->
-  cow_protected:bool ->
+  fresh:bool ->
   Types.page option
-(** Like {!insert_page}, but for creation paths that reach their
-    insert through scheduling points (frame allocation, copy/zero
-    charges): re-probes the destination and, when a concurrent
-    operation filled the slot first, frees [frame] and returns [None]
-    so the caller settles on the winning value (§3.3.3). *)
+(** Make [frame] the resident entry for (cache, off).  [~fresh:true]:
+    only into an empty slot, checked by the probe that installs it;
+    [None] on a lost race, with nothing changed.  [~fresh:false]:
+    overwrite the slot, which the caller has read after its last
+    charge.  The page maker's step; no other caller. *)
 
 val remove_page : Types.pvm -> Types.page -> free_frame:bool -> unit
 (** Detach a page from every structure.  Its threaded stubs must have

@@ -58,19 +58,6 @@ let can_evict pvm (page : page) =
      || page.p_cache.c_backing <> None
      || pvm.segment_create_hook <> None)
 
-(* Retarget per-virtual-page stubs still reading through [page] to the
-   (cache, offset) form: the data stays reachable through the segment
-   once the page is gone (paper §4.3). *)
-let retarget_stubs pvm (page : page) =
-  let stubs = List.filter (fun s -> s.cs_alive) page.p_cow_stubs in
-  page.p_cow_stubs <- [];
-  List.iter
-    (fun s ->
-      s.cs_source <- Src_cache (page.p_cache, page.p_offset);
-      Install.add_pending_stub pvm ~src_cache:page.p_cache
-        ~src_off:page.p_offset s)
-    stubs
-
 (* Save a dirty page to its segment, keeping it resident ([sync]
    semantics).  While the push is in progress the global-map entry is
    a synchronization stub, so concurrent access to the fragment
@@ -128,7 +115,7 @@ let[@chorus.spanned
   assert (can_evict pvm page);
   bump pvm.stats sc_evictions;
   note_frames pvm;
-  retarget_stubs pvm page;
+  Install.retarget_stubs pvm page;
   let cache = page.p_cache and off = page.p_offset in
   (* Claim the victim before the first scheduling point (nothing above
      this line charges): [remove_page] and the segmentCreate upcall
@@ -136,11 +123,8 @@ let[@chorus.spanned
      entry is replaced by a synchronization stub a concurrent
      allocator can elect the same victim (double-freeing its frame)
      and a concurrent fault can map the dying page (§3.3.3). *)
-  let cond = Hw.Engine.Cond.create () in
-  Hw.Engine.Cond.set_owner cond (Hw.Engine.current_fibre pvm.engine);
   if !For_testing.evict_claim_late then charge pvm Hw.Cost.Stub_insert;
-  Global_map.set pvm cache ~off (Sync_stub cond);
-  cond
+  Global_map.claim_sync_stub pvm cache ~off
 
 let complete_evict pvm (page : page) cond =
   let cache = page.p_cache and off = page.p_offset in
@@ -299,3 +283,92 @@ let[@chorus.hot] [@chorus.spanned
   (* taking a frame by index allocates nothing *)
   let i = Hw.Phys_mem.alloc_index pvm.mem in
   if i >= 0 then Hw.Phys_mem.frame pvm.mem i else reclaim_for_frame pvm
+
+(* --- Making a page ------------------------------------------------ *)
+
+(* What a new page holds, and its destination as the caller last read
+   it (see pager.mli). *)
+type source = [ `Zero | `Page of page | `Data of Bytes.t * int ]
+type slot = Vacant | Original | Peeked of entry option | Stub of cow_stub
+
+(* The one maker of pages (§4.1.2, §4.2, §4.3).  Pin the source,
+   allocate a frame, pay the zero or copy charge, fill, unpin.  The
+   rule for inserts: read the destination after the last charge, never
+   before.  So only now check that the cache is alive, the slot holds
+   what [slot] says, and a replaced stub is alive and still destined
+   there; then insert.  Otherwise free the frame, charged as a lost
+   race, and return [None]: the caller settles on what won, or on the
+   destruction.  The source is a value, never a closure, so the maker
+   allocates only the page it keeps. *)
+let[@chorus.hot] [@chorus.spanned
+     "runs under the span of every page-making path (fault, copy, \
+      history-materialise, fillUp)"] make_page pvm (cache : cache) ~off slot
+    (source : source) ~prot ~protect ~dirty =
+  let frame =
+    match source with
+    | `Zero ->
+      let frame = alloc_frame pvm in
+      charge pvm Hw.Cost.Bzero_page;
+      Hw.Phys_mem.bzero frame;
+      frame
+    | `Data (bytes, pos) ->
+      let frame = alloc_frame pvm in
+      Bytes.blit bytes pos frame.Hw.Phys_mem.bytes 0 (page_size pvm);
+      frame
+    | `Page sp -> (
+      sp.p_wire_count <- sp.p_wire_count + 1;
+      match
+        let frame = alloc_frame pvm in
+        charge pvm Hw.Cost.Bcopy_page;
+        Hw.Phys_mem.bcopy ~src:sp.p_frame ~dst:frame;
+        frame
+      with
+      | frame ->
+        sp.p_wire_count <- sp.p_wire_count - 1;
+        frame
+      | exception e ->
+        sp.p_wire_count <- sp.p_wire_count - 1;
+        raise e)
+  in
+  (match slot with
+  | Original -> charge pvm Hw.Cost.Stub_insert
+  | Vacant | Peeked _ | Stub _ -> ());
+  let fits =
+    cache.c_alive
+    &&
+    match slot with
+    | Vacant | Original -> true
+    | Peeked before -> (
+      match Global_map.peek pvm cache ~off with
+      | None -> Option.is_none before
+      | Some (Sync_stub c') -> (
+        match before with Some (Sync_stub c) -> c == c' | _ -> false)
+      | Some (Resident _ | Cow_stub _) -> false)
+    | Stub stub ->
+      stub.cs_alive && stub.cs_cache == cache && stub.cs_offset = off
+  in
+  let inserted =
+    if not fits then None
+    else begin
+      (match slot with
+      | Stub stub ->
+        Install.unthread pvm stub;
+        Install.remove_stub pvm stub
+      | Vacant | Original | Peeked _ -> ());
+      Install.insert_page pvm cache ~off frame ~pulled_prot:prot
+        ~cow_protected:(protect && Parents.is_covered cache ~off)
+        ~fresh:
+          (match slot with
+          | Vacant | Original -> true
+          | Peeked _ | Stub _ -> false)
+    end
+  in
+  match inserted with
+  | Some page ->
+    page.p_dirty <- dirty;
+    inserted
+  | None ->
+    note_frames pvm;
+    charge pvm Hw.Cost.Frame_free;
+    Hw.Phys_mem.free pvm.mem frame;
+    None

@@ -1,4 +1,4 @@
-(** Frame allocation and page-out.
+(** Frame allocation, page making and page-out.
 
     The data-management policy (page-in / page-out decisions) belongs
     to the memory manager below the GMI (paper §3.3.3).  Reclaim is
@@ -15,17 +15,8 @@ module For_testing : sig
   val evict_claim_late : bool ref
 end
 
-val ensure_backing : Types.pvm -> Types.cache -> Gmi.backing option
-(** The cache's backing, acquiring swap through the segmentCreate hook
-    for anonymous caches if needed. *)
-
 val can_evict : Types.pvm -> Types.page -> bool
 (** Unpinned, not in transit, and either clean or saveable. *)
-
-val retarget_stubs : Types.pvm -> Types.page -> unit
-(** Convert per-page stubs threaded on a disappearing page to the
-    (cache, offset) form (§4.3): the data stays reachable through the
-    segment. *)
 
 val push_out : Types.pvm -> Types.page -> unit
 (** Save a dirty page to its segment, keeping it resident ([sync]
@@ -47,6 +38,39 @@ val start_daemon :
 (** The asynchronous page-out daemon: below [low_water] free frames it
     evicts FIFO victims until [high_water] are free. *)
 
-val alloc_frame : Types.pvm -> Hw.Phys_mem.frame
-(** Allocate a frame, reclaiming synchronously when the pool is empty.
+(** {2 Making pages} *)
+
+type source = [ `Zero | `Page of Types.page | `Data of Bytes.t * int ]
+(** What a new page holds: zeros, a copy of a resident page (pinned
+    while the frame is allocated), or a segment's data from a position
+    in its buffer. *)
+
+(** The destination slot as the caller last read it. *)
+type slot =
+  | Vacant  (** empty: the probe that installs the page checks it *)
+  | Original
+      (** empty, in a history object: saving an original also pays a
+          stub insert *)
+  | Peeked of Types.entry option
+      (** still what the caller peeked: nothing, or its sync stub *)
+  | Stub of Types.cow_stub
+      (** the live per-page stub the page replaces, still destined
+          there *)
+
+val make_page :
+  Types.pvm ->
+  Types.cache ->
+  off:int ->
+  slot ->
+  source ->
+  prot:Hw.Prot.t ->
+  protect:bool ->
+  dirty:bool ->
+  Types.page option
+(** The one maker of pages: pin the source, allocate a frame, pay the
+    zero or copy charge, fill, unpin.  After the last charge, read the
+    destination (the cache alive, the slot as [slot] says) and insert
+    the page with access mode [prot], read-protected when [protect]
+    and a history covers the offset, and marked [dirty].  Otherwise
+    free the frame, charged as a lost race, and return [None].
     @raise Gmi.No_memory when nothing can be evicted. *)

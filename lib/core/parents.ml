@@ -19,6 +19,25 @@ let find_covering (cache : cache) ~off =
   note_structure ~write:false cache.c_pvm;
   covering off cache.c_parents
 
+(* The history object responsible for [off] in [src], and [off] in
+   the history's offsets: derived from the fragments of the history
+   that name [src] as parent, so no "copied ranges" bookkeeping
+   exists (§4.2). *)
+let covering_history (src : cache) ~off =
+  note_structure ~write:false src.c_pvm;
+  match src.c_history with
+  | None -> None
+  | Some h ->
+    let covers f =
+      f.f_parent == src && off >= f.f_parent_off
+      && off < f.f_parent_off + f.f_size
+    in
+    (match List.find_opt covers h.c_parents with
+    | Some f -> Some (h, off - f.f_parent_off + f.f_off)
+    | None -> None)
+
+let is_covered src ~off = covering_history src ~off <> None
+
 (* Subtract [off, off+size) from fragment [f], returning the 0, 1 or 2
    remaining pieces. *)
 let subtract f ~off ~size =

@@ -8,6 +8,15 @@
 
 val find_covering : Types.cache -> off:int -> Types.frag option
 
+val covering_history : Types.cache -> off:int -> (Types.cache * int) option
+(** The history object responsible for [off] in this source, with
+    [off] translated into the history's offsets: derived from the
+    history's fragments that name the source as parent. *)
+
+val is_covered : Types.cache -> off:int -> bool
+(** Does a history object cover [off]?  A page made there is
+    read-protected (its original must be saved before a write). *)
+
 val subtract : Types.frag -> off:int -> size:int -> Types.frag list
 (** The 0, 1 or 2 pieces of a fragment outside the cut range. *)
 

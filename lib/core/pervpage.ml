@@ -17,20 +17,6 @@ open Types
 let[@chorus.hot] wire (page : page) = page.p_wire_count <- page.p_wire_count + 1
 let[@chorus.hot] unwire (page : page) = page.p_wire_count <- page.p_wire_count - 1
 
-(* [stubs] without [stub], sharing the suffix behind it. *)
-let[@chorus.hot] rec without_stub (stub : cow_stub) = function
-  | [] -> []
-  | s :: rest as l ->
-    if s == stub then without_stub stub rest
-    else
-      let rest' = without_stub stub rest in
-      if rest' == rest then l
-      else
-        (s :: rest')
-        [@chorus.alloc_ok
-          "the cells in front of the removed stub: the shortened list the \
-           source keeps"]
-
 (* Install the stubs for a copy src[src_off..+size) -> dst[dst_off..).
    The caller has purged the destination range.  Each stub is built
    once its source is known, so it is the only record a page costs. *)
@@ -93,25 +79,9 @@ let[@chorus.hot] [@chorus.spanned
         stub
     in
     charge pvm Hw.Cost.Stub_insert;
-    Global_map.set pvm dst ~off:d_off
-      (Cow_stub stub [@chorus.alloc_ok "the stub's global-map entry"]);
-    Install.index_dest_stub stub
+    Install.put_stub pvm
+      (Cow_stub stub [@chorus.alloc_ok "the stub's global-map entry"])
   done
-
-let unthread pvm (stub : cow_stub) =
-  stub.cs_alive <- false;
-  match stub.cs_source with
-  | Src_page p -> p.p_cow_stubs <- without_stub stub p.p_cow_stubs
-  | Src_cache (c, o) -> (
-    note_frag pvm c ~off:o;
-    match Frag_map.find_opt pvm.stub_sources c.c_id o with
-    | None -> ()
-    | Some stubs -> (
-      match without_stub stub stubs with
-      | [] ->
-        Frag_map.remove pvm.stub_sources c.c_id o;
-        Install.unindex_pending c ~off:o
-      | rest -> Frag_map.replace pvm.stub_sources c.c_id o rest))
 
 let source_cache_of (stub : cow_stub) =
   match stub.cs_source with Src_page p -> p.p_cache | Src_cache (c, _) -> c
@@ -123,28 +93,11 @@ let reap_source pvm (source : cache) =
   | Some reap -> reap source
   | None -> ()
 
-(* A fresh frame holding a copy of [sp]'s, with [sp] pinned meanwhile
-   so the allocation cannot steal it. *)
-let[@chorus.spanned
-     "runs under the span of materialize's callers (fault, overwrite)"] copy_frame
-    pvm (sp : page) =
-  wire sp;
-  match
-    let frame = Pager.alloc_frame pvm in
-    charge pvm Hw.Cost.Bcopy_page;
-    Hw.Phys_mem.bcopy ~src:sp.p_frame ~dst:frame;
-    bump pvm.stats sc_cow_copies;
-    frame
-  with
-  | frame ->
-    unwire sp;
-    frame
-  | exception e ->
-    unwire sp;
-    raise e
-
 (* Materialise [stub]: give the destination its own page holding the
-   deferred value, replacing the stub in the global map. *)
+   deferred value, replacing the stub in the global map, then run the
+   liveness rule on the caches the stub read and was destined to.
+   [None] when the stub died, moved or lost its cache while the page
+   was made: then nothing is kept. *)
 let[@chorus.spanned
      "runs under the fault span of resolve_read/resolve_write or the \
       write_through span of the overwrite paths"] materialize pvm
@@ -152,45 +105,34 @@ let[@chorus.spanned
   assert (stub.cs_alive);
   let source = source_cache_of stub in
   bump pvm.stats sc_stub_resolves;
-  let frame =
+  let value : Pager.source =
     match stub.cs_source with
-    | Src_page p -> copy_frame pvm p
-    | Src_cache (c, o) -> (
-      match Value.source_value pvm c ~off:o with
-      | `Page p -> copy_frame pvm p
-      | `Zero ->
-        let frame = Pager.alloc_frame pvm in
-        charge pvm Hw.Cost.Bzero_page;
-        Hw.Phys_mem.bzero frame;
-        bump pvm.stats sc_zero_fills;
-        frame)
+    | Src_page p -> `Page p
+    | Src_cache (c, o) -> (Value.source_value pvm c ~off:o :> Pager.source)
   in
-  unthread pvm stub;
-  Global_map.remove pvm stub.cs_cache ~off:stub.cs_offset;
-  Install.unindex_dest_stub stub.cs_cache ~off:stub.cs_offset;
-  let page =
-    Install.insert_page pvm stub.cs_cache ~off:stub.cs_offset frame
-      ~pulled_prot:Hw.Prot.all
-      ~cow_protected:(History.is_covered stub.cs_cache ~off:stub.cs_offset)
+  let made =
+    Pager.make_page pvm stub.cs_cache ~off:stub.cs_offset (Pager.Stub stub)
+      value ~prot:Hw.Prot.all ~protect:true ~dirty:true
   in
-  page.p_dirty <- true;
-  reap_source pvm source;
-  (* The destination may itself be a hidden (zombie) cache whose last
-     reader was this stub: collect it too.  Safe for live callers —
-     the rule passes over visible caches, and no region maps a hidden
-     one. *)
-  reap_source pvm stub.cs_cache;
-  page
+  bump pvm.stats (match value with `Zero -> sc_zero_fills | _ -> sc_cow_copies);
+  (match made with
+  | Some _ ->
+    reap_source pvm source;
+    (* The destination may itself be a hidden (zombie) cache whose last
+       reader was this stub: collect it too.  Safe for live callers —
+       the rule passes over visible caches, and no region maps a hidden
+       one. *)
+    reap_source pvm stub.cs_cache
+  | None -> ());
+  made
 
 (* Discard [stub] without materialising (its destination range is
    being overwritten or destroyed); [drop] leaves its source to the
    caller, [kill] runs the liveness rule on it. *)
 let drop pvm (stub : cow_stub) =
-  unthread pvm stub;
+  Install.unthread pvm stub;
   match Global_map.peek pvm stub.cs_cache ~off:stub.cs_offset with
-  | Some (Cow_stub s) when s == stub ->
-    Global_map.remove pvm stub.cs_cache ~off:stub.cs_offset;
-    Install.unindex_dest_stub stub.cs_cache ~off:stub.cs_offset
+  | Some (Cow_stub s) when s == stub -> Install.remove_stub pvm stub
   | _ -> ()
 
 let kill pvm (stub : cow_stub) =
@@ -210,7 +152,7 @@ let rec flush_stubs pvm (page : page) =
 
 (* Resolve a read fault on a stub: find the source page (pulling it in
    if needed) so it can be mapped read-only into the faulting context;
-   a zero-valued source materialises the destination page directly. *)
+   a zero-valued source is left to the caller to materialise. *)
 let resolve_read pvm (stub : cow_stub) =
   match stub.cs_source with
   | Src_page p -> `Borrow p
@@ -218,7 +160,7 @@ let resolve_read pvm (stub : cow_stub) =
     match Value.source_value pvm c ~off:o with
     | `Page p ->
       (* Retarget to the now-resident page for future accesses. *)
-      unthread pvm stub;
+      Install.unthread pvm stub;
       stub.cs_alive <- true;
       stub.cs_source <- Src_page p;
       Pmap.cow_protect pvm p;
@@ -229,7 +171,7 @@ let resolve_read pvm (stub : cow_stub) =
          the cascade). *)
       if not (p.p_cache == c) then reap_source pvm c;
       `Borrow p
-    | `Zero -> `Own (materialize pvm stub))
+    | `Zero -> `Zero)
 
 (* Resolve a write fault on a stub (§4.3): allocate a new page frame
    with a copy of the source page, replacing the stub. *)

@@ -27,21 +27,12 @@ val setup_copy :
     read-protected, stub chains from still-deferred sources share the
     original source.  The caller has purged the destination range. *)
 
-val unthread : Types.pvm -> Types.cow_stub -> unit
-(** Remove a stub from its source's threading (page list or pending
-    index) and mark it dead. *)
-
 val source_cache_of : Types.cow_stub -> Types.cache
 
 val reap_source : Types.pvm -> Types.cache -> unit
 (** Run the liveness rule ([Cache.install_reaper]) on a cache that
     lost a stub reader: a no-op unless it is hidden and no visible
     cache reads it any more. *)
-
-val materialize : Types.pvm -> Types.cow_stub -> Types.page
-(** Give the stub's destination its own page holding the deferred
-    value, replacing the stub; reaps hidden caches the stub was the
-    last reader of. *)
 
 val kill : Types.pvm -> Types.cow_stub -> unit
 (** Discard a stub without materialising (its destination range is
@@ -57,14 +48,17 @@ val flush_stubs : Types.pvm -> Types.page -> unit
     every such destination its own copy of the original first. *)
 
 val resolve_read :
-  Types.pvm -> Types.cow_stub -> [ `Borrow of Types.page | `Own of Types.page ]
+  Types.pvm -> Types.cow_stub -> [ `Borrow of Types.page | `Zero ]
 (** Resolve a read fault on a stub: the source page (pulled in if
-    needed) to map read-only into the faulting context, or a
-    materialised own page when the source is zero. *)
+    needed) to map read-only into the faulting context, or [`Zero]
+    when the deferred value is zero (the caller materialises with
+    {!resolve_write}). *)
 
-val resolve_write : Types.pvm -> Types.cow_stub -> Types.page
+val resolve_write : Types.pvm -> Types.cow_stub -> Types.page option
 (** The §4.3 write violation: a new page frame with a copy of the
-    source page replaces the stub. *)
+    source value replaces the stub, and hidden caches the stub was the
+    last reader of are reaped.  [None] when the stub died, moved or
+    lost its cache while the page was made: nothing is kept. *)
 
 val materialize_pending : Types.pvm -> Types.cache -> off:int -> unit
 (** Materialise every pending stub whose deferred value lives at

@@ -79,8 +79,8 @@ let[@chorus.hot] [@chorus.spanned
     (page : page) (region : region) ~vpn =
   charge pvm Hw.Cost.Mmu_map;
   (* Evicted or freed during the charge: its frame may already hold
-     another page. *)
-  if not page.p_alive then raise Page_died;
+     another page.  A region destroyed meanwhile maps nothing. *)
+  if not (page.p_alive && region.r_alive) then raise Page_died;
   (* Replacing another page's entry: retire its pmap record so a later
      teardown of that page does not unmap us. *)
   let old = Hw.Mmu.mapped_frame_index region.r_context.ctx_space ~vpn in

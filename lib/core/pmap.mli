@@ -26,7 +26,8 @@ exception Page_died
 val enter : Types.pvm -> Types.page -> Types.region -> vpn:int -> unit
 (** Install (or replace) the translation, retiring the replaced page's
     record so its later teardown cannot unmap us.
-    @raise Page_died if the page died during the charge. *)
+    @raise Page_died if the page or the region died during the
+    charge. *)
 
 val refresh_prot : Types.pvm -> Types.page -> unit
 (** Recompute the protection of every mapping of the page. *)

@@ -71,12 +71,7 @@ and cache = {
   mutable c_pending_offs : (int, unit) Hashtbl.t;
       (* offsets of the [stub_sources] rows keyed on us.  Both indexes
          let teardown, the liveness walk and the copy cycle check visit
-         only this cache's stubs; they are updated next to the rows
-         they mirror, never inside Global_map.set/remove (see
-         Install).  All three tables start as the shared empty
-         [no_offsets]/[no_stubs] and get a table of their own on
-         their first insert (Install's index helpers); nothing else
-         writes them *)
+         only this cache's stubs; Install writes them (see there) *)
   mutable c_parents : frag list; (* sorted, non-overlapping (§4.2.4) *)
   mutable c_history : cache option; (* our single immediate descendant *)
   mutable c_children : cache list; (* caches whose c_parents reference us *)
@@ -212,12 +207,8 @@ let page_size pvm = Hw.Phys_mem.page_size pvm.mem
 
 (* --- Registries of live caches and contexts ------------------------ *)
 
-(* A cache's index tables before their first entry: one shared empty
-   table of each type, replaced by a table of the cache's own on the
-   first insert (Install's index helpers), so a cache that never
-   indexes anything allocates none.  Removal and lookup on them are
-   read-only; nothing may insert into them (the sanitizer checks they
-   stay empty). *)
+(* A cache's index tables before their first entry, shared: nothing
+   may insert into them (the sanitizer checks they stay empty). *)
 let no_offsets : (int, unit) Hashtbl.t = Hashtbl.create 1
 let no_stubs : (int, cow_stub) Hashtbl.t = Hashtbl.create 1
 

@@ -13,13 +13,6 @@ type located =
   | `Pull of cache * int  (* must be pulled into this cache *)
   | `Zero  (* anonymous, never written: zero-filled *) ]
 
-(* A cache that never swapped still shares [no_offsets]; the test does
-   not read that table, which every fault would otherwise read. *)
-let has_swapped (cache : cache) ~off =
-  cache.c_anonymous
-  && cache.c_backed_offs != no_offsets
-  && Hashtbl.mem cache.c_backed_offs off
-
 let[@chorus.hot] [@chorus.alloc_ok
      "the located sum is the function's result type: one word per \
       resolution, freed by the minor collector"] [@chorus.spanned
@@ -35,7 +28,7 @@ let[@chorus.hot] [@chorus.alloc_ok
       locate pvm c ~off:o)
   | Some (Sync_stub _) -> assert false (* wait_not_in_transit excludes it *)
   | None ->
-    if has_swapped cache ~off then `Pull (cache, off)
+    if Install.has_swapped cache ~off then `Pull (cache, off)
     else (
       match Parents.find_covering cache ~off with
       | Some f ->
@@ -61,37 +54,22 @@ let[@chorus.spanned
   let ps = page_size pvm in
   let len = Gmi.fill_up_slice ~page_size:ps ~offset ~pos ?len bytes in
   let n = len / ps in
-  (* Frame allocation is a scheduling point, so the destination probed
-     before it may have changed by insert time (a read-ahead chunk
-     colliding with a concurrent pull, say): re-probe and restart the
-     chunk when the entry moved under us. *)
+  (* The page maker re-reads the destination after its frame
+     allocation (a read-ahead chunk colliding with a concurrent pull,
+     say): the chunk restarts when the entry moved under us, and stops
+     when the cache died. *)
   let rec place ~off ~src =
     match Global_map.peek pvm cache ~off with
     | (Some (Sync_stub _) | None) as before -> (
-      let frame = Pager.alloc_frame pvm in
-      let unchanged =
-        match (before, Global_map.peek pvm cache ~off) with
-        | None, None -> true
-        | Some (Sync_stub c), Some (Sync_stub c') -> c == c'
-        | _, _ -> false
-      in
-      if not unchanged then begin
-        note_frames pvm;
-        charge pvm Hw.Cost.Frame_free;
-        Hw.Phys_mem.free pvm.mem frame;
-        place ~off ~src
-      end
-      else begin
-        Bytes.blit bytes src frame.Hw.Phys_mem.bytes 0 ps;
-        let page =
-          Install.insert_page pvm cache ~off frame ~pulled_prot:prot
-            ~cow_protected:(History.is_covered cache ~off)
-        in
-        page.p_dirty <- dirty;
+      match
+        Pager.make_page pvm cache ~off (Pager.Peeked before)
+          (`Data (bytes, src)) ~prot ~protect:true ~dirty
+      with
+      | Some _ -> (
         match before with
         | Some (Sync_stub cond) -> Hw.Engine.Cond.broadcast cond
-        | _ -> ()
-      end)
+        | _ -> ())
+      | None -> if cache.c_alive then place ~off ~src)
     | Some (Resident p) ->
       charge pvm Hw.Cost.Bcopy_page;
       Bytes.blit bytes src p.p_frame.Hw.Phys_mem.bytes 0 ps;
@@ -135,24 +113,24 @@ let pull_in_page pvm (cache : cache) ~off ~prot =
       let fill_up ~offset ?pos ?len bytes =
         deliver pvm cache ~offset ?pos ?len bytes ~prot ~dirty:false
       in
-      (* A failing mapper must not leave the synchronization stub
-         behind: waiters would sleep forever.  Remove it and wake them
-         so they retry (and fail in turn if the segment stays broken). *)
+      (* A failing or lying mapper must not leave the synchronization
+         stub behind: waiters would sleep forever.  Remove it and wake
+         them so they retry (and fail in turn if the segment stays
+         broken). *)
+      let abandon entry =
+        match entry with
+        | Some (Sync_stub c) when c == cond ->
+          Global_map.finish_sync_stub pvm cache ~off cond None
+        | _ -> ()
+      in
       (try b.b_pull_in ~offset:off ~size:(page_size pvm) ~prot ~fill_up
        with e ->
-         (match Global_map.peek pvm cache ~off with
-         | Some (Sync_stub c) when c == cond ->
-           Global_map.finish_sync_stub pvm cache ~off cond None
-         | _ -> ());
+         abandon (Global_map.peek pvm cache ~off);
          raise e);
       match Global_map.peek pvm cache ~off with
       | Some (Resident p) -> p
-      | Some (Sync_stub c) when c == cond ->
-        Global_map.finish_sync_stub pvm cache ~off cond None;
-        failwith
-          (Printf.sprintf "GMI: segment '%s' pullIn did not provide offset %d"
-             b.b_name off)
-      | _ ->
+      | entry ->
+        abandon entry;
         failwith
           (Printf.sprintf "GMI: segment '%s' pullIn did not provide offset %d"
              b.b_name off)
@@ -164,27 +142,6 @@ let pull_in_page pvm (cache : cache) ~off ~prot =
     | exception e ->
       close false;
       raise e)
-
-(* Allocate a zero-filled page owned by [cache].  Allocation and the
-   zeroing charge are scheduling points: when a concurrent fibre fills
-   the slot first, settle on its value instead of orphaning it. *)
-let[@chorus.spanned
-     "runs under the fault span of Fault.handle or the copy span of the \
-      eager paths"] rec zero_fill_page pvm (cache : cache) ~off =
-  let frame = Pager.alloc_frame pvm in
-  charge pvm Hw.Cost.Bzero_page;
-  Hw.Phys_mem.bzero frame;
-  match
-    Install.try_insert_fresh pvm cache ~off frame ~pulled_prot:Hw.Prot.all
-      ~cow_protected:(History.is_covered cache ~off)
-  with
-  | Some page ->
-    bump pvm.stats sc_zero_fills;
-    page
-  | None -> (
-    match Global_map.wait_not_in_transit pvm cache ~off with
-    | Some (Resident p) -> p
-    | _ -> zero_fill_page pvm cache ~off)
 
 (* The resident page holding the logical value of (cache, off),
    pulling from a segment if necessary; [`Zero] when the value is

@@ -7,19 +7,6 @@
     value is zero (anonymous memory).  Anonymous caches recover pages
     they pushed to a swap backing here as well. *)
 
-type located =
-  [ `Page of Types.page  (** resident page holding the value *)
-  | `Pull of Types.cache * int  (** must be pulled into this cache *)
-  | `Zero  (** anonymous, never written: zero-filled *) ]
-
-val has_swapped : Types.cache -> off:int -> bool
-(** Does an anonymous cache hold this offset in its swap backing? *)
-
-val locate : Types.pvm -> Types.cache -> off:int -> located
-(** Walk the copy tree (through resident pages, deferred-copy stubs
-    and parent fragments) without side effects beyond waiting out
-    in-transit pages. *)
-
 val deliver :
   Types.pvm -> Types.cache -> offset:int -> ?pos:int -> ?len:int ->
   Bytes.t -> prot:Hw.Prot.t -> dirty:bool -> unit
@@ -38,9 +25,7 @@ val pull_in_page : Types.pvm -> Types.cache -> off:int -> prot:Hw.Prot.t -> Type
     failing or lying segment never leaves the stub behind.
     @raise Failure if the segment violates the fillUp contract. *)
 
-val zero_fill_page : Types.pvm -> Types.cache -> off:int -> Types.page
-(** Allocate a zero-filled page owned by the cache. *)
-
 val source_value : Types.pvm -> Types.cache -> off:int -> [ `Page of Types.page | `Zero ]
-(** {!locate}, with any needed pull performed: the resident page
+(** Walk the copy tree (through resident pages, deferred-copy stubs
+    and parent fragments), performing any needed pull: the resident page
     holding the value, or [`Zero]. *)

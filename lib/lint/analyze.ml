@@ -249,6 +249,8 @@ let l5_call_denylist_functions =
   [
     "Global_map.set";
     "Global_map.remove";
+    "Global_map.try_install";
+    "Global_map.claim_sync_stub";
     "Global_map.insert_sync_stub";
     "Global_map.finish_sync_stub";
     "Pmap.register_page";
@@ -261,6 +263,9 @@ let l5_call_denylist_functions =
     "Pmap.edit_window";
     "Pmap.unmap_region";
     "Pmap.relabel";
+    "Frag_map.replace";
+    "Frag_map.remove";
+    "Frag_map.add_if_absent";
     "Cache.create";
     "Cache.destroy";
     "Cache.copy";

@@ -146,7 +146,16 @@ let test_catches_stub_index_corruption () =
   in_sim (fun engine ->
       let pvm, _ = build engine in
       let cache = List.hd (Core.Types.caches pvm) in
-      Core.Install.index_pending cache ~off:(64 * ps);
+      let off = 64 * ps in
+      Core.Install.add_pending_stub pvm ~src_cache:cache ~src_off:off
+        {
+          Core.Types.cs_cache = cache;
+          cs_offset = off;
+          cs_source = Src_cache (cache, off);
+          cs_alive = true;
+        };
+      (* the row goes, its mirror stays *)
+      Core.Frag_map.remove pvm.Core.Types.stub_sources cache.c_id off;
       expect_rule pvm "stubs")
 
 (* Corruption 6: an orphan pair of hidden caches keeping each other

@@ -288,7 +288,7 @@ let test_catches_evict_claim_race () =
         | `Done _ | `Sleep ->
           Alcotest.fail "replay did not reproduce the violation"))
 
-(* Race B (install): try_insert_fresh skips the lost-race probe, so
+(* Race B (install): a fresh insert skips the lost-race probe, so
    two concurrent zero-fill faults on the same page both insert a
    descriptor — a structural invariant violation the per-event sweep
    must catch.  Ample frames: this race needs no memory pressure. *)

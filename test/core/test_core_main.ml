@@ -12,4 +12,5 @@ let () =
       ("fault-injection", Test_faults_inject.tests);
       ("properties", Test_props.tests);
       ("frag-map", Test_frag_map.tests);
+      ("races with destruction", Test_races.tests);
     ]

@@ -171,13 +171,18 @@ let test_l5_positive () =
     lint ~rules:l5
       "type cache = { mutable c_refs : int }\n\
        module Pmap = struct let unmap_all () () = () end\n\
+       module Frag_map = struct let add_if_absent () () = () end\n\
        let bad tbl = Hashtbl.replace tbl 0 0\n\
        let bad2 (c : cache) = c.c_refs <- 1\n\
-       let bad3 () = Pmap.unmap_all () ()\n"
+       let bad3 () = Pmap.unmap_all () ()\n\
+       let bad4 () = Frag_map.add_if_absent () ()\n"
   in
   check_keys "mutating calls and core-record mutation fire"
     [
-      ("L5", "calls-replace"); ("L5", "sets-c_refs"); ("L5", "calls-unmap_all");
+      ("L5", "calls-replace");
+      ("L5", "sets-c_refs");
+      ("L5", "calls-unmap_all");
+      ("L5", "calls-add_if_absent");
     ]
     fs
 
