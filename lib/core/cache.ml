@@ -240,7 +240,7 @@ let[@chorus.hot] rec pending_in pvm (cache : cache) ~write ~o ~last =
   && begin
     if write then note_frag pvm cache ~off:o
     else note_frag ~write:false pvm cache ~off:o;
-    Frag_map.mem pvm.stub_sources cache.c_id o
+    Install.has_pending cache ~off:o
     || pending_in pvm cache ~write ~o:(o + page_size pvm) ~last
   end
 
@@ -575,13 +575,21 @@ let[@chorus.hot] choose_strategy pvm strategy ~(src : cache) ~src_off
   if chosen <> `Eager && History.reachable ~from:src dst then `Eager
   else chosen
 
+(* A per-page copy onto a purged range; a destination page a
+   concurrent fault filled during the stubs' charges is purged again,
+   with the rest of the range, and the copy resumes there. *)
+let[@chorus.hot] rec per_page_copy pvm ~src ~src_off ~dst ~dst_off ~size =
+  purge_range pvm dst ~off:dst_off ~size;
+  let stubbed = Pervpage.setup_copy pvm ~src ~src_off ~dst ~dst_off ~size in
+  if stubbed < size then
+    per_page_copy pvm ~src ~src_off:(src_off + stubbed) ~dst
+      ~dst_off:(dst_off + stubbed) ~size:(size - stubbed)
+
 let[@chorus.hot] copy_with pvm chosen ~policy ~(src : cache) ~src_off
     ~(dst : cache) ~dst_off ~size =
   match chosen with
   | `Eager -> eager_copy pvm ~src ~src_off ~dst ~dst_off ~size
-  | `Per_page ->
-    purge_range pvm dst ~off:dst_off ~size;
-    Pervpage.setup_copy pvm ~src ~src_off ~dst ~dst_off ~size
+  | `Per_page -> per_page_copy pvm ~src ~src_off ~dst ~dst_off ~size
   | `History ->
     purge_range pvm dst ~off:dst_off ~size;
     History.record_copy pvm ~src ~src_off ~dst ~dst_off ~size ~policy
@@ -615,17 +623,38 @@ let[@chorus.hot] copy pvm ?strategy ?policy ~(src : cache) ~src_off
         raise e)
   end
 
+(* A page move writes its destination row after a charge, so it reads
+   the row again first: a page a concurrent fault made there meanwhile
+   is purged before the row goes in, not orphaned under it. *)
+
+(* The row of a stub re-targeted to (dst, d_off).  A stub materialised
+   meanwhile already holds its page there. *)
+let[@chorus.hot] rec put_moved_stub pvm (s : cow_stub) entry ~(dst : cache)
+    ~d_off =
+  if s.cs_alive then
+    match Global_map.wait_not_in_transit pvm dst ~off:d_off with
+    | None ->
+      Install.put_stub pvm entry;
+      bump pvm.stats sc_moved_pages
+    | Some _ ->
+      purge_range pvm dst ~off:d_off ~size:(page_size pvm);
+      put_moved_stub pvm s entry ~dst ~d_off
+
+let movable (p : page) = p.p_cow_stubs = [] && not p.p_cow_protected
+
 (* One page of an aligned move: a resident page moves by frame
    reassignment, a still-deferred value by re-targeting its stub;
    anything else has its value copied, and the source keeps its old
-   page (its contents are undefined after a move). *)
-let[@chorus.hot] [@chorus.spanned "runs under the move span opened by move"] move_page
+   page (its contents are undefined after a move).  A resident page
+   moves once its translations are gone; the unmaps are charged too, so
+   the page is read again after them, and the offset's move restarts
+   when it changed. *)
+let[@chorus.hot] [@chorus.spanned "runs under the move span opened by move"] rec move_page
     pvm ~(src : cache) ~o ~(dst : cache) ~d_off =
   match Global_map.wait_not_in_transit pvm src ~off:o with
-  | Some (Resident p) when p.p_cow_stubs = [] && not p.p_cow_protected ->
+  | Some (Resident p) when movable p ->
     charge pvm Hw.Cost.Mmu_map;
-    Install.reassign_page pvm p dst ~dst_off:d_off;
-    p.p_dirty <- true
+    move_resident pvm p ~src ~o ~dst ~d_off
   | Some (Cow_stub s as entry) when not (Parents.is_covered src ~off:o) ->
     (* a still-deferred value moves by re-targeting the stub — unless a
        history child snapshots the source, in which case the stub must
@@ -634,10 +663,9 @@ let[@chorus.hot] [@chorus.spanned "runs under the move span opened by move"] mov
     s.cs_cache <- dst;
     s.cs_offset <- d_off;
     charge pvm Hw.Cost.Stub_insert;
-    Install.put_stub pvm entry;
-    bump pvm.stats sc_moved_pages
-  | Some _ | None -> (
-    match Value.source_value pvm src ~off:o with
+    put_moved_stub pvm s entry ~dst ~d_off
+  | entry -> (
+    match Value.source_value_at pvm src ~off:o entry with
     | `Page sp ->
       Pervpage.wire sp;
       (match
@@ -651,6 +679,21 @@ let[@chorus.hot] [@chorus.spanned "runs under the move span opened by move"] mov
         raise e);
       bump pvm.stats sc_eager_pages
     | `Zero -> ())
+
+and[@chorus.hot] move_resident pvm (p : page) ~src ~o ~dst ~d_off =
+  Pmap.unmap_all pvm p;
+  match Global_map.wait_not_in_transit pvm dst ~off:d_off with
+  | Some _ ->
+    purge_range pvm dst ~off:d_off ~size:(page_size pvm);
+    move_resident pvm p ~src ~o ~dst ~d_off
+  | None ->
+    if not (p.p_alive && p.p_cache == src && p.p_offset = o && movable p)
+    then move_page pvm ~src ~o ~dst ~d_off
+    else if p.p_mappings <> [] then move_resident pvm p ~src ~o ~dst ~d_off
+    else begin
+      Install.reassign_page pvm p dst ~dst_off:d_off;
+      p.p_dirty <- true
+    end
 
 let[@chorus.hot] [@chorus.spanned "runs under the move span opened by move"] move_range
     pvm ~(src : cache) ~src_off ~(dst : cache) ~dst_off ~size =

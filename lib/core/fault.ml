@@ -30,25 +30,6 @@ let find_region (ctx : context) ~addr =
 let fail_if_dead (cache : cache) =
   if not cache.c_alive then raise Pmap.Page_died
 
-(* A zero-filled page owned by [cache].  When a concurrent fibre
-   filled the slot during the maker's charges, settle on its value
-   instead of orphaning it. *)
-let[@chorus.hot] [@chorus.spanned
-     "runs under the fault span of handle or the copy span of the eager \
-      paths"] rec zero_fill_page pvm (cache : cache) ~off =
-  match
-    Pager.make_page pvm cache ~off Pager.Vacant `Zero ~prot:Hw.Prot.all
-      ~protect:true ~dirty:false
-  with
-  | Some page ->
-    bump pvm.stats sc_zero_fills;
-    page
-  | None -> (
-    fail_if_dead cache;
-    match Global_map.wait_not_in_transit pvm cache ~off with
-    | Some (Resident p) -> p
-    | _ -> zero_fill_page pvm cache ~off)
-
 (* [child_copy]'s copy of [value], a source page pinned meanwhile (the
    allocations below must not reclaim it).  When the cache has its own
    history object still missing that offset, the history first gets
@@ -86,24 +67,46 @@ let[@chorus.hot] [@chorus.spanned
     (match value with `Page sp -> Pervpage.unwire sp | `Zero -> ());
     raise e
 
-(* Give [cache] its own copy of the value currently visible at [off]
-   (a write miss in a copy, or a copy-on-reference read miss). *)
-let[@chorus.hot] rec child_copy pvm (cache : cache) ~off =
-  match copy_value pvm cache ~off (Value.source_value pvm cache ~off) with
-  | Some page -> page
-  | None -> settle pvm cache ~off
+(* A zero-filled page owned by [cache] at an offset its caller found
+   empty. *)
+let[@chorus.hot] [@chorus.spanned
+     "runs under the fault span of handle or the copy span of the eager \
+      paths"] rec zero_fill_page pvm (cache : cache) ~off =
+  match
+    Pager.make_page pvm cache ~off Pager.Vacant `Zero ~prot:Hw.Prot.all
+      ~protect:true ~dirty:false
+  with
+  | Some page ->
+    bump pvm.stats sc_zero_fills;
+    page
+  | None -> settle pvm cache ~off `Zero
 
-(* Lost the race: settle on the concurrent fibre's resolution. *)
-and settle pvm (cache : cache) ~off =
+(* Give [cache] its own copy of the value currently visible at [off]
+   (a write miss in a copy, or a copy-on-reference read miss), its row
+   there just read empty: the walk goes on from that read. *)
+and[@chorus.hot] child_copy pvm (cache : cache) ~off =
+  match
+    copy_value pvm cache ~off (Value.source_value_at pvm cache ~off None)
+  with
+  | Some page -> page
+  | None -> settle pvm cache ~off `Copy
+
+(* Lost the race: settle on what the concurrent fibre left in the slot
+   instead of orphaning it — its page, or its per-page stub
+   materialised — or make the page again when the slot is empty. *)
+and settle pvm (cache : cache) ~off remake =
   fail_if_dead cache;
   match Global_map.wait_not_in_transit pvm cache ~off with
   | Some (Resident p) -> p
   | Some (Cow_stub s) -> (
     match Pervpage.resolve_write pvm s with
     | Some p -> p
-    | None -> settle pvm cache ~off)
+    | None -> settle pvm cache ~off remake)
   | Some (Sync_stub _) -> assert false
-  | None -> child_copy pvm cache ~off
+  | None -> (
+    match remake with
+    | `Zero -> zero_fill_page pvm cache ~off
+    | `Copy -> child_copy pvm cache ~off)
 
 (* Clear everything that makes writing [p] unsafe.  Every branch of
    [own_writable_page] funnels through it, including pages freshly
@@ -141,7 +144,12 @@ let[@chorus.hot] prepare_writable pvm (cache : cache) ~off (p : page) =
    read-only.  Used by the fault handler and by the explicit copy
    operations of Table 1. *)
 let[@chorus.hot] rec own_writable_page pvm (cache : cache) ~off =
-  match Global_map.wait_not_in_transit pvm cache ~off with
+  own_writable_at pvm cache ~off (Global_map.wait_not_in_transit pvm cache ~off)
+
+(* [own_writable_page] from the entry of (cache, off) its caller last
+   read, with no scheduling point since: the row is not probed
+   again. *)
+and[@chorus.hot] own_writable_at pvm (cache : cache) ~off = function
   | Some (Resident p) -> prepare_writable pvm cache ~off p
   | Some (Cow_stub s) -> (
     match Pervpage.resolve_write pvm s with
@@ -215,33 +223,33 @@ let hist_names =
 let rec resolve pvm (region : region) (cache : cache) ~off ~vpn ~access :
     resolution =
   match Global_map.wait_not_in_transit pvm cache ~off with
-  | Some (Resident p) ->
-    (* Classify before resolving: [own_writable_page] erases the
-       evidence (saves originals, flushes stubs, upgrades rights). *)
-    let kind : resolution =
-      match access with
-      | `Write ->
+  | Some (Resident p) as entry -> (
+    match access with
+    | `Read | `Execute ->
+      Pmap.enter pvm p region ~vpn;
+      `Hit
+    | `Write -> (
+      (* Classify before resolving: [own_writable_at] erases the
+         evidence (saves originals, flushes stubs, upgrades rights). *)
+      let kind : resolution =
         if p.p_cow_protected || p.p_cow_stubs <> [] then `Cow_copy
         else if not (Hw.Prot.allows p.p_pulled_prot `Write) || not p.p_dirty
         then `Upgrade
         else `Hit
-      | `Read | `Execute -> `Hit
-    in
-    (match access with
-    | `Write -> ignore (own_writable_page pvm cache ~off)
-    | `Read | `Execute -> ());
-    (* own_writable_page may have replaced structures; re-fetch. *)
-    (match Global_map.peek pvm cache ~off with
-    | Some (Resident p') ->
-      Pmap.enter pvm p' region ~vpn;
-      kind
-    | _ ->
-      let deeper = resolve pvm region cache ~off ~vpn ~access in
-      if kind = `Hit then deeper else kind)
-  | Some (Cow_stub s) -> (
+      in
+      ignore (own_writable_at pvm cache ~off entry);
+      (* its charges may have replaced structures; re-fetch *)
+      match Global_map.peek pvm cache ~off with
+      | Some (Resident p') ->
+        Pmap.enter pvm p' region ~vpn;
+        kind
+      | _ ->
+        let deeper = resolve pvm region cache ~off ~vpn ~access in
+        if kind = `Hit then deeper else kind))
+  | Some (Cow_stub s) as entry -> (
     match access with
     | `Write ->
-      let p = own_writable_page pvm cache ~off in
+      let p = own_writable_at pvm cache ~off entry in
       Pmap.enter pvm p region ~vpn;
       `Stub_resolve
     | `Read | `Execute -> (
@@ -267,7 +275,7 @@ let rec resolve pvm (region : region) (cache : cache) ~off ~vpn ~access :
         else if cache.c_backing <> None && not cache.c_anonymous then `Pull_in
         else `Zero_fill
       in
-      let p = own_writable_page pvm cache ~off in
+      let p = own_writable_at pvm cache ~off None in
       Pmap.enter pvm p region ~vpn;
       kind
     | `Read | `Execute -> (
@@ -285,7 +293,7 @@ let rec resolve pvm (region : region) (cache : cache) ~off ~vpn ~access :
             Pmap.enter pvm p region ~vpn;
             `Cow_copy
           | `Copy_on_write -> (
-            match Value.source_value pvm cache ~off with
+            match Value.source_value_at pvm cache ~off None with
             | `Page p ->
               (* Borrowed read-only mapping of the ancestor's page. *)
               Pmap.enter pvm p region ~vpn;

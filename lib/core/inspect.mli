@@ -6,9 +6,6 @@
     fragments, resident pages (with frame numbers, read-protection
     marks and stub counts), deferred-copy stubs and swap coverage. *)
 
-val pp_cache : Format.formatter -> Types.cache -> unit
-(** One cache descriptor line. *)
-
 val pp_state : Format.formatter -> Types.pvm -> unit
 (** Every cache on the PVM (hidden history nodes included), the frame
     pool and the counters. *)

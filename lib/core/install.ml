@@ -92,6 +92,14 @@ let has_swapped (cache : cache) ~off =
   && cache.c_backed_offs != no_offsets
   && Hashtbl.mem cache.c_backed_offs off
 
+(* Is a pending-stub row keyed on (cache, off)?  The mirror answers
+   exactly, with no probe of [stub_sources]; a cache that never had
+   such a row still shares [no_offsets], and the test stops there. *)
+let[@chorus.hot] [@chorus.noted
+     "its callers note the row's (cache, offset) first"] has_pending
+    (cache : cache) ~off =
+  cache.c_pending_offs != no_offsets && Hashtbl.mem cache.c_pending_offs off
+
 (* The stubs destined to [cache] and the offsets of the pending rows
    keyed on it, each in ascending offset order; an empty index costs
    nothing. *)
@@ -184,12 +192,14 @@ let retarget_stubs pvm (page : page) =
 (* Take the pending row keyed on (cache, off) out, with its mirror. *)
 let[@chorus.noted "its callers note the row's (cache, offset) first"] take_pending
     pvm (cache : cache) ~off =
-  match Frag_map.find_opt pvm.stub_sources cache.c_id off with
-  | None -> []
-  | Some stubs ->
-    Frag_map.remove pvm.stub_sources cache.c_id off;
-    Hashtbl.remove cache.c_pending_offs off;
-    stubs
+  if not (has_pending cache ~off) then []
+  else
+    match Frag_map.find_opt pvm.stub_sources cache.c_id off with
+    | None -> []
+    | Some stubs ->
+      Frag_map.remove pvm.stub_sources cache.c_id off;
+      Hashtbl.remove cache.c_pending_offs off;
+      stubs
 
 (* Thread onto [page] any per-virtual-page stubs that were waiting for
    its (cache, offset) to become resident (their source had been

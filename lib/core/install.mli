@@ -39,6 +39,10 @@ val index_backed : Types.cache -> off:int -> unit
 val has_swapped : Types.cache -> off:int -> bool
 (** Does an anonymous cache hold this offset in its swap backing? *)
 
+val has_pending : Types.cache -> off:int -> bool
+(** Is a pending-stub row keyed on (cache, off)?  Read from the
+    cache's mirror, with no probe of the pending-source table. *)
+
 val dest_stubs : Types.cache -> Types.cow_stub list
 (** The stubs destined to the cache, by ascending offset. *)
 

@@ -17,72 +17,6 @@ open Types
 let[@chorus.hot] wire (page : page) = page.p_wire_count <- page.p_wire_count + 1
 let[@chorus.hot] unwire (page : page) = page.p_wire_count <- page.p_wire_count - 1
 
-(* Install the stubs for a copy src[src_off..+size) -> dst[dst_off..).
-   The caller has purged the destination range.  Each stub is built
-   once its source is known, so it is the only record a page costs. *)
-let[@chorus.hot] [@chorus.spanned
-     "runs under the copy/move span opened by Cache.copy and Cache.move"]
-    setup_copy pvm ~(src : cache) ~src_off ~(dst : cache) ~dst_off ~size =
-  let ps = page_size pvm in
-  assert (size mod ps = 0);
-  let n = size / ps in
-  for i = 0 to n - 1 do
-    let s_off = src_off + (i * ps) and d_off = dst_off + (i * ps) in
-    let stub =
-      match Global_map.wait_not_in_transit pvm src ~off:s_off with
-      | Some (Resident p) ->
-        (* Source page in real memory: protect it read-only and thread
-           the stub on its descriptor. *)
-        Pmap.cow_protect pvm p;
-        let stub =
-          {
-            cs_cache = dst;
-            cs_offset = d_off;
-            cs_source = Src_page p;
-            cs_alive = true;
-          }
-          [@chorus.alloc_ok "the per-virtual-page stub the copy keeps"]
-        in
-        p.p_cow_stubs <-
-          (stub :: p.p_cow_stubs)
-          [@chorus.alloc_ok "the stub's threading cell on its source page"];
-        stub
-      | Some (Cow_stub s) -> (
-        (* Copying from a destination of an earlier per-page copy whose
-           value is still deferred: share its source. *)
-        let stub =
-          { cs_cache = dst; cs_offset = d_off; cs_source = s.cs_source;
-            cs_alive = true }
-          [@chorus.alloc_ok "the per-virtual-page stub the copy keeps"]
-        in
-        match s.cs_source with
-        | Src_page p ->
-          p.p_cow_stubs <-
-            (stub :: p.p_cow_stubs)
-            [@chorus.alloc_ok "the stub's threading cell on its source page"];
-          stub
-        | Src_cache (c, o) ->
-          Install.add_pending_stub pvm ~src_cache:c ~src_off:o stub;
-          stub)
-      | Some (Sync_stub _) -> assert false
-      | None ->
-        let stub =
-          {
-            cs_cache = dst;
-            cs_offset = d_off;
-            cs_source = Src_cache (src, s_off);
-            cs_alive = true;
-          }
-          [@chorus.alloc_ok "the per-virtual-page stub the copy keeps"]
-        in
-        Install.add_pending_stub pvm ~src_cache:src ~src_off:s_off stub;
-        stub
-    in
-    charge pvm Hw.Cost.Stub_insert;
-    Install.put_stub pvm
-      (Cow_stub stub [@chorus.alloc_ok "the stub's global-map entry"])
-  done
-
 let source_cache_of (stub : cow_stub) =
   match stub.cs_source with Src_page p -> p.p_cache | Src_cache (c, _) -> c
 
@@ -140,6 +74,92 @@ let kill pvm (stub : cow_stub) =
   drop pvm stub;
   reap_source pvm source
 
+(* Stub the pages of a copy src[src_off..+size) -> dst[dst_off..) from
+   byte [done_] on, and return how many bytes got their stub.  Each
+   stub is built once its source is known, so it is the only record a
+   page costs.  Its row goes in after its charge, and only on a
+   destination read empty then: a page a concurrent fault made there
+   during the copy's charges is not orphaned under the row.  The copy
+   stops at such a page, its stub undone, and the caller purges the
+   rest of the range again.  A stub materialised meanwhile already
+   holds its page there. *)
+let[@chorus.hot] [@chorus.spanned
+     "runs under the copy/move span opened by Cache.copy and Cache.move"] rec stub_pages
+    pvm ~(src : cache) ~src_off ~(dst : cache) ~dst_off ~size ~done_ =
+  if done_ = size then size
+  else begin
+    let s_off = src_off + done_ and d_off = dst_off + done_ in
+    let stub =
+      match Global_map.wait_not_in_transit pvm src ~off:s_off with
+      | Some (Resident p) ->
+        (* Source page in real memory: protect it read-only and thread
+           the stub on its descriptor. *)
+        Pmap.cow_protect pvm p;
+        let stub =
+          {
+            cs_cache = dst;
+            cs_offset = d_off;
+            cs_source = Src_page p;
+            cs_alive = true;
+          }
+          [@chorus.alloc_ok "the per-virtual-page stub the copy keeps"]
+        in
+        p.p_cow_stubs <-
+          (stub :: p.p_cow_stubs)
+          [@chorus.alloc_ok "the stub's threading cell on its source page"];
+        stub
+      | Some (Cow_stub s) -> (
+        (* Copying from a destination of an earlier per-page copy whose
+           value is still deferred: share its source. *)
+        let stub =
+          { cs_cache = dst; cs_offset = d_off; cs_source = s.cs_source;
+            cs_alive = true }
+          [@chorus.alloc_ok "the per-virtual-page stub the copy keeps"]
+        in
+        match s.cs_source with
+        | Src_page p ->
+          p.p_cow_stubs <-
+            (stub :: p.p_cow_stubs)
+            [@chorus.alloc_ok "the stub's threading cell on its source page"];
+          stub
+        | Src_cache (c, o) ->
+          Install.add_pending_stub pvm ~src_cache:c ~src_off:o stub;
+          stub)
+      | Some (Sync_stub _) -> assert false
+      | None ->
+        let stub =
+          {
+            cs_cache = dst;
+            cs_offset = d_off;
+            cs_source = Src_cache (src, s_off);
+            cs_alive = true;
+          }
+          [@chorus.alloc_ok "the per-virtual-page stub the copy keeps"]
+        in
+        Install.add_pending_stub pvm ~src_cache:src ~src_off:s_off stub;
+        stub
+    in
+    charge pvm Hw.Cost.Stub_insert;
+    if not stub.cs_alive then
+      stub_pages pvm ~src ~src_off ~dst ~dst_off ~size
+        ~done_:(done_ + page_size pvm)
+    else
+      match Global_map.peek pvm dst ~off:d_off with
+      | None ->
+        Install.put_stub pvm
+          (Cow_stub stub [@chorus.alloc_ok "the stub's global-map entry"]);
+        stub_pages pvm ~src ~src_off ~dst ~dst_off ~size
+          ~done_:(done_ + page_size pvm)
+      | Some _ ->
+        kill pvm stub;
+        done_
+  end
+
+(* Install the stubs for a copy; see [stub_pages]. *)
+let setup_copy pvm ~src ~src_off ~dst ~dst_off ~size =
+  assert (size mod page_size pvm = 0);
+  stub_pages pvm ~src ~src_off ~dst ~dst_off ~size ~done_:0
+
 (* A write is about to hit [page] while per-page stubs still read
    through it: give every such destination its own copy of the
    original value first. *)
@@ -181,7 +201,8 @@ let resolve_write pvm (stub : cow_stub) = materialize pvm stub
    (cache, off): called before that value is overwritten. *)
 let materialize_pending pvm (cache : cache) ~off =
   note_frag ~write:false pvm cache ~off;
-  match Frag_map.find_opt pvm.stub_sources cache.c_id off with
-  | None -> ()
-  | Some stubs ->
-    List.iter (fun s -> if s.cs_alive then ignore (materialize pvm s)) stubs
+  if Install.has_pending cache ~off then
+    match Frag_map.find_opt pvm.stub_sources cache.c_id off with
+    | None -> ()
+    | Some stubs ->
+      List.iter (fun s -> if s.cs_alive then ignore (materialize pvm s)) stubs

@@ -22,10 +22,15 @@ val setup_copy :
   dst:Types.cache ->
   dst_off:int ->
   size:int ->
-  unit
+  int
 (** Install the stubs for a copy; resident source pages are
     read-protected, stub chains from still-deferred sources share the
-    original source.  The caller has purged the destination range. *)
+    original source.  The caller has purged the destination range.
+    Each stub's row goes in only on a destination read empty after the
+    stub's charge; the result is the number of bytes stubbed before the
+    first page a concurrent fault made there meanwhile ([size] when
+    none did).  The caller purges the rest of the range again and
+    copies it. *)
 
 val source_cache_of : Types.cow_stub -> Types.cache
 

@@ -9,7 +9,11 @@
    records.  Every edit reads the translation or page it acts on after
    its last charge, never before: a charge is a scheduling point, and
    meanwhile another fibre may map, unmap, evict, free or move.  So a
-   translation and its record change together, in one slice. *)
+   translation and its record change together, in one slice, and each
+   implies the other.  An edit reads once: [enter] learns the entry it
+   replaced from [Hw.Mmu.map] itself, and keeps or adds the record from
+   that, with no second page-table probe and no walk of the page's
+   records. *)
 
 open Types
 
@@ -81,22 +85,27 @@ let[@chorus.hot] [@chorus.spanned
   (* Evicted or freed during the charge: its frame may already hold
      another page.  A region destroyed meanwhile maps nothing. *)
   if not (page.p_alive && region.r_alive) then raise Page_died;
-  (* Replacing another page's entry: retire its pmap record so a later
-     teardown of that page does not unmap us. *)
-  let old = Hw.Mmu.mapped_frame_index region.r_context.ctx_space ~vpn in
-  (if old >= 0 && old <> page.p_frame.Hw.Phys_mem.index then
-     match page_at_index pvm old with
-     | Some old_page ->
-       old_page.p_mappings <- without_mapping region vpn old_page.p_mappings
-     | None -> ());
-  Hw.Mmu.map region.r_context.ctx_space ~vpn page.p_frame
-    (effective_prot page region);
-  if not (has_mapping region vpn page.p_mappings) then
+  let old =
+    Hw.Mmu.map region.r_context.ctx_space ~vpn page.p_frame
+      (effective_prot page region)
+  in
+  (* A translation and its record imply each other, so the entry the
+     map replaced says what to do: re-mapping the page's own frame keeps
+     its record; replacing another page's entry retires that page's
+     record (a later teardown of it must not unmap us) and records
+     ours. *)
+  if old <> page.p_frame.Hw.Phys_mem.index then begin
+    (if old >= 0 then
+       match page_at_index pvm old with
+       | Some old_page ->
+         old_page.p_mappings <- without_mapping region vpn old_page.p_mappings
+       | None -> ());
     page.p_mappings <-
       ((region, vpn) :: page.p_mappings)
       [@chorus.alloc_ok
         "the mapping record (region, vpn) and its list cell: the pmap \
          bookkeeping a real kernel allocates per MMU entry"]
+  end
 
 let[@chorus.hot] drop_mapping (page : page) (region : region) ~vpn =
   page.p_mappings <- without_mapping region vpn page.p_mappings

@@ -33,7 +33,6 @@ let create ?(page_size = 8192) ?(cost = Hw.Cost.chorus_sun360) ~frames ~engine
 
 let engine pvm = pvm.engine
 let memory pvm = pvm.mem
-let cost pvm = pvm.cost
 let page_size = Types.page_size
 let stats pvm = snapshot_stats pvm.stats
 let tracer pvm = Hw.Engine.tracer pvm.engine

@@ -42,9 +42,6 @@ val engine : t -> Hw.Engine.t
 val memory : t -> Hw.Phys_mem.t
 val page_size : t -> int
 
-val cost : t -> Hw.Cost.profile
-(** The calibrated cost profile charged by this instance. *)
-
 val stats : t -> Types.stats
 (** A point-in-time snapshot of the event counters. *)
 

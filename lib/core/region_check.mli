@@ -22,8 +22,3 @@ val validate :
 val overlap : addr:int -> size:int -> int -> int -> bool
 (** [overlap ~addr ~size a s]: do [addr, addr+size) and [a, a+s)
     meet? *)
-
-val require_live : what:string -> bool -> unit
-(** [require_live ~what alive] raises
-    [Invalid_argument "regionCreate: <what> destroyed"] when [alive]
-    is false. *)

@@ -13,12 +13,19 @@ type located =
   | `Pull of cache * int  (* must be pulled into this cache *)
   | `Zero  (* anonymous, never written: zero-filled *) ]
 
-let[@chorus.hot] [@chorus.alloc_ok
-     "the located sum is the function's result type: one word per \
-      resolution, freed by the minor collector"] [@chorus.spanned
+let[@chorus.hot] [@chorus.spanned
      "tree walk under the fault/copy span of every caller"] rec locate pvm
     (cache : cache) ~off : located =
-  match Global_map.wait_not_in_transit pvm cache ~off with
+  locate_at pvm cache ~off (Global_map.wait_not_in_transit pvm cache ~off)
+
+(* The walk from (cache, off)'s entry as its caller last read it, with
+   no scheduling point since: the row is not probed again. *)
+and[@chorus.hot] [@chorus.alloc_ok
+     "the located sum is the function's result type: one word per \
+      resolution, freed by the minor collector"] [@chorus.spanned
+     "tree walk under the fault/copy span of every caller"] locate_at pvm
+    (cache : cache) ~off (entry : entry option) : located =
+  match entry with
   | Some (Resident p) -> `Page p
   | Some (Cow_stub s) -> (
     match s.cs_source with
@@ -145,11 +152,16 @@ let pull_in_page pvm (cache : cache) ~off ~prot =
 
 (* The resident page holding the logical value of (cache, off),
    pulling from a segment if necessary; [`Zero] when the value is
-   untouched anonymous memory. *)
-let source_value pvm (cache : cache) ~off : [ `Page of page | `Zero ] =
-  match locate pvm cache ~off with
+   untouched anonymous memory.  [source_value_at] starts from the
+   entry its caller read, with no scheduling point since. *)
+let source_value_at pvm (cache : cache) ~off entry : [ `Page of page | `Zero ]
+    =
+  match locate_at pvm cache ~off entry with
   | `Page p -> `Page p
   | `Zero -> `Zero
   | `Pull (c, o) ->
     let prot = if c.c_anonymous then Hw.Prot.all else Hw.Prot.read_only in
     `Page (pull_in_page pvm c ~off:o ~prot)
+
+let source_value pvm (cache : cache) ~off =
+  source_value_at pvm cache ~off (Global_map.wait_not_in_transit pvm cache ~off)

@@ -29,3 +29,12 @@ val source_value : Types.pvm -> Types.cache -> off:int -> [ `Page of Types.page 
 (** Walk the copy tree (through resident pages, deferred-copy stubs
     and parent fragments), performing any needed pull: the resident page
     holding the value, or [`Zero]. *)
+
+val source_value_at :
+  Types.pvm -> Types.cache -> off:int -> Types.entry option ->
+  [ `Page of Types.page | `Zero ]
+(** [source_value], walking on from the entry of (cache, off) its
+    caller already read (with {!Global_map.wait_not_in_transit}, and
+    no scheduling point since): the row is not probed again.  Every
+    hop up the tree charges and counts its lookup as
+    [source_value]'s do. *)

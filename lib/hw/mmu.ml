@@ -106,16 +106,21 @@ let[@chorus.hot] add space ~vpn frame prot =
 let[@chorus.hot] map space ~vpn frame prot =
   check_alive space;
   let i = find space.tab vpn in
-  if i < 0 then add space ~vpn frame prot
+  if i < 0 then begin
+    add space ~vpn frame prot;
+    -1
+  end
   else
     match space.tab.slots.(i) with
     | Pte e ->
+      let old = e.frame.Phys_mem.index in
       if not (e.frame == frame) then begin
         e.frame <- frame;
         e.ok <- (Ok frame [@chorus.alloc_ok "the hit result for the new frame"])
       end;
-      e.prot <- prot
-    | No_pte -> ()
+      e.prot <- prot;
+      old
+    | No_pte -> -1
 
 (* Backward-shift deletion: empty [hole], then walk its probe run and
    move back every entry whose home does not lie cyclically in

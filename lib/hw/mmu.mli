@@ -70,8 +70,10 @@ val vpn_of_addr : t -> int -> int
 
 val page_base : t -> vpn:int -> int
 
-val map : space -> vpn:int -> Phys_mem.frame -> Prot.t -> unit
-(** Installs (or replaces) the PTE for [vpn]. *)
+val map : space -> vpn:int -> Phys_mem.frame -> Prot.t -> int
+(** Installs (or replaces) the PTE for [vpn] and returns the index of
+    the frame it mapped before, or [-1] when it was unmapped: one probe
+    serves the caller's bookkeeping of the translation it replaced. *)
 
 val unmap : space -> vpn:int -> unit
 (** Removes the PTE for [vpn]; no-op if not mapped. *)

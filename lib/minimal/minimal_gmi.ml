@@ -119,7 +119,7 @@ let region_create t (ctx : context) ~addr ~size ~prot cache ~offset =
   for i = 0 to (size / ps) - 1 do
     let frame = ensure_page t cache ~off:(offset + (i * ps)) in
     charge t.cost.t_mmu_map;
-    Hw.Mmu.map ctx.ctx_space ~vpn:((addr / ps) + i) frame prot;
+    ignore (Hw.Mmu.map ctx.ctx_space ~vpn:((addr / ps) + i) frame prot);
     if Hw.Prot.allows prot `Write then
       Hashtbl.replace cache.c_dirty (offset + (i * ps)) ()
   done;

@@ -257,7 +257,9 @@ let copy_entry t (entry : entry) ~(dst_space : space) ~dst_addr =
       let vpn = (entry.e_addr + off - entry.e_offset) / page_size t in
       match Hw.Mmu.query entry.e_space.sp_mmu ~vpn with
       | Pte { frame; prot; _ } ->
-        Hw.Mmu.map entry.e_space.sp_mmu ~vpn frame (Hw.Prot.remove_write prot)
+        ignore
+          (Hw.Mmu.map entry.e_space.sp_mmu ~vpn frame
+             (Hw.Prot.remove_write prot))
       | No_pte -> ())
     original.o_pages;
   charge t Hw.Cost.Tree_setup;
@@ -354,7 +356,7 @@ let fault t (space : space) ~addr ~(access : Hw.Mmu.access) =
           if owner == top && not top.o_read_only then begin
             (* our own page: map it with full rights *)
             charge t Hw.Cost.Mmu_map;
-            Hw.Mmu.map space.sp_mmu ~vpn frame entry.e_prot;
+            ignore (Hw.Mmu.map space.sp_mmu ~vpn frame entry.e_prot);
             `Hit
           end
           else if access = `Write then begin
@@ -366,13 +368,14 @@ let fault t (space : space) ~addr ~(access : Hw.Mmu.access) =
             t.stats.n_cow_copies <- t.stats.n_cow_copies + 1;
             Hashtbl.replace top.o_pages off fresh;
             charge t Hw.Cost.Mmu_map;
-            Hw.Mmu.map space.sp_mmu ~vpn fresh entry.e_prot;
+            ignore (Hw.Mmu.map space.sp_mmu ~vpn fresh entry.e_prot);
             `Cow_copy
           end
           else begin
             charge t Hw.Cost.Mmu_map;
-            Hw.Mmu.map space.sp_mmu ~vpn frame
-              (Hw.Prot.remove_write entry.e_prot);
+            ignore
+              (Hw.Mmu.map space.sp_mmu ~vpn frame
+                 (Hw.Prot.remove_write entry.e_prot));
             `Borrow
           end
         | None ->
@@ -384,9 +387,10 @@ let fault t (space : space) ~addr ~(access : Hw.Mmu.access) =
           t.stats.n_zero_fills <- t.stats.n_zero_fills + 1;
           Hashtbl.replace top.o_pages off fresh;
           charge t Hw.Cost.Mmu_map;
-          Hw.Mmu.map space.sp_mmu ~vpn fresh
-            (if top.o_read_only then Hw.Prot.remove_write entry.e_prot
-             else entry.e_prot);
+          ignore
+            (Hw.Mmu.map space.sp_mmu ~vpn fresh
+               (if top.o_read_only then Hw.Prot.remove_write entry.e_prot
+                else entry.e_prot));
           `Zero_fill
       in
       (* opportunistic chain collapse, as Mach performs during faults *)

@@ -75,9 +75,10 @@ let test_catches_mmu_corruption () =
           (fun p -> p.Core.Types.p_cow_protected)
           (Core.Inspect.pages pvm)
       in
-      Hw.Mmu.map ctx.Core.Types.ctx_space
-        ~vpn:(cow_page.Core.Types.p_offset / ps)
-        cow_page.Core.Types.p_frame Hw.Prot.read_write;
+      ignore
+        (Hw.Mmu.map ctx.Core.Types.ctx_space
+           ~vpn:(cow_page.Core.Types.p_offset / ps)
+           cow_page.Core.Types.p_frame Hw.Prot.read_write);
       expect_rule pvm "mmu")
 
 (* The mmu rule's recording half is structural, its protection half
@@ -173,8 +174,9 @@ let test_catches_orphan_zombie_pair () =
         ~dst_off:0 ~size:(2 * ps) ();
       Core.Cache.write_through pvm b ~offset:0 (Bytes.make 8 'b');
       (* planted below Cache.copy, whose cycle check refuses this edge *)
-      Core.Pervpage.setup_copy pvm ~src:b ~src_off:0 ~dst:a
-        ~dst_off:(4 * ps) ~size:ps;
+      Alcotest.(check int) "the page is stubbed" ps
+        (Core.Pervpage.setup_copy pvm ~src:b ~src_off:0 ~dst:a
+           ~dst_off:(4 * ps) ~size:ps);
       List.iter
         (fun (c : Core.Types.cache) ->
           c.c_zombie <- true;

@@ -423,6 +423,68 @@ let test_alloc_eager_copy () =
       words_per_op 16 copy
       |> check_words "an unaligned 100-byte eager copy" ~bound:12.)
 
+(* --- Exact probe counts of the fault path ---------------------------- *)
+
+(* A fault acts on what it has already read: it probes the global map
+   once per cache its walk visits and once to install a page it makes,
+   and reads the pending-source table only where its cache's mirror
+   names a row there.  The counts are exact (a single-fibre run is
+   deterministic), so each is checked over [n] faults of one kind. *)
+let check_probes pvm what ~n ~gmap ~stub_sources f =
+  let probes () =
+    ( Core.Frag_map.probes pvm.Core.Types.gmap,
+      Core.Frag_map.probes pvm.Core.Types.stub_sources )
+  in
+  let g0, s0 = probes () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  let g1, s1 = probes () in
+  Alcotest.(check (pair int int))
+    (what ^ ": global-map and pending-source probes")
+    (n * gmap, n * stub_sources)
+    (g1 - g0, s1 - s0)
+
+let test_fault_probes () =
+  let n = 32 in
+  (* zero fill: the row read empty, then the page installed *)
+  with_pvm (fun pvm ->
+      let cache = Core.Cache.create pvm () in
+      let ctx = Core.Context.create pvm in
+      map_cache pvm ctx cache ~pages:n;
+      check_probes pvm "a zero-fill write fault" ~n ~gmap:2 ~stub_sources:0
+        (fun i -> Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Write));
+  (* borrow: the child's row read empty, then the parent's *)
+  with_pvm (fun pvm ->
+      let src = written_source pvm ~pages:n in
+      let dst = Core.Cache.create pvm () in
+      Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
+        ~size:(n * ps) ();
+      let ctx = Core.Context.create pvm in
+      map_cache pvm ctx dst ~pages:n;
+      check_probes pvm "a borrow read fault" ~n ~gmap:2 ~stub_sources:0
+        (fun i -> Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Read));
+  (* re-map: the resident row, read once *)
+  with_pvm (fun pvm ->
+      let cache = written_source pvm ~pages:n in
+      let ctx = Core.Context.create pvm in
+      map_cache pvm ctx cache ~pages:n;
+      check_probes pvm "a re-map of a resident page" ~n ~gmap:1
+        ~stub_sources:0 (fun i ->
+          Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Read));
+  (* history COW: the child's row read empty, the parent's read, then
+     the copy installed *)
+  with_pvm (fun pvm ->
+      let src = written_source pvm ~pages:n in
+      let dst = Core.Cache.create pvm () in
+      Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
+        ~size:(n * ps) ();
+      let ctx = Core.Context.create pvm in
+      map_cache pvm ctx dst ~pages:n;
+      check_probes pvm "a history COW write fault" ~n ~gmap:3
+        ~stub_sources:0 (fun i ->
+          Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Write))
+
 (* --- Exceptions inside the pinned halves ---------------------------- *)
 
 (* Frame exhaustion raised in the middle of a pinned section must drop
@@ -777,6 +839,8 @@ let tests =
     Alcotest.test_case "alloc: aligned 8-page move" `Quick test_alloc_move;
     Alcotest.test_case "alloc: unaligned 100-byte eager copy" `Quick
       test_alloc_eager_copy;
+    Alcotest.test_case "probes: exact per fault kind" `Quick
+      test_fault_probes;
     Alcotest.test_case "No_memory mid-path drops pins" `Quick
       test_no_memory_sequential;
     Alcotest.test_case "No_memory mid-path, 2 CPUs" `Quick

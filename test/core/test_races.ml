@@ -6,8 +6,13 @@
    a region first.  Fibre B sleeps [delay] µs before it destroys, for
    every delay from 0 to 4000 µs, which covers every charge the page
    being made pays.  Each run must end in the case's defined outcome
-   with a clean strict sweep; a sample of delays also sweeps the
-   structural rules after every engine event. *)
+   with a clean strict sweep, within an event budget that a livelock
+   exhausts; a sample of delays also sweeps the structural rules after
+   every engine event.
+
+   The last cases race a fault with a per-page copy or move onto the
+   faulting cache instead: the fault's page and the copy's stub meet
+   in one row, whichever goes in first. *)
 
 let ps = 8192
 let rw = Hw.Prot.read_write
@@ -53,11 +58,17 @@ let write_d w d =
 
 (* Run [setup] in the main fibre, then its fibre A at once and its
    fibre B after [delay] µs; return the world and how A ended. *)
+let event_budget = 100_000
+
 let race ?(every_event = false) setup delay =
   let engine = Hw.Engine.create () in
   let pvm = ref None in
-  if every_event then
-    Hw.Engine.set_event_hook engine (fun () ->
+  let events = ref 0 in
+  Hw.Engine.set_event_hook engine (fun () ->
+      incr events;
+      if !events > event_budget then
+        failwith (Printf.sprintf "livelock: %d engine events" event_budget);
+      if every_event then
         Option.iter
           (Check.Sanitizer.assert_ok ~strict:false ~label:"per-event sweep")
           !pvm);
@@ -135,13 +146,61 @@ let lands_or_faults engine w ended =
   | Segfault a -> failwith (Printf.sprintf "segfault at %#x" a));
   if contents engine w w.s <> "ssssssss" then failwith "source changed"
 
+(* (f)-(h) A reads an empty anonymous [d] through a region while B
+   copies [s] onto [d] per page, or moves there a per-page copy of [s]
+   (a stub) or a cache whose mapped page holds [s]'s value.  A's zero fill and
+   B's stub or page meet in [d]'s row.  When B's goes in first, A's fill
+   settles on it (materialising a stub); when A's page does, B purges it
+   again before its own goes in.  A ends, having read zeros or [s]'s
+   value, and [d] holds [s]'s value. *)
+let read_under how =
+  let d = ref None and seen = ref "" in
+  let setup w =
+    let dc = Core.Cache.create w.pvm () in
+    d := Some dc;
+    let ctx2 = Core.Context.create w.pvm in
+    ignore
+      (Core.Region.create w.pvm ctx2 ~addr:d_addr ~size:ps ~prot:rw dc
+         ~offset:0);
+    let m = Core.Cache.create w.pvm () in
+    (match how with
+    | `Copy -> ()
+    | `Stub_move -> copy w `Per_page m
+    | `Page_move ->
+      ignore
+        (Core.Region.create w.pvm w.ctx ~addr:(4 * ps) ~size:ps ~prot:rw m
+           ~offset:0);
+      Core.Pvm.write w.pvm w.ctx ~addr:(4 * ps) (Bytes.make 8 's'));
+    ( (fun () ->
+        seen := Bytes.to_string (Core.Pvm.read w.pvm ctx2 ~addr:store ~len:8)),
+      fun () ->
+        match how with
+        | `Copy -> copy w `Per_page dc
+        | `Stub_move | `Page_move ->
+          Core.Cache.move w.pvm ~src:m ~src_off:0 ~dst:dc ~dst_off:0 ~size:ps () )
+  in
+  let outcome engine w ended =
+    if ended <> Done then failwith "a did not finish";
+    if not (List.mem !seen [ String.make 8 '\000'; "ssssssss" ]) then
+      failwith (Printf.sprintf "a read %S" !seen);
+    if contents engine w (Option.get !d) <> "ssssssss" then
+      failwith "copy lost"
+  in
+  (setup, outcome)
+
 let cases =
+  let under_copy, copied = read_under `Copy
+  and under_stub_move, stub_moved = read_under `Stub_move
+  and under_page_move, page_moved = read_under `Page_move in
   [
     ("(a) teardown materialises a dead copy", teardown_copy, keeps_nothing);
     ("(b) original saved into a dead history", original, write_proceeds);
     ("(c) stub resolved into a dead cache", stub_write, lands_or_faults);
     ("(d) zero fill into a dead cache", zero_write, lands_or_faults);
     ("(e) child copy into a dead cache", child_write, lands_or_faults);
+    ("(f) zero fill under a per-page copy", under_copy, copied);
+    ("(g) zero fill under a stub move", under_stub_move, stub_moved);
+    ("(h) zero fill under a page move", under_page_move, page_moved);
   ]
 
 (* Every delay, each ending as [outcome] says; failures are collected

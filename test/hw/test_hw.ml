@@ -1025,7 +1025,8 @@ let test_mmu_translate () =
   let mem = Hw.Phys_mem.create ~page_size:4096 ~frames:2 () in
   let space = Hw.Mmu.create_space mmu in
   let frame = Hw.Phys_mem.alloc mem in
-  Hw.Mmu.map space ~vpn:3 frame Hw.Prot.read_only;
+  Alcotest.(check int) "a first map replaces nothing" (-1)
+    (Hw.Mmu.map space ~vpn:3 frame Hw.Prot.read_only);
   (match Hw.Mmu.translate space ~addr:(3 * 4096 + 17) ~access:`Read with
   | Ok f -> Alcotest.(check int) "right frame" frame.Hw.Phys_mem.index f.Hw.Phys_mem.index
   | Error _ -> Alcotest.fail "expected translation");
@@ -1139,7 +1140,14 @@ let prop_mmu_model =
           (fun model op ->
             match op with
             | Map (v, f, p) ->
-              Hw.Mmu.map space ~vpn:v frames.(f) prots.(p);
+              let replaced = Hw.Mmu.map space ~vpn:v frames.(f) prots.(p) in
+              let expected =
+                match IM.find_opt v model with
+                | Some (f', _) -> frames.(f').index
+                | None -> -1
+              in
+              if replaced <> expected then
+                fail "map %d replaced frame %d, model %d" v replaced expected;
               IM.add v (f, prots.(p)) model
             | Unmap v ->
               Hw.Mmu.unmap space ~vpn:v;
@@ -1225,8 +1233,9 @@ let test_mmu_hits_allocate_nothing () =
   let mem = Hw.Phys_mem.create ~page_size:4096 ~frames:64 () in
   let space = Hw.Mmu.create_space mmu in
   for vpn = 0 to 63 do
-    Hw.Mmu.map space ~vpn:(vpn * 37) (Hw.Phys_mem.alloc mem)
-      Hw.Prot.read_only
+    ignore
+      (Hw.Mmu.map space ~vpn:(vpn * 37) (Hw.Phys_mem.alloc mem)
+         Hw.Prot.read_only)
   done;
   let hits = ref 0 in
   let before = Gc.minor_words () in
@@ -1251,7 +1260,7 @@ let test_mmu_updates_allocate_nothing () =
   let space = Hw.Mmu.create_space mmu in
   let frames = Array.init 64 (fun _ -> Hw.Phys_mem.alloc mem) in
   Array.iteri
-    (fun vpn frame -> Hw.Mmu.map space ~vpn frame Hw.Prot.read_only)
+    (fun vpn frame -> ignore (Hw.Mmu.map space ~vpn frame Hw.Prot.read_only))
     frames;
   let prots = [| Hw.Prot.read_only; Hw.Prot.read_write |] in
   let wrong = ref 0 in
@@ -1259,7 +1268,7 @@ let test_mmu_updates_allocate_nothing () =
   for i = 0 to 9_999 do
     let vpn = i mod 64 in
     Hw.Mmu.protect space ~vpn prots.(i land 1);
-    Hw.Mmu.map space ~vpn frames.(vpn) prots.((i + 1) land 1);
+    ignore (Hw.Mmu.map space ~vpn frames.(vpn) prots.((i + 1) land 1));
     if Hw.Mmu.mapped_frame_index space ~vpn <> frames.(vpn).index then
       incr wrong
   done;
