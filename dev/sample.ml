@@ -11,7 +11,7 @@
    whose innermost frame it is (self): the 25 functions of largest
    inclusive share, then the 25 of largest self share.
 
-   Two things to know when reading it:
+   Three things to know when reading it:
    - OCaml runs a signal handler at the next poll point of OCaml code.
      So time spent in C calls and in GC slices is charged to the
      function that polls next, not to the C code or the allocation that
@@ -20,9 +20,12 @@
    - A fibre runs on a stack of its own, which ends at its effect
      handler.  A sample taken in a fibre holds the fibre's frames only,
      not the frames of the engine loop that resumed it.
-
-   Build with debug information (dune's default profile) so that frames
-   have names. *)
+   - Frames keep their names because every profile builds with -g.
+     The default profile inlines calls across modules, and -g records
+     each inlined call, so an inlined helper (a map probe, a footprint
+     note) still shows as a frame of its own: [Printexc] reports it as
+     an inline slot.  What inlining removes is the call's cost, not the
+     frame. *)
 
 let usage = "sample.exe ENTRY [--seconds S]"
 let top = 25

@@ -43,7 +43,7 @@ let rec find_in cid off = function
   | Nil -> None
   | Cons c -> if c.cid = cid && c.off = off then c.found else find_in cid off c.next
 
-let[@chorus.hot] find_opt t cid off =
+let[@chorus.hot][@inline] find_opt t cid off =
   t.probes <- t.probes + 1;
   find_in cid off (Array.unsafe_get t.tab (slot t.tab (hash cid off)))
 

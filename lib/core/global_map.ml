@@ -13,7 +13,7 @@ open Types
 (* Lookup without charging the simulated clock, for internal
    bookkeeping that a real implementation would do with direct
    pointers rather than a map probe. *)
-let[@chorus.hot] peek pvm cache ~off =
+let[@chorus.hot][@inline] peek pvm cache ~off =
   note_frag ~write:false pvm cache ~off;
   Frag_map.find_opt pvm.gmap cache.c_id off
 

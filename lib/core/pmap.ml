@@ -42,7 +42,7 @@ let is_borrowed (page : page) (region : region) =
    a pending deferred copy (history coverage or threaded per-page
    stubs), and always read-only for borrowed mappings (a child context
    reading an ancestor's page). *)
-let effective_prot (page : page) (region : region) =
+let[@inline] effective_prot (page : page) (region : region) =
   let p = Hw.Prot.intersect region.r_prot page.p_pulled_prot in
   if
     page.p_cow_protected || page.p_cow_stubs <> []

@@ -196,7 +196,7 @@ let reset_stats (c : stats_cells) = Array.fill c 0 n_stat_cells 0
 
 (* The one-event bump every operational module uses:
    [bump pvm.stats sc_pull_ins]. *)
-let bump (c : stats_cells) i = c.(i) <- c.(i) + 1
+let bump (c : stats_cells) i = c.(i) <- c.(i) + 1 [@@inline]
 
 let next_id pvm =
   let id = pvm.next_id in
@@ -316,9 +316,11 @@ let note_frag ?write pvm (cache : cache) ~off =
   Hw.Engine.note_access ?write pvm.engine cache.c_id off
 
 let note_frames ?write pvm = Hw.Engine.note_access ?write pvm.engine (-1) 0
+[@@inline]
 
 let note_structure ?write pvm =
   Hw.Engine.note_access ?write pvm.engine (-2) 0
+[@@inline]
 
 let page_align_down pvm off = off - (off mod page_size pvm)
 

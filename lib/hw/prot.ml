@@ -17,7 +17,7 @@ let read_write = make ~read:true ~write:true ~execute:false
 let read_execute = make ~read:true ~write:false ~execute:true
 let all = make ~read:true ~write:true ~execute:true
 
-let allows t = function
+let[@inline] allows t = function
   | `Read -> t.read
   | `Write -> t.write
   | `Execute -> t.execute
