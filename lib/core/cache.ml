@@ -289,7 +289,7 @@ let split_to_zombie pvm (cache : cache) ~off
         (match Global_map.wait_not_in_transit pvm cache ~off:o with
         | Some (Resident p) -> p.p_dirty <- true
         | None ->
-          let p = Value.pull_in_page pvm cache ~off:o ~prot:Hw.Prot.all in
+          let p = Value.pull_own pvm cache ~off:o ~write:true in
           p.p_dirty <- true;
           pin p
         | Some (Cow_stub _) ->

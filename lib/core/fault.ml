@@ -4,7 +4,9 @@
    [handle] is the trap handler: it finds the faulting region,
    computes the offset in the segment, consults the global map and
    resolves.  The MMU mapping installed at the end is what makes the
-   retried access succeed. *)
+   retried access succeed.  An empty row is decided by [Value.miss],
+   and a pull takes [Value.pull_own]'s rights: this module acts on
+   their answers and makes neither decision. *)
 
 open Types
 
@@ -81,13 +83,10 @@ let[@chorus.hot] [@chorus.spanned
     page
   | None -> settle pvm cache ~off `Zero
 
-(* Give [cache] its own copy of the value currently visible at [off]
-   (a write miss in a copy, or a copy-on-reference read miss), its row
-   there just read empty: the walk goes on from that read. *)
-and[@chorus.hot] child_copy pvm (cache : cache) ~off =
-  match
-    copy_value pvm cache ~off (Value.source_value_at pvm cache ~off None)
-  with
+(* Give [cache] its own copy of [value], the value visible at [off]
+   (a write miss in a copy, or a copy-on-reference read miss). *)
+and[@chorus.hot] child_copy pvm (cache : cache) ~off value =
+  match copy_value pvm cache ~off value with
   | Some page -> page
   | None -> settle pvm cache ~off `Copy
 
@@ -106,14 +105,22 @@ and settle pvm (cache : cache) ~off remake =
   | None -> (
     match remake with
     | `Zero -> zero_fill_page pvm cache ~off
-    | `Copy -> child_copy pvm cache ~off)
+    | `Copy ->
+      child_copy pvm cache ~off (Value.source_value_at pvm cache ~off None))
 
-(* Clear everything that makes writing [p] unsafe.  Every branch of
-   [own_writable_page] funnels through it, including pages freshly
-   created by [child_copy] or zero-fill, which may have had pending
-   stubs re-threaded onto them at insertion.  [p] is pinned meanwhile:
-   flushing stubs and saving originals allocate frames, which must not
-   reclaim [p] itself. *)
+(* The page a miss makes for a write, by the branch [Value.miss] took:
+   the cache's own data pulled read-write, its own copy of the value
+   its fragment gives it, or a zero fill. *)
+let[@chorus.hot] write_miss_page pvm (cache : cache) ~off :
+    Value.miss -> page = function
+  | Own -> Value.pull_own pvm cache ~off ~write:true
+  | Inherited f -> child_copy pvm cache ~off (Value.inherited_value pvm ~off f)
+  | Fresh -> zero_fill_page pvm cache ~off
+
+(* Clear everything that makes writing [p] unsafe, a page made for a
+   miss included (pending stubs may be re-threaded onto it at
+   insertion).  [p] is pinned meanwhile: flushing stubs and saving
+   originals allocate frames, which must not reclaim [p] itself. *)
 let[@chorus.hot] prepare_writable pvm (cache : cache) ~off (p : page) =
   Pervpage.wire p;
   match
@@ -138,11 +145,7 @@ let[@chorus.hot] prepare_writable pvm (cache : cache) ~off (p : page) =
     Pervpage.unwire p;
     raise e
 
-(* Make sure [cache] owns a resident page at [off] that is safe to
-   write: originals pushed to the history, per-page stubs flushed,
-   write access obtained from the segment if the data was pulled
-   read-only.  Used by the fault handler and by the explicit copy
-   operations of Table 1. *)
+(* A resident page of [cache] at [off] safe to write (fault.mli). *)
 let[@chorus.hot] rec own_writable_page pvm (cache : cache) ~off =
   own_writable_at pvm cache ~off (Global_map.wait_not_in_transit pvm cache ~off)
 
@@ -159,24 +162,12 @@ and[@chorus.hot] own_writable_at pvm (cache : cache) ~off = function
       own_writable_page pvm cache ~off)
   | Some (Sync_stub _) -> assert false
   | None ->
-    if Install.has_swapped cache ~off then begin
-      ignore (Value.pull_in_page pvm cache ~off ~prot:Hw.Prot.all);
-      own_writable_page pvm cache ~off
-    end
-    else if Parents.find_covering cache ~off <> None then
-      prepare_writable pvm cache ~off (child_copy pvm cache ~off)
-    else if cache.c_backing <> None && not cache.c_anonymous then begin
-      ignore (Value.pull_in_page pvm cache ~off ~prot:Hw.Prot.read_write);
-      own_writable_page pvm cache ~off
-    end
-    else prepare_writable pvm cache ~off (zero_fill_page pvm cache ~off)
+    prepare_writable pvm cache ~off
+      (write_miss_page pvm cache ~off (Value.miss cache ~off))
 
-(* The §4.1.2 resolution a fault took — the attribution key of the
-   paper's §5.3.2 decomposition.  [`Cow_copy] covers both the
-   history-walk copy of a child and the original-saving write on a
-   read-protected source; [`Borrow] is a read serviced by mapping an
-   ancestor's page read-only; [`Upgrade] re-obtains write access for
-   data pulled read-only (or re-dirties a clean page). *)
+(* The §4.1.2 resolution a fault took (see fault.mli).  [`Cow_copy]
+   covers both the history-walk copy of a child and the
+   original-saving write on a read-protected source. *)
 type resolution =
   [ `Hit
   | `Upgrade
@@ -208,26 +199,26 @@ let hist_index : resolution -> int = function
   | `Borrow -> 6
 
 let hist_names =
-  [|
-    "fault.hit";
-    "fault.upgrade";
-    "fault.zero-fill";
-    "fault.pull-in";
-    "fault.cow-copy";
-    "fault.stub-resolve";
-    "fault.borrow";
-  |]
+  let names = Array.make 7 "" in
+  List.iter
+    (fun k -> names.(hist_index k) <- "fault." ^ resolution_name k)
+    [ `Hit; `Upgrade; `Zero_fill; `Pull_in; `Cow_copy; `Stub_resolve; `Borrow ];
+  names
+
+(* Map [p] at [vpn] and report the fault as [kind]. *)
+let[@inline] mapped pvm region ~vpn p (kind : resolution) =
+  Pmap.enter pvm p region ~vpn;
+  kind
 
 (* Resolve a fault against (region, cache, off), install the MMU
-   mapping at [vpn], and report which resolution was taken. *)
+   mapping at [vpn], and report which resolution was taken.  A miss
+   acts on the page [Value.miss]'s branch made or pulled. *)
 let rec resolve pvm (region : region) (cache : cache) ~off ~vpn ~access :
     resolution =
   match Global_map.wait_not_in_transit pvm cache ~off with
   | Some (Resident p) as entry -> (
     match access with
-    | `Read | `Execute ->
-      Pmap.enter pvm p region ~vpn;
-      `Hit
+    | `Read | `Execute -> mapped pvm region ~vpn p `Hit
     | `Write -> (
       (* Classify before resolving: [own_writable_at] erases the
          evidence (saves originals, flushes stubs, upgrades rights). *)
@@ -240,9 +231,7 @@ let rec resolve pvm (region : region) (cache : cache) ~off ~vpn ~access :
       ignore (own_writable_at pvm cache ~off entry);
       (* its charges may have replaced structures; re-fetch *)
       match Global_map.peek pvm cache ~off with
-      | Some (Resident p') ->
-        Pmap.enter pvm p' region ~vpn;
-        kind
+      | Some (Resident p') -> mapped pvm region ~vpn p' kind
       | _ ->
         let deeper = resolve pvm region cache ~off ~vpn ~access in
         if kind = `Hit then deeper else kind))
@@ -250,72 +239,38 @@ let rec resolve pvm (region : region) (cache : cache) ~off ~vpn ~access :
     match access with
     | `Write ->
       let p = own_writable_at pvm cache ~off entry in
-      Pmap.enter pvm p region ~vpn;
-      `Stub_resolve
+      mapped pvm region ~vpn p `Stub_resolve
     | `Read | `Execute -> (
       match Pervpage.resolve_read pvm s with
-      | `Borrow p ->
-        Pmap.enter pvm p region ~vpn;
-        `Borrow
+      | `Borrow p -> mapped pvm region ~vpn p `Borrow
       | `Zero -> (
         match Pervpage.resolve_write pvm s with
-        | Some p ->
-          Pmap.enter pvm p region ~vpn;
-          `Stub_resolve
+        | Some p -> mapped pvm region ~vpn p `Stub_resolve
         | None -> raise Pmap.Page_died)))
   | Some (Sync_stub _) -> assert false
   | None -> (
-    match access with
-    | `Write ->
-      (* Mirror [own_writable_page]'s dispatch to name the path it
-         will take; the probes are pure lookups, charged nothing. *)
-      let kind : resolution =
-        if Install.has_swapped cache ~off then `Pull_in
-        else if Parents.find_covering cache ~off <> None then `Cow_copy
-        else if cache.c_backing <> None && not cache.c_anonymous then `Pull_in
-        else `Zero_fill
-      in
-      let p = own_writable_at pvm cache ~off None in
-      Pmap.enter pvm p region ~vpn;
-      kind
-    | `Read | `Execute -> (
-      if Install.has_swapped cache ~off then begin
-        ignore (Value.pull_in_page pvm cache ~off ~prot:Hw.Prot.all);
-        let _deeper = resolve pvm region cache ~off ~vpn ~access in
-        `Pull_in
-      end
-      else
-        match Parents.find_covering cache ~off with
-        | Some frag -> (
-          match frag.f_policy with
-          | `Copy_on_reference ->
-            let p = child_copy pvm cache ~off in
-            Pmap.enter pvm p region ~vpn;
-            `Cow_copy
-          | `Copy_on_write -> (
-            match Value.source_value_at pvm cache ~off None with
-            | `Page p ->
-              (* Borrowed read-only mapping of the ancestor's page. *)
-              Pmap.enter pvm p region ~vpn;
-              `Borrow
-            | `Zero ->
-              let p = zero_fill_page pvm cache ~off in
-              Pmap.enter pvm p region ~vpn;
-              `Zero_fill))
-        | None ->
-          if cache.c_backing <> None && not cache.c_anonymous then begin
-            (* Cached data carries the rights of pullIn's accessMode
-               (§3.3.3): a read fault pulls read-only; a later write
-               upgrades through getWriteAccess. *)
-            ignore (Value.pull_in_page pvm cache ~off ~prot:Hw.Prot.read_only);
-            let _deeper = resolve pvm region cache ~off ~vpn ~access in
-            `Pull_in
-          end
-          else begin
-            let p = zero_fill_page pvm cache ~off in
-            Pmap.enter pvm p region ~vpn;
-            `Zero_fill
-          end))
+    match (access, Value.miss cache ~off) with
+    | `Write, miss ->
+      mapped pvm region ~vpn
+        (prepare_writable pvm cache ~off (write_miss_page pvm cache ~off miss))
+        (match miss with
+        | Own -> `Pull_in
+        | Inherited _ -> `Cow_copy
+        | Fresh -> `Zero_fill)
+    | (`Read | `Execute), Own ->
+      let p = Value.pull_own pvm cache ~off ~write:false in
+      mapped pvm region ~vpn p `Pull_in
+    | (`Read | `Execute), Inherited f -> (
+      match (f.f_policy, Value.inherited_value pvm ~off f) with
+      | `Copy_on_reference, value ->
+        mapped pvm region ~vpn (child_copy pvm cache ~off value) `Cow_copy
+      | `Copy_on_write, `Page p ->
+        (* Borrowed read-only mapping of the ancestor's page. *)
+        mapped pvm region ~vpn p `Borrow
+      | `Copy_on_write, `Zero ->
+        mapped pvm region ~vpn (zero_fill_page pvm cache ~off) `Zero_fill)
+    | (`Read | `Execute), Fresh ->
+      mapped pvm region ~vpn (zero_fill_page pvm cache ~off) `Zero_fill)
 
 (* [resolve] again, from the top, while the page it resolved dies
    before it is mapped (during [Pmap.enter]'s charge, or with its cache
@@ -404,3 +359,16 @@ let[@chorus.hot] handle pvm (ctx : context) ~addr ~(access : Hw.Mmu.access)
           @ !target)
         [@chorus.alloc_ok "trace arguments, built only when tracing is on"];
     raise e
+
+(* Hardware translation with the fault handler in the loop.  The retry
+   bound turns a resolution bug into a failure rather than a hang. *)
+let[@chorus.hot] rec translate_from pvm (ctx : context) ~addr ~access retries =
+  if retries > 32 then failwith "PVM: page fault resolution did not converge";
+  match Hw.Mmu.translate ctx.ctx_space ~addr ~access with
+  | Ok frame -> frame
+  | Error _ ->
+    handle pvm ctx ~addr ~access;
+    translate_from pvm ctx ~addr ~access (retries + 1)
+
+let[@chorus.hot] translate pvm ctx ~addr ~access =
+  translate_from pvm ctx ~addr ~access 0

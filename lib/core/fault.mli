@@ -28,8 +28,9 @@ type resolution =
 (** Which §4.1.2 path serviced the fault — the attribution key of the
     §5.3.2-style decompositions.  [`Hit]: the page was resident and
     usable (e.g. a racing fibre resolved it first); [`Upgrade]: write
-    access re-obtained for data pulled read-only; [`Borrow]: read
-    serviced by mapping an ancestor's page read-only. *)
+    access re-obtained for data pulled read-only, or a clean page
+    re-dirtied; [`Borrow]: read serviced by mapping an ancestor's page
+    read-only. *)
 
 val hist_index : resolution -> int
 (** Index of a resolution's latency histogram in [pvm.fault_hist] —
@@ -46,3 +47,10 @@ val handle : Types.pvm -> Types.context -> addr:int -> access:Hw.Mmu.access -> u
     metrics registry.
     @raise Gmi.Segmentation_fault if no region covers [addr].
     @raise Gmi.Protection_fault if the region forbids the access. *)
+
+val translate :
+  Types.pvm -> Types.context -> addr:int -> access:Hw.Mmu.access ->
+  Hw.Phys_mem.frame
+(** The MMU's translation of [addr], with {!handle} run on every miss
+    until the access succeeds.
+    @raise Failure if 32 faults in a row leave the access failing. *)

@@ -100,16 +100,6 @@ let[@chorus.noted "access_frame notes the topology before the walk"] rec note_re
     end;
     note_regions pvm ~addr ~write rest
 
-(* Hardware translation with the fault handler in the loop.  The retry
-   bound turns a resolution bug into a failure rather than a hang. *)
-let[@chorus.hot] rec translate pvm (ctx : context) ~addr ~access retries =
-  if retries > 32 then failwith "PVM: page fault resolution did not converge";
-  match Hw.Mmu.translate ctx.ctx_space ~addr ~access with
-  | Ok frame -> frame
-  | Error _ ->
-    Fault.handle pvm ctx ~addr ~access;
-    translate pvm ctx ~addr ~access (retries + 1)
-
 (* Simulated program access. *)
 let[@chorus.hot] access_frame pvm (ctx : context) ~addr ~access =
   (* MMU hits never probe the global map, so the schedule explorer
@@ -119,7 +109,7 @@ let[@chorus.hot] access_frame pvm (ctx : context) ~addr ~access =
     note_structure ~write:false pvm;
     note_regions pvm ~addr ~write:(access = `Write) ctx.ctx_regions
   end;
-  translate pvm ctx ~addr ~access 0
+  Fault.translate pvm ctx ~addr ~access
 
 let touch pvm ctx ~addr ~access = ignore (access_frame pvm ctx ~addr ~access)
 

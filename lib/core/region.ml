@@ -140,9 +140,7 @@ let lock_in_memory pvm (region : region) =
   let vpn0 = region.r_addr / ps in
   for vpn = vpn0 to vpn0 + (region.r_size / ps) - 1 do
     let addr = vpn * ps in
-    (match Hw.Mmu.translate region.r_context.ctx_space ~addr ~access with
-    | Ok _ -> ()
-    | Error _ -> Fault.handle pvm region.r_context ~addr ~access);
+    ignore (Fault.translate pvm region.r_context ~addr ~access);
     match Pmap.mapped_page pvm region ~vpn with
     | Some page -> page.p_wire_count <- page.p_wire_count + 1
     | None -> assert false

@@ -1,10 +1,5 @@
-(* Locating the logical value of a (cache, offset) pair.
-
-   A cache miss is resolved by looking upwards in the copy tree
-   (paper §4.2.1); if the walk ends at a cache bound to a segment the
-   data is pulled in (§4.1.2), otherwise the value is zero (anonymous
-   memory).  An anonymous cache that has pushed pages to a swap
-   backing recovers them here as well. *)
+(* Locating the logical value of a (cache, offset) pair: the copy-tree
+   walk of §4.2.1, and the miss decision and the pull of §4.1.2. *)
 
 open Types
 
@@ -35,6 +30,7 @@ and[@chorus.hot] [@chorus.alloc_ok
       locate pvm c ~off:o)
   | Some (Sync_stub _) -> assert false (* wait_not_in_transit excludes it *)
   | None ->
+    (* [miss], inline: it runs at every level of the walk *)
     if Install.has_swapped cache ~off then `Pull (cache, off)
     else (
       match Parents.find_covering cache ~off with
@@ -46,6 +42,16 @@ and[@chorus.hot] [@chorus.alloc_ok
         if cache.c_backing <> None && not cache.c_anonymous then
           `Pull (cache, off)
         else `Zero)
+
+type miss = Own | Inherited of frag | Fresh
+
+let miss (cache : cache) ~off =
+  if Install.has_swapped cache ~off then Own
+  else
+    match Parents.find_covering cache ~off with
+    | Some f -> Inherited f
+    | None ->
+      if cache.c_backing <> None && not cache.c_anonymous then Own else Fresh
 
 (* Install the data a segment provides (the [fillUp] downcall of
    Table 4): the [len] bytes at [pos] in [bytes], often a view of the
@@ -150,18 +156,29 @@ let pull_in_page pvm (cache : cache) ~off ~prot =
       close false;
       raise e)
 
-(* The resident page holding the logical value of (cache, off),
-   pulling from a segment if necessary; [`Zero] when the value is
-   untouched anonymous memory.  [source_value_at] starts from the
-   entry its caller read, with no scheduling point since. *)
-let source_value_at pvm (cache : cache) ~off entry : [ `Page of page | `Zero ]
-    =
-  match locate_at pvm cache ~off entry with
+(* pullIn's accessMode (§3.3.3): a read-only pull is upgraded through
+   getWriteAccess by the first write. *)
+let pull_own pvm (cache : cache) ~off ~write =
+  let prot =
+    if cache.c_anonymous then Hw.Prot.all
+    else if write then Hw.Prot.read_write
+    else Hw.Prot.read_only
+  in
+  pull_in_page pvm cache ~off ~prot
+
+let pulled pvm : located -> [ `Page of page | `Zero ] = function
   | `Page p -> `Page p
   | `Zero -> `Zero
-  | `Pull (c, o) ->
-    let prot = if c.c_anonymous then Hw.Prot.all else Hw.Prot.read_only in
-    `Page (pull_in_page pvm c ~off:o ~prot)
+  | `Pull (c, o) -> `Page (pull_own pvm c ~off:o ~write:false)
+
+let[@chorus.spanned "tree walk under the fault span of its callers"]
+    inherited_value pvm ~off (f : frag) =
+  charge pvm Hw.Cost.Tree_lookup;
+  bump pvm.stats sc_tree_lookups;
+  pulled pvm (locate pvm f.f_parent ~off:(off - f.f_off + f.f_parent_off))
+
+let source_value_at pvm (cache : cache) ~off entry =
+  pulled pvm (locate_at pvm cache ~off entry)
 
 let source_value pvm (cache : cache) ~off =
   source_value_at pvm cache ~off (Global_map.wait_not_in_transit pvm cache ~off)

@@ -5,7 +5,11 @@
     the data is pulled in with the §4.1.2 protocol (synchronization
     page stub, [pullIn] upcall, [fillUp] delivery); otherwise the
     value is zero (anonymous memory).  Anonymous caches recover pages
-    they pushed to a swap backing here as well. *)
+    they pushed to a swap backing here as well.
+
+    The decision on an empty row ({!miss}) and the rights a pull asks
+    for ({!pull_own}) are made in this module and nowhere else; the
+    fault handler and the explicit copies dispatch on their answers. *)
 
 val deliver :
   Types.pvm -> Types.cache -> offset:int -> ?pos:int -> ?len:int ->
@@ -18,12 +22,27 @@ val deliver :
     already-resident pages.  [dirty] distinguishes authoritative
     segment data (clean) from data that exists nowhere else. *)
 
-val pull_in_page : Types.pvm -> Types.cache -> off:int -> prot:Hw.Prot.t -> Types.page
-(** The §4.1.2 pull: place a synchronization stub so concurrent access
-    sleeps, upcall the segment's [pullIn] with the requested access
-    mode, and expect the page to have been filled up on return.  A
-    failing or lying segment never leaves the stub behind.
+type miss = Own | Inherited of Types.frag | Fresh
+
+val miss : Types.cache -> off:int -> miss
+(** The §4.1.2 decision on a global-map row read empty: the cache's
+    own data to pull (pages it pushed to swap, or its segment's), the
+    value of the parent fragment covering [off], or zero.  Charges
+    nothing. *)
+
+val pull_own : Types.pvm -> Types.cache -> off:int -> write:bool -> Types.page
+(** The §4.1.2 pull of (cache, off)'s own data: place a
+    synchronization stub so concurrent access sleeps, upcall the
+    segment's [pullIn] with every right for anonymous data, otherwise
+    read-write for a [write] and read-only for a read, and expect the
+    page filled up on return.  A failing or lying segment never leaves
+    the stub behind.
     @raise Failure if the segment violates the fillUp contract. *)
+
+val inherited_value :
+  Types.pvm -> off:int -> Types.frag -> [ `Page of Types.page | `Zero ]
+(** The value a miss at [off] inherits through the fragment {!miss}
+    found, walking on from it with no second read of the row. *)
 
 val source_value : Types.pvm -> Types.cache -> off:int -> [ `Page of Types.page | `Zero ]
 (** Walk the copy tree (through resident pages, deferred-copy stubs

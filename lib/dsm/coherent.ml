@@ -157,14 +157,3 @@ let attach t pvm =
   site.s_cache <- Some cache;
   t.sites <- site :: t.sites;
   site
-
-let master_read t ~offset ~len =
-  Hw.Engine.note_ambient ~write:false (-5) 0;
-  let first = offset / t.page_size and last = (offset + len - 1) / t.page_size in
-  List.iter
-    (fun s ->
-      for page = first to last do
-        if mode s ~page = Writing then collect t s ~page
-      done)
-    t.sites;
-  Bytes.sub t.master offset len

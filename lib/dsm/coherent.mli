@@ -40,7 +40,3 @@ val mode : site -> page:int -> mode
 (** The site's current access mode for a page (for tests). *)
 
 val stats : t -> stats
-
-val master_read : t -> offset:int -> len:int -> Bytes.t
-(** Coherent read of the home copy: collects the freshest data
-    (syncing the current writer first). *)

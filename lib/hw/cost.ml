@@ -182,9 +182,6 @@ let prim_name = function
 
 let prim_names = Array.of_list (List.map prim_name all_prims)
 
-let prim_of_name name =
-  List.find_opt (fun p -> prim_name p = name) all_prims
-
 let span_of p = function
   | Bzero_page -> p.t_bzero_page
   | Bcopy_page -> p.t_bcopy_page

@@ -84,9 +84,6 @@ val prim_names : string array
 (** All primitive names, indexed by {!prim_index} — the slot table to
     pass to {!Obs.Metrics.create}. *)
 
-val prim_of_name : string -> prim option
-(** Inverse of {!prim_name}. *)
-
 val span_of : profile -> prim -> Sim_time.span
 (** The calibrated cost of one primitive under a profile. *)
 

@@ -64,7 +64,6 @@ let check_alive space =
   if not space.alive then invalid_arg "Mmu: space destroyed"
 
 let vpn_of_addr t addr = addr / t.page_size
-let page_base t ~vpn = vpn * t.page_size
 
 (* Multiplicative (Fibonacci) hashing: the top bits of [vpn * odd
    constant], so the pages of regions whose bases agree modulo the
@@ -234,7 +233,3 @@ let iter space f =
   List.iter
     (fun (vpn, frame, prot) -> f ~vpn frame prot)
     (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !entries)
-
-let pp_fault ppf = function
-  | Unmapped -> Format.pp_print_string ppf "unmapped"
-  | Protection -> Format.pp_print_string ppf "protection"

@@ -68,8 +68,6 @@ val destroy_space : space -> unit
 val vpn_of_addr : t -> int -> int
 (** Virtual page number containing a virtual address. *)
 
-val page_base : t -> vpn:int -> int
-
 val map : space -> vpn:int -> Phys_mem.frame -> Prot.t -> int
 (** Installs (or replaces) the PTE for [vpn] and returns the index of
     the frame it mapped before, or [-1] when it was unmapped: one probe
@@ -128,5 +126,3 @@ val mapped_pages : space -> int
 val iter : space -> (vpn:int -> Phys_mem.frame -> Prot.t -> unit) -> unit
 (** Calls the function on every PTE in ascending vpn order, over a
     snapshot taken first (so the function may mutate the space). *)
-
-val pp_fault : Format.formatter -> fault -> unit

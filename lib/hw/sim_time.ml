@@ -12,5 +12,3 @@ let pp ppf t =
   if t >= 1_000_000 then Format.fprintf ppf "%.2fms" (to_ms_float t)
   else if t >= 1_000 then Format.fprintf ppf "%.2fus" (to_us_float t)
   else Format.fprintf ppf "%dns" t
-
-let pp_ms ppf t = Format.fprintf ppf "%.2f" (to_ms_float t)

@@ -28,6 +28,3 @@ val to_ms_float : span -> float
 
 val pp : Format.formatter -> t -> unit
 (** Prints a time in the most readable unit, e.g. ["1.40ms"]. *)
-
-val pp_ms : Format.formatter -> t -> unit
-(** Prints a time in milliseconds with two decimals, e.g. ["36.60"]. *)

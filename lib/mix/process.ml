@@ -2,7 +2,6 @@ type state = Running | Zombie of int | Reaped
 
 type t = {
   p_pid : int;
-  p_parent : int;
   mutable p_actor : Nucleus.Actor.t;
   mutable p_state : state;
   mutable p_image : string;
@@ -42,7 +41,6 @@ let transit m = m.transit
 let site m = m.site
 
 let pid p = p.p_pid
-let parent_pid p = p.p_parent
 let state p = p.p_state
 let actor p = p.p_actor
 let image_name p = p.p_image
@@ -89,7 +87,6 @@ let spawn_init m ~image =
   let p =
     {
       p_pid = m.next_pid;
-      p_parent = 0;
       p_actor = Nucleus.Actor.create m.site;
       p_state = Running;
       p_image = "";
@@ -126,7 +123,6 @@ let[@chorus.hot] fork m (parent : t) =
   let child =
     {
       p_pid = m.next_pid;
-      p_parent = parent.p_pid;
       p_actor = actor;
       p_state = Running;
       p_image = parent.p_image;
@@ -192,6 +188,3 @@ let sbrk m (p : t) increment =
   old_brk
 
 let brk (p : t) = p.p_brk
-
-let data_ptr _ = data_base
-let stack_ptr _ = stack_base

@@ -34,7 +34,6 @@ val wait : manager -> t -> (t * int) option
 (** Reap one zombie child, if any ([None] when all children run). *)
 
 val pid : t -> int
-val parent_pid : t -> int
 val state : t -> state
 val actor : t -> Nucleus.Actor.t
 val image_name : t -> string
@@ -50,9 +49,3 @@ val sbrk : manager -> t -> int -> int
 
 val brk : t -> int
 (** The current break (first unallocated heap address). *)
-
-val data_ptr : t -> int
-(** Convenience: first address of the data region. *)
-
-val stack_ptr : t -> int
-(** Convenience: first address of the stack region. *)

@@ -157,12 +157,6 @@ let[@chorus.hot] destroy a =
   Core.Context.destroy a.a_site.pvm a.a_ctx;
   a.a_alive <- false
 
-let find_mapping a ~addr =
-  match Core.Context.find_region a.a_ctx ~addr with
-  | None -> None
-  | Some region ->
-    List.find_opt (fun m -> m.m_region == region) a.a_mappings
-
 let read a ~addr ~len =
   check_alive a;
   Core.Pvm.read a.a_site.pvm a.a_ctx ~addr ~len

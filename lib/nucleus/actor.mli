@@ -71,8 +71,6 @@ val rgn_init_from_actor :
 
 val rgn_free : t -> mapping -> unit
 
-val find_mapping : t -> addr:int -> mapping option
-
 val read : t -> addr:int -> len:int -> Bytes.t
 (** Simulated program read by one of the actor's threads. *)
 

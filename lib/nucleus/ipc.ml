@@ -4,7 +4,6 @@ type endpoint = message Port.t
 exception Message_too_big of int
 
 let make_endpoint ?name () = Port.create ?name ()
-let message_len m = m.msg_len
 
 let window (a : Actor.t) ~addr ~len =
   match Core.Context.find_region a.Actor.a_ctx ~addr with
@@ -48,20 +47,6 @@ let send (a : Actor.t) transit ~dst ~addr ~len =
     ~size:len ();
   Port.send dst { msg_slot = slot; msg_len = len }
 
-let send_bytes (site : Site.t) transit ~dst payload =
-  let len = Bytes.length payload in
-  check_len len;
-  spanned site.pvm ~name:"ipc.send" ~len @@ fun () ->
-  let slot = Transit.alloc transit in
-  let ps = Core.Pvm.page_size site.pvm in
-  let padded = (len + ps - 1) / ps * ps in
-  let buf = Bytes.make padded '\000' in
-  Bytes.blit payload 0 buf 0 len;
-  Core.Cache.fill_up site.pvm (Transit.cache transit)
-    ~offset:(Transit.slot_offset transit slot)
-    buf;
-  Port.send dst { msg_slot = slot; msg_len = len }
-
 let receive (a : Actor.t) transit endpoint ~addr =
   let site = a.Actor.a_site in
   let msg = Port.receive endpoint in
@@ -73,14 +58,3 @@ let receive (a : Actor.t) transit endpoint ~addr =
     ~dst ~dst_off ~size:msg.msg_len ();
   Transit.release transit msg.msg_slot;
   msg.msg_len
-
-let receive_bytes (site : Site.t) transit endpoint =
-  let msg = Port.receive endpoint in
-  spanned site.pvm ~name:"ipc.receive" ~len:msg.msg_len @@ fun () ->
-  let data =
-    Core.Cache.copy_back site.pvm (Transit.cache transit)
-      ~offset:(Transit.slot_offset transit msg.msg_slot)
-      ~size:msg.msg_len
-  in
-  Transit.release transit msg.msg_slot;
-  data

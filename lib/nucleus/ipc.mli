@@ -21,14 +21,6 @@ val send : Actor.t -> Transit.t -> dst:endpoint -> addr:int -> len:int -> unit
 (** Send [len] bytes at [addr] in the sender's address space.
     @raise Message_too_big beyond 64 KB. *)
 
-val send_bytes : Site.t -> Transit.t -> dst:endpoint -> Bytes.t -> unit
-(** Kernel-side send of an out-of-actor payload (system services). *)
-
 val receive : Actor.t -> Transit.t -> endpoint -> addr:int -> int
 (** Receive the oldest message into the receiver's address space at
     [addr]; blocks while the queue is empty; returns the length. *)
-
-val receive_bytes : Site.t -> Transit.t -> endpoint -> Bytes.t
-(** Kernel-side receive returning the payload. *)
-
-val message_len : message -> int

@@ -39,10 +39,6 @@ let rec receive t =
     Hw.Engine.Cond.wait t.arrival;
     receive t
 
-let poll t =
-  Hw.Engine.note_ambient (-4) 0;
-  Queue.take_opt t.queue
-
 let pending t =
   Hw.Engine.note_ambient ~write:false (-4) 0;
   Queue.length t.queue

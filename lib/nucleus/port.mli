@@ -14,7 +14,4 @@ val receive : 'a t -> 'a
 (** Dequeue the oldest message, blocking the calling fibre while the
     queue is empty.  Must run inside {!Hw.Engine.run}. *)
 
-val poll : 'a t -> 'a option
-(** Non-blocking receive. *)
-
 val pending : 'a t -> int

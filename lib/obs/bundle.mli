@@ -73,13 +73,10 @@ val of_json : Json.t -> (t, string) result
 (** Rejects objects whose ["schema"] is missing or unknown.  A missing
     ["cpus"] reads as 0. *)
 
-val filename : t -> string
-(** Deterministic suggested basename,
-    [bundle-<scenario>-<kind>.json]. *)
-
 val write : dir:string -> t -> string
-(** Serialize into [dir] (created if missing) under {!filename};
-    returns the full path written. *)
+(** Serialize into [dir] (created if missing) under the deterministic
+    basename [bundle-<scenario>-<kind>.json]; returns the full path
+    written. *)
 
 val read : string -> (t, string) result
 (** Load and validate a bundle file. *)

@@ -194,4 +194,3 @@ let member name = function Obj fields -> List.assoc_opt name fields | _ -> None
 let get_str = function Some (Str s) -> Some s | _ -> None
 let get_num = function Some (Num f) -> Some f | _ -> None
 let get_list = function Some (List l) -> Some l | _ -> None
-let get_obj = function Some (Obj o) -> Some o | _ -> None

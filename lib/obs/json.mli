@@ -30,4 +30,3 @@ val member : string -> t -> t option
 val get_str : t option -> string option
 val get_num : t option -> float option
 val get_list : t option -> t list option
-val get_obj : t option -> (string * t) list option

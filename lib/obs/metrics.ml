@@ -32,11 +32,6 @@ let create ?(prims = [||]) () =
     prim = Array.make (2 * Array.length prims) 0;
   }
 
-let reset t =
-  Hashtbl.reset t.cs;
-  Hashtbl.reset t.hs;
-  Array.fill t.prim 0 (Array.length t.prim) 0
-
 let counter t name =
   match Hashtbl.find_opt t.cs name with
   | Some c -> c
@@ -66,8 +61,6 @@ let observe h ns =
   r.(h_sum) <- r.(h_sum) + ns;
   if ns < r.(h_min) then r.(h_min) <- ns;
   if ns > r.(h_max) then r.(h_max) <- ns
-
-let clear_histogram h = Array.blit h_init 0 h.h_cells 0 (Array.length h_init)
 
 let histogram_stats h =
   let r = h.h_cells in

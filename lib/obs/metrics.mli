@@ -18,8 +18,6 @@ val create : ?prims:string array -> unit -> t
 (** [prims] names the slots of the per-primitive attribution table
     (see {!charge}); defaults to an empty table. *)
 
-val reset : t -> unit
-
 (** {1 Counters} *)
 
 type counter
@@ -43,11 +41,6 @@ val histogram : t -> string -> histogram
 
 val observe : histogram -> int -> unit
 (** Record one sim-time observation (ns). *)
-
-val clear_histogram : histogram -> unit
-(** Drop a histogram's observations, keeping its registration.  For
-    publishers that re-snapshot a distribution on every report (e.g.
-    table occupancy) rather than accumulating a stream. *)
 
 type hstats = { count : int; sum : int; min : int; max : int }
 

@@ -59,13 +59,6 @@ let null = create ~capacity:0 ()
 
 let enabled t = t.enabled
 let enable t = if t.capacity > 0 then t.enabled <- true
-let disable t = t.enabled <- false
-
-let clear t =
-  t.start <- 0;
-  t.len <- 0;
-  t.dropped <- 0;
-  Hashtbl.reset t.open_spans
 
 let set_clock t clock = t.clock <- clock
 let set_fibre t fibre = t.fibre <- fibre
@@ -314,28 +307,3 @@ let to_chrome_json t =
        "],\"otherData\":{\"droppedEvents\":%d,\"bufferedEvents\":%d}}\n"
        (dropped t) (length t));
   Buffer.contents buf
-
-let pp_value ppf = function
-  | Int n -> Format.fprintf ppf "%d" n
-  | Str s -> Format.fprintf ppf "%s" s
-
-let pp_args ppf args =
-  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_value v) args
-
-let pp_text ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun ev ->
-      match ev with
-      | Span { name; cat; ts; dur; fib; args } ->
-        Format.fprintf ppf "%12dns fib%-3d span    %-14s %s dur=%dns%a@," ts
-          fib name cat dur pp_args args
-      | Instant { name; cat; ts; fib; args } ->
-        Format.fprintf ppf "%12dns fib%-3d instant %-14s %s%a@," ts fib name
-          cat pp_args args
-      | Counter { name; ts; value } ->
-        Format.fprintf ppf "%12dns        counter %-14s = %d@," ts name value)
-    (sorted_events t);
-  if dropped t > 0 then
-    Format.fprintf ppf "(%d events dropped by the ring buffer)@," (dropped t);
-  Format.fprintf ppf "@]"

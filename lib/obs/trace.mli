@@ -50,8 +50,6 @@ val null : t
 
 val enabled : t -> bool
 val enable : t -> unit
-val disable : t -> unit
-val clear : t -> unit
 
 val length : t -> int
 (** Buffered events. *)
@@ -107,6 +105,3 @@ val to_chrome_json : t -> string
     suffix of the run.  Traces with lane slices add a second process
     (pid 2, named "simulated CPUs") with one thread per simulated CPU
     holding that CPU's slice spans. *)
-
-val pp_text : Format.formatter -> t -> unit
-(** Compact text rendering, one event per line. *)

@@ -18,7 +18,7 @@ type t = {
   mappers : (int, Mapper.t) Hashtbl.t;
   bindings : binding Capability.Table.t;
   mutable next_port : int;
-  mutable retention_capacity : int;
+  retention_capacity : int;
   mutable generation : int;
   mutable unreferenced : int;
       (* bindings with no reference: the retained caches, counted so
@@ -28,7 +28,6 @@ type t = {
 }
 
 let stats t = t.stats
-let set_retention_capacity t n = t.retention_capacity <- n
 
 (* Segment-manager decisions as instant trace events, category "seg".
    Callers test [tracing] first, so a disabled tracer costs no
@@ -70,7 +69,6 @@ let register_mapper t mapper =
   Hashtbl.replace t.mappers port mapper;
   port
 
-let bound_count t = Capability.Table.length t.bindings
 let retained_count t = t.unreferenced
 
 (* The least recently unbound retained binding (generations are

@@ -45,7 +45,6 @@ val create_temporary : t -> Core.Pvm.cache
 
 val destroy_temporary : t -> Core.Pvm.cache -> unit
 
-val bound_count : t -> int
 val retained_count : t -> int
 
 type stats = {
@@ -57,4 +56,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val set_retention_capacity : t -> int -> unit

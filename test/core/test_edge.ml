@@ -362,17 +362,30 @@ let written_source pvm ~pages =
   done;
   src
 
+(* [src]'s first [pages] pages under a history copy, [dst], mapped
+   through a context of its own. *)
+let history_child pvm ~pages =
+  let src = written_source pvm ~pages in
+  let dst = Core.Cache.create pvm () in
+  Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
+    ~size:(pages * ps) ();
+  let ctx = Core.Context.create pvm in
+  map_cache pvm ctx dst ~pages;
+  ctx
+
 let test_alloc_borrow_fault () =
   with_pvm (fun pvm ->
-      let src = written_source pvm ~pages:32 in
-      let dst = Core.Cache.create pvm () in
-      Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
-        ~size:(32 * ps) ();
-      let ctx = Core.Context.create pvm in
-      map_cache pvm ctx dst ~pages:32;
+      let ctx = history_child pvm ~pages:32 in
       words_per_op 32 (fun i ->
           Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Read)
       |> check_words "a borrow read fault" ~bound:34.)
+
+let test_alloc_cow_write_fault () =
+  with_pvm (fun pvm ->
+      let ctx = history_child pvm ~pages:32 in
+      words_per_op 32 (fun i ->
+          Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Write)
+      |> check_words "a history COW write fault" ~bound:64.)
 
 let test_alloc_remap_fault () =
   with_pvm (fun pvm ->
@@ -456,12 +469,7 @@ let test_fault_probes () =
         (fun i -> Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Write));
   (* borrow: the child's row read empty, then the parent's *)
   with_pvm (fun pvm ->
-      let src = written_source pvm ~pages:n in
-      let dst = Core.Cache.create pvm () in
-      Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
-        ~size:(n * ps) ();
-      let ctx = Core.Context.create pvm in
-      map_cache pvm ctx dst ~pages:n;
+      let ctx = history_child pvm ~pages:n in
       check_probes pvm "a borrow read fault" ~n ~gmap:2 ~stub_sources:0
         (fun i -> Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Read));
   (* re-map: the resident row, read once *)
@@ -475,15 +483,34 @@ let test_fault_probes () =
   (* history COW: the child's row read empty, the parent's read, then
      the copy installed *)
   with_pvm (fun pvm ->
-      let src = written_source pvm ~pages:n in
-      let dst = Core.Cache.create pvm () in
-      Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
-        ~size:(n * ps) ();
-      let ctx = Core.Context.create pvm in
-      map_cache pvm ctx dst ~pages:n;
+      let ctx = history_child pvm ~pages:n in
       check_probes pvm "a history COW write fault" ~n ~gmap:3
         ~stub_sources:0 (fun i ->
-          Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Write))
+          Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Write));
+  (* pull-in: the row read empty, the synchronization stub placed,
+     the row read by fillUp and by the page maker after its frame
+     allocation, the page installed, and the row read once the segment
+     returns; the page the pull returned is then mapped as it is *)
+  List.iter
+    (fun (what, access) ->
+      with_pvm (fun pvm ->
+          let backing =
+            {
+              Core.Gmi.b_name = "seg";
+              b_pull_in =
+                (fun ~offset ~size ~prot:_ ~fill_up ->
+                  fill_up ~offset (Bytes.make size 's'));
+              b_get_write_access = (fun ~offset:_ ~size:_ -> ());
+              b_push_out = (fun ~offset:_ ~size:_ ~copy_back:_ -> ());
+            }
+          in
+          let cache = Core.Cache.create pvm ~backing () in
+          let ctx = Core.Context.create pvm in
+          map_cache pvm ctx cache ~pages:n;
+          check_probes pvm what ~n ~gmap:6 ~stub_sources:0 (fun i ->
+              Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access)))
+    [ ("a segment pull-in read fault", `Read);
+      ("a segment pull-in write fault", `Write) ]
 
 (* --- Exceptions inside the pinned halves ---------------------------- *)
 
@@ -832,6 +859,8 @@ let tests =
       test_alloc_zero_fill_fault;
     Alcotest.test_case "alloc: borrow read fault" `Quick
       test_alloc_borrow_fault;
+    Alcotest.test_case "alloc: history COW write fault" `Quick
+      test_alloc_cow_write_fault;
     Alcotest.test_case "alloc: re-map of a resident page" `Quick
       test_alloc_remap_fault;
     Alcotest.test_case "alloc: 8-page per-page copy" `Quick
