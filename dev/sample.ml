@@ -15,8 +15,8 @@
    - OCaml runs a signal handler at the next poll point of OCaml code.
      So time spent in C calls and in GC slices is charged to the
      function that polls next, not to the C code or the allocation that
-     caused it: storm's [bzero] (a C fill) shows up under
-     [Parents.covering_history].
+     caused it: storm's [bzero] (a C fill) shows up under whichever
+     function polls next after the fill.
    - A fibre runs on a stack of its own, which ends at its effect
      handler.  A sample taken in a fibre holds the fibre's frames only,
      not the frames of the engine loop that resumed it.

@@ -67,6 +67,14 @@ let rules =
 
 (* --- the sweep --------------------------------------------------- *)
 
+(* A fragment list is canonical (§4.2.4): sorted, non-overlapping,
+   sizes positive. *)
+let rec canonical = function
+  | a :: (b :: _ as rest) ->
+    a.f_size > 0 && a.f_off + a.f_size <= b.f_off && canonical rest
+  | [ a ] -> a.f_size > 0
+  | [] -> true
+
 let run ?(strict = true) (pvm : pvm) : violation list =
   let errs = ref [] in
   let err rule fmt =
@@ -210,7 +218,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
   (* history trees *)
   List.iter
     (fun (c : cache) ->
-      if not (Core.Parents.check_invariant c) then
+      if not (canonical c.c_parents) then
         err "history" "cache %d: fragment list not canonical" c.c_id;
       List.iter
         (fun (f : frag) ->
@@ -228,10 +236,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
         (fun (child : cache) ->
           if not child.c_alive then
             err "history" "cache %d: dead child %d" c.c_id child.c_id;
-          if
-            not
-              (List.exists (fun f -> f.f_parent == c) child.c_parents)
-          then
+          if not (Core.Parents.names child c) then
             err "history" "cache %d: child %d has no fragment back" c.c_id
               child.c_id)
         c.c_children;
@@ -239,7 +244,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
       | Some h ->
         if not h.c_alive then
           err "history" "cache %d: dead history %d" c.c_id h.c_id;
-        if not (List.exists (fun f -> f.f_parent == c) h.c_parents) then
+        if not (Core.Parents.names h c) then
           err "history" "cache %d: history %d has no fragment back" c.c_id
             h.c_id
       | None -> ());

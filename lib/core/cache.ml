@@ -48,13 +48,7 @@ let[@chorus.noted
 (* Does nothing read this cache: no fragment child, no stub reader? *)
 let[@chorus.noted "callers (the liveness rule) note the topology first"] unread
     (cache : cache) =
-  cache.c_children = [] && not (has_stub_readers cache)
-
-(* The caches [cache]'s fragments name as parents, each once. *)
-let[@chorus.noted "callers (teardown, purge_range) note the topology first"] distinct_parents
-    (cache : cache) =
-  List.map (fun f -> f.f_parent) cache.c_parents
-  |> List.fold_left (fun acc p -> if List.memq p acc then acc else p :: acc) []
+  Parents.children cache = [] && not (has_stub_readers cache)
 
 (* Teardown's walkers: top-level, so a teardown builds no closure. *)
 let[@chorus.hot] rec kill_stubs pvm = function
@@ -94,11 +88,6 @@ let[@chorus.hot] rec drain_pages pvm (cache : cache) budget =
     drop_pages pvm pages;
     drain_pages pvm cache (budget - 1)
 
-(* Does a fragment of the list name [parent]? *)
-let[@chorus.hot] rec frag_of (parent : cache) = function
-  | [] -> false
-  | f :: rest -> f.f_parent == parent || frag_of parent rest
-
 (* The liveness walk: the hidden caches that read [c], directly or
    through other hidden caches, [c] included, found backwards along
    reader edges — fragment children, then the destinations of the live
@@ -116,7 +105,7 @@ let[@chorus.noted "the liveness rule notes the topology before the walk"] reader
     if cache_visible c || (c.c_zombie && unread c) then raise_notrace Read
     else if (not c.c_alive) || List.memq c seen then seen
     else
-      let seen = List.fold_left visit (c :: seen) c.c_children in
+      let seen = List.fold_left visit (c :: seen) (Parents.children c) in
       let seen =
         List.fold_left
           (fun seen (p : page) -> List.fold_left via seen p.p_cow_stubs)
@@ -143,8 +132,7 @@ and[@chorus.hot] [@chorus.noted
     pvm (cache : cache) = function
   | [] -> ()
   | (parent : cache) :: rest ->
-    if not (frag_of parent cache.c_parents) then begin
-      parent.c_children <- Parents.without_cache cache parent.c_children;
+    if Parents.leave cache ~parent then begin
       History.child_detached parent cache;
       reap pvm parent
     end;
@@ -152,7 +140,7 @@ and[@chorus.hot] [@chorus.noted
 
 (* Fully dismantle a cache that nothing depends on any more. *)
 and[@chorus.hot] teardown pvm (cache : cache) =
-  assert (cache.c_children = []);
+  assert (Parents.children cache = []);
   (* Stubs we are the destination of die first: they thread through
      OTHER caches' pages, and leaving them alive would let a cascaded
      teardown of those caches materialise pages back into us after our
@@ -164,7 +152,7 @@ and[@chorus.hot] teardown pvm (cache : cache) =
   (* drop our pages; flushing can insert new ones behind the
      iteration, so drain to a fixpoint *)
   drain_pages pvm cache 64;
-  let parents_before = distinct_parents cache in
+  let parents_before = Parents.parents cache in
   Parents.detach_all cache;
   cache.c_alive <- false;
   cache.c_zombie <- false;
@@ -204,35 +192,6 @@ and reap pvm (cache : cache) =
         List.iter (reap pvm) dead;
         List.iter (reap pvm) !sources
 
-(* Overlap of fragment [f]'s parent window with [off, off+size) of the
-   parent, expressed in the child's offsets. *)
-let child_overlap (f : frag) ~off ~size =
-  let p_lo = f.f_parent_off and p_hi = f.f_parent_off + f.f_size in
-  let lo = max p_lo off and hi = min p_hi (off + size) in
-  if lo >= hi then None
-  else Some (f.f_off + (lo - f.f_parent_off), hi - lo)
-
-(* Does fragment [f]'s parent window overlap [off, off+size) of the
-   parent?  [child_overlap]'s test, with no result to build. *)
-let overlaps (f : frag) ~off ~size =
-  max f.f_parent_off off < min (f.f_parent_off + f.f_size) (off + size)
-
-let[@chorus.hot] [@chorus.noted
-     "range_has_readers notes the topology before the walk"] rec frags_read
-    (cache : cache) ~off ~size = function
-  | [] -> false
-  | f :: rest ->
-    (f.f_parent == cache && overlaps f ~off ~size)
-    || frags_read cache ~off ~size rest
-
-let[@chorus.hot] [@chorus.noted
-     "range_has_readers notes the topology before the walk"] rec children_read
-    (cache : cache) ~off ~size = function
-  | [] -> false
-  | (child : cache) :: rest ->
-    frags_read cache ~off ~size child.c_parents
-    || children_read cache ~off ~size rest
-
 (* Is a pending-stub row keyed on [cache] at some page offset in
    [o, last)?  Each probed offset is noted, as a read or a write. *)
 let[@chorus.hot] rec pending_in pvm (cache : cache) ~write ~o ~last =
@@ -249,8 +208,7 @@ let[@chorus.hot] rec pending_in pvm (cache : cache) ~write ~o ~last =
    children and other fragment children do; so do pending per-page
    stubs whose source key names this cache. *)
 let[@chorus.hot] range_has_readers pvm (cache : cache) ~off ~size =
-  note_structure ~write:false pvm;
-  children_read cache ~off ~size cache.c_children
+  Parents.range_read cache ~off ~size
   || pending_in pvm cache ~write:false ~o:(page_align_down pvm off)
        ~last:(page_align_up pvm (off + size))
 
@@ -321,63 +279,29 @@ let split_to_zombie pvm (cache : cache) ~off
   (* Migrate parent fragments covering the range.  If this cache was a
      parent's history object over a migrated fragment, the history role
      moves to z: the parent's future originals belong to the old
-     contents. *)
+     contents.  When the cache also reads that parent outside the
+     range, it needs those originals too: a working cache is
+     interposed instead, and the cache and z both read through it. *)
+  let frags = Parents.frags cache in
+  let outside (g : frag) = g.f_off < off || g.f_off + g.f_size > off + size in
   List.iter
     (fun f ->
-      if f.f_off < off + size && off < f.f_off + f.f_size then begin
-        let lo = max f.f_off off and hi = min (f.f_off + f.f_size) (off + size) in
-        Parents.insert z
-          {
-            f_off = lo;
-            f_size = hi - lo;
-            f_parent = f.f_parent;
-            f_parent_off = f.f_parent_off + (lo - f.f_off);
-            f_policy = f.f_policy;
-          };
-        match f.f_parent.c_history with
-        | Some h when h == cache -> f.f_parent.c_history <- Some z
-        | Some _ | None -> ()
-      end)
-    cache.c_parents;
-  (* Redirect children's fragments over the range to z. *)
+      match f.f_parent.c_history with
+      | Some h when h == cache && f.f_off < off + size && off < f.f_off + f.f_size
+        ->
+        if List.exists (fun g -> g.f_parent == f.f_parent && outside g) frags
+        then ignore (History.insert_working_cache pvm f.f_parent)
+        else f.f_parent.c_history <- Some z
+      | Some _ | None -> ())
+    frags;
+  Parents.inherit_range cache ~dst:z ~off ~size;
+  (* Children's fragments over the range read z; those left reading
+     nothing of this cache stop being its children. *)
   List.iter
     (fun (child : cache) ->
-      let changed = ref false in
-      child.c_parents <-
-        List.concat_map
-          (fun f ->
-            if not (f.f_parent == cache) then [ f ]
-            else
-              match child_overlap f ~off ~size with
-              | None -> [ f ]
-              | Some (c_lo, c_size) ->
-                changed := true;
-                let pieces = Parents.subtract f ~off:c_lo ~size:c_size in
-                {
-                  f_off = c_lo;
-                  f_size = c_size;
-                  f_parent = z;
-                  f_parent_off = f.f_parent_off + (c_lo - f.f_off);
-                  f_policy = f.f_policy;
-                }
-                :: pieces)
-          child.c_parents;
-      if !changed then begin
-        child.c_parents <-
-          List.sort (fun a b -> compare a.f_off b.f_off) child.c_parents;
-        if not (List.memq child z.c_children) then
-          z.c_children <- child :: z.c_children
-      end)
-    cache.c_children;
-  (* Children fully redirected to z stop being our children. *)
-  List.iter
-    (fun (child : cache) ->
-      if not (List.exists (fun f -> f.f_parent == cache) child.c_parents) then begin
-        cache.c_children <-
-          List.filter (fun c -> not (c == child)) cache.c_children;
-        History.child_detached cache child
-      end)
-    cache.c_children;
+      Parents.redirect child ~old_parent:cache ~new_parent:z ~off ~size;
+      History.child_detached cache child)
+    (Parents.children cache);
   List.iter (fun (p : page) -> p.p_wire_count <- p.p_wire_count - 1) !pinned;
   z
 
@@ -479,7 +403,7 @@ let[@chorus.hot] purge_range pvm (cache : cache) ~off ~size =
       | Some (Cow_stub s) -> Pervpage.kill pvm s
       | _ -> ()
     done;
-    let parents_before = distinct_parents cache in
+    let parents_before = Parents.parents cache in
     Parents.remove_range cache ~off ~size;
     detach_unreferenced pvm cache ~parents_before
   end
@@ -655,7 +579,7 @@ let[@chorus.hot] [@chorus.spanned "runs under the move span opened by move"] rec
   | Some (Resident p) when movable p ->
     charge pvm Hw.Cost.Mmu_map;
     move_resident pvm p ~src ~o ~dst ~d_off
-  | Some (Cow_stub s as entry) when not (Parents.is_covered src ~off:o) ->
+  | Some (Cow_stub s as entry) when Parents.history_off src ~off:o < 0 ->
     (* a still-deferred value moves by re-targeting the stub — unless a
        history child snapshots the source, in which case the stub must
        stay (the fallback below copies) *)
@@ -849,7 +773,7 @@ let[@chorus.hot] destroy pvm (cache : cache) =
   note_structure pvm;
   if cache.c_mappings <> [] then
     invalid_arg "cacheDestroy: regions still map this cache";
-  if cache.c_children = [] then teardown pvm cache
+  if Parents.children cache = [] then teardown pvm cache
   else begin
     cache.c_zombie <- true;
     cache.c_is_history <- true;

@@ -44,15 +44,7 @@ let[@chorus.hot] [@chorus.spanned
     (value : [ `Page of page | `Zero ]) =
   (match value with `Page sp -> Pervpage.wire sp | `Zero -> ());
   match
-    (match History.covered_and_missing pvm cache ~off with
-    | None -> ()
-    | Some (h, h_off) -> (
-      match value with
-      | `Page _ as original -> History.store_original pvm original ~h ~h_off
-      | `Zero ->
-        ignore
-          (Pager.make_page pvm h ~off:h_off Pager.Vacant `Zero
-             ~prot:Hw.Prot.all ~protect:true ~dirty:true)));
+    History.save_original pvm cache ~off value;
     let made =
       Pager.make_page pvm cache ~off Pager.Vacant
         (value :> Pager.source)
@@ -114,7 +106,9 @@ and settle pvm (cache : cache) ~off remake =
 let[@chorus.hot] write_miss_page pvm (cache : cache) ~off :
     Value.miss -> page = function
   | Own -> Value.pull_own pvm cache ~off ~write:true
-  | Inherited f -> child_copy pvm cache ~off (Value.inherited_value pvm ~off f)
+  | Inherited ->
+    child_copy pvm cache ~off
+      (Value.inherited_value pvm ~off (Parents.covering cache ~off))
   | Fresh -> zero_fill_page pvm cache ~off
 
 (* Clear everything that makes writing [p] unsafe, a page made for a
@@ -255,12 +249,13 @@ let rec resolve pvm (region : region) (cache : cache) ~off ~vpn ~access :
         (prepare_writable pvm cache ~off (write_miss_page pvm cache ~off miss))
         (match miss with
         | Own -> `Pull_in
-        | Inherited _ -> `Cow_copy
+        | Inherited -> `Cow_copy
         | Fresh -> `Zero_fill)
     | (`Read | `Execute), Own ->
       let p = Value.pull_own pvm cache ~off ~write:false in
       mapped pvm region ~vpn p `Pull_in
-    | (`Read | `Execute), Inherited f -> (
+    | (`Read | `Execute), Inherited -> (
+      let f = Parents.covering cache ~off in
       match (f.f_policy, Value.inherited_value pvm ~off f) with
       | `Copy_on_reference, value ->
         mapped pvm region ~vpn (child_copy pvm cache ~off value) `Cow_copy

@@ -21,29 +21,12 @@ open Types
 
 let whole_window = max_int / 2
 
-(* A source write at [off] must save the original iff the history
-   covers the offset and has not yet got its own version of the page —
-   resident, deferred (stub), in transit, or paged out to its swap. *)
-let covered_and_missing pvm (src : cache) ~off =
-  match Parents.covering_history src ~off with
-  | None -> None
-  | Some (h, h_off) as covered -> (
-    match Global_map.peek pvm h ~off:h_off with
-    | Some _ -> None
-    | None -> if Install.has_swapped h ~off:h_off then None else covered)
-
 let end_store_span tr (h : cache) ~h_off =
   Obs.Trace.span_end tr
     ~args:[ ("cache", Obs.Trace.Int h.c_id); ("off", Obs.Trace.Int h_off) ]
 
-(* Store a copy of the source page (its original value) into history
-   cache [h] at [h_off].  The stored page is dirty (its value exists nowhere
-   else) and itself read-protected when [h] has a history covering it.
-   The page maker's charges are scheduling points: a concurrent writer
-   may have saved the original meanwhile, which makes ours redundant
-   (the §4.2.2 "still missing" condition no longer holds), and a
-   history destroyed meanwhile has nothing left to save.  Either way
-   the write proceeds. *)
+(* Store the source page's original value into history [h] at [h_off]
+   (see [save_original]). *)
 let[@chorus.hot] store_original pvm (src : [ `Page of page ]) ~(h : cache)
     ~h_off =
   let tr = Hw.Engine.tracer pvm.engine in
@@ -61,14 +44,41 @@ let[@chorus.hot] store_original pvm (src : [ `Page of page ]) ~(h : cache)
     if traced then end_store_span tr h ~h_off;
     raise e
 
+(* Save [value], (src, off)'s value before a write, into the source's
+   history iff the history covers [off] and has not yet got its own
+   version of the page — resident, deferred (stub), in transit, or paged
+   out to its swap (its miss there is its own).  The stored page is dirty
+   and read-protected when the history has a covering history.  The
+   page maker's charges are scheduling points: a concurrent writer may
+   have saved the original meanwhile, and a history destroyed meanwhile
+   has nothing left to save; either way the write proceeds.  A [`Zero]
+   is the §4.2.3 complication: a copy's first write to a page it
+   inherited from nowhere. *)
+let[@chorus.hot] save_original pvm (src : cache) ~off
+    (value : [ `Page of page | `Zero ]) =
+  let h_off = Parents.history_off src ~off in
+  if h_off >= 0 then begin
+    let h = Parents.history src in
+    match Global_map.peek pvm h ~off:h_off with
+    | Some _ -> ()
+    | None -> (
+      match Value.miss h ~off:h_off with
+      | Own -> ()
+      | Inherited | Fresh -> (
+        match value with
+        | `Page _ as original -> store_original pvm original ~h ~h_off
+        | `Zero ->
+          ignore
+            (Pager.make_page pvm h ~off:h_off Pager.Vacant `Zero
+               ~prot:Hw.Prot.all ~protect:true ~dirty:true)))
+  end
+
 (* Resolve a write violation on a read-protected page of a copy
    source (§4.2.2): push the original value into the history object if
    it does not already have its own version, then let the page go
    writable. *)
 let resolve_source_write pvm (page : page) =
-  (match covered_and_missing pvm page.p_cache ~off:page.p_offset with
-  | Some (h, h_off) -> store_original pvm (`Page page) ~h ~h_off
-  | None -> ());
+  save_original pvm page.p_cache ~off:page.p_offset (`Page page);
   Pmap.cow_release pvm page;
   page.p_dirty <- true
 
@@ -81,7 +91,9 @@ let insert_working_cache
      collected once no visible cache reads it *)
   let w = Install.new_cache pvm ~anonymous:true ~is_history:true () in
   (match src.c_history with
-  | Some old -> Parents.redirect old ~old_parent:src ~new_parent:w
+  | Some old ->
+    Parents.redirect old ~old_parent:src ~new_parent:w ~off:0
+      ~size:whole_window
   | None -> ());
   Parents.insert w
     {
@@ -139,21 +151,19 @@ let[@chorus.spanned "runs under the copy span opened by Cache.copy"]
       (* Simple case (§4.2.2): the new copy is the history object. *)
       src.c_history <- Some dst;
       src
-    | None -> insert_working_cache pvm src
     | Some h when h == dst ->
       (* Re-copying onto the same destination; the purge has removed
          the old fragments, re-link directly. *)
       src
-    | Some _ -> insert_working_cache pvm src
+    | None | Some _ -> insert_working_cache pvm src
   in
   (* Offsets in a working cache coincide with source offsets. *)
-  let parent_off = if parent == src then src_off else src_off in
   Parents.insert dst
     {
       f_off = dst_off;
       f_size = size;
       f_parent = parent;
-      f_parent_off = parent_off;
+      f_parent_off = src_off;
       f_policy = policy;
     };
   protect_source_range pvm src ~off:src_off ~size
@@ -165,10 +175,7 @@ let[@chorus.spanned "runs under the copy span opened by Cache.copy"]
    at the next fault, costing nothing now — see DESIGN.md). *)
 let child_detached (parent : cache) (child : cache) =
   note_structure parent.c_pvm;
-  let still_references =
-    List.exists (fun f -> f.f_parent == parent) child.c_parents
-  in
-  if not still_references then begin
+  if not (Parents.names child parent) then begin
     match parent.c_history with
     | Some h when h == child ->
       parent.c_history <- None;
@@ -195,7 +202,7 @@ let[@chorus.noted
     else if Hashtbl.mem visited c.c_id then false
     else begin
       Hashtbl.replace visited c.c_id ();
-      List.exists (fun f -> go f.f_parent) c.c_parents
+      List.exists (fun f -> go f.f_parent) (Parents.frags c)
       || Hashtbl.fold
            (fun _ (s : cow_stub) acc ->
              acc
@@ -207,7 +214,7 @@ let[@chorus.noted
            c.c_dest_stubs false
     end
   in
-  if from.c_parents = [] && Hashtbl.length from.c_dest_stubs = 0 then
+  if Parents.frags from = [] && Hashtbl.length from.c_dest_stubs = 0 then
     from == target
   else go from
 
@@ -215,13 +222,13 @@ let[@chorus.noted
 
 let rec root_of (cache : cache) =
   note_structure ~write:false cache.c_pvm;
-  match cache.c_parents with
+  match Parents.frags cache with
   | [] -> cache
   | f :: _ -> root_of f.f_parent
 
 let rec depth_to_root (cache : cache) =
   note_structure ~write:false cache.c_pvm;
-  match cache.c_parents with
+  match Parents.frags cache with
   | [] -> 0
   | f :: _ -> 1 + depth_to_root f.f_parent
 
@@ -253,6 +260,6 @@ let[@chorus.noted "debug pretty-printer; never runs inside an engine task"] pp_t
     List.iter
       (fun child ->
         if child.c_alive then pp_node ppf (indent ^ "  ", child))
-      (List.sort (fun a b -> compare a.c_id b.c_id) c.c_children)
+      (List.sort (fun a b -> compare a.c_id b.c_id) (Parents.children c))
   in
   Format.fprintf ppf "@[<v>%a@]" pp_node ("", root_of cache)

@@ -17,26 +17,25 @@
 val whole_window : int
 (** Fragment size used by working caches: effectively unbounded. *)
 
-val covered_and_missing :
-  Types.pvm -> Types.cache -> off:int -> (Types.cache * int) option
-(** {!Parents.covering_history}, but only when the history does not yet
-    hold its own version of the page — resident, deferred, in transit
-    or swapped out.  This is exactly the §4.2.2 test for "must the
-    original be saved before this write proceeds". *)
-
-val store_original :
-  Types.pvm -> [ `Page of Types.page ] -> h:Types.cache -> h_off:int -> unit
-(** Copy the source page's current (original) value into history [h].
-    The stored page is dirty — its value exists nowhere else — and
-    itself read-protected when [h] has a covering history.  A no-op
-    when a concurrent writer saved the original first, or when [h] was
-    destroyed meanwhile: nothing is left to save. *)
+val save_original :
+  Types.pvm -> Types.cache -> off:int -> [ `Page of Types.page | `Zero ] ->
+  unit
+(** The §4.2.2 save before a write at [off] of a copy source: when its
+    history covers [off] and does not yet hold its own version there
+    (resident, deferred, in transit or swapped out), the history gets a
+    dirty copy of the value, read-protected when the history has a
+    covering history itself.  A no-op when a concurrent writer saved
+    it first, or when the history died meanwhile. *)
 
 val resolve_source_write : Types.pvm -> Types.page -> unit
 (** The §4.2.2 write-violation algorithm for a copy source: save the
     original into the history if it is still missing there, then let
     the page go writable (borrowed read mappings are invalidated so
     descendants re-fault onto the saved copy). *)
+
+val insert_working_cache : Types.pvm -> Types.cache -> Types.cache
+(** Interpose a fresh working cache, the source's new history, between
+    a source and its previous history (§4.2.3, Figure 3.c/3.d). *)
 
 val record_copy :
   Types.pvm ->

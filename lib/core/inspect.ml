@@ -58,7 +58,7 @@ let pp_cache ppf (cache : cache) =
     | Some h -> string_of_int h.c_id
     | None -> "-")
     (String.concat ","
-       (List.map (Format.asprintf "%a" (pp_frag pvm)) cache.c_parents))
+       (List.map (Format.asprintf "%a" (pp_frag pvm)) (Parents.frags cache)))
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
        (pp_page pvm))
@@ -251,7 +251,7 @@ let digest (pvm : pvm) : string =
             (match f.f_policy with
             | `Copy_on_write -> "cow"
             | `Copy_on_reference -> "cor"))
-        c.c_parents;
+        (Parents.frags c);
       List.iter
         (fun (p : page) ->
           add "page %d cowp=%b %s;" p.p_offset p.p_cow_protected
@@ -322,7 +322,7 @@ let state_json (pvm : pvm) : Obs.Json.t =
                   | `Copy_on_write -> "cow"
                   | `Copy_on_reference -> "cor") );
             ])
-        c.c_parents
+        (Parents.frags c)
     in
     let pages =
       List.sort (fun (a : page) b -> compare a.p_offset b.p_offset) c.c_pages

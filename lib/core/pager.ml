@@ -356,7 +356,7 @@ let[@chorus.hot] [@chorus.spanned
         Install.remove_stub pvm stub
       | Vacant | Original | Peeked _ -> ());
       Install.insert_page pvm cache ~off frame ~pulled_prot:prot
-        ~cow_protected:(protect && Parents.is_covered cache ~off)
+        ~cow_protected:(protect && Parents.history_off cache ~off >= 0)
         ~fresh:
           (match slot with
           | Vacant | Original -> true

@@ -8,6 +8,16 @@ type located =
   | `Pull of cache * int  (* must be pulled into this cache *)
   | `Zero  (* anonymous, never written: zero-filled *) ]
 
+type miss = Own | Inherited | Fresh
+
+(* The §4.1.2 decision on an empty row; an [Inherited] miss reads its
+   fragment with [Parents.covering]. *)
+let[@chorus.hot] miss (cache : cache) ~off =
+  if Install.has_swapped cache ~off then Own
+  else if Parents.covers cache ~off then Inherited
+  else if cache.c_backing <> None && not cache.c_anonymous then Own
+  else Fresh
+
 let[@chorus.hot] [@chorus.spanned
      "tree walk under the fault/copy span of every caller"] rec locate pvm
     (cache : cache) ~off : located =
@@ -29,29 +39,19 @@ and[@chorus.hot] [@chorus.alloc_ok
       charge pvm Hw.Cost.Tree_lookup;
       locate pvm c ~off:o)
   | Some (Sync_stub _) -> assert false (* wait_not_in_transit excludes it *)
-  | None ->
-    (* [miss], inline: it runs at every level of the walk *)
-    if Install.has_swapped cache ~off then `Pull (cache, off)
-    else (
-      match Parents.find_covering cache ~off with
-      | Some f ->
-        charge pvm Hw.Cost.Tree_lookup;
-        bump pvm.stats sc_tree_lookups;
-        locate pvm f.f_parent ~off:(off - f.f_off + f.f_parent_off)
-      | None ->
-        if cache.c_backing <> None && not cache.c_anonymous then
-          `Pull (cache, off)
-        else `Zero)
+  | None -> (
+    match miss cache ~off with
+    | Own -> `Pull (cache, off)
+    | Inherited -> step_up pvm ~off (Parents.covering cache ~off)
+    | Fresh -> `Zero)
 
-type miss = Own | Inherited of frag | Fresh
-
-let miss (cache : cache) ~off =
-  if Install.has_swapped cache ~off then Own
-  else
-    match Parents.find_covering cache ~off with
-    | Some f -> Inherited f
-    | None ->
-      if cache.c_backing <> None && not cache.c_anonymous then Own else Fresh
+(* One step up the tree, through the fragment covering [off]. *)
+and[@chorus.hot] [@chorus.spanned
+     "tree walk under the fault/copy span of every caller"] step_up pvm ~off
+    (f : frag) =
+  charge pvm Hw.Cost.Tree_lookup;
+  bump pvm.stats sc_tree_lookups;
+  locate pvm f.f_parent ~off:(off - f.f_off + f.f_parent_off)
 
 (* Install the data a segment provides (the [fillUp] downcall of
    Table 4): the [len] bytes at [pos] in [bytes], often a view of the
@@ -171,11 +171,7 @@ let pulled pvm : located -> [ `Page of page | `Zero ] = function
   | `Zero -> `Zero
   | `Pull (c, o) -> `Page (pull_own pvm c ~off:o ~write:false)
 
-let[@chorus.spanned "tree walk under the fault span of its callers"]
-    inherited_value pvm ~off (f : frag) =
-  charge pvm Hw.Cost.Tree_lookup;
-  bump pvm.stats sc_tree_lookups;
-  pulled pvm (locate pvm f.f_parent ~off:(off - f.f_off + f.f_parent_off))
+let inherited_value pvm ~off f = pulled pvm (step_up pvm ~off f)
 
 let source_value_at pvm (cache : cache) ~off entry =
   pulled pvm (locate_at pvm cache ~off entry)

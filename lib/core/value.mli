@@ -22,13 +22,14 @@ val deliver :
     already-resident pages.  [dirty] distinguishes authoritative
     segment data (clean) from data that exists nowhere else. *)
 
-type miss = Own | Inherited of Types.frag | Fresh
+type miss = Own | Inherited | Fresh
 
 val miss : Types.cache -> off:int -> miss
 (** The §4.1.2 decision on a global-map row read empty: the cache's
     own data to pull (pages it pushed to swap, or its segment's), the
-    value of the parent fragment covering [off], or zero.  Charges
-    nothing. *)
+    value of the parent fragment covering [off] (read with
+    {!Parents.covering}), or zero.  Charges and allocates nothing; the
+    copy-tree walk takes it at every level. *)
 
 val pull_own : Types.pvm -> Types.cache -> off:int -> write:bool -> Types.page
 (** The §4.1.2 pull of (cache, off)'s own data: place a
@@ -41,8 +42,8 @@ val pull_own : Types.pvm -> Types.cache -> off:int -> write:bool -> Types.page
 
 val inherited_value :
   Types.pvm -> off:int -> Types.frag -> [ `Page of Types.page | `Zero ]
-(** The value a miss at [off] inherits through the fragment {!miss}
-    found, walking on from it with no second read of the row. *)
+(** The value a miss at [off] inherits through the fragment covering
+    it, walking on from it with no second read of the row. *)
 
 val source_value : Types.pvm -> Types.cache -> off:int -> [ `Page of Types.page | `Zero ]
 (** Walk the copy tree (through resident pages, deferred-copy stubs

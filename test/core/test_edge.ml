@@ -362,30 +362,67 @@ let written_source pvm ~pages =
   done;
   src
 
-(* [src]'s first [pages] pages under a history copy, [dst], mapped
-   through a context of its own. *)
-let history_child pvm ~pages =
-  let src = written_source pvm ~pages in
-  let dst = Core.Cache.create pvm () in
-  Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
-    ~size:(pages * ps) ();
+(* [src]'s first [pages] pages under a chain of [depth] history copies,
+   each of the one before, the last mapped through a context of its
+   own: a miss there walks [depth] levels of the copy tree. *)
+let history_child ?(depth = 1) pvm ~pages =
+  let src = ref (written_source pvm ~pages) in
+  for _ = 1 to depth do
+    let dst = Core.Cache.create pvm () in
+    Core.Cache.copy pvm ~strategy:`History ~src:!src ~src_off:0 ~dst
+      ~dst_off:0 ~size:(pages * ps) ();
+    src := dst
+  done;
   let ctx = Core.Context.create pvm in
-  map_cache pvm ctx dst ~pages;
+  map_cache pvm ctx !src ~pages;
   ctx
 
-let test_alloc_borrow_fault () =
+let fault_words ?depth access =
   with_pvm (fun pvm ->
-      let ctx = history_child pvm ~pages:32 in
-      words_per_op 32 (fun i ->
-          Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Read)
-      |> check_words "a borrow read fault" ~bound:34.)
+      let ctx = history_child ?depth pvm ~pages:32 in
+      words_per_op 32 (fun i -> Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access))
+
+let test_alloc_borrow_fault () =
+  fault_words `Read |> check_words "a borrow read fault" ~bound:24.
 
 let test_alloc_cow_write_fault () =
+  fault_words `Write |> check_words "a history COW write fault" ~bound:52.
+
+(* The walk allocates nothing per level: a fault four levels down
+   allocates what one a level down does. *)
+let check_depth_free what access =
+  let shallow = fault_words access and deep = fault_words ~depth:4 access in
+  if deep <> shallow then
+    Alcotest.failf "%s allocated %.2f words at walk depth 4, %.2f at depth 1"
+      what deep shallow
+
+let test_alloc_borrow_depth () =
+  check_depth_free "a borrow read fault" `Read
+
+let test_alloc_cow_write_depth () =
+  check_depth_free "a history COW write fault" `Write
+
+(* A write to a read-protected source saves the original into its
+   history, whose page is read-protected in turn because the history
+   has been copied too. *)
+let test_alloc_source_write_fault () =
   with_pvm (fun pvm ->
-      let ctx = history_child pvm ~pages:32 in
+      let src = Core.Cache.create pvm () in
+      let ctx = Core.Context.create pvm in
+      map_cache pvm ctx src ~pages:32;
+      for i = 0 to 31 do
+        Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Write
+      done;
+      let copy ~src =
+        let dst = Core.Cache.create pvm () in
+        Core.Cache.copy pvm ~strategy:`History ~src ~src_off:0 ~dst ~dst_off:0
+          ~size:(32 * ps) ();
+        dst
+      in
+      ignore (copy ~src:(copy ~src));
       words_per_op 32 (fun i ->
           Core.Pvm.touch pvm ctx ~addr:(i * ps) ~access:`Write)
-      |> check_words "a history COW write fault" ~bound:64.)
+      |> check_words "a write to a protected source" ~bound:32.)
 
 let test_alloc_remap_fault () =
   with_pvm (fun pvm ->
@@ -861,6 +898,12 @@ let tests =
       test_alloc_borrow_fault;
     Alcotest.test_case "alloc: history COW write fault" `Quick
       test_alloc_cow_write_fault;
+    Alcotest.test_case "alloc: borrow read fault at walk depth 4" `Quick
+      test_alloc_borrow_depth;
+    Alcotest.test_case "alloc: history COW write fault at walk depth 4" `Quick
+      test_alloc_cow_write_depth;
+    Alcotest.test_case "alloc: write to a protected source" `Quick
+      test_alloc_source_write_fault;
     Alcotest.test_case "alloc: re-map of a resident page" `Quick
       test_alloc_remap_fault;
     Alcotest.test_case "alloc: 8-page per-page copy" `Quick

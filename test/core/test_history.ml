@@ -373,8 +373,43 @@ let test_generations () =
         "working caches interposed for the repeated copies" (gens - 1)
         (Core.Pvm.stats pvm).Core.Types.n_history_created)
 
+(* A copy onto part of a history object whose own copy still reads
+   it: the purged page's old contents move to a zombie, but the history
+   keeps reading its source over the other pages, so it must go on
+   receiving the source's originals there.  A working cache is
+   interposed that both read; the source's writes save into it. *)
+let test_split_keeps_history_role () =
+  with_pvm (fun pvm ->
+      let ctx = Core.Context.create pvm in
+      let src = Core.Cache.create pvm () in
+      let dst = Core.Cache.create pvm () in
+      let dst2 = Core.Cache.create pvm () in
+      let other = Core.Cache.create pvm () in
+      let _ = map_view pvm ctx ~addr:0 src ~pages:4 in
+      for p = 0 to 3 do
+        write_page pvm ctx ~base:0 ~page:p 'a'
+      done;
+      Core.Cache.fill_up pvm other ~offset:0 (page_bytes 'o');
+      hist_copy pvm ~src ~dst ~pages:4;
+      hist_copy pvm ~src:dst ~dst:dst2 ~pages:4;
+      Core.Cache.copy pvm ~src:other ~src_off:0 ~dst ~dst_off:0 ~size:ps ();
+      write_page pvm ctx ~base:0 ~page:2 'W';
+      let byte cache =
+        Bytes.get (Core.Cache.copy_back pvm cache ~offset:(2 * ps) ~size:ps) 0
+      in
+      Alcotest.(check char) "dst page 2 keeps the original" 'a' (byte dst);
+      Alcotest.(check char) "dst2 page 2 keeps the original" 'a' (byte dst2);
+      Alcotest.(check char) "src page 2 written" 'W' (byte src);
+      Alcotest.(check char) "dst page 0 copied over" 'o'
+        (Bytes.get (Core.Cache.copy_back pvm dst ~offset:0 ~size:ps) 0);
+      Alcotest.(check char) "dst2 page 0 keeps dst's old value" 'a'
+        (Bytes.get (Core.Cache.copy_back pvm dst2 ~offset:0 ~size:ps) 0);
+      Check.Sanitizer.assert_ok pvm)
+
 let tests =
   [
+    Alcotest.test_case "split keeps the history role" `Quick
+      test_split_keeps_history_role;
     Alcotest.test_case "partial ranges" `Quick test_partial_ranges;
     Alcotest.test_case "generations" `Quick test_generations;
     Alcotest.test_case "figure 3.a" `Quick test_fig3a;

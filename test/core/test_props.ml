@@ -189,37 +189,89 @@ let prop_no_frame_leaks =
   QCheck.Test.make ~count:300 ~name:"no frame leaks after teardown" arb_ops
     (run_ops ~teardown:true ~frames:64 ~swap:true)
 
-(* Fragment-list algebra: inserting arbitrary fragments keeps the list
-   sorted and non-overlapping with the newest fragment winning. *)
+(* Fragment-list algebra: inserting arbitrary fragments, and
+   redirecting arbitrary parent ranges of one parent to another, keeps
+   the list sorted and non-overlapping with the newest fragment
+   winning (the sanitizer's [history] rule), and the child links
+   mirror it once [leave] has run.  A page-by-page model, in
+   which each page names its parent and parent page, is the reference
+   for [Parents.covers] and [Parents.covering] at every page. *)
 let prop_parent_fragments =
+  let op =
+    QCheck.Gen.(
+      quad bool (int_bound 40) (int_range 1 10) (int_bound 3))
+  in
   let arb =
     QCheck.make
       ~print:(fun l ->
         String.concat ";"
-          (List.map (fun (o, s) -> Printf.sprintf "(%d,%d)" o s) l))
-      QCheck.Gen.(
-        list_size (int_range 1 20)
-          (pair (int_bound 40) (int_range 1 10)))
+          (List.map
+             (fun (ins, o, s, k) ->
+               Printf.sprintf "%s(%d,%d,%d)"
+                 (if ins then "insert" else "redirect")
+                 o s k)
+             l))
+      QCheck.Gen.(list_size (int_range 1 20) op)
   in
   QCheck.Test.make ~count:300 ~name:"parent fragment list stays canonical" arb
-    (fun frags ->
+    (fun ops ->
       let engine = Hw.Engine.create () in
       Hw.Engine.run_fn engine (fun () ->
           let pvm = Core.Pvm.create ~frames:4 ~cost:Hw.Cost.free ~engine () in
           let parent = Core.Cache.create pvm () in
+          let other = Core.Cache.create pvm () in
           let child = Core.Cache.create pvm () in
+          let model = Array.make 64 None in
           List.iter
-            (fun (off, size) ->
-              Core.Parents.insert child
-                {
-                  Core.Types.f_off = off * ps;
-                  f_size = size * ps;
-                  f_parent = parent;
-                  f_parent_off = off * ps;
-                  f_policy = `Copy_on_write;
-                })
-            frags;
-          Core.Parents.check_invariant child))
+            (fun (ins, off, size, k) ->
+              if ins then begin
+                (* child pages [off, off+size) read parent pages from
+                   off+k *)
+                Core.Parents.insert child
+                  {
+                    Core.Types.f_off = off * ps;
+                    f_size = size * ps;
+                    f_parent = parent;
+                    f_parent_off = (off + k) * ps;
+                    f_policy = `Copy_on_write;
+                  };
+                for p = off to off + size - 1 do
+                  model.(p) <- Some (parent, p + k)
+                done
+              end
+              else begin
+                (* parent pages [off, off+size) now read from [other] *)
+                Core.Parents.redirect child ~old_parent:parent
+                  ~new_parent:other ~off:(off * ps) ~size:(size * ps);
+                Array.iteri
+                  (fun p m ->
+                    match m with
+                    | Some (c, pp) when c == parent && pp >= off && pp < off + size
+                      ->
+                      model.(p) <- Some (other, pp)
+                    | _ -> ())
+                  model
+              end)
+            ops;
+          let agrees p =
+            Core.Parents.covers child ~off:(p * ps) = Option.is_some model.(p)
+            &&
+            match (Core.Parents.covering child ~off:(p * ps), model.(p)) with
+            | f, Some (c, pp) ->
+              f.f_parent == c && (p * ps) - f.f_off + f.f_parent_off = pp * ps
+            | _, None -> false
+            | exception Not_found -> model.(p) = None
+          in
+          (* an insert leaves the links of parents it evicts to
+             [leave], as a purge does *)
+          let linked c =
+            ignore (Core.Parents.leave child ~parent:c);
+            Core.Parents.names child c
+            = List.memq child (Core.Parents.children c)
+          in
+          List.for_all agrees (List.init 64 Fun.id)
+          && linked parent && linked other
+          && Check.Sanitizer.run ~strict:false pvm = []))
 
 let tests =
   List.map QCheck_alcotest.to_alcotest
