@@ -218,7 +218,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
   (* history trees *)
   List.iter
     (fun (c : cache) ->
-      if not (canonical c.c_parents) then
+      if not (canonical (Core.Parents.frags c)) then
         err "history" "cache %d: fragment list not canonical" c.c_id;
       List.iter
         (fun (f : frag) ->
@@ -228,10 +228,10 @@ let run ?(strict = true) (pvm : pvm) : violation list =
           if known_cache f.f_parent.c_id = None then
             err "history" "cache %d: fragment parent %d not on the PVM"
               c.c_id f.f_parent.c_id;
-          if not (List.memq c f.f_parent.c_children) then
+          if not (List.memq c (Core.Parents.children f.f_parent)) then
             err "history" "cache %d: not registered as child of %d" c.c_id
               f.f_parent.c_id)
-        c.c_parents;
+        (Core.Parents.frags c);
       List.iter
         (fun (child : cache) ->
           if not child.c_alive then
@@ -239,17 +239,17 @@ let run ?(strict = true) (pvm : pvm) : violation list =
           if not (Core.Parents.names child c) then
             err "history" "cache %d: child %d has no fragment back" c.c_id
               child.c_id)
-        c.c_children;
-      (match c.c_history with
-      | Some h ->
+        (Core.Parents.children c);
+      (match Core.Parents.history c with
+      | h ->
         if not h.c_alive then
           err "history" "cache %d: dead history %d" c.c_id h.c_id;
         if not (Core.Parents.names h c) then
           err "history" "cache %d: history %d has no fragment back" c.c_id
             h.c_id
-      | None -> ());
+      | exception Not_found -> ());
       let limit = if c.c_is_history then 2 else 1 in
-      let n = List.length c.c_children in
+      let n = List.length (Core.Parents.children c) in
       if n > limit then
         err "history" "cache %d: %d children (limit %d)" c.c_id n limit;
       (* acyclicity of the parent relation *)
@@ -260,7 +260,9 @@ let run ?(strict = true) (pvm : pvm) : violation list =
         else if not (Hashtbl.mem visited node.c_id) then begin
           Hashtbl.replace visited node.c_id ()
           [@chorus.impure_ok "sanitizer-local scratch table, not PVM state"];
-          List.iter (fun f -> climb (node :: stack) f.f_parent) node.c_parents
+          List.iter
+            (fun f -> climb (node :: stack) f.f_parent)
+            (Core.Parents.frags node)
         end
       in
       climb [] c;
@@ -545,7 +547,7 @@ let run ?(strict = true) (pvm : pvm) : violation list =
       if not (Hashtbl.mem marked c.c_id) then begin
         Hashtbl.replace marked c.c_id ()
         [@chorus.impure_ok "sanitizer-local scratch table, not PVM state"];
-        List.iter (fun f -> mark f.f_parent) c.c_parents;
+        List.iter (fun f -> mark f.f_parent) (Core.Parents.frags c);
         List.iter mark (Hashtbl.find_all stub_edges c.c_id)
       end
     in

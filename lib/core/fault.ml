@@ -19,7 +19,7 @@ let[@chorus.hot] rec region_at addr = function
     if addr >= r.r_addr && addr < r.r_addr + r.r_size then r
     else region_at addr rest
 
-let find_region (ctx : context) ~addr =
+let[@inline] find_region (ctx : context) ~addr =
   note_structure ~write:false ctx.ctx_pvm;
   match region_at addr ctx.ctx_regions with
   | r -> Some r
@@ -29,7 +29,7 @@ let find_region (ctx : context) ~addr =
    the maker's charges: the access ends as it would after the destroy
    (no region maps a destroyed cache, so [resolve_mapped] raises the
    segmentation fault). *)
-let fail_if_dead (cache : cache) =
+let[@inline] fail_if_dead (cache : cache) =
   if not cache.c_alive then raise Pmap.Page_died
 
 (* [child_copy]'s copy of [value], a source page pinned meanwhile (the
@@ -183,7 +183,7 @@ let resolution_name : resolution -> string = function
 (* Indexes into [pvm.fault_hist], the histogram handles pre-registered
    at PVM creation ([hist_names] order): the per-fault update goes
    straight to the histogram with no registry lookup. *)
-let hist_index : resolution -> int = function
+let[@inline] hist_index : resolution -> int = function
   | `Hit -> 0
   | `Upgrade -> 1
   | `Zero_fill -> 2

@@ -71,12 +71,12 @@ let grow t =
   t.tab <- tab
 
 (* Bind a key known to be unbound: the one insertion path. *)
-let insert t i cid off v =
+let[@inline] insert t i cid off v =
   t.tab.(i) <- Cons { cid; off; found = Some v; next = t.tab.(i) };
   t.len <- t.len + 1;
   if t.len > 2 * Array.length t.tab then grow t
 
-let replace t cid off v =
+let[@inline] replace t cid off v =
   t.probes <- t.probes + 1;
   let i = slot t.tab (hash cid off) in
   let chain = t.tab.(i) in
@@ -84,7 +84,7 @@ let replace t cid off v =
   | None -> insert t i cid off v
   | Some _ -> t.tab.(i) <- Cons { cid; off; found = Some v; next = without cid off chain }
 
-let remove t cid off =
+let[@inline] remove t cid off =
   t.probes <- t.probes + 1;
   let i = slot t.tab (hash cid off) in
   let chain = t.tab.(i) in

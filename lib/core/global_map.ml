@@ -17,11 +17,11 @@ let[@chorus.hot][@inline] peek pvm cache ~off =
   note_frag ~write:false pvm cache ~off;
   Frag_map.find_opt pvm.gmap cache.c_id off
 
-let[@chorus.hot] set pvm cache ~off entry =
+let[@chorus.hot] [@inline] set pvm cache ~off entry =
   note_frag pvm cache ~off;
   Frag_map.replace pvm.gmap cache.c_id off entry
 
-let[@chorus.hot] remove pvm cache ~off =
+let[@chorus.hot] [@inline] remove pvm cache ~off =
   note_frag pvm cache ~off;
   Frag_map.remove pvm.gmap cache.c_id off
 

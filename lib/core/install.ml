@@ -87,7 +87,7 @@ let[@chorus.noted
 
 (* A cache that never swapped still shares [no_offsets]; the test does
    not read that table, which every fault would otherwise read. *)
-let has_swapped (cache : cache) ~off =
+let[@inline] has_swapped (cache : cache) ~off =
   cache.c_anonymous
   && cache.c_backed_offs != no_offsets
   && Hashtbl.mem cache.c_backed_offs off

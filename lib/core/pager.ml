@@ -49,7 +49,7 @@ let ensure_backing pvm (cache : cache) =
       cache.c_backing <- backing;
       backing)
 
-let can_evict pvm (page : page) =
+let[@inline] can_evict pvm (page : page) =
   page.p_wire_count = 0
   && (match Global_map.peek pvm page.p_cache ~off:page.p_offset with
      | Some (Resident p) -> p == page (* not already in transit *)

@@ -18,7 +18,7 @@ let[@chorus.hot] rec covering_in off = function
     if off >= f.f_off && off < f.f_off + f.f_size then f
     else covering_in off rest
 
-let[@chorus.hot] covering (cache : cache) ~off =
+let[@chorus.hot] [@inline] covering (cache : cache) ~off =
   note_structure ~write:false cache.c_pvm;
   covering_in off cache.c_parents
 
@@ -26,11 +26,11 @@ let[@chorus.hot] rec covers_in off = function
   | [] -> false
   | f :: rest -> (off >= f.f_off && off < f.f_off + f.f_size) || covers_in off rest
 
-let[@chorus.hot] covers (cache : cache) ~off =
+let[@chorus.hot] [@inline] covers (cache : cache) ~off =
   note_structure ~write:false cache.c_pvm;
   covers_in off cache.c_parents
 
-let[@chorus.hot] history (src : cache) =
+let[@chorus.hot] [@inline] history (src : cache) =
   note_structure ~write:false src.c_pvm;
   match src.c_history with Some h -> h | None -> raise_notrace Not_found
 
@@ -45,7 +45,7 @@ let[@chorus.hot] rec history_off_in (src : cache) off = function
     then off - f.f_parent_off + f.f_off
     else history_off_in src off rest
 
-let[@chorus.hot] history_off (src : cache) ~off =
+let[@chorus.hot] [@inline] history_off (src : cache) ~off =
   note_structure ~write:false src.c_pvm;
   match src.c_history with
   | Some h -> history_off_in src off h.c_parents

@@ -25,11 +25,11 @@ let unregister_page pvm (page : page) =
   note_frames pvm;
   pvm.page_of_frame.(page.p_frame.Hw.Phys_mem.index) <- None
 
-let page_at_index pvm i =
+let[@inline] page_at_index pvm i =
   note_frames ~write:false pvm;
   pvm.page_of_frame.(i)
 
-let mapped_page pvm (region : region) ~vpn =
+let[@inline] mapped_page pvm (region : region) ~vpn =
   let i = Hw.Mmu.mapped_frame_index region.r_context.ctx_space ~vpn in
   if i < 0 then None else page_at_index pvm i
 
@@ -78,7 +78,7 @@ let[@chorus.hot] rec without_mapping (region : region) vpn = function
 
 exception Page_died
 
-let[@chorus.hot] [@chorus.spanned
+let[@chorus.hot] [@inline] [@chorus.spanned
      "runs under the fault span opened by Fault.handle"] enter pvm
     (page : page) (region : region) ~vpn =
   charge pvm Hw.Cost.Mmu_map;
@@ -225,14 +225,15 @@ let[@chorus.hot] drop_entry (region : region) ~vpn frame _ =
   | Some page -> drop_mapping page region ~vpn
   | None -> ()
 
-(* Region destruction: the walk follows the mapped entries, not every
-   page of the range. *)
+(* Region destruction: one walk over the mapped entries, not every page
+   of the range, drops each entry's record and removes it in one
+   probe. *)
 let[@chorus.hot] unmap_region pvm (region : region) =
   let ps = page_size pvm in
-  let space = region.r_context.ctx_space in
-  let vpn = region.r_addr / ps and count = region.r_size / ps in
-  Hw.Mmu.iter_range_with space ~vpn ~count drop_entry region;
-  ignore (Hw.Mmu.invalidate_range space ~vpn ~count)
+  ignore
+    (Hw.Mmu.invalidate_range region.r_context.ctx_space
+       ~vpn:(region.r_addr / ps) ~count:(region.r_size / ps) drop_entry
+       region)
 
 (* Calls [f] on the page of every mapped entry of [region]: a walk
    over mapped entries, not over the region's pages. *)

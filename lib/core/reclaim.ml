@@ -35,7 +35,7 @@ let length q = q.rq_len
 let[@chorus.hot] mem q i = q.rq_prev.(i) >= 0
 
 (* Append frame [i] as the newest entry. *)
-let[@chorus.hot] push q i =
+let[@chorus.hot] [@inline] push q i =
   if q.rq_prev.(i) >= 0 then invalid_arg "Reclaim.push: frame already queued";
   let s = capacity q in
   let newest = q.rq_prev.(s) in
@@ -46,7 +46,7 @@ let[@chorus.hot] push q i =
   q.rq_len <- q.rq_len + 1
 
 (* Unlink frame [i]; a frame not queued is left alone. *)
-let[@chorus.hot] remove q i =
+let[@chorus.hot] [@inline] remove q i =
   let older = q.rq_prev.(i) in
   if older >= 0 then begin
     let newer = q.rq_next.(i) in
@@ -59,11 +59,11 @@ let[@chorus.hot] remove q i =
 
 (* The oldest queued frame, and the frame queued after [i]; [-1] past
    either end. *)
-let[@chorus.hot] oldest q =
+let[@chorus.hot] [@inline] oldest q =
   let s = capacity q in
   let i = q.rq_next.(s) in
   if i = s then -1 else i
 
-let[@chorus.hot] newer q i =
+let[@chorus.hot] [@inline] newer q i =
   let j = q.rq_next.(i) in
   if j = capacity q then -1 else j

@@ -278,14 +278,14 @@ let[@chorus.noted "registry reader: reporting and checks at quiescence"] context
    (integer adds, no clock effect), and an enabled tracer additionally
    records a cost event.  [charge_span] is for call sites that scale a
    primitive's cost themselves (e.g. a partial-page bcopy). *)
-let charge_span pvm prim span =
+let[@inline] charge_span pvm prim span =
   (if span > 0 then begin
      Obs.Metrics.charge pvm.obs ~idx:(Hw.Cost.prim_index prim) ~ns:span;
      Hw.Cost.charge_traced ~tracer:(Hw.Engine.tracer pvm.engine) ~prim span
    end)
   [@chorus.spanned "the charge primitive itself; L3's subjects are its callers"]
 
-let charge pvm prim =
+let[@inline] charge pvm prim =
   (charge_span pvm prim (Hw.Cost.span_of pvm.cost prim))
   [@chorus.spanned "the charge primitive itself; L3's subjects are its callers"]
 
@@ -314,6 +314,7 @@ let span_raise tr e =
    unless a scheduler is installed (Engine.note_access checks). *)
 let note_frag ?write pvm (cache : cache) ~off =
   Hw.Engine.note_access ?write pvm.engine cache.c_id off
+[@@inline]
 
 let note_frames ?write pvm = Hw.Engine.note_access ?write pvm.engine (-1) 0
 [@@inline]

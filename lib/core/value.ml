@@ -12,7 +12,7 @@ type miss = Own | Inherited | Fresh
 
 (* The §4.1.2 decision on an empty row; an [Inherited] miss reads its
    fragment with [Parents.covering]. *)
-let[@chorus.hot] miss (cache : cache) ~off =
+let[@chorus.hot] [@inline] miss (cache : cache) ~off =
   if Install.has_swapped cache ~off then Own
   else if Parents.covers cache ~off then Inherited
   else if cache.c_backing <> None && not cache.c_anonymous then Own
@@ -166,7 +166,7 @@ let pull_own pvm (cache : cache) ~off ~write =
   in
   pull_in_page pvm cache ~off ~prot
 
-let pulled pvm : located -> [ `Page of page | `Zero ] = function
+let[@inline] pulled pvm : located -> [ `Page of page | `Zero ] = function
   | `Page p -> `Page p
   | `Zero -> `Zero
   | `Pull (c, o) -> `Page (pull_own pvm c ~off:o ~write:false)

@@ -142,7 +142,7 @@ let all_prims =
     Tree_setup; Tree_lookup; Stub_insert; Copy_setup; Cache_create; Ipc_fixed;
   ]
 
-let prim_index = function
+let[@inline] prim_index = function
   | Bzero_page -> 0
   | Bcopy_page -> 1
   | Region_create -> 2
@@ -182,7 +182,7 @@ let prim_name = function
 
 let prim_names = Array.of_list (List.map prim_name all_prims)
 
-let span_of p = function
+let[@inline] span_of p = function
   | Bzero_page -> p.t_bzero_page
   | Bcopy_page -> p.t_bcopy_page
   | Region_create -> p.t_region_create
@@ -201,12 +201,10 @@ let span_of p = function
   | Cache_create -> p.t_cache_create
   | Ipc_fixed -> p.t_ipc_fixed
 
-let charge span = if span > 0 then Engine.sleep span
-
-(* Attributed variant of [charge]: the trace event is recorded at the
-   instant the charge begins, before the clock advances, so a span
-   enclosing several charges shows them at their start offsets. *)
-let charge_traced ~tracer ~prim span =
+(* The trace event is recorded at the instant the charge begins, before
+   the clock advances, so a span enclosing several charges shows them
+   at their start offsets. *)
+let[@inline] charge_traced ~tracer ~prim span =
   if span > 0 then begin
     if Obs.Trace.enabled tracer then
       Obs.Trace.charge tracer ~prim:(prim_name prim) ~span;

@@ -87,11 +87,9 @@ val prim_names : string array
 val span_of : profile -> prim -> Sim_time.span
 (** The calibrated cost of one primitive under a profile. *)
 
-val charge : Sim_time.span -> unit
-(** [charge span] advances the current fibre's simulated clock.  Must
-    run inside {!Engine.run}. *)
-
 val charge_traced : tracer:Obs.Trace.t -> prim:prim -> Sim_time.span -> unit
-(** Like {!charge}, but when [tracer] is enabled also records a
-    per-primitive cost event at the instant the charge begins.  With a
-    disabled tracer this is exactly {!charge}. *)
+(** [charge_traced ~tracer ~prim span] advances the current fibre's
+    simulated clock by [span] ({!Engine.sleep}) when it is positive,
+    and when [tracer] is enabled first records a per-primitive cost
+    event at the instant the charge begins.  Must run inside
+    {!Engine.run}. *)

@@ -150,7 +150,7 @@ let rec sift_down h size task i =
     end
     else h.(i) <- task
 
-let[@chorus.hot] heap_push eng task =
+let[@chorus.hot] [@inline] heap_push eng task =
   let size = eng.size in
   if size = Array.length eng.heap then begin
     let bigger = Array.make (max 16 (2 * size)) vacant in
@@ -161,7 +161,7 @@ let[@chorus.hot] heap_push eng task =
   sift_up eng.heap task size
 
 (* The heap's first task; the heap must not be empty. *)
-let[@chorus.hot] heap_pop eng =
+let[@chorus.hot] [@inline] heap_pop eng =
   let h = eng.heap and size = eng.size - 1 in
   let top = h.(0) and last = h.(size) in
   h.(size) <- vacant;
@@ -222,12 +222,12 @@ let pool_lock_stats _ = []
    everywhere else it is the coordinator clock.  This keeps
    fault-latency arithmetic (now-after minus now-before) meaningful in
    a lane slice, where the coordinator clock stands still. *)
-let now eng =
+let[@inline] now eng =
   match !slot with
   | Slice pt -> pt.pt_clock
   | Idle | Coord _ -> eng.now
 
-let current_fibre eng =
+let[@inline] current_fibre eng =
   match !slot with
   | Slice pt -> pt.pt_fib
   | Idle | Coord _ -> eng.cur_fib
@@ -251,8 +251,12 @@ let decisions eng = List.rev eng.decisions
    footprint. *)
 let tracking eng = eng.tracking
 
-let note_access ?(write = true) eng a b =
-  if tracking eng then eng.accesses <- (a, b, write) :: eng.accesses
+(* No default for [write]: an optional argument with a default splits
+   into a wrapper and an inner function, and the inner one, which every
+   caller would then call, does not inline. *)
+let[@inline] note_access ?write eng a b =
+  if tracking eng then
+    eng.accesses <- (a, b, Option.value write ~default:true) :: eng.accesses
 
 let fibre_name eng fib = Hashtbl.find_opt eng.names fib
 
@@ -443,7 +447,7 @@ let seeded_scheduler seed =
 (* Stamp a task with its time and the next sequence number and route
    it: a lane task joins the ready lane tasks, in the order they became
    ready; any other goes to the discrete-event heap. *)
-let push eng p task time =
+let[@inline] push eng p task time =
   task.time <- time;
   task.seq <- eng.seq;
   eng.seq <- eng.seq + 1;
@@ -452,7 +456,7 @@ let push eng p task time =
 
 (* Queue a fibre's next slice, [task.run].  A fibre being scheduled is
    no longer parked, so its waiting-table entry (if any) goes too. *)
-let schedule eng task time =
+let[@inline] schedule eng task time =
   if eng.watch <> None then Hashtbl.remove eng.waiting task.fib;
   push eng eng.par task time
 
@@ -462,7 +466,7 @@ let schedule eng task time =
    runs those before the heap's next task).  Only then may a fibre's
    next slice skip the run loop: {!sleep}'s in-place clock advance and
    the effect handlers' hand-off. *)
-let[@chorus.hot] unobserved eng =
+let[@chorus.hot] [@inline] unobserved eng =
   Option.is_none eng.sched
   && Option.is_none eng.on_event
   && Option.is_none eng.watch
@@ -476,7 +480,7 @@ let[@chorus.hot] unobserved eng =
    the dispatch, and for a user fibre (the run loop decides whether a
    daemon's wake-up runs at all: once the last user fibre exits it
    drops them and ends the run). *)
-let[@chorus.hot] advance_in_place eng span =
+let[@chorus.hot] [@inline] advance_in_place eng span =
   unobserved eng
   && (not eng.cur_daemon)
   &&
@@ -489,7 +493,7 @@ let[@chorus.hot] advance_in_place eng span =
   end
   else false
 
-let[@chorus.hot] sleep span =
+let[@chorus.hot] [@inline] sleep span =
   if span < 0 then invalid_arg "Engine.sleep: negative span";
   (* Lane slices coalesce charges into the slice clock; doing it here
      rather than in the Sleep handler skips the effect round-trip (and
@@ -508,13 +512,13 @@ let suspend register = Effect.perform (Suspend register)
    Between a run loop's slices (event hook, scheduler, watchdog) the
    answer is the one where its [run] was called: [None] at top
    level. *)
-let[@chorus.hot] ambient () =
+let[@chorus.hot] [@inline] ambient () =
   match !slot with
   | Coord eng -> if eng.in_slice then eng.me else eng.outside
   | Slice pt -> pt.pt_eng.me
   | Idle -> None
 
-let[@chorus.hot] note_ambient ?write a b =
+let[@chorus.hot] [@inline] note_ambient ?write a b =
   match ambient () with Some eng -> note_access ?write eng a b | None -> ()
 
 let[@chorus.hot] declare_wait_ambient ~on ?owner () =
@@ -527,11 +531,11 @@ let[@chorus.hot] declare_wait_ambient ~on ?owner () =
    has finished, pending daemon wakeups are discarded — a periodic
    daemon would otherwise keep the simulation alive forever.  Lane
    tasks are never a daemon's, so a ready one always counts. *)
-let more eng =
+let[@inline] more eng =
   eng.live_tasks > 0 || (eng.live > 0 && eng.size > 0)
 
 (* A serial slice runs at the task's time on the coordinator clock. *)
-let[@chorus.hot] enter eng task =
+let[@chorus.hot] [@inline] enter eng task =
   if task.time > eng.now then eng.now <- task.time;
   eng.cur_fib <- task.fib;
   eng.cur_daemon <- task.daemon

@@ -77,7 +77,7 @@ let[@chorus.hot] rec probe tab vpn i =
   | No_pte -> lnot i
   | Pte e -> if e.vpn = vpn then i else probe tab vpn ((i + 1) land tab.mask)
 
-let[@chorus.hot] find tab vpn = probe tab vpn (home tab vpn)
+let[@chorus.hot] [@inline] find tab vpn = probe tab vpn (home tab vpn)
 
 let mapped_pages space = space.size
 
@@ -151,27 +151,34 @@ let[@chorus.hot] protect space ~vpn prot =
   if i < 0 then invalid_arg "Mmu.protect: page not mapped";
   match space.tab.slots.(i) with Pte e -> e.prot <- prot | No_pte -> ()
 
-(* Slot-order scan deleting every vpn in [vpn, vpn+count).  A deletion
-   back-shifts later entries into slot [i], so [i] is examined again
-   before moving on; entries shifted across the wrap into the table's
-   tail were already examined once and are simply seen twice. *)
-let rec scan_remove space ~vpn ~count i removed =
+(* Slot-order scan deleting every vpn in [vpn, vpn+count), calling
+   [f x] on each entry it deletes.  A deletion back-shifts later
+   entries into slot [i], so [i] is examined again before moving on;
+   entries shifted across the wrap into the table's tail were already
+   examined once and are simply seen twice, but an entry is deleted,
+   and passed to [f], once. *)
+let rec scan_remove space ~vpn ~count f x i removed =
   if i >= Array.length space.tab.slots then removed
   else
     match space.tab.slots.(i) with
     | Pte e when e.vpn >= vpn && e.vpn - vpn < count ->
+      f x ~vpn:e.vpn e.frame e.prot;
       remove_slot space i;
-      scan_remove space ~vpn ~count i (removed + 1)
-    | Pte _ | No_pte -> scan_remove space ~vpn ~count (i + 1) removed
+      scan_remove space ~vpn ~count f x i (removed + 1)
+    | Pte _ | No_pte -> scan_remove space ~vpn ~count f x (i + 1) removed
 
-let invalidate_range space ~vpn ~count =
+let invalidate_range space ~vpn ~count f x =
   check_alive space;
-  if count > Array.length space.tab.slots then scan_remove space ~vpn ~count 0 0
+  if count > Array.length space.tab.slots then
+    scan_remove space ~vpn ~count f x 0 0
   else begin
     let removed = ref 0 in
     for p = vpn to vpn + count - 1 do
       let i = find space.tab p in
       if i >= 0 then begin
+        (match space.tab.slots.(i) with
+        | Pte e -> f x ~vpn:p e.frame e.prot
+        | No_pte -> ());
         remove_slot space i;
         incr removed
       end
@@ -192,7 +199,7 @@ let[@chorus.hot] mapped_frame_index space ~vpn =
   if i < 0 then -1
   else match tab.slots.(i) with Pte e -> e.frame.Phys_mem.index | No_pte -> -1
 
-let[@chorus.hot] translate space ~addr ~access =
+let[@chorus.hot] [@inline] translate space ~addr ~access =
   check_alive space;
   let tab = space.tab in
   let i = find tab (vpn_of_addr space.mmu addr) in
@@ -202,13 +209,13 @@ let[@chorus.hot] translate space ~addr ~access =
     | Pte e -> if Prot.allows e.prot access then e.ok else protection
     | No_pte -> unmapped
 
-let[@chorus.hot] iter_range_with space ~vpn ~count f x =
+let iter_range space ~vpn ~count f =
   let tab = space.tab in
   if count > Array.length tab.slots then
     for i = 0 to Array.length tab.slots - 1 do
       match tab.slots.(i) with
       | Pte e when e.vpn >= vpn && e.vpn - vpn < count ->
-        f x ~vpn:e.vpn e.frame e.prot
+        f ~vpn:e.vpn e.frame e.prot
       | Pte _ | No_pte -> ()
     done
   else
@@ -216,12 +223,9 @@ let[@chorus.hot] iter_range_with space ~vpn ~count f x =
       let i = find tab p in
       if i >= 0 then
         match tab.slots.(i) with
-        | Pte e -> f x ~vpn:p e.frame e.prot
+        | Pte e -> f ~vpn:p e.frame e.prot
         | No_pte -> ()
     done
-
-let apply f ~vpn frame prot = f ~vpn frame prot
-let iter_range space ~vpn ~count f = iter_range_with space ~vpn ~count apply f
 
 let iter space f =
   let entries = ref [] in

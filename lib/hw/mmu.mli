@@ -93,10 +93,21 @@ val translate :
   space -> addr:int -> access:access -> (Phys_mem.frame, fault) result
 (** The hardware walk; allocates nothing. *)
 
-val invalidate_range : space -> vpn:int -> count:int -> int
-(** Removes all PTEs in [vpn, vpn+count); returns how many entries
-    were actually removed.  Costs at most [min count capacity] slots.
-    Used at region destruction. *)
+val invalidate_range :
+  space ->
+  vpn:int ->
+  count:int ->
+  ('a -> vpn:int -> Phys_mem.frame -> Prot.t -> unit) ->
+  'a ->
+  int
+(** [invalidate_range space ~vpn ~count f x] removes all PTEs in
+    [vpn, vpn+count), calling [f x] on each entry just before it is
+    removed, once per entry, in the order of {!iter_range}; returns how
+    many entries were removed.  One probe finds, reports and removes an
+    entry, at a cost of at most [min count capacity] slots.  [f] must
+    not mutate the space.  A caller whose [f] needs one value of its
+    own passes it as [x] instead of capturing it, so the walk builds no
+    closure.  Used at region destruction. *)
 
 val iter_range :
   space ->
@@ -108,17 +119,6 @@ val iter_range :
     at most [min count capacity] slots.  Ascending vpn order when
     [count] is at most the capacity, table order otherwise.  The
     function must not mutate the space. *)
-
-val iter_range_with :
-  space ->
-  vpn:int ->
-  count:int ->
-  ('a -> vpn:int -> Phys_mem.frame -> Prot.t -> unit) ->
-  'a ->
-  unit
-(** [iter_range_with space ~vpn ~count f x] is [iter_range] calling
-    [f x]: a walk whose function needs one value of its caller passes
-    it here instead of capturing it, so the walk builds no closure. *)
 
 val mapped_pages : space -> int
 (** Number of PTEs currently installed. *)

@@ -64,7 +64,7 @@ let total_frames t = Array.length t.frames
 let free_frames t = t.top
 let used_frames t = total_frames t - t.top
 
-let alloc_index t =
+let[@inline] alloc_index t =
   if t.top = 0 then -1
   else begin
     t.top <- t.top - 1;
@@ -75,14 +75,14 @@ let alloc_index t =
 
 let frame t i = t.frames.(i)
 
-let alloc_opt t =
+let[@inline] alloc_opt t =
   let i = alloc_index t in
   if i < 0 then None else Some t.frames.(i)
 
 let alloc t =
   match alloc_opt t with Some f -> f | None -> raise Out_of_memory
 
-let free t frame =
+let[@inline] free t frame =
   if not t.allocated.(frame.index) then
     invalid_arg "Phys_mem.free: frame already free";
   t.allocated.(frame.index) <- false;
@@ -90,9 +90,9 @@ let free t frame =
   t.top <- t.top + 1
 
 let is_allocated t frame = t.allocated.(frame.index)
-let bzero frame = Bytes.fill frame.bytes 0 (Bytes.length frame.bytes) '\000'
+let[@inline] bzero frame = Bytes.fill frame.bytes 0 (Bytes.length frame.bytes) '\000'
 
-let bcopy ~src ~dst =
+let[@inline] bcopy ~src ~dst =
   if Bytes.length src.bytes <> Bytes.length dst.bytes then
     invalid_arg "Phys_mem.bcopy: page size mismatch";
   Bytes.blit src.bytes 0 dst.bytes 0 (Bytes.length src.bytes)

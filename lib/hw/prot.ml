@@ -7,7 +7,7 @@ let table =
   Array.init 8 (fun b ->
       { read = b land 4 <> 0; write = b land 2 <> 0; execute = b land 1 <> 0 })
 
-let make ~read ~write ~execute =
+let[@inline] make ~read ~write ~execute =
   table.((if read then 4 else 0) lor (if write then 2 else 0)
          lor if execute then 1 else 0)
 
@@ -22,14 +22,14 @@ let[@inline] allows t = function
   | `Write -> t.write
   | `Execute -> t.execute
 
-let remove_write t =
+let[@inline] remove_write t =
   if t.write then make ~read:t.read ~write:false ~execute:t.execute else t
 
 let subsumes a b =
   (a.read || not b.read) && (a.write || not b.write)
   && (a.execute || not b.execute)
 
-let intersect a b =
+let[@inline] intersect a b =
   make ~read:(a.read && b.read) ~write:(a.write && b.write)
     ~execute:(a.execute && b.execute)
 

@@ -48,7 +48,7 @@ let create ?(page_size = 8192) ?(cost = Hw.Cost.chorus_sun360) ~frames
 
 let page_size t = Hw.Phys_mem.page_size t.mem
 let frames_in_use t = Hw.Phys_mem.used_frames t.mem
-let charge span = if span > 0 then Hw.Cost.charge span
+let charge span = if span > 0 then Hw.Engine.sleep span
 
 let context_create t =
   { ctx_space = Hw.Mmu.create_space t.mmu; ctx_regions = []; ctx_alive = true }
@@ -134,7 +134,9 @@ let region_destroy t (region : region) =
     charge (t.cost.t_invalidate_page * (region.r_size / ps));
     ignore
       (Hw.Mmu.invalidate_range region.r_ctx.ctx_space
-         ~vpn:(region.r_addr / ps) ~count:(region.r_size / ps));
+         ~vpn:(region.r_addr / ps) ~count:(region.r_size / ps)
+         (fun () ~vpn:_ _ _ -> ())
+         ());
     region.r_ctx.ctx_regions <-
       List.filter (fun r -> not (r == region)) region.r_ctx.ctx_regions;
     region.r_cache.c_refs <- region.r_cache.c_refs - 1;

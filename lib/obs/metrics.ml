@@ -71,7 +71,7 @@ let histograms t =
   List.sort compare
     (Hashtbl.fold (fun _ h acc -> (h.h_name, histogram_stats h) :: acc) t.hs [])
 
-let charge t ~idx ~ns =
+let[@inline] charge t ~idx ~ns =
   if idx >= 0 && idx < Array.length t.prim_names then begin
     let r = t.prim in
     r.(2 * idx) <- r.(2 * idx) + 1;

@@ -216,7 +216,9 @@ let entry_destroy t (entry : entry) =
       (t.cost.t_invalidate_page * (entry.e_size / ps));
     ignore
       (Hw.Mmu.invalidate_range entry.e_space.sp_mmu
-         ~vpn:(entry.e_addr / ps) ~count:(entry.e_size / ps));
+         ~vpn:(entry.e_addr / ps) ~count:(entry.e_size / ps)
+         (fun () ~vpn:_ _ _ -> ())
+         ());
     entry.e_space.sp_entries <-
       List.filter (fun e -> not (e == entry)) entry.e_space.sp_entries;
     (* Dereference the chain; a shadow that becomes singly referenced

@@ -1040,9 +1040,22 @@ let test_mmu_translate () =
   (match Hw.Mmu.translate space ~addr:(3 * 4096) ~access:`Write with
   | Ok _ -> ()
   | Error _ -> Alcotest.fail "writable after protect");
+  let seen = ref [] in
+  let note seen ~vpn (f : Hw.Phys_mem.frame) _ = seen := (vpn, f.index) :: !seen in
   Alcotest.(check int) "invalidate_range counts" 1
-    (Hw.Mmu.invalidate_range space ~vpn:0 ~count:8);
-  Alcotest.(check int) "nothing mapped" 0 (Hw.Mmu.mapped_pages space)
+    (Hw.Mmu.invalidate_range space ~vpn:0 ~count:8 note seen);
+  Alcotest.(check (list (pair int int))) "the callback saw the entry once"
+    [ (3, frame.index) ] !seen;
+  Alcotest.(check int) "nothing mapped" 0 (Hw.Mmu.mapped_pages space);
+  (* A range wider than the table is a slot scan, not a per-vpn walk. *)
+  ignore (Hw.Mmu.map space ~vpn:5 frame Hw.Prot.read_only : int);
+  ignore (Hw.Mmu.map space ~vpn:9 frame Hw.Prot.read_only : int);
+  seen := [];
+  Alcotest.(check int) "a scan counts" 2
+    (Hw.Mmu.invalidate_range space ~vpn:0 ~count:(1 lsl 40) note seen);
+  Alcotest.(check (list (pair int int))) "the scan saw each entry once"
+    [ (5, frame.index); (9, frame.index) ]
+    (List.sort compare !seen)
 
 (* Model test: the page table against a [Map.Make (Int)] reference.
    Page size 1 makes an address its vpn, so [translate] covers every
@@ -1191,10 +1204,22 @@ let prop_mmu_model =
               model
             | Invalidate (vpn, count) ->
               let gone = sorted_bindings model ~vpn ~count in
-              let removed = Hw.Mmu.invalidate_range space ~vpn ~count in
+              let seen = ref [] in
+              let removed =
+                Hw.Mmu.invalidate_range space ~vpn ~count
+                  (fun seen ~vpn frame prot ->
+                    seen := (vpn, binding frame prot) :: !seen)
+                  seen
+              in
               if removed <> List.length gone then
                 fail "invalidate_range %d+%d removed %d, model %d" vpn count
                   removed (List.length gone);
+              (* Each removed entry reaches the callback exactly once,
+                 on the per-vpn walk and on the slot scan
+                 ([count] beyond the capacity) alike. *)
+              if List.sort compare !seen <> gone then
+                fail "invalidate_range %d+%d reported entries other than \
+                      those removed" vpn count;
               List.fold_left (fun m (k, _) -> IM.remove k m) model gone
             | Iter_range (vpn, count) ->
               let seen = ref [] in
