@@ -36,6 +36,7 @@ Hw__Engine.push
 Hw__Engine.schedule
 Hw__Engine.more
 Hw__Mmu.find
+Hw__Mmu.lookup
 Hw__Mmu.translate
 Hw__Phys_mem.alloc_index
 Hw__Phys_mem.alloc_opt

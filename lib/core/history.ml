@@ -183,6 +183,32 @@ let child_detached (parent : cache) (child : cache) =
     | _ -> ()
   end
 
+exception Reached
+
+(* The walk threads the caches it has visited through a list searched
+   with [List.memq], as [Cache.readers] does: copy trees are shallow,
+   and the walk builds no table and no closure over parent fragments. *)
+let[@chorus.noted "Cache.copy's strategy check; see [reachable]"] rec reach
+    target seen (c : cache) =
+  if c == target then raise_notrace Reached
+  else if List.memq c seen then seen
+  else
+    let seen = reach_frags target (c :: seen) (Parents.frags c) in
+    if Hashtbl.length c.c_dest_stubs = 0 then seen
+    else Hashtbl.fold (reach_stub target) c.c_dest_stubs seen
+
+and reach_frags target seen = function
+  | [] -> seen
+  | f :: rest -> reach_frags target (reach target seen f.f_parent) rest
+
+and[@chorus.noted "Cache.copy's strategy check; see [reachable]"] reach_stub
+    target _ (s : cow_stub) seen =
+  if not s.cs_alive then seen
+  else
+    match s.cs_source with
+    | Src_cache (sc, _) -> reach target seen sc
+    | Src_page p -> reach target seen p.p_cache
+
 (* [reachable ~from target]: can a value lookup starting at [from]
    reach [target], through parent fragments or deferred per-page stub
    sources?  Used by Cache.copy to refuse building a cyclic tree when
@@ -196,27 +222,12 @@ let[@chorus.noted
       note the topology in purge_range before the slice's next scheduling \
       point, and the eager fallback edits no topology"] reachable
     ~(from : cache) (target : cache) =
-  let visited = Hashtbl.create 16 in
-  let rec go (c : cache) =
-    if c == target then true
-    else if Hashtbl.mem visited c.c_id then false
-    else begin
-      Hashtbl.replace visited c.c_id ();
-      List.exists (fun f -> go f.f_parent) (Parents.frags c)
-      || Hashtbl.fold
-           (fun _ (s : cow_stub) acc ->
-             acc
-             || s.cs_alive
-                &&
-                match s.cs_source with
-                | Src_cache (sc, _) -> go sc
-                | Src_page p -> go p.p_cache)
-           c.c_dest_stubs false
-    end
-  in
   if Parents.frags from = [] && Hashtbl.length from.c_dest_stubs = 0 then
     from == target
-  else go from
+  else
+    match reach target [] from with
+    | _ -> false
+    | exception Reached -> true
 
 (* --- Introspection ---------------------------------------------- *)
 

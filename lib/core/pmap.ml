@@ -197,13 +197,19 @@ let[@chorus.hot] rec unmap_all pvm (page : page) =
 type window_edit = Invalidate | Reprotect
 
 (* Edit every mapped entry of [region] in [vpn, vpn + count), in
-   ascending order: an entry found is charged, then read again. *)
+   ascending order: an entry found is charged, then read again.  The
+   walk resumes after the entry from the MMU as it stands after the
+   charge, so an entry mapped meanwhile ahead of it is edited too; a
+   chunk of the window with no entry costs one directory probe, not one
+   probe per page. *)
 let[@chorus.hot] [@chorus.spanned
-     "leaf helper: callers are the spanned purge and setProtection paths"] edit_window
+     "leaf helper: callers are the spanned purge and setProtection paths"] rec edit_window
     pvm (region : region) edit ~vpn ~count =
   let space = region.r_context.ctx_space in
-  for vpn = vpn to vpn + count - 1 do
-    match mapped_page pvm region ~vpn with
+  let limit = vpn + count in
+  let vpn = Hw.Mmu.next_mapped space ~vpn ~limit in
+  if vpn >= 0 then begin
+    (match mapped_page pvm region ~vpn with
     | None -> ()
     | Some _ -> (
       charge pvm
@@ -217,8 +223,9 @@ let[@chorus.hot] [@chorus.spanned
         | Invalidate ->
           drop_mapping page region ~vpn;
           Hw.Mmu.unmap space ~vpn
-        | Reprotect -> Hw.Mmu.protect space ~vpn (effective_prot page region)))
-  done
+        | Reprotect -> Hw.Mmu.protect space ~vpn (effective_prot page region))));
+    edit_window pvm region edit ~vpn:(vpn + 1) ~count:(limit - vpn - 1)
+  end
 
 let[@chorus.hot] drop_entry (region : region) ~vpn frame _ =
   match page_at_index region.r_context.ctx_pvm frame.Hw.Phys_mem.index with

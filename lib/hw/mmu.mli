@@ -5,26 +5,35 @@
     only — matching the paper's requirement that management structures
     not scale with the size of the address space (§4.1).
 
-    {b The table.}  An open-addressing hash table over int vpns: one
-    array of entry pointers, linear probing, power-of-two capacity at
-    load at most ½, backward-shift deletion (no tombstones).  A new
-    space starts with 16 slots; the capacity doubles as pages are
-    mapped and follows the peak number of mapped pages (it is released
-    by {!destroy_space}).  One array rather than parallel key and value
-    arrays keeps a growing table to one fresh block per doubling.  An
-    entry holds its frame and protection inline: mapping a page
-    allocates the entry and the [Ok frame] block {!translate} returns,
-    re-mapping it to another frame a new [Ok frame], and nothing else
-    ({!protect} and a re-map to the same frame allocate nothing).
+    {b The table.}  Two levels.  A leaf holds the entries of one chunk
+    of 64 consecutive vpns ([vpn asr 6]), indexed by the vpn's low
+    bits; a space's directory maps chunk numbers to leaves by open
+    addressing over int keys (linear probing, power-of-two capacity at
+    load at most ½, backward-shift deletion, no tombstones).  Mapping
+    the first page of a chunk allocates its 65-word leaf, and a leaf
+    goes when its last entry goes, so the size follows the mapped pages.
+    Only the directory doubles, and it moves leaves, never entries: no
+    single {!map} rehashes the table.  A new space starts with a
+    4-slot directory; it is released by {!destroy_space}.  An entry
+    holds its frame and protection inline: mapping a page allocates the
+    entry and the [Ok frame] block {!translate} returns, re-mapping it
+    to another frame a new [Ok frame], and nothing else ({!protect}
+    and a re-map to the same frame allocate nothing).
 
     {b Cost per operation.}  [translate], [query], [mapped_frame_index],
-    [map], [unmap] and [protect] are one expected-O(1) probe of int
-    keys — no polymorphic hash or compare.  [translate], [query] and
-    [mapped_frame_index] allocate nothing: [translate] returns the
-    [Ok frame] block stored in the entry, [query] the entry itself.  [iter_range] and
-    [invalidate_range] cost at most [min count capacity] slots, so
+    [map], [unmap] and [protect] are one expected-O(1) directory probe
+    of int keys — no polymorphic hash or compare — plus one leaf index.
+    [translate], [query] and [mapped_frame_index] allocate nothing:
+    [translate] returns the [Ok frame] block stored in the entry,
+    [query] the entry itself.  [iter_range] and [invalidate_range]
+    visit only the leaves that overlap the range, in ascending vpn
+    order: one probe per chunk when the range spans at most the
+    directory's capacity in chunks, else one scan of the directory, so
     tearing down a huge, sparsely mapped range costs what is mapped.
-    [iter] sorts and is meant for inspection only.
+    [next_mapped] searches the rest of its vpn's leaf, then finds the
+    next leaf as a range walk does: by one probe per chunk, or by a
+    directory scan when the chunks left outnumber the slots.  [iter]
+    sorts and is meant for inspection only.
 
     {b Concurrency.}  Every mutation ([map], [unmap], [protect],
     [invalidate_range], [destroy_space]) runs under the owning memory
@@ -103,8 +112,8 @@ val invalidate_range :
 (** [invalidate_range space ~vpn ~count f x] removes all PTEs in
     [vpn, vpn+count), calling [f x] on each entry just before it is
     removed, once per entry, in the order of {!iter_range}; returns how
-    many entries were removed.  One probe finds, reports and removes an
-    entry, at a cost of at most [min count capacity] slots.  [f] must
+    many entries were removed.  Each overlapping leaf is found once,
+    and its entries in range are reported and removed there.  [f] must
     not mutate the space.  A caller whose [f] needs one value of its
     own passes it as [x] instead of capturing it, so the walk builds no
     closure.  Used at region destruction. *)
@@ -115,10 +124,16 @@ val iter_range :
   count:int ->
   (vpn:int -> Phys_mem.frame -> Prot.t -> unit) ->
   unit
-(** Calls the function on every PTE in [vpn, vpn+count), at a cost of
-    at most [min count capacity] slots.  Ascending vpn order when
-    [count] is at most the capacity, table order otherwise.  The
+(** Calls the function on every PTE in [vpn, vpn+count), in ascending
+    vpn order, visiting only the leaves that overlap the range.  The
     function must not mutate the space. *)
+
+val next_mapped : space -> vpn:int -> limit:int -> int
+(** The least mapped vpn in [vpn, limit), or [-1] when there is none.
+    It probes each chunk it passes while the chunks left span at most
+    the directory's capacity, and scans the directory for the next leaf
+    otherwise; it allocates nothing.
+    @raise Invalid_argument if [vpn] is negative. *)
 
 val mapped_pages : space -> int
 (** Number of PTEs currently installed. *)

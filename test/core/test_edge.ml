@@ -447,6 +447,26 @@ let test_alloc_per_page_copy () =
       words_per_op 16 copy
       |> check_words "an 8-page per-page copy" ~bound:270.)
 
+(* The same copy from a source that is itself a history copy: the
+   copy's cycle check walks the source's ancestors, which costs a few
+   list cells and no table. *)
+let test_alloc_per_page_copy_of_history () =
+  with_pvm (fun pvm ->
+      let orig = written_source pvm ~pages:8 in
+      let src = Core.Cache.create pvm () in
+      Core.Cache.copy pvm ~strategy:`History ~src:orig ~src_off:0 ~dst:src
+        ~dst_off:0 ~size:(8 * ps) ();
+      Alcotest.(check bool) "the source has a parent" true
+        (Core.Parents.frags src <> []);
+      let dst = Core.Cache.create pvm () in
+      let copy _ =
+        Core.Cache.copy pvm ~strategy:`Per_page ~src ~src_off:0 ~dst
+          ~dst_off:0 ~size:(8 * ps) ()
+      in
+      copy 0;
+      words_per_op 16 copy
+      |> check_words "an 8-page per-page copy of a history copy" ~bound:295.)
+
 let test_alloc_move () =
   with_pvm (fun pvm ->
       let a = Core.Cache.create pvm () and b = Core.Cache.create pvm () in
@@ -908,6 +928,8 @@ let tests =
       test_alloc_remap_fault;
     Alcotest.test_case "alloc: 8-page per-page copy" `Quick
       test_alloc_per_page_copy;
+    Alcotest.test_case "alloc: 8-page per-page copy of a history copy" `Quick
+      test_alloc_per_page_copy_of_history;
     Alcotest.test_case "alloc: aligned 8-page move" `Quick test_alloc_move;
     Alcotest.test_case "alloc: unaligned 100-byte eager copy" `Quick
       test_alloc_eager_copy;

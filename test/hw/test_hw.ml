@@ -1059,10 +1059,15 @@ let test_mmu_translate () =
 
 (* Model test: the page table against a [Map.Make (Int)] reference.
    Page size 1 makes an address its vpn, so [translate] covers every
-   key.  The vpn mix stresses the open-addressing table: a dense
-   window (long probe runs, wrap-around, deletes inside a run), region-
-   like sequential runs at far-apart bases, sparse huge and negative
-   vpns, and enough maps to grow the table from its initial size. *)
+   key.  The vpn mix stresses both levels: vpns clustered in a few
+   64-entry leaves and crossing their boundaries (a leaf emptied and
+   refilled, a range ending mid-leaf), a dense window, region-like
+   sequential runs at far-apart bases (long directory probe runs,
+   wrap-around, deletes inside a run), sparse huge and negative vpns,
+   and enough leaves to grow the directory from its initial size.  The
+   range counts reach from part of one leaf to far more chunks than the
+   directory has slots, so the range walks take both the per-chunk
+   probe and the directory scan. *)
 module IM = Map.Make (Int)
 
 type mmu_op =
@@ -1073,6 +1078,7 @@ type mmu_op =
   | Translate of int * Hw.Mmu.access
   | Invalidate of int * int  (** vpn, count *)
   | Iter_range of int * int
+  | Next_mapped of int * int  (** vpn, count *)
   | Iter
 
 let prots = Hw.Prot.[| none; read_only; read_write; read_execute; all |]
@@ -1082,7 +1088,8 @@ let gen_vpn =
   QCheck.Gen.(
     frequency
       [
-        (4, int_range 0 47);
+        (4, map2 (fun leaf i -> (leaf * 64) + i) (int_range 0 3) (int_range (-3) 66));
+        (3, int_range 0 47);
         (3, map2 (fun b i -> (b lsl 30) + i) (int_range 0 3) (int_range 0 99));
         (1, int_range (-8) (-1));
         (1, map (fun x -> x lsl 20) (int_range 1 (1 lsl 40)));
@@ -1116,6 +1123,7 @@ let gen_mmu_op =
             (oneofl [ `Read; `Write; `Execute ]) );
         (1, map2 (fun v c -> Invalidate (v, c)) gen_vpn gen_count);
         (1, map2 (fun v c -> Iter_range (v, c)) gen_vpn gen_count);
+        (1, map2 (fun v c -> Next_mapped (v, c)) gen_vpn gen_count);
         (1, return Iter);
       ])
 
@@ -1127,6 +1135,7 @@ let pp_mmu_op = function
   | Translate (v, _) -> Printf.sprintf "translate %d" v
   | Invalidate (v, c) -> Printf.sprintf "invalidate %d+%d" v c
   | Iter_range (v, c) -> Printf.sprintf "iter_range %d+%d" v c
+  | Next_mapped (v, c) -> Printf.sprintf "next_mapped %d+%d" v c
   | Iter -> "iter"
 
 let in_range ~vpn ~count k = k >= vpn && k - vpn < count
@@ -1215,9 +1224,9 @@ let prop_mmu_model =
                 fail "invalidate_range %d+%d removed %d, model %d" vpn count
                   removed (List.length gone);
               (* Each removed entry reaches the callback exactly once,
-                 on the per-vpn walk and on the slot scan
-                 ([count] beyond the capacity) alike. *)
-              if List.sort compare !seen <> gone then
+                 in ascending vpn order, on the per-chunk walk and on
+                 the directory scan (more chunks than slots) alike. *)
+              if List.rev !seen <> gone then
                 fail "invalidate_range %d+%d reported entries other than \
                       those removed" vpn count;
               List.fold_left (fun m (k, _) -> IM.remove k m) model gone
@@ -1225,10 +1234,26 @@ let prop_mmu_model =
               let seen = ref [] in
               Hw.Mmu.iter_range space ~vpn ~count (fun ~vpn frame prot ->
                   seen := (vpn, binding frame prot) :: !seen);
-              if
-                List.sort compare !seen <> sorted_bindings model ~vpn ~count
-              then fail "iter_range %d+%d disagrees with the model" vpn count;
+              (* ascending vpn order on both walks *)
+              if List.rev !seen <> sorted_bindings model ~vpn ~count then
+                fail "iter_range %d+%d disagrees with the model" vpn count;
               model
+            | Next_mapped (vpn, count) -> (
+              let limit = vpn + count in
+              match Hw.Mmu.next_mapped space ~vpn ~limit with
+              | got ->
+                let want =
+                  match IM.find_first_opt (fun k -> k >= vpn) model with
+                  | Some (k, _) when k < limit -> k
+                  | Some _ | None -> -1
+                in
+                if vpn < 0 then fail "next_mapped from %d accepted" vpn;
+                if got <> want then
+                  fail "next_mapped %d..%d is %d, model %d" vpn limit got want;
+                model
+              | exception Invalid_argument _ ->
+                if vpn >= 0 then fail "next_mapped from %d refused" vpn;
+                model)
             | Iter ->
               let seen = ref [] in
               Hw.Mmu.iter space (fun ~vpn frame prot ->
@@ -1301,6 +1326,42 @@ let test_mmu_updates_allocate_nothing () =
   Alcotest.(check int) "every entry keeps its frame" 0 !wrong;
   Alcotest.(check (float 0.))
     "minor words for 10k protect+same-frame map+index reads" 0. words
+
+(* Words allocated by [f ()], the minor heap and direct major
+   allocations alike: a block beyond the minor heap's size limit goes
+   straight to the major heap, and [Gc.minor_words] misses it. *)
+let words_of f =
+  let minor = Gc.minor_words () and _, promoted, major = Gc.counters () in
+  f ();
+  let minor' = Gc.minor_words () and _, promoted', major' = Gc.counters () in
+  minor' -. minor +. (major' -. major) -. (promoted' -. promoted)
+
+(* No single map pays for the table's growth: mapping 2^12 consecutive
+   pages, the most words any one [map] allocates is a fresh leaf (a
+   64-slot array, 65 words), the entry with its hit result (5 + 2
+   words) and one doubling of the directory.  64 leaves at load <= 1/2
+   take 128 slots, so the last doubling builds a directory record (6
+   words) and three 129-word arrays.  A one-level table would rehash
+   2^11 entries into a fresh 2^13-slot array inside a single map. *)
+let test_mmu_map_worst_case () =
+  let mmu = Hw.Mmu.create ~page_size:4096 in
+  let mem = Hw.Phys_mem.create ~page_size:4096 ~frames:1 () in
+  let frame = Hw.Phys_mem.alloc mem in
+  let space = Hw.Mmu.create_space mmu in
+  let overhead = words_of ignore in
+  let worst = ref 0. in
+  for vpn = 0 to (1 lsl 12) - 1 do
+    let words =
+      words_of (fun () ->
+          ignore (Hw.Mmu.map space ~vpn frame Hw.Prot.read_only : int))
+      -. overhead
+    in
+    if words > !worst then worst := words
+  done;
+  Alcotest.(check int) "every page mapped" (1 lsl 12) (Hw.Mmu.mapped_pages space);
+  let bound = 65. +. 7. +. (6. +. (3. *. 129.)) in
+  if !worst > bound then
+    Alcotest.failf "one map allocated %.0f words (bound %.0f)" !worst bound
 
 (* --- Prot ----------------------------------------------------------- *)
 
@@ -1400,6 +1461,8 @@ let () =
             test_mmu_hits_allocate_nothing;
           Alcotest.test_case "updates allocate nothing" `Quick
             test_mmu_updates_allocate_nothing;
+          Alcotest.test_case "one map allocates at most a leaf and a doubling"
+            `Quick test_mmu_map_worst_case;
           QCheck_alcotest.to_alcotest prop_mmu_model;
         ] );
       ( "prot", [ Alcotest.test_case "algebra" `Quick test_prot_algebra ] );

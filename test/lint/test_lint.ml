@@ -293,7 +293,7 @@ let test_mutation () =
 let test_mmu_alloc_mutation () =
   let src = read_file (build_root ^ "lib/hw/mmu.ml") in
   let needle =
-    "    | Pte e -> if Prot.allows e.prot access then e.ok else protection\n"
+    "  | Pte e -> if Prot.allows e.prot access then e.ok else protection\n"
   in
   Alcotest.(check int) "translate's hit returns the cached result once" 1
     (count_occurrences ~needle src);
@@ -304,7 +304,7 @@ let test_mmu_alloc_mutation () =
   let mutated =
     replace_once ~needle
       ~by:
-        "    | Pte e -> if Prot.allows e.prot access then Ok e.frame else \
+        "  | Pte e -> if Prot.allows e.prot access then Ok e.frame else \
          protection\n"
       src
   in
